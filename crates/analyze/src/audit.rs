@@ -4,24 +4,25 @@
 //! built to cross-check [`ft_core::savework`]. Where the production
 //! checker is engineered for speed (one candidate commit per (nd, target)
 //! pair via partition points), the audit is engineered for *obviousness*:
-//! it walks the causal graph directly through [`Trace::happens_before`]
-//! queries, enumerates **every** live non-deterministic ancestor of every
-//! visible and commit event, and reports **all** uncovered obligations
-//! rather than the first.
+//! it asks [`happens_before`] of every candidate commit, enumerates
+//! **every** live non-deterministic ancestor of every visible and commit
+//! event, and reports **all** uncovered obligations rather than the first.
+//! Both read the clocks one [`replay`] derives at each target.
 //!
 //! The two implementations agree by construction on the following
 //! identities, which the agreement tests in `tests/` pin:
 //!
 //! * cross-process causal precedence `n.seq < e.causal[p]` is exactly
 //!   "application-causality happens-before";
-//! * commit coverage `c.seq < e.clock[p]` is exactly
-//!   `happens_before(c.id, e.id)` (a commit's clock has
-//!   `c.clock[p] == c.seq + 1`);
+//! * commit coverage `c.seq < e.hb[p]` is exactly
+//!   `happens_before(c.id, e.id, e.hb)` (a commit's clock has
+//!   `c.hb[p] == c.seq + 1`);
 //! * `check_save_work` returns `Ok` iff the audit returns no findings,
 //!   and any violation it returns is a member of the audit's finding set
 //!   (the production checker reports the last live nd, which coverage
 //!   monotonicity places in every non-empty uncovered suffix).
 
+use ft_core::clock::{happens_before, replay};
 use ft_core::event::{EventId, EventKind, ProcessId};
 use ft_core::savework::{SaveWorkRule, SaveWorkViolation};
 use ft_core::trace::Trace;
@@ -95,73 +96,75 @@ fn audit_rules(trace: &Trace, visible_rule: bool, orphan_rule: bool) -> Vec<Save
     }
 
     let mut findings = Vec::new();
-    for q in 0..n_procs {
-        let qid = ProcessId::from_index(q);
-        for e in trace.process(qid) {
-            let rule = match e.kind {
-                EventKind::Visible { .. } if visible_rule => SaveWorkRule::Visible,
-                EventKind::Commit { .. } if orphan_rule => SaveWorkRule::Orphan,
-                _ => continue,
-            };
-            for (p, p_nds) in nds.iter().enumerate() {
-                let pid = ProcessId::from_index(p);
-                if p == q && rule == SaveWorkRule::Orphan {
-                    // "Atomic with": a commit target covers its own
-                    // process's preceding non-determinism.
-                    continue;
+    replay(trace, |e, clocks| {
+        let rule = match e.kind {
+            EventKind::Visible { .. } if visible_rule => SaveWorkRule::Visible,
+            EventKind::Commit { .. } if orphan_rule => SaveWorkRule::Orphan,
+            _ => return,
+        };
+        let q = e.id.pid.index();
+        for (p, p_nds) in nds.iter().enumerate() {
+            let pid = ProcessId::from_index(p);
+            if p == q && rule == SaveWorkRule::Orphan {
+                // "Atomic with": a commit target covers its own
+                // process's preceding non-determinism.
+                continue;
+            }
+            // Application causality generates the obligation: program
+            // order on the target's own process, the causal clock
+            // across processes.
+            let req_known = if p == q { e.id.seq } else { clocks.causal[p] };
+            // An nd undone by a same-process rollback before the
+            // target no longer precedes it.
+            let upto = if p == q { e.id.seq } else { u64::MAX };
+            // Every live nd ancestor, most recent first. Coverage is
+            // monotone — a commit covering nd `n` covers every
+            // earlier nd too — so the uncovered obligations form a
+            // suffix and the walk stops at the first covered one.
+            for &nd_seq in p_nds
+                .iter()
+                .rev()
+                .skip_while(|&&s| s >= req_known)
+                .filter(|&&s| survives(&rollbacks[p], s, upto))
+            {
+                if covered(trace, &commits[p], &groups, nd_seq, e.id, clocks.hb) {
+                    break;
                 }
-                // Application causality generates the obligation: program
-                // order on the target's own process, the causal clock
-                // across processes.
-                let req_known = if p == q { e.id.seq } else { e.causal.get(pid) };
-                // An nd undone by a same-process rollback before the
-                // target no longer precedes it.
-                let upto = if p == q { e.id.seq } else { u64::MAX };
-                // Every live nd ancestor, most recent first. Coverage is
-                // monotone — a commit covering nd `n` covers every
-                // earlier nd too — so the uncovered obligations form a
-                // suffix and the walk stops at the first covered one.
-                for &nd_seq in p_nds
-                    .iter()
-                    .rev()
-                    .skip_while(|&&s| s >= req_known)
-                    .filter(|&&s| survives(&rollbacks[p], s, upto))
-                {
-                    if covered(trace, &commits[p], &groups, nd_seq, e.id) {
-                        break;
-                    }
-                    findings.push(SaveWorkViolation {
-                        nd: EventId::new(pid, nd_seq),
-                        target: e.id,
-                        rule,
-                    });
-                }
+                findings.push(SaveWorkViolation {
+                    nd: EventId::new(pid, nd_seq),
+                    target: e.id,
+                    rule,
+                });
             }
         }
-    }
+    });
+    // The replay visits targets in recording order; each target's findings
+    // are contiguous, so a stable sort restores process-major order.
+    findings.sort_by_key(|f| f.target);
     findings
 }
 
 /// Is the obligation (nd on `commits`' process, `target`) discharged —
 /// by a later commit on that process that happens-before the target, or
 /// by one whose coordinated round contains a member ordered before (or
-/// being) the target?
+/// being) the target? `target_hb` is the target's happens-before clock.
 fn covered(
     trace: &Trace,
     commits: &[EventId],
     groups: &[(u64, Vec<EventId>)],
     nd_seq: u64,
     target: EventId,
+    target_hb: &[u64],
 ) -> bool {
     for c in commits.iter().filter(|c| c.seq > nd_seq) {
-        if trace.happens_before(*c, target) {
+        if happens_before(*c, target, target_hb) {
             return true;
         }
         if let Some(g) = trace.get(*c).and_then(|e| e.atomic_group) {
             let members = &groups.iter().find(|(id, _)| *id == g).expect("group").1;
             if members
                 .iter()
-                .any(|&m| m == target || trace.happens_before(m, target))
+                .any(|&m| m == target || happens_before(m, target, target_hb))
             {
                 return true;
             }

@@ -246,7 +246,7 @@ mod tests {
             ],
         };
         let s = normalize(&log, 2);
-        assert!(detect(&s, &ClockIndex::new(&t)).is_empty());
+        assert!(detect(&s, &ClockIndex::new(&t, &s)).is_empty());
     }
 
     #[test]
@@ -259,7 +259,7 @@ mod tests {
             ],
         };
         let s = normalize(&log, 2);
-        let races = detect(&s, &ClockIndex::new(&t));
+        let races = detect(&s, &ClockIndex::new(&t, &s));
         assert_eq!(races.len(), 1);
         assert_eq!(races[0].page, 0);
         assert!(races[0].a.is_write);
@@ -280,7 +280,7 @@ mod tests {
             ],
         };
         let s = normalize(&log, 2);
-        let races = detect(&s, &ClockIndex::new(&t));
+        let races = detect(&s, &ClockIndex::new(&t, &s));
         assert_eq!(races.len(), 1);
         assert!(!races[0].a.is_write);
         assert!(races[0].b.is_write);
@@ -297,7 +297,7 @@ mod tests {
             ],
         };
         let s = normalize(&log, 2);
-        assert!(detect(&s, &ClockIndex::new(&t)).is_empty());
+        assert!(detect(&s, &ClockIndex::new(&t, &s)).is_empty());
     }
 
     #[test]
@@ -312,7 +312,7 @@ mod tests {
             ],
         };
         let s = normalize(&log, 2);
-        assert!(detect(&s, &ClockIndex::new(&t)).is_empty());
+        assert!(detect(&s, &ClockIndex::new(&t, &s)).is_empty());
     }
 
     #[test]
@@ -327,7 +327,7 @@ mod tests {
             ],
         };
         let s = normalize(&log, 2);
-        let races = detect(&s, &ClockIndex::new(&t));
+        let races = detect(&s, &ClockIndex::new(&t, &s));
         // Site pairs dedup: (P0 w, P1 w) and (P1 w, P0 w) — one each
         // direction, not one per byte per occurrence.
         assert_eq!(races.len(), 2);
@@ -349,7 +349,7 @@ mod tests {
             ],
         };
         let s = normalize(&log, 3);
-        let races = detect(&s, &ClockIndex::new(&t));
+        let races = detect(&s, &ClockIndex::new(&t, &s));
         assert_eq!(races.len(), 2);
         let readers: Vec<ProcessId> = races.iter().map(|r| r.a.pid).collect();
         assert!(readers.contains(&ProcessId(0)));
@@ -370,6 +370,6 @@ mod tests {
             ],
         };
         let s = normalize(&log, 2);
-        assert!(detect(&s, &ClockIndex::new(&t)).is_empty());
+        assert!(detect(&s, &ClockIndex::new(&t, &s)).is_empty());
     }
 }

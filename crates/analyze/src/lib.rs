@@ -1,14 +1,14 @@
 //! # ft-analyze — trace analyzers for recorded runs
 //!
 //! Three composable passes over what the simulator already records — the
-//! per-process event trace with vector clocks and the shared-memory
-//! access stream — turning the recovery testbed into a dynamic-analysis
-//! one:
+//! per-process event trace and the shared-memory access stream, with
+//! vector clocks derived by `ft_core::clock::replay` — turning the
+//! recovery testbed into a dynamic-analysis one:
 //!
 //! * **[`hb`]** — a FastTrack-style happens-before race detector.
 //!   Per-byte shadow state (last-write epoch plus an adaptive read set)
 //!   over the DSM pages; happens-before between accesses is answered
-//!   from the recorded clocks via [`stream::ClockIndex`], since every
+//!   from the derived clocks via [`stream::ClockIndex`], since every
 //!   synchronization edge — program order, message send→recv, lock
 //!   release→grant, barrier rounds, commit ordering — is already
 //!   materialized as recorded message events.

@@ -191,7 +191,8 @@ mod tests {
     fn run(log: &ShmLog, n: usize) -> Vec<LocksetViolation> {
         let t = trace(n);
         let mut s = normalize(log, n);
-        detect(&mut s, &ClockIndex::new(&t))
+        let clocks = ClockIndex::new(&t, &s);
+        detect(&mut s, &clocks)
     }
 
     #[test]

@@ -64,8 +64,8 @@ impl AnalysisReport {
 /// access log.
 pub fn analyze(trace: &Trace, shm: &ShmLog) -> AnalysisReport {
     let processes = trace.num_processes();
-    let clocks = ClockIndex::new(trace);
     let mut stream = normalize(shm, processes);
+    let clocks = ClockIndex::new(trace, &stream);
     let races = hb_detect(&stream, &clocks);
     let lockset = lockset_detect(&mut stream, &clocks);
     let crosstab = crosstab(&races, &lockset);

@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 
 use ft_core::access::{ShmLog, ShmOp};
-use ft_core::clock::VectorClock;
+use ft_core::clock::replay;
 use ft_core::event::ProcessId;
 use ft_core::trace::Trace;
 
@@ -170,28 +170,67 @@ pub fn normalize(log: &ShmLog, n_procs: usize) -> AccessStream {
 /// release→grant chains, barrier diff exchanges, two-phase-commit control
 /// rounds — is materialized as recorded message events, so this clock
 /// lookup composes the access stream with the trace without any edge
-/// machinery of its own.
-pub struct ClockIndex<'a> {
-    trace: &'a Trace,
+/// machinery of its own. The trace records no clocks: one [`replay`]
+/// derives them and the index keeps those at the positions some access
+/// sits at.
+pub struct ClockIndex {
+    n_procs: usize,
+    /// `row_of[p][pos]`: which row of `rows` holds `p`'s knowledge at
+    /// position `pos`; [`NO_ACCESS`] where no access needs it.
+    row_of: Vec<Vec<u32>>,
+    /// Happens-before clocks, `n_procs` components per row.
+    rows: Vec<u64>,
 }
 
-impl<'a> ClockIndex<'a> {
-    /// Builds the index over a trace.
-    pub fn new(trace: &'a Trace) -> Self {
-        ClockIndex { trace }
+const NO_ACCESS: u32 = u32::MAX;
+
+impl ClockIndex {
+    /// Builds the index over a trace for the accesses of `stream`.
+    pub fn new(trace: &Trace, stream: &AccessStream) -> Self {
+        let n_procs = trace.num_processes();
+        let mut row_of: Vec<Vec<u32>> = (0..n_procs)
+            .map(|p| vec![NO_ACCESS; trace.process(ProcessId::from_index(p)).len() + 1])
+            .collect();
+        let mut n_rows = 0u32;
+        for a in &stream.accesses {
+            // Position 0 precedes the process's first event (no knowledge
+            // of anyone); a position past its last event is not in the
+            // trace.
+            let slot = usize::try_from(a.pos)
+                .ok()
+                .filter(|&pos| pos > 0)
+                .and_then(|pos| row_of.get_mut(a.pid.index())?.get_mut(pos));
+            if let Some(slot) = slot.filter(|slot| **slot == NO_ACCESS) {
+                *slot = n_rows;
+                n_rows += 1;
+            }
+        }
+        let mut rows = vec![0u64; n_rows as usize * n_procs];
+        replay(trace, |e, clocks| {
+            let pos =
+                usize::try_from(e.id.seq).expect("a recorded event's seq indexes its log") + 1;
+            let row = row_of[e.id.pid.index()][pos];
+            if row != NO_ACCESS {
+                rows[row as usize * n_procs..][..n_procs].copy_from_slice(clocks.hb);
+            }
+        });
+        ClockIndex {
+            n_procs,
+            row_of,
+            rows,
+        }
     }
 
     /// The happens-before knowledge of `pid` at trace position `pos`:
     /// the clock of its event `pos - 1`, or `None` before its first
-    /// event (no knowledge of anyone).
-    pub fn knowledge(&self, pid: ProcessId, pos: u64) -> Option<&VectorClock> {
-        if pos == 0 {
-            return None;
-        }
-        self.trace
-            .process(pid)
-            .get(usize::try_from(pos).ok()? - 1)
-            .map(|e| &e.clock)
+    /// event (no knowledge of anyone). Answers only at positions of the
+    /// stream's accesses.
+    pub fn knowledge(&self, pid: ProcessId, pos: u64) -> Option<&[u64]> {
+        let row = *self
+            .row_of
+            .get(pid.index())?
+            .get(usize::try_from(pos).ok()?)?;
+        (row != NO_ACCESS).then(|| &self.rows[row as usize * self.n_procs..][..self.n_procs])
     }
 
     /// Happens-before between two accesses.
@@ -207,16 +246,17 @@ impl<'a> ClockIndex<'a> {
         if a.pid == b.pid {
             return a.idx < b.idx;
         }
-        match self.knowledge(b.pid, b.pos) {
-            Some(k) => k.get(a.pid) > a.pos,
-            None => false,
-        }
+        self.knowledge(b.pid, b.pos)
+            .is_some_and(|k| k[a.pid.index()] > a.pos)
     }
 
     /// Renders an access's knowledge clock for a race report.
     pub fn knowledge_display(&self, pid: ProcessId, pos: u64) -> String {
         match self.knowledge(pid, pos) {
-            Some(c) => c.to_string(),
+            Some(c) => {
+                let components: Vec<String> = c.iter().map(u64::to_string).collect();
+                format!("<{}>", components.join(","))
+            }
             None => "<->".to_string(),
         }
     }
@@ -298,7 +338,6 @@ mod tests {
         let (_, m) = b.send(ProcessId(0), ProcessId(1));
         b.recv(ProcessId(1), ProcessId(0), m);
         let t = b.finish();
-        let ci = ClockIndex::new(&t);
         let acc = |idx: u32, pid: u32, pos: u64, is_write: bool| Access {
             idx,
             pid: ProcessId(pid),
@@ -312,11 +351,21 @@ mod tests {
         let a0 = acc(0, 0, 0, true); // P0 before its send.
         let b_pre = acc(1, 1, 0, false); // P1 before its recv.
         let b_post = acc(2, 1, 1, false); // P1 after its recv.
+        let a1 = acc(3, 0, 1, false);
+        let ci = ClockIndex::new(
+            &t,
+            &AccessStream {
+                accesses: vec![a0, b_pre, b_post, a1],
+                locksets: LocksetTable::new(),
+                n_procs: 2,
+            },
+        );
+        assert_eq!(ci.knowledge_display(ProcessId(1), 1), "<1,1>");
+        assert_eq!(ci.knowledge_display(ProcessId(1), 0), "<->");
         assert!(ci.hb_access(&a0, &b_post), "send→recv orders the access");
         assert!(!ci.hb_access(&a0, &b_pre), "no knowledge before the recv");
         assert!(!ci.hb_access(&b_post, &a0), "never backwards");
         // Same process: stream order.
-        let a1 = acc(3, 0, 1, false);
         assert!(ci.hb_access(&a0, &a1));
         assert!(!ci.hb_access(&a1, &a0));
     }

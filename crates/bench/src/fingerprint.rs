@@ -27,10 +27,34 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
 /// observer could see — the full event trace, the visible outputs with
 /// their timestamps, and the final simulated time.
 pub fn report_fingerprint(report: &DcReport) -> u64 {
-    let mut repr = format!("{:?}", report.trace);
+    let mut repr = dense_debug(&report.trace);
     repr.push_str(&format!("{:?}", report.visibles));
     repr.push_str(&format!("{}", report.runtime));
     fnv1a_64(repr.as_bytes())
+}
+
+/// Bridge: the `Debug` rendering of the trace as it was when every event
+/// carried its two vector clocks, rebuilt from derived clocks, so the
+/// golden fixtures prove the derivation reproduces the recorded clocks.
+fn dense_debug(trace: &ft_core::trace::Trace) -> String {
+    use std::fmt::Write as _;
+    let mut per_proc = vec![Vec::<String>::new(); trace.num_processes()];
+    ft_core::clock::replay(trace, |e, c| {
+        let mut s = String::new();
+        write!(
+            s,
+            "Event {{ id: {:?}, kind: {:?}, clock: VectorClock {{ components: {:?} }}, \
+             causal: VectorClock {{ components: {:?} }}, logged: {:?}, atomic_group: {:?} }}",
+            e.id, e.kind, c.hb, c.causal, e.logged, e.atomic_group
+        )
+        .expect("writing to a String");
+        per_proc[e.id.pid.index()].push(s);
+    });
+    let procs: Vec<String> = per_proc
+        .iter()
+        .map(|evs| format!("[{}]", evs.join(", ")))
+        .collect();
+    format!("Trace {{ events: [{}] }}", procs.join(", "))
 }
 
 #[cfg(test)]

@@ -8,8 +8,6 @@
 //! and receives, user-visible outputs, commits, crashes, and the
 //! fault-activation markers used by the Table 1 methodology.
 
-use crate::clock::VectorClock;
-
 /// Identifier of a process within a computation.
 ///
 /// Process ids are small dense integers so they can index vector clocks and
@@ -226,24 +224,16 @@ impl EventKind {
 }
 
 /// A single executed event, as recorded in a [`crate::trace::Trace`].
+///
+/// An event carries no vector clock: clocks are a function of the
+/// per-process sequences and the message edges, and the checkers derive
+/// them with [`crate::clock::replay`] at the events they test.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Event {
     /// The event's identity (`e_p^i`).
     pub id: EventId,
     /// What the event did.
     pub kind: EventKind,
-    /// Happens-before vector clock *after* executing this event. Joined on
-    /// **every** message, including recovery-layer control messages
-    /// (two-phase-commit prepares and acks). Used to decide whether a
-    /// commit *happens-before* a target event (coverage).
-    pub clock: VectorClock,
-    /// Application-causality vector clock *after* executing this event.
-    /// Joined only on **application** messages. The paper distinguishes
-    /// happens-before's use as an ordering constraint from its use as an
-    /// approximation of causality ("causally precedes", §2.2); recovery
-    /// control messages order events but do not transmit application state,
-    /// so they must not generate Save-work obligations.
-    pub causal: VectorClock,
     /// True if the event's non-determinism has been rendered deterministic
     /// by logging (§2.4): its result is on stable storage and constrained
     /// re-execution will reproduce it. Logged events do not count as
@@ -308,8 +298,6 @@ mod tests {
                 source: NdSource::TimeOfDay,
                 class: NdClass::Transient,
             },
-            clock: VectorClock::new(1),
-            causal: VectorClock::new(1),
             logged: false,
             atomic_group: None,
         };
@@ -327,13 +315,17 @@ mod tests {
                 from: ProcessId(0),
                 msg: MsgId(7),
             },
-            clock: VectorClock::new(2),
-            causal: VectorClock::new(2),
             logged: false,
             atomic_group: None,
         };
         assert!(e.is_effectively_nd());
         assert_eq!(e.nd_class(), Some(NdClass::Transient));
+    }
+
+    #[test]
+    fn an_event_is_at_most_one_cache_line() {
+        // Recording is O(1) words per event whatever the process count.
+        assert!(std::mem::size_of::<Event>() <= 64);
     }
 
     #[test]

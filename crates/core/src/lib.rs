@@ -66,7 +66,7 @@ pub mod space;
 pub mod trace;
 
 pub use avail::{availability, nines, total_downtime_ns, Incident};
-pub use clock::{happens_before, VectorClock};
+pub use clock::{happens_before, replay, EventClocks};
 pub use consistency::{
     check_consistent_recovery, check_consistent_recovery_multi, check_equivalence, ConsistencyError,
 };

@@ -11,7 +11,8 @@
 //! headline "transparent recovery impossible for >90% of application
 //! faults" figure.
 
-use crate::event::{EventId, EventKind, ProcessId};
+use crate::clock::{happens_before, replay};
+use crate::event::{EventId, EventKind};
 use crate::trace::Trace;
 
 /// The outcome of the Table 1 criterion on one crashed run.
@@ -55,30 +56,24 @@ pub fn check_commit_after_activation(trace: &Trace) -> LoseWorkOutcome {
     if activations.is_empty() {
         return LoseWorkOutcome::Upheld;
     }
-    for q in 0..trace.num_processes() {
-        let qid = ProcessId::from_index(q);
-        for e in trace.process(qid) {
-            if !e.kind.is_commit() {
-                continue;
-            }
-            for &a in &activations {
-                let after = if a.pid == qid {
-                    a.seq < e.id.seq
-                } else {
-                    // Cross-process: buggy state reached the commit through
-                    // application messages (causal clock).
-                    a.seq < e.causal.get(a.pid)
-                };
-                if after {
-                    return LoseWorkOutcome::Violated {
-                        activation: a,
-                        commit: e.id,
-                    };
-                }
-            }
+    // The replay visits commits in recording order; the reported one is
+    // the first in process-major order.
+    let mut first: Option<(EventId, EventId)> = None;
+    replay(trace, |e, clocks| {
+        if !e.kind.is_commit() || first.is_some_and(|(_, commit)| commit < e.id) {
+            return;
         }
+        // Cross-process, buggy state reaches the commit through
+        // application messages: the causal clock.
+        let reached = |a: &&EventId| happens_before(**a, e.id, clocks.causal);
+        if let Some(&activation) = activations.iter().find(reached) {
+            first = Some((activation, e.id));
+        }
+    });
+    match first {
+        Some((activation, commit)) => LoseWorkOutcome::Violated { activation, commit },
+        None => LoseWorkOutcome::Upheld,
     }
-    LoseWorkOutcome::Upheld
 }
 
 /// Bohrbug/Heisenbug classification (§4.1, after Gray \[13\]).
@@ -138,7 +133,7 @@ pub struct ConflictEstimate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::NdSource;
+    use crate::event::{NdSource, ProcessId};
     use crate::trace::TraceBuilder;
 
     fn p(i: u32) -> ProcessId {

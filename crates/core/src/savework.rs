@@ -17,13 +17,15 @@
 //!   upholds the no-orphan constraint).
 //!
 //! The implementation exploits two structural facts for efficiency. First,
-//! with per-event vector clocks, event `n` of process `p` causally precedes
-//! target `e` iff `n.seq < e.clock[p]` (for `p != e.pid`). Second, if the
+//! with the clocks [`replay`] derives at each target, event `n` of process
+//! `p` causally precedes target `e` iff `n.seq < e.causal[p]` (for
+//! `p != e.pid`). Second, if the
 //! *earliest* commit after `n` on `p` does not happen-before `e`, no later
 //! commit can (program order composes with happens-before), so only one
 //! candidate commit per (nd, target) pair needs testing. The whole check is
-//! `O(targets × processes × log commits)`.
+//! one replay plus `O(targets × processes × log commits)`.
 
+use crate::clock::{happens_before, replay};
 use crate::event::{EventId, EventKind, ProcessId};
 use crate::trace::Trace;
 
@@ -185,76 +187,77 @@ fn check_rules(
     orphan_rule: bool,
 ) -> Result<(), SaveWorkViolation> {
     let (idx, groups) = build_index(trace);
-    for q in 0..trace.num_processes() {
-        let qid = ProcessId::from_index(q);
-        for e in trace.process(qid) {
-            let rule = match e.kind {
-                EventKind::Visible { .. } if visible_rule => SaveWorkRule::Visible,
-                EventKind::Commit { .. } if orphan_rule => SaveWorkRule::Orphan,
-                _ => continue,
-            };
-            for (p, pidx) in idx.iter().enumerate() {
-                let pid = ProcessId::from_index(p);
-                // How many of p's events *causally precede* e (application
-                // causality generates the Save-work obligation): for p != q
-                // the causal-clock component; for p == q, program order.
-                let req_known = if p == q {
-                    // For a commit target on its own process, "atomic with"
-                    // lets the target itself serve as the covering commit.
-                    if rule == SaveWorkRule::Orphan {
-                        continue;
-                    }
-                    e.id.seq
-                } else {
-                    e.causal.get(pid)
-                };
-                // How many of p's events *happen-before* e (coverage uses
-                // plain happens-before, which control messages extend).
-                let known = if p == q { e.id.seq } else { e.clock.get(pid) };
-                // Only *live* non-determinism generates obligations: an nd
-                // event undone by a recovery rollback no longer precedes
-                // anything after the rollback (same-process), and its
-                // unwound effects are the recovery machinery's concern
-                // cross-process (withdrawal, cascades, deterministic
-                // regeneration).
-                let upto = if p == q { e.id.seq } else { u64::MAX };
-                if let Some(nd_seq) = pidx.last_live_nd_below(req_known, upto) {
-                    // Plain coverage: a commit on p strictly between the nd
-                    // and the target in the happens-before order.
-                    let mut covered = commit_in(pidx, nd_seq, known);
-                    // Atomic closure: a coordinated commit on p after the
-                    // nd covers the target if *any member* of its round
-                    // happens-before (or is) the target — the round's
-                    // commits are atomic with one another, so the whole
-                    // round is ordered by its best-ordered member.
-                    if !covered {
-                        covered = pidx
-                            .grouped_commits
-                            .iter()
-                            .filter(|&&(s, _)| s > nd_seq)
-                            .any(|&(_, g)| {
-                                groups[&g].iter().any(|&m| {
-                                    m == e.id
-                                        || if m.pid == qid {
-                                            m.seq < e.id.seq
-                                        } else {
-                                            m.seq < e.clock.get(m.pid)
-                                        }
-                                })
-                            });
-                    }
-                    if !covered {
-                        return Err(SaveWorkViolation {
-                            nd: EventId::new(pid, nd_seq),
-                            target: e.id,
-                            rule,
-                        });
-                    }
+    // The replay visits targets in recording order; the reported violation
+    // is the first in process-major order, (target, nd.pid) smallest.
+    let mut first: Option<SaveWorkViolation> = None;
+    replay(trace, |e, clocks| {
+        let rule = match e.kind {
+            EventKind::Visible { .. } if visible_rule => SaveWorkRule::Visible,
+            EventKind::Commit { .. } if orphan_rule => SaveWorkRule::Orphan,
+            _ => return,
+        };
+        if first.is_some_and(|f| f.target < e.id) {
+            return;
+        }
+        let q = e.id.pid.index();
+        for (p, pidx) in idx.iter().enumerate() {
+            let pid = ProcessId::from_index(p);
+            // How many of p's events *causally precede* e (application
+            // causality generates the Save-work obligation): for p != q
+            // the causal-clock component; for p == q, program order.
+            let req_known = if p == q {
+                // For a commit target on its own process, "atomic with"
+                // lets the target itself serve as the covering commit.
+                if rule == SaveWorkRule::Orphan {
+                    continue;
                 }
+                e.id.seq
+            } else {
+                clocks.causal[p]
+            };
+            // How many of p's events *happen-before* e (coverage uses
+            // plain happens-before, which control messages extend).
+            let known = if p == q { e.id.seq } else { clocks.hb[p] };
+            // Only *live* non-determinism generates obligations: an nd
+            // event undone by a recovery rollback no longer precedes
+            // anything after the rollback (same-process), and its
+            // unwound effects are the recovery machinery's concern
+            // cross-process (withdrawal, cascades, deterministic
+            // regeneration).
+            let upto = if p == q { e.id.seq } else { u64::MAX };
+            let Some(nd_seq) = pidx.last_live_nd_below(req_known, upto) else {
+                continue;
+            };
+            // Plain coverage: a commit on p strictly between the nd and
+            // the target in the happens-before order. Atomic closure: a
+            // coordinated commit on p after the nd covers the target if
+            // *any member* of its round happens-before (or is) the
+            // target — the round's commits are atomic with one another,
+            // so the whole round is ordered by its best-ordered member.
+            let covered = commit_in(pidx, nd_seq, known)
+                || pidx
+                    .grouped_commits
+                    .iter()
+                    .filter(|&&(s, _)| s > nd_seq)
+                    .any(|&(_, g)| {
+                        groups[&g]
+                            .iter()
+                            .any(|&m| m == e.id || happens_before(m, e.id, clocks.hb))
+                    });
+            if !covered {
+                let v = SaveWorkViolation {
+                    nd: EventId::new(pid, nd_seq),
+                    target: e.id,
+                    rule,
+                };
+                if first.is_none_or(|f| (v.target, v.nd.pid) < (f.target, f.nd.pid)) {
+                    first = Some(v);
+                }
+                return;
             }
         }
-    }
-    Ok(())
+    });
+    first.map_or(Ok(()), Err)
 }
 
 /// A process rollback point after a failure: all events of `pid` with
@@ -299,27 +302,24 @@ pub fn find_orphans(trace: &Trace, rollbacks: &[Rollback]) -> Vec<OrphanReport> 
         if lost_nds.is_empty() {
             continue;
         }
-        for q in 0..trace.num_processes() {
-            let qid = ProcessId::from_index(q);
-            if qid == rb.pid {
-                continue;
+        // Per process, its first commit that depends on a lost event.
+        let mut first: Vec<Option<OrphanReport>> = vec![None; trace.num_processes()];
+        replay(trace, |e, clocks| {
+            let slot = &mut first[e.id.pid.index()];
+            if !e.kind.is_commit() || e.id.pid == rb.pid || slot.is_some() {
+                return;
             }
-            for e in trace.process(qid) {
-                if !e.kind.is_commit() {
-                    continue;
-                }
-                let known = e.causal.get(rb.pid);
-                // Any lost nd with seq < known is a committed dependence.
-                if let Some(&nd_seq) = lost_nds.iter().find(|&&s| s < known) {
-                    reports.push(OrphanReport {
-                        orphan: qid,
-                        commit: e.id,
-                        lost_nd: EventId::new(rb.pid, nd_seq),
-                    });
-                    break;
-                }
+            let known = clocks.causal[rb.pid.index()];
+            // Any lost nd with seq < known is a committed dependence.
+            if let Some(&nd_seq) = lost_nds.iter().find(|&&s| s < known) {
+                *slot = Some(OrphanReport {
+                    orphan: e.id.pid,
+                    commit: e.id,
+                    lost_nd: EventId::new(rb.pid, nd_seq),
+                });
             }
-        }
+        });
+        reports.extend(first.into_iter().flatten());
     }
     reports
 }

@@ -1,16 +1,13 @@
 //! Traces: the recorded event history of a computation.
 //!
 //! A [`Trace`] holds the per-process event sequences of one (possibly failed
-//! and recovered) execution, with vector clocks maintained so the checkers
-//! in [`crate::savework`], [`crate::losework`], and [`crate::consistency`]
-//! can ask causal questions after the fact. Traces are built through a
-//! [`TraceBuilder`], which owns the clock discipline: ticking the executing
-//! process's component on each event, and joining the sender's clock into
-//! the receiver's on a receive.
+//! and recovered) execution plus the order they were recorded in. It stores
+//! no vector clocks: the checkers in [`crate::savework`] and
+//! [`crate::losework`] derive them with [`crate::clock::replay`] when they
+//! ask causal questions after the fact. Traces are built through a
+//! [`TraceBuilder`], which hands out event, message, commit and round ids
+//! and does a constant amount of work per event whatever the process count.
 
-use std::collections::HashMap;
-
-use crate::clock::{happens_before, VectorClock};
 use crate::event::{Event, EventId, EventKind, MsgId, NdClass, NdSource, ProcessId};
 
 /// Chunk size for reserve-ahead appends on recording hot paths.
@@ -35,6 +32,10 @@ pub fn chunked_push<T>(v: &mut Vec<T>, x: T) {
 pub struct Trace {
     /// `events[p]` is the event sequence of process `p`, in program order.
     events: Vec<Vec<Event>>,
+    /// The executing process of every event, in recording order: the one
+    /// linearization the run itself produced, in which a send precedes its
+    /// receives.
+    order: Vec<u32>,
 }
 
 impl Trace {
@@ -55,14 +56,24 @@ impl Trace {
             .get(usize::try_from(id.seq).ok()?)
     }
 
-    /// Iterates over all events of all processes.
+    /// Iterates over all events of all processes, process by process.
     pub fn iter(&self) -> impl Iterator<Item = &Event> {
         self.events.iter().flatten()
     }
 
+    /// Iterates over all events in the order they were recorded.
+    pub fn recorded(&self) -> impl Iterator<Item = &Event> {
+        let mut next = vec![0usize; self.events.len()];
+        self.order.iter().map(move |&p| {
+            let p = p as usize;
+            next[p] += 1;
+            &self.events[p][next[p] - 1]
+        })
+    }
+
     /// Total number of recorded events.
     pub fn len(&self) -> usize {
-        self.events.iter().map(Vec::len).sum()
+        self.order.len()
     }
 
     /// True if no events have been recorded.
@@ -70,37 +81,9 @@ impl Trace {
         self.len() == 0
     }
 
-    /// Happens-before between two recorded events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either id is not in the trace.
-    pub fn happens_before(&self, a: EventId, b: EventId) -> bool {
-        let ea = self.get(a).expect("event a not in trace");
-        let eb = self.get(b).expect("event b not in trace");
-        happens_before(a.pid, &ea.clock, b.pid, &eb.clock)
-    }
-
     /// All commit events of process `p`, in program order.
     pub fn commits_of(&self, p: ProcessId) -> impl Iterator<Item = &Event> {
         self.process(p).iter().filter(|e| e.kind.is_commit())
-    }
-
-    /// The visible-output token sequence of the whole computation, in a
-    /// global order consistent with causality (here: by interleaving
-    /// recorded order; the builder records events in execution order).
-    pub fn visible_sequence(&self) -> Vec<u64> {
-        // Events are globally ordered by the builder-assigned global seq.
-        let mut vis: Vec<(u64, u64)> = Vec::new();
-        for e in self.iter() {
-            if let EventKind::Visible { token } = e.kind {
-                vis.push((e.clock.components().iter().sum::<u64>(), token));
-            }
-        }
-        // A causal order suffices for the duplicate-equivalence check; sort
-        // by clock mass, which respects happens-before, tie-broken stably.
-        vis.sort_by_key(|&(mass, _)| mass);
-        vis.into_iter().map(|(_, t)| t).collect()
     }
 
     /// Number of commit events across all processes.
@@ -110,20 +93,9 @@ impl Trace {
 }
 
 /// Incremental builder for a [`Trace`].
-///
-/// The builder maintains one vector clock per process and the send-side
-/// clock of every in-flight message, so receives acquire the correct causal
-/// history.
 #[derive(Debug, Clone)]
 pub struct TraceBuilder {
-    n: usize,
-    clocks: Vec<VectorClock>,
-    causal_clocks: Vec<VectorClock>,
     trace: Trace,
-    /// Clocks captured at each send (happens-before, causal), keyed by
-    /// message id, consumed at recv. Determinism: keyed insert/remove
-    /// only, never iterated — hash order cannot reach any output.
-    msg_clocks: HashMap<MsgId, (VectorClock, VectorClock)>,
     next_msg: u64,
     next_commit: u64,
     next_group: u64,
@@ -133,13 +105,10 @@ impl TraceBuilder {
     /// Creates a builder for a computation of `n` processes.
     pub fn new(n: usize) -> Self {
         Self {
-            n,
-            clocks: (0..n).map(|_| VectorClock::new(n)).collect(),
-            causal_clocks: (0..n).map(|_| VectorClock::new(n)).collect(),
             trace: Trace {
                 events: vec![Vec::new(); n],
+                order: Vec::new(),
             },
-            msg_clocks: HashMap::new(),
             next_msg: 0,
             next_commit: 0,
             next_group: 0,
@@ -157,21 +126,28 @@ impl TraceBuilder {
         logged: bool,
         atomic_group: Option<u64>,
     ) -> EventId {
-        assert!(p.index() < self.n, "process id out of range");
-        self.clocks[p.index()].tick(p);
-        self.causal_clocks[p.index()].tick(p);
-        let seq = self.trace.events[p.index()].len() as u64;
-        let id = EventId::new(p, seq);
-        let ev = Event {
-            id,
-            kind,
-            clock: self.clocks[p.index()].clone(),
-            causal: self.causal_clocks[p.index()].clone(),
-            logged,
-            atomic_group,
-        };
-        chunked_push(&mut self.trace.events[p.index()], ev);
+        assert!(
+            p.index() < self.trace.events.len(),
+            "process id out of range"
+        );
+        let log = &mut self.trace.events[p.index()];
+        let id = EventId::new(p, log.len() as u64);
+        chunked_push(
+            log,
+            Event {
+                id,
+                kind,
+                logged,
+                atomic_group,
+            },
+        );
+        chunked_push(&mut self.trace.order, p.0);
         id
+    }
+
+    fn fresh_msg(&mut self) -> MsgId {
+        self.next_msg += 1;
+        MsgId(self.next_msg - 1)
     }
 
     /// Records a deterministic internal event.
@@ -205,54 +181,29 @@ impl TraceBuilder {
     /// Records a send from `from` to `to`, returning the event id and the
     /// fresh message id the matching receive must use.
     pub fn send(&mut self, from: ProcessId, to: ProcessId) -> (EventId, MsgId) {
-        let msg = MsgId(self.next_msg);
-        self.next_msg += 1;
-        let id = self.push(from, EventKind::Send { to, msg }, false);
-        // Capture the clocks after the send for the receive to join.
-        self.msg_clocks.insert(
-            msg,
-            (
-                self.clocks[from.index()].clone(),
-                self.causal_clocks[from.index()].clone(),
-            ),
-        );
-        (id, msg)
+        let msg = self.fresh_msg();
+        (self.push(from, EventKind::Send { to, msg }, false), msg)
     }
 
     /// Records a *control* send from the recovery layer (e.g. a two-phase
-    /// commit prepare or ack). Control messages order events (they join the
-    /// happens-before clock at the receive) but transmit no application
-    /// state, so they do not join the causal clock and generate no
-    /// Save-work obligations.
+    /// commit prepare or ack), marked by `logged` on the send event.
+    /// Control messages order events (they join the happens-before clock
+    /// at the receive) but transmit no application state, so they do not
+    /// join the causal clock and generate no Save-work obligations. Receive
+    /// them with [`TraceBuilder::recv_control`].
     pub fn send_control(&mut self, from: ProcessId, to: ProcessId) -> (EventId, MsgId) {
-        let msg = MsgId(self.next_msg);
-        self.next_msg += 1;
-        let id = self.push(from, EventKind::Send { to, msg }, true);
-        self.msg_clocks.insert(
-            msg,
-            (
-                self.clocks[from.index()].clone(),
-                self.causal_clocks[from.index()].clone(),
-            ),
-        );
-        (id, msg)
+        let msg = self.fresh_msg();
+        (self.push(from, EventKind::Send { to, msg }, true), msg)
     }
 
     /// Records the receive of a control message: deterministic from the
-    /// application's point of view (logged), joining only the
-    /// happens-before clock.
+    /// application's point of view (logged).
     ///
     /// # Panics
     ///
     /// Panics if `msg` was never sent.
     pub fn recv_control(&mut self, to: ProcessId, from: ProcessId, msg: MsgId) -> EventId {
-        let (hb, _) = self
-            .msg_clocks
-            .get(&msg)
-            .cloned()
-            .expect("receive of a message that was never sent");
-        self.clocks[to.index()].join(&hb);
-        self.push(to, EventKind::Recv { from, msg }, true)
+        self.recv_with(to, from, msg, true)
     }
 
     /// Records a receive of message `msg` (previously sent via
@@ -271,13 +222,10 @@ impl TraceBuilder {
     }
 
     fn recv_with(&mut self, to: ProcessId, from: ProcessId, msg: MsgId, logged: bool) -> EventId {
-        let (hb, causal) = self
-            .msg_clocks
-            .get(&msg)
-            .cloned()
-            .expect("receive of a message that was never sent");
-        self.clocks[to.index()].join(&hb);
-        self.causal_clocks[to.index()].join(&causal);
+        assert!(
+            msg.0 < self.next_msg,
+            "receive of a message that was never sent"
+        );
         self.push(to, EventKind::Recv { from, msg }, logged)
     }
 
@@ -355,54 +303,10 @@ mod tests {
     }
 
     #[test]
-    fn program_order_is_happens_before() {
-        let mut b = TraceBuilder::new(1);
-        let e0 = b.internal(p(0));
-        let e1 = b.visible(p(0), 42);
-        let t = b.finish();
-        assert!(t.happens_before(e0, e1));
-        assert!(!t.happens_before(e1, e0));
-    }
-
-    #[test]
-    fn message_creates_cross_process_order() {
-        let mut b = TraceBuilder::new(2);
-        let nd = b.nd(p(0), NdSource::TimeOfDay);
-        let (s, m) = b.send(p(0), p(1));
-        let r = b.recv(p(1), p(0), m);
-        let v = b.visible(p(1), 1);
-        let t = b.finish();
-        assert!(t.happens_before(nd, s));
-        assert!(t.happens_before(s, r));
-        assert!(t.happens_before(nd, v));
-    }
-
-    #[test]
-    fn unrelated_events_concurrent() {
-        let mut b = TraceBuilder::new(2);
-        let a = b.internal(p(0));
-        let c = b.internal(p(1));
-        let t = b.finish();
-        assert!(!t.happens_before(a, c));
-        assert!(!t.happens_before(c, a));
-    }
-
-    #[test]
     #[should_panic(expected = "never sent")]
     fn recv_of_unsent_message_panics() {
         let mut b = TraceBuilder::new(2);
         b.recv(p(1), p(0), MsgId(99));
-    }
-
-    #[test]
-    fn visible_sequence_orders_causally() {
-        let mut b = TraceBuilder::new(2);
-        b.visible(p(0), 10);
-        let (_, m) = b.send(p(0), p(1));
-        b.recv(p(1), p(0), m);
-        b.visible(p(1), 20);
-        let t = b.finish();
-        assert_eq!(t.visible_sequence(), vec![10, 20]);
     }
 
     #[test]
@@ -424,6 +328,20 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), ids.len());
+    }
+
+    #[test]
+    fn recorded_interleaves_the_processes_as_they_ran() {
+        let mut b = TraceBuilder::new(2);
+        let ids = [
+            b.internal(p(1)),
+            b.internal(p(0)),
+            b.visible(p(1), 7),
+            b.commit(p(0)),
+        ];
+        let t = b.finish();
+        assert!(t.recorded().map(|e| e.id).eq(ids));
+        assert_eq!(t.len(), 4);
     }
 
     #[test]

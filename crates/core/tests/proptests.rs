@@ -8,7 +8,6 @@
 // production decode paths stay under the per-site cast audit.
 #![allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
 
-use ft_core::clock::VectorClock;
 use ft_core::consistency::check_equivalence;
 use ft_core::event::{MsgId, NdSource, ProcessId};
 use ft_core::graph::{EdgeKind, StateGraph};
@@ -331,38 +330,6 @@ fn equivalence_laws() {
             Err(ft_core::consistency::ConsistencyError::Incomplete { .. }) => {}
             other => panic!("expected Incomplete, got {other:?}"),
         }
-    }
-}
-
-/// Vector clock join is commutative, idempotent, and monotone.
-#[test]
-fn vector_clock_join_laws() {
-    let mut seeds = Rng(0x000C_10C4);
-    for _ in 0..256 {
-        let mut rng = Rng(seeds.next_u64());
-        let mk = |rng: &mut Rng| {
-            let mut c = VectorClock::new(4);
-            for i in 0..4 {
-                for _ in 0..rng.below(50) {
-                    c.tick(ProcessId::from_index(i));
-                }
-            }
-            c
-        };
-        let ca = mk(&mut rng);
-        let cb = mk(&mut rng);
-        let mut ab = ca.clone();
-        ab.join(&cb);
-        let mut ba = cb.clone();
-        ba.join(&ca);
-        assert_eq!(&ab, &ba);
-        // Idempotent.
-        let mut aa = ca.clone();
-        aa.join(&ca);
-        assert_eq!(&aa, &ca);
-        // Monotone: a <= a ⊔ b.
-        assert!(ca.le(&ab));
-        assert!(cb.le(&ab));
     }
 }
 

@@ -108,9 +108,7 @@ fn fixture_covers_all_six_workloads() {
 /// The four Figure 8 workloads under all seven protocols: every
 /// commit-placement discipline — commits before visibles, after
 /// non-determinism, coordinated rounds, and the dependency-tracked
-/// variants — is fingerprint-pinned on every workload. (The original
-/// eight entries were recorded from the naive pre-epoch/pool write
-/// barrier and carried over unchanged.)
+/// variants — is fingerprint-pinned on every workload.
 type Fig8Workload = (&'static str, Protocol, fn() -> Built);
 
 fn fig8_workloads() -> Vec<Fig8Workload> {

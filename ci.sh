@@ -4,6 +4,10 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 cargo build --release --workspace
+# benchmark/ is a package of its own, outside the workspace, and may not
+# be edited by a change that claims a gain: compile it here so that a
+# public-API break against it fails CI and not the benchmark driver.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check

@@ -212,6 +212,21 @@ mod tests {
     }
 
     #[test]
+    fn findings_are_in_process_major_order_whatever_the_recording_order() {
+        let mut b = TraceBuilder::new(2);
+        b.nd(p(1), NdSource::Random);
+        let v1 = b.visible(p(1), 1);
+        b.nd(p(0), NdSource::Random);
+        let v0 = b.visible(p(0), 2);
+        let v1b = b.visible(p(1), 3);
+        let targets: Vec<EventId> = audit_save_work(&b.finish())
+            .iter()
+            .map(|f| f.target)
+            .collect();
+        assert_eq!(targets, [v0, v1, v1b]);
+    }
+
+    #[test]
     fn coverage_suffix_a_commit_splits_covered_from_uncovered() {
         let mut b = TraceBuilder::new(1);
         b.nd(p(0), NdSource::Random); // covered by the commit

@@ -196,11 +196,10 @@ impl ClockIndex {
             // Position 0 precedes the process's first event (no knowledge
             // of anyone); a position past its last event is not in the
             // trace.
-            let slot = usize::try_from(a.pos)
-                .ok()
-                .filter(|&pos| pos > 0)
-                .and_then(|pos| row_of.get_mut(a.pid.index())?.get_mut(pos));
-            if let Some(slot) = slot.filter(|slot| **slot == NO_ACCESS) {
+            let slot = row_of
+                .get_mut(a.pid.index())
+                .and_then(|of_pid| of_pid.get_mut(usize::try_from(a.pos).ok()?));
+            if let Some(slot) = slot.filter(|slot| a.pos > 0 && **slot == NO_ACCESS) {
                 *slot = n_rows;
                 n_rows += 1;
             }

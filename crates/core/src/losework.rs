@@ -198,6 +198,25 @@ mod tests {
     }
 
     #[test]
+    fn the_reported_commit_is_the_first_in_process_major_order() {
+        // Both processes commit after the activation reaches them; P1's
+        // commit is recorded first, P0's is reported.
+        let mut b = TraceBuilder::new(2);
+        let a = b.fault_activation(p(0), 3);
+        let (_, m) = b.send(p(0), p(1));
+        b.recv(p(1), p(0), m);
+        b.commit(p(1));
+        let c0 = b.commit(p(0));
+        assert_eq!(
+            check_commit_after_activation(&b.finish()),
+            LoseWorkOutcome::Violated {
+                activation: a,
+                commit: c0
+            }
+        );
+    }
+
+    #[test]
     fn concurrent_commit_does_not_violate() {
         // P1 commits concurrently with (not after) P0's activation.
         let mut b = TraceBuilder::new(2);

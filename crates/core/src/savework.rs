@@ -19,11 +19,11 @@
 //! The implementation exploits two structural facts for efficiency. First,
 //! with the clocks [`replay`] derives at each target, event `n` of process
 //! `p` causally precedes target `e` iff `n.seq < e.causal[p]` (for
-//! `p != e.pid`). Second, if the
-//! *earliest* commit after `n` on `p` does not happen-before `e`, no later
-//! commit can (program order composes with happens-before), so only one
-//! candidate commit per (nd, target) pair needs testing. The whole check is
-//! one replay plus `O(targets × processes × log commits)`.
+//! `p != e.pid`). Second, if the *earliest* commit after `n` on `p` does
+//! not happen-before `e`, no later commit can (program order composes with
+//! happens-before), so only one candidate commit per (nd, target) pair
+//! needs testing. The whole check is one replay plus
+//! `O(targets × processes × log commits)`.
 
 use crate::clock::{happens_before, replay};
 use crate::event::{EventId, EventKind, ProcessId};
@@ -188,7 +188,8 @@ fn check_rules(
 ) -> Result<(), SaveWorkViolation> {
     let (idx, groups) = build_index(trace);
     // The replay visits targets in recording order; the reported violation
-    // is the first in process-major order, (target, nd.pid) smallest.
+    // is the first in process-major order: smallest target, then smallest
+    // nd process (the inner loop stops at its first uncovered process).
     let mut first: Option<SaveWorkViolation> = None;
     replay(trace, |e, clocks| {
         let rule = match e.kind {
@@ -196,6 +197,7 @@ fn check_rules(
             EventKind::Commit { .. } if orphan_rule => SaveWorkRule::Orphan,
             _ => return,
         };
+        // A violation at an earlier target already stands.
         if first.is_some_and(|f| f.target < e.id) {
             return;
         }
@@ -245,14 +247,11 @@ fn check_rules(
                             .any(|&m| m == e.id || happens_before(m, e.id, clocks.hb))
                     });
             if !covered {
-                let v = SaveWorkViolation {
+                first = Some(SaveWorkViolation {
                     nd: EventId::new(pid, nd_seq),
                     target: e.id,
                     rule,
-                };
-                if first.is_none_or(|f| (v.target, v.nd.pid) < (f.target, f.nd.pid)) {
-                    first = Some(v);
-                }
+                });
                 return;
             }
         }
@@ -653,6 +652,20 @@ mod tests {
         b.rollback(p(0), 0);
         let err = check_save_work(&b.finish()).unwrap_err();
         assert_eq!(err.target.seq, 1);
+    }
+
+    #[test]
+    fn the_reported_violation_is_the_first_in_process_major_order() {
+        // P1's uncovered visible is recorded before P0's; the checker
+        // still reports P0's, as when it walked process by process.
+        let mut b = TraceBuilder::new(2);
+        b.nd(p(1), NdSource::Random);
+        b.visible(p(1), 1);
+        let nd0 = b.nd(p(0), NdSource::Random);
+        let v0 = b.visible(p(0), 2);
+        b.visible(p(1), 3);
+        let err = check_save_work(&b.finish()).unwrap_err();
+        assert_eq!((err.nd, err.target), (nd0, v0));
     }
 
     #[test]

@@ -104,8 +104,7 @@ impl From<Vec<u8>> for Payload {
     }
 }
 
-// Formats like the `Vec<u8>` it replaced, so any Debug-derived output
-// (and therefore any fingerprint over it) is unchanged.
+// Formats as the bytes it holds, without the `Arc` wrapper.
 impl std::fmt::Debug for Payload {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         self.0.fmt(f)

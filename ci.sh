@@ -54,55 +54,35 @@ else
   echo "ci: perf gate skipped (FT_SKIP_PERF_GATE set)"
 fi
 
-# Campaign smoke: the parallel runner must reproduce the serial rows
-# bitwise for both the fault-injection matrix and the Figure 8 grids (the
-# binary exits nonzero on any serial/parallel mismatch) and emit the four
-# machine-readable reports.
-cargo run --release -q -p ft-bench --bin campaign -- --quick --threads 4 --out .
-for f in BENCH_table1.json BENCH_table2.json BENCH_loss.json BENCH_fig8.json; do
-  [[ -s "$f" ]] || { echo "ci: missing $f" >&2; exit 1; }
+# Report smoke, one convention for all nine reports: each campaign stage
+# (quick sizing, through `--only`), the model checker (every crash point,
+# mid-commit sub-steps included, of small nvi/taskfarm/kvstore workloads
+# under all seven protocols) and the trace analyzer (every workload under
+# all seven protocols plus the two seeded-race mutants) runs at
+# `--threads 4`, then again at `--threads 2` into a scratch directory.
+# Every binary runs its work serially and sharded and exits nonzero on a
+# mismatch, on a failed gate (unflagged avail mutant, kv violation,
+# invariant violation, unexpected analyzer finding); the report must be
+# byte-identical across the two thread counts and carry no wall-clock key.
+rerun=$(mktemp -d)
+trap 'rm -rf "$rerun"' EXIT
+for stage in durable table1 table2 loss fig8 avail kv check analyze; do
+  report=BENCH_$stage.json
+  case $stage in
+    check | analyze)
+      run() { cargo run --release -q -p "ft-$stage" --bin "$stage" -- --smoke --threads "$1" --out "$2/$report"; } ;;
+    *)
+      run() { cargo run --release -q -p ft-bench --bin campaign -- --quick --only "$stage" --threads "$1" --out "$2"; } ;;
+  esac
+  run 4 .
+  run 2 "$rerun" >/dev/null
+  [[ -s $report ]] || { echo "ci: missing $report" >&2; exit 1; }
+  cmp "$report" "$rerun/$report" \
+    || { echo "ci: $report differs between --threads 4 and --threads 2" >&2; exit 1; }
+  if grep -qE '"wall|_ms"' "$report"; then
+    echo "ci: $report must not carry wall-clock numbers" >&2; exit 1
+  fi
 done
-
-# Availability smoke: the continuous-fault stage (short horizons, 2
-# protocols × 2 strategies) with its seeded unsound-microreboot mutants,
-# which must be flagged by the oracle (the binary exits nonzero
-# otherwise, and on any serial/sharded mismatch). The report carries no
-# wall-clock, so two consecutive runs at different thread counts must be
-# byte-identical.
-cargo run --release -q -p ft-bench --bin campaign -- --quick --avail-only --threads 4 --out .
-cargo run --release -q -p ft-bench --bin campaign -- --quick --avail-only --threads 2 --out avail_rerun
-cmp BENCH_avail.json avail_rerun/BENCH_avail.json \
-  || { echo "ci: BENCH_avail.json not deterministic across runs" >&2; exit 1; }
-rm -rf avail_rerun
-[[ -s BENCH_avail.json ]] || { echo "ci: missing BENCH_avail.json" >&2; exit 1; }
-
-# Durable-medium smoke: the three-media overhead grid (Rio / DC-disk /
-# DC-durable) plus the real on-disk engine probe (commit, compact,
-# reopen, digest check). The report carries no wall-clock numbers, so
-# two consecutive runs at different thread counts must be
-# byte-identical.
-cargo run --release -q -p ft-bench --bin campaign -- --quick --durable-only --threads 4 --out .
-cargo run --release -q -p ft-bench --bin campaign -- --quick --durable-only --threads 2 --out durable_rerun
-cmp BENCH_durable.json durable_rerun/BENCH_durable.json \
-  || { echo "ci: BENCH_durable.json not deterministic across runs" >&2; exit 1; }
-rm -rf durable_rerun
-[[ -s BENCH_durable.json ]] || { echo "ci: missing BENCH_durable.json" >&2; exit 1; }
-
-# KV-workload smoke: the sharded kvstore campaign (open-loop Zipfian
-# sessions over an S x R replicated cluster) under continuous crashes,
-# with the binary's internal serial/sharded equivalence assert and its
-# consistency gate (every cell must be violation-free). The report
-# carries no wall-clock, so two consecutive runs at different thread
-# counts must be byte-identical.
-cargo run --release -q -p ft-bench --bin campaign -- --quick --kv-only --threads 4 --out .
-cargo run --release -q -p ft-bench --bin campaign -- --quick --kv-only --threads 2 --out kv_rerun
-cmp BENCH_kv.json kv_rerun/BENCH_kv.json \
-  || { echo "ci: BENCH_kv.json not deterministic across runs" >&2; exit 1; }
-rm -rf kv_rerun
-[[ -s BENCH_kv.json ]] || { echo "ci: missing BENCH_kv.json" >&2; exit 1; }
-if grep -q '"wall' BENCH_kv.json; then
-  echo "ci: BENCH_kv.json must not carry wall-clock numbers" >&2; exit 1
-fi
 
 # Real-process crashtest smoke: a strided subset of the 254 exported
 # kill -9 schedules on nvi + taskfarm under fsync-per-commit (power-cut
@@ -112,25 +92,5 @@ fi
 # honest-backend oracle violation or any mutant escape.
 cargo run --release -q -p ft-crashtest --bin crashtest -- --quick
 cargo run --release -q -p ft-crashtest --bin crashtest -- --fsync none --skip-mutants
-
-# Model-checker smoke: exhaust every crash point (including mid-commit
-# sub-steps) of small nvi and taskfarm workloads under all seven
-# protocols, asserting serial/sharded exploration equivalence. The binary
-# exits nonzero on any invariant violation, after shrinking it and
-# writing check_counterexample.txt.
-cargo run --release -q -p ft-check --bin check -- --smoke --threads 4 --out BENCH_check.json
-[[ -s BENCH_check.json ]] || { echo "ci: missing BENCH_check.json" >&2; exit 1; }
-
-# Analyzer smoke: every workload under all seven protocols through the
-# happens-before, lockset, and obligation-audit passes (plus the two
-# seeded-race mutants, which must be flagged). The binary asserts
-# serial/sharded equivalence and exits nonzero on unexpected findings;
-# the report itself must be byte-identical across two consecutive runs.
-cargo run --release -q -p ft-analyze --bin analyze -- --smoke --threads 4 --out BENCH_analyze.json
-cargo run --release -q -p ft-analyze --bin analyze -- --smoke --threads 2 --out BENCH_analyze.rerun.json
-cmp BENCH_analyze.json BENCH_analyze.rerun.json \
-  || { echo "ci: BENCH_analyze.json not deterministic across runs" >&2; exit 1; }
-rm -f BENCH_analyze.rerun.json
-[[ -s BENCH_analyze.json ]] || { echo "ci: missing BENCH_analyze.json" >&2; exit 1; }
 
 echo "ci: all green"

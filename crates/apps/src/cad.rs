@@ -368,12 +368,7 @@ impl App for Cad {
 
 /// The status-render token after a command.
 pub fn render_token(commands: u64, result: u64, violations: u64) -> u64 {
-    let mut h = 0x9E3779B97F4A7C15u64;
-    for v in [commands, result, violations] {
-        h ^= v;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    crate::fold_words(0x9E3779B97F4A7C15, &[commands, result, violations])
 }
 
 #[cfg(test)]

@@ -447,12 +447,10 @@ impl App for Editor {
 /// The screen-update token for a keystroke (identifies the visible
 /// content).
 pub fn echo_token(key: u8, cursor: usize, len: usize, keys: u64) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for v in [key as u64, cursor as u64, len as u64, keys] {
-        h ^= v;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    crate::fold_words(
+        0xcbf29ce484222325,
+        &[key as u64, cursor as u64, len as u64, keys],
+    )
 }
 
 #[cfg(test)]

@@ -43,3 +43,12 @@ pub use kvstore::{KvGateway, KvParams, KvPrimary, KvReplica};
 pub use minidb::MiniDb;
 pub use taskfarm::TaskFarm;
 pub use zipf::Zipfian;
+
+/// Folds `words` into a visible-output token, FNV-style, starting from a
+/// per-application `seed` (so equal words in two applications' outputs
+/// never collide).
+pub fn fold_words(seed: u64, words: &[u64]) -> u64 {
+    words
+        .iter()
+        .fold(seed, |h, &v| (h ^ v).wrapping_mul(0x100000001b3))
+}

@@ -900,12 +900,7 @@ impl App for MiniDb {
 
 /// The response token for a request.
 pub fn response_token(reqs: u64, result: u64) -> u64 {
-    let mut h = 0x517cc1b727220a95u64;
-    for v in [reqs, result] {
-        h ^= v;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    crate::fold_words(0x517cc1b727220a95, &[reqs, result])
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@ use ft_core::losework::conflict_composition;
 
 fn main() {
     println!("Measuring the Heisenbug Lose-work violation rate (Table 1, nvi)...");
-    let rows = run_table1(Table1App::Nvi, 30, 400, 0xC0);
+    let rows = run_table1(Table1App::Nvi, 30, 400, 0xC0, 1);
     let crashes: u32 = rows.iter().map(|r| r.crashes).sum();
     let viols: u32 = rows.iter().map(|r| r.violations).sum();
     let violation_fraction = viols as f64 / crashes as f64;

@@ -31,6 +31,7 @@ fn main() {
             Protocol::Cbndvs,
             Protocol::CbndvsLog,
         ],
+        1,
     );
     let table: Vec<Vec<String>> = rows
         .iter()

@@ -27,6 +27,7 @@ fn main() {
             Protocol::Cpv2pc,
             Protocol::Cbndv2pc,
         ],
+        1,
     );
     let table: Vec<Vec<String>> = rows
         .iter()

@@ -26,6 +26,7 @@ fn main() {
             Protocol::Cpv2pc,
             Protocol::Cbndv2pc,
         ],
+        1,
     );
     let table: Vec<Vec<String>> = rows
         .iter()

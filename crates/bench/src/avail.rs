@@ -16,26 +16,23 @@
 //! the analyzer binary's planted races, proving the oracle actually flags
 //! an unsound partial restart rather than vacuously passing.
 //!
-//! Determinism contract: trial `t` of cell `c` derives its arrival and
-//! victim seed streams in O(1) from the stage seed, so the sharded run is
-//! bitwise identical to the serial run (asserted by the campaign binary
-//! and CI), and the emitted `BENCH_avail.json` contains no wall-clock —
-//! double-run byte-identity is itself a CI assertion.
+//! The fault process, the verdicts and the MTTR/availability/goodput fold
+//! are the shared engine's ([`crate::continuous`]); this module supplies
+//! the cell matrix, each cell's `DcConfig`, and counts every visible
+//! output as a served request. The stage is thread-count invariant and
+//! `BENCH_avail.json` contains no wall-clock.
 
-use ft_core::avail::{availability, nines, total_downtime_ns, Incident};
-use ft_core::event::ProcessId;
-use ft_core::oracle::{check_recovery, InvariantViolation};
 use ft_core::protocol::Protocol;
 use ft_dc::recovery::{MicrorebootMutation, Strategy};
-use ft_dc::{DcConfig, DcHarness, DcReport};
-use ft_faults::arrivals::{EscalationPolicy, PoissonArrivals};
+use ft_dc::{DcConfig, DcReport};
+use ft_faults::arrivals::EscalationPolicy;
 use ft_sim::rng::SplitMix64;
 
+use crate::continuous::{FaultLoad, FaultStats};
 use crate::json::Json;
 use crate::report::render_table;
-use crate::runner::run_indexed;
 use crate::scenarios;
-use crate::stats::percentiles;
+use crate::stage::Stage;
 
 /// The availability workloads: long-running cuts of the §3 suite.
 pub const WORKLOADS: [&str; 4] = ["nvi", "taskfarm", "treadmarks", "xpilot"];
@@ -135,7 +132,6 @@ impl AvailConfig {
 #[derive(Debug, Clone, Copy)]
 struct Cell {
     widx: usize,
-    workload: &'static str,
     protocol: Protocol,
     strategy: Strategy,
     mutation: MicrorebootMutation,
@@ -159,12 +155,11 @@ fn build(cfg: &AvailConfig, widx: usize) -> scenarios::Built {
 /// when enabled — one seeded unsound-microreboot mutant per workload.
 fn cells(cfg: &AvailConfig) -> Vec<Cell> {
     let mut out = Vec::new();
-    for (widx, workload) in WORKLOADS.iter().enumerate() {
+    for widx in 0..WORKLOADS.len() {
         for &protocol in &cfg.protocols {
             for strategy in [Strategy::FullRollback, Strategy::Microreboot] {
                 out.push(Cell {
                     widx,
-                    workload,
                     protocol,
                     strategy,
                     mutation: MicrorebootMutation::None,
@@ -174,7 +169,6 @@ fn cells(cfg: &AvailConfig) -> Vec<Cell> {
         if cfg.mutants {
             out.push(Cell {
                 widx,
-                workload,
                 protocol: *cfg.protocols.last().expect("protocols is non-empty"),
                 strategy: Strategy::Microreboot,
                 mutation: MicrorebootMutation::SkipPageReinstall,
@@ -193,161 +187,6 @@ fn dc_config(cfg: &AvailConfig, cell: &Cell) -> DcConfig {
     dc
 }
 
-/// The failure-free reference for one (workload, protocol) pair.
-struct CanonicalRun {
-    /// Derived Poisson arrival rate for this cell's trials, per second.
-    rate_per_sec: f64,
-    trace: ft_core::trace::Trace,
-    visibles: Vec<(u32, u64)>,
-    runtime: u64,
-    requests: u64,
-}
-
-fn canonical_run(cfg: &AvailConfig, widx: usize, protocol: Protocol) -> CanonicalRun {
-    let (sim, apps) = build(cfg, widx).into_parts();
-    let report = DcHarness::new(sim, DcConfig::discount_checking(protocol), apps).run();
-    assert!(
-        report.all_done && report.abandoned == 0 && report.runtime > 0,
-        "canonical {} run under {} did not complete",
-        WORKLOADS[widx],
-        protocol.name()
-    );
-    let visibles = report.visibles.iter().map(|&(_, p, t)| (p.0, t)).collect();
-    let requests = report.visibles.len() as u64;
-    CanonicalRun {
-        rate_per_sec: cfg.crashes_per_trial / (report.runtime as f64 / 1e9),
-        trace: report.trace,
-        visibles,
-        runtime: report.runtime,
-        requests,
-    }
-}
-
-/// The oracle verdict kinds a trial can report.
-pub(crate) fn violation_kind(v: &InvariantViolation) -> &'static str {
-    match v {
-        InvariantViolation::SaveWork(_) => "save-work",
-        InvariantViolation::Incomplete { .. } => "incomplete",
-        InvariantViolation::InconsistentOutput(_) => "inconsistent-output",
-        InvariantViolation::PrefixDivergence { .. } => "prefix-divergence",
-        InvariantViolation::CommitRolledBack { .. } => "commit-rolled-back",
-    }
-}
-
-/// One trial's measured outcome (everything the fold needs, `PartialEq`
-/// so serial-vs-sharded equivalence is assertable at this granularity).
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct TrialOutcome {
-    incidents: Vec<Incident>,
-    runtime: u64,
-    requests: u64,
-    procs: u64,
-    abandoned: u32,
-    all_done: bool,
-    microreboots: u64,
-    escalations: u64,
-    violation: Option<&'static str>,
-}
-
-fn judge_trial(canon: &CanonicalRun, report: &DcReport) -> Option<&'static str> {
-    // A run that deadlocks without abandoning anyone is still incomplete.
-    if report.abandoned == 0 && !report.all_done {
-        return Some("incomplete");
-    }
-    let recovered: Vec<(u32, u64)> = report.visibles.iter().map(|&(_, p, t)| (p.0, t)).collect();
-    check_recovery(
-        &canon.trace,
-        &canon.visibles,
-        &report.trace,
-        &recovered,
-        report.abandoned as usize,
-    )
-    .err()
-    .as_ref()
-    .map(violation_kind)
-}
-
-/// Runs one trial of one cell: a full workload run under the cell's
-/// protocol/strategy with Poisson crash arrivals injected continuously.
-fn run_trial(
-    cfg: &AvailConfig,
-    cell: &Cell,
-    cell_idx: usize,
-    trial: u64,
-    canon: &CanonicalRun,
-) -> TrialOutcome {
-    let built = build(cfg, cell.widx);
-    let procs = built.meta.processes;
-    let (sim, apps) = built.into_parts();
-    let harness = DcHarness::new(sim, dc_config(cfg, cell), apps);
-    // O(1)-splittable seed derivation: stage seed → cell stream → per
-    // trial one arrival seed and one victim seed. No sequential state is
-    // shared between trials, so sharding cannot perturb any stream.
-    let cell_seed = SplitMix64::new(cfg.seed).nth(cell_idx as u64);
-    let mut arrivals = PoissonArrivals::new(
-        SplitMix64::new(cell_seed).nth(2 * trial),
-        canon.rate_per_sec,
-    );
-    let mut victims = SplitMix64::new(SplitMix64::new(cell_seed).nth(2 * trial + 1));
-    let mut next = arrivals.next_arrival_ns();
-    // The arrival schedule is drawn over the *canonical* horizon, so each
-    // trial sustains ~`crashes_per_trial` crashes regardless of how far
-    // recovery stretches its own clock. Without the bound, downtime begets
-    // arrivals begets downtime and short workloads thrash forever.
-    let horizon = canon.runtime;
-    let report = harness.run_with(|sim| {
-        // Deliver every arrival the clock has passed; kills landing on
-        // done or crashed processes are dropped by the scheduler.
-        while next <= horizon && sim.now() >= next {
-            let victim = ProcessId::from_index(victims.index(procs));
-            let now = sim.now();
-            sim.kill_at(victim, now);
-            next = arrivals.next_arrival_ns();
-        }
-    });
-    let violation = judge_trial(canon, &report);
-    TrialOutcome {
-        incidents: report.incidents,
-        runtime: report.runtime,
-        requests: report.visibles.len() as u64,
-        procs: procs as u64,
-        abandoned: report.abandoned,
-        all_done: report.all_done,
-        microreboots: report.totals.microreboots,
-        escalations: report.totals.escalations,
-        violation,
-    }
-}
-
-/// Oracle violation counts of one cell, by kind.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ViolationCounts {
-    /// Trials flagged by any oracle.
-    pub total: u32,
-    /// Structural Save-work violations in the recovered trace.
-    pub save_work: u32,
-    /// Abandoned or deadlocked (incomplete) runs.
-    pub incomplete: u32,
-    /// Visible outputs not duplicate-equivalent to the reference.
-    pub inconsistent_output: u32,
-    /// Pre-crash history diverging from the canonical run.
-    pub prefix_divergence: u32,
-}
-
-impl ViolationCounts {
-    pub(crate) fn count(&mut self, kind: Option<&'static str>) {
-        let Some(kind) = kind else { return };
-        self.total += 1;
-        match kind {
-            "save-work" => self.save_work += 1,
-            "incomplete" => self.incomplete += 1,
-            "inconsistent-output" => self.inconsistent_output += 1,
-            "prefix-divergence" => self.prefix_divergence += 1,
-            other => unreachable!("unknown violation kind {other}"),
-        }
-    }
-}
-
 /// Aggregated availability metrics of one cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AvailRow {
@@ -360,42 +199,9 @@ pub struct AvailRow {
     /// Seeded microreboot defect (`MicrorebootMutation::None` for real
     /// cells).
     pub mutation: MicrorebootMutation,
-    /// The derived Poisson arrival rate this cell ran at, per simulated
-    /// second.
-    pub rate_per_sec: f64,
-    /// Trials run.
-    pub trials: u32,
-    /// Incidents across all trials (resolved + unresolved).
-    pub incidents: u64,
-    /// Incidents never resolved within their trial.
-    pub unresolved: u64,
-    /// MTTR percentiles over resolved incidents, ns.
-    pub mttr_p50_ns: u64,
-    /// 95th-percentile MTTR, ns.
-    pub mttr_p95_ns: u64,
-    /// 99th-percentile MTTR, ns.
-    pub mttr_p99_ns: u64,
-    /// Steady-state availability over all trials' process-time.
-    pub availability: f64,
-    /// `-log10(1 - availability)`, capped at 9.
-    pub nines: f64,
-    /// Requests (visible outputs) completed per simulated second under
-    /// faults.
-    pub goodput_rps: f64,
-    /// The failure-free baseline's requests per simulated second.
-    pub baseline_rps: f64,
-    /// `goodput_rps / baseline_rps`, percent.
-    pub goodput_pct: f64,
-    /// Trace events re-executed after rollbacks (recovery work).
-    pub reexec_events: u64,
-    /// Partial restarts performed.
-    pub microreboots: u64,
-    /// Ladder exhaustions escalated to full rollback.
-    pub escalations: u64,
-    /// Processes abandoned across all trials.
-    pub abandoned: u32,
-    /// Oracle verdicts, by kind.
-    pub violations: ViolationCounts,
+    /// MTTR, availability, goodput (visible outputs per simulated second)
+    /// and oracle verdicts.
+    pub stats: FaultStats,
 }
 
 /// The availability stage's full result.
@@ -403,122 +209,6 @@ pub struct AvailRow {
 pub struct AvailResult {
     /// One row per cell, in matrix order.
     pub rows: Vec<AvailRow>,
-}
-
-/// Runs the availability stage over `threads` workers (1 = serial). The
-/// sharded run is bitwise identical to the serial run.
-pub fn run_avail(cfg: &AvailConfig, threads: usize) -> AvailResult {
-    let cells = cells(cfg);
-    // Unique (workload, protocol) pairs needing a canonical reference.
-    let mut pairs: Vec<(usize, Protocol)> = Vec::new();
-    for c in &cells {
-        if !pairs.contains(&(c.widx, c.protocol)) {
-            pairs.push((c.widx, c.protocol));
-        }
-    }
-    let canonicals = run_indexed(pairs.len(), threads, |i| {
-        canonical_run(cfg, pairs[i].0, pairs[i].1)
-    });
-    let canon_of = |c: &Cell| {
-        let at = pairs
-            .iter()
-            .position(|&(w, p)| (w, p) == (c.widx, c.protocol))
-            .expect("every cell has a canonical pair");
-        &canonicals[at]
-    };
-    let trials = cfg.trials as usize;
-    let outcomes = run_indexed(cells.len() * trials, threads, |i| {
-        let cell = &cells[i / trials];
-        run_trial(cfg, cell, i / trials, (i % trials) as u64, canon_of(cell))
-    });
-    let rows = cells
-        .iter()
-        .enumerate()
-        .map(|(ci, cell)| {
-            let canon = canon_of(cell);
-            fold_cell(cell, cfg, canon, &outcomes[ci * trials..(ci + 1) * trials])
-        })
-        .collect();
-    AvailResult { rows }
-}
-
-/// Folds one cell's trial outcomes into its report row.
-fn fold_cell(
-    cell: &Cell,
-    cfg: &AvailConfig,
-    canon: &CanonicalRun,
-    outcomes: &[TrialOutcome],
-) -> AvailRow {
-    let mut mttrs: Vec<u64> = Vec::new();
-    let mut incidents = 0u64;
-    let mut unresolved = 0u64;
-    let mut downtime = 0u64;
-    let mut proc_time = 0u64;
-    let mut runtime = 0u64;
-    let mut requests = 0u64;
-    let mut reexec_events = 0u64;
-    let mut microreboots = 0u64;
-    let mut escalations = 0u64;
-    let mut abandoned = 0u32;
-    let mut violations = ViolationCounts::default();
-    for t in outcomes {
-        incidents += t.incidents.len() as u64;
-        for i in &t.incidents {
-            match i.mttr_ns() {
-                Some(m) => mttrs.push(m),
-                None => unresolved += 1,
-            }
-            reexec_events += i.lost_events;
-        }
-        downtime += total_downtime_ns(&t.incidents, t.runtime);
-        proc_time += t.procs * t.runtime;
-        runtime += t.runtime;
-        requests += t.requests;
-        microreboots += t.microreboots;
-        escalations += t.escalations;
-        abandoned += t.abandoned;
-        violations.count(t.violation);
-    }
-    let pcts = percentiles(&mttrs, &[50, 95, 99]);
-    let avail = availability(downtime, 1, proc_time);
-    let goodput_rps = if runtime > 0 {
-        requests as f64 / (runtime as f64 / 1e9)
-    } else {
-        0.0
-    };
-    let baseline_rps = if canon.runtime > 0 {
-        canon.requests as f64 / (canon.runtime as f64 / 1e9)
-    } else {
-        0.0
-    };
-    let goodput_pct = if baseline_rps > 0.0 {
-        goodput_rps / baseline_rps * 100.0
-    } else {
-        0.0
-    };
-    AvailRow {
-        workload: cell.workload,
-        protocol: cell.protocol,
-        strategy: cell.strategy,
-        mutation: cell.mutation,
-        rate_per_sec: canon.rate_per_sec,
-        trials: cfg.trials,
-        incidents,
-        unresolved,
-        mttr_p50_ns: pcts[0],
-        mttr_p95_ns: pcts[1],
-        mttr_p99_ns: pcts[2],
-        availability: avail,
-        nines: nines(avail),
-        goodput_rps,
-        baseline_rps,
-        goodput_pct,
-        reexec_events,
-        microreboots,
-        escalations,
-        abandoned,
-        violations,
-    }
 }
 
 /// Report name of a seeded mutation.
@@ -530,104 +220,130 @@ pub fn mutation_name(m: MicrorebootMutation) -> &'static str {
     }
 }
 
-/// Plain-text availability table.
-pub fn render_avail(result: &AvailResult, cfg: &AvailConfig) -> String {
-    let rows: Vec<Vec<String>> = result
-        .rows
-        .iter()
-        .map(|r| {
-            let label = if r.mutation == MicrorebootMutation::None {
-                r.workload.to_string()
-            } else {
-                format!("{}!{}", r.workload, mutation_name(r.mutation))
-            };
-            vec![
-                label,
-                r.protocol.name().to_string(),
-                r.strategy.name().to_string(),
-                r.incidents.to_string(),
-                format!("{:.1}", r.mttr_p50_ns as f64 / 1e6),
-                format!("{:.1}", r.mttr_p95_ns as f64 / 1e6),
-                format!("{:.1}", r.mttr_p99_ns as f64 / 1e6),
-                format!("{:.4}%", r.availability * 100.0),
-                format!("{:.2}", r.nines),
-                format!("{:.0}%", r.goodput_pct),
-                r.escalations.to_string(),
-                r.violations.total.to_string(),
-            ]
-        })
-        .collect();
-    format!(
-        "Availability — Poisson arrivals, ~{:.0} crashes per trial, {} trial(s) per cell\n{}",
-        cfg.crashes_per_trial,
-        cfg.trials,
-        render_table(
-            &[
-                "workload",
-                "protocol",
-                "strategy",
-                "incidents",
-                "MTTR p50 (ms)",
-                "p95",
-                "p99",
-                "availability",
-                "nines",
-                "goodput",
-                "escalations",
-                "violations",
-            ],
-            &rows
-        )
-    )
-}
+impl Stage for AvailConfig {
+    const NAME: &'static str = "avail";
+    type Rows = AvailResult;
 
-/// The `BENCH_avail.json` document. Deliberately carries no wall-clock
-/// section: byte-identity of the report across runs is itself a CI
-/// assertion.
-pub fn avail_json(result: &AvailResult, cfg: &AvailConfig) -> Json {
-    let rows = result.rows.iter().map(|r| {
+    fn run(&self, threads: usize) -> AvailResult {
+        let cells = cells(self);
+        let run = FaultLoad {
+            seed: self.seed,
+            trials: self.trials,
+            crashes_per_trial: self.crashes_per_trial,
+            // One failure-free reference per (workload, protocol).
+            cells: cells
+                .iter()
+                .map(|c| ((c.widx, c.protocol), dc_config(self, c)))
+                .collect(),
+            reference: &|&(_, protocol)| DcConfig::discount_checking(protocol),
+            build: &|&(widx, _)| build(self, widx),
+            served: &|report: &DcReport| report.visibles.len() as u64,
+        }
+        .run(threads);
+        let rows = cells
+            .iter()
+            .zip(run.stats)
+            .map(|(cell, stats)| AvailRow {
+                workload: WORKLOADS[cell.widx],
+                protocol: cell.protocol,
+                strategy: cell.strategy,
+                mutation: cell.mutation,
+                stats,
+            })
+            .collect();
+        AvailResult { rows }
+    }
+
+    fn render(&self, result: &AvailResult) -> String {
+        let rows: Vec<Vec<String>> = result
+            .rows
+            .iter()
+            .map(|r| {
+                let label = if r.mutation == MicrorebootMutation::None {
+                    r.workload.to_string()
+                } else {
+                    format!("{}!{}", r.workload, mutation_name(r.mutation))
+                };
+                let s = &r.stats;
+                vec![
+                    label,
+                    r.protocol.name().to_string(),
+                    r.strategy.name().to_string(),
+                    s.incidents.to_string(),
+                    format!("{:.1}", s.mttr_p50_ns as f64 / 1e6),
+                    format!("{:.1}", s.mttr_p95_ns as f64 / 1e6),
+                    format!("{:.1}", s.mttr_p99_ns as f64 / 1e6),
+                    format!("{:.4}%", s.availability * 100.0),
+                    format!("{:.2}", s.nines),
+                    format!("{:.0}%", s.goodput_pct),
+                    s.escalations.to_string(),
+                    s.violations.total.to_string(),
+                ]
+            })
+            .collect();
+        format!(
+            "Availability — {} workloads × {} protocols × 2 strategies, Poisson arrivals, \
+             ~{:.0} crashes per trial, {} trial(s) per cell\n{}",
+            WORKLOADS.len(),
+            self.protocols.len(),
+            self.crashes_per_trial,
+            self.trials,
+            render_table(
+                &[
+                    "workload",
+                    "protocol",
+                    "strategy",
+                    "incidents",
+                    "MTTR p50 (ms)",
+                    "p95",
+                    "p99",
+                    "availability",
+                    "nines",
+                    "goodput",
+                    "escalations",
+                    "violations",
+                ],
+                &rows
+            )
+        )
+    }
+
+    /// The `BENCH_avail.json` document.
+    fn json(&self, result: &AvailResult) -> Json {
+        let rows = result.rows.iter().map(|r| {
+            let mut fields = vec![
+                ("workload", Json::from(r.workload)),
+                ("protocol", Json::from(r.protocol.name())),
+                ("strategy", Json::from(r.strategy.name())),
+                ("mutation", Json::from(mutation_name(r.mutation))),
+            ];
+            fields.extend(r.stats.json_fields());
+            Json::obj(fields)
+        });
         Json::obj([
-            ("workload", Json::from(r.workload)),
-            ("protocol", Json::from(r.protocol.name())),
-            ("strategy", Json::from(r.strategy.name())),
-            ("mutation", Json::from(mutation_name(r.mutation))),
-            ("rate_per_sec", Json::from(r.rate_per_sec)),
-            ("trials", Json::from(r.trials)),
-            ("incidents", Json::from(r.incidents)),
-            ("unresolved", Json::from(r.unresolved)),
-            ("mttr_p50_ns", Json::from(r.mttr_p50_ns)),
-            ("mttr_p95_ns", Json::from(r.mttr_p95_ns)),
-            ("mttr_p99_ns", Json::from(r.mttr_p99_ns)),
-            ("availability", Json::from(r.availability)),
-            ("nines", Json::from(r.nines)),
-            ("goodput_rps", Json::from(r.goodput_rps)),
-            ("baseline_rps", Json::from(r.baseline_rps)),
-            ("goodput_pct", Json::from(r.goodput_pct)),
-            ("reexec_events", Json::from(r.reexec_events)),
-            ("microreboots", Json::from(r.microreboots)),
-            ("escalations", Json::from(r.escalations)),
-            ("abandoned", Json::from(r.abandoned)),
-            (
-                "violations",
-                Json::obj([
-                    ("total", Json::from(r.violations.total)),
-                    ("save_work", Json::from(r.violations.save_work)),
-                    ("incomplete", Json::from(r.violations.incomplete)),
-                    (
-                        "inconsistent_output",
-                        Json::from(r.violations.inconsistent_output),
-                    ),
-                    (
-                        "prefix_divergence",
-                        Json::from(r.violations.prefix_divergence),
-                    ),
-                ]),
-            ),
+            ("report", Json::from("avail")),
+            ("config", self.as_json()),
+            ("rows", Json::arr(rows)),
         ])
-    });
-    Json::Obj(vec![
-        ("report".to_string(), Json::from("avail")),
-        ("config".to_string(), cfg.as_json()),
-        ("rows".to_string(), Json::arr(rows)),
-    ])
+    }
+
+    /// The oracle self-test: every seeded unsound-microreboot mutant cell
+    /// must be flagged, or the consistency columns of the real cells mean
+    /// nothing.
+    fn gate(&self, result: &AvailResult) -> Result<(), String> {
+        let unflagged: Vec<&str> = result
+            .rows
+            .iter()
+            .filter(|r| r.mutation != MicrorebootMutation::None && r.stats.violations.total == 0)
+            .map(|r| r.workload)
+            .collect();
+        if unflagged.is_empty() {
+            Ok(())
+        } else {
+            Err(format!(
+                "availability oracle self-test FAILED — seeded unsound microreboot went \
+                 unflagged on: {unflagged:?}"
+            ))
+        }
+    }
 }

@@ -1,10 +1,10 @@
-//! The campaign binary: runs the full fault-injection matrix — Table 1
-//! and Table 2 on both applications plus the loss-rate degradation sweep,
-//! the Figure 8 protocol-space grids, and the continuous-availability
-//! stage — serially and then sharded across a worker pool, **asserts the
-//! two produced bitwise-identical rows**, prints the text tables, and
-//! writes the machine-readable `BENCH_table1.json` / `BENCH_table2.json`
-//! / `BENCH_loss.json` / `BENCH_fig8.json` / `BENCH_avail.json` reports.
+//! The campaign binary: runs the seven campaign stages — the durable-medium
+//! grid, Table 1, Table 2, the loss sweep, the Figure 8 grids, the
+//! continuous-availability matrix and the sharded-KV service — each once on
+//! one thread (the serial reference) and once on `--threads`, **fails if
+//! the two differ**, prints the stage's tables and both timings, writes
+//! `BENCH_<stage>.json`, and applies the stage's gate (avail: every seeded
+//! unsound-microreboot cell flagged; kv: every cell violation-free).
 //!
 //! ```text
 //! cargo run --release -p ft-bench --bin campaign -- --threads 4
@@ -12,442 +12,299 @@
 //!
 //! Options:
 //!
-//! * `--threads N` — worker threads for the parallel run (default: the
+//! * `--threads N` — worker threads for the sharded run (default: the
 //!   machine's available parallelism);
-//! * `--quick` — small trial counts (the CI smoke configuration);
-//! * `--avail-only` — run only the availability stage (the CI smoke's
-//!   byte-identity double run uses this);
-//! * `--durable-only` — run only the durable-backend stage (three-media
-//!   overhead grid + real log-engine probe; `BENCH_durable.json` carries
-//!   no wall-clock numbers, so CI asserts it byte-identical across two
-//!   runs);
-//! * `--kv-only` — run only the sharded-KV stage (`BENCH_kv.json` also
-//!   carries no wall-clock numbers; the events/sec figure is printed to
-//!   stdout only);
+//! * `--quick` — the CI smoke sizing; wherever it appears, the sizing
+//!   flags below still apply on top of it;
+//! * `--only STAGE[,STAGE…]` — run only the named stages (`durable`,
+//!   `table1`, `table2`, `loss`, `fig8`, `avail`, `kv`);
 //! * `--target-crashes C` / `--max-trials M` — Table 1 sizing;
 //! * `--table2-trials T` — Table 2 sizing;
 //! * `--out DIR` — where to write the `BENCH_*.json` files (default `.`).
 //!
-//! The availability stage additionally self-tests the recovery oracle: it
-//! carries seeded unsound-microreboot mutant cells, and the binary fails
-//! if any mutant row comes back unflagged.
+//! The reports are a function of the flags alone: wall-clock goes to
+//! stdout, never into a file.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
-use ft_bench::avail::{avail_json, render_avail, run_avail, AvailConfig};
-use ft_bench::campaign::{
-    self, fig8_json, loss_json, run_campaign_par, run_campaign_serial, run_fig8_par,
-    run_fig8_serial, table1_json, table2_json, CampaignConfig, WallClock,
-};
-use ft_bench::durable::{durable_grid, durable_grid_par, engine_probe, probe_json, rows_json};
-use ft_bench::json::Json;
-use ft_bench::kv::{kv_json, render_kv, run_kv, KvConfig};
+use ft_bench::avail::AvailConfig;
+use ft_bench::campaign::{CampaignConfig, Fig8Stage, LossStage, Table1Stage, Table2Stage};
+use ft_bench::durable::DurableStage;
+use ft_bench::kv::KvConfig;
 use ft_bench::runner::default_threads;
-use ft_bench::scenarios;
-use ft_core::protocol::Protocol;
-use ft_dc::MicrorebootMutation;
+use ft_bench::stage::Stage;
 
+/// Every stage, in run order.
+const STAGES: [&str; 7] = ["durable", "table1", "table2", "loss", "fig8", "avail", "kv"];
+
+#[derive(Debug)]
 struct Args {
     threads: usize,
+    quick: bool,
+    /// The stages to run, in [`STAGES`] order.
+    only: Vec<&'static str>,
     cfg: CampaignConfig,
     avail: AvailConfig,
     kv: KvConfig,
-    avail_only: bool,
-    durable_only: bool,
-    kv_only: bool,
-    quick: bool,
     out: PathBuf,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        threads: default_threads(),
-        cfg: CampaignConfig::default(),
-        avail: AvailConfig::default(),
-        kv: KvConfig::default(),
-        avail_only: false,
-        durable_only: false,
-        kv_only: false,
-        quick: false,
-        out: PathBuf::from("."),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
-        match flag.as_str() {
-            "--threads" => {
-                args.threads = value("--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
+fn parse_args(argv: &[&str], default_threads: usize) -> Result<Args, String> {
+    fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        value.parse().map_err(|e| format!("{flag}: {e}"))
+    }
+    let mut threads = default_threads;
+    let mut quick = false;
+    let mut only = STAGES.to_vec();
+    let (mut target_crashes, mut max_trials, mut table2_trials) = (None, None, None);
+    let mut out = PathBuf::from(".");
+    let mut it = argv.iter();
+    while let Some(&flag) = it.next() {
+        let mut value = || {
+            it.next()
+                .copied()
+                .ok_or_else(|| format!("{flag} requires a value"))
+        };
+        match flag {
+            "--threads" => threads = number(flag, value()?)?,
+            "--quick" => quick = true,
+            "--only" => {
+                let named: Vec<&str> = value()?.split(',').collect();
+                if let Some(unknown) = named.iter().find(|n| !STAGES.contains(n)) {
+                    return Err(format!(
+                        "--only: unknown stage {unknown:?} (stages: {})",
+                        STAGES.join(", ")
+                    ));
+                }
+                only.retain(|s| named.contains(s));
             }
-            "--quick" => {
-                args.cfg = CampaignConfig::quick();
-                args.avail = AvailConfig::quick();
-                args.kv = KvConfig::quick();
-                args.quick = true;
-            }
-            "--avail-only" => args.avail_only = true,
-            "--durable-only" => args.durable_only = true,
-            "--kv-only" => args.kv_only = true,
-            "--target-crashes" => {
-                args.cfg.target_crashes = value("--target-crashes")?
-                    .parse()
-                    .map_err(|e| format!("--target-crashes: {e}"))?;
-            }
-            "--max-trials" => {
-                args.cfg.max_trials = value("--max-trials")?
-                    .parse()
-                    .map_err(|e| format!("--max-trials: {e}"))?;
-            }
-            "--table2-trials" => {
-                args.cfg.table2_trials = value("--table2-trials")?
-                    .parse()
-                    .map_err(|e| format!("--table2-trials: {e}"))?;
-            }
-            "--out" => args.out = PathBuf::from(value("--out")?),
+            "--target-crashes" => target_crashes = Some(number(flag, value()?)?),
+            "--max-trials" => max_trials = Some(number(flag, value()?)?),
+            "--table2-trials" => table2_trials = Some(number(flag, value()?)?),
+            "--out" => out = PathBuf::from(value()?),
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    if args.threads == 0 {
+    if threads == 0 {
         return Err("--threads must be at least 1".to_string());
     }
-    Ok(args)
-}
-
-/// The durable-backend stage: the three-media overhead grid on nvi and
-/// taskfarm (serial reference vs. sharded, asserted bitwise identical)
-/// plus the real log-engine probe. `BENCH_durable.json` deliberately
-/// carries no wall-clock numbers — CI regenerates it twice and asserts
-/// the two files byte-identical.
-fn durable_stage(args: &Args) -> Result<(), String> {
-    let (echoes, tasks, probe_ops) = if args.quick {
-        (40, 2, 16)
+    // `--quick` picks the base sizing; the sizing flags refine it whatever
+    // order they came in.
+    let (mut cfg, avail, kv) = if quick {
+        (
+            CampaignConfig::quick(),
+            AvailConfig::quick(),
+            KvConfig::quick(),
+        )
     } else {
-        (120, 3, 48)
+        (
+            CampaignConfig::default(),
+            AvailConfig::default(),
+            KvConfig::default(),
+        )
     };
-    let protos = Protocol::FIGURE8;
-    println!(
-        "durable: three-media grid on nvi + taskfarm × {} protocols, probe {} ops",
-        protos.len(),
-        probe_ops
-    );
-    type Build = Box<dyn Fn() -> ft_bench::scenarios::Built + Sync>;
-    let mut grids = Vec::new();
-    let builds: [(&str, Build); 2] = [
-        ("nvi", Box::new(move || scenarios::nvi(5, echoes))),
-        ("taskfarm", Box::new(move || scenarios::taskfarm(9, tasks))),
-    ];
-    for (name, build) in &builds {
-        let serial = durable_grid(build, &protos);
-        let sharded = durable_grid_par(build, &protos, args.threads);
-        if serial != sharded {
-            return Err(format!(
-                "durable {name} grid serial/sharded MISMATCH — the sharded grid \
-                 diverged from the serial reference"
-            ));
-        }
-        println!(
-            "durable: {name} grid equivalence OK ({} rows)",
-            serial.len()
-        );
-        grids.push(rows_json(name, &serial));
-    }
-    let probe = engine_probe(probe_ops, 7);
-    println!(
-        "durable: engine probe — {} commits, {} log bytes, seq {}, {} replayed on reopen",
-        probe.ops, probe.log_bytes, probe.final_seq, probe.replayed
-    );
-    let doc = Json::obj([
-        ("report", Json::from("durable")),
-        ("quick", Json::from(args.quick)),
-        ("grids", Json::arr(grids)),
-        ("engine_probe", probe_json(&probe)),
-    ]);
-    let path = args.out.join("BENCH_durable.json");
-    std::fs::write(&path, doc.render_pretty())
-        .map_err(|e| format!("writing {}: {e}", path.display()))?;
-    println!("wrote {}\n", path.display());
-    Ok(())
+    cfg.target_crashes = target_crashes.unwrap_or(cfg.target_crashes);
+    cfg.max_trials = max_trials.unwrap_or(cfg.max_trials);
+    cfg.table2_trials = table2_trials.unwrap_or(cfg.table2_trials);
+    Ok(Args {
+        threads,
+        quick,
+        only,
+        cfg,
+        avail,
+        kv,
+        out,
+    })
 }
 
-/// The sharded-KV stage: the open-loop kvstore campaign, serial reference
-/// vs. sharded (asserted bitwise identical), then `BENCH_kv.json`. The
-/// JSON deliberately carries no wall-clock numbers — CI regenerates it
-/// twice and asserts byte-identity — so the honest throughput figures
-/// (events and simulated requests per second of real wall time) are
-/// printed to stdout only.
-fn kv_stage(args: &Args) -> Result<(), String> {
-    let params = args.kv.params();
-    println!(
-        "kv: {} shards × {} replicas + {} gateways = {} procs, {} open-loop sessions, \
-         {} requests, ~{:.0} crashes/trial",
-        args.kv.shards,
-        args.kv.replication,
-        args.kv.gateways,
-        params.n_processes(),
-        args.kv.sessions,
-        params.total_requests(),
-        args.kv.crashes_per_trial
-    );
+/// Runs one stage under the campaign contract: the serial reference, then
+/// the sharded run, which must reproduce it bit for bit; then tables and
+/// timings to stdout, the report to `out`, and the stage's gate (after the
+/// report is on disk, so a failure is inspectable).
+fn drive<S: Stage>(stage: &S, threads: usize, out: &Path) -> Result<(), String> {
+    let name = S::NAME;
     let t0 = Instant::now();
-    let serial = run_kv(&args.kv, 1);
-    let serial_s = t0.elapsed().as_secs_f64();
+    let serial = stage.run(1);
+    let serial_ms = t0.elapsed().as_secs_f64() * 1e3;
     let t1 = Instant::now();
-    let sharded = run_kv(&args.kv, args.threads);
-    let sharded_s = t1.elapsed().as_secs_f64();
+    let sharded = stage.run(threads);
+    let sharded_ms = t1.elapsed().as_secs_f64() * 1e3;
     if serial != sharded {
         return Err(format!(
-            "kv serial/sharded MISMATCH — the sharded campaign diverged from \
-             the serial reference.\nserial:  {serial:?}\nsharded: {sharded:?}"
+            "{name}: serial/sharded MISMATCH — the {threads}-thread run diverged from the \
+             serial reference.\nserial:  {serial:?}\nsharded: {sharded:?}"
         ));
     }
+    println!("{}", stage.render(&sharded));
     println!(
-        "kv: serial {:.0} ms, sharded {:.0} ms on {} threads — equivalence OK",
-        serial_s * 1e3,
-        sharded_s * 1e3,
-        args.threads
+        "{name}: serial {serial_ms:.0} ms, sharded {sharded_ms:.0} ms on {threads} threads — \
+         rows bitwise identical"
     );
-    println!(
-        "kv: {} simulated events — {:.0} events/s wall serial, {:.0} events/s wall sharded",
-        serial.total_events,
-        serial.total_events as f64 / serial_s,
-        sharded.total_events as f64 / sharded_s
-    );
-    println!("{}", render_kv(&sharded, &args.kv));
-
-    let path = args.out.join("BENCH_kv.json");
-    std::fs::write(&path, kv_json(&sharded, &args.kv).render_pretty())
+    let path = out.join(format!("BENCH_{name}.json"));
+    std::fs::write(&path, stage.json(&sharded).render_pretty())
         .map_err(|e| format!("writing {}: {e}", path.display()))?;
     println!("wrote {}\n", path.display());
+    stage.gate(&sharded)
+}
 
-    // Consistency gate: the real cells must be violation-free, or the
-    // goodput/availability columns are measuring a broken recovery.
-    let flagged: Vec<String> = sharded
-        .rows
-        .iter()
-        .filter(|r| r.violations.total > 0)
-        .map(|r| {
-            format!(
-                "{}/{}/{}",
-                r.medium.name(),
-                r.protocol.name(),
-                r.strategy.name()
-            )
-        })
-        .collect();
-    if !flagged.is_empty() {
-        return Err(format!(
-            "kv consistency gate FAILED — oracle violations in cells: {flagged:?}"
-        ));
+fn run(args: &Args) -> Result<(), String> {
+    std::fs::create_dir_all(&args.out)
+        .map_err(|e| format!("creating {}: {e}", args.out.display()))?;
+    let (threads, out) = (args.threads, args.out.as_path());
+    for &name in &args.only {
+        match name {
+            "durable" => drive(&DurableStage { quick: args.quick }, threads, out),
+            "table1" => drive(&Table1Stage(&args.cfg), threads, out),
+            "table2" => drive(&Table2Stage(&args.cfg), threads, out),
+            "loss" => drive(&LossStage(&args.cfg), threads, out),
+            "fig8" => drive(&Fig8Stage(&args.cfg), threads, out),
+            "avail" => drive(&args.avail, threads, out),
+            "kv" => drive(&args.kv, threads, out),
+            other => unreachable!("{other} is not in STAGES"),
+        }?;
     }
-    println!("kv consistency gate: OK (every cell violation-free)");
     Ok(())
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let argv: Vec<&str> = argv.iter().map(String::as_str).collect();
+    match parse_args(&argv, default_threads()).and_then(|args| run(&args)) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("campaign: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    if let Err(e) = std::fs::create_dir_all(&args.out) {
-        eprintln!("campaign: creating {}: {e}", args.out.display());
-        return ExitCode::FAILURE;
-    }
-
-    if args.kv_only {
-        if let Err(e) = kv_stage(&args) {
-            eprintln!("campaign: {e}");
-            return ExitCode::FAILURE;
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    if !args.avail_only {
-        if let Err(e) = durable_stage(&args) {
-            eprintln!("campaign: {e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
     }
-    if args.durable_only {
-        return ExitCode::SUCCESS;
-    }
+}
 
-    if !args.avail_only {
-        println!(
-            "campaign: Table 1 (target {} crashes, max {} trials), Table 2 ({} trials/type), \
-             loss sweep ({} rates) on nvi + postgres",
-            args.cfg.target_crashes,
-            args.cfg.max_trials,
-            args.cfg.table2_trials,
-            args.cfg.loss_rates.len()
-        );
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ft_bench::json::Json;
 
-        // Serial reference run (also the speedup baseline).
-        let t0 = Instant::now();
-        let serial = run_campaign_serial(&args.cfg);
-        let serial_ms = t0.elapsed().as_secs_f64() * 1e3;
-        println!("serial reference: {serial_ms:.0} ms");
-
-        // Parallel run.
-        let t1 = Instant::now();
-        let parallel = run_campaign_par(&args.cfg, args.threads);
-        let parallel_ms = t1.elapsed().as_secs_f64() * 1e3;
-        println!("parallel ({} threads): {parallel_ms:.0} ms", args.threads);
-
-        // The determinism contract, checked on every invocation: the sharded
-        // run must reproduce the serial rows bit for bit.
-        if serial != parallel {
-            eprintln!(
-                "campaign: serial/parallel MISMATCH — the parallel runner diverged \
-                 from the serial reference.\nserial:   {serial:?}\nparallel: {parallel:?}"
-            );
-            return ExitCode::FAILURE;
-        }
-        println!("serial/parallel equivalence: OK (rows bitwise identical)\n");
-
-        // The Figure 8 stage, under the same contract: serial reference, then
-        // the sharded grids, which must match bit for bit.
-        let t2 = Instant::now();
-        let fig8_serial = run_fig8_serial(&args.cfg);
-        let fig8_serial_ms = t2.elapsed().as_secs_f64() * 1e3;
-        let t3 = Instant::now();
-        let fig8_parallel = run_fig8_par(&args.cfg, args.threads);
-        let fig8_parallel_ms = t3.elapsed().as_secs_f64() * 1e3;
-        if fig8_serial != fig8_parallel {
-            eprintln!(
-                "campaign: Figure 8 serial/parallel MISMATCH — the sharded grids \
-                 diverged from the serial reference.\nserial:   {fig8_serial:?}\n\
-                 parallel: {fig8_parallel:?}"
-            );
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "figure 8: serial {fig8_serial_ms:.0} ms, parallel {fig8_parallel_ms:.0} ms — \
-             equivalence OK\n"
-        );
-
-        for (app, rows) in &parallel.table1 {
-            println!("{}", campaign::render_table1(*app, rows));
-        }
-        for (app, rows) in &parallel.table2 {
-            println!("{}", campaign::render_table2(*app, rows));
-        }
-        println!("{}", campaign::render_loss(&parallel.loss));
-        println!("{}", campaign::render_fig8(&fig8_parallel));
-
-        let wall = WallClock {
-            serial_ms,
-            parallel_ms,
-            threads: args.threads,
-            hardware_threads: default_threads(),
-        };
-        println!(
-            "wall-clock: serial {serial_ms:.0} ms, parallel {parallel_ms:.0} ms on {} threads \
-             ({} hardware) — speedup {:.2}x",
-            wall.threads,
-            wall.hardware_threads,
-            wall.speedup()
-        );
-
-        for (name, doc) in [
-            (
-                "BENCH_table1.json",
-                table1_json(&parallel, &args.cfg, &wall),
-            ),
-            (
-                "BENCH_table2.json",
-                table2_json(&parallel, &args.cfg, &wall),
-            ),
-            ("BENCH_loss.json", loss_json(&parallel, &args.cfg, &wall)),
-            ("BENCH_fig8.json", {
-                let fig8_wall = WallClock {
-                    serial_ms: fig8_serial_ms,
-                    parallel_ms: fig8_parallel_ms,
-                    ..wall
-                };
-                fig8_json(&fig8_parallel, &args.cfg, &fig8_wall)
-            }),
+    #[test]
+    fn quick_applies_before_the_sizing_flags_wherever_it_appears() {
+        let quick = CampaignConfig::quick();
+        for argv in [
+            ["--quick", "--target-crashes", "9", "--table2-trials", "3"],
+            ["--target-crashes", "9", "--table2-trials", "3", "--quick"],
         ] {
-            let path = args.out.join(name);
-            if let Err(e) = std::fs::write(&path, doc.render_pretty()) {
-                eprintln!("campaign: writing {}: {e}", path.display());
-                return ExitCode::FAILURE;
+            let args = parse_args(&argv, 2).unwrap();
+            assert!(args.quick);
+            assert_eq!(args.cfg.target_crashes, 9, "{argv:?}");
+            assert_eq!(args.cfg.table2_trials, 3, "{argv:?}");
+            assert_eq!(args.cfg.max_trials, quick.max_trials, "{argv:?}");
+            assert_eq!(args.avail.trials, AvailConfig::quick().trials);
+            assert_eq!(args.kv.shards, KvConfig::quick().shards);
+            assert_eq!(args.threads, 2);
+        }
+        let full = parse_args(&["--max-trials", "70"], 1).unwrap();
+        assert!(!full.quick);
+        assert_eq!(full.cfg.max_trials, 70);
+        assert_eq!(
+            full.cfg.target_crashes,
+            CampaignConfig::default().target_crashes
+        );
+    }
+
+    #[test]
+    fn only_selects_stages_in_run_order_and_rejects_unknown_names() {
+        assert_eq!(parse_args(&[], 1).unwrap().only, STAGES);
+        let args = parse_args(&["--only", "kv,durable"], 1).unwrap();
+        assert_eq!(args.only, ["durable", "kv"]);
+        // Two `--only` flags intersect; the old `--durable-only
+        // --avail-only` silently ran nothing and exited 0.
+        let args = parse_args(&["--only", "durable,avail", "--only", "avail"], 1).unwrap();
+        assert_eq!(args.only, ["avail"]);
+        for bad in ["nope", "avail,", ""] {
+            let err = parse_args(&["--only", bad], 1).unwrap_err();
+            assert!(err.contains("unknown stage"), "{err}");
+        }
+    }
+
+    #[test]
+    fn bad_flags_are_errors() {
+        for (argv, want) in [
+            (&["--threads", "0"][..], "at least 1"),
+            (&["--threads", "x"][..], "--threads:"),
+            (&["--threads"][..], "requires a value"),
+            (&["--avail-only"][..], "unknown flag"),
+        ] {
+            let err = parse_args(argv, 1).unwrap_err();
+            assert!(err.contains(want), "{argv:?}: {err}");
+        }
+    }
+
+    /// A stage whose rows can be made to depend on `threads` and whose
+    /// gate can be made to fail.
+    struct Probe {
+        racy: bool,
+        gate_ok: bool,
+    }
+
+    impl Stage for Probe {
+        const NAME: &'static str = "probe";
+        type Rows = usize;
+
+        fn run(&self, threads: usize) -> usize {
+            if self.racy {
+                threads
+            } else {
+                7
             }
-            println!("wrote {}", path.display());
+        }
+
+        fn render(&self, rows: &usize) -> String {
+            rows.to_string()
+        }
+
+        fn json(&self, rows: &usize) -> Json {
+            Json::obj([("rows", Json::from(*rows))])
+        }
+
+        fn gate(&self, _: &usize) -> Result<(), String> {
+            if self.gate_ok {
+                Ok(())
+            } else {
+                Err("gate FAILED".to_string())
+            }
         }
     }
 
-    // The availability stage, under the same contract: serial reference,
-    // then the sharded matrix, which must match bit for bit.
-    println!(
-        "availability: {} workloads × {} protocols × 2 strategies, ~{:.0} Poisson crashes per \
-         trial, {} trial(s)/cell",
-        ft_bench::avail::WORKLOADS.len(),
-        args.avail.protocols.len(),
-        args.avail.crashes_per_trial,
-        args.avail.trials
-    );
-    let t4 = Instant::now();
-    let avail_serial = run_avail(&args.avail, 1);
-    let avail_serial_ms = t4.elapsed().as_secs_f64() * 1e3;
-    let t5 = Instant::now();
-    let avail_sharded = run_avail(&args.avail, args.threads);
-    let avail_sharded_ms = t5.elapsed().as_secs_f64() * 1e3;
-    if avail_serial != avail_sharded {
-        eprintln!(
-            "campaign: availability serial/sharded MISMATCH — the sharded matrix \
-             diverged from the serial reference.\nserial:  {avail_serial:?}\n\
-             sharded: {avail_sharded:?}"
-        );
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "availability: serial {avail_serial_ms:.0} ms, sharded {avail_sharded_ms:.0} ms — \
-         equivalence OK\n"
-    );
-    println!("{}", render_avail(&avail_sharded, &args.avail));
+    #[test]
+    fn drive_fails_on_a_thread_dependent_stage_and_on_a_failing_gate() {
+        let out = std::env::temp_dir().join(format!("ft-campaign-drive-{}", std::process::id()));
+        std::fs::create_dir_all(&out).unwrap();
+        let report = out.join("BENCH_probe.json");
 
-    let path = args.out.join("BENCH_avail.json");
-    if let Err(e) = std::fs::write(
-        &path,
-        avail_json(&avail_sharded, &args.avail).render_pretty(),
-    ) {
-        eprintln!("campaign: writing {}: {e}", path.display());
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {}", path.display());
+        let racy = Probe {
+            racy: true,
+            gate_ok: true,
+        };
+        let err = drive(&racy, 3, &out).unwrap_err();
+        assert!(err.contains("MISMATCH"), "{err}");
+        assert!(!report.exists(), "a diverged stage must not be reported");
+        assert_eq!(drive(&racy, 1, &out), Ok(()), "1 vs 1 cannot diverge");
 
-    // Oracle self-test (after the report is on disk, so a failure is
-    // inspectable): every seeded unsound-microreboot mutant cell must be
-    // flagged, or the consistency columns of the real cells mean nothing.
-    let unflagged: Vec<&str> = avail_sharded
-        .rows
-        .iter()
-        .filter(|r| r.mutation != MicrorebootMutation::None && r.violations.total == 0)
-        .map(|r| r.workload)
-        .collect();
-    if !unflagged.is_empty() {
-        eprintln!(
-            "campaign: availability oracle self-test FAILED — seeded unsound \
-             microreboot went unflagged on: {unflagged:?}"
-        );
-        return ExitCode::FAILURE;
-    }
-    if args.avail.mutants {
-        println!("availability oracle self-test: OK (every seeded mutant cell flagged)");
-    }
+        std::fs::remove_file(&report).unwrap();
+        let gated = Probe {
+            racy: false,
+            gate_ok: false,
+        };
+        assert_eq!(drive(&gated, 3, &out), Err("gate FAILED".to_string()));
+        assert!(report.exists(), "the report lands before the gate");
 
-    if !args.avail_only {
-        if let Err(e) = kv_stage(&args) {
-            eprintln!("campaign: {e}");
-            return ExitCode::FAILURE;
-        }
+        let sound = Probe {
+            racy: false,
+            gate_ok: true,
+        };
+        assert_eq!(drive(&sound, 3, &out), Ok(()));
+        std::fs::remove_dir_all(&out).unwrap();
     }
-    ExitCode::SUCCESS
 }

@@ -1,15 +1,13 @@
-//! The full campaign matrix — Table 1 and Table 2 on both applications
-//! plus the loss-rate degradation sweep — behind one serial and one
-//! parallel entry point, with JSON report builders for the
-//! `BENCH_*.json` perf-trajectory files.
+//! The paper's three artefacts as campaign stages: Table 1 and Table 2 on
+//! both applications, the loss-rate degradation sweep, and the Figure 8
+//! protocol-space grids — one [`Stage`] each over a shared
+//! [`CampaignConfig`], with their text tables and `BENCH_*.json`
+//! documents.
 //!
-//! The serial entry point ([`run_campaign_serial`]) is the reference
-//! semantics; the parallel one ([`run_campaign_par`]) shards every
-//! independent trial across the worker pool and must produce a
-//! bitwise-identical [`CampaignResult`] for any thread count — the
-//! `campaign` binary asserts exactly that on every run, and the
-//! equivalence suite (`tests/campaign_equivalence.rs`) pins it at 1, 2, 4
-//! and 7 threads.
+//! Every stage shards its independent trials across the worker pool and
+//! produces the same rows for any thread count; the `campaign` binary
+//! asserts that against `threads = 1` on every run, and
+//! `tests/stage_equivalence.rs` pins it at 1, 2, 4 and 7 threads.
 
 use ft_core::protocol::Protocol;
 use ft_mem::arena::ArenaStats;
@@ -19,11 +17,11 @@ use crate::json::Json;
 use crate::loss::{self, LossRow};
 use crate::report::render_table;
 use crate::scenarios;
+use crate::stage::{grouped_rows, Stage};
 use crate::table1::{self, Table1App, Table1Row};
 use crate::table2::{self, Table2Row};
 
-/// Campaign sizing and seeding. The defaults match the standalone bench
-/// binaries (`table1_app_faults`, `table2_os_faults`, `loss_sweep`).
+/// Campaign sizing and seeding.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
     /// Table 1: stop a fault type after this many crashes…
@@ -140,8 +138,7 @@ impl CampaignConfig {
 /// One loss-sweep workload: label, protocol, fabric seed, builder.
 pub type LossWorkload = (&'static str, Protocol, u64, fn() -> scenarios::Built);
 
-/// The loss-sweep matrix. Shared by the serial and parallel paths (and
-/// the `loss_sweep` bench mirrors it).
+/// The loss-sweep matrix.
 pub fn loss_matrix() -> Vec<LossWorkload> {
     vec![
         // The real-time game: latency-sensitive, CPVS (the paper's pick
@@ -161,61 +158,27 @@ pub fn loss_matrix() -> Vec<LossWorkload> {
     ]
 }
 
-/// Everything the campaign matrix produces. `PartialEq` is the
-/// serial/parallel equivalence check.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CampaignResult {
-    /// Table 1 rows per application.
-    pub table1: Vec<(Table1App, Vec<Table1Row>)>,
-    /// Table 2 rows per application.
-    pub table2: Vec<(Table1App, Vec<Table2Row>)>,
-    /// Loss-sweep rows per workload.
-    pub loss: Vec<(&'static str, Vec<LossRow>)>,
-}
-
 const APPS: [Table1App; 2] = [Table1App::Nvi, Table1App::Postgres];
 
-/// Runs the full matrix serially — the reference semantics.
-pub fn run_campaign_serial(cfg: &CampaignConfig) -> CampaignResult {
-    CampaignResult {
-        table1: APPS
-            .iter()
-            .map(|&app| {
-                let rows =
-                    table1::run_table1(app, cfg.target_crashes, cfg.max_trials, cfg.table1_seed);
-                (app, rows)
-            })
-            .collect(),
-        table2: APPS
-            .iter()
-            .map(|&app| {
-                (
-                    app,
-                    table2::run_table2(app, cfg.table2_trials, cfg.table2_seed),
-                )
-            })
-            .collect(),
-        loss: loss_matrix()
-            .into_iter()
-            .map(|(label, protocol, fabric, build)| {
-                (
-                    label,
-                    loss::loss_sweep(&build, protocol, fabric, &cfg.loss_rates),
-                )
-            })
-            .collect(),
-    }
+/// A report document: its name, the campaign configuration, its sections.
+fn report<const N: usize>(name: &str, cfg: &CampaignConfig, sections: [(&str, Json); N]) -> Json {
+    let head = [("report", Json::from(name)), ("config", cfg.as_json())];
+    Json::obj(head.into_iter().chain(sections))
 }
 
-/// Runs the full matrix with every independent trial sharded across
-/// `threads` workers. Bitwise identical to [`run_campaign_serial`] for
-/// any thread count.
-pub fn run_campaign_par(cfg: &CampaignConfig, threads: usize) -> CampaignResult {
-    CampaignResult {
-        table1: APPS
-            .iter()
+/// The Table 1 stage: application fault injection on both applications.
+#[derive(Debug, Clone, Copy)]
+pub struct Table1Stage<'a>(pub &'a CampaignConfig);
+
+impl Stage for Table1Stage<'_> {
+    const NAME: &'static str = "table1";
+    type Rows = Vec<(Table1App, Vec<Table1Row>)>;
+
+    fn run(&self, threads: usize) -> Self::Rows {
+        let cfg = self.0;
+        APPS.iter()
             .map(|&app| {
-                let rows = table1::run_table1_par(
+                let rows = table1::run_table1(
                     app,
                     cfg.target_crashes,
                     cfg.max_trials,
@@ -224,30 +187,135 @@ pub fn run_campaign_par(cfg: &CampaignConfig, threads: usize) -> CampaignResult 
                 );
                 (app, rows)
             })
-            .collect(),
-        table2: APPS
+            .collect()
+    }
+
+    fn render(&self, result: &Self::Rows) -> String {
+        let tables: Vec<String> = result
             .iter()
-            .map(|&app| {
-                let rows = table2::run_table2_par(app, cfg.table2_trials, cfg.table2_seed, threads);
-                (app, rows)
-            })
-            .collect(),
-        loss: loss_matrix()
-            .into_iter()
-            .map(|(label, protocol, fabric, build)| {
-                let rows = loss::loss_sweep_par(&build, protocol, fabric, &cfg.loss_rates, threads);
-                (label, rows)
-            })
-            .collect(),
+            .map(|(app, rows)| render_table1(*app, rows))
+            .collect();
+        tables.join("\n")
+    }
+
+    fn json(&self, result: &Self::Rows) -> Json {
+        let apps = result.iter().map(|(app, rows)| (app.name(), rows));
+        let apps = grouped_rows("app", apps, |r| {
+            Json::obj([
+                ("fault", Json::from(r.fault.name())),
+                ("trials", Json::from(r.trials)),
+                ("crashes", Json::from(r.crashes)),
+                ("violations", Json::from(r.violations)),
+                ("violation_pct", Json::from(r.violation_pct())),
+                ("wrong_output", Json::from(r.wrong_output)),
+                ("e2e_agree", Json::from(r.e2e_agree)),
+            ])
+        });
+        report("table1", self.0, [("apps", apps)])
     }
 }
 
-// ---------------------------------------------------------------------
-// The Figure 8 stage.
+/// The Table 2 stage: kernel fault injection on both applications.
+#[derive(Debug, Clone, Copy)]
+pub struct Table2Stage<'a>(pub &'a CampaignConfig);
+
+impl Stage for Table2Stage<'_> {
+    const NAME: &'static str = "table2";
+    type Rows = Vec<(Table1App, Vec<Table2Row>)>;
+
+    fn run(&self, threads: usize) -> Self::Rows {
+        let cfg = self.0;
+        APPS.iter()
+            .map(|&app| {
+                let rows = table2::run_table2(app, cfg.table2_trials, cfg.table2_seed, threads);
+                (app, rows)
+            })
+            .collect()
+    }
+
+    fn render(&self, result: &Self::Rows) -> String {
+        let tables: Vec<String> = result
+            .iter()
+            .map(|(app, rows)| render_table2(*app, rows))
+            .collect();
+        tables.join("\n")
+    }
+
+    fn json(&self, result: &Self::Rows) -> Json {
+        let apps = result.iter().map(|(app, rows)| (app.name(), rows));
+        let apps = grouped_rows("app", apps, |r| {
+            Json::obj([
+                ("fault", Json::from(r.fault.name())),
+                ("failures", Json::from(r.crashes)),
+                ("failed_recoveries", Json::from(r.failed_recoveries)),
+                ("failed_pct", Json::from(r.failed_pct())),
+                ("propagations", Json::from(r.propagations)),
+            ])
+        });
+        report("table2", self.0, [("apps", apps)])
+    }
+}
+
+/// The loss-sweep stage: every workload of [`loss_matrix`] over the
+/// configured loss rates.
+#[derive(Debug, Clone, Copy)]
+pub struct LossStage<'a>(pub &'a CampaignConfig);
+
+impl Stage for LossStage<'_> {
+    const NAME: &'static str = "loss";
+    type Rows = Vec<(&'static str, Vec<LossRow>)>;
+
+    fn run(&self, threads: usize) -> Self::Rows {
+        loss_matrix()
+            .into_iter()
+            .map(|(label, protocol, fabric, build)| {
+                let rows = loss::loss_sweep(&build, protocol, fabric, &self.0.loss_rates, threads);
+                (label, rows)
+            })
+            .collect()
+    }
+
+    fn render(&self, result: &Self::Rows) -> String {
+        let mut table: Vec<Vec<String>> = Vec::new();
+        for (label, rows) in result {
+            table.extend(loss::rows_for_table(label, rows));
+        }
+        format!(
+            "Degradation vs. loss rate (failure-free, Discount Checking medium)\n{}",
+            render_table(&loss::TABLE_HEADER, &table)
+        )
+    }
+
+    fn json(&self, result: &Self::Rows) -> Json {
+        let sweeps = result.iter().map(|(label, rows)| (*label, rows));
+        let sweeps = grouped_rows("workload", sweeps, |r| {
+            Json::obj([
+                ("loss_pct", Json::from(r.loss_pct)),
+                ("runtime_ns", Json::from(r.runtime)),
+                ("overhead_pct", Json::from(r.overhead_pct)),
+                (
+                    "net",
+                    Json::obj([
+                        ("drops", Json::from(r.net.drops)),
+                        ("partition_drops", Json::from(r.net.partition_drops)),
+                        ("dup_deliveries", Json::from(r.net.dup_deliveries)),
+                        ("dup_drops", Json::from(r.net.dup_drops)),
+                        ("retransmissions", Json::from(r.net.retransmissions)),
+                        ("timeouts", Json::from(r.net.timeouts)),
+                        ("ack_drops", Json::from(r.net.ack_drops)),
+                        ("exhausted", Json::from(r.net.exhausted)),
+                    ]),
+                ),
+                ("twopc_timeouts", Json::from(r.twopc_timeouts)),
+            ])
+        });
+        report("loss", self.0, [("sweeps", sweeps)])
+    }
+}
 
 /// The Figure 8 protocol-space stage's output: overhead grids for the
 /// three runtime-overhead workloads plus the frame-rate grid for the
-/// game. `PartialEq` is the serial/parallel equivalence check.
+/// game.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fig8Result {
     /// Overhead grids: (workload label, one row per Figure 8 protocol).
@@ -256,71 +324,145 @@ pub struct Fig8Result {
     pub fps: Vec<(&'static str, Vec<Fig8FpsRow>)>,
 }
 
-type OverheadWorkload = (&'static str, Box<dyn Fn() -> scenarios::Built + Sync>);
+/// The Figure 8 stage: every protocol of the figure on all four
+/// workloads.
+#[derive(Debug, Clone, Copy)]
+pub struct Fig8Stage<'a>(pub &'a CampaignConfig);
 
-fn fig8_overhead_matrix(f8: &Fig8Config) -> Vec<OverheadWorkload> {
-    let Fig8Config {
-        seed,
-        nvi_keys,
-        treadmarks_iters,
-        taskfarm_workers,
-        ..
-    } = *f8;
-    vec![
-        ("nvi", Box::new(move || scenarios::nvi(seed, nvi_keys))),
-        (
-            "treadmarks",
-            Box::new(move || scenarios::treadmarks(seed, treadmarks_iters)),
-        ),
-        (
-            "taskfarm",
-            Box::new(move || scenarios::taskfarm(seed, taskfarm_workers)),
-        ),
-    ]
-}
+impl Stage for Fig8Stage<'_> {
+    const NAME: &'static str = "fig8";
+    type Rows = Fig8Result;
 
-/// Runs the Figure 8 grids serially — the reference semantics.
-pub fn run_fig8_serial(cfg: &CampaignConfig) -> Fig8Result {
-    let f8 = &cfg.fig8;
-    let overhead = fig8_overhead_matrix(f8)
-        .into_iter()
-        .map(|(label, build)| (label, fig8::overhead_grid(&build, &Protocol::FIGURE8)))
-        .collect();
-    let (seed, frames) = (f8.seed, f8.xpilot_frames);
-    let xpilot = move || scenarios::xpilot(seed, frames);
-    Fig8Result {
-        overhead,
-        fps: vec![("xpilot", fig8::fps_grid(&xpilot, &Protocol::FIGURE8))],
+    fn run(&self, threads: usize) -> Fig8Result {
+        let f8 = &self.0.fig8;
+        let nvi = || scenarios::nvi(f8.seed, f8.nvi_keys);
+        let treadmarks = || scenarios::treadmarks(f8.seed, f8.treadmarks_iters);
+        let taskfarm = || scenarios::taskfarm(f8.seed, f8.taskfarm_workers);
+        let xpilot = || scenarios::xpilot(f8.seed, f8.xpilot_frames);
+        let overhead: [(&'static str, &(dyn Fn() -> scenarios::Built + Sync)); 3] = [
+            ("nvi", &nvi),
+            ("treadmarks", &treadmarks),
+            ("taskfarm", &taskfarm),
+        ];
+        Fig8Result {
+            overhead: overhead
+                .iter()
+                .map(|&(label, build)| {
+                    (
+                        label,
+                        fig8::overhead_grid(build, &Protocol::FIGURE8, threads),
+                    )
+                })
+                .collect(),
+            fps: vec![(
+                "xpilot",
+                fig8::fps_grid(&xpilot, &Protocol::FIGURE8, threads),
+            )],
+        }
     }
-}
 
-/// Runs the Figure 8 grids with cells sharded across `threads` workers.
-/// Bitwise identical to [`run_fig8_serial`] for any thread count.
-pub fn run_fig8_par(cfg: &CampaignConfig, threads: usize) -> Fig8Result {
-    let f8 = &cfg.fig8;
-    let overhead = fig8_overhead_matrix(f8)
-        .into_iter()
-        .map(|(label, build)| {
-            let rows = fig8::overhead_grid_par(&build, &Protocol::FIGURE8, threads);
-            (label, rows)
-        })
-        .collect();
-    let (seed, frames) = (f8.seed, f8.xpilot_frames);
-    let xpilot = move || scenarios::xpilot(seed, frames);
-    Fig8Result {
-        overhead,
-        fps: vec![(
-            "xpilot",
-            fig8::fps_grid_par(&xpilot, &Protocol::FIGURE8, threads),
-        )],
+    /// One table per workload.
+    fn render(&self, result: &Fig8Result) -> String {
+        let mut out = String::new();
+        for (label, rows) in &result.overhead {
+            let table: Vec<Vec<String>> = rows
+                .iter()
+                .map(|r| {
+                    vec![
+                        r.protocol.to_string(),
+                        r.ckpts.to_string(),
+                        format!("{:.1}%", r.dc_overhead_pct),
+                        format!("{:.1}%", r.disk_overhead_pct),
+                        r.arena.traps.to_string(),
+                        r.arena.committed_pages.to_string(),
+                    ]
+                })
+                .collect();
+            out.push_str(&format!(
+                "Figure 8 — {label} (overhead vs. unrecoverable baseline)\n{}\n",
+                render_table(
+                    &[
+                        "Protocol",
+                        "ckpts",
+                        "DC overhead",
+                        "disk overhead",
+                        "traps",
+                        "committed pages"
+                    ],
+                    &table
+                )
+            ));
+        }
+        for (label, rows) in &result.fps {
+            let table: Vec<Vec<String>> = rows
+                .iter()
+                .map(|r| {
+                    vec![
+                        r.protocol.to_string(),
+                        format!("{:.1}", r.ckps_per_sec),
+                        format!("{:.1}", r.dc_fps),
+                        format!("{:.1}", r.disk_fps),
+                        r.arena.traps.to_string(),
+                        r.arena.committed_pages.to_string(),
+                    ]
+                })
+                .collect();
+            out.push_str(&format!(
+                "Figure 8 — {label} (sustained frame rate, budget 15 fps)\n{}\n",
+                render_table(
+                    &[
+                        "Protocol",
+                        "ckpts/s",
+                        "DC fps",
+                        "disk fps",
+                        "traps",
+                        "committed pages"
+                    ],
+                    &table
+                )
+            ));
+        }
+        out
+    }
+
+    /// The `BENCH_fig8.json` document: per-protocol checkpoints, overhead
+    /// percentages (or frame rates), and the arena's write-barrier
+    /// counters for every workload of the figure.
+    fn json(&self, result: &Fig8Result) -> Json {
+        let overhead = result.overhead.iter().map(|(label, rows)| (*label, rows));
+        let overhead = grouped_rows("workload", overhead, |r| {
+            Json::obj([
+                ("protocol", Json::from(r.protocol.to_string())),
+                ("ckpts", Json::from(r.ckpts)),
+                ("dc_overhead_pct", Json::from(r.dc_overhead_pct)),
+                ("disk_overhead_pct", Json::from(r.disk_overhead_pct)),
+                ("base_runtime_ns", Json::from(r.runtimes.0)),
+                ("dc_runtime_ns", Json::from(r.runtimes.1)),
+                ("disk_runtime_ns", Json::from(r.runtimes.2)),
+                ("visibles", Json::from(r.visibles)),
+                ("arena", arena_json(&r.arena)),
+            ])
+        });
+        let fps = result.fps.iter().map(|(label, rows)| (*label, rows));
+        let fps = grouped_rows("workload", fps, |r| {
+            Json::obj([
+                ("protocol", Json::from(r.protocol.to_string())),
+                ("ckpts", Json::from(r.ckpts)),
+                ("ckps_per_sec", Json::from(r.ckps_per_sec)),
+                ("dc_fps", Json::from(r.dc_fps)),
+                ("disk_fps", Json::from(r.disk_fps)),
+                ("arena", arena_json(&r.arena)),
+            ])
+        });
+        report("fig8", self.0, [("overhead", overhead), ("fps", fps)])
     }
 }
 
 // ---------------------------------------------------------------------
-// Text rendering (shared with the standalone bench binaries).
+// Text rendering.
 
 /// Renders one application's Table 1 with its summary lines.
-pub fn render_table1(app: Table1App, rows: &[Table1Row]) -> String {
+fn render_table1(app: Table1App, rows: &[Table1Row]) -> String {
     let mut total_crashes = 0u32;
     let mut total_viol = 0u32;
     let mut total_agree = 0u32;
@@ -370,7 +512,7 @@ pub fn render_table1(app: Table1App, rows: &[Table1Row]) -> String {
 }
 
 /// Renders one application's Table 2 with its summary line.
-pub fn render_table2(app: Table1App, rows: &[Table2Row]) -> String {
+fn render_table2(app: Table1App, rows: &[Table2Row]) -> String {
     let mut total = 0u32;
     let mut failed = 0u32;
     let mut props = 0u32;
@@ -406,213 +548,6 @@ pub fn render_table2(app: Table1App, rows: &[Table2Row]) -> String {
     )
 }
 
-/// Renders the loss sweep as one combined table.
-pub fn render_loss(results: &[(&'static str, Vec<LossRow>)]) -> String {
-    let mut table: Vec<Vec<String>> = Vec::new();
-    for (label, rows) in results {
-        table.extend(loss::rows_for_table(label, rows));
-    }
-    format!(
-        "Degradation vs. loss rate (failure-free, Discount Checking medium)\n{}",
-        render_table(&loss::TABLE_HEADER, &table)
-    )
-}
-
-/// Renders the Figure 8 stage: one table per workload.
-pub fn render_fig8(result: &Fig8Result) -> String {
-    let mut out = String::new();
-    for (label, rows) in &result.overhead {
-        let table: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.protocol.to_string(),
-                    r.ckpts.to_string(),
-                    format!("{:.1}%", r.dc_overhead_pct),
-                    format!("{:.1}%", r.disk_overhead_pct),
-                    r.arena.traps.to_string(),
-                    r.arena.committed_pages.to_string(),
-                ]
-            })
-            .collect();
-        out.push_str(&format!(
-            "Figure 8 — {label} (overhead vs. unrecoverable baseline)\n{}\n",
-            render_table(
-                &[
-                    "Protocol",
-                    "ckpts",
-                    "DC overhead",
-                    "disk overhead",
-                    "traps",
-                    "committed pages"
-                ],
-                &table
-            )
-        ));
-    }
-    for (label, rows) in &result.fps {
-        let table: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.protocol.to_string(),
-                    format!("{:.1}", r.ckps_per_sec),
-                    format!("{:.1}", r.dc_fps),
-                    format!("{:.1}", r.disk_fps),
-                    r.arena.traps.to_string(),
-                    r.arena.committed_pages.to_string(),
-                ]
-            })
-            .collect();
-        out.push_str(&format!(
-            "Figure 8 — {label} (sustained frame rate, budget 15 fps)\n{}\n",
-            render_table(
-                &[
-                    "Protocol",
-                    "ckpts/s",
-                    "DC fps",
-                    "disk fps",
-                    "traps",
-                    "committed pages"
-                ],
-                &table
-            )
-        ));
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
-// JSON reports.
-
-/// Wall-clock accounting for a campaign run, recorded in every report.
-#[derive(Debug, Clone, Copy)]
-pub struct WallClock {
-    /// Serial reference wall time, milliseconds.
-    pub serial_ms: f64,
-    /// Parallel wall time, milliseconds.
-    pub parallel_ms: f64,
-    /// Worker threads the parallel run used.
-    pub threads: usize,
-    /// Hardware threads the machine reports.
-    pub hardware_threads: usize,
-}
-
-impl WallClock {
-    /// Serial time over parallel time.
-    pub fn speedup(&self) -> f64 {
-        if self.parallel_ms > 0.0 {
-            self.serial_ms / self.parallel_ms
-        } else {
-            0.0
-        }
-    }
-
-    fn as_json(&self) -> Json {
-        Json::obj([
-            ("serial_ms", Json::from(self.serial_ms)),
-            ("parallel_ms", Json::from(self.parallel_ms)),
-            ("threads", Json::from(self.threads)),
-            ("hardware_threads", Json::from(self.hardware_threads)),
-            ("speedup_vs_serial", Json::from(self.speedup())),
-        ])
-    }
-}
-
-fn report_header(report: &str, cfg: &CampaignConfig, wall: &WallClock) -> Vec<(String, Json)> {
-    vec![
-        ("report".to_string(), Json::from(report)),
-        ("config".to_string(), cfg.as_json()),
-        ("wall".to_string(), wall.as_json()),
-    ]
-}
-
-/// The `BENCH_table1.json` document.
-pub fn table1_json(result: &CampaignResult, cfg: &CampaignConfig, wall: &WallClock) -> Json {
-    let mut doc = report_header("table1", cfg, wall);
-    let apps = result.table1.iter().map(|(app, rows)| {
-        Json::obj([
-            ("app", Json::from(app.name())),
-            (
-                "rows",
-                Json::arr(rows.iter().map(|r| {
-                    Json::obj([
-                        ("fault", Json::from(r.fault.name())),
-                        ("trials", Json::from(r.trials)),
-                        ("crashes", Json::from(r.crashes)),
-                        ("violations", Json::from(r.violations)),
-                        ("violation_pct", Json::from(r.violation_pct())),
-                        ("wrong_output", Json::from(r.wrong_output)),
-                        ("e2e_agree", Json::from(r.e2e_agree)),
-                    ])
-                })),
-            ),
-        ])
-    });
-    doc.push(("apps".to_string(), Json::arr(apps)));
-    Json::Obj(doc)
-}
-
-/// The `BENCH_table2.json` document.
-pub fn table2_json(result: &CampaignResult, cfg: &CampaignConfig, wall: &WallClock) -> Json {
-    let mut doc = report_header("table2", cfg, wall);
-    let apps = result.table2.iter().map(|(app, rows)| {
-        Json::obj([
-            ("app", Json::from(app.name())),
-            (
-                "rows",
-                Json::arr(rows.iter().map(|r| {
-                    Json::obj([
-                        ("fault", Json::from(r.fault.name())),
-                        ("failures", Json::from(r.crashes)),
-                        ("failed_recoveries", Json::from(r.failed_recoveries)),
-                        ("failed_pct", Json::from(r.failed_pct())),
-                        ("propagations", Json::from(r.propagations)),
-                    ])
-                })),
-            ),
-        ])
-    });
-    doc.push(("apps".to_string(), Json::arr(apps)));
-    Json::Obj(doc)
-}
-
-/// The `BENCH_loss.json` document.
-pub fn loss_json(result: &CampaignResult, cfg: &CampaignConfig, wall: &WallClock) -> Json {
-    let mut doc = report_header("loss", cfg, wall);
-    let sweeps = result.loss.iter().map(|(label, rows)| {
-        Json::obj([
-            ("workload", Json::from(*label)),
-            (
-                "rows",
-                Json::arr(rows.iter().map(|r| {
-                    Json::obj([
-                        ("loss_pct", Json::from(r.loss_pct)),
-                        ("runtime_ns", Json::from(r.runtime)),
-                        ("overhead_pct", Json::from(r.overhead_pct)),
-                        (
-                            "net",
-                            Json::obj([
-                                ("drops", Json::from(r.net.drops)),
-                                ("partition_drops", Json::from(r.net.partition_drops)),
-                                ("dup_deliveries", Json::from(r.net.dup_deliveries)),
-                                ("dup_drops", Json::from(r.net.dup_drops)),
-                                ("retransmissions", Json::from(r.net.retransmissions)),
-                                ("timeouts", Json::from(r.net.timeouts)),
-                                ("ack_drops", Json::from(r.net.ack_drops)),
-                                ("exhausted", Json::from(r.net.exhausted)),
-                            ]),
-                        ),
-                        ("twopc_timeouts", Json::from(r.twopc_timeouts)),
-                    ])
-                })),
-            ),
-        ])
-    });
-    doc.push(("sweeps".to_string(), Json::arr(sweeps)));
-    Json::Obj(doc)
-}
-
 fn arena_json(a: &ArenaStats) -> Json {
     Json::obj([
         ("traps", Json::from(a.traps)),
@@ -622,55 +557,6 @@ fn arena_json(a: &ArenaStats) -> Json {
         ("committed_pages", Json::from(a.committed_pages)),
         ("committed_bytes", Json::from(a.committed_bytes)),
     ])
-}
-
-/// The `BENCH_fig8.json` document: per-protocol checkpoints, overhead
-/// percentages (or frame rates), and the arena's write-barrier counters
-/// for every workload of the figure.
-pub fn fig8_json(result: &Fig8Result, cfg: &CampaignConfig, wall: &WallClock) -> Json {
-    let mut doc = report_header("fig8", cfg, wall);
-    let overhead = result.overhead.iter().map(|(label, rows)| {
-        Json::obj([
-            ("workload", Json::from(*label)),
-            (
-                "rows",
-                Json::arr(rows.iter().map(|r| {
-                    Json::obj([
-                        ("protocol", Json::from(r.protocol.to_string())),
-                        ("ckpts", Json::from(r.ckpts)),
-                        ("dc_overhead_pct", Json::from(r.dc_overhead_pct)),
-                        ("disk_overhead_pct", Json::from(r.disk_overhead_pct)),
-                        ("base_runtime_ns", Json::from(r.runtimes.0)),
-                        ("dc_runtime_ns", Json::from(r.runtimes.1)),
-                        ("disk_runtime_ns", Json::from(r.runtimes.2)),
-                        ("visibles", Json::from(r.visibles)),
-                        ("arena", arena_json(&r.arena)),
-                    ])
-                })),
-            ),
-        ])
-    });
-    doc.push(("overhead".to_string(), Json::arr(overhead)));
-    let fps = result.fps.iter().map(|(label, rows)| {
-        Json::obj([
-            ("workload", Json::from(*label)),
-            (
-                "rows",
-                Json::arr(rows.iter().map(|r| {
-                    Json::obj([
-                        ("protocol", Json::from(r.protocol.to_string())),
-                        ("ckpts", Json::from(r.ckpts)),
-                        ("ckps_per_sec", Json::from(r.ckps_per_sec)),
-                        ("dc_fps", Json::from(r.dc_fps)),
-                        ("disk_fps", Json::from(r.disk_fps)),
-                        ("arena", arena_json(&r.arena)),
-                    ])
-                })),
-            ),
-        ])
-    });
-    doc.push(("fps".to_string(), Json::arr(fps)));
-    Json::Obj(doc)
 }
 
 #[cfg(test)]
@@ -686,23 +572,14 @@ mod tests {
             loss_rates: vec![0.0],
             ..CampaignConfig::default()
         };
-        let result = run_campaign_serial(&cfg);
-        let wall = WallClock {
-            serial_ms: 10.0,
-            parallel_ms: 5.0,
-            threads: 2,
-            hardware_threads: 2,
-        };
-        assert_eq!(wall.speedup(), 2.0);
-        for (doc, key) in [
-            (table1_json(&result, &cfg, &wall), "apps"),
-            (table2_json(&result, &cfg, &wall), "apps"),
-            (loss_json(&result, &cfg, &wall), "sweeps"),
-        ] {
-            let text = doc.render_pretty();
+        fn check(stage: &impl Stage, key: &str) {
+            let text = stage.json(&stage.run(1)).render_pretty();
             assert!(text.contains("\"config\""), "{text}");
-            assert!(text.contains("\"speedup_vs_serial\""), "{text}");
+            assert!(!text.contains("\"wall"), "{text}");
             assert!(text.contains(&format!("\"{key}\"")), "{text}");
         }
+        check(&Table1Stage(&cfg), "apps");
+        check(&Table2Stage(&cfg), "apps");
+        check(&LossStage(&cfg), "sweeps");
     }
 }

@@ -9,8 +9,7 @@
 //!
 //! * **simulated**: the Figure 8-style overhead grid re-run with
 //!   [`ft_dc::state::DcConfig::durable`], one row per protocol with all
-//!   three media side by side, sharded over the campaign runner and
-//!   asserted bitwise-identical to the serial reference;
+//!   three media side by side, sharded over the campaign runner;
 //! * **real**: a deterministic probe of the actual on-disk engine — a
 //!   seed-scripted commit workload against a scratch [`DurableStore`],
 //!   reopened to exercise recovery — reporting byte-exact log geometry
@@ -31,8 +30,10 @@ use ft_sim::SimTime;
 
 use crate::fig8::{baseline_runtime, overhead_pct};
 use crate::json::Json;
+use crate::report::render_table;
 use crate::runner::run_indexed;
-use crate::scenarios::Built;
+use crate::scenarios::{self, Built};
+use crate::stage::{grouped_rows, Stage};
 
 /// One protocol's runtime overhead on all three checkpoint media.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,18 +79,9 @@ pub fn durable_cell(build: &dyn Fn() -> Built, base_runtime: SimTime, p: Protoco
     }
 }
 
-/// Runs the three-media grid serially.
-pub fn durable_grid(build: &dyn Fn() -> Built, protocols: &[Protocol]) -> Vec<DurableRow> {
-    let base_runtime = baseline_runtime(build);
-    protocols
-        .iter()
-        .map(|&p| durable_cell(build, base_runtime, p))
-        .collect()
-}
-
-/// The sharded three-media grid: bitwise identical to [`durable_grid`]
-/// for any `threads`.
-pub fn durable_grid_par(
+/// Runs the three-media grid, one cell per worker slot, merged in
+/// protocol order.
+pub fn durable_grid(
     build: &(dyn Fn() -> Built + Sync),
     protocols: &[Protocol],
     threads: usize,
@@ -181,55 +173,132 @@ pub fn engine_probe(ops: u64, seed: u64) -> EngineProbe {
     }
 }
 
-/// Renders one grid's rows as JSON.
-pub fn rows_json(workload: &str, rows: &[DurableRow]) -> Json {
-    Json::obj([
-        ("workload", Json::from(workload)),
-        (
-            "rows",
-            Json::arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("protocol", Json::from(r.protocol.name())),
-                            ("ckpts", Json::from(r.ckpts)),
-                            ("rio_overhead_pct", Json::from(r.rio_overhead_pct)),
-                            ("disk_overhead_pct", Json::from(r.disk_overhead_pct)),
-                            ("durable_overhead_pct", Json::from(r.durable_overhead_pct)),
-                            ("baseline_ns", Json::from(r.runtimes.0)),
-                            ("rio_ns", Json::from(r.runtimes.1)),
-                            ("disk_ns", Json::from(r.runtimes.2)),
-                            ("durable_ns", Json::from(r.runtimes.3)),
-                        ])
-                    })
-                    .collect::<Vec<_>>(),
-            ),
-        ),
-    ])
+/// The durable-backend campaign stage: the three-media grid on nvi and
+/// taskfarm under every Figure 8 protocol, plus the engine probe.
+#[derive(Debug, Clone, Copy)]
+pub struct DurableStage {
+    /// CI smoke sizing.
+    pub quick: bool,
 }
 
-/// Renders the engine probe as JSON.
-pub fn probe_json(p: &EngineProbe) -> Json {
-    Json::obj([
-        ("ops", Json::from(p.ops)),
-        ("log_bytes", Json::from(p.log_bytes)),
-        ("final_seq", Json::from(p.final_seq)),
-        ("replayed", Json::from(p.replayed)),
-        ("skipped", Json::from(p.skipped)),
-        ("used_checkpoint", Json::from(p.used_checkpoint)),
-        ("state_digest", Json::from(p.digest)),
-    ])
+/// What [`DurableStage`] produces.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DurableResult {
+    /// One grid per workload.
+    pub grids: Vec<(&'static str, Vec<DurableRow>)>,
+    /// The real-engine probe.
+    pub probe: EngineProbe,
+}
+
+impl Stage for DurableStage {
+    const NAME: &'static str = "durable";
+    type Rows = DurableResult;
+
+    fn run(&self, threads: usize) -> DurableResult {
+        let (echoes, tasks, probe_ops) = if self.quick {
+            (40, 2, 16)
+        } else {
+            (120, 3, 48)
+        };
+        let nvi = move || scenarios::nvi(5, echoes);
+        let taskfarm = move || scenarios::taskfarm(9, tasks);
+        let builds: [(&'static str, &(dyn Fn() -> Built + Sync)); 2] =
+            [("nvi", &nvi), ("taskfarm", &taskfarm)];
+        DurableResult {
+            grids: builds
+                .iter()
+                .map(|&(name, build)| (name, durable_grid(build, &Protocol::FIGURE8, threads)))
+                .collect(),
+            probe: engine_probe(probe_ops, 7),
+        }
+    }
+
+    fn render(&self, result: &DurableResult) -> String {
+        let table: Vec<Vec<String>> = result
+            .grids
+            .iter()
+            .flat_map(|(workload, rows)| {
+                rows.iter().map(move |r| {
+                    vec![
+                        (*workload).to_string(),
+                        r.protocol.to_string(),
+                        r.ckpts.to_string(),
+                        format!("{:.1}%", r.rio_overhead_pct),
+                        format!("{:.1}%", r.disk_overhead_pct),
+                        format!("{:.1}%", r.durable_overhead_pct),
+                    ]
+                })
+            })
+            .collect();
+        let p = &result.probe;
+        format!(
+            "Durable backend — overhead vs. unrecoverable baseline on three media\n{}\
+             engine probe: {} commits, {} log bytes, seq {}, {} replayed on reopen\n",
+            render_table(
+                &[
+                    "workload",
+                    "protocol",
+                    "ckpts",
+                    "Rio",
+                    "DC-disk",
+                    "DC-durable"
+                ],
+                &table
+            ),
+            p.ops,
+            p.log_bytes,
+            p.final_seq,
+            p.replayed
+        )
+    }
+
+    fn json(&self, result: &DurableResult) -> Json {
+        let grids = result
+            .grids
+            .iter()
+            .map(|(workload, rows)| (*workload, rows));
+        let grids = grouped_rows("workload", grids, |r| {
+            Json::obj([
+                ("protocol", Json::from(r.protocol.name())),
+                ("ckpts", Json::from(r.ckpts)),
+                ("rio_overhead_pct", Json::from(r.rio_overhead_pct)),
+                ("disk_overhead_pct", Json::from(r.disk_overhead_pct)),
+                ("durable_overhead_pct", Json::from(r.durable_overhead_pct)),
+                ("baseline_ns", Json::from(r.runtimes.0)),
+                ("rio_ns", Json::from(r.runtimes.1)),
+                ("disk_ns", Json::from(r.runtimes.2)),
+                ("durable_ns", Json::from(r.runtimes.3)),
+            ])
+        });
+        let p = &result.probe;
+        Json::obj([
+            ("report", Json::from("durable")),
+            ("quick", Json::from(self.quick)),
+            ("grids", grids),
+            (
+                "engine_probe",
+                Json::obj([
+                    ("ops", Json::from(p.ops)),
+                    ("log_bytes", Json::from(p.log_bytes)),
+                    ("final_seq", Json::from(p.final_seq)),
+                    ("replayed", Json::from(p.replayed)),
+                    ("skipped", Json::from(p.skipped)),
+                    ("used_checkpoint", Json::from(p.used_checkpoint)),
+                    ("state_digest", Json::from(p.digest)),
+                ]),
+            ),
+        ])
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenarios;
 
     #[test]
     fn durable_medium_sits_between_rio_and_disk() {
         let build = || scenarios::nvi(5, 60);
-        let rows = durable_grid(&build, &[Protocol::Cpvs]);
+        let rows = durable_grid(&build, &[Protocol::Cpvs], 1);
         let r = &rows[0];
         assert!(
             r.rio_overhead_pct < r.durable_overhead_pct,
@@ -243,16 +312,6 @@ mod tests {
             r.durable_overhead_pct,
             r.disk_overhead_pct
         );
-    }
-
-    #[test]
-    fn parallel_grid_matches_serial_for_any_thread_count() {
-        let build = || scenarios::nvi(5, 40);
-        let protos = [Protocol::Cpvs, Protocol::Cand];
-        let serial = durable_grid(&build, &protos);
-        for threads in [2, 5] {
-            assert_eq!(durable_grid_par(&build, &protos, threads), serial);
-        }
     }
 
     #[test]

@@ -6,11 +6,10 @@
 //! each point of the paper's per-application protocol spaces.
 //!
 //! Each cell of a grid is an independent pure function of `(build,
-//! protocol)` ([`overhead_cell`] / [`fps_cell`]), so the grids come in two
-//! shapes sharing those cells verbatim: the serial reference
-//! ([`overhead_grid`] / [`fps_grid`]) and a sharded variant over the
-//! campaign runner ([`overhead_grid_par`] / [`fps_grid_par`]) that is
-//! bitwise identical for any thread count.
+//! protocol)` ([`overhead_cell`] / [`fps_cell`]), so the grids
+//! ([`overhead_grid`] / [`fps_grid`]) shard their cells over the campaign
+//! runner and merge them in protocol order: the rows are the same for any
+//! thread count, and `threads = 1` runs them on the caller's thread.
 
 use ft_core::event::ProcessId;
 use ft_core::protocol::Protocol;
@@ -126,18 +125,9 @@ pub fn fps_cell(build: &dyn Fn() -> Built, p: Protocol) -> Fig8FpsRow {
     }
 }
 
-/// Runs the full grid for a runtime-overhead workload.
-pub fn overhead_grid(build: &dyn Fn() -> Built, protocols: &[Protocol]) -> Vec<Fig8Row> {
-    let base_runtime = baseline_runtime(build);
-    protocols
-        .iter()
-        .map(|&p| overhead_cell(build, base_runtime, p))
-        .collect()
-}
-
-/// The sharded overhead grid: one cell per worker slot, merged in protocol
-/// order — bitwise identical to [`overhead_grid`] for any `threads`.
-pub fn overhead_grid_par(
+/// Runs the full grid for a runtime-overhead workload: one cell per
+/// worker slot, merged in protocol order.
+pub fn overhead_grid(
     build: &(dyn Fn() -> Built + Sync),
     protocols: &[Protocol],
     threads: usize,
@@ -148,14 +138,9 @@ pub fn overhead_grid_par(
     })
 }
 
-/// Runs the full grid for the frame-rate workload. `frames` is the session
-/// length; fps = client frames rendered / wall time.
-pub fn fps_grid(build: &dyn Fn() -> Built, protocols: &[Protocol]) -> Vec<Fig8FpsRow> {
-    protocols.iter().map(|&p| fps_cell(build, p)).collect()
-}
-
-/// The sharded frame-rate grid, bitwise identical to [`fps_grid`].
-pub fn fps_grid_par(
+/// Runs the full grid for the frame-rate workload; fps = client frames
+/// rendered / wall time.
+pub fn fps_grid(
     build: &(dyn Fn() -> Built + Sync),
     protocols: &[Protocol],
     threads: usize,
@@ -182,7 +167,7 @@ mod tests {
     #[test]
     fn small_nvi_grid_has_expected_shape() {
         let build = || scenarios::nvi(5, 120);
-        let rows = overhead_grid(&build, &[Protocol::Cpvs, Protocol::CandLog]);
+        let rows = overhead_grid(&build, &[Protocol::Cpvs, Protocol::CandLog], 1);
         let cpvs = &rows[0];
         let candlog = &rows[1];
         // CPVS commits per echo; CAND-LOG logs nearly everything.
@@ -198,31 +183,15 @@ mod tests {
     }
 
     #[test]
-    fn parallel_grids_match_serial_for_any_thread_count() {
-        let build = || scenarios::nvi(5, 60);
-        let protos = [Protocol::Cpvs, Protocol::Cand, Protocol::CandLog];
-        let serial = overhead_grid(&build, &protos);
-        for threads in [2, 3, 8] {
-            assert_eq!(overhead_grid_par(&build, &protos, threads), serial);
-        }
-    }
-
-    #[test]
     fn overhead_pct_math() {
         assert_eq!(overhead_pct(100, 112), 12.0);
         assert_eq!(overhead_pct(200, 200), 0.0);
     }
-}
-// (kept at the end of the file so the test module above stays untouched)
-#[cfg(test)]
-mod shape_tests {
-    use super::*;
-    use crate::scenarios;
 
     #[test]
     fn treadmarks_shape_holds_at_tiny_scale() {
         let build = || scenarios::treadmarks(3, 12);
-        let rows = overhead_grid(&build, &[Protocol::Cand, Protocol::Cbndv2pc]);
+        let rows = overhead_grid(&build, &[Protocol::Cand, Protocol::Cbndv2pc], 1);
         let cand = &rows[0];
         let two_pc = &rows[1];
         assert!(
@@ -241,7 +210,7 @@ mod shape_tests {
         // commit constantly while 2PC commits only around the rare
         // visibles.
         let build = || scenarios::taskfarm(9, 3);
-        let rows = overhead_grid(&build, &[Protocol::Cand, Protocol::Cbndv2pc]);
+        let rows = overhead_grid(&build, &[Protocol::Cand, Protocol::Cbndv2pc], 1);
         assert!(
             rows[0].ckpts > 3 * rows[1].ckpts,
             "2PC must commit far less: {} vs {}",
@@ -253,7 +222,7 @@ mod shape_tests {
     #[test]
     fn xpilot_two_phase_raises_commit_rate() {
         let build = || scenarios::xpilot(3, 30);
-        let rows = fps_grid(&build, &[Protocol::Cpvs, Protocol::Cpv2pc]);
+        let rows = fps_grid(&build, &[Protocol::Cpvs, Protocol::Cpv2pc], 1);
         assert!(
             rows[1].ckps_per_sec > rows[0].ckps_per_sec,
             "the paper's xpilot anomaly: 2PC commits more often ({} vs {})",
@@ -269,7 +238,7 @@ mod shape_tests {
         // metadata's client count must land near the 15 fps budget just
         // like the standard 3-client shape does.
         let build = || scenarios::xpilot_with(3, 2, 30);
-        let rows = fps_grid(&build, &[Protocol::Cpvs]);
+        let rows = fps_grid(&build, &[Protocol::Cpvs], 1);
         assert!(
             rows[0].dc_fps > 13.0 && rows[0].dc_fps < 17.0,
             "fps = {}",

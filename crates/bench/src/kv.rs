@@ -17,30 +17,25 @@
 //! run of the same (medium, protocol), exactly like the availability
 //! stage.
 //!
-//! Determinism contract: trial `t` of cell `c` derives its arrival and
-//! victim streams O(1) from the stage seed (`SplitMix64::nth`), so the
-//! sharded run is bitwise identical to the serial run, and
-//! `BENCH_kv.json` carries no wall-clock — double-run byte-identity is a
-//! CI assertion. The deterministic `total_events` count is in the JSON;
-//! the binary divides it by its own wall timer for the events/sec print.
+//! The fault process, the verdicts and the fold are the shared engine's
+//! ([`crate::continuous`]); this module supplies the cell matrix, each
+//! cell's `DcConfig`, and counts client-observed responses as served
+//! requests. The stage is thread-count invariant and `BENCH_kv.json`
+//! carries no wall-clock; the deterministic `total_events` count is in the
+//! report, to be divided by the timings the binary prints.
 
 use ft_apps::kvstore::{self, KvParams};
-use ft_core::avail::{availability, nines, total_downtime_ns, Incident};
-use ft_core::event::ProcessId;
-use ft_core::oracle::check_recovery;
 use ft_core::protocol::Protocol;
 use ft_dc::recovery::Strategy;
-use ft_dc::{DcConfig, DcHarness, DcReport};
-use ft_faults::arrivals::{EscalationPolicy, PoissonArrivals};
-use ft_sim::cost::SimTime;
+use ft_dc::{DcConfig, DcReport};
+use ft_faults::arrivals::EscalationPolicy;
 use ft_sim::rng::SplitMix64;
 
-use crate::avail::ViolationCounts;
+use crate::continuous::{FaultLoad, FaultStats};
 use crate::json::Json;
 use crate::report::render_table;
-use crate::runner::run_indexed;
 use crate::scenarios;
-use crate::stats::percentiles;
+use crate::stage::Stage;
 
 /// Checkpoint medium axis of the cell matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -228,12 +223,18 @@ fn cells(cfg: &KvConfig) -> Vec<Cell> {
     out
 }
 
-fn dc_config(cfg: &KvConfig, cell: &Cell) -> DcConfig {
-    let mut dc = match cell.medium {
-        KvMedium::Rio => DcConfig::discount_checking(cell.protocol),
-        KvMedium::Durable => DcConfig::durable(cell.protocol),
+/// The failure-free configuration of a (medium, protocol) pair.
+fn reference_config(cfg: &KvConfig, medium: KvMedium, protocol: Protocol) -> DcConfig {
+    let mut dc = match medium {
+        KvMedium::Rio => DcConfig::discount_checking(protocol),
+        KvMedium::Durable => DcConfig::durable(protocol),
     };
     dc.max_recoveries = cfg.max_recoveries;
+    dc
+}
+
+fn dc_config(cfg: &KvConfig, cell: &Cell) -> DcConfig {
+    let mut dc = reference_config(cfg, cell.medium, cell.protocol);
     dc.strategy = cell.strategy;
     dc.escalation = cfg.escalation;
     dc
@@ -242,10 +243,10 @@ fn dc_config(cfg: &KvConfig, cell: &Cell) -> DcConfig {
 /// Client-observed completed responses: for each gateway, the highest
 /// response count any of its progress/done visibles carried (duplicates
 /// from re-execution collapse under max), summed across gateways.
-fn completed_responses(params: &KvParams, visibles: &[(SimTime, ProcessId, u64)]) -> u64 {
+fn completed_responses(params: &KvParams, report: &DcReport) -> u64 {
     let mut best = vec![0u64; params.gateways as usize];
     let servers = params.n_servers();
-    for &(_, p, t) in visibles {
+    for &(_, p, t) in &report.visibles {
         let kind = kvstore::token_kind(t);
         if (kind == kvstore::KIND_GW_PROGRESS || kind == kvstore::KIND_GW_DONE) && p.0 >= servers {
             let slot = (p.0 - servers) as usize;
@@ -255,151 +256,21 @@ fn completed_responses(params: &KvParams, visibles: &[(SimTime, ProcessId, u64)]
     best.iter().sum()
 }
 
-/// Final per-shard operation counts from the primaries' store digests.
-fn shard_ops(params: &KvParams, visibles: &[(SimTime, ProcessId, u64)]) -> Vec<u64> {
+/// Final per-shard operation counts from the primaries' store digests,
+/// over a run's (process, token) visibles.
+fn shard_ops(params: &KvParams, visibles: &[(u32, u64)]) -> Vec<u64> {
     let mut ops = vec![0u64; params.shards as usize];
     let servers = params.n_servers();
-    for &(_, p, t) in visibles {
+    for &(p, t) in visibles {
         if kvstore::token_kind(t) == kvstore::KIND_STORE
-            && p.0 < servers
-            && p.0 % params.replication == 0
+            && p < servers
+            && p % params.replication == 0
         {
-            let shard = (p.0 / params.replication) as usize;
+            let shard = (p / params.replication) as usize;
             ops[shard] = ops[shard].max(kvstore::token_count(t));
         }
     }
     ops
-}
-
-/// The failure-free reference for one (medium, protocol) pair.
-struct CanonicalRun {
-    /// Derived Poisson arrival rate for this pair's trials, per second.
-    rate_per_sec: f64,
-    trace: ft_core::trace::Trace,
-    visibles: Vec<(u32, u64)>,
-    runtime: u64,
-    responses: u64,
-    shard_ops: Vec<u64>,
-    events: u64,
-}
-
-fn canonical_run(cfg: &KvConfig, medium: KvMedium, protocol: Protocol) -> CanonicalRun {
-    let params = cfg.params();
-    let (sim, apps) = scenarios::kvstore_cluster(&params).into_parts();
-    let mut dc = match medium {
-        KvMedium::Rio => DcConfig::discount_checking(protocol),
-        KvMedium::Durable => DcConfig::durable(protocol),
-    };
-    dc.max_recoveries = cfg.max_recoveries;
-    let report = DcHarness::new(sim, dc, apps).run();
-    assert!(
-        report.all_done && report.abandoned == 0 && report.runtime > 0,
-        "canonical kvstore run under {} on {} did not complete",
-        protocol.name(),
-        medium.name()
-    );
-    let responses = completed_responses(&params, &report.visibles);
-    assert_eq!(
-        responses,
-        params.total_requests(),
-        "canonical kvstore run must answer every request"
-    );
-    let shard_ops = shard_ops(&params, &report.visibles);
-    let visibles = report.visibles.iter().map(|&(_, p, t)| (p.0, t)).collect();
-    CanonicalRun {
-        rate_per_sec: cfg.crashes_per_trial / (report.runtime as f64 / 1e9),
-        events: report.trace.len() as u64,
-        trace: report.trace,
-        visibles,
-        runtime: report.runtime,
-        responses,
-        shard_ops,
-    }
-}
-
-/// One trial's measured outcome (`PartialEq` so serial-vs-sharded
-/// equivalence is assertable at this granularity).
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct TrialOutcome {
-    incidents: Vec<Incident>,
-    runtime: u64,
-    responses: u64,
-    procs: u64,
-    abandoned: u32,
-    all_done: bool,
-    microreboots: u64,
-    escalations: u64,
-    events: u64,
-    violation: Option<&'static str>,
-}
-
-fn judge_trial(canon: &CanonicalRun, report: &DcReport) -> Option<&'static str> {
-    if report.abandoned == 0 && !report.all_done {
-        return Some("incomplete");
-    }
-    let recovered: Vec<(u32, u64)> = report.visibles.iter().map(|&(_, p, t)| (p.0, t)).collect();
-    check_recovery(
-        &canon.trace,
-        &canon.visibles,
-        &report.trace,
-        &recovered,
-        report.abandoned as usize,
-    )
-    .err()
-    .as_ref()
-    .map(crate::avail::violation_kind)
-}
-
-/// Runs one trial of one cell: a full cluster run under the cell's
-/// protocol/strategy/medium with Poisson crash arrivals injected
-/// continuously over the canonical horizon.
-fn run_trial(
-    cfg: &KvConfig,
-    cell: &Cell,
-    cell_idx: usize,
-    trial: u64,
-    canon: &CanonicalRun,
-) -> TrialOutcome {
-    let params = cfg.params();
-    let built = scenarios::kvstore_cluster(&params);
-    let procs = built.meta.processes;
-    let (sim, apps) = built.into_parts();
-    let harness = DcHarness::new(sim, dc_config(cfg, cell), apps);
-    // O(1)-splittable seed derivation: stage seed → cell stream → per
-    // trial one arrival seed and one victim seed. No sequential state is
-    // shared between trials, so sharding cannot perturb any stream.
-    let cell_seed = SplitMix64::new(cfg.seed).nth(cell_idx as u64);
-    let mut arrivals = PoissonArrivals::new(
-        SplitMix64::new(cell_seed).nth(2 * trial),
-        canon.rate_per_sec,
-    );
-    let mut victims = SplitMix64::new(SplitMix64::new(cell_seed).nth(2 * trial + 1));
-    let mut next = arrivals.next_arrival_ns();
-    // Arrivals are drawn over the *canonical* horizon so each trial
-    // sustains ~`crashes_per_trial` crashes no matter how far recovery
-    // stretches its own clock.
-    let horizon = canon.runtime;
-    let report = harness.run_with(|sim| {
-        while next <= horizon && sim.now() >= next {
-            let victim = ProcessId::from_index(victims.index(procs));
-            let now = sim.now();
-            sim.kill_at(victim, now);
-            next = arrivals.next_arrival_ns();
-        }
-    });
-    let violation = judge_trial(canon, &report);
-    TrialOutcome {
-        incidents: report.incidents,
-        runtime: report.runtime,
-        responses: completed_responses(&params, &report.visibles),
-        procs: procs as u64,
-        abandoned: report.abandoned,
-        all_done: report.all_done,
-        microreboots: report.totals.microreboots,
-        escalations: report.totals.escalations,
-        events: report.trace.len() as u64,
-        violation,
-    }
 }
 
 /// Aggregated metrics of one cell.
@@ -411,46 +282,13 @@ pub struct KvRow {
     pub protocol: Protocol,
     /// Recovery strategy under test.
     pub strategy: Strategy,
-    /// The derived Poisson arrival rate, per simulated second.
-    pub rate_per_sec: f64,
-    /// Trials run.
-    pub trials: u32,
-    /// Incidents across all trials (resolved + unresolved).
-    pub incidents: u64,
-    /// Incidents never resolved within their trial.
-    pub unresolved: u64,
-    /// MTTR percentiles over resolved incidents, ns.
-    pub mttr_p50_ns: u64,
-    /// 95th-percentile MTTR, ns.
-    pub mttr_p95_ns: u64,
-    /// 99th-percentile MTTR, ns.
-    pub mttr_p99_ns: u64,
-    /// Steady-state availability over all trials' process-time.
-    pub availability: f64,
-    /// `-log10(1 - availability)`, capped at 9.
-    pub nines: f64,
-    /// Client responses completed across all trials.
-    pub responses: u64,
-    /// Responses per simulated second under faults.
-    pub goodput_rps: f64,
-    /// The failure-free baseline's responses per simulated second.
-    pub baseline_rps: f64,
-    /// `goodput_rps / baseline_rps`, percent.
-    pub goodput_pct: f64,
+    /// MTTR, availability, goodput (client responses per simulated
+    /// second) and oracle verdicts.
+    pub stats: FaultStats,
     /// Canonical per-shard operation count, minimum over shards.
     pub shard_ops_min: u64,
     /// Canonical per-shard operation count, maximum over shards.
     pub shard_ops_max: u64,
-    /// Trace events re-executed after rollbacks (recovery work).
-    pub reexec_events: u64,
-    /// Partial restarts performed.
-    pub microreboots: u64,
-    /// Ladder exhaustions escalated to full rollback.
-    pub escalations: u64,
-    /// Processes abandoned across all trials.
-    pub abandoned: u32,
-    /// Oracle verdicts, by kind.
-    pub violations: ViolationCounts,
 }
 
 /// The kvstore stage's full result.
@@ -459,8 +297,7 @@ pub struct KvResult {
     /// One row per cell, in matrix order.
     pub rows: Vec<KvRow>,
     /// Total simulated events executed across every canonical and trial
-    /// run — deterministic; the campaign binary divides it by its own
-    /// wall timer for the honest events/sec print.
+    /// run — deterministic; divide by a printed timing for events/sec.
     pub total_events: u64,
     /// Processes per run.
     pub processes: u64,
@@ -468,233 +305,167 @@ pub struct KvResult {
     pub sessions: u64,
 }
 
-/// Runs the kvstore stage over `threads` workers (1 = serial). The
-/// sharded run is bitwise identical to the serial run.
-pub fn run_kv(cfg: &KvConfig, threads: usize) -> KvResult {
-    let cells = cells(cfg);
-    // Unique (medium, protocol) pairs needing a canonical reference.
-    let mut pairs: Vec<(KvMedium, Protocol)> = Vec::new();
-    for c in &cells {
-        if !pairs.contains(&(c.medium, c.protocol)) {
-            pairs.push((c.medium, c.protocol));
+impl Stage for KvConfig {
+    const NAME: &'static str = "kv";
+    type Rows = KvResult;
+
+    fn run(&self, threads: usize) -> KvResult {
+        let cells = cells(self);
+        let params = self.params();
+        let run = FaultLoad {
+            seed: self.seed,
+            trials: self.trials,
+            crashes_per_trial: self.crashes_per_trial,
+            // One failure-free reference per (medium, protocol).
+            cells: cells
+                .iter()
+                .map(|c| ((c.medium, c.protocol), dc_config(self, c)))
+                .collect(),
+            reference: &|&(medium, protocol)| reference_config(self, medium, protocol),
+            build: &|_| scenarios::kvstore_cluster(&params),
+            served: &|report: &DcReport| completed_responses(&params, report),
         }
-    }
-    let canonicals = run_indexed(pairs.len(), threads, |i| {
-        canonical_run(cfg, pairs[i].0, pairs[i].1)
-    });
-    let canon_of = |c: &Cell| {
-        let at = pairs
+        .run(threads);
+        for reference in &run.references {
+            assert_eq!(
+                reference.served,
+                params.total_requests(),
+                "canonical kvstore run must answer every request"
+            );
+        }
+        let rows = cells
             .iter()
-            .position(|&(m, p)| (m, p) == (c.medium, c.protocol))
-            .expect("every cell has a canonical pair");
-        &canonicals[at]
-    };
-    let trials = cfg.trials as usize;
-    let outcomes = run_indexed(cells.len() * trials, threads, |i| {
-        let cell = &cells[i / trials];
-        run_trial(cfg, cell, i / trials, (i % trials) as u64, canon_of(cell))
-    });
-    let total_events = canonicals.iter().map(|c| c.events).sum::<u64>()
-        + outcomes.iter().map(|t| t.events).sum::<u64>();
-    let rows = cells
-        .iter()
-        .enumerate()
-        .map(|(ci, cell)| {
-            let canon = canon_of(cell);
-            fold_cell(cell, cfg, canon, &outcomes[ci * trials..(ci + 1) * trials])
-        })
-        .collect();
-    KvResult {
-        rows,
-        total_events,
-        processes: cfg.params().n_processes() as u64,
-        sessions: cfg.sessions,
-    }
-}
-
-/// Folds one cell's trial outcomes into its report row.
-fn fold_cell(
-    cell: &Cell,
-    cfg: &KvConfig,
-    canon: &CanonicalRun,
-    outcomes: &[TrialOutcome],
-) -> KvRow {
-    let mut mttrs: Vec<u64> = Vec::new();
-    let mut incidents = 0u64;
-    let mut unresolved = 0u64;
-    let mut downtime = 0u64;
-    let mut proc_time = 0u64;
-    let mut runtime = 0u64;
-    let mut responses = 0u64;
-    let mut reexec_events = 0u64;
-    let mut microreboots = 0u64;
-    let mut escalations = 0u64;
-    let mut abandoned = 0u32;
-    let mut violations = ViolationCounts::default();
-    for t in outcomes {
-        incidents += t.incidents.len() as u64;
-        for i in &t.incidents {
-            match i.mttr_ns() {
-                Some(m) => mttrs.push(m),
-                None => unresolved += 1,
-            }
-            reexec_events += i.lost_events;
+            .zip(run.stats)
+            .zip(&run.reference_of)
+            .map(|((cell, stats), &r)| {
+                let ops = shard_ops(&params, &run.references[r].visibles);
+                KvRow {
+                    medium: cell.medium,
+                    protocol: cell.protocol,
+                    strategy: cell.strategy,
+                    stats,
+                    shard_ops_min: ops.iter().copied().min().unwrap_or(0),
+                    shard_ops_max: ops.iter().copied().max().unwrap_or(0),
+                }
+            })
+            .collect();
+        KvResult {
+            rows,
+            total_events: run.total_events,
+            processes: params.n_processes() as u64,
+            sessions: self.sessions,
         }
-        downtime += total_downtime_ns(&t.incidents, t.runtime);
-        proc_time += t.procs * t.runtime;
-        runtime += t.runtime;
-        responses += t.responses;
-        microreboots += t.microreboots;
-        escalations += t.escalations;
-        abandoned += t.abandoned;
-        violations.count(t.violation);
     }
-    let pcts = percentiles(&mttrs, &[50, 95, 99]);
-    let avail = availability(downtime, 1, proc_time);
-    let goodput_rps = if runtime > 0 {
-        responses as f64 / (runtime as f64 / 1e9)
-    } else {
-        0.0
-    };
-    let baseline_rps = if canon.runtime > 0 {
-        canon.responses as f64 / (canon.runtime as f64 / 1e9)
-    } else {
-        0.0
-    };
-    let goodput_pct = if baseline_rps > 0.0 {
-        goodput_rps / baseline_rps * 100.0
-    } else {
-        0.0
-    };
-    KvRow {
-        medium: cell.medium,
-        protocol: cell.protocol,
-        strategy: cell.strategy,
-        rate_per_sec: canon.rate_per_sec,
-        trials: cfg.trials,
-        incidents,
-        unresolved,
-        mttr_p50_ns: pcts[0],
-        mttr_p95_ns: pcts[1],
-        mttr_p99_ns: pcts[2],
-        availability: avail,
-        nines: nines(avail),
-        responses,
-        goodput_rps,
-        baseline_rps,
-        goodput_pct,
-        shard_ops_min: canon.shard_ops.iter().copied().min().unwrap_or(0),
-        shard_ops_max: canon.shard_ops.iter().copied().max().unwrap_or(0),
-        reexec_events,
-        microreboots,
-        escalations,
-        abandoned,
-        violations,
-    }
-}
 
-/// Plain-text kvstore table.
-pub fn render_kv(result: &KvResult, cfg: &KvConfig) -> String {
-    let rows: Vec<Vec<String>> = result
-        .rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.medium.name().to_string(),
-                r.protocol.name().to_string(),
-                r.strategy.name().to_string(),
-                r.incidents.to_string(),
-                format!("{:.1}", r.mttr_p50_ns as f64 / 1e6),
-                format!("{:.1}", r.mttr_p99_ns as f64 / 1e6),
-                format!("{:.4}%", r.availability * 100.0),
-                format!("{:.2}", r.nines),
-                format!("{:.0}", r.goodput_rps),
-                format!("{:.0}%", r.goodput_pct),
-                format!("{}..{}", r.shard_ops_min, r.shard_ops_max),
-                r.violations.total.to_string(),
-            ]
-        })
-        .collect();
-    format!(
-        "Sharded KV — {} procs, {} sessions, ~{:.0} crashes per trial, {} trial(s) per cell\n{}",
-        result.processes,
-        result.sessions,
-        cfg.crashes_per_trial,
-        cfg.trials,
-        render_table(
-            &[
-                "medium",
-                "protocol",
-                "strategy",
-                "incidents",
-                "MTTR p50 (ms)",
-                "p99",
-                "availability",
-                "nines",
-                "goodput rps",
-                "goodput",
-                "shard ops",
-                "violations",
-            ],
-            &rows
+    fn render(&self, result: &KvResult) -> String {
+        let rows: Vec<Vec<String>> = result
+            .rows
+            .iter()
+            .map(|r| {
+                let s = &r.stats;
+                vec![
+                    r.medium.name().to_string(),
+                    r.protocol.name().to_string(),
+                    r.strategy.name().to_string(),
+                    s.incidents.to_string(),
+                    format!("{:.1}", s.mttr_p50_ns as f64 / 1e6),
+                    format!("{:.1}", s.mttr_p99_ns as f64 / 1e6),
+                    format!("{:.4}%", s.availability * 100.0),
+                    format!("{:.2}", s.nines),
+                    format!("{:.0}", s.goodput_rps),
+                    format!("{:.0}%", s.goodput_pct),
+                    format!("{}..{}", r.shard_ops_min, r.shard_ops_max),
+                    s.violations.total.to_string(),
+                ]
+            })
+            .collect();
+        format!(
+            "Sharded KV — {} shards × {} replicas + {} gateways = {} procs, {} open-loop \
+             sessions, {} requests, ~{:.0} crashes per trial, {} trial(s) per cell, {} simulated \
+             events\n{}",
+            self.shards,
+            self.replication,
+            self.gateways,
+            result.processes,
+            result.sessions,
+            self.params().total_requests(),
+            self.crashes_per_trial,
+            self.trials,
+            result.total_events,
+            render_table(
+                &[
+                    "medium",
+                    "protocol",
+                    "strategy",
+                    "incidents",
+                    "MTTR p50 (ms)",
+                    "p99",
+                    "availability",
+                    "nines",
+                    "goodput rps",
+                    "goodput",
+                    "shard ops",
+                    "violations",
+                ],
+                &rows
+            )
         )
-    )
-}
+    }
 
-/// The `BENCH_kv.json` document. Deliberately carries no wall-clock
-/// section: byte-identity of the report across runs is itself a CI
-/// assertion.
-pub fn kv_json(result: &KvResult, cfg: &KvConfig) -> Json {
-    let rows = result.rows.iter().map(|r| {
+    /// The `BENCH_kv.json` document.
+    fn json(&self, result: &KvResult) -> Json {
+        let rows = result.rows.iter().map(|r| {
+            let mut fields = vec![
+                ("medium", Json::from(r.medium.name())),
+                ("protocol", Json::from(r.protocol.name())),
+                ("strategy", Json::from(r.strategy.name())),
+            ];
+            for (key, value) in r.stats.json_fields() {
+                if key == "goodput_rps" {
+                    fields.push(("responses", Json::from(r.stats.served)));
+                }
+                fields.push((key, value));
+                if key == "goodput_pct" {
+                    fields.push(("shard_ops_min", Json::from(r.shard_ops_min)));
+                    fields.push(("shard_ops_max", Json::from(r.shard_ops_max)));
+                }
+            }
+            Json::obj(fields)
+        });
         Json::obj([
-            ("medium", Json::from(r.medium.name())),
-            ("protocol", Json::from(r.protocol.name())),
-            ("strategy", Json::from(r.strategy.name())),
-            ("rate_per_sec", Json::from(r.rate_per_sec)),
-            ("trials", Json::from(r.trials)),
-            ("incidents", Json::from(r.incidents)),
-            ("unresolved", Json::from(r.unresolved)),
-            ("mttr_p50_ns", Json::from(r.mttr_p50_ns)),
-            ("mttr_p95_ns", Json::from(r.mttr_p95_ns)),
-            ("mttr_p99_ns", Json::from(r.mttr_p99_ns)),
-            ("availability", Json::from(r.availability)),
-            ("nines", Json::from(r.nines)),
-            ("responses", Json::from(r.responses)),
-            ("goodput_rps", Json::from(r.goodput_rps)),
-            ("baseline_rps", Json::from(r.baseline_rps)),
-            ("goodput_pct", Json::from(r.goodput_pct)),
-            ("shard_ops_min", Json::from(r.shard_ops_min)),
-            ("shard_ops_max", Json::from(r.shard_ops_max)),
-            ("reexec_events", Json::from(r.reexec_events)),
-            ("microreboots", Json::from(r.microreboots)),
-            ("escalations", Json::from(r.escalations)),
-            ("abandoned", Json::from(r.abandoned)),
-            (
-                "violations",
-                Json::obj([
-                    ("total", Json::from(r.violations.total)),
-                    ("save_work", Json::from(r.violations.save_work)),
-                    ("incomplete", Json::from(r.violations.incomplete)),
-                    (
-                        "inconsistent_output",
-                        Json::from(r.violations.inconsistent_output),
-                    ),
-                    (
-                        "prefix_divergence",
-                        Json::from(r.violations.prefix_divergence),
-                    ),
-                ]),
-            ),
+            ("report", Json::from("kv")),
+            ("config", self.as_json()),
+            ("processes", Json::from(result.processes)),
+            ("sessions", Json::from(result.sessions)),
+            ("total_events", Json::from(result.total_events)),
+            ("rows", Json::arr(rows)),
         ])
-    });
-    Json::Obj(vec![
-        ("report".to_string(), Json::from("kv")),
-        ("config".to_string(), cfg.as_json()),
-        ("processes".to_string(), Json::from(result.processes)),
-        ("sessions".to_string(), Json::from(result.sessions)),
-        ("total_events".to_string(), Json::from(result.total_events)),
-        ("rows".to_string(), Json::arr(rows)),
-    ])
+    }
+
+    /// The consistency gate: every cell must be violation-free, or the
+    /// goodput/availability columns are measuring a broken recovery.
+    fn gate(&self, result: &KvResult) -> Result<(), String> {
+        let flagged: Vec<String> = result
+            .rows
+            .iter()
+            .filter(|r| r.stats.violations.total > 0)
+            .map(|r| {
+                format!(
+                    "{}/{}/{}",
+                    r.medium.name(),
+                    r.protocol.name(),
+                    r.strategy.name()
+                )
+            })
+            .collect();
+        if flagged.is_empty() {
+            Ok(())
+        } else {
+            Err(format!(
+                "kv consistency gate FAILED — oracle violations in cells: {flagged:?}"
+            ))
+        }
+    }
 }
 
 #[cfg(test)]
@@ -722,13 +493,13 @@ mod tests {
     #[test]
     fn tiny_campaign_reports_sound_recovery() {
         let cfg = tiny();
-        let result = run_kv(&cfg, 1);
+        let result = cfg.run(1);
         assert_eq!(result.rows.len(), 2); // CPVS × {full, microreboot}.
         assert!(result.total_events > 0);
         for row in &result.rows {
-            assert_eq!(row.violations.total, 0, "row {row:?}");
-            assert!(row.availability > 0.0 && row.availability <= 1.0);
-            assert!(row.baseline_rps > 0.0);
+            assert_eq!(row.stats.violations.total, 0, "row {row:?}");
+            assert!(row.stats.availability > 0.0 && row.stats.availability <= 1.0);
+            assert!(row.stats.baseline_rps > 0.0);
             assert!(row.shard_ops_min <= row.shard_ops_max);
         }
         // Every request lands on some shard in the canonical run.
@@ -737,21 +508,13 @@ mod tests {
     }
 
     #[test]
-    fn sharded_run_is_bitwise_identical_to_serial() {
-        let cfg = tiny();
-        let serial = run_kv(&cfg, 1);
-        let sharded = run_kv(&cfg, 3);
-        assert_eq!(serial, sharded);
-    }
-
-    #[test]
     fn json_has_no_wall_clock_and_renders() {
         let cfg = tiny();
-        let result = run_kv(&cfg, 2);
-        let doc = kv_json(&result, &cfg).render();
+        let result = cfg.run(2);
+        let doc = cfg.json(&result).render();
         assert!(!doc.contains("wall"));
         assert!(doc.contains("\"report\":\"kv\""));
-        let table = render_kv(&result, &cfg);
+        let table = cfg.render(&result);
         assert!(table.contains("CPVS"));
     }
 }

@@ -11,8 +11,8 @@
 //!
 //! Each rate's run is independent ([`run_rate`] is pure in its inputs);
 //! only the overhead column couples rows, and it is computed in a serial
-//! fold after the runs, so [`loss_sweep_par`] shards the runs across
-//! workers and still produces rows bitwise identical to [`loss_sweep`].
+//! fold after the runs, so [`loss_sweep`] shards the runs across workers
+//! and produces the same rows for every thread count.
 
 use ft_core::protocol::Protocol;
 use ft_core::savework::check_save_work;
@@ -88,25 +88,10 @@ fn fold_rows(rates: &[f64], runs: Vec<(SimTime, NetStats, u64)>) -> Vec<LossRow>
 }
 
 /// Sweeps `rates` (fractions, e.g. `0.05` for 5%) over one workload under
-/// one protocol — the serial reference. The first rate should be `0.0` so
-/// the overhead column has its baseline; if it is not, the first row
-/// still serves as the baseline.
+/// one protocol, the per-rate runs sharded across `threads` workers. The
+/// first rate should be `0.0` so the overhead column has its baseline; if
+/// it is not, the first row still serves as the baseline.
 pub fn loss_sweep(
-    build: &(dyn Fn() -> Built + Sync),
-    protocol: Protocol,
-    fabric_seed: u64,
-    rates: &[f64],
-) -> Vec<LossRow> {
-    let runs = rates
-        .iter()
-        .map(|&rate| run_rate(build, protocol, fabric_seed, rate))
-        .collect();
-    fold_rows(rates, runs)
-}
-
-/// As [`loss_sweep`], with the per-rate runs sharded across `threads`
-/// workers; rows are bitwise identical for every thread count.
-pub fn loss_sweep_par(
     build: &(dyn Fn() -> Built + Sync),
     protocol: Protocol,
     fabric_seed: u64,
@@ -151,7 +136,7 @@ mod tests {
     #[test]
     fn lossy_taskfarm_degrades_but_completes() {
         let build = || scenarios::taskfarm(11, 3);
-        let rows = loss_sweep(&build, Protocol::Cbndv2pc, 0xFAB, &[0.0, 0.05]);
+        let rows = loss_sweep(&build, Protocol::Cbndv2pc, 0xFAB, &[0.0, 0.05], 1);
         assert_eq!(rows.len(), 2);
         let clean = &rows[0];
         let lossy = &rows[1];
@@ -169,14 +154,6 @@ mod tests {
             lossy.runtime >= clean.runtime,
             "retransmission delay cannot speed the run up"
         );
-    }
-
-    #[test]
-    fn parallel_sweep_matches_serial() {
-        let build = || scenarios::taskfarm(11, 3);
-        let serial = loss_sweep(&build, Protocol::Cbndv2pc, 0xFAB, &[0.0, 0.02, 0.05]);
-        let par = loss_sweep_par(&build, Protocol::Cbndv2pc, 0xFAB, &[0.0, 0.02, 0.05], 3);
-        assert_eq!(serial, par);
     }
 
     #[test]

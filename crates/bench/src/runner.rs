@@ -96,39 +96,42 @@ where
     tagged.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Runs at most `max_trials` independent trials, folding them **in trial
-/// order** into `fold`, and stops at the first trial index where `fold`
-/// returns `false` ("target reached — do not consume this trial").
-///
-/// This reproduces the serial early-exit loop
+/// Runs at most `max_trials` independent trials, absorbing them **in
+/// trial order** into `state`, and stops at the first trial index where
+/// `done(state)` holds — the serial early-exit loop
 ///
 /// ```text
 /// for t in 0..max_trials {
-///     if done { break; }
-///     consume(trial(t));
+///     if done(state) { break; }
+///     absorb(state, t, trial(t));
 /// }
 /// ```
 ///
-/// exactly: the cutoff is a deterministic trial index, so the fold state
-/// is bitwise identical for every `threads` value. Parallel workers
-/// speculate at most one wave (`threads × 4` trials) beyond the cutoff;
-/// speculated results past it are discarded, mirroring the serial loop
-/// never having run them.
-pub fn run_cutoff<R, F, G>(max_trials: usize, threads: usize, trial: F, mut fold: G)
-where
+/// With `threads <= 1` the wave is one trial, so this *is* that loop: no
+/// trial past the cutoff runs. Parallel workers speculate one wave
+/// (`threads × 4` trials) at a time; results past the cutoff are
+/// discarded, so the cutoff is a deterministic trial index and `state` is
+/// bitwise identical for every `threads` value.
+pub fn run_cutoff<S, R>(
+    max_trials: usize,
+    threads: usize,
+    state: &mut S,
+    done: impl Fn(&S) -> bool,
+    trial: impl Fn(usize) -> R + Sync,
+    absorb: impl Fn(&mut S, usize, R),
+) where
     R: Send,
-    F: Fn(usize) -> R + Sync,
-    G: FnMut(usize, R) -> bool,
 {
-    let wave = threads.max(1) * 4;
+    let wave = if threads <= 1 { 1 } else { threads * 4 };
     let mut next = 0usize;
-    while next < max_trials {
+    while next < max_trials && !done(state) {
         let end = (next + wave).min(max_trials);
         let results = run_indexed(end - next, threads, |i| trial(next + i));
         for (off, r) in results.into_iter().enumerate() {
-            if !fold(next + off, r) {
+            if done(state) {
                 return;
             }
+            absorb(state, next + off, r);
         }
         next = end;
     }
@@ -161,49 +164,50 @@ mod tests {
         assert_eq!(run_indexed(1, 4, |i| i + 1), vec![1]);
     }
 
+    /// `run_cutoff` against the literal loop it documents: stop once five
+    /// "crashes" (multiples of 3) have been absorbed. Consumed indices and
+    /// fold state must match at every thread count, and at one thread no
+    /// trial past the cutoff may even run.
     #[test]
-    fn cutoff_is_a_deterministic_trial_index() {
-        // Stop once five "crashes" (multiples of 3) have been consumed;
-        // the consumed prefix must be identical for every thread count.
-        let consumed_with = |threads: usize| {
-            let mut seen = Vec::new();
-            let mut crashes = 0;
+    fn cutoff_matches_the_literal_loop_at_every_thread_count() {
+        let crashed = |i: usize| i.is_multiple_of(3);
+        let mut reference = (Vec::new(), 0u32);
+        for t in 0..1000 {
+            if reference.1 >= 5 {
+                break;
+            }
+            reference.0.push(t);
+            reference.1 += u32::from(crashed(t));
+        }
+        assert_eq!(*reference.0.last().unwrap(), 12, "the 5th multiple of 3");
+        for threads in [1, 2, 4, 7] {
+            let executed = AtomicUsize::new(0);
+            let mut state = (Vec::new(), 0u32);
             run_cutoff(
                 1000,
                 threads,
-                |i| i % 3 == 0,
-                |i, crashed| {
-                    if crashes >= 5 {
-                        return false;
-                    }
-                    seen.push(i);
-                    if crashed {
-                        crashes += 1;
-                    }
-                    true
+                &mut state,
+                |s| s.1 >= 5,
+                |i| {
+                    executed.fetch_add(1, Ordering::Relaxed);
+                    crashed(i)
+                },
+                |s, i, c| {
+                    s.0.push(i);
+                    s.1 += u32::from(c);
                 },
             );
-            seen
-        };
-        let serial = consumed_with(1);
-        assert_eq!(*serial.last().unwrap(), 12, "the 5th multiple of 3");
-        for threads in [2, 4, 7] {
-            assert_eq!(consumed_with(threads), serial, "{threads} threads");
+            assert_eq!(state, reference, "{threads} threads");
+            if threads == 1 {
+                assert_eq!(executed.into_inner(), reference.0.len(), "speculated");
+            }
         }
     }
 
     #[test]
     fn cutoff_without_target_consumes_everything() {
         let mut n = 0;
-        run_cutoff(
-            25,
-            3,
-            |i| i,
-            |_, _| {
-                n += 1;
-                true
-            },
-        );
+        run_cutoff(25, 3, &mut n, |_| false, |i| i, |n, _, _| *n += 1);
         assert_eq!(n, 25);
     }
 }

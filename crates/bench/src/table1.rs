@@ -13,12 +13,11 @@
 //! The campaign is organized for the parallel runner: [`run_trial`] is a
 //! pure function of `(app, fault, trial index, seed stream)` — it builds
 //! its own simulator and applications, so any worker thread can run any
-//! trial — and the drivers merely fold outcomes **in trial order**. The
-//! serial driver ([`run_fault_type`]) is a plain loop kept as the
-//! reference semantics; the parallel driver ([`run_fault_type_par`])
-//! shards trials over `ft_bench::runner` and is bitwise identical to it
-//! for every thread count, including the "stop after `target_crashes`"
-//! early exit (a deterministic trial-index cutoff).
+//! trial — and [`run_fault_type`] merely folds outcomes **in trial
+//! order** through `runner::run_cutoff`: at `threads = 1` that is the
+//! plain serial loop, and every other thread count is bitwise identical
+//! to it, including the "stop after `target_crashes`" early exit (a
+//! deterministic trial-index cutoff).
 
 use ft_core::losework::check_commit_after_activation;
 use ft_core::protocol::Protocol;
@@ -205,30 +204,9 @@ pub fn run_trial(app: Table1App, fault: FaultType, t: u32, seeds: SeedStream) ->
 }
 
 /// Runs the campaign for one fault type until `target_crashes` crashes (or
-/// `max_trials`) — the serial reference loop.
+/// `max_trials`) on `threads` workers; `threads = 1` is the serial
+/// reference loop and every thread count yields the same row.
 pub fn run_fault_type(
-    app: Table1App,
-    fault: FaultType,
-    target_crashes: u32,
-    max_trials: u32,
-    seed0: u64,
-) -> Table1Row {
-    let seeds = SeedStream::new(seed0);
-    let mut row = Table1Row::empty(fault);
-    for t in 0..max_trials {
-        if row.crashes >= target_crashes {
-            break;
-        }
-        row.absorb(run_trial(app, fault, t, seeds));
-    }
-    row
-}
-
-/// As [`run_fault_type`], sharded across `threads` workers. Bitwise
-/// identical to the serial row for every thread count: per-trial seeds
-/// come from the same split stream and outcomes fold in trial order with
-/// the same deterministic early-exit cutoff.
-pub fn run_fault_type_par(
     app: Table1App,
     fault: FaultType,
     target_crashes: u32,
@@ -241,6 +219,8 @@ pub fn run_fault_type_par(
     run_cutoff(
         max_trials as usize,
         threads,
+        &mut row,
+        |row| row.crashes >= target_crashes,
         |t| {
             run_trial(
                 app,
@@ -249,39 +229,20 @@ pub fn run_fault_type_par(
                 seeds,
             )
         },
-        |_, outcome| {
-            if row.crashes >= target_crashes {
-                return false;
-            }
-            row.absorb(outcome);
-            true
-        },
+        |row, _, outcome| row.absorb(outcome),
     );
     row
 }
 
 /// The per-fault-type campaign seed (each type gets its own split of the
-/// campaign seed, shared by the serial and parallel drivers).
+/// campaign seed).
 fn fault_seed(seed0: u64, fault: FaultType) -> u64 {
     seed0 ^ (fault as u64) << 8
 }
 
-/// Runs the full Table 1 campaign for one application (serial).
-pub fn run_table1(
-    app: Table1App,
-    target_crashes: u32,
-    max_trials: u32,
-    seed0: u64,
-) -> Vec<Table1Row> {
-    FaultType::ALL
-        .iter()
-        .map(|&f| run_fault_type(app, f, target_crashes, max_trials, fault_seed(seed0, f)))
-        .collect()
-}
-
 /// Runs the full Table 1 campaign for one application on `threads`
-/// workers; rows are bitwise identical to [`run_table1`]'s.
-pub fn run_table1_par(
+/// workers.
+pub fn run_table1(
     app: Table1App,
     target_crashes: u32,
     max_trials: u32,
@@ -291,7 +252,7 @@ pub fn run_table1_par(
     FaultType::ALL
         .iter()
         .map(|&f| {
-            run_fault_type_par(
+            run_fault_type(
                 app,
                 f,
                 target_crashes,
@@ -309,7 +270,7 @@ mod tests {
 
     #[test]
     fn delete_branch_campaign_produces_crashes_and_violations() {
-        let row = run_fault_type(Table1App::Nvi, FaultType::DeleteBranch, 6, 40, 77);
+        let row = run_fault_type(Table1App::Nvi, FaultType::DeleteBranch, 6, 40, 77, 1);
         assert!(row.crashes >= 3, "crashes = {}", row.crashes);
         // The end-to-end check must agree with the criterion on most runs.
         assert!(
@@ -322,7 +283,7 @@ mod tests {
 
     #[test]
     fn heap_flips_crash_late_and_violate_often() {
-        let row = run_fault_type(Table1App::Nvi, FaultType::HeapBitFlip, 6, 60, 31);
+        let row = run_fault_type(Table1App::Nvi, FaultType::HeapBitFlip, 6, 60, 31, 1);
         if row.crashes >= 4 {
             // Heap corruption is detected at save-time checks, long after
             // activation: most crashes violate Lose-work.
@@ -333,12 +294,5 @@ mod tests {
                 row.crashes
             );
         }
-    }
-
-    #[test]
-    fn parallel_row_matches_serial_row() {
-        let serial = run_fault_type(Table1App::Nvi, FaultType::DeleteBranch, 4, 25, 909);
-        let par = run_fault_type_par(Table1App::Nvi, FaultType::DeleteBranch, 4, 25, 909, 3);
-        assert_eq!(serial, par);
     }
 }

@@ -11,9 +11,9 @@
 //! postgres.
 //!
 //! Like Table 1, the campaign is a pure per-trial function
-//! ([`run_trial`]) plus order-insensitive fold, so the parallel driver
-//! ([`run_fault_type_par`]) produces rows bitwise identical to the serial
-//! loop for every thread count.
+//! ([`run_trial`]) plus an index-ordered fold, so [`run_fault_type`]
+//! produces the same rows for every thread count (`threads = 1` is the
+//! serial loop).
 
 use ft_core::event::ProcessId;
 use ft_core::protocol::Protocol;
@@ -91,26 +91,10 @@ pub fn run_trial(app: Table1App, fault: FaultType, t: u32, seeds: SeedStream) ->
     }
 }
 
-/// Runs the OS-fault campaign for one fault type — the serial reference
-/// loop.
-pub fn run_fault_type(app: Table1App, fault: FaultType, trials: u32, seed0: u64) -> Table2Row {
-    let seeds = SeedStream::new(seed0);
-    let mut row = Table2Row {
-        fault,
-        crashes: 0,
-        failed_recoveries: 0,
-        propagations: 0,
-    };
-    for t in 0..trials {
-        absorb(&mut row, run_trial(app, fault, t, seeds));
-    }
-    row
-}
-
-/// As [`run_fault_type`], sharded across `threads` workers; bitwise
-/// identical rows for every thread count (Table 2 has no early exit, so
-/// the fold is a straight index-ordered reduction).
-pub fn run_fault_type_par(
+/// Runs the OS-fault campaign for one fault type on `threads` workers.
+/// Table 2 has no early exit, so the fold is a straight index-ordered
+/// reduction.
+pub fn run_fault_type(
     app: Table1App,
     fault: FaultType,
     trials: u32,
@@ -147,25 +131,17 @@ fn absorb(row: &mut Table2Row, o: TrialOutcome) {
     }
 }
 
-/// The per-fault-type campaign seed, shared by both drivers.
+/// The per-fault-type campaign seed.
 fn fault_seed(seed0: u64, fault: FaultType) -> u64 {
     seed0 ^ (fault as u64) << 16
 }
 
-/// Runs the full Table 2 campaign for one application (serial).
-pub fn run_table2(app: Table1App, trials: u32, seed0: u64) -> Vec<Table2Row> {
-    FaultType::ALL
-        .iter()
-        .map(|&f| run_fault_type(app, f, trials, fault_seed(seed0, f)))
-        .collect()
-}
-
 /// Runs the full Table 2 campaign for one application on `threads`
-/// workers; rows are bitwise identical to [`run_table2`]'s.
-pub fn run_table2_par(app: Table1App, trials: u32, seed0: u64, threads: usize) -> Vec<Table2Row> {
+/// workers.
+pub fn run_table2(app: Table1App, trials: u32, seed0: u64, threads: usize) -> Vec<Table2Row> {
     FaultType::ALL
         .iter()
-        .map(|&f| run_fault_type_par(app, f, trials, fault_seed(seed0, f), threads))
+        .map(|&f| run_fault_type(app, f, trials, fault_seed(seed0, f), threads))
         .collect()
 }
 
@@ -193,20 +169,13 @@ mod tests {
 
     #[test]
     fn nvi_fails_more_often_than_postgres() {
-        let nvi = run_fault_type(Table1App::Nvi, FaultType::DeleteBranch, 12, 9000);
-        let pg = run_fault_type(Table1App::Postgres, FaultType::DeleteBranch, 12, 9000);
+        let nvi = run_fault_type(Table1App::Nvi, FaultType::DeleteBranch, 12, 9000, 1);
+        let pg = run_fault_type(Table1App::Postgres, FaultType::DeleteBranch, 12, 9000, 1);
         assert!(
             nvi.failed_recoveries >= pg.failed_recoveries,
             "nvi {} < postgres {}",
             nvi.failed_recoveries,
             pg.failed_recoveries
         );
-    }
-
-    #[test]
-    fn parallel_row_matches_serial_row() {
-        let serial = run_fault_type(Table1App::Nvi, FaultType::HeapBitFlip, 10, 41);
-        let par = run_fault_type_par(Table1App::Nvi, FaultType::HeapBitFlip, 10, 41, 4);
-        assert_eq!(serial, par);
     }
 }

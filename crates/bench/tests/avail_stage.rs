@@ -1,27 +1,16 @@
-//! Availability-stage contracts: sharded determinism, the microreboot
-//! MTTR advantage, and the seeded-mutant oracle self-test — on the CI
-//! smoke configuration the campaign binary itself runs.
+//! Availability-stage contracts: the microreboot MTTR advantage and the
+//! seeded-mutant oracle self-test — on the CI smoke configuration the
+//! campaign binary itself runs. (Thread-count invariance is
+//! `stage_equivalence.rs`'s.)
 
-use ft_bench::avail::{run_avail, AvailConfig};
+use ft_bench::avail::AvailConfig;
+use ft_bench::stage::Stage;
 use ft_dc::recovery::{MicrorebootMutation, Strategy};
-
-#[test]
-fn sharded_runs_match_the_serial_reference_bitwise() {
-    let cfg = AvailConfig::quick();
-    let serial = run_avail(&cfg, 1);
-    for threads in [2, 4, 7] {
-        let sharded = run_avail(&cfg, threads);
-        assert_eq!(
-            serial, sharded,
-            "{threads}-thread shard diverged from the serial reference"
-        );
-    }
-}
 
 #[test]
 fn microreboot_beats_full_rollback_on_some_workload() {
     let cfg = AvailConfig::quick();
-    let result = run_avail(&cfg, 4);
+    let result = cfg.run(4);
     let wins = result.rows.iter().any(|r| {
         r.strategy == Strategy::Microreboot
             && r.mutation == MicrorebootMutation::None
@@ -29,7 +18,7 @@ fn microreboot_beats_full_rollback_on_some_workload() {
                 f.workload == r.workload
                     && f.protocol == r.protocol
                     && f.strategy == Strategy::FullRollback
-                    && r.mttr_p50_ns < f.mttr_p50_ns
+                    && r.stats.mttr_p50_ns < f.stats.mttr_p50_ns
             })
     });
     assert!(wins, "microreboot never beat full rollback on p50 MTTR");
@@ -38,34 +27,29 @@ fn microreboot_beats_full_rollback_on_some_workload() {
 #[test]
 fn every_seeded_mutant_cell_is_flagged() {
     let cfg = AvailConfig::quick();
-    let result = run_avail(&cfg, 4);
-    let mutant_rows: Vec<_> = result
-        .rows
-        .iter()
-        .filter(|r| r.mutation != MicrorebootMutation::None)
-        .collect();
-    assert!(!mutant_rows.is_empty(), "quick config must carry mutants");
-    for r in &mutant_rows {
-        assert!(
-            r.violations.total > 0,
-            "unsound microreboot unflagged on {}",
-            r.workload
-        );
-    }
+    let result = cfg.run(4);
+    assert!(
+        result
+            .rows
+            .iter()
+            .any(|r| r.mutation != MicrorebootMutation::None),
+        "quick config must carry mutants"
+    );
+    assert_eq!(cfg.gate(&result), Ok(()), "the campaign's own gate");
 }
 
 #[test]
 fn real_cells_see_sustained_incidents() {
     let cfg = AvailConfig::quick();
-    let result = run_avail(&cfg, 4);
+    let result = cfg.run(4);
     for r in &result.rows {
         assert!(
-            r.incidents > 0,
+            r.stats.incidents > 0,
             "{} {} {:?} saw no incidents — the arrival process is dead",
             r.workload,
             r.protocol.name(),
             r.strategy
         );
-        assert!(r.availability > 0.0 && r.availability <= 1.0);
+        assert!(r.stats.availability > 0.0 && r.stats.availability <= 1.0);
     }
 }

@@ -12,7 +12,7 @@ const TARGET: u32 = 10;
 const MAX: u32 = 120;
 
 fn t1(app: Table1App) -> Vec<Table1Row> {
-    run_table1(app, TARGET, MAX, 0xF417)
+    run_table1(app, TARGET, MAX, 0xF417, 1)
 }
 
 fn row(rows: &[Table1Row], fault: FaultType) -> &Table1Row {
@@ -86,7 +86,7 @@ fn table1_end_to_end_check_agrees_on_every_crash() {
 }
 
 fn t2(app: Table1App, trials: u32) -> Vec<Table2Row> {
-    run_table2(app, trials, 0x0542)
+    run_table2(app, trials, 0x0542, 1)
 }
 
 /// Table 2, §4.2: OS faults are far gentler than application faults, and

@@ -3,6 +3,14 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Everything this script writes lands in one scratch directory (the
+# second run of each determinism pair in its `rerun/`), so a local run
+# leaves `git status` clean and the committed full-size BENCH_*.json
+# change only when regenerated on purpose. ci.yml uploads from here.
+out=target/ci
+rm -rf "$out"
+mkdir -p "$out/rerun"
+
 cargo build --release --workspace
 # benchmark/ is a package of its own, outside the workspace, and may not
 # be edited by a change that claims a gain: compile it here so that a
@@ -33,11 +41,10 @@ for rule in wall-clock unordered-iteration panic-in-recovery \
   fi
 done
 # The real run must be clean, and its report byte-identical across runs.
-cargo run --release -q -p ft-lint --bin ft-lint -- --out BENCH_lint.json
-cargo run --release -q -p ft-lint --bin ft-lint -- --out BENCH_lint.rerun.json >/dev/null
-cmp BENCH_lint.json BENCH_lint.rerun.json \
+cargo run --release -q -p ft-lint --bin ft-lint -- --out "$out/BENCH_lint.json"
+cargo run --release -q -p ft-lint --bin ft-lint -- --out "$out/rerun/BENCH_lint.json" >/dev/null
+cmp "$out/BENCH_lint.json" "$out/rerun/BENCH_lint.json" \
   || { echo "ci: BENCH_lint.json not deterministic across runs" >&2; exit 1; }
-rm -f BENCH_lint.rerun.json
 
 # Perf-regression gate: the hot-path micro-benches must stay within
 # SLOWDOWN_TOLERANCE of the committed baseline (generous: catches gross
@@ -49,7 +56,7 @@ if [[ -z "${FT_SKIP_PERF_GATE:-}" ]]; then
     echo "ci: perf gate self-test failed: seeded regression was not caught" >&2
     exit 1
   fi
-  cargo run --release -q -p ft-bench --bin perf --     --check ci/perf_baseline.json --out BENCH_perf.json
+  cargo run --release -q -p ft-bench --bin perf --     --check ci/perf_baseline.json --out "$out/BENCH_perf.json"
 else
   echo "ci: perf gate skipped (FT_SKIP_PERF_GATE set)"
 fi
@@ -59,27 +66,27 @@ fi
 # mid-commit sub-steps included, of small nvi/taskfarm/kvstore workloads
 # under all seven protocols) and the trace analyzer (every workload under
 # all seven protocols plus the two seeded-race mutants) runs at
-# `--threads 4`, then again at `--threads 2` into a scratch directory.
+# `--threads 4`, then again at `--threads 2` into `rerun/`.
 # Every binary runs its work serially and sharded and exits nonzero on a
 # mismatch, on a failed gate (unflagged avail mutant, kv violation,
 # invariant violation, unexpected analyzer finding); the report must be
 # byte-identical across the two thread counts and carry no wall-clock key.
-rerun=$(mktemp -d)
-trap 'rm -rf "$rerun"' EXIT
 for stage in durable table1 table2 loss fig8 avail kv check analyze; do
   report=BENCH_$stage.json
   case $stage in
-    check | analyze)
-      run() { cargo run --release -q -p "ft-$stage" --bin "$stage" -- --smoke --threads "$1" --out "$2/$report"; } ;;
+    check)
+      run() { cargo run --release -q -p ft-check --bin check -- --smoke --threads "$1" --out "$2/$report" --cx-out "$2/check_counterexample.txt"; } ;;
+    analyze)
+      run() { cargo run --release -q -p ft-analyze --bin analyze -- --smoke --threads "$1" --out "$2/$report" --findings-out "$2/analyze_findings.txt"; } ;;
     *)
       run() { cargo run --release -q -p ft-bench --bin campaign -- --quick --only "$stage" --threads "$1" --out "$2"; } ;;
   esac
-  run 4 .
-  run 2 "$rerun" >/dev/null
-  [[ -s $report ]] || { echo "ci: missing $report" >&2; exit 1; }
-  cmp "$report" "$rerun/$report" \
+  run 4 "$out"
+  run 2 "$out/rerun" >/dev/null
+  [[ -s $out/$report ]] || { echo "ci: missing $report" >&2; exit 1; }
+  cmp "$out/$report" "$out/rerun/$report" \
     || { echo "ci: $report differs between --threads 4 and --threads 2" >&2; exit 1; }
-  if grep -qE '"wall|_ms"' "$report"; then
+  if grep -qE '"wall|_ms"' "$out/$report"; then
     echo "ci: $report must not carry wall-clock numbers" >&2; exit 1
   fi
 done

@@ -51,23 +51,15 @@ enum Expect {
 #[derive(Debug, Clone, Copy)]
 struct Cell {
     workload: &'static str,
-    size: u64,
+    size: usize,
     protocol: Protocol,
     expect: Expect,
 }
 
-/// The golden workload sizes (mirrors `tests/golden_traces.rs`), halved
-/// under `--smoke`.
-fn workloads(smoke: bool) -> Vec<(&'static str, u64)> {
-    let full: &[(&str, u64)] = &[
-        ("nvi", 40),
-        ("magic", 10),
-        ("xpilot", 20),
-        ("treadmarks", 8),
-        ("taskfarm", 3),
-        ("postgres", 10),
-    ];
-    full.iter()
+/// The golden workload sizes, halved under `--smoke`.
+fn workloads(smoke: bool) -> Vec<(&'static str, usize)> {
+    scenarios::GOLDEN
+        .iter()
         .map(|&(n, s)| (n, if smoke { (s / 2).max(2) } else { s }))
         .collect()
 }
@@ -106,22 +98,9 @@ const SEED: u64 = 7;
 /// Builds and runs one cell, returning its analysis. A pure function of
 /// the cell (fresh simulator every call), so the serial and sharded
 /// sweeps share it verbatim.
-#[expect(
-    clippy::cast_possible_truncation,
-    reason = "sweep cell sizes are small grid constants"
-)]
 fn run_cell(cell: &Cell) -> AnalysisReport {
-    let built = match cell.workload {
-        "nvi" => scenarios::nvi(SEED, cell.size as usize),
-        "magic" => scenarios::magic(SEED, cell.size as usize),
-        "xpilot" => scenarios::xpilot(SEED, cell.size),
-        "treadmarks" => scenarios::treadmarks(SEED, cell.size),
-        "taskfarm" => scenarios::taskfarm(SEED, cell.size as u32),
-        "postgres" => scenarios::postgres(SEED, cell.size as usize),
-        "taskfarm-racy" => scenarios::taskfarm_racy(SEED, cell.size as u32),
-        "treadmarks-fused" => scenarios::treadmarks_fused(SEED, cell.size),
-        other => unreachable!("unknown workload {other}"),
-    };
+    let built = scenarios::family(cell.workload, SEED, cell.size)
+        .unwrap_or_else(|| panic!("unknown workload {}", cell.workload));
     let (sim, apps) = built.into_parts();
     let report = DcHarness::new(sim, DcConfig::discount_checking(cell.protocol), apps).run();
     analyze(&report.trace, &report.shm)
@@ -171,7 +150,7 @@ fn cell_json(cell: &Cell, r: &AnalysisReport) -> Json {
     let mut fields = vec![
         ("workload", Json::Str(cell.workload.into())),
         ("protocol", Json::Str(cell.protocol.name().into())),
-        ("size", Json::UInt(cell.size)),
+        ("size", Json::UInt(cell.size as u64)),
         ("processes", Json::UInt(r.processes as u64)),
         ("events", Json::UInt(r.events as u64)),
         ("accesses", Json::UInt(r.accesses as u64)),

@@ -3,11 +3,6 @@
 //! with the production Save-work checker — at reduced sizes for
 //! debug-mode speed (the `analyze` binary runs the golden sizes).
 
-// Test inputs are tiny by construction (seed counts, page numbers,
-// probe offsets), so index-type narrowing cannot truncate here; the
-// production decode paths stay under the per-site cast audit.
-#![allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-
 use ft_analyze::report::{analyze, AnalysisReport};
 use ft_bench::runner::run_indexed;
 use ft_bench::scenarios::{self, Built};
@@ -19,21 +14,11 @@ use ft_dc::state::DcConfig;
 const SEED: u64 = 7;
 
 /// Reduced-size builders for every workload in the matrix.
-fn build(workload: &str, size: u64) -> Built {
-    match workload {
-        "nvi" => scenarios::nvi(SEED, size as usize),
-        "magic" => scenarios::magic(SEED, size as usize),
-        "xpilot" => scenarios::xpilot(SEED, size),
-        "treadmarks" => scenarios::treadmarks(SEED, size),
-        "taskfarm" => scenarios::taskfarm(SEED, size as u32),
-        "postgres" => scenarios::postgres(SEED, size as usize),
-        "taskfarm-racy" => scenarios::taskfarm_racy(SEED, size as u32),
-        "treadmarks-fused" => scenarios::treadmarks_fused(SEED, size),
-        other => unreachable!("unknown workload {other}"),
-    }
+fn build(workload: &str, size: usize) -> Built {
+    scenarios::family(workload, SEED, size).expect("a scenario family")
 }
 
-const MATRIX: &[(&str, u64)] = &[
+const MATRIX: &[(&str, usize)] = &[
     ("nvi", 10),
     ("magic", 4),
     ("xpilot", 6),
@@ -42,12 +27,12 @@ const MATRIX: &[(&str, u64)] = &[
     ("postgres", 4),
 ];
 
-fn run(workload: &str, size: u64, protocol: Protocol) -> DcReport {
+fn run(workload: &str, size: usize, protocol: Protocol) -> DcReport {
     let (sim, apps) = build(workload, size).into_parts();
     DcHarness::new(sim, DcConfig::discount_checking(protocol), apps).run()
 }
 
-fn analyzed(workload: &str, size: u64, protocol: Protocol) -> AnalysisReport {
+fn analyzed(workload: &str, size: usize, protocol: Protocol) -> AnalysisReport {
     let r = run(workload, size, protocol);
     analyze(&r.trace, &r.shm)
 }
@@ -127,7 +112,7 @@ fn racy_taskfarm_shrinks_to_two_workers() {
     // Shrink loop: halve the worker count while both passes still flag
     // the race; the floor (two workers — one cannot race with itself)
     // must still be flagged.
-    let mut workers = 8u64;
+    let mut workers = 8usize;
     let mut smallest = None;
     while workers >= 2 {
         let r = analyzed("taskfarm-racy", workers, Protocol::Cpvs);
@@ -174,7 +159,7 @@ fn clean_taskfarm_control_at_mutation_size_is_clean() {
 #[test]
 fn sharded_analysis_is_bitwise_equal_to_serial() {
     // A mixed slate: clean cells and both mutants.
-    let cells: Vec<(&str, u64, Protocol)> = vec![
+    let cells: Vec<(&str, usize, Protocol)> = vec![
         ("taskfarm", 2, Protocol::Cand),
         ("taskfarm", 2, Protocol::Cpv2pc),
         ("treadmarks", 3, Protocol::Cbndvs),

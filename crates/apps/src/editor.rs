@@ -448,7 +448,7 @@ impl App for Editor {
 /// content).
 pub fn echo_token(key: u8, cursor: usize, len: usize, keys: u64) -> u64 {
     crate::fold_words(
-        0xcbf29ce484222325,
+        ft_mem::FNV_OFFSET,
         &[key as u64, cursor as u64, len as u64, keys],
     )
 }

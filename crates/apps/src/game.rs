@@ -284,14 +284,14 @@ impl App for GameClient {
 /// legally differ between failure-free executions — the player inputs are
 /// transient non-determinism).
 pub fn frame_token(slot: usize, frame: u64, world: &[u8]) -> u64 {
-    let mut h = 0x100000001b3u64;
+    let mut h = ft_mem::FNV_PRIME;
     for chunk in world.chunks(8) {
         let mut v = 0u64;
         for (i, b) in chunk.iter().enumerate() {
             v |= (*b as u64) << (8 * i);
         }
         h ^= v;
-        h = h.wrapping_mul(0x100000001b3);
+        h = h.wrapping_mul(ft_mem::FNV_PRIME);
     }
     ((slot as u64) << 56) | ((frame & 0xFF_FFFF) << 32) | (h & 0xFFFF_FFFF)
 }

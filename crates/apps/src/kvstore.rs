@@ -337,7 +337,7 @@ fn table_get(m: &Mem, cap: u64, key: u64) -> MemResult<u64> {
 /// digests on the primary, every replica, and across runs whose message
 /// interleavings recovery reordered.
 fn table_digest(m: &Mem, cap: u64) -> MemResult<u64> {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = ft_mem::FNV_OFFSET;
     for s in 0..cap {
         let tag: u64 = m.arena.read_pod(slot_off(s))?;
         if tag != 0 {

@@ -50,5 +50,5 @@ pub use zipf::Zipfian;
 pub fn fold_words(seed: u64, words: &[u64]) -> u64 {
     words
         .iter()
-        .fold(seed, |h, &v| (h ^ v).wrapping_mul(0x100000001b3))
+        .fold(seed, |h, &v| (h ^ v).wrapping_mul(ft_mem::FNV_PRIME))
 }

@@ -11,10 +11,8 @@
 use ft_core::event::{EventKind, ProcessId};
 use ft_core::trace::Trace;
 use ft_dc::harness::DcReport;
+use ft_mem::{FNV_OFFSET, FNV_PRIME};
 use ft_sim::SimTime;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Folds `bytes` into the running FNV-1a 64 state `h`.
 fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {

@@ -5,7 +5,7 @@
 //! evaluation:
 //!
 //! * [`scenarios`] — configured simulator + application sets for the §3
-//!   workload suite;
+//!   workload suite, and the one by-name family table over them;
 //! * [`fig8`] — protocol-grid runner (checkpoints, overhead, frame rate);
 //! * [`table1`] — application fault injection and the Lose-work violation
 //!   criterion (§4.1);
@@ -37,8 +37,11 @@
 //!
 //! Run `cargo run --release -p ft-bench --bin campaign -- --threads N`
 //! for the tables, the sweep and the grids with machine-readable reports
-//! (`--only <stage>,…` for a subset); see `benches/` for the figure
-//! binaries at other sizes and EXPERIMENTS.md for recorded results.
+//! (`--only <stage>,…` for a subset). `benches/` holds the seven figure
+//! binaries at paper-scale sizes — `fig8` (all five Figure 8 panels, or
+//! `-- <panel>…`), `fig3_protocol_space`, `fig4_recovery_time`,
+//! `fig7_dangerous_paths`, `conflict_composition`, `ablation_mitigations`,
+//! `micro` — and EXPERIMENTS.md the recorded results.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -52,6 +52,43 @@ fn built(sim: Simulator, apps: Vec<Box<dyn App>>) -> Built {
     Built { sim, apps, meta }
 }
 
+/// The six workloads of the suite at the sizes the golden-trace fixtures
+/// pin (each a [`family`] name with its size knob).
+pub const GOLDEN: [(&str, usize); 6] = [
+    ("nvi", 40),
+    ("magic", 10),
+    ("xpilot", 20),
+    ("treadmarks", 8),
+    ("taskfarm", 3),
+    ("postgres", 10),
+];
+
+/// Builds a scenario family by name at an explicit size — nvi keys, magic
+/// commands, xpilot frames, treadmarks iterations, taskfarm workers,
+/// postgres or kvstore requests; the `-racy`/`-fused`/`-skiprepl` names
+/// are the seeded mutants of the family they prefix. `None` for a name
+/// that is no family.
+///
+/// # Panics
+///
+/// Panics if a taskfarm `size` does not fit the worker-count type.
+pub fn family(name: &str, seed: u64, size: usize) -> Option<Built> {
+    let workers = || u32::try_from(size).expect("scenario sizes are small");
+    Some(match name {
+        "nvi" => nvi(seed, size),
+        "magic" => magic(seed, size),
+        "xpilot" => xpilot(seed, size as u64),
+        "treadmarks" => treadmarks(seed, size as u64),
+        "treadmarks-fused" => treadmarks_fused(seed, size as u64),
+        "taskfarm" => taskfarm(seed, workers()),
+        "taskfarm-racy" => taskfarm_racy(seed, workers()),
+        "postgres" => postgres(seed, size),
+        "kvstore" => kvstore_check(seed, size as u64),
+        "kvstore-skiprepl" => kvstore_check_mutant(seed, size as u64),
+        _ => return None,
+    })
+}
+
 /// The nvi session: `keys` keystrokes at 100 ms think time, with a couple
 /// of asynchronous signals (window resizes) over the session. Saves are
 /// rare (every ~1000 keys) as in a real editing session.

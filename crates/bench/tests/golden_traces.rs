@@ -27,24 +27,19 @@ use ft_dc::state::DcConfig;
 const FIXTURE: &str = include_str!("fixtures/golden_trace_hashes.txt");
 const FIG8_FIXTURE: &str = include_str!("fixtures/golden_fig8_hashes.txt");
 
-/// The six workloads of the suite, at the sizes PR 1's transparency tests
-/// use, each run under CPVS.
-type Workload = (&'static str, fn() -> Built);
-
-fn workloads() -> Vec<Workload> {
-    vec![
-        ("nvi", || scenarios::nvi(7, 40)),
-        ("magic", || scenarios::magic(7, 10)),
-        ("xpilot", || scenarios::xpilot(7, 20)),
-        ("treadmarks", || scenarios::treadmarks(7, 8)),
-        ("taskfarm", || scenarios::taskfarm(7, 3)),
-        ("postgres", || scenarios::postgres(7, 10)),
-    ]
+/// One of the six workloads of the suite (`scenarios::GOLDEN`), at the
+/// size PR 1's transparency tests use.
+fn golden_workload(name: &str) -> Built {
+    let &(_, size) = scenarios::GOLDEN
+        .iter()
+        .find(|(n, _)| *n == name)
+        .unwrap_or_else(|| panic!("unknown workload {name}"));
+    scenarios::family(name, 7, size).expect("every golden workload is a family")
 }
 
-fn measure(build: fn() -> Built) -> u64 {
-    let (sim, apps) = build().into_parts();
-    let report = DcHarness::new(sim, DcConfig::discount_checking(Protocol::Cpvs), apps).run();
+fn measure_with(built: Built, protocol: Protocol) -> u64 {
+    let (sim, apps) = built.into_parts();
+    let report = DcHarness::new(sim, DcConfig::discount_checking(protocol), apps).run();
     assert!(report.all_done, "golden workload must complete");
     report_fingerprint(&report)
 }
@@ -69,9 +64,13 @@ fn parse_fixture() -> Vec<(String, u64)> {
 #[test]
 fn cpvs_traces_match_the_golden_fixture() {
     let golden = parse_fixture();
-    let measured: Vec<(String, u64)> = workloads()
+    // Each workload run under CPVS.
+    let measured: Vec<(String, u64)> = scenarios::GOLDEN
         .iter()
-        .map(|(name, build)| (name.to_string(), measure(*build)))
+        .map(|&(name, _)| {
+            let hash = measure_with(golden_workload(name), Protocol::Cpvs);
+            (name.to_string(), hash)
+        })
         .collect();
     let render = |rows: &[(String, u64)]| {
         rows.iter()
@@ -89,17 +88,7 @@ fn cpvs_traces_match_the_golden_fixture() {
 #[test]
 fn fixture_covers_all_six_workloads() {
     let names: Vec<String> = parse_fixture().into_iter().map(|(n, _)| n).collect();
-    assert_eq!(
-        names,
-        [
-            "nvi",
-            "magic",
-            "xpilot",
-            "treadmarks",
-            "taskfarm",
-            "postgres"
-        ]
-    );
+    assert_eq!(names, scenarios::GOLDEN.map(|(n, _)| n));
 }
 
 // ---------------------------------------------------------------------
@@ -108,51 +97,20 @@ fn fixture_covers_all_six_workloads() {
 /// The four Figure 8 workloads under all seven protocols: every
 /// commit-placement discipline — commits before visibles, after
 /// non-determinism, coordinated rounds, and the dependency-tracked
-/// variants — is fingerprint-pinned on every workload.
-type Fig8Workload = (&'static str, Protocol, fn() -> Built);
-
-fn fig8_workloads() -> Vec<Fig8Workload> {
-    fn proto(name: &str) -> Protocol {
-        Protocol::FIGURE8
-            .into_iter()
-            .find(|p| p.to_string() == name)
-            .unwrap_or_else(|| panic!("unknown protocol {name}"))
-    }
-    type Build = fn() -> Built;
-    let builds: [(&str, Build); 4] = [
-        ("nvi", || scenarios::nvi(7, 40)),
-        ("treadmarks", || scenarios::treadmarks(7, 8)),
-        ("taskfarm", || scenarios::taskfarm(7, 3)),
-        ("xpilot", || scenarios::xpilot(7, 20)),
-    ];
+/// variants — is fingerprint-pinned on every workload. One
+/// `(workload, protocol)` per `workload@PROTOCOL` fixture key.
+fn fig8_workloads() -> Vec<(String, Protocol)> {
     parse_fixture_from(FIG8_FIXTURE)
         .into_iter()
         .map(|(key, _)| {
             let (workload, pname) = key.split_once('@').expect("fixture key: workload@PROTOCOL");
-            let build = builds
-                .iter()
-                .find(|(n, _)| *n == workload)
-                .unwrap_or_else(|| panic!("unknown workload {workload}"))
-                .1;
-            (
-                match workload {
-                    "nvi" => "nvi",
-                    "treadmarks" => "treadmarks",
-                    "taskfarm" => "taskfarm",
-                    _ => "xpilot",
-                },
-                proto(pname),
-                build,
-            )
+            let protocol = Protocol::FIGURE8
+                .into_iter()
+                .find(|p| p.to_string() == pname)
+                .unwrap_or_else(|| panic!("unknown protocol {pname}"));
+            (workload.to_string(), protocol)
         })
         .collect()
-}
-
-fn measure_with(build: fn() -> Built, protocol: Protocol) -> u64 {
-    let (sim, apps) = build().into_parts();
-    let report = DcHarness::new(sim, DcConfig::discount_checking(protocol), apps).run();
-    assert!(report.all_done, "golden workload must complete");
-    report_fingerprint(&report)
 }
 
 #[test]
@@ -160,8 +118,9 @@ fn fig8_traces_match_the_golden_fixture() {
     let golden = parse_fixture_from(FIG8_FIXTURE);
     let measured: Vec<(String, u64)> = fig8_workloads()
         .into_iter()
-        .map(|(name, protocol, build)| {
-            (format!("{name}@{protocol}"), measure_with(build, protocol))
+        .map(|(name, protocol)| {
+            let hash = measure_with(golden_workload(&name), protocol);
+            (format!("{name}@{protocol}"), hash)
         })
         .collect();
     let render = |rows: &[(String, u64)]| {
@@ -216,20 +175,21 @@ fn kvstore_medium(seed: u64) -> Built {
     })
 }
 
-fn kv_workloads() -> Vec<Workload> {
-    vec![
-        ("kv-small", || scenarios::kvstore_small(7)),
-        ("kv-medium", || kvstore_medium(7)),
-    ]
-}
-
 #[test]
 fn kvstore_traces_match_the_golden_fixture() {
     let golden = parse_fixture_from(KV_FIXTURE);
     let mut measured = Vec::new();
-    for (name, build) in kv_workloads() {
+    type Shape = (&'static str, fn(u64) -> Built);
+    let shapes: [Shape; 2] = [
+        ("kv-small", scenarios::kvstore_small),
+        ("kv-medium", kvstore_medium),
+    ];
+    for (name, build) in shapes {
         for protocol in [Protocol::Cpvs, Protocol::Cbndv2pc] {
-            measured.push((format!("{name}@{protocol}"), measure_with(build, protocol)));
+            measured.push((
+                format!("{name}@{protocol}"),
+                measure_with(build(7), protocol),
+            ));
         }
     }
     let render = |rows: &[(String, u64)]| {

@@ -40,12 +40,10 @@ fn assert_identical(build: &dyn Fn() -> Built, name: &str) {
 
 #[test]
 fn zero_probability_plan_is_trace_invisible_on_every_workload() {
-    assert_identical(&|| scenarios::nvi(7, 40), "nvi");
-    assert_identical(&|| scenarios::magic(7, 10), "magic");
-    assert_identical(&|| scenarios::xpilot(7, 20), "xpilot");
-    assert_identical(&|| scenarios::treadmarks(7, 8), "treadmarks");
-    assert_identical(&|| scenarios::taskfarm(7, 3), "taskfarm");
-    assert_identical(&|| scenarios::postgres(7, 10), "postgres");
+    for (name, size) in scenarios::GOLDEN {
+        let build = || scenarios::family(name, 7, size).expect("every golden workload is a family");
+        assert_identical(&build, name);
+    }
 }
 
 /// The same invisibility must hold under the recovery runtime: a zero

@@ -41,18 +41,8 @@ impl Workload {
     /// Builds the scenario at an explicit size (the shrinker's entry
     /// point; use `self.size` for the configured size).
     pub fn build(&self, size: usize) -> Built {
-        match self.name {
-            "nvi" => scenarios::nvi(self.seed, size),
-            "taskfarm" => scenarios::taskfarm(
-                self.seed,
-                u32::try_from(size).expect("scenario sizes are small"),
-            ),
-            "treadmarks" => scenarios::treadmarks(self.seed, size as u64),
-            "xpilot" => scenarios::xpilot(self.seed, size as u64),
-            "kvstore" => scenarios::kvstore_check(self.seed, size as u64),
-            "kvstore-skiprepl" => scenarios::kvstore_check_mutant(self.seed, size as u64),
-            other => panic!("unknown workload family {other:?}"),
-        }
+        scenarios::family(self.name, self.seed, size)
+            .unwrap_or_else(|| panic!("unknown workload family {:?}", self.name))
     }
 
     /// The smallest size at which the family still runs a meaningful

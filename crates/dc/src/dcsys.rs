@@ -1,13 +1,15 @@
 //! The interposition layer: a [`Syscalls`]/[`SysMem`] implementation that
 //! wraps the raw simulator context with Discount Checking's protocol logic.
 //!
-//! Exactly the §3 interposition set: non-deterministic syscalls
-//! (`gettimeofday`, entropy, input reads, receives, signals, `open`,
-//! `write`) are classified and possibly logged or followed by a commit;
-//! visible and send events are preceded by a local or coordinated commit
-//! when the protocol demands one. During post-recovery constrained
-//! re-execution, a commit-after-nd checkpoint's pending result is served
-//! back to the first matching syscall.
+//! Exactly the §3 interposition set, written as two rules. Every
+//! non-deterministic syscall (`gettimeofday`, entropy, input reads,
+//! receives, signals, `open`, `write`) goes through [`DcSys::nd`]: served
+//! from the armed replay during post-recovery constrained re-execution,
+//! otherwise executed with the protocol's logging choice and followed by
+//! the commit-after the planner asks for. Every other intercepted syscall
+//! (visible, send, `read`, `close`) goes through [`DcSys::around`]: the
+//! planner's commit before it (local or coordinated), the call, the
+//! planner's commit after it.
 
 use ft_core::event::{NdSource, ProcessId};
 use ft_core::protocol::{CommitScope, InterceptedEvent};
@@ -18,7 +20,7 @@ use ft_sim::sim::SysCtx;
 use ft_sim::syscalls::{Message, SysMem, SysResult, Syscalls};
 
 use crate::runtime::DcRuntime;
-use crate::state::PendingNd;
+use crate::state::{PendingNd, ProcState};
 
 /// The checkpointing syscall wrapper for one step of one process.
 pub struct DcSys<'a, 'b> {
@@ -26,34 +28,61 @@ pub struct DcSys<'a, 'b> {
     rt: &'a mut DcRuntime,
 }
 
+/// The `unwrap` half of an nd syscall's [`PendingNd`] variant (the variant
+/// constructor is the `wrap` half): yields the payload of a matching
+/// pending result and hands any other back untouched.
+macro_rules! pending {
+    ($variant:ident) => {
+        |p| match p {
+            PendingNd::$variant(v) => Ok(v),
+            other => Err(other),
+        }
+    };
+}
+
+/// The `on_arrival` of an nd syscall whose result carries no cross-process
+/// dependence (everything but a receive).
+fn local<T>(_: &mut ProcState, _: &T, _: bool) {}
+
 impl<'a, 'b> DcSys<'a, 'b> {
     /// Wraps a raw context with the runtime.
     pub fn new(ctx: &'a mut SysCtx<'b>, rt: &'a mut DcRuntime) -> Self {
         DcSys { ctx, rt }
     }
 
-    fn me(&self) -> ProcessId {
-        self.ctx.pid()
-    }
-
-    /// Serves a replayed nd result: records it as a logged (deterministic)
-    /// event and charges the log-read cost (reads are memory-speed on both
-    /// media — the log tail is cached).
-    fn record_replayed(&mut self, source: NdSource) {
-        let pid = self.me();
-        self.ctx.sim_mut().tracer_mut().nd_logged(pid, source);
-        self.ctx.charge(ND_LOG_RECORD_NS);
-    }
-
-    /// Post-nd bookkeeping: dirty/dependency tracking, log accounting, and
-    /// the CAND-family commit-after (which captures the nd's result as the
-    /// pending value).
-    fn after_nd(&mut self, source: NdSource, pending: PendingNd) {
-        let pid = self.me();
+    /// The rule for a non-deterministic syscall from `source`; `None` when
+    /// nothing arrived (no event happened).
+    ///
+    /// An armed replay of this syscall's variant is served as a logged
+    /// (deterministic) event at log-read cost (reads are memory-speed on
+    /// both media — the log tail is cached). Otherwise `raw` runs with the
+    /// protocol's logging choice; if a result arrives, `on_arrival` sees
+    /// it first, then dirty/dependency tracking and log accounting, then
+    /// the commit-after, which captures the result as the pending value.
+    fn nd<T: Clone>(
+        &mut self,
+        source: NdSource,
+        wrap: fn(T) -> PendingNd,
+        unwrap: fn(PendingNd) -> Result<T, PendingNd>,
+        raw: impl FnOnce(&mut SysCtx<'b>) -> Option<T>,
+        on_arrival: impl FnOnce(&mut ProcState, &T, bool),
+    ) -> Option<T> {
+        let pid = self.ctx.pid();
+        if let Some(v) = self.rt.take_replay(pid, unwrap) {
+            self.ctx.sim_mut().tracer_mut().nd_logged(pid, source);
+            self.ctx.charge(ND_LOG_RECORD_NS);
+            return Some(v);
+        }
         let logged = self.rt.protocol().logs(source);
+        self.ctx.set_log_next(logged);
+        let arrived = raw(self.ctx);
+        self.ctx.set_log_next(false);
+        let v = arrived?;
         let st = self.rt.state_mut(pid);
+        on_arrival(st, &v, logged);
         let d = st.planner.decide(InterceptedEvent::Nd { source });
         debug_assert_eq!(d.log, logged);
+        debug_assert_eq!(d.before, CommitScope::None);
         if logged {
             st.stats.logged_events += 1;
             let cost = self.rt.cfg().medium.log_record_cost(64);
@@ -62,8 +91,34 @@ impl<'a, 'b> DcSys<'a, 'b> {
             st.tracker.on_nd();
         }
         if d.after {
-            self.rt.local_commit(self.ctx, Some(pending));
+            self.rt.local_commit(self.ctx, Some(wrap(v.clone())));
         }
+        Some(v)
+    }
+
+    /// The rule for every other intercepted syscall: the planner's commit
+    /// before `event` (local, coordinated, or — for a send under the
+    /// `skip_presend_commit` mutation — suppressed), then `raw`, then the
+    /// planner's commit after it.
+    fn around<R>(
+        &mut self,
+        event: InterceptedEvent,
+        raw: impl FnOnce(&mut SysCtx<'b>, &DcRuntime) -> R,
+    ) -> R {
+        let pid = self.ctx.pid();
+        let d = self.rt.state_mut(pid).planner.decide(event);
+        debug_assert!(!d.log, "only nd events are logged");
+        let skipped = event == InterceptedEvent::Send && self.rt.cfg().skip_presend_commit;
+        match d.before {
+            CommitScope::Local if !skipped => self.rt.local_commit(self.ctx, None),
+            CommitScope::Coordinated => self.rt.coordinated_commit(self.ctx),
+            CommitScope::Local | CommitScope::None => {}
+        }
+        let r = raw(self.ctx, self.rt);
+        if d.after {
+            self.rt.local_commit(self.ctx, None);
+        }
+        r
     }
 }
 
@@ -81,55 +136,35 @@ impl Syscalls for DcSys<'_, '_> {
     }
 
     fn gettimeofday(&mut self) -> SimTime {
-        if let Some(PendingNd::Time(v)) = self
-            .rt
-            .take_replay(self.me(), |p| matches!(p, PendingNd::Time(_)))
-        {
-            self.record_replayed(NdSource::TimeOfDay);
-            return v;
-        }
-        self.ctx
-            .set_log_next(self.rt.protocol().logs(NdSource::TimeOfDay));
-        let v = self.ctx.gettimeofday();
-        self.after_nd(NdSource::TimeOfDay, PendingNd::Time(v));
-        v
+        self.nd(
+            NdSource::TimeOfDay,
+            PendingNd::Time,
+            pending!(Time),
+            |ctx| Some(ctx.gettimeofday()),
+            local,
+        )
+        .expect("gettimeofday always returns")
     }
 
     fn random(&mut self) -> u64 {
-        if let Some(PendingNd::Rand(v)) = self
-            .rt
-            .take_replay(self.me(), |p| matches!(p, PendingNd::Rand(_)))
-        {
-            self.record_replayed(NdSource::Random);
-            return v;
-        }
-        self.ctx
-            .set_log_next(self.rt.protocol().logs(NdSource::Random));
-        let v = self.ctx.random();
-        self.after_nd(NdSource::Random, PendingNd::Rand(v));
-        v
+        self.nd(
+            NdSource::Random,
+            PendingNd::Rand,
+            pending!(Rand),
+            |ctx| Some(ctx.random()),
+            local,
+        )
+        .expect("random always returns")
     }
 
     fn read_input(&mut self) -> Option<Vec<u8>> {
-        if let Some(PendingNd::Input(v)) = self
-            .rt
-            .take_replay(self.me(), |p| matches!(p, PendingNd::Input(_)))
-        {
-            self.record_replayed(NdSource::UserInput);
-            return Some(v);
-        }
-        self.ctx
-            .set_log_next(self.rt.protocol().logs(NdSource::UserInput));
-        match self.ctx.read_input() {
-            None => {
-                self.ctx.set_log_next(false);
-                None
-            }
-            Some(bytes) => {
-                self.after_nd(NdSource::UserInput, PendingNd::Input(bytes.clone()));
-                Some(bytes)
-            }
-        }
+        self.nd(
+            NdSource::UserInput,
+            PendingNd::Input,
+            pending!(Input),
+            Syscalls::read_input,
+            local,
+        )
     }
 
     fn input_exhausted(&self) -> bool {
@@ -137,39 +172,21 @@ impl Syscalls for DcSys<'_, '_> {
     }
 
     fn send(&mut self, to: ProcessId, payload: Vec<u8>) -> SysResult<()> {
-        let pid = self.me();
-        let d = self
-            .rt
-            .state_mut(pid)
-            .planner
-            .decide(InterceptedEvent::Send);
-        if d.before == CommitScope::Local && !self.rt.cfg().skip_presend_commit {
-            self.rt.local_commit(self.ctx, None);
-        }
-        let st = self.rt.state(pid);
-        let (deps, tainted) = (st.tracker.snapshot(), st.planner.is_dirty());
-        self.ctx.set_send_meta(deps, tainted);
-        self.ctx.send(to, payload)
+        self.around(InterceptedEvent::Send, |ctx, rt| {
+            // Read after the commit-before: a commit clears both.
+            let st = rt.state(ctx.pid());
+            ctx.set_send_meta(st.tracker.snapshot(), st.planner.is_dirty());
+            ctx.send(to, payload)
+        })
     }
 
     fn try_recv(&mut self) -> Option<Message> {
-        if let Some(PendingNd::Recv(m)) = self
-            .rt
-            .take_replay(self.me(), |p| matches!(p, PendingNd::Recv(_)))
-        {
-            self.record_replayed(NdSource::MessageRecv);
-            return Some(m);
-        }
-        let logged = self.rt.protocol().logs(NdSource::MessageRecv);
-        self.ctx.set_log_next(logged);
-        match self.ctx.try_recv() {
-            None => {
-                self.ctx.set_log_next(false);
-                None
-            }
-            Some(msg) => {
-                let pid = self.me();
-                let st = self.rt.state_mut(pid);
+        self.nd(
+            NdSource::MessageRecv,
+            PendingNd::Recv,
+            pending!(Recv),
+            Syscalls::try_recv,
+            |st, msg, logged| {
                 st.tracker.on_recv(&msg.deps, logged);
                 if msg.tainted {
                     // A dependence on the sender's uncommitted
@@ -177,87 +194,54 @@ impl Syscalls for DcSys<'_, '_> {
                     // miss it under logging.
                     st.planner.note_tainted();
                 }
-                self.after_nd(NdSource::MessageRecv, PendingNd::Recv(msg.clone()));
-                Some(msg)
-            }
-        }
+            },
+        )
     }
 
     fn visible(&mut self, token: u64) {
-        let pid = self.me();
-        let d = self
-            .rt
-            .state_mut(pid)
-            .planner
-            .decide(InterceptedEvent::Visible);
-        match d.before {
-            CommitScope::Local => self.rt.local_commit(self.ctx, None),
-            CommitScope::Coordinated => self.rt.coordinated_commit(self.ctx),
-            CommitScope::None => {}
-        }
-        self.ctx.visible(token);
+        self.around(InterceptedEvent::Visible, |ctx, _| ctx.visible(token));
     }
 
     fn take_signal(&mut self) -> Option<u32> {
-        if let Some(PendingNd::Signal(s)) = self
-            .rt
-            .take_replay(self.me(), |p| matches!(p, PendingNd::Signal(_)))
-        {
-            self.record_replayed(NdSource::Signal);
-            return Some(s);
-        }
-        self.ctx
-            .set_log_next(self.rt.protocol().logs(NdSource::Signal));
-        match self.ctx.take_signal() {
-            None => {
-                self.ctx.set_log_next(false);
-                None
-            }
-            Some(signo) => {
-                self.after_nd(NdSource::Signal, PendingNd::Signal(signo));
-                Some(signo)
-            }
-        }
+        self.nd(
+            NdSource::Signal,
+            PendingNd::Signal,
+            pending!(Signal),
+            Syscalls::take_signal,
+            local,
+        )
     }
 
     fn open(&mut self, name: &str) -> SysResult<u32> {
-        if let Some(PendingNd::OpenFd(r)) = self
-            .rt
-            .take_replay(self.me(), |p| matches!(p, PendingNd::OpenFd(_)))
-        {
-            self.record_replayed(NdSource::ResourceProbe);
-            return r;
-        }
-        self.ctx
-            .set_log_next(self.rt.protocol().logs(NdSource::ResourceProbe));
-        let r = self.ctx.open(name);
-        self.after_nd(NdSource::ResourceProbe, PendingNd::OpenFd(r));
-        r
+        self.nd(
+            NdSource::ResourceProbe,
+            PendingNd::OpenFd,
+            pending!(OpenFd),
+            |ctx| Some(ctx.open(name)),
+            local,
+        )
+        .expect("open always returns")
     }
 
     fn write_file(&mut self, fd: u32, bytes: &[u8]) -> SysResult<()> {
-        if let Some(PendingNd::WriteRes(r)) = self
-            .rt
-            .take_replay(self.me(), |p| matches!(p, PendingNd::WriteRes(_)))
-        {
-            // The write's kernel effect is inside the committed kernel
-            // snapshot; only the result is replayed.
-            self.record_replayed(NdSource::ResourceProbe);
-            return r;
-        }
-        self.ctx
-            .set_log_next(self.rt.protocol().logs(NdSource::ResourceProbe));
-        let r = self.ctx.write_file(fd, bytes);
-        self.after_nd(NdSource::ResourceProbe, PendingNd::WriteRes(r));
-        r
+        // A replayed write serves only the result: its kernel effect is
+        // inside the committed kernel snapshot.
+        self.nd(
+            NdSource::ResourceProbe,
+            PendingNd::WriteRes,
+            pending!(WriteRes),
+            |ctx| Some(ctx.write_file(fd, bytes)),
+            local,
+        )
+        .expect("write always returns")
     }
 
     fn read_file(&mut self, fd: u32, len: usize) -> SysResult<Vec<u8>> {
-        self.ctx.read_file(fd, len)
+        self.around(InterceptedEvent::Other, |ctx, _| ctx.read_file(fd, len))
     }
 
     fn close(&mut self, fd: u32) -> SysResult<()> {
-        self.ctx.close(fd)
+        self.around(InterceptedEvent::Other, |ctx, _| ctx.close(fd))
     }
 
     fn note_fault_activation(&mut self, fault: u32) {

@@ -230,6 +230,18 @@ impl DcHarness {
         }
     }
 
+    /// One rung of the microreboot ladder: restarts `pid` in place and
+    /// notes the attempt (and the backoff it burns) on its open incident.
+    fn partial_restart(&mut self, pid: ProcessId, delay_ns: SimTime) {
+        let p = pid.index();
+        self.rt.microreboot(pid, &mut self.sim);
+        self.apps[p].on_recovered();
+        if let Some(inc) = self.open_incidents[p].as_mut() {
+            inc.attempts += 1;
+            inc.attempt_delays.push(delay_ns);
+        }
+    }
+
     fn handle_failure(&mut self, pid: ProcessId) {
         let p = pid.index();
         self.note_crash(pid);
@@ -245,57 +257,42 @@ impl DcHarness {
         let cfg = self.rt.cfg();
         let strategy = cfg.strategy;
         let escalation = cfg.escalation;
-        let mut action = plan_recovery(strategy, attempts, &escalation);
+        // The seeded always-failing component: every partial restart dies
+        // the instant it resumes, before re-executing anything.
+        let never_sticks = cfg.microreboot_mutation == MicrorebootMutation::NeverSticks;
         // Delay the escalated rollback inherits from failed partial
         // restarts (zero outside the NeverSticks mutation).
         let mut wasted_ns = 0u64;
-        if cfg.microreboot_mutation == MicrorebootMutation::NeverSticks {
-            // The seeded always-failing component: every partial restart
-            // dies the instant it resumes, before re-executing anything.
-            // Walk the whole remaining ladder here — each attempt burns
-            // its backoff delay — then fall through to the escalation.
-            while let RecoveryAction::PartialRestart { delay_ns } = action {
-                self.rt.microreboot(pid, &mut self.sim);
-                self.apps[p].on_recovered();
-                if let Some(inc) = self.open_incidents[p].as_mut() {
-                    inc.attempts += 1;
-                    inc.attempt_delays.push(delay_ns);
-                }
-                wasted_ns += delay_ns;
-                attempts += 1;
-                action = plan_recovery(strategy, attempts, &escalation);
-            }
-        }
-        match action {
-            RecoveryAction::PartialRestart { delay_ns } => {
-                self.rt.microreboot(pid, &mut self.sim);
-                self.apps[p].on_recovered();
+        while let RecoveryAction::PartialRestart { delay_ns } =
+            plan_recovery(strategy, attempts, &escalation)
+        {
+            self.partial_restart(pid, delay_ns);
+            if !never_sticks {
                 self.sim.respawn(pid, delay_ns);
-                if let Some(inc) = self.open_incidents[p].as_mut() {
-                    inc.attempts += 1;
-                    inc.attempt_delays.push(delay_ns);
-                }
+                return;
             }
-            RecoveryAction::FullRollback => {
-                if self.rt.cfg().strategy == Strategy::Microreboot {
-                    // The ladder is exhausted: escalate.
-                    if let Some(inc) = self.open_incidents[p].as_mut() {
-                        inc.escalated = true;
-                    }
-                    self.rt.state_mut(pid).stats.escalations += 1;
-                }
-                let delay = wasted_ns + self.rt.cfg().reboot_delay_ns;
-                let rolled = self.rt.recover(pid, &mut self.sim);
-                for q in rolled {
-                    self.apps[q.index()].on_recovered();
-                    if q == pid {
-                        self.sim.respawn(pid, delay);
-                    } else {
-                        // Cascade victims were not killed; wake them so they
-                        // re-evaluate from their rolled-back state.
-                        self.sim.reactivate(q);
-                    }
-                }
+            // Walk the whole remaining ladder here — each attempt burns
+            // its backoff delay — down to the escalation.
+            wasted_ns += delay_ns;
+            attempts += 1;
+        }
+        if strategy == Strategy::Microreboot {
+            // The ladder is exhausted: escalate.
+            if let Some(inc) = self.open_incidents[p].as_mut() {
+                inc.escalated = true;
+            }
+            self.rt.state_mut(pid).stats.escalations += 1;
+        }
+        let delay = wasted_ns + self.rt.cfg().reboot_delay_ns;
+        let rolled = self.rt.recover(pid, &mut self.sim);
+        for q in rolled {
+            self.apps[q.index()].on_recovered();
+            if q == pid {
+                self.sim.respawn(pid, delay);
+            } else {
+                // Cascade victims were not killed; wake them so they
+                // re-evaluate from their rolled-back state.
+                self.sim.reactivate(q);
             }
         }
     }

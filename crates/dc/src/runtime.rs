@@ -97,37 +97,39 @@ impl DcRuntime {
     pub fn total_stats(&self) -> DcStats {
         let mut t = DcStats::default();
         for s in &self.states {
-            t.commits += s.stats.commits;
-            t.logged_events += s.stats.logged_events;
-            t.recoveries += s.stats.recoveries;
-            t.cascade_rollbacks += s.stats.cascade_rollbacks;
-            t.commit_time_ns += s.stats.commit_time_ns;
-            t.twopc_timeouts += s.stats.twopc_timeouts;
-            t.twopc_aborts += s.stats.twopc_aborts;
-            t.microreboots += s.stats.microreboots;
-            t.escalations += s.stats.escalations;
+            // Exhaustive: a new counter must be summed here to compile.
+            let DcStats {
+                commits,
+                logged_events,
+                recoveries,
+                cascade_rollbacks,
+                commit_time_ns,
+                twopc_timeouts,
+                twopc_aborts,
+                microreboots,
+                escalations,
+            } = s.stats;
+            t.commits += commits;
+            t.logged_events += logged_events;
+            t.recoveries += recoveries;
+            t.cascade_rollbacks += cascade_rollbacks;
+            t.commit_time_ns += commit_time_ns;
+            t.twopc_timeouts += twopc_timeouts;
+            t.twopc_aborts += twopc_aborts;
+            t.microreboots += microreboots;
+            t.escalations += escalations;
         }
         t
     }
 
     /// Commits `pid`'s arena and snapshots its recoverable context, without
     /// recording the trace event (the caller does). Returns the commit's
-    /// time cost.
+    /// time cost. The arena commit is torn at `crash` when given; callers
+    /// pass only the crash points at which the commit still completes
+    /// ([`CommitCrashPoint::MidUndoWalk`] / [`CommitCrashPoint::PostBump`]
+    /// — a pre-log crash means no commit happens at all, so this function
+    /// is never reached).
     pub fn commit_arena(
-        &mut self,
-        pid: ProcessId,
-        sim: &Simulator,
-        pending: Option<PendingNd>,
-    ) -> SimTime {
-        self.commit_arena_at(pid, sim, pending, None)
-    }
-
-    /// As [`DcRuntime::commit_arena`], but the arena commit is torn at
-    /// `crash` when given. Callers pass only the crash points at which the
-    /// commit still completes ([`CommitCrashPoint::MidUndoWalk`] /
-    /// [`CommitCrashPoint::PostBump`] — a pre-log crash means no commit
-    /// happens at all, so this function is never reached).
-    fn commit_arena_at(
         &mut self,
         pid: ProcessId,
         sim: &Simulator,
@@ -185,26 +187,20 @@ impl DcRuntime {
     /// process.
     pub fn local_commit(&mut self, ctx: &mut SysCtx<'_>, pending: Option<PendingNd>) {
         let pid = ctx.pid();
-        match self.check_commit_kill(pid) {
-            Some(CommitCrashPoint::PreLog) => {
-                // The process dies before the commit record reaches
-                // reliable memory: the commit never happened. No snapshot,
-                // no commit event; the rest of this step is suppressed and
-                // the scheduler delivers the kill.
-                ctx.mark_killed();
-            }
-            Some(point) => {
-                // The commit record was durable first: the commit fully
-                // happens (the torn undo-log truncation completes
-                // idempotently during recovery), then the process dies.
-                let cost = self.commit_arena_at(pid, ctx.sim(), pending, Some(point));
-                ctx.record_commit(cost);
-                ctx.mark_killed();
-            }
-            None => {
-                let cost = self.commit_arena(pid, ctx.sim(), pending);
-                ctx.record_commit(cost);
-            }
+        let kill = self.check_commit_kill(pid);
+        if kill != Some(CommitCrashPoint::PreLog) {
+            let cost = self.commit_arena(pid, ctx.sim(), pending, kill);
+            ctx.record_commit(cost);
+        }
+        // A pre-log kill: the process dies before the commit record
+        // reaches reliable memory, so the commit never happened — no
+        // snapshot, no commit event. A later kill: the commit record was
+        // durable first, so the commit fully happens (the torn undo-log
+        // truncation completes idempotently during recovery), then the
+        // process dies. Either way the rest of this step is suppressed
+        // and the scheduler delivers the kill.
+        if kill.is_some() {
+            ctx.mark_killed();
         }
     }
 
@@ -250,7 +246,7 @@ impl DcRuntime {
             .iter()
             .map(|&q| {
                 let crash = kill.filter(|_| q == me);
-                self.commit_arena_at(q, ctx.sim(), None, crash)
+                self.commit_arena(q, ctx.sim(), None, crash)
             })
             .collect();
         // The round's prepare control edges are journaled *before* the
@@ -327,7 +323,7 @@ impl DcRuntime {
         }
         let costs: Vec<SimTime> = participants
             .iter()
-            .map(|&q| self.commit_arena(q, sim, None))
+            .map(|&q| self.commit_arena(q, sim, None, None))
             .collect();
         sim.tracer_mut().coordinated_commit(&participants);
         for (&q, &c) in participants.iter().zip(&costs) {
@@ -338,12 +334,35 @@ impl DcRuntime {
         }
     }
 
-    /// Recovers `pid` after a failure: rolls its memory back to the last
-    /// commit, restores its allocator, cursors, send counters, consumption
-    /// pointers, and kernel snapshot, arms constrained re-execution, and
-    /// cascades rollback to any process that consumed a withdrawn tainted
-    /// message. Returns the set of processes rolled back (always including
-    /// `pid`).
+    /// Restores `q` to its last committed snapshot — the one restore
+    /// sequence both recovery paths run, in this order: journal the
+    /// rollback (events after the committed trace position are causally
+    /// dead for everything that follows), reinstall the undo-logged pages
+    /// (all but the first `skip_pages`), then the allocator, the input and
+    /// signal cursors, the send counters, the kernel snapshot and the
+    /// receive-side consumption pointers; finally a fresh planner and
+    /// tracker, and the commit's pending nd result armed for constrained
+    /// re-execution.
+    fn restore(&mut self, q: ProcessId, sim: &mut Simulator, skip_pages: usize) {
+        let protocol = self.cfg.protocol;
+        let st = &mut self.states[q.index()];
+        sim.tracer_mut().rollback(q, st.committed.trace_pos);
+        st.mem.arena.rollback_skipping(skip_pages);
+        st.mem.alloc = decode_alloc(&st.committed.alloc_blob);
+        sim.set_input_cursor(q, st.committed.input_cursor);
+        sim.set_signal_cursor(q, st.committed.signal_cursor);
+        sim.set_send_seqs(q, &st.committed.send_seqs);
+        sim.restore_kernel(q, &st.committed.kernel);
+        sim.network_mut().rewind_receiver(q, &st.committed.consumed);
+        st.planner = CommitPlanner::new(protocol);
+        st.tracker = DepTracker::new(q.0);
+        st.replay = st.committed.pending_nd.clone();
+    }
+
+    /// Recovers `pid` after a failure: restores it to its last commit
+    /// (see [`DcRuntime::restore`]) and cascades rollback to any process
+    /// that consumed a withdrawn tainted message. Returns the set of
+    /// processes rolled back (always including `pid`).
     pub fn recover(&mut self, pid: ProcessId, sim: &mut Simulator) -> Vec<ProcessId> {
         let mut rolled = Vec::new();
         let mut work = vec![pid];
@@ -352,85 +371,61 @@ impl DcRuntime {
                 continue;
             }
             rolled.push(q);
-            let protocol = self.cfg.protocol;
+            self.restore(q, sim, 0);
             let st = &mut self.states[q.index()];
-            // Journal the rollback: events after the committed trace
-            // position are causally dead for everything that follows.
-            sim.tracer_mut().rollback(q, st.committed.trace_pos);
-            st.mem.arena.rollback();
-            st.mem.alloc = decode_alloc(&st.committed.alloc_blob);
-            sim.set_input_cursor(q, st.committed.input_cursor);
-            sim.set_signal_cursor(q, st.committed.signal_cursor);
-            sim.set_send_seqs(q, &st.committed.send_seqs);
-            sim.restore_kernel(q, &st.committed.kernel);
-            sim.network_mut().rewind_receiver(q, &st.committed.consumed);
             // The failed process lost events after its last commit; any
             // tainted message it sent in that window is withdrawn, and
             // receivers that already consumed one must roll back too.
-            let cascade = sim
-                .network_mut()
-                .withdraw_tainted(q, &st.committed.send_seqs);
-            st.planner = CommitPlanner::new(protocol);
-            st.tracker = DepTracker::new(q.0);
-            st.replay = st.committed.pending_nd.clone();
+            work.extend(
+                sim.network_mut()
+                    .withdraw_tainted(q, &st.committed.send_seqs),
+            );
             if q == pid {
                 st.stats.recoveries += 1;
             } else {
                 st.stats.cascade_rollbacks += 1;
             }
-            work.extend(cascade);
         }
         rolled
     }
 
     /// Partially recovers `pid` in place — the microreboot path.
     ///
-    /// Identical to the `pid` leg of [`DcRuntime::recover`] — journal the
-    /// rollback, restore memory/allocator/cursors/send counters/
-    /// consumption pointers/kernel, arm constrained re-execution — except
-    /// that the failure is treated as confined to the restarted
-    /// component: its uncommitted sends are *not* withdrawn and no peer
-    /// is cascaded. Sound exactly when every event the component lost is
-    /// deterministically regenerable from its last commit (which the
-    /// Save-work protocols arrange for the events peers could have seen);
-    /// the campaign's oracle adjudicates every incident either way. The
+    /// The `pid` leg of [`DcRuntime::recover`], except that the failure is
+    /// treated as confined to the restarted component: its uncommitted
+    /// sends are *not* withdrawn and no peer is cascaded. Sound exactly
+    /// when every event the component lost is deterministically
+    /// regenerable from its last commit (which the Save-work protocols
+    /// arrange for the events peers could have seen); the campaign's
+    /// oracle adjudicates every incident either way. The
     /// [`MicrorebootMutation::SkipPageReinstall`] switch makes the
     /// restore itself unsound by leaving every page at its crashed
     /// contents while the cursors rewind.
     pub fn microreboot(&mut self, pid: ProcessId, sim: &mut Simulator) {
-        let protocol = self.cfg.protocol;
-        let skip = match self.cfg.microreboot_mutation {
+        let skip_pages = match self.cfg.microreboot_mutation {
             MicrorebootMutation::SkipPageReinstall => usize::MAX,
             _ => 0,
         };
-        let st = &mut self.states[pid.index()];
-        sim.tracer_mut().rollback(pid, st.committed.trace_pos);
-        st.mem.arena.rollback_skipping(skip);
-        st.mem.alloc = decode_alloc(&st.committed.alloc_blob);
-        sim.set_input_cursor(pid, st.committed.input_cursor);
-        sim.set_signal_cursor(pid, st.committed.signal_cursor);
-        sim.set_send_seqs(pid, &st.committed.send_seqs);
-        sim.restore_kernel(pid, &st.committed.kernel);
-        sim.network_mut()
-            .rewind_receiver(pid, &st.committed.consumed);
-        st.planner = CommitPlanner::new(protocol);
-        st.tracker = DepTracker::new(pid.0);
-        st.replay = st.committed.pending_nd.clone();
-        st.stats.recoveries += 1;
-        st.stats.microreboots += 1;
+        self.restore(pid, sim, skip_pages);
+        let stats = &mut self.states[pid.index()].stats;
+        stats.recoveries += 1;
+        stats.microreboots += 1;
     }
 
-    /// Takes the armed replay value for `pid` if `matches` accepts it.
-    pub fn take_replay(
+    /// Takes the armed replay value for `pid` if `unwrap` accepts it (any
+    /// other pending result stays armed).
+    pub fn take_replay<T>(
         &mut self,
         pid: ProcessId,
-        matches: impl FnOnce(&PendingNd) -> bool,
-    ) -> Option<PendingNd> {
+        unwrap: impl FnOnce(PendingNd) -> Result<T, PendingNd>,
+    ) -> Option<T> {
         let st = &mut self.states[pid.index()];
-        if st.replay.as_ref().is_some_and(matches) {
-            st.replay.take()
-        } else {
-            None
+        match unwrap(st.replay.take()?) {
+            Ok(v) => Some(v),
+            Err(other) => {
+                st.replay = Some(other);
+                None
+            }
         }
     }
 }

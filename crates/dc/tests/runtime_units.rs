@@ -67,10 +67,10 @@ impl App for FileEcho {
                 let fd = FD.get(&sys.mem().arena)? as u32;
                 let w = WRITTEN.get(&sys.mem().arena)?;
                 let data = sys.read_file(fd, 4096).expect("read");
-                let mut h = 0xcbf29ce484222325u64 ^ w;
+                let mut h = ft_mem::FNV_OFFSET ^ w;
                 for b in &data {
                     h ^= *b as u64;
-                    h = h.wrapping_mul(0x100000001b3);
+                    h = h.wrapping_mul(ft_mem::FNV_PRIME);
                 }
                 h ^= data.len() as u64;
                 let m = sys.mem();
@@ -166,7 +166,7 @@ fn committed_snapshot_contents_are_coherent() {
         .arena
         .write(100, b"committed")
         .unwrap();
-    let cost = rt.commit_arena(pid, &sim, None);
+    let cost = rt.commit_arena(pid, &sim, None, None);
     assert!(cost > 0);
     rt.state_mut(pid)
         .mem

@@ -43,8 +43,12 @@ pub const PAGE_SIZE: usize = 4096;
 /// fallback.
 const POD_STACK_BYTES: usize = 64;
 
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
+/// The FNV-1a 64 offset basis — with [`FNV_PRIME`], the workspace's one
+/// definition: every checksum, digest and fingerprint above this crate
+/// hashes with these.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The FNV-1a 64 prime.
+pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// A named region of the arena (§4.1's fault taxonomy distinguishes them).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -106,12 +110,21 @@ impl ArenaStats {
     /// Accumulates another arena's statistics into this one (used to
     /// aggregate per-process arenas into a run-level report).
     pub fn absorb(&mut self, other: &ArenaStats) {
-        self.traps += other.traps;
-        self.writes += other.writes;
-        self.commits += other.commits;
-        self.rollbacks += other.rollbacks;
-        self.committed_pages += other.committed_pages;
-        self.committed_bytes += other.committed_bytes;
+        // Exhaustive: a new counter must be summed here to compile.
+        let ArenaStats {
+            traps,
+            writes,
+            commits,
+            rollbacks,
+            committed_pages,
+            committed_bytes,
+        } = *other;
+        self.traps += traps;
+        self.writes += writes;
+        self.commits += commits;
+        self.rollbacks += rollbacks;
+        self.committed_pages += committed_pages;
+        self.committed_bytes += committed_bytes;
     }
 }
 

@@ -52,7 +52,10 @@ pub mod pod;
 pub mod vec;
 
 pub use alloc::Allocator;
-pub use arena::{Arena, ArenaStats, CommitCrashPoint, CommitRecord, Layout, Region, PAGE_SIZE};
+pub use arena::{
+    Arena, ArenaStats, CommitCrashPoint, CommitRecord, Layout, Region, FNV_OFFSET, FNV_PRIME,
+    PAGE_SIZE,
+};
 pub use cost::{DiskModel, DurableModel, Medium, Nanos, RioModel};
 pub use durable::{
     DurableError, DurableMutation, DurableOptions, DurableResult, DurableStore, FsyncPolicy,

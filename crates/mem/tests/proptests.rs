@@ -9,7 +9,7 @@
 #![allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
 
 use ft_mem::alloc::Allocator;
-use ft_mem::arena::{Arena, Layout, PAGE_SIZE};
+use ft_mem::arena::{Arena, Layout, FNV_OFFSET, FNV_PRIME, PAGE_SIZE};
 use ft_mem::vec::ArenaVec;
 
 /// SplitMix64, the same generator the simulator uses.
@@ -240,10 +240,6 @@ fn allocator_bytes_roundtrip() {
 
 // ---------------------------------------------------------------------
 // The optimized arena vs. its naive executable specification.
-
-/// FNV-1a constants (shared with the arena's checksum).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// The pre-optimization arena, kept as an executable spec: per-page
 /// `Vec<bool>` dirty flags cleared wholesale at every commit/rollback, a

@@ -27,7 +27,7 @@ use crate::script::{InputScript, SignalSchedule};
 use crate::syscalls::{AppStatus, Message, SysError, SysResult, Syscalls, WaitCond};
 use crate::wheel::TimerWheel;
 use ft_core::access::{ShmLog, ShmOp, ShmRecord};
-use ft_core::event::{NdSource, ProcessId};
+use ft_core::event::{MsgId, NdSource, ProcessId};
 use ft_core::trace::{Trace, TraceBuilder};
 use ft_mem::error::MemResult;
 
@@ -711,11 +711,6 @@ impl<'a> SysCtx<'a> {
         }
     }
 
-    /// Records a fault-activation journal marker (fault injector only).
-    pub fn record_fault_activation(&mut self, fault: u32) {
-        self.sim.tracer.fault_activation(self.pid, fault);
-    }
-
     /// Charges extra time (recovery-runtime overheads: COW traps, log
     /// writes).
     pub fn charge(&mut self, ns: SimTime) {
@@ -741,7 +736,17 @@ impl<'a> SysCtx<'a> {
         self.elapsed += self.sim.cfg.cost.syscall_ns;
     }
 
-    fn count_nd(&mut self) {
+    /// Records and counts an executed non-deterministic event — a receive
+    /// of `msg` when given, else a plain event from `source` — as logged
+    /// iff the recovery runtime armed [`SysCtx::set_log_next`] for it.
+    fn record_nd(&mut self, source: NdSource, msg: Option<(ProcessId, MsgId)>) {
+        let tracer = &mut self.sim.tracer;
+        match (std::mem::take(&mut self.log_next), msg) {
+            (false, None) => tracer.nd(self.pid, source),
+            (true, None) => tracer.nd_logged(self.pid, source),
+            (false, Some((from, m))) => tracer.recv(self.pid, from, m),
+            (true, Some((from, m))) => tracer.recv_logged(self.pid, from, m),
+        };
         self.sim.stats[self.pid.index()].nd_events += 1;
     }
 }
@@ -770,13 +775,7 @@ impl<'a> Syscalls for SysCtx<'a> {
         if self.node_kernel().tick_corruption(poll) {
             v = self.node_kernel().corrupt_u64(v);
         }
-        let logged = std::mem::take(&mut self.log_next);
-        if logged {
-            self.sim.tracer.nd_logged(self.pid, NdSource::TimeOfDay);
-        } else {
-            self.sim.tracer.nd(self.pid, NdSource::TimeOfDay);
-        }
-        self.count_nd();
+        self.record_nd(NdSource::TimeOfDay, None);
         v
     }
 
@@ -790,13 +789,7 @@ impl<'a> Syscalls for SysCtx<'a> {
         if self.node_kernel().tick_corruption(poll) {
             v = self.node_kernel().corrupt_u64(v);
         }
-        let logged = std::mem::take(&mut self.log_next);
-        if logged {
-            self.sim.tracer.nd_logged(self.pid, NdSource::Random);
-        } else {
-            self.sim.tracer.nd(self.pid, NdSource::Random);
-        }
-        self.count_nd();
+        self.record_nd(NdSource::Random, None);
         v
     }
 
@@ -813,13 +806,7 @@ impl<'a> Syscalls for SysCtx<'a> {
         if self.node_kernel().tick_corruption(poll) {
             self.node_kernel().corrupt_bytes(&mut bytes);
         }
-        let logged = std::mem::take(&mut self.log_next);
-        if logged {
-            self.sim.tracer.nd_logged(self.pid, NdSource::UserInput);
-        } else {
-            self.sim.tracer.nd(self.pid, NdSource::UserInput);
-        }
-        self.count_nd();
+        self.record_nd(NdSource::UserInput, None);
         Some(bytes)
     }
 
@@ -901,14 +888,8 @@ impl<'a> Syscalls for SysCtx<'a> {
         if self.node_kernel().tick_corruption(poll) {
             self.node_kernel().corrupt_bytes(msg.payload.make_mut());
         }
-        let logged = std::mem::take(&mut self.log_next);
-        if logged {
-            self.sim.tracer.recv_logged(self.pid, msg.from, trace_msg);
-        } else {
-            self.sim.tracer.recv(self.pid, msg.from, trace_msg);
-        }
+        self.record_nd(NdSource::MessageRecv, Some((msg.from, trace_msg)));
         self.sim.stats[self.pid.index()].recvs += 1;
-        self.count_nd();
         Some(msg)
     }
 
@@ -931,13 +912,7 @@ impl<'a> Syscalls for SysCtx<'a> {
         let now = self.now();
         let p = self.pid.index();
         let signo = self.sim.signals[p].take_due(now)?;
-        let logged = std::mem::take(&mut self.log_next);
-        if logged {
-            self.sim.tracer.nd_logged(self.pid, NdSource::Signal);
-        } else {
-            self.sim.tracer.nd(self.pid, NdSource::Signal);
-        }
-        self.count_nd();
+        self.record_nd(NdSource::Signal, None);
         Some(signo)
     }
 
@@ -951,13 +926,7 @@ impl<'a> Syscalls for SysCtx<'a> {
             let now = self.now();
             self.node_kernel().tick_corruption(now)
         };
-        let logged = std::mem::take(&mut self.log_next);
-        if logged {
-            self.sim.tracer.nd_logged(self.pid, NdSource::ResourceProbe);
-        } else {
-            self.sim.tracer.nd(self.pid, NdSource::ResourceProbe);
-        }
-        self.count_nd();
+        self.record_nd(NdSource::ResourceProbe, None);
         let fd = self.node_kernel().open(name)?;
         // A corrupted open returns a garbage descriptor.
         if corrupted {
@@ -976,13 +945,7 @@ impl<'a> Syscalls for SysCtx<'a> {
             let now = self.now();
             self.node_kernel().tick_corruption(now)
         };
-        let logged = std::mem::take(&mut self.log_next);
-        if logged {
-            self.sim.tracer.nd_logged(self.pid, NdSource::ResourceProbe);
-        } else {
-            self.sim.tracer.nd(self.pid, NdSource::ResourceProbe);
-        }
-        self.count_nd();
+        self.record_nd(NdSource::ResourceProbe, None);
         self.node_kernel().write(fd, bytes)
     }
 

@@ -17,6 +17,10 @@ cargo build --release --workspace
 # public-API break against it fails CI and not the benchmark driver.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --workspace
+# ft-dsm decodes bytes a peer (or a fault campaign) chose: run its tests
+# with overflow checks off too, so "debug and release agree" on every
+# untrusted-byte case is gated, not assumed.
+cargo test -q --release -p ft-dsm
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
 

@@ -65,10 +65,10 @@ const P_DONE: u64 = 7;
 
 /// One worker node of the Barnes-Hut computation.
 pub struct BarnesHut {
-    /// This node's id.
-    pub my: u32,
-    /// Number of nodes.
-    pub n_nodes: u32,
+    /// This node's DSM endpoint (which also names the node and the node
+    /// count), attached when the node is built: immutable configuration,
+    /// like everything else in an application object.
+    dsm: Dsm,
     /// Iterations to run.
     pub iterations: u64,
     /// Emit a progress visible every this many iterations.
@@ -225,10 +225,27 @@ impl BarnesHut {
         (N_BODIES * BODY_BYTES).div_ceil(ft_dsm::DSM_PAGE)
     }
 
-    /// The deterministic DSM handle (same allocation order every start).
-    fn dsm(&self) -> Dsm {
-        let mut probe = Mem::new(self.layout());
-        Dsm::init(&mut probe, self.my, self.n_nodes, Self::dsm_pages()).expect("probe")
+    /// Node `my` of `n_nodes`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_nodes` stashes do not fit the node's heap.
+    pub fn new(my: u32, n_nodes: u32, iterations: u64, display_every: u64, fused: bool) -> Self {
+        BarnesHut {
+            dsm: Dsm::attach(Self::arena_layout(), my, n_nodes, Self::dsm_pages())
+                .expect("the node's heap holds its DSM"),
+            iterations,
+            display_every,
+            fused,
+        }
+    }
+
+    fn arena_layout() -> Layout {
+        Layout {
+            globals_pages: 1,
+            stack_pages: 2,
+            heap_pages: 2 * (2 * Self::dsm_pages() * ft_dsm::DSM_PAGE / ft_mem::PAGE_SIZE + 4),
+        }
     }
 
     /// Reads one body through the recorded DSM interface (a shared-memory
@@ -267,9 +284,10 @@ impl BarnesHut {
 
     /// This node's partition of the body array.
     fn partition(&self) -> std::ops::Range<usize> {
-        let per = N_BODIES / self.n_nodes as usize;
-        let lo = self.my as usize * per;
-        let hi = if self.my == self.n_nodes - 1 {
+        let (my, n_nodes) = (self.dsm.node(), self.dsm.nodes());
+        let per = N_BODIES / n_nodes as usize;
+        let lo = my as usize * per;
+        let hi = if my == n_nodes - 1 {
             N_BODIES
         } else {
             lo + per
@@ -298,11 +316,12 @@ impl BarnesHut {
 
 impl App for BarnesHut {
     fn step(&mut self, sys: &mut dyn SysMem) -> MemResult<AppStatus> {
+        let dsm = self.dsm;
         match G_PHASE.get(&sys.mem().arena)? {
             P_INIT => {
                 if G_INIT.get(&sys.mem().arena)? == 0 {
                     let m = sys.mem();
-                    let dsm = Dsm::init(m, self.my, self.n_nodes, Self::dsm_pages())?;
+                    dsm.init_attached(m)?;
                     // Node 0 seeds the initial conditions: a Plummer-ish
                     // ring, deterministic, identical on all nodes — so
                     // every node writes the SAME bytes and the first diff
@@ -332,7 +351,6 @@ impl App for BarnesHut {
                 // over ALL bodies, compute this partition's forces into
                 // private scratch. Shared writes wait for the update phase
                 // on the far side of barrier one.
-                let dsm = self.dsm();
                 let mut bodies = Vec::with_capacity(N_BODIES);
                 for i in 0..N_BODIES {
                     bodies.push(Self::read_body(&dsm, sys, i)?);
@@ -378,17 +396,14 @@ impl App for BarnesHut {
                 G_PHASE.set(&mut m.arena, P_BARRIER1)?;
                 Ok(AppStatus::Running)
             }
-            P_BARRIER1 => {
-                let dsm = self.dsm();
-                match dsm.barrier_pump(sys)? {
-                    BarrierStatus::Done => {
-                        G_PHASE.set(&mut sys.mem().arena, P_UPDATE)?;
-                        Ok(AppStatus::Running)
-                    }
-                    BarrierStatus::Working => Ok(AppStatus::Running),
-                    BarrierStatus::Blocked => Ok(AppStatus::Blocked(WaitCond::message())),
+            P_BARRIER1 => match dsm.barrier_pump(sys)? {
+                BarrierStatus::Done => {
+                    G_PHASE.set(&mut sys.mem().arena, P_UPDATE)?;
+                    Ok(AppStatus::Running)
                 }
-            }
+                BarrierStatus::Working => Ok(AppStatus::Running),
+                BarrierStatus::Blocked => Ok(AppStatus::Blocked(WaitCond::message())),
+            },
             P_UPDATE => {
                 // Phase two: integrate this node's partition from the
                 // scratch forces. Touches (reads and writes) only bodies
@@ -399,7 +414,6 @@ impl App for BarnesHut {
                     G_PHASE.set(&mut sys.mem().arena, P_BARRIER2)?;
                     return Ok(AppStatus::Running);
                 }
-                let dsm = self.dsm();
                 let part = self.partition();
                 for i in part.clone() {
                     let mut b = Self::read_body(&dsm, sys, i)?;
@@ -416,27 +430,23 @@ impl App for BarnesHut {
                 G_PHASE.set(&mut sys.mem().arena, P_BARRIER2)?;
                 Ok(AppStatus::Running)
             }
-            P_BARRIER2 => {
-                let dsm = self.dsm();
-                match dsm.barrier_pump(sys)? {
-                    BarrierStatus::Done => {
-                        let m = sys.mem();
-                        let iter = G_ITER.get(&m.arena)? + 1;
-                        G_ITER.set(&mut m.arena, iter)?;
-                        let render = iter >= self.iterations || iter % self.display_every == 0;
-                        let next = if render { P_RENDER } else { P_FORCE };
-                        G_PHASE.set(&mut m.arena, next)?;
-                        Ok(AppStatus::Running)
-                    }
-                    BarrierStatus::Working => Ok(AppStatus::Running),
-                    BarrierStatus::Blocked => Ok(AppStatus::Blocked(WaitCond::message())),
+            P_BARRIER2 => match dsm.barrier_pump(sys)? {
+                BarrierStatus::Done => {
+                    let m = sys.mem();
+                    let iter = G_ITER.get(&m.arena)? + 1;
+                    G_ITER.set(&mut m.arena, iter)?;
+                    let render = iter >= self.iterations || iter % self.display_every == 0;
+                    let next = if render { P_RENDER } else { P_FORCE };
+                    G_PHASE.set(&mut m.arena, next)?;
+                    Ok(AppStatus::Running)
                 }
-            }
+                BarrierStatus::Working => Ok(AppStatus::Running),
+                BarrierStatus::Blocked => Ok(AppStatus::Blocked(WaitCond::message())),
+            },
             P_RENDER => {
-                let dsm = self.dsm();
                 let iter = G_ITER.get(&sys.mem().arena)?;
                 let e = Self::energy(&dsm, sys)?;
-                sys.visible(progress_token(self.my, iter, e));
+                sys.visible(progress_token(dsm.node(), iter, e));
                 let next = if iter >= self.iterations {
                     P_DONE
                 } else {
@@ -450,11 +460,7 @@ impl App for BarnesHut {
     }
 
     fn layout(&self) -> Layout {
-        Layout {
-            globals_pages: 1,
-            stack_pages: 2,
-            heap_pages: 2 * (2 * Self::dsm_pages() * ft_dsm::DSM_PAGE / ft_mem::PAGE_SIZE + 4),
-        }
+        Self::arena_layout()
     }
 }
 
@@ -483,15 +489,7 @@ pub fn cluster_fused(iterations: u64, display_every: u64) -> Vec<Box<dyn App>> {
 
 fn cluster_with(iterations: u64, display_every: u64, fused: bool) -> Vec<Box<dyn App>> {
     (0..4)
-        .map(|i| {
-            Box::new(BarnesHut {
-                my: i,
-                n_nodes: 4,
-                iterations,
-                display_every,
-                fused,
-            }) as Box<dyn App>
-        })
+        .map(|i| Box::new(BarnesHut::new(i, 4, iterations, display_every, fused)) as Box<dyn App>)
         .collect()
 }
 

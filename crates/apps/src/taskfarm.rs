@@ -25,7 +25,7 @@ use ft_dsm::lock::LockStatus;
 use ft_dsm::{BarrierStatus, Dsm};
 use ft_mem::arena::Layout;
 use ft_mem::error::MemResult;
-use ft_mem::mem::{ArenaCell, Mem};
+use ft_mem::mem::ArenaCell;
 use ft_sim::cost::US;
 use ft_sim::syscalls::{AppStatus, SysMem, WaitCond};
 use ft_sim::App;
@@ -38,6 +38,12 @@ const LOCK: u32 = 0;
 // Shared region layout: page 0 holds the queue state, page 1 the results.
 const R_NEXT: usize = 0;
 const R_RESULT: usize = 1024;
+
+const LAYOUT: Layout = Layout {
+    globals_pages: 1,
+    stack_pages: 2,
+    heap_pages: 16,
+};
 
 // Globals.
 const G_PHASE: ArenaCell<u64> = ArenaCell::at(0);
@@ -67,10 +73,10 @@ const MODE_BARRIER: u64 = 1;
 /// `n_workers` must run a [`ft_dsm::lock::ManagerApp`] with
 /// [`expected_releases`](TaskFarm::expected_releases) releases.
 pub struct TaskFarm {
-    /// This node's id.
-    pub my: u32,
-    /// Number of worker nodes (the manager is process `n_workers`).
-    pub n_workers: u32,
+    /// This worker's DSM endpoint (which also names the worker and the
+    /// worker count; the manager is process `n_workers`), attached when
+    /// the worker is built.
+    dsm: Dsm,
     /// Seeded mutation for the `ft-analyze` self-test: peek at the
     /// lock-protected task counter *outside* the critical section. The
     /// peeked value is discarded, so results and visibles are unchanged —
@@ -92,10 +98,16 @@ impl TaskFarm {
         N_TASKS + 2 * n_workers as u64
     }
 
-    /// The deterministic DSM handle.
-    fn dsm(&self) -> Dsm {
-        let mut probe = Mem::new(self.layout());
-        Dsm::init(&mut probe, self.my, self.n_workers, 2).expect("probe")
+    /// Worker `my` of `n_workers`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_workers` stashes do not fit the worker's heap.
+    pub fn new(my: u32, n_workers: u32, racy_read: bool) -> Self {
+        TaskFarm {
+            dsm: Dsm::attach(LAYOUT, my, n_workers, 2).expect("the worker's heap holds its DSM"),
+            racy_read,
+        }
     }
 
     /// The task body: a deterministic 64-bit digest chain. Never zero, so
@@ -136,15 +148,15 @@ impl TaskFarm {
 
 impl App for TaskFarm {
     fn step(&mut self, sys: &mut dyn SysMem) -> MemResult<AppStatus> {
-        let mgr = Self::manager(self.n_workers);
+        let dsm = self.dsm;
+        let mgr = Self::manager(dsm.nodes());
         if G_INIT.get(&sys.mem().arena)? == 0 {
             let m = sys.mem();
-            Dsm::init(m, self.my, self.n_workers, 2)?;
+            dsm.init_attached(m)?;
             G_INIT.set(&mut m.arena, 1)?;
             G_PHASE.set(&mut m.arena, P_ACQ)?;
             return Ok(AppStatus::Running);
         }
-        let dsm = self.dsm();
         match G_PHASE.get(&sys.mem().arena)? {
             P_INIT => unreachable!("init handled above"),
             P_ACQ | P_FINAL_ACQ => {
@@ -237,11 +249,7 @@ impl App for TaskFarm {
     }
 
     fn layout(&self) -> Layout {
-        Layout {
-            globals_pages: 1,
-            stack_pages: 2,
-            heap_pages: 16,
-        }
+        LAYOUT
     }
 }
 
@@ -259,13 +267,7 @@ pub fn farm_racy(n_workers: u32) -> Vec<Box<dyn App>> {
 
 fn farm_with(n_workers: u32, racy_read: bool) -> Vec<Box<dyn App>> {
     let mut v: Vec<Box<dyn App>> = (0..n_workers)
-        .map(|i| {
-            Box::new(TaskFarm {
-                my: i,
-                n_workers,
-                racy_read,
-            }) as Box<dyn App>
-        })
+        .map(|i| Box::new(TaskFarm::new(i, n_workers, racy_read)) as Box<dyn App>)
         .collect();
     v.push(Box::new(ft_dsm::lock::ManagerApp::new(
         1,

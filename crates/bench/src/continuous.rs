@@ -203,10 +203,6 @@ struct TrialOutcome {
     violation: Option<InvariantViolation>,
 }
 
-fn visible_pairs(report: &DcReport) -> Vec<(u32, u64)> {
-    report.visibles.iter().map(|&(_, p, t)| (p.0, t)).collect()
-}
-
 fn judge_trial(reference: &Reference, report: &DcReport) -> Option<InvariantViolation> {
     // A run that deadlocks without abandoning anyone is still incomplete.
     if report.abandoned == 0 && !report.all_done {
@@ -216,7 +212,7 @@ fn judge_trial(reference: &Reference, report: &DcReport) -> Option<InvariantViol
         &reference.trace,
         &reference.visibles,
         &report.trace,
-        &visible_pairs(report),
+        &report.visible_pairs(),
         report.abandoned as usize,
     )
     .err()
@@ -275,7 +271,7 @@ impl<K: PartialEq + Sync> FaultLoad<'_, K> {
         );
         Reference {
             rate_per_sec: self.crashes_per_trial / (report.runtime as f64 / 1e9),
-            visibles: visible_pairs(&report),
+            visibles: report.visible_pairs(),
             runtime: report.runtime,
             served: (self.served)(&report),
             trace: report.trace,

@@ -28,9 +28,11 @@ pub struct Canonical {
     pub commit_points: Vec<u64>,
 }
 
-/// Flattens a report's timed visible log to `(pid, token)` pairs.
+/// Flattens a report's timed visible log to `(pid, token)` pairs
+/// ([`DcReport::visible_pairs`]; kept as a free function for callers
+/// outside the workspace).
 pub fn visible_pairs(report: &DcReport) -> Vec<(u32, u64)> {
-    report.visibles.iter().map(|&(_, p, t)| (p.0, t)).collect()
+    report.visible_pairs()
 }
 
 /// Runs the workload once with no faults and records the canonical trace.
@@ -50,7 +52,7 @@ pub fn canonical_run(w: &Workload, size: usize, cfg: &CheckConfig) -> Canonical 
         .map(|p| report.trace.process(ProcessId::from_index(p)).len() as u64)
         .collect();
     let commit_points = report.commit_points_per_proc.clone();
-    let visibles = visible_pairs(&report);
+    let visibles = report.visible_pairs();
     Canonical {
         report,
         visibles,
@@ -135,7 +137,7 @@ pub fn run_point(
 /// Applies the composed oracles to one recovered run.
 fn judge(canonical: &Canonical, point: Option<CrashPoint>, report: &DcReport) -> PointResult {
     let fingerprint = report_fingerprint(report);
-    let recovered_visibles = visible_pairs(report);
+    let recovered_visibles = report.visible_pairs();
     // A run that deadlocks without abandoning anyone is still incomplete.
     if report.abandoned == 0 && !report.all_done {
         return PointResult {

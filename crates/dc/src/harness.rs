@@ -74,6 +74,12 @@ impl DcReport {
         self.visibles.iter().map(|&(_, _, t)| t).collect()
     }
 
+    /// The visible log as `(pid, token)` pairs in output order — the form
+    /// the consistent-recovery checkers and the oracle compare.
+    pub fn visible_pairs(&self) -> Vec<(u32, u64)> {
+        self.visibles.iter().map(|&(_, p, t)| (p.0, t)).collect()
+    }
+
     /// The run's commit ordering: every commit event in the trace, in
     /// process-major order, with its coordinated-round group (if any).
     /// This is the coverage side of the Save-work obligation audit —

@@ -37,10 +37,6 @@ fn intercepted(report: &DcReport) -> (u64, u64, u64, u64) {
     (nd, visible, send, other)
 }
 
-fn pairs(report: &DcReport) -> Vec<(u32, u64)> {
-    report.visibles.iter().map(|&(_, p, t)| (p.0, t)).collect()
-}
-
 /// Failure-free: one commit per intercepted event, strictly more than
 /// CAND, Save-work upheld. Then a mid-run kill of `victim` recovers.
 /// Returns the failure-free run's (nd, visible, send, other) counts.
@@ -69,9 +65,9 @@ fn commits_at_every_interposition_point(
     assert_eq!(recovered.totals.recoveries, 1, "the kill must land mid-run");
     let verdict = check_recovery(
         &canon.trace,
-        &pairs(&canon),
+        &canon.visible_pairs(),
         &recovered.trace,
-        &pairs(&recovered),
+        &recovered.visible_pairs(),
         recovered.abandoned as usize,
     );
     assert!(verdict.is_ok(), "{:?}", verdict.err());

@@ -151,7 +151,7 @@ fn honest_microreboot_passes_the_oracle_at_every_kill_time() {
         &[],
     );
     assert!(canon.all_done);
-    let reference: Vec<(u32, u64)> = canon.visibles.iter().map(|&(_, p, t)| (p.0, t)).collect();
+    let reference = canon.visible_pairs();
     for kill_at in kill_grid() {
         let report = run(
             10,
@@ -160,8 +160,7 @@ fn honest_microreboot_passes_the_oracle_at_every_kill_time() {
             &[kill_at],
         );
         assert!(report.all_done, "kill@{kill_at} did not complete");
-        let recovered: Vec<(u32, u64)> =
-            report.visibles.iter().map(|&(_, p, t)| (p.0, t)).collect();
+        let recovered = report.visible_pairs();
         let verdict = check_recovery(
             &canon.trace,
             &reference,
@@ -185,7 +184,7 @@ fn skipped_page_reinstall_is_flagged_by_the_oracle() {
         cfg_with(Strategy::FullRollback, MicrorebootMutation::None),
         &[],
     );
-    let reference: Vec<(u32, u64)> = canon.visibles.iter().map(|&(_, p, t)| (p.0, t)).collect();
+    let reference = canon.visible_pairs();
     let mut flagged = 0u32;
     for kill_at in kill_grid() {
         let report = run(
@@ -197,8 +196,7 @@ fn skipped_page_reinstall_is_flagged_by_the_oracle() {
             ),
             &[kill_at],
         );
-        let recovered: Vec<(u32, u64)> =
-            report.visibles.iter().map(|&(_, p, t)| (p.0, t)).collect();
+        let recovered = report.visible_pairs();
         if check_recovery(
             &canon.trace,
             &reference,

@@ -32,6 +32,7 @@ pub mod lock;
 mod wire;
 
 use ft_core::access::ShmOp;
+use ft_mem::arena::Layout;
 use ft_mem::error::{MemFault, MemResult};
 use ft_mem::mem::{ArenaCell, Mem};
 use ft_mem::pod::Pod;
@@ -41,21 +42,6 @@ use ft_sim::syscalls::SysMem;
 /// DSM page size in bytes (TreadMarks used the VM page; we use a finer
 /// granularity so diffs stay interesting at simulation scale).
 pub const DSM_PAGE: usize = 1024;
-
-/// A diff message: the sender's byte-level changes for one barrier round.
-#[derive(Debug, Clone)]
-struct DiffMsg {
-    round: u64,
-    from: u32,
-    diffs: Vec<PageDiff>,
-}
-
-/// Byte runs that changed within one page.
-#[derive(Debug, Clone)]
-struct PageDiff {
-    page: u32,
-    runs: Vec<(u32, Vec<u8>)>,
-}
 
 /// Result of pumping the barrier state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,7 +56,15 @@ pub enum BarrierStatus {
 
 /// A DSM endpoint: immutable configuration plus arena offsets. All mutable
 /// state lives in the arena.
-#[derive(Debug, Clone, Copy)]
+///
+/// The offsets are a pure function of `(layout, my, n_nodes, n_pages)`:
+/// [`Dsm::init`] is the first thing a process allocates, the allocator is
+/// deterministic, and a rollback to the initial commit resets it, so every
+/// start and every re-execution lands on the same offsets. A process
+/// therefore [`attach`](Dsm::attach)es its handle once, at construction,
+/// and holds it as configuration beside its node id — recovery never has
+/// to re-derive it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Dsm {
     my: u32,
     n_nodes: u32,
@@ -127,6 +121,24 @@ impl Dsm {
             dirty_off,
             stash_off,
         })
+    }
+
+    /// The handle [`Dsm::init`] returns in a fresh arena of `layout`,
+    /// computed on a scratch arena. Call once, when the process object is
+    /// built; its init step then runs [`Dsm::init_attached`] on the live
+    /// arena.
+    pub fn attach(layout: Layout, my: u32, n_nodes: u32, n_pages: usize) -> MemResult<Self> {
+        Self::init(&mut Mem::new(layout), my, n_nodes, n_pages)
+    }
+
+    /// Allocates this attached endpoint's state in the process's live
+    /// arena. Fails if it does not land on the attached offsets — the
+    /// process allocated something before its DSM, or used another layout.
+    pub fn init_attached(&self, mem: &mut Mem) -> MemResult<()> {
+        if Self::init(mem, self.my, self.n_nodes, self.n_pages)? != *self {
+            return Err(MemFault::InvariantViolated { check: 0xE1 });
+        }
+        Ok(())
     }
 
     /// Bytes per stash slot: header + a worst-case whole-region diff with
@@ -276,20 +288,20 @@ impl Dsm {
         Ok(())
     }
 
-    /// Computes this node's diffs (dirty pages vs. twin).
+    /// Calls `f(page, offset, bytes)` for every maximal run of bytes that
+    /// differ from the twin, over the dirty pages in ascending order; the
+    /// bytes are borrowed from the region.
     #[expect(
         clippy::cast_possible_truncation,
         reason = "run starts are < DSM_PAGE and page numbers < n_pages, both far below u32::MAX"
     )]
-    fn compute_diffs(&self, mem: &Mem) -> MemResult<Vec<PageDiff>> {
-        let mut out = Vec::new();
+    fn for_each_dirty_run(&self, mem: &Mem, mut f: impl FnMut(u32, u32, &[u8])) -> MemResult<()> {
         for p in 0..self.n_pages {
             if mem.arena.read(self.dirty_off + p, 1)?[0] == 0 {
                 continue;
             }
             let cur = mem.arena.read(self.region_off + p * DSM_PAGE, DSM_PAGE)?;
             let twin = mem.arena.read(self.twin_off + p * DSM_PAGE, DSM_PAGE)?;
-            let mut runs: Vec<(u32, Vec<u8>)> = Vec::new();
             let mut i = 0;
             while i < DSM_PAGE {
                 if cur[i] != twin[i] {
@@ -297,36 +309,39 @@ impl Dsm {
                     while i < DSM_PAGE && cur[i] != twin[i] {
                         i += 1;
                     }
-                    runs.push((start as u32, cur[start..i].to_vec()));
+                    f(p as u32, start as u32, &cur[start..i]);
                 } else {
                     i += 1;
                 }
             }
-            if !runs.is_empty() {
-                out.push(PageDiff {
-                    page: p as u32,
-                    runs,
-                });
-            }
-        }
-        Ok(out)
-    }
-
-    #[cfg(test)]
-    fn apply_diffs(&self, mem: &mut Mem, diffs: &[PageDiff]) -> MemResult<()> {
-        for d in diffs {
-            if d.page as usize >= self.n_pages {
-                return Err(MemFault::InvariantViolated { check: 0xD5 });
-            }
-            let base = self.region_off + d.page as usize * DSM_PAGE;
-            for (off, bytes) in &d.runs {
-                if *off as usize + bytes.len() > DSM_PAGE {
-                    return Err(MemFault::InvariantViolated { check: 0xD5 });
-                }
-                mem.arena.write(base + *off as usize, bytes)?;
-            }
         }
         Ok(())
+    }
+
+    /// Encodes this node's diffs (dirty pages vs. twin) after `header`,
+    /// scanning the arena straight into the payload. Returns the payload
+    /// and the number of page diffs in it. For lock-race-free programs the
+    /// dirty set at a release is exactly the critical-section writes.
+    fn encode_my_diffs(&self, mem: &Mem, header: &[u8]) -> MemResult<(Vec<u8>, u32)> {
+        // Sizing pass, so the payload is allocated once, at its length.
+        let mut section_len = 4;
+        let mut open = None;
+        self.for_each_dirty_run(mem, |page, _, run| {
+            if open.replace(page) != Some(page) {
+                section_len += 8;
+            }
+            section_len += 8 + run.len();
+        })?;
+        let mut w = wire::DiffWriter::begin(header, section_len);
+        let mut open = None;
+        self.for_each_dirty_run(mem, |page, off, run| {
+            if open.replace(page) != Some(page) {
+                w.page(page);
+            }
+            w.run(off, run);
+        })?;
+        let pages = w.pages();
+        Ok((w.finish(), pages))
     }
 
     fn stash_slot(&self, idx: usize) -> usize {
@@ -334,7 +349,7 @@ impl Dsm {
     }
 
     /// Stores an early diff payload in a free stash slot.
-    fn stash_put(&self, mem: &mut Mem, _from: u32, payload: &[u8]) -> MemResult<()> {
+    fn stash_put(&self, mem: &mut Mem, payload: &[u8]) -> MemResult<()> {
         for i in 0..self.n_nodes as usize - 1 {
             let slot = self.stash_slot(i);
             let len: u64 = mem.arena.read_pod(slot)?;
@@ -364,7 +379,8 @@ impl Dsm {
                 continue;
             }
             let payload = mem.arena.read(slot + 8, len as usize)?.to_vec();
-            self.apply_diff_msg_in_place(mem, &payload)?;
+            let (_, _, diffs) = wire::parse_diff_msg(&payload)?;
+            self.apply_diffs(mem, diffs, &[self.region_off])?;
             mem.arena.write_pod(slot, 0u64)?;
         }
         Ok(())
@@ -382,11 +398,8 @@ impl Dsm {
     /// Finishes a round: refresh the twin from the (merged) region and
     /// clear the dirty map.
     fn refresh_twin(&self, mem: &mut Mem) -> MemResult<()> {
-        let region = mem
-            .arena
-            .read(self.region_off, self.n_pages * DSM_PAGE)?
-            .to_vec();
-        mem.arena.write(self.twin_off, &region)?;
+        mem.arena
+            .copy_within(self.region_off, self.twin_off, self.n_pages * DSM_PAGE)?;
         mem.arena.fill(self.dirty_off, self.n_pages, 0)?;
         Ok(())
     }
@@ -396,75 +409,35 @@ impl Dsm {
         self.ctrl_off + C_LOCK_PHASE
     }
 
-    /// Serializes this node's current diffs (dirty pages vs. twin) for a
-    /// lock release. For lock-race-free programs the dirty set at release
-    /// is exactly the critical-section writes.
-    fn serialize_my_diffs(&self, mem: &Mem) -> MemResult<Vec<u8>> {
-        let diffs = self.compute_diffs(mem)?;
-        Ok(wire::encode_diffs(&diffs))
-    }
-
-    /// Applies a serialized diff payload to the region *and* the twin —
-    /// grant-carried diffs are received state, not this node's writes, so
-    /// they must not be re-published at the next release or barrier.
-    /// Returns the number of bytes applied.
-    fn apply_serialized_diffs(&self, mem: &mut Mem, payload: &[u8]) -> MemResult<usize> {
-        // Region pass, streamed in place (same checks, same order as
-        // [`Dsm::apply_diffs`], no materialized `PageDiff`s).
-        let mut base = 0usize;
-        wire::visit_diffs(payload, &mut |ev| match ev {
-            wire::DiffEvent::Page(page) => {
-                if page as usize >= self.n_pages {
-                    return Err(MemFault::InvariantViolated { check: 0xD5 });
-                }
-                base = self.region_off + page as usize * DSM_PAGE;
-                Ok(())
-            }
-            wire::DiffEvent::Run(off, bytes) => {
-                if off as usize + bytes.len() > DSM_PAGE {
-                    return Err(MemFault::InvariantViolated { check: 0xD5 });
-                }
-                mem.arena.write(base + off as usize, bytes)
-            }
-        })?;
-        // Twin pass (bounds already proven by the region pass).
+    /// The one place diff runs reach the arena: walks a validated diffs
+    /// section once per entry of `bases`, writing each run at that base —
+    /// `[region]` for barrier diffs; `[region, twin]` for grant-carried
+    /// diffs, which are received state, not this node's writes, so they
+    /// must not be re-published at the next release or barrier. Returns
+    /// the number of bytes one walk applied.
+    fn apply_diffs(&self, mem: &mut Mem, diffs: wire::Diffs, bases: &[usize]) -> MemResult<usize> {
         let mut applied = 0;
-        let mut base = 0usize;
-        wire::visit_diffs(payload, &mut |ev| match ev {
-            wire::DiffEvent::Page(page) => {
-                base = self.twin_off + page as usize * DSM_PAGE;
-                Ok(())
-            }
-            wire::DiffEvent::Run(off, bytes) => {
-                mem.arena.write(base + off as usize, bytes)?;
-                applied += bytes.len();
-                Ok(())
-            }
-        })?;
+        for &base in bases {
+            applied = 0;
+            let mut page_base = 0;
+            diffs.visit(&mut |ev| match ev {
+                wire::DiffEvent::Page(page) => {
+                    if page as usize >= self.n_pages {
+                        return Err(MemFault::InvariantViolated { check: 0xD5 });
+                    }
+                    page_base = base + page as usize * DSM_PAGE;
+                    Ok(())
+                }
+                wire::DiffEvent::Run(off, bytes) => {
+                    if off as usize + bytes.len() > DSM_PAGE {
+                        return Err(MemFault::InvariantViolated { check: 0xD5 });
+                    }
+                    applied += bytes.len();
+                    mem.arena.write(page_base + off as usize, bytes)
+                }
+            })?;
+        }
         Ok(applied)
-    }
-
-    /// Streaming equivalent of `decode_diff_msg` + [`Dsm::apply_diffs`]:
-    /// validates the payload up front, then applies runs borrowed in
-    /// place — the receive hot path materializes no `PageDiff`s.
-    fn apply_diff_msg_in_place(&self, mem: &mut Mem, payload: &[u8]) -> MemResult<()> {
-        let mut base = 0usize;
-        wire::visit_diff_msg(payload, &mut |ev| match ev {
-            wire::DiffEvent::Page(page) => {
-                if page as usize >= self.n_pages {
-                    return Err(MemFault::InvariantViolated { check: 0xD5 });
-                }
-                base = self.region_off + page as usize * DSM_PAGE;
-                Ok(())
-            }
-            wire::DiffEvent::Run(off, bytes) => {
-                if off as usize + bytes.len() > DSM_PAGE {
-                    return Err(MemFault::InvariantViolated { check: 0xD5 });
-                }
-                mem.arena.write(base + off as usize, bytes)
-            }
-        })?;
-        Ok(())
     }
 
     /// Folds this node's dirty pages into the twin and clears their dirty
@@ -475,11 +448,11 @@ impl Dsm {
             if mem.arena.read(self.dirty_off + p, 1)?[0] == 0 {
                 continue;
             }
-            let cur = mem
-                .arena
-                .read(self.region_off + p * DSM_PAGE, DSM_PAGE)?
-                .to_vec();
-            mem.arena.write(self.twin_off + p * DSM_PAGE, &cur)?;
+            mem.arena.copy_within(
+                self.region_off + p * DSM_PAGE,
+                self.twin_off + p * DSM_PAGE,
+                DSM_PAGE,
+            )?;
             mem.arena.write(self.dirty_off + p, &[0])?;
         }
         Ok(())
@@ -500,10 +473,13 @@ impl Dsm {
                 continue;
             }
             let mut page = 0u32;
-            wire::visit_diffs(payload, &mut |ev| {
+            wire::Diffs::parse(payload)?.visit(&mut |ev| {
                 match ev {
                     wire::DiffEvent::Page(p) => page = p,
                     wire::DiffEvent::Run(off, run) => {
+                        if off as usize + run.len() > DSM_PAGE {
+                            return Err(MemFault::InvariantViolated { check: 0xD5 });
+                        }
                         for (i, &b) in run.iter().enumerate() {
                             bytes.insert((page, off + i as u32), b);
                         }
@@ -512,29 +488,23 @@ impl Dsm {
                 Ok(())
             })?;
         }
-        let mut out: Vec<PageDiff> = Vec::new();
-        for ((page, off), b) in bytes {
-            let extend = match out.last_mut() {
-                Some(d) if d.page == page => {
-                    let (roff, run) = d.runs.last_mut().expect("runs never empty");
-                    if *roff + run.len() as u32 == off {
-                        run.push(b);
-                        true
-                    } else {
-                        d.runs.push((off, vec![b]));
-                        true
-                    }
+        // Every merged page and run is one of the inputs' or a union of
+        // several, so the inputs' lengths bound the merged section.
+        let mut w = wire::DiffWriter::begin(&[], (older.len() + newer.len()).max(4));
+        let mut open = None;
+        let mut run = Vec::new();
+        let mut bytes = bytes.into_iter().peekable();
+        while let Some(((page, off), b)) = bytes.next() {
+            run.push(b);
+            if bytes.peek().map(|&(next, _)| next) != Some((page, off + 1)) {
+                if open.replace(page) != Some(page) {
+                    w.page(page);
                 }
-                _ => false,
-            };
-            if !extend {
-                out.push(PageDiff {
-                    page,
-                    runs: vec![(off, vec![b])],
-                });
+                w.run(off + 1 - run.len() as u32, &run);
+                run.clear();
             }
         }
-        Ok(wire::encode_diffs(&out))
+        Ok(w.finish())
     }
 
     /// Pumps the barrier/diff-exchange state machine. Performs at most one
@@ -569,16 +539,10 @@ impl Dsm {
                 }
                 let peer = if idx >= self.my { idx + 1 } else { idx };
                 let round = round_c.get(&sys.mem().arena)?;
-                let diffs = self.compute_diffs(sys.mem())?;
-                let pages_scanned = diffs.len().max(1);
-                let msg = DiffMsg {
-                    round,
-                    from: self.my,
-                    diffs,
-                };
-                let payload = wire::encode_diff_msg(&msg);
+                let header = wire::diff_msg_header(round, self.my);
+                let (payload, pages) = self.encode_my_diffs(sys.mem(), &header)?;
                 // Diff creation cost: ~1 µs per scanned page.
-                sys.compute(pages_scanned as u64 * US);
+                sys.compute(u64::from(pages.max(1)) * US);
                 sys.send(ft_core::event::ProcessId(peer), payload)
                     .expect("peer exists");
                 send_idx.set(&mut sys.mem().arena, idx as u64 + 1)?;
@@ -633,21 +597,22 @@ impl Dsm {
         payload: &[u8],
     ) -> MemResult<()> {
         let round = self.ctrl(C_ROUND).get(&sys.mem().arena)?;
-        // Validate and read the header without materializing the diffs;
-        // a malformed payload errors out here, before any state changes,
-        // exactly as the materializing decoder did.
-        let mut applied = 0usize;
-        let (msg_round, msg_from) = wire::visit_diff_msg(payload, &mut |ev| {
-            if let wire::DiffEvent::Run(_, bytes) = ev {
-                applied += bytes.len();
-            }
-            Ok(())
-        })?;
+        // Everything off the wire is checked here, before any state
+        // changes: the payload's structure, the sender (a peer of this
+        // barrier, so its arrival bit exists), and the round (a peer can
+        // be at most one barrier ahead, and never behind).
+        let (msg_round, msg_from, diffs) = wire::parse_diff_msg(payload)?;
+        if msg_from >= self.n_nodes
+            || msg_from == self.my
+            || (msg_round != round && Some(msg_round) != round.checked_add(1))
+        {
+            return Err(MemFault::InvariantViolated { check: 0xE2 });
+        }
         if msg_round == round {
-            self.apply_diff_msg_in_place(sys.mem(), payload)?;
+            let applied = self.apply_diffs(sys.mem(), diffs, &[self.region_off])?;
             sys.compute((applied as u64 / 256 + 1) * US);
         } else {
-            self.stash_put(sys.mem(), msg_from, payload)?;
+            self.stash_put(sys.mem(), payload)?;
         }
         // Mark arrival in the round's parity mask (early diffs land in the
         // other parity).
@@ -665,16 +630,143 @@ impl Dsm {
 }
 
 #[cfg(test)]
+// Test diffs are built over a few pages with in-page offsets; narrowing
+// counts to u32 cannot truncate.
+#[allow(clippy::cast_possible_truncation)]
 mod tests {
     use super::*;
-    use ft_mem::arena::Layout;
+    use crate::lock::LockMsg;
+    use crate::wire::reference::{decode_diffs, encode_diff_msg, encode_diffs, DiffMsg, PageDiff};
+    use ft_core::event::ProcessId;
+    use ft_sim::rng::SplitMix64;
+    use ft_sim::syscalls::{Message, Payload, SysResult, Syscalls};
+    use std::collections::BTreeMap;
+    use std::ops::Range;
+
+    const LAYOUT: Layout = Layout {
+        globals_pages: 1,
+        stack_pages: 2,
+        heap_pages: 16,
+    };
 
     fn big_mem() -> Mem {
-        Mem::new(Layout {
-            globals_pages: 1,
-            stack_pages: 2,
-            heap_pages: 64,
-        })
+        Mem::new(LAYOUT)
+    }
+
+    /// A one-process system: sends are captured, receives come from a
+    /// scripted inbox, compute charges are summed.
+    struct TestSys {
+        mem: Mem,
+        sent: Vec<(ProcessId, Vec<u8>)>,
+        inbox: std::collections::VecDeque<Message>,
+        computed: u64,
+    }
+
+    impl TestSys {
+        fn new(mem: Mem) -> Self {
+            TestSys {
+                mem,
+                sent: Vec::new(),
+                inbox: Default::default(),
+                computed: 0,
+            }
+        }
+
+        fn deliver(&mut self, from: u32, payload: Vec<u8>) {
+            self.inbox.push_back(Message {
+                from: ProcessId(from),
+                seq: 0,
+                payload: Payload::new(payload),
+                deps: Default::default(),
+                tainted: false,
+            });
+        }
+    }
+
+    impl SysMem for TestSys {
+        fn mem(&mut self) -> &mut Mem {
+            &mut self.mem
+        }
+    }
+
+    impl Syscalls for TestSys {
+        fn pid(&self) -> ProcessId {
+            ProcessId(0)
+        }
+        fn now(&self) -> u64 {
+            0
+        }
+        fn compute(&mut self, ns: u64) {
+            self.computed += ns;
+        }
+        fn gettimeofday(&mut self) -> u64 {
+            0
+        }
+        fn random(&mut self) -> u64 {
+            0
+        }
+        fn read_input(&mut self) -> Option<Vec<u8>> {
+            None
+        }
+        fn input_exhausted(&self) -> bool {
+            true
+        }
+        fn send(&mut self, to: ProcessId, payload: Vec<u8>) -> SysResult<()> {
+            self.sent.push((to, payload));
+            Ok(())
+        }
+        fn try_recv(&mut self) -> Option<Message> {
+            self.inbox.pop_front()
+        }
+        fn visible(&mut self, _token: u64) {}
+        fn take_signal(&mut self) -> Option<u32> {
+            None
+        }
+        fn open(&mut self, _name: &str) -> SysResult<u32> {
+            Ok(0)
+        }
+        fn write_file(&mut self, _fd: u32, _bytes: &[u8]) -> SysResult<()> {
+            Ok(())
+        }
+        fn read_file(&mut self, _fd: u32, _len: usize) -> SysResult<Vec<u8>> {
+            Ok(Vec::new())
+        }
+        fn close(&mut self, _fd: u32) -> SysResult<()> {
+            Ok(())
+        }
+        fn note_fault_activation(&mut self, _fault: u32) {}
+    }
+
+    /// This node's diffs, through the encoder and the reference decoder.
+    fn my_diffs(dsm: &Dsm, mem: &Mem) -> Vec<PageDiff> {
+        decode_diffs(&dsm.encode_my_diffs(mem, &[]).unwrap().0).unwrap()
+    }
+
+    /// Applies a diff list to the region, through the wire form.
+    fn apply(dsm: &Dsm, mem: &mut Mem, diffs: &[PageDiff]) -> MemResult<usize> {
+        let payload = encode_diffs(&[], diffs);
+        dsm.apply_diffs(mem, wire::Diffs::parse(&payload)?, &[dsm.region_off])
+    }
+
+    fn image(mem: &Mem) -> Vec<u8> {
+        mem.arena.read(0, mem.arena.size()).unwrap().to_vec()
+    }
+
+    #[test]
+    fn attach_is_the_handle_a_live_init_returns() {
+        let dsm = Dsm::attach(LAYOUT, 1, 3, 4).unwrap();
+        let mut mem = big_mem();
+        dsm.init_attached(&mut mem).unwrap();
+        // A rollback to the initial commit resets the allocator with the
+        // arena, so re-running init lands on the same offsets again.
+        assert_eq!(Dsm::init(&mut big_mem(), 1, 3, 4).unwrap(), dsm);
+        // An arena that already holds something does not: fail-stop
+        // instead of addressing the wrong bytes.
+        assert_eq!(
+            dsm.init_attached(&mut mem),
+            Err(MemFault::InvariantViolated { check: 0xE1 })
+        );
+        assert!(Dsm::attach(Layout::small(), 0, 2, 1 << 20).is_err());
     }
 
     #[test]
@@ -683,7 +775,7 @@ mod tests {
         let dsm = Dsm::init(&mut mem, 0, 2, 4).unwrap();
         dsm.write_pod_raw(&mut mem, 100, 0xABCDu64).unwrap();
         assert_eq!(dsm.read_pod_raw::<u64>(&mem, 100).unwrap(), 0xABCD);
-        let diffs = dsm.compute_diffs(&mem).unwrap();
+        let diffs = my_diffs(&dsm, &mem);
         assert_eq!(diffs.len(), 1);
         assert_eq!(diffs[0].page, 0);
     }
@@ -694,10 +786,77 @@ mod tests {
         let dsm = Dsm::init(&mut mem, 0, 2, 4).unwrap();
         dsm.write_raw(&mut mem, 10, &[1, 2, 3]).unwrap();
         dsm.write_raw(&mut mem, 500, &[9]).unwrap();
-        let diffs = dsm.compute_diffs(&mem).unwrap();
-        assert_eq!(diffs[0].runs.len(), 2);
-        assert_eq!(diffs[0].runs[0], (10, vec![1, 2, 3]));
-        assert_eq!(diffs[0].runs[1], (500, vec![9]));
+        let diffs = my_diffs(&dsm, &mem);
+        assert_eq!(diffs[0].runs, vec![(10, vec![1, 2, 3]), (500, vec![9])]);
+    }
+
+    /// The dirty pattern the golden test pins: runs split at an unchanged
+    /// byte, runs that end at one page's last byte and start at the
+    /// next's first, a dirty page whose bytes equal the twin.
+    fn dirty_pattern(dsm: &Dsm, mem: &mut Mem) {
+        dsm.write_raw(mem, 0, &[1, 2, 0, 3]).unwrap();
+        dsm.write_raw(mem, DSM_PAGE - 1, &[9, 8]).unwrap();
+        dsm.write_raw(mem, 2 * DSM_PAGE + 17, &[0; 4]).unwrap();
+        dsm.write_raw(mem, 3 * DSM_PAGE + 5, &[7; 3]).unwrap();
+    }
+
+    /// The barrier message on the wire, pinned byte for byte: what the
+    /// encoder scans out of the arena is what the materializing encoders
+    /// produced (message latencies, traces and fingerprints hang off
+    /// these bytes).
+    #[test]
+    fn golden_bytes_of_a_barrier_send() {
+        let mut mem = big_mem();
+        let dsm = Dsm::init(&mut mem, 1, 3, 4).unwrap();
+        let mut sys = TestSys::new(mem);
+
+        // A clean round: the header and an empty section, one page's
+        // scan charged.
+        assert_eq!(dsm.barrier_pump(&mut sys).unwrap(), BarrierStatus::Working);
+        assert_eq!(dsm.barrier_pump(&mut sys).unwrap(), BarrierStatus::Working);
+        let (to, clean) = sys.sent.pop().unwrap();
+        assert_eq!(to, ProcessId(0));
+        assert_eq!(clean, [0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(sys.computed, US);
+
+        dirty_pattern(&dsm, &mut sys.mem);
+        sys.computed = 0;
+        assert_eq!(dsm.barrier_pump(&mut sys).unwrap(), BarrierStatus::Working);
+        let (to, payload) = sys.sent.pop().unwrap();
+        assert_eq!(to, ProcessId(2));
+        #[rustfmt::skip]
+        let want: &[u8] = &[
+            0, 0, 0, 0, 0, 0, 0, 0, // round 0
+            1, 0, 0, 0,             // from node 1
+            3, 0, 0, 0,             // three page diffs (page 2 equals its twin)
+            0, 0, 0, 0,  3, 0, 0, 0, // page 0, three runs
+            0, 0, 0, 0,  2, 0, 0, 0,  1, 2,
+            3, 0, 0, 0,  1, 0, 0, 0,  3,
+            255, 3, 0, 0,  1, 0, 0, 0,  9,
+            1, 0, 0, 0,  1, 0, 0, 0, // page 1, one run
+            0, 0, 0, 0,  1, 0, 0, 0,  8,
+            3, 0, 0, 0,  1, 0, 0, 0, // page 3, one run
+            5, 0, 0, 0,  3, 0, 0, 0,  7, 7, 7,
+        ];
+        assert_eq!(payload, want);
+        assert_eq!(sys.computed, 3 * US);
+    }
+
+    /// The sizing pass predicts the section exactly, so the payload is
+    /// one allocation that never grows.
+    #[test]
+    fn encoded_len_prediction_is_exact() {
+        let mut mem = big_mem();
+        let dsm = Dsm::init(&mut mem, 0, 2, 4).unwrap();
+        for header in [&[][..], &[0xAA; 12][..]] {
+            let (payload, pages) = dsm.encode_my_diffs(&mem, header).unwrap();
+            assert_eq!((payload.len(), pages), (header.len() + 4, 0));
+            assert_eq!(payload.capacity(), payload.len());
+        }
+        dirty_pattern(&dsm, &mut mem);
+        let (payload, pages) = dsm.encode_my_diffs(&mem, &[0xAA; 12]).unwrap();
+        assert_eq!(pages, 3);
+        assert_eq!(payload.capacity(), payload.len());
     }
 
     #[test]
@@ -709,10 +868,10 @@ mod tests {
         // Same page, disjoint bytes — the multiple-writer case.
         dsm_a.write_raw(&mut a, 0, &[1; 8]).unwrap();
         dsm_b.write_raw(&mut b, 8, &[2; 8]).unwrap();
-        let da = dsm_a.compute_diffs(&a).unwrap();
-        let db = dsm_b.compute_diffs(&b).unwrap();
-        dsm_a.apply_diffs(&mut a, &db).unwrap();
-        dsm_b.apply_diffs(&mut b, &da).unwrap();
+        let da = my_diffs(&dsm_a, &a);
+        let db = my_diffs(&dsm_b, &b);
+        apply(&dsm_a, &mut a, &db).unwrap();
+        apply(&dsm_b, &mut b, &da).unwrap();
         assert_eq!(
             dsm_a.read_raw(&a, 0, 16).unwrap(),
             dsm_b.read_raw(&b, 0, 16).unwrap()
@@ -732,29 +891,47 @@ mod tests {
     fn malformed_diff_is_an_invariant_violation() {
         let mut mem = big_mem();
         let dsm = Dsm::init(&mut mem, 0, 2, 2).unwrap();
-        let bad = vec![PageDiff {
-            page: 99,
-            runs: vec![(0, vec![1])],
-        }];
-        assert!(matches!(
-            dsm.apply_diffs(&mut mem, &bad),
-            Err(MemFault::InvariantViolated { .. })
-        ));
+        let before = image(&mem);
+        for bad in [
+            // A page past the region, a run past its page.
+            PageDiff {
+                page: 99,
+                runs: vec![(0, vec![1])],
+            },
+            PageDiff {
+                page: 1,
+                runs: vec![(DSM_PAGE as u32 - 1, vec![1, 2])],
+            },
+            PageDiff {
+                page: 0,
+                runs: vec![(u32::MAX, vec![1])],
+            },
+        ] {
+            assert_eq!(
+                apply(&dsm, &mut mem, &[bad]),
+                Err(MemFault::InvariantViolated { check: 0xD5 })
+            );
+            assert_eq!(image(&mem), before);
+        }
     }
 
     #[test]
     fn merge_diff_payloads_is_later_wins_and_compact() {
-        let enc = |d: Vec<PageDiff>| wire::encode_diffs(&d);
-        let dec = |p: &[u8]| -> Vec<PageDiff> { wire::decode_diffs(p).unwrap() };
-        let older = enc(vec![PageDiff {
-            page: 0,
-            runs: vec![(0, vec![1, 1, 1]), (10, vec![5])],
-        }]);
-        let newer = enc(vec![PageDiff {
-            page: 0,
-            runs: vec![(1, vec![9]), (3, vec![7])],
-        }]);
-        let merged = dec(&Dsm::merge_diff_payloads(&older, &newer).unwrap());
+        let older = encode_diffs(
+            &[],
+            &[PageDiff {
+                page: 0,
+                runs: vec![(0, vec![1, 1, 1]), (10, vec![5])],
+            }],
+        );
+        let newer = encode_diffs(
+            &[],
+            &[PageDiff {
+                page: 0,
+                runs: vec![(1, vec![9]), (3, vec![7])],
+            }],
+        );
+        let merged = decode_diffs(&Dsm::merge_diff_payloads(&older, &newer).unwrap()).unwrap();
         assert_eq!(merged.len(), 1);
         // Bytes 0..4 coalesce into one run (1,9,1,7); byte 10 stays apart.
         assert_eq!(merged[0].runs, vec![(0, vec![1, 9, 1, 7]), (10, vec![5])]);
@@ -762,51 +939,86 @@ mod tests {
 
     #[test]
     fn merge_with_empty_sides_preserves_the_other() {
-        let enc = |d: Vec<PageDiff>| wire::encode_diffs(&d);
-        let one = enc(vec![PageDiff {
-            page: 3,
-            runs: vec![(100, vec![42])],
-        }]);
+        let one = encode_diffs(
+            &[],
+            &[PageDiff {
+                page: 3,
+                runs: vec![(100, vec![42])],
+            }],
+        );
         let a = Dsm::merge_diff_payloads(&[], &one).unwrap();
         let b = Dsm::merge_diff_payloads(&one, &[]).unwrap();
         assert_eq!(a, b);
-        let decoded = wire::decode_diffs(&a).unwrap();
-        assert_eq!(decoded[0].page, 3);
-        assert_eq!(decoded[0].runs, vec![(100, vec![42])]);
+        assert_eq!(a, one);
+        assert_eq!(Dsm::merge_diff_payloads(&[], &[]).unwrap(), [0, 0, 0, 0]);
     }
 
     #[test]
     fn merge_spans_pages_without_bleeding_runs() {
-        let enc = |d: Vec<PageDiff>| wire::encode_diffs(&d);
         // Last byte of page 0, first byte of page 1: must stay two diffs.
-        let older = enc(vec![PageDiff {
-            page: 0,
-            runs: vec![(u32::try_from(DSM_PAGE).unwrap() - 1, vec![1])],
-        }]);
-        let newer = enc(vec![PageDiff {
-            page: 1,
-            runs: vec![(0, vec![2])],
-        }]);
+        let older = encode_diffs(
+            &[],
+            &[PageDiff {
+                page: 0,
+                runs: vec![(DSM_PAGE as u32 - 1, vec![1])],
+            }],
+        );
+        let newer = encode_diffs(
+            &[],
+            &[PageDiff {
+                page: 1,
+                runs: vec![(0, vec![2])],
+            }],
+        );
         let merged = Dsm::merge_diff_payloads(&older, &newer).unwrap();
-        let decoded = wire::decode_diffs(&merged).unwrap();
-        assert_eq!(decoded.len(), 2);
+        assert_eq!(decode_diffs(&merged).unwrap().len(), 2);
+    }
+
+    /// A release payload is a client's bytes: a run past its page is
+    /// rejected (its offsets would otherwise overflow the merge's byte
+    /// map in debug and wrap in release).
+    #[test]
+    fn merge_rejects_a_run_past_its_page() {
+        for off in [DSM_PAGE as u32, u32::MAX] {
+            let bad = encode_diffs(
+                &[],
+                &[PageDiff {
+                    page: 0,
+                    runs: vec![(off, vec![1, 2])],
+                }],
+            );
+            for (older, newer) in [(&bad[..], &[][..]), (&[][..], &bad[..])] {
+                assert_eq!(
+                    Dsm::merge_diff_payloads(older, newer),
+                    Err(MemFault::InvariantViolated { check: 0xD5 })
+                );
+            }
+        }
     }
 
     #[test]
-    fn apply_serialized_diffs_updates_region_and_twin() {
+    fn grant_diffs_update_region_and_twin() {
         let mut mem = big_mem();
         let dsm = Dsm::init(&mut mem, 0, 2, 4).unwrap();
-        let diffs: &[PageDiff] = &[PageDiff {
-            page: 1,
-            runs: vec![(4, vec![7, 8, 9])],
-        }];
-        let payload = wire::encode_diffs(diffs);
-        let n = dsm.apply_serialized_diffs(&mut mem, &payload).unwrap();
+        let payload = encode_diffs(
+            &[],
+            &[PageDiff {
+                page: 1,
+                runs: vec![(4, vec![7, 8, 9])],
+            }],
+        );
+        let n = dsm
+            .apply_diffs(
+                &mut mem,
+                wire::Diffs::parse(&payload).unwrap(),
+                &[dsm.region_off, dsm.twin_off],
+            )
+            .unwrap();
         assert_eq!(n, 3);
         assert_eq!(dsm.read_raw(&mem, DSM_PAGE + 4, 3).unwrap(), vec![7, 8, 9]);
         // Folded into the twin: these bytes are received state, so they
         // must not show up as this node's own diffs.
-        assert!(dsm.compute_diffs(&mem).unwrap().is_empty());
+        assert!(my_diffs(&dsm, &mem).is_empty());
     }
 
     #[test]
@@ -815,24 +1027,174 @@ mod tests {
         let dsm = Dsm::init(&mut mem, 0, 2, 4).unwrap();
         dsm.write_raw(&mut mem, 0, &[5; 32]).unwrap();
         dsm.refresh_twin(&mut mem).unwrap();
-        assert!(dsm.compute_diffs(&mem).unwrap().is_empty());
+        assert!(my_diffs(&dsm, &mem).is_empty());
         // New writes diff against the refreshed twin; writing the same
         // bytes again produces no diff.
         dsm.write_raw(&mut mem, 0, &[5; 32]).unwrap();
-        assert!(dsm.compute_diffs(&mem).unwrap().is_empty());
+        assert!(my_diffs(&dsm, &mem).is_empty());
         dsm.write_raw(&mut mem, 0, &[6]).unwrap();
-        assert_eq!(dsm.compute_diffs(&mem).unwrap().len(), 1);
+        assert_eq!(my_diffs(&dsm, &mem).len(), 1);
     }
-}
 
-#[cfg(test)]
-// Proptest diffs are built over 2 pages with in-page offsets; narrowing
-// counts to u32 cannot truncate.
-#[allow(clippy::cast_possible_truncation)]
-mod merge_proptests {
-    use super::*;
-    use ft_sim::rng::SplitMix64;
-    use std::collections::BTreeMap;
+    #[test]
+    fn fold_publishes_each_write_once() {
+        let mut mem = big_mem();
+        let dsm = Dsm::init(&mut mem, 0, 2, 4).unwrap();
+        dsm.write_raw(&mut mem, DSM_PAGE + 3, &[4; 9]).unwrap();
+        let writes = mem.arena.stats().writes;
+        dsm.fold_my_diffs_into_twin(&mut mem).unwrap();
+        // One copy and one dirty-bit clear for the one dirty page.
+        assert_eq!(mem.arena.stats().writes, writes + 2);
+        assert!(my_diffs(&dsm, &mem).is_empty());
+        assert_eq!(dsm.read_raw(&mem, DSM_PAGE + 3, 9).unwrap(), vec![4; 9]);
+    }
+
+    /// Node 1 of 3 at barrier round 4, in the receive phase.
+    fn receiving_at_round_4() -> (Dsm, TestSys) {
+        let mut mem = big_mem();
+        let dsm = Dsm::init(&mut mem, 1, 3, 4).unwrap();
+        dsm.ctrl(C_ROUND).set(&mut mem.arena, 4).unwrap();
+        dsm.ctrl(C_PHASE).set(&mut mem.arena, 2).unwrap();
+        (dsm, TestSys::new(mem))
+    }
+
+    fn barrier_msg(round: u64, from: u32) -> Vec<u8> {
+        encode_diff_msg(&DiffMsg {
+            round,
+            from,
+            diffs: vec![PageDiff {
+                page: 2,
+                runs: vec![(8, vec![0xAB; 5]), (900, vec![0xCD; 3])],
+            }],
+        })
+    }
+
+    /// The header is a peer's bytes, not this node's state: a sender that
+    /// has no arrival bit (`1 << from` used to panic in debug and wrap in
+    /// release for `from >= 64`), this node itself, and a round other
+    /// than the current one or the next are all rejected with nothing
+    /// changed.
+    #[test]
+    fn absorb_rejects_an_untrusted_header_before_any_state_changes() {
+        let (dsm, mut sys) = receiving_at_round_4();
+        let before = image(&sys.mem);
+        for (round, from) in [
+            (4, 64),
+            (4, 200),
+            (4, u32::MAX),
+            (4, 3),
+            (4, 1),
+            (3, 0),
+            (6, 0),
+            (0, 2),
+            (u64::MAX, 2),
+        ] {
+            assert_eq!(
+                dsm.absorb_barrier_payload(&mut sys, &barrier_msg(round, from)),
+                Err(MemFault::InvariantViolated { check: 0xE2 }),
+                "round {round} from {from}"
+            );
+            assert_eq!(image(&sys.mem), before, "round {round} from {from}");
+            assert_eq!(sys.computed, 0);
+        }
+        // The two acceptable rounds: applied now, or stashed for the next
+        // barrier; each marks its own parity.
+        dsm.absorb_barrier_payload(&mut sys, &barrier_msg(4, 0))
+            .unwrap();
+        assert_eq!(
+            dsm.read_raw(&sys.mem, 2 * DSM_PAGE + 8, 5).unwrap(),
+            [0xAB; 5]
+        );
+        assert_eq!(dsm.ctrl(C_MASK_EVEN).get(&sys.mem.arena).unwrap(), 0b001);
+        dsm.absorb_barrier_payload(&mut sys, &barrier_msg(5, 2))
+            .unwrap();
+        assert_eq!(dsm.ctrl(C_MASK_ODD).get(&sys.mem.arena).unwrap(), 0b100);
+        assert_eq!(sys.computed, US);
+    }
+
+    /// Asserts `after` differs from `before` only inside `allowed`.
+    fn assert_writes_stay_in(before: &[u8], after: &Mem, allowed: &[Range<usize>], what: &str) {
+        let after = image(after);
+        for (i, (b, a)) in before.iter().zip(&after).enumerate() {
+            assert!(
+                b == a || allowed.iter().any(|r| r.contains(&i)),
+                "{what}: wrote arena byte {i}, outside the DSM"
+            );
+        }
+    }
+
+    /// Every single-bit flip of a valid barrier message, of a bare diffs
+    /// payload and of each lock message is rejected or applied in bounds:
+    /// never a panic, never a write outside the bytes the path owns.
+    #[test]
+    fn every_bit_flip_is_rejected_or_applied_in_bounds() {
+        let (dsm, sys) = receiving_at_round_4();
+        let before = image(&sys.mem);
+        let region = dsm.region_off..dsm.region_off + dsm.size();
+        let twin = dsm.twin_off..dsm.twin_off + dsm.size();
+        let ctrl = dsm.ctrl_off..dsm.ctrl_off + CTRL_SIZE;
+        let stash = dsm.stash_off..dsm.stash_off + 2 * Dsm::stash_slot_bytes(4);
+        let flips = |bytes: &[u8]| {
+            let bytes = bytes.to_vec();
+            (0..bytes.len() * 8).map(move |bit| {
+                let mut flipped = bytes.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                flipped
+            })
+        };
+
+        // Through the barrier's receive phase.
+        let mut accepted = 0;
+        for flipped in flips(&barrier_msg(4, 2)) {
+            let mut sys = TestSys::new(sys.mem.clone());
+            sys.deliver(2, flipped);
+            if dsm.barrier_pump(&mut sys).is_ok() {
+                accepted += 1;
+            }
+            let owned = [region.clone(), ctrl.clone(), stash.clone()];
+            assert_writes_stay_in(&before, &sys.mem, &owned, "barrier message");
+        }
+        assert!(accepted > 0, "data-byte flips are still valid messages");
+
+        // A grant's diffs, applied to region and twin.
+        let bare = &barrier_msg(4, 2)[wire::MSG_HEADER..];
+        let grant_diffs = |payload: &[u8], what: &str| {
+            let mut mem = sys.mem.clone();
+            let _ = wire::Diffs::parse(payload)
+                .and_then(|d| dsm.apply_diffs(&mut mem, d, &[dsm.region_off, dsm.twin_off]));
+            assert_writes_stay_in(&before, &mem, &[region.clone(), twin.clone()], what);
+        };
+        for flipped in flips(bare) {
+            grant_diffs(&flipped, "bare diffs");
+            // The manager's side of the same bytes.
+            let _ = Dsm::merge_diff_payloads(bare, &flipped);
+            let _ = Dsm::merge_diff_payloads(&flipped, bare);
+        }
+
+        // Each lock message: whatever still decodes carries diffs that go
+        // down the same two paths.
+        for msg in [
+            LockMsg::Req { lock: 3 },
+            LockMsg::Grant {
+                lock: 3,
+                diffs: bare.to_vec(),
+            },
+            LockMsg::Rel {
+                lock: 3,
+                diffs: bare.to_vec(),
+            },
+        ] {
+            for flipped in flips(&msg.encode()) {
+                match LockMsg::decode(&flipped) {
+                    Ok(LockMsg::Grant { diffs, .. }) => grant_diffs(&diffs, "grant"),
+                    Ok(LockMsg::Rel { diffs, .. }) => {
+                        let _ = Dsm::merge_diff_payloads(bare, &diffs);
+                    }
+                    Ok(LockMsg::Req { .. }) | Err(_) => {}
+                }
+            }
+        }
+    }
 
     /// A random diff list over 2 pages (offsets kept in-page).
     fn random_diffs(rng: &mut SplitMix64) -> Vec<PageDiff> {
@@ -852,7 +1214,7 @@ mod merge_proptests {
     }
 
     fn enc(d: &[PageDiff]) -> Vec<u8> {
-        wire::encode_diffs(d)
+        encode_diffs(&[], d)
     }
 
     fn model_apply(map: &mut BTreeMap<(u32, u32), u8>, diffs: &[PageDiff]) {
@@ -874,16 +1236,18 @@ mod merge_proptests {
             let older = random_diffs(&mut rng);
             let newer = random_diffs(&mut rng);
             let merged = Dsm::merge_diff_payloads(&enc(&older), &enc(&newer)).unwrap();
-            let decoded = wire::decode_diffs(&merged).unwrap();
+            let decoded = decode_diffs(&merged).unwrap();
             let mut want = BTreeMap::new();
             model_apply(&mut want, &older);
             model_apply(&mut want, &newer);
             let mut got = BTreeMap::new();
             model_apply(&mut got, &decoded);
             assert_eq!(got, want);
-            // And the encoding is canonical: runs are disjoint, sorted,
-            // and maximally coalesced within each page.
+            // And the encoding is canonical: pages ascend, runs are
+            // disjoint, sorted, and maximally coalesced within each page.
+            assert!(decoded.windows(2).all(|w| w[0].page < w[1].page));
             for d in &decoded {
+                assert!(!d.runs.is_empty());
                 for w in d.runs.windows(2) {
                     let end = w[0].0 + w[0].1.len() as u32;
                     assert!(end < w[1].0, "adjacent runs must coalesce");

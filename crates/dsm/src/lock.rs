@@ -165,7 +165,11 @@ impl Dsm {
                 Some(msg) => match LockMsg::decode(&msg.payload)? {
                     LockMsg::Grant { lock: l, diffs } if l == lock => {
                         if !diffs.is_empty() {
-                            let applied = self.apply_serialized_diffs(sys.mem(), &diffs)?;
+                            let applied = self.apply_diffs(
+                                sys.mem(),
+                                crate::wire::Diffs::parse(&diffs)?,
+                                &[self.region_off, self.twin_off],
+                            )?;
                             sys.compute((applied as u64 / 256 + 1) * US);
                         }
                         phase.set(&mut sys.mem().arena, PHASE_HELD)?;
@@ -194,7 +198,7 @@ impl Dsm {
         // critical section's accesses sit between acquire and release in
         // the stream.
         sys.shm_op(ft_core::access::ShmOp::LockRel { lock });
-        let diffs = self.serialize_my_diffs(sys.mem())?;
+        let (diffs, _) = self.encode_my_diffs(sys.mem(), &[])?;
         sys.send(manager, LockMsg::Rel { lock, diffs }.encode())
             .expect("manager exists");
         let m = sys.mem();
@@ -212,7 +216,7 @@ const NO_HOLDER: u64 = u64::MAX;
 /// The centralized lock manager, embedded in a manager application's step
 /// loop: construct once (allocating manager state), then call
 /// [`LockServer::service`] for each received message.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LockServer {
     base: usize,
     n_locks: u32,
@@ -339,35 +343,50 @@ impl LockServer {
 /// runtime like the clients do.
 #[derive(Debug, Clone, Copy)]
 pub struct ManagerApp {
-    n_locks: u32,
     expected_releases: u64,
+    /// The attached server state and pending-message buffer: what
+    /// [`ManagerApp::init_state`] returns in a fresh arena.
+    server: LockServer,
+    buf: usize,
 }
 
 // Manager globals: 0 = phase (0 init, 1 recv, 2 service), 8 = releases
 // serviced. The pending-message buffer lives in the heap.
 const MGR_BUF_BYTES: usize = 16 * 1024;
+const MGR_LAYOUT: ft_mem::arena::Layout = ft_mem::arena::Layout {
+    globals_pages: 1,
+    stack_pages: 2,
+    heap_pages: 16,
+};
 
 impl ManagerApp {
     /// A manager for `n_locks` locks that exits once it has serviced
     /// `expected_releases` release messages (each client acquire/release
     /// pair contributes one).
+    ///
+    /// Attaches the manager's heap state here, once: its offsets are a
+    /// pure function of the layout and the deterministic allocation order
+    /// (see [`Dsm`]), so the init step's live allocation lands on them at
+    /// every start and after every rollback to the initial commit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_locks` locks do not fit the manager's heap.
     pub fn new(n_locks: u32, expected_releases: u64) -> Self {
+        let (server, buf) = Self::init_state(&mut Mem::new(MGR_LAYOUT), n_locks)
+            .expect("the manager's heap holds its lock table");
         ManagerApp {
-            n_locks,
             expected_releases,
+            server,
+            buf,
         }
     }
 
-    /// The heap offsets of the server state and message buffer are a pure
-    /// function of the deterministic allocation order.
-    fn reconstruct(&self) -> (LockServer, usize) {
-        let mut probe = Mem::new(self.layout());
-        let server = LockServer::init(&mut probe, self.n_locks).expect("probe init");
-        let buf = probe
-            .alloc
-            .alloc(&mut probe.arena, MGR_BUF_BYTES)
-            .expect("probe alloc");
-        (server, buf)
+    /// Allocates the server state and the pending-message buffer.
+    fn init_state(mem: &mut Mem, n_locks: u32) -> MemResult<(LockServer, usize)> {
+        let server = LockServer::init(mem, n_locks)?;
+        let buf = mem.alloc.alloc(&mut mem.arena, MGR_BUF_BYTES)?;
+        Ok((server, buf))
     }
 }
 
@@ -376,11 +395,13 @@ impl ft_sim::syscalls::App for ManagerApp {
         use ft_sim::syscalls::{AppStatus, WaitCond};
         let phase: ArenaCell<u64> = ArenaCell::at(0);
         let rels: ArenaCell<u64> = ArenaCell::at(8);
+        let (server, buf) = (self.server, self.buf);
         match phase.get(&sys.mem().arena)? {
             0 => {
                 let m = sys.mem();
-                LockServer::init(m, self.n_locks)?;
-                m.alloc.alloc(&mut m.arena, MGR_BUF_BYTES)?;
+                if Self::init_state(m, server.n_locks)? != (server, buf) {
+                    return Err(MemFault::InvariantViolated { check: 0xE1 });
+                }
                 phase.set(&mut m.arena, 1)?;
                 Ok(AppStatus::Running)
             }
@@ -398,7 +419,6 @@ impl ft_sim::syscalls::App for ManagerApp {
                     if msg.payload.len() > MGR_BUF_BYTES - 8 {
                         return Err(MemFault::InvariantViolated { check: 0xE0 });
                     }
-                    let (_, buf) = self.reconstruct();
                     let m = sys.mem();
                     let tag = (msg.from.0 as u64) << 32 | msg.payload.len() as u64;
                     m.arena.write_pod(buf, tag)?;
@@ -408,7 +428,6 @@ impl ft_sim::syscalls::App for ManagerApp {
                 }
             },
             _ => {
-                let (server, buf) = self.reconstruct();
                 let (from, len) = {
                     let m = sys.mem();
                     let tag: u64 = m.arena.read_pod(buf)?;
@@ -429,21 +448,7 @@ impl ft_sim::syscalls::App for ManagerApp {
     }
 
     fn layout(&self) -> ft_mem::arena::Layout {
-        ft_mem::arena::Layout {
-            globals_pages: 1,
-            stack_pages: 2,
-            heap_pages: 16,
-        }
-    }
-}
-
-impl ManagerApp {
-    fn layout(&self) -> ft_mem::arena::Layout {
-        ft_mem::arena::Layout {
-            globals_pages: 1,
-            stack_pages: 2,
-            heap_pages: 16,
-        }
+        MGR_LAYOUT
     }
 }
 

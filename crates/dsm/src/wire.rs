@@ -11,8 +11,6 @@
 
 use ft_mem::error::{MemFault, MemResult};
 
-use crate::{DiffMsg, PageDiff};
-
 const BAD: MemFault = MemFault::InvariantViolated { check: 0xD6 };
 
 /// Incremental little-endian reader over a payload.
@@ -78,70 +76,68 @@ pub(crate) fn put_blob(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(bytes);
 }
 
-/// Exact encoded size of a diff vector, so the encode helpers allocate
-/// their payload buffer once instead of doubling through `Vec` growth on
-/// the per-message hot path (the arena write barrier's allocation-free
-/// discipline, applied one layer up).
-fn diffs_encoded_len(diffs: &[PageDiff]) -> usize {
-    4 + diffs
-        .iter()
-        .map(|d| 8 + d.runs.iter().map(|(_, run)| 8 + run.len()).sum::<usize>())
-        .sum::<usize>()
+/// The only encoder of a diffs section: open a page, push runs borrowed
+/// from wherever the bytes live, and the two counts (pages in the section,
+/// runs in the open page) are back-patched as they grow — so the encoded
+/// prefix is a well-formed section after every call.
+pub(crate) struct DiffWriter {
+    out: Vec<u8>,
+    pages_at: usize,
+    pages: u32,
+    runs_at: usize,
+    runs: u32,
 }
 
-#[expect(
-    clippy::cast_possible_truncation,
-    reason = "diff and run counts are bounded by pages x DSM_PAGE, far below u32::MAX"
-)]
-fn encode_diffs_into(out: &mut Vec<u8>, diffs: &[PageDiff]) {
-    out.extend_from_slice(&(diffs.len() as u32).to_le_bytes());
-    for d in diffs {
-        out.extend_from_slice(&d.page.to_le_bytes());
-        out.extend_from_slice(&(d.runs.len() as u32).to_le_bytes());
-        for (off, run) in &d.runs {
-            out.extend_from_slice(&off.to_le_bytes());
-            put_blob(out, run);
+impl DiffWriter {
+    /// Starts an empty section after `header`, in a buffer sized for a
+    /// section of `section_len` bytes.
+    pub(crate) fn begin(header: &[u8], section_len: usize) -> Self {
+        let mut out = Vec::with_capacity(header.len() + section_len);
+        out.extend_from_slice(header);
+        let pages_at = out.len();
+        out.extend_from_slice(&0u32.to_le_bytes());
+        DiffWriter {
+            out,
+            pages_at,
+            pages: 0,
+            runs_at: 0,
+            runs: 0,
         }
     }
-}
 
-#[cfg(test)]
-fn decode_diffs_from(r: &mut Reader) -> MemResult<Vec<PageDiff>> {
-    let n = r.u32()? as usize;
-    let mut diffs = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        let page = r.u32()?;
-        let n_runs = r.u32()? as usize;
-        let mut runs = Vec::with_capacity(n_runs.min(1 << 16));
-        for _ in 0..n_runs {
-            let off = r.u32()?;
-            runs.push((off, r.blob()?));
-        }
-        diffs.push(PageDiff { page, runs });
+    /// Opens the diff of `page`; following runs belong to it.
+    pub(crate) fn page(&mut self, page: u32) {
+        self.pages += 1;
+        self.out[self.pages_at..self.pages_at + 4].copy_from_slice(&self.pages.to_le_bytes());
+        self.out.extend_from_slice(&page.to_le_bytes());
+        self.runs_at = self.out.len();
+        self.runs = 0;
+        self.out.extend_from_slice(&0u32.to_le_bytes());
     }
-    Ok(diffs)
-}
 
-/// Validates the structure of a diffs section without allocating or
-/// materializing anything: every count, offset, and run must lie inside
-/// the payload.
-fn validate_diffs_from(r: &mut Reader) -> MemResult<()> {
-    let n = r.u32()? as usize;
-    for _ in 0..n {
-        let _page = r.u32()?;
-        let n_runs = r.u32()? as usize;
-        for _ in 0..n_runs {
-            let _off = r.u32()?;
-            let len = r.u32()? as usize;
-            r.bytes(len)?;
-        }
+    /// Appends one run of the open page.
+    pub(crate) fn run(&mut self, off: u32, bytes: &[u8]) {
+        assert!(self.pages > 0, "a run needs an open page");
+        self.runs += 1;
+        self.out[self.runs_at..self.runs_at + 4].copy_from_slice(&self.runs.to_le_bytes());
+        self.out.extend_from_slice(&off.to_le_bytes());
+        put_blob(&mut self.out, bytes);
     }
-    Ok(())
+
+    /// Page diffs opened so far.
+    pub(crate) fn pages(&self) -> u32 {
+        self.pages
+    }
+
+    /// The header and the finished section.
+    pub(crate) fn finish(self) -> Vec<u8> {
+        self.out
+    }
 }
 
 /// One step of a streamed diff decode: a new page diff beginning (emitted
-/// even for a diff with no runs, so semantic page checks fire exactly as
-/// they do on the materialized path), or one run within the current page.
+/// even for a diff with no runs, so semantic page checks fire for it too),
+/// or one run within the current page.
 pub(crate) enum DiffEvent<'a> {
     /// A page diff begins.
     Page(u32),
@@ -150,102 +146,169 @@ pub(crate) enum DiffEvent<'a> {
     Run(u32, &'a [u8]),
 }
 
-/// Walks a (previously validated) diffs section, streaming
-/// [`DiffEvent`]s borrowed from the payload.
-fn visit_diffs_from(
-    r: &mut Reader,
-    f: &mut dyn FnMut(DiffEvent) -> MemResult<()>,
-) -> MemResult<()> {
-    let n = r.u32()? as usize;
-    for _ in 0..n {
-        f(DiffEvent::Page(r.u32()?))?;
-        let n_runs = r.u32()? as usize;
-        for _ in 0..n_runs {
-            let off = r.u32()?;
-            let len = r.u32()? as usize;
-            f(DiffEvent::Run(off, r.bytes(len)?))?;
-        }
+/// A diffs section whose structure has been validated: every count,
+/// offset, and run lies inside it and nothing trails it. Holding one is
+/// the proof that malformed input was rejected *before* anything walks
+/// the section and mutates state.
+#[derive(Clone, Copy)]
+pub(crate) struct Diffs<'a>(&'a [u8]);
+
+impl<'a> Diffs<'a> {
+    /// Validates a bare diffs section (lock release / grant payloads)
+    /// without allocating or materializing anything.
+    pub(crate) fn parse(payload: &'a [u8]) -> MemResult<Self> {
+        let diffs = Diffs(payload);
+        diffs.visit(&mut |_| Ok(()))?;
+        Ok(diffs)
     }
-    Ok(())
+
+    /// Streams the section's [`DiffEvent`]s, the runs borrowed from the
+    /// payload in place. (Validation is this same walk with a callback
+    /// that does nothing, so the two cannot disagree.)
+    pub(crate) fn visit(self, f: &mut dyn FnMut(DiffEvent) -> MemResult<()>) -> MemResult<()> {
+        let mut r = Reader::new(self.0);
+        let n = r.u32()? as usize;
+        for _ in 0..n {
+            f(DiffEvent::Page(r.u32()?))?;
+            let n_runs = r.u32()? as usize;
+            for _ in 0..n_runs {
+                let off = r.u32()?;
+                let len = r.u32()? as usize;
+                f(DiffEvent::Run(off, r.bytes(len)?))?;
+            }
+        }
+        r.finish()
+    }
 }
 
-/// In-place decode of a bare diff vector: validates the whole payload
-/// first — malformed input is rejected *before* any callback mutates
-/// state, exactly like the materializing [`decode_diffs`] — then streams
-/// [`DiffEvent`]s borrowed from the payload. The per-run `Vec`
-/// allocations of the materializing decoder never happen.
-pub(crate) fn visit_diffs(
-    payload: &[u8],
-    f: &mut dyn FnMut(DiffEvent) -> MemResult<()>,
-) -> MemResult<()> {
-    let mut r = Reader::new(payload);
-    validate_diffs_from(&mut r)?;
-    r.finish()?;
-    visit_diffs_from(&mut Reader::new(payload), f)
+/// Bytes of a barrier message's `round: u64, from: u32` header.
+pub(crate) const MSG_HEADER: usize = 12;
+
+/// The header of a barrier diff message.
+pub(crate) fn diff_msg_header(round: u64, from: u32) -> [u8; MSG_HEADER] {
+    let mut h = [0; MSG_HEADER];
+    h[..8].copy_from_slice(&round.to_le_bytes());
+    h[8..].copy_from_slice(&from.to_le_bytes());
+    h
 }
 
-/// In-place decode of a barrier diff message: validates everything, then
-/// streams the runs like [`visit_diffs`]. Returns the `(round, from)`
-/// header.
-pub(crate) fn visit_diff_msg(
-    payload: &[u8],
-    f: &mut dyn FnMut(DiffEvent) -> MemResult<()>,
-) -> MemResult<(u64, u32)> {
-    let mut r = Reader::new(payload);
-    let round = r.u64()?;
-    let from = r.u32()?;
-    validate_diffs_from(&mut r)?;
-    r.finish()?;
-    let mut r = Reader::new(payload);
-    r.u64()?;
-    r.u32()?;
-    visit_diffs_from(&mut r, f)?;
-    Ok((round, from))
-}
-
-/// Encodes a bare diff vector (lock release / grant payloads).
-pub(crate) fn encode_diffs(diffs: &[PageDiff]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(diffs_encoded_len(diffs));
-    encode_diffs_into(&mut out, diffs);
-    out
-}
-
-/// Decodes a bare diff vector (test reference for the streaming visitor).
-#[cfg(test)]
-pub(crate) fn decode_diffs(payload: &[u8]) -> MemResult<Vec<PageDiff>> {
-    let mut r = Reader::new(payload);
-    let diffs = decode_diffs_from(&mut r)?;
-    r.finish()?;
-    Ok(diffs)
-}
-
-/// Encodes a barrier diff message.
-pub(crate) fn encode_diff_msg(msg: &DiffMsg) -> Vec<u8> {
-    let mut out = Vec::with_capacity(12 + diffs_encoded_len(&msg.diffs));
-    out.extend_from_slice(&msg.round.to_le_bytes());
-    out.extend_from_slice(&msg.from.to_le_bytes());
-    encode_diffs_into(&mut out, &msg.diffs);
-    out
-}
-
-/// Decodes a barrier diff message (test reference for the streaming visitor).
-#[cfg(test)]
-pub(crate) fn decode_diff_msg(payload: &[u8]) -> MemResult<DiffMsg> {
+/// Validates a barrier diff message and splits it into its
+/// `(round, from)` header and diffs section.
+pub(crate) fn parse_diff_msg(payload: &[u8]) -> MemResult<(u64, u32, Diffs<'_>)> {
     let mut r = Reader::new(payload);
     let round = r.u64()?;
     let from = r.u32()?;
-    let diffs = decode_diffs_from(&mut r)?;
-    r.finish()?;
-    Ok(DiffMsg { round, from, diffs })
+    let diffs = Diffs::parse(payload.get(MSG_HEADER..).ok_or(BAD)?)?;
+    Ok((round, from, diffs))
 }
 
+/// The materializing form of a diffs section. Test-only: the reference
+/// the streaming [`Diffs::visit`] and the [`DiffWriter`] are compared
+/// against.
 #[cfg(test)]
-mod tests {
+pub(crate) mod reference {
     use super::*;
 
-    #[test]
-    fn diff_msg_roundtrips() {
-        let msg = DiffMsg {
+    /// Byte runs that changed within one page.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub(crate) struct PageDiff {
+        pub(crate) page: u32,
+        pub(crate) runs: Vec<(u32, Vec<u8>)>,
+    }
+
+    /// A barrier diff message.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub(crate) struct DiffMsg {
+        pub(crate) round: u64,
+        pub(crate) from: u32,
+        pub(crate) diffs: Vec<PageDiff>,
+    }
+
+    fn decode_diffs_from(r: &mut Reader) -> MemResult<Vec<PageDiff>> {
+        let n = r.u32()? as usize;
+        let mut diffs = Vec::with_capacity(n.min(1 << 16));
+        for _ in 0..n {
+            let page = r.u32()?;
+            let n_runs = r.u32()? as usize;
+            let mut runs = Vec::with_capacity(n_runs.min(1 << 16));
+            for _ in 0..n_runs {
+                let off = r.u32()?;
+                runs.push((off, r.blob()?));
+            }
+            diffs.push(PageDiff { page, runs });
+        }
+        Ok(diffs)
+    }
+
+    /// Decodes a bare diffs section.
+    pub(crate) fn decode_diffs(payload: &[u8]) -> MemResult<Vec<PageDiff>> {
+        let mut r = Reader::new(payload);
+        let diffs = decode_diffs_from(&mut r)?;
+        r.finish()?;
+        Ok(diffs)
+    }
+
+    /// Decodes a barrier diff message.
+    pub(crate) fn decode_diff_msg(payload: &[u8]) -> MemResult<DiffMsg> {
+        let mut r = Reader::new(payload);
+        let round = r.u64()?;
+        let from = r.u32()?;
+        let diffs = decode_diffs_from(&mut r)?;
+        r.finish()?;
+        Ok(DiffMsg { round, from, diffs })
+    }
+
+    /// Writes `diffs` after `header`, page for page and run for run.
+    pub(crate) fn encode_diffs(header: &[u8], diffs: &[PageDiff]) -> Vec<u8> {
+        let mut w = DiffWriter::begin(header, 0);
+        for d in diffs {
+            w.page(d.page);
+            for (off, run) in &d.runs {
+                w.run(*off, run);
+            }
+        }
+        w.finish()
+    }
+
+    /// Writes a barrier diff message.
+    pub(crate) fn encode_diff_msg(msg: &DiffMsg) -> Vec<u8> {
+        encode_diffs(&diff_msg_header(msg.round, msg.from), &msg.diffs)
+    }
+
+    /// What [`Diffs::visit`] streams, materialized.
+    pub(crate) fn visited(diffs: Diffs) -> Vec<PageDiff> {
+        let mut out: Vec<PageDiff> = Vec::new();
+        diffs
+            .visit(&mut |ev| {
+                match ev {
+                    DiffEvent::Page(page) => out.push(PageDiff {
+                        page,
+                        runs: Vec::new(),
+                    }),
+                    DiffEvent::Run(off, bytes) => out
+                        .last_mut()
+                        .expect("a run follows its page")
+                        .runs
+                        .push((off, bytes.to_vec())),
+                }
+                Ok(())
+            })
+            .expect("a validated section walks cleanly");
+        out
+    }
+}
+
+#[cfg(test)]
+// Test diffs are built over a few pages with in-page offsets; narrowing
+// counts to u32 cannot truncate.
+#[allow(clippy::cast_possible_truncation)]
+mod tests {
+    use super::reference::*;
+    use super::*;
+    use ft_sim::rng::SplitMix64;
+
+    fn sample_msg() -> DiffMsg {
+        DiffMsg {
             round: 7,
             from: 2,
             diffs: vec![
@@ -258,93 +321,108 @@ mod tests {
                     runs: vec![],
                 },
             ],
-        };
-        let bytes = encode_diff_msg(&msg);
-        let back = decode_diff_msg(&bytes).unwrap();
-        assert_eq!(format!("{msg:?}"), format!("{back:?}"));
+        }
     }
 
     #[test]
-    fn encoded_len_prediction_is_exact() {
-        let diffs = vec![
-            PageDiff {
-                page: 3,
-                runs: vec![(0, vec![7; 5]), (100, vec![])],
-            },
-            PageDiff {
-                page: 9,
-                runs: vec![],
-            },
+    fn diff_msg_roundtrips() {
+        let msg = sample_msg();
+        let bytes = encode_diff_msg(&msg);
+        assert_eq!(decode_diff_msg(&bytes).unwrap(), msg);
+    }
+
+    /// The format, pinned byte for byte: header, back-patched counts, a
+    /// run-less page, an empty run.
+    #[test]
+    fn golden_bytes_of_a_diff_msg() {
+        #[rustfmt::skip]
+        let want: &[u8] = &[
+            7, 0, 0, 0, 0, 0, 0, 0, // round
+            2, 0, 0, 0,             // from
+            2, 0, 0, 0,             // page diffs
+            0, 0, 0, 0,  2, 0, 0, 0, // page 0, two runs
+            0, 0, 0, 0,  3, 0, 0, 0,  1, 2, 3, // run at 0
+            9, 0, 0, 0,  0, 0, 0, 0, // empty run at 9
+            31, 0, 0, 0,  0, 0, 0, 0, // page 31, no runs
         ];
-        assert_eq!(diffs_encoded_len(&diffs), encode_diffs(&diffs).len());
-        let msg = DiffMsg {
-            round: 1,
-            from: 0,
-            diffs,
-        };
-        assert_eq!(
-            12 + diffs_encoded_len(&msg.diffs),
-            encode_diff_msg(&msg).len()
-        );
+        assert_eq!(encode_diff_msg(&sample_msg()), want);
+        // An empty section is just its zero count.
+        assert_eq!(DiffWriter::begin(&[], 4).finish(), [0, 0, 0, 0]);
     }
 
     #[test]
     fn visitor_matches_materializing_decoder() {
-        let msg = DiffMsg {
-            round: 42,
-            from: 3,
-            diffs: vec![
-                PageDiff {
-                    page: 5,
-                    runs: vec![(0, vec![1, 2]), (60, vec![])],
-                },
-                PageDiff {
-                    page: 0,
-                    runs: vec![],
-                },
-            ],
-        };
+        let msg = sample_msg();
         let bytes = encode_diff_msg(&msg);
-        let mut seen = Vec::new();
-        let (round, from) = visit_diff_msg(&bytes, &mut |ev| {
-            seen.push(match ev {
-                DiffEvent::Page(p) => (true, p, Vec::new()),
-                DiffEvent::Run(off, b) => (false, off, b.to_vec()),
-            });
-            Ok(())
-        })
-        .unwrap();
+        let (round, from, diffs) = parse_diff_msg(&bytes).unwrap();
         assert_eq!((round, from), (msg.round, msg.from));
-        let mut want = Vec::new();
-        for d in &msg.diffs {
-            want.push((true, d.page, Vec::new()));
-            for (off, run) in &d.runs {
-                want.push((false, *off, run.clone()));
+        assert_eq!(visited(diffs), msg.diffs);
+        // Malformed payloads never become a `Diffs`, so nothing can walk
+        // them.
+        assert!(parse_diff_msg(&bytes[..bytes.len() - 1]).is_err());
+    }
+
+    /// A random diff list over 4 pages; run-less pages and empty runs
+    /// included, offsets arbitrary (the wire layer does not bound them).
+    fn random_diffs(rng: &mut SplitMix64) -> Vec<PageDiff> {
+        (0..rng.below(6))
+            .map(|_| PageDiff {
+                page: rng.below(4) as u32,
+                runs: (0..rng.below(5))
+                    .map(|_| {
+                        let len = rng.below(40) as usize;
+                        let bytes = (0..len).map(|_| rng.next_u64() as u8).collect();
+                        (rng.next_u64() as u32, bytes)
+                    })
+                    .collect(),
+            })
+            .collect()
+    }
+
+    /// Whatever the writer is fed, the reference decoder and the
+    /// streaming visitor both read back, and the back-patched counts make
+    /// every page boundary a well-formed section.
+    #[test]
+    fn writer_roundtrips_through_decoder_and_visitor() {
+        let mut rng = SplitMix64::new(0xD1FF_0001);
+        for _ in 0..512 {
+            let diffs = random_diffs(&mut rng);
+            let header = diff_msg_header(rng.next_u64(), rng.next_u64() as u32);
+            let bytes = encode_diffs(&header, &diffs);
+            assert_eq!(bytes[..MSG_HEADER], header);
+            assert_eq!(decode_diffs(&bytes[MSG_HEADER..]).unwrap(), diffs);
+            let (_, _, parsed) = parse_diff_msg(&bytes).unwrap();
+            assert_eq!(visited(parsed), diffs);
+
+            let mut w = DiffWriter::begin(&[], 0);
+            for (i, d) in diffs.iter().enumerate() {
+                w.page(d.page);
+                for (off, run) in &d.runs {
+                    w.run(*off, run);
+                }
+                assert_eq!(w.pages() as usize, i + 1);
+                assert_eq!(decode_diffs(&w.out).unwrap(), diffs[..=i]);
             }
         }
-        assert_eq!(seen, want);
-
-        // Malformed payloads are rejected before the callback ever runs.
-        let mut called = false;
-        assert!(visit_diff_msg(&bytes[..bytes.len() - 1], &mut |_| {
-            called = true;
-            Ok(())
-        })
-        .is_err());
-        assert!(!called);
     }
 
     #[test]
     fn truncated_and_oversized_payloads_fail() {
-        let bytes = encode_diffs(&[PageDiff {
-            page: 1,
-            runs: vec![(4, vec![9; 16])],
-        }]);
+        let bytes = encode_diffs(
+            &[],
+            &[PageDiff {
+                page: 1,
+                runs: vec![(4, vec![9; 16])],
+            }],
+        );
         assert!(decode_diffs(&bytes[..bytes.len() - 1]).is_err());
+        assert!(Diffs::parse(&bytes[..bytes.len() - 1]).is_err());
         let mut longer = bytes.clone();
         longer.push(0);
         assert!(decode_diffs(&longer).is_err());
+        assert!(Diffs::parse(&longer).is_err());
         assert!(decode_diff_msg(&[0xFF; 3]).is_err());
+        assert!(parse_diff_msg(&[0xFF; 3]).is_err());
     }
 
     /// Regression for the fail-stop conversion of `Reader`: short
@@ -383,10 +461,43 @@ mod tests {
         });
         for cut in 0..bytes.len() {
             assert!(
-                decode_diff_msg(&bytes[..cut]).is_err(),
+                decode_diff_msg(&bytes[..cut]).is_err() && parse_diff_msg(&bytes[..cut]).is_err(),
                 "truncation at {cut} must fail-stop"
             );
         }
-        assert!(decode_diff_msg(&bytes).is_ok());
+        assert!(decode_diff_msg(&bytes).is_ok() && parse_diff_msg(&bytes).is_ok());
+    }
+
+    /// Every single-bit flip of a valid message either fails validation
+    /// or validates to exactly what the reference decoder reads — the
+    /// validator and the walker never disagree, and neither panics.
+    #[test]
+    fn every_bit_flip_validates_like_the_reference_decoder() {
+        let bytes = encode_diff_msg(&DiffMsg {
+            round: 3,
+            from: 1,
+            diffs: vec![
+                PageDiff {
+                    page: 0,
+                    runs: vec![(0, vec![0xAB; 5]), (512, vec![0xCD; 3])],
+                },
+                PageDiff {
+                    page: 1,
+                    runs: vec![(7, vec![0xEF; 2])],
+                },
+            ],
+        });
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            match (decode_diff_msg(&flipped), parse_diff_msg(&flipped)) {
+                (Err(_), Err(_)) => {}
+                (Ok(msg), Ok((round, from, diffs))) => {
+                    assert_eq!((round, from), (msg.round, msg.from));
+                    assert_eq!(visited(diffs), msg.diffs);
+                }
+                (a, b) => panic!("bit {bit}: decoder {a:?}, validator ok = {}", b.is_ok()),
+            }
+        }
     }
 }

@@ -26,30 +26,32 @@ const NODES: u32 = 3;
 /// Each node owns slot `my` (a u64 at offset my*8) and adds `my + 1` to it
 /// every round; after the final barrier it renders the sum of all slots.
 struct Worker {
-    my: u32,
+    /// Attached at construction; the init step allocates it for real.
+    dsm: Dsm,
 }
 
 // Globals: 0 = app phase (0 compute, 1 barrier, 2 render, 3 done),
-// 8 = dsm handle marker (dsm is re-initialized deterministically).
+// 8 = dsm-initialized marker.
 impl App for Worker {
     fn step(&mut self, sys: &mut dyn SysMem) -> MemResult<AppStatus> {
         let phase: ArenaCell<u64> = ArenaCell::at(0);
         let inited: ArenaCell<u64> = ArenaCell::at(8);
-        // Deterministic init: same allocation order every (re)start.
+        let dsm = self.dsm;
+        let my = dsm.node();
+        // Deterministic init: same allocation order every (re)start, so
+        // it lands on the attached offsets.
         if inited.get(&sys.mem().arena)? == 0 {
             let m = sys.mem();
-            let d = Dsm::init(m, self.my, NODES, 2)?;
-            assert_eq!(d.node(), self.my);
+            dsm.init_attached(m)?;
             inited.set(&mut m.arena, 1)?;
             return Ok(AppStatus::Running);
         }
-        let dsm = reconstruct(self.my);
         match phase.get(&sys.mem().arena)? {
             0 => {
                 // Compute: bump my slot.
-                let off = self.my as usize * 8;
+                let off = my as usize * 8;
                 let v = dsm.read_pod::<u64>(sys, off)?;
-                dsm.write_pod(sys, off, v + self.my as u64 + 1)?;
+                dsm.write_pod(sys, off, v + my as u64 + 1)?;
                 sys.compute(200 * US);
                 phase.set(&mut sys.mem().arena, 1)?;
                 Ok(AppStatus::Running)
@@ -69,7 +71,7 @@ impl App for Worker {
                 for i in 0..NODES {
                     sum += dsm.read_pod::<u64>(sys, i as usize * 8).unwrap_or(0);
                 }
-                sys.visible(10_000 * (self.my as u64 + 1) + sum);
+                sys.visible(10_000 * (my as u64 + 1) + sum);
                 phase.set(&mut sys.mem().arena, 3)?;
                 Ok(AppStatus::Running)
             }
@@ -78,28 +80,25 @@ impl App for Worker {
     }
 
     fn layout(&self) -> Layout {
-        Layout {
-            globals_pages: 1,
-            stack_pages: 2,
-            heap_pages: 16,
-        }
+        LAYOUT
     }
 }
 
-/// The DSM handle is a pure function of the deterministic allocation
-/// order, so it can be reconstructed instead of persisted.
-fn reconstruct(my: u32) -> Dsm {
-    let mut probe = ft_mem::mem::Mem::new(Layout {
-        globals_pages: 1,
-        stack_pages: 2,
-        heap_pages: 16,
-    });
-    Dsm::init(&mut probe, my, NODES, 2).expect("probe init")
+const LAYOUT: Layout = Layout {
+    globals_pages: 1,
+    stack_pages: 2,
+    heap_pages: 16,
+};
+
+/// The DSM handle is a pure function of the layout and the deterministic
+/// allocation order, so it is attached once instead of persisted.
+fn attach(my: u32) -> Dsm {
+    Dsm::attach(LAYOUT, my, NODES, 2).expect("the heap holds the DSM")
 }
 
 fn apps() -> Vec<Box<dyn App>> {
     (0..NODES)
-        .map(|i| Box::new(Worker { my: i }) as Box<dyn App>)
+        .map(|i| Box::new(Worker { dsm: attach(i) }) as Box<dyn App>)
         .collect()
 }
 
@@ -137,8 +136,7 @@ fn dsm_under_2pc_with_failures_recovers_consistently() {
         let report =
             DcHarness::new(sim, DcConfig::discount_checking(Protocol::Cpv2pc), apps()).run();
         assert!(report.all_done, "kill #{k} did not complete");
-        let recovered: Vec<(u32, u64)> =
-            report.visibles.iter().map(|&(_, p, t)| (p.0, t)).collect();
+        let recovered = report.visible_pairs();
         let verdict = check_consistent_recovery_multi(&recovered, &reference);
         assert!(verdict.consistent, "kill #{k}: {:?}", verdict.error);
     }
@@ -157,7 +155,7 @@ fn dsm_under_cpvs_with_failure_recovers() {
     sim.kill_at(ProcessId(1), 3 * MS);
     let report = DcHarness::new(sim, DcConfig::discount_checking(Protocol::Cpvs), apps()).run();
     assert!(report.all_done);
-    let recovered: Vec<(u32, u64)> = report.visibles.iter().map(|&(_, p, t)| (p.0, t)).collect();
+    let recovered = report.visible_pairs();
     let verdict = check_consistent_recovery_multi(&recovered, &reference);
     assert!(verdict.consistent, "{:?}", verdict.error);
     // CPVS commits before every send: many commits, no cascades.
@@ -172,26 +170,27 @@ fn uneven_node_speeds_exercise_the_early_diff_stash() {
     // must hold them without leaking next-round state into this round's
     // reads (all nodes still agree on every render).
     struct Uneven {
-        my: u32,
+        dsm: Dsm,
     }
     impl App for Uneven {
         fn step(&mut self, sys: &mut dyn SysMem) -> MemResult<AppStatus> {
             let phase: ArenaCell<u64> = ArenaCell::at(0);
             let inited: ArenaCell<u64> = ArenaCell::at(8);
+            let dsm = self.dsm;
+            let my = dsm.node();
             if inited.get(&sys.mem().arena)? == 0 {
                 let m = sys.mem();
-                Dsm::init(m, self.my, NODES, 2)?;
+                dsm.init_attached(m)?;
                 inited.set(&mut m.arena, 1)?;
                 return Ok(AppStatus::Running);
             }
-            let dsm = reconstruct(self.my);
             match phase.get(&sys.mem().arena)? {
                 0 => {
-                    let off = self.my as usize * 8;
+                    let off = my as usize * 8;
                     let v = dsm.read_pod::<u64>(sys, off)?;
-                    dsm.write_pod(sys, off, v + self.my as u64 + 1)?;
+                    dsm.write_pod(sys, off, v + my as u64 + 1)?;
                     // Wildly uneven compute times.
-                    sys.compute(50 * US + self.my as u64 * 500 * US);
+                    sys.compute(50 * US + my as u64 * 500 * US);
                     phase.set(&mut sys.mem().arena, 1)?;
                     Ok(AppStatus::Running)
                 }
@@ -202,7 +201,7 @@ fn uneven_node_speeds_exercise_the_early_diff_stash() {
                         for i in 0..NODES {
                             sum += dsm.read_pod::<u64>(sys, i as usize * 8).unwrap_or(0);
                         }
-                        sys.visible(r * 1_000_000 + sum * 10 + self.my as u64);
+                        sys.visible(r * 1_000_000 + sum * 10 + my as u64);
                         let next = if r >= ROUNDS { 2 } else { 0 };
                         phase.set(&mut sys.mem().arena, next)?;
                         Ok(AppStatus::Running)
@@ -214,17 +213,13 @@ fn uneven_node_speeds_exercise_the_early_diff_stash() {
             }
         }
         fn layout(&self) -> Layout {
-            Layout {
-                globals_pages: 1,
-                stack_pages: 2,
-                heap_pages: 16,
-            }
+            LAYOUT
         }
     }
 
     let sim = Simulator::new(SimConfig::one_node_each(NODES as usize, 123));
     let mut apps: Vec<Box<dyn App>> = (0..NODES)
-        .map(|i| Box::new(Uneven { my: i }) as Box<dyn App>)
+        .map(|i| Box::new(Uneven { dsm: attach(i) }) as Box<dyn App>)
         .collect();
     let report = run_plain_on(sim, &mut apps);
     assert!(report.all_done);

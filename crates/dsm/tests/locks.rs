@@ -20,7 +20,7 @@ use ft_dsm::lock::{LockStatus, ManagerApp};
 use ft_dsm::Dsm;
 use ft_mem::arena::Layout;
 use ft_mem::error::MemResult;
-use ft_mem::mem::{ArenaCell, Mem};
+use ft_mem::mem::ArenaCell;
 use ft_sim::harness::run_plain_on;
 use ft_sim::sim::{SimConfig, Simulator};
 use ft_sim::syscalls::{App, AppStatus, SysMem, WaitCond};
@@ -44,11 +44,10 @@ fn layout() -> Layout {
     }
 }
 
-/// The DSM handle is a pure function of the deterministic allocation
-/// order (same trick as the barrier tests).
-fn reconstruct_dsm(my: u32) -> Dsm {
-    let mut probe = Mem::new(layout());
-    Dsm::init(&mut probe, my, WORKERS, 2).expect("probe init")
+/// The DSM handle is a pure function of the layout and the deterministic
+/// allocation order, so each worker attaches it once, at construction.
+fn attach(my: u32) -> Dsm {
+    Dsm::attach(layout(), my, WORKERS, 2).expect("the heap holds the DSM")
 }
 
 // Worker globals: 0 = phase, 8 = inited, 16 = increments done.
@@ -60,7 +59,7 @@ const P_REL_FINAL: u64 = 4;
 const P_DONE: u64 = 5;
 
 struct Worker {
-    my: u32,
+    dsm: Dsm,
 }
 
 impl App for Worker {
@@ -68,13 +67,13 @@ impl App for Worker {
         let phase: ArenaCell<u64> = ArenaCell::at(0);
         let inited: ArenaCell<u64> = ArenaCell::at(8);
         let incs: ArenaCell<u64> = ArenaCell::at(16);
+        let dsm = self.dsm;
         if inited.get(&sys.mem().arena)? == 0 {
             let m = sys.mem();
-            Dsm::init(m, self.my, WORKERS, 2)?;
+            dsm.init_attached(m)?;
             inited.set(&mut m.arena, 1)?;
             return Ok(AppStatus::Running);
         }
-        let dsm = reconstruct_dsm(self.my);
         match phase.get(&sys.mem().arena)? {
             P_ACQ => match dsm.lock_pump(sys, MANAGER, LOCK)? {
                 LockStatus::Granted => {
@@ -109,7 +108,7 @@ impl App for Worker {
             P_FINAL => {
                 // Final critical section: set my done flag, observe the
                 // counter and how many workers have finished.
-                dsm.write(sys, R_DONE + self.my as usize, &[1])?;
+                dsm.write(sys, R_DONE + dsm.node() as usize, &[1])?;
                 let counter = dsm.read_pod::<u64>(sys, R_COUNTER)?;
                 let mut done = 0u64;
                 for i in 0..WORKERS {
@@ -135,7 +134,7 @@ impl App for Worker {
 
 fn apps() -> Vec<Box<dyn App>> {
     let mut v: Vec<Box<dyn App>> = (0..WORKERS)
-        .map(|i| Box::new(Worker { my: i }) as Box<dyn App>)
+        .map(|i| Box::new(Worker { dsm: attach(i) }) as Box<dyn App>)
         .collect();
     v.push(Box::new(ManagerApp::new(1, TOTAL_RELEASES)));
     v
@@ -220,7 +219,7 @@ const R_DONE_A: usize = 8;
 const R_DONE_B: usize = 1024 + 8;
 
 struct TwoLockWorker {
-    my: u32,
+    dsm: Dsm,
 }
 
 impl App for TwoLockWorker {
@@ -228,13 +227,13 @@ impl App for TwoLockWorker {
         let phase: ArenaCell<u64> = ArenaCell::at(0);
         let inited: ArenaCell<u64> = ArenaCell::at(8);
         let incs: ArenaCell<u64> = ArenaCell::at(16);
+        let dsm = self.dsm;
         if inited.get(&sys.mem().arena)? == 0 {
             let m = sys.mem();
-            Dsm::init(m, self.my, WORKERS, 2)?;
+            dsm.init_attached(m)?;
             inited.set(&mut m.arena, 1)?;
             return Ok(AppStatus::Running);
         }
-        let dsm = reconstruct_dsm(self.my);
         let p = phase.get(&sys.mem().arena)?;
         // Phases 0-5: the increment loop (A under lock 0, B under lock
         // 1); 6-11: the final observes; 12: done.
@@ -276,7 +275,7 @@ impl App for TwoLockWorker {
                 } else {
                     (R_B, R_DONE_B)
                 };
-                dsm.write(sys, done_base + self.my as usize, &[1])?;
+                dsm.write(sys, done_base + dsm.node() as usize, &[1])?;
                 let counter = dsm.read_pod::<u64>(sys, ctr)?;
                 let mut done = 0u64;
                 for i in 0..WORKERS {
@@ -312,7 +311,7 @@ const TWO_LOCK_RELEASES: u64 = WORKERS as u64 * (2 * INCS + 2);
 #[test]
 fn two_locks_keep_independent_write_notice_chains() {
     let mut a: Vec<Box<dyn App>> = (0..WORKERS)
-        .map(|i| Box::new(TwoLockWorker { my: i }) as Box<dyn App>)
+        .map(|i| Box::new(TwoLockWorker { dsm: attach(i) }) as Box<dyn App>)
         .collect();
     a.push(Box::new(ManagerApp::new(2, TWO_LOCK_RELEASES)));
     let sim = Simulator::new(SimConfig::one_node_each(WORKERS as usize + 1, 31));
@@ -337,17 +336,17 @@ fn two_locks_keep_independent_write_notice_chains() {
 
 #[test]
 fn unlock_without_hold_is_rejected() {
-    struct BadUnlock;
+    struct BadUnlock(Dsm);
     impl App for BadUnlock {
         fn step(&mut self, sys: &mut dyn SysMem) -> MemResult<AppStatus> {
             let inited: ArenaCell<u64> = ArenaCell::at(8);
+            let dsm = self.0;
             if inited.get(&sys.mem().arena)? == 0 {
                 let m = sys.mem();
-                Dsm::init(m, 0, WORKERS, 2)?;
+                dsm.init_attached(m)?;
                 inited.set(&mut m.arena, 1)?;
                 return Ok(AppStatus::Running);
             }
-            let dsm = reconstruct_dsm(0);
             // Releasing a lock we never acquired must be an invariant
             // violation, not silent corruption of the manager's queue.
             match dsm.unlock(sys, MANAGER, LOCK) {
@@ -360,7 +359,7 @@ fn unlock_without_hold_is_rejected() {
         }
     }
     let sim = Simulator::new(SimConfig::one_node_each(1, 7));
-    let mut a: Vec<Box<dyn App>> = vec![Box::new(BadUnlock)];
+    let mut a: Vec<Box<dyn App>> = vec![Box::new(BadUnlock(attach(0)))];
     let report = run_plain_on(sim, &mut a);
     assert!(report.all_done);
 }

@@ -106,7 +106,11 @@ impl Config {
                     // purpose; decoding must reject with a memory fault,
                     // never panic.
                     "crates/dsm/src/wire.rs".to_string(),
-                    vec!["visit_diffs".to_string(), "visit_diff_msg".to_string()],
+                    vec![
+                        "parse".to_string(),
+                        "visit".to_string(),
+                        "parse_diff_msg".to_string(),
+                    ],
                 ),
             ],
             scope_stops: vec![(

@@ -21,7 +21,7 @@ use failure_transparency::dsm::lock::{LockStatus, ManagerApp};
 use failure_transparency::dsm::{BarrierStatus, Dsm};
 use failure_transparency::mem::arena::Layout;
 use failure_transparency::mem::error::MemResult;
-use failure_transparency::mem::mem::{ArenaCell, Mem};
+use failure_transparency::mem::mem::ArenaCell;
 use failure_transparency::prelude::*;
 use failure_transparency::sim::syscalls::{AppStatus, SysMem, WaitCond};
 use failure_transparency::sim::SimTime;
@@ -42,16 +42,14 @@ fn layout() -> Layout {
     }
 }
 
-fn reconstruct_dsm(my: u32) -> Dsm {
-    let mut probe = Mem::new(layout());
-    Dsm::init(&mut probe, my, WORKERS, 2).expect("probe init")
-}
-
 /// A worker deposits `my + 1` units into the shared ledger `DEPOSITS`
 /// times, each deposit inside a lock-protected critical section, then
 /// joins a barrier and renders the total it sees.
 struct Worker {
-    my: u32,
+    /// The DSM endpoint, attached once when the worker is built: its arena
+    /// offsets are a pure function of the layout and the deterministic
+    /// allocation order, so they are configuration, not state to recover.
+    dsm: Dsm,
 }
 
 impl App for Worker {
@@ -59,13 +57,14 @@ impl App for Worker {
         let phase: ArenaCell<u64> = ArenaCell::at(0);
         let inited: ArenaCell<u64> = ArenaCell::at(8);
         let deposits: ArenaCell<u64> = ArenaCell::at(16);
+        let dsm = self.dsm;
+        let my = dsm.node();
         if inited.get(&sys.mem().arena)? == 0 {
             let m = sys.mem();
-            Dsm::init(m, self.my, WORKERS, 2)?;
+            dsm.init_attached(m)?;
             inited.set(&mut m.arena, 1)?;
             return Ok(AppStatus::Running);
         }
-        let dsm = reconstruct_dsm(self.my);
         match phase.get(&sys.mem().arena)? {
             // Acquire the ledger lock.
             0 => match dsm.lock_pump(sys, MANAGER, 0)? {
@@ -79,8 +78,8 @@ impl App for Worker {
             // Critical section: the deposit.
             1 => {
                 let total = dsm.read_pod::<u64>(sys, R_TOTAL)?;
-                dsm.write_pod(sys, R_TOTAL, total + self.my as u64 + 1)?;
-                let mine = 8 + self.my as usize * 8;
+                dsm.write_pod(sys, R_TOTAL, total + my as u64 + 1)?;
+                let mine = 8 + my as usize * 8;
                 let n = dsm.read_pod::<u64>(sys, mine)?;
                 dsm.write_pod(sys, mine, n + 1)?;
                 sys.compute(100 * US);
@@ -144,7 +143,10 @@ const TOTAL_RELEASES: u64 = WORKERS as u64 * (DEPOSITS + 1);
 
 fn apps() -> Vec<Box<dyn App>> {
     let mut v: Vec<Box<dyn App>> = (0..WORKERS)
-        .map(|i| Box::new(Worker { my: i }) as Box<dyn App>)
+        .map(|i| {
+            let dsm = Dsm::attach(layout(), i, WORKERS, 2).expect("the heap holds the DSM");
+            Box::new(Worker { dsm }) as Box<dyn App>
+        })
         .collect();
     v.push(Box::new(ManagerApp::new(1, TOTAL_RELEASES)));
     v

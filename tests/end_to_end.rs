@@ -69,7 +69,7 @@ fn assert_recovers(
         report.totals.recoveries as usize >= kills.len(),
         "{label}: expected recoveries"
     );
-    let got: Vec<(u32, u64)> = report.visibles.iter().map(|&(_, p, t)| (p.0, t)).collect();
+    let got = report.visible_pairs();
     let verdict = check_consistent_recovery_multi(&got, &reference);
     assert!(verdict.consistent, "{label}: {:?}", verdict.error);
     assert!(
@@ -152,7 +152,7 @@ fn barnes_hut_cluster_recovers_under_2pc() {
     sim.kill_at(ProcessId(2), 9 * MS);
     let report = DcHarness::new(sim, DcConfig::discount_checking(Protocol::Cbndv2pc), apps).run();
     assert!(report.all_done);
-    let got: Vec<(u32, u64)> = report.visibles.iter().map(|&(_, p, t)| (p.0, t)).collect();
+    let got = report.visible_pairs();
     let verdict = check_consistent_recovery_multi(&got, &reference);
     assert!(verdict.consistent, "{:?}", verdict.error);
 }
@@ -217,7 +217,7 @@ fn all_protocols_agree_failure_free() {
             };
             let report = DcHarness::new(sim, cfg, apps).run();
             assert!(report.all_done);
-            let got: Vec<(u32, u64)> = report.visibles.iter().map(|&(_, p, t)| (p.0, t)).collect();
+            let got = report.visible_pairs();
             assert_eq!(
                 got, reference,
                 "{protocol} (disk={disk}) changed the output"

@@ -16,6 +16,11 @@ cargo build --release --workspace
 # be edited by a change that claims a gain: compile it here so that a
 # public-API break against it fails CI and not the benchmark driver.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
+# The harness dependency points down: ft-bench defines the stages and
+# nothing below it may reach back up.
+if cargo tree --offline -e normal -p ft-check -p ft-analyze -p ft-crashtest | grep ft-bench >&2; then
+  echo "ci: ft-check, ft-analyze and ft-crashtest must not depend on ft-bench" >&2; exit 1
+fi
 cargo test -q --workspace
 # ft-dsm decodes bytes a peer (or a fault campaign) chose: run its tests
 # with overflow checks off too, so "debug and release agree" on every
@@ -65,28 +70,18 @@ else
   echo "ci: perf gate skipped (FT_SKIP_PERF_GATE set)"
 fi
 
-# Report smoke, one convention for all nine reports: each campaign stage
-# (quick sizing, through `--only`), the model checker (every crash point,
-# mid-commit sub-steps included, of small nvi/taskfarm/kvstore workloads
-# under all seven protocols) and the trace analyzer (every workload under
-# all seven protocols plus the two seeded-race mutants) runs at
-# `--threads 4`, then again at `--threads 2` into `rerun/`.
-# Every binary runs its work serially and sharded and exits nonzero on a
-# mismatch, on a failed gate (unflagged avail mutant, kv violation,
-# invariant violation, unexpected analyzer finding); the report must be
-# byte-identical across the two thread counts and carry no wall-clock key.
-for stage in durable table1 table2 loss fig8 avail kv check analyze; do
+# Report smoke, one convention for every stage: `campaign --quick --only
+# <stage>` at `--threads 4`, then again at `--threads 2` into `rerun/`.
+# The binary runs each stage serially and sharded and exits nonzero on a
+# mismatch or a failed gate (a figure off the paper's shape, an unflagged
+# avail mutant, a kv or model-checker invariant violation, an unexpected
+# or missed analyzer finding); the report must be byte-identical across
+# the two thread counts and carry no wall-clock key.
+campaign() { cargo run --release -q -p ft-bench --bin campaign -- --quick "$@"; }
+for stage in durable table1 table2 loss fig4 fig8 ablation avail kv check analyze; do
   report=BENCH_$stage.json
-  case $stage in
-    check)
-      run() { cargo run --release -q -p ft-check --bin check -- --smoke --threads "$1" --out "$2/$report" --cx-out "$2/check_counterexample.txt"; } ;;
-    analyze)
-      run() { cargo run --release -q -p ft-analyze --bin analyze -- --smoke --threads "$1" --out "$2/$report" --findings-out "$2/analyze_findings.txt"; } ;;
-    *)
-      run() { cargo run --release -q -p ft-bench --bin campaign -- --quick --only "$stage" --threads "$1" --out "$2"; } ;;
-  esac
-  run 4 "$out"
-  run 2 "$out/rerun" >/dev/null
+  campaign --only "$stage" --threads 4 --out "$out"
+  campaign --only "$stage" --threads 2 --out "$out/rerun" >/dev/null
   [[ -s $out/$report ]] || { echo "ci: missing $report" >&2; exit 1; }
   cmp "$out/$report" "$out/rerun/$report" \
     || { echo "ci: $report differs between --threads 4 and --threads 2" >&2; exit 1; }

@@ -25,11 +25,10 @@
 //!   commit — cross-checked against [`ft_core::savework`]'s optimized
 //!   checker on every run.
 //!
-//! The `analyze` binary sweeps the evaluation workloads under all seven
-//! Figure 8 protocols (plus two seeded-race mutants that must be
-//! flagged), shards the sweep with [`ft_bench::runner`], asserts the
-//! serial and sharded analyses bitwise-equivalent, and emits a
-//! deterministic `BENCH_analyze.json`.
+//! `ft-bench`'s `analyze` stage (`campaign --only analyze`) sweeps the
+//! evaluation workloads under all seven Figure 8 protocols (plus two
+//! seeded-race mutants that must be flagged) and emits a deterministic
+//! `BENCH_analyze.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

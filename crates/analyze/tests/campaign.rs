@@ -1,11 +1,11 @@
 //! The analyzer over real recorded runs: the clean workload matrix, the
-//! seeded-race mutants, serial/sharded equivalence, and audit agreement
-//! with the production Save-work checker — at reduced sizes for
-//! debug-mode speed (the `analyze` binary runs the golden sizes).
+//! seeded-race mutants, and audit agreement with the production Save-work
+//! checker — at reduced sizes for debug-mode speed (`ft-bench`'s `analyze`
+//! stage runs the golden sizes, and its thread-invariance is pinned in
+//! `crates/bench/tests/stage_equivalence.rs`).
 
 use ft_analyze::report::{analyze, AnalysisReport};
-use ft_bench::runner::run_indexed;
-use ft_bench::scenarios::{self, Built};
+use ft_apps::scenarios::{self, Built};
 use ft_core::protocol::Protocol;
 use ft_core::savework::check_save_work;
 use ft_dc::harness::{DcHarness, DcReport};
@@ -154,31 +154,6 @@ fn clean_taskfarm_control_at_mutation_size_is_clean() {
         r.is_clean(),
         "the non-racy farm at the mutation size is clean"
     );
-}
-
-#[test]
-fn sharded_analysis_is_bitwise_equal_to_serial() {
-    // A mixed slate: clean cells and both mutants.
-    let cells: Vec<(&str, usize, Protocol)> = vec![
-        ("taskfarm", 2, Protocol::Cand),
-        ("taskfarm", 2, Protocol::Cpv2pc),
-        ("treadmarks", 3, Protocol::Cbndvs),
-        ("taskfarm-racy", 2, Protocol::Cpvs),
-        ("treadmarks-fused", 3, Protocol::Cpvs),
-        ("magic", 4, Protocol::CandLog),
-        ("nvi", 8, Protocol::Cbndv2pc),
-    ];
-    let serial = run_indexed(cells.len(), 1, |i| {
-        let (w, s, p) = cells[i];
-        analyzed(w, s, p)
-    });
-    for threads in [2, 4, 7] {
-        let sharded = run_indexed(cells.len(), threads, |i| {
-            let (w, s, p) = cells[i];
-            analyzed(w, s, p)
-        });
-        assert_eq!(serial, sharded, "diverged at {threads} threads");
-    }
 }
 
 #[test]

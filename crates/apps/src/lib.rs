@@ -20,7 +20,9 @@
 //! Each application embeds `ft-faults` hooks at realistic fault sites
 //! (bounds checks, split guards, initializations, stores), so the §4 fault
 //! studies exercise genuine failure propagation through real data
-//! structures. [`workload`] generates the deterministic scripts.
+//! structures. [`workload`] generates the deterministic scripts, and
+//! [`scenarios`] builds configured simulator + application sets for the
+//! whole suite, with the one by-name family table over them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,6 +33,7 @@ pub mod editor;
 pub mod game;
 pub mod kvstore;
 pub mod minidb;
+pub mod scenarios;
 pub mod taskfarm;
 pub mod workload;
 pub mod zipf;

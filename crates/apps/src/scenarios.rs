@@ -1,12 +1,12 @@
 //! Scenario builders: configured simulators plus application sets for each
 //! evaluation workload (§3's suite at bench scale).
 
-use ft_apps::barnes_hut;
-use ft_apps::editor::Editor;
-use ft_apps::game;
-use ft_apps::minidb::MiniDb;
-use ft_apps::workload::{cad_script, editor_script_with, minidb_script};
-use ft_apps::Cad;
+use crate::barnes_hut;
+use crate::editor::Editor;
+use crate::game;
+use crate::minidb::MiniDb;
+use crate::workload::{cad_script, editor_script_with, minidb_script};
+use crate::Cad;
 use ft_core::event::ProcessId;
 use ft_faults::{FaultInjector, FaultPlan};
 use ft_sim::script::{InputScript, SignalSchedule};
@@ -63,30 +63,47 @@ pub const GOLDEN: [(&str, usize); 6] = [
     ("postgres", 10),
 ];
 
-/// Builds a scenario family by name at an explicit size — nvi keys, magic
-/// commands, xpilot frames, treadmarks iterations, taskfarm workers,
-/// postgres or kvstore requests; the `-racy`/`-fused`/`-skiprepl` names
-/// are the seeded mutants of the family they prefix. `None` for a name
-/// that is no family.
+/// A family's builder at `(seed, size)`.
+pub type Build = fn(u64, usize) -> Built;
+
+/// The by-name family table: every family with its builder. The size is
+/// nvi keys, magic commands, xpilot frames, treadmarks iterations,
+/// taskfarm workers, postgres or kvstore requests;
+/// the `-racy`/`-fused`/`-skiprepl` names are the seeded mutants of the
+/// family they prefix. This is the one list of families: [`family`]
+/// resolves names through it and `ft-check` interns script names from it.
+pub const FAMILIES: [(&str, Build); 10] = [
+    ("nvi", nvi),
+    ("magic", magic),
+    ("xpilot", |seed, size| xpilot(seed, size as u64)),
+    ("treadmarks", |seed, size| treadmarks(seed, size as u64)),
+    ("treadmarks-fused", |seed, size| {
+        treadmarks_fused(seed, size as u64)
+    }),
+    ("taskfarm", |seed, size| taskfarm(seed, workers(size))),
+    ("taskfarm-racy", |seed, size| {
+        taskfarm_racy(seed, workers(size))
+    }),
+    ("postgres", postgres),
+    ("kvstore", |seed, size| kvstore_check(seed, size as u64)),
+    ("kvstore-skiprepl", |seed, size| {
+        kvstore_check_mutant(seed, size as u64)
+    }),
+];
+
+fn workers(size: usize) -> u32 {
+    u32::try_from(size).expect("scenario sizes are small")
+}
+
+/// Builds a scenario family of [`FAMILIES`] by name at an explicit size;
+/// `None` for a name that is no family.
 ///
 /// # Panics
 ///
 /// Panics if a taskfarm `size` does not fit the worker-count type.
 pub fn family(name: &str, seed: u64, size: usize) -> Option<Built> {
-    let workers = || u32::try_from(size).expect("scenario sizes are small");
-    Some(match name {
-        "nvi" => nvi(seed, size),
-        "magic" => magic(seed, size),
-        "xpilot" => xpilot(seed, size as u64),
-        "treadmarks" => treadmarks(seed, size as u64),
-        "treadmarks-fused" => treadmarks_fused(seed, size as u64),
-        "taskfarm" => taskfarm(seed, workers()),
-        "taskfarm-racy" => taskfarm_racy(seed, workers()),
-        "postgres" => postgres(seed, size),
-        "kvstore" => kvstore_check(seed, size as u64),
-        "kvstore-skiprepl" => kvstore_check_mutant(seed, size as u64),
-        _ => return None,
-    })
+    let (_, build) = FAMILIES.iter().find(|(family, _)| *family == name)?;
+    Some(build(seed, size))
 }
 
 /// The nvi session: `keys` keystrokes at 100 ms think time, with a couple
@@ -181,7 +198,7 @@ pub fn treadmarks(seed: u64, iterations: u64) -> Built {
 /// profile.
 pub fn taskfarm(seed: u64, workers: u32) -> Built {
     let sim = Simulator::new(SimConfig::one_node_each(workers as usize + 1, seed));
-    built(sim, ft_apps::taskfarm::farm(workers))
+    built(sim, crate::taskfarm::farm(workers))
 }
 
 /// The seeded-mutation task farm for the `ft-analyze` self-test: workers
@@ -189,7 +206,7 @@ pub fn taskfarm(seed: u64, workers: u32) -> Built {
 /// (outputs unchanged; both race passes must flag the access).
 pub fn taskfarm_racy(seed: u64, workers: u32) -> Built {
     let sim = Simulator::new(SimConfig::one_node_each(workers as usize + 1, seed));
-    built(sim, ft_apps::taskfarm::farm_racy(workers))
+    built(sim, crate::taskfarm::farm_racy(workers))
 }
 
 /// The seeded-race Barnes-Hut for the `ft-analyze` self-test: the force
@@ -202,29 +219,29 @@ pub fn treadmarks_fused(seed: u64, iterations: u64) -> Built {
 
 /// A kvstore cluster from explicit parameters: `shards × replication`
 /// servers plus gateways, one node each (servers crash independently).
-pub fn kvstore_cluster(params: &ft_apps::kvstore::KvParams) -> Built {
+pub fn kvstore_cluster(params: &crate::kvstore::KvParams) -> Built {
     let sim = Simulator::new(SimConfig::one_node_each(params.n_processes(), params.seed));
-    built(sim, ft_apps::kvstore::cluster(params))
+    built(sim, crate::kvstore::cluster(params))
 }
 
 /// The small kvstore shape (2 shards × 2 replicas + 2 gateways) for
 /// smokes and golden fixtures.
 pub fn kvstore_small(seed: u64) -> Built {
-    kvstore_cluster(&ft_apps::kvstore::KvParams::small(seed))
+    kvstore_cluster(&crate::kvstore::KvParams::small(seed))
 }
 
 /// The tiny kvstore shape for `ft-check`'s exhaustive crash sweeps:
 /// 2 shards × 2 replicas, one gateway, `requests` put-heavy requests.
 pub fn kvstore_check(seed: u64, requests: u64) -> Built {
-    kvstore_cluster(&ft_apps::kvstore::KvParams::check(requests, seed))
+    kvstore_cluster(&crate::kvstore::KvParams::check(requests, seed))
 }
 
 /// The [`kvstore_check`] shape with the skip-replica-reinstall recovery
 /// bug armed on every replica (the seeded mutant `ft-check` must catch).
 pub fn kvstore_check_mutant(seed: u64, requests: u64) -> Built {
-    let params = ft_apps::kvstore::KvParams::check(requests, seed);
+    let params = crate::kvstore::KvParams::check(requests, seed);
     let sim = Simulator::new(SimConfig::one_node_each(params.n_processes(), params.seed));
-    built(sim, ft_apps::kvstore::cluster_mutant(&params))
+    built(sim, crate::kvstore::cluster_mutant(&params))
 }
 
 /// The postgres session: `requests` database requests at 50 ms spacing

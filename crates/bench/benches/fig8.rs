@@ -37,9 +37,9 @@
 //!   thousands of times while the two-phase protocols commit only around
 //!   the single checksum line per node and win outright.
 
+use ft_apps::scenarios::{self, Built};
 use ft_bench::fig8::{fps_grid, overhead_grid};
 use ft_bench::report::render_table;
-use ft_bench::scenarios::{self, Built};
 use ft_core::protocol::Protocol;
 
 /// How a panel's rows are measured and printed.

@@ -1,0 +1,235 @@
+//! The §2.6 mitigation ablation: how much does crashing early help?
+//!
+//! The paper's advice for improving the odds against Lose-work:
+//! "applications should try to crash as soon as possible after their bugs
+//! get triggered … performing consistency checks" and "commit as
+//! infrequently as possible". The stage quantifies both with a
+//! heap-bit-flip campaign on the editor (sized like Table 1: stop a cell
+//! after `target_crashes` crashes or `max_trials` trials):
+//!
+//! 1. integrity checks only at save time (the default) vs. at every
+//!    keystroke (`eager_checks`) under CPVS — the Lose-work violation rate
+//!    and the processing-time cost of the checks;
+//! 2. save-time checks under protocols of different commit frequency
+//!    (CAND, CPVS, CBNDVS-LOG).
+//!
+//! The gate is DESIGN §4's shape: eager checks strictly lower the
+//! violation rate, and CBNDVS-LOG's rate is no higher than CAND's.
+
+use ft_apps::scenarios::{self, Built};
+use ft_core::losework::check_commit_after_activation;
+use ft_core::protocol::Protocol;
+use ft_dc::harness::DcHarness;
+use ft_dc::state::DcConfig;
+use ft_faults::{FaultPlan, FaultType};
+use ft_sim::harness::run_plain_on;
+use ft_sim::runner::run_cutoff;
+
+use crate::campaign::{report, CampaignConfig};
+use crate::json::Json;
+use crate::report::render_table;
+use crate::stage::Stage;
+
+/// Session length, keystrokes (Table 1's non-interactive nvi).
+const KEYS: usize = 400;
+
+/// The campaign cells: (eager checks, protocol).
+const CELLS: [(bool, Protocol); 4] = [
+    (false, Protocol::Cand),
+    (false, Protocol::Cpvs),
+    (false, Protocol::CbndvsLog),
+    (true, Protocol::Cpvs),
+];
+
+/// One cell's heap-bit-flip campaign.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AblationRow {
+    /// Integrity checks at every keystroke (else at save time only).
+    pub eager: bool,
+    /// The protocol.
+    pub protocol: Protocol,
+    /// Trials attempted.
+    pub trials: u32,
+    /// Runs that crashed.
+    pub crashes: u32,
+    /// Crashed runs that committed causally after the activation.
+    pub violations: u32,
+}
+
+impl AblationRow {
+    /// `self`'s violation rate is strictly below `other`'s (exact, by
+    /// cross-multiplication).
+    fn rate_below(&self, other: &AblationRow) -> bool {
+        u64::from(self.violations) * u64::from(other.crashes)
+            < u64::from(other.violations) * u64::from(self.crashes)
+    }
+
+    fn rate_pct(&self) -> f64 {
+        f64::from(self.violations) / f64::from(self.crashes.max(1)) * 100.0
+    }
+}
+
+/// What [`AblationStage`] produces.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AblationResult {
+    /// One row per cell: save-time checks under CAND, CPVS, CBNDVS-LOG,
+    /// then eager checks under CPVS.
+    pub rows: Vec<AblationRow>,
+    /// Failure-free processing time (zero think time, so the checks' cost
+    /// is not hidden in idle time) with save-time checks…
+    pub save_time_ns: u64,
+    /// …and with eager checks.
+    pub eager_ns: u64,
+}
+
+/// The §2.6 mitigation-ablation stage.
+#[derive(Debug, Clone, Copy)]
+pub struct AblationStage<'a>(pub &'a CampaignConfig);
+
+fn build(eager: bool, seed: u64, think_ns: u64, plan: Option<FaultPlan>) -> Built {
+    if eager {
+        scenarios::nvi_checked(seed, KEYS, think_ns, plan)
+    } else {
+        scenarios::nvi_custom(seed, KEYS, think_ns, plan)
+    }
+}
+
+/// Trial `t` of a cell: `None` if the run did not crash, else whether it
+/// violated Lose-work.
+fn trial(eager: bool, protocol: Protocol, t: usize) -> Option<bool> {
+    let plan = FaultPlan {
+        fault: FaultType::HeapBitFlip,
+        site: ft_apps::editor::fault_site(FaultType::HeapBitFlip),
+        trigger_visit: u32::try_from(3 + (t % 37) * 5).expect("at most 183"),
+        id: 1,
+        sticky: false,
+    };
+    let seed = 0xAB1A + t as u64 * 1297;
+    let (sim, apps) = build(eager, seed, ft_sim::MS, Some(plan)).into_parts();
+    let mut cfg = DcConfig::discount_checking(protocol);
+    cfg.max_recoveries = 0;
+    let report = DcHarness::new(sim, cfg, apps).run();
+    let crashed = report.trace.iter().any(|e| e.kind.is_crash());
+    crashed.then(|| check_commit_after_activation(&report.trace).is_violated())
+}
+
+fn processing_time(eager: bool) -> u64 {
+    let (sim, mut apps) = build(eager, 1, 0, None).into_parts();
+    let r = run_plain_on(sim, &mut apps);
+    assert!(r.all_done, "the failure-free session must complete");
+    r.runtime
+}
+
+impl Stage for AblationStage<'_> {
+    const NAME: &'static str = "ablation";
+    type Rows = AblationResult;
+
+    fn run(&self, threads: usize) -> AblationResult {
+        let cfg = self.0;
+        let rows = CELLS
+            .iter()
+            .map(|&(eager, protocol)| {
+                let mut row = AblationRow {
+                    eager,
+                    protocol,
+                    trials: 0,
+                    crashes: 0,
+                    violations: 0,
+                };
+                run_cutoff(
+                    cfg.max_trials as usize,
+                    threads,
+                    &mut row,
+                    |row| row.crashes >= cfg.target_crashes,
+                    |t| trial(eager, protocol, t),
+                    |row, _, outcome| {
+                        row.trials += 1;
+                        if let Some(violated) = outcome {
+                            row.crashes += 1;
+                            row.violations += u32::from(violated);
+                        }
+                    },
+                );
+                row
+            })
+            .collect();
+        AblationResult {
+            rows,
+            save_time_ns: processing_time(false),
+            eager_ns: processing_time(true),
+        }
+    }
+
+    fn render(&self, result: &AblationResult) -> String {
+        let table: Vec<Vec<String>> = result
+            .rows
+            .iter()
+            .map(|r| {
+                vec![
+                    if r.eager {
+                        "every keystroke"
+                    } else {
+                        "save time only"
+                    }
+                    .to_string(),
+                    r.protocol.to_string(),
+                    format!("{}/{}", r.violations, r.crashes),
+                    format!("{:.0}%", r.rate_pct()),
+                ]
+            })
+            .collect();
+        format!(
+            "§2.6 ablation — heap-bit-flip campaign on nvi: crash early, commit less often\n{}\
+             Checking at every keystroke costs +{:.1}% processing time.\n",
+            render_table(
+                &["checks", "protocol", "violations/crashes", "rate"],
+                &table
+            ),
+            (result.eager_ns as f64 - result.save_time_ns as f64) / result.save_time_ns as f64
+                * 100.0
+        )
+    }
+
+    fn json(&self, result: &AblationResult) -> Json {
+        let rows = result.rows.iter().map(|r| {
+            Json::obj([
+                ("eager_checks", Json::from(r.eager)),
+                ("protocol", Json::from(r.protocol.name())),
+                ("trials", Json::from(r.trials)),
+                ("crashes", Json::from(r.crashes)),
+                ("violations", Json::from(r.violations)),
+                ("violation_pct", Json::from(r.rate_pct())),
+            ])
+        });
+        report(
+            "ablation",
+            self.0,
+            [
+                ("rows", Json::arr(rows)),
+                ("save_time_processing_ns", Json::from(result.save_time_ns)),
+                ("eager_processing_ns", Json::from(result.eager_ns)),
+            ],
+        )
+    }
+
+    /// Eager checks strictly lower the violation rate under CPVS, and
+    /// CBNDVS-LOG's rate is no higher than CAND's.
+    fn gate(&self, result: &AblationResult) -> Result<(), String> {
+        let [cand, cpvs, cbndvs_log, eager] = result.rows.as_slice() else {
+            return Err(format!("ablation: {} rows, not 4", result.rows.len()));
+        };
+        if !eager.rate_below(cpvs) {
+            return Err(format!(
+                "ablation: eager checks ({}/{}) do not beat save-time checks ({}/{})",
+                eager.violations, eager.crashes, cpvs.violations, cpvs.crashes
+            ));
+        }
+        if cand.rate_below(cbndvs_log) {
+            return Err(format!(
+                "ablation: committing less often raised the rate: CBNDVS-LOG {}/{} vs CAND {}/{}",
+                cbndvs_log.violations, cbndvs_log.crashes, cand.violations, cand.crashes
+            ));
+        }
+        Ok(())
+    }
+}

@@ -22,6 +22,7 @@
 //! output as a served request. The stage is thread-count invariant and
 //! `BENCH_avail.json` contains no wall-clock.
 
+use ft_apps::scenarios;
 use ft_core::protocol::Protocol;
 use ft_dc::recovery::{MicrorebootMutation, Strategy};
 use ft_dc::{DcConfig, DcReport};
@@ -31,7 +32,6 @@ use ft_sim::rng::SplitMix64;
 use crate::continuous::{FaultLoad, FaultStats};
 use crate::json::Json;
 use crate::report::render_table;
-use crate::scenarios;
 use crate::stage::Stage;
 
 /// The availability workloads: long-running cuts of the §3 suite.
@@ -142,13 +142,15 @@ fn build(cfg: &AvailConfig, widx: usize) -> scenarios::Built {
     // Per-workload scenario seed, fixed across every cell and trial so
     // all of a workload's runs (canonical and faulted) share one script.
     let seed = SplitMix64::new(cfg.seed ^ 0x5CE0).nth(widx as u64);
-    match WORKLOADS[widx] {
-        "nvi" => scenarios::nvi(seed, cfg.nvi_keys),
-        "taskfarm" => scenarios::taskfarm(seed, cfg.taskfarm_workers),
-        "treadmarks" => scenarios::treadmarks(seed, cfg.treadmarks_iters),
-        "xpilot" => scenarios::xpilot(seed, cfg.xpilot_frames),
-        other => unreachable!("unknown workload {other}"),
-    }
+    // Each workload's size knob, in `WORKLOADS` order.
+    let sizes = [
+        cfg.nvi_keys as u64,
+        u64::from(cfg.taskfarm_workers),
+        cfg.treadmarks_iters,
+        cfg.xpilot_frames,
+    ];
+    let size = usize::try_from(sizes[widx]).expect("scenario sizes are small");
+    scenarios::family(WORKLOADS[widx], seed, size).expect("WORKLOADS names scenario families")
 }
 
 /// The full cell matrix: every (workload × protocol × strategy), plus —

@@ -1,10 +1,14 @@
-//! The campaign binary: runs the seven campaign stages — the durable-medium
-//! grid, Table 1, Table 2, the loss sweep, the Figure 8 grids, the
-//! continuous-availability matrix and the sharded-KV service — each once on
-//! one thread (the serial reference) and once on `--threads`, **fails if
-//! the two differ**, prints the stage's tables and both timings, writes
-//! `BENCH_<stage>.json`, and applies the stage's gate (avail: every seeded
-//! unsound-microreboot cell flagged; kv: every cell violation-free).
+//! The campaign binary: runs the campaign stages — the durable-medium
+//! grid, Table 1 with the §4.1 composition, Table 2, the loss sweep, the
+//! Figure 4 recovery-time trend, the Figure 8 grids, the §2.6 mitigation
+//! ablation, the continuous-availability matrix, the sharded-KV service,
+//! the exhaustive crash-schedule model checker and the trace analyzer —
+//! each once on one thread (the serial reference) and once on `--threads`,
+//! **fails if the two differ**, prints the stage's tables and both
+//! timings, writes `BENCH_<stage>.json`, and applies the stage's gate
+//! (the paper's shape criteria for its figures; avail: every seeded
+//! unsound-microreboot cell flagged; kv and check: violation-free;
+//! analyze: every cell as expected, the seeded races flagged).
 //!
 //! ```text
 //! cargo run --release -p ft-bench --bin campaign -- --threads 4
@@ -17,10 +21,16 @@
 //! * `--quick` — the CI smoke sizing; wherever it appears, the sizing
 //!   flags below still apply on top of it;
 //! * `--only STAGE[,STAGE…]` — run only the named stages (`durable`,
-//!   `table1`, `table2`, `loss`, `fig8`, `avail`, `kv`);
-//! * `--target-crashes C` / `--max-trials M` — Table 1 sizing;
+//!   `table1`, `table2`, `loss`, `fig4`, `fig8`, `ablation`, `avail`,
+//!   `kv`, `check`, `analyze`);
+//! * `--target-crashes C` / `--max-trials M` — Table 1 and ablation
+//!   sizing;
 //! * `--table2-trials T` — Table 2 sizing;
-//! * `--out DIR` — where to write the `BENCH_*.json` files (default `.`).
+//! * `--out DIR` — where to write the `BENCH_*.json` files (default `.`);
+//! * `--replay FILE` — instead of a campaign, re-execute the replay script
+//!   a failing check stage printed (and put in `BENCH_check.json`);
+//! * `--export-schedules DIR` — instead of a campaign, write the standard
+//!   `crashtest` kill schedules, one file per child workload.
 //!
 //! The reports are a function of the flags alone: wall-clock goes to
 //! stdout, never into a file.
@@ -29,15 +39,22 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
+use ft_bench::ablation::AblationStage;
+use ft_bench::analyze::AnalyzeStage;
 use ft_bench::avail::AvailConfig;
 use ft_bench::campaign::{CampaignConfig, Fig8Stage, LossStage, Table1Stage, Table2Stage};
+use ft_bench::check::{replay, CheckStage};
 use ft_bench::durable::DurableStage;
+use ft_bench::fig4::Fig4Stage;
 use ft_bench::kv::KvConfig;
-use ft_bench::runner::default_threads;
 use ft_bench::stage::Stage;
+use ft_sim::runner::default_threads;
 
 /// Every stage, in run order.
-const STAGES: [&str; 7] = ["durable", "table1", "table2", "loss", "fig8", "avail", "kv"];
+const STAGES: [&str; 11] = [
+    "durable", "table1", "table2", "loss", "fig4", "fig8", "ablation", "avail", "kv", "check",
+    "analyze",
+];
 
 #[derive(Debug)]
 struct Args {
@@ -49,6 +66,11 @@ struct Args {
     avail: AvailConfig,
     kv: KvConfig,
     out: PathBuf,
+    /// Replay this script instead of running a campaign.
+    replay: Option<PathBuf>,
+    /// Write the crashtest kill schedules here instead of running a
+    /// campaign.
+    export_schedules: Option<PathBuf>,
 }
 
 fn parse_args(argv: &[&str], default_threads: usize) -> Result<Args, String> {
@@ -63,6 +85,7 @@ fn parse_args(argv: &[&str], default_threads: usize) -> Result<Args, String> {
     let mut only = STAGES.to_vec();
     let (mut target_crashes, mut max_trials, mut table2_trials) = (None, None, None);
     let mut out = PathBuf::from(".");
+    let (mut replay, mut export_schedules) = (None, None);
     let mut it = argv.iter();
     while let Some(&flag) = it.next() {
         let mut value = || {
@@ -87,6 +110,8 @@ fn parse_args(argv: &[&str], default_threads: usize) -> Result<Args, String> {
             "--max-trials" => max_trials = Some(number(flag, value()?)?),
             "--table2-trials" => table2_trials = Some(number(flag, value()?)?),
             "--out" => out = PathBuf::from(value()?),
+            "--replay" => replay = Some(PathBuf::from(value()?)),
+            "--export-schedules" => export_schedules = Some(PathBuf::from(value()?)),
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -119,6 +144,8 @@ fn parse_args(argv: &[&str], default_threads: usize) -> Result<Args, String> {
         avail,
         kv,
         out,
+        replay,
+        export_schedules,
     })
 }
 
@@ -152,7 +179,29 @@ fn drive<S: Stage>(stage: &S, threads: usize, out: &Path) -> Result<(), String> 
     stage.gate(&sharded)
 }
 
+/// Writes the standard crashtest kill schedules, one file per child
+/// workload family, into `dir`.
+fn export_schedules(dir: &Path) -> Result<(), String> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
+    for s in ft_check::standard_schedules() {
+        let path = dir.join(format!("schedule_{}.txt", s.workload));
+        std::fs::write(&path, ft_check::render_schedule(&s))
+            .map_err(|e| format!("writing {}: {e}", path.display()))?;
+        println!("{} kill trials -> {}", s.len(), path.display());
+    }
+    Ok(())
+}
+
 fn run(args: &Args) -> Result<(), String> {
+    if let Some(path) = &args.replay {
+        let script = std::fs::read_to_string(path)
+            .map_err(|e| format!("reading {}: {e}", path.display()))?;
+        println!("{}", replay(&script)?);
+        return Ok(());
+    }
+    if let Some(dir) = &args.export_schedules {
+        return export_schedules(dir);
+    }
     std::fs::create_dir_all(&args.out)
         .map_err(|e| format!("creating {}: {e}", args.out.display()))?;
     let (threads, out) = (args.threads, args.out.as_path());
@@ -162,9 +211,13 @@ fn run(args: &Args) -> Result<(), String> {
             "table1" => drive(&Table1Stage(&args.cfg), threads, out),
             "table2" => drive(&Table2Stage(&args.cfg), threads, out),
             "loss" => drive(&LossStage(&args.cfg), threads, out),
+            "fig4" => drive(&Fig4Stage(&args.cfg), threads, out),
             "fig8" => drive(&Fig8Stage(&args.cfg), threads, out),
+            "ablation" => drive(&AblationStage(&args.cfg), threads, out),
             "avail" => drive(&args.avail, threads, out),
             "kv" => drive(&args.kv, threads, out),
+            "check" => drive(&CheckStage::new(args.quick), threads, out),
+            "analyze" => drive(&AnalyzeStage::new(args.quick), threads, out),
             other => unreachable!("{other} is not in STAGES"),
         }?;
     }
@@ -225,6 +278,22 @@ mod tests {
         for bad in ["nope", "avail,", ""] {
             let err = parse_args(&["--only", bad], 1).unwrap_err();
             assert!(err.contains("unknown stage"), "{err}");
+            assert!(err.contains("fig4, fig8, ablation,"), "{err}");
+            assert!(err.contains("kv, check, analyze)"), "{err}");
+        }
+    }
+
+    #[test]
+    fn replay_and_export_schedules_are_modes_of_the_same_parser() {
+        let args = parse_args(&[], 1).unwrap();
+        assert_eq!((args.replay, args.export_schedules), (None, None));
+        let args = parse_args(&["--replay", "cx.txt", "--threads", "3"], 1).unwrap();
+        assert_eq!(args.replay, Some(PathBuf::from("cx.txt")));
+        let args = parse_args(&["--export-schedules", "dir"], 1).unwrap();
+        assert_eq!(args.export_schedules, Some(PathBuf::from("dir")));
+        for flag in ["--replay", "--export-schedules"] {
+            let err = parse_args(&[flag], 1).unwrap_err();
+            assert!(err.contains("requires a value"), "{err}");
         }
     }
 
@@ -232,6 +301,11 @@ mod tests {
     fn bad_flags_are_errors() {
         for (argv, want) in [
             (&["--threads", "0"][..], "at least 1"),
+            (
+                &["--only", "check,analyze", "--threads", "0"][..],
+                "at least 1",
+            ),
+            (&["--smoke"][..], "unknown flag"),
             (&["--threads", "x"][..], "--threads:"),
             (&["--threads"][..], "requires a value"),
             (&["--avail-only"][..], "unknown flag"),

@@ -27,8 +27,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use ft_apps::scenarios;
 use ft_bench::json::Json;
-use ft_bench::scenarios;
 use ft_core::event::{MsgId, ProcessId};
 use ft_core::protocol::Protocol;
 use ft_dc::harness::DcHarness;

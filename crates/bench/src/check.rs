@@ -1,0 +1,183 @@
+//! The model-checking stage: `ft-check`'s exhaustive crash-schedule sweep
+//! as a campaign stage.
+//!
+//! Exhausts every crash point (mid-commit sub-steps included) of small
+//! nvi, taskfarm and kvstore workloads under all seven Figure 8 protocols
+//! and reports states explored and the fingerprint-dedup ratio per sweep.
+//! The gate is zero invariant violations; on a violation the first one is
+//! shrunk and its replay script travels inside `BENCH_check.json` and the
+//! gate's error text — save it to a file and `campaign --replay FILE`
+//! re-executes it.
+
+use ft_check::explore::{canonical_run, run_point};
+use ft_check::{explore, parse_script, shrink, CheckConfig, Counterexample, Exploration, Workload};
+use ft_core::protocol::Protocol;
+
+use crate::json::Json;
+use crate::report::render_table;
+use crate::stage::Stage;
+
+/// The model-checking stage: one exhaustive sweep per entry of `sweeps`.
+#[derive(Debug, Clone)]
+pub struct CheckStage {
+    /// CI smoke sizing (recorded in the report header).
+    pub quick: bool,
+    /// The sweeps, in report order: a workload and the checker
+    /// configuration to exhaust it under.
+    pub sweeps: Vec<(Workload, CheckConfig)>,
+}
+
+impl CheckStage {
+    /// nvi, taskfarm and kvstore at the full (4 / 2 / 3) or quick
+    /// (2 / 1 / 2) sizes, each under every Figure 8 protocol.
+    pub fn new(quick: bool) -> Self {
+        let sizes = if quick { [2, 1, 2] } else { [4, 2, 3] };
+        let sweeps = ["nvi", "taskfarm", "kvstore"]
+            .into_iter()
+            .zip(sizes)
+            .flat_map(|(name, size)| {
+                let w = Workload {
+                    name,
+                    seed: 7,
+                    size,
+                };
+                Protocol::FIGURE8.map(|protocol| (w, CheckConfig::new(protocol)))
+            })
+            .collect();
+        CheckStage { quick, sweeps }
+    }
+
+    /// The first violating sweep's shrunk counterexample, if any sweep
+    /// violated an invariant.
+    fn counterexample(&self, rows: &[Exploration]) -> Option<Counterexample> {
+        let (w, cfg) = self
+            .sweeps
+            .iter()
+            .zip(rows)
+            .find(|(_, ex)| !ex.violations().is_empty())?
+            .0;
+        shrink(w, cfg)
+    }
+}
+
+impl Stage for CheckStage {
+    const NAME: &'static str = "check";
+    type Rows = Vec<Exploration>;
+
+    fn run(&self, threads: usize) -> Vec<Exploration> {
+        self.sweeps
+            .iter()
+            .map(|(w, cfg)| explore(w, &CheckConfig { threads, ..*cfg }))
+            .collect()
+    }
+
+    fn render(&self, rows: &Vec<Exploration>) -> String {
+        let table: Vec<Vec<String>> = self
+            .sweeps
+            .iter()
+            .zip(rows)
+            .map(|((w, cfg), ex)| {
+                vec![
+                    w.name.to_string(),
+                    cfg.protocol.name().to_string(),
+                    w.size.to_string(),
+                    ex.explored().to_string(),
+                    ex.unique_fingerprints.to_string(),
+                    format!("{:.2}x", ex.dedup_ratio()),
+                    ex.violations().len().to_string(),
+                ]
+            })
+            .collect();
+        format!(
+            "Exhaustive crash-schedule sweeps (every kill point, mid-commit sub-steps included)\n{}",
+            render_table(
+                &[
+                    "workload",
+                    "protocol",
+                    "size",
+                    "states",
+                    "unique",
+                    "dedup",
+                    "violations"
+                ],
+                &table
+            )
+        )
+    }
+
+    fn json(&self, rows: &Vec<Exploration>) -> Json {
+        let states: usize = rows.iter().map(Exploration::explored).sum();
+        let unique: usize = rows.iter().map(|ex| ex.unique_fingerprints).sum();
+        let runs = self.sweeps.iter().zip(rows).map(|((w, cfg), ex)| {
+            Json::obj([
+                ("workload", Json::from(w.name)),
+                ("protocol", Json::from(cfg.protocol.name())),
+                ("size", Json::from(w.size)),
+                ("states_explored", Json::from(ex.explored())),
+                ("unique_states", Json::from(ex.unique_fingerprints)),
+                ("dedup_ratio", Json::from(ex.dedup_ratio())),
+                ("violations", Json::from(ex.violations().len())),
+            ])
+        });
+        let counterexample = self.counterexample(rows).map_or(Json::Null, |cx| {
+            Json::obj([
+                ("workload", Json::from(cx.workload.name)),
+                ("size", Json::from(cx.workload.size)),
+                ("protocol", Json::from(cx.protocol.name())),
+                ("violation", Json::from(format!("{:?}", cx.violation))),
+                ("script", Json::from(cx.script)),
+            ])
+        });
+        Json::obj([
+            ("report", Json::from("check")),
+            ("quick", Json::from(self.quick)),
+            ("states_explored", Json::from(states)),
+            ("unique_states", Json::from(unique)),
+            (
+                "dedup_ratio",
+                Json::from(if unique > 0 {
+                    states as f64 / unique as f64
+                } else {
+                    1.0
+                }),
+            ),
+            ("runs", Json::arr(runs)),
+            ("counterexample", counterexample),
+        ])
+    }
+
+    /// Zero invariant violations across every sweep.
+    fn gate(&self, rows: &Vec<Exploration>) -> Result<(), String> {
+        let violations: usize = rows.iter().map(|ex| ex.violations().len()).sum();
+        if violations == 0 {
+            return Ok(());
+        }
+        let shrunk = self.counterexample(rows).map_or_else(String::new, |cx| {
+            format!(
+                "; shrunk to {}@{} size {}: {:?}\nsave this script and run `campaign --replay FILE`:\n{}",
+                cx.workload.name,
+                cx.protocol.name(),
+                cx.workload.size,
+                cx.violation,
+                cx.script
+            )
+        });
+        Err(format!(
+            "check: {violations} crash schedules violate an invariant{shrunk}"
+        ))
+    }
+}
+
+/// Re-executes a replay script (`campaign --replay FILE`): `Ok` with the
+/// reproduced violation, `Err` if the script is malformed or its schedule
+/// no longer violates anything.
+pub fn replay(script: &str) -> Result<String, String> {
+    let r = parse_script(script).map_err(|e| format!("bad replay script: {e}"))?;
+    let cfg = r.check_config();
+    let canonical = canonical_run(&r.workload, r.workload.size, &cfg);
+    let label = format!("{}@{}", r.workload.name, r.protocol.name());
+    match run_point(&r.workload, r.workload.size, &cfg, &canonical, r.point).violation {
+        Some(v) => Ok(format!("reproduced on {label}: {v:?}")),
+        None => Err(format!("{label} did NOT reproduce a violation")),
+    }
+}

@@ -21,16 +21,16 @@
 //!   counted by kind;
 //! * **the fold** into [`FaultStats`], which both stages' rows embed.
 
+use ft_apps::scenarios::Built;
 use ft_core::avail::{availability, nines, total_downtime_ns, Incident};
 use ft_core::event::ProcessId;
 use ft_core::oracle::{check_recovery, InvariantViolation};
 use ft_dc::{DcConfig, DcHarness, DcReport};
 use ft_faults::arrivals::PoissonArrivals;
 use ft_sim::rng::SplitMix64;
+use ft_sim::runner::run_indexed;
 
 use crate::json::Json;
-use crate::runner::run_indexed;
-use crate::scenarios::Built;
 use crate::stats::percentiles;
 
 /// Oracle violation counts of one cell, by kind.

@@ -20,19 +20,19 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use ft_apps::scenarios::{self, Built};
 use ft_core::protocol::Protocol;
 use ft_core::savework::check_save_work;
 use ft_dc::harness::DcHarness;
 use ft_dc::state::DcConfig;
 use ft_mem::arena::Layout;
 use ft_mem::durable::{DurableOptions, DurableStore};
+use ft_sim::runner::run_indexed;
 use ft_sim::SimTime;
 
 use crate::fig8::{baseline_runtime, overhead_pct};
 use crate::json::Json;
 use crate::report::render_table;
-use crate::runner::run_indexed;
-use crate::scenarios::{self, Built};
 use crate::stage::{grouped_rows, Stage};
 
 /// One protocol's runtime overhead on all three checkpoint media.

@@ -11,6 +11,7 @@
 //! runner and merge them in protocol order: the rows are the same for any
 //! thread count, and `threads = 1` runs them on the caller's thread.
 
+use ft_apps::scenarios::Built;
 use ft_core::event::ProcessId;
 use ft_core::protocol::Protocol;
 use ft_core::savework::check_save_work;
@@ -18,10 +19,8 @@ use ft_dc::harness::DcHarness;
 use ft_dc::state::DcConfig;
 use ft_mem::arena::ArenaStats;
 use ft_sim::harness::run_plain_on;
+use ft_sim::runner::run_indexed;
 use ft_sim::SimTime;
-
-use crate::runner::run_indexed;
-use crate::scenarios::Built;
 
 /// One protocol's measurements on both media.
 #[derive(Debug, Clone, PartialEq)]
@@ -162,7 +161,7 @@ pub fn overhead_pct(base: SimTime, measured: SimTime) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenarios;
+    use ft_apps::scenarios;
 
     #[test]
     fn small_nvi_grid_has_expected_shape() {

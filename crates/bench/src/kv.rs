@@ -25,6 +25,7 @@
 //! report, to be divided by the timings the binary prints.
 
 use ft_apps::kvstore::{self, KvParams};
+use ft_apps::scenarios;
 use ft_core::protocol::Protocol;
 use ft_dc::recovery::Strategy;
 use ft_dc::{DcConfig, DcReport};
@@ -34,7 +35,6 @@ use ft_sim::rng::SplitMix64;
 use crate::continuous::{FaultLoad, FaultStats};
 use crate::json::Json;
 use crate::report::render_table;
-use crate::scenarios;
 use crate::stage::Stage;
 
 /// Checkpoint medium axis of the cell matrix.

@@ -1,16 +1,23 @@
-//! # ft-bench — the experiment harnesses
+//! # ft-bench — the campaign stages
 //!
-//! Engines and scenario builders behind the `campaign` binary and the
-//! figure benches that regenerate every table and figure of the paper's
-//! evaluation:
+//! The leaf of the harness: every table, figure and extension campaign is
+//! one [`stage::Stage`] here, and the one `campaign` binary drives them
+//! all. Nothing under `crates/` depends on this crate; what lower crates
+//! share lives below them (`ft_apps::scenarios`, `ft_sim::runner`,
+//! `ft_dc::fingerprint`).
 //!
-//! * [`scenarios`] — configured simulator + application sets for the §3
-//!   workload suite, and the one by-name family table over them;
-//! * [`fig8`] — protocol-grid runner (checkpoints, overhead, frame rate);
-//! * [`table1`] — application fault injection and the Lose-work violation
-//!   criterion (§4.1);
-//! * [`table2`] — operating-system fault injection (§4.2);
-//! * [`loss`] — loss-rate degradation sweeps over the unreliable fabric;
+//! * [`stage`] — the one trait the eleven campaign stages implement (run,
+//!   render, `BENCH_<name>.json`, gate) and the thread-invariance fence;
+//! * [`campaign`] — the Table 1 (with the §4.1 conflict composition),
+//!   Table 2, loss-sweep and Figure 8 stages over one `CampaignConfig`,
+//!   on the engines in [`table1`] (application fault injection and the
+//!   Lose-work violation criterion), [`table2`] (operating-system fault
+//!   injection), [`loss`] (loss-rate degradation over the unreliable
+//!   fabric) and [`fig8`] (the protocol grid: checkpoints, overhead,
+//!   frame rate);
+//! * [`fig4`] — Figure 4's recovery-time trend: one kill, every protocol,
+//!   how much each replays;
+//! * [`ablation`] — the §2.6 mitigations: crash early, commit less often;
 //! * [`continuous`] — the continuous-fault engine: Poisson crash
 //!   arrivals over a cell matrix, every trial's recovery judged by the
 //!   `ft_core` oracle, folded into MTTR/nines/goodput;
@@ -20,45 +27,45 @@
 //! * [`durable`] — the durable-backend stage: the three-media overhead
 //!   grid (Rio / DC-disk / DC-durable) and the real log-engine probe
 //!   behind `BENCH_durable.json`;
+//! * [`check`] — `ft-check`'s exhaustive crash-schedule sweep as a stage,
+//!   and the replay of a shrunk counterexample script;
+//! * [`analyze`] — `ft-analyze`'s three passes over every workload as a
+//!   stage, with the two seeded-race mutant cells;
 //! * [`stats`] — deterministic (integer nearest-rank) order statistics
 //!   for the report percentiles;
-//! * [`runner`] — the parallel deterministic campaign runner (scoped
-//!   worker pool, split seed streams, index-ordered merge); every entry
-//!   point above takes `threads`, and `threads = 1` is the serial
-//!   reference;
-//! * [`stage`] — the one trait the seven campaign stages implement (run,
-//!   render, `BENCH_<name>.json`, gate) and the thread-invariance fence;
-//! * [`campaign`] — the Table 1, Table 2, loss-sweep and Figure 8 stages
-//!   over one `CampaignConfig`;
 //! * [`json`] — the hand-rolled JSON emitter the reports use;
-//! * [`fingerprint`] — stable (FNV-1a) run fingerprints for the golden
-//!   trace-hash regression gate;
 //! * [`report`] — plain-text table rendering.
 //!
-//! Run `cargo run --release -p ft-bench --bin campaign -- --threads N`
-//! for the tables, the sweep and the grids with machine-readable reports
-//! (`--only <stage>,…` for a subset). `benches/` holds the seven figure
-//! binaries at paper-scale sizes — `fig8` (all five Figure 8 panels, or
-//! `-- <panel>…`), `fig3_protocol_space`, `fig4_recovery_time`,
-//! `fig7_dangerous_paths`, `conflict_composition`, `ablation_mitigations`,
-//! `micro` — and EXPERIMENTS.md the recorded results.
+//! Every stage takes `threads`, and `threads = 1` is its serial
+//! reference. Run `cargo run --release -p ft-bench --bin campaign --
+//! --threads N` for all of them with machine-readable reports (`--only
+//! <stage>,…` for a subset, `--quick` for the CI sizes). `benches/fig8`
+//! prints the five Figure 8 panels at paper-scale sizes (`-- <panel>…`
+//! for some), and EXPERIMENTS.md holds the recorded results.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod ablation;
+pub mod analyze;
 pub mod avail;
 pub mod campaign;
+pub mod check;
 pub mod continuous;
 pub mod durable;
+pub mod fig4;
 pub mod fig8;
-pub mod fingerprint;
 pub mod json;
 pub mod kv;
 pub mod loss;
 pub mod report;
-pub mod runner;
-pub mod scenarios;
 pub mod stage;
 pub mod stats;
 pub mod table1;
 pub mod table2;
+
+// `benchmark/` is frozen and names `ft_bench::{scenarios, fingerprint}`;
+// these re-exports exist for it alone. In-repo code imports the modules
+// from the crates that own them.
+pub use ft_apps::scenarios;
+pub use ft_dc::fingerprint;

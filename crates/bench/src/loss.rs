@@ -14,17 +14,17 @@
 //! fold after the runs, so [`loss_sweep`] shards the runs across workers
 //! and produces the same rows for every thread count.
 
+use ft_apps::scenarios::Built;
 use ft_core::protocol::Protocol;
 use ft_core::savework::check_save_work;
 use ft_dc::harness::DcHarness;
 use ft_dc::state::DcConfig;
 use ft_faults::NetFaultSpec;
 use ft_sim::net::NetStats;
+use ft_sim::runner::run_indexed;
 use ft_sim::SimTime;
 
 use crate::fig8::overhead_pct;
-use crate::runner::run_indexed;
-use crate::scenarios::Built;
 
 /// One point of the degradation curve.
 #[derive(Debug, Clone, PartialEq)]
@@ -131,7 +131,7 @@ pub const TABLE_HEADER: [&str; 9] = [
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenarios;
+    use ft_apps::scenarios;
 
     #[test]
     fn lossy_taskfarm_degrades_but_completes() {

@@ -4,8 +4,9 @@
 //! count, and `threads = 1` is its serial reference: the `campaign` binary
 //! runs each stage at 1 and at `--threads`, refuses to report on any
 //! difference, and writes `BENCH_<name>.json` from bytes that depend on the
-//! flags alone (timings go to stdout). The seven stages — table1, table2,
-//! loss, fig8, durable, avail, kv — supply only what differs between them.
+//! flags alone (timings go to stdout). The eleven stages — durable,
+//! table1, table2, loss, fig4, fig8, ablation, avail, kv, check, analyze —
+//! supply only what differs between them.
 
 use crate::json::Json;
 

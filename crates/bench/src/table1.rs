@@ -19,15 +19,14 @@
 //! to it, including the "stop after `target_crashes`" early exit (a
 //! deterministic trial-index cutoff).
 
+use ft_apps::scenarios::{self, Built};
 use ft_core::losework::check_commit_after_activation;
 use ft_core::protocol::Protocol;
 use ft_dc::harness::DcHarness;
 use ft_dc::state::DcConfig;
 use ft_faults::{FaultPlan, FaultType};
 use ft_sim::harness::run_plain_on;
-
-use crate::runner::{run_cutoff, SeedStream};
-use crate::scenarios::{self, Built};
+use ft_sim::runner::{run_cutoff, SeedStream};
 
 /// Which §4 application to inject into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

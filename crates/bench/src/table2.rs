@@ -15,15 +15,15 @@
 //! produces the same rows for every thread count (`threads = 1` is the
 //! serial loop).
 
+use ft_apps::scenarios::Built;
 use ft_core::event::ProcessId;
 use ft_core::protocol::Protocol;
 use ft_dc::harness::DcHarness;
 use ft_dc::state::DcConfig;
 use ft_faults::{FaultType, KernelFaultPlan};
 use ft_sim::rng::SplitMix64;
+use ft_sim::runner::{run_indexed, SeedStream};
 
-use crate::runner::{run_indexed, SeedStream};
-use crate::scenarios::Built;
 use crate::table1::Table1App;
 
 /// One fault type's OS-fault campaign results.
@@ -53,8 +53,8 @@ impl Table2Row {
 
 fn build_app(app: Table1App, seed: u64) -> Built {
     match app {
-        Table1App::Nvi => crate::scenarios::nvi_custom(seed, 400, ft_sim::MS, None),
-        Table1App::Postgres => crate::scenarios::postgres_faulty(seed, 220, None),
+        Table1App::Nvi => ft_apps::scenarios::nvi_custom(seed, 400, ft_sim::MS, None),
+        Table1App::Postgres => ft_apps::scenarios::postgres_faulty(seed, 220, None),
     }
 }
 

@@ -12,7 +12,7 @@
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-use ft_bench::scenarios;
+use ft_apps::scenarios;
 use ft_core::protocol::Protocol;
 use ft_dc::harness::DcHarness;
 use ft_dc::state::DcConfig;

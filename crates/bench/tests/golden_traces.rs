@@ -18,9 +18,9 @@
 //!
 //! and copy the `measured:` block the failure prints into the fixture.
 
-use ft_bench::fingerprint::report_fingerprint;
-use ft_bench::scenarios::{self, Built};
+use ft_apps::scenarios::{self, Built};
 use ft_core::protocol::Protocol;
+use ft_dc::fingerprint::report_fingerprint;
 use ft_dc::harness::DcHarness;
 use ft_dc::state::DcConfig;
 

@@ -1,4 +1,4 @@
-//! The campaign's headline property, stated once for all seven stages:
+//! The campaign's headline property, stated once for every stage:
 //! the rows — and the exact bytes `campaign` writes to `BENCH_<stage>.json`
 //! — produced at 2, 4 and 7 worker threads are **bitwise identical** to
 //! the `threads = 1` serial reference. That covers Table 1's early-exit
@@ -6,15 +6,22 @@
 //! deterministic trial index, not a scheduling race), the arena counters
 //! in every Figure 8 row, and the continuous-fault stages, which hold only
 //! because every trial derives its arrival/victim streams by O(1) seed
-//! splitting instead of consuming a shared sequential RNG.
+//! splitting instead of consuming a shared sequential RNG. Each stage
+//! with a gate of its own is also shown a run that gate refuses.
 
+use ft_bench::ablation::{AblationRow, AblationStage};
+use ft_bench::analyze::{AnalyzeStage, Cell, Expect};
 use ft_bench::avail::AvailConfig;
 use ft_bench::campaign::{
     CampaignConfig, Fig8Config, Fig8Stage, LossStage, Table1Stage, Table2Stage,
 };
+use ft_bench::check::CheckStage;
 use ft_bench::durable::DurableStage;
+use ft_bench::fig4::Fig4Stage;
 use ft_bench::kv::KvConfig;
 use ft_bench::stage::{assert_thread_invariant, Stage};
+use ft_check::{CheckConfig, Workload};
+use ft_core::protocol::Protocol;
 use ft_faults::FaultType;
 
 /// Small but real sizes: crash-prone fault types reach `TARGET` before
@@ -55,6 +62,15 @@ fn table1_is_thread_invariant_including_the_early_exit_count() {
         "{}: sizes must exercise the early exit (got {branch:?})",
         app.name()
     );
+    assert_eq!(Table1Stage(&cfg()).gate(&rows), Ok(()));
+    // §4.1's gate refuses an average far from the paper's: with every
+    // crash a Lose-work violation the invariants would conflict for 100 %.
+    let mut all_violate = rows;
+    for row in all_violate.iter_mut().flat_map(|(_, rows)| rows) {
+        row.violations = row.crashes;
+    }
+    let err = Table1Stage(&cfg()).gate(&all_violate).unwrap_err();
+    assert!(err.contains("100.0%"), "{err}");
 }
 
 #[test]
@@ -94,5 +110,133 @@ fn kv_is_thread_invariant_and_violation_free() {
         cfg.gate(&rows),
         Ok(()),
         "reference run must be violation-free"
+    );
+}
+
+#[test]
+fn fig4_is_thread_invariant_and_gates_on_the_log_protocols_replaying_more() {
+    let cfg = cfg();
+    let stage = Fig4Stage(&cfg);
+    let mut rows = assert_thread_invariant(&stage);
+    assert_eq!(stage.gate(&rows), Ok(()));
+    let cand_log = rows
+        .iter_mut()
+        .find(|r| r.protocol == Protocol::CandLog)
+        .unwrap();
+    cand_log.replayed_visibles = 0;
+    let err = stage.gate(&rows).unwrap_err();
+    assert!(err.contains("CAND-LOG"), "{err}");
+}
+
+#[test]
+fn ablation_is_thread_invariant_and_gates_on_eager_checks_winning() {
+    let cfg = CampaignConfig {
+        max_trials: 40,
+        ..cfg()
+    };
+    let stage = AblationStage(&cfg);
+    let mut result = assert_thread_invariant(&stage);
+    assert_eq!(stage.gate(&result), Ok(()));
+    // Inverted: the eager cell takes the save-time cell's rate and the
+    // save-time cell goes clean.
+    let save_time: AblationRow = result.rows[1];
+    result.rows[1].violations = 0;
+    result.rows[3].violations = save_time.violations;
+    let err = stage.gate(&result).unwrap_err();
+    assert!(err.contains("do not beat"), "{err}");
+}
+
+/// Two size-one sweeps: the smallest sizing that still has mid-commit
+/// kill points (CAND) and a multi-process workload.
+fn tiny_check(skip_presend_commit: bool) -> CheckStage {
+    let sweep = |name, protocol| {
+        let w = Workload {
+            name,
+            seed: 7,
+            size: 1,
+        };
+        let cfg = CheckConfig {
+            skip_presend_commit,
+            ..CheckConfig::new(protocol)
+        };
+        (w, cfg)
+    };
+    CheckStage {
+        quick: true,
+        sweeps: vec![
+            sweep("nvi", Protocol::Cand),
+            sweep("taskfarm", Protocol::Cpvs),
+        ],
+    }
+}
+
+#[test]
+fn check_is_thread_invariant_and_violation_free() {
+    let stage = tiny_check(false);
+    let rows = assert_thread_invariant(&stage);
+    assert_eq!(stage.gate(&rows), Ok(()));
+    assert!(stage
+        .json(&rows)
+        .render_pretty()
+        .contains("\"counterexample\": null"));
+}
+
+#[test]
+fn check_gate_refuses_the_presend_commit_mutant_with_a_replayable_script() {
+    let stage = tiny_check(true);
+    let rows = stage.run(2);
+    let err = stage.gate(&rows).unwrap_err();
+    // The shrunk script travels in the error text and in the report, and
+    // replays to the same violation.
+    let script = &err[err.find("# ft-check").expect("a script in the error")..];
+    assert!(ft_bench::check::replay(script)
+        .unwrap()
+        .contains("SaveWork"));
+    let report = stage.json(&rows).render_pretty();
+    assert!(report.contains("\"script\": \"# ft-check"), "{report}");
+}
+
+/// One clean cell and both seeded mutants, at the analyzer tests' sizes.
+fn tiny_analyze() -> AnalyzeStage {
+    let cell = |workload, size, protocol, expect| Cell {
+        workload,
+        size,
+        protocol,
+        expect,
+    };
+    AnalyzeStage {
+        quick: true,
+        cells: vec![
+            cell("taskfarm", 2, Protocol::Cand, Expect::Clean),
+            cell("treadmarks", 3, Protocol::Cbndvs, Expect::Clean),
+            cell("magic", 4, Protocol::CandLog, Expect::Clean),
+            cell("nvi", 8, Protocol::Cbndv2pc, Expect::Clean),
+            cell("taskfarm-racy", 2, Protocol::Cpvs, Expect::FlaggedByBoth),
+            cell("treadmarks-fused", 3, Protocol::Cpvs, Expect::FlaggedByHb),
+        ],
+    }
+}
+
+#[test]
+fn analyze_is_thread_invariant_and_meets_every_expectation() {
+    let stage = tiny_analyze();
+    let rows = assert_thread_invariant(&stage);
+    assert_eq!(stage.gate(&rows), Ok(()));
+}
+
+#[test]
+fn analyze_gate_refuses_a_mutant_cell_expected_clean() {
+    let mut stage = tiny_analyze();
+    stage.cells[4].expect = Expect::Clean;
+    let rows = stage.run(2);
+    let err = stage.gate(&rows).unwrap_err();
+    assert!(err.contains("taskfarm-racy@CPVS: expected clean"), "{err}");
+    assert!(err.contains("hb-race page 0"), "{err}");
+    // The findings travel in the report too.
+    let report = stage.json(&rows).render_pretty();
+    assert!(report.contains("\"failures\": 1"), "{report}");
+    assert!(
+        report.contains("\"findings\": \"[taskfarm-racy@CPVS]"),
+        "{report}"
     );
 }

@@ -10,8 +10,8 @@
 //! resent grant deduplicates; the queue mutations re-apply from their
 //! pre-send state).
 
+use ft_apps::scenarios;
 use ft_apps::taskfarm::TaskFarm;
-use ft_bench::scenarios;
 use ft_core::event::ProcessId;
 use ft_core::protocol::Protocol;
 use ft_core::savework::check_save_work;

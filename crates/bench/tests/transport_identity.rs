@@ -5,7 +5,7 @@
 //! the transport's private rng and bookkeeping never perturb the
 //! simulation unless a fault actually fires.
 
-use ft_bench::scenarios::{self, Built};
+use ft_apps::scenarios::{self, Built};
 use ft_core::protocol::Protocol;
 use ft_dc::harness::DcHarness;
 use ft_dc::state::DcConfig;

@@ -1,13 +1,13 @@
 //! Canonical-trace capture, crash-point enumeration, and the exhaustive
 //! (serial or sharded) exploration loop.
 
-use ft_bench::fingerprint::report_fingerprint;
-use ft_bench::runner::run_indexed;
 use ft_core::event::ProcessId;
 use ft_core::oracle::{check_recovery, InvariantViolation};
+use ft_dc::fingerprint::report_fingerprint;
 use ft_dc::{CommitKill, DcHarness, DcReport};
 use ft_faults::crash::CrashPoint;
 use ft_mem::arena::CommitCrashPoint;
+use ft_sim::runner::run_indexed;
 
 use crate::scenario::{CheckConfig, Workload};
 
@@ -170,7 +170,7 @@ fn judge(canonical: &Canonical, point: Option<CrashPoint>, report: &DcReport) ->
 }
 
 /// An exhausted crash-schedule space.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Exploration {
     /// One result per explored state, in enumeration order (index 0 is
     /// the failure-free pseudo-point).

@@ -15,7 +15,7 @@
 //!
 //! Exploration is pruned by trace-fingerprint deduplication (two crash
 //! points that produce bit-identical reports are one state) and sharded
-//! across threads with [`ft_bench::runner::run_indexed`], whose results
+//! across threads with [`ft_sim::runner::run_indexed`], whose results
 //! are index-ordered — the serial and parallel explorations are asserted
 //! bitwise-equivalent by test.
 //!
@@ -24,7 +24,8 @@
 //! fails, then a binary search over event positions finds the earliest
 //! kill that still fails (an empty fault set, when the failure-free run
 //! itself violates, shrinks further still). The result is rendered as a
-//! replayable script that the `check` binary re-executes with `--replay`.
+//! replayable script that `campaign --replay FILE` re-executes; the sweep
+//! itself runs as `ft-bench`'s `check` stage (`campaign --only check`).
 //!
 //! The same enumeration philosophy is exported for *real* processes:
 //! [`export`] renders kill schedules (event-index and durable-commit

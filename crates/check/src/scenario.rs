@@ -3,20 +3,20 @@
 //! The model checker re-executes a scenario hundreds of times — once per
 //! crash point — and the shrinker re-executes whole explorations at
 //! smaller sizes. Both need a *recipe*, not a built simulator, so a
-//! [`Workload`] names one of the `ft-bench` scenario families together
+//! [`Workload`] names one of the `ft_apps::scenarios` families together
 //! with its seed and a size parameter (keys, workers, iterations, frames)
 //! that the shrinker may lower.
 
-use ft_bench::scenarios::{self, Built};
+use ft_apps::scenarios::{self, Built};
 use ft_core::protocol::Protocol;
 use ft_dc::{CommitKill, DcConfig};
 
 /// A rebuildable workload: scenario family + seed + size knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Workload {
-    /// Scenario family: `"nvi"`, `"taskfarm"`, `"treadmarks"`,
-    /// `"xpilot"`, `"kvstore"`, or `"kvstore-skiprepl"` (the seeded
-    /// skip-replica-reinstall mutant).
+    /// Scenario family: a name of `ft_apps::scenarios::FAMILIES`
+    /// (`"kvstore-skiprepl"` is the seeded skip-replica-reinstall mutant
+    /// the sweep self-test must flag).
     pub name: &'static str,
     /// Deterministic seed for all scripted inputs.
     pub seed: u64,
@@ -27,28 +27,11 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// The checkable scenario families (`kvstore-skiprepl` is the seeded
-    /// recovery mutant the sweep self-test must flag).
-    pub const FAMILIES: [&'static str; 6] = [
-        "nvi",
-        "taskfarm",
-        "treadmarks",
-        "xpilot",
-        "kvstore",
-        "kvstore-skiprepl",
-    ];
-
     /// Builds the scenario at an explicit size (the shrinker's entry
     /// point; use `self.size` for the configured size).
     pub fn build(&self, size: usize) -> Built {
         scenarios::family(self.name, self.seed, size)
             .unwrap_or_else(|| panic!("unknown workload family {:?}", self.name))
-    }
-
-    /// The smallest size at which the family still runs a meaningful
-    /// protocol exchange (shrinking never goes below this).
-    pub fn min_size(&self) -> usize {
-        1
     }
 }
 
@@ -91,7 +74,7 @@ mod tests {
 
     #[test]
     fn workloads_build_at_size_one() {
-        for name in Workload::FAMILIES {
+        for (name, _) in scenarios::FAMILIES {
             let w = Workload {
                 name,
                 seed: 7,

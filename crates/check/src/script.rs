@@ -1,11 +1,12 @@
 //! Replayable counterexample scripts.
 //!
 //! A shrunk counterexample is rendered as a small line-oriented script —
-//! workload, seed, size, protocol, and the kill directive — that the
-//! `check` binary re-executes with `--replay`. The format round-trips
-//! through [`parse_script`], so the artifact a CI run uploads is directly
-//! runnable, not just human-readable.
+//! workload, seed, size, protocol, and the kill directive — that
+//! `campaign --replay FILE` re-executes. The format round-trips through
+//! [`parse_script`], so the script a failing `BENCH_check.json` carries is
+//! directly runnable, not just human-readable.
 
+use ft_apps::scenarios;
 use ft_core::protocol::Protocol;
 use ft_faults::crash::CrashPoint;
 use ft_mem::arena::CommitCrashPoint;
@@ -43,7 +44,8 @@ pub fn protocol_by_name(name: &str) -> Option<Protocol> {
 }
 
 fn family_by_name(name: &str) -> Option<&'static str> {
-    Workload::FAMILIES.into_iter().find(|&f| f == name)
+    let (family, _) = scenarios::FAMILIES.iter().find(|(f, _)| *f == name)?;
+    Some(family)
 }
 
 fn commit_point_by_name(name: &str) -> Option<CommitCrashPoint> {
@@ -224,7 +226,7 @@ mod tests {
             .unwrap_err();
         assert!(e.contains("line 5"), "{e}");
         assert!(
-            parse_script("workload postgres\nseed 1\nsize 1\nprotocol CPVS\nkill none\n").is_err()
+            parse_script("workload emacs\nseed 1\nsize 1\nprotocol CPVS\nkill none\n").is_err()
         );
     }
 

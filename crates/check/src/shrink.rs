@@ -3,7 +3,7 @@
 //! The exhaustive explorer reports *a* violation; this module reduces it
 //! to the most debuggable one. Two binary searches run in sequence:
 //!
-//! 1. **Workload size.** Search `[min_size, size]` for the smallest size
+//! 1. **Workload size.** Search `[1, size]` for the smallest size
 //!    whose exploration still violates an invariant. Failure is assumed
 //!    monotone in size (a protocol bug that loses work on three workers
 //!    loses it on one); if the assumption does not hold for a particular
@@ -66,7 +66,7 @@ fn first_violation(
 pub fn shrink(w: &Workload, cfg: &CheckConfig) -> Option<Counterexample> {
     first_violation(w, w.size, cfg)?;
     // Binary-search the smallest failing size.
-    let (mut lo, mut hi) = (w.min_size(), w.size);
+    let (mut lo, mut hi) = (1, w.size);
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
         if first_violation(w, mid, cfg).is_some() {

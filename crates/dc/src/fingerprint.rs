@@ -8,9 +8,9 @@
 //! field with the run's trace, visible outputs, and final simulated time.
 //! No type's `Debug` output takes part.
 
+use crate::harness::DcReport;
 use ft_core::event::{EventKind, ProcessId};
 use ft_core::trace::Trace;
-use ft_dc::harness::DcReport;
 use ft_mem::{FNV_OFFSET, FNV_PRIME};
 use ft_sim::SimTime;
 

@@ -20,7 +20,9 @@
 //! * [`dcsys`] — the interposition layer ([`DcSys`]) wrapping the raw
 //!   simulator syscalls;
 //! * [`harness`] — the run loop with automatic recovery, per-incident
-//!   crash-to-recovery accounting, and reporting.
+//!   crash-to-recovery accounting, and reporting;
+//! * [`fingerprint`] — the stable (FNV-1a) fingerprint of a [`DcReport`]:
+//!   the golden-trace gate's hash and the model checker's dedup key.
 //!
 //! ## Example: failure transparency for a stop failure
 //!
@@ -32,6 +34,7 @@
 #![warn(missing_docs)]
 
 pub mod dcsys;
+pub mod fingerprint;
 pub mod harness;
 pub mod recovery;
 pub mod runtime;

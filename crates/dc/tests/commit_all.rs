@@ -3,7 +3,7 @@
 //! Figure 8(a) nvi session (nd, visible and `close` events) and on a
 //! two-process game session (sends and receives).
 
-use ft_bench::scenarios::{self, Built};
+use ft_apps::scenarios::{self, Built};
 use ft_core::event::{EventKind, ProcessId};
 use ft_core::oracle::check_recovery;
 use ft_core::protocol::Protocol;

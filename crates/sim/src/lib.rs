@@ -11,6 +11,10 @@
 //! loop lives in the harness (plain, or `ft-dc`'s checkpointing runtime),
 //! which steps each process against a [`sim::SysCtx`] and decides what to
 //! do about failures. See [`sim::Simulator`] for the protocol.
+//!
+//! [`runner`] shards independent simulations across a deterministic worker
+//! pool (split seed streams, index-ordered merge): every campaign,
+//! exploration and analysis sweep above this crate runs through it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,6 +24,7 @@ pub mod harness;
 pub mod kernel;
 pub mod net;
 pub mod rng;
+pub mod runner;
 pub mod script;
 pub mod sim;
 pub mod syscalls;

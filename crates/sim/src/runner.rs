@@ -20,7 +20,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use ft_sim::rng::SplitMix64;
+use crate::rng::SplitMix64;
 
 /// A per-trial seed stream: the `t`-th trial's seed is the `t`-th draw of
 /// a SplitMix64 stream, computed by jump so any worker can derive any

@@ -3,8 +3,8 @@
 //! `ft-analyze` break. The full suites live in those crates.
 
 use ft_analyze::report::analyze;
+use ft_apps::scenarios;
 use ft_bench::campaign::{CampaignConfig, Table2Stage};
-use ft_bench::scenarios;
 use ft_bench::stage::assert_thread_invariant;
 use ft_check::explore::explore;
 use ft_check::scenario::{CheckConfig, Workload};

@@ -147,16 +147,6 @@ impl KvParams {
         self.n_servers() as usize + self.gateways as usize
     }
 
-    /// The primary pid of `shard`.
-    pub fn primary_pid(&self, shard: u32) -> ProcessId {
-        ProcessId(shard * self.replication)
-    }
-
-    /// The pid of gateway `slot`.
-    pub fn gateway_pid(&self, slot: u32) -> ProcessId {
-        ProcessId(self.n_servers() + slot)
-    }
-
     /// Sessions carried by each gateway (total divided up, rounding up).
     pub fn sessions_per_gateway(&self) -> u64 {
         self.sessions.div_ceil(u64::from(self.gateways))

@@ -18,14 +18,12 @@
 //!
 //! * `--threads N` — worker threads for the sharded run (default: the
 //!   machine's available parallelism);
-//! * `--quick` — the CI smoke sizing; wherever it appears, the sizing
-//!   flags below still apply on top of it;
+//! * `--quick` — the CI smoke sizing of every stage; without it the
+//!   stages run at the sizing the committed `BENCH_*.json` record, which
+//!   `ci.sh` compares byte for byte;
 //! * `--only STAGE[,STAGE…]` — run only the named stages (`durable`,
 //!   `table1`, `table2`, `loss`, `fig4`, `fig8`, `ablation`, `avail`,
 //!   `kv`, `check`, `analyze`);
-//! * `--target-crashes C` / `--max-trials M` — Table 1 and ablation
-//!   sizing;
-//! * `--table2-trials T` — Table 2 sizing;
 //! * `--out DIR` — where to write the `BENCH_*.json` files (default `.`);
 //! * `--replay FILE` — instead of a campaign, re-execute the replay script
 //!   a failing check stage printed (and put in `BENCH_check.json`);
@@ -74,16 +72,9 @@ struct Args {
 }
 
 fn parse_args(argv: &[&str], default_threads: usize) -> Result<Args, String> {
-    fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String>
-    where
-        T::Err: std::fmt::Display,
-    {
-        value.parse().map_err(|e| format!("{flag}: {e}"))
-    }
     let mut threads = default_threads;
     let mut quick = false;
     let mut only = STAGES.to_vec();
-    let (mut target_crashes, mut max_trials, mut table2_trials) = (None, None, None);
     let mut out = PathBuf::from(".");
     let (mut replay, mut export_schedules) = (None, None);
     let mut it = argv.iter();
@@ -94,7 +85,9 @@ fn parse_args(argv: &[&str], default_threads: usize) -> Result<Args, String> {
                 .ok_or_else(|| format!("{flag} requires a value"))
         };
         match flag {
-            "--threads" => threads = number(flag, value()?)?,
+            "--threads" => {
+                threads = value()?.parse().map_err(|e| format!("{flag}: {e}"))?;
+            }
             "--quick" => quick = true,
             "--only" => {
                 let named: Vec<&str> = value()?.split(',').collect();
@@ -106,9 +99,6 @@ fn parse_args(argv: &[&str], default_threads: usize) -> Result<Args, String> {
                 }
                 only.retain(|s| named.contains(s));
             }
-            "--target-crashes" => target_crashes = Some(number(flag, value()?)?),
-            "--max-trials" => max_trials = Some(number(flag, value()?)?),
-            "--table2-trials" => table2_trials = Some(number(flag, value()?)?),
             "--out" => out = PathBuf::from(value()?),
             "--replay" => replay = Some(PathBuf::from(value()?)),
             "--export-schedules" => export_schedules = Some(PathBuf::from(value()?)),
@@ -118,9 +108,7 @@ fn parse_args(argv: &[&str], default_threads: usize) -> Result<Args, String> {
     if threads == 0 {
         return Err("--threads must be at least 1".to_string());
     }
-    // `--quick` picks the base sizing; the sizing flags refine it whatever
-    // order they came in.
-    let (mut cfg, avail, kv) = if quick {
+    let (cfg, avail, kv) = if quick {
         (
             CampaignConfig::quick(),
             AvailConfig::quick(),
@@ -133,9 +121,6 @@ fn parse_args(argv: &[&str], default_threads: usize) -> Result<Args, String> {
             KvConfig::default(),
         )
     };
-    cfg.target_crashes = target_crashes.unwrap_or(cfg.target_crashes);
-    cfg.max_trials = max_trials.unwrap_or(cfg.max_trials);
-    cfg.table2_trials = table2_trials.unwrap_or(cfg.table2_trials);
     Ok(Args {
         threads,
         quick,
@@ -242,28 +227,25 @@ mod tests {
     use ft_bench::json::Json;
 
     #[test]
-    fn quick_applies_before_the_sizing_flags_wherever_it_appears() {
-        let quick = CampaignConfig::quick();
-        for argv in [
-            ["--quick", "--target-crashes", "9", "--table2-trials", "3"],
-            ["--target-crashes", "9", "--table2-trials", "3", "--quick"],
-        ] {
-            let args = parse_args(&argv, 2).unwrap();
-            assert!(args.quick);
-            assert_eq!(args.cfg.target_crashes, 9, "{argv:?}");
-            assert_eq!(args.cfg.table2_trials, 3, "{argv:?}");
-            assert_eq!(args.cfg.max_trials, quick.max_trials, "{argv:?}");
-            assert_eq!(args.avail.trials, AvailConfig::quick().trials);
-            assert_eq!(args.kv.shards, KvConfig::quick().shards);
-            assert_eq!(args.threads, 2);
-        }
-        let full = parse_args(&["--max-trials", "70"], 1).unwrap();
+    fn quick_alone_selects_every_quick_config_and_no_flag_the_recorded_sizing() {
+        let args = parse_args(&["--quick"], 2).unwrap();
+        assert!(args.quick);
+        assert_eq!(args.threads, 2);
+        assert_eq!(args.cfg, CampaignConfig::quick());
+        assert_eq!(args.avail.trials, AvailConfig::quick().trials);
+        assert_eq!(args.kv.shards, KvConfig::quick().shards);
+
+        let full = parse_args(&[], 1).unwrap();
         assert!(!full.quick);
-        assert_eq!(full.cfg.max_trials, 70);
-        assert_eq!(
+        assert_eq!(full.cfg, CampaignConfig::default());
+        let sizing = (
             full.cfg.target_crashes,
-            CampaignConfig::default().target_crashes
+            full.cfg.max_trials,
+            full.cfg.table2_trials,
         );
+        assert_eq!(sizing, (100, 1200, 100), "what the committed files record");
+        assert_eq!(full.avail.trials, AvailConfig::default().trials);
+        assert_eq!(full.kv.shards, KvConfig::default().shards);
     }
 
     #[test]
@@ -309,6 +291,9 @@ mod tests {
             (&["--threads", "x"][..], "--threads:"),
             (&["--threads"][..], "requires a value"),
             (&["--avail-only"][..], "unknown flag"),
+            (&["--target-crashes", "9"][..], "unknown flag"),
+            (&["--max-trials", "70"][..], "unknown flag"),
+            (&["--quick", "--table2-trials", "3"][..], "unknown flag"),
         ] {
             let err = parse_args(argv, 1).unwrap_err();
             assert!(err.contains(want), "{argv:?}: {err}");

@@ -24,7 +24,7 @@ use crate::table1::{self, Table1App, Table1Row};
 use crate::table2::{self, Table2Row};
 
 /// Campaign sizing and seeding.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignConfig {
     /// Table 1: stop a fault type after this many crashes…
     pub target_crashes: u32,
@@ -42,64 +42,137 @@ pub struct CampaignConfig {
     pub fig8: Fig8Config,
 }
 
-/// Figure 8 stage sizing: one scenario shape per panel of the figure.
-#[derive(Debug, Clone)]
-pub struct Fig8Config {
-    /// Scenario seed shared by the four workloads.
+/// What a Figure 8 panel measures per protocol.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Metric {
+    /// Checkpoints and runtime overhead vs. the unrecoverable baseline.
+    Overhead,
+    /// Checkpoint rate and sustained client frame rate (the game).
+    Fps,
+}
+
+/// One panel of Figure 8: a [`scenarios::family`] at `(seed, size)`, the
+/// protocols on its axes, and what is measured at each.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Panel {
+    /// The workload, a [`scenarios::FAMILIES`] name.
+    pub family: &'static str,
+    /// Scenario seed.
     pub seed: u64,
-    /// nvi session length, keystrokes.
-    pub nvi_keys: usize,
-    /// TreadMarks Barnes-Hut iterations.
-    pub treadmarks_iters: u64,
-    /// Task-farm worker count.
-    pub taskfarm_workers: u32,
-    /// xpilot session length, frames.
-    pub xpilot_frames: u64,
+    /// The family's size knob (keystrokes, commands, frames, iterations,
+    /// workers).
+    pub size: usize,
+    /// The protocols measured, in row order.
+    pub protocols: &'static [Protocol],
+    /// What each row reports.
+    pub metric: Metric,
+}
+
+impl Panel {
+    fn build(&self) -> scenarios::Built {
+        scenarios::family(self.family, self.seed, self.size)
+            .unwrap_or_else(|| panic!("{} is not a scenario family", self.family))
+    }
+
+    fn as_json(&self) -> Json {
+        Json::obj([
+            ("family", Json::from(self.family)),
+            ("seed", Json::from(self.seed)),
+            ("size", Json::from(self.size)),
+            (
+                "protocols",
+                Json::arr(self.protocols.iter().map(|p| Json::from(p.name()))),
+            ),
+            (
+                "metric",
+                Json::from(match self.metric {
+                    Metric::Overhead => "overhead",
+                    Metric::Fps => "fps",
+                }),
+            ),
+        ])
+    }
+}
+
+/// nvi's axes: COMMIT-ALL, the origin of the protocol space (§2.4), which
+/// commits at every interposition point, then the single-process protocols.
+const NVI_PROTOCOLS: [Protocol; 6] = [
+    Protocol::CommitAll,
+    Protocol::Cand,
+    Protocol::CandLog,
+    Protocol::Cpvs,
+    Protocol::Cbndvs,
+    Protocol::CbndvsLog,
+];
+
+/// magic's axes: a single process has no use for the two-phase protocols.
+const SINGLE_PROCESS: &[Protocol] = Protocol::FIGURE8.split_at(5).0;
+
+/// Figure 8 stage sizing: the panel table.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Fig8Config {
+    /// The panels, in figure order.
+    pub panels: Vec<Panel>,
 }
 
 impl Default for Fig8Config {
+    /// The paper's panels (a)–(d) plus the lock-based task farm. nvi stays
+    /// at 3 000 keystrokes until ROADMAP 1(ii) is settled.
     fn default() -> Self {
+        let panel = |family, seed, size, protocols, metric| Panel {
+            family,
+            seed,
+            size,
+            protocols,
+            metric,
+        };
         Fig8Config {
-            seed: 7,
-            nvi_keys: 240,
-            treadmarks_iters: 16,
-            taskfarm_workers: 3,
-            xpilot_frames: 40,
+            panels: vec![
+                panel("nvi", 11, 3000, &NVI_PROTOCOLS, Metric::Overhead),
+                panel("magic", 13, 190, SINGLE_PROCESS, Metric::Overhead),
+                panel("xpilot", 17, 300, &Protocol::FIGURE8, Metric::Fps),
+                panel("treadmarks", 19, 150, &Protocol::FIGURE8, Metric::Overhead),
+                panel("taskfarm", 19, 3, &Protocol::FIGURE8, Metric::Overhead),
+            ],
         }
     }
 }
 
 impl Fig8Config {
-    /// The smoke sizing — deliberately the same shapes the golden-trace
-    /// fixture pins, so CI's Figure 8 stage and the trace-identity suite
-    /// measure the same runs.
+    /// The smoke sizing: the same panels at seed 7 and the sizes the
+    /// golden-trace fixture pins, so CI's Figure 8 stage and the
+    /// trace-identity suite measure the same runs.
     pub fn quick() -> Self {
-        Fig8Config {
-            seed: 7,
-            nvi_keys: 40,
-            treadmarks_iters: 8,
-            taskfarm_workers: 3,
-            xpilot_frames: 20,
+        let mut cfg = Fig8Config::default();
+        for p in &mut cfg.panels {
+            let golden = scenarios::GOLDEN.iter().find(|(f, _)| *f == p.family);
+            p.seed = 7;
+            p.size = golden.expect("every panel family has a golden size").1;
         }
+        cfg
+    }
+
+    /// The nvi panel, whose session the Figure 4 stage also kills.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table has no nvi panel.
+    pub fn nvi(&self) -> &Panel {
+        let nvi = self.panels.iter().find(|p| p.family == "nvi");
+        nvi.expect("the panel table has an nvi panel")
     }
 
     fn as_json(&self) -> Json {
-        Json::obj([
-            ("seed", Json::from(self.seed)),
-            ("nvi_keys", Json::from(self.nvi_keys)),
-            ("treadmarks_iters", Json::from(self.treadmarks_iters)),
-            ("taskfarm_workers", Json::from(self.taskfarm_workers)),
-            ("xpilot_frames", Json::from(self.xpilot_frames)),
-        ])
+        Json::arr(self.panels.iter().map(Panel::as_json))
     }
 }
 
 impl Default for CampaignConfig {
     fn default() -> Self {
         CampaignConfig {
-            target_crashes: 50,
-            max_trials: 600,
-            table2_trials: 50,
+            target_crashes: 100,
+            max_trials: 1200,
+            table2_trials: 100,
             loss_rates: vec![0.0, 0.01, 0.02, 0.05, 0.10],
             table1_seed: 0xF417,
             table2_seed: 0x0542,
@@ -391,113 +464,85 @@ impl Stage for LossStage<'_> {
     }
 }
 
-/// The Figure 8 protocol-space stage's output: overhead grids for the
-/// three runtime-overhead workloads plus the frame-rate grid for the
-/// game.
+/// One panel's rows, of the kind its [`Metric`] selects.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Fig8Result {
-    /// Overhead grids: (workload label, one row per Figure 8 protocol).
-    pub overhead: Vec<(&'static str, Vec<Fig8Row>)>,
-    /// Frame-rate grids (xpilot).
-    pub fps: Vec<(&'static str, Vec<Fig8FpsRow>)>,
+pub enum PanelRows {
+    /// Checkpoints and overhead per protocol.
+    Overhead(Vec<Fig8Row>),
+    /// Checkpoint and frame rate per protocol.
+    Fps(Vec<Fig8FpsRow>),
 }
 
-/// The Figure 8 stage: every protocol of the figure on all four
-/// workloads.
+/// The Figure 8 stage: every panel of the table, one row per protocol.
 #[derive(Debug, Clone, Copy)]
 pub struct Fig8Stage<'a>(pub &'a CampaignConfig);
 
 impl Stage for Fig8Stage<'_> {
     const NAME: &'static str = "fig8";
-    type Rows = Fig8Result;
+    /// (workload, rows) per panel, in table order.
+    type Rows = Vec<(&'static str, PanelRows)>;
 
-    fn run(&self, threads: usize) -> Fig8Result {
-        let f8 = &self.0.fig8;
-        let nvi = || scenarios::nvi(f8.seed, f8.nvi_keys);
-        let treadmarks = || scenarios::treadmarks(f8.seed, f8.treadmarks_iters);
-        let taskfarm = || scenarios::taskfarm(f8.seed, f8.taskfarm_workers);
-        let xpilot = || scenarios::xpilot(f8.seed, f8.xpilot_frames);
-        let overhead: [(&'static str, &(dyn Fn() -> scenarios::Built + Sync)); 3] = [
-            ("nvi", &nvi),
-            ("treadmarks", &treadmarks),
-            ("taskfarm", &taskfarm),
-        ];
-        Fig8Result {
-            overhead: overhead
-                .iter()
-                .map(|&(label, build)| {
-                    (
-                        label,
-                        fig8::overhead_grid(build, &Protocol::FIGURE8, threads),
-                    )
-                })
-                .collect(),
-            fps: vec![(
-                "xpilot",
-                fig8::fps_grid(&xpilot, &Protocol::FIGURE8, threads),
-            )],
-        }
+    fn run(&self, threads: usize) -> Self::Rows {
+        let panels = self.0.fig8.panels.iter();
+        panels
+            .map(|panel| {
+                let (build, protocols) = (|| panel.build(), panel.protocols);
+                let rows = match panel.metric {
+                    Metric::Overhead => {
+                        PanelRows::Overhead(fig8::overhead_grid(&build, protocols, threads))
+                    }
+                    Metric::Fps => PanelRows::Fps(fig8::fps_grid(&build, protocols, threads)),
+                };
+                (panel.family, rows)
+            })
+            .collect()
     }
 
-    /// One table per workload.
-    fn render(&self, result: &Fig8Result) -> String {
+    /// One table per panel.
+    fn render(&self, result: &Self::Rows) -> String {
         let mut out = String::new();
-        for (label, rows) in &result.overhead {
-            let table: Vec<Vec<String>> = rows
-                .iter()
-                .map(|r| {
-                    vec![
-                        r.protocol.to_string(),
-                        r.ckpts.to_string(),
-                        format!("{:.1}%", r.dc_overhead_pct),
-                        format!("{:.1}%", r.disk_overhead_pct),
-                        r.arena.traps.to_string(),
-                        r.arena.committed_pages.to_string(),
-                    ]
-                })
-                .collect();
+        for ((label, rows), panel) in result.iter().zip(&self.0.fig8.panels) {
+            let (what, metrics, table): (_, _, Vec<Vec<String>>) = match rows {
+                PanelRows::Overhead(rows) => (
+                    "overhead vs. unrecoverable baseline",
+                    ["ckpts", "DC overhead", "disk overhead"],
+                    rows.iter()
+                        .map(|r| {
+                            vec![
+                                r.protocol.to_string(),
+                                r.ckpts.to_string(),
+                                format!("{:.1}%", r.dc_overhead_pct),
+                                format!("{:.1}%", r.disk_overhead_pct),
+                                r.arena.traps.to_string(),
+                                r.arena.committed_pages.to_string(),
+                            ]
+                        })
+                        .collect(),
+                ),
+                PanelRows::Fps(rows) => (
+                    "sustained frame rate, budget 15 fps",
+                    ["ckpts/s", "DC fps", "disk fps"],
+                    rows.iter()
+                        .map(|r| {
+                            vec![
+                                r.protocol.to_string(),
+                                format!("{:.1}", r.ckps_per_sec),
+                                format!("{:.1}", r.dc_fps),
+                                format!("{:.1}", r.disk_fps),
+                                r.arena.traps.to_string(),
+                                r.arena.committed_pages.to_string(),
+                            ]
+                        })
+                        .collect(),
+                ),
+            };
+            let [a, b, c] = metrics;
+            let header = ["Protocol", a, b, c, "traps", "committed pages"];
             out.push_str(&format!(
-                "Figure 8 — {label} (overhead vs. unrecoverable baseline)\n{}\n",
-                render_table(
-                    &[
-                        "Protocol",
-                        "ckpts",
-                        "DC overhead",
-                        "disk overhead",
-                        "traps",
-                        "committed pages"
-                    ],
-                    &table
-                )
-            ));
-        }
-        for (label, rows) in &result.fps {
-            let table: Vec<Vec<String>> = rows
-                .iter()
-                .map(|r| {
-                    vec![
-                        r.protocol.to_string(),
-                        format!("{:.1}", r.ckps_per_sec),
-                        format!("{:.1}", r.dc_fps),
-                        format!("{:.1}", r.disk_fps),
-                        r.arena.traps.to_string(),
-                        r.arena.committed_pages.to_string(),
-                    ]
-                })
-                .collect();
-            out.push_str(&format!(
-                "Figure 8 — {label} (sustained frame rate, budget 15 fps)\n{}\n",
-                render_table(
-                    &[
-                        "Protocol",
-                        "ckpts/s",
-                        "DC fps",
-                        "disk fps",
-                        "traps",
-                        "committed pages"
-                    ],
-                    &table
-                )
+                "Figure 8 — {label}, seed {}, size {} ({what})\n{}\n",
+                panel.seed,
+                panel.size,
+                render_table(&header, &table)
             ));
         }
         out
@@ -505,34 +550,37 @@ impl Stage for Fig8Stage<'_> {
 
     /// The `BENCH_fig8.json` document: per-protocol checkpoints, overhead
     /// percentages (or frame rates), and the arena's write-barrier
-    /// counters for every workload of the figure.
-    fn json(&self, result: &Fig8Result) -> Json {
-        let overhead = result.overhead.iter().map(|(label, rows)| (*label, rows));
-        let overhead = grouped_rows("workload", overhead, |r| {
-            Json::obj([
-                ("protocol", Json::from(r.protocol.to_string())),
-                ("ckpts", Json::from(r.ckpts)),
-                ("dc_overhead_pct", Json::from(r.dc_overhead_pct)),
-                ("disk_overhead_pct", Json::from(r.disk_overhead_pct)),
-                ("base_runtime_ns", Json::from(r.runtimes.0)),
-                ("dc_runtime_ns", Json::from(r.runtimes.1)),
-                ("disk_runtime_ns", Json::from(r.runtimes.2)),
-                ("visibles", Json::from(r.visibles)),
-                ("arena", arena_json(&r.arena)),
-            ])
+    /// counters for every panel of the figure.
+    fn json(&self, result: &Self::Rows) -> Json {
+        let panels = result.iter().map(|(label, rows)| {
+            let rows = match rows {
+                PanelRows::Overhead(rows) => Json::arr(rows.iter().map(|r| {
+                    Json::obj([
+                        ("protocol", Json::from(r.protocol.to_string())),
+                        ("ckpts", Json::from(r.ckpts)),
+                        ("dc_overhead_pct", Json::from(r.dc_overhead_pct)),
+                        ("disk_overhead_pct", Json::from(r.disk_overhead_pct)),
+                        ("base_runtime_ns", Json::from(r.runtimes.0)),
+                        ("dc_runtime_ns", Json::from(r.runtimes.1)),
+                        ("disk_runtime_ns", Json::from(r.runtimes.2)),
+                        ("visibles", Json::from(r.visibles)),
+                        ("arena", arena_json(&r.arena)),
+                    ])
+                })),
+                PanelRows::Fps(rows) => Json::arr(rows.iter().map(|r| {
+                    Json::obj([
+                        ("protocol", Json::from(r.protocol.to_string())),
+                        ("ckpts", Json::from(r.ckpts)),
+                        ("ckps_per_sec", Json::from(r.ckps_per_sec)),
+                        ("dc_fps", Json::from(r.dc_fps)),
+                        ("disk_fps", Json::from(r.disk_fps)),
+                        ("arena", arena_json(&r.arena)),
+                    ])
+                })),
+            };
+            Json::obj([("workload", Json::from(*label)), ("rows", rows)])
         });
-        let fps = result.fps.iter().map(|(label, rows)| (*label, rows));
-        let fps = grouped_rows("workload", fps, |r| {
-            Json::obj([
-                ("protocol", Json::from(r.protocol.to_string())),
-                ("ckpts", Json::from(r.ckpts)),
-                ("ckps_per_sec", Json::from(r.ckps_per_sec)),
-                ("dc_fps", Json::from(r.dc_fps)),
-                ("disk_fps", Json::from(r.disk_fps)),
-                ("arena", arena_json(&r.arena)),
-            ])
-        });
-        report("fig8", self.0, [("overhead", overhead), ("fps", fps)])
+        report("fig8", self.0, [("panels", Json::arr(panels))])
     }
 }
 
@@ -659,5 +707,40 @@ mod tests {
         check(&Table1Stage(&cfg), "apps");
         check(&Table2Stage(&cfg), "apps");
         check(&LossStage(&cfg), "sweeps");
+    }
+
+    #[test]
+    fn the_default_panel_table_is_the_paper_scale_figure_and_quick_is_the_golden_sizes() {
+        use Protocol::{Cand, CandLog, Cbndv2pc, Cbndvs, CbndvsLog, CommitAll, Cpv2pc, Cpvs};
+        let single = [Cand, CandLog, Cpvs, Cbndvs, CbndvsLog];
+        let all = [Cand, CandLog, Cpvs, Cbndvs, CbndvsLog, Cpv2pc, Cbndv2pc];
+        let nvi = [CommitAll, Cand, CandLog, Cpvs, Cbndvs, CbndvsLog];
+        let want: [(&str, u64, usize, &[Protocol], Metric); 5] = [
+            ("nvi", 11, 3000, &nvi, Metric::Overhead),
+            ("magic", 13, 190, &single, Metric::Overhead),
+            ("xpilot", 17, 300, &all, Metric::Fps),
+            ("treadmarks", 19, 150, &all, Metric::Overhead),
+            ("taskfarm", 19, 3, &all, Metric::Overhead),
+        ];
+        let table = Fig8Config::default().panels;
+        let got: Vec<_> = table
+            .iter()
+            .map(|p| (p.family, p.seed, p.size, p.protocols, p.metric))
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(CampaignConfig::default().fig8.nvi(), &table[0]);
+
+        // Quick: the same panels at seed 7, sized exactly as the Figure 8
+        // members of the golden-trace table (postgres is Table 2's).
+        let quick = Fig8Config::quick().panels;
+        let sizes: Vec<_> = quick.iter().map(|p| (p.family, p.size)).collect();
+        let golden: Vec<_> = scenarios::GOLDEN
+            .into_iter()
+            .filter(|(family, _)| *family != "postgres")
+            .collect();
+        assert_eq!(sizes, golden);
+        for (q, d) in quick.iter().zip(&table) {
+            assert_eq!((q.seed, q.protocols, q.metric), (7, d.protocols, d.metric));
+        }
     }
 }

@@ -16,15 +16,14 @@
 //!   of the cell's reference run, so each trial sustains
 //!   ~`crashes_per_trial` crashes no matter how far recovery stretches its
 //!   own clock;
-//! * **the verdict**: every trial is judged by
-//!   `ft_core::oracle::check_recovery` against that reference run, and
-//!   counted by kind;
+//! * **the verdict**: every trial is judged by `DcReport::judge_against`
+//!   that reference run, and counted by kind;
 //! * **the fold** into [`FaultStats`], which both stages' rows embed.
 
 use ft_apps::scenarios::Built;
 use ft_core::avail::{availability, nines, total_downtime_ns, Incident};
 use ft_core::event::ProcessId;
-use ft_core::oracle::{check_recovery, InvariantViolation};
+use ft_core::oracle::InvariantViolation;
 use ft_dc::{DcConfig, DcHarness, DcReport};
 use ft_faults::arrivals::PoissonArrivals;
 use ft_sim::rng::SplitMix64;
@@ -203,21 +202,6 @@ struct TrialOutcome {
     violation: Option<InvariantViolation>,
 }
 
-fn judge_trial(reference: &Reference, report: &DcReport) -> Option<InvariantViolation> {
-    // A run that deadlocks without abandoning anyone is still incomplete.
-    if report.abandoned == 0 && !report.all_done {
-        return Some(InvariantViolation::Incomplete { abandoned: 0 });
-    }
-    check_recovery(
-        &reference.trace,
-        &reference.visibles,
-        &report.trace,
-        &report.visible_pairs(),
-        report.abandoned as usize,
-    )
-    .err()
-}
-
 impl<K: PartialEq + Sync> FaultLoad<'_, K> {
     /// Runs every reference, then every trial of every cell, on `threads`
     /// workers (1 = serial); the result is the same for every count.
@@ -310,7 +294,9 @@ impl<K: PartialEq + Sync> FaultLoad<'_, K> {
             }
         });
         TrialOutcome {
-            violation: judge_trial(reference, &report),
+            violation: report
+                .judge_against(&reference.trace, &reference.visibles)
+                .err(),
             served: (self.served)(&report),
             events: report.trace.len() as u64,
             incidents: report.incidents,

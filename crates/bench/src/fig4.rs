@@ -5,12 +5,13 @@
 //! recovery times because, after rollback, the recovery system must for
 //! some time constrain reexecution to follow the path taken before the
 //! failure." The stage kills the same non-interactive nvi session (1 ms
-//! keys, `fig8.nvi_keys` of them) four fifths of the way through under
-//! each Figure 8 protocol and reports how much work recovery replays
-//! (re-emitted visible events) and how much longer the recovered run took
-//! than the failure-free baseline. The gate is the figure's shape: the
-//! LOG protocols, which trade commits for constrained re-execution, replay
-//! more visibles than every commit-per-event protocol.
+//! keys, the seed and length of Figure 8's nvi panel) four fifths of the
+//! way through under each Figure 8 protocol and reports how much work
+//! recovery replays (re-emitted visible events) and how much longer the
+//! recovered run took than the failure-free baseline. The gate is the
+//! figure's shape: the LOG protocols, which trade commits for constrained
+//! re-execution, replay more visibles than every commit-per-event
+//! protocol.
 
 use ft_apps::scenarios;
 use ft_core::event::{NdSource, ProcessId};
@@ -46,7 +47,7 @@ pub struct Fig4Stage<'a>(pub &'a CampaignConfig);
 
 impl Fig4Stage<'_> {
     fn kill_at(&self) -> u64 {
-        self.0.fig8.nvi_keys as u64 * MS * 4 / 5
+        self.0.fig8.nvi().size as u64 * MS * 4 / 5
     }
 }
 
@@ -55,8 +56,8 @@ impl Stage for Fig4Stage<'_> {
     type Rows = Vec<Fig4Row>;
 
     fn run(&self, threads: usize) -> Vec<Fig4Row> {
-        let f8 = &self.0.fig8;
-        let build = || scenarios::nvi_custom(f8.seed, f8.nvi_keys, MS, None);
+        let nvi = self.0.fig8.nvi();
+        let build = || scenarios::nvi_custom(nvi.seed, nvi.size, MS, None);
         let (sim, mut apps) = build().into_parts();
         let base = run_plain_on(sim, &mut apps);
         assert!(base.all_done, "the failure-free session must complete");
@@ -90,7 +91,7 @@ impl Stage for Fig4Stage<'_> {
         format!(
             "Figure 4 — recovery after a kill at {} ms into a {}-keystroke session (1 ms keys)\n{}",
             self.kill_at() / MS,
-            self.0.fig8.nvi_keys,
+            self.0.fig8.nvi().size,
             render_table(
                 &["protocol", "ckpts", "replayed visibles", "extra runtime"],
                 &table

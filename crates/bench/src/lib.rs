@@ -9,7 +9,8 @@
 //! * [`stage`] — the one trait the eleven campaign stages implement (run,
 //!   render, `BENCH_<name>.json`, gate) and the thread-invariance fence;
 //! * [`campaign`] — the Table 1 (with the §4.1 conflict composition),
-//!   Table 2, loss-sweep and Figure 8 stages over one `CampaignConfig`,
+//!   Table 2, loss-sweep and Figure 8 stages over one `CampaignConfig`
+//!   (whose default is the recorded sizing and the paper-scale panel table),
 //!   on the engines in [`table1`] (application fault injection and the
 //!   Lose-work violation criterion), [`table2`] (operating-system fault
 //!   injection), [`loss`] (loss-rate degradation over the unreliable
@@ -37,11 +38,13 @@
 //! * [`report`] — plain-text table rendering.
 //!
 //! Every stage takes `threads`, and `threads = 1` is its serial
-//! reference. Run `cargo run --release -p ft-bench --bin campaign --
-//! --threads N` for all of them with machine-readable reports (`--only
-//! <stage>,…` for a subset, `--quick` for the CI sizes). `benches/fig8`
-//! prints the five Figure 8 panels at paper-scale sizes (`-- <panel>…`
-//! for some), and EXPERIMENTS.md holds the recorded results.
+//! reference. `cargo run --release -p ft-bench --bin campaign --
+//! --threads N` runs all of them and is the whole measurement surface of
+//! the workspace: with no other flag it regenerates the `BENCH_*.json`
+//! committed at the repo root byte for byte (`ci.sh` `cmp`s them — the
+//! committed reports are the gate), `--quick` selects the CI sizes and
+//! `--only <stage>,…` a subset. EXPERIMENTS.md holds the recorded results;
+//! wall-clock comparisons live in `benchmark/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -13,7 +13,8 @@ use ft_bench::ablation::{AblationRow, AblationStage};
 use ft_bench::analyze::{AnalyzeStage, Cell, Expect};
 use ft_bench::avail::AvailConfig;
 use ft_bench::campaign::{
-    CampaignConfig, Fig8Config, Fig8Stage, LossStage, Table1Stage, Table2Stage,
+    CampaignConfig, Fig8Config, Fig8Stage, LossStage, Metric, Panel, PanelRows, Table1Stage,
+    Table2Stage,
 };
 use ft_bench::check::CheckStage;
 use ft_bench::durable::DurableStage;
@@ -29,18 +30,33 @@ use ft_faults::FaultType;
 const TARGET: u32 = 3;
 const MAX: u32 = 20;
 
+fn panel(family: &'static str, size: usize, protocols: &'static [Protocol]) -> Panel {
+    Panel {
+        family,
+        seed: 7,
+        size,
+        protocols,
+        metric: Metric::Overhead,
+    }
+}
+
 fn cfg() -> CampaignConfig {
     CampaignConfig {
         target_crashes: TARGET,
         max_trials: MAX,
         table2_trials: 5,
         loss_rates: vec![0.0, 0.02, 0.05],
+        // One panel per row kind and per process shape, at tiny sizes.
         fig8: Fig8Config {
-            seed: 7,
-            nvi_keys: 30,
-            treadmarks_iters: 6,
-            taskfarm_workers: 3,
-            xpilot_frames: 12,
+            panels: vec![
+                panel("nvi", 30, &[Protocol::CommitAll, Protocol::CbndvsLog]),
+                panel("magic", 6, &[Protocol::Cand, Protocol::Cpvs]),
+                Panel {
+                    metric: Metric::Fps,
+                    ..panel("xpilot", 12, &[Protocol::Cpvs, Protocol::Cpv2pc])
+                },
+                panel("treadmarks", 6, &Protocol::FIGURE8),
+            ],
         },
         ..CampaignConfig::default()
     }
@@ -84,8 +100,21 @@ fn loss_sweep_is_thread_invariant() {
 }
 
 #[test]
-fn fig8_is_thread_invariant() {
-    assert_thread_invariant(&Fig8Stage(&cfg()));
+fn fig8_is_thread_invariant_for_both_row_kinds() {
+    let rows = assert_thread_invariant(&Fig8Stage(&cfg()));
+    let kinds: Vec<_> = rows
+        .iter()
+        .map(|(family, rows)| (*family, matches!(rows, PanelRows::Fps(_))))
+        .collect();
+    assert_eq!(
+        kinds,
+        [
+            ("nvi", false),
+            ("magic", false),
+            ("xpilot", true),
+            ("treadmarks", false)
+        ]
+    );
 }
 
 #[test]

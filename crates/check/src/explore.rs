@@ -2,7 +2,7 @@
 //! (serial or sharded) exploration loop.
 
 use ft_core::event::ProcessId;
-use ft_core::oracle::{check_recovery, InvariantViolation};
+use ft_core::oracle::InvariantViolation;
 use ft_dc::fingerprint::report_fingerprint;
 use ft_dc::{CommitKill, DcHarness, DcReport};
 use ft_faults::crash::CrashPoint;
@@ -136,36 +136,12 @@ pub fn run_point(
 
 /// Applies the composed oracles to one recovered run.
 fn judge(canonical: &Canonical, point: Option<CrashPoint>, report: &DcReport) -> PointResult {
-    let fingerprint = report_fingerprint(report);
-    let recovered_visibles = report.visible_pairs();
-    // A run that deadlocks without abandoning anyone is still incomplete.
-    if report.abandoned == 0 && !report.all_done {
-        return PointResult {
-            point,
-            fingerprint,
-            violation: Some(InvariantViolation::Incomplete { abandoned: 0 }),
-            duplicates: 0,
-        };
-    }
-    match check_recovery(
-        &canonical.report.trace,
-        &canonical.visibles,
-        &report.trace,
-        &recovered_visibles,
-        report.abandoned as usize,
-    ) {
-        Ok(v) => PointResult {
-            point,
-            fingerprint,
-            violation: None,
-            duplicates: v.duplicates,
-        },
-        Err(e) => PointResult {
-            point,
-            fingerprint,
-            violation: Some(e),
-            duplicates: 0,
-        },
+    let verdict = report.judge_against(&canonical.report.trace, &canonical.visibles);
+    PointResult {
+        point,
+        fingerprint: report_fingerprint(report),
+        duplicates: verdict.as_ref().map_or(0, |v| v.duplicates),
+        violation: verdict.err(),
     }
 }
 

@@ -118,24 +118,9 @@ impl StateGraph {
         self.edges.len()
     }
 
-    /// Is `s` a crash state?
-    pub fn is_crash_state(&self, s: StateId) -> bool {
-        self.crash[s.0]
-    }
-
     /// The edge record for `e`.
     pub fn edge(&self, e: EdgeId) -> &Edge {
         &self.edges[e.0]
-    }
-
-    /// Outgoing edges of `s`.
-    pub fn out_edges(&self, s: StateId) -> &[EdgeId] {
-        &self.out[s.0]
-    }
-
-    /// The label of state `s`.
-    pub fn state_label(&self, s: StateId) -> &str {
-        &self.labels[s.0]
     }
 
     /// Runs the Single-Process Dangerous Paths Algorithm (§2.5).
@@ -231,11 +216,6 @@ impl DangerousPaths {
     /// Is committing at state `s` safe under the Lose-work theorem?
     pub fn commit_safe(&self, s: StateId) -> bool {
         !self.dangerous_state[s.0]
-    }
-
-    /// Is event `e` on a dangerous path?
-    pub fn is_colored(&self, e: EdgeId) -> bool {
-        self.colored_edge[e.0]
     }
 
     /// Number of dangerous states.

@@ -86,21 +86,6 @@ impl Protocol {
             _ => false,
         }
     }
-
-    /// Does this protocol use a coordinated (two-phase) commit before
-    /// visible events?
-    pub fn is_two_phase(self) -> bool {
-        matches!(self, Protocol::Cpv2pc | Protocol::Cbndv2pc)
-    }
-
-    /// Does this protocol track whether non-determinism executed since the
-    /// last commit (the "dirty" bit)?
-    pub fn tracks_dirty(self) -> bool {
-        matches!(
-            self,
-            Protocol::Cbndvs | Protocol::CbndvsLog | Protocol::Cbndv2pc
-        )
-    }
 }
 
 impl std::fmt::Display for Protocol {

@@ -81,11 +81,6 @@ impl Trace {
         self.len() == 0
     }
 
-    /// All commit events of process `p`, in program order.
-    pub fn commits_of(&self, p: ProcessId) -> impl Iterator<Item = &Event> {
-        self.process(p).iter().filter(|e| e.kind.is_commit())
-    }
-
     /// Number of commit events across all processes.
     pub fn total_commits(&self) -> usize {
         self.iter().filter(|e| e.kind.is_commit()).count()

@@ -59,6 +59,10 @@ impl<'a, 'b> DcSys<'a, 'b> {
     /// protocol's logging choice; if a result arrives, `on_arrival` sees
     /// it first, then dirty/dependency tracking and log accounting, then
     /// the commit-after, which captures the result as the pending value.
+    ///
+    /// Once a mid-commit kill has fired in this step the process is dead:
+    /// `raw` (which `SysCtx` already suppresses) is all that runs — no
+    /// replay served, no planner consulted, no further commit.
     fn nd<T: Clone>(
         &mut self,
         source: NdSource,
@@ -67,6 +71,9 @@ impl<'a, 'b> DcSys<'a, 'b> {
         raw: impl FnOnce(&mut SysCtx<'b>) -> Option<T>,
         on_arrival: impl FnOnce(&mut ProcState, &T, bool),
     ) -> Option<T> {
+        if self.ctx.step_killed() {
+            return raw(self.ctx);
+        }
         let pid = self.ctx.pid();
         if let Some(v) = self.rt.take_replay(pid, unwrap) {
             self.ctx.sim_mut().tracer_mut().nd_logged(pid, source);
@@ -99,12 +106,16 @@ impl<'a, 'b> DcSys<'a, 'b> {
     /// The rule for every other intercepted syscall: the planner's commit
     /// before `event` (local, coordinated, or — for a send under the
     /// `skip_presend_commit` mutation — suppressed), then `raw`, then the
-    /// planner's commit after it.
+    /// planner's commit after it. As in [`DcSys::nd`], only `raw` runs
+    /// once the step has been killed.
     fn around<R>(
         &mut self,
         event: InterceptedEvent,
         raw: impl FnOnce(&mut SysCtx<'b>, &DcRuntime) -> R,
     ) -> R {
+        if self.ctx.step_killed() {
+            return raw(self.ctx, self.rt);
+        }
         let pid = self.ctx.pid();
         let d = self.rt.state_mut(pid).planner.decide(event);
         debug_assert!(!d.log, "only nd events are logged");

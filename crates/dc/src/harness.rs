@@ -4,6 +4,7 @@
 
 use ft_core::avail::Incident;
 use ft_core::event::ProcessId;
+use ft_core::oracle::{check_recovery, InvariantViolation, OracleVerdict};
 use ft_core::trace::Trace;
 use ft_mem::arena::ArenaStats;
 use ft_mem::cost::COW_TRAP_NS;
@@ -80,21 +81,25 @@ impl DcReport {
         self.visibles.iter().map(|&(_, p, t)| (p.0, t)).collect()
     }
 
-    /// The run's commit ordering: every commit event in the trace, in
-    /// process-major order, with its coordinated-round group (if any).
-    /// This is the coverage side of the Save-work obligation audit —
-    /// same-group commits are atomic with one another, so the audit's
-    /// closure treats a round as ordered by its best-ordered member.
-    pub fn commit_order(&self) -> Vec<(ft_core::event::EventId, Option<u64>)> {
-        let mut out = Vec::new();
-        for p in 0..self.trace.num_processes() {
-            for e in self.trace.process(ft_core::event::ProcessId::from_index(p)) {
-                if e.kind.is_commit() {
-                    out.push((e.id, e.atomic_group));
-                }
-            }
+    /// Judges this run with the composed oracle against a failure-free
+    /// execution of the same workload: its trace and its
+    /// [`visible_pairs`](DcReport::visible_pairs). A run that deadlocks
+    /// without abandoning anyone is still `Incomplete`.
+    pub fn judge_against(
+        &self,
+        canonical: &Trace,
+        reference_visibles: &[(u32, u64)],
+    ) -> Result<OracleVerdict, InvariantViolation> {
+        if self.abandoned == 0 && !self.all_done {
+            return Err(InvariantViolation::Incomplete { abandoned: 0 });
         }
-        out
+        check_recovery(
+            canonical,
+            reference_visibles,
+            &self.trace,
+            &self.visible_pairs(),
+            self.abandoned as usize,
+        )
     }
 }
 

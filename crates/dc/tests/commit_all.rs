@@ -5,7 +5,6 @@
 
 use ft_apps::scenarios::{self, Built};
 use ft_core::event::{EventKind, ProcessId};
-use ft_core::oracle::check_recovery;
 use ft_core::protocol::Protocol;
 use ft_core::savework::check_save_work;
 use ft_dc::harness::{DcHarness, DcReport};
@@ -63,13 +62,7 @@ fn commits_at_every_interposition_point(
     );
     assert!(recovered.all_done);
     assert_eq!(recovered.totals.recoveries, 1, "the kill must land mid-run");
-    let verdict = check_recovery(
-        &canon.trace,
-        &canon.visible_pairs(),
-        &recovered.trace,
-        &recovered.visible_pairs(),
-        recovered.abandoned as usize,
-    );
+    let verdict = recovered.judge_against(&canon.trace, &canon.visible_pairs());
     assert!(verdict.is_ok(), "{:?}", verdict.err());
     (nd, visible, send, other)
 }

@@ -8,7 +8,6 @@
 #![allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
 
 use ft_core::event::ProcessId;
-use ft_core::oracle::check_recovery;
 use ft_core::protocol::Protocol;
 use ft_dc::harness::{DcHarness, DcReport};
 use ft_dc::recovery::{MicrorebootMutation, Strategy};
@@ -160,14 +159,7 @@ fn honest_microreboot_passes_the_oracle_at_every_kill_time() {
             &[kill_at],
         );
         assert!(report.all_done, "kill@{kill_at} did not complete");
-        let recovered = report.visible_pairs();
-        let verdict = check_recovery(
-            &canon.trace,
-            &reference,
-            &report.trace,
-            &recovered,
-            report.abandoned as usize,
-        );
+        let verdict = report.judge_against(&canon.trace, &reference);
         assert!(verdict.is_ok(), "kill@{kill_at}: {:?}", verdict.err());
     }
 }
@@ -196,16 +188,7 @@ fn skipped_page_reinstall_is_flagged_by_the_oracle() {
             ),
             &[kill_at],
         );
-        let recovered = report.visible_pairs();
-        if check_recovery(
-            &canon.trace,
-            &reference,
-            &report.trace,
-            &recovered,
-            report.abandoned as usize,
-        )
-        .is_err()
-        {
+        if report.judge_against(&canon.trace, &reference).is_err() {
             flagged += 1;
         }
     }

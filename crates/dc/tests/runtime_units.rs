@@ -181,6 +181,67 @@ fn committed_snapshot_contents_are_coherent() {
     assert!(rt.state(pid).committed.trace_pos >= 1);
 }
 
+#[test]
+fn a_mid_commit_kill_ends_the_steps_commits() {
+    use ft_dc::dcsys::DcSys;
+    use ft_dc::runtime::DcRuntime;
+    use ft_dc::state::CommitKill;
+    use ft_mem::arena::{CommitCrashPoint, Layout};
+    use ft_mem::mem::Mem;
+    use ft_sim::syscalls::Syscalls;
+
+    // COMMIT-ALL commits at every interposition point, so a step of
+    // several event syscalls reaches several commit points. The first is
+    // torn; the rest belong to a dead process and must not happen — under
+    // either interposition rule (`random`/`open` are nd, `visible`/`close`
+    // go through `around`).
+    for point in CommitCrashPoint::ALL {
+        let mut sim = Simulator::new(SimConfig::single_node(1, 1));
+        let mut cfg = DcConfig::discount_checking(Protocol::CommitAll);
+        let pid = ProcessId(0);
+        cfg.commit_kill = Some(CommitKill {
+            pid: pid.0,
+            nth: 0,
+            point,
+        });
+        let mut rt = DcRuntime::new(cfg, &sim, vec![Mem::new(Layout::small())]);
+        let mut ctx = sim.ctx(pid);
+
+        DcSys::new(&mut ctx, &mut rt).gettimeofday();
+        assert!(ctx.step_killed(), "{point}: the first commit is the kill");
+        // A pre-log crash means the commit never happened.
+        let committed = u64::from(point != CommitCrashPoint::PreLog);
+        let after_kill = (
+            rt.state(pid).stats.commits,
+            rt.state(pid).committed.trace_pos,
+            rt.commit_points(pid),
+            ctx.sim().trace_position(pid),
+        );
+        assert_eq!((after_kill.0, after_kill.2), (committed, 1), "{point}");
+
+        let mut sys = DcSys::new(&mut ctx, &mut rt);
+        sys.random();
+        sys.visible(7);
+        let fd = sys.open("f").expect("suppressed");
+        sys.close(fd).expect("suppressed");
+        assert_eq!(
+            (
+                rt.state(pid).stats.commits,
+                rt.state(pid).committed.trace_pos,
+                rt.commit_points(pid),
+                ctx.sim().trace_position(pid),
+            ),
+            after_kill,
+            "{point}: a dead process committed again"
+        );
+        drop(ctx);
+        let (trace, visibles, _) = sim.finish();
+        let commits = trace.iter().filter(|e| e.kind.is_commit()).count() as u64;
+        assert_eq!(commits, committed, "{point}");
+        assert!(visibles.is_empty(), "{point}");
+    }
+}
+
 /// Input → echo only, no file I/O: under CAND-LOG every event is logged
 /// and the process never commits on its own.
 struct PureEcho;

@@ -201,8 +201,7 @@ fn rel_path(root: &Path, p: &Path) -> String {
 
 /// A seeded violation for the CI self-test: `--mutate <rule>` plants
 /// this source as an in-memory synthetic file; the run must then exit
-/// nonzero, proving the gate can actually fail (same pattern as the
-/// perf gate's `--mutate spin`).
+/// nonzero, proving the gate can actually fail.
 #[derive(Debug)]
 pub struct Mutant {
     /// Rule (or meta-rule) this mutant must trigger.

@@ -40,8 +40,8 @@ pub struct Config {
     /// Path substrings that exclude a file from scanning entirely.
     pub exclude: Vec<String>,
     /// Campaign-driver files: wall-clock reads and unordered iteration
-    /// are allowed here, because their *reports* carry timings by design
-    /// and no simulated result derives from them.
+    /// are allowed here, because they only print timings and no simulated
+    /// result derives from them.
     pub driver_files: Vec<String>,
     /// Files exempt from `float-in-fingerprint`: the shortest-round-trip
     /// JSON emitter, whose whole job is rendering floats exactly.
@@ -79,11 +79,10 @@ impl Config {
             .map(String::from)
             .to_vec(),
             driver_files: [
-                // The two binaries that read the wall clock: `perf`
-                // reports timings by design, `campaign` prints them to
-                // stdout (never into a report). The stages they drive
-                // live in library files and stay in scope.
-                "crates/bench/src/bin/perf.rs",
+                // The one binary that reads the wall clock: `campaign`
+                // prints stage timings to stdout (never into a report).
+                // The stages it drives live in library files and stay in
+                // scope.
                 "crates/bench/src/bin/campaign.rs",
             ]
             .map(String::from)

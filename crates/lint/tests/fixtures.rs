@@ -72,7 +72,8 @@ fn planted_closure_reaches_the_callee_not_just_the_root() {
 fn every_clean_twin_passes() {
     let mut config = fixture_config("clean");
     // The timing twin reads the wall clock legitimately: it is a
-    // configured campaign driver, exactly like perf.rs in the real tree.
+    // configured campaign driver, exactly like bin/campaign.rs in the real
+    // tree.
     config.driver_files.push("driver_timing.rs".to_string());
 
     let report = ft_lint::analyze(&config).expect("analyze clean fixtures");

@@ -559,11 +559,6 @@ impl DurableStore {
         &self.dir
     }
 
-    /// Options this store was opened with.
-    pub fn options(&self) -> DurableOptions {
-        self.opts
-    }
-
     /// Encodes the next commit's record frame from the arena's current
     /// dirty set, without touching the log or the arena. Pages are
     /// encoded in ascending index order, so equal states produce equal

@@ -106,14 +106,9 @@ pub struct PlainReport {
     pub shm: ft_core::access::ShmLog,
 }
 
-/// Runs `apps` to completion (or deadlock) with no recovery; killed or
-/// crashed processes simply stay dead.
-pub fn run_plain(cfg: SimConfig, apps: &mut [Box<dyn App>]) -> PlainReport {
-    run_plain_on(Simulator::new(cfg), apps)
-}
-
-/// As [`run_plain`], against a pre-configured simulator (input scripts,
-/// signal schedules, kill times already installed).
+/// Runs `apps` to completion (or deadlock) with no recovery, on a
+/// pre-configured simulator (input scripts, signal schedules, kill times
+/// already installed); killed or crashed processes simply stay dead.
 pub fn run_plain_on(mut sim: Simulator, apps: &mut [Box<dyn App>]) -> PlainReport {
     let sim = &mut sim;
     let mut mems: Vec<Mem> = apps.iter().map(|a| Mem::new(a.layout())).collect();

@@ -31,7 +31,7 @@ pub mod syscalls;
 pub mod wheel;
 
 pub use cost::{CostModel, SimTime, MS, SEC, US};
-pub use harness::{run_plain, run_plain_on, PlainReport, PlainSys};
+pub use harness::{run_plain_on, PlainReport, PlainSys};
 pub use kernel::{Kernel, KernelSnapshot};
 pub use net::{Network, SendOutcome};
 pub use rng::SplitMix64;

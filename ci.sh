@@ -14,7 +14,12 @@ mkdir -p "$out/rerun"
 cargo build --release --workspace
 # benchmark/ is a package of its own, outside the workspace, and may not
 # be edited by a change that claims a gain: compile it here so that a
-# public-API break against it fails CI and not the benchmark driver.
+# public-API break against it fails CI and not the benchmark driver. The
+# build re-resolves the tracked benchmark/Cargo.lock whenever the edges
+# among crates/* have moved since it was recorded; put it back on exit so
+# a local run leaves `git status` clean without editing benchmark/.
+cp benchmark/Cargo.lock "$out/benchmark.Cargo.lock"
+trap 'cp "$out/benchmark.Cargo.lock" benchmark/Cargo.lock' EXIT
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 # The harness dependency points down: ft-bench defines the stages and
 # nothing below it may reach back up.
@@ -22,10 +27,11 @@ if cargo tree --offline -e normal -p ft-check -p ft-analyze -p ft-crashtest | gr
   echo "ci: ft-check, ft-analyze and ft-crashtest must not depend on ft-bench" >&2; exit 1
 fi
 cargo test -q --workspace
-# ft-dsm decodes bytes a peer (or a fault campaign) chose: run its tests
-# with overflow checks off too, so "debug and release agree" on every
-# untrusted-byte case is gated, not assumed.
-cargo test -q --release -p ft-dsm
+# ft-dsm decodes bytes a peer (or a fault campaign) chose and ft-mem bytes
+# that come back from a disk: run their tests with overflow checks off
+# too, so "debug and release agree" on every untrusted-byte case is gated,
+# not assumed.
+cargo test -q --release -p ft-dsm -p ft-mem
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
 
@@ -79,8 +85,9 @@ done
 # The committed reports are the gate: `campaign` with no sizing flag
 # regenerates every root BENCH_<stage>.json, and every checkpoint count,
 # trap, committed page, simulated runtime, MTTR and schedule count in them
-# must come out byte for byte (as must ft-lint's report). A change that
-# moves one on purpose re-records the file and says why.
+# must come out byte for byte (as must ft-lint's report) — and so must
+# EXPERIMENTS.md, whose marked blocks are the same run's printed text. A
+# change that moves one on purpose re-records the file and says why.
 campaign --threads 4 --out "$out/full" >/dev/null
 differs() {
   echo "ci: $1 differs from the committed file; if the change is intended, re-record it:" >&2
@@ -92,6 +99,8 @@ for stage in $stages; do
   cmp "$out/full/$f" "$f" \
     || differs "$f" "cargo run --release -p ft-bench --bin campaign -- --only $stage"
 done
+cmp "$out/full/EXPERIMENTS.md" EXPERIMENTS.md \
+  || differs EXPERIMENTS.md "cargo run --release -p ft-bench --bin campaign"
 cmp "$out/BENCH_lint.json" BENCH_lint.json \
   || differs BENCH_lint.json "cargo run --release -p ft-lint --bin ft-lint -- --out BENCH_lint.json"
 for f in BENCH_*.json; do

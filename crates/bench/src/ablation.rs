@@ -26,9 +26,10 @@ use ft_sim::harness::run_plain_on;
 use ft_sim::runner::run_cutoff;
 
 use crate::campaign::{report, CampaignConfig};
+use crate::fig8::overhead_pct;
 use crate::json::Json;
-use crate::report::render_table;
 use crate::stage::Stage;
+use crate::table1::share_pct;
 
 /// Session length, keystrokes (Table 1's non-interactive nvi).
 const KEYS: usize = 400;
@@ -65,7 +66,7 @@ impl AblationRow {
     }
 
     fn rate_pct(&self) -> f64 {
-        f64::from(self.violations) / f64::from(self.crashes.max(1)) * 100.0
+        share_pct(self.violations, self.crashes)
     }
 }
 
@@ -160,36 +161,6 @@ impl Stage for AblationStage<'_> {
         }
     }
 
-    fn render(&self, result: &AblationResult) -> String {
-        let table: Vec<Vec<String>> = result
-            .rows
-            .iter()
-            .map(|r| {
-                vec![
-                    if r.eager {
-                        "every keystroke"
-                    } else {
-                        "save time only"
-                    }
-                    .to_string(),
-                    r.protocol.to_string(),
-                    format!("{}/{}", r.violations, r.crashes),
-                    format!("{:.0}%", r.rate_pct()),
-                ]
-            })
-            .collect();
-        format!(
-            "§2.6 ablation — heap-bit-flip campaign on nvi: crash early, commit less often\n{}\
-             Checking at every keystroke costs +{:.1}% processing time.\n",
-            render_table(
-                &["checks", "protocol", "violations/crashes", "rate"],
-                &table
-            ),
-            (result.eager_ns as f64 - result.save_time_ns as f64) / result.save_time_ns as f64
-                * 100.0
-        )
-    }
-
     fn json(&self, result: &AblationResult) -> Json {
         let rows = result.rows.iter().map(|r| {
             Json::obj([
@@ -201,11 +172,13 @@ impl Stage for AblationStage<'_> {
                 ("violation_pct", Json::from(r.rate_pct())),
             ])
         });
+        let eager_overhead = overhead_pct(result.save_time_ns, result.eager_ns);
         report(
             "ablation",
             self.0,
             [
                 ("rows", Json::arr(rows)),
+                ("eager_overhead_pct", Json::from(eager_overhead)),
                 ("save_time_processing_ns", Json::from(result.save_time_ns)),
                 ("eager_processing_ns", Json::from(result.eager_ns)),
             ],

@@ -22,7 +22,6 @@ use ft_dc::state::DcConfig;
 use ft_sim::runner::run_indexed;
 
 use crate::json::Json;
-use crate::report::render_table;
 use crate::stage::Stage;
 
 /// What a cell's analysis must show for the stage to pass.
@@ -151,44 +150,14 @@ fn run_cell(cell: &Cell) -> AnalysisReport {
 impl Stage for AnalyzeStage {
     const NAME: &'static str = "analyze";
     type Rows = Vec<AnalysisReport>;
+    #[rustfmt::skip]
+    const COLUMNS: &'static [&'static str] = &[
+        "workload", "protocol", "size", "events", "accesses", "hb_races", "lockset_violations",
+        "obligations_uncovered", "savework_agrees", "verdict",
+    ];
 
     fn run(&self, threads: usize) -> Vec<AnalysisReport> {
         run_indexed(self.cells.len(), threads, |i| run_cell(&self.cells[i]))
-    }
-
-    fn render(&self, rows: &Vec<AnalysisReport>) -> String {
-        let table: Vec<Vec<String>> = self
-            .cells
-            .iter()
-            .zip(rows)
-            .map(|(cell, r)| {
-                vec![
-                    cell.workload.to_string(),
-                    cell.protocol.name().to_string(),
-                    r.accesses.to_string(),
-                    r.races.len().to_string(),
-                    r.lockset.len().to_string(),
-                    r.obligations.len().to_string(),
-                    cell.verdict(r)
-                        .map_or_else(|why| format!("FAIL: {why}"), |()| "ok".into()),
-                ]
-            })
-            .collect();
-        format!(
-            "Trace analysis (happens-before races, locksets, Save-work obligations)\n{}",
-            render_table(
-                &[
-                    "workload",
-                    "protocol",
-                    "accesses",
-                    "hb races",
-                    "lockset",
-                    "obligations",
-                    "verdict"
-                ],
-                &table
-            )
-        )
     }
 
     fn json(&self, rows: &Vec<AnalysisReport>) -> Json {

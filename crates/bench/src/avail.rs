@@ -31,7 +31,6 @@ use ft_sim::rng::SplitMix64;
 
 use crate::continuous::{FaultLoad, FaultStats};
 use crate::json::Json;
-use crate::report::render_table;
 use crate::stage::Stage;
 
 /// The availability workloads: long-running cuts of the §3 suite.
@@ -225,6 +224,12 @@ pub fn mutation_name(m: MicrorebootMutation) -> &'static str {
 impl Stage for AvailConfig {
     const NAME: &'static str = "avail";
     type Rows = AvailResult;
+    #[rustfmt::skip]
+    const COLUMNS: &'static [&'static str] = &[
+        "workload", "protocol", "strategy", "mutation", "incidents", "mttr_p50_ns",
+        "mttr_p95_ns", "mttr_p99_ns", "availability", "nines", "goodput_pct", "escalations",
+        "violations.total",
+    ];
 
     fn run(&self, threads: usize) -> AvailResult {
         let cells = cells(self);
@@ -254,60 +259,6 @@ impl Stage for AvailConfig {
             })
             .collect();
         AvailResult { rows }
-    }
-
-    fn render(&self, result: &AvailResult) -> String {
-        let rows: Vec<Vec<String>> = result
-            .rows
-            .iter()
-            .map(|r| {
-                let label = if r.mutation == MicrorebootMutation::None {
-                    r.workload.to_string()
-                } else {
-                    format!("{}!{}", r.workload, mutation_name(r.mutation))
-                };
-                let s = &r.stats;
-                vec![
-                    label,
-                    r.protocol.name().to_string(),
-                    r.strategy.name().to_string(),
-                    s.incidents.to_string(),
-                    format!("{:.1}", s.mttr_p50_ns as f64 / 1e6),
-                    format!("{:.1}", s.mttr_p95_ns as f64 / 1e6),
-                    format!("{:.1}", s.mttr_p99_ns as f64 / 1e6),
-                    format!("{:.4}%", s.availability * 100.0),
-                    format!("{:.2}", s.nines),
-                    format!("{:.0}%", s.goodput_pct),
-                    s.escalations.to_string(),
-                    s.violations.total.to_string(),
-                ]
-            })
-            .collect();
-        format!(
-            "Availability — {} workloads × {} protocols × 2 strategies, Poisson arrivals, \
-             ~{:.0} crashes per trial, {} trial(s) per cell\n{}",
-            WORKLOADS.len(),
-            self.protocols.len(),
-            self.crashes_per_trial,
-            self.trials,
-            render_table(
-                &[
-                    "workload",
-                    "protocol",
-                    "strategy",
-                    "incidents",
-                    "MTTR p50 (ms)",
-                    "p95",
-                    "p99",
-                    "availability",
-                    "nines",
-                    "goodput",
-                    "escalations",
-                    "violations",
-                ],
-                &rows
-            )
-        )
     }
 
     /// The `BENCH_avail.json` document.

@@ -4,8 +4,9 @@
 //! ablation, the continuous-availability matrix, the sharded-KV service,
 //! the exhaustive crash-schedule model checker and the trace analyzer —
 //! each once on one thread (the serial reference) and once on `--threads`,
-//! **fails if the two differ**, prints the stage's tables and both
-//! timings, writes `BENCH_<stage>.json`, and applies the stage's gate
+//! **fails if the two differ**, prints the report as text (the one
+//! printer, `ft_bench::report::render`) and both timings, writes
+//! `BENCH_<stage>.json`, and applies the stage's gate
 //! (the paper's shape criteria for its figures; avail: every seeded
 //! unsound-microreboot cell flagged; kv and check: violation-free;
 //! analyze: every cell as expected, the seeded races flagged).
@@ -24,7 +25,10 @@
 //! * `--only STAGE[,STAGE…]` — run only the named stages (`durable`,
 //!   `table1`, `table2`, `loss`, `fig4`, `fig8`, `ablation`, `avail`,
 //!   `kv`, `check`, `analyze`);
-//! * `--out DIR` — where to write the `BENCH_*.json` files (default `.`);
+//! * `--out DIR` — where to write the `BENCH_*.json` files and, without
+//!   `--quick`, `EXPERIMENTS.md`: the repo's own with the marked block of
+//!   every stage that ran replaced by the text printed for it (default
+//!   `.`, which from the repo root re-records all of them in place);
 //! * `--replay FILE` — instead of a campaign, re-execute the replay script
 //!   a failing check stage printed (and put in `BENCH_check.json`);
 //! * `--export-schedules DIR` — instead of a campaign, write the standard
@@ -45,6 +49,7 @@ use ft_bench::check::{replay, CheckStage};
 use ft_bench::durable::DurableStage;
 use ft_bench::fig4::Fig4Stage;
 use ft_bench::kv::KvConfig;
+use ft_bench::report::{render, splice};
 use ft_bench::stage::Stage;
 use ft_sim::runner::default_threads;
 
@@ -53,6 +58,20 @@ const STAGES: [&str; 11] = [
     "durable", "table1", "table2", "loss", "fig4", "fig8", "ablation", "avail", "kv", "check",
     "analyze",
 ];
+
+/// Every flag.
+const FLAGS: [&str; 6] = [
+    "--threads",
+    "--quick",
+    "--only",
+    "--out",
+    "--replay",
+    "--export-schedules",
+];
+
+/// The repo's EXPERIMENTS.md, whose marked blocks a full-size run
+/// regenerates.
+const EXPERIMENTS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../EXPERIMENTS.md");
 
 #[derive(Debug)]
 struct Args {
@@ -75,10 +94,14 @@ fn parse_args(argv: &[&str], default_threads: usize) -> Result<Args, String> {
     let mut threads = default_threads;
     let mut quick = false;
     let mut only = STAGES.to_vec();
+    let mut selections = Vec::new();
     let mut out = PathBuf::from(".");
     let (mut replay, mut export_schedules) = (None, None);
     let mut it = argv.iter();
     while let Some(&flag) = it.next() {
+        if !FLAGS.contains(&flag) {
+            return Err(format!("unknown flag {flag} (flags: {})", FLAGS.join(", ")));
+        }
         let mut value = || {
             it.next()
                 .copied()
@@ -90,7 +113,8 @@ fn parse_args(argv: &[&str], default_threads: usize) -> Result<Args, String> {
             }
             "--quick" => quick = true,
             "--only" => {
-                let named: Vec<&str> = value()?.split(',').collect();
+                let selection = value()?;
+                let named: Vec<&str> = selection.split(',').collect();
                 if let Some(unknown) = named.iter().find(|n| !STAGES.contains(n)) {
                     return Err(format!(
                         "--only: unknown stage {unknown:?} (stages: {})",
@@ -98,12 +122,19 @@ fn parse_args(argv: &[&str], default_threads: usize) -> Result<Args, String> {
                     ));
                 }
                 only.retain(|s| named.contains(s));
+                selections.push(selection);
             }
             "--out" => out = PathBuf::from(value()?),
             "--replay" => replay = Some(PathBuf::from(value()?)),
             "--export-schedules" => export_schedules = Some(PathBuf::from(value()?)),
-            other => return Err(format!("unknown flag {other}")),
+            other => unreachable!("{other} is in FLAGS"),
         }
+    }
+    if only.is_empty() {
+        return Err(format!(
+            "--only {}: repeated --only flags intersect, and no stage is in all of them",
+            selections.join(" --only ")
+        ));
     }
     if threads == 0 {
         return Err("--threads must be at least 1".to_string());
@@ -134,34 +165,55 @@ fn parse_args(argv: &[&str], default_threads: usize) -> Result<Args, String> {
     })
 }
 
-/// Runs one stage under the campaign contract: the serial reference, then
-/// the sharded run, which must reproduce it bit for bit; then tables and
-/// timings to stdout, the report to `out`, and the stage's gate (after the
-/// report is on disk, so a failure is inspectable).
-fn drive<S: Stage>(stage: &S, threads: usize, out: &Path) -> Result<(), String> {
-    let name = S::NAME;
-    let t0 = Instant::now();
-    let serial = stage.run(1);
-    let serial_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let t1 = Instant::now();
-    let sharded = stage.run(threads);
-    let sharded_ms = t1.elapsed().as_secs_f64() * 1e3;
-    if serial != sharded {
-        return Err(format!(
-            "{name}: serial/sharded MISMATCH — the {threads}-thread run diverged from the \
-             serial reference.\nserial:  {serial:?}\nsharded: {sharded:?}"
-        ));
+/// Where a campaign's stages run and what they write.
+struct Campaign<'a> {
+    threads: usize,
+    out: &'a Path,
+    /// EXPERIMENTS.md so far, on a full-size run.
+    experiments: Option<String>,
+}
+
+impl Campaign<'_> {
+    /// Runs one stage under the campaign contract: the serial reference,
+    /// then the sharded run, which must reproduce it bit for bit; then the
+    /// report as text and the timings to stdout, the report (and
+    /// EXPERIMENTS.md with the stage's block set to that text) to `out`,
+    /// and the stage's gate — after the files are on disk, so a failure is
+    /// inspectable.
+    fn drive<S: Stage>(&mut self, stage: &S) -> Result<(), String> {
+        let (name, threads) = (S::NAME, self.threads);
+        let t0 = Instant::now();
+        let serial = stage.run(1);
+        let serial_ms = t0.elapsed().as_secs_f64() * 1e3;
+        let t1 = Instant::now();
+        let sharded = stage.run(threads);
+        let sharded_ms = t1.elapsed().as_secs_f64() * 1e3;
+        if serial != sharded {
+            return Err(format!(
+                "{name}: serial/sharded MISMATCH — the {threads}-thread run diverged from the \
+                 serial reference.\nserial:  {serial:?}\nsharded: {sharded:?}"
+            ));
+        }
+        let report = stage.json(&sharded);
+        let text = render(&report, S::COLUMNS);
+        println!("{text}");
+        println!(
+            "{name}: serial {serial_ms:.0} ms, sharded {sharded_ms:.0} ms on {threads} threads — \
+             rows bitwise identical"
+        );
+        let write = |file: &str, bytes: &str| {
+            let path = self.out.join(file);
+            println!("wrote {}", path.display());
+            std::fs::write(&path, bytes).map_err(|e| format!("writing {}: {e}", path.display()))
+        };
+        write(&format!("BENCH_{name}.json"), &report.render_pretty())?;
+        if let Some(doc) = &mut self.experiments {
+            *doc = splice(doc, name, &text)?;
+            write("EXPERIMENTS.md", doc)?;
+        }
+        println!();
+        stage.gate(&sharded)
     }
-    println!("{}", stage.render(&sharded));
-    println!(
-        "{name}: serial {serial_ms:.0} ms, sharded {sharded_ms:.0} ms on {threads} threads — \
-         rows bitwise identical"
-    );
-    let path = out.join(format!("BENCH_{name}.json"));
-    std::fs::write(&path, stage.json(&sharded).render_pretty())
-        .map_err(|e| format!("writing {}: {e}", path.display()))?;
-    println!("wrote {}\n", path.display());
-    stage.gate(&sharded)
 }
 
 /// Writes the standard crashtest kill schedules, one file per child
@@ -189,20 +241,27 @@ fn run(args: &Args) -> Result<(), String> {
     }
     std::fs::create_dir_all(&args.out)
         .map_err(|e| format!("creating {}: {e}", args.out.display()))?;
-    let (threads, out) = (args.threads, args.out.as_path());
+    let read = || std::fs::read_to_string(EXPERIMENTS);
+    let experiments = (!args.quick).then(read).transpose();
+    let experiments = experiments.map_err(|e| format!("reading {EXPERIMENTS}: {e}"))?;
+    let mut c = Campaign {
+        threads: args.threads,
+        out: &args.out,
+        experiments,
+    };
     for &name in &args.only {
         match name {
-            "durable" => drive(&DurableStage { quick: args.quick }, threads, out),
-            "table1" => drive(&Table1Stage(&args.cfg), threads, out),
-            "table2" => drive(&Table2Stage(&args.cfg), threads, out),
-            "loss" => drive(&LossStage(&args.cfg), threads, out),
-            "fig4" => drive(&Fig4Stage(&args.cfg), threads, out),
-            "fig8" => drive(&Fig8Stage(&args.cfg), threads, out),
-            "ablation" => drive(&AblationStage(&args.cfg), threads, out),
-            "avail" => drive(&args.avail, threads, out),
-            "kv" => drive(&args.kv, threads, out),
-            "check" => drive(&CheckStage::new(args.quick), threads, out),
-            "analyze" => drive(&AnalyzeStage::new(args.quick), threads, out),
+            "durable" => c.drive(&DurableStage { quick: args.quick }),
+            "table1" => c.drive(&Table1Stage(&args.cfg)),
+            "table2" => c.drive(&Table2Stage(&args.cfg)),
+            "loss" => c.drive(&LossStage(&args.cfg)),
+            "fig4" => c.drive(&Fig4Stage(&args.cfg)),
+            "fig8" => c.drive(&Fig8Stage(&args.cfg)),
+            "ablation" => c.drive(&AblationStage(&args.cfg)),
+            "avail" => c.drive(&args.avail),
+            "kv" => c.drive(&args.kv),
+            "check" => c.drive(&CheckStage::new(args.quick)),
+            "analyze" => c.drive(&AnalyzeStage::new(args.quick)),
             other => unreachable!("{other} is not in STAGES"),
         }?;
     }
@@ -253,10 +312,14 @@ mod tests {
         assert_eq!(parse_args(&[], 1).unwrap().only, STAGES);
         let args = parse_args(&["--only", "kv,durable"], 1).unwrap();
         assert_eq!(args.only, ["durable", "kv"]);
-        // Two `--only` flags intersect; the old `--durable-only
-        // --avail-only` silently ran nothing and exited 0.
+        // Two `--only` flags intersect, and an empty intersection is an
+        // error: the old `--durable-only --avail-only` silently ran
+        // nothing and exited 0.
         let args = parse_args(&["--only", "durable,avail", "--only", "avail"], 1).unwrap();
         assert_eq!(args.only, ["avail"]);
+        let err = parse_args(&["--only", "durable", "--only", "avail"], 1).unwrap_err();
+        assert!(err.contains("--only durable --only avail"), "{err}");
+        assert!(err.contains("no stage"), "{err}");
         for bad in ["nope", "avail,", ""] {
             let err = parse_args(&["--only", bad], 1).unwrap_err();
             assert!(err.contains("unknown stage"), "{err}");
@@ -277,6 +340,32 @@ mod tests {
             let err = parse_args(&[flag], 1).unwrap_err();
             assert!(err.contains("requires a value"), "{err}");
         }
+    }
+
+    #[test]
+    fn the_flag_list_is_the_six_of_pr_20() {
+        assert_eq!(FLAGS.len(), 6);
+        let all = [
+            "--threads",
+            "3",
+            "--quick",
+            "--only",
+            "kv",
+            "--out",
+            "d",
+            "--replay",
+            "r",
+            "--export-schedules",
+            "s",
+        ];
+        assert!(FLAGS.iter().all(|flag| all.contains(flag)), "{FLAGS:?}");
+        let args = parse_args(&all, 1).unwrap();
+        assert_eq!((args.threads, args.quick, args.only), (3, true, vec!["kv"]));
+        assert_eq!(args.out, PathBuf::from("d"));
+        // Whatever is not one of the six never reaches the parser's match.
+        let err = parse_args(&["--experiments", "x"], 1).unwrap_err();
+        assert!(err.contains("unknown flag --experiments"), "{err}");
+        assert!(err.contains(&FLAGS.join(", ")), "{err}");
     }
 
     #[test]
@@ -319,10 +408,6 @@ mod tests {
             }
         }
 
-        fn render(&self, rows: &usize) -> String {
-            rows.to_string()
-        }
-
         fn json(&self, rows: &usize) -> Json {
             Json::obj([("rows", Json::from(*rows))])
         }
@@ -342,28 +427,49 @@ mod tests {
         std::fs::create_dir_all(&out).unwrap();
         let report = out.join("BENCH_probe.json");
 
+        let on = |threads, experiments: Option<&str>| Campaign {
+            threads,
+            out: &out,
+            experiments: experiments.map(str::to_string),
+        };
         let racy = Probe {
             racy: true,
             gate_ok: true,
         };
-        let err = drive(&racy, 3, &out).unwrap_err();
+        let err = on(3, None).drive(&racy).unwrap_err();
         assert!(err.contains("MISMATCH"), "{err}");
         assert!(!report.exists(), "a diverged stage must not be reported");
-        assert_eq!(drive(&racy, 1, &out), Ok(()), "1 vs 1 cannot diverge");
+        assert_eq!(on(1, None).drive(&racy), Ok(()), "1 vs 1 cannot diverge");
+        let written = out.join("EXPERIMENTS.md");
+        assert!(
+            !written.exists(),
+            "a --quick run leaves EXPERIMENTS.md alone"
+        );
 
         std::fs::remove_file(&report).unwrap();
         let gated = Probe {
             racy: false,
             gate_ok: false,
         };
-        assert_eq!(drive(&gated, 3, &out), Err("gate FAILED".to_string()));
+        assert_eq!(on(3, None).drive(&gated), Err("gate FAILED".to_string()));
         assert!(report.exists(), "the report lands before the gate");
 
         let sound = Probe {
             racy: false,
             gate_ok: true,
         };
-        assert_eq!(drive(&sound, 3, &out), Ok(()));
+        assert_eq!(on(3, None).drive(&sound), Ok(()));
+
+        // A full-size run also writes EXPERIMENTS.md: the stage's marked
+        // block becomes the text it printed; a missing marker is an error.
+        let doc = "# x\n<!-- BEGIN BENCH_probe -->\nold\n<!-- END BENCH_probe -->\n";
+        assert_eq!(on(3, Some(doc)).drive(&sound), Ok(()));
+        assert_eq!(
+            std::fs::read_to_string(&written).unwrap(),
+            "# x\n<!-- BEGIN BENCH_probe -->\n```text\nrows 7\n```\n<!-- END BENCH_probe -->\n"
+        );
+        let err = on(3, Some("# no markers\n")).drive(&sound).unwrap_err();
+        assert!(err.contains("BEGIN BENCH_probe"), "{err}");
         std::fs::remove_dir_all(&out).unwrap();
     }
 }

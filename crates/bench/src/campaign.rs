@@ -1,8 +1,8 @@
 //! The paper's artefacts as campaign stages: Table 1 (with the §4.1
 //! conflict composition) and Table 2 on both applications, the loss-rate
 //! degradation sweep, and the Figure 8 protocol-space grids — one
-//! [`Stage`] each over a shared [`CampaignConfig`], with their text
-//! tables and `BENCH_*.json` documents. [`crate::fig4`] and
+//! [`Stage`] each over a shared [`CampaignConfig`], with their
+//! `BENCH_*.json` documents. [`crate::fig4`] and
 //! [`crate::ablation`] hold the two stages with engines of their own.
 //!
 //! Every stage shards its independent trials across the worker pool and
@@ -18,9 +18,8 @@ use ft_mem::arena::ArenaStats;
 use crate::fig8::{self, Fig8FpsRow, Fig8Row};
 use crate::json::Json;
 use crate::loss::{self, LossRow};
-use crate::report::render_table;
 use crate::stage::{grouped_rows, Stage};
-use crate::table1::{self, Table1App, Table1Row};
+use crate::table1::{self, share_pct, Table1App, Table1Row};
 use crate::table2::{self, Table2Row};
 
 /// Campaign sizing and seeding.
@@ -269,6 +268,24 @@ fn violation_fraction(result: &[(Table1App, Vec<Table1Row>)]) -> f64 {
     f64::from(violations) / f64::from(crashes.max(1))
 }
 
+/// One application's Table 1 totals: its average violation rate, how
+/// often the end-to-end check agreed with the criterion, and the share of
+/// trials that completed with silently wrong output (the paper saw 7–9 %).
+fn table1_summary(rows: &[Table1Row]) -> Json {
+    let sum = |f: fn(&Table1Row) -> u32| rows.iter().map(f).sum::<u32>();
+    let (trials, crashes) = (sum(|r| r.trials), sum(|r| r.crashes));
+    let (violations, wrong) = (sum(|r| r.violations), sum(|r| r.wrong_output));
+    Json::obj([
+        ("trials", Json::from(trials)),
+        ("crashes", Json::from(crashes)),
+        ("violations", Json::from(violations)),
+        ("violation_pct", Json::from(share_pct(violations, crashes))),
+        ("e2e_agree", Json::from(sum(|r| r.e2e_agree))),
+        ("wrong_output", Json::from(wrong)),
+        ("wrong_output_pct", Json::from(share_pct(wrong, trials))),
+    ])
+}
+
 impl Stage for Table1Stage<'_> {
     const NAME: &'static str = "table1";
     type Rows = Vec<(Table1App, Vec<Table1Row>)>;
@@ -289,35 +306,10 @@ impl Stage for Table1Stage<'_> {
             .collect()
     }
 
-    fn render(&self, result: &Self::Rows) -> String {
-        let tables: Vec<String> = result
-            .iter()
-            .map(|(app, rows)| render_table1(*app, rows))
-            .collect();
-        let violated = violation_fraction(result);
-        let composition: Vec<String> = HEISENBUG_FRACTIONS
-            .iter()
-            .map(|&h| {
-                let e = conflict_composition(violated, h);
-                format!(
-                    "If {:>2.0}% of field bugs are Heisenbugs: recovery possible for {:>4.1}% of \
-                     crashes; the invariants conflict for {:>4.1}%\n",
-                    h * 100.0,
-                    e.recovery_possible * 100.0,
-                    e.invariants_conflict * 100.0
-                )
-            })
-            .collect();
-        format!(
-            "{}\n§4.1 composition — {:.0}% of crashing Heisenbug injections violate Lose-work\n{}",
-            tables.join("\n"),
-            violated * 100.0,
-            composition.concat()
-        )
-    }
-
     fn json(&self, result: &Self::Rows) -> Json {
-        let apps = result.iter().map(|(app, rows)| (app.name(), rows));
+        let apps = result
+            .iter()
+            .map(|(app, rows)| (app.name(), Some(table1_summary(rows)), rows));
         let apps = grouped_rows("app", apps, |r| {
             Json::obj([
                 ("fault", Json::from(r.fault.name())),
@@ -370,6 +362,24 @@ impl Stage for Table1Stage<'_> {
 #[derive(Debug, Clone, Copy)]
 pub struct Table2Stage<'a>(pub &'a CampaignConfig);
 
+/// One application's Table 2 totals: its average failed-recovery rate and
+/// the share of failures that manifested as propagation.
+fn table2_summary(rows: &[Table2Row]) -> Json {
+    let sum = |f: fn(&Table2Row) -> u32| rows.iter().map(f).sum::<u32>();
+    let (failures, failed) = (sum(|r| r.crashes), sum(|r| r.failed_recoveries));
+    let propagations = sum(|r| r.propagations);
+    Json::obj([
+        ("failures", Json::from(failures)),
+        ("failed_recoveries", Json::from(failed)),
+        ("failed_pct", Json::from(share_pct(failed, failures))),
+        ("propagations", Json::from(propagations)),
+        (
+            "propagation_pct",
+            Json::from(share_pct(propagations, failures)),
+        ),
+    ])
+}
+
 impl Stage for Table2Stage<'_> {
     const NAME: &'static str = "table2";
     type Rows = Vec<(Table1App, Vec<Table2Row>)>;
@@ -384,16 +394,10 @@ impl Stage for Table2Stage<'_> {
             .collect()
     }
 
-    fn render(&self, result: &Self::Rows) -> String {
-        let tables: Vec<String> = result
-            .iter()
-            .map(|(app, rows)| render_table2(*app, rows))
-            .collect();
-        tables.join("\n")
-    }
-
     fn json(&self, result: &Self::Rows) -> Json {
-        let apps = result.iter().map(|(app, rows)| (app.name(), rows));
+        let apps = result
+            .iter()
+            .map(|(app, rows)| (app.name(), Some(table2_summary(rows)), rows));
         let apps = grouped_rows("app", apps, |r| {
             Json::obj([
                 ("fault", Json::from(r.fault.name())),
@@ -415,6 +419,11 @@ pub struct LossStage<'a>(pub &'a CampaignConfig);
 impl Stage for LossStage<'_> {
     const NAME: &'static str = "loss";
     type Rows = Vec<(&'static str, Vec<LossRow>)>;
+    #[rustfmt::skip]
+    const COLUMNS: &'static [&'static str] = &[
+        "loss_pct", "runtime_ns", "overhead_pct", "net.drops", "net.retransmissions",
+        "net.dup_drops", "net.timeouts", "twopc_timeouts",
+    ];
 
     fn run(&self, threads: usize) -> Self::Rows {
         loss_matrix()
@@ -426,19 +435,8 @@ impl Stage for LossStage<'_> {
             .collect()
     }
 
-    fn render(&self, result: &Self::Rows) -> String {
-        let mut table: Vec<Vec<String>> = Vec::new();
-        for (label, rows) in result {
-            table.extend(loss::rows_for_table(label, rows));
-        }
-        format!(
-            "Degradation vs. loss rate (failure-free, Discount Checking medium)\n{}",
-            render_table(&loss::TABLE_HEADER, &table)
-        )
-    }
-
     fn json(&self, result: &Self::Rows) -> Json {
-        let sweeps = result.iter().map(|(label, rows)| (*label, rows));
+        let sweeps = result.iter().map(|(label, rows)| (*label, None, rows));
         let sweeps = grouped_rows("workload", sweeps, |r| {
             Json::obj([
                 ("loss_pct", Json::from(r.loss_pct)),
@@ -481,6 +479,11 @@ impl Stage for Fig8Stage<'_> {
     const NAME: &'static str = "fig8";
     /// (workload, rows) per panel, in table order.
     type Rows = Vec<(&'static str, PanelRows)>;
+    #[rustfmt::skip]
+    const COLUMNS: &'static [&'static str] = &[
+        "protocol", "ckpts", "dc_overhead_pct", "disk_overhead_pct", "ckps_per_sec", "dc_fps",
+        "disk_fps", "arena.traps", "arena.committed_pages",
+    ];
 
     fn run(&self, threads: usize) -> Self::Rows {
         let panels = self.0.fig8.panels.iter();
@@ -496,56 +499,6 @@ impl Stage for Fig8Stage<'_> {
                 (panel.family, rows)
             })
             .collect()
-    }
-
-    /// One table per panel.
-    fn render(&self, result: &Self::Rows) -> String {
-        let mut out = String::new();
-        for ((label, rows), panel) in result.iter().zip(&self.0.fig8.panels) {
-            let (what, metrics, table): (_, _, Vec<Vec<String>>) = match rows {
-                PanelRows::Overhead(rows) => (
-                    "overhead vs. unrecoverable baseline",
-                    ["ckpts", "DC overhead", "disk overhead"],
-                    rows.iter()
-                        .map(|r| {
-                            vec![
-                                r.protocol.to_string(),
-                                r.ckpts.to_string(),
-                                format!("{:.1}%", r.dc_overhead_pct),
-                                format!("{:.1}%", r.disk_overhead_pct),
-                                r.arena.traps.to_string(),
-                                r.arena.committed_pages.to_string(),
-                            ]
-                        })
-                        .collect(),
-                ),
-                PanelRows::Fps(rows) => (
-                    "sustained frame rate, budget 15 fps",
-                    ["ckpts/s", "DC fps", "disk fps"],
-                    rows.iter()
-                        .map(|r| {
-                            vec![
-                                r.protocol.to_string(),
-                                format!("{:.1}", r.ckps_per_sec),
-                                format!("{:.1}", r.dc_fps),
-                                format!("{:.1}", r.disk_fps),
-                                r.arena.traps.to_string(),
-                                r.arena.committed_pages.to_string(),
-                            ]
-                        })
-                        .collect(),
-                ),
-            };
-            let [a, b, c] = metrics;
-            let header = ["Protocol", a, b, c, "traps", "committed pages"];
-            out.push_str(&format!(
-                "Figure 8 — {label}, seed {}, size {} ({what})\n{}\n",
-                panel.seed,
-                panel.size,
-                render_table(&header, &table)
-            ));
-        }
-        out
     }
 
     /// The `BENCH_fig8.json` document: per-protocol checkpoints, overhead
@@ -582,96 +535,6 @@ impl Stage for Fig8Stage<'_> {
         });
         report("fig8", self.0, [("panels", Json::arr(panels))])
     }
-}
-
-// ---------------------------------------------------------------------
-// Text rendering.
-
-/// Renders one application's Table 1 with its summary lines.
-fn render_table1(app: Table1App, rows: &[Table1Row]) -> String {
-    let mut total_crashes = 0u32;
-    let mut total_viol = 0u32;
-    let mut total_agree = 0u32;
-    let mut total_trials = 0u32;
-    let mut total_wrong = 0u32;
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            total_crashes += r.crashes;
-            total_viol += r.violations;
-            total_agree += r.e2e_agree;
-            total_trials += r.trials;
-            total_wrong += r.wrong_output;
-            vec![
-                r.fault.name().to_string(),
-                r.crashes.to_string(),
-                format!("{:.0}%", r.violation_pct()),
-                format!("{}/{}", r.e2e_agree, r.crashes),
-                r.wrong_output.to_string(),
-            ]
-        })
-        .collect();
-    let avg = if total_crashes > 0 {
-        total_viol as f64 / total_crashes as f64 * 100.0
-    } else {
-        0.0
-    };
-    format!(
-        "Table 1 — {} (CPVS, one fault per run)\n{}\
-         Average over all fault types: {avg:.0}% of crashes violate Lose-work; \
-         end-to-end check agreed on {total_agree}/{total_crashes} crashes.\n\
-         {:.0}% of trials completed with silently incorrect output (the paper \
-         observed 7-9% of runs not crashing but producing incorrect output).\n",
-        app.name(),
-        render_table(
-            &[
-                "Fault Type",
-                "crashes",
-                "Lose-work violations",
-                "end-to-end agreement",
-                "wrong output"
-            ],
-            &table
-        ),
-        total_wrong as f64 / total_trials.max(1) as f64 * 100.0
-    )
-}
-
-/// Renders one application's Table 2 with its summary line.
-fn render_table2(app: Table1App, rows: &[Table2Row]) -> String {
-    let mut total = 0u32;
-    let mut failed = 0u32;
-    let mut props = 0u32;
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            total += r.crashes;
-            failed += r.failed_recoveries;
-            props += r.propagations;
-            vec![
-                r.fault.name().to_string(),
-                r.crashes.to_string(),
-                format!("{:.0}%", r.failed_pct()),
-                r.propagations.to_string(),
-            ]
-        })
-        .collect();
-    format!(
-        "Table 2 — {} (CPVS kernel faults)\n{}\
-         Average: {:.0}% failed recoveries; {:.0}% of failures manifested as propagation\n",
-        app.name(),
-        render_table(
-            &[
-                "Fault Type",
-                "failures",
-                "failed recoveries",
-                "propagations"
-            ],
-            &table
-        ),
-        failed as f64 / total.max(1) as f64 * 100.0,
-        props as f64 / total.max(1) as f64 * 100.0
-    )
 }
 
 fn arena_json(a: &ArenaStats) -> Json {

@@ -14,7 +14,6 @@ use ft_check::{explore, parse_script, shrink, CheckConfig, Counterexample, Explo
 use ft_core::protocol::Protocol;
 
 use crate::json::Json;
-use crate::report::render_table;
 use crate::stage::Stage;
 
 /// The model-checking stage: one exhaustive sweep per entry of `sweeps`.
@@ -71,40 +70,6 @@ impl Stage for CheckStage {
             .collect()
     }
 
-    fn render(&self, rows: &Vec<Exploration>) -> String {
-        let table: Vec<Vec<String>> = self
-            .sweeps
-            .iter()
-            .zip(rows)
-            .map(|((w, cfg), ex)| {
-                vec![
-                    w.name.to_string(),
-                    cfg.protocol.name().to_string(),
-                    w.size.to_string(),
-                    ex.explored().to_string(),
-                    ex.unique_fingerprints.to_string(),
-                    format!("{:.2}x", ex.dedup_ratio()),
-                    ex.violations().len().to_string(),
-                ]
-            })
-            .collect();
-        format!(
-            "Exhaustive crash-schedule sweeps (every kill point, mid-commit sub-steps included)\n{}",
-            render_table(
-                &[
-                    "workload",
-                    "protocol",
-                    "size",
-                    "states",
-                    "unique",
-                    "dedup",
-                    "violations"
-                ],
-                &table
-            )
-        )
-    }
-
     fn json(&self, rows: &Vec<Exploration>) -> Json {
         let states: usize = rows.iter().map(Exploration::explored).sum();
         let unique: usize = rows.iter().map(|ex| ex.unique_fingerprints).sum();
@@ -128,19 +93,17 @@ impl Stage for CheckStage {
                 ("script", Json::from(cx.script)),
             ])
         });
+        let dedup = if unique > 0 {
+            states as f64 / unique as f64
+        } else {
+            1.0
+        };
         Json::obj([
             ("report", Json::from("check")),
             ("quick", Json::from(self.quick)),
             ("states_explored", Json::from(states)),
             ("unique_states", Json::from(unique)),
-            (
-                "dedup_ratio",
-                Json::from(if unique > 0 {
-                    states as f64 / unique as f64
-                } else {
-                    1.0
-                }),
-            ),
+            ("dedup_ratio", Json::from(dedup)),
             ("runs", Json::arr(runs)),
             ("counterexample", counterexample),
         ])

@@ -27,12 +27,12 @@ use ft_dc::harness::DcHarness;
 use ft_dc::state::DcConfig;
 use ft_mem::arena::Layout;
 use ft_mem::durable::{DurableOptions, DurableStore};
+use ft_sim::rng::SplitMix64;
 use ft_sim::runner::run_indexed;
 use ft_sim::SimTime;
 
 use crate::fig8::{baseline_runtime, overhead_pct};
 use crate::json::Json;
-use crate::report::render_table;
 use crate::stage::{grouped_rows, Stage};
 
 /// One protocol's runtime overhead on all three checkpoint media.
@@ -126,19 +126,11 @@ pub fn engine_probe(ops: u64, seed: u64) -> EngineProbe {
     let dir = probe_dir();
     let opts = DurableOptions::default();
     let mut store = DurableStore::create(&dir, Layout::small(), opts).expect("probe store creates");
-    let mut x = seed;
-    let mut mix = move || {
-        // SplitMix64: the repo's standard deterministic stream.
-        x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = x;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
+    let mut rng = SplitMix64::new(seed);
     let pages = store.arena().layout().total_pages() as u64;
     for i in 0..ops {
-        let page = mix() % pages;
-        let val = mix();
+        let page = rng.next_u64() % pages;
+        let val = rng.next_u64();
         store
             .arena_mut()
             .write_pod::<u64>(
@@ -213,50 +205,11 @@ impl Stage for DurableStage {
         }
     }
 
-    fn render(&self, result: &DurableResult) -> String {
-        let table: Vec<Vec<String>> = result
-            .grids
-            .iter()
-            .flat_map(|(workload, rows)| {
-                rows.iter().map(move |r| {
-                    vec![
-                        (*workload).to_string(),
-                        r.protocol.to_string(),
-                        r.ckpts.to_string(),
-                        format!("{:.1}%", r.rio_overhead_pct),
-                        format!("{:.1}%", r.disk_overhead_pct),
-                        format!("{:.1}%", r.durable_overhead_pct),
-                    ]
-                })
-            })
-            .collect();
-        let p = &result.probe;
-        format!(
-            "Durable backend — overhead vs. unrecoverable baseline on three media\n{}\
-             engine probe: {} commits, {} log bytes, seq {}, {} replayed on reopen\n",
-            render_table(
-                &[
-                    "workload",
-                    "protocol",
-                    "ckpts",
-                    "Rio",
-                    "DC-disk",
-                    "DC-durable"
-                ],
-                &table
-            ),
-            p.ops,
-            p.log_bytes,
-            p.final_seq,
-            p.replayed
-        )
-    }
-
     fn json(&self, result: &DurableResult) -> Json {
         let grids = result
             .grids
             .iter()
-            .map(|(workload, rows)| (*workload, rows));
+            .map(|(workload, rows)| (*workload, None, rows));
         let grids = grouped_rows("workload", grids, |r| {
             Json::obj([
                 ("protocol", Json::from(r.protocol.name())),

@@ -24,7 +24,6 @@ use ft_sim::MS;
 
 use crate::campaign::{report, CampaignConfig};
 use crate::json::Json;
-use crate::report::render_table;
 use crate::stage::Stage;
 
 /// One protocol's recovery from the shared kill.
@@ -74,29 +73,6 @@ impl Stage for Fig4Stage<'_> {
                 extra_runtime_ns: report.runtime - base.runtime,
             }
         })
-    }
-
-    fn render(&self, rows: &Vec<Fig4Row>) -> String {
-        let table: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.protocol.to_string(),
-                    r.ckpts.to_string(),
-                    r.replayed_visibles.to_string(),
-                    format!("{:.1} ms", r.extra_runtime_ns as f64 / 1e6),
-                ]
-            })
-            .collect();
-        format!(
-            "Figure 4 — recovery after a kill at {} ms into a {}-keystroke session (1 ms keys)\n{}",
-            self.kill_at() / MS,
-            self.0.fig8.nvi().size,
-            render_table(
-                &["protocol", "ckpts", "replayed visibles", "extra runtime"],
-                &table
-            )
-        )
     }
 
     fn json(&self, rows: &Vec<Fig4Row>) -> Json {

@@ -34,7 +34,6 @@ use ft_sim::rng::SplitMix64;
 
 use crate::continuous::{FaultLoad, FaultStats};
 use crate::json::Json;
-use crate::report::render_table;
 use crate::stage::Stage;
 
 /// Checkpoint medium axis of the cell matrix.
@@ -308,6 +307,12 @@ pub struct KvResult {
 impl Stage for KvConfig {
     const NAME: &'static str = "kv";
     type Rows = KvResult;
+    #[rustfmt::skip]
+    const COLUMNS: &'static [&'static str] = &[
+        "medium", "protocol", "strategy", "incidents", "mttr_p50_ns", "mttr_p99_ns",
+        "availability", "nines", "goodput_rps", "goodput_pct", "shard_ops_min", "shard_ops_max",
+        "violations.total",
+    ];
 
     fn run(&self, threads: usize) -> KvResult {
         let cells = cells(self);
@@ -355,61 +360,6 @@ impl Stage for KvConfig {
             processes: params.n_processes() as u64,
             sessions: self.sessions,
         }
-    }
-
-    fn render(&self, result: &KvResult) -> String {
-        let rows: Vec<Vec<String>> = result
-            .rows
-            .iter()
-            .map(|r| {
-                let s = &r.stats;
-                vec![
-                    r.medium.name().to_string(),
-                    r.protocol.name().to_string(),
-                    r.strategy.name().to_string(),
-                    s.incidents.to_string(),
-                    format!("{:.1}", s.mttr_p50_ns as f64 / 1e6),
-                    format!("{:.1}", s.mttr_p99_ns as f64 / 1e6),
-                    format!("{:.4}%", s.availability * 100.0),
-                    format!("{:.2}", s.nines),
-                    format!("{:.0}", s.goodput_rps),
-                    format!("{:.0}%", s.goodput_pct),
-                    format!("{}..{}", r.shard_ops_min, r.shard_ops_max),
-                    s.violations.total.to_string(),
-                ]
-            })
-            .collect();
-        format!(
-            "Sharded KV — {} shards × {} replicas + {} gateways = {} procs, {} open-loop \
-             sessions, {} requests, ~{:.0} crashes per trial, {} trial(s) per cell, {} simulated \
-             events\n{}",
-            self.shards,
-            self.replication,
-            self.gateways,
-            result.processes,
-            result.sessions,
-            self.params().total_requests(),
-            self.crashes_per_trial,
-            self.trials,
-            result.total_events,
-            render_table(
-                &[
-                    "medium",
-                    "protocol",
-                    "strategy",
-                    "incidents",
-                    "MTTR p50 (ms)",
-                    "p99",
-                    "availability",
-                    "nines",
-                    "goodput rps",
-                    "goodput",
-                    "shard ops",
-                    "violations",
-                ],
-                &rows
-            )
-        )
     }
 
     /// The `BENCH_kv.json` document.
@@ -508,13 +458,17 @@ mod tests {
     }
 
     #[test]
-    fn json_has_no_wall_clock_and_renders() {
+    fn json_has_no_wall_clock_and_prints() {
         let cfg = tiny();
         let result = cfg.run(2);
-        let doc = cfg.json(&result).render();
-        assert!(!doc.contains("wall"));
-        assert!(doc.contains("\"report\":\"kv\""));
-        let table = cfg.render(&result);
-        assert!(table.contains("CPVS"));
+        let doc = cfg.json(&result);
+        assert!(!doc.render().contains("wall"));
+        assert!(doc.render().contains("\"report\":\"kv\""));
+        let text = crate::report::render(&doc, KvConfig::COLUMNS);
+        assert!(
+            text.contains("CPVS") && text.contains("mttr_p50_ms"),
+            "{text}"
+        );
+        assert!(!text.contains("reexec_events"), "{text}");
     }
 }

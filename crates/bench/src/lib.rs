@@ -7,7 +7,7 @@
 //! `ft_dc::fingerprint`).
 //!
 //! * [`stage`] — the one trait the eleven campaign stages implement (run,
-//!   render, `BENCH_<name>.json`, gate) and the thread-invariance fence;
+//!   `BENCH_<name>.json`, gate) and the thread-invariance fence;
 //! * [`campaign`] — the Table 1 (with the §4.1 conflict composition),
 //!   Table 2, loss-sweep and Figure 8 stages over one `CampaignConfig`
 //!   (whose default is the recorded sizing and the paper-scale panel table),
@@ -35,7 +35,8 @@
 //! * [`stats`] — deterministic (integer nearest-rank) order statistics
 //!   for the report percentiles;
 //! * [`json`] — the hand-rolled JSON emitter the reports use;
-//! * [`report`] — plain-text table rendering.
+//! * [`report`] — the one printer: a stage's text, on stdout and in
+//!   EXPERIMENTS.md's marked blocks, is a walk over its report JSON.
 //!
 //! Every stage takes `threads`, and `threads = 1` is its serial
 //! reference. `cargo run --release -p ft-bench --bin campaign --
@@ -43,8 +44,9 @@
 //! the workspace: with no other flag it regenerates the `BENCH_*.json`
 //! committed at the repo root byte for byte (`ci.sh` `cmp`s them — the
 //! committed reports are the gate), `--quick` selects the CI sizes and
-//! `--only <stage>,…` a subset. EXPERIMENTS.md holds the recorded results;
-//! wall-clock comparisons live in `benchmark/`.
+//! `--only <stage>,…` a subset. EXPERIMENTS.md holds the recorded results
+//! as blocks the same run regenerates and `ci.sh` `cmp`s; wall-clock
+//! comparisons live in `benchmark/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -104,30 +104,6 @@ pub fn loss_sweep(
     fold_rows(rates, runs)
 }
 
-/// Renders a sweep as table rows for `report::render_table`.
-pub fn rows_for_table(workload: &str, rows: &[LossRow]) -> Vec<Vec<String>> {
-    rows.iter()
-        .map(|r| {
-            vec![
-                workload.to_string(),
-                format!("{:.0}%", r.loss_pct),
-                format!("{:.2} s", r.runtime as f64 / 1e9),
-                format!("{:+.1}%", r.overhead_pct),
-                r.net.drops.to_string(),
-                r.net.retransmissions.to_string(),
-                r.net.dup_drops.to_string(),
-                r.net.timeouts.to_string(),
-                r.twopc_timeouts.to_string(),
-            ]
-        })
-        .collect()
-}
-
-/// The table header matching [`rows_for_table`].
-pub const TABLE_HEADER: [&str; 9] = [
-    "workload", "loss", "runtime", "overhead", "drops", "retrans", "dup-drop", "timeouts", "2pc-to",
-];
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,20 +130,5 @@ mod tests {
             lossy.runtime >= clean.runtime,
             "retransmission delay cannot speed the run up"
         );
-    }
-
-    #[test]
-    fn table_rows_match_header() {
-        let rows = rows_for_table(
-            "x",
-            &[LossRow {
-                loss_pct: 1.0,
-                runtime: 1_000_000_000,
-                overhead_pct: 2.5,
-                net: NetStats::default(),
-                twopc_timeouts: 0,
-            }],
-        );
-        assert_eq!(rows[0].len(), TABLE_HEADER.len());
     }
 }

@@ -62,6 +62,11 @@ impl Table1App {
     }
 }
 
+/// `part` of `whole`, in percent (0 of nothing is 0 %).
+pub(crate) fn share_pct(part: u32, whole: u32) -> f64 {
+    f64::from(part) / f64::from(whole.max(1)) * 100.0
+}
+
 /// One fault type's campaign results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Table1Row {
@@ -97,11 +102,7 @@ impl Table1Row {
 
     /// The Table 1 cell: percent of crashes that violate Lose-work.
     pub fn violation_pct(&self) -> f64 {
-        if self.crashes == 0 {
-            0.0
-        } else {
-            self.violations as f64 / self.crashes as f64 * 100.0
-        }
+        share_pct(self.violations, self.crashes)
     }
 
     /// Folds one trial's outcome into the row (order-sensitive only via

@@ -24,7 +24,7 @@ use ft_faults::{FaultType, KernelFaultPlan};
 use ft_sim::rng::SplitMix64;
 use ft_sim::runner::{run_indexed, SeedStream};
 
-use crate::table1::Table1App;
+use crate::table1::{share_pct, Table1App};
 
 /// One fault type's OS-fault campaign results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,11 +43,7 @@ pub struct Table2Row {
 impl Table2Row {
     /// The Table 2 cell: percent of OS failures with failed recovery.
     pub fn failed_pct(&self) -> f64 {
-        if self.crashes == 0 {
-            0.0
-        } else {
-            self.failed_recoveries as f64 / self.crashes as f64 * 100.0
-        }
+        share_pct(self.failed_recoveries, self.crashes)
     }
 }
 

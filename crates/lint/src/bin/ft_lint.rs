@@ -83,6 +83,12 @@ fn main() -> ExitCode {
         report.findings.len(),
         report.suppressed.len()
     );
+    for scope in &report.scopes {
+        println!(
+            "ft-lint: recovery scope {}: {} fns",
+            scope.file, scope.fns_in_scope
+        );
+    }
     if report.findings.is_empty() {
         ExitCode::SUCCESS
     } else {

@@ -36,9 +36,12 @@
 //! damage:
 //!
 //! * **Torn tail** — the *final* frame is incomplete (extends past
-//!   end-of-file, or is followed by nothing and fails its CRC): the
-//!   crash interrupted an append that was never acknowledged. The tail
-//!   is truncated and recovery succeeds at the last durable commit.
+//!   end-of-file with the length of a whole commit record, or is followed
+//!   by nothing and fails its CRC): the crash interrupted an append that
+//!   was never acknowledged. The tail is truncated and recovery succeeds
+//!   at the last durable commit. A length that runs past end-of-file and
+//!   is *not* `13 + n × 4100` was never written by an append: it is a
+//!   damaged prefix hiding whatever followed it, and is corruption.
 //! * **Committed-region corruption** — a frame fails its CRC (or parses
 //!   inconsistently) while *later* bytes exist: a later write implies
 //!   the earlier one completed, so this is silent media/software
@@ -908,8 +911,21 @@ fn scan_frame(raw: &[u8], off: usize, check_crc: bool) -> FrameScan<'_> {
         return FrameScan::Torn;
     };
     if end > frame.len() {
-        // The frame claims bytes past end-of-file: the append never
-        // finished.
+        // The frame claims bytes past end-of-file. An append that never
+        // finished still wrote a true length prefix first, and a true
+        // length is a whole commit record; any other length is damage to
+        // a prefix whose frame may have had committed frames after it.
+        let whole_record = len
+            .checked_sub(PAYLOAD_PREFIX)
+            .is_some_and(|entries| entries % PAGE_ENTRY_LEN == 0);
+        if !whole_record {
+            return FrameScan::Corrupt {
+                offset: off as u64,
+                detail: format!(
+                    "frame length {len} runs past end of log and is no commit record's"
+                ),
+            };
+        }
         return FrameScan::Torn;
     }
     let (Some(stored), Some(len_prefix), Some(payload)) = (

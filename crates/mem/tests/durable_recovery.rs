@@ -4,7 +4,11 @@
 //! sampled torn-append kills: truncate the redo log at *every* byte
 //! offset inside the final record and demand that recovery always lands
 //! on the last durable prefix — never a partial record applied, never a
-//! committed one lost. The directed tests pin each recovery entry path
+//! committed one lost. The bit-flip sweep is its untrusted-bytes twin:
+//! every header, prefix and index bit and one bit of every image byte of
+//! a checkpoint plus a multi-frame log, each mutant reopened — damage is
+//! `Corrupt{..}` or a legal torn tail, never a panic, never a state that
+//! was not committed. The directed tests pin each recovery entry path
 //! (empty log, log-only, checkpoint-only) and the fail-stop contract
 //! for committed-region damage.
 
@@ -125,6 +129,141 @@ fn torn_write_sweep_every_byte_offset() {
         cleanup(&dir);
         cleanup(&torn_dir);
     }
+}
+
+/// What reopening a store whose bytes were damaged may do.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Damage {
+    /// Committed region: fail-stop is the only acceptable outcome.
+    Committed,
+    /// The final frame: fail-stop, or the torn-tail rule — recovery at
+    /// the previous commit, whose sequence number and digest these are.
+    FinalFrame { prev_seq: u64, prev_digest: u64 },
+}
+
+/// ROADMAP 1(d), the durable-log half of the untrusted-bytes sweep:
+/// single-bit flips across a checkpoint and a three-frame log. Budget:
+/// one `DurableStore::open` per flipped bit — 352 log-header bits, per
+/// frame 64 prefix + 104 payload-prefix bits, per page entry 32 index
+/// bits + one per image byte (3 frames, 4 page entries), 352 checkpoint
+/// header and CRC bits and 12 288 checkpoint image bytes: 30 008 opens.
+#[test]
+fn single_bit_flips_are_corrupt_or_a_legal_torn_tail_never_a_panic() {
+    let dir = scratch("flip-src");
+    let mut store = DurableStore::create(&dir, tiny(), opts()).unwrap();
+    let commit = |store: &mut DurableStore, i: u64| {
+        // Odd commits dirty one page, even commits two.
+        for page in 0..=((i + 1) % 2) as usize {
+            let off = ((i as usize + page) % 3) * PAGE_SIZE + (i as usize * 24) % (PAGE_SIZE - 8);
+            store
+                .arena_mut()
+                .write_pod::<u64>(off, splitmix(i))
+                .unwrap();
+        }
+        store.commit().unwrap();
+        store.state_digest()
+    };
+    commit(&mut store, 1);
+    commit(&mut store, 2);
+    store.compact().unwrap();
+    let digests: Vec<u64> = (3..=5).map(|i| commit(&mut store, i)).collect();
+    drop(store);
+    let log = std::fs::read(dir.join(LOG_FILE)).unwrap();
+    let ckpt = std::fs::read(dir.join(CHECKPOINT_FILE)).unwrap();
+
+    // The frames' byte ranges, walked the way recovery walks them.
+    let mut frames = Vec::new();
+    let mut off = LOG_HEADER_LEN as usize;
+    while off < log.len() {
+        let len = u32::from_le_bytes(log[off..off + 4].try_into().unwrap()) as usize;
+        frames.push(off..off + 8 + len);
+        off += 8 + len;
+    }
+    assert_eq!((frames.len(), off), (3, log.len()), "one frame per commit");
+
+    let flip_dir = scratch("flip-mut");
+    std::fs::create_dir_all(&flip_dir).unwrap();
+    let mut opens = 0u32;
+    // Flips `bits` of `pristine[at]` in turn, reopening each mutant.
+    let mut sweep = |file: &str, pristine: &[u8], at: usize, bits: &[u8], damage: Damage| {
+        for &bit in bits {
+            let mut bytes = pristine.to_vec();
+            bytes[at] ^= 1 << bit;
+            std::fs::write(flip_dir.join(file), &bytes).unwrap();
+            let at = format!("{file} byte {at} bit {bit} ({damage:?})");
+            opens += 1;
+            let opened = std::panic::catch_unwind(|| DurableStore::open(&flip_dir, opts()))
+                .unwrap_or_else(|_| panic!("{at}: recovery panicked"));
+            match (opened, damage) {
+                (Err(DurableError::Corrupt { .. }), _) => {}
+                (Err(e), _) => panic!("{at}: expected Corrupt, got {e}"),
+                (
+                    Ok((store, info)),
+                    Damage::FinalFrame {
+                        prev_seq,
+                        prev_digest,
+                    },
+                ) => {
+                    assert_eq!(info.seq, prev_seq, "{at}: recovered seq");
+                    assert!(info.truncated_bytes > 0, "{at}: nothing truncated");
+                    assert_eq!(
+                        store.state_digest(),
+                        prev_digest,
+                        "{at}: a state never committed"
+                    );
+                }
+                (Ok((_, info)), Damage::Committed) => {
+                    panic!("{at}: committed-region damage accepted at seq {}", info.seq)
+                }
+            }
+        }
+    };
+    const ALL: [u8; 8] = [0, 1, 2, 3, 4, 5, 6, 7];
+
+    std::fs::write(flip_dir.join(CHECKPOINT_FILE), &ckpt).unwrap();
+    for at in 0..LOG_HEADER_LEN as usize {
+        sweep(LOG_FILE, &log, at, &ALL, Damage::Committed);
+    }
+    for (i, frame) in frames.iter().enumerate() {
+        let damage = if i + 1 == frames.len() {
+            Damage::FinalFrame {
+                prev_seq: 4,
+                prev_digest: digests[i - 1],
+            }
+        } else {
+            Damage::Committed
+        };
+        // Frame prefix (8) and payload prefix (13), then per page entry
+        // its index word in full and one rotating bit of each image byte.
+        let entries = frame.start + 8 + 13;
+        for at in frame.clone() {
+            let in_index_word = at >= entries && (at - entries) % (4 + PAGE_SIZE) < 4;
+            if at < entries || in_index_word {
+                sweep(LOG_FILE, &log, at, &ALL, damage);
+            } else {
+                sweep(LOG_FILE, &log, at, &[(at % 8) as u8], damage);
+            }
+        }
+    }
+
+    std::fs::write(flip_dir.join(LOG_FILE), &log).unwrap();
+    let image = 40..ckpt.len() - 4;
+    for at in 0..ckpt.len() {
+        if image.contains(&at) {
+            sweep(
+                CHECKPOINT_FILE,
+                &ckpt,
+                at,
+                &[(at % 8) as u8],
+                Damage::Committed,
+            );
+        } else {
+            sweep(CHECKPOINT_FILE, &ckpt, at, &ALL, Damage::Committed);
+        }
+    }
+    assert_eq!(opens, 30_008, "the stated budget");
+    cleanup(&dir);
+    cleanup(&flip_dir);
 }
 
 #[test]

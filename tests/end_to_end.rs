@@ -225,3 +225,46 @@ fn all_protocols_agree_failure_free() {
         }
     }
 }
+
+/// ROADMAP 1(ii), kept before it is fixed: `scenarios::nvi` is a Bohrbug
+/// above ~5 600 keys. A 6 000-key session crashes at the same point with
+/// or without recovery (the plain run fails too, which points at
+/// `editor.rs`'s `heap_pages: 32`), and under CPVS the crash recurs after
+/// every recovery until the budget is spent — a fully committed dangerous
+/// path. The PR that fixes the editor flips these numbers on purpose;
+/// ROADMAP item 5 wants this run as its diagnosis fixture.
+#[test]
+fn roadmap_1_ii_nvi_bohrbug_above_5600_keys_is_pinned() {
+    use failure_transparency::apps::scenarios;
+    let plain = |keys| {
+        let (sim, mut apps) = scenarios::nvi(11, keys).into_parts();
+        run_plain_on(sim, &mut apps)
+    };
+    let cpvs = |keys| {
+        let (sim, apps) = scenarios::nvi(11, keys).into_parts();
+        DcHarness::new(sim, DcConfig::discount_checking(Protocol::Cpvs), apps).run()
+    };
+    let crashes = |trace: &failure_transparency::core::trace::Trace| {
+        trace.iter().filter(|e| e.kind.is_crash()).count()
+    };
+
+    let ok = plain(5_600);
+    assert!(
+        ok.all_done && crashes(&ok.trace) == 0,
+        "5 600 keys complete"
+    );
+    let ok = cpvs(5_600);
+    assert!(ok.all_done, "5 600 keys complete under CPVS");
+    assert_eq!((ok.abandoned, ok.incidents.len()), (0, 0));
+
+    let bad = plain(6_000);
+    assert!(!bad.all_done, "6 000 keys: the plain run does not complete");
+    assert_eq!((crashes(&bad.trace), bad.trace.len()), (1, 11_487));
+    let bad = cpvs(6_000);
+    assert!(
+        !bad.all_done,
+        "6 000 keys: recovery cannot complete it either"
+    );
+    assert_eq!((bad.abandoned, bad.incidents.len()), (1, 1));
+    assert_eq!(bad.trace.len(), 17_221);
+}

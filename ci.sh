@@ -30,8 +30,10 @@ cargo test -q --workspace
 # ft-dsm decodes bytes a peer (or a fault campaign) chose and ft-mem bytes
 # that come back from a disk: run their tests with overflow checks off
 # too, so "debug and release agree" on every untrusted-byte case is gated,
-# not assumed.
-cargo test -q --release -p ft-dsm -p ft-mem
+# not assumed. ft-core's judge only ever runs in release (campaign,
+# benchmark/), where `replay`'s dense-id check is compiled out and the
+# Save-work tables are indexed by seqs converted from u64: same gate.
+cargo test -q --release -p ft-dsm -p ft-mem -p ft-core
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
 

@@ -2,11 +2,12 @@
 //!
 //! An independent re-derivation of the Save-work Theorem's obligations,
 //! built to cross-check [`ft_core::savework`]. Where the production
-//! checker is engineered for speed (one candidate commit per (nd, target)
-//! pair via partition points), the audit is engineered for *obviousness*:
-//! it asks [`happens_before`] of every candidate commit, enumerates
-//! **every** live non-deterministic ancestor of every visible and commit
-//! event, and reports **all** uncovered obligations rather than the first.
+//! checker is engineered for speed (one candidate nd and one candidate
+//! commit per (target, process), read from position tables), the audit is
+//! engineered for *obviousness*: it asks [`happens_before`] of every
+//! candidate commit, enumerates **every** live non-deterministic ancestor
+//! of every visible and commit event, and reports **all** uncovered
+//! obligations rather than the first.
 //! Both read the clocks one [`replay`] derives at each target.
 //!
 //! The two implementations agree by construction on the following
@@ -18,9 +19,10 @@
 //!   `happens_before(c.id, e.id, e.hb)` (a commit's clock has
 //!   `c.hb[p] == c.seq + 1`);
 //! * `check_save_work` returns `Ok` iff the audit returns no findings,
-//!   and any violation it returns is a member of the audit's finding set
-//!   (the production checker reports the last live nd, which coverage
-//!   monotonicity places in every non-empty uncovered suffix).
+//!   and any violation it returns is the audit's first finding (the
+//!   production checker reports the last live nd, which coverage
+//!   monotonicity places in every non-empty uncovered suffix, and the
+//!   audit walks each process's nds most recent first).
 
 use ft_core::clock::{happens_before, replay};
 use ft_core::event::{EventId, EventKind, ProcessId};

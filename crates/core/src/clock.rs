@@ -15,7 +15,7 @@
 //! visitor; the checkers read them at the events they test (visible and
 //! commit events, access positions) and nowhere else.
 
-use crate::event::{Event, EventId, EventKind};
+use crate::event::{Event, EventId, EventKind, MsgId};
 use crate::trace::Trace;
 
 /// The two vector clocks of an event's process *after* executing that
@@ -43,6 +43,11 @@ fn join(dst: &mut [u64], src: &[u64]) {
     }
 }
 
+/// A message id as a table index.
+fn index(msg: MsgId) -> usize {
+    usize::try_from(msg.0).expect("message ids are dense")
+}
+
 /// Replays `trace` in recording order, deriving both vector clocks, and
 /// calls `visit` once per event with the clocks after that event.
 ///
@@ -51,36 +56,70 @@ fn join(dst: &mut [u64], src: &[u64]) {
 /// recovery re-delivers a message to a rolled-back receiver — joins the
 /// sender's knowledge *at the send*. A receive joins the happens-before
 /// row always and the causal row unless the matching send was a control
-/// send (`send.logged`). Snapshots live until the replay ends: `O(sends ×
-/// n)` words of transient memory, nothing once it returns.
+/// send (`send.logged`).
+///
+/// A snapshot lives only while its message is in flight. A pre-pass counts
+/// the receives the trace records for each message; a send that is never
+/// received snapshots nothing, and the last recorded receive of a message
+/// hands its `2n`-word slot to the next send. Transient memory is the
+/// matrices, `O(peak in-flight × n)` words of slots that stay in cache,
+/// and a count and an offset per message; nothing once the replay returns.
 pub fn replay(trace: &Trace, mut visit: impl FnMut(&Event, EventClocks<'_>)) {
     let n = trace.num_processes();
     let mut hb = vec![0u64; n * n];
     let mut causal = vec![0u64; n * n];
-    // `sent[msg]`: where in `snaps` the sender's happens-before row was
-    // copied, and whether its causal row follows (application sends).
-    // Message ids are handed out densely in recording order.
-    let mut sent: Vec<(usize, bool)> = Vec::new();
-    let mut snaps: Vec<u64> = Vec::new();
+    // `pending[msg]`: receives of `msg` still to come. Message ids are
+    // handed out densely in recording order, so the table ends at the last
+    // message that is ever received.
+    let mut pending: Vec<u32> = Vec::new();
+    for e in trace.iter() {
+        if let EventKind::Recv { msg, .. } = e.kind {
+            let m = index(msg);
+            if m >= pending.len() {
+                pending.resize(m + 1, 0);
+            }
+            pending[m] += 1;
+        }
+    }
+    // `slot_of[msg]`: where in `slots` the `2n`-word snapshot of an
+    // in-flight `msg` starts — the sender's happens-before row, then its
+    // causal row, left all zero by a control send so that joining it
+    // changes nothing.
+    let mut slot_of = vec![0usize; pending.len()];
+    let mut slots: Vec<u64> = Vec::new();
+    let mut free: Vec<usize> = Vec::new();
+    let mut sends = 0u64;
     for e in trace.recorded() {
         let p = e.id.pid.index();
         let row = p * n..(p + 1) * n;
         if let EventKind::Recv { msg, .. } = e.kind {
-            let (at, application) = sent[usize::try_from(msg.0).expect("message ids are dense")];
-            join(&mut hb[row.clone()], &snaps[at..at + n]);
-            if application {
-                join(&mut causal[row.clone()], &snaps[at + n..at + 2 * n]);
+            let m = index(msg);
+            let (sent_hb, sent_causal) = slots[slot_of[m]..slot_of[m] + 2 * n].split_at(n);
+            join(&mut hb[row.clone()], sent_hb);
+            join(&mut causal[row.clone()], sent_causal);
+            pending[m] -= 1;
+            if pending[m] == 0 {
+                free.push(slot_of[m]);
             }
         }
         hb[row.start + p] += 1;
         causal[row.start + p] += 1;
         if let EventKind::Send { msg, .. } = e.kind {
-            debug_assert_eq!(msg.0, sent.len() as u64, "sends record dense message ids");
-            let application = !e.logged;
-            sent.push((snaps.len(), application));
-            snaps.extend_from_slice(&hb[row.clone()]);
-            if application {
-                snaps.extend_from_slice(&causal[row.clone()]);
+            debug_assert_eq!(msg.0, sends, "sends record dense message ids");
+            sends += 1;
+            let m = index(msg);
+            if pending.get(m).is_some_and(|&receives| receives > 0) {
+                slot_of[m] = free.pop().unwrap_or_else(|| {
+                    slots.resize(slots.len() + 2 * n, 0);
+                    slots.len() - 2 * n
+                });
+                let (sent_hb, sent_causal) = slots[slot_of[m]..slot_of[m] + 2 * n].split_at_mut(n);
+                sent_hb.copy_from_slice(&hb[row.clone()]);
+                if e.logged {
+                    sent_causal.fill(0);
+                } else {
+                    sent_causal.copy_from_slice(&causal[row.clone()]);
+                }
             }
         }
         visit(
@@ -204,6 +243,42 @@ mod tests {
         let clocks = clocks_of(&b.finish());
         assert_eq!(clocks[1].1, [1, 1]);
         assert_eq!(clocks[4].1, [1, 3]);
+    }
+
+    #[test]
+    fn a_redelivery_joins_its_own_snapshot_after_other_messages_came_and_went() {
+        // P1 has received `m`, and three later messages are sent and
+        // received before recovery delivers `m` to P1 a second time. Had
+        // the first receive given up `m`'s snapshot, theirs would have
+        // overwritten it and P1 would now learn of P2.
+        let mut b = TraceBuilder::new(3);
+        let (_, m) = b.send(p(0), p(1));
+        b.recv(p(1), p(0), m);
+        for _ in 0..3 {
+            let (_, later) = b.send(p(2), p(0));
+            b.recv(p(0), p(2), later);
+        }
+        b.rollback(p(1), 0);
+        b.recv(p(1), p(0), m);
+        let clocks = clocks_of(&b.finish());
+        assert_eq!(clocks[7].1, [4, 0, 3], "the sender moved on");
+        assert_eq!(clocks[9].1, [1, 3, 0]);
+        assert_eq!(clocks[9].2, [1, 3, 0]);
+    }
+
+    #[test]
+    fn a_send_nobody_receives_disturbs_no_other_snapshot() {
+        // Only the middle send is received; the receive joins that send's
+        // clock, not a neighbour's. (That the other two take no snapshot
+        // at all is gated in `tests/replay_memory.rs`.)
+        let mut b = TraceBuilder::new(2);
+        b.send(p(0), p(1));
+        let (_, m) = b.send(p(0), p(1));
+        b.send(p(0), p(1));
+        b.recv(p(1), p(0), m);
+        let clocks = clocks_of(&b.finish());
+        assert_eq!(clocks[3].1, [2, 1]);
+        assert_eq!(clocks[3].2, [2, 1]);
     }
 
     #[test]

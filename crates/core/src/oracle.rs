@@ -148,40 +148,36 @@ impl std::fmt::Display for InvariantViolation {
     }
 }
 
-/// The filtered application-event sequence of process `p`, cut at its
-/// first crash or rollback marker (events after that point belong to
-/// re-execution, which legally repeats history).
-fn app_prefix(trace: &Trace, p: ProcessId) -> Vec<AppEvent> {
-    trace
-        .process(p)
-        .iter()
-        .take_while(|e| !matches!(e.kind, EventKind::Crash | EventKind::Rollback { .. }))
-        .filter_map(app_event)
-        .collect()
-}
-
 /// Checks constraint 4: for every process, the recovered run's
-/// application events up to its first crash/rollback must be a prefix of
-/// the canonical run's full application-event sequence.
+/// application events up to its first crash or rollback marker (events
+/// after that point belong to re-execution, which legally repeats
+/// history) must be a prefix of the canonical run's full
+/// application-event sequence.
 pub fn check_prefix_extension(
     canonical: &Trace,
     recovered: &Trace,
 ) -> Result<(), InvariantViolation> {
     for pi in 0..recovered.num_processes() {
         let p = ProcessId::from_index(pi);
-        let reference: Vec<AppEvent> = if pi < canonical.num_processes() {
-            canonical.process(p).iter().filter_map(app_event).collect()
+        let reference: &[Event] = if pi < canonical.num_processes() {
+            canonical.process(p)
         } else {
-            Vec::new()
+            &[]
         };
-        let got = app_prefix(recovered, p);
-        for (i, g) in got.iter().enumerate() {
-            if reference.get(i) != Some(g) {
+        let mut reference = reference.iter().filter_map(app_event);
+        let prefix = recovered
+            .process(p)
+            .iter()
+            .take_while(|e| !matches!(e.kind, EventKind::Crash | EventKind::Rollback { .. }))
+            .filter_map(app_event);
+        for (at, got) in prefix.enumerate() {
+            let expected = reference.next();
+            if expected != Some(got) {
                 return Err(InvariantViolation::PrefixDivergence {
                     pid: p,
-                    at: i,
-                    expected: reference.get(i).copied(),
-                    got: *g,
+                    at,
+                    expected,
+                    got,
                 });
             }
         }

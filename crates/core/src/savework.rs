@@ -22,8 +22,11 @@
 //! `p != e.pid`). Second, if the *earliest* commit after `n` on `p` does
 //! not happen-before `e`, no later commit can (program order composes with
 //! happens-before), so only one candidate commit per (nd, target) pair
-//! needs testing. The whole check is one replay plus
-//! `O(targets × processes × log commits)`.
+//! needs testing, and only for the *last* live nd below the causal bound
+//! (a commit that covers it covers every earlier one). Both candidates
+//! are read from per-process position tables built before the replay, two
+//! loads per (target, process): the whole check is one replay plus
+//! `O(events + targets × processes)`.
 
 use crate::clock::{happens_before, replay};
 use crate::event::{EventId, EventKind, ProcessId};
@@ -66,84 +69,78 @@ impl std::fmt::Display for SaveWorkViolation {
     }
 }
 
-/// Per-process index of non-deterministic and commit event positions.
-struct ProcessIndex {
-    nd_seqs: Vec<u64>,
-    commit_seqs: Vec<u64>,
-    /// Commits that belong to a coordinated round: (seq, group).
-    grouped_commits: Vec<(u64, u64)>,
-    /// Recovery rollbacks: (rollback event seq, restore point). Events in
-    /// `[restore, event_seq)` were undone and are causally dead for
-    /// anything after `event_seq`.
-    rollbacks: Vec<(u64, u64)>,
+/// Position tables of every process, read by the cross-process test.
+/// Process `p` owns entries `base[p] ..= base[p] + len_p` of both tables,
+/// one per position `k` in its event sequence and one past the end.
+struct Positions {
+    base: Vec<usize>,
+    /// At `k`: the position just past the last effectively
+    /// non-deterministic event below `k` that no rollback of its process
+    /// undoes, or 0 if there is none. An nd event undone by a recovery
+    /// rollback generates no obligation across processes (its unwound
+    /// effects are the recovery machinery's concern: withdrawal,
+    /// cascades, deterministic regeneration), and which rollbacks follow
+    /// it is a property of the whole trace, not of the target.
+    last_nd: Vec<usize>,
+    /// At `k`: the seq of the first commit at or after `k`, or `u64::MAX`.
+    next_commit: Vec<u64>,
+    /// Per process, its commits that belong to a coordinated round:
+    /// (seq, group).
+    grouped_commits: Vec<Vec<(u64, u64)>>,
+    /// Member commits of each coordinated round.
+    groups: std::collections::HashMap<u64, Vec<EventId>>,
 }
 
-impl ProcessIndex {
-    /// Did the event at `n` survive every rollback that intervenes before
-    /// `upto` (i.e. is it a live causal predecessor of events at `upto`)?
-    fn survives(&self, n: u64, upto: u64) -> bool {
-        self.rollbacks
-            .iter()
-            .filter(|&&(at, _)| n < at && at <= upto)
-            .all(|&(_, to)| n < to)
+fn build_positions(trace: &Trace) -> Positions {
+    let n = trace.num_processes();
+    let mut base = Vec::with_capacity(n);
+    let mut entries = 0;
+    for p in 0..n {
+        base.push(entries);
+        entries += trace.process(ProcessId::from_index(p)).len() + 1;
     }
-
-    /// The last non-deterministic event below `limit` that is still a live
-    /// predecessor of events at `upto`.
-    fn last_live_nd_below(&self, limit: u64, upto: u64) -> Option<u64> {
-        let pos = self.nd_seqs.partition_point(|&s| s < limit);
-        self.nd_seqs[..pos]
-            .iter()
-            .rev()
-            .copied()
-            .find(|&n| self.survives(n, upto))
-    }
-}
-
-fn build_index(
-    trace: &Trace,
-) -> (
-    Vec<ProcessIndex>,
-    std::collections::HashMap<u64, Vec<EventId>>,
-) {
+    let mut last_nd = vec![0usize; entries];
+    let mut next_commit = vec![u64::MAX; entries];
+    let mut grouped_commits = vec![Vec::new(); n];
     // Determinism: the map is only read back by group-id key (`groups[&g]`),
     // never iterated, so hash order cannot reach any output.
     let mut groups: std::collections::HashMap<u64, Vec<EventId>> = std::collections::HashMap::new();
-    let idx = (0..trace.num_processes())
-        .map(|p| {
-            let pid = ProcessId::from_index(p);
-            let mut nd_seqs = Vec::new();
-            let mut commit_seqs = Vec::new();
-            let mut grouped_commits = Vec::new();
-            let mut rollbacks = Vec::new();
-            for e in trace.process(pid) {
-                if e.is_effectively_nd() {
-                    nd_seqs.push(e.id.seq);
-                } else if e.kind.is_commit() {
-                    commit_seqs.push(e.id.seq);
-                    if let Some(g) = e.atomic_group {
-                        grouped_commits.push((e.id.seq, g));
-                        groups.entry(g).or_default().push(e.id);
-                    }
-                } else if let EventKind::Rollback { to_seq } = e.kind {
-                    rollbacks.push((e.id.seq, to_seq));
+    for (p, &base) in base.iter().enumerate() {
+        let events = trace.process(ProcessId::from_index(p));
+        // Backward: the nearest commit ahead, and each nd event that lies
+        // below the restore point of every rollback after it.
+        let mut restore = u64::MAX;
+        for (k, e) in events.iter().enumerate().rev() {
+            next_commit[base + k] = next_commit[base + k + 1];
+            if e.is_effectively_nd() {
+                if e.id.seq < restore {
+                    last_nd[base + k + 1] = k + 1;
                 }
+            } else if e.kind.is_commit() {
+                next_commit[base + k] = e.id.seq;
+                if let Some(g) = e.atomic_group {
+                    grouped_commits[p].push((e.id.seq, g));
+                    groups.entry(g).or_default().push(e.id);
+                }
+            } else if let EventKind::Rollback { to_seq } = e.kind {
+                restore = restore.min(to_seq);
             }
-            ProcessIndex {
-                nd_seqs,
-                commit_seqs,
-                grouped_commits,
-                rollbacks,
+        }
+        // Forward: a position with no live nd event just below it
+        // inherits the last one from its left.
+        for k in base + 1..=base + events.len() {
+            if last_nd[k] == 0 {
+                last_nd[k] = last_nd[k - 1];
             }
-        })
-        .collect();
-    (idx, groups)
-}
-
-/// True if a commit seq exists in the open-closed interval `(after, below)`.
-fn commit_in(idx: &ProcessIndex, after: u64, below: u64) -> bool {
-    let pos = idx.commit_seqs.partition_point(|&s| s <= after);
-    pos < idx.commit_seqs.len() && idx.commit_seqs[pos] < below
+        }
+    }
+    Positions {
+        base,
+        last_nd,
+        next_commit,
+        grouped_commits,
+        groups,
+    }
 }
 
 /// Checks the full Save-work invariant over a trace.
@@ -186,12 +183,29 @@ fn check_rules(
     visible_rule: bool,
     orphan_rule: bool,
 ) -> Result<(), SaveWorkViolation> {
-    let (idx, groups) = build_index(trace);
+    let pos = build_positions(trace);
+    // For a target's own process liveness is judged at the target: only
+    // the rollbacks before it count. `live_nd[q]` is the running stack of
+    // `q`'s effectively-nd seqs that are live and uncommitted at the
+    // replay's position — a rollback pops what it undoes, and a commit
+    // empties it, since a commit covers everything below it in program
+    // order.
+    let mut live_nd: Vec<Vec<u64>> = vec![Vec::new(); trace.num_processes()];
     // The replay visits targets in recording order; the reported violation
     // is the first in process-major order: smallest target, then smallest
     // nd process (the inner loop stops at its first uncovered process).
     let mut first: Option<SaveWorkViolation> = None;
     replay(trace, |e, clocks| {
+        let q = e.id.pid.index();
+        if e.is_effectively_nd() {
+            live_nd[q].push(e.id.seq);
+        } else if e.kind.is_commit() {
+            live_nd[q].clear();
+        } else if let EventKind::Rollback { to_seq } = e.kind {
+            while live_nd[q].last().is_some_and(|&s| s >= to_seq) {
+                live_nd[q].pop();
+            }
+        }
         let rule = match e.kind {
             EventKind::Visible { .. } if visible_rule => SaveWorkRule::Visible,
             EventKind::Commit { .. } if orphan_rule => SaveWorkRule::Orphan,
@@ -201,54 +215,42 @@ fn check_rules(
         if first.is_some_and(|f| f.target < e.id) {
             return;
         }
-        let q = e.id.pid.index();
-        for (p, pidx) in idx.iter().enumerate() {
-            let pid = ProcessId::from_index(p);
-            // How many of p's events *causally precede* e (application
-            // causality generates the Save-work obligation): for p != q
-            // the causal-clock component; for p == q, program order.
-            let req_known = if p == q {
-                // For a commit target on its own process, "atomic with"
-                // lets the target itself serve as the covering commit.
-                if rule == SaveWorkRule::Orphan {
-                    continue;
-                }
-                e.id.seq
+        for (p, &base) in pos.base.iter().enumerate() {
+            // The last live nd of p that *causally precedes* e
+            // (application causality generates the obligation) and that
+            // no commit of p strictly between it and e in the
+            // *happens-before* order covers (coverage uses plain
+            // happens-before, which control messages extend).
+            let uncovered = if p == q {
+                // Program order. A commit target has just emptied its
+                // own stack: "atomic with" lets the target itself serve
+                // as the covering commit.
+                live_nd[q].last().copied()
             } else {
-                clocks.causal[p]
+                let known = usize::try_from(clocks.causal[p]).expect("a seq indexes its trace");
+                let after_nd = pos.last_nd[base + known];
+                (after_nd > 0 && pos.next_commit[base + after_nd] >= clocks.hb[p])
+                    .then(|| after_nd as u64 - 1)
             };
-            // How many of p's events *happen-before* e (coverage uses
-            // plain happens-before, which control messages extend).
-            let known = if p == q { e.id.seq } else { clocks.hb[p] };
-            // Only *live* non-determinism generates obligations: an nd
-            // event undone by a recovery rollback no longer precedes
-            // anything after the rollback (same-process), and its
-            // unwound effects are the recovery machinery's concern
-            // cross-process (withdrawal, cascades, deterministic
-            // regeneration).
-            let upto = if p == q { e.id.seq } else { u64::MAX };
-            let Some(nd_seq) = pidx.last_live_nd_below(req_known, upto) else {
+            let Some(nd_seq) = uncovered else {
                 continue;
             };
-            // Plain coverage: a commit on p strictly between the nd and
-            // the target in the happens-before order. Atomic closure: a
-            // coordinated commit on p after the nd covers the target if
-            // *any member* of its round happens-before (or is) the
-            // target — the round's commits are atomic with one another,
-            // so the whole round is ordered by its best-ordered member.
-            let covered = commit_in(pidx, nd_seq, known)
-                || pidx
-                    .grouped_commits
-                    .iter()
-                    .filter(|&&(s, _)| s > nd_seq)
-                    .any(|&(_, g)| {
-                        groups[&g]
-                            .iter()
-                            .any(|&m| m == e.id || happens_before(m, e.id, clocks.hb))
-                    });
+            // Atomic closure: a coordinated commit on p after the nd
+            // covers the target if *any member* of its round
+            // happens-before (or is) the target — the round's commits are
+            // atomic with one another, so the whole round is ordered by
+            // its best-ordered member.
+            let covered = pos.grouped_commits[p]
+                .iter()
+                .filter(|&&(s, _)| s > nd_seq)
+                .any(|&(_, g)| {
+                    pos.groups[&g]
+                        .iter()
+                        .any(|&m| m == e.id || happens_before(m, e.id, clocks.hb))
+                });
             if !covered {
                 first = Some(SaveWorkViolation {
-                    nd: EventId::new(pid, nd_seq),
+                    nd: EventId::new(ProcessId::from_index(p), nd_seq),
                     target: e.id,
                     rule,
                 });
@@ -289,38 +291,41 @@ pub struct OrphanReport {
 /// failed process's re-execution, so the computation may be unable to
 /// complete (the no-orphan constraint, §2.3).
 pub fn find_orphans(trace: &Trace, rollbacks: &[Rollback]) -> Vec<OrphanReport> {
-    let mut reports = Vec::new();
-    for rb in rollbacks {
-        // Lost effectively-nd events of the failed process.
-        let lost_nds: Vec<u64> = trace
-            .process(rb.pid)
-            .iter()
-            .filter(|e| e.id.seq >= rb.first_lost && e.is_effectively_nd())
-            .map(|e| e.id.seq)
-            .collect();
-        if lost_nds.is_empty() {
-            continue;
+    // Per rollback, the first lost effectively-nd event of the failed
+    // process: a commit that depends on any lost nd event depends on it.
+    let first_lost_nd: Vec<Option<u64>> = rollbacks
+        .iter()
+        .map(|rb| {
+            trace
+                .process(rb.pid)
+                .iter()
+                .find(|e| e.id.seq >= rb.first_lost && e.is_effectively_nd())
+                .map(|e| e.id.seq)
+        })
+        .collect();
+    // Per (rollback, process), its first commit that depends on a lost
+    // event.
+    let n = trace.num_processes();
+    let mut first: Vec<Option<OrphanReport>> = vec![None; rollbacks.len() * n];
+    replay(trace, |e, clocks| {
+        if !e.kind.is_commit() {
+            return;
         }
-        // Per process, its first commit that depends on a lost event.
-        let mut first: Vec<Option<OrphanReport>> = vec![None; trace.num_processes()];
-        replay(trace, |e, clocks| {
-            let slot = &mut first[e.id.pid.index()];
-            if !e.kind.is_commit() || e.id.pid == rb.pid || slot.is_some() {
-                return;
-            }
-            let known = clocks.causal[rb.pid.index()];
-            // Any lost nd with seq < known is a committed dependence.
-            if let Some(&nd_seq) = lost_nds.iter().find(|&&s| s < known) {
+        for (i, (rb, lost)) in rollbacks.iter().zip(&first_lost_nd).enumerate() {
+            let slot = &mut first[i * n + e.id.pid.index()];
+            let Some(nd_seq) = *lost else {
+                continue;
+            };
+            if e.id.pid != rb.pid && slot.is_none() && nd_seq < clocks.causal[rb.pid.index()] {
                 *slot = Some(OrphanReport {
                     orphan: e.id.pid,
                     commit: e.id,
                     lost_nd: EventId::new(rb.pid, nd_seq),
                 });
             }
-        });
-        reports.extend(first.into_iter().flatten());
-    }
-    reports
+        }
+    });
+    first.into_iter().flatten().collect()
 }
 
 #[cfg(test)]

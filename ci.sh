@@ -32,8 +32,10 @@ cargo test -q --workspace
 # too, so "debug and release agree" on every untrusted-byte case is gated,
 # not assumed. ft-core's judge only ever runs in release (campaign,
 # benchmark/), where `replay`'s dense-id check is compiled out and the
-# Save-work tables are indexed by seqs converted from u64: same gate.
-cargo test -q --release -p ft-dsm -p ft-mem -p ft-core
+# Save-work tables are indexed by seqs converted from u64: same gate. So
+# does ft-sim's fabric, whose channels look u64 sequence numbers up in a
+# flat column that the differential test drives with sparse ones.
+cargo test -q --release -p ft-dsm -p ft-mem -p ft-core -p ft-sim
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
 

@@ -413,6 +413,12 @@ impl KvGateway {
     /// share no sequential state with each other or with the fault
     /// arrival process.
     pub fn new(params: &KvParams, slot: u32) -> Self {
+        Self::with_zipf(params, slot, Zipfian::new(params.key_space, params.theta))
+    }
+
+    /// As [`KvGateway::new`], with the key sampler handed in: building one
+    /// sums `key_space` powers, and a cluster's gateways all use the same.
+    fn with_zipf(params: &KvParams, slot: u32, zipf: Zipfian) -> Self {
         let gw_seed = SplitMix64::new(params.seed).nth(u64::from(slot));
         let mut split = SplitMix64::new(gw_seed);
         let pop_seed = split.next_u64();
@@ -430,7 +436,7 @@ impl KvGateway {
                 params.sessions_per_gateway(),
                 params.rate_per_session,
             ),
-            zipf: Zipfian::new(params.key_space, params.theta),
+            zipf,
             content: SplitMix64::new(content_seed),
         }
     }
@@ -884,8 +890,9 @@ fn build(params: &KvParams, skip_reinstall: bool) -> Vec<Box<dyn App>> {
             apps.push(Box::new(KvReplica::new(params, skip_reinstall)));
         }
     }
+    let zipf = Zipfian::new(params.key_space, params.theta);
     for slot in 0..params.gateways {
-        apps.push(Box::new(KvGateway::new(params, slot)));
+        apps.push(Box::new(KvGateway::with_zipf(params, slot, zipf.clone())));
     }
     apps
 }

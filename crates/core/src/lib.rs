@@ -78,8 +78,8 @@ pub use oracle::{
     OracleVerdict,
 };
 pub use protocol::{
-    coordinated_participants, CommitPlanner, CommitScope, Decision, DepTracker, InterceptedEvent,
-    Protocol,
+    coordinated_participants, CommitPlanner, CommitScope, Decision, DepSet, DepTracker,
+    InterceptedEvent, Protocol,
 };
 pub use render::render_trace;
 pub use savework::{check_save_work, find_orphans, SaveWorkViolation};

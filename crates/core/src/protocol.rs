@@ -15,7 +15,11 @@
 //! A [`CommitPlanner`] turns a protocol into a pure decision function the
 //! checkpointing runtime consults at every intercepted event: whether to
 //! log the event, and whether to commit before (locally or coordinated)
-//! and/or after it.
+//! and/or after it. A [`DepTracker`] carries the cross-process half — whose
+//! uncommitted non-determinism a process depends on — as a [`DepSet`], the
+//! one set type that travels from the tracker through the simulator's
+//! message metadata to the receiver and into
+//! [`coordinated_participants`].
 
 use crate::event::NdSource;
 
@@ -268,6 +272,69 @@ impl CommitPlanner {
     }
 }
 
+/// A set of process ids as one sorted, duplicate-free `Vec<u32>`: the
+/// dependency set a sender piggybacks on every message and a receiver
+/// unions in. Flat because of how it is used: the empty set — all that a
+/// commit-before-send protocol ever sends — owns no heap block, so
+/// snapshotting, storing and delivering it costs nothing; a non-empty
+/// snapshot is one block and one copy; and [`DepSet::clear`] keeps the
+/// capacity, so a tracker refilled after every commit stops allocating.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct DepSet(Vec<u32>);
+
+impl DepSet {
+    /// The empty set.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Adds `pid`; true if it was not yet a member.
+    pub fn insert(&mut self, pid: u32) -> bool {
+        match self.0.binary_search(&pid) {
+            Ok(_) => false,
+            Err(i) => {
+                self.0.insert(i, pid);
+                true
+            }
+        }
+    }
+
+    /// Adds every member of `other`.
+    pub fn union_with(&mut self, other: &DepSet) {
+        if self.0.is_empty() {
+            self.0.extend_from_slice(&other.0);
+        } else {
+            for &pid in &other.0 {
+                self.insert(pid);
+            }
+        }
+    }
+
+    /// Empties the set, keeping its allocation.
+    pub fn clear(&mut self) {
+        self.0.clear();
+    }
+
+    /// The members in ascending order.
+    pub fn into_vec(self) -> Vec<u32> {
+        self.0
+    }
+}
+
+/// Reads as its ascending member slice.
+impl std::ops::Deref for DepSet {
+    type Target = [u32];
+    fn deref(&self) -> &[u32] {
+        &self.0
+    }
+}
+
+impl From<std::collections::BTreeSet<u32>> for DepSet {
+    fn from(set: std::collections::BTreeSet<u32>) -> Self {
+        DepSet(set.into_iter().collect())
+    }
+}
+
 /// Tracks which processes' *uncommitted non-determinism* this process
 /// causally depends on, for coordinated-commit participant selection
 /// (§2.4: "involving in the coordinated commit only those processes with
@@ -280,7 +347,7 @@ impl CommitPlanner {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DepTracker {
     self_pid: u32,
-    deps: std::collections::BTreeSet<u32>,
+    deps: DepSet,
 }
 
 impl DepTracker {
@@ -288,7 +355,7 @@ impl DepTracker {
     pub fn new(self_pid: u32) -> Self {
         Self {
             self_pid,
-            deps: std::collections::BTreeSet::new(),
+            deps: DepSet::new(),
         }
     }
 
@@ -299,8 +366,8 @@ impl DepTracker {
 
     /// Records the receipt of a message carrying the sender's dependency
     /// snapshot.
-    pub fn on_recv(&mut self, sender_deps: &std::collections::BTreeSet<u32>, recv_logged: bool) {
-        self.deps.extend(sender_deps.iter().copied());
+    pub fn on_recv(&mut self, sender_deps: &DepSet, recv_logged: bool) {
+        self.deps.union_with(sender_deps);
         if !recv_logged {
             // The receive itself is non-deterministic.
             self.deps.insert(self.self_pid);
@@ -308,17 +375,18 @@ impl DepTracker {
     }
 
     /// The snapshot to piggyback on outgoing messages.
-    pub fn snapshot(&self) -> std::collections::BTreeSet<u32> {
+    pub fn snapshot(&self) -> DepSet {
         self.deps.clone()
     }
 
     /// The processes this process currently depends on (possibly including
     /// itself).
-    pub fn deps(&self) -> &std::collections::BTreeSet<u32> {
+    pub fn deps(&self) -> &DepSet {
         &self.deps
     }
 
-    /// Clears the tracker after this process's dependencies were committed.
+    /// Clears the tracker after this process's dependencies were committed
+    /// (the set keeps its allocation for the next interval).
     pub fn clear(&mut self) {
         self.deps.clear();
     }
@@ -328,18 +396,23 @@ impl DepTracker {
 /// transitive closure of `coordinator`'s dependencies (a participant's own
 /// commit is a Save-work target, so every process *it* depends on must
 /// commit atomically too), always including the coordinator itself.
-pub fn coordinated_participants(trackers: &[DepTracker], coordinator: u32) -> Vec<u32> {
-    let mut set = std::collections::BTreeSet::new();
+/// `deps_of(p)` is process `p`'s current dependency set; the result is
+/// ascending and duplicate-free.
+pub fn coordinated_participants<'a>(
+    deps_of: impl Fn(u32) -> &'a DepSet,
+    coordinator: u32,
+) -> Vec<u32> {
+    let mut set = DepSet::new();
     set.insert(coordinator);
     let mut frontier = vec![coordinator];
     while let Some(p) = frontier.pop() {
-        for &d in trackers[p as usize].deps() {
+        for &d in deps_of(p).iter() {
             if set.insert(d) {
                 frontier.push(d);
             }
         }
     }
-    set.into_iter().collect()
+    set.into_vec()
 }
 
 #[cfg(test)]
@@ -358,10 +431,27 @@ mod tests {
         a.on_recv(&b.snapshot(), true);
         assert!(a.deps().contains(&1));
         assert!(!a.deps().contains(&0)); // Logged recv: a itself stays clean.
-        a.on_recv(&Default::default(), false);
+        a.on_recv(&DepSet::new(), false);
         assert!(a.deps().contains(&0));
         a.clear();
         assert!(a.deps().is_empty());
+    }
+
+    #[test]
+    fn dep_set_stays_sorted_and_deduplicated() {
+        let mut s = DepSet::new();
+        assert!(s.insert(7));
+        assert!(s.insert(2));
+        assert!(!s.insert(7));
+        let mut t = DepSet::from(std::collections::BTreeSet::from([9, 2, 4]));
+        assert_eq!(*t, [2, 4, 9]);
+        t.union_with(&s);
+        assert_eq!(t.clone().into_vec(), vec![2, 4, 7, 9]);
+        let mut empty = DepSet::new();
+        empty.union_with(&t);
+        assert_eq!(empty, t);
+        t.clear();
+        assert!(t.is_empty());
     }
 
     #[test]
@@ -375,14 +465,18 @@ mod tests {
         t0.on_recv(&t1.snapshot(), true);
         // NOTE: t0 received t1's snapshot which already includes 2 and 1,
         // but closure also chases what t1/t2 currently hold.
-        let parts = coordinated_participants(&[t0, t1, t2], 0);
+        let trackers = [t0, t1, t2];
+        let parts = coordinated_participants(|p| trackers[p as usize].deps(), 0);
         assert_eq!(parts, vec![0, 1, 2]);
     }
 
     #[test]
     fn participants_of_clean_coordinator_is_just_itself() {
         let trackers = [DepTracker::new(0), DepTracker::new(1)];
-        assert_eq!(coordinated_participants(&trackers, 1), vec![1]);
+        assert_eq!(
+            coordinated_participants(|p| trackers[p as usize].deps(), 1),
+            vec![1]
+        );
     }
 
     #[test]

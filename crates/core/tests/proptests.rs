@@ -84,7 +84,7 @@ fn run_protocol(proto: Protocol, n_procs: usize, ops: &[Op]) -> ft_core::trace::
         (0..n_procs).map(|_| CommitPlanner::new(proto)).collect();
     let mut trackers: Vec<DepTracker> = (0..n_procs).map(|q| DepTracker::new(q as u32)).collect();
     // pending[to] = queue of (from, msg, sender dep snapshot).
-    type Pending = (ProcessId, MsgId, std::collections::BTreeSet<u32>);
+    type Pending = (ProcessId, MsgId, ft_core::protocol::DepSet);
     let mut pending: Vec<Vec<Pending>> = vec![Vec::new(); n_procs];
     let mut token = 0u64;
 
@@ -114,7 +114,7 @@ fn run_protocol(proto: Protocol, n_procs: usize, ops: &[Op]) -> ft_core::trace::
                 let participants: Vec<ProcessId> = if proto == Protocol::Cpv2pc {
                     (0..planners.len()).map(ProcessId::from_index).collect()
                 } else {
-                    coordinated_participants(trackers, p as u32)
+                    coordinated_participants(|q| trackers[q as usize].deps(), p as u32)
                         .into_iter()
                         .map(ProcessId)
                         .collect()

@@ -111,7 +111,7 @@ impl<'a, 'b> DcSys<'a, 'b> {
     fn around<R>(
         &mut self,
         event: InterceptedEvent,
-        raw: impl FnOnce(&mut SysCtx<'b>, &DcRuntime) -> R,
+        raw: impl FnOnce(&mut SysCtx<'b>, &mut DcRuntime) -> R,
     ) -> R {
         if self.ctx.step_killed() {
             return raw(self.ctx, self.rt);
@@ -184,10 +184,20 @@ impl Syscalls for DcSys<'_, '_> {
 
     fn send(&mut self, to: ProcessId, payload: Vec<u8>) -> SysResult<()> {
         self.around(InterceptedEvent::Send, |ctx, rt| {
-            // Read after the commit-before: a commit clears both.
-            let st = rt.state(ctx.pid());
-            ctx.set_send_meta(st.tracker.snapshot(), st.planner.is_dirty());
-            ctx.send(to, payload)
+            // Read after the commit-before: a commit clears both. A clean
+            // process with no dependencies sends the default metadata.
+            let st = rt.state_mut(ctx.pid());
+            let tainted = st.planner.is_dirty();
+            if tainted || !st.tracker.deps().is_empty() {
+                ctx.set_send_meta(st.tracker.snapshot(), tainted);
+            }
+            let sent = ctx.send(to, payload);
+            // A killed step's send is suppressed and a refused one takes no
+            // sequence number: neither moves the channel's counter.
+            if sent.is_ok() && !ctx.step_killed() {
+                st.sent_to.push(to.0);
+            }
+            sent
         })
     }
 
@@ -198,6 +208,7 @@ impl Syscalls for DcSys<'_, '_> {
             pending!(Recv),
             Syscalls::try_recv,
             |st, msg, logged| {
+                st.recv_from.push(msg.from.0);
                 st.tracker.on_recv(&msg.deps, logged);
                 if msg.tainted {
                     // A dependence on the sender's uncommitted

@@ -1,7 +1,7 @@
 //! The recovery runtime core: commits, snapshots, rollback, and cascades.
 
 use ft_core::event::ProcessId;
-use ft_core::protocol::{coordinated_participants, CommitPlanner, DepTracker, Protocol};
+use ft_core::protocol::{coordinated_participants, CommitPlanner, Protocol};
 use ft_mem::arena::CommitCrashPoint;
 use ft_sim::cost::SimTime;
 use ft_sim::sim::{Simulator, SysCtx};
@@ -9,7 +9,7 @@ use ft_sim::syscalls::Syscalls;
 
 use crate::recovery::MicrorebootMutation;
 use crate::state::{
-    decode_alloc, encode_alloc_into, CommittedState, DcConfig, DcStats, PendingNd, ProcState,
+    bump_count, decode_alloc, encode_alloc_into, DcConfig, DcStats, PendingNd, ProcState,
 };
 
 /// The Discount Checking runtime for one computation: per-process state
@@ -137,11 +137,12 @@ impl DcRuntime {
         crash: Option<CommitCrashPoint>,
     ) -> SimTime {
         let st = &mut self.states[pid.index()];
-        // Recycle the outgoing snapshot's blob allocation: commits happen
-        // once per interposition point under the chatty protocols, so this
-        // keeps the checkpoint path allocation-free after warm-up.
-        let mut alloc_blob = std::mem::take(&mut st.committed.alloc_blob);
-        encode_alloc_into(&st.mem.alloc, &mut alloc_blob);
+        // The outgoing snapshot is updated in place, so its buffers are
+        // reused: commits happen once per interposition point under the
+        // chatty protocols, and this keeps the checkpoint path
+        // allocation-free after warm-up.
+        let committed = &mut st.committed;
+        encode_alloc_into(&st.mem.alloc, &mut committed.alloc_blob);
         let mut rec = match crash {
             None => st.mem.arena.commit(),
             Some(point) => st
@@ -151,29 +152,36 @@ impl DcRuntime {
                 .expect("a committing crash point completes the commit"),
         };
         // Register file + runtime control block alongside the pages.
-        rec.register_bytes = alloc_blob.len() + 128;
+        rec.register_bytes = committed.alloc_blob.len() + 128;
         let cost = self.cfg.medium.commit_cost(&rec);
-        // Recycle the outgoing snapshot's table allocations too.
-        let mut send_seqs = std::mem::take(&mut st.committed.send_seqs);
-        send_seqs.clear();
-        send_seqs.extend_from_slice(sim.send_seqs(pid));
-        let mut consumed = std::mem::take(&mut st.committed.consumed);
-        sim.network().consumed_counts_into(pid, &mut consumed);
-        let mut kernel = std::mem::take(&mut st.committed.kernel);
-        sim.kernel_of(pid).snapshot_into(&mut kernel);
-        st.committed = CommittedState {
-            alloc_blob,
-            input_cursor: sim.input_cursor(pid),
-            signal_cursor: sim.signal_cursor(pid),
-            send_seqs,
-            consumed,
-            kernel,
-            pending_nd: pending,
-            // The commit event itself is recorded right after this
-            // snapshot, so everything up to and including it survives a
-            // rollback here.
-            trace_pos: sim.trace_position(pid) + 1,
-        };
+        // The channel tables move by what was sent and received since the
+        // last snapshot — not re-read from the simulator, which would walk
+        // every channel the process has.
+        for dest in st.sent_to.drain(..) {
+            bump_count(&mut committed.send_seqs, dest);
+        }
+        if std::mem::take(&mut st.consumed_stale) {
+            committed.consumed.clear();
+            committed
+                .consumed
+                .extend(sim.network().consumed_counts(pid));
+            st.recv_from.clear();
+        }
+        for from in st.recv_from.drain(..) {
+            bump_count(&mut committed.consumed, from);
+        }
+        debug_assert_eq!(committed.send_seqs, sim.send_seqs(pid));
+        debug_assert!(sim
+            .network()
+            .consumed_counts(pid)
+            .eq(committed.consumed.iter().copied()));
+        committed.input_cursor = sim.input_cursor(pid);
+        committed.signal_cursor = sim.signal_cursor(pid);
+        sim.kernel_of(pid).snapshot_into(&mut committed.kernel);
+        committed.pending_nd = pending;
+        // The commit event itself is recorded right after this snapshot,
+        // so everything up to and including it survives a rollback here.
+        committed.trace_pos = sim.trace_position(pid) + 1;
         st.replay = None;
         st.planner.note_committed();
         st.tracker.clear();
@@ -235,8 +243,7 @@ impl DcRuntime {
         let participants: Vec<ProcessId> = if self.cfg.protocol == Protocol::Cpv2pc {
             (0..self.states.len()).map(ProcessId::from_index).collect()
         } else {
-            let trackers: Vec<DepTracker> = self.states.iter().map(|s| s.tracker.clone()).collect();
-            coordinated_participants(&trackers, me.0)
+            coordinated_participants(|q| self.states[q as usize].tracker.deps(), me.0)
                 .into_iter()
                 .map(ProcessId)
                 .collect()
@@ -354,8 +361,11 @@ impl DcRuntime {
         sim.set_send_seqs(q, &st.committed.send_seqs);
         sim.restore_kernel(q, &st.committed.kernel);
         sim.network_mut().rewind_receiver(q, &st.committed.consumed);
+        st.sent_to.clear();
+        st.recv_from.clear();
+        st.consumed_stale = true;
         st.planner = CommitPlanner::new(protocol);
-        st.tracker = DepTracker::new(q.0);
+        st.tracker.clear();
         st.replay = st.committed.pending_nd.clone();
     }
 

@@ -147,8 +147,8 @@ pub struct CommittedState {
     pub send_seqs: Vec<(u32, u64)>,
     /// Per-sender consumed-message counts, sparse and sender-sorted.
     pub consumed: Vec<(u32, usize)>,
-    /// Kernel state snapshot — file names and lengths, not bytes
-    /// (reconstructed on recovery by append-only truncation, §3).
+    /// Kernel state snapshot — open descriptors and file lengths, not
+    /// bytes (reconstructed on recovery by append-only truncation, §3).
     pub kernel: KernelSnapshot,
     /// A commit-after-nd result to replay.
     pub pending_nd: Option<PendingNd>,
@@ -197,6 +197,20 @@ pub struct ProcState {
     pub tracker: DepTracker,
     /// Last committed snapshot.
     pub committed: CommittedState,
+    /// Destination of every send and sender of every receive executed
+    /// since the last commit or restore, in order. The next commit folds
+    /// them into `committed`'s `send_seqs` and `consumed` with
+    /// [`bump_count`], so a commit pays for the channels that moved and
+    /// not for every channel the process has.
+    pub sent_to: Vec<u32>,
+    /// See `sent_to`.
+    pub recv_from: Vec<u32>,
+    /// Set by a restore: the cascade it belongs to may withdraw messages
+    /// this process had consumed *before* its last commit (possible only
+    /// once Save-work is already broken), which moves delivery cursors
+    /// below `committed.consumed`. The next commit re-reads the network
+    /// instead of counting from the snapshot.
+    pub consumed_stale: bool,
     /// Armed during recovery: the pending nd result to serve to the first
     /// matching syscall of the constrained re-execution.
     pub replay: Option<PendingNd>,
@@ -224,9 +238,22 @@ impl ProcState {
                 pending_nd: None,
                 trace_pos: 0,
             },
+            sent_to: Vec::new(),
+            recv_from: Vec::new(),
+            consumed_stale: false,
             replay: None,
             stats: DcStats::default(),
         }
+    }
+}
+
+/// Adds one to `key`'s count in a sparse, key-sorted count list (absent
+/// keys are at zero): the shape of [`CommittedState::send_seqs`] and
+/// [`CommittedState::consumed`].
+pub fn bump_count<N: Copy + From<u8> + std::ops::AddAssign>(counts: &mut Vec<(u32, N)>, key: u32) {
+    match counts.binary_search_by_key(&key, |e| e.0) {
+        Ok(i) => counts[i].1 += N::from(1),
+        Err(i) => counts.insert(i, (key, N::from(1))),
     }
 }
 

@@ -7,6 +7,12 @@
 //! kernel fault either panics the node immediately (a stop failure) or
 //! corrupts the next few syscall results seen by applications before
 //! panicking (a propagation failure).
+//!
+//! The recovery runtime snapshots a kernel at every commit, so a snapshot
+//! costs what is open, not what could be: descriptors and snapshots name
+//! a file by its index in creation order (the filesystem is append-only),
+//! and a [`KernelSnapshot`] is the open slots, one length per file and the
+//! scalars — no table copy, no file name.
 
 use std::collections::HashMap;
 
@@ -14,21 +20,35 @@ use crate::rng::SplitMix64;
 
 use crate::syscalls::{SysError, SysResult};
 
-/// An open-file-table entry.
-#[derive(Debug, Clone)]
+/// An open-file-table entry: which file (an index into [`Kernel::files`])
+/// and the read position in it.
+#[derive(Debug, Clone, Copy)]
 struct OpenFile {
-    name: String,
+    file: usize,
     pos: usize,
+}
+
+/// A file of the buffer-cache filesystem.
+#[derive(Debug, Clone)]
+struct File {
+    name: String,
+    data: Vec<u8>,
 }
 
 /// A simulated kernel instance (one per node).
 #[derive(Debug, Clone)]
 pub struct Kernel {
     table: Vec<Option<OpenFile>>,
-    /// Determinism: accessed by file-name key only (`entry`/`get`) —
-    /// iterated only by snapshot/restore, whose per-name effects are
-    /// order-independent (and snapshots name-sort their contents).
-    files: HashMap<String, Vec<u8>>,
+    /// Occupied slots of `table`, so a snapshot stops scanning at the last
+    /// open descriptor (at once when there is none).
+    n_open: usize,
+    /// Every file ever created, in creation order. Nothing deletes a file
+    /// and `write` only appends, so a file's index is stable for the life
+    /// of the kernel: descriptors and snapshots refer to files by index,
+    /// and "the files that existed at a snapshot" is a prefix of this list.
+    /// Looked up by name only in `open` (a scan: workloads keep a handful
+    /// of files).
+    files: Vec<File>,
     disk_free: u64,
     /// Propagation-fault state: from `start` onward, corrupt the next
     /// `remaining` syscall results, then panic.
@@ -48,7 +68,8 @@ impl Kernel {
     pub fn new(table_size: usize, disk_free: u64, seed: u64) -> Self {
         Kernel {
             table: vec![None; table_size],
-            files: HashMap::new(),
+            n_open: 0,
+            files: Vec::new(),
             disk_free,
             corrupt_plan: None,
             panicked: false,
@@ -151,11 +172,18 @@ impl Kernel {
             .iter()
             .position(Option::is_none)
             .ok_or(SysError::TableFull)?;
-        self.files.entry(name.to_string()).or_default();
-        self.table[slot] = Some(OpenFile {
-            name: name.to_string(),
-            pos: 0,
-        });
+        let file = match self.files.iter().position(|f| f.name == name) {
+            Some(i) => i,
+            None => {
+                self.files.push(File {
+                    name: name.to_string(),
+                    data: Vec::new(),
+                });
+                self.files.len() - 1
+            }
+        };
+        self.table[slot] = Some(OpenFile { file, pos: 0 });
+        self.n_open += 1;
         Ok(u32::try_from(slot).expect("fd table is tiny"))
     }
 
@@ -170,12 +198,8 @@ impl Kernel {
         if (bytes.len() as u64) > self.disk_free {
             return Err(SysError::NoSpace);
         }
-        let name = entry.name.clone();
         self.disk_free -= bytes.len() as u64;
-        self.files
-            .get_mut(&name)
-            .expect("open file exists")
-            .extend_from_slice(bytes);
+        self.files[entry.file].data.extend_from_slice(bytes);
         Ok(())
     }
 
@@ -187,7 +211,7 @@ impl Kernel {
             .get_mut(fd as usize)
             .and_then(Option::as_mut)
             .ok_or(SysError::BadFd)?;
-        let data = self.files.get(&entry.name).ok_or(SysError::NoSuchFile)?;
+        let data = &self.files[entry.file].data;
         let start = entry.pos.min(data.len());
         let end = (start + len).min(data.len());
         entry.pos = end;
@@ -202,22 +226,27 @@ impl Kernel {
             return Err(SysError::BadFd);
         }
         *slot = None;
+        self.n_open -= 1;
         Ok(())
     }
 
     /// Number of free open-file slots.
     pub fn free_slots(&self) -> usize {
-        self.table.iter().filter(|s| s.is_none()).count()
+        self.table.len() - self.n_open
     }
 
     /// Reads a whole file's contents (test/inspection helper).
     pub fn file_contents(&self, name: &str) -> Option<&[u8]> {
-        self.files.get(name).map(Vec::as_slice)
+        let file = self.files.iter().find(|f| f.name == name)?;
+        Some(&file.data)
     }
 
     /// Clones the whole filesystem (test/inspection helper).
     pub fn files_snapshot(&self) -> HashMap<String, Vec<u8>> {
-        self.files.clone()
+        self.files
+            .iter()
+            .map(|f| (f.name.clone(), f.data.clone()))
+            .collect()
     }
 
     /// Takes a restorable snapshot. See [`KernelSnapshot`].
@@ -230,16 +259,17 @@ impl Kernel {
     /// As [`Kernel::snapshot`], but reusing the caller's buffers — the
     /// commit hot path recycles the previous snapshot's allocations.
     pub fn snapshot_into(&self, out: &mut KernelSnapshot) {
-        out.table.clear();
-        out.table.extend(self.table.iter().cloned());
+        out.open.clear();
+        out.open.extend(
+            self.table
+                .iter()
+                .enumerate()
+                .filter_map(|(slot, entry)| entry.map(|open| (slot, open)))
+                .take(self.n_open),
+        );
         out.file_lens.clear();
         out.file_lens
-            // ft-lint: allow(unordered-iteration): order-insensitive copy, canonically sorted two lines below
-            .extend(self.files.iter().map(|(n, d)| (n.clone(), d.len())));
-        // Name-sorted so the snapshot itself is a deterministic value
-        // (restore is order-independent either way, but a canonical form
-        // costs nothing at these file counts).
-        out.file_lens.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+            .extend(self.files.iter().map(|f| f.data.len()));
         out.disk_free = self.disk_free;
         out.corrupt_plan = self.corrupt_plan;
         out.panicked = self.panicked;
@@ -252,19 +282,15 @@ impl Kernel {
     /// their snapshot length, and the scalar state (descriptor table,
     /// disk space, fault plan, rng, counters) is copied back.
     pub fn restore(&mut self, snap: &KernelSnapshot) {
-        self.table.clear();
-        self.table.extend(snap.table.iter().cloned());
-        let lens = &snap.file_lens;
-        // ft-lint: allow(unordered-iteration): per-entry keep/truncate decision depends only on the key, never on visit order
-        self.files.retain(|name, data| {
-            match lens.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
-                Ok(i) => {
-                    data.truncate(lens[i].1);
-                    true
-                }
-                Err(_) => false,
-            }
-        });
+        self.table.fill(None);
+        for &(slot, open) in &snap.open {
+            self.table[slot] = Some(open);
+        }
+        self.n_open = snap.open.len();
+        self.files.truncate(snap.file_lens.len());
+        for (file, &len) in self.files.iter_mut().zip(&snap.file_lens) {
+            file.data.truncate(len);
+        }
         self.disk_free = snap.disk_free;
         self.corrupt_plan = snap.corrupt_plan;
         self.panicked = snap.panicked;
@@ -273,22 +299,26 @@ impl Kernel {
     }
 }
 
-/// A cheap restorable kernel snapshot: file **names and lengths** plus the
-/// scalar kernel state, instead of a deep copy of every file's bytes.
+/// A cheap restorable kernel snapshot: the **open** descriptor slots and
+/// every file's **length** plus the scalar kernel state, instead of a copy
+/// of the descriptor table and of every file's name and bytes. A process
+/// with no open files and no files snapshots in O(1).
 ///
 /// Sound because the simulated filesystem is append-only — `write` only
 /// extends and nothing ever deletes or rewrites a file — so rolling back
 /// is truncating each surviving file to its snapshot length and dropping
-/// files created since. The snapshot must be restored onto the *same*
-/// kernel it was taken from (or a descendant of it), and at most one
-/// restore point may be live per node: exactly the
+/// files created since, which are exactly the files past the snapshot's
+/// count (files are kept in creation order). The snapshot must be
+/// restored onto the *same* kernel it was taken from (or a descendant of
+/// it), and at most one restore point may be live per node: exactly the
 /// [`Simulator::restore_kernel`](crate::sim::Simulator::restore_kernel)
 /// single-process-per-node contract.
 #[derive(Debug, Clone)]
 pub struct KernelSnapshot {
-    table: Vec<Option<OpenFile>>,
-    /// `(name, committed length)`, name-sorted.
-    file_lens: Vec<(String, usize)>,
+    /// `(slot, entry)` of every open descriptor, ascending by slot.
+    open: Vec<(usize, OpenFile)>,
+    /// Committed length of each file, by file index.
+    file_lens: Vec<usize>,
     disk_free: u64,
     corrupt_plan: Option<(u64, u32)>,
     panicked: bool,
@@ -299,7 +329,7 @@ pub struct KernelSnapshot {
 impl Default for KernelSnapshot {
     fn default() -> Self {
         KernelSnapshot {
-            table: Vec::new(),
+            open: Vec::new(),
             file_lens: Vec::new(),
             disk_free: 0,
             corrupt_plan: None,
@@ -399,6 +429,55 @@ mod tests {
         let ones: u32 = buf.iter().map(|b| b.count_ones()).sum();
         assert_eq!(ones, 1);
         assert_ne!(k.corrupt_u64(0), 0);
+    }
+
+    #[test]
+    fn restore_rebuilds_the_table_and_keeps_the_file_prefix() {
+        let mut k = k();
+        let a = k.open("a").unwrap();
+        k.write(a, b"hello").unwrap();
+        let b = k.open("b").unwrap();
+        k.close(a).unwrap();
+        let a = k.open("a").unwrap(); // Slot 0 again, position 0.
+        assert_eq!(k.read(a, 2).unwrap(), b"he");
+        let snap = k.snapshot();
+        assert_eq!(snap.open.len(), 2);
+        assert_eq!(snap.file_lens, [5, 0]);
+
+        k.write(b, b"xyz").unwrap();
+        k.read(a, 3).unwrap();
+        k.close(b).unwrap();
+        let c = k.open("c").unwrap();
+        assert_eq!(c, b, "lowest free slot");
+        k.write(c, b"new").unwrap();
+
+        k.restore(&snap);
+        assert_eq!(k.free_slots(), 2);
+        assert_eq!(k.file_contents("a"), Some(&b"hello"[..]));
+        assert_eq!(k.file_contents("b"), Some(&b""[..]));
+        assert_eq!(k.file_contents("c"), None, "created since: dropped");
+        assert_eq!(k.disk_free(), 995);
+        assert_eq!(k.read(a, 9).unwrap(), b"llo", "position restored");
+        k.write(b, b"!").unwrap();
+        assert_eq!(k.file_contents("b"), Some(&b"!"[..]));
+        assert_eq!(k.open("c").unwrap(), 2);
+    }
+
+    #[test]
+    fn snapshot_records_open_slots_only() {
+        let mut k = k();
+        let empty = k.snapshot();
+        assert!(empty.open.is_empty() && empty.file_lens.is_empty());
+        let fd = k.open("f").unwrap();
+        let snap = k.snapshot();
+        assert_eq!(snap.open.len(), 1);
+        k.close(fd).unwrap();
+        k.restore(&snap);
+        assert_eq!(k.free_slots(), 3);
+        assert_eq!(k.close(fd), Ok(()));
+        k.restore(&empty);
+        assert_eq!(k.free_slots(), 4);
+        assert_eq!(k.file_contents("f"), None);
     }
 
     #[test]

@@ -13,6 +13,15 @@
 //! past them, reporting which receivers consumed withdrawn messages so the
 //! recovery manager can cascade their rollback.
 //!
+//! What a send or a receive costs the host does not depend on how many
+//! messages a channel retains: the replay-dedup index beside each buffer
+//! is a flat `(seq, index)` column kept in sequence order, which a fresh
+//! send extends with one comparison and an append (sequence numbers only
+//! go down across a withdrawal, and need not be dense), and the dependency
+//! snapshot a message carries is a [`DepSet`], which owns no heap block
+//! while empty. `tests/net_differential.rs` holds the tree-based fabric
+//! this replaced as the model both are checked against.
+//!
 //! # The unreliable fabric and the transport
 //!
 //! The paper's testbed ran over switched Ethernet with a reliable
@@ -34,9 +43,10 @@
 //! arrival that overtakes an earlier undelivered message waits in the
 //! buffer until the head of the channel arrives.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use ft_core::event::{MsgId, ProcessId};
+use ft_core::protocol::DepSet;
 
 use crate::cost::{SimTime, MS, US};
 use crate::rng::SplitMix64;
@@ -164,7 +174,7 @@ pub struct StoredMsg {
     /// Payload bytes, shared with every delivered view of this message.
     pub payload: Payload,
     /// Sender's dependency snapshot.
-    pub deps: BTreeSet<u32>,
+    pub deps: DepSet,
     /// Sent while the sender had uncommitted non-determinism.
     pub tainted: bool,
     /// Simulated delivery time ([`UNDELIVERED`] until the transport lands
@@ -193,11 +203,25 @@ pub struct Channel {
     msgs: Vec<StoredMsg>,
     /// Index of the next message to deliver to the receiver.
     cursor: usize,
-    /// Sequence number -> index in `msgs`, so replay-dedup lookups are
-    /// O(log n) instead of a linear scan of the retained buffer.
-    seq_index: BTreeMap<u64, usize>,
+    /// `(seq, index in msgs)`, ascending by sequence number: the
+    /// replay-dedup index. A flat column, not a tree, because a sender's
+    /// sequence numbers only ever go up except across a withdrawal: a
+    /// fresh send is one comparison with the last entry and an append, a
+    /// replayed one a binary search. Nothing assumes the numbers are dense.
+    by_seq: Vec<(u64, usize)>,
     /// Transport state for unacknowledged sequences (fault plan only).
     inflight: BTreeMap<u64, Inflight>,
+}
+
+/// Looks `seq` up in a channel's `by_seq` column: the message's index in
+/// `msgs`, or else where in the column its entry belongs.
+fn find_seq(by_seq: &[(u64, usize)], seq: u64) -> Result<usize, usize> {
+    match by_seq.last() {
+        Some(&(last, _)) if seq <= last => by_seq
+            .binary_search_by_key(&seq, |e| e.0)
+            .map(|i| by_seq[i].1),
+        _ => Err(by_seq.len()),
+    }
 }
 
 impl Channel {
@@ -344,22 +368,23 @@ impl Network {
         to: ProcessId,
         seq: u64,
         payload: Vec<u8>,
-        deps: BTreeSet<u32>,
+        deps: impl Into<DepSet>,
         tainted: bool,
         deliver_at: SimTime,
         trace_msg: MsgId,
     ) -> SendOutcome {
         let transport = self.plan.is_some();
         let ch = self.channel_mut(from, to);
-        if let Some(&i) = ch.seq_index.get(&seq) {
-            return SendOutcome::Duplicate(ch.msgs[i].deliver_at);
-        }
+        let at = match find_seq(&ch.by_seq, seq) {
+            Ok(i) => return SendOutcome::Duplicate(ch.msgs[i].deliver_at),
+            Err(at) => at,
+        };
         let deliver_at = if transport { UNDELIVERED } else { deliver_at };
-        ch.seq_index.insert(seq, ch.msgs.len());
+        ch.by_seq.insert(at, (seq, ch.msgs.len()));
         ch.msgs.push(StoredMsg {
             seq,
             payload: Payload::new(payload),
-            deps,
+            deps: deps.into(),
             tainted,
             deliver_at,
             trace_msg,
@@ -407,7 +432,7 @@ impl Network {
         let Some(ch) = self.chan_mut(from, to) else {
             return (None, None);
         };
-        if !ch.seq_index.contains_key(&seq) {
+        if find_seq(&ch.by_seq, seq).is_err() {
             // Withdrawn while in flight.
             ch.inflight.remove(&seq);
             return (None, None);
@@ -440,7 +465,7 @@ impl Network {
             .get_mut(to.index())
             .and_then(|r| r.get_mut(from.0))
             .expect("attempt on a known channel");
-        let Some(&idx) = ch.seq_index.get(&seq) else {
+        let Ok(idx) = find_seq(&ch.by_seq, seq) else {
             return (None, None);
         };
         let st = ch.inflight.get_mut(&seq).expect("inflight entry exists");
@@ -559,29 +584,22 @@ impl Network {
             .min()
     }
 
-    /// Snapshot of `to`'s per-sender consumption counts as a sparse
-    /// `(sender, count)` list sorted by sender (taken at commit time by
-    /// the recovery runtime). Senders absent from the list have consumed
-    /// count 0. Sparse, like the simulator's send counters, so snapshot
-    /// size is O(peers), not O(processes) — the 10⁴-process budget.
-    pub fn consumed_counts(&self, to: ProcessId) -> Vec<(u32, usize)> {
-        let mut out = Vec::new();
-        self.consumed_counts_into(to, &mut out);
-        out
-    }
-
-    /// As [`Network::consumed_counts`], but reusing the caller's buffer —
-    /// the commit hot path recycles the previous snapshot's allocation.
-    pub fn consumed_counts_into(&self, to: ProcessId, out: &mut Vec<(u32, usize)>) {
-        out.clear();
-        let Some(row) = self.rows.get(to.index()) else {
-            return;
-        };
-        for (&from, ch) in row.senders.iter().zip(&row.chans) {
-            if ch.cursor > 0 {
-                out.push((from, ch.cursor));
-            }
-        }
+    /// `to`'s per-sender consumption counts as a sparse `(sender, count)`
+    /// sequence sorted by sender: collected, the form
+    /// [`Network::rewind_receiver`] takes. Senders absent from the list
+    /// have consumed count 0. Sparse, like the simulator's send counters,
+    /// so snapshot size is O(peers), not O(processes) — the 10⁴-process
+    /// budget. (The recovery runtime keeps its committed copy current from
+    /// the receives it interposes on and checks it against this walk in
+    /// debug builds only.)
+    pub fn consumed_counts(&self, to: ProcessId) -> impl Iterator<Item = (u32, usize)> + '_ {
+        self.rows.get(to.index()).into_iter().flat_map(|row| {
+            row.senders
+                .iter()
+                .zip(&row.chans)
+                .filter(|(_, ch)| ch.cursor > 0)
+                .map(|(&from, ch)| (from, ch.cursor))
+        })
     }
 
     /// Rewinds `to`'s delivery cursors to a committed snapshot (a sparse
@@ -625,34 +643,35 @@ impl Network {
                 .binary_search_by_key(&to, |e| e.0)
                 .map(|i| committed_send_counts[i].1)
                 .unwrap_or(0);
-            let mut kept = Vec::with_capacity(ch.msgs.len());
+            let consumed = ch.cursor;
+            let retained = ch.msgs.len();
             let mut removed_consumed = false;
-            for (i, m) in ch.msgs.drain(..).enumerate() {
-                if m.seq >= floor && m.tainted {
-                    if i < ch.cursor {
-                        removed_consumed = true;
-                    }
-                    continue;
-                }
-                kept.push(m);
+            let mut i = 0;
+            ch.msgs.retain(|m| {
+                let withdrawn = m.seq >= floor && m.tainted;
+                removed_consumed |= withdrawn && i < consumed;
+                i += 1;
+                !withdrawn
+            });
+            if ch.msgs.len() == retained {
+                continue;
             }
-            // Recompute the cursor: count of kept messages that were
-            // already consumed. Conservatively, clamp to kept length.
             if removed_consumed {
                 cascade.push(ProcessId(to));
             }
-            let consumed_before = ch.cursor;
-            ch.cursor = kept
-                .iter()
-                .enumerate()
-                .take_while(|(i, _)| *i < consumed_before)
-                .count()
-                .min(kept.len());
-            let index: BTreeMap<u64, usize> =
-                kept.iter().enumerate().map(|(i, m)| (m.seq, i)).collect();
-            ch.inflight.retain(|s, _| index.contains_key(s));
-            ch.seq_index = index;
-            ch.msgs = kept;
+            // Only a clamp into range, not a count of the kept messages
+            // that had been consumed. It need be no more: if no consumed
+            // message was withdrawn, everything removed sat at or after the
+            // cursor and the cursor stands; if one was, the receiver is in
+            // `cascade`, and the recovery manager's `rewind_receiver`
+            // overwrites the cursor before anything is delivered again.
+            ch.cursor = consumed.min(ch.msgs.len());
+            ch.by_seq.clear();
+            ch.by_seq
+                .extend(ch.msgs.iter().enumerate().map(|(i, m)| (m.seq, i)));
+            ch.by_seq.sort_unstable();
+            let by_seq = &ch.by_seq;
+            ch.inflight.retain(|&s, _| find_seq(by_seq, s).is_ok());
         }
         cascade
     }
@@ -692,7 +711,7 @@ mod tests {
             p(1),
             0,
             b"a".to_vec(),
-            Default::default(),
+            DepSet::new(),
             false,
             100,
             mid(0),
@@ -702,7 +721,7 @@ mod tests {
             p(1),
             0,
             b"b".to_vec(),
-            Default::default(),
+            DepSet::new(),
             false,
             50,
             mid(1),
@@ -725,7 +744,7 @@ mod tests {
             p(1),
             7,
             b"x".to_vec(),
-            Default::default(),
+            DepSet::new(),
             false,
             10,
             mid(0),
@@ -735,7 +754,7 @@ mod tests {
             p(1),
             7,
             b"x".to_vec(),
-            Default::default(),
+            DepSet::new(),
             false,
             99,
             mid(5),
@@ -753,7 +772,7 @@ mod tests {
             p(1),
             0,
             b"a".to_vec(),
-            Default::default(),
+            DepSet::new(),
             false,
             0,
             mid(0),
@@ -763,12 +782,12 @@ mod tests {
             p(1),
             1,
             b"b".to_vec(),
-            Default::default(),
+            DepSet::new(),
             false,
             0,
             mid(1),
         );
-        let committed = n.consumed_counts(p(1)); // 0 consumed.
+        let committed: Vec<_> = n.consumed_counts(p(1)).collect(); // 0 consumed.
         n.try_recv(p(1), 10).unwrap();
         n.try_recv(p(1), 10).unwrap();
         n.rewind_receiver(p(1), &committed);
@@ -780,7 +799,7 @@ mod tests {
     fn earliest_pending_sees_unconsumed_only() {
         let mut n = Network::new();
         assert_eq!(n.earliest_pending(p(1)), None);
-        n.send(p(0), p(1), 0, vec![], Default::default(), false, 77, mid(0));
+        n.send(p(0), p(1), 0, vec![], DepSet::new(), false, 77, mid(0));
         assert_eq!(n.earliest_pending(p(1)), Some(77));
         n.try_recv(p(1), 100).unwrap();
         assert_eq!(n.earliest_pending(p(1)), None);
@@ -791,32 +810,14 @@ mod tests {
         let mut n = Network::new();
         // seq 0: committed (floor 1). seq 1: tainted, uncommitted. seq 2:
         // clean, uncommitted (kept for deterministic replay dedup).
-        n.send(
-            p(0),
-            p(1),
-            0,
-            b"c".to_vec(),
-            Default::default(),
-            true,
-            0,
-            mid(0),
-        );
-        n.send(
-            p(0),
-            p(1),
-            1,
-            b"t".to_vec(),
-            Default::default(),
-            true,
-            0,
-            mid(1),
-        );
+        n.send(p(0), p(1), 0, b"c".to_vec(), DepSet::new(), true, 0, mid(0));
+        n.send(p(0), p(1), 1, b"t".to_vec(), DepSet::new(), true, 0, mid(1));
         n.send(
             p(0),
             p(1),
             2,
             b"k".to_vec(),
-            Default::default(),
+            DepSet::new(),
             false,
             0,
             mid(2),
@@ -833,16 +834,7 @@ mod tests {
     #[test]
     fn withdrawing_consumed_message_cascades() {
         let mut n = Network::new();
-        n.send(
-            p(0),
-            p(1),
-            0,
-            b"t".to_vec(),
-            Default::default(),
-            true,
-            0,
-            mid(0),
-        );
+        n.send(p(0), p(1), 0, b"t".to_vec(), DepSet::new(), true, 0, mid(0));
         n.try_recv(p(1), 10).unwrap();
         let cascade = n.withdraw_tainted(p(0), &[]);
         assert_eq!(cascade, vec![p(1)]);
@@ -850,13 +842,64 @@ mod tests {
     }
 
     #[test]
+    fn withdrawing_a_consumed_message_mid_channel_relies_on_the_cascade_rewind() {
+        let mut n = Network::new();
+        // Five messages, the middle one tainted. The receiver commits
+        // having consumed two, then consumes the tainted one and the next.
+        for seq in 0..5u8 {
+            let payload = vec![seq];
+            let seq = u64::from(seq);
+            n.send(
+                p(0),
+                p(1),
+                seq,
+                payload,
+                DepSet::new(),
+                seq == 2,
+                0,
+                mid(seq),
+            );
+        }
+        n.try_recv(p(1), 10).unwrap();
+        n.try_recv(p(1), 10).unwrap();
+        let committed: Vec<_> = n.consumed_counts(p(1)).collect();
+        assert_eq!(committed, [(0, 2)]);
+        n.try_recv(p(1), 10).unwrap();
+        n.try_recv(p(1), 10).unwrap();
+
+        // The sender rolls back to a commit that precedes its send of 2.
+        assert_eq!(n.withdraw_tainted(p(0), &[(1, 2)]), vec![p(1)]);
+        let ch = n.channel(p(0), p(1)).unwrap();
+        let kept: Vec<u64> = ch.messages().iter().map(|m| m.seq).collect();
+        assert_eq!(kept, [0, 1, 3, 4]);
+        // Until the cascade rewinds it the cursor is merely in range: four
+        // were consumed, four remain, and it points past message 3, which
+        // the rolled-back receiver needs again.
+        assert_eq!(ch.consumed(), 4);
+        n.rewind_receiver(p(1), &committed);
+        let (m, _) = n.try_recv(p(1), 10).unwrap();
+        assert_eq!(
+            m.seq, 3,
+            "the first kept message the commit had not consumed"
+        );
+        let (m, _) = n.try_recv(p(1), 10).unwrap();
+        assert_eq!(m.seq, 4);
+        // The withdrawn sequence number is free again; a kept one dedups.
+        let resend = |n: &mut Network, seq| {
+            n.send(p(0), p(1), seq, vec![9], DepSet::new(), false, 7, mid(9))
+        };
+        assert_eq!(resend(&mut n, 2), SendOutcome::Enqueued(7));
+        assert_eq!(resend(&mut n, 3), SendOutcome::Duplicate(0));
+        assert_eq!(resend(&mut n, 2), SendOutcome::Duplicate(7));
+    }
+
+    #[test]
     fn consumed_counts_snapshot() {
         let mut n = Network::new();
-        n.send(p(0), p(1), 0, vec![], Default::default(), false, 0, mid(0));
-        n.send(p(2), p(1), 0, vec![], Default::default(), false, 0, mid(1));
+        n.send(p(0), p(1), 0, vec![], DepSet::new(), false, 0, mid(0));
+        n.send(p(2), p(1), 0, vec![], DepSet::new(), false, 0, mid(1));
         n.try_recv(p(1), 10).unwrap();
-        let counts = n.consumed_counts(p(1));
-        let total: usize = counts.iter().map(|e| e.1).sum();
+        let total: usize = n.consumed_counts(p(1)).map(|e| e.1).sum();
         assert_eq!(total, 1);
     }
 
@@ -865,22 +908,13 @@ mod tests {
         // The seq index must track withdrawals: a withdrawn sequence can
         // be re-sent (fresh enqueue), and a kept sequence re-send dedups.
         let mut n = Network::new();
-        n.send(
-            p(0),
-            p(1),
-            0,
-            b"t".to_vec(),
-            Default::default(),
-            true,
-            5,
-            mid(0),
-        );
+        n.send(p(0), p(1), 0, b"t".to_vec(), DepSet::new(), true, 5, mid(0));
         n.send(
             p(0),
             p(1),
             1,
             b"k".to_vec(),
-            Default::default(),
+            DepSet::new(),
             false,
             6,
             mid(1),
@@ -891,7 +925,7 @@ mod tests {
             p(1),
             0,
             b"t2".to_vec(),
-            Default::default(),
+            DepSet::new(),
             false,
             9,
             mid(2),
@@ -902,7 +936,7 @@ mod tests {
             p(1),
             1,
             b"k".to_vec(),
-            Default::default(),
+            DepSet::new(),
             false,
             99,
             mid(3),
@@ -920,7 +954,7 @@ mod tests {
             p(1),
             0,
             b"x".to_vec(),
-            Default::default(),
+            DepSet::new(),
             false,
             777,
             mid(0),
@@ -955,7 +989,7 @@ mod tests {
             p(1),
             0,
             b"x".to_vec(),
-            Default::default(),
+            DepSet::new(),
             false,
             0,
             mid(0),
@@ -996,7 +1030,7 @@ mod tests {
             rto_ns: 100,
             ..NetFaultPlan::default()
         });
-        n.send(p(0), p(1), 0, vec![], Default::default(), false, 0, mid(0));
+        n.send(p(0), p(1), 0, vec![], DepSet::new(), false, 0, mid(0));
         let (_, retry) = n.dispatch(p(0), p(1), 0, 0, 50);
         let retry = retry.unwrap();
         // Wrong timestamp, unknown seq, unknown channel: all no-ops.
@@ -1020,7 +1054,7 @@ mod tests {
             rto_ns: 100,
             ..NetFaultPlan::default()
         });
-        n.send(p(0), p(1), 0, vec![], Default::default(), false, 0, mid(0));
+        n.send(p(0), p(1), 0, vec![], DepSet::new(), false, 0, mid(0));
         let (arrival, retry) = n.dispatch(p(0), p(1), 0, 5, 50);
         assert_eq!(arrival, None);
         // Deferred to the healing time, not just the backoff.
@@ -1046,7 +1080,7 @@ mod tests {
             rto_ns: 100,
             ..NetFaultPlan::default()
         });
-        n.send(p(0), p(1), 0, vec![], Default::default(), false, 0, mid(0));
+        n.send(p(0), p(1), 0, vec![], DepSet::new(), false, 0, mid(0));
         let (arrival, retry) = n.dispatch(p(0), p(1), 0, 0, 50);
         assert_eq!(arrival, Some(50), "data arrived");
         let retry = retry.expect("lost ack keeps the timer armed");

@@ -17,8 +17,6 @@
 //! }
 //! ```
 
-use std::collections::BTreeSet;
-
 use crate::cost::{CostModel, SimTime};
 use crate::kernel::{Kernel, KernelSnapshot};
 use crate::net::{NetFaultPlan, NetStats, Network, SendOutcome, UNDELIVERED};
@@ -28,6 +26,7 @@ use crate::syscalls::{AppStatus, Message, SysError, SysResult, Syscalls, WaitCon
 use crate::wheel::TimerWheel;
 use ft_core::access::{ShmLog, ShmOp, ShmRecord};
 use ft_core::event::{MsgId, NdSource, ProcessId};
+use ft_core::protocol::DepSet;
 use ft_core::trace::{Trace, TraceBuilder};
 use ft_mem::error::MemResult;
 
@@ -177,6 +176,12 @@ pub struct Simulator {
     stats: Vec<ProcStats>,
     rng: SplitMix64,
     nodes_killed: Vec<bool>,
+    /// Nodes whose kernel was handed out mutably since `finish_step` last
+    /// polled for panics. A kernel halts only through `&mut self`, and
+    /// [`Simulator::kernel_of_mut`] is the only door to one, so these are
+    /// the only nodes that can have newly panicked.
+    touched_nodes: Vec<usize>,
+    kernel_polls: u64,
 }
 
 impl Simulator {
@@ -219,6 +224,8 @@ impl Simulator {
             stats: vec![ProcStats::default(); n],
             rng: SplitMix64::new(cfg.seed),
             nodes_killed: vec![false; n_nodes],
+            touched_nodes: Vec::new(),
+            kernel_polls: 0,
             cfg,
         };
         for p in 0..n {
@@ -243,6 +250,13 @@ impl Simulator {
     /// [`TimerWheel::ops`]; drives the O(1)-idle-span test).
     pub fn queue_ops(&self) -> u64 {
         self.queue.ops()
+    }
+
+    /// Kernels polled for a panic by [`Simulator::finish_step`] so far: at
+    /// most one per step plus one per outside call of
+    /// [`Simulator::kernel_of_mut`], whatever the cluster's width.
+    pub fn kernel_polls(&self) -> u64 {
+        self.kernel_polls
     }
 
     /// Current simulated time.
@@ -410,23 +424,31 @@ impl Simulator {
                 StepOutcome::Crashed(fault)
             }
         };
-        // Kernel panics stop every process on the node.
-        for node in 0..self.kernels.len() {
+        self.kill_panicked_nodes(end);
+        outcome
+    }
+
+    /// Polls the kernels handed out since the last poll; a newly panicked
+    /// one stops every process on its node at `at`. Ascending node order,
+    /// then ascending pid, fixes the kills' queue sequence numbers.
+    fn kill_panicked_nodes(&mut self, at: SimTime) {
+        let mut touched = std::mem::take(&mut self.touched_nodes);
+        touched.sort_unstable();
+        touched.dedup();
+        for &node in &touched {
+            self.kernel_polls += 1;
             if self.kernels[node].panicked() && !self.nodes_killed[node] {
                 self.nodes_killed[node] = true;
                 for q in 0..self.cfg.n_procs {
                     if self.cfg.node_of[q] == node {
-                        self.push(
-                            end,
-                            QEv::Kill {
-                                pid: ProcessId::from_index(q).0,
-                            },
-                        );
+                        let pid = ProcessId::from_index(q).0;
+                        self.push(at, QEv::Kill { pid });
                     }
                 }
             }
         }
-        outcome
+        touched.clear();
+        self.touched_nodes = touched;
     }
 
     /// Brings a crashed (or killed) process back after recovery, runnable
@@ -498,9 +520,15 @@ impl Simulator {
         &self.net
     }
 
-    /// The kernel hosting `pid` (fault injection targets this).
+    /// The kernel hosting `pid` (fault injection targets this, and every
+    /// syscall reaches its kernel through here). Notes the node for the
+    /// next panic poll.
     pub fn kernel_of_mut(&mut self, pid: ProcessId) -> &mut Kernel {
-        &mut self.kernels[self.cfg.node_of[pid.index()]]
+        let node = self.cfg.node_of[pid.index()];
+        if self.touched_nodes.last() != Some(&node) {
+            self.touched_nodes.push(node);
+        }
+        &mut self.kernels[node]
     }
 
     /// Read access to `pid`'s kernel.
@@ -618,7 +646,7 @@ pub struct SysCtx<'a> {
     pid: ProcessId,
     elapsed: SimTime,
     log_next: bool,
-    send_meta: Option<(BTreeSet<u32>, bool)>,
+    send_meta: Option<(DepSet, bool)>,
     /// Set when a sub-step crash hook fires mid-step (e.g. a kill injected
     /// inside a commit): the process is dead for the remainder of this
     /// step, so every later syscall is suppressed — no events recorded, no
@@ -654,7 +682,7 @@ impl<'a> SysCtx<'a> {
 
     /// Attaches recovery metadata (dependency snapshot, taint) to the next
     /// send.
-    pub fn set_send_meta(&mut self, deps: BTreeSet<u32>, tainted: bool) {
+    pub fn set_send_meta(&mut self, deps: DepSet, tainted: bool) {
         self.send_meta = Some((deps, tainted));
     }
 

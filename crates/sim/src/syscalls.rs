@@ -9,11 +9,11 @@
 //! `send`, `sendto`, and `sendmsg`." The checkpointing runtime in `ft-dc`
 //! wraps a raw [`Syscalls`] with exactly those interpositions.
 
-use std::collections::BTreeSet;
 use std::ops::Deref;
 use std::sync::Arc;
 
 use ft_core::event::ProcessId;
+use ft_core::protocol::DepSet;
 use ft_mem::arena::Layout;
 use ft_mem::error::MemResult;
 use ft_mem::mem::Mem;
@@ -30,8 +30,6 @@ pub enum SysError {
     TableFull,
     /// The disk is full (a *fixed* non-deterministic outcome of `write`).
     NoSpace,
-    /// No such file.
-    NoSuchFile,
     /// The kernel has panicked beneath this process.
     KernelPanic,
 }
@@ -42,7 +40,6 @@ impl std::fmt::Display for SysError {
             SysError::BadFd => "bad file descriptor",
             SysError::TableFull => "open file table full",
             SysError::NoSpace => "no space left on device",
-            SysError::NoSuchFile => "no such file",
             SysError::KernelPanic => "kernel panic",
         };
         f.write_str(s)
@@ -140,7 +137,7 @@ pub struct Message {
     pub payload: Payload,
     /// Dependency snapshot piggybacked by the sender's recovery runtime
     /// (empty when no runtime is interposed).
-    pub deps: BTreeSet<u32>,
+    pub deps: DepSet,
     /// True if the sender had uncommitted non-determinism at send time (the
     /// message may not be regenerated after a sender failure).
     pub tainted: bool,

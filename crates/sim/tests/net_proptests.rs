@@ -10,6 +10,7 @@
 use std::collections::BTreeSet;
 
 use ft_core::event::{MsgId, ProcessId};
+use ft_core::protocol::DepSet;
 use ft_sim::net::Network;
 use ft_sim::rng::SplitMix64;
 
@@ -49,7 +50,7 @@ fn channel_matches_model() {
         let mut model: Vec<u8> = Vec::new(); // Sequence numbers in order.
         let mut seen: BTreeSet<u8> = BTreeSet::new();
         let mut cursor = 0usize;
-        let mut snap = net.consumed_counts(to);
+        let mut snap: Vec<_> = net.consumed_counts(to).collect();
         let mut snap_cursor = 0usize;
         let mut trace_msg = 0u64;
         for _ in 0..n_ops {
@@ -61,7 +62,7 @@ fn channel_matches_model() {
                         to,
                         s as u64,
                         vec![s],
-                        Default::default(),
+                        DepSet::new(),
                         tainted,
                         0,
                         MsgId(trace_msg),
@@ -79,7 +80,7 @@ fn channel_matches_model() {
                     }
                 }
                 NetOp::Snapshot => {
-                    snap = net.consumed_counts(to);
+                    snap = net.consumed_counts(to).collect();
                     snap_cursor = cursor;
                 }
                 NetOp::Rewind => {
@@ -113,7 +114,7 @@ fn withdrawal_matches_model() {
                 to,
                 i as u64,
                 vec![],
-                Default::default(),
+                DepSet::new(),
                 tainted,
                 0,
                 MsgId(i as u64),

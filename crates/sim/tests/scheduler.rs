@@ -398,3 +398,196 @@ fn idle_span_queue_cost_is_span_independent() {
     let long = ops_for(1 << 47); // ~39 hours of simulated time per nap
     assert_eq!(short, long, "queue ops must not scale with idle-span size");
 }
+
+// ---------------------------------------------------------------------
+// Kernel-panic timing: when a node's processes learn that its kernel
+// halted. Pinned here because `finish_step` polls only the kernels that
+// were handed out mutably since its last poll, and these are the
+// observable consequences it must keep.
+// ---------------------------------------------------------------------
+
+/// One syscall and a millisecond of compute per step, forever.
+struct Ticker;
+
+impl App for Ticker {
+    fn step(&mut self, sys: &mut dyn SysMem) -> MemResult<AppStatus> {
+        sys.gettimeofday();
+        sys.compute(MS);
+        Ok(AppStatus::Running)
+    }
+}
+
+/// Blocks on a message nobody sends: never scheduled again on its own.
+struct Sleeper;
+
+impl App for Sleeper {
+    fn step(&mut self, _: &mut dyn SysMem) -> MemResult<AppStatus> {
+        Ok(AppStatus::Blocked(WaitCond::message()))
+    }
+}
+
+/// A `Ticker` on node 0 and a `Sleeper` on each of `sleepers` further
+/// nodes, with every sleeper already parked.
+struct PanicRig {
+    sim: Simulator,
+    mems: Vec<Mem>,
+}
+
+impl PanicRig {
+    fn new(sleepers: usize) -> Self {
+        let n = 1 + sleepers;
+        let mut rig = PanicRig {
+            sim: Simulator::new(SimConfig::one_node_each(n, 5)),
+            mems: (0..n).map(|_| Mem::new(Ticker.layout())).collect(),
+        };
+        // Every process is runnable at t = 0; park the sleepers.
+        for _ in 0..n {
+            rig.next();
+        }
+        rig
+    }
+
+    /// Handles the next wake: runs the step it names and returns
+    /// `(wake, instant the step ends)`, or `(wake, now)` for a kill.
+    fn next(&mut self) -> (Wake, u64) {
+        let wake = self.sim.next_wake().expect("the ticker never finishes");
+        let Wake::Step(pid) = wake else {
+            return (wake, self.sim.now());
+        };
+        let mut ctx = self.sim.ctx(pid);
+        let mut sys = PlainSys::new(&mut ctx, &mut self.mems[pid.index()]);
+        let st = if pid == ProcessId(0) {
+            Ticker.step(&mut sys)
+        } else {
+            Sleeper.step(&mut sys)
+        };
+        let el = ctx.elapsed();
+        let end = self.sim.now() + el;
+        self.sim.finish_step(pid, st, el);
+        (wake, end)
+    }
+}
+
+#[test]
+fn a_panic_from_outside_kills_the_node_at_the_end_of_the_next_step() {
+    let mut rig = PanicRig::new(1);
+    assert_eq!(rig.next().0, Wake::Step(ProcessId(0)));
+    // Between steps, from outside any syscall context.
+    rig.sim.kernel_of_mut(ProcessId(1)).panic_now();
+    let (wake, end) = rig.next();
+    assert_eq!(wake, Wake::Step(ProcessId(0)), "only node 0 is running");
+    // The kill was queued behind the ticker's own reschedule, both at the
+    // instant that step ended.
+    assert_eq!(rig.next().0, Wake::Step(ProcessId(0)));
+    assert_eq!(rig.sim.now(), end);
+    assert_eq!(rig.next(), (Wake::Killed(ProcessId(1)), end));
+    assert!(rig.sim.is_crashed(ProcessId(1)));
+    // Once per panic: the halted node is not killed again.
+    for _ in 0..8 {
+        assert_eq!(rig.next().0, Wake::Step(ProcessId(0)));
+    }
+}
+
+#[test]
+fn a_corruption_budget_running_out_kills_the_node_at_that_steps_end() {
+    let mut rig = PanicRig::new(0);
+    rig.sim.kernel_of_mut(ProcessId(0)).corrupt_next(2);
+    // Two corrupted results, then the third syscall halts the kernel.
+    let mut end = 0;
+    for _ in 0..3 {
+        assert!(!rig.sim.kernel_of(ProcessId(0)).panicked());
+        let (wake, e) = rig.next();
+        assert_eq!(wake, Wake::Step(ProcessId(0)));
+        end = e;
+    }
+    assert!(rig.sim.kernel_of(ProcessId(0)).panicked());
+    // The step's own reschedule is stale by the time the kill lands.
+    assert_eq!(rig.next().0, Wake::Step(ProcessId(0)));
+    assert_eq!(rig.next(), (Wake::Killed(ProcessId(0)), end));
+}
+
+#[test]
+fn nodes_panicked_between_the_same_two_steps_die_in_ascending_node_order() {
+    let mut rig = PanicRig::new(3);
+    // Handed out in descending order.
+    rig.sim.kernel_of_mut(ProcessId(3)).panic_now();
+    rig.sim.kernel_of_mut(ProcessId(1)).panic_now();
+    rig.sim.kernel_of_mut(ProcessId(2)).panic_now();
+    let (_, end) = rig.next();
+    assert_eq!(rig.next().0, Wake::Step(ProcessId(0)));
+    for node in 1..=3 {
+        assert_eq!(rig.next(), (Wake::Killed(ProcessId(node)), end));
+    }
+}
+
+#[test]
+fn restore_kernel_re_arms_the_panic_check() {
+    let mut rig = PanicRig::new(1);
+    let victim = ProcessId(1);
+    let snap = rig.sim.kernel_of(victim).snapshot();
+    for round in 0..3 {
+        rig.sim.kernel_of_mut(victim).panic_now();
+        let (_, end) = rig.next();
+        assert_eq!(rig.next().0, Wake::Step(ProcessId(0)));
+        assert_eq!(rig.next(), (Wake::Killed(victim), end), "round {round}");
+        rig.sim.restore_kernel(victim, &snap);
+        assert!(!rig.sim.kernel_of(victim).panicked());
+        rig.sim.respawn(victim, 0);
+        // The sleeper parks again (its wake may come before or after the
+        // ticker's, which is a millisecond out).
+        while rig.next().0 != Wake::Step(victim) {}
+    }
+}
+
+/// The width gate: a step polls its own node's kernel and whichever
+/// others were handed out from outside since the last step — never the
+/// cluster. Failure-free kvstore, one node per process, at two widths.
+#[test]
+fn kernel_polls_per_step_do_not_grow_with_the_cluster() {
+    use ft_apps::kvstore::{self, KvParams};
+
+    for (shards, gateways) in [(3, 3), (334, 6)] {
+        let params = KvParams {
+            shards,
+            replication: 3,
+            gateways,
+            requests_per_gateway: 40,
+            ..KvParams::small(17)
+        };
+        let n = params.n_processes();
+        assert!(n == 12 || n == 1008);
+        let mut sim = Simulator::new(SimConfig::one_node_each(n, params.seed));
+        let mut apps = kvstore::cluster(&params);
+        let mut mems: Vec<Mem> = apps.iter().map(|a| Mem::new(a.layout())).collect();
+        let mut steps = 0u64;
+        let mut outside = 0u64;
+        while let Some(wake) = sim.next_wake() {
+            let Wake::Step(pid) = wake else {
+                panic!("failure-free run killed {wake:?}");
+            };
+            // Every seventh step something outside the step reaches for
+            // two kernels (a fault injector's view of the simulator).
+            let handed_out = if steps % 7 == 3 { 2 } else { 0 };
+            for k in 0..handed_out {
+                let other = ProcessId::from_index((pid.index() + 1 + k) % n);
+                let _ = sim.kernel_of_mut(other).corrupting();
+            }
+            let before = sim.kernel_polls();
+            let mut ctx = sim.ctx(pid);
+            let mut sys = PlainSys::new(&mut ctx, &mut mems[pid.index()]);
+            let st = apps[pid.index()].step(&mut sys);
+            let el = ctx.elapsed();
+            sim.finish_step(pid, st, el);
+            let polled = sim.kernel_polls() - before;
+            assert!(
+                polled <= 1 + handed_out as u64,
+                "step {steps} of {n} processes polled {polled} kernels"
+            );
+            steps += 1;
+            outside += handed_out as u64;
+        }
+        assert!((0..n).all(|p| sim.is_done(ProcessId::from_index(p))));
+        assert!(steps > 4 * n as u64, "every process ran: {steps} steps");
+        assert!(sim.kernel_polls() <= steps + outside);
+    }
+}

@@ -4,11 +4,12 @@
 //! production checker's one violation is somewhere in the audit's set.
 //! This sweep pins the violation itself. Seeded operation mixes (the mix
 //! of `ft-core`'s `derived_clocks.rs`: control sends, re-delivery after a
-//! rollback, sends nobody receives, coordinated rounds, crashes) at widths
-//! 1, 4, 5 and 108 go through both, and for each of the three rule
-//! selections `check_save_work*` must be `Ok` iff the audit finds nothing,
-//! and otherwise return exactly the audit finding with the smallest
-//! target, then the smallest nd process, then the largest nd seq.
+//! rollback, rollbacks that forget a message for good, sends nobody
+//! receives, coordinated rounds, crashes) at widths 1, 4, 5 and 108 go
+//! through both, and for each of the three rule selections
+//! `check_save_work*` must be `Ok` iff the audit finds nothing, and
+//! otherwise return exactly the audit finding with the smallest target,
+//! then the smallest nd process, then the largest nd seq.
 
 // Test inputs are tiny by construction, so narrowing cannot truncate.
 #![allow(clippy::cast_possible_truncation)]
@@ -63,7 +64,7 @@ fn mix(n: usize, seed: u64, ops: usize) -> Trace {
     let mut delivered: Vec<InFlight> = Vec::new();
     for op in 0..ops {
         let p = ProcessId::from_index(rng.below(n));
-        match rng.below(12) {
+        match rng.below(13) {
             0 => {
                 b.internal(p);
             }
@@ -102,6 +103,16 @@ fn mix(n: usize, seed: u64, ops: usize) -> Trace {
                 b.crash(m.to);
                 b.rollback(m.to, to_seq);
                 receive(&mut b, m, true);
+            }
+            11 if !delivered.is_empty() => {
+                // A receiver is rolled back and hears nothing again: what
+                // it learnt past the restore point obliges it no more.
+                let to = delivered[rng.below(delivered.len())].to;
+                for _ in 0..1 + rng.below(2) {
+                    let to_seq = rng.below(b.position(to) as usize + 1) as u64;
+                    b.crash(to);
+                    b.rollback(to, to_seq);
+                }
             }
             8 => {
                 b.visible(p, op as u64);
@@ -148,7 +159,7 @@ fn the_checker_returns_exactly_the_audits_first_finding() {
             let seed = seeds.next_u64();
             // Short mixes are mostly clean, long ones never are; a wide
             // trace needs more operations before processes interact.
-            let ops = 3 + round % 24 * (2 + n.min(8));
+            let ops = 3 + round % 24 * (2 + n.min(16));
             let trace = mix(n, seed, ops);
             let pairs = [
                 (check_save_work(&trace), audit_save_work(&trace)),

@@ -246,7 +246,8 @@ pub fn token_kind(token: u64) -> u64 {
 }
 
 /// Extracts the pid field of a token.
-pub fn token_pid(token: u64) -> u32 {
+#[cfg(test)]
+fn token_pid(token: u64) -> u32 {
     ((token >> 48) & 0x3FFF) as u32
 }
 
@@ -256,7 +257,8 @@ pub fn token_count(token: u64) -> u64 {
 }
 
 /// Extracts the 24-bit digest field of a token.
-pub fn token_digest(token: u64) -> u64 {
+#[cfg(test)]
+fn token_digest(token: u64) -> u64 {
     token & 0xFF_FFFF
 }
 

@@ -103,7 +103,6 @@ fn trial(eager: bool, protocol: Protocol, t: usize) -> Option<bool> {
         site: ft_apps::editor::fault_site(FaultType::HeapBitFlip),
         trigger_visit: u32::try_from(3 + (t % 37) * 5).expect("at most 183"),
         id: 1,
-        sticky: false,
     };
     let seed = 0xAB1A + t as u64 * 1297;
     let (sim, apps) = build(eager, seed, ft_sim::MS, Some(plan)).into_parts();

@@ -30,9 +30,7 @@
 //!   every stage that ran replaced by the text printed for it (default
 //!   `.`, which from the repo root re-records all of them in place);
 //! * `--replay FILE` — instead of a campaign, re-execute the replay script
-//!   a failing check stage printed (and put in `BENCH_check.json`);
-//! * `--export-schedules DIR` — instead of a campaign, write the standard
-//!   `crashtest` kill schedules, one file per child workload.
+//!   a failing check stage printed (and put in `BENCH_check.json`).
 //!
 //! The reports are a function of the flags alone: wall-clock goes to
 //! stdout, never into a file.
@@ -60,14 +58,7 @@ const STAGES: [&str; 11] = [
 ];
 
 /// Every flag.
-const FLAGS: [&str; 6] = [
-    "--threads",
-    "--quick",
-    "--only",
-    "--out",
-    "--replay",
-    "--export-schedules",
-];
+const FLAGS: [&str; 5] = ["--threads", "--quick", "--only", "--out", "--replay"];
 
 /// The repo's EXPERIMENTS.md, whose marked blocks a full-size run
 /// regenerates.
@@ -85,9 +76,6 @@ struct Args {
     out: PathBuf,
     /// Replay this script instead of running a campaign.
     replay: Option<PathBuf>,
-    /// Write the crashtest kill schedules here instead of running a
-    /// campaign.
-    export_schedules: Option<PathBuf>,
 }
 
 fn parse_args(argv: &[&str], default_threads: usize) -> Result<Args, String> {
@@ -96,7 +84,7 @@ fn parse_args(argv: &[&str], default_threads: usize) -> Result<Args, String> {
     let mut only = STAGES.to_vec();
     let mut selections = Vec::new();
     let mut out = PathBuf::from(".");
-    let (mut replay, mut export_schedules) = (None, None);
+    let mut replay = None;
     let mut it = argv.iter();
     while let Some(&flag) = it.next() {
         if !FLAGS.contains(&flag) {
@@ -126,7 +114,6 @@ fn parse_args(argv: &[&str], default_threads: usize) -> Result<Args, String> {
             }
             "--out" => out = PathBuf::from(value()?),
             "--replay" => replay = Some(PathBuf::from(value()?)),
-            "--export-schedules" => export_schedules = Some(PathBuf::from(value()?)),
             other => unreachable!("{other} is in FLAGS"),
         }
     }
@@ -161,7 +148,6 @@ fn parse_args(argv: &[&str], default_threads: usize) -> Result<Args, String> {
         kv,
         out,
         replay,
-        export_schedules,
     })
 }
 
@@ -216,28 +202,12 @@ impl Campaign<'_> {
     }
 }
 
-/// Writes the standard crashtest kill schedules, one file per child
-/// workload family, into `dir`.
-fn export_schedules(dir: &Path) -> Result<(), String> {
-    std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-    for s in ft_check::standard_schedules() {
-        let path = dir.join(format!("schedule_{}.txt", s.workload));
-        std::fs::write(&path, ft_check::render_schedule(&s))
-            .map_err(|e| format!("writing {}: {e}", path.display()))?;
-        println!("{} kill trials -> {}", s.len(), path.display());
-    }
-    Ok(())
-}
-
 fn run(args: &Args) -> Result<(), String> {
     if let Some(path) = &args.replay {
         let script = std::fs::read_to_string(path)
             .map_err(|e| format!("reading {}: {e}", path.display()))?;
         println!("{}", replay(&script)?);
         return Ok(());
-    }
-    if let Some(dir) = &args.export_schedules {
-        return export_schedules(dir);
     }
     std::fs::create_dir_all(&args.out)
         .map_err(|e| format!("creating {}: {e}", args.out.display()))?;
@@ -329,22 +299,17 @@ mod tests {
     }
 
     #[test]
-    fn replay_and_export_schedules_are_modes_of_the_same_parser() {
-        let args = parse_args(&[], 1).unwrap();
-        assert_eq!((args.replay, args.export_schedules), (None, None));
+    fn replay_is_a_mode_of_the_same_parser() {
+        assert_eq!(parse_args(&[], 1).unwrap().replay, None);
         let args = parse_args(&["--replay", "cx.txt", "--threads", "3"], 1).unwrap();
         assert_eq!(args.replay, Some(PathBuf::from("cx.txt")));
-        let args = parse_args(&["--export-schedules", "dir"], 1).unwrap();
-        assert_eq!(args.export_schedules, Some(PathBuf::from("dir")));
-        for flag in ["--replay", "--export-schedules"] {
-            let err = parse_args(&[flag], 1).unwrap_err();
-            assert!(err.contains("requires a value"), "{err}");
-        }
+        let err = parse_args(&["--replay"], 1).unwrap_err();
+        assert!(err.contains("requires a value"), "{err}");
     }
 
     #[test]
-    fn the_flag_list_is_the_six_of_pr_20() {
-        assert_eq!(FLAGS.len(), 6);
+    fn the_flag_list_is_five() {
+        assert_eq!(FLAGS.len(), 5);
         let all = [
             "--threads",
             "3",
@@ -355,14 +320,12 @@ mod tests {
             "d",
             "--replay",
             "r",
-            "--export-schedules",
-            "s",
         ];
         assert!(FLAGS.iter().all(|flag| all.contains(flag)), "{FLAGS:?}");
         let args = parse_args(&all, 1).unwrap();
         assert_eq!((args.threads, args.quick, args.only), (3, true, vec!["kv"]));
         assert_eq!(args.out, PathBuf::from("d"));
-        // Whatever is not one of the six never reaches the parser's match.
+        // Whatever is not one of the five never reaches the parser's match.
         let err = parse_args(&["--experiments", "x"], 1).unwrap_err();
         assert!(err.contains("unknown flag --experiments"), "{err}");
         assert!(err.contains(&FLAGS.join(", ")), "{err}");
@@ -383,6 +346,7 @@ mod tests {
             (&["--target-crashes", "9"][..], "unknown flag"),
             (&["--max-trials", "70"][..], "unknown flag"),
             (&["--quick", "--table2-trials", "3"][..], "unknown flag"),
+            (&["--export-schedules", "dir"][..], "unknown flag"),
         ] {
             let err = parse_args(argv, 1).unwrap_err();
             assert!(err.contains(want), "{argv:?}: {err}");

@@ -3,7 +3,9 @@
 //!
 //! Exhausts every crash point (mid-commit sub-steps included) of small
 //! nvi, taskfarm and kvstore workloads under all seven Figure 8 protocols
-//! and reports states explored and the fingerprint-dedup ratio per sweep.
+//! — and, at full size, of kvstore at 128 requests under CBNDV-2PC at
+//! three seeds — and reports states explored and the fingerprint-dedup
+//! ratio per sweep.
 //! The gate is zero invariant violations; on a violation the first one is
 //! shrunk and its replay script travels inside `BENCH_check.json` and the
 //! gate's error text — save it to a file and `campaign --replay FILE`
@@ -28,10 +30,14 @@ pub struct CheckStage {
 
 impl CheckStage {
     /// nvi, taskfarm and kvstore at the full (4 / 2 / 3) or quick
-    /// (2 / 1 / 2) sizes, each under every Figure 8 protocol.
+    /// (2 / 1 / 2) sizes, each under every Figure 8 protocol; at full size
+    /// also kvstore@128 under CBNDV-2PC at seeds 7, 11 and 12 — the shape
+    /// on which a gateway restored past a primary's uncommitted receive was
+    /// once judged an orphan (ROADMAP 1(i)), and the one protocol family
+    /// that ships uncommitted non-determinism at all.
     pub fn new(quick: bool) -> Self {
         let sizes = if quick { [2, 1, 2] } else { [4, 2, 3] };
-        let sweeps = ["nvi", "taskfarm", "kvstore"]
+        let mut sweeps: Vec<_> = ["nvi", "taskfarm", "kvstore"]
             .into_iter()
             .zip(sizes)
             .flat_map(|(name, size)| {
@@ -43,6 +49,16 @@ impl CheckStage {
                 Protocol::FIGURE8.map(|protocol| (w, CheckConfig::new(protocol)))
             })
             .collect();
+        if !quick {
+            sweeps.extend([7, 11, 12].map(|seed| {
+                let w = Workload {
+                    name: "kvstore",
+                    seed,
+                    size: 128,
+                };
+                (w, CheckConfig::new(Protocol::Cbndv2pc))
+            }));
+        }
         CheckStage { quick, sweeps }
     }
 
@@ -74,7 +90,7 @@ impl Stage for CheckStage {
         let states: usize = rows.iter().map(Exploration::explored).sum();
         let unique: usize = rows.iter().map(|ex| ex.unique_fingerprints).sum();
         let runs = self.sweeps.iter().zip(rows).map(|((w, cfg), ex)| {
-            Json::obj([
+            let row = [
                 ("workload", Json::from(w.name)),
                 ("protocol", Json::from(cfg.protocol.name())),
                 ("size", Json::from(w.size)),
@@ -82,7 +98,16 @@ impl Stage for CheckStage {
                 ("unique_states", Json::from(ex.unique_fingerprints)),
                 ("dedup_ratio", Json::from(ex.dedup_ratio())),
                 ("violations", Json::from(ex.violations().len())),
-            ])
+            ];
+            // Rows that differ in nothing else say which seed they are.
+            let same = |(v, c): &&(Workload, CheckConfig)| {
+                (v.name, v.size, c.protocol) == (w.name, w.size, cfg.protocol)
+            };
+            let reseeded = self.sweeps.iter().filter(same).count() > 1;
+            Json::obj(
+                row.into_iter()
+                    .chain(reseeded.then(|| ("seed", Json::from(w.seed)))),
+            )
         });
         let counterexample = self.counterexample(rows).map_or(Json::Null, |cx| {
             Json::obj([

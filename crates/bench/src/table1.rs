@@ -150,13 +150,12 @@ pub fn run_trial(app: Table1App, fault: FaultType, t: u32, seeds: SeedStream) ->
     let plan = FaultPlan {
         fault,
         site: app.site(fault),
-        // Sweep the activation point across the run.
+        // Sweep the activation point across the run. The buggy code's
+        // damage happens at that one visit, and the physical visit counter
+        // suppresses re-activation during recovery re-execution (the §4.1
+        // end-to-end methodology).
         trigger_visit: 3 + (t % 37) * 5,
         id: 1,
-        // One-shot: the buggy code's damage happens at one visit, and
-        // the physical visit counter suppresses re-activation during
-        // recovery re-execution (the §4.1 end-to-end methodology).
-        sticky: false,
     };
     // Phase A: run under CPVS with no recovery; observe the crash.
     let (sim, apps) = app.build(seed, Some(plan)).into_parts();

@@ -8,9 +8,8 @@
 //! log-structured backend (`ft_mem::durable`), where the commit has its
 //! own sub-structure: stage, append the redo frame, fsync, finish. This
 //! module is the bridge — it enumerates the kill schedule a real-process
-//! sweep must cover and renders it as a line-oriented artifact the
-//! harness (and CI) consume, round-tripping through [`parse_schedule`]
-//! exactly like the counterexample scripts of [`crate::script`].
+//! sweep must cover; the harness takes [`standard_schedules`] in process
+//! and hands each [`KillSpec`] to its child as text.
 //!
 //! Granularity, mirrored from the simulated enumeration:
 //!
@@ -105,9 +104,8 @@ impl fmt::Display for KillSpec {
 }
 
 impl KillSpec {
-    /// Parses the rendering produced by [`fmt::Display`] (the part of a
-    /// schedule line after the `kill ` keyword; also the harness's
-    /// `--kill` flag value).
+    /// Parses the rendering produced by [`fmt::Display`] (the harness
+    /// child's `--kill` flag value).
     pub fn parse(s: &str) -> Result<Self, String> {
         let mut it = s.split_whitespace();
         let spec = match it.next() {
@@ -226,60 +224,6 @@ pub fn standard_schedules() -> [CrashSchedule; 2] {
     ]
 }
 
-/// Renders a schedule as the line-oriented artifact the harness and CI
-/// consume. Round-trips through [`parse_schedule`].
-pub fn render_schedule(s: &CrashSchedule) -> String {
-    let mut out = String::from("# ft-check crash schedule for the real-process durable harness\n");
-    out.push_str(&format!("workload {}\n", s.workload));
-    out.push_str(&format!("seed {}\n", s.seed));
-    out.push_str(&format!("ops {}\n", s.ops));
-    for k in &s.kills {
-        out.push_str(&format!("kill {k}\n"));
-    }
-    out
-}
-
-/// Parses a schedule produced by [`render_schedule`]. Returns a
-/// human-readable error on any malformed line.
-pub fn parse_schedule(text: &str) -> Result<CrashSchedule, String> {
-    let mut workload: Option<String> = None;
-    let mut seed: Option<u64> = None;
-    let mut ops: Option<u64> = None;
-    let mut kills = Vec::new();
-    for (ln, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let err = |m: &str| format!("line {}: {m}: {line:?}", ln + 1);
-        let mut it = line.split_whitespace();
-        match it.next() {
-            Some("workload") => {
-                workload = Some(it.next().ok_or_else(|| err("missing family"))?.to_string());
-            }
-            Some("seed") => {
-                let v = it.next().ok_or_else(|| err("missing seed"))?;
-                seed = Some(v.parse().map_err(|_| err("bad seed"))?);
-            }
-            Some("ops") => {
-                let v = it.next().ok_or_else(|| err("missing count"))?;
-                ops = Some(v.parse().map_err(|_| err("bad count"))?);
-            }
-            Some("kill") => {
-                let rest = line.strip_prefix("kill").unwrap_or("").trim();
-                kills.push(KillSpec::parse(rest).map_err(|m| err(&m))?);
-            }
-            _ => return Err(err("unknown directive")),
-        }
-    }
-    Ok(CrashSchedule {
-        workload: workload.ok_or("missing `workload` directive")?,
-        seed: seed.ok_or("missing `seed` directive")?,
-        ops: ops.ok_or("missing `ops` directive")?,
-        kills,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,11 +245,11 @@ mod tests {
     }
 
     #[test]
-    fn schedules_round_trip() {
+    fn kill_specs_round_trip() {
         for s in standard_schedules() {
-            let text = render_schedule(&s);
-            let parsed = parse_schedule(&text).expect("rendered schedule parses");
-            assert_eq!(parsed, s);
+            for k in s.kills {
+                assert_eq!(KillSpec::parse(&k.to_string()), Ok(k));
+            }
         }
     }
 
@@ -328,12 +272,11 @@ mod tests {
     }
 
     #[test]
-    fn malformed_schedules_are_rejected_with_line_numbers() {
-        assert!(parse_schedule("workload nvi\nseed 1\n").is_err());
-        let e = parse_schedule("workload nvi\nseed 1\nops 1\nkill sideways\n").unwrap_err();
-        assert!(e.contains("line 4"), "{e}");
-        let e = parse_schedule("workload nvi\nseed 1\nops 1\nkill commit 0 torn-append 9\n")
-            .unwrap_err();
+    fn malformed_kill_specs_are_rejected() {
+        let e = KillSpec::parse("sideways").unwrap_err();
+        assert!(e.contains("unknown kill kind"), "{e}");
+        let e = KillSpec::parse("commit 0 torn-append 9").unwrap_err();
         assert!(e.contains("eighths"), "{e}");
+        assert!(KillSpec::parse("event 3 4").is_err());
     }
 }

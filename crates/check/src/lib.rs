@@ -28,7 +28,7 @@
 //! itself runs as `ft-bench`'s `check` stage (`campaign --only check`).
 //!
 //! The same enumeration philosophy is exported for *real* processes:
-//! [`export`] renders kill schedules (event-index and durable-commit
+//! [`export`] enumerates kill schedules (event-index and durable-commit
 //! sub-step granularity) that the `crashtest` harness applies to a child
 //! process running against the `ft_mem::durable` log-structured backend,
 //! with genuine `kill -9` delivery instead of simulated crash points.
@@ -43,10 +43,7 @@ pub mod script;
 pub mod shrink;
 
 pub use explore::{explore, explore_points, Canonical, Exploration, PointResult};
-pub use export::{
-    enumerate_schedule, parse_schedule, render_schedule, standard_schedules, CrashSchedule,
-    DurableWindow, KillSpec,
-};
+pub use export::{enumerate_schedule, standard_schedules, CrashSchedule, DurableWindow, KillSpec};
 pub use scenario::{CheckConfig, Workload};
 pub use script::{parse_script, render_script, Replay};
 pub use shrink::{shrink, Counterexample};

@@ -14,6 +14,16 @@
 //! one pass over the recording order and hands each event's clocks to a
 //! visitor; the checkers read them at the events they test (visible and
 //! commit events, access positions) and nowhere else.
+//!
+//! The two clocks part ways at a recovery rollback. What happened before
+//! a crash still happened before everything after it, so the
+//! happens-before clock never goes back. The *causal* clock is what the
+//! process knows, and a rollback undoes the process's knowledge along with
+//! its events: restored to a state that never saw a message, it no longer
+//! depends on what that message carried (it *is* its fault-free self at
+//! the restore point), so its causal clock returns to the value it had
+//! there. Messages it sent before the crash keep what it knew when it sent
+//! them.
 
 use crate::event::{Event, EventId, EventKind, MsgId};
 use crate::trace::Trace;
@@ -64,6 +74,14 @@ fn index(msg: MsgId) -> usize {
 /// hands its `2n`-word slot to the next send. Transient memory is the
 /// matrices, `O(peak in-flight × n)` words of slots that stay in cache,
 /// and a count and an offset per message; nothing once the replay returns.
+///
+/// A `Rollback { to_seq }` on `p` sets `p`'s causal row back to its value
+/// just before `p`'s event `to_seq`, keeping `p`'s own component (the
+/// module docs say why); the happens-before row and the slots already
+/// snapshotted are untouched. The same pre-pass collects the restore
+/// points, and the replay keeps the causal row at each: `O(rollbacks × n)`
+/// more words and one compare per event, nothing for a trace without a
+/// rollback.
 pub fn replay(trace: &Trace, mut visit: impl FnMut(&Event, EventClocks<'_>)) {
     let n = trace.num_processes();
     let mut hb = vec![0u64; n * n];
@@ -72,15 +90,34 @@ pub fn replay(trace: &Trace, mut visit: impl FnMut(&Event, EventClocks<'_>)) {
     // handed out densely in recording order, so the table ends at the last
     // message that is ever received.
     let mut pending: Vec<u32> = Vec::new();
+    // Every `(process, seq)` some rollback restores to, ascending: each
+    // process's restore points are one run of the list, in the order the
+    // process reaches them.
+    let mut restore_points: Vec<(usize, u64)> = Vec::new();
     for e in trace.iter() {
-        if let EventKind::Recv { msg, .. } = e.kind {
-            let m = index(msg);
-            if m >= pending.len() {
-                pending.resize(m + 1, 0);
+        match e.kind {
+            EventKind::Recv { msg, .. } => {
+                let m = index(msg);
+                if m >= pending.len() {
+                    pending.resize(m + 1, 0);
+                }
+                pending[m] += 1;
             }
-            pending[m] += 1;
+            EventKind::Rollback { to_seq } => restore_points.push((e.id.pid.index(), to_seq)),
+            _ => {}
         }
     }
+    restore_points.sort_unstable();
+    restore_points.dedup();
+    // `next_point[p]`: the first of `p`'s restore points it has yet to
+    // reach, as an index into the list (empty when the list is), and
+    // `restored`: the causal row as it stood just before each restore
+    // point reached so far, `n` words apiece in list order.
+    let mut next_point: Vec<usize> = Vec::new();
+    if !restore_points.is_empty() {
+        next_point.extend((0..n).map(|p| restore_points.partition_point(|&(q, _)| q < p)));
+    }
+    let mut restored = vec![0u64; restore_points.len() * n];
     // `slot_of[msg]`: where in `slots` the `2n`-word snapshot of an
     // in-flight `msg` starts — the sender's happens-before row, then its
     // causal row, left all zero by a control send so that joining it
@@ -92,6 +129,21 @@ pub fn replay(trace: &Trace, mut visit: impl FnMut(&Event, EventClocks<'_>)) {
     for e in trace.recorded() {
         let p = e.id.pid.index();
         let row = p * n..(p + 1) * n;
+        if let Some(k) = next_point.get_mut(p) {
+            if restore_points.get(*k) == Some(&(p, e.id.seq)) {
+                restored[*k * n..(*k + 1) * n].copy_from_slice(&causal[row.clone()]);
+                *k += 1;
+            }
+            if let EventKind::Rollback { to_seq } = e.kind {
+                // A restore point the process has yet to reach undoes
+                // nothing.
+                if let Ok(at) = restore_points[..*k].binary_search(&(p, to_seq)) {
+                    let own = causal[row.start + p];
+                    causal[row.clone()].copy_from_slice(&restored[at * n..(at + 1) * n]);
+                    causal[row.start + p] = own;
+                }
+            }
+        }
         if let EventKind::Recv { msg, .. } = e.kind {
             let m = index(msg);
             let (sent_hb, sent_causal) = slots[slot_of[m]..slot_of[m] + 2 * n].split_at(n);

@@ -109,17 +109,6 @@ pub fn check_equivalence(recovered: &[u64], reference: &[u64]) -> Result<(), Con
     }
 }
 
-/// Checks only the *visible constraint*: the recovered output so far must be
-/// a legal (possibly incomplete) prefix of the reference modulo duplicates.
-///
-/// Use this mid-run, before the computation has had a chance to complete.
-pub fn check_prefix(recovered: &[u64], reference: &[u64]) -> Result<(), ConsistencyError> {
-    match check_equivalence(recovered, reference) {
-        Ok(()) | Err(ConsistencyError::Incomplete { .. }) => Ok(()),
-        Err(e) => Err(e),
-    }
-}
-
 /// Result of a full consistent-recovery check over a recovered run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryVerdict {
@@ -238,12 +227,6 @@ mod tests {
     fn incomplete_run_violates_no_orphan_constraint() {
         let err = check_equivalence(&[1, 2], &[1, 2, 3]).unwrap_err();
         assert_eq!(err, ConsistencyError::Incomplete { delivered: 2 });
-    }
-
-    #[test]
-    fn prefix_check_tolerates_incompleteness_but_not_divergence() {
-        assert!(check_prefix(&[1, 2], &[1, 2, 3]).is_ok());
-        assert!(check_prefix(&[1, 7], &[1, 2, 3]).is_err());
     }
 
     #[test]

@@ -27,6 +27,17 @@
 //! are read from per-process position tables built before the replay, two
 //! loads per (target, process): the whole check is one replay plus
 //! `O(events + targets × processes)`.
+//!
+//! Recovery is part of the trace, and a rollback undoes three things: the
+//! process's non-deterministic events past the restore point (they oblige
+//! no one any more), the obligations it was under (a target it executed
+//! before the crash is still judged, but as of then), *and its knowledge*
+//! — restored to a state that never saw a message, the process no longer
+//! depends on what the message carried, so its next commit is no orphan of
+//! it. The first two are this module's position tables and `live_nd`
+//! stacks; the third is [`replay`]'s, which sets the causal clock back at
+//! a rollback. What the process sent before the crash keeps the knowledge
+//! it was sent with, and re-receiving the message brings it back.
 
 use crate::clock::{happens_before, replay};
 use crate::event::{EventId, EventKind, ProcessId};
@@ -657,6 +668,62 @@ mod tests {
         b.rollback(p(0), 0);
         let err = check_save_work(&b.finish()).unwrap_err();
         assert_eq!(err.target.seq, 1);
+    }
+
+    /// P1's unlogged nd reaches P0 in `m`; P0 does `before_crash`, crashes
+    /// and is rolled back to before the receive. Returns the nd, `m` and
+    /// the builder to go on from.
+    fn rolled_back_past_a_receive(
+        before_crash: impl FnOnce(&mut TraceBuilder),
+    ) -> (EventId, crate::event::MsgId, TraceBuilder) {
+        let mut b = TraceBuilder::new(3);
+        let nd = b.nd(p(1), NdSource::TimeOfDay);
+        let (_, m) = b.send(p(1), p(0));
+        b.recv_logged(p(0), p(1), m); // P0's seq 0: will be rolled back.
+        before_crash(&mut b);
+        b.crash(p(0));
+        b.rollback(p(0), 0);
+        (nd, m, b)
+    }
+
+    #[test]
+    fn a_rollback_undoes_what_the_process_knew() {
+        // Restored to a state that never saw `m`, P0 commits alone: it
+        // depends on nothing of P1's, so it is no orphan.
+        let (_, _, mut b) = rolled_back_past_a_receive(|_| {});
+        b.commit(p(0));
+        assert_eq!(check_save_work(&b.finish()), Ok(()));
+    }
+
+    #[test]
+    fn knowledge_regained_after_a_rollback_obliges_again() {
+        // The transport re-delivers `m` before P0 commits: the dependence
+        // is back, and so is the orphan.
+        let (nd, m, mut b) = rolled_back_past_a_receive(|_| {});
+        b.recv_logged(p(0), p(1), m);
+        let c = b.commit(p(0));
+        let err = check_save_work(&b.finish()).unwrap_err();
+        assert_eq!(
+            (err.rule, err.nd, err.target),
+            (SaveWorkRule::Orphan, nd, c)
+        );
+    }
+
+    #[test]
+    fn knowledge_passed_on_before_the_crash_survives_the_rollback() {
+        // P0 told P2 before it crashed. `m2` carries what P0 knew when it
+        // sent it, whatever P0 is rolled back to afterwards: P2's commit is
+        // an orphan of P1's nd, while P0's own commit still is not.
+        let mut m2 = None;
+        let (nd, _, mut b) = rolled_back_past_a_receive(|b| m2 = Some(b.send(p(0), p(2)).1));
+        b.commit(p(0));
+        b.recv_logged(p(2), p(0), m2.expect("sent before the crash"));
+        let c = b.commit(p(2));
+        let err = check_save_work(&b.finish()).unwrap_err();
+        assert_eq!(
+            (err.rule, err.nd, err.target),
+            (SaveWorkRule::Orphan, nd, c)
+        );
     }
 
     #[test]

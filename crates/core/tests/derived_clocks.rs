@@ -38,7 +38,10 @@ impl Rng {
 /// The old clock discipline: tick the executing process's component of
 /// both clocks on each event and stamp the event with copies; a receive
 /// first joins the clocks captured at the send — the happens-before one
-/// always, the causal one unless it is a control receive.
+/// always, the causal one unless it is a control receive. A rollback to
+/// `to_seq` first sets the process's causal clock back to the one stamped
+/// on its event `to_seq − 1` (all zero before its first), keeping its own
+/// component: the model keeps every stamp, so it just looks that one up.
 struct DenseRecorder {
     hb: Vec<Vec<u64>>,
     causal: Vec<Vec<u64>>,
@@ -70,6 +73,16 @@ impl DenseRecorder {
         assert_eq!(self.hb[p][p], id.seq + 1, "one tick per recorded event");
         self.stamped
             .push((id, self.hb[p].clone(), self.causal[p].clone()));
+    }
+
+    fn rollback(&mut self, id: EventId, to_seq: u64) {
+        let p = id.pid.index();
+        let own = self.causal[p][p];
+        let before = to_seq.checked_sub(1).map(|seq| EventId::new(id.pid, seq));
+        let stamp = self.stamped.iter().find(|(at, ..)| Some(*at) == before);
+        self.causal[p] = stamp.map_or(vec![0; self.causal.len()], |(_, _, causal)| causal.clone());
+        self.causal[p][p] = own;
+        self.event(id);
     }
 
     fn send(&mut self, id: EventId, msg: MsgId) {
@@ -116,7 +129,7 @@ fn check(n: usize, seed: u64, ops: usize) {
     };
     for op in 0..ops {
         let p = ProcessId::from_index(rng.below(n));
-        match rng.below(12) {
+        match rng.below(13) {
             0 => dense.event(thin.internal(p)),
             1 => dense.event(thin.nd(p, NdSource::TimeOfDay)),
             2 => dense.event(thin.nd_logged(p, NdSource::UserInput)),
@@ -148,8 +161,19 @@ fn check(n: usize, seed: u64, ops: usize) {
                 let m = delivered[rng.below(delivered.len())];
                 let to_seq = rng.below(thin.position(m.to) as usize + 1) as u64;
                 dense.event(thin.crash(m.to));
-                dense.event(thin.rollback(m.to, to_seq));
+                dense.rollback(thin.rollback(m.to, to_seq), to_seq);
                 receive(&mut thin, &mut dense, m, true);
+            }
+            11 if !delivered.is_empty() => {
+                // A receiver is rolled back and hears nothing again: what
+                // it learnt past the restore point is gone for good. Twice
+                // in a row restores through a rollback event's own stamp.
+                let to = delivered[rng.below(delivered.len())].to;
+                for _ in 0..1 + rng.below(2) {
+                    let to_seq = rng.below(thin.position(to) as usize + 1) as u64;
+                    dense.event(thin.crash(to));
+                    dense.rollback(thin.rollback(to, to_seq), to_seq);
+                }
             }
             8 => dense.event(thin.visible(p, op as u64)),
             9 => dense.event(thin.commit(p)),

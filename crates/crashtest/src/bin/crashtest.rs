@@ -7,8 +7,7 @@
 //! trial violates the oracle or any mutant escapes.
 //!
 //! ```text
-//! crashtest [--quick] [--fsync always|none] [--stride N]
-//!           [--schedule FILE] [--skip-mutants]
+//! crashtest [--quick] [--fsync always|none] [--skip-mutants]
 //! ```
 //!
 //! Child mode (spawned by the parent; not for direct use):
@@ -126,24 +125,17 @@ fn child_main(args: &[String]) -> ExitCode {
     }
 }
 
+/// `--quick` runs every seventh kill of each standard schedule.
+const QUICK_STRIDE: usize = 7;
+
 fn parent_main(args: &[String]) -> ExitCode {
     let mut fsync = FsyncPolicy::Always;
     let mut stride = 1usize;
-    let mut schedule_file = None;
     let mut skip_mutants = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--quick" => stride = stride.max(7),
-            "--stride" => {
-                stride = match it.next().map(|v| v.parse::<usize>()) {
-                    Some(Ok(n)) if n >= 1 => n,
-                    _ => {
-                        eprintln!("--stride needs an integer >= 1");
-                        return ExitCode::from(2);
-                    }
-                };
-            }
+            "--quick" => stride = QUICK_STRIDE,
             "--fsync" => match it.next().map(|v| parse_fsync(v)) {
                 Some(Ok(p)) => fsync = p,
                 _ => {
@@ -151,21 +143,9 @@ fn parent_main(args: &[String]) -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--schedule" => {
-                schedule_file = match it.next() {
-                    Some(p) => Some(p.clone()),
-                    None => {
-                        eprintln!("--schedule needs a file path");
-                        return ExitCode::from(2);
-                    }
-                };
-            }
             "--skip-mutants" => skip_mutants = true,
             "--help" | "-h" => {
-                println!(
-                    "usage: crashtest [--quick] [--fsync always|none] [--stride N] \
-                     [--schedule FILE] [--skip-mutants]"
-                );
+                println!("usage: crashtest [--quick] [--fsync always|none] [--skip-mutants]");
                 return ExitCode::SUCCESS;
             }
             other => {
@@ -182,22 +162,9 @@ fn parent_main(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let schedules = match &schedule_file {
-        Some(path) => match std::fs::read_to_string(path)
-            .map_err(|e| format!("{path}: {e}"))
-            .and_then(|s| ft_check::parse_schedule(&s))
-        {
-            Ok(s) => vec![s],
-            Err(e) => {
-                eprintln!("bad schedule: {e}");
-                return ExitCode::from(2);
-            }
-        },
-        None => ft_check::standard_schedules().to_vec(),
-    };
 
     let mut bad = false;
-    for schedule in &schedules {
+    for schedule in &ft_check::standard_schedules() {
         match run_schedule(&exe, schedule, fsync, stride) {
             Ok(report) => {
                 println!(

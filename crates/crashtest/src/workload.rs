@@ -13,7 +13,7 @@ use ft_mem::arena::{Arena, PAGE_SIZE};
 /// operation count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkloadSpec {
-    /// Family name (matches the exported schedule's `workload` line).
+    /// Family name (the schedule's `workload`).
     pub name: String,
     /// Seed scripting the nd draws.
     pub seed: u64,
@@ -22,7 +22,7 @@ pub struct WorkloadSpec {
 }
 
 impl WorkloadSpec {
-    /// The spec a schedule export describes.
+    /// The spec a schedule describes.
     pub fn from_schedule(s: &ft_check::CrashSchedule) -> Self {
         WorkloadSpec {
             name: s.workload.clone(),

@@ -109,3 +109,17 @@ fn every_seeded_mutant_is_caught() {
         );
     }
 }
+
+#[test]
+fn the_parent_takes_three_flags_and_rejects_the_removed_ones() {
+    // The sweep takes `standard_schedules()` in process: there is no
+    // schedule file and no stride other than `--quick`'s.
+    for removed in [&["--stride", "3"][..], &["--schedule", "s.txt"]] {
+        let status = std::process::Command::new(exe())
+            .args(removed)
+            .stderr(std::process::Stdio::null())
+            .status()
+            .expect("crashtest runs");
+        assert_eq!(status.code(), Some(2), "{removed:?}");
+    }
+}

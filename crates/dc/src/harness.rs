@@ -309,8 +309,7 @@ impl DcHarness {
     }
 
     /// Runs to completion (or deadlock / abandonment), recovering failed
-    /// processes automatically and firing periodic coordinated rounds when
-    /// configured.
+    /// processes automatically.
     pub fn run(self) -> DcReport {
         self.run_with(|_| {})
     }
@@ -323,18 +322,9 @@ impl DcHarness {
     /// mutate simulation state.
     pub fn run_with(mut self, mut on_step: impl FnMut(&mut Simulator)) -> DcReport {
         let mut guard = 0u64;
-        let period = self.rt.cfg().periodic_checkpoint_ns;
-        let mut next_round = period.unwrap_or(u64::MAX);
         while let Some(wake) = self.sim.next_wake() {
             guard += 1;
             assert!(guard < 200_000_000, "runaway simulation");
-            if self.sim.now() >= next_round {
-                self.rt.periodic_round(&mut self.sim);
-                let p = period.expect("period configured");
-                while next_round <= self.sim.now() {
-                    next_round += p;
-                }
-            }
             match wake {
                 Wake::Step(pid) => {
                     if let StepOutcome::Crashed(_) = self.step_process(pid) {

@@ -123,10 +123,11 @@ impl DcRuntime {
     }
 
     /// Commits `pid`'s arena and snapshots its recoverable context, without
-    /// recording the trace event (the caller does). Returns the commit's
-    /// time cost. The arena commit is torn at `crash` when given; callers
-    /// pass only the crash points at which the commit still completes
-    /// ([`CommitCrashPoint::MidUndoWalk`] / [`CommitCrashPoint::PostBump`]
+    /// recording the trace event: the caller does, right after, and stores
+    /// the position the recorder returns as the snapshot's `trace_pos`.
+    /// Returns the commit's time cost. The arena commit is torn at `crash`
+    /// when given; callers pass only the crash points at which the commit
+    /// still completes ([`CommitCrashPoint::MidUndoWalk`] / [`CommitCrashPoint::PostBump`]
     /// — a pre-log crash means no commit happens at all, so this function
     /// is never reached).
     pub fn commit_arena(
@@ -179,9 +180,6 @@ impl DcRuntime {
         committed.signal_cursor = sim.signal_cursor(pid);
         sim.kernel_of(pid).snapshot_into(&mut committed.kernel);
         committed.pending_nd = pending;
-        // The commit event itself is recorded right after this snapshot,
-        // so everything up to and including it survives a rollback here.
-        committed.trace_pos = sim.trace_position(pid) + 1;
         st.replay = None;
         st.planner.note_committed();
         st.tracker.clear();
@@ -198,7 +196,7 @@ impl DcRuntime {
         let kill = self.check_commit_kill(pid);
         if kill != Some(CommitCrashPoint::PreLog) {
             let cost = self.commit_arena(pid, ctx.sim(), pending, kill);
-            ctx.record_commit(cost);
+            self.states[pid.index()].committed.trace_pos = ctx.record_commit(cost);
         }
         // A pre-log kill: the process dies before the commit record
         // reaches reliable memory, so the commit never happened — no
@@ -256,19 +254,13 @@ impl DcRuntime {
                 self.commit_arena(q, ctx.sim(), None, crash)
             })
             .collect();
-        // The round's prepare control edges are journaled *before* the
-        // commit events (see `record_coordinated_commit`): the coordinator
-        // sends one prepare per remote and each remote receives one. The
-        // snapshots above only reserved room for the commit event itself,
-        // so advance each participant's committed trace position past its
-        // prepare edges too — otherwise a later rollback journals a window
-        // that swallows the committed round's own commit event.
-        let remotes = participants.iter().filter(|&&q| q != me).count() as u64;
-        for &q in &participants {
-            let st = &mut self.states[q.index()];
-            st.committed.trace_pos += if q == me { remotes } else { 1 };
+        // Only the recorder knows how many control edges it journals before
+        // each commit event; a position that stopped short of them would
+        // make a later rollback swallow the round's own commit.
+        let committed = ctx.record_coordinated_commit(&participants, &costs);
+        for (&q, pos) in participants.iter().zip(committed) {
+            self.states[q.index()].committed.trace_pos = pos;
         }
-        ctx.record_coordinated_commit(&participants, &costs);
         if kill.is_some() {
             ctx.mark_killed();
         }
@@ -314,30 +306,6 @@ impl DcRuntime {
             } else {
                 ctx.charge(plan.backoff_ns(attempts).max(1));
             }
-        }
-    }
-
-    /// A periodic coordinated checkpoint round: every live process commits
-    /// atomically (a consistent cut), each charged its own commit cost.
-    /// Used by the harness when `periodic_checkpoint_ns` is configured.
-    pub fn periodic_round(&mut self, sim: &mut Simulator) {
-        let participants: Vec<ProcessId> = (0..self.states.len())
-            .map(ProcessId::from_index)
-            .filter(|&q| !sim.is_done(q) && !sim.is_crashed(q))
-            .collect();
-        if participants.is_empty() {
-            return;
-        }
-        let costs: Vec<SimTime> = participants
-            .iter()
-            .map(|&q| self.commit_arena(q, sim, None, None))
-            .collect();
-        sim.tracer_mut().coordinated_commit(&participants);
-        for (&q, &c) in participants.iter().zip(&costs) {
-            sim.count_commit(q);
-            sim.delay_process(q, c);
-            self.states[q.index()].planner.note_committed();
-            self.states[q.index()].tracker.clear();
         }
     }
 
@@ -435,6 +403,56 @@ impl DcRuntime {
             Err(other) => {
                 st.replay = Some(other);
                 None
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ft_core::protocol::DepSet;
+    use ft_mem::arena::Layout;
+    use ft_mem::mem::Mem;
+    use ft_sim::sim::SimConfig;
+
+    #[test]
+    fn a_round_commits_each_participant_just_past_its_own_commit_event() {
+        // P1 coordinates among four processes. It depends on P0, which
+        // depends on P3: CBNDV-2PC commits that closure, CPV-2PC everyone.
+        // The recorder journals one prepare per remote on the coordinator
+        // and one on each remote before the commit events, so a position
+        // that ignored them would stop short of the commit.
+        let pid = ProcessId::from_index;
+        let me = pid(1);
+        for (protocol, round) in [
+            (Protocol::Cbndv2pc, vec![0, 1, 3]),
+            (Protocol::Cpv2pc, vec![0, 1, 2, 3]),
+        ] {
+            let mut sim = Simulator::new(SimConfig::one_node_each(4, 1));
+            let mems = (0..4).map(|_| Mem::new(Layout::small())).collect();
+            let mut rt = DcRuntime::new(DcConfig::discount_checking(protocol), &sim, mems);
+            // A different prefix per process: no two positions coincide.
+            for p in 0..4 {
+                for _ in 0..p {
+                    sim.tracer_mut().internal(pid(p));
+                }
+            }
+            for (on, dep) in [(1, 0), (0, 3)] {
+                let mut deps = DepSet::new();
+                deps.insert(dep);
+                rt.state_mut(pid(on)).tracker.on_recv(&deps, true);
+            }
+            rt.coordinated_commit(&mut sim.ctx(me));
+            let (trace, _, _) = sim.finish();
+            for p in 0..4 {
+                let commit = trace.process(pid(p)).iter().find(|e| e.kind.is_commit());
+                assert_eq!(commit.is_some(), round.contains(&p), "{protocol}: P{p}");
+                assert_eq!(
+                    rt.state(pid(p)).committed.trace_pos,
+                    commit.map_or(0, |e| e.id.seq + 1),
+                    "{protocol}: P{p} restores to just past its commit event"
+                );
             }
         }
     }

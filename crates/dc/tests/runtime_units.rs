@@ -166,8 +166,9 @@ fn committed_snapshot_contents_are_coherent() {
         .arena
         .write(100, b"committed")
         .unwrap();
-    let cost = rt.commit_arena(pid, &sim, None, None);
-    assert!(cost > 0);
+    let mut ctx = sim.ctx(pid);
+    rt.local_commit(&mut ctx, None);
+    assert!(ctx.elapsed() > 0);
     rt.state_mut(pid)
         .mem
         .arena
@@ -176,9 +177,9 @@ fn committed_snapshot_contents_are_coherent() {
     let rolled = rt.recover(pid, &mut sim);
     assert_eq!(rolled, vec![pid]);
     assert_eq!(rt.state(pid).mem.arena.read(100, 9).unwrap(), b"committed");
-    // The snapshot recorded the trace position; the rollback event refers
-    // back to it.
-    assert!(rt.state(pid).committed.trace_pos >= 1);
+    // The snapshot holds the position just past its commit event; the
+    // rollback event refers back to it.
+    assert_eq!(rt.state(pid).committed.trace_pos, 1);
 }
 
 #[test]
@@ -240,79 +241,4 @@ fn a_mid_commit_kill_ends_the_steps_commits() {
         assert_eq!(commits, committed, "{point}");
         assert!(visibles.is_empty(), "{point}");
     }
-}
-
-/// Input → echo only, no file I/O: under CAND-LOG every event is logged
-/// and the process never commits on its own.
-struct PureEcho;
-
-impl App for PureEcho {
-    fn step(&mut self, sys: &mut dyn SysMem) -> MemResult<AppStatus> {
-        match PHASE.get(&sys.mem().arena)? {
-            0 => {
-                if let Some(bytes) = sys.read_input() {
-                    let m = sys.mem();
-                    STAGED.set(&mut m.arena, bytes[0] as u64)?;
-                    PHASE.set(&mut m.arena, 1)?;
-                    Ok(AppStatus::Running)
-                } else if sys.input_exhausted() {
-                    Ok(AppStatus::Done)
-                } else {
-                    Ok(AppStatus::Blocked(WaitCond::input()))
-                }
-            }
-            _ => {
-                let k = STAGED.get(&sys.mem().arena)?;
-                let m = sys.mem();
-                let n = WRITTEN.get(&m.arena)? + 1;
-                WRITTEN.set(&mut m.arena, n)?;
-                sys.visible(k * 1_000_003 + n);
-                PHASE.set(&mut sys.mem().arena, 0)?;
-                Ok(AppStatus::Running)
-            }
-        }
-    }
-}
-
-#[test]
-fn periodic_rounds_bound_rollback_distance() {
-    // Under CAND-LOG a pure input→echo workload logs everything and never
-    // commits: a late failure replays the whole session (the user watches
-    // every echo scroll past again). Periodic coordinated checkpointing
-    // bounds the replay to one interval.
-    fn build_pure(seed: u64, n: usize) -> (Simulator, Vec<Box<dyn App>>) {
-        let mut sim = Simulator::new(SimConfig::single_node(1, seed));
-        sim.set_input_script(
-            ProcessId(0),
-            InputScript::evenly_spaced(
-                0,
-                MS,
-                (0..n).map(|i| vec![b'a' + (i % 26) as u8]).collect(),
-            ),
-        );
-        (sim, vec![Box::new(PureEcho)])
-    }
-    fn run(period: Option<u64>, kill_at: u64) -> (u64, usize) {
-        let (mut sim, apps) = build_pure(11, 60);
-        sim.kill_at(ProcessId(0), kill_at);
-        let mut cfg = DcConfig::discount_checking(Protocol::CandLog);
-        cfg.periodic_checkpoint_ns = period;
-        let report = DcHarness::new(sim, cfg, apps).run();
-        assert!(report.all_done);
-        (report.total_commits(), report.visibles.len())
-    }
-    let kill_at = 55 * MS;
-    let (c_none, v_none) = run(None, kill_at);
-    assert_eq!(c_none, 0, "CAND-LOG alone never commits here");
-    let (c_per, v_per) = run(Some(10 * MS), kill_at);
-    assert!(c_per > 0, "periodic rounds add commits");
-    // Replayed visibles (duplicates) measure rollback distance: ~55 echoes
-    // replay without rounds, at most ~10 with them.
-    let dup_none = v_none - 60;
-    let dup_per = v_per - 60;
-    assert!(dup_none >= 40, "whole-session replay: {dup_none}");
-    assert!(
-        dup_per <= 15,
-        "bounded rollback must replay at most one interval: {dup_per}"
-    );
 }

@@ -104,19 +104,6 @@ impl PoissonArrivals {
         }
     }
 
-    /// The seed of trial `t`'s arrival stream, derived in O(1) from a base
-    /// seed. Identical to drawing `t + 1` seeds sequentially from
-    /// `SplitMix64::new(base_seed)` and taking the last — so a sharded
-    /// runner needs no shared sequential state.
-    pub fn trial_seed(base_seed: u64, trial: u64) -> u64 {
-        SplitMix64::new(base_seed).nth(trial)
-    }
-
-    /// Creates trial `t`'s arrival process directly from the base seed.
-    pub fn for_trial(base_seed: u64, trial: u64, rate_per_sec: f64) -> Self {
-        PoissonArrivals::new(Self::trial_seed(base_seed, trial), rate_per_sec)
-    }
-
     /// Advances to, and returns, the next absolute arrival time (ns).
     pub fn next_arrival_ns(&mut self) -> u64 {
         self.clock_ns = self.clock_ns.saturating_add(self.sampler.next_gap_ns());
@@ -228,17 +215,6 @@ mod tests {
         }
         // gap_ns never advances the sampler it is called on.
         assert_eq!(base, ExpSampler::new(0xFEED, 2.0));
-    }
-
-    #[test]
-    fn trial_splitting_agrees_with_sequential_seed_draws() {
-        let base = 0x5EED;
-        let mut seq = SplitMix64::new(base);
-        for t in 0..64u64 {
-            let split = PoissonArrivals::for_trial(base, t, 1.0);
-            let sequential = PoissonArrivals::new(seq.next_u64(), 1.0);
-            assert_eq!(split, sequential, "trial {t}");
-        }
     }
 
     #[test]

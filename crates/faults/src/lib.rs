@@ -116,17 +116,13 @@ pub struct FaultPlan {
     /// The site it lives at (each hook call names its site). `site % n` is
     /// typically derived from a sweep counter, so any site can be hit.
     pub site: u64,
-    /// Activate from this visit of the site onward (a buggy line misfires
-    /// every time it runs — Table 1's bugs are in the *code*).
+    /// Activate at exactly this visit of the site. The visit counter is
+    /// physical (it keeps counting through recovery re-execution), so the
+    /// fault is automatically *suppressed during recovery*, the Table 1
+    /// end-to-end methodology (§4.1).
     pub trigger_visit: u32,
     /// Identifier journaled with activations.
     pub id: u32,
-    /// Sticky faults activate on *every* visit from the trigger onward (a
-    /// Bohrbug); one-shot faults activate exactly at the trigger visit —
-    /// since the visit counter is physical (it keeps counting through
-    /// recovery re-execution), a one-shot fault is automatically
-    /// *suppressed during recovery*, the Table 1 end-to-end methodology.
-    pub sticky: bool,
 }
 
 /// The per-process fault injector. Lives in the application struct: it
@@ -189,12 +185,7 @@ impl FaultInjector {
         }
         let v = self.visits.entry(site).or_insert(0);
         *v += 1;
-        let due = if plan.sticky {
-            *v >= plan.trigger_visit
-        } else {
-            *v == plan.trigger_visit
-        };
-        if !due || self.suppressed {
+        if *v != plan.trigger_visit || self.suppressed {
             return false;
         }
         self.activations += 1;
@@ -351,48 +342,6 @@ impl KernelFaultPlan {
     }
 }
 
-/// The network fault taxonomy: environment failures of the fabric under
-/// the testbed, as opposed to the Table 1 code faults and §4.2 kernel
-/// faults. The reliable transport must mask all of them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum NetFaultType {
-    /// A transmission attempt (data or ack) vanishes.
-    MessageLoss,
-    /// A delivered payload is duplicated in flight.
-    Duplication,
-    /// Arrivals are delayed by a random window, letting later sends
-    /// overtake earlier ones.
-    Reordering,
-    /// An ordered process pair cannot communicate for an interval.
-    Partition,
-}
-
-impl NetFaultType {
-    /// All four network fault types.
-    pub const ALL: [NetFaultType; 4] = [
-        NetFaultType::MessageLoss,
-        NetFaultType::Duplication,
-        NetFaultType::Reordering,
-        NetFaultType::Partition,
-    ];
-
-    /// Report label.
-    pub fn name(self) -> &'static str {
-        match self {
-            NetFaultType::MessageLoss => "Message loss",
-            NetFaultType::Duplication => "Duplication",
-            NetFaultType::Reordering => "Reordering",
-            NetFaultType::Partition => "Partition",
-        }
-    }
-}
-
-impl std::fmt::Display for NetFaultType {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Builder for an unreliable-fabric description. Composes the network
 /// fault types into one [`NetFaultPlan`] for the simulator's transport.
 ///
@@ -425,23 +374,22 @@ impl NetFaultSpec {
         }
     }
 
-    /// Sets the per-attempt drop probability ([`NetFaultType::MessageLoss`]).
+    /// Sets the per-attempt drop probability.
     pub fn loss(mut self, p: f64) -> Self {
         assert!((0.0..=1.0).contains(&p), "loss probability out of range");
         self.plan.drop_prob = p;
         self
     }
 
-    /// Sets the payload duplication probability
-    /// ([`NetFaultType::Duplication`]).
+    /// Sets the payload duplication probability.
     pub fn duplication(mut self, p: f64) -> Self {
         assert!((0.0..=1.0).contains(&p), "dup probability out of range");
         self.plan.dup_prob = p;
         self
     }
 
-    /// Sets the reordering window in microseconds
-    /// ([`NetFaultType::Reordering`]).
+    /// Sets the reordering window in microseconds: arrivals are delayed by
+    /// a random span of it, letting later sends overtake earlier ones.
     pub fn reorder_window_us(mut self, us: u64) -> Self {
         self.plan.reorder_window_ns = us * US;
         self
@@ -453,8 +401,7 @@ impl NetFaultSpec {
         self
     }
 
-    /// Adds a symmetric partition between `a` and `b` over `[start, end)`
-    /// ([`NetFaultType::Partition`]).
+    /// Adds a symmetric partition between `a` and `b` over `[start, end)`.
     pub fn partition(mut self, a: ProcessId, b: ProcessId, start: SimTime, end: SimTime) -> Self {
         assert!(start < end, "empty partition interval");
         for (f, t) in [(a.0, b.0), (b.0, a.0)] {
@@ -497,24 +444,6 @@ impl NetFaultSpec {
         self.plan.max_backoff_ns = max_backoff_ns;
         self.plan.max_retries = max_retries;
         self
-    }
-
-    /// The network fault types this spec actually exercises.
-    pub fn kinds(&self) -> Vec<NetFaultType> {
-        let mut kinds = Vec::new();
-        if self.plan.drop_prob > 0.0 {
-            kinds.push(NetFaultType::MessageLoss);
-        }
-        if self.plan.dup_prob > 0.0 {
-            kinds.push(NetFaultType::Duplication);
-        }
-        if self.plan.reorder_window_ns > 0 || self.plan.jitter_ns > 0 {
-            kinds.push(NetFaultType::Reordering);
-        }
-        if !self.plan.partitions.is_empty() {
-            kinds.push(NetFaultType::Partition);
-        }
-        kinds
     }
 
     /// The built plan.
@@ -633,17 +562,16 @@ mod tests {
             site: 7,
             trigger_visit: 2,
             id: 42,
-            sticky: true,
         };
         let mut f = FaultInjector::armed(plan, 1);
         let mut s = sys();
         // First visit: below the trigger.
         assert!(f.branch(7, true, &mut s));
-        // Second visit onward: inverted.
+        // The trigger visit: inverted.
         assert!(!f.branch(7, true, &mut s));
-        assert!(!f.branch(7, true, &mut s));
-        assert_eq!(f.activations(), 2);
-        assert_eq!(s.activations, vec![42, 42]);
+        assert!(f.branch(7, true, &mut s));
+        assert_eq!(f.activations(), 1);
+        assert_eq!(s.activations, vec![42]);
         // Other sites unaffected.
         assert!(f.branch(8, true, &mut s));
     }
@@ -655,7 +583,6 @@ mod tests {
             site: 1,
             trigger_visit: 1,
             id: 9,
-            sticky: true,
         };
         let mut f = FaultInjector::armed(plan, 1);
         f.suppressed = true;
@@ -672,7 +599,6 @@ mod tests {
             site: 2,
             trigger_visit: 1,
             id: 1,
-            sticky: true,
         };
         let mut f = FaultInjector::armed(even, 1);
         assert_eq!(f.bound(2, 10, &mut s), 11);
@@ -681,7 +607,6 @@ mod tests {
             site: 3,
             trigger_visit: 1,
             id: 1,
-            sticky: true,
         };
         let mut f = FaultInjector::armed(odd, 1);
         assert_eq!(f.bound(3, 10, &mut s), 9);
@@ -699,7 +624,6 @@ mod tests {
                 site: 5,
                 trigger_visit: 1,
                 id: 2,
-                sticky: true,
             };
             let mut f = FaultInjector::armed(plan, 3);
             let mut s = sys();
@@ -728,7 +652,6 @@ mod tests {
             site: 0,
             trigger_visit: 1,
             id: 3,
-            sticky: true,
         };
         let mut f = FaultInjector::armed(plan, 1);
         let mut s = sys();
@@ -767,7 +690,6 @@ mod tests {
             site: 4,
             trigger_visit: 2,
             id: 5,
-            sticky: false,
         };
         let mut f = FaultInjector::armed(plan, 1);
         let mut s = sys();
@@ -785,14 +707,13 @@ mod tests {
     }
 
     #[test]
-    fn net_fault_spec_builds_and_reports_kinds() {
+    fn net_fault_spec_builds_every_fault_kind() {
         let spec = NetFaultSpec::new(9)
             .loss(0.1)
             .duplication(0.02)
             .reorder_window_us(100)
             .partition(ProcessId(0), ProcessId(2), 10, 20)
             .one_way_partition(ProcessId(1), ProcessId(0), 5, 15);
-        assert_eq!(spec.kinds(), NetFaultType::ALL.to_vec());
         let plan = spec.build();
         assert_eq!(plan.seed, 9);
         assert_eq!(plan.drop_prob, 0.1);
@@ -811,11 +732,8 @@ mod tests {
 
     #[test]
     fn lossless_spec_exercises_nothing() {
-        let spec = NetFaultSpec::new(1);
-        assert!(spec.kinds().is_empty());
-        let plan = spec.build();
         assert_eq!(
-            plan,
+            NetFaultSpec::new(1).build(),
             NetFaultPlan {
                 seed: 1,
                 ..NetFaultPlan::default()

@@ -68,11 +68,6 @@ impl OpenLoopPopulation {
         self.rate_per_session
     }
 
-    /// The aggregate request rate of the merged stream (requests/second).
-    pub fn aggregate_rate(&self) -> f64 {
-        self.rate_per_session * self.sessions as f64
-    }
-
     /// The gap (ns) between merged arrival `i-1` and arrival `i`
     /// (0-indexed; `gap_ns(0)` is the gap from time zero to the first
     /// arrival). O(1), non-advancing.
@@ -96,13 +91,6 @@ impl OpenLoopPopulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn aggregate_rate_is_superposition_of_sessions() {
-        let p = OpenLoopPopulation::new(1, 1_000_000, 0.25);
-        assert!((p.aggregate_rate() - 250_000.0).abs() < 1e-6);
-        assert_eq!(p.sessions(), 1_000_000);
-    }
 
     #[test]
     fn gap_stream_matches_plain_exponential_at_aggregate_rate() {

@@ -1,11 +1,12 @@
 //! `ft-lint` CLI: the CI gate.
 //!
 //! ```text
-//! ft-lint [--root DIR] [--out FILE] [--mutate RULE] [--list-rules]
+//! ft-lint [--out FILE] [--mutate RULE]
 //! ```
 //!
-//! Exit 0 when the tree is clean (zero unsuppressed findings), 1 when
-//! findings exist, 2 on usage/I/O errors. `--mutate <rule>` plants a
+//! Lints the workspace it is run from the root of. Exit 0 when the tree
+//! is clean (zero unsuppressed findings), 1 when findings exist, 2 on
+//! usage/I/O errors. `--mutate <rule>` plants a
 //! seeded violation in a synthetic in-memory file; CI asserts the run
 //! fails, proving the gate has teeth (mirror of the perf gate's
 //! `--mutate spin`).
@@ -13,19 +14,14 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use ft_lint::scope::{Config, META_RULES, RULES};
+use ft_lint::scope::Config;
 
 fn main() -> ExitCode {
-    let mut root = PathBuf::from(".");
     let mut out: Option<PathBuf> = None;
     let mut mutate: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--root" => match args.next() {
-                Some(v) => root = PathBuf::from(v),
-                None => return usage("--root needs a value"),
-            },
             "--out" => match args.next() {
                 Some(v) => out = Some(PathBuf::from(v)),
                 None => return usage("--out needs a value"),
@@ -34,20 +30,11 @@ fn main() -> ExitCode {
                 Some(v) => mutate = Some(v),
                 None => return usage("--mutate needs a rule name"),
             },
-            "--list-rules" => {
-                for r in RULES {
-                    println!("{r}");
-                }
-                for r in META_RULES {
-                    println!("{r} (meta)");
-                }
-                return ExitCode::SUCCESS;
-            }
             other => return usage(&format!("unknown argument `{other}`")),
         }
     }
 
-    let mut config = Config::workspace(root);
+    let mut config = Config::workspace(PathBuf::from("."));
     if let Some(rule) = &mutate {
         match ft_lint::mutant(rule) {
             Some(m) => ft_lint::apply_mutant(&mut config, m),
@@ -98,6 +85,6 @@ fn main() -> ExitCode {
 
 fn usage(msg: &str) -> ExitCode {
     eprintln!("ft-lint: {msg}");
-    eprintln!("usage: ft-lint [--root DIR] [--out FILE] [--mutate RULE] [--list-rules]");
+    eprintln!("usage: ft-lint [--out FILE] [--mutate RULE]");
     ExitCode::from(2)
 }

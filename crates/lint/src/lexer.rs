@@ -470,11 +470,6 @@ impl LineIndex {
     pub fn line(&self, offset: usize) -> usize {
         self.line_col(offset).0
     }
-
-    /// Number of lines in the file.
-    pub fn line_count(&self) -> usize {
-        self.starts.len()
-    }
 }
 
 #[cfg(test)]
@@ -611,6 +606,5 @@ mod tests {
         assert_eq!(idx.line_col(4), (2, 2));
         assert_eq!(idx.line_col(6), (3, 1));
         assert_eq!(idx.line_col(7), (4, 1));
-        assert_eq!(idx.line_count(), 4);
     }
 }

@@ -80,3 +80,17 @@ fn every_seeded_mutant_trips_its_own_rule() {
         );
     }
 }
+
+#[test]
+fn the_cli_takes_two_flags_and_rejects_the_removed_ones() {
+    // The binary lints the workspace it is run from; there is no rule
+    // listing mode.
+    for removed in [&["--root", "."][..], &["--list-rules"]] {
+        let status = std::process::Command::new(env!("CARGO_BIN_EXE_ft-lint"))
+            .args(removed)
+            .stderr(std::process::Stdio::null())
+            .status()
+            .expect("ft-lint runs");
+        assert_eq!(status.code(), Some(2), "{removed:?}");
+    }
+}

@@ -72,13 +72,9 @@ impl Allocator {
         self.heap_start
     }
 
-    /// Bytes of heap currently reachable through live allocations.
-    pub fn live_bytes(&self) -> usize {
-        self.live.iter().map(|a| a.size).sum()
-    }
-
     /// Number of live allocations.
-    pub fn live_count(&self) -> usize {
+    #[cfg(test)]
+    fn live_count(&self) -> usize {
         self.live.len()
     }
 
@@ -279,7 +275,6 @@ mod tests {
         assert_eq!(arena.read_pod::<u64>(off + 64).unwrap(), GUARD_TAIL);
         assert!(alloc.check_integrity(&arena).is_ok());
         assert_eq!(alloc.live_count(), 1);
-        assert_eq!(alloc.live_bytes(), 64);
     }
 
     #[test]

@@ -57,9 +57,6 @@ pub struct Kernel {
     /// stop.
     panicked: bool,
     rng: SplitMix64,
-    /// Count of syscalls serviced (drives the §4.2 analysis of syscall rate
-    /// vs. propagation probability).
-    pub syscalls_serviced: u64,
 }
 
 impl Kernel {
@@ -74,7 +71,6 @@ impl Kernel {
             corrupt_plan: None,
             panicked: false,
             rng: SplitMix64::new(seed),
-            syscalls_serviced: 0,
         }
     }
 
@@ -124,7 +120,6 @@ impl Kernel {
     /// this call's result must be corrupted. Decrements the corruption
     /// budget and panics the kernel when it runs out.
     pub fn tick_corruption(&mut self, now: u64) -> bool {
-        self.syscalls_serviced += 1;
         match self.corrupt_plan {
             Some((start, _)) if now < start => false,
             None => false,
@@ -231,12 +226,14 @@ impl Kernel {
     }
 
     /// Number of free open-file slots.
-    pub fn free_slots(&self) -> usize {
+    #[cfg(test)]
+    fn free_slots(&self) -> usize {
         self.table.len() - self.n_open
     }
 
-    /// Reads a whole file's contents (test/inspection helper).
-    pub fn file_contents(&self, name: &str) -> Option<&[u8]> {
+    /// Reads a whole file's contents.
+    #[cfg(test)]
+    fn file_contents(&self, name: &str) -> Option<&[u8]> {
         let file = self.files.iter().find(|f| f.name == name)?;
         Some(&file.data)
     }
@@ -274,13 +271,12 @@ impl Kernel {
         out.corrupt_plan = self.corrupt_plan;
         out.panicked = self.panicked;
         out.rng = self.rng;
-        out.syscalls_serviced = self.syscalls_serviced;
     }
 
     /// Restores this kernel to a snapshot taken from it earlier: files
     /// created since are dropped, surviving files are truncated back to
     /// their snapshot length, and the scalar state (descriptor table,
-    /// disk space, fault plan, rng, counters) is copied back.
+    /// disk space, fault plan, rng) is copied back.
     pub fn restore(&mut self, snap: &KernelSnapshot) {
         self.table.fill(None);
         for &(slot, open) in &snap.open {
@@ -295,7 +291,6 @@ impl Kernel {
         self.corrupt_plan = snap.corrupt_plan;
         self.panicked = snap.panicked;
         self.rng = snap.rng;
-        self.syscalls_serviced = snap.syscalls_serviced;
     }
 }
 
@@ -323,7 +318,6 @@ pub struct KernelSnapshot {
     corrupt_plan: Option<(u64, u32)>,
     panicked: bool,
     rng: SplitMix64,
-    syscalls_serviced: u64,
 }
 
 impl Default for KernelSnapshot {
@@ -335,7 +329,6 @@ impl Default for KernelSnapshot {
             corrupt_plan: None,
             panicked: false,
             rng: SplitMix64::new(0),
-            syscalls_serviced: 0,
         }
     }
 }
@@ -478,13 +471,5 @@ mod tests {
         k.restore(&empty);
         assert_eq!(k.free_slots(), 4);
         assert_eq!(k.file_contents("f"), None);
-    }
-
-    #[test]
-    fn syscall_counter_increments() {
-        let mut k = k();
-        assert!(!k.tick_corruption(0));
-        assert!(!k.tick_corruption(1));
-        assert_eq!(k.syscalls_serviced, 2);
     }
 }

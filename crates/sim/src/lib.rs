@@ -36,7 +36,7 @@ pub use kernel::{Kernel, KernelSnapshot};
 pub use net::{Network, SendOutcome};
 pub use rng::SplitMix64;
 pub use script::{InputScript, SignalSchedule};
-pub use sim::{ProcStats, SimConfig, Simulator, StepOutcome, SysCtx, Wake};
+pub use sim::{SimConfig, Simulator, StepOutcome, SysCtx, Wake};
 pub use syscalls::{
     App, AppStatus, Message, Payload, SysError, SysMem, SysResult, Syscalls, WaitCond,
 };

@@ -41,11 +41,12 @@ pub struct SimConfig {
     pub cost: CostModel,
     /// Node hosting each process.
     pub node_of: Vec<usize>,
-    /// Open-file-table slots per node.
-    pub file_table_size: usize,
-    /// Free disk bytes per node.
-    pub disk_free: u64,
 }
+
+/// Open-file-table slots per node.
+const FILE_TABLE_SIZE: usize = 64;
+/// Free disk bytes per node.
+const DISK_FREE: u64 = 1 << 30;
 
 impl SimConfig {
     /// All processes on a single node.
@@ -55,8 +56,6 @@ impl SimConfig {
             seed,
             cost: CostModel::default(),
             node_of: vec![0; n_procs],
-            file_table_size: 64,
-            disk_free: 1 << 30,
         }
     }
 
@@ -67,8 +66,6 @@ impl SimConfig {
             seed,
             cost: CostModel::default(),
             node_of: (0..n_procs).collect(),
-            file_table_size: 64,
-            disk_free: 1 << 30,
         }
     }
 
@@ -133,23 +130,6 @@ enum QEv {
     },
 }
 
-/// Per-process accounting, for experiment reporting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProcStats {
-    /// Syscalls issued.
-    pub syscalls: u64,
-    /// Messages sent.
-    pub sends: u64,
-    /// Messages received.
-    pub recvs: u64,
-    /// Visible events emitted.
-    pub visibles: u64,
-    /// Non-deterministic events executed (including receives).
-    pub nd_events: u64,
-    /// Commit events executed (recorded by the recovery runtime).
-    pub commits: u64,
-}
-
 /// The discrete-event simulator.
 pub struct Simulator {
     cfg: SimConfig,
@@ -173,7 +153,6 @@ pub struct Simulator {
     /// kvstore gateway talks to S primaries, a primary to R−1 replicas —
     /// so memory is O(communication edges) instead.
     send_seqs: Vec<Vec<(u32, u64)>>,
-    stats: Vec<ProcStats>,
     rng: SplitMix64,
     nodes_killed: Vec<bool>,
     /// Nodes whose kernel was handed out mutably since `finish_step` last
@@ -206,13 +185,7 @@ impl Simulator {
             gen: vec![0; n],
             pending_delay: vec![0; n],
             kernels: (0..n_nodes)
-                .map(|i| {
-                    Kernel::new(
-                        cfg.file_table_size,
-                        cfg.disk_free,
-                        cfg.seed ^ (i as u64) << 32,
-                    )
-                })
+                .map(|i| Kernel::new(FILE_TABLE_SIZE, DISK_FREE, cfg.seed ^ (i as u64) << 32))
                 .collect(),
             net: Network::new(),
             scripts: vec![InputScript::default(); n],
@@ -221,7 +194,6 @@ impl Simulator {
             visible_log: Vec::new(),
             shm_log: ShmLog::default(),
             send_seqs: vec![Vec::new(); n],
-            stats: vec![ProcStats::default(); n],
             rng: SplitMix64::new(cfg.seed),
             nodes_killed: vec![false; n_nodes],
             touched_nodes: Vec::new(),
@@ -591,8 +563,9 @@ impl Simulator {
         self.pending_delay[pid.index()] += ns;
     }
 
-    /// Direct access to the trace recorder (the recovery runtime records
-    /// commit events and control edges through this).
+    /// Direct access to the trace recorder (the recovery runtime journals
+    /// rollbacks and replayed logged events through this; commits go
+    /// through [`SysCtx::record_commit`], which knows where they land).
     pub fn tracer_mut(&mut self) -> &mut TraceBuilder {
         &mut self.tracer
     }
@@ -617,19 +590,9 @@ impl Simulator {
         std::mem::take(&mut self.shm_log)
     }
 
-    /// Notes a commit for stats purposes.
-    pub fn count_commit(&mut self, pid: ProcessId) {
-        self.stats[pid.index()].commits += 1;
-    }
-
     /// The visible output log in real-time order: (time, process, token).
     pub fn visible_log(&self) -> &[(SimTime, ProcessId, u64)] {
         &self.visible_log
-    }
-
-    /// Per-process stats.
-    pub fn proc_stats(&self, pid: ProcessId) -> ProcStats {
-        self.stats[pid.index()]
     }
 
     /// Finishes the run, yielding the trace, the visible log, and final
@@ -687,20 +650,26 @@ impl<'a> SysCtx<'a> {
     }
 
     /// Records a local commit event (recovery runtime only) and charges its
-    /// cost.
-    pub fn record_commit(&mut self, cost_ns: SimTime) {
-        self.sim.tracer.commit(self.pid);
-        self.sim.count_commit(self.pid);
+    /// cost. Returns the trace position just past the commit event: where a
+    /// rollback to this commit restores the process to.
+    pub fn record_commit(&mut self, cost_ns: SimTime) -> u64 {
         self.elapsed += cost_ns;
+        self.sim.tracer.commit(self.pid).seq + 1
     }
 
     /// Records a coordinated commit round across `participants` (which must
     /// include this process if it commits), charging this process
     /// `local_cost_ns` and each remote participant its own cost via
     /// scheduling delays. Control-message edges (prepare/ack) are recorded
-    /// for the happens-before order, and the coordinator is charged two
-    /// network round trips.
-    pub fn record_coordinated_commit(&mut self, participants: &[ProcessId], costs_ns: &[SimTime]) {
+    /// for the happens-before order — prepares before the commit events,
+    /// acks after — and the coordinator is charged two network round trips.
+    /// Returns, per participant and in their order, the trace position just
+    /// past its commit event (see [`SysCtx::record_commit`]).
+    pub fn record_coordinated_commit(
+        &mut self,
+        participants: &[ProcessId],
+        costs_ns: &[SimTime],
+    ) -> impl Iterator<Item = u64> {
         assert_eq!(participants.len(), costs_ns.len());
         let me = self.pid;
         let remote: Vec<ProcessId> = participants.iter().copied().filter(|&q| q != me).collect();
@@ -709,9 +678,8 @@ impl<'a> SysCtx<'a> {
             let (_, m) = self.sim.tracer.send_control(me, q);
             self.sim.tracer.recv_control(q, me, m);
         }
-        self.sim.tracer.coordinated_commit(participants);
+        let committed = self.sim.tracer.coordinated_commit(participants);
         for (&q, &c) in participants.iter().zip(costs_ns) {
-            self.sim.count_commit(q);
             if q == me {
                 self.elapsed += c;
             } else {
@@ -737,6 +705,7 @@ impl<'a> SysCtx<'a> {
                 .unwrap_or(0);
             self.elapsed += 2 * rtt + slowest_remote;
         }
+        committed.into_iter().map(|id| id.seq + 1)
     }
 
     /// Charges extra time (recovery-runtime overheads: COW traps, log
@@ -759,8 +728,7 @@ impl<'a> SysCtx<'a> {
         self.sim.kernel_of_mut(self.pid)
     }
 
-    fn count_syscall(&mut self) {
-        self.sim.stats[self.pid.index()].syscalls += 1;
+    fn charge_syscall(&mut self) {
         self.elapsed += self.sim.cfg.cost.syscall_ns;
     }
 
@@ -775,7 +743,6 @@ impl<'a> SysCtx<'a> {
             (false, Some((from, m))) => tracer.recv(self.pid, from, m),
             (true, Some((from, m))) => tracer.recv_logged(self.pid, from, m),
         };
-        self.sim.stats[self.pid.index()].nd_events += 1;
     }
 }
 
@@ -796,7 +763,7 @@ impl<'a> Syscalls for SysCtx<'a> {
         if self.killed {
             return self.sim.now + self.elapsed;
         }
-        self.count_syscall();
+        self.charge_syscall();
         self.elapsed += self.sim.cfg.cost.gettimeofday_ns;
         let mut v = self.sim.now + self.elapsed;
         let poll = self.now();
@@ -811,7 +778,7 @@ impl<'a> Syscalls for SysCtx<'a> {
         if self.killed {
             return 0;
         }
-        self.count_syscall();
+        self.charge_syscall();
         let mut v: u64 = self.sim.rng.next_u64();
         let poll = self.now();
         if self.node_kernel().tick_corruption(poll) {
@@ -828,7 +795,7 @@ impl<'a> Syscalls for SysCtx<'a> {
         let now = self.now();
         let p = self.pid.index();
         let mut bytes = self.sim.scripts[p].take_due(now)?;
-        self.count_syscall();
+        self.charge_syscall();
         self.elapsed += self.sim.cfg.cost.read_input_ns;
         let poll = self.now();
         if self.node_kernel().tick_corruption(poll) {
@@ -849,7 +816,7 @@ impl<'a> Syscalls for SysCtx<'a> {
         if to.index() >= self.sim.cfg.n_procs {
             return Err(SysError::BadFd);
         }
-        self.count_syscall();
+        self.charge_syscall();
         self.elapsed += self.sim.cfg.cost.send_ns;
         let row = &mut self.sim.send_seqs[self.pid.index()];
         let seq = match row.binary_search_by_key(&to.0, |e| e.0) {
@@ -871,7 +838,6 @@ impl<'a> Syscalls for SysCtx<'a> {
         let outcome = self.sim.net.send(
             self.pid, to, seq, payload, deps, tainted, deliver_at, trace_msg,
         );
-        self.sim.stats[self.pid.index()].sends += 1;
         if self.sim.net.fault_plan().is_some() {
             match outcome {
                 SendOutcome::Enqueued(_) => {
@@ -910,14 +876,13 @@ impl<'a> Syscalls for SysCtx<'a> {
         }
         let now = self.now();
         let (mut msg, trace_msg) = self.sim.net.try_recv(self.pid, now)?;
-        self.count_syscall();
+        self.charge_syscall();
         self.elapsed += self.sim.cfg.cost.recv_ns;
         let poll = self.now();
         if self.node_kernel().tick_corruption(poll) {
             self.node_kernel().corrupt_bytes(msg.payload.make_mut());
         }
         self.record_nd(NdSource::MessageRecv, Some((msg.from, trace_msg)));
-        self.sim.stats[self.pid.index()].recvs += 1;
         Some(msg)
     }
 
@@ -925,12 +890,11 @@ impl<'a> Syscalls for SysCtx<'a> {
         if self.killed {
             return;
         }
-        self.count_syscall();
+        self.charge_syscall();
         self.elapsed += self.sim.cfg.cost.visible_ns;
         let t = self.now();
         self.sim.tracer.visible(self.pid, token);
         self.sim.visible_log.push((t, self.pid, token));
-        self.sim.stats[self.pid.index()].visibles += 1;
     }
 
     fn take_signal(&mut self) -> Option<u32> {
@@ -948,7 +912,7 @@ impl<'a> Syscalls for SysCtx<'a> {
         if self.killed {
             return Ok(0);
         }
-        self.count_syscall();
+        self.charge_syscall();
         self.elapsed += self.sim.cfg.cost.open_ns;
         let corrupted = {
             let now = self.now();
@@ -967,7 +931,7 @@ impl<'a> Syscalls for SysCtx<'a> {
         if self.killed {
             return Ok(());
         }
-        self.count_syscall();
+        self.charge_syscall();
         self.elapsed += self.sim.cfg.cost.file_ns_per_byte * bytes.len() as SimTime;
         let _ = {
             let now = self.now();
@@ -981,7 +945,7 @@ impl<'a> Syscalls for SysCtx<'a> {
         if self.killed {
             return Ok(vec![0; len]);
         }
-        self.count_syscall();
+        self.charge_syscall();
         self.elapsed += self.sim.cfg.cost.file_ns_per_byte * len as SimTime;
         let corrupted = {
             let now = self.now();
@@ -999,7 +963,7 @@ impl<'a> Syscalls for SysCtx<'a> {
         if self.killed {
             return Ok(());
         }
-        self.count_syscall();
+        self.charge_syscall();
         let _ = {
             let now = self.now();
             self.node_kernel().tick_corruption(now)

@@ -6,7 +6,7 @@
 // production decode paths stay under the per-site cast audit.
 #![allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
 
-use ft_core::event::ProcessId;
+use ft_core::event::{EventKind, ProcessId};
 use ft_core::savework::check_save_work;
 use ft_mem::error::MemResult;
 use ft_mem::mem::{ArenaCell, Mem};
@@ -170,11 +170,14 @@ fn ping_pong_round_trips_charge_network_latency() {
     drive(&mut sim, &mut [&mut ping, &mut pong], &mut mems, |_, _| {});
     // 10 round trips at >= 240 µs each.
     assert!(sim.now() >= 2_400 * US, "now = {}", sim.now());
-    let s0 = sim.proc_stats(ProcessId(0));
-    assert_eq!(s0.sends, 10);
-    assert_eq!(s0.recvs, 10);
-    assert_eq!(s0.visibles, 10);
     let (trace, _, _) = sim.finish();
+    let count = |is: fn(&EventKind) -> bool| {
+        let events = trace.process(ProcessId(0)).iter();
+        events.filter(|e| is(&e.kind)).count()
+    };
+    assert_eq!(count(|k| matches!(k, EventKind::Send { .. })), 10);
+    assert_eq!(count(|k| matches!(k, EventKind::Recv { .. })), 10);
+    assert_eq!(count(|k| matches!(k, EventKind::Visible { .. })), 10);
     // Receives are nd events; nothing commits, and there ARE visibles, so
     // the bare substrate (no recovery runtime) violates Save-work.
     assert!(check_save_work(&trace).is_err());
@@ -338,7 +341,11 @@ fn coordinated_commit_recording_shapes_the_trace() {
         _ => unreachable!(),
     };
     let mut ctx = sim.ctx(pid);
-    ctx.record_coordinated_commit(&[ProcessId(0), ProcessId(1)], &[1000, 2000]);
+    let round = [ProcessId(0), ProcessId(1)];
+    let committed: Vec<u64> = ctx
+        .record_coordinated_commit(&round, &[1000, 2000])
+        .collect();
+    assert_eq!(committed, [2, 2], "just past prepare edge and commit event");
     let el = ctx.elapsed();
     assert!(el >= 2000, "coordinator pays rtt + slowest remote");
     sim.finish_step(pid, Ok(ft_sim::AppStatus::Done), el);

@@ -21,7 +21,6 @@ fn run_one(fault: FaultType, trigger_visit: u32, recover: bool) -> DcReport {
         site: failure_transparency::apps::editor::fault_site(fault),
         trigger_visit,
         id: 1,
-        sticky: false,
     };
     let mut sim = Simulator::new(SimConfig::single_node(1, 2077));
     let keys = failure_transparency::apps::workload::editor_script(300, 5);

@@ -130,7 +130,7 @@ impl DcRuntime {
     /// still completes ([`CommitCrashPoint::MidUndoWalk`] / [`CommitCrashPoint::PostBump`]
     /// — a pre-log crash means no commit happens at all, so this function
     /// is never reached).
-    pub fn commit_arena(
+    fn commit_arena(
         &mut self,
         pid: ProcessId,
         sim: &Simulator,

@@ -610,7 +610,11 @@ mod tests {
         };
         let mut f = FaultInjector::armed(odd, 1);
         assert_eq!(f.bound(3, 10, &mut s), 9);
+        assert_eq!(f.activations(), 1);
+        // One-shot: the saturating case needs its own armed injector.
+        let mut f = FaultInjector::armed(odd, 1);
         assert_eq!(f.bound(3, 0, &mut s), 0, "saturating");
+        assert_eq!(f.activations(), 1, "the fault fired at n == 0");
     }
 
     #[test]

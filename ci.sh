@@ -40,34 +40,12 @@ cargo test -q --workspace
 # positions converted from usize, and the kvstore@6 regression for
 # ROADMAP 1(i) should hold with overflow checks off too.
 cargo test -q --release -p ft-dsm -p ft-mem -p ft-core -p ft-sim -p ft-check
+# Clippy is also the determinism and recovery-safety gate: wall-clock
+# reads, hash-order iteration, panics and unchecked arithmetic in the
+# decode modules, floats in the fingerprinting crates (clippy.toml,
+# DESIGN §15).
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
-
-# Determinism & recovery-safety lint: ft-lint (crates/lint) supersedes
-# the old grep scan — lexer-accurate wall-clock detection plus the
-# unordered-iteration / panic-in-recovery / unchecked-arith-in-decode /
-# float-in-fingerprint rules, scoped by a call-approximation graph.
-# ci/determinism_allowlist.txt is tombstoned: its driver entries live in
-# crates/lint/src/scope.rs and everything else is an inline
-# `// ft-lint: allow(<rule>): <reason>` at the offending line.
-if [[ -e ci/determinism_allowlist.txt ]]; then
-  echo "ci: ci/determinism_allowlist.txt is tombstoned; put drivers in crates/lint/src/scope.rs" >&2
-  exit 1
-fi
-# Self-test first: every seeded mutant must trip its own rule, proving
-# the gate can actually fail.
-for rule in wall-clock unordered-iteration panic-in-recovery \
-            unchecked-arith-in-decode float-in-fingerprint unused-suppression; do
-  if cargo run --release -q -p ft-lint --bin ft-lint -- --mutate "$rule" >/dev/null 2>&1; then
-    echo "ci: ft-lint self-test failed: seeded $rule violation was not caught" >&2
-    exit 1
-  fi
-done
-# The real run must be clean, and its report byte-identical across runs.
-cargo run --release -q -p ft-lint --bin ft-lint -- --out "$out/BENCH_lint.json"
-cargo run --release -q -p ft-lint --bin ft-lint -- --out "$out/rerun/BENCH_lint.json" >/dev/null
-cmp "$out/BENCH_lint.json" "$out/rerun/BENCH_lint.json" \
-  || { echo "ci: BENCH_lint.json not deterministic across runs" >&2; exit 1; }
 
 # Report smoke, one convention for every stage: `campaign --quick --only
 # <stage>` at `--threads 4`, then again at `--threads 2` into `rerun/`.
@@ -93,9 +71,9 @@ done
 # The committed reports are the gate: `campaign` with no sizing flag
 # regenerates every root BENCH_<stage>.json, and every checkpoint count,
 # trap, committed page, simulated runtime, MTTR and schedule count in them
-# must come out byte for byte (as must ft-lint's report) — and so must
-# EXPERIMENTS.md, whose marked blocks are the same run's printed text. A
-# change that moves one on purpose re-records the file and says why.
+# must come out byte for byte — and so must EXPERIMENTS.md, whose marked
+# blocks are the same run's printed text. A change that moves one on
+# purpose re-records the file and says why.
 campaign --threads 4 --out "$out/full" >/dev/null
 differs() {
   echo "ci: $1 differs from the committed file; if the change is intended, re-record it:" >&2
@@ -109,11 +87,9 @@ for stage in $stages; do
 done
 cmp "$out/full/EXPERIMENTS.md" EXPERIMENTS.md \
   || differs EXPERIMENTS.md "cargo run --release -p ft-bench --bin campaign"
-cmp "$out/BENCH_lint.json" BENCH_lint.json \
-  || differs BENCH_lint.json "cargo run --release -p ft-lint --bin ft-lint -- --out BENCH_lint.json"
 for f in BENCH_*.json; do
-  [[ $f == BENCH_lint.json || -e $out/full/$f ]] \
-    || { echo "ci: $f is produced by no stage and not by ft-lint; delete it" >&2; exit 1; }
+  [[ -e $out/full/$f ]] \
+    || { echo "ci: $f is produced by no stage; delete it" >&2; exit 1; }
 done
 
 # Real-process crashtest smoke: every seventh of the 254 standard

@@ -173,7 +173,6 @@ pub fn detect(stream: &AccessStream, clocks: &ClockIndex) -> Vec<HbRace> {
 /// `prior_idx` always precedes `cur` in stream order, so concurrency is
 /// exactly `!hb(prior, cur)`; at least one side is a write by
 /// construction of the call sites.
-#[allow(clippy::too_many_arguments)]
 fn check_pair(
     stream: &AccessStream,
     clocks: &ClockIndex,

@@ -11,8 +11,10 @@
 //! otherwise return exactly the audit finding with the smallest target,
 //! then the smallest nd process, then the largest nd seq.
 
-// Test inputs are tiny by construction, so narrowing cannot truncate.
-#![allow(clippy::cast_possible_truncation)]
+#![allow(
+    clippy::cast_possible_truncation,
+    reason = "test inputs are tiny by construction, so narrowing cannot truncate"
+)]
 
 use ft_analyze::audit::{audit_orphan, audit_save_work, audit_visible};
 use ft_core::event::{MsgId, NdSource, ProcessId};

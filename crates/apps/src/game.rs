@@ -13,10 +13,10 @@
 //! the time the session took. A recovery protocol that makes per-frame
 //! work exceed the 66.7 ms budget shows up directly as a lower rate.
 
-// Guest state lives in u64 arena cells; reads narrow values back to the
-// width they had when stored (slots, cursors, fds, single key bytes).
-// Every cast below is that round-trip, audited with the PR 10 cast sweep.
-#![allow(clippy::cast_possible_truncation)]
+#![allow(
+    clippy::cast_possible_truncation,
+    reason = "guest state lives in u64 arena cells; reads narrow values back to the width they had when stored (slots, cursors, fds, single key bytes)"
+)]
 
 use ft_core::event::ProcessId;
 use ft_mem::arena::Layout;

@@ -52,10 +52,10 @@
 //! [`ExpSampler`]: ft_faults::arrivals::ExpSampler
 //! [`SplitMix64::nth`]: ft_sim::rng::SplitMix64::nth
 
-// Guest state lives in u64 arena cells; reads narrow values back to the
-// width they had when stored (slots, cursors, fds, single key bytes).
-// Every cast below is that round-trip, audited with the PR 10 cast sweep.
-#![allow(clippy::cast_possible_truncation)]
+#![allow(
+    clippy::cast_possible_truncation,
+    reason = "guest state lives in u64 arena cells; reads narrow values back to the width they had when stored (slots, cursors, fds, single key bytes)"
+)]
 
 use ft_core::event::ProcessId;
 use ft_faults::population::OpenLoopPopulation;
@@ -257,6 +257,7 @@ pub fn token_count(token: u64) -> u64 {
 }
 
 /// Extracts the 24-bit digest field of a token.
+#[deny(clippy::float_arithmetic, clippy::cast_precision_loss)]
 #[cfg(test)]
 fn token_digest(token: u64) -> u64 {
     token & 0xFF_FFFF
@@ -328,6 +329,7 @@ fn table_get(m: &Mem, cap: u64, key: u64) -> MemResult<u64> {
 /// colliding keys) or iteration order. Identical contents give identical
 /// digests on the primary, every replica, and across runs whose message
 /// interleavings recovery reordered.
+#[deny(clippy::float_arithmetic, clippy::cast_precision_loss)]
 fn table_digest(m: &Mem, cap: u64) -> MemResult<u64> {
     let mut h = ft_mem::FNV_OFFSET;
     for s in 0..cap {
@@ -352,6 +354,7 @@ fn server_layout(cap: u64) -> Layout {
 /// the deterministic echo fields (op, key, request index) participate —
 /// a get's observed value depends on cross-gateway interleaving at the
 /// shard, which recovery delays legitimately perturb.
+#[deny(clippy::float_arithmetic, clippy::cast_precision_loss)]
 fn resp_digest(op: u8, key: u64, req_idx: u64) -> u64 {
     mix64(key.wrapping_add(mix64(req_idx ^ (u64::from(op) << 32))))
 }

@@ -22,10 +22,10 @@
 //! | `R` | range scan of 16 keys upward from key     |
 //! | `C` | checkpoint: write a summary to a file     |
 
-// Guest state lives in u64 arena cells; reads narrow values back to the
-// width they had when stored (slots, cursors, fds, single key bytes).
-// Every cast below is that round-trip, audited with the PR 10 cast sweep.
-#![allow(clippy::cast_possible_truncation)]
+#![allow(
+    clippy::cast_possible_truncation,
+    reason = "guest state lives in u64 arena cells; reads narrow values back to the width they had when stored (slots, cursors, fds, single key bytes)"
+)]
 
 use ft_faults::FaultInjector;
 use ft_mem::arena::Layout;

@@ -124,6 +124,7 @@ impl TaskFarm {
 
     /// The checksum every node must agree on: an order-sensitive fold of
     /// all task results.
+    #[deny(clippy::float_arithmetic, clippy::cast_precision_loss)]
     pub fn reference_checksum() -> u64 {
         let mut cs = 0u64;
         for t in 0..N_TASKS {
@@ -132,6 +133,7 @@ impl TaskFarm {
         cs
     }
 
+    #[deny(clippy::float_arithmetic, clippy::cast_precision_loss)]
     #[expect(
         clippy::cast_possible_truncation,
         reason = "task ids are < N_TASKS, a small compile-time constant"
@@ -277,8 +279,10 @@ fn farm_with(n_workers: u32, racy_read: bool) -> Vec<Box<dyn App>> {
 }
 
 #[cfg(test)]
-// Test ranks and task ids are tiny; narrowing them for indexing is exact.
-#[allow(clippy::cast_possible_truncation)]
+#[allow(
+    clippy::cast_possible_truncation,
+    reason = "test ranks and task ids are tiny; narrowing them for indexing is exact"
+)]
 mod tests {
     use super::*;
     use ft_sim::harness::run_plain_on;

@@ -5,9 +5,10 @@
 //! command in magic." All scripts are generated from a seed with the
 //! simulator's own PRNG, so runs are reproducible.
 
-// Request-stream bytes are RNG draws below tiny bounds (letters, cell
-// coordinates, key/value ids); narrowing them is exact by construction.
-#![allow(clippy::cast_possible_truncation)]
+#![allow(
+    clippy::cast_possible_truncation,
+    reason = "request-stream bytes are RNG draws below tiny bounds (letters, cell coordinates, key/value ids); narrowing them is exact by construction"
+)]
 
 use ft_sim::rng::SplitMix64;
 

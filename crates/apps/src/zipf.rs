@@ -119,8 +119,10 @@ pub fn scramble_rank(rank: u64, key_space: u64) -> u64 {
 }
 
 #[cfg(test)]
-// Test ranks are < a few thousand; narrowing them for indexing is exact.
-#[allow(clippy::cast_possible_truncation)]
+#[allow(
+    clippy::cast_possible_truncation,
+    reason = "test ranks are < a few thousand; narrowing them for indexing is exact"
+)]
 mod tests {
     use super::*;
     use ft_sim::rng::SplitMix64;

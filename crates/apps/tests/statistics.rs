@@ -2,10 +2,11 @@
 //! sampler's empirical rank-frequency curve matches theory across seeds,
 //! and the scrambled key stream covers the key space.
 
-// Test inputs are tiny by construction (seed counts, page numbers,
-// probe offsets), so index-type narrowing cannot truncate here; the
-// production decode paths stay under the per-site cast audit.
-#![allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+#![allow(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "test inputs are tiny by construction (seed counts, page numbers, probe offsets), so index-type narrowing cannot truncate"
+)]
 
 use ft_apps::zipf::{scramble_rank, Zipfian};
 use ft_sim::rng::SplitMix64;

@@ -166,6 +166,10 @@ impl Campaign<'_> {
     /// EXPERIMENTS.md with the stage's block set to that text) to `out`,
     /// and the stage's gate — after the files are on disk, so a failure is
     /// inspectable.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the stage timings go to stdout only, never into a report"
+    )]
     fn drive<S: Stage>(&mut self, stage: &S) -> Result<(), String> {
         let (name, threads) = (S::NAME, self.threads);
         let t0 = Instant::now();

@@ -90,7 +90,7 @@ impl Stage for CheckStage {
         let states: usize = rows.iter().map(Exploration::explored).sum();
         let unique: usize = rows.iter().map(|ex| ex.unique_fingerprints).sum();
         let runs = self.sweeps.iter().zip(rows).map(|((w, cfg), ex)| {
-            let row = [
+            Json::obj([
                 ("workload", Json::from(w.name)),
                 ("protocol", Json::from(cfg.protocol.name())),
                 ("size", Json::from(w.size)),
@@ -98,16 +98,8 @@ impl Stage for CheckStage {
                 ("unique_states", Json::from(ex.unique_fingerprints)),
                 ("dedup_ratio", Json::from(ex.dedup_ratio())),
                 ("violations", Json::from(ex.violations().len())),
-            ];
-            // Rows that differ in nothing else say which seed they are.
-            let same = |(v, c): &&(Workload, CheckConfig)| {
-                (v.name, v.size, c.protocol) == (w.name, w.size, cfg.protocol)
-            };
-            let reseeded = self.sweeps.iter().filter(same).count() > 1;
-            Json::obj(
-                row.into_iter()
-                    .chain(reseeded.then(|| ("seed", Json::from(w.seed)))),
-            )
+                ("seed", Json::from(w.seed)),
+            ])
         });
         let counterexample = self.counterexample(rows).map_or(Json::Null, |cx| {
             Json::obj([

@@ -26,24 +26,18 @@
 //! itself violates, shrinks further still). The result is rendered as a
 //! replayable script that `campaign --replay FILE` re-executes; the sweep
 //! itself runs as `ft-bench`'s `check` stage (`campaign --only check`).
-//!
-//! The same enumeration philosophy is exported for *real* processes:
-//! [`export`] enumerates kill schedules (event-index and durable-commit
-//! sub-step granularity) that the `crashtest` harness applies to a child
-//! process running against the `ft_mem::durable` log-structured backend,
-//! with genuine `kill -9` delivery instead of simulated crash points.
+//! `ft-crashtest` applies the same enumeration philosophy to real
+//! processes, with its own kill schedule.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod explore;
-pub mod export;
 pub mod scenario;
 pub mod script;
 pub mod shrink;
 
 pub use explore::{explore, explore_points, Canonical, Exploration, PointResult};
-pub use export::{enumerate_schedule, standard_schedules, CrashSchedule, DurableWindow, KillSpec};
 pub use scenario::{CheckConfig, Workload};
 pub use script::{parse_script, render_script, Replay};
 pub use shrink::{shrink, Counterexample};

@@ -9,8 +9,10 @@
 //! dense recorder stamped, for every event — at width 1, at 4 and 5 (the
 //! old clock's inline/heap boundary) and at 108 (the kvstore campaign).
 
-// Test inputs are tiny by construction, so narrowing cannot truncate.
-#![allow(clippy::cast_possible_truncation)]
+#![allow(
+    clippy::cast_possible_truncation,
+    reason = "test inputs are tiny by construction, so narrowing cannot truncate"
+)]
 
 use std::collections::HashMap;
 

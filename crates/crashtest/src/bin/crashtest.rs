@@ -1,8 +1,8 @@
-//! `crashtest` — kill real processes at model-checker-exported
-//! schedules and judge recovery with the ft-core oracle.
+//! `crashtest` — kill real processes at every enumerated kill point and
+//! judge recovery with the ft-core oracle.
 //!
-//! Parent mode (default): sweeps the standard exported schedules
-//! (`ft_check::standard_schedules`) against the honest backend, then
+//! Parent mode (default): sweeps the standard kill schedules
+//! (`ft_crashtest::standard_schedules`) against the honest backend, then
 //! runs the seeded-mutant self-test matrix. Exits nonzero if any honest
 //! trial violates the oracle or any mutant escapes.
 //!
@@ -21,8 +21,10 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use ft_check::KillSpec;
-use ft_crashtest::{mutant_matrix, run_child, run_schedule, ChildConfig, LossModel, WorkloadSpec};
+use ft_crashtest::{
+    mutant_matrix, run_child, run_schedule, standard_schedules, ChildConfig, KillSpec, LossModel,
+    WorkloadSpec,
+};
 use ft_mem::durable::{DurableMutation, FsyncPolicy};
 
 fn parse_fsync(s: &str) -> Result<FsyncPolicy, String> {
@@ -164,7 +166,7 @@ fn parent_main(args: &[String]) -> ExitCode {
     };
 
     let mut bad = false;
-    for schedule in &ft_check::standard_schedules() {
+    for schedule in &standard_schedules() {
         match run_schedule(&exe, schedule, fsync, stride) {
             Ok(report) => {
                 println!(

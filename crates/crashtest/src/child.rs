@@ -14,7 +14,7 @@ use std::path::PathBuf;
 use std::thread;
 use std::time::Duration;
 
-use ft_check::{DurableWindow, KillSpec};
+use crate::workload::{DurableWindow, KillSpec};
 use ft_mem::arena::Layout;
 use ft_mem::durable::{DurableMutation, DurableOptions, DurableStore, FsyncPolicy, LOG_FILE};
 

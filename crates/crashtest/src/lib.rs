@@ -3,8 +3,8 @@
 //! Everything else in this repository kills *simulated* processes. This
 //! crate kills real ones: a child process runs a seed-scripted workload
 //! against the log-structured file backend (`ft_mem::durable`), the
-//! parent delivers a genuine `SIGKILL` at a schedule point exported from
-//! the model checker ([`ft_check::export`]), restarts the child, and
+//! parent delivers a genuine `SIGKILL` at a point of the enumerated kill
+//! schedule ([`workload::standard_schedules`]), restarts the child, and
 //! judges the recovered execution with the same composed oracle
 //! (`ft_core::oracle::check_recovery`) that verifies every simulated
 //! crash schedule.
@@ -65,4 +65,7 @@ pub use parent::{
     MutantOutcome, SweepReport, TrialSpec,
 };
 pub use proto::Line;
-pub use workload::{apply_op, nd_value, op_pages, visible_token, WorkloadSpec};
+pub use workload::{
+    apply_op, enumerate_schedule, nd_value, op_pages, standard_schedules, visible_token,
+    CrashSchedule, DurableWindow, KillSpec, WorkloadSpec,
+};

@@ -15,7 +15,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ft_check::{CrashSchedule, DurableWindow, KillSpec};
+use crate::workload::{CrashSchedule, DurableWindow, KillSpec};
 use ft_mem::durable::{
     read_watermark, DurableError, DurableMutation, DurableOptions, DurableStore, FsyncPolicy,
     LOG_FILE, LOG_HEADER_LEN,

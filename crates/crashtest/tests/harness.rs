@@ -1,13 +1,15 @@
-//! End-to-end harness tests: these fork the real `crashtest` binary and
-//! deliver real `SIGKILL`s. Kept to a bounded subset of the full sweep
-//! (the binary itself runs all 254 standard trials); the full matrix is
-//! exercised by `ci.sh`'s crashtest stage.
+//! End-to-end harness tests: the kill schedule's shape, then trials that
+//! fork the real `crashtest` binary and deliver real `SIGKILL`s. Kept to
+//! a bounded subset of the full sweep (the binary itself runs all 254
+//! standard trials); the full matrix is exercised by `ci.sh`'s crashtest
+//! stage.
 
 use std::path::Path;
 
-use ft_check::{enumerate_schedule, standard_schedules, DurableWindow, KillSpec};
+use ft_crashtest::workload::{EVENTS_PER_OP, TORN_EIGHTHS};
 use ft_crashtest::{
-    mutant_matrix, run_reference, run_schedule, run_trial, LossModel, TrialSpec, WorkloadSpec,
+    enumerate_schedule, mutant_matrix, run_reference, run_schedule, run_trial, standard_schedules,
+    CrashSchedule, DurableWindow, KillSpec, LossModel, TrialSpec, WorkloadSpec,
 };
 use ft_mem::durable::{DurableMutation, FsyncPolicy};
 
@@ -17,14 +19,57 @@ fn exe() -> &'static Path {
 
 #[test]
 fn standard_schedules_meet_the_trial_floor() {
-    let total: usize = standard_schedules()
-        .iter()
-        .map(ft_check::CrashSchedule::len)
-        .sum();
+    let total: usize = standard_schedules().iter().map(CrashSchedule::len).sum();
     assert!(
         total >= 200,
-        "ISSUE.md requires >= 200 kill-9 trials, schedules export {total}"
+        "ISSUE.md requires >= 200 kill-9 trials, schedules enumerate {total}"
     );
+}
+
+#[test]
+fn enumeration_count_matches_the_formula() {
+    let s = enumerate_schedule("nvi", 7, 12);
+    let per_commit = 3 + TORN_EIGHTHS.len() as u64;
+    assert_eq!(s.len() as u64, 1 + EVENTS_PER_OP * 12 + per_commit * 12);
+    assert_eq!(s.kills[0], KillSpec::Start);
+    assert!(s.kills.contains(&KillSpec::AtEvent { pos: 36 }));
+    assert!(!s.kills.contains(&KillSpec::AtEvent { pos: 37 }));
+}
+
+#[test]
+fn kill_specs_round_trip() {
+    for s in standard_schedules() {
+        for k in s.kills {
+            assert_eq!(KillSpec::parse(&k.to_string()), Ok(k));
+        }
+    }
+}
+
+#[test]
+fn every_commit_window_appears() {
+    let s = enumerate_schedule("taskfarm", 7, 2);
+    for want in [
+        DurableWindow::PreAppend,
+        DurableWindow::TornAppend { eighths: 4 },
+        DurableWindow::PreFsync,
+        DurableWindow::PostFsync,
+    ] {
+        assert!(
+            s.kills
+                .iter()
+                .any(|k| matches!(k, KillSpec::InCommit { window, .. } if *window == want)),
+            "missing window {want}"
+        );
+    }
+}
+
+#[test]
+fn malformed_kill_specs_are_rejected() {
+    let e = KillSpec::parse("sideways").unwrap_err();
+    assert!(e.contains("unknown kill kind"), "{e}");
+    let e = KillSpec::parse("commit 0 torn-append 9").unwrap_err();
+    assert!(e.contains("eighths"), "{e}");
+    assert!(KillSpec::parse("event 3 4").is_err());
 }
 
 #[test]

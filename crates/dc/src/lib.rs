@@ -32,6 +32,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// No float here can reach a fingerprint or a digest (DESIGN §15).
+#![deny(clippy::float_arithmetic, clippy::cast_precision_loss)]
 
 pub mod dcsys;
 pub mod fingerprint;

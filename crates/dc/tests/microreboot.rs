@@ -2,10 +2,11 @@
 //! ladder's exact schedule, the MTTR advantage over full rollback, and
 //! the oracle flagging a seeded unsound partial restart.
 
-// Test inputs are tiny by construction (seed counts, page numbers,
-// probe offsets), so index-type narrowing cannot truncate here; the
-// production decode paths stay under the per-site cast audit.
-#![allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+#![allow(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "test inputs are tiny by construction (seed counts, page numbers, probe offsets), so index-type narrowing cannot truncate"
+)]
 
 use ft_core::event::ProcessId;
 use ft_core::protocol::Protocol;

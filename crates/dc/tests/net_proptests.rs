@@ -5,10 +5,11 @@
 //! are timing-independent, so a plain run over the reliable network is a
 //! valid reference for every fault schedule.
 
-// Test inputs are tiny by construction (seed counts, page numbers,
-// probe offsets), so index-type narrowing cannot truncate here; the
-// production decode paths stay under the per-site cast audit.
-#![allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+#![allow(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "test inputs are tiny by construction (seed counts, page numbers, probe offsets), so index-type narrowing cannot truncate"
+)]
 
 use ft_core::consistency::check_consistent_recovery;
 use ft_core::event::ProcessId;

@@ -27,6 +27,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// No float here can reach a fingerprint or a digest (DESIGN §15).
+#![deny(clippy::float_arithmetic, clippy::cast_precision_loss)]
 
 pub mod lock;
 mod wire;
@@ -630,9 +632,10 @@ impl Dsm {
 }
 
 #[cfg(test)]
-// Test diffs are built over a few pages with in-page offsets; narrowing
-// counts to u32 cannot truncate.
-#[allow(clippy::cast_possible_truncation)]
+#[allow(
+    clippy::cast_possible_truncation,
+    reason = "test diffs are built over a few pages with in-page offsets; narrowing counts to u32 cannot truncate"
+)]
 mod tests {
     use super::*;
     use crate::lock::LockMsg;

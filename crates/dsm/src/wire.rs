@@ -11,61 +11,9 @@
 
 use ft_mem::error::{MemFault, MemResult};
 
+pub(crate) use decode::{parse_diff_msg, DiffEvent, Diffs, Reader};
+
 const BAD: MemFault = MemFault::InvariantViolated { check: 0xD6 };
-
-/// Incremental little-endian reader over a payload.
-pub(crate) struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    pub(crate) fn u8(&mut self) -> MemResult<u8> {
-        let b = *self.buf.get(self.pos).ok_or(BAD)?;
-        self.pos = self.pos.checked_add(1).ok_or(BAD)?;
-        Ok(b)
-    }
-
-    pub(crate) fn u32(&mut self) -> MemResult<u32> {
-        let end = self.pos.checked_add(4).ok_or(BAD)?;
-        let b = self.buf.get(self.pos..end).ok_or(BAD)?;
-        self.pos = end;
-        Ok(u32::from_le_bytes(b.try_into().map_err(|_| BAD)?))
-    }
-
-    pub(crate) fn u64(&mut self) -> MemResult<u64> {
-        let end = self.pos.checked_add(8).ok_or(BAD)?;
-        let b = self.buf.get(self.pos..end).ok_or(BAD)?;
-        self.pos = end;
-        Ok(u64::from_le_bytes(b.try_into().map_err(|_| BAD)?))
-    }
-
-    pub(crate) fn bytes(&mut self, n: usize) -> MemResult<&'a [u8]> {
-        let end = self.pos.checked_add(n).ok_or(BAD)?;
-        let b = self.buf.get(self.pos..end).ok_or(BAD)?;
-        self.pos = end;
-        Ok(b)
-    }
-
-    /// A `u32` length prefix followed by that many bytes.
-    pub(crate) fn blob(&mut self) -> MemResult<Vec<u8>> {
-        let n = self.u32()? as usize;
-        Ok(self.bytes(n)?.to_vec())
-    }
-
-    /// Fails unless the payload was consumed exactly.
-    pub(crate) fn finish(self) -> MemResult<()> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(BAD)
-        }
-    }
-}
 
 #[expect(
     clippy::cast_possible_truncation,
@@ -135,52 +83,6 @@ impl DiffWriter {
     }
 }
 
-/// One step of a streamed diff decode: a new page diff beginning (emitted
-/// even for a diff with no runs, so semantic page checks fire for it too),
-/// or one run within the current page.
-pub(crate) enum DiffEvent<'a> {
-    /// A page diff begins.
-    Page(u32),
-    /// One run of the current page: `(offset, bytes)`, the bytes borrowed
-    /// straight from the payload.
-    Run(u32, &'a [u8]),
-}
-
-/// A diffs section whose structure has been validated: every count,
-/// offset, and run lies inside it and nothing trails it. Holding one is
-/// the proof that malformed input was rejected *before* anything walks
-/// the section and mutates state.
-#[derive(Clone, Copy)]
-pub(crate) struct Diffs<'a>(&'a [u8]);
-
-impl<'a> Diffs<'a> {
-    /// Validates a bare diffs section (lock release / grant payloads)
-    /// without allocating or materializing anything.
-    pub(crate) fn parse(payload: &'a [u8]) -> MemResult<Self> {
-        let diffs = Diffs(payload);
-        diffs.visit(&mut |_| Ok(()))?;
-        Ok(diffs)
-    }
-
-    /// Streams the section's [`DiffEvent`]s, the runs borrowed from the
-    /// payload in place. (Validation is this same walk with a callback
-    /// that does nothing, so the two cannot disagree.)
-    pub(crate) fn visit(self, f: &mut dyn FnMut(DiffEvent) -> MemResult<()>) -> MemResult<()> {
-        let mut r = Reader::new(self.0);
-        let n = r.u32()? as usize;
-        for _ in 0..n {
-            f(DiffEvent::Page(r.u32()?))?;
-            let n_runs = r.u32()? as usize;
-            for _ in 0..n_runs {
-                let off = r.u32()?;
-                let len = r.u32()? as usize;
-                f(DiffEvent::Run(off, r.bytes(len)?))?;
-            }
-        }
-        r.finish()
-    }
-}
-
 /// Bytes of a barrier message's `round: u64, from: u32` header.
 pub(crate) const MSG_HEADER: usize = 12;
 
@@ -192,14 +94,131 @@ pub(crate) fn diff_msg_header(round: u64, from: u32) -> [u8; MSG_HEADER] {
     h
 }
 
-/// Validates a barrier diff message and splits it into its
-/// `(round, from)` header and diffs section.
-pub(crate) fn parse_diff_msg(payload: &[u8]) -> MemResult<(u64, u32, Diffs<'_>)> {
-    let mut r = Reader::new(payload);
-    let round = r.u64()?;
-    let from = r.u32()?;
-    let diffs = Diffs::parse(payload.get(MSG_HEADER..).ok_or(BAD)?)?;
-    Ok((round, from, diffs))
+/// Everything that reads a payload. A peer or a fault campaign chose these
+/// bytes, so malformed input comes back as a memory fault; panics,
+/// unchecked indexing and overflow do not compile here (DESIGN §15).
+mod decode {
+    #![deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        clippy::disallowed_macros
+    )]
+
+    use super::*;
+
+    /// Incremental little-endian reader over a payload.
+    pub(crate) struct Reader<'a> {
+        buf: &'a [u8],
+        pos: usize,
+    }
+
+    impl<'a> Reader<'a> {
+        pub(crate) fn new(buf: &'a [u8]) -> Self {
+            Reader { buf, pos: 0 }
+        }
+
+        pub(crate) fn u8(&mut self) -> MemResult<u8> {
+            let b = *self.buf.get(self.pos).ok_or(BAD)?;
+            self.pos = self.pos.checked_add(1).ok_or(BAD)?;
+            Ok(b)
+        }
+
+        pub(crate) fn u32(&mut self) -> MemResult<u32> {
+            let end = self.pos.checked_add(4).ok_or(BAD)?;
+            let b = self.buf.get(self.pos..end).ok_or(BAD)?;
+            self.pos = end;
+            Ok(u32::from_le_bytes(b.try_into().map_err(|_| BAD)?))
+        }
+
+        pub(crate) fn u64(&mut self) -> MemResult<u64> {
+            let end = self.pos.checked_add(8).ok_or(BAD)?;
+            let b = self.buf.get(self.pos..end).ok_or(BAD)?;
+            self.pos = end;
+            Ok(u64::from_le_bytes(b.try_into().map_err(|_| BAD)?))
+        }
+
+        pub(crate) fn bytes(&mut self, n: usize) -> MemResult<&'a [u8]> {
+            let end = self.pos.checked_add(n).ok_or(BAD)?;
+            let b = self.buf.get(self.pos..end).ok_or(BAD)?;
+            self.pos = end;
+            Ok(b)
+        }
+
+        /// A `u32` length prefix followed by that many bytes.
+        pub(crate) fn blob(&mut self) -> MemResult<Vec<u8>> {
+            let n = self.u32()? as usize;
+            Ok(self.bytes(n)?.to_vec())
+        }
+
+        /// Fails unless the payload was consumed exactly.
+        pub(crate) fn finish(self) -> MemResult<()> {
+            if self.pos == self.buf.len() {
+                Ok(())
+            } else {
+                Err(BAD)
+            }
+        }
+    }
+    /// One step of a streamed diff decode: a new page diff beginning (emitted
+    /// even for a diff with no runs, so semantic page checks fire for it too),
+    /// or one run within the current page.
+    pub(crate) enum DiffEvent<'a> {
+        /// A page diff begins.
+        Page(u32),
+        /// One run of the current page: `(offset, bytes)`, the bytes borrowed
+        /// straight from the payload.
+        Run(u32, &'a [u8]),
+    }
+
+    /// A diffs section whose structure has been validated: every count,
+    /// offset, and run lies inside it and nothing trails it. Holding one is
+    /// the proof that malformed input was rejected *before* anything walks
+    /// the section and mutates state.
+    #[derive(Clone, Copy)]
+    pub(crate) struct Diffs<'a>(&'a [u8]);
+
+    impl<'a> Diffs<'a> {
+        /// Validates a bare diffs section (lock release / grant payloads)
+        /// without allocating or materializing anything.
+        pub(crate) fn parse(payload: &'a [u8]) -> MemResult<Self> {
+            let diffs = Diffs(payload);
+            diffs.visit(&mut |_| Ok(()))?;
+            Ok(diffs)
+        }
+
+        /// Streams the section's [`DiffEvent`]s, the runs borrowed from the
+        /// payload in place. (Validation is this same walk with a callback
+        /// that does nothing, so the two cannot disagree.)
+        pub(crate) fn visit(self, f: &mut dyn FnMut(DiffEvent) -> MemResult<()>) -> MemResult<()> {
+            let mut r = Reader::new(self.0);
+            let n = r.u32()? as usize;
+            for _ in 0..n {
+                f(DiffEvent::Page(r.u32()?))?;
+                let n_runs = r.u32()? as usize;
+                for _ in 0..n_runs {
+                    let off = r.u32()?;
+                    let len = r.u32()? as usize;
+                    f(DiffEvent::Run(off, r.bytes(len)?))?;
+                }
+            }
+            r.finish()
+        }
+    }
+    /// Validates a barrier diff message and splits it into its
+    /// `(round, from)` header and diffs section.
+    pub(crate) fn parse_diff_msg(payload: &[u8]) -> MemResult<(u64, u32, Diffs<'_>)> {
+        let mut r = Reader::new(payload);
+        let round = r.u64()?;
+        let from = r.u32()?;
+        let diffs = Diffs::parse(payload.get(MSG_HEADER..).ok_or(BAD)?)?;
+        Ok((round, from, diffs))
+    }
 }
 
 /// The materializing form of a diffs section. Test-only: the reference
@@ -299,9 +318,10 @@ pub(crate) mod reference {
 }
 
 #[cfg(test)]
-// Test diffs are built over a few pages with in-page offsets; narrowing
-// counts to u32 cannot truncate.
-#[allow(clippy::cast_possible_truncation)]
+#[allow(
+    clippy::cast_possible_truncation,
+    reason = "test diffs are built over a few pages with in-page offsets; narrowing counts to u32 cannot truncate"
+)]
 mod tests {
     use super::reference::*;
     use super::*;

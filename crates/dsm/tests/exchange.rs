@@ -1,10 +1,13 @@
 //! Multi-node DSM integration: convergence through barrier rounds, and
 //! recovery under the checkpointing runtime with stop failures.
 
-// Test inputs are tiny by construction (seed counts, page numbers,
-// probe offsets), so index-type narrowing cannot truncate here; the
-// production decode paths stay under the per-site cast audit.
-#![allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+#![allow(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "test inputs are tiny by construction (seed counts, page numbers, probe offsets), so index-type narrowing cannot truncate"
+)]
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use ft_core::consistency::check_consistent_recovery_multi;
 use ft_core::event::ProcessId;
@@ -224,8 +227,7 @@ fn uneven_node_speeds_exercise_the_early_diff_stash() {
     let report = run_plain_on(sim, &mut apps);
     assert!(report.all_done);
     // Group renders by round: all nodes must report the same sum.
-    let mut by_round: std::collections::HashMap<u64, std::collections::HashSet<u64>> =
-        Default::default();
+    let mut by_round: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
     for &(_, _, t) in &report.visibles {
         by_round
             .entry(t / 1_000_000)

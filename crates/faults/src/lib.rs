@@ -51,7 +51,7 @@ pub use population::OpenLoopPopulation;
 use ft_core::event::ProcessId;
 use ft_mem::arena::Region;
 use ft_mem::mem::Mem;
-use ft_sim::cost::{SimTime, MS, US};
+use ft_sim::cost::{SimTime, US};
 use ft_sim::net::{NetFaultPlan, Partition};
 use ft_sim::rng::SplitMix64;
 use ft_sim::sim::Simulator;
@@ -465,7 +465,6 @@ impl NetFaultSpec {
             .duplication(0.01)
             .reorder_window_us(200)
             .jitter_us(50)
-            .retransmit(500 * US, 20 * MS, 8)
     }
 }
 

@@ -2,10 +2,11 @@
 //! exponential inter-arrival moments, and the O(1)-split determinism
 //! that makes sharded campaigns bitwise-identical to serial ones.
 
-// Test inputs are tiny by construction (seed counts, page numbers,
-// probe offsets), so index-type narrowing cannot truncate here; the
-// production decode paths stay under the per-site cast audit.
-#![allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+#![allow(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "test inputs are tiny by construction (seed counts, page numbers, probe offsets), so index-type narrowing cannot truncate"
+)]
 
 use ft_faults::arrivals::ExpSampler;
 use ft_faults::population::OpenLoopPopulation;

@@ -61,6 +61,8 @@ use std::path::{Path, PathBuf};
 
 use crate::arena::{Arena, CommitRecord, Layout, PAGE_SIZE};
 
+pub use decode::{crc32, read_watermark};
+
 /// Log file name inside a store directory.
 pub const LOG_FILE: &str = "redo.log";
 /// Checkpoint file name inside a store directory.
@@ -118,17 +120,6 @@ const fn crc32_table() -> [u32; 256] {
 }
 
 const CRC_TABLE: [u32; 256] = crc32_table();
-
-/// CRC32 (IEEE) of `bytes` — the integrity check framing every log
-/// record, the log header, and the checkpoint image.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = !0u32;
-    for &b in bytes {
-        // ft-lint: allow(panic-in-recovery): index is masked to 8 bits, provably inside the 256-entry table
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
 
 /// When the redo log is fsynced relative to commit acknowledgments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -344,194 +335,6 @@ impl DurableStore {
         Ok(store)
     }
 
-    /// Opens an existing store, running recovery: the checkpoint (if
-    /// any) seeds the arena image and the longest valid log prefix is
-    /// replayed on top. Torn tails are truncated; committed-region
-    /// damage fail-stops (see the module docs for the exact rules).
-    pub fn open(dir: &Path, opts: DurableOptions) -> DurableResult<(Self, RecoveryInfo)> {
-        let check_crc = opts.mutation != DurableMutation::SkipCrcCheck;
-
-        // A torn compaction leaves checkpoint.tmp; it was never
-        // installed, so it is dead weight.
-        let tmp = dir.join(CHECKPOINT_TMP);
-        if tmp.exists() {
-            fs::remove_file(&tmp)?;
-        }
-
-        let ckpt = read_checkpoint(&dir.join(CHECKPOINT_FILE), check_crc)?;
-
-        let log_path = dir.join(LOG_FILE);
-        if !log_path.exists() && ckpt.is_none() {
-            return Err(DurableError::Io(std::io::Error::new(
-                std::io::ErrorKind::NotFound,
-                format!("no store at {}", dir.display()),
-            )));
-        }
-
-        let mut log = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&log_path)?;
-        let mut raw = Vec::new();
-        log.read_to_end(&mut raw)?;
-
-        let (layout, base_seq, mut valid_end, torn_header) = match parse_log_header(&raw, check_crc)
-        {
-            HeaderScan::Valid { layout, base_seq } => (layout, base_seq, LOG_HEADER_LEN, false),
-            HeaderScan::Torn => {
-                // Creation itself was interrupted: there can be no
-                // durable commits in this log generation.
-                let layout = match &ckpt {
-                    Some(c) => c.layout,
-                    None => {
-                        return Err(DurableError::Corrupt {
-                            offset: 0,
-                            detail: "log header torn and no checkpoint to recover the layout"
-                                .to_string(),
-                        })
-                    }
-                };
-                (layout, ckpt.as_ref().map_or(0, |c| c.seq), 0, true)
-            }
-            HeaderScan::Corrupt { offset, detail } => {
-                return Err(DurableError::Corrupt { offset, detail })
-            }
-        };
-
-        if let Some(c) = &ckpt {
-            if c.layout != layout {
-                return Err(DurableError::Corrupt {
-                    offset: 8,
-                    detail: format!(
-                        "checkpoint layout {:?} disagrees with log header layout {layout:?}",
-                        c.layout
-                    ),
-                });
-            }
-        } else if base_seq != 0 {
-            return Err(DurableError::Corrupt {
-                offset: 36,
-                detail: format!("log claims a checkpoint at seq {base_seq} but none exists"),
-            });
-        }
-
-        // Seed the arena image.
-        let mut arena = Arena::new(layout);
-        let ckpt_seq = ckpt.as_ref().map_or(0, |c| c.seq);
-        if let Some(c) = &ckpt {
-            arena
-                .write(0, &c.image)
-                .map_err(|_| DurableError::Corrupt {
-                    offset: 40,
-                    detail: "checkpoint image does not fit the arena layout".to_string(),
-                })?;
-        }
-
-        // Replay the longest valid record prefix.
-        let mut seq = ckpt_seq.max(base_seq);
-        let mut expected = base_seq;
-        let mut replayed = 0u64;
-        let mut skipped = 0u64;
-        if !torn_header {
-            let mut off = LOG_HEADER_BYTES;
-            loop {
-                match scan_frame(&raw, off, check_crc) {
-                    FrameScan::End | FrameScan::Torn => break,
-                    FrameScan::Corrupt { offset, detail } => {
-                        return Err(DurableError::Corrupt { offset, detail });
-                    }
-                    FrameScan::Record { payload, next } => {
-                        expected = expected.saturating_add(1);
-                        let rec = parse_commit_payload(payload, off as u64, expected, layout)?;
-                        if rec.seq > ckpt_seq {
-                            for (page, image) in &rec.pages {
-                                let dst = page.checked_mul(PAGE_SIZE).ok_or_else(|| {
-                                    DurableError::Corrupt {
-                                        offset: off as u64,
-                                        detail: format!("page index {page} overflows the arena"),
-                                    }
-                                })?;
-                                arena.write(dst, image).map_err(|_| DurableError::Corrupt {
-                                    offset: off as u64,
-                                    detail: format!(
-                                        "replay write of page {page} rejected by the arena"
-                                    ),
-                                })?;
-                            }
-                            replayed = replayed.saturating_add(1);
-                        } else {
-                            skipped = skipped.saturating_add(1);
-                        }
-                        seq = seq.max(rec.seq);
-                        valid_end = next as u64;
-                        off = next;
-                    }
-                }
-            }
-        }
-
-        let file_len = raw.len() as u64;
-        let truncated_bytes = file_len.saturating_sub(valid_end);
-        let append_at = if truncated_bytes > 0 && opts.mutation != DurableMutation::SkipTailTruncate
-        {
-            log.set_len(valid_end)?;
-            log.sync_data()?;
-            valid_end
-        } else if truncated_bytes > 0 {
-            // BUG seeded (skip-tail-truncate): the torn bytes stay and
-            // future appends land after garbage.
-            file_len
-        } else {
-            valid_end
-        };
-        log.seek(SeekFrom::Start(append_at))?;
-
-        if torn_header {
-            // Rewrite the creation-torn header so the generation is
-            // usable again (there were no durable commits to lose).
-            log.set_len(0)?;
-            log.seek(SeekFrom::Start(0))?;
-            let header = encode_log_header(layout, ckpt_seq);
-            log.write_all(&header)?;
-            log.sync_data()?;
-        }
-        let log_len = if torn_header {
-            LOG_HEADER_LEN
-        } else {
-            append_at
-        };
-
-        // The recovered image is the committed state: commit once so the
-        // arena's recovery point matches the on-disk recovery point.
-        arena.commit();
-
-        let mut store = DurableStore {
-            dir: dir.to_path_buf(),
-            log,
-            log_len,
-            arena,
-            seq,
-            base_seq: if torn_header { ckpt_seq } else { base_seq },
-            pending_sync: 0,
-            opts,
-        };
-        if opts.journal_watermark {
-            store.write_watermark()?;
-        }
-        Ok((
-            store,
-            RecoveryInfo {
-                seq,
-                used_checkpoint: ckpt.is_some(),
-                replayed,
-                skipped,
-                truncated_bytes,
-            },
-        ))
-    }
-
     /// The recoverable address space.
     pub fn arena(&self) -> &Arena {
         &self.arena
@@ -742,24 +545,6 @@ impl DurableStore {
     }
 }
 
-/// Reads a store's durability watermark: the log length, in bytes, at
-/// the last real fsync. Returns `None` if no watermark was journaled.
-pub fn read_watermark(dir: &Path) -> DurableResult<Option<u64>> {
-    let p = dir.join(WATERMARK_FILE);
-    if !p.exists() {
-        return Ok(None);
-    }
-    let text = fs::read_to_string(&p)?;
-    let v = text
-        .trim()
-        .parse::<u64>()
-        .map_err(|e| DurableError::Corrupt {
-            offset: 0,
-            detail: format!("watermark journal unparsable: {e}"),
-        })?;
-    Ok(Some(v))
-}
-
 fn encode_layout(out: &mut Vec<u8>, layout: Layout) {
     out.extend_from_slice(&(layout.globals_pages as u64).to_le_bytes());
     out.extend_from_slice(&(layout.stack_pages as u64).to_le_bytes());
@@ -794,321 +579,568 @@ fn encode_frame(payload: &[u8]) -> Vec<u8> {
     frame
 }
 
-fn read_u32(bytes: &[u8], at: usize) -> Option<u32> {
-    let end = at.checked_add(4)?;
-    Some(u32::from_le_bytes(bytes.get(at..end)?.try_into().ok()?))
-}
+/// Recovery and every parser under it. A torn write or a fault campaign
+/// chose these bytes, so damage fail-stops with [`DurableError::Corrupt`];
+/// panics, unchecked indexing and overflow do not compile here (DESIGN §15).
+mod decode {
+    #![deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        clippy::disallowed_macros
+    )]
 
-fn read_u64(bytes: &[u8], at: usize) -> Option<u64> {
-    let end = at.checked_add(8)?;
-    Some(u64::from_le_bytes(bytes.get(at..end)?.try_into().ok()?))
-}
+    use super::*;
 
-/// Decodes a layout from untrusted bytes. `None` when the bytes run out
-/// or the layout is unrepresentable: the total image size
-/// (`total_pages * PAGE_SIZE`) must fit in `usize`, which also
-/// guarantees later size arithmetic on an accepted layout cannot
-/// overflow.
-fn decode_layout(bytes: &[u8], at: usize) -> Option<Layout> {
-    let globals_pages = usize::try_from(read_u64(bytes, at)?).ok()?;
-    let stack_pages = usize::try_from(read_u64(bytes, at.checked_add(8)?)?).ok()?;
-    let heap_pages = usize::try_from(read_u64(bytes, at.checked_add(16)?)?).ok()?;
-    globals_pages
-        .checked_add(stack_pages)?
-        .checked_add(heap_pages)?
-        .checked_mul(PAGE_SIZE)?;
-    Some(Layout {
-        globals_pages,
-        stack_pages,
-        heap_pages,
-    })
-}
-
-enum HeaderScan {
-    Valid { layout: Layout, base_seq: u64 },
-    Torn,
-    Corrupt { offset: u64, detail: String },
-}
-
-fn parse_log_header(raw: &[u8], check_crc: bool) -> HeaderScan {
-    let hl = LOG_HEADER_BYTES;
-    if raw.len() < hl {
-        return HeaderScan::Torn;
+    /// CRC32 (IEEE) of `bytes` — the integrity check framing every log
+    /// record, the log header, and the checkpoint image.
+    pub fn crc32(bytes: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in bytes {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "index is masked to 8 bits, provably inside the 256-entry table"
+            )]
+            let entry = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize];
+            c = entry ^ (c >> 8);
+        }
+        !c
     }
-    let magic = raw.get(0..4).unwrap_or_default();
-    if magic != LOG_MAGIC {
-        return HeaderScan::Corrupt {
-            offset: 0,
-            detail: format!("bad log magic {magic:02x?} (want {LOG_MAGIC:02x?})"),
-        };
+
+    impl DurableStore {
+        /// Opens an existing store, running recovery: the checkpoint (if
+        /// any) seeds the arena image and the longest valid log prefix is
+        /// replayed on top. Torn tails are truncated; committed-region
+        /// damage fail-stops (see the module docs for the exact rules).
+        pub fn open(dir: &Path, opts: DurableOptions) -> DurableResult<(Self, RecoveryInfo)> {
+            let check_crc = opts.mutation != DurableMutation::SkipCrcCheck;
+
+            // A torn compaction leaves checkpoint.tmp; it was never
+            // installed, so it is dead weight.
+            let tmp = dir.join(CHECKPOINT_TMP);
+            if tmp.exists() {
+                fs::remove_file(&tmp)?;
+            }
+
+            let ckpt = read_checkpoint(&dir.join(CHECKPOINT_FILE), check_crc)?;
+
+            let log_path = dir.join(LOG_FILE);
+            if !log_path.exists() && ckpt.is_none() {
+                return Err(DurableError::Io(std::io::Error::new(
+                    std::io::ErrorKind::NotFound,
+                    format!("no store at {}", dir.display()),
+                )));
+            }
+
+            let mut log = OpenOptions::new()
+                .read(true)
+                .write(true)
+                .create(true)
+                .truncate(false)
+                .open(&log_path)?;
+            let mut raw = Vec::new();
+            log.read_to_end(&mut raw)?;
+
+            let (layout, base_seq, mut valid_end, torn_header) =
+                match parse_log_header(&raw, check_crc) {
+                    HeaderScan::Valid { layout, base_seq } => {
+                        (layout, base_seq, LOG_HEADER_LEN, false)
+                    }
+                    HeaderScan::Torn => {
+                        // Creation itself was interrupted: there can be no
+                        // durable commits in this log generation.
+                        let layout =
+                            match &ckpt {
+                                Some(c) => c.layout,
+                                None => return Err(DurableError::Corrupt {
+                                    offset: 0,
+                                    detail:
+                                        "log header torn and no checkpoint to recover the layout"
+                                            .to_string(),
+                                }),
+                            };
+                        (layout, ckpt.as_ref().map_or(0, |c| c.seq), 0, true)
+                    }
+                    HeaderScan::Corrupt { offset, detail } => {
+                        return Err(DurableError::Corrupt { offset, detail })
+                    }
+                };
+
+            if let Some(c) = &ckpt {
+                if c.layout != layout {
+                    return Err(DurableError::Corrupt {
+                        offset: 8,
+                        detail: format!(
+                            "checkpoint layout {:?} disagrees with log header layout {layout:?}",
+                            c.layout
+                        ),
+                    });
+                }
+            } else if base_seq != 0 {
+                return Err(DurableError::Corrupt {
+                    offset: 36,
+                    detail: format!("log claims a checkpoint at seq {base_seq} but none exists"),
+                });
+            }
+
+            // Seed the arena image.
+            let mut arena = Arena::new(layout);
+            let ckpt_seq = ckpt.as_ref().map_or(0, |c| c.seq);
+            if let Some(c) = &ckpt {
+                arena
+                    .write(0, &c.image)
+                    .map_err(|_| DurableError::Corrupt {
+                        offset: 40,
+                        detail: "checkpoint image does not fit the arena layout".to_string(),
+                    })?;
+            }
+
+            // Replay the longest valid record prefix.
+            let mut seq = ckpt_seq.max(base_seq);
+            let mut expected = base_seq;
+            let mut replayed = 0u64;
+            let mut skipped = 0u64;
+            if !torn_header {
+                let mut off = LOG_HEADER_BYTES;
+                loop {
+                    match scan_frame(&raw, off, check_crc) {
+                        FrameScan::End | FrameScan::Torn => break,
+                        FrameScan::Corrupt { offset, detail } => {
+                            return Err(DurableError::Corrupt { offset, detail });
+                        }
+                        FrameScan::Record { payload, next } => {
+                            expected = expected.saturating_add(1);
+                            let rec = parse_commit_payload(payload, off as u64, expected, layout)?;
+                            if rec.seq > ckpt_seq {
+                                for (page, image) in &rec.pages {
+                                    let dst = page.checked_mul(PAGE_SIZE).ok_or_else(|| {
+                                        DurableError::Corrupt {
+                                            offset: off as u64,
+                                            detail: format!(
+                                                "page index {page} overflows the arena"
+                                            ),
+                                        }
+                                    })?;
+                                    arena.write(dst, image).map_err(|_| DurableError::Corrupt {
+                                        offset: off as u64,
+                                        detail: format!(
+                                            "replay write of page {page} rejected by the arena"
+                                        ),
+                                    })?;
+                                }
+                                replayed = replayed.saturating_add(1);
+                            } else {
+                                skipped = skipped.saturating_add(1);
+                            }
+                            seq = seq.max(rec.seq);
+                            valid_end = next as u64;
+                            off = next;
+                        }
+                    }
+                }
+            }
+
+            let file_len = raw.len() as u64;
+            let truncated_bytes = file_len.saturating_sub(valid_end);
+            let append_at =
+                if truncated_bytes > 0 && opts.mutation != DurableMutation::SkipTailTruncate {
+                    log.set_len(valid_end)?;
+                    log.sync_data()?;
+                    valid_end
+                } else if truncated_bytes > 0 {
+                    // BUG seeded (skip-tail-truncate): the torn bytes stay and
+                    // future appends land after garbage.
+                    file_len
+                } else {
+                    valid_end
+                };
+            log.seek(SeekFrom::Start(append_at))?;
+
+            if torn_header {
+                // Rewrite the creation-torn header so the generation is
+                // usable again (there were no durable commits to lose).
+                log.set_len(0)?;
+                log.seek(SeekFrom::Start(0))?;
+                let header = encode_log_header(layout, ckpt_seq);
+                log.write_all(&header)?;
+                log.sync_data()?;
+            }
+            let log_len = if torn_header {
+                LOG_HEADER_LEN
+            } else {
+                append_at
+            };
+
+            // The recovered image is the committed state: commit once so the
+            // arena's recovery point matches the on-disk recovery point.
+            arena.commit();
+
+            let mut store = DurableStore {
+                dir: dir.to_path_buf(),
+                log,
+                log_len,
+                arena,
+                seq,
+                base_seq: if torn_header { ckpt_seq } else { base_seq },
+                pending_sync: 0,
+                opts,
+            };
+            if opts.journal_watermark {
+                store.write_watermark()?;
+            }
+            Ok((
+                store,
+                RecoveryInfo {
+                    seq,
+                    used_checkpoint: ckpt.is_some(),
+                    replayed,
+                    skipped,
+                    truncated_bytes,
+                },
+            ))
+        }
     }
-    let Some(version) = read_u32(raw, 4) else {
-        return HeaderScan::Torn;
-    };
-    if version != FORMAT_VERSION {
-        return HeaderScan::Corrupt {
-            offset: 4,
-            detail: format!("log format version {version} (this build reads {FORMAT_VERSION})"),
-        };
+
+    /// Reads a store's durability watermark: the log length, in bytes, at
+    /// the last real fsync. Returns `None` if no watermark was journaled.
+    pub fn read_watermark(dir: &Path) -> DurableResult<Option<u64>> {
+        let p = dir.join(WATERMARK_FILE);
+        if !p.exists() {
+            return Ok(None);
+        }
+        let text = fs::read_to_string(&p)?;
+        let v = text
+            .trim()
+            .parse::<u64>()
+            .map_err(|e| DurableError::Corrupt {
+                offset: 0,
+                detail: format!("watermark journal unparsable: {e}"),
+            })?;
+        Ok(Some(v))
     }
-    let (Some(crc), Some(crc_body)) = (
-        read_u32(raw, LOG_HEADER_CRC_AT),
-        raw.get(..LOG_HEADER_CRC_AT),
-    ) else {
-        return HeaderScan::Torn;
-    };
-    if check_crc && crc != crc32(crc_body) {
-        // A damaged header with records after it is committed-region
-        // corruption; a bare damaged header is a creation tear.
-        if raw.len() > hl {
+
+    fn read_u32(bytes: &[u8], at: usize) -> Option<u32> {
+        let end = at.checked_add(4)?;
+        Some(u32::from_le_bytes(bytes.get(at..end)?.try_into().ok()?))
+    }
+
+    fn read_u64(bytes: &[u8], at: usize) -> Option<u64> {
+        let end = at.checked_add(8)?;
+        Some(u64::from_le_bytes(bytes.get(at..end)?.try_into().ok()?))
+    }
+
+    /// Decodes a layout from untrusted bytes. `None` when the bytes run out
+    /// or the layout is unrepresentable: the total image size
+    /// (`total_pages * PAGE_SIZE`) must fit in `usize`, which also
+    /// guarantees later size arithmetic on an accepted layout cannot
+    /// overflow.
+    fn decode_layout(bytes: &[u8], at: usize) -> Option<Layout> {
+        let globals_pages = usize::try_from(read_u64(bytes, at)?).ok()?;
+        let stack_pages = usize::try_from(read_u64(bytes, at.checked_add(8)?)?).ok()?;
+        let heap_pages = usize::try_from(read_u64(bytes, at.checked_add(16)?)?).ok()?;
+        globals_pages
+            .checked_add(stack_pages)?
+            .checked_add(heap_pages)?
+            .checked_mul(PAGE_SIZE)?;
+        Some(Layout {
+            globals_pages,
+            stack_pages,
+            heap_pages,
+        })
+    }
+
+    enum HeaderScan {
+        Valid { layout: Layout, base_seq: u64 },
+        Torn,
+        Corrupt { offset: u64, detail: String },
+    }
+
+    fn parse_log_header(raw: &[u8], check_crc: bool) -> HeaderScan {
+        let hl = LOG_HEADER_BYTES;
+        if raw.len() < hl {
+            return HeaderScan::Torn;
+        }
+        let magic = raw.get(0..4).unwrap_or_default();
+        if magic != LOG_MAGIC {
             return HeaderScan::Corrupt {
                 offset: 0,
-                detail: format!(
-                    "log header CRC mismatch (stored {crc:#010x}, computed {:#010x})",
-                    crc32(crc_body)
-                ),
+                detail: format!("bad log magic {magic:02x?} (want {LOG_MAGIC:02x?})"),
             };
         }
-        return HeaderScan::Torn;
-    }
-    let Some(layout) = decode_layout(raw, 8) else {
-        return HeaderScan::Corrupt {
-            offset: 8,
-            detail: "log header layout does not fit the addressable arena".to_string(),
+        let Some(version) = read_u32(raw, 4) else {
+            return HeaderScan::Torn;
         };
-    };
-    let Some(base_seq) = read_u64(raw, 32) else {
-        return HeaderScan::Torn;
-    };
-    HeaderScan::Valid { layout, base_seq }
-}
-
-enum FrameScan<'a> {
-    /// Clean end of log.
-    End,
-    /// The final frame is incomplete or fails its CRC with nothing
-    /// after it: a torn append, truncate here.
-    Torn,
-    /// Damage in the committed region: fail-stop.
-    Corrupt { offset: u64, detail: String },
-    /// A valid frame.
-    Record { payload: &'a [u8], next: usize },
-}
-
-fn scan_frame(raw: &[u8], off: usize, check_crc: bool) -> FrameScan<'_> {
-    let frame = raw.get(off..).unwrap_or_default();
-    if frame.is_empty() {
-        return FrameScan::End;
+        if version != FORMAT_VERSION {
+            return HeaderScan::Corrupt {
+                offset: 4,
+                detail: format!("log format version {version} (this build reads {FORMAT_VERSION})"),
+            };
+        }
+        let (Some(crc), Some(crc_body)) = (
+            read_u32(raw, LOG_HEADER_CRC_AT),
+            raw.get(..LOG_HEADER_CRC_AT),
+        ) else {
+            return HeaderScan::Torn;
+        };
+        if check_crc && crc != crc32(crc_body) {
+            // A damaged header with records after it is committed-region
+            // corruption; a bare damaged header is a creation tear.
+            if raw.len() > hl {
+                return HeaderScan::Corrupt {
+                    offset: 0,
+                    detail: format!(
+                        "log header CRC mismatch (stored {crc:#010x}, computed {:#010x})",
+                        crc32(crc_body)
+                    ),
+                };
+            }
+            return HeaderScan::Torn;
+        }
+        let Some(layout) = decode_layout(raw, 8) else {
+            return HeaderScan::Corrupt {
+                offset: 8,
+                detail: "log header layout does not fit the addressable arena".to_string(),
+            };
+        };
+        let Some(base_seq) = read_u64(raw, 32) else {
+            return HeaderScan::Torn;
+        };
+        HeaderScan::Valid { layout, base_seq }
     }
-    if frame.len() < FRAME_PREFIX {
-        return FrameScan::Torn;
+
+    enum FrameScan<'a> {
+        /// Clean end of log.
+        End,
+        /// The final frame is incomplete or fails its CRC with nothing
+        /// after it: a torn append, truncate here.
+        Torn,
+        /// Damage in the committed region: fail-stop.
+        Corrupt { offset: u64, detail: String },
+        /// A valid frame.
+        Record { payload: &'a [u8], next: usize },
     }
-    let Some(len) = read_u32(frame, 0) else {
-        return FrameScan::Torn;
-    };
-    let len = len as usize;
-    let Some(end) = FRAME_PREFIX.checked_add(len) else {
-        return FrameScan::Torn;
-    };
-    if end > frame.len() {
-        // The frame claims bytes past end-of-file. An append that never
-        // finished still wrote a true length prefix first, and a true
-        // length is a whole commit record; any other length is damage to
-        // a prefix whose frame may have had committed frames after it.
-        let whole_record = len
-            .checked_sub(PAYLOAD_PREFIX)
-            .is_some_and(|entries| entries % PAGE_ENTRY_LEN == 0);
-        if !whole_record {
+
+    fn scan_frame(raw: &[u8], off: usize, check_crc: bool) -> FrameScan<'_> {
+        let frame = raw.get(off..).unwrap_or_default();
+        if frame.is_empty() {
+            return FrameScan::End;
+        }
+        if frame.len() < FRAME_PREFIX {
+            return FrameScan::Torn;
+        }
+        let Some(len) = read_u32(frame, 0) else {
+            return FrameScan::Torn;
+        };
+        let len = len as usize;
+        let Some(end) = FRAME_PREFIX.checked_add(len) else {
+            return FrameScan::Torn;
+        };
+        if end > frame.len() {
+            // The frame claims bytes past end-of-file. An append that never
+            // finished still wrote a true length prefix first, and a true
+            // length is a whole commit record; any other length is damage to
+            // a prefix whose frame may have had committed frames after it.
+            let whole_record = len
+                .checked_sub(PAYLOAD_PREFIX)
+                .is_some_and(|entries| entries % PAGE_ENTRY_LEN == 0);
+            if !whole_record {
+                return FrameScan::Corrupt {
+                    offset: off as u64,
+                    detail: format!(
+                        "frame length {len} runs past end of log and is no commit record's"
+                    ),
+                };
+            }
+            return FrameScan::Torn;
+        }
+        let (Some(stored), Some(len_prefix), Some(payload)) = (
+            read_u32(frame, 4),
+            frame.get(..4),
+            frame.get(FRAME_PREFIX..end),
+        ) else {
+            return FrameScan::Torn;
+        };
+        let mut crc_input = Vec::with_capacity(4usize.saturating_add(len));
+        crc_input.extend_from_slice(len_prefix);
+        crc_input.extend_from_slice(payload);
+        let computed = crc32(&crc_input);
+        let Some(next) = off.checked_add(end) else {
+            return FrameScan::Torn;
+        };
+        if check_crc && stored != computed {
+            if next == raw.len() {
+                // Bad CRC on the very last frame: the classic torn write —
+                // the length prefix landed but the payload did not (or only
+                // partially). Nothing was built on top of it.
+                return FrameScan::Torn;
+            }
+            // Bytes exist beyond this frame: a later append implies this
+            // write completed, so the mismatch is committed-region
+            // corruption.
             return FrameScan::Corrupt {
                 offset: off as u64,
                 detail: format!(
-                    "frame length {len} runs past end of log and is no commit record's"
+                    "record CRC mismatch in committed region (stored {stored:#010x}, \
+                     computed {computed:#010x}, frame len {len})"
                 ),
             };
         }
-        return FrameScan::Torn;
+        FrameScan::Record { payload, next }
     }
-    let (Some(stored), Some(len_prefix), Some(payload)) = (
-        read_u32(frame, 4),
-        frame.get(..4),
-        frame.get(FRAME_PREFIX..end),
-    ) else {
-        return FrameScan::Torn;
-    };
-    let mut crc_input = Vec::with_capacity(4usize.saturating_add(len));
-    crc_input.extend_from_slice(len_prefix);
-    crc_input.extend_from_slice(payload);
-    let computed = crc32(&crc_input);
-    let Some(next) = off.checked_add(end) else {
-        return FrameScan::Torn;
-    };
-    if check_crc && stored != computed {
-        if next == raw.len() {
-            // Bad CRC on the very last frame: the classic torn write —
-            // the length prefix landed but the payload did not (or only
-            // partially). Nothing was built on top of it.
-            return FrameScan::Torn;
-        }
-        // Bytes exist beyond this frame: a later append implies this
-        // write completed, so the mismatch is committed-region
-        // corruption.
-        return FrameScan::Corrupt {
-            offset: off as u64,
-            detail: format!(
-                "record CRC mismatch in committed region (stored {stored:#010x}, \
-                 computed {computed:#010x}, frame len {len})"
-            ),
-        };
-    }
-    FrameScan::Record { payload, next }
-}
 
-struct CommitPayload {
-    seq: u64,
-    pages: Vec<(usize, Vec<u8>)>,
-}
+    struct CommitPayload {
+        seq: u64,
+        pages: Vec<(usize, Vec<u8>)>,
+    }
 
-fn parse_commit_payload(
-    payload: &[u8],
-    offset: u64,
-    expected_seq: u64,
-    layout: Layout,
-) -> DurableResult<CommitPayload> {
-    if payload.len() < PAYLOAD_PREFIX {
-        return Err(DurableError::Corrupt {
-            offset,
-            detail: format!("record payload too short ({} bytes)", payload.len()),
-        });
-    }
-    let tag = payload.first().copied().unwrap_or_default();
-    if tag != TAG_COMMIT {
-        return Err(DurableError::Corrupt {
-            offset,
-            detail: format!("unknown record tag {tag}"),
-        });
-    }
-    let truncated = || DurableError::Corrupt {
-        offset,
-        detail: format!("record payload truncated ({} bytes)", payload.len()),
-    };
-    let seq = read_u64(payload, 1).ok_or_else(truncated)?;
-    if seq != expected_seq {
-        return Err(DurableError::Corrupt {
-            offset,
-            detail: format!("sequence break: record claims seq {seq}, expected {expected_seq}"),
-        });
-    }
-    let npages = read_u32(payload, 9).ok_or_else(truncated)? as usize;
-    let expected_len = npages
-        .checked_mul(PAGE_ENTRY_LEN)
-        .and_then(|b| b.checked_add(PAYLOAD_PREFIX));
-    if expected_len != Some(payload.len()) {
-        return Err(DurableError::Corrupt {
-            offset,
-            detail: format!(
-                "record length {} inconsistent with {npages} pages",
-                payload.len()
-            ),
-        });
-    }
-    let total_pages = layout.total_pages();
-    let mut pages = Vec::with_capacity(npages);
-    let mut at = PAYLOAD_PREFIX;
-    for _ in 0..npages {
-        let page = read_u32(payload, at).ok_or_else(truncated)? as usize;
-        if page >= total_pages {
+    fn parse_commit_payload(
+        payload: &[u8],
+        offset: u64,
+        expected_seq: u64,
+        layout: Layout,
+    ) -> DurableResult<CommitPayload> {
+        if payload.len() < PAYLOAD_PREFIX {
             return Err(DurableError::Corrupt {
                 offset,
-                detail: format!("page index {page} outside the {total_pages}-page arena"),
+                detail: format!("record payload too short ({} bytes)", payload.len()),
             });
         }
-        let image = at
-            .checked_add(4)
-            .and_then(|lo| lo.checked_add(PAGE_SIZE).map(|hi| (lo, hi)))
-            .and_then(|(lo, hi)| payload.get(lo..hi))
-            .ok_or_else(truncated)?;
-        pages.push((page, image.to_vec()));
-        at = at.checked_add(PAGE_ENTRY_LEN).ok_or_else(truncated)?;
+        let tag = payload.first().copied().unwrap_or_default();
+        if tag != TAG_COMMIT {
+            return Err(DurableError::Corrupt {
+                offset,
+                detail: format!("unknown record tag {tag}"),
+            });
+        }
+        let truncated = || DurableError::Corrupt {
+            offset,
+            detail: format!("record payload truncated ({} bytes)", payload.len()),
+        };
+        let seq = read_u64(payload, 1).ok_or_else(truncated)?;
+        if seq != expected_seq {
+            return Err(DurableError::Corrupt {
+                offset,
+                detail: format!("sequence break: record claims seq {seq}, expected {expected_seq}"),
+            });
+        }
+        let npages = read_u32(payload, 9).ok_or_else(truncated)? as usize;
+        let expected_len = npages
+            .checked_mul(PAGE_ENTRY_LEN)
+            .and_then(|b| b.checked_add(PAYLOAD_PREFIX));
+        if expected_len != Some(payload.len()) {
+            return Err(DurableError::Corrupt {
+                offset,
+                detail: format!(
+                    "record length {} inconsistent with {npages} pages",
+                    payload.len()
+                ),
+            });
+        }
+        let total_pages = layout.total_pages();
+        let mut pages = Vec::with_capacity(npages);
+        let mut at = PAYLOAD_PREFIX;
+        for _ in 0..npages {
+            let page = read_u32(payload, at).ok_or_else(truncated)? as usize;
+            if page >= total_pages {
+                return Err(DurableError::Corrupt {
+                    offset,
+                    detail: format!("page index {page} outside the {total_pages}-page arena"),
+                });
+            }
+            let image = at
+                .checked_add(4)
+                .and_then(|lo| lo.checked_add(PAGE_SIZE).map(|hi| (lo, hi)))
+                .and_then(|(lo, hi)| payload.get(lo..hi))
+                .ok_or_else(truncated)?;
+            pages.push((page, image.to_vec()));
+            at = at.checked_add(PAGE_ENTRY_LEN).ok_or_else(truncated)?;
+        }
+        Ok(CommitPayload { seq, pages })
     }
-    Ok(CommitPayload { seq, pages })
-}
 
-struct CheckpointImage {
-    layout: Layout,
-    seq: u64,
-    image: Vec<u8>,
-}
+    struct CheckpointImage {
+        layout: Layout,
+        seq: u64,
+        image: Vec<u8>,
+    }
 
-fn read_checkpoint(path: &Path, check_crc: bool) -> DurableResult<Option<CheckpointImage>> {
-    if !path.exists() {
-        return Ok(None);
-    }
-    let raw = fs::read(path)?;
-    // The checkpoint is installed by atomic rename, so it is always in
-    // the committed region: any damage is fail-stop.
-    if raw.len() < 44 {
-        return Err(DurableError::Corrupt {
+    fn read_checkpoint(path: &Path, check_crc: bool) -> DurableResult<Option<CheckpointImage>> {
+        if !path.exists() {
+            return Ok(None);
+        }
+        let raw = fs::read(path)?;
+        // The checkpoint is installed by atomic rename, so it is always in
+        // the committed region: any damage is fail-stop.
+        if raw.len() < 44 {
+            return Err(DurableError::Corrupt {
+                offset: 0,
+                detail: format!("checkpoint too short ({} bytes)", raw.len()),
+            });
+        }
+        let magic = raw.get(0..4).unwrap_or_default();
+        if magic != CKPT_MAGIC {
+            return Err(DurableError::Corrupt {
+                offset: 0,
+                detail: format!("bad checkpoint magic {magic:02x?} (want {CKPT_MAGIC:02x?})"),
+            });
+        }
+        let truncated = || DurableError::Corrupt {
             offset: 0,
-            detail: format!("checkpoint too short ({} bytes)", raw.len()),
-        });
-    }
-    let magic = raw.get(0..4).unwrap_or_default();
-    if magic != CKPT_MAGIC {
-        return Err(DurableError::Corrupt {
-            offset: 0,
-            detail: format!("bad checkpoint magic {magic:02x?} (want {CKPT_MAGIC:02x?})"),
-        });
-    }
-    let truncated = || DurableError::Corrupt {
-        offset: 0,
-        detail: format!("checkpoint truncated ({} bytes)", raw.len()),
-    };
-    let version = read_u32(raw.as_slice(), 4).ok_or_else(truncated)?;
-    if version != FORMAT_VERSION {
-        return Err(DurableError::Corrupt {
-            offset: 4,
-            detail: format!(
-                "checkpoint format version {version} (this build reads {FORMAT_VERSION})"
-            ),
-        });
-    }
-    let layout = decode_layout(&raw, 8).ok_or(DurableError::Corrupt {
-        offset: 8,
-        detail: "checkpoint layout does not fit the addressable arena".to_string(),
-    })?;
-    // 40-byte header + image + 4-byte CRC. `decode_layout` proved the
-    // image size representable, so only the additions need checking.
-    let expect = layout
-        .total_pages()
-        .checked_mul(PAGE_SIZE)
-        .and_then(|image| image.checked_add(44));
-    if expect != Some(raw.len()) {
-        let expect = expect.map_or_else(|| "unrepresentable size".to_string(), |e| e.to_string());
-        return Err(DurableError::Corrupt {
+            detail: format!("checkpoint truncated ({} bytes)", raw.len()),
+        };
+        let version = read_u32(raw.as_slice(), 4).ok_or_else(truncated)?;
+        if version != FORMAT_VERSION {
+            return Err(DurableError::Corrupt {
+                offset: 4,
+                detail: format!(
+                    "checkpoint format version {version} (this build reads {FORMAT_VERSION})"
+                ),
+            });
+        }
+        let layout = decode_layout(&raw, 8).ok_or(DurableError::Corrupt {
             offset: 8,
-            detail: format!(
-                "checkpoint length {} inconsistent with layout ({expect} expected)",
-                raw.len()
-            ),
-        });
+            detail: "checkpoint layout does not fit the addressable arena".to_string(),
+        })?;
+        // 40-byte header + image + 4-byte CRC. `decode_layout` proved the
+        // image size representable, so only the additions need checking.
+        let expect = layout
+            .total_pages()
+            .checked_mul(PAGE_SIZE)
+            .and_then(|image| image.checked_add(44));
+        if expect != Some(raw.len()) {
+            let expect =
+                expect.map_or_else(|| "unrepresentable size".to_string(), |e| e.to_string());
+            return Err(DurableError::Corrupt {
+                offset: 8,
+                detail: format!(
+                    "checkpoint length {} inconsistent with layout ({expect} expected)",
+                    raw.len()
+                ),
+            });
+        }
+        let crc_at = raw.len().checked_sub(4).ok_or_else(truncated)?;
+        let stored = read_u32(raw.as_slice(), crc_at).ok_or_else(truncated)?;
+        let crc_body = raw.get(..crc_at).ok_or_else(truncated)?;
+        let computed = crc32(crc_body);
+        if check_crc && stored != computed {
+            return Err(DurableError::Corrupt {
+                offset: crc_at as u64,
+                detail: format!(
+                    "checkpoint CRC mismatch (stored {stored:#010x}, computed {computed:#010x})"
+                ),
+            });
+        }
+        Ok(Some(CheckpointImage {
+            layout,
+            seq: read_u64(raw.as_slice(), 32).ok_or_else(truncated)?,
+            image: raw.get(40..crc_at).ok_or_else(truncated)?.to_vec(),
+        }))
     }
-    let crc_at = raw.len().checked_sub(4).ok_or_else(truncated)?;
-    let stored = read_u32(raw.as_slice(), crc_at).ok_or_else(truncated)?;
-    let crc_body = raw.get(..crc_at).ok_or_else(truncated)?;
-    let computed = crc32(crc_body);
-    if check_crc && stored != computed {
-        return Err(DurableError::Corrupt {
-            offset: crc_at as u64,
-            detail: format!(
-                "checkpoint CRC mismatch (stored {stored:#010x}, computed {computed:#010x})"
-            ),
-        });
-    }
-    Ok(Some(CheckpointImage {
-        layout,
-        seq: read_u64(raw.as_slice(), 32).ok_or_else(truncated)?,
-        image: raw.get(40..crc_at).ok_or_else(truncated)?.to_vec(),
-    }))
 }
 
 #[cfg(test)]

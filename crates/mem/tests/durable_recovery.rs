@@ -12,10 +12,11 @@
 //! (empty log, log-only, checkpoint-only) and the fail-stop contract
 //! for committed-region damage.
 
-// Test inputs are tiny by construction (seed counts, page numbers,
-// probe offsets), so index-type narrowing cannot truncate here; the
-// production decode paths stay under the per-site cast audit.
-#![allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+#![allow(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "test inputs are tiny by construction (seed counts, page numbers, probe offsets), so index-type narrowing cannot truncate"
+)]
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};

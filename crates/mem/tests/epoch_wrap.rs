@@ -11,10 +11,11 @@
 //! `Arena::force_epoch` fast-forwards one arena to `u32::MAX - 2` so the
 //! wrap happens inside a short scripted run.
 
-// Test inputs are tiny by construction (seed counts, page numbers,
-// probe offsets), so index-type narrowing cannot truncate here; the
-// production decode paths stay under the per-site cast audit.
-#![allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+#![allow(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "test inputs are tiny by construction (seed counts, page numbers, probe offsets), so index-type narrowing cannot truncate"
+)]
 
 use ft_mem::arena::{Arena, Layout, PAGE_SIZE};
 

@@ -3,10 +3,11 @@
 //! overlapping or unguarded blocks. Seeded and deterministic (ft-mem sits
 //! below the simulator crate, so it carries its own tiny generator).
 
-// Test inputs are tiny by construction (seed counts, page numbers,
-// probe offsets), so index-type narrowing cannot truncate here; the
-// production decode paths stay under the per-site cast audit.
-#![allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+#![allow(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "test inputs are tiny by construction (seed counts, page numbers, probe offsets), so index-type narrowing cannot truncate"
+)]
 
 use ft_mem::alloc::Allocator;
 use ft_mem::arena::{Arena, Layout, FNV_OFFSET, FNV_PRIME, PAGE_SIZE};

@@ -361,7 +361,10 @@ impl Network {
     /// With a fault plan installed the buffered copy starts
     /// [`UNDELIVERED`]; the caller must follow up with
     /// [`Network::dispatch`] to run the first transmission attempt.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one argument per field of the message being buffered"
+    )]
     pub fn send(
         &mut self,
         from: ProcessId,

@@ -9,9 +9,10 @@
 //! and statistics. Driven by the in-repo seeded PRNG, like
 //! `net_proptests.rs`.
 
-// Test inputs are tiny by construction (process ids below 8, a few
-// hundred operations), so index-type narrowing cannot truncate here.
-#![allow(clippy::cast_possible_truncation)]
+#![allow(
+    clippy::cast_possible_truncation,
+    reason = "test inputs are tiny by construction (process ids below 8, a few hundred operations), so index-type narrowing cannot truncate here"
+)]
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -81,7 +82,10 @@ impl ModelNet {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "mirrors Network::send's signature argument for argument"
+    )]
     fn send(
         &mut self,
         from: u32,

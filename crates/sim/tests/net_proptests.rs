@@ -2,10 +2,11 @@
 //! against a model queue, rewind semantics, dedup, and tainted withdrawal.
 //! Driven by the in-repo seeded PRNG so runs are deterministic.
 
-// Test inputs are tiny by construction (seed counts, page numbers,
-// probe offsets), so index-type narrowing cannot truncate here; the
-// production decode paths stay under the per-site cast audit.
-#![allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+#![allow(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "test inputs are tiny by construction (seed counts, page numbers, probe offsets), so index-type narrowing cannot truncate"
+)]
 
 use std::collections::BTreeSet;
 

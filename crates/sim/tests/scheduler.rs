@@ -1,10 +1,11 @@
 //! End-to-end scheduler tests: interactive sessions, message ping-pong,
 //! blocking semantics, signals, stop failures, and trace recording.
 
-// Test inputs are tiny by construction (seed counts, page numbers,
-// probe offsets), so index-type narrowing cannot truncate here; the
-// production decode paths stay under the per-site cast audit.
-#![allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+#![allow(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "test inputs are tiny by construction (seed counts, page numbers, probe offsets), so index-type narrowing cannot truncate"
+)]
 
 use ft_core::event::{EventKind, ProcessId};
 use ft_core::savework::check_save_work;

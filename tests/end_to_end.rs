@@ -2,10 +2,11 @@
 //! every workload, killed mid-run, recovers to output consistent with a
 //! failure-free execution, under multiple protocols and both media.
 
-// Test inputs are tiny by construction (seed counts, page numbers,
-// probe offsets), so index-type narrowing cannot truncate here; the
-// production decode paths stay under the per-site cast audit.
-#![allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+#![allow(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "test inputs are tiny by construction (seed counts, page numbers, probe offsets), so index-type narrowing cannot truncate"
+)]
 
 use failure_transparency::apps::{barnes_hut, game, workload};
 use failure_transparency::apps::{Cad, Editor, MiniDb};

@@ -7,7 +7,7 @@
 //! trial violates the oracle or any mutant escapes.
 //!
 //! ```text
-//! crashtest [--quick] [--fsync always|none] [--skip-mutants]
+//! crashtest [--fsync always|none] [--skip-mutants]
 //! ```
 //!
 //! Child mode (spawned by the parent; not for direct use):
@@ -127,17 +127,12 @@ fn child_main(args: &[String]) -> ExitCode {
     }
 }
 
-/// `--quick` runs every seventh kill of each standard schedule.
-const QUICK_STRIDE: usize = 7;
-
 fn parent_main(args: &[String]) -> ExitCode {
     let mut fsync = FsyncPolicy::Always;
-    let mut stride = 1usize;
     let mut skip_mutants = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--quick" => stride = QUICK_STRIDE,
             "--fsync" => match it.next().map(|v| parse_fsync(v)) {
                 Some(Ok(p)) => fsync = p,
                 _ => {
@@ -147,7 +142,7 @@ fn parent_main(args: &[String]) -> ExitCode {
             },
             "--skip-mutants" => skip_mutants = true,
             "--help" | "-h" => {
-                println!("usage: crashtest [--quick] [--fsync always|none] [--skip-mutants]");
+                println!("usage: crashtest [--fsync always|none] [--skip-mutants]");
                 return ExitCode::SUCCESS;
             }
             other => {
@@ -167,10 +162,10 @@ fn parent_main(args: &[String]) -> ExitCode {
 
     let mut bad = false;
     for schedule in &standard_schedules() {
-        match run_schedule(&exe, schedule, fsync, stride) {
+        match run_schedule(&exe, schedule, fsync) {
             Ok(report) => {
                 println!(
-                    "{}: {} kill trials (fsync {}, stride {stride}), {} violations, \
+                    "{}: {} kill trials (fsync {}), {} violations, \
                      {} duplicate visibles (legal)",
                     report.workload,
                     report.trials,

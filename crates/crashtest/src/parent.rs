@@ -15,7 +15,8 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::workload::{CrashSchedule, DurableWindow, KillSpec};
+use crate::workload::{apply_op, CrashSchedule, DurableWindow, KillSpec};
+use ft_mem::arena::Layout;
 use ft_mem::durable::{
     read_watermark, DurableError, DurableMutation, DurableOptions, DurableStore, FsyncPolicy,
     LOG_FILE, LOG_HEADER_LEN,
@@ -295,13 +296,11 @@ pub fn run_trial(exe: &Path, canonical: &Canonical, t: &TrialSpec) -> Result<usi
     Ok(dups)
 }
 
-/// Sweeps a schedule's kill list (every `stride`-th spec; 1 = all)
-/// against the honest backend.
+/// Sweeps a schedule's whole kill list against the honest backend.
 pub fn run_schedule(
     exe: &Path,
     schedule: &CrashSchedule,
     fsync: FsyncPolicy,
-    stride: usize,
 ) -> Result<SweepReport, String> {
     let w = WorkloadSpec::from_schedule(schedule);
     let canonical = run_reference(exe, &w, fsync)?;
@@ -311,10 +310,7 @@ pub fn run_schedule(
         failures: Vec::new(),
         duplicates: 0,
     };
-    for (idx, &kill) in schedule.kills.iter().enumerate() {
-        if idx % stride.max(1) != 0 {
-            continue;
-        }
+    for &kill in &schedule.kills {
         let t = TrialSpec {
             workload: w.clone(),
             kill,
@@ -425,16 +421,30 @@ pub fn mutant_matrix(exe: &Path) -> Vec<MutantOutcome> {
     out
 }
 
-/// Byte offset (within a frame) of the first page-image byte:
-/// `[len:u32][crc:u32]` framing, then `tag:u8 seq:u64 npages:u32
-/// page:u32` before the image.
-const FRAME_FIRST_IMAGE_BYTE: usize = 8 + 1 + 8 + 4 + 4;
+/// Where each commit frame of the workload's log ends: the workload
+/// replayed in process on a scratch store, the log length noted after
+/// every commit. Returns the ends and the replayed log's bytes.
+fn frame_ends(w: &WorkloadSpec) -> Result<(Vec<usize>, Vec<u8>), String> {
+    let dir = scratch_dir("frames");
+    let mut store = DurableStore::create(&dir, Layout::small(), DurableOptions::default())
+        .map_err(|e| format!("replay store: {e}"))?;
+    let mut ends = Vec::new();
+    for i in 0..w.ops {
+        apply_op(store.arena_mut(), w.seed, i);
+        store.commit().map_err(|e| format!("replay commit: {e}"))?;
+        ends.push(usize::try_from(store.log_len()).map_err(|e| format!("log length: {e}"))?);
+    }
+    drop(store);
+    let log = std::fs::read(dir.join(LOG_FILE)).map_err(|e| format!("read replayed log: {e}"))?;
+    let _ = std::fs::remove_dir_all(&dir);
+    Ok((ends, log))
+}
 
-/// The skip-crc self-test: flip one page-image byte inside a committed
-/// (non-final) record of a clean log. The honest backend must fail-stop
-/// with a corruption diagnostic; the mutant silently applies the bad
-/// record, which the state-digest check then flags. Returns the caught
-/// diagnostic, or an error describing how the mutant escaped.
+/// The skip-crc self-test: flip the last byte — a run byte — of a
+/// committed (non-final) record of a clean log. The honest backend must
+/// fail-stop with a corruption diagnostic; the mutant silently applies
+/// the bad record, which the state-digest check then flags. Returns the
+/// caught diagnostic, or an error describing how the mutant escaped.
 ///
 /// The corrupted record is deliberately the *second-to-last*: a bad
 /// final record ending exactly at EOF is indistinguishable from a torn
@@ -460,24 +470,19 @@ pub fn corruption_trial(exe: &Path) -> Result<String, String> {
         other => return Err(format!("clean run ended with {other:?}")),
     };
 
-    // Locate the second-to-last record and flip a page-image byte.
+    // Flip the second-to-last record's last byte. Its end comes from the
+    // same workload replayed in process, whose log must be the child's
+    // byte for byte.
     let log_path = dir.join(LOG_FILE);
     let mut bytes = std::fs::read(&log_path).map_err(|e| format!("read log: {e}"))?;
-    let mut frames = Vec::new();
-    let mut off = usize::try_from(LOG_HEADER_LEN).expect("the header is 44 bytes");
-    while off + 8 <= bytes.len() {
-        let len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
-        if off + 8 + len > bytes.len() {
-            break;
-        }
-        frames.push(off);
-        off += 8 + len;
+    let (ends, replayed) = frame_ends(&w)?;
+    if replayed != bytes {
+        return Err("the in-process replay wrote another log than the child".into());
     }
-    if frames.len() < 2 {
-        return Err(format!("expected >= 2 log records, found {}", frames.len()));
-    }
-    let target = frames[frames.len() - 2] + FRAME_FIRST_IMAGE_BYTE;
-    bytes[target] ^= 0xFF;
+    let [.., end, _] = ends[..] else {
+        return Err(format!("expected >= 2 log records, found {}", ends.len()));
+    };
+    bytes[end - 1] ^= 0xFF;
     std::fs::write(&log_path, &bytes).map_err(|e| format!("write log: {e}"))?;
 
     // Honest recovery must fail-stop on the committed-region damage.

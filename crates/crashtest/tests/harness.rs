@@ -74,21 +74,21 @@ fn malformed_kill_specs_are_rejected() {
 
 #[test]
 fn honest_backend_survives_a_small_real_kill_sweep() {
-    // 1 start + 12 event kills + 6 windowed commit kills = 19 forks ×2.
+    // 1 start + 12 event kills + 24 windowed commit kills = 37 trials.
     let schedule = enumerate_schedule("smoke", 13, 4);
-    let report = run_schedule(exe(), &schedule, FsyncPolicy::Always, 2).expect("sweep runs");
+    let report = run_schedule(exe(), &schedule, FsyncPolicy::Always).expect("sweep runs");
     assert!(
         report.failures.is_empty(),
         "honest backend violated the oracle: {:?}",
         report.failures
     );
-    assert!(report.trials >= 9);
+    assert_eq!(report.trials, 37);
 }
 
 #[test]
 fn honest_backend_survives_group_commit_process_kills() {
     let schedule = enumerate_schedule("smoke-none", 5, 3);
-    let report = run_schedule(exe(), &schedule, FsyncPolicy::Never, 3).expect("sweep runs");
+    let report = run_schedule(exe(), &schedule, FsyncPolicy::Never).expect("sweep runs");
     assert!(
         report.failures.is_empty(),
         "fsync-none backend violated the oracle under process loss: {:?}",
@@ -156,10 +156,14 @@ fn every_seeded_mutant_is_caught() {
 }
 
 #[test]
-fn the_parent_takes_three_flags_and_rejects_the_removed_ones() {
-    // The sweep takes `standard_schedules()` in process: there is no
-    // schedule file and no stride other than `--quick`'s.
-    for removed in [&["--stride", "3"][..], &["--schedule", "s.txt"]] {
+fn the_parent_takes_two_flags_and_rejects_the_removed_ones() {
+    // The sweep takes `standard_schedules()` in process and runs every
+    // kill: there is no schedule file, no stride and no `--quick`.
+    for removed in [
+        &["--stride", "3"][..],
+        &["--schedule", "s.txt"],
+        &["--quick"],
+    ] {
         let status = std::process::Command::new(exe())
             .args(removed)
             .stderr(std::process::Stdio::null())

@@ -35,6 +35,7 @@ mod wire;
 
 use ft_core::access::ShmOp;
 use ft_mem::arena::Layout;
+use ft_mem::diff::{self, DiffEvent, DiffWriter, Diffs};
 use ft_mem::error::{MemFault, MemResult};
 use ft_mem::mem::{ArenaCell, Mem};
 use ft_mem::pod::Pod;
@@ -290,32 +291,24 @@ impl Dsm {
         Ok(())
     }
 
-    /// Calls `f(page, offset, bytes)` for every maximal run of bytes that
-    /// differ from the twin, over the dirty pages in ascending order; the
-    /// bytes are borrowed from the region.
+    /// Calls `f(page, bytes, twin)` for every dirty page in ascending
+    /// order, both borrowed from the arena.
     #[expect(
         clippy::cast_possible_truncation,
-        reason = "run starts are < DSM_PAGE and page numbers < n_pages, both far below u32::MAX"
+        reason = "page numbers are < n_pages, far below u32::MAX"
     )]
-    fn for_each_dirty_run(&self, mem: &Mem, mut f: impl FnMut(u32, u32, &[u8])) -> MemResult<()> {
+    fn for_each_dirty_page(
+        &self,
+        mem: &Mem,
+        mut f: impl FnMut(u32, &[u8], &[u8]),
+    ) -> MemResult<()> {
         for p in 0..self.n_pages {
             if mem.arena.read(self.dirty_off + p, 1)?[0] == 0 {
                 continue;
             }
             let cur = mem.arena.read(self.region_off + p * DSM_PAGE, DSM_PAGE)?;
             let twin = mem.arena.read(self.twin_off + p * DSM_PAGE, DSM_PAGE)?;
-            let mut i = 0;
-            while i < DSM_PAGE {
-                if cur[i] != twin[i] {
-                    let start = i;
-                    while i < DSM_PAGE && cur[i] != twin[i] {
-                        i += 1;
-                    }
-                    f(p as u32, start as u32, &cur[start..i]);
-                } else {
-                    i += 1;
-                }
-            }
+            f(p as u32, cur, twin);
         }
         Ok(())
     }
@@ -327,21 +320,11 @@ impl Dsm {
     fn encode_my_diffs(&self, mem: &Mem, header: &[u8]) -> MemResult<(Vec<u8>, u32)> {
         // Sizing pass, so the payload is allocated once, at its length.
         let mut section_len = 4;
-        let mut open = None;
-        self.for_each_dirty_run(mem, |page, _, run| {
-            if open.replace(page) != Some(page) {
-                section_len += 8;
-            }
-            section_len += 8 + run.len();
+        self.for_each_dirty_page(mem, |_, cur, twin| {
+            section_len += diff::page_diff_len(cur, twin);
         })?;
-        let mut w = wire::DiffWriter::begin(header, section_len);
-        let mut open = None;
-        self.for_each_dirty_run(mem, |page, off, run| {
-            if open.replace(page) != Some(page) {
-                w.page(page);
-            }
-            w.run(off, run);
-        })?;
+        let mut w = DiffWriter::begin(header, section_len);
+        self.for_each_dirty_page(mem, |page, cur, twin| w.page_diff(page, cur, twin))?;
         let pages = w.pages();
         Ok((w.finish(), pages))
     }
@@ -417,20 +400,20 @@ impl Dsm {
     /// diffs, which are received state, not this node's writes, so they
     /// must not be re-published at the next release or barrier. Returns
     /// the number of bytes one walk applied.
-    fn apply_diffs(&self, mem: &mut Mem, diffs: wire::Diffs, bases: &[usize]) -> MemResult<usize> {
+    fn apply_diffs(&self, mem: &mut Mem, diffs: Diffs, bases: &[usize]) -> MemResult<usize> {
         let mut applied = 0;
         for &base in bases {
             applied = 0;
             let mut page_base = 0;
             diffs.visit(&mut |ev| match ev {
-                wire::DiffEvent::Page(page) => {
+                DiffEvent::Page(page) => {
                     if page as usize >= self.n_pages {
                         return Err(MemFault::InvariantViolated { check: 0xD5 });
                     }
                     page_base = base + page as usize * DSM_PAGE;
                     Ok(())
                 }
-                wire::DiffEvent::Run(off, bytes) => {
+                DiffEvent::Run(off, bytes) => {
                     if off as usize + bytes.len() > DSM_PAGE {
                         return Err(MemFault::InvariantViolated { check: 0xD5 });
                     }
@@ -475,10 +458,10 @@ impl Dsm {
                 continue;
             }
             let mut page = 0u32;
-            wire::Diffs::parse(payload)?.visit(&mut |ev| {
+            Diffs::parse(payload)?.visit(&mut |ev| {
                 match ev {
-                    wire::DiffEvent::Page(p) => page = p,
-                    wire::DiffEvent::Run(off, run) => {
+                    DiffEvent::Page(p) => page = p,
+                    DiffEvent::Run(off, run) => {
                         if off as usize + run.len() > DSM_PAGE {
                             return Err(MemFault::InvariantViolated { check: 0xD5 });
                         }
@@ -492,7 +475,7 @@ impl Dsm {
         }
         // Every merged page and run is one of the inputs' or a union of
         // several, so the inputs' lengths bound the merged section.
-        let mut w = wire::DiffWriter::begin(&[], (older.len() + newer.len()).max(4));
+        let mut w = DiffWriter::begin(&[], (older.len() + newer.len()).max(4));
         let mut open = None;
         let mut run = Vec::new();
         let mut bytes = bytes.into_iter().peekable();
@@ -639,7 +622,9 @@ impl Dsm {
 mod tests {
     use super::*;
     use crate::lock::LockMsg;
-    use crate::wire::reference::{decode_diffs, encode_diff_msg, encode_diffs, DiffMsg, PageDiff};
+    use crate::wire::materialized::{
+        encode_diff_msg, encode_diffs, materialize_diffs, DiffMsg, PageDiff,
+    };
     use ft_core::event::ProcessId;
     use ft_sim::rng::SplitMix64;
     use ft_sim::syscalls::{Message, Payload, SysResult, Syscalls};
@@ -740,15 +725,15 @@ mod tests {
         fn note_fault_activation(&mut self, _fault: u32) {}
     }
 
-    /// This node's diffs, through the encoder and the reference decoder.
+    /// This node's diffs, encoded, then validated and materialized.
     fn my_diffs(dsm: &Dsm, mem: &Mem) -> Vec<PageDiff> {
-        decode_diffs(&dsm.encode_my_diffs(mem, &[]).unwrap().0).unwrap()
+        materialize_diffs(&dsm.encode_my_diffs(mem, &[]).unwrap().0).unwrap()
     }
 
     /// Applies a diff list to the region, through the wire form.
     fn apply(dsm: &Dsm, mem: &mut Mem, diffs: &[PageDiff]) -> MemResult<usize> {
         let payload = encode_diffs(&[], diffs);
-        dsm.apply_diffs(mem, wire::Diffs::parse(&payload)?, &[dsm.region_off])
+        dsm.apply_diffs(mem, Diffs::parse(&payload)?, &[dsm.region_off])
     }
 
     fn image(mem: &Mem) -> Vec<u8> {
@@ -934,7 +919,7 @@ mod tests {
                 runs: vec![(1, vec![9]), (3, vec![7])],
             }],
         );
-        let merged = decode_diffs(&Dsm::merge_diff_payloads(&older, &newer).unwrap()).unwrap();
+        let merged = materialize_diffs(&Dsm::merge_diff_payloads(&older, &newer).unwrap()).unwrap();
         assert_eq!(merged.len(), 1);
         // Bytes 0..4 coalesce into one run (1,9,1,7); byte 10 stays apart.
         assert_eq!(merged[0].runs, vec![(0, vec![1, 9, 1, 7]), (10, vec![5])]);
@@ -974,7 +959,7 @@ mod tests {
             }],
         );
         let merged = Dsm::merge_diff_payloads(&older, &newer).unwrap();
-        assert_eq!(decode_diffs(&merged).unwrap().len(), 2);
+        assert_eq!(materialize_diffs(&merged).unwrap().len(), 2);
     }
 
     /// A release payload is a client's bytes: a run past its page is
@@ -1013,7 +998,7 @@ mod tests {
         let n = dsm
             .apply_diffs(
                 &mut mem,
-                wire::Diffs::parse(&payload).unwrap(),
+                Diffs::parse(&payload).unwrap(),
                 &[dsm.region_off, dsm.twin_off],
             )
             .unwrap();
@@ -1163,7 +1148,7 @@ mod tests {
         let bare = &barrier_msg(4, 2)[wire::MSG_HEADER..];
         let grant_diffs = |payload: &[u8], what: &str| {
             let mut mem = sys.mem.clone();
-            let _ = wire::Diffs::parse(payload)
+            let _ = Diffs::parse(payload)
                 .and_then(|d| dsm.apply_diffs(&mut mem, d, &[dsm.region_off, dsm.twin_off]));
             assert_writes_stay_in(&before, &mem, &[region.clone(), twin.clone()], what);
         };
@@ -1239,7 +1224,7 @@ mod tests {
             let older = random_diffs(&mut rng);
             let newer = random_diffs(&mut rng);
             let merged = Dsm::merge_diff_payloads(&enc(&older), &enc(&newer)).unwrap();
-            let decoded = decode_diffs(&merged).unwrap();
+            let decoded = materialize_diffs(&merged).unwrap();
             let mut want = BTreeMap::new();
             model_apply(&mut want, &older);
             model_apply(&mut want, &newer);

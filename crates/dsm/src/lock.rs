@@ -80,12 +80,12 @@ impl LockMsg {
             LockMsg::Grant { lock, diffs } => {
                 out.push(1);
                 out.extend_from_slice(&lock.to_le_bytes());
-                crate::wire::put_blob(&mut out, diffs);
+                ft_mem::diff::put_blob(&mut out, diffs);
             }
             LockMsg::Rel { lock, diffs } => {
                 out.push(2);
                 out.extend_from_slice(&lock.to_le_bytes());
-                crate::wire::put_blob(&mut out, diffs);
+                ft_mem::diff::put_blob(&mut out, diffs);
             }
         }
         out
@@ -94,7 +94,7 @@ impl LockMsg {
     /// Deserializes from the wire.
     pub fn decode(bytes: &[u8]) -> MemResult<Self> {
         let bad = MemFault::InvariantViolated { check: 0xD9 };
-        let mut r = crate::wire::Reader::new(bytes);
+        let mut r = ft_mem::diff::Reader::new(bytes);
         let msg = match r.u8().map_err(|_| bad)? {
             0 => LockMsg::Req {
                 lock: r.u32().map_err(|_| bad)?,
@@ -167,7 +167,7 @@ impl Dsm {
                         if !diffs.is_empty() {
                             let applied = self.apply_diffs(
                                 sys.mem(),
-                                crate::wire::Diffs::parse(&diffs)?,
+                                ft_mem::diff::Diffs::parse(&diffs)?,
                                 &[self.region_off, self.twin_off],
                             )?;
                             sys.compute((applied as u64 / 256 + 1) * US);

@@ -6,12 +6,12 @@
 //! can then judge against real `kill -9`ed processes (see
 //! `crates/crashtest`).
 //!
-//! # On-disk format (version 1)
+//! # On-disk format (version 2)
 //!
 //! A store is a directory holding:
 //!
-//! * `redo.log` — a 44-byte header followed by CRC32-framed,
-//!   length-prefixed commit records;
+//! * `redo.log` — a 44-byte header followed by commit frames, each the
+//!   diff of the pages its commit dirtied;
 //! * `checkpoint.img` — an optional full arena image produced by
 //!   [`DurableStore::compact`], installed with an atomic rename;
 //! * `watermark` — an optional side journal of the durable log length
@@ -19,8 +19,9 @@
 //!
 //! ```text
 //! log header   : "FTDL" ver:u32 globals:u64 stack:u64 heap:u64 base_seq:u64 crc:u32
-//! record frame : len:u32 crc:u32 payload[len]       (crc over len‖payload)
-//! payload      : tag:u8=1 seq:u64 npages:u32 npages×(page:u32 image[4096])
+//! commit frame : len:u32 hcrc:u32 crc:u32 payload[len]  (hcrc over len, crc over payload)
+//! payload      : tag:u8=1 seq:u64 diffs
+//! diffs        : npages:u32 npages×(page:u32 nruns:u32 nruns×(off:u32 len:u32 bytes[len]))
 //! checkpoint   : "FTDC" ver:u32 globals:u64 stack:u64 heap:u64 seq:u64
 //!                image[pages×4096] crc:u32          (crc over all prior bytes)
 //! ```
@@ -29,24 +30,39 @@
 //! log record's seq must be exactly one past its predecessor's (the log
 //! header's `base_seq` seeds the chain after a compaction).
 //!
+//! A frame's `diffs` are the maximal byte runs in which each dirty page
+//! differs from its before-image — the copy the arena's undo log already
+//! holds for rollback — in ascending page order, a page equal to its
+//! before-image left out. They are encoded and validated by
+//! [`crate::diff`], the codec that also carries DSM diffs, so a commit
+//! costs in proportion to the bytes it changed, not the pages it touched.
+//! Checkpoints stay full images.
+//!
 //! # Recovery invariants
 //!
 //! [`DurableStore::open`] replays the longest valid log prefix on top of
 //! the checkpoint (if any), distinguishing two very different kinds of
 //! damage:
 //!
-//! * **Torn tail** — the *final* frame is incomplete (extends past
-//!   end-of-file with the length of a whole commit record, or is followed
-//!   by nothing and fails its CRC): the crash interrupted an append that
-//!   was never acknowledged. The tail is truncated and recovery succeeds
-//!   at the last durable commit. A length that runs past end-of-file and
-//!   is *not* `13 + n × 4100` was never written by an append: it is a
-//!   damaged prefix hiding whatever followed it, and is corruption.
+//! * **Torn tail** — the *final* frame is incomplete: its 12-byte prefix
+//!   is short, or it runs past end-of-file with a valid `hcrc`, or it is
+//!   followed by nothing and fails its `crc`. The crash interrupted an
+//!   append that was never acknowledged; the tail is truncated and
+//!   recovery succeeds at the last durable commit. `hcrc` is what lets a
+//!   frame that runs past end-of-file be believed: the CRC-32 of a 4-byte
+//!   word is a bijection, so no damage to `len` alone passes it, and a
+//!   length that fails it is corruption wherever it stands.
 //! * **Committed-region corruption** — a frame fails its CRC (or parses
 //!   inconsistently) while *later* bytes exist: a later write implies
 //!   the earlier one completed, so this is silent media/software
 //!   corruption of acknowledged state. Recovery is **fail-stop** with a
 //!   diagnostic ([`DurableError::Corrupt`]) — never silent acceptance.
+//!
+//! Each frame's diffs section is validated structurally before it is
+//! walked, and the walk checks every page and run against the arena's
+//! bounds as it writes them. Recovery builds its image off to the side
+//! and drops it on any `Corrupt`, so damage is `Corrupt`, never a panic
+//! and never half a frame installed.
 //!
 //! # Seeded mutations
 //!
@@ -60,6 +76,7 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use crate::arena::{Arena, CommitRecord, Layout, PAGE_SIZE};
+use crate::diff::{self, DiffWriter};
 
 pub use decode::{crc32, read_watermark};
 
@@ -73,7 +90,7 @@ pub const CHECKPOINT_TMP: &str = "checkpoint.tmp";
 pub const WATERMARK_FILE: &str = "watermark";
 
 /// On-disk format version written and accepted by this build.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 const LOG_MAGIC: &[u8; 4] = b"FTDL";
 const CKPT_MAGIC: &[u8; 4] = b"FTDC";
@@ -84,23 +101,24 @@ pub const LOG_HEADER_LEN: u64 = LOG_HEADER_BYTES as u64;
 
 /// Byte offset of the log-header CRC within the header.
 const LOG_HEADER_CRC_AT: usize = LOG_HEADER_BYTES - 4;
-/// Record frame prefix: len(4) crc(4).
-const FRAME_PREFIX: usize = 8;
+/// Checkpoint header: magic(4) ver(4) layout(24) seq(8); the image follows.
+const CKPT_HEADER_BYTES: usize = 40;
+/// Frame prefix: len(4) hcrc(4) crc(4).
+const FRAME_PREFIX: usize = 12;
 const TAG_COMMIT: u8 = 1;
-/// Payload prefix: tag(1) seq(8) npages(4).
-const PAYLOAD_PREFIX: usize = 13;
+/// Payload prefix: tag(1) seq(8); the diffs section follows.
+const PAYLOAD_PREFIX: usize = 9;
 
-/// Bytes per page entry in a commit payload: u32 page index + image.
-const PAGE_ENTRY_LEN: usize = 4 + PAGE_SIZE;
-
-// CRC32 (IEEE 802.3, polynomial 0xEDB88320), table-driven. In-repo
-// because the workspace builds without external crates.
+// CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320), sliced by eight:
+// table 0 is the classic byte table, and table k maps a byte to its
+// contribution k bytes further along, so one step folds eight input
+// bytes. In-repo because the workspace builds without external crates.
 #[expect(
     clippy::cast_possible_truncation,
     reason = "i < 256; u32::try_from is not callable in const fn"
 )]
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0usize;
     while i < 256 {
         let mut c = i as u32;
@@ -113,13 +131,23 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-const CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// When the redo log is fsynced relative to commit acknowledgments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -282,7 +310,7 @@ impl StagedCommit {
 ///
 /// The in-memory [`Arena`] keeps its Vista-style undo log for rollback;
 /// this wrapper adds the *redo* side: each commit appends the dirty
-/// pages' after-images to `redo.log` before the arena's commit point,
+/// pages' changed bytes to `redo.log` before the arena's commit point,
 /// so a fresh process can [`DurableStore::open`] the directory and
 /// resume from the last durable commit.
 #[derive(Debug)]
@@ -365,30 +393,35 @@ impl DurableStore {
         &self.dir
     }
 
-    /// Encodes the next commit's record frame from the arena's current
-    /// dirty set, without touching the log or the arena. Pages are
-    /// encoded in ascending index order, so equal states produce equal
-    /// bytes regardless of write order.
+    /// Encodes the next commit's frame from the arena's current dirty
+    /// set, without touching the log or the arena: each dirty page's byte
+    /// runs against its before-image, pages in ascending index order, so
+    /// equal states produce equal bytes regardless of write order.
     #[expect(
         clippy::cast_possible_truncation,
-        reason = "page counts and indices are bounded by the arena size (< 2^32 pages); the format stores them as u32"
+        reason = "page indices are bounded by the arena size (< 2^32 pages); the format stores them as u32"
     )]
     pub fn stage_commit(&self) -> StagedCommit {
-        let pages = self.arena.dirty_page_indices();
-        let mut payload = Vec::with_capacity(PAYLOAD_PREFIX + pages.len() * (4 + PAGE_SIZE));
-        payload.push(TAG_COMMIT);
-        payload.extend_from_slice(&(self.seq + 1).to_le_bytes());
-        payload.extend_from_slice(&(pages.len() as u32).to_le_bytes());
-        for &p in &pages {
-            payload.extend_from_slice(&(p as u32).to_le_bytes());
-            payload.extend_from_slice(
-                self.arena
-                    .read(p * PAGE_SIZE, PAGE_SIZE)
-                    .expect("dirty page is in bounds"),
-            );
+        let pages = self.arena.dirty_pages();
+        let after = |page: usize| {
+            self.arena
+                .read(page * PAGE_SIZE, PAGE_SIZE)
+                .expect("dirty page is in bounds")
+        };
+        // Sizing pass, so the frame is allocated once, at its length.
+        let section_len = 4 + pages
+            .iter()
+            .map(|&(page, before)| diff::page_diff_len(after(page), before))
+            .sum::<usize>();
+        let mut header = [0; FRAME_PREFIX + PAYLOAD_PREFIX];
+        header[FRAME_PREFIX] = TAG_COMMIT;
+        header[FRAME_PREFIX + 1..].copy_from_slice(&(self.seq + 1).to_le_bytes());
+        let mut w = DiffWriter::begin(&header, section_len);
+        for &(page, before) in &pages {
+            w.page_diff(page as u32, after(page), before);
         }
         StagedCommit {
-            frame: encode_frame(&payload),
+            frame: seal_frame(w.finish()),
             dirty_pages: pages.len(),
         }
     }
@@ -478,7 +511,8 @@ impl DurableStore {
     /// Crash-safe at every step: until the rename the old checkpoint +
     /// full log recover; after it, the (now stale) log records are
     /// skipped during replay; after the log reset, the fresh header's
-    /// `base_seq` chains recovery to the checkpoint.
+    /// `base_seq` chains recovery to the checkpoint. A failure to make
+    /// the rename durable is returned before the log is touched.
     pub fn compact(&mut self) -> DurableResult<()> {
         assert_eq!(
             self.arena.dirty_page_count(),
@@ -490,7 +524,7 @@ impl DurableStore {
             .arena
             .read(0, self.arena.size())
             .expect("full-arena read");
-        let mut bytes = Vec::with_capacity(40 + image.len() + 4);
+        let mut bytes = Vec::with_capacity(CKPT_HEADER_BYTES + image.len() + 4);
         bytes.extend_from_slice(CKPT_MAGIC);
         bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         encode_layout(&mut bytes, self.arena.layout());
@@ -506,9 +540,7 @@ impl DurableStore {
         fs::rename(&tmp, self.dir.join(CHECKPOINT_FILE))?;
         // Make the rename itself durable before truncating the log that
         // still covers the pre-checkpoint state.
-        if let Ok(d) = File::open(&self.dir) {
-            let _ = d.sync_all();
-        }
+        File::open(&self.dir)?.sync_all()?;
         self.log.set_len(0)?;
         self.log.seek(SeekFrom::Start(0))?;
         let header = encode_log_header(self.arena.layout(), self.seq);
@@ -562,20 +594,18 @@ fn encode_log_header(layout: Layout, base_seq: u64) -> Vec<u8> {
     h
 }
 
+/// Fills in a frame's prefix once its payload is written: the payload
+/// length, the CRC of that length, the CRC of the payload.
 #[expect(
     clippy::cast_possible_truncation,
-    reason = "payloads are a few pages at most; the frame format stores len as u32"
+    reason = "a frame holds one commit's runs, far below 4 GiB; the format stores len as u32"
 )]
-fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    let len = payload.len() as u32;
-    let mut crc_input = Vec::with_capacity(4 + payload.len());
-    crc_input.extend_from_slice(&len.to_le_bytes());
-    crc_input.extend_from_slice(payload);
-    let crc = crc32(&crc_input);
-    let mut frame = Vec::with_capacity(FRAME_PREFIX + payload.len());
-    frame.extend_from_slice(&len.to_le_bytes());
-    frame.extend_from_slice(&crc.to_le_bytes());
-    frame.extend_from_slice(payload);
+fn seal_frame(mut frame: Vec<u8>) -> Vec<u8> {
+    let len = ((frame.len() - FRAME_PREFIX) as u32).to_le_bytes();
+    let crc = crc32(&frame[FRAME_PREFIX..]);
+    frame[..4].copy_from_slice(&len);
+    frame[4..8].copy_from_slice(&crc32(&len).to_le_bytes());
+    frame[8..FRAME_PREFIX].copy_from_slice(&crc.to_le_bytes());
     frame
 }
 
@@ -596,18 +626,32 @@ mod decode {
     )]
 
     use super::*;
+    use crate::diff::{DiffEvent, Diffs, MALFORMED};
 
-    /// CRC32 (IEEE) of `bytes` — the integrity check framing every log
-    /// record, the log header, and the checkpoint image.
+    /// CRC32 (IEEE) of `bytes` — the integrity check of every log frame,
+    /// the log header, and the checkpoint image — eight bytes per step.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every table index is a byte of a u32 (masked to 8 bits or shifted down by 24), inside the 256-entry tables, and every table number is a literal below 8"
+    )]
     pub fn crc32(bytes: &[u8]) -> u32 {
+        let t = &CRC_TABLES;
         let mut c = !0u32;
-        for &b in bytes {
-            #[expect(
-                clippy::indexing_slicing,
-                reason = "index is masked to 8 bits, provably inside the 256-entry table"
-            )]
-            let entry = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize];
-            c = entry ^ (c >> 8);
+        let (words, tail) = bytes.as_chunks::<8>();
+        for &[a0, a1, a2, a3, b0, b1, b2, b3] in words {
+            let lo = u32::from_le_bytes([a0, a1, a2, a3]) ^ c;
+            let hi = u32::from_le_bytes([b0, b1, b2, b3]);
+            c = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in tail {
+            c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
         }
         !c
     }
@@ -688,17 +732,15 @@ mod decode {
                 });
             }
 
-            // Seed the arena image.
-            let mut arena = Arena::new(layout);
+            // The recovered image is built as bytes — the checkpoint's
+            // buffer, or zeros — and only then handed to an arena, so
+            // recovery traps no page and copies no image.
+            let used_checkpoint = ckpt.is_some();
             let ckpt_seq = ckpt.as_ref().map_or(0, |c| c.seq);
-            if let Some(c) = &ckpt {
-                arena
-                    .write(0, &c.image)
-                    .map_err(|_| DurableError::Corrupt {
-                        offset: 40,
-                        detail: "checkpoint image does not fit the arena layout".to_string(),
-                    })?;
-            }
+            let mut image = match ckpt {
+                Some(c) => c.image,
+                None => vec![0; image_len(layout)],
+            };
 
             // Replay the longest valid record prefix.
             let mut seq = ckpt_seq.max(base_seq);
@@ -715,29 +757,16 @@ mod decode {
                         }
                         FrameScan::Record { payload, next } => {
                             expected = expected.saturating_add(1);
-                            let rec = parse_commit_payload(payload, off as u64, expected, layout)?;
-                            if rec.seq > ckpt_seq {
-                                for (page, image) in &rec.pages {
-                                    let dst = page.checked_mul(PAGE_SIZE).ok_or_else(|| {
-                                        DurableError::Corrupt {
-                                            offset: off as u64,
-                                            detail: format!(
-                                                "page index {page} overflows the arena"
-                                            ),
-                                        }
-                                    })?;
-                                    arena.write(dst, image).map_err(|_| DurableError::Corrupt {
-                                        offset: off as u64,
-                                        detail: format!(
-                                            "replay write of page {page} rejected by the arena"
-                                        ),
-                                    })?;
-                                }
+                            // Records the checkpoint already covers are
+                            // validated by the same walk, not written.
+                            let apply = expected > ckpt_seq;
+                            replay_commit(payload, off as u64, expected, &mut image, apply)?;
+                            if apply {
                                 replayed = replayed.saturating_add(1);
                             } else {
                                 skipped = skipped.saturating_add(1);
                             }
-                            seq = seq.max(rec.seq);
+                            seq = seq.max(expected);
                             valid_end = next as u64;
                             off = next;
                         }
@@ -776,9 +805,12 @@ mod decode {
                 append_at
             };
 
-            // The recovered image is the committed state: commit once so the
-            // arena's recovery point matches the on-disk recovery point.
-            arena.commit();
+            // The recovered image is the committed state: the arena's
+            // recovery point matches the on-disk recovery point.
+            let arena = Arena::from_image(layout, image).ok_or_else(|| DurableError::Corrupt {
+                offset: CKPT_HEADER_BYTES as u64,
+                detail: "checkpoint image does not fit the arena layout".to_string(),
+            })?;
 
             let mut store = DurableStore {
                 dir: dir.to_path_buf(),
@@ -797,7 +829,7 @@ mod decode {
                 store,
                 RecoveryInfo {
                     seq,
-                    used_checkpoint: ckpt.is_some(),
+                    used_checkpoint,
                     replayed,
                     skipped,
                     truncated_bytes,
@@ -852,6 +884,15 @@ mod decode {
             stack_pages,
             heap_pages,
         })
+    }
+
+    /// Bytes of a decoded layout's image, which [`decode_layout`] proved
+    /// representable.
+    fn image_len(layout: Layout) -> usize {
+        layout
+            .total_pages()
+            .checked_mul(PAGE_SIZE)
+            .unwrap_or_default()
     }
 
     enum HeaderScan {
@@ -930,52 +971,41 @@ mod decode {
         if frame.is_empty() {
             return FrameScan::End;
         }
-        if frame.len() < FRAME_PREFIX {
-            return FrameScan::Torn;
-        }
-        let Some(len) = read_u32(frame, 0) else {
-            return FrameScan::Torn;
-        };
-        let len = len as usize;
-        let Some(end) = FRAME_PREFIX.checked_add(len) else {
+        let (Some(len), Some(hcrc), Some(stored)) =
+            (read_u32(frame, 0), read_u32(frame, 4), read_u32(frame, 8))
+        else {
+            // The append died inside the 12-byte prefix.
             return FrameScan::Torn;
         };
-        if end > frame.len() {
-            // The frame claims bytes past end-of-file. An append that never
-            // finished still wrote a true length prefix first, and a true
-            // length is a whole commit record; any other length is damage to
-            // a prefix whose frame may have had committed frames after it.
-            let whole_record = len
-                .checked_sub(PAYLOAD_PREFIX)
-                .is_some_and(|entries| entries % PAGE_ENTRY_LEN == 0);
-            if !whole_record {
-                return FrameScan::Corrupt {
-                    offset: off as u64,
-                    detail: format!(
-                        "frame length {len} runs past end of log and is no commit record's"
-                    ),
-                };
-            }
-            return FrameScan::Torn;
+        if check_crc && hcrc != crc32(&len.to_le_bytes()) {
+            // An append writes a true length and its CRC together, so a
+            // length that fails its CRC was damaged after the fact — here
+            // or anywhere, it may be hiding committed frames behind it.
+            return FrameScan::Corrupt {
+                offset: off as u64,
+                detail: format!(
+                    "frame length {len} fails its header CRC (stored {hcrc:#010x}, computed {:#010x})",
+                    crc32(&len.to_le_bytes())
+                ),
+            };
         }
-        let (Some(stored), Some(len_prefix), Some(payload)) = (
-            read_u32(frame, 4),
-            frame.get(..4),
-            frame.get(FRAME_PREFIX..end),
+        let (Some(end), Some(next)) = (
+            FRAME_PREFIX.checked_add(len as usize),
+            off.checked_add(FRAME_PREFIX)
+                .and_then(|at| at.checked_add(len as usize)),
         ) else {
             return FrameScan::Torn;
         };
-        let mut crc_input = Vec::with_capacity(4usize.saturating_add(len));
-        crc_input.extend_from_slice(len_prefix);
-        crc_input.extend_from_slice(payload);
-        let computed = crc32(&crc_input);
-        let Some(next) = off.checked_add(end) else {
+        let Some(payload) = frame.get(FRAME_PREFIX..end) else {
+            // A believable length that runs past end-of-file: the append
+            // never finished.
             return FrameScan::Torn;
         };
+        let computed = crc32(payload);
         if check_crc && stored != computed {
             if next == raw.len() {
                 // Bad CRC on the very last frame: the classic torn write —
-                // the length prefix landed but the payload did not (or only
+                // the prefix landed but the payload did not (or only
                 // partially). Nothing was built on top of it.
                 return FrameScan::Torn;
             }
@@ -993,74 +1023,85 @@ mod decode {
         FrameScan::Record { payload, next }
     }
 
-    struct CommitPayload {
-        seq: u64,
-        pages: Vec<(usize, Vec<u8>)>,
-    }
-
-    fn parse_commit_payload(
+    /// Replays one commit payload: checks its tag, its place in the seq
+    /// chain and its diffs section's structure, then walks the section
+    /// once, checking every page and run against the arena's bounds and,
+    /// if `apply`, writing each run into `image`. A frame that fails
+    /// part-way leaves `image` half-written, which is harmless: `open`
+    /// drops the image with the `Corrupt`.
+    fn replay_commit(
         payload: &[u8],
         offset: u64,
         expected_seq: u64,
-        layout: Layout,
-    ) -> DurableResult<CommitPayload> {
-        if payload.len() < PAYLOAD_PREFIX {
-            return Err(DurableError::Corrupt {
-                offset,
-                detail: format!("record payload too short ({} bytes)", payload.len()),
-            });
-        }
-        let tag = payload.first().copied().unwrap_or_default();
-        if tag != TAG_COMMIT {
-            return Err(DurableError::Corrupt {
-                offset,
-                detail: format!("unknown record tag {tag}"),
-            });
-        }
-        let truncated = || DurableError::Corrupt {
-            offset,
-            detail: format!("record payload truncated ({} bytes)", payload.len()),
+        image: &mut [u8],
+        apply: bool,
+    ) -> DurableResult<()> {
+        let corrupt = |detail: String| DurableError::Corrupt { offset, detail };
+        let (Some(&tag), Some(seq), Some(section)) = (
+            payload.first(),
+            read_u64(payload, 1),
+            payload.get(PAYLOAD_PREFIX..),
+        ) else {
+            return Err(corrupt(format!(
+                "record payload too short ({} bytes)",
+                payload.len()
+            )));
         };
-        let seq = read_u64(payload, 1).ok_or_else(truncated)?;
+        if tag != TAG_COMMIT {
+            return Err(corrupt(format!("unknown record tag {tag}")));
+        }
         if seq != expected_seq {
-            return Err(DurableError::Corrupt {
-                offset,
-                detail: format!("sequence break: record claims seq {seq}, expected {expected_seq}"),
-            });
+            return Err(corrupt(format!(
+                "sequence break: record claims seq {seq}, expected {expected_seq}"
+            )));
         }
-        let npages = read_u32(payload, 9).ok_or_else(truncated)? as usize;
-        let expected_len = npages
-            .checked_mul(PAGE_ENTRY_LEN)
-            .and_then(|b| b.checked_add(PAYLOAD_PREFIX));
-        if expected_len != Some(payload.len()) {
-            return Err(DurableError::Corrupt {
-                offset,
-                detail: format!(
-                    "record length {} inconsistent with {npages} pages",
-                    payload.len()
-                ),
-            });
+        let diffs = Diffs::parse(section).map_err(|_| {
+            corrupt(format!(
+                "record diffs section of {} bytes is inconsistent with its counts",
+                section.len()
+            ))
+        })?;
+        let total_pages = image.len() / PAGE_SIZE;
+        let mut page_at = 0usize;
+        let mut bad = String::new();
+        let walked = diffs.visit(&mut |ev| {
+            bad = match ev {
+                DiffEvent::Page(page) if page as usize >= total_pages => {
+                    format!("page index {page} outside the {total_pages}-page arena")
+                }
+                DiffEvent::Page(page) => {
+                    page_at = PAGE_SIZE.saturating_mul(page as usize);
+                    return Ok(());
+                }
+                DiffEvent::Run(off, run)
+                    if (off as usize)
+                        .checked_add(run.len())
+                        .is_none_or(|end| end > PAGE_SIZE) =>
+                {
+                    format!(
+                        "run of {} bytes at page offset {off} overruns its page",
+                        run.len()
+                    )
+                }
+                DiffEvent::Run(off, run) => {
+                    if apply {
+                        let at = page_at.saturating_add(off as usize);
+                        #[expect(
+                            clippy::indexing_slicing,
+                            clippy::arithmetic_side_effects,
+                            reason = "the page was checked against the arena and the run against its page, so the run lies inside the image"
+                        )]
+                        image[at..at + run.len()].copy_from_slice(run);
+                    }
+                    return Ok(());
+                }
+            };
+            Err(MALFORMED)
+        });
+        if walked.is_err() {
+            return Err(corrupt(bad));
         }
-        let total_pages = layout.total_pages();
-        let mut pages = Vec::with_capacity(npages);
-        let mut at = PAYLOAD_PREFIX;
-        for _ in 0..npages {
-            let page = read_u32(payload, at).ok_or_else(truncated)? as usize;
-            if page >= total_pages {
-                return Err(DurableError::Corrupt {
-                    offset,
-                    detail: format!("page index {page} outside the {total_pages}-page arena"),
-                });
-            }
-            let image = at
-                .checked_add(4)
-                .and_then(|lo| lo.checked_add(PAGE_SIZE).map(|hi| (lo, hi)))
-                .and_then(|(lo, hi)| payload.get(lo..hi))
-                .ok_or_else(truncated)?;
-            pages.push((page, image.to_vec()));
-            at = at.checked_add(PAGE_ENTRY_LEN).ok_or_else(truncated)?;
-        }
-        Ok(CommitPayload { seq, pages })
+        Ok(())
     }
 
     struct CheckpointImage {
@@ -1073,10 +1114,11 @@ mod decode {
         if !path.exists() {
             return Ok(None);
         }
-        let raw = fs::read(path)?;
+        let mut raw = fs::read(path)?;
         // The checkpoint is installed by atomic rename, so it is always in
         // the committed region: any damage is fail-stop.
-        if raw.len() < 44 {
+        let header_and_crc = CKPT_HEADER_BYTES.saturating_add(4);
+        if raw.len() < header_and_crc {
             return Err(DurableError::Corrupt {
                 offset: 0,
                 detail: format!("checkpoint too short ({} bytes)", raw.len()),
@@ -1106,12 +1148,9 @@ mod decode {
             offset: 8,
             detail: "checkpoint layout does not fit the addressable arena".to_string(),
         })?;
-        // 40-byte header + image + 4-byte CRC. `decode_layout` proved the
-        // image size representable, so only the additions need checking.
-        let expect = layout
-            .total_pages()
-            .checked_mul(PAGE_SIZE)
-            .and_then(|image| image.checked_add(44));
+        // Header + image + CRC. `decode_layout` proved the image size
+        // representable, so only the addition needs checking.
+        let expect = image_len(layout).checked_add(header_and_crc);
         if expect != Some(raw.len()) {
             let expect =
                 expect.map_or_else(|| "unrepresentable size".to_string(), |e| e.to_string());
@@ -1135,10 +1174,15 @@ mod decode {
                 ),
             });
         }
+        let seq = read_u64(raw.as_slice(), 32).ok_or_else(truncated)?;
+        // The image is the file between header and CRC: moved down in
+        // place, not copied out.
+        raw.truncate(crc_at);
+        raw.drain(..CKPT_HEADER_BYTES);
         Ok(Some(CheckpointImage {
             layout,
-            seq: read_u64(raw.as_slice(), 32).ok_or_else(truncated)?,
-            image: raw.get(40..crc_at).ok_or_else(truncated)?.to_vec(),
+            seq,
+            image: raw,
         }))
     }
 }
@@ -1160,11 +1204,44 @@ mod tests {
         DurableOptions::default()
     }
 
+    /// The byte-at-a-time CRC the sliced one must equal.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
     #[test]
     fn crc32_check_value() {
         // The canonical CRC32 (IEEE) check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// Slicing-by-8 equals the bytewise loop at every length up to 64 at
+    /// every alignment, where the word loop and the tail split
+    /// differently, and over 1 MiB of seeded bytes.
+    #[test]
+    fn sliced_crc32_matches_the_bytewise_reference() {
+        let mut z = 0x00C3_C32Eu64;
+        let mut bytes = Vec::with_capacity(1 << 20);
+        while bytes.len() < 1 << 20 {
+            z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut x = z;
+            x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            bytes.extend_from_slice(&(x ^ (x >> 31)).to_le_bytes());
+        }
+        for align in 0..8 {
+            for len in 0..=64 {
+                let b = &bytes[align..align + len];
+                assert_eq!(crc32(b), crc32_bytewise(b), "align {align} len {len}");
+            }
+        }
+        assert_eq!(crc32(&bytes), crc32_bytewise(&bytes));
     }
 
     #[test]
@@ -1325,7 +1402,8 @@ mod tests {
     fn auto_compaction_fires_past_the_threshold() {
         let dir = scratch_dir("auto-compact");
         let opts = DurableOptions {
-            compact_threshold: Some(3 * PAGE_SIZE as u64),
+            // Two or three one-byte commits' frames.
+            compact_threshold: Some(LOG_HEADER_LEN + 100),
             ..small_opts()
         };
         let mut s = DurableStore::create(&dir, Layout::small(), opts).unwrap();
@@ -1337,7 +1415,7 @@ mod tests {
             s.dir().join(CHECKPOINT_FILE).exists(),
             "threshold crossings must have compacted"
         );
-        assert!(s.log_len() < 2 * PAGE_SIZE as u64);
+        assert!(s.log_len() < LOG_HEADER_LEN + 100);
         let (r, info) = DurableStore::open(&dir, opts).unwrap();
         assert_eq!(info.seq, 4);
         assert_eq!(r.arena().read(0, 1).unwrap(), &[3]);
@@ -1381,19 +1459,20 @@ mod tests {
     #[test]
     fn corrupt_committed_record_is_fail_stop() {
         let dir = scratch_dir("corrupt");
+        let first_end;
         {
             let mut s = DurableStore::create(&dir, Layout::small(), small_opts()).unwrap();
-            for v in [b"one", b"two"] {
-                s.arena_mut().write(0, v).unwrap();
-                s.commit().unwrap();
-            }
+            s.arena_mut().write(0, b"one").unwrap();
+            s.commit().unwrap();
+            first_end = usize::try_from(s.log_len()).unwrap();
+            s.arena_mut().write(0, b"two").unwrap();
+            s.commit().unwrap();
         }
-        // Flip a byte inside the FIRST record's page image: committed
-        // region (a valid record follows it).
+        // Flip the FIRST record's last byte, a run byte: committed region
+        // (a valid record follows it).
         let path = dir.join(LOG_FILE);
         let mut raw = fs::read(&path).unwrap();
-        let target = LOG_HEADER_BYTES + FRAME_PREFIX + PAYLOAD_PREFIX + 4 + 100;
-        raw[target] ^= 0xFF;
+        raw[first_end - 1] ^= 0xFF;
         fs::write(&path, &raw).unwrap();
         let err = DurableStore::open(&dir, small_opts()).unwrap_err();
         match err {
@@ -1408,19 +1487,21 @@ mod tests {
     #[test]
     fn skip_crc_mutant_accepts_the_corruption_silently() {
         let dir = scratch_dir("skip-crc");
+        let first_end;
         {
             let mut s = DurableStore::create(&dir, Layout::small(), small_opts()).unwrap();
             // Two records touching DIFFERENT pages, so the second's
             // replay cannot mask the first's corruption.
             s.arena_mut().write(0, b"one").unwrap();
             s.commit().unwrap();
+            first_end = usize::try_from(s.log_len()).unwrap();
             s.arena_mut().write(8192, b"two").unwrap();
             s.commit().unwrap();
         }
+        // The first record's last byte is the last of its one run, "one".
         let path = dir.join(LOG_FILE);
         let mut raw = fs::read(&path).unwrap();
-        let target = LOG_HEADER_BYTES + FRAME_PREFIX + PAYLOAD_PREFIX + 4 + 100;
-        raw[target] ^= 0xFF;
+        raw[first_end - 1] ^= 0xFF;
         fs::write(&path, &raw).unwrap();
         let mutant = DurableOptions {
             mutation: DurableMutation::SkipCrcCheck,
@@ -1429,8 +1510,8 @@ mod tests {
         let (s, info) = DurableStore::open(&dir, mutant).unwrap();
         assert_eq!(info.seq, 2, "the mutant sails past the damage");
         assert_eq!(
-            s.arena().read(100, 1).unwrap(),
-            &[0xFF],
+            s.arena().read(2, 1).unwrap(),
+            &[b'e' ^ 0xFF],
             "…and installs the corrupted byte"
         );
         fs::remove_dir_all(&dir).unwrap();
@@ -1538,6 +1619,33 @@ mod tests {
         assert_eq!(a.stage_commit().frame, b.stage_commit().frame);
         fs::remove_dir_all(&dir_a).unwrap();
         fs::remove_dir_all(&dir_b).unwrap();
+    }
+
+    /// A frame carries the changed bytes, not the pages: one 8-byte write
+    /// is prefix, payload prefix, a one-page section with one run; a page
+    /// rewritten to its before-image is dirty but carries nothing.
+    #[test]
+    fn a_frame_carries_only_the_changed_bytes() {
+        let dir = scratch_dir("frame-size");
+        let mut s = DurableStore::create(&dir, Layout::small(), small_opts()).unwrap();
+        s.arena_mut()
+            .write_pod::<u64>(PAGE_SIZE + 16, u64::MAX)
+            .unwrap();
+        s.arena_mut().write(3 * PAGE_SIZE, &[0; 64]).unwrap();
+        let staged = s.stage_commit();
+        assert_eq!(staged.dirty_pages(), 2);
+        assert_eq!(
+            staged.frame_len(),
+            FRAME_PREFIX + PAYLOAD_PREFIX + 4 + 8 + 8 + 8
+        );
+        s.commit().unwrap();
+        s.arena_mut().write(PAGE_SIZE + 16, &[0; 8]).unwrap();
+        s.arena_mut().write(PAGE_SIZE + 16, &[0xFF; 8]).unwrap();
+        assert_eq!(
+            s.stage_commit().frame_len(),
+            FRAME_PREFIX + PAYLOAD_PREFIX + 4
+        );
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

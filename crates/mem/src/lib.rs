@@ -16,10 +16,13 @@
 //! * [`cost`] — calibrated commit cost models for Rio (Discount Checking),
 //!   synchronous disk (DC-disk), and the log-structured file backend
 //!   (DC-durable);
+//! * [`diff`] — the one diff codec: the byte runs in which a page differs
+//!   from its twin, encoded and validated for both the DSM wire and the
+//!   redo log;
 //! * [`durable`] — the real thing behind DC-durable: an append-only
-//!   CRC32-framed redo log plus checkpoint file on an actual filesystem,
-//!   with torn-tail-truncating / corruption-fail-stop recovery (the
-//!   engine `crates/crashtest` kills with real `SIGKILL`s);
+//!   CRC32-framed redo log of page diffs plus a checkpoint file on an
+//!   actual filesystem, with torn-tail-truncating / corruption-fail-stop
+//!   recovery (the engine `crates/crashtest` kills with real `SIGKILL`s);
 //! * [`error`] — memory faults, which the applications surface as crash
 //!   events.
 //!
@@ -47,6 +50,7 @@
 pub mod alloc;
 pub mod arena;
 pub mod cost;
+pub mod diff;
 pub mod durable;
 pub mod error;
 pub mod mem;

@@ -17,7 +17,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ft_mem::arena::{Layout, PAGE_SIZE};
-use ft_mem::durable::{DurableOptions, DurableStore, FsyncPolicy, FORMAT_VERSION, LOG_FILE};
+use ft_mem::durable::{
+    crc32, DurableError, DurableOptions, DurableStore, FsyncPolicy, FORMAT_VERSION, LOG_FILE,
+};
 
 const GOLDEN: &[u8] = include_bytes!("fixtures/golden_redo.log");
 
@@ -49,8 +51,10 @@ fn opts() -> DurableOptions {
 }
 
 /// The pinned op script: two commits, the second dirtying two pages
-/// (one of them a re-write of page 0, so the fixture also pins the
-/// full-page-image semantics of redo records).
+/// (one of them a re-write of page 0, so the fixture also pins that a
+/// record carries only the bytes that changed — and the low byte of
+/// `0x99AA_BBCC_DDEE_FF00`, equal to its before-image, splits no run
+/// but starts it one byte late).
 fn build_golden(dir: &Path) -> DurableStore {
     let mut s = DurableStore::create(dir, tiny(), opts()).expect("create golden store");
     s.arena_mut()
@@ -104,6 +108,37 @@ fn fixture_recovers_the_pinned_state() {
         GOLDEN_DIGEST,
         "recovered state digest drifted from the pinned fixture"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// No reader of an older format is kept: a version-1 log — a valid
+/// header, CRC and all, with a frame behind it — is refused by its
+/// version field, with a diagnostic naming both versions.
+#[test]
+fn a_version_1_log_is_refused_with_the_version_diagnostic() {
+    let dir = scratch("v1");
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut v1 = Vec::new();
+    v1.extend_from_slice(b"FTDL");
+    v1.extend_from_slice(&1u32.to_le_bytes());
+    for pages in [1u64, 1, 1, 0] {
+        v1.extend_from_slice(&pages.to_le_bytes()); // layout, then base_seq
+    }
+    let crc = crc32(&v1);
+    v1.extend_from_slice(&crc.to_le_bytes());
+    v1.extend_from_slice(&[13, 0, 0, 0, 0, 0, 0, 0]); // a v1 frame prefix
+    std::fs::write(dir.join(LOG_FILE), &v1).unwrap();
+    match DurableStore::open(&dir, opts()) {
+        Err(DurableError::Corrupt { offset, detail }) => {
+            assert_eq!(offset, 4, "the diagnostic points at the version field");
+            assert_eq!(
+                detail,
+                format!("log format version 1 (this build reads {FORMAT_VERSION})")
+            );
+        }
+        Err(e) => panic!("expected the version diagnostic, got {e}"),
+        Ok(_) => panic!("a version-1 log was opened"),
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -5,12 +5,14 @@
 //! offset inside the final record and demand that recovery always lands
 //! on the last durable prefix — never a partial record applied, never a
 //! committed one lost. The bit-flip sweep is its untrusted-bytes twin:
-//! every header, prefix and index bit and one bit of every image byte of
-//! a checkpoint plus a multi-frame log, each mutant reopened — damage is
-//! `Corrupt{..}` or a legal torn tail, never a panic, never a state that
-//! was not committed. The directed tests pin each recovery entry path
-//! (empty log, log-only, checkpoint-only) and the fail-stop contract
-//! for committed-region damage.
+//! every bit of the log header and of every frame, and every header bit
+//! and one bit of every image byte of a checkpoint, each mutant reopened
+//! — damage is `Corrupt{..}` or a legal torn tail, never a panic, never a
+//! state that was not committed. The reopen property test drives the
+//! diff encoder through every shape a commit can take. The directed
+//! tests pin each recovery entry path (empty log, log-only,
+//! checkpoint-only) and the fail-stop contract for committed-region
+//! damage.
 
 #![allow(
     clippy::cast_possible_truncation,
@@ -22,9 +24,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ft_mem::arena::{Layout, PAGE_SIZE};
+use ft_mem::diff::DiffWriter;
 use ft_mem::durable::{
-    crc32, DurableError, DurableOptions, DurableStore, FsyncPolicy, CHECKPOINT_FILE, LOG_FILE,
-    LOG_HEADER_LEN,
+    crc32, DurableError, DurableOptions, DurableStore, FsyncPolicy, CHECKPOINT_FILE,
+    FORMAT_VERSION, LOG_FILE, LOG_HEADER_LEN,
 };
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -43,8 +46,8 @@ fn scratch(tag: &str) -> PathBuf {
     root.join(format!("ft-mem-recovery-{}-{tag}-{n}", std::process::id()))
 }
 
-/// 3-page layout: keeps each redo record (≈ 4 KiB per dirty page) small
-/// enough that the per-byte sweep stays fast.
+/// 3-page layout: keeps the checkpoint (one full image) small enough that
+/// the per-byte sweeps stay fast.
 fn tiny() -> Layout {
     Layout {
         globals_pages: 1,
@@ -144,10 +147,10 @@ enum Damage {
 
 /// ROADMAP 1(d), the durable-log half of the untrusted-bytes sweep:
 /// single-bit flips across a checkpoint and a three-frame log. Budget:
-/// one `DurableStore::open` per flipped bit — 352 log-header bits, per
-/// frame 64 prefix + 104 payload-prefix bits, per page entry 32 index
-/// bits + one per image byte (3 frames, 4 page entries), 352 checkpoint
-/// header and CRC bits and 12 288 checkpoint image bytes: 30 008 opens.
+/// one `DurableStore::open` per flipped bit — 352 log-header bits, every
+/// bit of the three frames (49 + 73 + 49 bytes, 1 368 bits), 352
+/// checkpoint header and CRC bits and one rotating bit of each of the
+/// 12 288 checkpoint image bytes: 14 360 opens.
 #[test]
 fn single_bit_flips_are_corrupt_or_a_legal_torn_tail_never_a_panic() {
     let dir = scratch("flip-src");
@@ -162,25 +165,26 @@ fn single_bit_flips_are_corrupt_or_a_legal_torn_tail_never_a_panic() {
                 .unwrap();
         }
         store.commit().unwrap();
-        store.state_digest()
+        (store.state_digest(), store.log_len() as usize)
     };
     commit(&mut store, 1);
     commit(&mut store, 2);
     store.compact().unwrap();
-    let digests: Vec<u64> = (3..=5).map(|i| commit(&mut store, i)).collect();
+    // The frames' byte ranges, from the log length around each commit.
+    let mut digests = Vec::new();
+    let mut frames = Vec::new();
+    let mut start = store.log_len() as usize;
+    for i in 3..=5 {
+        let (digest, end) = commit(&mut store, i);
+        digests.push(digest);
+        frames.push(start..end);
+        start = end;
+    }
     drop(store);
     let log = std::fs::read(dir.join(LOG_FILE)).unwrap();
     let ckpt = std::fs::read(dir.join(CHECKPOINT_FILE)).unwrap();
-
-    // The frames' byte ranges, walked the way recovery walks them.
-    let mut frames = Vec::new();
-    let mut off = LOG_HEADER_LEN as usize;
-    while off < log.len() {
-        let len = u32::from_le_bytes(log[off..off + 4].try_into().unwrap()) as usize;
-        frames.push(off..off + 8 + len);
-        off += 8 + len;
-    }
-    assert_eq!((frames.len(), off), (3, log.len()), "one frame per commit");
+    let frame_lens: Vec<usize> = frames.iter().map(ExactSizeIterator::len).collect();
+    assert_eq!((frame_lens, start), (vec![49, 73, 49], log.len()));
 
     let flip_dir = scratch("flip-mut");
     std::fs::create_dir_all(&flip_dir).unwrap();
@@ -234,16 +238,8 @@ fn single_bit_flips_are_corrupt_or_a_legal_torn_tail_never_a_panic() {
         } else {
             Damage::Committed
         };
-        // Frame prefix (8) and payload prefix (13), then per page entry
-        // its index word in full and one rotating bit of each image byte.
-        let entries = frame.start + 8 + 13;
         for at in frame.clone() {
-            let in_index_word = at >= entries && (at - entries) % (4 + PAGE_SIZE) < 4;
-            if at < entries || in_index_word {
-                sweep(LOG_FILE, &log, at, &ALL, damage);
-            } else {
-                sweep(LOG_FILE, &log, at, &[(at % 8) as u8], damage);
-            }
+            sweep(LOG_FILE, &log, at, &ALL, damage);
         }
     }
 
@@ -262,29 +258,100 @@ fn single_bit_flips_are_corrupt_or_a_legal_torn_tail_never_a_panic() {
             sweep(CHECKPOINT_FILE, &ckpt, at, &ALL, Damage::Committed);
         }
     }
-    assert_eq!(opens, 30_008, "the stated budget");
+    assert_eq!(opens, 14_360, "the stated budget");
     cleanup(&dir);
     cleanup(&flip_dir);
+}
+
+/// Stage → reopen, seeded: commits mix page-straddling writes, whole-page
+/// fills, writes put back to the before-image (a dirty page with no
+/// runs), rollback-then-rewrite and empty commits, with compactions in
+/// between, and a reopen after every commit must land on the live
+/// store's seq and state digest.
+#[test]
+fn every_commit_reopens_to_the_live_state() {
+    let mut reopens = 0;
+    for seed in 0..6u64 {
+        let dir = scratch("reopen");
+        let mut store = DurableStore::create(&dir, Layout::small(), opts()).unwrap();
+        let size = store.arena().size();
+        let mut z = seed;
+        let mut next = |below: usize| {
+            z = splitmix(z);
+            (z % below as u64) as usize
+        };
+        for _ in 0..60 {
+            for _ in 0..next(4) {
+                let arena = store.arena_mut();
+                match next(5) {
+                    0 => {
+                        let len = 2 + next(15);
+                        let boundary = PAGE_SIZE * (1 + next(size / PAGE_SIZE - 1));
+                        let bytes: Vec<u8> = (0..len).map(|_| next(256) as u8).collect();
+                        arena.write(boundary - 1 - next(len - 1), &bytes).unwrap();
+                    }
+                    1 => {
+                        let page = next(size / PAGE_SIZE);
+                        arena
+                            .fill(page * PAGE_SIZE, PAGE_SIZE, next(256) as u8)
+                            .unwrap();
+                    }
+                    2 => {
+                        let at = next(size - 8);
+                        let before = arena.read(at, 8).unwrap().to_vec();
+                        arena.write(at, &[0xA5; 8]).unwrap();
+                        arena.write(at, &before).unwrap();
+                    }
+                    3 => {
+                        arena.write(next(size - 8), &[0x5A; 8]).unwrap();
+                        arena.rollback();
+                        let value = next(usize::MAX) as u64;
+                        arena.write_pod::<u64>(next(size - 8), value).unwrap();
+                    }
+                    _ => {
+                        let value = next(usize::MAX) as u64;
+                        arena.write_pod::<u64>(next(size - 8), value).unwrap();
+                    }
+                }
+            }
+            store.commit().unwrap();
+            if next(10) == 0 {
+                store.compact().unwrap();
+            }
+            let (reopened, info) = DurableStore::open(&dir, opts()).unwrap();
+            assert_eq!((info.seq, info.truncated_bytes), (store.seq(), 0));
+            assert_eq!(
+                reopened.state_digest(),
+                store.state_digest(),
+                "seed {seed} seq {}",
+                store.seq()
+            );
+            reopens += 1;
+        }
+        cleanup(&dir);
+    }
+    assert_eq!(reopens, 360);
 }
 
 #[test]
 fn crc_corruption_is_fail_stop_with_a_diagnostic() {
     let dir = scratch("crc");
     let mut store = DurableStore::create(&dir, tiny(), opts()).unwrap();
+    let mut ends = Vec::new();
     for i in 0..3u64 {
         store
             .arena_mut()
             .write_pod::<u64>(((i % 3) as usize) * PAGE_SIZE, i + 1)
             .unwrap();
         store.commit().unwrap();
+        ends.push(store.log_len() as usize);
     }
     drop(store);
     let log_path = dir.join(LOG_FILE);
     let mut bytes = std::fs::read(&log_path).unwrap();
-    // Flip a byte inside the *first* record's page image: committed-
-    // region damage (records follow it), not a legally-torn tail.
-    let target = LOG_HEADER_LEN as usize + 8 + 13 + 4 + 100;
-    bytes[target] ^= 0xFF;
+    // Flip the *first* record's last byte, a run byte: committed-region
+    // damage (records follow it), not a legally-torn tail.
+    bytes[ends[0] - 1] ^= 0xFF;
     std::fs::write(&log_path, &bytes).unwrap();
     match DurableStore::open(&dir, opts()) {
         Err(DurableError::Corrupt { offset, detail }) => {
@@ -372,7 +439,7 @@ fn checkpoint_with_unrepresentable_layout_is_fail_stop() {
     std::fs::create_dir_all(&dir).unwrap();
     let mut bytes = Vec::new();
     bytes.extend_from_slice(b"FTDC");
-    bytes.extend_from_slice(&1u32.to_le_bytes()); // FORMAT_VERSION
+    bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     for _ in 0..3 {
         bytes.extend_from_slice(&u64::MAX.to_le_bytes()); // layout pages
     }
@@ -391,41 +458,72 @@ fn checkpoint_with_unrepresentable_layout_is_fail_stop() {
     cleanup(&dir);
 }
 
-/// Regression for the fail-stop conversion of `parse_commit_payload`:
-/// a record claiming ~4 billion pages used to overflow
-/// `npages * (4 + PAGE_SIZE)` in the length cross-check (a debug-build
-/// panic). The claim must be rejected as corruption instead.
-#[test]
-fn commit_record_with_absurd_page_count_is_fail_stop() {
-    let dir = scratch("hugepages");
-    let store = DurableStore::create(&dir, tiny(), opts()).unwrap();
-    drop(store);
+/// Appends one frame (tag 1, seq 1, valid CRCs) around a hand-built diffs
+/// `section` to a fresh store's log and reopens it. The CRCs rule out a
+/// torn tail, so recovery must reject whatever the section claims on its
+/// own: returns the `Corrupt` diagnostic, which names the frame.
+fn reopen_with_hand_built_frame(tag: &str, section: &[u8]) -> String {
+    let dir = scratch(tag);
+    drop(DurableStore::create(&dir, tiny(), opts()).unwrap());
     let log_path = dir.join(LOG_FILE);
     let mut bytes = std::fs::read(&log_path).unwrap();
-    // Frame: len(u32) + crc(u32) + payload[tag, seq u64, npages u32].
     let mut payload = vec![1u8]; // TAG_COMMIT
     payload.extend_from_slice(&1u64.to_le_bytes()); // seq 1 (expected next)
-    payload.extend_from_slice(&u32::MAX.to_le_bytes()); // npages
-    let len = payload.len() as u32;
-    let mut crc_input = len.to_le_bytes().to_vec();
-    crc_input.extend_from_slice(&payload);
-    let crc = crc32(&crc_input);
-    bytes.extend_from_slice(&len.to_le_bytes());
-    bytes.extend_from_slice(&crc.to_le_bytes());
+    payload.extend_from_slice(section);
+    // Frame: len(u32) hcrc(u32) crc(u32), then the payload.
+    let len = (payload.len() as u32).to_le_bytes();
+    bytes.extend_from_slice(&len);
+    bytes.extend_from_slice(&crc32(&len).to_le_bytes());
+    bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
     bytes.extend_from_slice(&payload);
-    // The frame's CRC is valid, so this is not a torn tail: the payload
-    // itself makes the impossible claim.
     std::fs::write(&log_path, &bytes).unwrap();
-    match DurableStore::open(&dir, opts()) {
+    let detail = match DurableStore::open(&dir, opts()) {
         Err(DurableError::Corrupt { offset, detail }) => {
-            assert_eq!(offset, LOG_HEADER_LEN);
-            assert!(
-                detail.contains("inconsistent"),
-                "unexpected diagnostic: {detail}"
-            );
+            assert_eq!(offset, LOG_HEADER_LEN, "{tag}: {detail}");
+            detail
         }
-        Err(e) => panic!("expected fail-stop corruption, got: {e}"),
-        Ok(_) => panic!("absurd page count was accepted"),
-    }
+        Err(e) => panic!("{tag}: expected fail-stop corruption, got: {e}"),
+        Ok(_) => panic!("{tag}: the frame was accepted"),
+    };
     cleanup(&dir);
+    detail
+}
+
+/// Regression for the fail-stop conversion of commit replay: a
+/// diffs section claiming ~4 billion page diffs in four bytes is rejected
+/// as corruption, not walked or allocated for.
+#[test]
+fn commit_record_with_absurd_page_count_is_fail_stop() {
+    let detail = reopen_with_hand_built_frame("hugepages", &u32::MAX.to_le_bytes());
+    assert!(
+        detail.contains("inconsistent"),
+        "unexpected diagnostic: {detail}"
+    );
+}
+
+/// A well-formed section whose page lies past the arena, or whose run
+/// overruns its page — into the next one, still inside the arena image,
+/// or off the end of the address space — is corruption, caught by the
+/// replay walk before the run is written.
+#[test]
+fn commit_record_out_of_the_arena_bounds_is_fail_stop() {
+    for (tag, page, off, want) in [
+        ("page-past-arena", 3, 0, "outside the 3-page arena"),
+        (
+            "run-past-page",
+            0,
+            PAGE_SIZE as u32 - 4,
+            "overruns its page",
+        ),
+        ("run-past-u32", 1, u32::MAX, "overruns its page"),
+    ] {
+        let mut w = DiffWriter::begin(&[], 0);
+        w.page(page);
+        w.run(off, &[0xEE; 8]);
+        let detail = reopen_with_hand_built_frame(tag, &w.finish());
+        assert!(
+            detail.contains(want),
+            "{tag}: unexpected diagnostic: {detail}"
+        );
+    }
 }

@@ -1,15 +1,17 @@
 //! The campaign binary: runs the campaign stages — the durable-medium
-//! grid, Table 1 with the §4.1 composition, Table 2, the loss sweep, the
-//! Figure 4 recovery-time trend, the Figure 8 grids, the §2.6 mitigation
-//! ablation, the continuous-availability matrix, the sharded-KV service,
-//! the exhaustive crash-schedule model checker and the trace analyzer —
-//! each once on one thread (the serial reference) and once on `--threads`,
-//! **fails if the two differ**, prints the report as text (the one
-//! printer, `ft_bench::report::render`) and both timings, writes
-//! `BENCH_<stage>.json`, and applies the stage's gate
-//! (the paper's shape criteria for its figures; avail: every seeded
-//! unsound-microreboot cell flagged; kv and check: violation-free;
-//! analyze: every cell as expected, the seeded races flagged).
+//! grid, the real-process `kill -9` sweep, Table 1 with the §4.1
+//! composition, Table 2, the loss sweep, the Figure 4 recovery-time trend,
+//! the Figure 8 grids, the §2.6 mitigation ablation, the
+//! continuous-availability matrix, the sharded-KV service, the exhaustive
+//! crash-schedule model checker and the trace analyzer — each once on one
+//! thread (the serial reference) and once on `--threads`, **fails if the
+//! two differ**, prints the report as text (the one printer,
+//! `ft_bench::report::render`) and both timings, writes
+//! `BENCH_<stage>.json`, and applies the stage's gate (the paper's shape
+//! criteria for its figures; crashtest: no honest failure, every seeded
+//! engine bug caught; avail: every seeded unsound-microreboot cell
+//! flagged; kv and check: violation-free; analyze: every cell as
+//! expected, the seeded races flagged).
 //!
 //! ```text
 //! cargo run --release -p ft-bench --bin campaign -- --threads 4
@@ -23,14 +25,16 @@
 //!   stages run at the sizing the committed `BENCH_*.json` record, which
 //!   `ci.sh` compares byte for byte;
 //! * `--only STAGE[,STAGE…]` — run only the named stages (`durable`,
-//!   `table1`, `table2`, `loss`, `fig4`, `fig8`, `ablation`, `avail`,
-//!   `kv`, `check`, `analyze`);
+//!   `crashtest`, `table1`, `table2`, `loss`, `fig4`, `fig8`, `ablation`,
+//!   `avail`, `kv`, `check`, `analyze`);
 //! * `--out DIR` — where to write the `BENCH_*.json` files and, without
 //!   `--quick`, `EXPERIMENTS.md`: the repo's own with the marked block of
 //!   every stage that ran replaced by the text printed for it (default
 //!   `.`, which from the repo root re-records all of them in place);
 //! * `--replay FILE` — instead of a campaign, re-execute the replay script
-//!   a failing check stage printed (and put in `BENCH_check.json`).
+//!   a failing check stage printed (and put in `BENCH_check.json`);
+//! * `--child SPEC` — instead, run one crashtest child incarnation
+//!   (`ft_crashtest::ChildConfig`), as the `crashtest` stage forks them.
 //!
 //! The reports are a function of the flags alone: wall-clock goes to
 //! stdout, never into a file.
@@ -44,21 +48,25 @@ use ft_bench::analyze::AnalyzeStage;
 use ft_bench::avail::AvailConfig;
 use ft_bench::campaign::{CampaignConfig, Fig8Stage, LossStage, Table1Stage, Table2Stage};
 use ft_bench::check::{replay, CheckStage};
+use ft_bench::crashtest::CrashtestStage;
 use ft_bench::durable::DurableStage;
 use ft_bench::fig4::Fig4Stage;
 use ft_bench::kv::KvConfig;
 use ft_bench::report::{render, splice};
 use ft_bench::stage::Stage;
+use ft_crashtest::{run_child, ChildConfig};
 use ft_sim::runner::default_threads;
 
 /// Every stage, in run order.
-const STAGES: [&str; 11] = [
-    "durable", "table1", "table2", "loss", "fig4", "fig8", "ablation", "avail", "kv", "check",
-    "analyze",
+#[rustfmt::skip]
+const STAGES: [&str; 12] = [
+    "durable", "crashtest", "table1", "table2", "loss", "fig4", "fig8", "ablation", "avail", "kv",
+    "check", "analyze",
 ];
 
 /// Every flag.
-const FLAGS: [&str; 5] = ["--threads", "--quick", "--only", "--out", "--replay"];
+#[rustfmt::skip]
+const FLAGS: [&str; 6] = ["--threads", "--quick", "--only", "--out", "--replay", "--child"];
 
 /// The repo's EXPERIMENTS.md, whose marked blocks a full-size run
 /// regenerates.
@@ -76,6 +84,8 @@ struct Args {
     out: PathBuf,
     /// Replay this script instead of running a campaign.
     replay: Option<PathBuf>,
+    /// Run this crashtest child spec instead of a campaign.
+    child: Option<String>,
 }
 
 fn parse_args(argv: &[&str], default_threads: usize) -> Result<Args, String> {
@@ -85,6 +95,7 @@ fn parse_args(argv: &[&str], default_threads: usize) -> Result<Args, String> {
     let mut selections = Vec::new();
     let mut out = PathBuf::from(".");
     let mut replay = None;
+    let mut child = None;
     let mut it = argv.iter();
     while let Some(&flag) = it.next() {
         if !FLAGS.contains(&flag) {
@@ -114,6 +125,7 @@ fn parse_args(argv: &[&str], default_threads: usize) -> Result<Args, String> {
             }
             "--out" => out = PathBuf::from(value()?),
             "--replay" => replay = Some(PathBuf::from(value()?)),
+            "--child" => child = Some(value()?.to_string()),
             other => unreachable!("{other} is in FLAGS"),
         }
     }
@@ -148,6 +160,7 @@ fn parse_args(argv: &[&str], default_threads: usize) -> Result<Args, String> {
         kv,
         out,
         replay,
+        child,
     })
 }
 
@@ -207,6 +220,10 @@ impl Campaign<'_> {
 }
 
 fn run(args: &Args) -> Result<(), String> {
+    // A child's stdout is its protocol stream: nothing else may print.
+    if let Some(spec) = &args.child {
+        return run_child(&ChildConfig::parse(spec)?);
+    }
     if let Some(path) = &args.replay {
         let script = std::fs::read_to_string(path)
             .map_err(|e| format!("reading {}: {e}", path.display()))?;
@@ -226,6 +243,7 @@ fn run(args: &Args) -> Result<(), String> {
     for &name in &args.only {
         match name {
             "durable" => c.drive(&DurableStage { quick: args.quick }),
+            "crashtest" => c.drive(&CrashtestStage::new()?),
             "table1" => c.drive(&Table1Stage(&args.cfg)),
             "table2" => c.drive(&Table2Stage(&args.cfg)),
             "loss" => c.drive(&LossStage(&args.cfg)),
@@ -303,17 +321,22 @@ mod tests {
     }
 
     #[test]
-    fn replay_is_a_mode_of_the_same_parser() {
-        assert_eq!(parse_args(&[], 1).unwrap().replay, None);
+    fn replay_and_child_are_modes_of_the_same_parser() {
+        let none = parse_args(&[], 1).unwrap();
+        assert_eq!((none.replay, none.child), (None, None));
         let args = parse_args(&["--replay", "cx.txt", "--threads", "3"], 1).unwrap();
         assert_eq!(args.replay, Some(PathBuf::from("cx.txt")));
-        let err = parse_args(&["--replay"], 1).unwrap_err();
-        assert!(err.contains("requires a value"), "{err}");
+        let args = parse_args(&["--child", "dir d name w"], 1).unwrap();
+        assert_eq!(args.child.as_deref(), Some("dir d name w"));
+        for flag in ["--replay", "--child"] {
+            let err = parse_args(&[flag], 1).unwrap_err();
+            assert!(err.contains("requires a value"), "{err}");
+        }
     }
 
     #[test]
-    fn the_flag_list_is_five() {
-        assert_eq!(FLAGS.len(), 5);
+    fn the_flag_list_is_six() {
+        assert_eq!(FLAGS.len(), 6);
         let all = [
             "--threads",
             "3",
@@ -324,12 +347,14 @@ mod tests {
             "d",
             "--replay",
             "r",
+            "--child",
+            "c",
         ];
         assert!(FLAGS.iter().all(|flag| all.contains(flag)), "{FLAGS:?}");
         let args = parse_args(&all, 1).unwrap();
         assert_eq!((args.threads, args.quick, args.only), (3, true, vec!["kv"]));
         assert_eq!(args.out, PathBuf::from("d"));
-        // Whatever is not one of the five never reaches the parser's match.
+        // Whatever is not one of the six never reaches the parser's match.
         let err = parse_args(&["--experiments", "x"], 1).unwrap_err();
         assert!(err.contains("unknown flag --experiments"), "{err}");
         assert!(err.contains(&FLAGS.join(", ")), "{err}");
@@ -351,6 +376,10 @@ mod tests {
             (&["--max-trials", "70"][..], "unknown flag"),
             (&["--quick", "--table2-trials", "3"][..], "unknown flag"),
             (&["--export-schedules", "dir"][..], "unknown flag"),
+            // The old crashtest parent's flags: the stage runs both fsync
+            // policies and the mutants, always.
+            (&["--fsync", "none"][..], "unknown flag"),
+            (&["--skip-mutants"][..], "unknown flag"),
         ] {
             let err = parse_args(argv, 1).unwrap_err();
             assert!(err.contains(want), "{argv:?}: {err}");

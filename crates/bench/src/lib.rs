@@ -6,7 +6,7 @@
 //! share lives below them (`ft_apps::scenarios`, `ft_sim::runner`,
 //! `ft_dc::fingerprint`).
 //!
-//! * [`stage`] — the one trait the eleven campaign stages implement (run,
+//! * [`stage`] — the one trait the twelve campaign stages implement (run,
 //!   `BENCH_<name>.json`, gate) and the thread-invariance fence;
 //! * [`campaign`] — the Table 1 (with the §4.1 conflict composition),
 //!   Table 2, loss-sweep and Figure 8 stages over one `CampaignConfig`
@@ -28,6 +28,8 @@
 //! * [`durable`] — the durable-backend stage: the three-media overhead
 //!   grid (Rio / DC-disk / DC-durable) and the real log-engine probe
 //!   behind `BENCH_durable.json`;
+//! * [`crashtest`] — `ft-crashtest`'s real `kill -9` sweep and seeded
+//!   engine bugs as a stage, every trial a `campaign --child` process;
 //! * [`check`] — `ft-check`'s exhaustive crash-schedule sweep as a stage,
 //!   and the replay of a shrunk counterexample script;
 //! * [`analyze`] — `ft-analyze`'s three passes over every workload as a
@@ -57,6 +59,7 @@ pub mod avail;
 pub mod campaign;
 pub mod check;
 pub mod continuous;
+pub mod crashtest;
 pub mod durable;
 pub mod fig4;
 pub mod fig8;

@@ -4,8 +4,9 @@
 //! count, and `threads = 1` is its serial reference: the `campaign` binary
 //! runs each stage at 1 and at `--threads`, refuses to report on any
 //! difference, and writes `BENCH_<name>.json` from bytes that depend on the
-//! flags alone (timings go to stdout). The eleven stages — durable,
-//! table1, table2, loss, fig4, fig8, ablation, avail, kv, check, analyze —
+//! flags alone (timings go to stdout). The twelve stages — durable,
+//! crashtest, table1, table2, loss, fig4, fig8, ablation, avail, kv, check,
+//! analyze —
 //! supply only what differs between them; the text of each is the one
 //! printer's ([`crate::report::render`]) walk over its report.
 

@@ -17,12 +17,14 @@ use ft_bench::campaign::{
     Table2Stage,
 };
 use ft_bench::check::CheckStage;
+use ft_bench::crashtest::CrashtestStage;
 use ft_bench::durable::DurableStage;
 use ft_bench::fig4::Fig4Stage;
 use ft_bench::kv::KvConfig;
 use ft_bench::stage::{assert_thread_invariant, Stage};
 use ft_check::{CheckConfig, Workload};
 use ft_core::protocol::Protocol;
+use ft_crashtest::enumerate_schedule;
 use ft_faults::FaultType;
 
 /// Small but real sizes: crash-prone fault types reach `TARGET` before
@@ -120,6 +122,27 @@ fn fig8_is_thread_invariant_for_both_row_kinds() {
 #[test]
 fn durable_is_thread_invariant() {
     assert_thread_invariant(&DurableStage { quick: true });
+}
+
+/// Real children, so the kill placement itself is what must not depend on
+/// the thread count. The only test here that makes crashtest scratch
+/// dirs, so none of this process's may be left once it is done — the
+/// failing trials that catch the mutants included.
+#[test]
+fn crashtest_is_thread_invariant_and_leaves_no_scratch_dir() {
+    let stage = CrashtestStage {
+        exe: env!("CARGO_BIN_EXE_campaign").into(),
+        schedules: vec![enumerate_schedule("smoke", 13, 2)],
+    };
+    let rows = assert_thread_invariant(&stage);
+    assert_eq!(stage.gate(&rows), Ok(()));
+    let ours = format!("ft-crashtest-{}-", std::process::id());
+    let left: Vec<String> = std::fs::read_dir(std::env::temp_dir())
+        .unwrap()
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|name| name.starts_with(&ours))
+        .collect();
+    assert!(left.is_empty(), "leaked scratch dirs: {left:?}");
 }
 
 #[test]

@@ -9,6 +9,7 @@
 //! (`stage_commit` / `append_staged` / `torn_append` / `sync`) so the
 //! log is left in precisely the state a crash at that window leaves.
 
+use std::fmt;
 use std::io::Write;
 use std::path::PathBuf;
 use std::thread;
@@ -22,25 +23,87 @@ use crate::parent::LossModel;
 use crate::proto::Line;
 use crate::workload::{apply_op, visible_token, WorkloadSpec};
 
-/// Everything a child incarnation needs to know.
-#[derive(Debug, Clone)]
+/// A harness fsync policy's name: `always` (every commit) or `none`.
+pub fn fsync_name(fsync: bool) -> &'static str {
+    if fsync {
+        "always"
+    } else {
+        "none"
+    }
+}
+
+/// Everything a child incarnation needs to know. The parent hands it over
+/// as one line, the [`fmt::Display`] rendering, which [`ChildConfig::parse`]
+/// reads back: `dir D name W seed S ops N fsync always|none mutation M
+/// [kill SPEC]`. Tokens are whitespace-separated, so `dir` and `name` must
+/// contain none.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChildConfig {
     /// Store directory (shared across incarnations of one trial).
     pub dir: PathBuf,
     /// The workload to run.
     pub spec: WorkloadSpec,
-    /// Commit fsync policy.
-    pub fsync: FsyncPolicy,
+    /// Fsync every commit (`always`) or never (`none`).
+    pub fsync: bool,
     /// Seeded backend bug (`None` for the honest backend).
     pub mutation: DurableMutation,
-    /// The loss model the parent will apply after the kill. The child
-    /// needs it for one decision: whether a pre-fsync kill's commit
-    /// acknowledgement would reach the parent (it is durable against
-    /// process loss but not against a power cut).
-    pub loss: LossModel,
     /// Where to self-suspend for the parent's `SIGKILL` (`None` = run
     /// to completion).
     pub kill: Option<KillSpec>,
+}
+
+impl fmt::Display for ChildConfig {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let WorkloadSpec { name, seed, ops } = &self.spec;
+        write!(
+            f,
+            "dir {} name {name} seed {seed} ops {ops} fsync {} mutation {}",
+            self.dir.display(),
+            fsync_name(self.fsync),
+            self.mutation.name(),
+        )?;
+        match self.kill {
+            Some(kill) => write!(f, " kill {kill}"),
+            None => Ok(()),
+        }
+    }
+}
+
+impl ChildConfig {
+    /// Parses the [`fmt::Display`] rendering (`campaign --child SPEC`).
+    pub fn parse(s: &str) -> Result<Self, String> {
+        let bad = |what: String| format!("child spec {s:?}: {what}");
+        let mut it = s.split_whitespace();
+        let mut field = |key: &str| match (it.next(), it.next()) {
+            (Some(k), Some(v)) if k == key => Ok(v),
+            _ => Err(bad(format!("expected `{key} VALUE`"))),
+        };
+        let num = |v: &str| v.parse().map_err(|e| bad(format!("{v:?}: {e}")));
+        let dir = PathBuf::from(field("dir")?);
+        let name = field("name")?.to_string();
+        let seed = num(field("seed")?)?;
+        let ops = num(field("ops")?)?;
+        let fsync = match field("fsync")? {
+            "always" => true,
+            "none" => false,
+            other => return Err(bad(format!("fsync must be always|none, got {other:?}"))),
+        };
+        let mutation = field("mutation")?;
+        let mutation = DurableMutation::parse(mutation)
+            .ok_or_else(|| bad(format!("unknown mutation {mutation:?}")))?;
+        let kill = match it.next() {
+            None => None,
+            Some("kill") => Some(KillSpec::parse(&it.collect::<Vec<_>>().join(" "))?),
+            Some(other) => return Err(bad(format!("trailing token {other:?}"))),
+        };
+        Ok(ChildConfig {
+            dir,
+            spec: WorkloadSpec { name, seed, ops },
+            fsync,
+            mutation,
+            kill,
+        })
+    }
 }
 
 fn emit(line: &Line) -> Result<(), String> {
@@ -75,7 +138,11 @@ fn suspend_if_event(kill: Option<KillSpec>, ev: u64) {
 /// at the kill point if one is configured), and report the final state.
 pub fn run_child(cfg: &ChildConfig) -> Result<(), String> {
     let opts = DurableOptions {
-        fsync: cfg.fsync,
+        fsync: if cfg.fsync {
+            FsyncPolicy::Always
+        } else {
+            FsyncPolicy::Never
+        },
         mutation: cfg.mutation,
         journal_watermark: true,
         compact_threshold: None,
@@ -137,7 +204,7 @@ pub fn run_child(cfg: &ChildConfig) -> Result<(), String> {
         suspend_if_event(cfg.kill, ev);
 
         match cfg.kill {
-            Some(KillSpec::InCommit { nth, window }) if nth == i => {
+            Some(kill @ KillSpec::InCommit { nth, window }) if nth == i => {
                 let staged = store.stage_commit();
                 match window {
                     DurableWindow::PreAppend => suspend(),
@@ -154,9 +221,10 @@ pub fn run_child(cfg: &ChildConfig) -> Result<(), String> {
                             .map_err(|e| format!("append: {e}"))?;
                         // The frame is in the page cache: durable if
                         // only the process dies, gone under a power
-                        // cut. Acknowledge accordingly — the commit-
-                        // durability oracle holds us to this line.
-                        if cfg.loss == LossModel::ProcessLoss {
+                        // cut. Acknowledge according to the loss the
+                        // parent applies — the commit-durability oracle
+                        // holds us to this line.
+                        if LossModel::of(cfg.fsync, kill) == LossModel::ProcessLoss {
                             emit(&Line::Commit {
                                 op: i,
                                 seq: store.seq() + 1,

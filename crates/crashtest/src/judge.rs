@@ -8,11 +8,64 @@
 //! incarnation boundaries, so `ft_core::oracle::check_recovery` judges
 //! a real `kill -9` by exactly the rules that judge simulated crashes.
 
+use std::fmt;
+
 use ft_core::event::{NdSource, ProcessId};
 use ft_core::oracle::check_recovery;
 use ft_core::trace::{Trace, TraceBuilder};
 
 use crate::proto::Line;
+
+/// The check that convicted a trial.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Check {
+    /// `ft_core::oracle::check_recovery` on the rebuilt traces.
+    Oracle,
+    /// The resumed run's final sequence number and state digest.
+    Digest,
+    /// The independent honest reopen of the on-disk files.
+    Reopen,
+    /// A child incarnation: spawn, exit, protocol or unreached kill point.
+    Child,
+}
+
+impl Check {
+    /// Every check, in report order.
+    pub const ALL: [Check; 4] = [Check::Oracle, Check::Digest, Check::Reopen, Check::Child];
+
+    /// Stable lowercase name (the report's failure columns).
+    pub fn name(self) -> &'static str {
+        match self {
+            Check::Oracle => "oracle",
+            Check::Digest => "digest",
+            Check::Reopen => "reopen",
+            Check::Child => "child",
+        }
+    }
+
+    /// This check's failure with `detail` as its diagnostic.
+    pub fn fail(self, detail: impl Into<String>) -> Failure {
+        Failure {
+            check: self,
+            detail: detail.into(),
+        }
+    }
+}
+
+/// A convicted trial: which check fired, and its diagnostic.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Failure {
+    /// The check.
+    pub check: Check,
+    /// What it saw.
+    pub detail: String,
+}
+
+impl fmt::Display for Failure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}: {}", self.check.name(), self.detail)
+    }
+}
 
 /// The canonical (uncrashed) execution of a workload.
 #[derive(Debug, Clone)]
@@ -133,20 +186,22 @@ pub fn build_recovered(incarnations: &[Vec<Line>]) -> Result<Rebuilt, String> {
 /// the composed oracle (completion, Save-work, consistent output,
 /// prefix extension, commit durability) plus the final sequence number
 /// and state digest. Returns the count of (legal) duplicate visibles.
-pub fn judge_trial(canonical: &Canonical, incarnations: &[Vec<Line>]) -> Result<usize, String> {
-    let run = build_recovered(incarnations)?;
-    let (seq, digest) = run.done.ok_or("resumed run ended without a DONE line")?;
+pub fn judge_trial(canonical: &Canonical, incarnations: &[Vec<Line>]) -> Result<usize, Failure> {
+    let run = build_recovered(incarnations).map_err(|e| Check::Child.fail(e))?;
+    let (seq, digest) = run
+        .done
+        .ok_or_else(|| Check::Child.fail("resumed run ended without a DONE line"))?;
     if seq != canonical.seq {
-        return Err(format!(
+        return Err(Check::Digest.fail(format!(
             "final sequence number {seq} != canonical {}",
             canonical.seq
-        ));
+        )));
     }
     if digest != canonical.digest {
-        return Err(format!(
+        return Err(Check::Digest.fail(format!(
             "final state digest {digest:#018x} != canonical {:#018x}",
             canonical.digest
-        ));
+        )));
     }
     match check_recovery(
         &canonical.trace,
@@ -156,7 +211,7 @@ pub fn judge_trial(canonical: &Canonical, incarnations: &[Vec<Line>]) -> Result<
         0,
     ) {
         Ok(report) => Ok(report.duplicates),
-        Err(v) => Err(format!("oracle violation: {v}")),
+        Err(v) => Err(Check::Oracle.fail(format!("oracle violation: {v}"))),
     }
 }
 
@@ -328,10 +383,7 @@ mod tests {
             digest: 0xABCD,
         });
         let err = judge_trial(&canonical, &[killed, resumed]).unwrap_err();
-        assert!(
-            err.contains("oracle violation"),
-            "expected an oracle violation, got: {err}"
-        );
+        assert_eq!(err.check, Check::Oracle, "{err}");
     }
 
     #[test]
@@ -344,6 +396,7 @@ mod tests {
             digest: 0xDEAD,
         };
         let err = judge_trial(&canonical, &[lines]).unwrap_err();
-        assert!(err.contains("digest"), "got: {err}");
+        assert_eq!(err.check, Check::Digest, "{err}");
+        assert!(err.detail.contains("digest"), "{err}");
     }
 }

@@ -44,8 +44,9 @@
 //! digest divergence where the honest backend fail-stops), and
 //! `skip-tail-truncate` (torn tail left in place, later appends land
 //! after garbage — caught by the final honest reopen fail-stopping). A
-//! mutant that sails through every check makes the `crashtest` binary
-//! exit nonzero.
+//! mutant that sails through every check fails the gate of `ft-bench`'s
+//! `crashtest` stage, which drives this crate and whose `campaign` binary
+//! is the child (`campaign --child SPEC`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -56,16 +57,14 @@ pub mod parent;
 pub mod proto;
 pub mod workload;
 
-pub use child::{run_child, ChildConfig};
+pub use child::{fsync_name, run_child, ChildConfig};
 pub use judge::{
-    build_recovered, canonical_from_lines, judge_trial, rollback_to_seq, Canonical, Rebuilt,
+    build_recovered, canonical_from_lines, judge_trial, rollback_to_seq, Canonical, Check, Failure,
+    Rebuilt,
 };
-pub use parent::{
-    corruption_trial, mutant_matrix, powercut, run_reference, run_schedule, run_trial, LossModel,
-    MutantOutcome, SweepReport, TrialSpec,
-};
+pub use parent::{powercut, run_mutant, run_reference, run_trial, LossModel, TrialSpec, MUTANTS};
 pub use proto::Line;
 pub use workload::{
     apply_op, enumerate_schedule, nd_value, op_pages, standard_schedules, visible_token,
-    CrashSchedule, DurableWindow, KillSpec, WorkloadSpec,
+    CrashSchedule, DurableWindow, KillSpec, WorkloadSpec, KILL_CLASSES,
 };

@@ -80,37 +80,43 @@ impl fmt::Display for Line {
 }
 
 impl Line {
-    /// Parses one protocol line.
+    /// Parses one protocol line: exactly what [`fmt::Display`] writes, so a
+    /// trailing token or a checkpoint flag other than 0/1 is malformed.
     pub fn parse(s: &str) -> Result<Line, String> {
         let mut it = s.split_whitespace();
         let bad = || format!("malformed protocol line {s:?}");
         let num = |it: &mut std::str::SplitWhitespace<'_>| -> Result<u64, String> {
             it.next().and_then(|v| v.parse().ok()).ok_or_else(bad)
         };
-        match it.next() {
-            Some("R") => Ok(Line::Resume {
+        let line = match it.next() {
+            Some("R") => Line::Resume {
                 seq: num(&mut it)?,
-                used_checkpoint: num(&mut it)? != 0,
+                used_checkpoint: match num(&mut it)? {
+                    0 => false,
+                    1 => true,
+                    _ => return Err(bad()),
+                },
                 replayed: num(&mut it)?,
                 skipped: num(&mut it)?,
                 truncated: num(&mut it)?,
-            }),
-            Some("N") => Ok(Line::Nd { op: num(&mut it)? }),
-            Some("C") => Ok(Line::Commit {
+            },
+            Some("N") => Line::Nd { op: num(&mut it)? },
+            Some("C") => Line::Commit {
                 op: num(&mut it)?,
                 seq: num(&mut it)?,
-            }),
-            Some("V") => Ok(Line::Visible {
+            },
+            Some("V") => Line::Visible {
                 op: num(&mut it)?,
                 token: num(&mut it)?,
-            }),
-            Some("READY") => Ok(Line::Ready),
-            Some("DONE") => Ok(Line::Done {
+            },
+            Some("READY") => Line::Ready,
+            Some("DONE") => Line::Done {
                 seq: num(&mut it)?,
                 digest: num(&mut it)?,
-            }),
-            _ => Err(bad()),
-        }
+            },
+            _ => return Err(bad()),
+        };
+        it.next().map_or(Ok(line), |_| Err(bad()))
     }
 }
 
@@ -148,5 +154,10 @@ mod tests {
         assert!(Line::parse("X 1").is_err());
         assert!(Line::parse("C 4").is_err());
         assert!(Line::parse("V 4 not-a-number").is_err());
+        // What the child never writes: a trailing token, a flag not 0/1.
+        assert!(Line::parse("C 4 5 6").is_err());
+        assert!(Line::parse("READY 1").is_err());
+        assert!(Line::parse("R 0 2 0 0 0").is_err());
+        assert!(Line::parse("R 0 1 0 0 0").is_ok());
     }
 }

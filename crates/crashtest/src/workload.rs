@@ -140,13 +140,23 @@ pub enum DurableWindow {
     PostFsync,
 }
 
+impl DurableWindow {
+    /// The window's name, without a torn prefix's length.
+    pub fn name(&self) -> &'static str {
+        match self {
+            DurableWindow::PreAppend => "pre-append",
+            DurableWindow::TornAppend { .. } => "torn-append",
+            DurableWindow::PreFsync => "pre-fsync",
+            DurableWindow::PostFsync => "post-fsync",
+        }
+    }
+}
+
 impl fmt::Display for DurableWindow {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DurableWindow::PreAppend => write!(f, "pre-append"),
             DurableWindow::TornAppend { eighths } => write!(f, "torn-append {eighths}"),
-            DurableWindow::PreFsync => write!(f, "pre-fsync"),
-            DurableWindow::PostFsync => write!(f, "post-fsync"),
+            w => f.write_str(w.name()),
         }
     }
 }
@@ -181,9 +191,23 @@ impl fmt::Display for KillSpec {
     }
 }
 
+/// Every [`KillSpec::class`], in [`enumerate_schedule`]'s order.
+#[rustfmt::skip]
+pub const KILL_CLASSES: [&str; 6] =
+    ["start", "event", "pre-append", "torn-append", "pre-fsync", "post-fsync"];
+
 impl KillSpec {
-    /// Parses the rendering produced by [`fmt::Display`] (the harness
-    /// child's `--kill` flag value).
+    /// The kill's class: `start`, `event`, or its commit window's name.
+    pub fn class(&self) -> &'static str {
+        match self {
+            KillSpec::Start => "start",
+            KillSpec::AtEvent { .. } => "event",
+            KillSpec::InCommit { window, .. } => window.name(),
+        }
+    }
+
+    /// Parses the rendering produced by [`fmt::Display`] (the `kill`
+    /// field of a child spec).
     pub fn parse(s: &str) -> Result<Self, String> {
         let mut it = s.split_whitespace();
         let spec = match it.next() {

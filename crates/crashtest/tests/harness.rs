@@ -1,21 +1,16 @@
-//! End-to-end harness tests: the kill schedule's shape, then trials that
-//! fork the real `crashtest` binary and deliver real `SIGKILL`s. Kept to
-//! a bounded subset of the full sweep (the binary itself runs all 254
-//! standard trials); the full matrix is exercised by `ci.sh`'s crashtest
-//! stage.
+//! The kill schedule's shape and the child spec's text form. The trials
+//! that fork real children and deliver real `SIGKILL`s live with the
+//! binary that is the child, in `crates/bench/tests/crashtest.rs`; the
+//! full matrix is the `campaign` binary's `crashtest` stage.
 
-use std::path::Path;
+use std::path::PathBuf;
 
 use ft_crashtest::workload::{EVENTS_PER_OP, TORN_EIGHTHS};
 use ft_crashtest::{
-    enumerate_schedule, mutant_matrix, run_reference, run_schedule, run_trial, standard_schedules,
-    CrashSchedule, DurableWindow, KillSpec, LossModel, TrialSpec, WorkloadSpec,
+    enumerate_schedule, standard_schedules, ChildConfig, CrashSchedule, DurableWindow, KillSpec,
+    WorkloadSpec, KILL_CLASSES,
 };
-use ft_mem::durable::{DurableMutation, FsyncPolicy};
-
-fn exe() -> &'static Path {
-    Path::new(env!("CARGO_BIN_EXE_crashtest"))
-}
+use ft_mem::durable::DurableMutation;
 
 #[test]
 fn standard_schedules_meet_the_trial_floor() {
@@ -64,6 +59,17 @@ fn every_commit_window_appears() {
 }
 
 #[test]
+fn kill_classes_are_every_class_in_enumeration_order() {
+    let mut seen: Vec<&str> = Vec::new();
+    for k in enumerate_schedule("taskfarm", 7, 2).kills {
+        if !seen.contains(&k.class()) {
+            seen.push(k.class());
+        }
+    }
+    assert_eq!(seen, KILL_CLASSES);
+}
+
+#[test]
 fn malformed_kill_specs_are_rejected() {
     let e = KillSpec::parse("sideways").unwrap_err();
     assert!(e.contains("unknown kill kind"), "{e}");
@@ -72,103 +78,71 @@ fn malformed_kill_specs_are_rejected() {
     assert!(KillSpec::parse("event 3 4").is_err());
 }
 
-#[test]
-fn honest_backend_survives_a_small_real_kill_sweep() {
-    // 1 start + 12 event kills + 24 windowed commit kills = 37 trials.
-    let schedule = enumerate_schedule("smoke", 13, 4);
-    let report = run_schedule(exe(), &schedule, FsyncPolicy::Always).expect("sweep runs");
-    assert!(
-        report.failures.is_empty(),
-        "honest backend violated the oracle: {:?}",
-        report.failures
-    );
-    assert_eq!(report.trials, 37);
-}
-
-#[test]
-fn honest_backend_survives_group_commit_process_kills() {
-    let schedule = enumerate_schedule("smoke-none", 5, 3);
-    let report = run_schedule(exe(), &schedule, FsyncPolicy::Never).expect("sweep runs");
-    assert!(
-        report.failures.is_empty(),
-        "fsync-none backend violated the oracle under process loss: {:?}",
-        report.failures
-    );
-}
-
-#[test]
-fn post_fsync_power_cut_preserves_the_acknowledged_commit() {
-    let w = WorkloadSpec {
-        name: "postfsync".into(),
-        seed: 3,
-        ops: 3,
-    };
-    let canonical = run_reference(exe(), &w, FsyncPolicy::Always).unwrap();
-    let t = TrialSpec {
-        workload: w,
-        kill: KillSpec::InCommit {
-            nth: 1,
-            window: DurableWindow::PostFsync,
+fn child_config(kill: Option<KillSpec>) -> ChildConfig {
+    ChildConfig {
+        dir: PathBuf::from("/scratch/ft-crashtest-1-trial-0"),
+        spec: WorkloadSpec {
+            name: "taskfarm".into(),
+            seed: 7,
+            ops: 16,
         },
-        fsync: FsyncPolicy::Always,
+        fsync: false,
+        mutation: DurableMutation::SkipTailTruncate,
+        kill,
+    }
+}
+
+#[test]
+fn child_specs_round_trip() {
+    let kills = [
+        None,
+        Some(KillSpec::Start),
+        Some(KillSpec::AtEvent { pos: 5 }),
+        Some(KillSpec::InCommit {
+            nth: 3,
+            window: DurableWindow::TornAppend { eighths: 7 },
+        }),
+    ];
+    for kill in kills {
+        let cfg = child_config(kill);
+        assert_eq!(ChildConfig::parse(&cfg.to_string()), Ok(cfg));
+    }
+    let cfg = ChildConfig {
+        fsync: true,
         mutation: DurableMutation::None,
+        ..child_config(Some(KillSpec::InCommit {
+            nth: 0,
+            window: DurableWindow::PostFsync,
+        }))
     };
-    assert_eq!(t.loss(), LossModel::Powercut);
-    let dups = run_trial(exe(), &canonical, &t).expect("acknowledged commit survives the cut");
-    // The kill landed after the commit ack but before the visible, so
-    // recovery re-emits exactly that op's token — never a duplicate.
-    assert_eq!(dups, 0);
+    let text = cfg.to_string();
+    assert_eq!(
+        text,
+        "dir /scratch/ft-crashtest-1-trial-0 name taskfarm seed 7 ops 16 fsync always \
+         mutation none kill commit 0 post-fsync"
+    );
+    assert_eq!(ChildConfig::parse(&text), Ok(cfg));
 }
 
 #[test]
-fn torn_append_power_kill_rolls_back_only_the_unacknowledged_commit() {
-    let w = WorkloadSpec {
-        name: "torn".into(),
-        seed: 9,
-        ops: 4,
-    };
-    let canonical = run_reference(exe(), &w, FsyncPolicy::Always).unwrap();
-    for eighths in [1u8, 4, 7] {
-        let t = TrialSpec {
-            workload: w.clone(),
-            kill: KillSpec::InCommit {
-                nth: 2,
-                window: DurableWindow::TornAppend { eighths },
-            },
-            fsync: FsyncPolicy::Always,
-            mutation: DurableMutation::None,
-        };
-        assert_eq!(t.loss(), LossModel::ProcessLoss);
-        run_trial(exe(), &canonical, &t)
-            .unwrap_or_else(|e| panic!("torn append at {eighths}/8: {e}"));
-    }
-}
-
-#[test]
-fn every_seeded_mutant_is_caught() {
-    for outcome in mutant_matrix(exe()) {
-        assert!(
-            outcome.caught,
-            "mutant {} escaped the harness: {}",
-            outcome.mutation, outcome.detail
-        );
-    }
-}
-
-#[test]
-fn the_parent_takes_two_flags_and_rejects_the_removed_ones() {
-    // The sweep takes `standard_schedules()` in process and runs every
-    // kill: there is no schedule file, no stride and no `--quick`.
-    for removed in [
-        &["--stride", "3"][..],
-        &["--schedule", "s.txt"],
-        &["--quick"],
+fn malformed_child_specs_are_rejected() {
+    let good = child_config(Some(KillSpec::AtEvent { pos: 5 })).to_string();
+    for (bad, want) in [
+        (good.replace("fsync none", "fsync sometimes"), "always|none"),
+        (good.replace("fsync none", "fsync every-4"), "always|none"),
+        (
+            good.replace("dir /scratch/ft-crashtest-1-trial-0 ", ""),
+            "`dir VALUE`",
+        ),
+        (format!("{good} 6"), "trailing tokens"),
+        (good.replace(" kill event 5", " 6"), "trailing token"),
+        (good.replace("seed 7", "seed x"), "\"x\": invalid digit"),
+        (
+            good.replace("mutation skip-tail-truncate", "mutation m"),
+            "unknown mutation",
+        ),
     ] {
-        let status = std::process::Command::new(exe())
-            .args(removed)
-            .stderr(std::process::Stdio::null())
-            .status()
-            .expect("crashtest runs");
-        assert_eq!(status.code(), Some(2), "{removed:?}");
+        let err = ChildConfig::parse(&bad).unwrap_err();
+        assert!(err.contains(want), "{bad:?}: {err}");
     }
 }

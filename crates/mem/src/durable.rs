@@ -193,7 +193,7 @@ impl DurableMutation {
         }
     }
 
-    /// Parses a [`DurableMutation::name`] back (harness CLI).
+    /// Parses a [`DurableMutation::name`] back (crash-harness child spec).
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "none" => Some(DurableMutation::None),

@@ -38,8 +38,10 @@ cargo test -q --workspace
 # ft-check: the explorer and the judge it drives run in release everywhere
 # but its own tests, `replay`'s rollback cursor compares u64 seqs against
 # positions converted from usize, and the kvstore@6 regression for
-# ROADMAP 1(i) should hold with overflow checks off too.
-cargo test -q --release -p ft-dsm -p ft-mem -p ft-core -p ft-sim -p ft-check
+# ROADMAP 1(i) should hold with overflow checks off too. And ft-analyze:
+# `normalize` reads offsets the run-encoded access stream computes, and its
+# campaign test replays the treadmarks and taskfarm streams through them.
+cargo test -q --release -p ft-dsm -p ft-mem -p ft-core -p ft-sim -p ft-check -p ft-analyze
 # Clippy is also the determinism and recovery-safety gate: wall-clock
 # reads, hash-order iteration, panics and unchecked arithmetic in the
 # decode modules, floats in the fingerprinting crates (clippy.toml,

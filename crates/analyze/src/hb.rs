@@ -238,12 +238,12 @@ mod tests {
     #[test]
     fn ordered_write_read_is_clean() {
         let t = two_proc_trace();
-        let log = ShmLog {
-            records: vec![
-                rec(0, 0, ShmOp::Write { off: 8, len: 8 }),
-                rec(1, 1, ShmOp::Read { off: 8, len: 8 }),
-            ],
-        };
+        let log: ShmLog = [
+            rec(0, 0, ShmOp::Write { off: 8, len: 8 }),
+            rec(1, 1, ShmOp::Read { off: 8, len: 8 }),
+        ]
+        .into_iter()
+        .collect();
         let s = normalize(&log, 2);
         assert!(detect(&s, &ClockIndex::new(&t, &s)).is_empty());
     }
@@ -251,12 +251,12 @@ mod tests {
     #[test]
     fn concurrent_write_read_is_a_race() {
         let t = two_proc_trace();
-        let log = ShmLog {
-            records: vec![
-                rec(0, 0, ShmOp::Write { off: 8, len: 8 }),
-                rec(1, 0, ShmOp::Read { off: 8, len: 8 }),
-            ],
-        };
+        let log: ShmLog = [
+            rec(0, 0, ShmOp::Write { off: 8, len: 8 }),
+            rec(1, 0, ShmOp::Read { off: 8, len: 8 }),
+        ]
+        .into_iter()
+        .collect();
         let s = normalize(&log, 2);
         let races = detect(&s, &ClockIndex::new(&t, &s));
         assert_eq!(races.len(), 1);
@@ -272,12 +272,12 @@ mod tests {
         let t = two_proc_trace();
         // P1 reads first (no prior write), then P0 writes concurrently:
         // caught through the read shadow, not the write slot.
-        let log = ShmLog {
-            records: vec![
-                rec(1, 0, ShmOp::Read { off: 0, len: 4 }),
-                rec(0, 0, ShmOp::Write { off: 0, len: 4 }),
-            ],
-        };
+        let log: ShmLog = [
+            rec(1, 0, ShmOp::Read { off: 0, len: 4 }),
+            rec(0, 0, ShmOp::Write { off: 0, len: 4 }),
+        ]
+        .into_iter()
+        .collect();
         let s = normalize(&log, 2);
         let races = detect(&s, &ClockIndex::new(&t, &s));
         assert_eq!(races.len(), 1);
@@ -288,13 +288,13 @@ mod tests {
     #[test]
     fn concurrent_reads_are_not_a_race() {
         let t = two_proc_trace();
-        let log = ShmLog {
-            records: vec![
-                rec(0, 0, ShmOp::Read { off: 0, len: 4 }),
-                rec(1, 0, ShmOp::Read { off: 0, len: 4 }),
-                rec(0, 0, ShmOp::Read { off: 0, len: 4 }),
-            ],
-        };
+        let log: ShmLog = [
+            rec(0, 0, ShmOp::Read { off: 0, len: 4 }),
+            rec(1, 0, ShmOp::Read { off: 0, len: 4 }),
+            rec(0, 0, ShmOp::Read { off: 0, len: 4 }),
+        ]
+        .into_iter()
+        .collect();
         let s = normalize(&log, 2);
         assert!(detect(&s, &ClockIndex::new(&t, &s)).is_empty());
     }
@@ -304,12 +304,12 @@ mod tests {
         // The TreadMarks multiple-writer pattern: both halves of a page
         // written concurrently by different processes, no overlap.
         let t = two_proc_trace();
-        let log = ShmLog {
-            records: vec![
-                rec(0, 0, ShmOp::Write { off: 0, len: 512 }),
-                rec(1, 0, ShmOp::Write { off: 512, len: 512 }),
-            ],
-        };
+        let log: ShmLog = [
+            rec(0, 0, ShmOp::Write { off: 0, len: 512 }),
+            rec(1, 0, ShmOp::Write { off: 512, len: 512 }),
+        ]
+        .into_iter()
+        .collect();
         let s = normalize(&log, 2);
         assert!(detect(&s, &ClockIndex::new(&t, &s)).is_empty());
     }
@@ -317,14 +317,14 @@ mod tests {
     #[test]
     fn overlapping_concurrent_writes_race_once_per_site_pair() {
         let t = two_proc_trace();
-        let log = ShmLog {
-            records: vec![
-                rec(0, 0, ShmOp::Write { off: 0, len: 8 }),
-                rec(1, 0, ShmOp::Write { off: 4, len: 8 }),
-                rec(0, 0, ShmOp::Write { off: 0, len: 8 }),
-                rec(1, 0, ShmOp::Write { off: 4, len: 8 }),
-            ],
-        };
+        let log: ShmLog = [
+            rec(0, 0, ShmOp::Write { off: 0, len: 8 }),
+            rec(1, 0, ShmOp::Write { off: 4, len: 8 }),
+            rec(0, 0, ShmOp::Write { off: 0, len: 8 }),
+            rec(1, 0, ShmOp::Write { off: 4, len: 8 }),
+        ]
+        .into_iter()
+        .collect();
         let s = normalize(&log, 2);
         let races = detect(&s, &ClockIndex::new(&t, &s));
         // Site pairs dedup: (P0 w, P1 w) and (P1 w, P0 w) — one each
@@ -340,13 +340,13 @@ mod tests {
         let mut b = TraceBuilder::new(3);
         b.nd(ProcessId(0), ft_core::event::NdSource::Random);
         let t = b.finish();
-        let log = ShmLog {
-            records: vec![
-                rec(0, 1, ShmOp::Read { off: 0, len: 4 }),
-                rec(1, 0, ShmOp::Read { off: 0, len: 4 }),
-                rec(2, 0, ShmOp::Write { off: 0, len: 4 }),
-            ],
-        };
+        let log: ShmLog = [
+            rec(0, 1, ShmOp::Read { off: 0, len: 4 }),
+            rec(1, 0, ShmOp::Read { off: 0, len: 4 }),
+            rec(2, 0, ShmOp::Write { off: 0, len: 4 }),
+        ]
+        .into_iter()
+        .collect();
         let s = normalize(&log, 3);
         let races = detect(&s, &ClockIndex::new(&t, &s));
         assert_eq!(races.len(), 2);
@@ -361,13 +361,13 @@ mod tests {
         let t = two_proc_trace();
         // P0 read, P0 write (clears shadow), P0 read again; then P1
         // reads after the message — ordered with the write, clean.
-        let log = ShmLog {
-            records: vec![
-                rec(0, 0, ShmOp::Read { off: 0, len: 4 }),
-                rec(0, 0, ShmOp::Write { off: 0, len: 4 }),
-                rec(1, 1, ShmOp::Read { off: 0, len: 4 }),
-            ],
-        };
+        let log: ShmLog = [
+            rec(0, 0, ShmOp::Read { off: 0, len: 4 }),
+            rec(0, 0, ShmOp::Write { off: 0, len: 4 }),
+            rec(1, 1, ShmOp::Read { off: 0, len: 4 }),
+        ]
+        .into_iter()
+        .collect();
         let s = normalize(&log, 2);
         assert!(detect(&s, &ClockIndex::new(&t, &s)).is_empty());
     }

@@ -197,17 +197,17 @@ mod tests {
 
     #[test]
     fn consistently_locked_sharing_is_clean() {
-        let log = ShmLog {
-            records: vec![
-                rec(0, 1, ShmOp::LockAcq { lock: 0 }),
-                rec(0, 1, ShmOp::Write { off: 0, len: 8 }),
-                rec(0, 2, ShmOp::LockRel { lock: 0 }),
-                rec(1, 1, ShmOp::LockAcq { lock: 0 }),
-                rec(1, 1, ShmOp::Read { off: 0, len: 8 }),
-                rec(1, 1, ShmOp::Write { off: 0, len: 8 }),
-                rec(1, 2, ShmOp::LockRel { lock: 0 }),
-            ],
-        };
+        let log: ShmLog = [
+            rec(0, 1, ShmOp::LockAcq { lock: 0 }),
+            rec(0, 1, ShmOp::Write { off: 0, len: 8 }),
+            rec(0, 2, ShmOp::LockRel { lock: 0 }),
+            rec(1, 1, ShmOp::LockAcq { lock: 0 }),
+            rec(1, 1, ShmOp::Read { off: 0, len: 8 }),
+            rec(1, 1, ShmOp::Write { off: 0, len: 8 }),
+            rec(1, 2, ShmOp::LockRel { lock: 0 }),
+        ]
+        .into_iter()
+        .collect();
         assert!(run(&log, 2).is_empty());
     }
 
@@ -215,17 +215,17 @@ mod tests {
     fn unlocked_read_of_locked_counter_is_flagged() {
         // The seeded taskfarm mutation in miniature: P0 writes under the
         // lock, P1 peeks without it.
-        let log = ShmLog {
-            records: vec![
-                rec(0, 1, ShmOp::LockAcq { lock: 0 }),
-                rec(0, 1, ShmOp::Write { off: 0, len: 8 }),
-                rec(0, 2, ShmOp::LockRel { lock: 0 }),
-                rec(1, 1, ShmOp::Read { off: 0, len: 8 }),
-                rec(0, 3, ShmOp::LockAcq { lock: 0 }),
-                rec(0, 3, ShmOp::Write { off: 0, len: 8 }),
-                rec(0, 4, ShmOp::LockRel { lock: 0 }),
-            ],
-        };
+        let log: ShmLog = [
+            rec(0, 1, ShmOp::LockAcq { lock: 0 }),
+            rec(0, 1, ShmOp::Write { off: 0, len: 8 }),
+            rec(0, 2, ShmOp::LockRel { lock: 0 }),
+            rec(1, 1, ShmOp::Read { off: 0, len: 8 }),
+            rec(0, 3, ShmOp::LockAcq { lock: 0 }),
+            rec(0, 3, ShmOp::Write { off: 0, len: 8 }),
+            rec(0, 4, ShmOp::LockRel { lock: 0 }),
+        ]
+        .into_iter()
+        .collect();
         let v = run(&log, 2);
         assert_eq!(v.len(), 1);
         // The unlocked read makes the byte Shared with empty candidates;
@@ -238,17 +238,17 @@ mod tests {
 
     #[test]
     fn unlocked_write_after_locked_sharing_is_flagged_at_the_write() {
-        let log = ShmLog {
-            records: vec![
-                rec(0, 1, ShmOp::LockAcq { lock: 0 }),
-                rec(0, 1, ShmOp::Write { off: 0, len: 8 }),
-                rec(0, 2, ShmOp::LockRel { lock: 0 }),
-                rec(1, 1, ShmOp::LockAcq { lock: 0 }),
-                rec(1, 1, ShmOp::Write { off: 0, len: 8 }),
-                rec(1, 2, ShmOp::LockRel { lock: 0 }),
-                rec(1, 3, ShmOp::Write { off: 0, len: 8 }),
-            ],
-        };
+        let log: ShmLog = [
+            rec(0, 1, ShmOp::LockAcq { lock: 0 }),
+            rec(0, 1, ShmOp::Write { off: 0, len: 8 }),
+            rec(0, 2, ShmOp::LockRel { lock: 0 }),
+            rec(1, 1, ShmOp::LockAcq { lock: 0 }),
+            rec(1, 1, ShmOp::Write { off: 0, len: 8 }),
+            rec(1, 2, ShmOp::LockRel { lock: 0 }),
+            rec(1, 3, ShmOp::Write { off: 0, len: 8 }),
+        ]
+        .into_iter()
+        .collect();
         let v = run(&log, 2);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].pid, ProcessId(1));
@@ -260,30 +260,30 @@ mod tests {
     fn initialization_before_publishing_is_exempt() {
         // P0 initializes without locks (Exclusive), then both sides use
         // the lock: candidates start at the *second* process's access.
-        let log = ShmLog {
-            records: vec![
-                rec(0, 0, ShmOp::Write { off: 0, len: 8 }),
-                rec(0, 0, ShmOp::Write { off: 0, len: 8 }),
-                rec(1, 1, ShmOp::LockAcq { lock: 2 }),
-                rec(1, 1, ShmOp::Write { off: 0, len: 8 }),
-                rec(1, 2, ShmOp::LockRel { lock: 2 }),
-                rec(0, 1, ShmOp::LockAcq { lock: 2 }),
-                rec(0, 1, ShmOp::Read { off: 0, len: 8 }),
-                rec(0, 2, ShmOp::LockRel { lock: 2 }),
-            ],
-        };
+        let log: ShmLog = [
+            rec(0, 0, ShmOp::Write { off: 0, len: 8 }),
+            rec(0, 0, ShmOp::Write { off: 0, len: 8 }),
+            rec(1, 1, ShmOp::LockAcq { lock: 2 }),
+            rec(1, 1, ShmOp::Write { off: 0, len: 8 }),
+            rec(1, 2, ShmOp::LockRel { lock: 2 }),
+            rec(0, 1, ShmOp::LockAcq { lock: 2 }),
+            rec(0, 1, ShmOp::Read { off: 0, len: 8 }),
+            rec(0, 2, ShmOp::LockRel { lock: 2 }),
+        ]
+        .into_iter()
+        .collect();
         assert!(run(&log, 2).is_empty());
     }
 
     #[test]
     fn read_sharing_without_locks_is_clean() {
-        let log = ShmLog {
-            records: vec![
-                rec(0, 0, ShmOp::Write { off: 0, len: 8 }),
-                rec(1, 1, ShmOp::Read { off: 0, len: 8 }),
-                rec(2, 1, ShmOp::Read { off: 0, len: 8 }),
-            ],
-        };
+        let log: ShmLog = [
+            rec(0, 0, ShmOp::Write { off: 0, len: 8 }),
+            rec(1, 1, ShmOp::Read { off: 0, len: 8 }),
+            rec(2, 1, ShmOp::Read { off: 0, len: 8 }),
+        ]
+        .into_iter()
+        .collect();
         assert!(run(&log, 3).is_empty());
     }
 
@@ -292,26 +292,26 @@ mod tests {
         // Unlocked cross-process write/write sharing, but the second
         // access is in a later barrier round: clean (the Barnes-Hut
         // phase pattern).
-        let log = ShmLog {
-            records: vec![
-                rec(0, 1, ShmOp::Write { off: 0, len: 8 }),
-                rec(1, 1, ShmOp::Read { off: 0, len: 8 }),
-                rec(1, 2, ShmOp::Barrier { round: 1 }),
-                rec(1, 3, ShmOp::Write { off: 0, len: 8 }),
-            ],
-        };
+        let log: ShmLog = [
+            rec(0, 1, ShmOp::Write { off: 0, len: 8 }),
+            rec(1, 1, ShmOp::Read { off: 0, len: 8 }),
+            rec(1, 2, ShmOp::Barrier { round: 1 }),
+            rec(1, 3, ShmOp::Write { off: 0, len: 8 }),
+        ]
+        .into_iter()
+        .collect();
         assert!(run(&log, 2).is_empty());
     }
 
     #[test]
     fn same_round_unlocked_write_sharing_is_flagged() {
-        let log = ShmLog {
-            records: vec![
-                rec(0, 1, ShmOp::Write { off: 0, len: 8 }),
-                rec(1, 1, ShmOp::Read { off: 0, len: 8 }),
-                rec(1, 1, ShmOp::Write { off: 0, len: 8 }),
-            ],
-        };
+        let log: ShmLog = [
+            rec(0, 1, ShmOp::Write { off: 0, len: 8 }),
+            rec(1, 1, ShmOp::Read { off: 0, len: 8 }),
+            rec(1, 1, ShmOp::Write { off: 0, len: 8 }),
+        ]
+        .into_iter()
+        .collect();
         let v = run(&log, 2);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].pid, ProcessId(1));

@@ -1,7 +1,9 @@
 //! Normalizing the raw shared-memory access stream for the race passes.
 //!
 //! The simulator records a [`ShmLog`]: every DSM-layer read, write, lock
-//! acquire/release and barrier completion, in global execution order. The
+//! acquire/release and barrier completion, in global execution order,
+//! stored as runs and read back record by record through
+//! [`ShmLog::iter`]. The
 //! two race detectors want a richer per-access view — which locks the
 //! process held at the instant of the access, how many barrier rounds it
 //! had completed, and a way to ask causal questions — so this module
@@ -123,7 +125,7 @@ pub fn normalize(log: &ShmLog, n_procs: usize) -> AccessStream {
     let mut cur_lockset: Vec<LocksetId> = vec![EMPTY_LOCKSET; n_procs];
     let mut rounds: Vec<u64> = vec![0; n_procs];
     let mut accesses = Vec::with_capacity(log.data_accesses());
-    for rec in &log.records {
+    for rec in log.iter() {
         let p = rec.pid.index();
         match rec.op {
             ShmOp::Read { off, len } | ShmOp::Write { off, len } => {
@@ -276,17 +278,17 @@ mod tests {
 
     #[test]
     fn lockset_tracking_follows_acquire_and_release() {
-        let log = ShmLog {
-            records: vec![
-                rec(0, 0, ShmOp::Read { off: 0, len: 8 }),
-                rec(0, 1, ShmOp::LockAcq { lock: 3 }),
-                rec(0, 1, ShmOp::Write { off: 0, len: 8 }),
-                rec(0, 1, ShmOp::LockAcq { lock: 1 }),
-                rec(0, 1, ShmOp::Read { off: 8, len: 4 }),
-                rec(0, 2, ShmOp::LockRel { lock: 3 }),
-                rec(0, 2, ShmOp::Read { off: 8, len: 4 }),
-            ],
-        };
+        let log: ShmLog = [
+            rec(0, 0, ShmOp::Read { off: 0, len: 8 }),
+            rec(0, 1, ShmOp::LockAcq { lock: 3 }),
+            rec(0, 1, ShmOp::Write { off: 0, len: 8 }),
+            rec(0, 1, ShmOp::LockAcq { lock: 1 }),
+            rec(0, 1, ShmOp::Read { off: 8, len: 4 }),
+            rec(0, 2, ShmOp::LockRel { lock: 3 }),
+            rec(0, 2, ShmOp::Read { off: 8, len: 4 }),
+        ]
+        .into_iter()
+        .collect();
         let s = normalize(&log, 1);
         assert_eq!(s.accesses.len(), 4);
         assert_eq!(s.locksets.locks(s.accesses[0].lockset), &[] as &[u32]);
@@ -299,14 +301,14 @@ mod tests {
 
     #[test]
     fn barrier_records_advance_the_round() {
-        let log = ShmLog {
-            records: vec![
-                rec(1, 0, ShmOp::Write { off: 0, len: 1 }),
-                rec(1, 4, ShmOp::Barrier { round: 1 }),
-                rec(1, 5, ShmOp::Write { off: 0, len: 1 }),
-                rec(0, 3, ShmOp::Read { off: 0, len: 1 }),
-            ],
-        };
+        let log: ShmLog = [
+            rec(1, 0, ShmOp::Write { off: 0, len: 1 }),
+            rec(1, 4, ShmOp::Barrier { round: 1 }),
+            rec(1, 5, ShmOp::Write { off: 0, len: 1 }),
+            rec(0, 3, ShmOp::Read { off: 0, len: 1 }),
+        ]
+        .into_iter()
+        .collect();
         let s = normalize(&log, 2);
         assert_eq!(s.accesses[0].round, 0);
         assert_eq!(s.accesses[1].round, 1);

@@ -93,68 +93,107 @@ struct Body {
     m: f64,
 }
 
-/// Quadtree node for the force calculation (local scratch).
-enum QNode {
-    Empty,
-    Leaf(Body),
-    Inner {
-        // Center of mass and total mass.
-        cx: f64,
-        cy: f64,
-        m: f64,
-        // Region center and half-size.
-        ox: f64,
-        oy: f64,
-        h: f64,
-        children: Box<[QNode; 4]>,
-    },
+/// A point mass: a body as the force walk sees it, or a cell's center of
+/// mass and total mass.
+#[derive(Debug, Clone, Copy)]
+struct PointMass {
+    x: f64,
+    y: f64,
+    m: f64,
 }
 
-impl QNode {
-    fn insert(self, b: Body, ox: f64, oy: f64, h: f64, depth: u32) -> QNode {
-        match self {
-            QNode::Empty => QNode::Leaf(b),
-            QNode::Leaf(old) => {
-                if depth > 40 || ((old.x - b.x).abs() < 1e-12 && (old.y - b.y).abs() < 1e-12) {
-                    // Coincident bodies: merge masses.
-                    let m = old.m + b.m;
-                    return QNode::Leaf(Body { m, ..old });
+/// Quadtree node for the force calculation (local scratch). The nodes of
+/// one tree live in one `Vec` ([`Quadtree`]), root first; an inner node's
+/// four children are the contiguous nodes `first..first + 4`, in quadrant
+/// order, so a build allocates once, not once per inner node. A cell's
+/// region is not stored: insertion and the force walk derive each child's
+/// center and half-size from its parent's on the way down.
+#[derive(Clone, Copy)]
+enum QNode {
+    Empty,
+    Leaf(PointMass),
+    Inner { com: PointMass, first: u32 },
+}
+
+/// A quadtree over one force phase's bodies.
+struct Quadtree {
+    nodes: Vec<QNode>,
+    /// Half-size of the root region, which is centered on the origin.
+    h: f64,
+}
+
+/// Nodes reserved per body. The simulated disc peaks below six
+/// (537 nodes for 96 bodies over `treadmarks(11, 400)`); only a tighter
+/// cluster than it ever forms grows the `Vec`.
+const NODES_PER_BODY: usize = 8;
+
+impl Quadtree {
+    /// Inserts `bodies` in order.
+    fn build(bodies: &[Body], h: f64) -> Self {
+        let mut nodes = Vec::with_capacity(NODES_PER_BODY * bodies.len() + 1);
+        nodes.push(QNode::Empty);
+        let mut tree = Quadtree { nodes, h };
+        for b in bodies {
+            let p = PointMass {
+                x: b.x,
+                y: b.y,
+                m: b.m,
+            };
+            tree.insert(0, p, 0.0, 0.0, h, 0);
+        }
+        tree
+    }
+
+    /// Inserts `b` below node `at`, whose region is centered on
+    /// `(ox, oy)` with half-size `h`, at depth `depth`.
+    fn insert(
+        &mut self,
+        mut at: usize,
+        b: PointMass,
+        mut ox: f64,
+        mut oy: f64,
+        mut h: f64,
+        mut depth: u32,
+    ) {
+        loop {
+            match self.nodes[at] {
+                QNode::Empty => {
+                    self.nodes[at] = QNode::Leaf(b);
+                    return;
                 }
-                let inner = QNode::Inner {
-                    cx: 0.0,
-                    cy: 0.0,
-                    m: 0.0,
-                    ox,
-                    oy,
-                    h,
-                    children: Box::new([QNode::Empty, QNode::Empty, QNode::Empty, QNode::Empty]),
-                };
-                inner
-                    .insert(old, ox, oy, h, depth)
-                    .insert(b, ox, oy, h, depth)
-            }
-            QNode::Inner {
-                cx,
-                cy,
-                m,
-                ox,
-                oy,
-                h,
-                mut children,
-            } => {
-                let q = quadrant(ox, oy, b.x, b.y);
-                let (qx, qy) = child_center(ox, oy, h, q);
-                let old = std::mem::replace(&mut children[q], QNode::Empty);
-                children[q] = old.insert(b, qx, qy, h / 2.0, depth + 1);
-                let nm = m + b.m;
-                QNode::Inner {
-                    cx: (cx * m + b.x * b.m) / nm,
-                    cy: (cy * m + b.y * b.m) / nm,
-                    m: nm,
-                    ox,
-                    oy,
-                    h,
-                    children,
+                QNode::Leaf(old) => {
+                    if depth > 40 || ((old.x - b.x).abs() < 1e-12 && (old.y - b.y).abs() < 1e-12) {
+                        // Coincident bodies: merge masses.
+                        let m = old.m + b.m;
+                        self.nodes[at] = QNode::Leaf(PointMass { m, ..old });
+                        return;
+                    }
+                    // Split: an empty inner node takes the old body, then
+                    // (next time round the loop) the new one.
+                    let first =
+                        u32::try_from(self.nodes.len()).expect("a quadtree of < 2^32 nodes");
+                    self.nodes.extend([QNode::Empty; 4]);
+                    let com = PointMass {
+                        x: 0.0,
+                        y: 0.0,
+                        m: 0.0,
+                    };
+                    self.nodes[at] = QNode::Inner { com, first };
+                    self.insert(at, old, ox, oy, h, depth);
+                }
+                QNode::Inner { com, first } => {
+                    let m = com.m + b.m;
+                    let com = PointMass {
+                        x: (com.x * com.m + b.x * b.m) / m,
+                        y: (com.y * com.m + b.y * b.m) / m,
+                        m,
+                    };
+                    self.nodes[at] = QNode::Inner { com, first };
+                    let q = quadrant(ox, oy, b.x, b.y);
+                    (ox, oy) = child_center(ox, oy, h, q);
+                    h /= 2.0;
+                    depth += 1;
+                    at = first as usize + q;
                 }
             }
         }
@@ -163,33 +202,32 @@ impl QNode {
     /// Accumulates the force on `(x, y)` with the θ criterion; returns
     /// (fx, fy, interactions).
     fn force(&self, x: f64, y: f64) -> (f64, f64, u64) {
-        match self {
+        self.force_at(0, self.h, x, y)
+    }
+
+    /// [`Quadtree::force`] below node `at`, of half-size `h`. Children are
+    /// summed in quadrant order, one subtree at a time.
+    fn force_at(&self, at: usize, h: f64, x: f64, y: f64) -> (f64, f64, u64) {
+        match self.nodes[at] {
             QNode::Empty => (0.0, 0.0, 0),
-            QNode::Leaf(b) => (
-                pair_force(x, y, b.x, b.y, b.m).0,
-                pair_force(x, y, b.x, b.y, b.m).1,
-                1,
-            ),
-            QNode::Inner {
-                cx,
-                cy,
-                m,
-                h,
-                children,
-                ..
-            } => {
-                let dx = cx - x;
-                let dy = cy - y;
+            QNode::Leaf(b) => {
+                let (fx, fy) = pair_force(x, y, b.x, b.y, b.m);
+                (fx, fy, 1)
+            }
+            QNode::Inner { com, first } => {
+                let dx = com.x - x;
+                let dy = com.y - y;
                 let d = (dx * dx + dy * dy).sqrt().max(1e-9);
                 if 2.0 * h / d < THETA {
-                    let (fx, fy) = pair_force(x, y, *cx, *cy, *m);
+                    let (fx, fy) = pair_force(x, y, com.x, com.y, com.m);
                     (fx, fy, 1)
                 } else {
                     let mut fx = 0.0;
                     let mut fy = 0.0;
                     let mut n = 0;
-                    for c in children.iter() {
-                        let (a, b, k) = c.force(x, y);
+                    let first = first as usize;
+                    for c in first..first + 4 {
+                        let (a, b, k) = self.force_at(c, h / 2.0, x, y);
                         fx += a;
                         fy += b;
                         n += k;
@@ -251,24 +289,13 @@ impl BarnesHut {
     /// Reads one body through the recorded DSM interface (a shared-memory
     /// access the `ft-analyze` passes observe).
     fn read_body(dsm: &Dsm, sys: &mut dyn SysMem, i: usize) -> MemResult<Body> {
-        let off = i * BODY_BYTES;
-        Ok(Body {
-            x: dsm.read_pod(sys, off)?,
-            y: dsm.read_pod(sys, off + 8)?,
-            vx: dsm.read_pod(sys, off + 16)?,
-            vy: dsm.read_pod(sys, off + 24)?,
-            m: dsm.read_pod(sys, off + 32)?,
-        })
+        let [x, y, vx, vy, m] = dsm.read_pods(sys, i * BODY_BYTES)?;
+        Ok(Body { x, y, vx, vy, m })
     }
 
     /// Writes one body through the recorded DSM interface.
     fn write_body(dsm: &Dsm, sys: &mut dyn SysMem, i: usize, b: Body) -> MemResult<()> {
-        let off = i * BODY_BYTES;
-        dsm.write_pod(sys, off, b.x)?;
-        dsm.write_pod(sys, off + 8, b.y)?;
-        dsm.write_pod(sys, off + 16, b.vx)?;
-        dsm.write_pod(sys, off + 24, b.vy)?;
-        dsm.write_pod(sys, off + 32, b.m)
+        dsm.write_pods(sys, i * BODY_BYTES, [b.x, b.y, b.vx, b.vy, b.m])
     }
 
     /// Seeds one body with raw (unrecorded) writes — replica-local
@@ -359,10 +386,7 @@ impl App for BarnesHut {
                 for b in &bodies {
                     maxc = maxc.max(b.x.abs()).max(b.y.abs());
                 }
-                let mut tree = QNode::Empty;
-                for b in &bodies {
-                    tree = tree.insert(*b, 0.0, 0.0, maxc * 1.01, 0);
-                }
+                let tree = Quadtree::build(&bodies, maxc * 1.01);
                 let mut interactions = 0u64;
                 for i in self.partition() {
                     let mut b = bodies[i];
@@ -553,10 +577,7 @@ mod tests {
                 }
             })
             .collect();
-        let mut tree = QNode::Empty;
-        for b in &bodies {
-            tree = tree.insert(*b, 0.0, 0.0, 8.0, 0);
-        }
+        let tree = Quadtree::build(&bodies, 8.0);
         let (fx, fy, n) = tree.force(0.1, 0.2);
         let mut ex = 0.0;
         let mut ey = 0.0;

@@ -1,18 +1,21 @@
 //! Heap discipline of the DSM hot path, gated as exact integers.
 //!
 //! Discount Checking's premise is that all recoverable state lives in the
-//! arena, so a DSM process must not rebuild anything per step. Two things
+//! arena, so a DSM process must not rebuild anything per step. Four things
 //! used to: every `step` of a DSM app re-derived its handle on a
 //! throw-away arena (1.8 arena-sized allocations per event on
-//! `treadmarks`), and every barrier send materialized one `Vec` per diff
-//! run. Both are counted here with a counting global allocator, which is
-//! why this file holds exactly one `#[test]`: a second test thread would
-//! allocate into the same counters.
+//! `treadmarks`), every barrier send materialized one `Vec` per diff run,
+//! every Barnes-Hut force step boxed each inner node of its quadtree, and
+//! the access stream kept one 32-byte record per field access. All four
+//! are counted here with a counting global allocator, which is why this
+//! file holds exactly one `#[test]`: a second test thread would allocate
+//! into the same counters.
 
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use ft_apps::scenarios;
+use ft_core::access::ShmLog;
 use ft_core::protocol::Protocol;
 use ft_dc::harness::DcHarness;
 use ft_dc::state::DcConfig;
@@ -67,9 +70,9 @@ static ALLOC: Counting = Counting;
 
 /// Runs a scenario under the recovery runtime and returns how many
 /// arena-sized blocks were allocated between the first step and the end
-/// of the run. The harness owns every real arena before the first step,
-/// so any such block is a scratch copy.
-fn arena_sized_allocs_while_running(built: scenarios::Built) -> u64 {
+/// of the run, with the run's access stream. The harness owns every real
+/// arena before the first step, so any such block is a scratch copy.
+fn arena_sized_allocs_while_running(built: scenarios::Built) -> (u64, ShmLog) {
     let (sim, apps) = built.into_parts();
     let mut sizes: Vec<u64> = apps
         .iter()
@@ -89,7 +92,7 @@ fn arena_sized_allocs_while_running(built: scenarios::Built) -> u64 {
     let report = harness.run();
     let during = WATCHED_ALLOCS.load(Relaxed) - before;
     assert!(report.all_done);
-    during
+    (during, report.shm)
 }
 
 /// Most allocations any one `barrier_pump` call of [`Sender`] made.
@@ -145,18 +148,64 @@ impl App for Sender {
     }
 }
 
+/// Over every Barnes-Hut force step: fewest and most allocations in one
+/// step, steps, and allocations in all of them.
+static FORCE: [AtomicU64; 4] = [
+    AtomicU64::new(u64::MAX),
+    AtomicU64::new(0),
+    AtomicU64::new(0),
+    AtomicU64::new(0),
+];
+
+/// A Barnes-Hut node, counting what its force steps allocate. The node's
+/// phase word is the first word of its globals; 1 is the force phase.
+struct ForceProbe(Box<dyn App>);
+
+impl App for ForceProbe {
+    fn step(&mut self, sys: &mut dyn SysMem) -> MemResult<AppStatus> {
+        if ArenaCell::<u64>::at(0).get(&sys.mem().arena)? != 1 {
+            return self.0.step(sys);
+        }
+        let before = ALLOCS.load(Relaxed);
+        let status = self.0.step(sys);
+        let n = ALLOCS.load(Relaxed) - before;
+        FORCE[0].fetch_min(n, Relaxed);
+        FORCE[1].fetch_max(n, Relaxed);
+        FORCE[2].fetch_add(1, Relaxed);
+        FORCE[3].fetch_add(n, Relaxed);
+        status
+    }
+
+    fn layout(&self) -> Layout {
+        self.0.layout()
+    }
+}
+
 #[test]
 fn dsm_steps_copy_no_arena_and_a_barrier_send_allocates_no_runs() {
+    let (rebuilt, shm) = arena_sized_allocs_while_running(scenarios::treadmarks(11, 6));
+    assert_eq!(rebuilt, 0, "a treadmarks step rebuilt its arena");
+    // The stream is stored as runs (a force phase's 480 field reads are
+    // one), at least ten records to a run.
+    assert_eq!((shm.len(), shm.runs()), (19_248, 1_228));
+    assert!(shm.runs() * 10 <= shm.len());
     assert_eq!(
-        arena_sized_allocs_while_running(scenarios::treadmarks(11, 6)),
-        0,
-        "a treadmarks step rebuilt its arena"
-    );
-    assert_eq!(
-        arena_sized_allocs_while_running(scenarios::taskfarm(9, 3)),
+        arena_sized_allocs_while_running(scenarios::taskfarm(9, 3)).0,
         0,
         "a taskfarm step rebuilt its arena"
     );
+
+    // 160 force steps, over trees of 289 to 537 nodes: each allocates the
+    // body array and the tree's one `Vec`, whatever the tree's size; one
+    // of them also grows the access stream's run `Vec`.
+    let (sim, apps) = scenarios::treadmarks(11, 40).into_parts();
+    let apps = apps
+        .into_iter()
+        .map(|app| Box::new(ForceProbe(app)) as Box<dyn App>)
+        .collect();
+    let report = DcHarness::new(sim, DcConfig::discount_checking(Protocol::Cbndv2pc), apps).run();
+    assert!(report.all_done);
+    assert_eq!(FORCE.each_ref().map(|c| c.load(Relaxed)), [2, 3, 160, 321]);
 
     let apps: Vec<Box<dyn App>> = (0..2)
         .map(|i| {

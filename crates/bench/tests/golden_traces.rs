@@ -19,10 +19,12 @@
 //! and copy the `measured:` block the failure prints into the fixture.
 
 use ft_apps::scenarios::{self, Built};
+use ft_core::access::{ShmOp, ShmRecord};
 use ft_core::protocol::Protocol;
 use ft_dc::fingerprint::report_fingerprint;
 use ft_dc::harness::DcHarness;
 use ft_dc::state::DcConfig;
+use ft_mem::{FNV_OFFSET, FNV_PRIME};
 
 const FIXTURE: &str = include_str!("fixtures/golden_trace_hashes.txt");
 const FIG8_FIXTURE: &str = include_str!("fixtures/golden_fig8_hashes.txt");
@@ -149,6 +151,44 @@ fn fig8_fixture_covers_the_full_workload_by_protocol_matrix() {
             assert!(names.contains(&key), "fixture is missing {key}");
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Barnes-Hut at the benchmark's shape: 400 iterations, not the golden 8.
+
+/// FNV-1a 64 over every record's pid, position, kind and operands, each
+/// as a little-endian `u64`.
+fn shm_digest(records: impl Iterator<Item = ShmRecord>) -> u64 {
+    records
+        .flat_map(|r| {
+            let (kind, a, b) = match r.op {
+                ShmOp::Read { off, len } => (0, u64::from(off), u64::from(len)),
+                ShmOp::Write { off, len } => (1, u64::from(off), u64::from(len)),
+                ShmOp::LockAcq { lock } => (2, u64::from(lock), 0),
+                ShmOp::LockRel { lock } => (3, u64::from(lock), 0),
+                ShmOp::Barrier { round } => (4, round, 0),
+            };
+            [u64::from(r.pid.0), r.pos, kind, a, b]
+        })
+        .flat_map(u64::to_le_bytes)
+        .fold(FNV_OFFSET, |h, byte| {
+            (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME)
+        })
+}
+
+/// `treadmarks(11, 400)` under CBNDV-2PC, the `treadmarks_2pc` benchmark
+/// trial: its report fingerprint and its shared-memory access stream,
+/// record for record, as recorded before the stream was stored as runs
+/// and the force quadtree moved into one `Vec`.
+#[test]
+fn treadmarks_at_benchmark_size_matches_its_recorded_run_and_stream() {
+    let (sim, apps) = scenarios::treadmarks(11, 400).into_parts();
+    let report = DcHarness::new(sim, DcConfig::discount_checking(Protocol::Cbndv2pc), apps).run();
+    assert!(report.all_done);
+    assert_eq!(report_fingerprint(&report), 0x3fc7_f66d_941e_6aac);
+    assert_eq!(report.shm.len(), 1_170_560);
+    assert_eq!(report.shm.iter().count(), 1_170_560);
+    assert_eq!(shm_digest(report.shm.iter()), 0x7f76_035c_c8b1_7e53);
 }
 
 // ---------------------------------------------------------------------

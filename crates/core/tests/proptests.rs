@@ -9,6 +9,7 @@
     reason = "test inputs are tiny by construction (seed counts, page numbers, probe offsets), so index-type narrowing cannot truncate"
 )]
 
+use ft_core::access::{ShmLog, ShmOp, ShmRecord};
 use ft_core::consistency::check_equivalence;
 use ft_core::event::{MsgId, NdSource, ProcessId};
 use ft_core::graph::{EdgeKind, StateGraph};
@@ -513,5 +514,123 @@ fn dangerous_paths_monotone() {
         for (i, &d) in base.dangerous_state.iter().enumerate() {
             assert!(!d || with.dangerous_state[i]);
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The shared-memory access stream's run encoding.
+
+/// A record over 2 pids, 2 positions and every operation kind. Half the
+/// time it is the data access right after `prev`, offset wrapping at
+/// `u32::MAX`; otherwise offsets cluster near 0 and near `u32::MAX`.
+fn random_shm_record(rng: &mut Rng, prev: Option<ShmRecord>) -> ShmRecord {
+    if let Some(prev) = prev.filter(|_| rng.below(2) == 0) {
+        let next = |off: u32, len: u32| off.wrapping_add(len);
+        let op = match prev.op {
+            ShmOp::Read { off, len } => Some(ShmOp::Read {
+                off: next(off, len),
+                len,
+            }),
+            ShmOp::Write { off, len } => Some(ShmOp::Write {
+                off: next(off, len),
+                len,
+            }),
+            _ => None,
+        };
+        if let Some(op) = op {
+            return ShmRecord { op, ..prev };
+        }
+    }
+    let off = match rng.below(3) {
+        0 => rng.below(64) as u32,
+        1 => u32::MAX - rng.below(32) as u32,
+        _ => rng.next_u64() as u32,
+    };
+    let len = if rng.below(2) == 0 { 1 } else { 8 };
+    let op = match rng.below(5) {
+        0 => ShmOp::Read { off, len },
+        1 => ShmOp::Write { off, len },
+        2 => ShmOp::LockAcq {
+            lock: rng.below(2) as u32,
+        },
+        3 => ShmOp::LockRel {
+            lock: rng.below(2) as u32,
+        },
+        _ => ShmOp::Barrier {
+            round: rng.below(3),
+        },
+    };
+    ShmRecord {
+        pid: ProcessId(rng.below(2) as u32),
+        pos: rng.below(2),
+        op,
+    }
+}
+
+fn random_shm_records(rng: &mut Rng, max: u64) -> Vec<ShmRecord> {
+    let mut records: Vec<ShmRecord> = Vec::new();
+    for _ in 0..rng.below(max) {
+        let rec = random_shm_record(rng, records.last().copied());
+        records.push(rec);
+    }
+    records
+}
+
+/// The greedy encoding's run count, in wide arithmetic: a data access
+/// continues the run before it iff it has the same pid, position, kind
+/// and length and starts where the previous access ended — an end past
+/// `u32::MAX` never equals a `u32` offset.
+fn reference_runs(records: &[ShmRecord]) -> usize {
+    let mut runs = 0;
+    let mut end = None;
+    for r in records {
+        let access = match r.op {
+            ShmOp::Read { off, len } => Some((false, off, len)),
+            ShmOp::Write { off, len } => Some((true, off, len)),
+            _ => None,
+        };
+        let continues = access.is_some_and(|(write, off, len)| {
+            end == Some((r.pid, r.pos, write, len, u64::from(off)))
+        });
+        runs += usize::from(!continues);
+        end = access
+            .map(|(write, off, len)| (r.pid, r.pos, write, len, u64::from(off) + u64::from(len)));
+    }
+    runs
+}
+
+/// `ShmLog` stores maximal runs and gives back exactly what was pushed:
+/// the records, their counts, and equality of record sequences.
+#[test]
+fn shm_log_runs_are_lossless_and_canonical() {
+    let mut seeds = Rng(0x5E_4106);
+    for _ in 0..512 {
+        let mut rng = Rng(seeds.next_u64());
+        let a = random_shm_records(&mut rng, 64);
+        let log: ShmLog = a.iter().copied().collect();
+        assert_eq!(log.iter().collect::<Vec<_>>(), a);
+        assert_eq!(log.len(), a.len());
+        let data = a
+            .iter()
+            .filter(|r| matches!(r.op, ShmOp::Read { .. } | ShmOp::Write { .. }))
+            .count();
+        assert_eq!(log.data_accesses(), data);
+        assert_eq!(log.runs(), reference_runs(&a), "{a:?}");
+
+        // Equal iff the record sequences are: against a copy, a copy with
+        // one record redrawn (which may split or join runs), and a fresh
+        // sequence.
+        let b = match rng.below(3) {
+            0 => a.clone(),
+            1 if !a.is_empty() => {
+                let mut b = a.clone();
+                let i = rng.below(a.len() as u64) as usize;
+                b[i] = random_shm_record(&mut rng, i.checked_sub(1).map(|j| a[j]));
+                b
+            }
+            _ => random_shm_records(&mut rng, 64),
+        };
+        let other: ShmLog = b.iter().copied().collect();
+        assert_eq!(log == other, a == b, "{a:?} vs {b:?}");
     }
 }

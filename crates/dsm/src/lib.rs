@@ -201,17 +201,33 @@ impl Dsm {
 
     /// Reads a [`Pod`] value at a region-relative offset, reporting the
     /// access to the shared-memory stream.
+    pub fn read_pod<T: Pod>(&self, sys: &mut dyn SysMem, off: usize) -> MemResult<T> {
+        let [v] = self.read_pods(sys, off)?;
+        Ok(v)
+    }
+
+    /// Reads `N` [`Pod`] values stored back to back from a region-relative
+    /// offset — a record's fields — checking the range once and reporting
+    /// one access per value, as `N` [`Dsm::read_pod`]s would.
     #[expect(
         clippy::cast_possible_truncation,
         reason = "region offsets/lengths are arena-bounded, far below u32::MAX; the shm-op stream keeps them compact"
     )]
-    pub fn read_pod<T: Pod>(&self, sys: &mut dyn SysMem, off: usize) -> MemResult<T> {
-        let v = self.read_pod_raw(sys.mem(), off)?;
-        sys.shm_op(ShmOp::Read {
-            off: off as u32,
-            len: T::SIZE as u32,
-        });
-        Ok(v)
+    pub fn read_pods<T: Pod, const N: usize>(
+        &self,
+        sys: &mut dyn SysMem,
+        off: usize,
+    ) -> MemResult<[T; N]> {
+        self.check(off, N * T::SIZE)?;
+        let bytes = sys.mem().arena.read(self.region_off + off, N * T::SIZE)?;
+        let values = std::array::from_fn(|k| T::load(&bytes[k * T::SIZE..][..T::SIZE]));
+        for k in 0..N {
+            sys.shm_op(ShmOp::Read {
+                off: (off + k * T::SIZE) as u32,
+                len: T::SIZE as u32,
+            });
+        }
+        Ok(values)
     }
 
     /// Writes bytes at a region-relative offset, marking the touched DSM
@@ -232,16 +248,37 @@ impl Dsm {
 
     /// Writes a [`Pod`] value at a region-relative offset, reporting the
     /// access to the shared-memory stream.
+    pub fn write_pod<T: Pod>(&self, sys: &mut dyn SysMem, off: usize, value: T) -> MemResult<()> {
+        self.write_pods(sys, off, [value])
+    }
+
+    /// Writes `N` [`Pod`] values back to back from a region-relative
+    /// offset, checking the range once. Each value is still its own arena
+    /// write, dirty mark and reported access, as `N` [`Dsm::write_pod`]s
+    /// would make.
     #[expect(
         clippy::cast_possible_truncation,
         reason = "region offsets/lengths are arena-bounded, far below u32::MAX; the shm-op stream keeps them compact"
     )]
-    pub fn write_pod<T: Pod>(&self, sys: &mut dyn SysMem, off: usize, value: T) -> MemResult<()> {
-        self.write_pod_raw(sys.mem(), off, value)?;
-        sys.shm_op(ShmOp::Write {
-            off: off as u32,
-            len: T::SIZE as u32,
-        });
+    pub fn write_pods<T: Pod, const N: usize>(
+        &self,
+        sys: &mut dyn SysMem,
+        off: usize,
+        values: [T; N],
+    ) -> MemResult<()> {
+        self.check(off, N * T::SIZE)?;
+        let mem = sys.mem();
+        for (k, value) in values.into_iter().enumerate() {
+            let at = off + k * T::SIZE;
+            mem.arena.write_pod(self.region_off + at, value)?;
+            self.mark_dirty(mem, at, T::SIZE)?;
+        }
+        for k in 0..N {
+            sys.shm_op(ShmOp::Write {
+                off: (off + k * T::SIZE) as u32,
+                len: T::SIZE as u32,
+            });
+        }
         Ok(())
     }
 
@@ -641,13 +678,14 @@ mod tests {
         Mem::new(LAYOUT)
     }
 
-    /// A one-process system: sends are captured, receives come from a
-    /// scripted inbox, compute charges are summed.
+    /// A one-process system: sends and reported accesses are captured,
+    /// receives come from a scripted inbox, compute charges are summed.
     struct TestSys {
         mem: Mem,
         sent: Vec<(ProcessId, Vec<u8>)>,
         inbox: std::collections::VecDeque<Message>,
         computed: u64,
+        shm: Vec<ShmOp>,
     }
 
     impl TestSys {
@@ -657,6 +695,7 @@ mod tests {
                 sent: Vec::new(),
                 inbox: Default::default(),
                 computed: 0,
+                shm: Vec::new(),
             }
         }
 
@@ -723,6 +762,9 @@ mod tests {
             Ok(())
         }
         fn note_fault_activation(&mut self, _fault: u32) {}
+        fn shm_op(&mut self, op: ShmOp) {
+            self.shm.push(op);
+        }
     }
 
     /// This node's diffs, encoded, then validated and materialized.
@@ -766,6 +808,43 @@ mod tests {
         let diffs = my_diffs(&dsm, &mem);
         assert_eq!(diffs.len(), 1);
         assert_eq!(diffs[0].page, 0);
+    }
+
+    /// A record's fields in one call are the arena writes, dirty marks and
+    /// reported accesses of one call per field.
+    #[test]
+    fn pods_are_field_by_field_accesses() {
+        let mut per_field = TestSys::new(big_mem());
+        let dsm = Dsm::init(&mut per_field.mem, 0, 2, 4).unwrap();
+        let mut batched = TestSys::new(big_mem());
+        Dsm::init(&mut batched.mem, 0, 2, 4).unwrap();
+        // Three fields straddling a page boundary.
+        let off = DSM_PAGE - 12;
+        let values = [0x11u64, 0x22, 0x33];
+        for (k, v) in values.into_iter().enumerate() {
+            dsm.write_pod(&mut per_field, off + 8 * k, v).unwrap();
+        }
+        for k in 0..values.len() {
+            dsm.read_pod::<u64>(&mut per_field, off + 8 * k).unwrap();
+        }
+        dsm.write_pods(&mut batched, off, values).unwrap();
+        assert_eq!(dsm.read_pods(&mut batched, off), Ok(values));
+        assert_eq!(batched.shm, per_field.shm);
+        assert_eq!(batched.shm.len(), 6);
+        assert_eq!(image(&batched.mem), image(&per_field.mem));
+        assert_eq!(
+            batched.mem.arena.stats().writes,
+            per_field.mem.arena.stats().writes
+        );
+        assert_eq!(my_diffs(&dsm, &batched.mem), my_diffs(&dsm, &per_field.mem));
+
+        // A range that ends past the region: nothing written or reported.
+        let before = image(&batched.mem);
+        let tail = 4 * DSM_PAGE - 16;
+        assert!(dsm.write_pods(&mut batched, tail, [0u64; 3]).is_err());
+        assert!(dsm.read_pods::<u64, 3>(&mut batched, tail).is_err());
+        assert_eq!(image(&batched.mem), before);
+        assert_eq!(batched.shm.len(), 6);
     }
 
     #[test]

@@ -581,7 +581,7 @@ impl Simulator {
     /// knowledge from that stamp).
     pub fn record_shm(&mut self, pid: ProcessId, op: ShmOp) {
         let pos = self.tracer.position(pid);
-        ft_core::trace::chunked_push(&mut self.shm_log.records, ShmRecord { pid, pos, op });
+        self.shm_log.push(ShmRecord { pid, pos, op });
     }
 
     /// Takes the recorded shared-memory access stream (leaving an empty

@@ -41,7 +41,9 @@ cargo test -q --workspace
 # ROADMAP 1(i) should hold with overflow checks off too. And ft-analyze:
 # `normalize` reads offsets the run-encoded access stream computes, and its
 # campaign test replays the treadmarks and taskfarm streams through them.
-cargo test -q --release -p ft-dsm -p ft-mem -p ft-core -p ft-sim -p ft-check -p ft-analyze
+# And ft-dc: the kill-schedule executor's position and time comparisons
+# run on every campaign's release path.
+cargo test -q --release -p ft-dsm -p ft-mem -p ft-core -p ft-sim -p ft-check -p ft-analyze -p ft-dc
 # Clippy is also the determinism and recovery-safety gate: wall-clock
 # reads, hash-order iteration, panics and unchecked arithmetic in the
 # decode modules, floats in the fingerprinting crates (clippy.toml,

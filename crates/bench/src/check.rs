@@ -13,6 +13,7 @@
 
 use ft_check::explore::{canonical_run, run_point};
 use ft_check::{explore, parse_script, shrink, CheckConfig, Counterexample, Exploration, Workload};
+use ft_core::event::ProcessId;
 use ft_core::protocol::Protocol;
 
 use crate::json::Json;
@@ -149,13 +150,19 @@ impl Stage for CheckStage {
 }
 
 /// Re-executes a replay script (`campaign --replay FILE`): `Ok` with the
-/// reproduced violation, `Err` if the script is malformed or its schedule
-/// no longer violates anything.
+/// reproduced violation, `Err` if the script is malformed, kills a process
+/// the workload does not have, or no longer violates anything.
 pub fn replay(script: &str) -> Result<String, String> {
     let r = parse_script(script).map_err(|e| format!("bad replay script: {e}"))?;
     let cfg = r.check_config();
     let canonical = canonical_run(&r.workload, r.workload.size, &cfg);
     let label = format!("{}@{}", r.workload.name, r.protocol.name());
+    let procs = canonical.positions.len();
+    if let Some(point) = r.point.filter(|p| ProcessId(p.pid()).index() >= procs) {
+        return Err(format!(
+            "bad replay script: `kill {point}` names a process {label} does not have (it has {procs})"
+        ));
+    }
     match run_point(&r.workload, r.workload.size, &cfg, &canonical, r.point).violation {
         Some(v) => Ok(format!("reproduced on {label}: {v:?}")),
         None => Err(format!("{label} did NOT reproduce a violation")),

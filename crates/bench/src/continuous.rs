@@ -12,8 +12,9 @@
 //!   streams in O(1) from the stage seed (`SplitMix64::nth`), so sharding
 //!   cannot perturb any stream and every thread count yields the same
 //!   rows;
-//! * **the kill loop**: arrivals are drawn over the *failure-free* horizon
-//!   of the cell's reference run, so each trial sustains
+//! * **the kill schedule**: arrivals are drawn up front over the
+//!   *failure-free* horizon of the cell's reference run, one `AtTime`
+//!   entry of `DcConfig::kills` each, so each trial sustains
 //!   ~`crashes_per_trial` crashes no matter how far recovery stretches its
 //!   own clock;
 //! * **the verdict**: every trial is judged by `DcReport::judge_against`
@@ -26,6 +27,7 @@ use ft_core::event::ProcessId;
 use ft_core::oracle::InvariantViolation;
 use ft_dc::{DcConfig, DcHarness, DcReport};
 use ft_faults::arrivals::PoissonArrivals;
+use ft_faults::crash::CrashPoint;
 use ft_sim::rng::SplitMix64;
 use ft_sim::runner::run_indexed;
 
@@ -263,13 +265,12 @@ impl<K: PartialEq + Sync> FaultLoad<'_, K> {
     }
 
     /// One trial of one cell: a full run under the cell's configuration
-    /// with Poisson crash arrivals injected continuously.
+    /// with Poisson crash arrivals as its kill schedule.
     fn trial(&self, cell: usize, trial: u64, reference: &Reference) -> TrialOutcome {
         let (key, dc) = &self.cells[cell];
         let built = (self.build)(key);
         let procs = built.meta.processes;
         let (sim, apps) = built.into_parts();
-        let harness = DcHarness::new(sim, dc.clone(), apps);
         // Stage seed → cell stream → per trial one arrival seed and one
         // victim seed. No sequential state is shared between trials.
         let cell_seed = SplitMix64::new(self.seed).nth(cell as u64);
@@ -278,21 +279,19 @@ impl<K: PartialEq + Sync> FaultLoad<'_, K> {
             reference.rate_per_sec,
         );
         let mut victims = SplitMix64::new(SplitMix64::new(cell_seed).nth(2 * trial + 1));
+        // Every arrival up to the reference horizon is an `AtTime` kill of
+        // a uniformly drawn victim, delivered at the first wake at or
+        // after it; kills landing on done or crashed processes are
+        // dropped. Without the bound, downtime begets arrivals begets
+        // downtime and short workloads thrash forever.
+        let mut dc = dc.clone();
         let mut next = arrivals.next_arrival_ns();
-        // Bounded by the reference horizon: without the bound, downtime
-        // begets arrivals begets downtime and short workloads thrash
-        // forever.
-        let horizon = reference.runtime;
-        let report = harness.run_with(|sim| {
-            // Deliver every arrival the clock has passed; kills landing on
-            // done or crashed processes are dropped by the scheduler.
-            while next <= horizon && sim.now() >= next {
-                let victim = ProcessId::from_index(victims.index(procs));
-                let now = sim.now();
-                sim.kill_at(victim, now);
-                next = arrivals.next_arrival_ns();
-            }
-        });
+        while next <= reference.runtime {
+            let pid = ProcessId::from_index(victims.index(procs)).0;
+            dc.kills.push(CrashPoint::AtTime { pid, t: next });
+            next = arrivals.next_arrival_ns();
+        }
+        let report = DcHarness::new(sim, dc, apps).run();
         TrialOutcome {
             violation: report
                 .judge_against(&reference.trace, &reference.visibles)

@@ -248,6 +248,24 @@ fn check_gate_refuses_the_presend_commit_mutant_with_a_replayable_script() {
     assert!(report.contains("\"script\": \"# ft-check"), "{report}");
 }
 
+#[test]
+fn replay_refuses_a_kill_on_a_process_the_workload_lacks() {
+    // nvi is one process: p3 exists in no schedule of it, whatever the kind.
+    for kill in [
+        "start 3",
+        "position 5 3",
+        "commit 3 0 pre-log",
+        "time 3 1000",
+    ] {
+        let script = format!("workload nvi\nseed 7\nsize 2\nprotocol CPVS\nkill {kill}\n");
+        let err = ft_bench::check::replay(&script).unwrap_err();
+        assert!(
+            err.contains(&format!("`kill {kill}`")) && err.contains("(it has 1)"),
+            "{err}"
+        );
+    }
+}
+
 /// One clean cell and both seeded mutants, at the analyzer tests' sizes.
 fn tiny_analyze() -> AnalyzeStage {
     let cell = |workload, size, protocol, expect| Cell {

@@ -4,7 +4,7 @@
 use ft_core::event::ProcessId;
 use ft_core::oracle::InvariantViolation;
 use ft_dc::fingerprint::report_fingerprint;
-use ft_dc::{CommitKill, DcHarness, DcReport};
+use ft_dc::{DcHarness, DcReport};
 use ft_faults::crash::CrashPoint;
 use ft_mem::arena::CommitCrashPoint;
 use ft_sim::runner::run_indexed;
@@ -98,8 +98,8 @@ pub struct PointResult {
     pub duplicates: usize,
 }
 
-/// Re-executes the workload with `point` injected and judges the result
-/// against the canonical run.
+/// Re-executes the workload with `point` as its one-entry kill schedule
+/// and judges the result against the canonical run.
 pub fn run_point(
     w: &Workload,
     size: usize,
@@ -108,29 +108,9 @@ pub fn run_point(
     point: Option<CrashPoint>,
 ) -> PointResult {
     let (sim, apps) = w.build(size).into_parts();
-    let kill = match point {
-        Some(CrashPoint::InCommit { pid, nth, point }) => Some(CommitKill { pid, nth, point }),
-        _ => None,
-    };
-    let mut harness = DcHarness::new(sim, cfg.dc_config(kill), apps);
-    let report = match point {
-        Some(CrashPoint::AtStart { pid }) => {
-            harness.sim.kill_at(ProcessId(pid), 0);
-            harness.run()
-        }
-        Some(CrashPoint::AtPosition { pid, pos }) => {
-            let target = ProcessId(pid);
-            let mut fired = false;
-            harness.run_with(move |sim| {
-                if !fired && sim.trace_position(target) >= pos {
-                    fired = true;
-                    let now = sim.now();
-                    sim.kill_at(target, now);
-                }
-            })
-        }
-        _ => harness.run(),
-    };
+    let mut dc = cfg.dc_config(None);
+    dc.kills.extend(point);
+    let report = DcHarness::new(sim, dc, apps).run();
     judge(canonical, point, &report)
 }
 

@@ -10,6 +10,7 @@
 use ft_apps::scenarios::{self, Built};
 use ft_core::protocol::Protocol;
 use ft_dc::{CommitKill, DcConfig};
+use ft_faults::crash::CrashPoint;
 
 /// A rebuildable workload: scenario family + seed + size knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,10 +60,13 @@ impl CheckConfig {
         }
     }
 
-    /// The `DcConfig` for one run, with an optional mid-commit kill.
+    /// The `DcConfig` for one run; a mid-commit kill becomes its one
+    /// `InCommit` schedule entry.
     pub fn dc_config(&self, kill: Option<CommitKill>) -> DcConfig {
         let mut cfg = DcConfig::discount_checking(self.protocol);
-        cfg.commit_kill = kill;
+        cfg.kills.extend(
+            kill.map(|CommitKill { pid, nth, point }| CrashPoint::InCommit { pid, nth, point }),
+        );
         cfg.skip_presend_commit = self.skip_presend_commit;
         cfg
     }
@@ -89,13 +93,10 @@ mod tests {
     fn dc_config_carries_the_kill() {
         use ft_mem::arena::CommitCrashPoint;
         let cfg = CheckConfig::new(Protocol::Cpvs);
-        let kill = CommitKill {
-            pid: 1,
-            nth: 2,
-            point: CommitCrashPoint::MidUndoWalk,
-        };
-        let dc = cfg.dc_config(Some(kill));
-        assert_eq!(dc.commit_kill, Some(kill));
+        let (pid, nth, point) = (1, 2, CommitCrashPoint::MidUndoWalk);
+        let dc = cfg.dc_config(Some(CommitKill { pid, nth, point }));
+        assert_eq!(dc.kills, [CrashPoint::InCommit { pid, nth, point }]);
         assert!(!dc.skip_presend_commit);
+        assert!(cfg.dc_config(None).kills.is_empty());
     }
 }

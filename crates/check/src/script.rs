@@ -9,7 +9,6 @@
 use ft_apps::scenarios;
 use ft_core::protocol::Protocol;
 use ft_faults::crash::CrashPoint;
-use ft_mem::arena::CommitCrashPoint;
 
 use crate::scenario::{CheckConfig, Workload};
 
@@ -48,10 +47,6 @@ fn family_by_name(name: &str) -> Option<&'static str> {
     Some(family)
 }
 
-fn commit_point_by_name(name: &str) -> Option<CommitCrashPoint> {
-    CommitCrashPoint::ALL.into_iter().find(|p| p.name() == name)
-}
-
 /// Renders a replay script for one crash schedule. `comment` lines (the
 /// violation description) are embedded as `#` comments.
 pub fn render_script(
@@ -77,13 +72,7 @@ pub fn render_script(
     }
     match point {
         None => s.push_str("kill none\n"),
-        Some(CrashPoint::AtStart { pid }) => s.push_str(&format!("kill start {pid}\n")),
-        Some(CrashPoint::AtPosition { pid, pos }) => {
-            s.push_str(&format!("kill position {pid} {pos}\n"));
-        }
-        Some(CrashPoint::InCommit { pid, nth, point }) => {
-            s.push_str(&format!("kill commit {pid} {nth} {}\n", point.name()));
-        }
+        Some(point) => s.push_str(&format!("kill {point}\n")),
     }
     s.push_str("expect violation\n");
     s
@@ -105,68 +94,37 @@ pub fn parse_script(text: &str) -> Result<Replay, String> {
             continue;
         }
         let err = |m: &str| format!("line {}: {m}: {line:?}", ln + 1);
-        let mut it = line.split_whitespace();
-        match it.next() {
-            Some("workload") => {
+        let (directive, rest) = line.split_once(char::is_whitespace).unwrap_or((line, ""));
+        let mut it = rest.split_whitespace();
+        match directive {
+            "workload" => {
                 let f = it.next().ok_or_else(|| err("missing family"))?;
                 name = Some(family_by_name(f).ok_or_else(|| err("unknown family"))?);
             }
-            Some("seed") => {
+            "seed" => {
                 let v = it.next().ok_or_else(|| err("missing seed"))?;
                 seed = Some(v.parse().map_err(|_| err("bad seed"))?);
             }
-            Some("size") => {
+            "size" => {
                 let v = it.next().ok_or_else(|| err("missing size"))?;
                 size = Some(v.parse().map_err(|_| err("bad size"))?);
             }
-            Some("protocol") => {
+            "protocol" => {
                 let v = it.next().ok_or_else(|| err("missing protocol"))?;
                 protocol = Some(protocol_by_name(v).ok_or_else(|| err("unknown protocol"))?);
             }
-            Some("mutate") => match it.next() {
+            "mutate" => match it.next() {
                 Some("skip-presend-commit") => skip_presend_commit = true,
                 _ => return Err(err("unknown mutation")),
             },
-            Some("kill") => {
+            "kill" => {
                 kill_seen = true;
-                point = match it.next() {
-                    Some("none") => None,
-                    Some("start") => {
-                        let pid = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .ok_or_else(|| err("bad pid"))?;
-                        Some(CrashPoint::AtStart { pid })
-                    }
-                    Some("position") => {
-                        let pid = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .ok_or_else(|| err("bad pid"))?;
-                        let pos = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .ok_or_else(|| err("bad position"))?;
-                        Some(CrashPoint::AtPosition { pid, pos })
-                    }
-                    Some("commit") => {
-                        let pid = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .ok_or_else(|| err("bad pid"))?;
-                        let nth = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .ok_or_else(|| err("bad commit index"))?;
-                        let sub = it.next().ok_or_else(|| err("missing sub-step"))?;
-                        let point =
-                            commit_point_by_name(sub).ok_or_else(|| err("unknown sub-step"))?;
-                        Some(CrashPoint::InCommit { pid, nth, point })
-                    }
-                    _ => return Err(err("unknown kill kind")),
+                point = match rest.trim() {
+                    "none" => None,
+                    spec => Some(spec.parse().map_err(|e: String| err(&e))?),
                 };
             }
-            Some("expect") => {}
+            "expect" => {}
             _ => return Err(err("unknown directive")),
         }
     }
@@ -189,6 +147,7 @@ pub fn parse_script(text: &str) -> Result<Replay, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ft_mem::arena::CommitCrashPoint;
 
     #[test]
     fn scripts_round_trip_every_kill_kind() {
@@ -205,6 +164,10 @@ mod tests {
                 pid: 0,
                 nth: 4,
                 point: CommitCrashPoint::PreLog,
+            }),
+            Some(CrashPoint::AtTime {
+                pid: 2,
+                t: 1_500_000,
             }),
         ];
         for point in points {
@@ -225,6 +188,16 @@ mod tests {
         let e = parse_script("workload nvi\nseed 1\nsize 1\nprotocol CPVS\nkill sideways\n")
             .unwrap_err();
         assert!(e.contains("line 5"), "{e}");
+        for (kill, why) in [
+            ("position 1 9 extra", "wrong number of fields"),
+            ("commit 0 4 mid-commit", "unknown sub-step"),
+        ] {
+            let e = parse_script(&format!(
+                "workload nvi\nseed 1\nsize 1\nprotocol CPVS\nkill {kill}\n"
+            ))
+            .unwrap_err();
+            assert!(e.contains("line 5") && e.contains(why), "{e}");
+        }
         assert!(
             parse_script("workload emacs\nseed 1\nsize 1\nprotocol CPVS\nkill none\n").is_err()
         );

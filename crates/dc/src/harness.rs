@@ -6,6 +6,7 @@ use ft_core::avail::Incident;
 use ft_core::event::ProcessId;
 use ft_core::oracle::{check_recovery, InvariantViolation, OracleVerdict};
 use ft_core::trace::Trace;
+use ft_faults::crash::CrashPoint;
 use ft_mem::arena::ArenaStats;
 use ft_mem::cost::COW_TRAP_NS;
 use ft_mem::mem::Mem;
@@ -309,18 +310,28 @@ impl DcHarness {
     }
 
     /// Runs to completion (or deadlock / abandonment), recovering failed
-    /// processes automatically.
+    /// processes automatically and executing the kill schedule
+    /// [`DcConfig::kills`].
     pub fn run(self) -> DcReport {
         self.run_with(|_| {})
     }
 
     /// Like [`DcHarness::run`], but calls `on_step` with the simulator
-    /// after each wake-up has been handled. The model checker's crash
-    /// scheduler uses the hook to watch per-process trace positions and
-    /// inject `kill_at` exactly when a process reaches its target event
-    /// index; the hook may freely schedule kills but must not otherwise
-    /// mutate simulation state.
+    /// after each wake-up has been handled, including any kill the
+    /// schedule fired there. Meant as an observer (queue counters,
+    /// positions): kills belong in [`DcConfig::kills`], and a `kill_at`
+    /// the hook schedules itself is outside the schedule.
     pub fn run_with(mut self, mut on_step: impl FnMut(&mut Simulator)) -> DcReport {
+        // Start kills go in before the first wake; position and time kills
+        // wait, in schedule order, until they fall due.
+        let mut watched = Vec::new();
+        for &kill in &self.rt.cfg().kills {
+            match kill {
+                CrashPoint::AtStart { pid } => self.sim.kill_at(ProcessId(pid), 0),
+                CrashPoint::AtPosition { .. } | CrashPoint::AtTime { .. } => watched.push(kill),
+                CrashPoint::InCommit { .. } => {}
+            }
+        }
         let mut guard = 0u64;
         while let Some(wake) = self.sim.next_wake() {
             guard += 1;
@@ -333,6 +344,9 @@ impl DcHarness {
                     self.check_recovered(pid);
                 }
                 Wake::Killed(pid) => self.handle_failure(pid),
+            }
+            if !watched.is_empty() {
+                fire_due(&mut self.sim, &mut watched);
             }
             on_step(&mut self.sim);
         }
@@ -373,4 +387,23 @@ impl DcHarness {
             incidents: self.incidents,
         }
     }
+}
+
+/// Kills, at the current instant and in list order, every watched entry
+/// that has fallen due — a position kill once its process has traced
+/// `pos` events, a time kill once the clock has reached `t` — and drops
+/// it from the list, so each fires once.
+fn fire_due(sim: &mut Simulator, watched: &mut Vec<CrashPoint>) {
+    let now = sim.now();
+    watched.retain(|&kill| {
+        let due = match kill {
+            CrashPoint::AtPosition { pid, pos } => sim.trace_position(ProcessId(pid)) >= pos,
+            CrashPoint::AtTime { t, .. } => now >= t,
+            CrashPoint::AtStart { .. } | CrashPoint::InCommit { .. } => false,
+        };
+        if due {
+            sim.kill_at(ProcessId(kill.pid()), now);
+        }
+        !due
+    });
 }

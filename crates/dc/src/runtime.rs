@@ -2,6 +2,7 @@
 
 use ft_core::event::ProcessId;
 use ft_core::protocol::{coordinated_participants, CommitPlanner, Protocol};
+use ft_faults::crash::CrashPoint;
 use ft_mem::arena::CommitCrashPoint;
 use ft_sim::cost::SimTime;
 use ft_sim::sim::{Simulator, SysCtx};
@@ -20,8 +21,8 @@ pub struct DcRuntime {
     states: Vec<ProcState>,
     /// Commit points each process has reached as the committing (or
     /// coordinating) process, across the whole run including
-    /// re-execution. Monotonic — never rolled back — so a configured
-    /// [`crate::state::CommitKill`] fires at most once, and the model
+    /// re-execution. Monotonic — never rolled back — so an `InCommit` entry
+    /// of the kill schedule fires at most once, and the model
     /// checker can enumerate a canonical run's kill points from the final
     /// counts.
     commit_points: Vec<u64>,
@@ -52,15 +53,15 @@ impl DcRuntime {
         self.commit_points[pid.index()]
     }
 
-    /// Counts a commit point for `pid` and reports whether the configured
-    /// mid-commit kill fires here.
+    /// Counts a commit point for `pid` and reports where the kill
+    /// schedule's first `InCommit` entry naming it tears it, if any.
     fn check_commit_kill(&mut self, pid: ProcessId) -> Option<CommitCrashPoint> {
         let n = self.commit_points[pid.index()];
         self.commit_points[pid.index()] += 1;
-        match self.cfg.commit_kill {
-            Some(k) if k.pid == pid.0 && k.nth == n => Some(k.point),
+        self.cfg.kills.iter().find_map(|kill| match *kill {
+            CrashPoint::InCommit { pid: p, nth, point } if p == pid.0 && nth == n => Some(point),
             _ => None,
-        }
+        })
     }
 
     /// The configuration.

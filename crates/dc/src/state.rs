@@ -3,6 +3,7 @@
 
 use ft_core::protocol::{CommitPlanner, DepTracker, Protocol};
 use ft_faults::arrivals::EscalationPolicy;
+use ft_faults::crash::CrashPoint;
 use ft_mem::arena::CommitCrashPoint;
 
 use crate::recovery::{MicrorebootMutation, Strategy};
@@ -12,11 +13,11 @@ use ft_sim::cost::SimTime;
 use ft_sim::kernel::KernelSnapshot;
 use ft_sim::syscalls::{Message, SysResult};
 
-/// A sub-step kill injected inside one specific commit (the `ft-check`
-/// model checker's mid-commit crash points): the `nth` commit point this
-/// process reaches as the committing (or coordinating) process is torn at
-/// `point`, and the process is killed before its step's following event
-/// executes.
+/// A mid-commit kill spelled as its own type: the fields of
+/// [`CrashPoint::InCommit`], which is how in-repo code writes it (an entry
+/// of [`DcConfig::kills`]). A benchmark-only shim: the frozen `benchmark/`
+/// names it, next to `ft_bench`'s two re-exports, and it goes with them
+/// (ROADMAP 7(d)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommitKill {
     /// The process to kill.
@@ -44,10 +45,13 @@ pub struct DcConfig {
     /// Give up recovering a process after this many attempts (a run that
     /// violates Lose-work re-crashes forever).
     pub max_recoveries: u32,
-    /// A single mid-commit kill to inject (`None` in normal runs; the
-    /// default constructors leave this unset, so existing behavior — and
-    /// every golden fingerprint — is bit-identical).
-    pub commit_kill: Option<CommitKill>,
+    /// The kill schedule, fired in list order, each entry at most once:
+    /// [`crate::DcHarness`] issues `AtStart` entries before the first wake
+    /// and `AtPosition`/`AtTime` ones at the wake where they fall due (at
+    /// its `now`), and `InCommit` entries tear the named commit point. A
+    /// kill on a finished process is dropped. Empty by default, which
+    /// costs one emptiness check per wake and per commit point.
+    pub kills: Vec<CrashPoint>,
     /// **Test-only mutation switch** for the checker's self-test: when
     /// set, the protocol's commit *before a send* is skipped, deliberately
     /// breaking the Save-work invariant for the commit-prior-to-send
@@ -75,7 +79,7 @@ impl DcConfig {
             medium: Medium::discount_checking(),
             reboot_delay_ns: 50 * ft_sim::MS,
             max_recoveries: 3,
-            commit_kill: None,
+            kills: Vec::new(),
             skip_presend_commit: false,
             strategy: Strategy::FullRollback,
             escalation: EscalationPolicy::default(),

@@ -1,5 +1,6 @@
 //! Focused runtime tests: committed-snapshot contents, kernel
-//! reconstruction, pending-nd capture, and file-state recovery.
+//! reconstruction, pending-nd capture, file-state recovery, and how the
+//! harness executes a kill schedule of several entries.
 
 #![allow(
     clippy::cast_possible_truncation,
@@ -9,8 +10,10 @@
 
 use ft_core::event::ProcessId;
 use ft_core::protocol::Protocol;
-use ft_dc::harness::DcHarness;
+use ft_dc::fingerprint::report_fingerprint;
+use ft_dc::harness::{DcHarness, DcReport};
 use ft_dc::state::DcConfig;
+use ft_faults::crash::CrashPoint;
 use ft_mem::error::MemResult;
 use ft_mem::mem::ArenaCell;
 use ft_sim::harness::run_plain_on;
@@ -92,12 +95,13 @@ impl App for FileEcho {
     }
 }
 
+fn keys(n: usize) -> InputScript {
+    InputScript::evenly_spaced(0, MS, (0..n).map(|i| vec![b'a' + (i % 26) as u8]).collect())
+}
+
 fn build(seed: u64, n: usize) -> (Simulator, Vec<Box<dyn App>>) {
     let mut sim = Simulator::new(SimConfig::single_node(1, seed));
-    sim.set_input_script(
-        ProcessId(0),
-        InputScript::evenly_spaced(0, MS, (0..n).map(|i| vec![b'a' + (i % 26) as u8]).collect()),
-    );
+    sim.set_input_script(ProcessId(0), keys(n));
     (sim, vec![Box::new(FileEcho)])
 }
 
@@ -187,7 +191,6 @@ fn committed_snapshot_contents_are_coherent() {
 fn a_mid_commit_kill_ends_the_steps_commits() {
     use ft_dc::dcsys::DcSys;
     use ft_dc::runtime::DcRuntime;
-    use ft_dc::state::CommitKill;
     use ft_mem::arena::{CommitCrashPoint, Layout};
     use ft_mem::mem::Mem;
     use ft_sim::syscalls::Syscalls;
@@ -201,11 +204,11 @@ fn a_mid_commit_kill_ends_the_steps_commits() {
         let mut sim = Simulator::new(SimConfig::single_node(1, 1));
         let mut cfg = DcConfig::discount_checking(Protocol::CommitAll);
         let pid = ProcessId(0);
-        cfg.commit_kill = Some(CommitKill {
+        cfg.kills = vec![CrashPoint::InCommit {
             pid: pid.0,
             nth: 0,
             point,
-        });
+        }];
         let mut rt = DcRuntime::new(cfg, &sim, vec![Mem::new(Layout::small())]);
         let mut ctx = sim.ctx(pid);
 
@@ -242,4 +245,127 @@ fn a_mid_commit_kill_ends_the_steps_commits() {
         assert_eq!(commits, committed, "{point}");
         assert!(visibles.is_empty(), "{point}");
     }
+}
+
+/// Two `FileEcho`s on nodes of their own, typing `n0` and `n1` keys, run
+/// under CPVS with the kill schedule `kills`.
+fn run_pair(n0: usize, n1: usize, kills: &[CrashPoint]) -> DcReport {
+    let mut sim = Simulator::new(SimConfig::one_node_each(2, 3));
+    sim.set_input_script(ProcessId(0), keys(n0));
+    sim.set_input_script(ProcessId(1), keys(n1));
+    let mut cfg = DcConfig::discount_checking(Protocol::Cpvs);
+    cfg.kills = kills.to_vec();
+    DcHarness::new(sim, cfg, vec![Box::new(FileEcho), Box::new(FileEcho)]).run()
+}
+
+/// The pids of the run's crash markers, in recording order.
+fn crashes(report: &DcReport) -> Vec<u32> {
+    let crashed = report.trace.recorded().filter(|e| e.kind.is_crash());
+    crashed.map(|e| e.id.pid.0).collect()
+}
+
+/// The recovered run completed and its visibles are those of the
+/// failure-free run of the same shape, up to duplicates.
+fn assert_recovered(report: &DcReport, reference: &DcReport) {
+    assert!(report.all_done && report.abandoned == 0);
+    let verdict = ft_core::consistency::check_consistent_recovery(
+        &report.visible_tokens(),
+        &reference.visible_tokens(),
+    );
+    assert!(verdict.consistent, "{:?}", verdict.error);
+}
+
+#[test]
+fn two_position_kills_on_one_process_fire_once_each_the_second_in_re_execution() {
+    let reference = run_pair(12, 0, &[]);
+    // Kill p0 just before a commit that follows at least two uncommitted
+    // events, so recovery owes re-execution.
+    let events = reference.trace.process(ProcessId(0));
+    let commits: Vec<usize> = (0..events.len())
+        .filter(|&i| events[i].kind.is_commit())
+        .collect();
+    let first = commits
+        .windows(2)
+        .find(|w| w[1] - w[0] > 2)
+        .expect("a commit after two uncommitted events")[1] as u64;
+    // Crash marker, rollback marker, one re-executed event: the second
+    // kill falls due inside re-execution, before the process catches up.
+    let second = first + 3;
+    let report = run_pair(
+        12,
+        0,
+        &[
+            CrashPoint::AtPosition { pid: 0, pos: first },
+            CrashPoint::AtPosition {
+                pid: 0,
+                pos: second,
+            },
+        ],
+    );
+    assert_recovered(&report, &reference);
+    let p0 = report.trace.process(ProcessId(0));
+    let crash_seqs: Vec<u64> = p0
+        .iter()
+        .filter(|e| e.kind.is_crash())
+        .map(|e| e.id.seq)
+        .collect();
+    assert_eq!(crash_seqs.len(), 2, "each entry fires once");
+    assert_eq!(crash_seqs[0], first);
+    assert!(crash_seqs[1] >= second, "{crash_seqs:?}");
+    assert_eq!(report.totals.recoveries, 2);
+    // One incident: a crash before catch-up folds into the open one, so
+    // the second kill did land in re-execution.
+    assert_eq!(report.incidents.len(), 1);
+}
+
+#[test]
+fn time_kills_due_at_one_wake_fire_at_its_now_in_list_order() {
+    let reference = run_pair(12, 12, &[]);
+    let t = 5 * MS + 1;
+    for order in [[1, 0], [0, 1]] {
+        let kills = order.map(|pid| CrashPoint::AtTime { pid, t });
+        let report = run_pair(12, 12, &kills);
+        assert_recovered(&report, &reference);
+        assert_eq!(crashes(&report), order);
+        let at: Vec<u64> = report.incidents.iter().map(|i| i.crash_at).collect();
+        assert_eq!(at.len(), 2);
+        assert!(at[0] == at[1] && at[0] >= t, "{at:?}");
+    }
+}
+
+#[test]
+fn kills_on_a_finished_process_are_dropped() {
+    // p0 types 3 keys and is done by 4 ms; p1 keeps waking until 12 ms.
+    let reference = run_pair(3, 12, &[]);
+    let report = run_pair(
+        3,
+        12,
+        &[
+            CrashPoint::AtTime { pid: 0, t: 8 * MS },
+            CrashPoint::AtPosition { pid: 0, pos: 1_000 },
+        ],
+    );
+    assert!(crashes(&report).is_empty());
+    assert!(report.incidents.is_empty());
+    assert_eq!(report_fingerprint(&report), report_fingerprint(&reference));
+}
+
+#[test]
+fn a_mixed_commit_and_position_schedule_fires_both() {
+    let reference = run_pair(12, 0, &[]);
+    let report = run_pair(
+        12,
+        0,
+        &[
+            CrashPoint::InCommit {
+                pid: 0,
+                nth: 2,
+                point: ft_mem::arena::CommitCrashPoint::MidUndoWalk,
+            },
+            CrashPoint::AtPosition { pid: 0, pos: 40 },
+        ],
+    );
+    assert_recovered(&report, &reference);
+    assert_eq!(crashes(&report), [0, 0]);
+    assert_eq!(report.totals.recoveries, 2);
 }

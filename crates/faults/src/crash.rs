@@ -1,20 +1,19 @@
-//! Declarative crash points for the `ft-check` crash-schedule explorer.
+//! Crash points: the entries of a kill schedule.
 //!
-//! A [`CrashPoint`] names one place in a run's canonical event trace where
-//! the model checker kills a process: before it executes anything, after
-//! it has emitted its `pos`-th traced event, or *inside* one of its
-//! commits at a sub-step of the Vista-style atomic commit (pre-log,
-//! mid-undo-walk, post-bump). The enum is pure data — applying a point is
-//! the checker's job (a `kill_at` watcher for positions, a
-//! `DcConfig::commit_kill` for mid-commit tears) — so schedules can be
-//! enumerated, deduplicated, sorted, and rendered into replay scripts
-//! without touching the simulator.
+//! A [`CrashPoint`] names one kill in an otherwise deterministic run. A
+//! kill schedule is an ordered list of them, `ft_dc::DcConfig::kills`,
+//! and `ft_dc::DcHarness` is its one executor; the enum is pure data, so
+//! schedules can be enumerated and rendered into replay scripts without
+//! touching the simulator. Its one text form ([`Display`](std::fmt::Display)
+//! and [`FromStr`]) is the replay-script grammar: `start P`,
+//! `position P N`, `commit P N SUB`, `time P T`.
+
+use std::str::FromStr;
 
 use ft_mem::arena::CommitCrashPoint;
 
-/// One kill the crash scheduler injects into an otherwise-deterministic
-/// run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// One kill in a schedule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashPoint {
     /// Kill `pid` before it executes its first event (the "fails during
     /// reboot"-adjacent edge case: nothing committed beyond the initial
@@ -42,6 +41,17 @@ pub enum CrashPoint {
         /// The sub-step of the atomic commit where the crash lands.
         point: CommitCrashPoint,
     },
+    /// Kill `pid` at the first wake at or after simulated time `t`. The
+    /// kill lands at that wake's `now`, which may be later than `t` —
+    /// unlike `Simulator::kill_at`, which lands exactly at its time. This
+    /// is the sustained-fault campaigns' Poisson semantic: an arrival is
+    /// delivered once the clock has passed it.
+    AtTime {
+        /// The process to kill.
+        pid: u32,
+        /// Simulated time (ns) from which the kill is due.
+        t: u64,
+    },
 }
 
 impl CrashPoint {
@@ -50,28 +60,55 @@ impl CrashPoint {
         match *self {
             CrashPoint::AtStart { pid }
             | CrashPoint::AtPosition { pid, .. }
-            | CrashPoint::InCommit { pid, .. } => pid,
-        }
-    }
-
-    /// A stable one-line description, used in counterexample reports and
-    /// replay-script comments.
-    pub fn describe(&self) -> String {
-        match *self {
-            CrashPoint::AtStart { pid } => format!("kill p{pid} before its first event"),
-            CrashPoint::AtPosition { pid, pos } => {
-                format!("kill p{pid} after its event #{pos}")
-            }
-            CrashPoint::InCommit { pid, nth, point } => {
-                format!("kill p{pid} inside commit #{nth} at {point}")
-            }
+            | CrashPoint::InCommit { pid, .. }
+            | CrashPoint::AtTime { pid, .. } => pid,
         }
     }
 }
 
 impl std::fmt::Display for CrashPoint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.describe())
+        match *self {
+            CrashPoint::AtStart { pid } => write!(f, "start {pid}"),
+            CrashPoint::AtPosition { pid, pos } => write!(f, "position {pid} {pos}"),
+            CrashPoint::InCommit { pid, nth, point } => write!(f, "commit {pid} {nth} {point}"),
+            CrashPoint::AtTime { pid, t } => write!(f, "time {pid} {t}"),
+        }
+    }
+}
+
+impl FromStr for CrashPoint {
+    type Err = String;
+
+    /// Parses the [`Display`](std::fmt::Display) form, exactly: a missing,
+    /// malformed or extra token is an error.
+    fn from_str(s: &str) -> Result<Self, String> {
+        fn num<T: FromStr>(v: &str) -> Result<T, String> {
+            v.parse().map_err(|_| format!("bad number {v:?}"))
+        }
+        Ok(match *s.split_whitespace().collect::<Vec<_>>() {
+            ["start", pid] => CrashPoint::AtStart { pid: num(pid)? },
+            ["position", pid, pos] => CrashPoint::AtPosition {
+                pid: num(pid)?,
+                pos: num(pos)?,
+            },
+            ["commit", pid, nth, sub] => CrashPoint::InCommit {
+                pid: num(pid)?,
+                nth: num(nth)?,
+                point: CommitCrashPoint::ALL
+                    .into_iter()
+                    .find(|p| p.name() == sub)
+                    .ok_or("unknown sub-step")?,
+            },
+            ["time", pid, t] => CrashPoint::AtTime {
+                pid: num(pid)?,
+                t: num(t)?,
+            },
+            [kind @ ("start" | "position" | "commit" | "time"), ..] => {
+                return Err(format!("wrong number of fields after `{kind}`"))
+            }
+            _ => return Err("unknown kill kind".into()),
+        })
     }
 }
 
@@ -89,45 +126,8 @@ mod tests {
                 nth: 1,
                 point: CommitCrashPoint::MidUndoWalk,
             },
+            CrashPoint::AtTime { pid: 2, t: 9 },
         ];
         assert!(pts.iter().all(|p| p.pid() == 2));
-    }
-
-    #[test]
-    fn descriptions_are_stable() {
-        assert_eq!(
-            CrashPoint::AtStart { pid: 0 }.describe(),
-            "kill p0 before its first event"
-        );
-        assert_eq!(
-            CrashPoint::AtPosition { pid: 1, pos: 12 }.to_string(),
-            "kill p1 after its event #12"
-        );
-        assert_eq!(
-            CrashPoint::InCommit {
-                pid: 3,
-                nth: 0,
-                point: CommitCrashPoint::PreLog,
-            }
-            .to_string(),
-            "kill p3 inside commit #0 at pre-log"
-        );
-    }
-
-    #[test]
-    fn ordering_is_total_and_deterministic() {
-        let mut pts = [
-            CrashPoint::InCommit {
-                pid: 0,
-                nth: 0,
-                point: CommitCrashPoint::PostBump,
-            },
-            CrashPoint::AtPosition { pid: 0, pos: 3 },
-            CrashPoint::AtStart { pid: 1 },
-            CrashPoint::AtStart { pid: 0 },
-        ];
-        pts.sort();
-        assert_eq!(pts[0], CrashPoint::AtStart { pid: 0 });
-        assert_eq!(pts[1], CrashPoint::AtStart { pid: 1 });
     }
 }

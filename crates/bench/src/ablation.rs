@@ -17,10 +17,7 @@
 //! violation rate, and CBNDVS-LOG's rate is no higher than CAND's.
 
 use ft_apps::scenarios::{self, Built};
-use ft_core::losework::check_commit_after_activation;
 use ft_core::protocol::Protocol;
-use ft_dc::harness::DcHarness;
-use ft_dc::state::DcConfig;
 use ft_faults::{FaultPlan, FaultType};
 use ft_sim::harness::run_plain_on;
 use ft_sim::runner::run_cutoff;
@@ -29,10 +26,7 @@ use crate::campaign::{report, CampaignConfig};
 use crate::fig8::overhead_pct;
 use crate::json::Json;
 use crate::stage::Stage;
-use crate::table1::share_pct;
-
-/// Session length, keystrokes (Table 1's non-interactive nvi).
-const KEYS: usize = 400;
+use crate::table1::{share_pct, trial_plan, unrecovered, NVI_KEYS};
 
 /// The campaign cells: (eager checks, protocol).
 const CELLS: [(bool, Protocol); 4] = [
@@ -89,28 +83,21 @@ pub struct AblationStage<'a>(pub &'a CampaignConfig);
 
 fn build(eager: bool, seed: u64, think_ns: u64, plan: Option<FaultPlan>) -> Built {
     if eager {
-        scenarios::nvi_checked(seed, KEYS, think_ns, plan)
+        scenarios::nvi_checked(seed, NVI_KEYS, think_ns, plan)
     } else {
-        scenarios::nvi_custom(seed, KEYS, think_ns, plan)
+        scenarios::nvi_custom(seed, NVI_KEYS, think_ns, plan)
     }
 }
 
-/// Trial `t` of a cell: `None` if the run did not crash, else whether it
+/// Trial `t` of a cell: Table 1's unrecovered run under `protocol`, so
+/// `None` unless it crashed with the fault activated, else whether it
 /// violated Lose-work.
 fn trial(eager: bool, protocol: Protocol, t: usize) -> Option<bool> {
-    let plan = FaultPlan {
-        fault: FaultType::HeapBitFlip,
-        site: ft_apps::editor::fault_site(FaultType::HeapBitFlip),
-        trigger_visit: u32::try_from(3 + (t % 37) * 5).expect("at most 183"),
-        id: 1,
-    };
-    let seed = 0xAB1A + t as u64 * 1297;
-    let (sim, apps) = build(eager, seed, ft_sim::MS, Some(plan)).into_parts();
-    let mut cfg = DcConfig::discount_checking(protocol);
-    cfg.max_recoveries = 0;
-    let report = DcHarness::new(sim, cfg, apps).run();
-    let crashed = report.trace.iter().any(|e| e.kind.is_crash());
-    crashed.then(|| check_commit_after_activation(&report.trace).is_violated())
+    let fault = FaultType::HeapBitFlip;
+    let t = u32::try_from(t).expect("trial indices fit u32");
+    let plan = trial_plan(fault, ft_apps::editor::fault_site(fault), t);
+    let seed = 0xAB1A + u64::from(t) * 1297;
+    unrecovered(build(eager, seed, ft_sim::MS, Some(plan)), protocol).1
 }
 
 fn processing_time(eager: bool) -> u64 {

@@ -216,7 +216,6 @@ pub struct AvailResult {
 pub fn mutation_name(m: MicrorebootMutation) -> &'static str {
     match m {
         MicrorebootMutation::None => "none",
-        MicrorebootMutation::NeverSticks => "never-sticks",
         MicrorebootMutation::SkipPageReinstall => "skip-page-reinstall",
     }
 }

@@ -14,8 +14,9 @@ use ft_apps::scenarios;
 use ft_core::losework::conflict_composition;
 use ft_core::protocol::Protocol;
 use ft_mem::arena::ArenaStats;
+use ft_sim::SimTime;
 
-use crate::fig8::{self, Fig8FpsRow, Fig8Row};
+use crate::fig8::{self, overhead_pct, per_sec, Fig8Row};
 use crate::json::Json;
 use crate::loss::{self, LossRow};
 use crate::stage::{grouped_rows, Stage};
@@ -462,13 +463,14 @@ impl Stage for LossStage<'_> {
     }
 }
 
-/// One panel's rows, of the kind its [`Metric`] selects.
+/// One panel's rows, with what its [`Metric`] derives them against.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PanelRows {
-    /// Checkpoints and overhead per protocol.
-    Overhead(Vec<Fig8Row>),
-    /// Checkpoint and frame rate per protocol.
-    Fps(Vec<Fig8FpsRow>),
+    /// Checkpoints and overhead per protocol, against this baseline
+    /// runtime.
+    Overhead(SimTime, Vec<Fig8Row>),
+    /// Checkpoint and frame rate per protocol, for this many clients.
+    Fps(usize, Vec<Fig8Row>),
 }
 
 /// The Figure 8 stage: every panel of the table, one row per protocol.
@@ -489,12 +491,15 @@ impl Stage for Fig8Stage<'_> {
         let panels = self.0.fig8.panels.iter();
         panels
             .map(|panel| {
-                let (build, protocols) = (|| panel.build(), panel.protocols);
+                let build = || panel.build();
+                let rows = fig8::grid(&build, panel.protocols, &fig8::figure8_media(), threads);
                 let rows = match panel.metric {
-                    Metric::Overhead => {
-                        PanelRows::Overhead(fig8::overhead_grid(&build, protocols, threads))
+                    Metric::Overhead => PanelRows::Overhead(fig8::baseline_runtime(&build), rows),
+                    Metric::Fps => {
+                        let clients = build().meta.clients;
+                        assert!(clients > 0, "fps workloads must declare their client count");
+                        PanelRows::Fps(clients, rows)
                     }
-                    Metric::Fps => PanelRows::Fps(fig8::fps_grid(&build, protocols, threads)),
                 };
                 (panel.family, rows)
             })
@@ -507,26 +512,35 @@ impl Stage for Fig8Stage<'_> {
     fn json(&self, result: &Self::Rows) -> Json {
         let panels = result.iter().map(|(label, rows)| {
             let rows = match rows {
-                PanelRows::Overhead(rows) => Json::arr(rows.iter().map(|r| {
+                PanelRows::Overhead(base, rows) => Json::arr(rows.iter().map(|r| {
+                    let pct = |i: usize| Json::from(overhead_pct(*base, r.runtimes[i]));
                     Json::obj([
                         ("protocol", Json::from(r.protocol.to_string())),
                         ("ckpts", Json::from(r.ckpts)),
-                        ("dc_overhead_pct", Json::from(r.dc_overhead_pct)),
-                        ("disk_overhead_pct", Json::from(r.disk_overhead_pct)),
-                        ("base_runtime_ns", Json::from(r.runtimes.0)),
-                        ("dc_runtime_ns", Json::from(r.runtimes.1)),
-                        ("disk_runtime_ns", Json::from(r.runtimes.2)),
-                        ("visibles", Json::from(r.visibles)),
+                        ("dc_overhead_pct", pct(0)),
+                        ("disk_overhead_pct", pct(1)),
+                        ("base_runtime_ns", Json::from(*base)),
+                        ("dc_runtime_ns", Json::from(r.runtimes[0])),
+                        ("disk_runtime_ns", Json::from(r.runtimes[1])),
+                        ("visibles", Json::from(r.visibles[0])),
                         ("arena", arena_json(&r.arena)),
                     ])
                 })),
-                PanelRows::Fps(rows) => Json::arr(rows.iter().map(|r| {
+                PanelRows::Fps(clients, rows) => Json::arr(rows.iter().map(|r| {
+                    let ckps = per_sec(r.ckpts as f64, r.runtimes[0]);
+                    // Each client renders one visible per frame.
+                    let fps = |i: usize| {
+                        Json::from(per_sec(
+                            r.visibles[i] as f64 / *clients as f64,
+                            r.runtimes[i],
+                        ))
+                    };
                     Json::obj([
                         ("protocol", Json::from(r.protocol.to_string())),
                         ("ckpts", Json::from(r.ckpts)),
-                        ("ckps_per_sec", Json::from(r.ckps_per_sec)),
-                        ("dc_fps", Json::from(r.dc_fps)),
-                        ("disk_fps", Json::from(r.disk_fps)),
+                        ("ckps_per_sec", Json::from(ckps)),
+                        ("dc_fps", fps(0)),
+                        ("disk_fps", fps(1)),
                         ("arena", arena_json(&r.arena)),
                     ])
                 })),

@@ -107,7 +107,7 @@ impl Stage for CheckStage {
                 ("workload", Json::from(cx.workload.name)),
                 ("size", Json::from(cx.workload.size)),
                 ("protocol", Json::from(cx.protocol.name())),
-                ("violation", Json::from(format!("{:?}", cx.violation))),
+                ("violation", Json::from(cx.violation.to_string())),
                 ("script", Json::from(cx.script)),
             ])
         });
@@ -135,7 +135,7 @@ impl Stage for CheckStage {
         }
         let shrunk = self.counterexample(rows).map_or_else(String::new, |cx| {
             format!(
-                "; shrunk to {}@{} size {}: {:?}\nsave this script and run `campaign --replay FILE`:\n{}",
+                "; shrunk to {}@{} size {}: {}\nsave this script and run `campaign --replay FILE`:\n{}",
                 cx.workload.name,
                 cx.protocol.name(),
                 cx.workload.size,
@@ -164,7 +164,7 @@ pub fn replay(script: &str) -> Result<String, String> {
         ));
     }
     match run_point(&r.workload, r.workload.size, &cfg, &canonical, r.point).violation {
-        Some(v) => Ok(format!("reproduced on {label}: {v:?}")),
+        Some(v) => Ok(format!("reproduced on {label}: {v}")),
         None => Err(format!("{label} did NOT reproduce a violation")),
     }
 }

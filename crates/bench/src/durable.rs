@@ -7,9 +7,9 @@
 //! redo-log append plus one fsync per group commit. This module measures
 //! it both ways:
 //!
-//! * **simulated**: the Figure 8-style overhead grid re-run with
-//!   [`ft_dc::state::DcConfig::durable`], one row per protocol with all
-//!   three media side by side, sharded over the campaign runner;
+//! * **simulated**: Figure 8's grid ([`crate::fig8::grid`]) over three
+//!   media — Rio, DC-disk and DC-durable — one row per protocol with all
+//!   three side by side, sharded over the campaign runner;
 //! * **real**: a deterministic probe of the actual on-disk engine — a
 //!   seed-scripted commit workload against a scratch [`DurableStore`],
 //!   reopened to exercise recovery — reporting byte-exact log geometry
@@ -22,74 +22,23 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use ft_apps::scenarios::{self, Built};
 use ft_core::protocol::Protocol;
-use ft_core::savework::check_save_work;
-use ft_dc::harness::DcHarness;
-use ft_dc::state::DcConfig;
 use ft_mem::arena::Layout;
+use ft_mem::cost::Medium;
 use ft_mem::durable::{DurableOptions, DurableStore};
 use ft_sim::rng::SplitMix64;
-use ft_sim::runner::run_indexed;
 use ft_sim::SimTime;
 
-use crate::fig8::{baseline_runtime, overhead_pct};
+use crate::fig8::{self, overhead_pct, Fig8Row};
 use crate::json::Json;
-use crate::stage::{grouped_rows, Stage};
+use crate::stage::Stage;
 
-/// One protocol's runtime overhead on all three checkpoint media.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DurableRow {
-    /// The protocol.
-    pub protocol: Protocol,
-    /// Total checkpoints across all processes (Rio run).
-    pub ckpts: u64,
-    /// Runtime overhead vs. the unrecoverable baseline, percent, on Rio.
-    pub rio_overhead_pct: f64,
-    /// Overhead on synchronous disk (DC-disk).
-    pub disk_overhead_pct: f64,
-    /// Overhead on the log-structured file backend (DC-durable).
-    pub durable_overhead_pct: f64,
-    /// Raw runtimes (baseline, rio, disk, durable) for inspection.
-    pub runtimes: (SimTime, SimTime, SimTime, SimTime),
-}
-
-/// Measures one protocol on all three media: a pure function of the
-/// builder, the shared baseline runtime, and the protocol.
-pub fn durable_cell(build: &dyn Fn() -> Built, base_runtime: SimTime, p: Protocol) -> DurableRow {
-    let (sim, apps) = build().into_parts();
-    let rio = DcHarness::new(sim, DcConfig::discount_checking(p), apps).run();
-    assert!(rio.all_done, "{p} on Rio must complete");
-    assert!(
-        check_save_work(&rio.trace).is_ok(),
-        "{p} violated Save-work: {:?}",
-        check_save_work(&rio.trace)
-    );
-    let (sim, apps) = build().into_parts();
-    let disk = DcHarness::new(sim, DcConfig::dc_disk(p), apps).run();
-    assert!(disk.all_done, "{p} on disk must complete");
-    let (sim, apps) = build().into_parts();
-    let durable = DcHarness::new(sim, DcConfig::durable(p), apps).run();
-    assert!(durable.all_done, "{p} on the durable log must complete");
-    DurableRow {
-        protocol: p,
-        ckpts: rio.total_commits(),
-        rio_overhead_pct: overhead_pct(base_runtime, rio.runtime),
-        disk_overhead_pct: overhead_pct(base_runtime, disk.runtime),
-        durable_overhead_pct: overhead_pct(base_runtime, durable.runtime),
-        runtimes: (base_runtime, rio.runtime, disk.runtime, durable.runtime),
-    }
-}
-
-/// Runs the three-media grid, one cell per worker slot, merged in
-/// protocol order.
-pub fn durable_grid(
-    build: &(dyn Fn() -> Built + Sync),
-    protocols: &[Protocol],
-    threads: usize,
-) -> Vec<DurableRow> {
-    let base_runtime = baseline_runtime(build);
-    run_indexed(protocols.len(), threads, |i| {
-        durable_cell(build, base_runtime, protocols[i])
-    })
+/// The grid's media, in column order.
+fn media() -> [Medium; 3] {
+    [
+        Medium::discount_checking(),
+        Medium::dc_disk(),
+        Medium::durable_log(),
+    ]
 }
 
 /// Deterministic geometry of one real log-engine probe run.
@@ -176,8 +125,8 @@ pub struct DurableStage {
 /// What [`DurableStage`] produces.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DurableResult {
-    /// One grid per workload.
-    pub grids: Vec<(&'static str, Vec<DurableRow>)>,
+    /// One grid per workload, with its baseline runtime.
+    pub grids: Vec<(&'static str, SimTime, Vec<Fig8Row>)>,
     /// The real-engine probe.
     pub probe: EngineProbe,
 }
@@ -199,35 +148,41 @@ impl Stage for DurableStage {
         DurableResult {
             grids: builds
                 .iter()
-                .map(|&(name, build)| (name, durable_grid(build, &Protocol::FIGURE8, threads)))
+                .map(|&(name, build)| {
+                    let rows = fig8::grid(build, &Protocol::FIGURE8, &media(), threads);
+                    (name, fig8::baseline_runtime(build), rows)
+                })
                 .collect(),
             probe: engine_probe(probe_ops, 7),
         }
     }
 
     fn json(&self, result: &DurableResult) -> Json {
-        let grids = result
-            .grids
-            .iter()
-            .map(|(workload, rows)| (*workload, None, rows));
-        let grids = grouped_rows("workload", grids, |r| {
+        let grids = result.grids.iter().map(|(workload, base, rows)| {
+            let rows = rows.iter().map(|r| {
+                let pct = |i: usize| Json::from(overhead_pct(*base, r.runtimes[i]));
+                Json::obj([
+                    ("protocol", Json::from(r.protocol.name())),
+                    ("ckpts", Json::from(r.ckpts)),
+                    ("rio_overhead_pct", pct(0)),
+                    ("disk_overhead_pct", pct(1)),
+                    ("durable_overhead_pct", pct(2)),
+                    ("baseline_ns", Json::from(*base)),
+                    ("rio_ns", Json::from(r.runtimes[0])),
+                    ("disk_ns", Json::from(r.runtimes[1])),
+                    ("durable_ns", Json::from(r.runtimes[2])),
+                ])
+            });
             Json::obj([
-                ("protocol", Json::from(r.protocol.name())),
-                ("ckpts", Json::from(r.ckpts)),
-                ("rio_overhead_pct", Json::from(r.rio_overhead_pct)),
-                ("disk_overhead_pct", Json::from(r.disk_overhead_pct)),
-                ("durable_overhead_pct", Json::from(r.durable_overhead_pct)),
-                ("baseline_ns", Json::from(r.runtimes.0)),
-                ("rio_ns", Json::from(r.runtimes.1)),
-                ("disk_ns", Json::from(r.runtimes.2)),
-                ("durable_ns", Json::from(r.runtimes.3)),
+                ("workload", Json::from(*workload)),
+                ("rows", Json::arr(rows)),
             ])
         });
         let p = &result.probe;
         Json::obj([
             ("report", Json::from("durable")),
             ("quick", Json::from(self.quick)),
-            ("grids", grids),
+            ("grids", Json::arr(grids)),
             (
                 "engine_probe",
                 Json::obj([
@@ -251,19 +206,15 @@ mod tests {
     #[test]
     fn durable_medium_sits_between_rio_and_disk() {
         let build = || scenarios::nvi(5, 60);
-        let rows = durable_grid(&build, &[Protocol::Cpvs], 1);
-        let r = &rows[0];
+        let r = &fig8::grid(&build, &[Protocol::Cpvs], &media(), 1)[0];
+        let (rio, disk, durable) = (r.runtimes[0], r.runtimes[1], r.runtimes[2]);
         assert!(
-            r.rio_overhead_pct < r.durable_overhead_pct,
-            "durable must cost more than Rio: {} vs {}",
-            r.rio_overhead_pct,
-            r.durable_overhead_pct
+            rio < durable,
+            "durable must cost more than Rio: {rio} vs {durable}"
         );
         assert!(
-            r.durable_overhead_pct < r.disk_overhead_pct,
-            "durable must cost less than DC-disk: {} vs {}",
-            r.durable_overhead_pct,
-            r.disk_overhead_pct
+            durable < disk,
+            "durable must cost less than DC-disk: {durable} vs {disk}"
         );
     }
 

@@ -11,22 +11,24 @@
 //! * [`campaign`] — the Table 1 (with the §4.1 conflict composition),
 //!   Table 2, loss-sweep and Figure 8 stages over one `CampaignConfig`
 //!   (whose default is the recorded sizing and the paper-scale panel table),
-//!   on the engines in [`table1`] (application fault injection and the
-//!   Lose-work violation criterion), [`table2`] (operating-system fault
+//!   on the engines in [`table1`] (application fault injection, the
+//!   Lose-work violation criterion, and the unrecovered trial and §4
+//!   sessions the other two share), [`table2`] (operating-system fault
 //!   injection), [`loss`] (loss-rate degradation over the unreliable
-//!   fabric) and [`fig8`] (the protocol grid: checkpoints, overhead,
-//!   frame rate);
+//!   fabric) and [`fig8`] (the protocol grid: one cell per protocol, one
+//!   run per checkpoint medium);
 //! * [`fig4`] — Figure 4's recovery-time trend: one kill, every protocol,
 //!   how much each replays;
-//! * [`ablation`] — the §2.6 mitigations: crash early, commit less often;
+//! * [`ablation`] — the §2.6 mitigations: crash early, commit less often,
+//!   as Table 1's unrecovered trial under other protocols;
 //! * [`continuous`] — the continuous-fault engine: Poisson crash
 //!   arrivals over a cell matrix, every trial's recovery judged by the
 //!   `ft_core` oracle, folded into MTTR/nines/goodput;
 //! * [`avail`] — the continuous-availability stage over the §3 suite, per
 //!   protocol × recovery strategy, with seeded unsound-microreboot cells;
 //! * [`kv`] — the same engine over the 108-process sharded KV service;
-//! * [`durable`] — the durable-backend stage: the three-media overhead
-//!   grid (Rio / DC-disk / DC-durable) and the real log-engine probe
+//! * [`durable`] — the durable-backend stage: Figure 8's grid over three
+//!   media (Rio / DC-disk / DC-durable) and the real log-engine probe
 //!   behind `BENCH_durable.json`;
 //! * [`crashtest`] — `ft-crashtest`'s real `kill -9` sweep and seeded
 //!   engine bugs as a stage, every trial a `campaign --child` process;

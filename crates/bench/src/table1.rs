@@ -8,7 +8,9 @@
 //! causally after the fault activation. The end-to-end cross-check
 //! recovers the process with the (one-shot) fault no longer activating and
 //! verifies that recovery succeeds if and only if no commit followed the
-//! activation.
+//! activation. The unrecovered phase ([`unrecovered`], armed by
+//! [`trial_plan`]) takes the protocol as an argument, so the §2.6 ablation
+//! runs the same trial under others.
 //!
 //! The campaign is organized for the parallel runner: [`run_trial`] is a
 //! pure function of `(app, fault, trial index, seed stream)` — it builds
@@ -20,13 +22,19 @@
 //! deterministic trial-index cutoff).
 
 use ft_apps::scenarios::{self, Built};
+use ft_core::event::EventKind;
 use ft_core::losework::check_commit_after_activation;
 use ft_core::protocol::Protocol;
-use ft_dc::harness::DcHarness;
+use ft_dc::harness::{DcHarness, DcReport};
 use ft_dc::state::DcConfig;
 use ft_faults::{FaultPlan, FaultType};
 use ft_sim::harness::run_plain_on;
 use ft_sim::runner::{run_cutoff, SeedStream};
+
+/// The §4 nvi session's keystrokes.
+pub(crate) const NVI_KEYS: usize = 400;
+/// The §4 postgres session's requests.
+const POSTGRES_REQUESTS: usize = 220;
 
 /// Which §4 application to inject into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,11 +54,21 @@ impl Table1App {
         }
     }
 
-    fn build(self, seed: u64, plan: Option<FaultPlan>) -> Built {
+    /// The §4 session, carrying `plan` if one is armed.
+    pub fn build(self, seed: u64, plan: Option<FaultPlan>) -> Built {
         match self {
             // The §4 crash studies ran a non-interactive nvi (fast input).
-            Table1App::Nvi => scenarios::nvi_custom(seed, 400, ft_sim::MS, plan),
-            Table1App::Postgres => scenarios::postgres_faulty(seed, 220, plan),
+            Table1App::Nvi => scenarios::nvi_custom(seed, NVI_KEYS, ft_sim::MS, plan),
+            Table1App::Postgres => scenarios::postgres_faulty(seed, POSTGRES_REQUESTS, plan),
+        }
+    }
+
+    /// The session's nominal length in simulated time: keystrokes 1 ms
+    /// apart, or requests 50 ms apart.
+    pub fn session_ns(self) -> u64 {
+        match self {
+            Table1App::Nvi => NVI_KEYS as u64 * ft_sim::MS,
+            Table1App::Postgres => POSTGRES_REQUESTS as u64 * 50 * ft_sim::MS,
         }
     }
 
@@ -137,6 +155,44 @@ pub struct TrialOutcome {
     wrong_output: bool,
 }
 
+/// Trial `t`'s one-shot fault at `site`. The trigger sweeps the
+/// activation point across the run; the buggy code's damage happens at
+/// that one visit, and the physical visit counter suppresses
+/// re-activation during recovery re-execution (the §4.1 end-to-end
+/// methodology).
+pub fn trial_plan(fault: FaultType, site: u64, t: u32) -> FaultPlan {
+    FaultPlan {
+        fault,
+        site,
+        trigger_visit: 3 + (t % 37) * 5,
+        id: 1,
+    }
+}
+
+/// Phase A of a §4.1 trial: runs `built` under `protocol` with no
+/// recovery. The verdict is `Some(violated)` iff the run crashed with the
+/// fault activated — whether a commit executed causally after the
+/// activation — and `None` for a run that did not crash, or crashed
+/// without an activation (which one-shot plans cannot cause; such a trial
+/// is discarded).
+pub fn unrecovered(built: Built, protocol: Protocol) -> (DcReport, Option<bool>) {
+    let (sim, apps) = built.into_parts();
+    let mut cfg = DcConfig::discount_checking(protocol);
+    cfg.max_recoveries = 0;
+    let report = DcHarness::new(sim, cfg, apps).run();
+    let crashed = report.trace.iter().any(|e| e.kind.is_crash());
+    let verdict = (crashed && activated(&report))
+        .then(|| check_commit_after_activation(&report.trace).is_violated());
+    (report, verdict)
+}
+
+fn activated(report: &DcReport) -> bool {
+    report
+        .trace
+        .iter()
+        .any(|e| matches!(e.kind, EventKind::FaultActivation { .. }))
+}
+
 /// Runs trial `t` of the `(app, fault)` campaign: self-contained, pure in
 /// `(app, fault, t, seeds)`, and therefore safe to run on any worker.
 pub fn run_trial(app: Table1App, fault: FaultType, t: u32, seeds: SeedStream) -> TrialOutcome {
@@ -147,28 +203,10 @@ pub fn run_trial(app: Table1App, fault: FaultType, t: u32, seeds: SeedStream) ->
         wrong_output: false,
     };
     let seed = seeds.seed(t as u64);
-    let plan = FaultPlan {
-        fault,
-        site: app.site(fault),
-        // Sweep the activation point across the run. The buggy code's
-        // damage happens at that one visit, and the physical visit counter
-        // suppresses re-activation during recovery re-execution (the §4.1
-        // end-to-end methodology).
-        trigger_visit: 3 + (t % 37) * 5,
-        id: 1,
-    };
-    // Phase A: run under CPVS with no recovery; observe the crash.
-    let (sim, apps) = app.build(seed, Some(plan)).into_parts();
-    let mut cfg = DcConfig::discount_checking(Protocol::Cpvs);
-    cfg.max_recoveries = 0;
-    let report = DcHarness::new(sim, cfg, apps).run();
-    let crashed = report.trace.iter().any(|e| e.kind.is_crash());
-    let activated = report
-        .trace
-        .iter()
-        .any(|e| matches!(e.kind, ft_core::event::EventKind::FaultActivation { .. }));
-    if !crashed {
-        if activated && report.all_done {
+    let plan = trial_plan(fault, app.site(fault), t);
+    let (report, verdict) = unrecovered(app.build(seed, Some(plan)), Protocol::Cpvs);
+    let Some(violated) = verdict else {
+        if activated(&report) && report.all_done {
             // Did the fault silently corrupt the output?
             let (sim, mut ref_apps) = app.build(seed, None).into_parts();
             let reference = run_plain_on(sim, &mut ref_apps);
@@ -183,14 +221,9 @@ pub fn run_trial(app: Table1App, fault: FaultType, t: u32, seeds: SeedStream) ->
             }
         }
         return out;
-    }
-    if !activated {
-        // A crash without an activation cannot happen with one-shot
-        // plans; treat defensively as a discarded trial.
-        return out;
-    }
+    };
     out.crashed = true;
-    out.violated = check_commit_after_activation(&report.trace).is_violated();
+    out.violated = violated;
     // Phase B: the end-to-end check — recover with the fault
     // suppressed (one-shot plans do not re-fire on replay) and test
     // completion.

@@ -15,7 +15,6 @@
 //! produces the same rows for every thread count (`threads = 1` is the
 //! serial loop).
 
-use ft_apps::scenarios::Built;
 use ft_core::event::ProcessId;
 use ft_core::protocol::Protocol;
 use ft_dc::harness::DcHarness;
@@ -47,21 +46,6 @@ impl Table2Row {
     }
 }
 
-fn build_app(app: Table1App, seed: u64) -> Built {
-    match app {
-        Table1App::Nvi => ft_apps::scenarios::nvi_custom(seed, 400, ft_sim::MS, None),
-        Table1App::Postgres => ft_apps::scenarios::postgres_faulty(seed, 220, None),
-    }
-}
-
-/// Session length, for placing the injection somewhere in the middle.
-fn session_span(app: Table1App) -> u64 {
-    match app {
-        Table1App::Nvi => 400 * ft_sim::MS,
-        Table1App::Postgres => 220 * 50 * ft_sim::MS,
-    }
-}
-
 /// What one trial contributes to its [`Table2Row`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TrialOutcome {
@@ -72,12 +56,14 @@ pub struct TrialOutcome {
 }
 
 /// Runs trial `t` of the `(app, fault)` OS-fault campaign: self-contained
-/// and pure in `(app, fault, t, seeds)`.
+/// and pure in `(app, fault, t, seeds)`. The kernel fault lands in the
+/// middle three fifths of Table 1's fault-free session.
 pub fn run_trial(app: Table1App, fault: FaultType, t: u32, seeds: SeedStream) -> TrialOutcome {
     let seed = seeds.seed(t as u64);
     let mut rng = SplitMix64::new(seed ^ 0x05FA);
-    let inject_at = session_span(app) / 5 + rng.below(session_span(app) * 3 / 5);
-    let (mut sim, apps) = build_app(app, seed).into_parts();
+    let span = app.session_ns();
+    let inject_at = span / 5 + rng.below(span * 3 / 5);
+    let (mut sim, apps) = app.build(seed, None).into_parts();
     let plan = KernelFaultPlan::for_type(fault, inject_at);
     let propagated = plan.inject(&mut sim, ProcessId(0), &mut rng);
     let report = DcHarness::new(sim, DcConfig::discount_checking(Protocol::Cpvs), apps).run();
@@ -151,7 +137,7 @@ mod tests {
         let mut failed = 0;
         for t in 0..6u64 {
             let seed = 500 + t * 13;
-            let (mut sim, apps) = build_app(Table1App::Nvi, seed).into_parts();
+            let (mut sim, apps) = Table1App::Nvi.build(seed, None).into_parts();
             let inject_at = 50 * ft_sim::MS + t * 40 * ft_sim::MS;
             sim.kill_at(ProcessId(0), inject_at);
             let report =
@@ -161,6 +147,22 @@ mod tests {
             }
         }
         assert_eq!(failed, 0, "stop failures must always be recoverable");
+    }
+
+    #[test]
+    fn the_injection_window_lies_inside_the_failure_free_session() {
+        for app in [Table1App::Nvi, Table1App::Postgres] {
+            let (sim, mut apps) = app.build(3, None).into_parts();
+            let plain = ft_sim::harness::run_plain_on(sim, &mut apps);
+            assert!(plain.all_done, "{}", app.name());
+            let span = app.session_ns();
+            assert!(
+                span / 5 + span * 3 / 5 <= plain.runtime,
+                "{}: {span} vs {}",
+                app.name(),
+                plain.runtime
+            );
+        }
     }
 
     #[test]

@@ -106,7 +106,7 @@ fn fig8_is_thread_invariant_for_both_row_kinds() {
     let rows = assert_thread_invariant(&Fig8Stage(&cfg()));
     let kinds: Vec<_> = rows
         .iter()
-        .map(|(family, rows)| (*family, matches!(rows, PanelRows::Fps(_))))
+        .map(|(family, rows)| (*family, matches!(rows, PanelRows::Fps(..))))
         .collect();
     assert_eq!(
         kinds,
@@ -187,15 +187,27 @@ fn ablation_is_thread_invariant_and_gates_on_eager_checks_winning() {
         ..cfg()
     };
     let stage = AblationStage(&cfg);
-    let mut result = assert_thread_invariant(&stage);
-    assert_eq!(stage.gate(&result), Ok(()));
+    let clean = assert_thread_invariant(&stage);
+    assert_eq!(stage.gate(&clean), Ok(()));
     // Inverted: the eager cell takes the save-time cell's rate and the
     // save-time cell goes clean.
+    let mut result = clean.clone();
     let save_time: AblationRow = result.rows[1];
     result.rows[1].violations = 0;
     result.rows[3].violations = save_time.violations;
     let err = stage.gate(&result).unwrap_err();
     assert!(err.contains("do not beat"), "{err}");
+    // Inverted the other way: CAND goes clean and every CBNDVS-LOG crash
+    // violates, so committing less often raised the rate.
+    let mut result = clean;
+    let [cand, _, cbndvs_log, _] = &mut result.rows[..] else {
+        panic!("four ablation cells");
+    };
+    assert!(cand.crashes > 0 && cbndvs_log.crashes > 0, "{result:?}");
+    cand.violations = 0;
+    cbndvs_log.violations = cbndvs_log.crashes;
+    let err = stage.gate(&result).unwrap_err();
+    assert!(err.contains("committing less often"), "{err}");
 }
 
 /// Two size-one sweeps: the smallest sizing that still has mid-commit
@@ -243,7 +255,7 @@ fn check_gate_refuses_the_presend_commit_mutant_with_a_replayable_script() {
     let script = &err[err.find("# ft-check").expect("a script in the error")..];
     assert!(ft_bench::check::replay(script)
         .unwrap()
-        .contains("SaveWork"));
+        .contains("Save-work"));
     let report = stage.json(&rows).render_pretty();
     assert!(report.contains("\"script\": \"# ft-check"), "{report}");
 }

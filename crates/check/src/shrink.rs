@@ -107,8 +107,8 @@ pub fn shrink(w: &Workload, cfg: &CheckConfig) -> Option<Counterexample> {
     let violation = found.violation.clone().expect("shrunk result violates");
     let shrunk = Workload { size, ..*w };
     let comment = match found.point {
-        Some(p) => format!("{violation:?}\nvia: kill {p}"),
-        None => format!("{violation:?}\nvia: the failure-free run (empty fault set)"),
+        Some(p) => format!("{violation}\nvia: kill {p}"),
+        None => format!("{violation}\nvia: the failure-free run (empty fault set)"),
     };
     let script = render_script(
         &shrunk,

@@ -47,7 +47,13 @@ fn the_violation_shrinks_to_a_minimal_replayable_counterexample() {
         "expected a Save-work violation, got {:?}",
         cx.violation
     );
-    // The script round-trips to the same schedule…
+    // The script names the violation as the oracle prints it…
+    assert!(
+        cx.script.contains(&format!("# {}\n", cx.violation)),
+        "{}",
+        cx.script
+    );
+    // …round-trips to the same schedule…
     let replay = parse_script(&cx.script).expect("script parses");
     assert_eq!(replay.workload, cx.workload);
     assert_eq!(replay.protocol, cx.protocol);

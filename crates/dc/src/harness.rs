@@ -16,7 +16,7 @@ use ft_sim::sim::{Simulator, StepOutcome, Wake};
 use ft_sim::syscalls::App;
 
 use crate::dcsys::DcSys;
-use crate::recovery::{plan_recovery, MicrorebootMutation, RecoveryAction, Strategy};
+use crate::recovery::{plan_recovery, RecoveryAction, Strategy};
 use crate::runtime::DcRuntime;
 use crate::state::{DcConfig, DcStats};
 
@@ -242,18 +242,6 @@ impl DcHarness {
         }
     }
 
-    /// One rung of the microreboot ladder: restarts `pid` in place and
-    /// notes the attempt (and the backoff it burns) on its open incident.
-    fn partial_restart(&mut self, pid: ProcessId, delay_ns: SimTime) {
-        let p = pid.index();
-        self.rt.microreboot(pid, &mut self.sim);
-        self.apps[p].on_recovered();
-        if let Some(inc) = self.open_incidents[p].as_mut() {
-            inc.attempts += 1;
-            inc.attempt_delays.push(delay_ns);
-        }
-    }
-
     fn handle_failure(&mut self, pid: ProcessId) {
         let p = pid.index();
         self.note_crash(pid);
@@ -265,28 +253,22 @@ impl DcHarness {
             self.close_incident(pid, None);
             return;
         }
-        let mut attempts = self.open_incidents[p].as_ref().map_or(0, |i| i.attempts);
+        let attempts = self.open_incidents[p].as_ref().map_or(0, |i| i.attempts);
         let cfg = self.rt.cfg();
         let strategy = cfg.strategy;
-        let escalation = cfg.escalation;
-        // The seeded always-failing component: every partial restart dies
-        // the instant it resumes, before re-executing anything.
-        let never_sticks = cfg.microreboot_mutation == MicrorebootMutation::NeverSticks;
-        // Delay the escalated rollback inherits from failed partial
-        // restarts (zero outside the NeverSticks mutation).
-        let mut wasted_ns = 0u64;
-        while let RecoveryAction::PartialRestart { delay_ns } =
-            plan_recovery(strategy, attempts, &escalation)
+        if let RecoveryAction::PartialRestart { delay_ns } =
+            plan_recovery(strategy, attempts, &cfg.escalation)
         {
-            self.partial_restart(pid, delay_ns);
-            if !never_sticks {
-                self.sim.respawn(pid, delay_ns);
-                return;
+            // One rung of the ladder: restart in place, noting the attempt
+            // and the backoff it burns on the open incident.
+            self.rt.microreboot(pid, &mut self.sim);
+            self.apps[p].on_recovered();
+            if let Some(inc) = self.open_incidents[p].as_mut() {
+                inc.attempts += 1;
+                inc.attempt_delays.push(delay_ns);
             }
-            // Walk the whole remaining ladder here — each attempt burns
-            // its backoff delay — down to the escalation.
-            wasted_ns += delay_ns;
-            attempts += 1;
+            self.sim.respawn(pid, delay_ns);
+            return;
         }
         if strategy == Strategy::Microreboot {
             // The ladder is exhausted: escalate.
@@ -295,7 +277,7 @@ impl DcHarness {
             }
             self.rt.state_mut(pid).stats.escalations += 1;
         }
-        let delay = wasted_ns + self.rt.cfg().reboot_delay_ns;
+        let delay = self.rt.cfg().reboot_delay_ns;
         let rolled = self.rt.recover(pid, &mut self.sim);
         for q in rolled {
             self.apps[q.index()].on_recovered();

@@ -56,11 +56,6 @@ pub enum MicrorebootMutation {
     /// No mutation (production behavior).
     #[default]
     None,
-    /// Every microreboot fails immediately: the component is re-killed
-    /// the instant it resumes. Drives the ladder to exhaustion — the
-    /// directed escalation tests use this to observe the exact backoff
-    /// schedule and the final full-rollback escalation.
-    NeverSticks,
     /// The partial restore "forgets" the committed-page re-install pass
     /// (`Arena::rollback_skipping` skipping every image), so the
     /// component resumes with its crashed memory contents under rewound

@@ -14,6 +14,7 @@ use ft_dc::harness::{DcHarness, DcReport};
 use ft_dc::recovery::{MicrorebootMutation, Strategy};
 use ft_dc::state::DcConfig;
 use ft_faults::arrivals::EscalationPolicy;
+use ft_faults::crash::CrashPoint;
 use ft_mem::error::MemResult;
 use ft_mem::mem::ArenaCell;
 use ft_sim::script::InputScript;
@@ -82,14 +83,16 @@ fn cfg_with(strategy: Strategy, mutation: MicrorebootMutation) -> DcConfig {
 
 #[test]
 fn never_sticks_walks_the_exact_ladder_then_escalates() {
-    let report = run(
-        10,
-        11,
-        cfg_with(Strategy::Microreboot, MicrorebootMutation::NeverSticks),
-        &[333 * MS],
-    );
+    // A component that never sticks: killed at trace position 10, then at
+    // 12, 14 and 16, which each partial restart reaches before it has
+    // caught up, so every kill folds into the one open incident.
+    let mut cfg = cfg_with(Strategy::Microreboot, MicrorebootMutation::None);
+    cfg.kills = [10, 12, 14, 16]
+        .map(|pos| CrashPoint::AtPosition { pid: 0, pos })
+        .to_vec();
+    let report = run(10, 11, cfg, &[]);
     // The ladder is exhausted, the incident escalates to a full rollback,
-    // and the full rollback (which NeverSticks does not sabotage) lands.
+    // and the full rollback (which the schedule does not kill) lands.
     assert!(report.all_done, "escalated full rollback must recover");
     assert_eq!(report.abandoned, 0);
     assert_eq!(

@@ -559,6 +559,7 @@ fn arena_json(a: &ArenaStats) -> Json {
         ("rollbacks", Json::from(a.rollbacks)),
         ("committed_pages", Json::from(a.committed_pages)),
         ("committed_bytes", Json::from(a.committed_bytes)),
+        ("undo_bytes", Json::from(a.undo_bytes)),
     ])
 }
 

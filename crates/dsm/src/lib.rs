@@ -34,7 +34,7 @@ pub mod lock;
 mod wire;
 
 use ft_core::access::ShmOp;
-use ft_mem::arena::Layout;
+use ft_mem::arena::{Layout, LINE_SIZE};
 use ft_mem::diff::{self, DiffEvent, DiffWriter, Diffs};
 use ft_mem::error::{MemFault, MemResult};
 use ft_mem::mem::{ArenaCell, Mem};
@@ -45,6 +45,10 @@ use ft_sim::syscalls::SysMem;
 /// DSM page size in bytes (TreadMarks used the VM page; we use a finer
 /// granularity so diffs stay interesting at simulation scale).
 pub const DSM_PAGE: usize = 1024;
+
+/// Every line of a DSM page: the twin is a full copy, so a diff reads the
+/// whole page.
+const DSM_LINES: u64 = u64::MAX >> (64 - DSM_PAGE / LINE_SIZE);
 
 /// Result of pumping the barrier state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -358,10 +362,12 @@ impl Dsm {
         // Sizing pass, so the payload is allocated once, at its length.
         let mut section_len = 4;
         self.for_each_dirty_page(mem, |_, cur, twin| {
-            section_len += diff::page_diff_len(cur, twin);
+            section_len += diff::page_diff_len(cur, twin, DSM_LINES);
         })?;
         let mut w = DiffWriter::begin(header, section_len);
-        self.for_each_dirty_page(mem, |page, cur, twin| w.page_diff(page, cur, twin))?;
+        self.for_each_dirty_page(mem, |page, cur, twin| {
+            w.page_diff(page, cur, twin, DSM_LINES);
+        })?;
         let pages = w.pages();
         Ok((w.finish(), pages))
     }

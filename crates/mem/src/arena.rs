@@ -12,12 +12,13 @@
 //! matching the fault-injection taxonomy of §4.1 (stack bit flips vs. heap
 //! bit flips).
 //!
-//! # The hot path: epochs and pooled undo pages
+//! # The hot path: epochs, line masks and pooled undo pages
 //!
 //! Every simulated instruction of every fault-injection trial funnels
 //! through this write barrier, so its host cost — not its *simulated* cost,
 //! which [`crate::cost`] models separately — dominates campaign wall-clock.
-//! Two structures keep it allocation-free and commit O(dirty):
+//! Three structures keep it allocation-free, commit O(dirty) and the undo
+//! copy as small as the writes:
 //!
 //! * **Epoch-stamped dirty tracking.** Instead of a `Vec<bool>` of dirty
 //!   flags cleared with an O(total-pages) `fill(false)` on every commit,
@@ -26,17 +27,54 @@
 //!   rollback just bump the epoch, so their cost is O(dirty pages), not
 //!   O(address-space size). (On the astronomically rare epoch wrap the
 //!   stamps are rewound once, preserving correctness.)
-//! * **A pooled undo log.** Page before-images draw 4 KiB buffers from a
-//!   free list recycled on commit/rollback, so after warm-up a trap is a
-//!   single `memcpy` with no heap allocation — the Vista argument
-//!   ("eliminate the OS from reliable-memory access") applied to the
-//!   simulator's own substrate.
+//! * **Per-line before-images.** The trap — and so the trap count and
+//!   every [`CommitRecord`] — stays per page, but the copy does not: a
+//!   page's stamp also holds a `u64` mask of its [`LINE_SIZE`]-byte lines
+//!   saved this interval, and a write copies only the lines it touches
+//!   that are not saved yet. A write to saved lines costs one stamp
+//!   compare and one mask test; rollback restores, and the redo log
+//!   diffs, only the saved lines.
+//! * **A pooled undo log.** Each dirty page's saved lines live in a 4 KiB
+//!   buffer drawn from a free list recycled on commit/rollback, so after
+//!   warm-up a trap allocates nothing — the Vista argument ("eliminate the
+//!   OS from reliable-memory access") applied to the simulator's own
+//!   substrate.
 
 use crate::error::{MemFault, MemResult};
 use crate::pod::Pod;
 
 /// Page size in bytes, matching the i386 pages Discount Checking protected.
 pub const PAGE_SIZE: usize = 4096;
+
+/// The grain of the undo copy: a page is 64 lines of 64 bytes, so one
+/// `u64` masks a page's lines (bit `i` is bytes `64 i .. 64 i + 64`).
+pub const LINE_SIZE: usize = 64;
+
+/// Lines per page.
+const LINES: usize = PAGE_SIZE / LINE_SIZE;
+const _: () = assert!(LINES == u64::BITS as usize, "one mask bit per line");
+
+/// The mask of lines `first..=last` of a page.
+#[inline]
+fn line_range(first: usize, last: usize) -> u64 {
+    (u64::MAX >> (LINES - 1 - last)) & (u64::MAX << first)
+}
+
+/// The byte ranges, within a page, of the runs of adjacent lines in
+/// `lines`, ascending: one range per run, so adjacent lines are copied —
+/// or scanned — as one.
+#[inline]
+pub(crate) fn line_spans(mut lines: u64) -> impl Iterator<Item = std::ops::Range<usize>> {
+    std::iter::from_fn(move || {
+        if lines == 0 {
+            return None;
+        }
+        let first = lines.trailing_zeros() as usize;
+        let n = (lines >> first).trailing_ones() as usize;
+        lines &= !((u64::MAX >> (LINES - n)) << first);
+        Some(first * LINE_SIZE..(first + n) * LINE_SIZE)
+    })
+}
 
 /// Largest `Pod` encoded through the stack buffer in
 /// [`Arena::write_pod`]; larger values (none exist today) take a heap
@@ -104,6 +142,8 @@ pub struct ArenaStats {
     pub committed_pages: u64,
     /// Cumulative dirty bytes across all commits.
     pub committed_bytes: u64,
+    /// Host bytes copied into the undo log: [`LINE_SIZE`] per line saved.
+    pub undo_bytes: u64,
 }
 
 impl ArenaStats {
@@ -118,6 +158,7 @@ impl ArenaStats {
             rollbacks,
             committed_pages,
             committed_bytes,
+            undo_bytes,
         } = *other;
         self.traps += traps;
         self.writes += writes;
@@ -125,6 +166,7 @@ impl ArenaStats {
         self.rollbacks += rollbacks;
         self.committed_pages += committed_pages;
         self.committed_bytes += committed_bytes;
+        self.undo_bytes += undo_bytes;
     }
 }
 
@@ -193,18 +235,29 @@ pub struct CommitRecord {
     pub register_bytes: usize,
 }
 
+/// One page's write-barrier state. The page is dirty iff `epoch` is the
+/// arena's; then `slot` is its entry in the undo log and `lines` the
+/// lines whose before-images that entry holds.
+#[derive(Debug, Clone, Copy, Default)]
+struct Stamp {
+    epoch: u32,
+    slot: u32,
+    lines: u64,
+}
+
 /// A process address space in reliable memory.
 #[derive(Debug)]
 pub struct Arena {
     layout: Layout,
     data: Vec<u8>,
-    /// Per-page epoch stamps: page `p` is dirty iff `page_epoch[p] ==
-    /// epoch`. Commit/rollback advance `epoch` instead of clearing flags.
-    page_epoch: Vec<u32>,
+    /// Per-page stamps: page `p` is dirty iff `stamps[p].epoch == epoch`.
+    /// Commit/rollback advance `epoch` instead of clearing them.
+    stamps: Vec<Stamp>,
     /// The current commit-interval epoch (starts above every stamp).
     epoch: u32,
     /// Before-images of dirtied pages, in first-touch order: (page index,
-    /// pooled 4 KiB buffer).
+    /// pooled 4 KiB buffer holding the page's saved lines at their own
+    /// offsets; the rest of the buffer is stale).
     undo: Vec<(usize, Box<[u8]>)>,
     /// Recycled before-image buffers awaiting reuse.
     pool: Vec<Box<[u8]>>,
@@ -218,12 +271,53 @@ impl Clone for Arena {
         Arena {
             layout: self.layout,
             data: self.data.clone(),
-            page_epoch: self.page_epoch.clone(),
+            stamps: self.stamps.clone(),
             epoch: self.epoch,
             undo: self.undo.clone(),
             pool: Vec::new(),
             stats: self.stats,
         }
+    }
+}
+
+/// The pages dirtied since the last commit, in ascending page order
+/// (see [`Arena::dirty_pages`]).
+#[derive(Debug)]
+pub struct DirtyPages<'a> {
+    arena: &'a Arena,
+    /// Undo-log slots, sorted by page.
+    order: Vec<u32>,
+}
+
+/// One page dirtied since the last commit.
+#[derive(Debug, Clone, Copy)]
+pub struct DirtyPage<'a> {
+    /// The page index.
+    pub page: usize,
+    /// The lines written this interval: the only lines where `after` can
+    /// differ from `before`, and the only lines of `before` that hold the
+    /// page's before-image.
+    pub lines: u64,
+    /// The undo buffer: the before-image of the saved `lines`.
+    pub before: &'a [u8],
+    /// The page's current contents.
+    pub after: &'a [u8],
+}
+
+impl<'a> DirtyPages<'a> {
+    /// The dirty pages, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = DirtyPage<'a>> + '_ {
+        let arena = self.arena;
+        self.order.iter().map(move |&slot| {
+            let (page, ref before) = arena.undo[slot as usize];
+            let start = page * PAGE_SIZE;
+            DirtyPage {
+                page,
+                lines: arena.stamps[page].lines,
+                before,
+                after: &arena.data[start..start + PAGE_SIZE],
+            }
+        })
     }
 }
 
@@ -243,7 +337,7 @@ impl Arena {
         (image.len() == pages * PAGE_SIZE).then(|| Arena {
             layout,
             data: image,
-            page_epoch: vec![0; pages],
+            stamps: vec![Stamp::default(); pages],
             epoch: 1,
             undo: Vec::new(),
             pool: Vec::new(),
@@ -320,25 +414,59 @@ impl Arena {
         Ok(())
     }
 
+    /// The write barrier for `len` bytes at `offset`. A write to lines
+    /// already saved this interval costs one stamp compare and one mask
+    /// test per page; anything else goes to [`Arena::save_lines`].
+    #[inline]
     fn trap_range(&mut self, offset: usize, len: usize) {
         if len == 0 {
             return;
         }
-        let first = offset / PAGE_SIZE;
-        let last = (offset + len - 1) / PAGE_SIZE;
-        for page in first..=last {
-            if self.page_epoch[page] != self.epoch {
-                self.page_epoch[page] = self.epoch;
-                self.stats.traps += 1;
-                let start = page * PAGE_SIZE;
-                let mut image = self
-                    .pool
-                    .pop()
-                    .unwrap_or_else(|| vec![0u8; PAGE_SIZE].into_boxed_slice());
-                image.copy_from_slice(&self.data[start..start + PAGE_SIZE]);
-                self.undo.push((page, image));
+        let last_byte = offset + len - 1;
+        for page in offset / PAGE_SIZE..=last_byte / PAGE_SIZE {
+            let start = page * PAGE_SIZE;
+            let first = offset.max(start) - start;
+            let last = last_byte.min(start + PAGE_SIZE - 1) - start;
+            let lines = line_range(first / LINE_SIZE, last / LINE_SIZE);
+            let stamp = self.stamps[page];
+            if stamp.epoch != self.epoch || lines & !stamp.lines != 0 {
+                self.save_lines(page, lines);
             }
         }
+    }
+
+    /// Traps `page` on its first write of the interval, and saves the
+    /// before-image of each of `lines` not yet saved, one copy per run of
+    /// adjacent new lines.
+    #[inline(never)]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "an undo slot is below the page count, far below u32::MAX"
+    )]
+    fn save_lines(&mut self, page: usize, lines: u64) {
+        let stamp = &mut self.stamps[page];
+        if stamp.epoch != self.epoch {
+            *stamp = Stamp {
+                epoch: self.epoch,
+                slot: self.undo.len() as u32,
+                lines: 0,
+            };
+            self.stats.traps += 1;
+            let image = self
+                .pool
+                .pop()
+                .unwrap_or_else(|| vec![0u8; PAGE_SIZE].into_boxed_slice());
+            self.undo.push((page, image));
+        }
+        let new = lines & !stamp.lines;
+        stamp.lines |= new;
+        let image = &mut self.undo[stamp.slot as usize].1;
+        let start = page * PAGE_SIZE;
+        let before = &self.data[start..start + PAGE_SIZE];
+        for span in line_spans(new) {
+            image[span.clone()].copy_from_slice(&before[span]);
+        }
+        self.stats.undo_bytes += u64::from(new.count_ones()) * LINE_SIZE as u64;
     }
 
     /// Advances the commit-interval epoch, rewinding the stamps on the
@@ -346,7 +474,7 @@ impl Arena {
     /// epoch.
     fn bump_epoch(&mut self) {
         if self.epoch == u32::MAX {
-            self.page_epoch.fill(0);
+            self.stamps.fill(Stamp::default());
             self.epoch = 1;
         } else {
             self.epoch += 1;
@@ -404,19 +532,21 @@ impl Arena {
         self.undo.len()
     }
 
-    /// The pages dirtied since the last commit, ascending, each with its
-    /// before-image from the undo log (TreadMarks' twin, at no extra
-    /// copy). The durable backend diffs each page's after-image against
-    /// it to encode a redo record; sorting makes the encoding canonical
-    /// (equal states produce equal log bytes regardless of write order).
-    pub fn dirty_pages(&self) -> Vec<(usize, &[u8])> {
-        let mut pages: Vec<(usize, &[u8])> = self
-            .undo
-            .iter()
-            .map(|(p, image)| (*p, &image[..]))
-            .collect();
-        pages.sort_unstable_by_key(|&(p, _)| p);
-        pages
+    /// The pages dirtied since the last commit, ascending, each with the
+    /// lines written to it and their before-images from the undo log
+    /// (TreadMarks' twin, at no extra copy). The durable backend diffs
+    /// each page's saved lines against them to encode a redo record;
+    /// sorting makes the encoding canonical (equal states produce equal
+    /// log bytes regardless of write order). Allocates one `u32` per page:
+    /// the sort order of the undo log.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "an undo slot is below the page count, far below u32::MAX"
+    )]
+    pub fn dirty_pages(&self) -> DirtyPages<'_> {
+        let mut order: Vec<u32> = (0..self.undo.len() as u32).collect();
+        order.sort_unstable_by_key(|&slot| self.undo[slot as usize].0);
+        DirtyPages { arena: self, order }
     }
 
     /// Buffers currently parked in the undo-page pool (observability for
@@ -487,21 +617,23 @@ impl Arena {
     /// Test-only hook: forces the commit-interval epoch so integration
     /// tests can drive the u32 counter across wraparound without millions
     /// of commits. Stamps above the new epoch are rewound to zero so the
-    /// arena stays in a state reachable by real execution.
+    /// arena stays in a state reachable by real execution. Call it at a
+    /// commit boundary: the undo log must be empty.
     #[doc(hidden)]
     pub fn force_epoch(&mut self, epoch: u32) {
         assert!(epoch > 0, "epoch 0 would mark every page clean-forever");
-        for stamp in &mut self.page_epoch {
-            if *stamp >= epoch {
-                *stamp = 0;
+        assert!(self.undo.is_empty(), "force the epoch at a commit boundary");
+        for stamp in &mut self.stamps {
+            if stamp.epoch >= epoch {
+                *stamp = Stamp::default();
             }
         }
         self.epoch = epoch;
     }
 
     /// Rolls back to the last committed state by applying the undo log's
-    /// before-images (most recent first). Returns the number of pages
-    /// restored.
+    /// before-images (most recent first), each page's saved lines only.
+    /// Returns the number of pages restored.
     pub fn rollback(&mut self) -> usize {
         self.rollback_skipping(0)
     }
@@ -522,7 +654,10 @@ impl Arena {
         for (i, (page, image)) in self.undo.drain(..).rev().enumerate() {
             if i >= skip {
                 let start = page * PAGE_SIZE;
-                self.data[start..start + PAGE_SIZE].copy_from_slice(&image);
+                let after = &mut self.data[start..start + PAGE_SIZE];
+                for span in line_spans(self.stamps[page].lines) {
+                    after[span.clone()].copy_from_slice(&image[span]);
+                }
                 restored += 1;
             }
             self.pool.push(image);
@@ -732,10 +867,12 @@ mod tests {
             rollbacks: 4,
             committed_pages: 5,
             committed_bytes: 6,
+            undo_bytes: 7,
         };
         a.absorb(&a.clone());
         assert_eq!(a.traps, 2);
         assert_eq!(a.committed_bytes, 12);
+        assert_eq!(a.undo_bytes, 14);
     }
 
     #[test]
@@ -764,11 +901,94 @@ mod tests {
         a.commit();
         a.write(3 * PAGE_SIZE, &[2]).unwrap();
         a.write(0, &[5]).unwrap();
-        let pages = a.dirty_pages();
-        let order: Vec<usize> = pages.iter().map(|&(p, _)| p).collect();
+        a.write(200, &[6]).unwrap();
+        let pages: Vec<DirtyPage> = a.dirty_pages().iter().collect();
+        let order: Vec<usize> = pages.iter().map(|d| d.page).collect();
         assert_eq!(order, [0, 3], "ascending, not first-touch order");
-        assert_eq!((pages[0].1[0], pages[1].1[0]), (0, 1), "before-images");
-        assert!(pages.iter().all(|(_, image)| image.len() == PAGE_SIZE));
+        assert_eq!(
+            (pages[0].lines, pages[1].lines),
+            (0b1001, 0b1),
+            "saved lines"
+        );
+        assert_eq!(
+            (pages[0].before[0], pages[1].before[0]),
+            (0, 1),
+            "before-images"
+        );
+        assert_eq!(
+            (pages[0].after[0], pages[1].after[0]),
+            (5, 2),
+            "after-images"
+        );
+        assert!(pages
+            .iter()
+            .all(|d| d.before.len() == PAGE_SIZE && d.after.len() == PAGE_SIZE));
+    }
+
+    #[test]
+    fn a_write_saves_only_the_lines_it_touches() {
+        let mut a = Arena::new(Layout::small());
+        a.write(10, &[1; 8]).unwrap();
+        assert_eq!(a.stats().undo_bytes, LINE_SIZE as u64);
+        // Same line again: no copy.
+        a.write(20, &[2; 8]).unwrap();
+        assert_eq!(a.stats().undo_bytes, LINE_SIZE as u64);
+        // Sixteen bytes at offset 56 straddle lines 0 and 1: only line 1
+        // is new.
+        a.write(56, &[3; 16]).unwrap();
+        assert_eq!(a.stats().undo_bytes, 2 * LINE_SIZE as u64);
+        // A whole-page fill saves the remaining 62 lines, one trap in all.
+        a.fill(0, PAGE_SIZE, 4).unwrap();
+        assert_eq!(a.stats().undo_bytes, PAGE_SIZE as u64);
+        assert_eq!(a.stats().traps, 1);
+        a.rollback();
+        assert!(a.read(0, PAGE_SIZE).unwrap().iter().all(|&b| b == 0));
+    }
+
+    /// Mask bit 63: the page's last byte, and a write that straddles into
+    /// the next page's line 0. (Under debug builds an off-by-one in the
+    /// mask arithmetic is a shift-overflow panic here.)
+    #[test]
+    fn the_last_line_of_a_page_is_bit_63() {
+        let mut a = Arena::new(Layout::small());
+        a.write(PAGE_SIZE - 1, &[7]).unwrap();
+        assert_eq!(a.dirty_pages().iter().next().unwrap().lines, 1 << 63);
+        a.commit();
+        a.write(PAGE_SIZE - 4, &[9; 8]).unwrap();
+        let lines: Vec<(usize, u64)> = a.dirty_pages().iter().map(|d| (d.page, d.lines)).collect();
+        assert_eq!(lines, [(0, 1 << 63), (1, 1)]);
+        assert_eq!(a.stats().undo_bytes, 3 * LINE_SIZE as u64);
+        a.rollback();
+        assert_eq!(a.read(PAGE_SIZE - 4, 8).unwrap(), &[0, 0, 0, 7, 0, 0, 0, 0]);
+    }
+
+    /// Lines 0 and 2 saved, line 1 clean: rollback restores the two saved
+    /// lines and leaves line 1 alone, even though the undo buffer's bytes
+    /// there are stale from an earlier interval.
+    #[test]
+    fn rollback_skips_a_clean_line_between_saved_ones() {
+        let mut a = Arena::new(Layout::small());
+        a.fill(0, 3 * LINE_SIZE, 0xEE).unwrap();
+        a.commit();
+        a.write(LINE_SIZE, &[0x11; LINE_SIZE]).unwrap();
+        // Line 1 is committed as 0x11; the pooled buffer's line 1 still
+        // holds the 0xEE it saved.
+        a.commit();
+        a.write(0, &[1]).unwrap();
+        a.write(2 * LINE_SIZE + 5, &[2]).unwrap();
+        assert_eq!(a.dirty_pages().iter().next().unwrap().lines, 0b101);
+        a.rollback();
+        assert!(a.read(0, LINE_SIZE).unwrap().iter().all(|&b| b == 0xEE));
+        assert!(a
+            .read(LINE_SIZE, LINE_SIZE)
+            .unwrap()
+            .iter()
+            .all(|&b| b == 0x11));
+        assert!(a
+            .read(2 * LINE_SIZE, LINE_SIZE)
+            .unwrap()
+            .iter()
+            .all(|&b| b == 0xEE));
     }
 
     #[test]
@@ -887,5 +1107,26 @@ mod tests {
         assert_eq!(b.read(0, 10).unwrap(), b"persist me");
         // The original is unaffected by the clone's rollback.
         assert_eq!(a.read(0, 10).unwrap(), b"scratch!!!");
+    }
+
+    /// A clone taken mid-interval carries the saved-line masks with the
+    /// undo buffers: each copy saves its own later lines and rolls back
+    /// exactly the lines it saved.
+    #[test]
+    fn a_mid_interval_clone_rolls_back_only_saved_lines() {
+        let mut a = Arena::new(Layout::small());
+        a.fill(0, PAGE_SIZE, 0x33).unwrap();
+        a.commit();
+        a.write(0, &[1; 8]).unwrap();
+        let mut b = a.clone();
+        b.write(3 * LINE_SIZE, &[2; 8]).unwrap();
+        a.write(5 * LINE_SIZE, &[3; 8]).unwrap();
+        assert_eq!(b.dirty_pages().iter().next().unwrap().lines, 0b1001);
+        assert_eq!(a.dirty_pages().iter().next().unwrap().lines, 0b10_0001);
+        b.rollback();
+        assert!(b.read(0, PAGE_SIZE).unwrap().iter().all(|&x| x == 0x33));
+        assert_eq!(a.read(3 * LINE_SIZE, 1).unwrap(), &[0x33]);
+        a.rollback();
+        assert!(a.read(0, PAGE_SIZE).unwrap().iter().all(|&x| x == 0x33));
     }
 }

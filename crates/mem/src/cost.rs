@@ -148,8 +148,11 @@ impl DurableModel {
     }
 
     /// Time to execute a commit that persisted `rec`: encode + append
-    /// the framed record (length/CRC prefix plus a 4-byte index per
-    /// page), then fsync.
+    /// the framed record, then fsync. The frame priced is the
+    /// `FORMAT_VERSION` 1 record — a length/CRC prefix, then a 4-byte
+    /// index and the full page image per dirty page — not the version 2
+    /// diff frame [`crate::durable`] writes, which carries only the runs
+    /// that changed; pricing the real frame is ROADMAP item 12(a).
     pub fn commit_cost(&self, rec: &CommitRecord) -> Nanos {
         let framed = rec.dirty_bytes + rec.register_bytes + 21 + 4 * rec.dirty_pages;
         self.per_record_ns + self.transfer_cost(framed) + self.fsync_ns

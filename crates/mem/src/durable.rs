@@ -32,7 +32,8 @@
 //!
 //! A frame's `diffs` are the maximal byte runs in which each dirty page
 //! differs from its before-image — the copy the arena's undo log already
-//! holds for rollback — in ascending page order, a page equal to its
+//! holds for rollback, of the 64-byte lines the interval wrote, which are
+//! the only lines read — in ascending page order, a page equal to its
 //! before-image left out. They are encoded and validated by
 //! [`crate::diff`], the codec that also carries DSM diffs, so a commit
 //! costs in proportion to the bytes it changed, not the pages it touched.
@@ -395,34 +396,30 @@ impl DurableStore {
 
     /// Encodes the next commit's frame from the arena's current dirty
     /// set, without touching the log or the arena: each dirty page's byte
-    /// runs against its before-image, pages in ascending index order, so
-    /// equal states produce equal bytes regardless of write order.
+    /// runs against its before-image, read in the lines the interval
+    /// saved and nowhere else, pages in ascending index order, so equal
+    /// states produce equal bytes regardless of write order.
     #[expect(
         clippy::cast_possible_truncation,
         reason = "page indices are bounded by the arena size (< 2^32 pages); the format stores them as u32"
     )]
     pub fn stage_commit(&self) -> StagedCommit {
         let pages = self.arena.dirty_pages();
-        let after = |page: usize| {
-            self.arena
-                .read(page * PAGE_SIZE, PAGE_SIZE)
-                .expect("dirty page is in bounds")
-        };
         // Sizing pass, so the frame is allocated once, at its length.
         let section_len = 4 + pages
             .iter()
-            .map(|&(page, before)| diff::page_diff_len(after(page), before))
+            .map(|d| diff::page_diff_len(d.after, d.before, d.lines))
             .sum::<usize>();
         let mut header = [0; FRAME_PREFIX + PAYLOAD_PREFIX];
         header[FRAME_PREFIX] = TAG_COMMIT;
         header[FRAME_PREFIX + 1..].copy_from_slice(&(self.seq + 1).to_le_bytes());
         let mut w = DiffWriter::begin(&header, section_len);
-        for &(page, before) in &pages {
-            w.page_diff(page as u32, after(page), before);
+        for d in pages.iter() {
+            w.page_diff(d.page as u32, d.after, d.before, d.lines);
         }
         StagedCommit {
             frame: seal_frame(w.finish()),
-            dirty_pages: pages.len(),
+            dirty_pages: self.arena.dirty_page_count(),
         }
     }
 

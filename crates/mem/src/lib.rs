@@ -4,8 +4,9 @@
 //! The Rio / Vista substrate of the paper's testbed (§3), rebuilt as a
 //! simulation library:
 //!
-//! * [`arena`] — a process address space in reliable memory: page-grained
-//!   copy-on-write undo logging (Vista), atomic commit, rollback, and the
+//! * [`arena`] — a process address space in reliable memory: copy-on-write
+//!   undo logging trapped per page and copied per 64-byte line (Vista),
+//!   atomic commit, rollback, and the
 //!   three-region layout (globals / stack / heap) the §4 fault taxonomy
 //!   targets;
 //! * [`alloc`] — a heap allocator with in-arena guard bands powering the

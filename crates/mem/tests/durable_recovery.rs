@@ -263,11 +263,29 @@ fn single_bit_flips_are_corrupt_or_a_legal_torn_tail_never_a_panic() {
     cleanup(&flip_dir);
 }
 
+/// The payload a commit frame must carry: every page of the arena diffed,
+/// whole, against a snapshot taken when the interval began — no undo log
+/// and no line mask involved.
+fn full_page_reference_payload(seq: u64, snapshot: &[u8], now: &[u8]) -> Vec<u8> {
+    let mut header = vec![1u8]; // TAG_COMMIT
+    header.extend_from_slice(&seq.to_le_bytes());
+    let mut w = DiffWriter::begin(&header, 0);
+    for (page, (cur, twin)) in now
+        .chunks_exact(PAGE_SIZE)
+        .zip(snapshot.chunks_exact(PAGE_SIZE))
+        .enumerate()
+    {
+        w.page_diff(page as u32, cur, twin, u64::MAX);
+    }
+    w.finish()
+}
+
 /// Stage → reopen, seeded: commits mix page-straddling writes, whole-page
 /// fills, writes put back to the before-image (a dirty page with no
 /// runs), rollback-then-rewrite and empty commits, with compactions in
-/// between, and a reopen after every commit must land on the live
-/// store's seq and state digest.
+/// between. Every frame the store appends is byte-equal to the full-page
+/// reference encoding, and a reopen after every commit must land on the
+/// live store's seq and state digest.
 #[test]
 fn every_commit_reopens_to_the_live_state() {
     let mut reopens = 0;
@@ -281,6 +299,8 @@ fn every_commit_reopens_to_the_live_state() {
             (z % below as u64) as usize
         };
         for _ in 0..60 {
+            let snapshot = store.arena().read(0, size).unwrap().to_vec();
+            let log_len = store.log_len() as usize;
             for _ in 0..next(4) {
                 let arena = store.arena_mut();
                 match next(5) {
@@ -314,7 +334,22 @@ fn every_commit_reopens_to_the_live_state() {
                     }
                 }
             }
+            let want = full_page_reference_payload(
+                store.seq() + 1,
+                &snapshot,
+                store.arena().read(0, size).unwrap(),
+            );
             store.commit().unwrap();
+            let log = std::fs::read(dir.join(LOG_FILE)).unwrap();
+            let frame = &log[log_len..];
+            assert_eq!(
+                frame.len(),
+                12 + want.len(),
+                "seed {seed} seq {}",
+                store.seq()
+            );
+            assert_eq!(frame[..4], (want.len() as u32).to_le_bytes());
+            assert_eq!(frame[12..], want[..], "seed {seed} seq {}", store.seq());
             if next(10) == 0 {
                 store.compact().unwrap();
             }

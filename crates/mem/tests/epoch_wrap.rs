@@ -5,7 +5,7 @@
 //! that snapshots the whole memory on every commit and (b) an identical
 //! arena whose epoch is nowhere near the wrap.
 //!
-//! The stamp-aliasing hazard under test: after `page_epoch.fill(0)` at
+//! The stamp-aliasing hazard under test: after the stamps are rewound at
 //! the wrap, a page stamped in the *final* pre-wrap interval must not be
 //! mistaken for dirty in the *first* post-wrap interval (or vice versa).
 //! `Arena::force_epoch` fast-forwards one arena to `u32::MAX - 2` so the

@@ -10,7 +10,7 @@
 )]
 
 use ft_mem::alloc::Allocator;
-use ft_mem::arena::{Arena, Layout, FNV_OFFSET, FNV_PRIME, PAGE_SIZE};
+use ft_mem::arena::{Arena, Layout, FNV_OFFSET, FNV_PRIME, LINE_SIZE, PAGE_SIZE};
 use ft_mem::vec::ArenaVec;
 
 /// SplitMix64, the same generator the simulator uses.
@@ -244,12 +244,16 @@ fn allocator_bytes_roundtrip() {
 
 /// The pre-optimization arena, kept as an executable spec: per-page
 /// `Vec<bool>` dirty flags cleared wholesale at every commit/rollback, a
-/// fresh heap `to_vec()` before-image on every trap, and no buffer reuse
-/// anywhere. The epoch/pool arena must be observationally identical to
-/// this — contents, statistics, commit records, and checksums.
+/// fresh heap `to_vec()` of the whole page as its before-image on every
+/// trap, whole pages restored on rollback, and no buffer reuse anywhere.
+/// Lines are only counted — a per-line `Vec<bool>` of lines written this
+/// interval prices the undo copy. The epoch/line/pool arena must be
+/// observationally identical to this — contents, statistics, commit
+/// records, and checksums.
 struct NaiveArena {
     data: Vec<u8>,
     dirty: Vec<bool>,
+    saved: Vec<bool>,
     undo: Vec<(usize, Vec<u8>)>,
     stats: ft_mem::arena::ArenaStats,
 }
@@ -260,6 +264,7 @@ impl NaiveArena {
         NaiveArena {
             data: vec![0; pages * PAGE_SIZE],
             dirty: vec![false; pages],
+            saved: vec![false; pages * PAGE_SIZE / LINE_SIZE],
             undo: Vec::new(),
             stats: ft_mem::arena::ArenaStats::default(),
         }
@@ -284,6 +289,12 @@ impl NaiveArena {
                 let start = page * PAGE_SIZE;
                 self.undo
                     .push((page, self.data[start..start + PAGE_SIZE].to_vec()));
+            }
+        }
+        for line in offset / LINE_SIZE..=(offset + len - 1) / LINE_SIZE {
+            if !self.saved[line] {
+                self.saved[line] = true;
+                self.stats.undo_bytes += LINE_SIZE as u64;
             }
         }
     }
@@ -322,21 +333,27 @@ impl NaiveArena {
         let dirty_pages = self.undo.len();
         self.undo.clear();
         self.dirty.fill(false);
+        self.saved.fill(false);
         self.stats.commits += 1;
         self.stats.committed_pages += dirty_pages as u64;
         self.stats.committed_bytes += (dirty_pages * PAGE_SIZE) as u64;
         (dirty_pages, dirty_pages * PAGE_SIZE, 0)
     }
 
-    fn rollback(&mut self) -> usize {
-        let n = self.undo.len();
-        while let Some((page, image)) = self.undo.pop() {
-            let start = page * PAGE_SIZE;
-            self.data[start..start + PAGE_SIZE].copy_from_slice(&image);
+    /// Restores every page but the `skip` most recently trapped ones.
+    fn rollback_skipping(&mut self, skip: usize) -> usize {
+        let mut restored = 0;
+        for (i, (page, image)) in self.undo.drain(..).rev().enumerate() {
+            if i >= skip {
+                let start = page * PAGE_SIZE;
+                self.data[start..start + PAGE_SIZE].copy_from_slice(&image);
+                restored += 1;
+            }
         }
         self.dirty.fill(false);
+        self.saved.fill(false);
         self.stats.rollbacks += 1;
-        n
+        restored
     }
 
     /// The checksum spec, written as a plain indexed loop: eight
@@ -363,11 +380,15 @@ impl NaiveArena {
     }
 }
 
-/// The epoch/pool arena is observationally identical to the naive
+/// The epoch/line/pool arena is observationally identical to the naive
 /// reference under long random schedules of writes, fills, overlapping
-/// copies, commits, rollbacks, and checksums — same contents, same
-/// statistics, same commit records, same checksums, including on
-/// out-of-bounds operations (both sides reject).
+/// copies, commits, rollbacks, partial rollbacks and checksums — same
+/// contents, same statistics (the undo bytes included), same commit
+/// records, same checksums, including on out-of-bounds operations (both
+/// sides reject). Directed shapes aim at the line edges: short writes
+/// straddling a line or a page boundary, whole-page fills, copies that
+/// overlap across lines, and writes that put a line back to its
+/// committed bytes.
 #[test]
 fn optimized_arena_matches_naive_reference() {
     let layout = Layout {
@@ -385,7 +406,49 @@ fn optimized_arena_matches_naive_reference() {
             // Offsets occasionally run past the end so the bounds checks
             // are part of the equivalence.
             let off = rng.below(size as u64 + 64) as usize;
-            match rng.below(10) {
+            match rng.below(15) {
+                10 => {
+                    // 2..=16 bytes across a line boundary, or a page
+                    // boundary when the line is a page's last.
+                    let len = 2 + rng.below(15) as usize;
+                    let line = 1 + rng.below((size / LINE_SIZE - 1) as u64) as usize;
+                    let at = line * LINE_SIZE - 1 - rng.below(len as u64 - 1) as usize;
+                    let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                    assert!(fast.write(at, &bytes).is_ok() && naive.write(at, &bytes));
+                }
+                11 => {
+                    let page = rng.below(layout.total_pages() as u64) as usize;
+                    let b = rng.next_u64() as u8;
+                    assert!(
+                        fast.fill(page * PAGE_SIZE, PAGE_SIZE, b).is_ok()
+                            && naive.fill(page * PAGE_SIZE, PAGE_SIZE, b)
+                    );
+                }
+                12 => {
+                    // Source and destination a few lines apart at most.
+                    let len = 1 + rng.below(4 * LINE_SIZE as u64) as usize;
+                    let src = rng.below((size - len) as u64) as usize;
+                    let dst = (src + rng.below(2 * LINE_SIZE as u64) as usize)
+                        .saturating_sub(LINE_SIZE)
+                        .min(size - len);
+                    assert!(
+                        fast.copy_within(src, dst, len).is_ok() && naive.copy_within(src, dst, len)
+                    );
+                }
+                13 => {
+                    // Scribble over a span, then put its bytes back.
+                    let len = 1 + rng.below(3 * LINE_SIZE as u64) as usize;
+                    let at = rng.below((size - len) as u64) as usize;
+                    let before = fast.read(at, len).unwrap().to_vec();
+                    let scribble = vec![rng.next_u64() as u8; len];
+                    for bytes in [&scribble, &before] {
+                        assert!(fast.write(at, bytes).is_ok() && naive.write(at, bytes));
+                    }
+                }
+                14 => {
+                    let skip = rng.below(4) as usize;
+                    assert_eq!(fast.rollback_skipping(skip), naive.rollback_skipping(skip));
+                }
                 0..=2 => {
                     let len = rng.below(3 * PAGE_SIZE as u64) as usize;
                     let bytes: Vec<u8> = (0..len).map(|i| (i as u8) ^ rng.0 as u8).collect();
@@ -423,7 +486,7 @@ fn optimized_arena_matches_naive_reference() {
                     );
                 }
                 8 => {
-                    assert_eq!(fast.rollback(), naive.rollback());
+                    assert_eq!(fast.rollback(), naive.rollback_skipping(0));
                 }
                 _ => {
                     assert_eq!(fast.dirty_page_count(), naive.undo.len());

@@ -42,8 +42,10 @@ cargo test -q --workspace
 # `normalize` reads offsets the run-encoded access stream computes, and its
 # campaign test replays the treadmarks and taskfarm streams through them.
 # And ft-dc: the kill-schedule executor's position and time comparisons
-# run on every campaign's release path.
-cargo test -q --release -p ft-dsm -p ft-mem -p ft-core -p ft-sim -p ft-check -p ft-analyze -p ft-dc
+# run on every campaign's release path. And ft-faults: its fault-schedule
+# grammar parses replay files that come from outside the program, the
+# reason ft-check is on this line too.
+cargo test -q --release -p ft-dsm -p ft-mem -p ft-core -p ft-sim -p ft-check -p ft-analyze -p ft-dc -p ft-faults
 # Clippy is also the determinism and recovery-safety gate: wall-clock
 # reads, hash-order iteration, panics and unchecked arithmetic in the
 # decode modules, floats in the fingerprinting crates (clippy.toml,

@@ -9,7 +9,7 @@ use ft_apps::scenarios::{self, Built};
 use ft_core::protocol::Protocol;
 use ft_core::savework::check_save_work;
 use ft_dc::harness::{DcHarness, DcReport};
-use ft_dc::state::DcConfig;
+use ft_dc::state::{DcConfig, Mutation};
 
 const SEED: u64 = 7;
 
@@ -183,18 +183,18 @@ fn audit_agrees_with_savework_on_every_protocol() {
 
 #[test]
 fn seeded_savework_break_is_caught_by_checker_and_audit_alike() {
-    // `skip_presend_commit` disables the commit-before-send obligation:
+    // `SkipPresendCommit` disables the commit-before-send obligation:
     // CPVS stops discharging Save-work and both the production checker
     // and the audit must catch it on the same witness.
     let (sim, apps) = build("taskfarm", 2).into_parts();
     let cfg = DcConfig {
-        skip_presend_commit: true,
+        mutation: Mutation::SkipPresendCommit,
         ..DcConfig::discount_checking(Protocol::Cpvs)
     };
     let report = DcHarness::new(sim, cfg, apps).run();
     let checker = check_save_work(&report.trace);
     let audit = ft_analyze::audit::audit_save_work(&report.trace);
-    let v = checker.expect_err("skip_presend_commit must break Save-work under CPVS");
+    let v = checker.expect_err("SkipPresendCommit must break Save-work under CPVS");
     assert!(!audit.is_empty(), "the audit must catch the break too");
     assert!(
         audit.contains(&v),

@@ -48,7 +48,7 @@
     reason = "guest state lives in u64 arena cells; reads narrow values back to the width they had when stored (slots, cursors, fds, single key bytes)"
 )]
 
-use ft_faults::FaultInjector;
+use ft_faults::{FaultInjector, FaultPlan};
 use ft_mem::arena::Layout;
 use ft_mem::error::{MemFault, MemResult};
 use ft_mem::mem::{ArenaCell, Mem};
@@ -106,8 +106,9 @@ pub fn fault_site(fault: ft_faults::FaultType) -> u64 {
 
 /// The editor application.
 pub struct Editor {
-    /// Armed fault injector (inert by default).
-    pub faults: FaultInjector,
+    /// Fault injector, inert unless the harness arms it
+    /// ([`App::arm_fault`]).
+    faults: FaultInjector,
     /// Run the §2.6 crash-early consistency checks each step (ablation).
     pub eager_checks: bool,
 }
@@ -441,6 +442,11 @@ impl App for Editor {
         // §4.1 end-to-end check: the fault does not re-activate during the
         // post-recovery re-execution.
         self.faults.suppressed = true;
+    }
+
+    fn arm_fault(&mut self, plan: FaultPlan, seed: u64) -> bool {
+        self.faults = FaultInjector::armed(plan, seed ^ 0xFA);
+        true
     }
 }
 

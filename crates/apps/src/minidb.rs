@@ -27,7 +27,7 @@
     reason = "guest state lives in u64 arena cells; reads narrow values back to the width they had when stored (slots, cursors, fds, single key bytes)"
 )]
 
-use ft_faults::FaultInjector;
+use ft_faults::{FaultInjector, FaultPlan};
 use ft_mem::arena::Layout;
 use ft_mem::error::{MemFault, MemResult};
 use ft_mem::mem::{ArenaCell, Mem};
@@ -88,8 +88,9 @@ pub fn fault_site(fault: ft_faults::FaultType) -> u64 {
 
 /// The database application.
 pub struct MiniDb {
-    /// Armed fault injector (inert by default).
-    pub faults: FaultInjector,
+    /// Fault injector, inert unless the harness arms it
+    /// ([`App::arm_fault`]).
+    faults: FaultInjector,
     /// Run §2.6 eager consistency checks each request (ablation).
     pub eager_checks: bool,
 }
@@ -895,6 +896,11 @@ impl App for MiniDb {
 
     fn on_recovered(&mut self) {
         self.faults.suppressed = true;
+    }
+
+    fn arm_fault(&mut self, plan: FaultPlan, seed: u64) -> bool {
+        self.faults = FaultInjector::armed(plan, seed ^ 0xFB);
+        true
     }
 }
 

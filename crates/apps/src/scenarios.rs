@@ -8,7 +8,6 @@ use crate::minidb::MiniDb;
 use crate::workload::{cad_script, editor_script_with, minidb_script};
 use crate::Cad;
 use ft_core::event::ProcessId;
-use ft_faults::{FaultInjector, FaultPlan};
 use ft_sim::script::{InputScript, SignalSchedule};
 use ft_sim::sim::{SimConfig, Simulator};
 use ft_sim::syscalls::App;
@@ -67,13 +66,15 @@ pub const GOLDEN: [(&str, usize); 6] = [
 pub type Build = fn(u64, usize) -> Built;
 
 /// The by-name family table: every family with its builder. The size is
-/// nvi keys, magic commands, xpilot frames, treadmarks iterations,
-/// taskfarm workers, postgres or kvstore requests;
+/// nvi keys (`nvi-batch` is the §4 crash studies' session at 1 ms think
+/// time), magic commands, xpilot frames, treadmarks iterations, taskfarm
+/// workers, postgres or kvstore requests;
 /// the `-racy`/`-fused`/`-skiprepl` names are the seeded mutants of the
 /// family they prefix. This is the one list of families: [`family`]
 /// resolves names through it and `ft-check` interns script names from it.
-pub const FAMILIES: [(&str, Build); 10] = [
+pub const FAMILIES: [(&str, Build); 11] = [
     ("nvi", nvi),
+    ("nvi-batch", |seed, size| nvi_custom(seed, size, MS, false)),
     ("magic", magic),
     ("xpilot", |seed, size| xpilot(seed, size as u64)),
     ("treadmarks", |seed, size| treadmarks(seed, size as u64)),
@@ -124,9 +125,10 @@ pub fn nvi(seed: u64, keys: usize) -> Built {
     built(sim, vec![Box::new(Editor::new())])
 }
 
-/// The nvi session for the §4 crash studies: non-interactive (fast input),
-/// frequent saves, optionally with an armed application fault.
-pub fn nvi_custom(seed: u64, keys: usize, think_ns: u64, plan: Option<FaultPlan>) -> Built {
+/// The nvi session for the §4 crash studies: non-interactive (fast input)
+/// with frequent saves, and with `eager_checks` the §2.6 crash-early
+/// consistency checks running at every step (the mitigation ablation).
+pub fn nvi_custom(seed: u64, keys: usize, think_ns: u64, eager_checks: bool) -> Built {
     let mut sim = Simulator::new(SimConfig::single_node(1, seed));
     let script = editor_script_with(keys, seed ^ 0xED17, 97, 43);
     sim.set_input_script(
@@ -140,21 +142,7 @@ pub fn nvi_custom(seed: u64, keys: usize, think_ns: u64, plan: Option<FaultPlan>
         SignalSchedule::new(vec![(span / 3, 28), (2 * span / 3, 28)]),
     );
     let mut app = Editor::new();
-    if let Some(p) = plan {
-        app.faults = FaultInjector::armed(p, seed ^ 0xFA);
-    }
-    built(sim, vec![Box::new(app)])
-}
-
-/// As [`nvi_custom`], but with the §2.6 crash-early consistency checks
-/// running at every step (the mitigation ablation).
-pub fn nvi_checked(seed: u64, keys: usize, think_ns: u64, plan: Option<FaultPlan>) -> Built {
-    let sim = nvi_custom(seed, keys, think_ns, plan).sim;
-    let mut app = Editor::new();
-    app.eager_checks = true;
-    if let Some(p) = plan {
-        app.faults = FaultInjector::armed(p, seed ^ 0xFA);
-    }
+    app.eager_checks = eager_checks;
     built(sim, vec![Box::new(app)])
 }
 
@@ -247,19 +235,10 @@ pub fn kvstore_check_mutant(seed: u64, requests: u64) -> Built {
 /// The postgres session: `requests` database requests at 50 ms spacing
 /// (compute-heavy, syscall-light — the Table 2 contrast with nvi).
 pub fn postgres(seed: u64, requests: usize) -> Built {
-    postgres_faulty(seed, requests, None)
-}
-
-/// The postgres session with an optional armed application fault.
-pub fn postgres_faulty(seed: u64, requests: usize, plan: Option<FaultPlan>) -> Built {
     let mut sim = Simulator::new(SimConfig::single_node(1, seed));
     sim.set_input_script(
         ProcessId(0),
         InputScript::evenly_spaced(0, 50 * MS, minidb_script(requests, seed ^ 0xDB)),
     );
-    let mut app = MiniDb::new();
-    if let Some(p) = plan {
-        app.faults = FaultInjector::armed(p, seed ^ 0xFB);
-    }
-    built(sim, vec![Box::new(app)])
+    built(sim, vec![Box::new(MiniDb::new())])
 }

@@ -16,9 +16,9 @@
 //! The gate is DESIGN §4's shape: eager checks strictly lower the
 //! violation rate, and CBNDVS-LOG's rate is no higher than CAND's.
 
-use ft_apps::scenarios::{self, Built};
+use ft_apps::scenarios;
 use ft_core::protocol::Protocol;
-use ft_faults::{FaultPlan, FaultType};
+use ft_faults::FaultType;
 use ft_sim::harness::run_plain_on;
 use ft_sim::runner::run_cutoff;
 
@@ -26,7 +26,7 @@ use crate::campaign::{report, CampaignConfig};
 use crate::fig8::overhead_pct;
 use crate::json::Json;
 use crate::stage::Stage;
-use crate::table1::{share_pct, trial_plan, unrecovered, NVI_KEYS};
+use crate::table1::{share_pct, trial_fault, unrecovered, NVI_KEYS};
 
 /// The campaign cells: (eager checks, protocol).
 const CELLS: [(bool, Protocol); 4] = [
@@ -81,27 +81,20 @@ pub struct AblationResult {
 #[derive(Debug, Clone, Copy)]
 pub struct AblationStage<'a>(pub &'a CampaignConfig);
 
-fn build(eager: bool, seed: u64, think_ns: u64, plan: Option<FaultPlan>) -> Built {
-    if eager {
-        scenarios::nvi_checked(seed, NVI_KEYS, think_ns, plan)
-    } else {
-        scenarios::nvi_custom(seed, NVI_KEYS, think_ns, plan)
-    }
-}
-
 /// Trial `t` of a cell: Table 1's unrecovered run under `protocol`, so
 /// `None` unless it crashed with the fault activated, else whether it
 /// violated Lose-work.
 fn trial(eager: bool, protocol: Protocol, t: usize) -> Option<bool> {
     let fault = FaultType::HeapBitFlip;
     let t = u32::try_from(t).expect("trial indices fit u32");
-    let plan = trial_plan(fault, ft_apps::editor::fault_site(fault), t);
+    let entry = trial_fault(fault, ft_apps::editor::fault_site(fault), t);
     let seed = 0xAB1A + u64::from(t) * 1297;
-    unrecovered(build(eager, seed, ft_sim::MS, Some(plan)), protocol).1
+    let built = scenarios::nvi_custom(seed, NVI_KEYS, ft_sim::MS, eager);
+    unrecovered(built, protocol, entry).1
 }
 
 fn processing_time(eager: bool) -> u64 {
-    let (sim, mut apps) = build(eager, 1, 0, None).into_parts();
+    let (sim, mut apps) = scenarios::nvi_custom(1, NVI_KEYS, 0, eager).into_parts();
     let r = run_plain_on(sim, &mut apps);
     assert!(r.all_done, "the failure-free session must complete");
     r.runtime
@@ -190,5 +183,17 @@ impl Stage for AblationStage<'_> {
             ));
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::check::tests::assert_round_trips;
+
+    #[test]
+    fn the_first_trials_fault_round_trips() {
+        let fault = FaultType::HeapBitFlip;
+        assert_round_trips(&[trial_fault(fault, ft_apps::editor::fault_site(fault), 0)]);
     }
 }

@@ -11,8 +11,8 @@
 //! Consistency is never assumed: every trial's recovered run is judged by
 //! `ft_core::oracle::check_recovery` against the failure-free canonical
 //! run, and each row reports its violation counts by kind. Seeded mutant
-//! cells (`MicrorebootMutation::SkipPageReinstall` — a partial restart
-//! that forgets the committed-page re-install pass) ride along exactly like
+//! cells (`Mutation::SkipPageReinstall` — a partial restart that
+//! forgets the committed-page re-install pass) ride along exactly like
 //! the analyzer binary's planted races, proving the oracle actually flags
 //! an unsound partial restart rather than vacuously passing.
 //!
@@ -24,7 +24,8 @@
 
 use ft_apps::scenarios;
 use ft_core::protocol::Protocol;
-use ft_dc::recovery::{MicrorebootMutation, Strategy};
+use ft_dc::recovery::Strategy;
+use ft_dc::Mutation;
 use ft_dc::{DcConfig, DcReport};
 use ft_faults::arrivals::EscalationPolicy;
 use ft_sim::rng::SplitMix64;
@@ -133,7 +134,7 @@ struct Cell {
     widx: usize,
     protocol: Protocol,
     strategy: Strategy,
-    mutation: MicrorebootMutation,
+    mutation: Mutation,
 }
 
 /// Builds the configured long-running scenario for workload index `widx`.
@@ -163,7 +164,7 @@ fn cells(cfg: &AvailConfig) -> Vec<Cell> {
                     widx,
                     protocol,
                     strategy,
-                    mutation: MicrorebootMutation::None,
+                    mutation: Mutation::None,
                 });
             }
         }
@@ -172,7 +173,7 @@ fn cells(cfg: &AvailConfig) -> Vec<Cell> {
                 widx,
                 protocol: *cfg.protocols.last().expect("protocols is non-empty"),
                 strategy: Strategy::Microreboot,
-                mutation: MicrorebootMutation::SkipPageReinstall,
+                mutation: Mutation::SkipPageReinstall,
             });
         }
     }
@@ -184,8 +185,25 @@ fn dc_config(cfg: &AvailConfig, cell: &Cell) -> DcConfig {
     dc.max_recoveries = cfg.max_recoveries;
     dc.strategy = cell.strategy;
     dc.escalation = cfg.escalation;
-    dc.microreboot_mutation = cell.mutation;
+    dc.mutation = cell.mutation;
     dc
+}
+
+/// The stage's cell matrix as the shared engine's fault load.
+fn load<'a>(cfg: &'a AvailConfig, cells: &[Cell]) -> FaultLoad<'a, (usize, Protocol)> {
+    FaultLoad {
+        seed: cfg.seed,
+        trials: cfg.trials,
+        crashes_per_trial: cfg.crashes_per_trial,
+        // One failure-free reference per (workload, protocol).
+        cells: cells
+            .iter()
+            .map(|c| ((c.widx, c.protocol), dc_config(cfg, c)))
+            .collect(),
+        reference: Box::new(|&(_, protocol)| DcConfig::discount_checking(protocol)),
+        build: Box::new(|&(widx, _)| build(cfg, widx)),
+        served: Box::new(|report: &DcReport| report.visibles.len() as u64),
+    }
 }
 
 /// Aggregated availability metrics of one cell.
@@ -197,9 +215,8 @@ pub struct AvailRow {
     pub protocol: Protocol,
     /// Recovery strategy under test.
     pub strategy: Strategy,
-    /// Seeded microreboot defect (`MicrorebootMutation::None` for real
-    /// cells).
-    pub mutation: MicrorebootMutation,
+    /// Seeded microreboot defect (`Mutation::None` for real cells).
+    pub mutation: Mutation,
     /// MTTR, availability, goodput (visible outputs per simulated second)
     /// and oracle verdicts.
     pub stats: FaultStats,
@@ -210,14 +227,6 @@ pub struct AvailRow {
 pub struct AvailResult {
     /// One row per cell, in matrix order.
     pub rows: Vec<AvailRow>,
-}
-
-/// Report name of a seeded mutation.
-pub fn mutation_name(m: MicrorebootMutation) -> &'static str {
-    match m {
-        MicrorebootMutation::None => "none",
-        MicrorebootMutation::SkipPageReinstall => "skip-page-reinstall",
-    }
 }
 
 impl Stage for AvailConfig {
@@ -232,20 +241,7 @@ impl Stage for AvailConfig {
 
     fn run(&self, threads: usize) -> AvailResult {
         let cells = cells(self);
-        let run = FaultLoad {
-            seed: self.seed,
-            trials: self.trials,
-            crashes_per_trial: self.crashes_per_trial,
-            // One failure-free reference per (workload, protocol).
-            cells: cells
-                .iter()
-                .map(|c| ((c.widx, c.protocol), dc_config(self, c)))
-                .collect(),
-            reference: &|&(_, protocol)| DcConfig::discount_checking(protocol),
-            build: &|&(widx, _)| build(self, widx),
-            served: &|report: &DcReport| report.visibles.len() as u64,
-        }
-        .run(threads);
+        let run = load(self, &cells).run(threads);
         let rows = cells
             .iter()
             .zip(run.stats)
@@ -267,7 +263,7 @@ impl Stage for AvailConfig {
                 ("workload", Json::from(r.workload)),
                 ("protocol", Json::from(r.protocol.name())),
                 ("strategy", Json::from(r.strategy.name())),
-                ("mutation", Json::from(mutation_name(r.mutation))),
+                ("mutation", Json::from(r.mutation.name())),
             ];
             fields.extend(r.stats.json_fields());
             Json::obj(fields)
@@ -286,7 +282,7 @@ impl Stage for AvailConfig {
         let unflagged: Vec<&str> = result
             .rows
             .iter()
-            .filter(|r| r.mutation != MicrorebootMutation::None && r.stats.violations.total == 0)
+            .filter(|r| r.mutation != Mutation::None && r.stats.violations.total == 0)
             .map(|r| r.workload)
             .collect();
         if unflagged.is_empty() {
@@ -297,5 +293,17 @@ impl Stage for AvailConfig {
                  unflagged on: {unflagged:?}"
             ))
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::check::tests::assert_round_trips;
+
+    #[test]
+    fn the_first_trials_kills_round_trip() {
+        let cfg = AvailConfig::default();
+        assert_round_trips(&load(&cfg, &cells(&cfg)).first_schedule());
     }
 }

@@ -11,10 +11,11 @@
 //! gate's error text — save it to a file and `campaign --replay FILE`
 //! re-executes it.
 
-use ft_check::explore::{canonical_run, run_point};
+use ft_check::explore::{canonical_run, run_faults};
 use ft_check::{explore, parse_script, shrink, CheckConfig, Counterexample, Exploration, Workload};
 use ft_core::event::ProcessId;
 use ft_core::protocol::Protocol;
+use ft_faults::Fault;
 
 use crate::json::Json;
 use crate::stage::Stage;
@@ -150,21 +151,78 @@ impl Stage for CheckStage {
 }
 
 /// Re-executes a replay script (`campaign --replay FILE`): `Ok` with the
-/// reproduced violation, `Err` if the script is malformed, kills a process
-/// the workload does not have, or no longer violates anything.
+/// reproduced violation, `Err` if the script is malformed, has an entry
+/// for a process the workload does not have or an activation for an
+/// application with no fault sites, or no longer violates anything.
 pub fn replay(script: &str) -> Result<String, String> {
     let r = parse_script(script).map_err(|e| format!("bad replay script: {e}"))?;
     let cfg = r.check_config();
-    let canonical = canonical_run(&r.workload, r.workload.size, &cfg);
+    let size = r.workload.size;
     let label = format!("{}@{}", r.workload.name, r.protocol.name());
-    let procs = canonical.positions.len();
-    if let Some(point) = r.point.filter(|p| ProcessId(p.pid()).index() >= procs) {
-        return Err(format!(
-            "bad replay script: `kill {point}` names a process {label} does not have (it has {procs})"
-        ));
+    let (_, mut apps) = r.workload.build(size).into_parts();
+    let procs = apps.len();
+    for &fault in &r.faults {
+        let bad = |why: String| Err(format!("bad replay script: `{fault}` {why}"));
+        let Some(app) = apps.get_mut(ProcessId(fault.pid()).index()) else {
+            return bad(format!(
+                "names a process {label} does not have (it has {procs})"
+            ));
+        };
+        if let Fault::Activate { plan, .. } = fault {
+            if !app.arm_fault(plan, r.workload.seed) {
+                return bad(format!(
+                    "names an application with no fault sites in {label}"
+                ));
+            }
+        }
     }
-    match run_point(&r.workload, r.workload.size, &cfg, &canonical, r.point).violation {
+    let canonical = canonical_run(&r.workload, size, &cfg);
+    match run_faults(&r.workload, size, &cfg, &canonical, &r.faults).violation {
         Some(v) => Ok(format!("reproduced on {label}: {v}")),
         None => Err(format!("{label} did NOT reproduce a violation")),
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use ft_check::{render_script, run_faults};
+    use ft_dc::Mutation;
+
+    /// Every entry of `faults` renders and parses back to itself.
+    pub(crate) fn assert_round_trips(faults: &[Fault]) {
+        assert!(!faults.is_empty());
+        for &fault in faults {
+            assert_eq!(fault.to_string().parse(), Ok(fault), "{fault}");
+        }
+    }
+
+    /// Renders `faults` on the `(family, size)` workload at `seed` under
+    /// CPVS as a replay script, parses it back, replays it and returns the
+    /// replayed report's fingerprint.
+    pub(crate) fn replayed_fingerprint(
+        (name, size): (&'static str, usize),
+        seed: u64,
+        faults: &[Fault],
+    ) -> u64 {
+        let w = Workload { name, seed, size };
+        let script = render_script(&w, size, Protocol::Cpvs, faults, Mutation::None, "");
+        let r = parse_script(&script).expect("a rendered script parses");
+        assert_eq!((r.workload, r.protocol), (w, Protocol::Cpvs));
+        assert_eq!(r.faults, faults, "{script}");
+        let cfg = r.check_config();
+        let canonical = canonical_run(&w, size, &cfg);
+        run_faults(&w, size, &cfg, &canonical, &r.faults).fingerprint
+    }
+
+    #[test]
+    fn the_first_sweeps_kills_round_trip() {
+        let (w, cfg) = CheckStage::new(false).sweeps[0];
+        let canonical = canonical_run(&w, w.size, &cfg);
+        let faults: Vec<Fault> = ft_check::explore::enumerate_points(&canonical)
+            .into_iter()
+            .map(Fault::Kill)
+            .collect();
+        assert_round_trips(&faults);
     }
 }

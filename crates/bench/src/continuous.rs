@@ -12,9 +12,9 @@
 //!   streams in O(1) from the stage seed (`SplitMix64::nth`), so sharding
 //!   cannot perturb any stream and every thread count yields the same
 //!   rows;
-//! * **the kill schedule**: arrivals are drawn up front over the
+//! * **the fault schedule**: arrivals are drawn up front over the
 //!   *failure-free* horizon of the cell's reference run, one `AtTime`
-//!   entry of `DcConfig::kills` each, so each trial sustains
+//!   kill of `DcConfig::faults` each, so each trial sustains
 //!   ~`crashes_per_trial` crashes no matter how far recovery stretches its
 //!   own clock;
 //! * **the verdict**: every trial is judged by `DcReport::judge_against`
@@ -27,7 +27,7 @@ use ft_core::event::ProcessId;
 use ft_core::oracle::InvariantViolation;
 use ft_dc::{DcConfig, DcHarness, DcReport};
 use ft_faults::arrivals::PoissonArrivals;
-use ft_faults::crash::CrashPoint;
+use ft_faults::crash::{CrashPoint, Fault};
 use ft_sim::rng::SplitMix64;
 use ft_sim::runner::run_indexed;
 
@@ -160,12 +160,12 @@ pub(crate) struct FaultLoad<'a, K> {
     /// under test.
     pub cells: Vec<(K, DcConfig)>,
     /// The failure-free configuration of a reference.
-    pub reference: &'a (dyn Fn(&K) -> DcConfig + Sync),
+    pub reference: Box<dyn Fn(&K) -> DcConfig + Sync + 'a>,
     /// Builds the scenario every run of a reference and of its cells
     /// starts from.
-    pub build: &'a (dyn Fn(&K) -> Built + Sync),
+    pub build: Box<dyn Fn(&K) -> Built + Sync + 'a>,
     /// How many requests a finished run served.
-    pub served: &'a (dyn Fn(&DcReport) -> u64 + Sync),
+    pub served: Box<dyn Fn(&DcReport) -> u64 + Sync + 'a>,
 }
 
 /// A failure-free reference run.
@@ -264,13 +264,10 @@ impl<K: PartialEq + Sync> FaultLoad<'_, K> {
         }
     }
 
-    /// One trial of one cell: a full run under the cell's configuration
-    /// with Poisson crash arrivals as its kill schedule.
-    fn trial(&self, cell: usize, trial: u64, reference: &Reference) -> TrialOutcome {
-        let (key, dc) = &self.cells[cell];
-        let built = (self.build)(key);
-        let procs = built.meta.processes;
-        let (sim, apps) = built.into_parts();
+    /// Trial `trial` of `cell`'s fault schedule over `procs` processes:
+    /// Poisson crash arrivals, each an `AtTime` kill of a uniformly drawn
+    /// victim.
+    fn schedule(&self, cell: usize, trial: u64, reference: &Reference, procs: usize) -> Vec<Fault> {
         // Stage seed → cell stream → per trial one arrival seed and one
         // victim seed. No sequential state is shared between trials.
         let cell_seed = SplitMix64::new(self.seed).nth(cell as u64);
@@ -279,18 +276,30 @@ impl<K: PartialEq + Sync> FaultLoad<'_, K> {
             reference.rate_per_sec,
         );
         let mut victims = SplitMix64::new(SplitMix64::new(cell_seed).nth(2 * trial + 1));
-        // Every arrival up to the reference horizon is an `AtTime` kill of
-        // a uniformly drawn victim, delivered at the first wake at or
-        // after it; kills landing on done or crashed processes are
-        // dropped. Without the bound, downtime begets arrivals begets
-        // downtime and short workloads thrash forever.
-        let mut dc = dc.clone();
+        // Every arrival up to the reference horizon is a kill delivered at
+        // the first wake at or after it; kills landing on done or crashed
+        // processes are dropped. Without the bound, downtime begets
+        // arrivals begets downtime and short workloads thrash forever.
+        let mut faults = Vec::new();
         let mut next = arrivals.next_arrival_ns();
         while next <= reference.runtime {
             let pid = ProcessId::from_index(victims.index(procs)).0;
-            dc.kills.push(CrashPoint::AtTime { pid, t: next });
+            faults.push(Fault::Kill(CrashPoint::AtTime { pid, t: next }));
             next = arrivals.next_arrival_ns();
         }
+        faults
+    }
+
+    /// One trial of one cell: a full run under the cell's configuration
+    /// with Poisson crash arrivals as its fault schedule.
+    fn trial(&self, cell: usize, trial: u64, reference: &Reference) -> TrialOutcome {
+        let (key, dc) = &self.cells[cell];
+        let built = (self.build)(key);
+        let procs = built.meta.processes;
+        let (sim, apps) = built.into_parts();
+        let mut dc = dc.clone();
+        dc.faults
+            .extend(self.schedule(cell, trial, reference, procs));
         let report = DcHarness::new(sim, dc, apps).run();
         TrialOutcome {
             violation: report
@@ -388,6 +397,15 @@ mod tests {
     use ft_core::event::EventId;
     use ft_core::oracle::AppEvent;
     use ft_core::savework::{SaveWorkRule, SaveWorkViolation};
+
+    impl<K: PartialEq + Sync> FaultLoad<'_, K> {
+        /// The fault schedule of cell 0's first trial.
+        pub(crate) fn first_schedule(&self) -> Vec<Fault> {
+            let key = &self.cells[0].0;
+            let procs = (self.build)(key).meta.processes;
+            self.schedule(0, 0, &self.reference(key), procs)
+        }
+    }
 
     /// One verdict of every oracle variant lands in its own counter —
     /// `CommitRolledBack` used to hit an `unreachable!` and take the

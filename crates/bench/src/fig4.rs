@@ -56,7 +56,7 @@ impl Stage for Fig4Stage<'_> {
 
     fn run(&self, threads: usize) -> Vec<Fig4Row> {
         let nvi = self.0.fig8.nvi();
-        let build = || scenarios::nvi_custom(nvi.seed, nvi.size, MS, None);
+        let build = || scenarios::nvi_custom(nvi.seed, nvi.size, MS, false);
         let (sim, mut apps) = build().into_parts();
         let base = run_plain_on(sim, &mut apps);
         assert!(base.all_done, "the failure-free session must complete");

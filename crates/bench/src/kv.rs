@@ -290,6 +290,28 @@ pub struct KvRow {
     pub shard_ops_max: u64,
 }
 
+/// The stage's cell matrix over the cluster `params` as the shared
+/// engine's fault load.
+fn load<'a>(
+    cfg: &'a KvConfig,
+    params: &'a KvParams,
+    cells: &[Cell],
+) -> FaultLoad<'a, (KvMedium, Protocol)> {
+    FaultLoad {
+        seed: cfg.seed,
+        trials: cfg.trials,
+        crashes_per_trial: cfg.crashes_per_trial,
+        // One failure-free reference per (medium, protocol).
+        cells: cells
+            .iter()
+            .map(|c| ((c.medium, c.protocol), dc_config(cfg, c)))
+            .collect(),
+        reference: Box::new(|&(medium, protocol)| reference_config(cfg, medium, protocol)),
+        build: Box::new(|_| scenarios::kvstore_cluster(params)),
+        served: Box::new(|report: &DcReport| completed_responses(params, report)),
+    }
+}
+
 /// The kvstore stage's full result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KvResult {
@@ -317,20 +339,7 @@ impl Stage for KvConfig {
     fn run(&self, threads: usize) -> KvResult {
         let cells = cells(self);
         let params = self.params();
-        let run = FaultLoad {
-            seed: self.seed,
-            trials: self.trials,
-            crashes_per_trial: self.crashes_per_trial,
-            // One failure-free reference per (medium, protocol).
-            cells: cells
-                .iter()
-                .map(|c| ((c.medium, c.protocol), dc_config(self, c)))
-                .collect(),
-            reference: &|&(medium, protocol)| reference_config(self, medium, protocol),
-            build: &|_| scenarios::kvstore_cluster(&params),
-            served: &|report: &DcReport| completed_responses(&params, report),
-        }
-        .run(threads);
+        let run = load(self, &params, &cells).run(threads);
         for reference in &run.references {
             assert_eq!(
                 reference.served,
@@ -421,6 +430,14 @@ impl Stage for KvConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::tests::assert_round_trips;
+
+    #[test]
+    fn the_first_trials_kills_round_trip() {
+        let cfg = KvConfig::default();
+        let params = cfg.params();
+        assert_round_trips(&load(&cfg, &params, &cells(&cfg)).first_schedule());
+    }
 
     /// A tiny config keeping unit-test wall time low.
     fn tiny() -> KvConfig {

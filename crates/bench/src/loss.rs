@@ -3,7 +3,7 @@
 //! transport-layer counters that explain the curve.
 //!
 //! For each loss rate the workload runs to completion under the recovery
-//! runtime over a fabric built by `NetFaultSpec::lossy` (the given drop
+//! runtime over a fabric built by `NetFaultPlan::lossy` (the given drop
 //! rate plus light duplication and a reordering window); the 0% row is the
 //! baseline the overhead column is measured against. Every row also
 //! validates Save-work — the transport must be transparent to the
@@ -19,8 +19,7 @@ use ft_core::protocol::Protocol;
 use ft_core::savework::check_save_work;
 use ft_dc::harness::DcHarness;
 use ft_dc::state::DcConfig;
-use ft_faults::NetFaultSpec;
-use ft_sim::net::NetStats;
+use ft_sim::net::{NetFaultPlan, NetStats};
 use ft_sim::runner::run_indexed;
 use ft_sim::SimTime;
 
@@ -51,7 +50,7 @@ pub fn run_rate(
     rate: f64,
 ) -> (SimTime, NetStats, u64) {
     let (mut sim, apps) = build().into_parts();
-    NetFaultSpec::lossy(fabric_seed, rate).install(&mut sim);
+    sim.install_net_fault_plan(NetFaultPlan::lossy(fabric_seed, rate));
     let report = DcHarness::new(sim, DcConfig::discount_checking(protocol), apps).run();
     assert!(
         report.all_done,

@@ -8,9 +8,10 @@
 //! causally after the fault activation. The end-to-end cross-check
 //! recovers the process with the (one-shot) fault no longer activating and
 //! verifies that recovery succeeds if and only if no commit followed the
-//! activation. The unrecovered phase ([`unrecovered`], armed by
-//! [`trial_plan`]) takes the protocol as an argument, so the §2.6 ablation
-//! runs the same trial under others.
+//! activation. A trial's one fault is one entry of the run's fault
+//! schedule ([`trial_fault`]), so its runs replay as `ft-check` scripts;
+//! the unrecovered phase ([`unrecovered`]) takes the protocol as an
+//! argument, so the §2.6 ablation runs the same trial under others.
 //!
 //! The campaign is organized for the parallel runner: [`run_trial`] is a
 //! pure function of `(app, fault, trial index, seed stream)` — it builds
@@ -27,7 +28,7 @@ use ft_core::losework::check_commit_after_activation;
 use ft_core::protocol::Protocol;
 use ft_dc::harness::{DcHarness, DcReport};
 use ft_dc::state::DcConfig;
-use ft_faults::{FaultPlan, FaultType};
+use ft_faults::{Fault, FaultPlan, FaultType};
 use ft_sim::harness::run_plain_on;
 use ft_sim::runner::{run_cutoff, SeedStream};
 
@@ -54,13 +55,20 @@ impl Table1App {
         }
     }
 
-    /// The §4 session, carrying `plan` if one is armed.
-    pub fn build(self, seed: u64, plan: Option<FaultPlan>) -> Built {
+    /// The §4 session's [`scenarios::FAMILIES`] name and size, under
+    /// which its trials replay as scripts.
+    pub fn family(self) -> (&'static str, usize) {
         match self {
             // The §4 crash studies ran a non-interactive nvi (fast input).
-            Table1App::Nvi => scenarios::nvi_custom(seed, NVI_KEYS, ft_sim::MS, plan),
-            Table1App::Postgres => scenarios::postgres_faulty(seed, POSTGRES_REQUESTS, plan),
+            Table1App::Nvi => ("nvi-batch", NVI_KEYS),
+            Table1App::Postgres => ("postgres", POSTGRES_REQUESTS),
         }
+    }
+
+    /// The §4 session.
+    pub fn build(self, seed: u64) -> Built {
+        let (name, size) = self.family();
+        scenarios::family(name, seed, size).expect("the §4 sessions are families")
     }
 
     /// The session's nominal length in simulated time: keystrokes 1 ms
@@ -155,35 +163,50 @@ pub struct TrialOutcome {
     wrong_output: bool,
 }
 
-/// Trial `t`'s one-shot fault at `site`. The trigger sweeps the
-/// activation point across the run; the buggy code's damage happens at
-/// that one visit, and the physical visit counter suppresses
+/// Trial `t`'s one-shot fault at `site` of process 0. The trigger sweeps
+/// the activation point across the run; the buggy code's damage happens
+/// at that one visit, and the physical visit counter suppresses
 /// re-activation during recovery re-execution (the §4.1 end-to-end
 /// methodology).
-pub fn trial_plan(fault: FaultType, site: u64, t: u32) -> FaultPlan {
-    FaultPlan {
-        fault,
-        site,
-        trigger_visit: 3 + (t % 37) * 5,
-        id: 1,
+pub fn trial_fault(fault: FaultType, site: u64, t: u32) -> Fault {
+    Fault::Activate {
+        pid: 0,
+        plan: FaultPlan {
+            fault,
+            site,
+            trigger_visit: 3 + (t % 37) * 5,
+            id: 1,
+        },
     }
 }
 
 /// Phase A of a §4.1 trial: runs `built` under `protocol` with no
-/// recovery. The verdict is `Some(violated)` iff the run crashed with the
-/// fault activated — whether a commit executed causally after the
-/// activation — and `None` for a run that did not crash, or crashed
-/// without an activation (which one-shot plans cannot cause; such a trial
-/// is discarded).
-pub fn unrecovered(built: Built, protocol: Protocol) -> (DcReport, Option<bool>) {
+/// recovery and `fault` as its fault schedule. The verdict is
+/// `Some(violated)` iff the run crashed with the fault activated — whether
+/// a commit executed causally after the activation — and `None` for a run
+/// that did not crash, or crashed without an activation (which one-shot
+/// plans cannot cause; such a trial is discarded).
+pub fn unrecovered(built: Built, protocol: Protocol, fault: Fault) -> (DcReport, Option<bool>) {
     let (sim, apps) = built.into_parts();
     let mut cfg = DcConfig::discount_checking(protocol);
     cfg.max_recoveries = 0;
+    cfg.faults.push(fault);
     let report = DcHarness::new(sim, cfg, apps).run();
     let crashed = report.trace.iter().any(|e| e.kind.is_crash());
     let verdict = (crashed && activated(&report))
         .then(|| check_commit_after_activation(&report.trace).is_violated());
     (report, verdict)
+}
+
+/// Runs `app`'s session under CPVS with recovery and `fault` as its fault
+/// schedule: every Table 2 trial, and phase B of a §4.1 trial, the
+/// end-to-end check (a one-shot fault does not re-fire on replay, so the
+/// recovered process runs with the activation suppressed).
+pub fn recovered(app: Table1App, seed: u64, fault: Fault) -> DcReport {
+    let (sim, apps) = app.build(seed).into_parts();
+    let mut cfg = DcConfig::discount_checking(Protocol::Cpvs);
+    cfg.faults.push(fault);
+    DcHarness::new(sim, cfg, apps).run()
 }
 
 fn activated(report: &DcReport) -> bool {
@@ -203,12 +226,12 @@ pub fn run_trial(app: Table1App, fault: FaultType, t: u32, seeds: SeedStream) ->
         wrong_output: false,
     };
     let seed = seeds.seed(t as u64);
-    let plan = trial_plan(fault, app.site(fault), t);
-    let (report, verdict) = unrecovered(app.build(seed, Some(plan)), Protocol::Cpvs);
+    let entry = trial_fault(fault, app.site(fault), t);
+    let (report, verdict) = unrecovered(app.build(seed), Protocol::Cpvs, entry);
     let Some(violated) = verdict else {
         if activated(&report) && report.all_done {
             // Did the fault silently corrupt the output?
-            let (sim, mut ref_apps) = app.build(seed, None).into_parts();
+            let (sim, mut ref_apps) = app.build(seed).into_parts();
             let reference = run_plain_on(sim, &mut ref_apps);
             if report.visible_tokens()
                 != reference
@@ -224,14 +247,7 @@ pub fn run_trial(app: Table1App, fault: FaultType, t: u32, seeds: SeedStream) ->
     };
     out.crashed = true;
     out.violated = violated;
-    // Phase B: the end-to-end check — recover with the fault
-    // suppressed (one-shot plans do not re-fire on replay) and test
-    // completion.
-    let (sim, apps) = app.build(seed, Some(plan)).into_parts();
-    let cfg = DcConfig::discount_checking(Protocol::Cpvs);
-    let recovered = DcHarness::new(sim, cfg, apps).run();
-    let recovery_succeeded = recovered.all_done;
-    out.e2e_agree = recovery_succeeded != out.violated;
+    out.e2e_agree = recovered(app, seed, entry).all_done != out.violated;
     out
 }
 
@@ -299,6 +315,37 @@ pub fn run_table1(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::tests::{assert_round_trips, replayed_fingerprint};
+    use ft_dc::fingerprint::report_fingerprint;
+
+    /// The campaign's first trial's fault round-trips through the replay
+    /// grammar, and each app's first crashed trial replays as a script:
+    /// the replayed report is phase B's, fingerprint for fingerprint.
+    #[test]
+    fn the_first_crashed_trials_replay_as_scripts() {
+        let cfg = crate::campaign::CampaignConfig::default();
+        let first = FaultType::ALL[0];
+        assert_round_trips(&[trial_fault(first, Table1App::Nvi.site(first), 0)]);
+        for app in [Table1App::Nvi, Table1App::Postgres] {
+            let (seed, entry) = FaultType::ALL
+                .iter()
+                .flat_map(|&fault| (0..cfg.max_trials).map(move |t| (fault, t)))
+                .find_map(|(fault, t)| {
+                    let seed = SeedStream::new(fault_seed(cfg.table1_seed, fault)).seed(t.into());
+                    let entry = trial_fault(fault, app.site(fault), t);
+                    let (_, verdict) = unrecovered(app.build(seed), Protocol::Cpvs, entry);
+                    verdict.map(|_| (seed, entry))
+                })
+                .expect("the campaign crashes");
+            let phase_b = report_fingerprint(&recovered(app, seed, entry));
+            assert_eq!(
+                replayed_fingerprint(app.family(), seed, &[entry]),
+                phase_b,
+                "{}: {entry}",
+                app.name()
+            );
+        }
+    }
 
     #[test]
     fn delete_branch_campaign_produces_crashes_and_violations() {

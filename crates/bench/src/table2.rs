@@ -10,20 +10,18 @@
 //! paper's explanation for nvi failing recovery five times as often as
 //! postgres.
 //!
+//! A trial's kernel fault is one entry of the run's fault schedule
+//! ([`trial_fault`]), so every trial replays as an `ft-check` script.
 //! Like Table 1, the campaign is a pure per-trial function
 //! ([`run_trial`]) plus an index-ordered fold, so [`run_fault_type`]
 //! produces the same rows for every thread count (`threads = 1` is the
 //! serial loop).
 
-use ft_core::event::ProcessId;
-use ft_core::protocol::Protocol;
-use ft_dc::harness::DcHarness;
-use ft_dc::state::DcConfig;
-use ft_faults::{FaultType, KernelFaultPlan};
+use ft_faults::{Fault, FaultType};
 use ft_sim::rng::SplitMix64;
 use ft_sim::runner::{run_indexed, SeedStream};
 
-use crate::table1::{share_pct, Table1App};
+use crate::table1::{recovered, share_pct, Table1App};
 
 /// One fault type's OS-fault campaign results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,22 +53,53 @@ pub struct TrialOutcome {
     failed: bool,
 }
 
-/// Runs trial `t` of the `(app, fault)` OS-fault campaign: self-contained
-/// and pure in `(app, fault, t, seeds)`. The kernel fault lands in the
-/// middle three fifths of Table 1's fault-free session.
-pub fn run_trial(app: Table1App, fault: FaultType, t: u32, seeds: SeedStream) -> TrialOutcome {
+/// Trial `t`'s scenario seed and kernel fault under process 0. The fault
+/// lands in the middle three fifths of Table 1's fault-free session, and
+/// whether it propagates is drawn with its type's probability, both from
+/// one generator in that order: the entry records the outcome.
+pub fn trial_fault(app: Table1App, fault: FaultType, t: u32, seeds: SeedStream) -> (u64, Fault) {
     let seed = seeds.seed(t as u64);
     let mut rng = SplitMix64::new(seed ^ 0x05FA);
     let span = app.session_ns();
-    let inject_at = span / 5 + rng.below(span * 3 / 5);
-    let (mut sim, apps) = app.build(seed, None).into_parts();
-    let plan = KernelFaultPlan::for_type(fault, inject_at);
-    let propagated = plan.inject(&mut sim, ProcessId(0), &mut rng);
-    let report = DcHarness::new(sim, DcConfig::discount_checking(Protocol::Cpvs), apps).run();
-    TrialOutcome {
-        propagated,
-        failed: !report.all_done,
-    }
+    let at = span / 5 + rng.below(span * 3 / 5);
+    // The §4.2 shape per type: the propagation probability and how many
+    // syscall results a propagating fault corrupts before the panic.
+    // Pointer-ish corruptions (bit flips, destination, off-by-one) tend to
+    // wild-write and panic fast; logic faults (deleted branch/instruction,
+    // initialization) linger and leak bad results to applications first.
+    let (propagation_prob, corrupt_calls) = match fault {
+        FaultType::StackBitFlip => (0.25, 2),
+        FaultType::HeapBitFlip => (0.30, 3),
+        FaultType::DestinationReg => (0.20, 2),
+        FaultType::Initialization => (0.35, 3),
+        FaultType::DeleteBranch => (0.45, 4),
+        FaultType::DeleteInstruction => (0.30, 3),
+        FaultType::OffByOne => (0.35, 2),
+    };
+    let propagate = rng.chance(propagation_prob);
+    let entry = Fault::Kernel {
+        pid: 0,
+        fault,
+        at,
+        corrupt_calls,
+        propagate,
+    };
+    (seed, entry)
+}
+
+/// Runs trial `t` of the `(app, fault)` OS-fault campaign: self-contained
+/// and pure in `(app, fault, t, seeds)`.
+pub fn run_trial(app: Table1App, fault: FaultType, t: u32, seeds: SeedStream) -> TrialOutcome {
+    let (seed, entry) = trial_fault(app, fault, t, seeds);
+    let propagated = matches!(
+        entry,
+        Fault::Kernel {
+            propagate: true,
+            ..
+        }
+    );
+    let failed = !recovered(app, seed, entry).all_done;
+    TrialOutcome { propagated, failed }
 }
 
 /// Runs the OS-fault campaign for one fault type on `threads` workers.
@@ -130,19 +159,49 @@ pub fn run_table2(app: Table1App, trials: u32, seed0: u64, threads: usize) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::tests::{assert_round_trips, replayed_fingerprint};
+    use ft_dc::fingerprint::report_fingerprint;
+
+    /// The campaign's first trial's fault round-trips through the replay
+    /// grammar, and its first stop and first propagating trial replay as
+    /// scripts: the replayed report is the trial's, fingerprint for
+    /// fingerprint.
+    #[test]
+    fn the_first_stop_and_propagating_trials_replay_as_scripts() {
+        let seed0 = crate::campaign::CampaignConfig::default().table2_seed;
+        let app = Table1App::Nvi;
+        let seeds = SeedStream::new(fault_seed(seed0, FaultType::ALL[0]));
+        assert_round_trips(&[trial_fault(app, FaultType::ALL[0], 0, seeds).1]);
+        for propagating in [false, true] {
+            let (seed, entry) = FaultType::ALL
+                .iter()
+                .flat_map(|&fault| {
+                    let seeds = SeedStream::new(fault_seed(seed0, fault));
+                    (0..).map(move |t| trial_fault(app, fault, t, seeds))
+                })
+                .find(|(_, entry)| matches!(entry, Fault::Kernel { propagate, .. } if *propagate == propagating))
+                .expect("both manifestations occur");
+            let trial = report_fingerprint(&recovered(app, seed, entry));
+            assert_eq!(
+                replayed_fingerprint(app.family(), seed, &[entry]),
+                trial,
+                "{entry}"
+            );
+        }
+    }
 
     #[test]
     fn stop_failures_always_recover() {
-        // Force pure stop failures by zeroing the propagation probability.
         let mut failed = 0;
         for t in 0..6u64 {
-            let seed = 500 + t * 13;
-            let (mut sim, apps) = Table1App::Nvi.build(seed, None).into_parts();
-            let inject_at = 50 * ft_sim::MS + t * 40 * ft_sim::MS;
-            sim.kill_at(ProcessId(0), inject_at);
-            let report =
-                DcHarness::new(sim, DcConfig::discount_checking(Protocol::Cpvs), apps).run();
-            if !report.all_done {
+            let stop = Fault::Kernel {
+                pid: 0,
+                fault: FaultType::DeleteBranch,
+                at: 50 * ft_sim::MS + t * 40 * ft_sim::MS,
+                corrupt_calls: 4,
+                propagate: false,
+            };
+            if !recovered(Table1App::Nvi, 500 + t * 13, stop).all_done {
                 failed += 1;
             }
         }
@@ -150,9 +209,28 @@ mod tests {
     }
 
     #[test]
+    fn the_draw_yields_both_manifestations_at_the_types_rate() {
+        let seeds = SeedStream::new(9000);
+        let propagated = (0..200)
+            .filter(|&t| {
+                let (_, entry) = trial_fault(Table1App::Nvi, FaultType::DeleteBranch, t, seeds);
+                matches!(
+                    entry,
+                    Fault::Kernel {
+                        propagate: true,
+                        ..
+                    }
+                )
+            })
+            .count();
+        // DeleteBranch propagates ~45% of the time.
+        assert!((50..150).contains(&propagated), "{propagated}/200");
+    }
+
+    #[test]
     fn the_injection_window_lies_inside_the_failure_free_session() {
         for app in [Table1App::Nvi, Table1App::Postgres] {
-            let (sim, mut apps) = app.build(3, None).into_parts();
+            let (sim, mut apps) = app.build(3).into_parts();
             let plain = ft_sim::harness::run_plain_on(sim, &mut apps);
             assert!(plain.all_done, "{}", app.name());
             let span = app.session_ns();

@@ -5,7 +5,8 @@
 
 use ft_bench::avail::AvailConfig;
 use ft_bench::stage::Stage;
-use ft_dc::recovery::{MicrorebootMutation, Strategy};
+use ft_dc::recovery::Strategy;
+use ft_dc::Mutation;
 
 #[test]
 fn microreboot_beats_full_rollback_on_some_workload() {
@@ -13,7 +14,7 @@ fn microreboot_beats_full_rollback_on_some_workload() {
     let result = cfg.run(4);
     let wins = result.rows.iter().any(|r| {
         r.strategy == Strategy::Microreboot
-            && r.mutation == MicrorebootMutation::None
+            && r.mutation == Mutation::None
             && result.rows.iter().any(|f| {
                 f.workload == r.workload
                     && f.protocol == r.protocol
@@ -29,10 +30,7 @@ fn every_seeded_mutant_cell_is_flagged() {
     let cfg = AvailConfig::quick();
     let result = cfg.run(4);
     assert!(
-        result
-            .rows
-            .iter()
-            .any(|r| r.mutation != MicrorebootMutation::None),
+        result.rows.iter().any(|r| r.mutation != Mutation::None),
         "quick config must carry mutants"
     );
     assert_eq!(cfg.gate(&result), Ok(()), "the campaign's own gate");

@@ -25,6 +25,7 @@ use ft_bench::stage::{assert_thread_invariant, Stage};
 use ft_check::{CheckConfig, Workload};
 use ft_core::protocol::Protocol;
 use ft_crashtest::enumerate_schedule;
+use ft_dc::Mutation;
 use ft_faults::FaultType;
 
 /// Small but real sizes: crash-prone fault types reach `TARGET` before
@@ -212,7 +213,7 @@ fn ablation_is_thread_invariant_and_gates_on_eager_checks_winning() {
 
 /// Two size-one sweeps: the smallest sizing that still has mid-commit
 /// kill points (CAND) and a multi-process workload.
-fn tiny_check(skip_presend_commit: bool) -> CheckStage {
+fn tiny_check(mutation: Mutation) -> CheckStage {
     let sweep = |name, protocol| {
         let w = Workload {
             name,
@@ -220,7 +221,7 @@ fn tiny_check(skip_presend_commit: bool) -> CheckStage {
             size: 1,
         };
         let cfg = CheckConfig {
-            skip_presend_commit,
+            mutation,
             ..CheckConfig::new(protocol)
         };
         (w, cfg)
@@ -236,7 +237,7 @@ fn tiny_check(skip_presend_commit: bool) -> CheckStage {
 
 #[test]
 fn check_is_thread_invariant_and_violation_free() {
-    let stage = tiny_check(false);
+    let stage = tiny_check(Mutation::None);
     let rows = assert_thread_invariant(&stage);
     assert_eq!(stage.gate(&rows), Ok(()));
     assert!(stage
@@ -247,7 +248,7 @@ fn check_is_thread_invariant_and_violation_free() {
 
 #[test]
 fn check_gate_refuses_the_presend_commit_mutant_with_a_replayable_script() {
-    let stage = tiny_check(true);
+    let stage = tiny_check(Mutation::SkipPresendCommit);
     let rows = stage.run(2);
     let err = stage.gate(&rows).unwrap_err();
     // The shrunk script travels in the error text and in the report, and
@@ -261,21 +262,31 @@ fn check_gate_refuses_the_presend_commit_mutant_with_a_replayable_script() {
 }
 
 #[test]
-fn replay_refuses_a_kill_on_a_process_the_workload_lacks() {
+fn replay_refuses_an_entry_on_a_process_the_workload_lacks() {
     // nvi is one process: p3 exists in no schedule of it, whatever the kind.
-    for kill in [
-        "start 3",
-        "position 5 3",
-        "commit 3 0 pre-log",
-        "time 3 1000",
+    for fault in [
+        "kill start 3",
+        "kill position 5 3",
+        "kill commit 3 0 pre-log",
+        "kill time 3 1000",
+        "activate 3 delete-branch 11 3 1",
+        "kernel 3 off-by-one 1000 stop 2",
     ] {
-        let script = format!("workload nvi\nseed 7\nsize 2\nprotocol CPVS\nkill {kill}\n");
+        let script = format!("workload nvi\nseed 7\nsize 2\nprotocol CPVS\n{fault}\n");
         let err = ft_bench::check::replay(&script).unwrap_err();
         assert!(
-            err.contains(&format!("`kill {kill}`")) && err.contains("(it has 1)"),
+            err.contains(&format!("`{fault}`")) && err.contains("(it has 1)"),
             "{err}"
         );
     }
+}
+
+#[test]
+fn replay_refuses_an_activation_in_an_app_with_no_fault_sites() {
+    let script =
+        "workload taskfarm\nseed 7\nsize 1\nprotocol CPVS\nactivate 1 delete-branch 11 3 1\n";
+    let err = ft_bench::check::replay(script).unwrap_err();
+    assert!(err.contains("no fault sites"), "{err}");
 }
 
 /// One clean cell and both seeded mutants, at the analyzer tests' sizes.

@@ -5,7 +5,7 @@ use ft_core::event::ProcessId;
 use ft_core::oracle::InvariantViolation;
 use ft_dc::fingerprint::report_fingerprint;
 use ft_dc::{DcHarness, DcReport};
-use ft_faults::crash::CrashPoint;
+use ft_faults::crash::{CrashPoint, Fault};
 use ft_mem::arena::CommitCrashPoint;
 use ft_sim::runner::run_indexed;
 
@@ -87,7 +87,8 @@ pub fn enumerate_points(canonical: &Canonical) -> Vec<CrashPoint> {
 /// faults is caught).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PointResult {
-    /// The injected kill (`None` for the failure-free pseudo-point).
+    /// The injected kill (`None` for the failure-free pseudo-point, and
+    /// for a schedule [`run_faults`] ran).
     pub point: Option<CrashPoint>,
     /// FNV-1a fingerprint of the resulting report (the dedup key).
     pub fingerprint: u64,
@@ -107,19 +108,30 @@ pub fn run_point(
     canonical: &Canonical,
     point: Option<CrashPoint>,
 ) -> PointResult {
-    let (sim, apps) = w.build(size).into_parts();
-    let mut dc = cfg.dc_config(None);
-    dc.kills.extend(point);
-    let report = DcHarness::new(sim, dc, apps).run();
-    judge(canonical, point, &report)
-}
-
-/// Applies the composed oracles to one recovered run.
-fn judge(canonical: &Canonical, point: Option<CrashPoint>, report: &DcReport) -> PointResult {
-    let verdict = report.judge_against(&canonical.report.trace, &canonical.visibles);
+    let faults = point.map(Fault::Kill);
     PointResult {
         point,
-        fingerprint: report_fingerprint(report),
+        ..run_faults(w, size, cfg, canonical, faults.as_slice())
+    }
+}
+
+/// Re-executes the workload under the fault schedule `faults` and judges
+/// the result against the canonical run with the composed oracles.
+pub fn run_faults(
+    w: &Workload,
+    size: usize,
+    cfg: &CheckConfig,
+    canonical: &Canonical,
+    faults: &[Fault],
+) -> PointResult {
+    let (sim, apps) = w.build(size).into_parts();
+    let mut dc = cfg.dc_config(None);
+    dc.faults.extend_from_slice(faults);
+    let report = DcHarness::new(sim, dc, apps).run();
+    let verdict = report.judge_against(&canonical.report.trace, &canonical.visibles);
+    PointResult {
+        point: None,
+        fingerprint: report_fingerprint(&report),
         duplicates: verdict.as_ref().map_or(0, |v| v.duplicates),
         violation: verdict.err(),
     }

@@ -37,7 +37,7 @@ pub mod scenario;
 pub mod script;
 pub mod shrink;
 
-pub use explore::{explore, explore_points, Canonical, Exploration, PointResult};
+pub use explore::{explore, explore_points, run_faults, Canonical, Exploration, PointResult};
 pub use scenario::{CheckConfig, Workload};
 pub use script::{parse_script, render_script, Replay};
 pub use shrink::{shrink, Counterexample};

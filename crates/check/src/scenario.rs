@@ -9,8 +9,8 @@
 
 use ft_apps::scenarios::{self, Built};
 use ft_core::protocol::Protocol;
-use ft_dc::{CommitKill, DcConfig};
-use ft_faults::crash::CrashPoint;
+use ft_dc::{CommitKill, DcConfig, Mutation};
+use ft_faults::crash::{CrashPoint, Fault};
 
 /// A rebuildable workload: scenario family + seed + size knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,10 +44,10 @@ pub struct CheckConfig {
     /// Worker threads for the sharded exploration (`1` = serial
     /// reference path).
     pub threads: usize,
-    /// **Mutation switch** for the checker's self-test: skip the
-    /// commit-prior-to-send, deliberately breaking Save-work. Must stay
-    /// `false` outside mutation tests.
-    pub skip_presend_commit: bool,
+    /// The seeded runtime defect of the checker's self-test
+    /// ([`Mutation::SkipPresendCommit`] breaks Save-work); must stay
+    /// [`Mutation::None`] outside mutation tests.
+    pub mutation: Mutation,
 }
 
 impl CheckConfig {
@@ -56,7 +56,7 @@ impl CheckConfig {
         CheckConfig {
             protocol,
             threads: 1,
-            skip_presend_commit: false,
+            mutation: Mutation::None,
         }
     }
 
@@ -64,10 +64,11 @@ impl CheckConfig {
     /// `InCommit` schedule entry.
     pub fn dc_config(&self, kill: Option<CommitKill>) -> DcConfig {
         let mut cfg = DcConfig::discount_checking(self.protocol);
-        cfg.kills.extend(
-            kill.map(|CommitKill { pid, nth, point }| CrashPoint::InCommit { pid, nth, point }),
-        );
-        cfg.skip_presend_commit = self.skip_presend_commit;
+        cfg.faults
+            .extend(kill.map(|CommitKill { pid, nth, point }| {
+                Fault::Kill(CrashPoint::InCommit { pid, nth, point })
+            }));
+        cfg.mutation = self.mutation;
         cfg
     }
 }
@@ -95,8 +96,11 @@ mod tests {
         let cfg = CheckConfig::new(Protocol::Cpvs);
         let (pid, nth, point) = (1, 2, CommitCrashPoint::MidUndoWalk);
         let dc = cfg.dc_config(Some(CommitKill { pid, nth, point }));
-        assert_eq!(dc.kills, [CrashPoint::InCommit { pid, nth, point }]);
-        assert!(!dc.skip_presend_commit);
-        assert!(cfg.dc_config(None).kills.is_empty());
+        assert_eq!(
+            dc.faults,
+            [Fault::Kill(CrashPoint::InCommit { pid, nth, point })]
+        );
+        assert_eq!(dc.mutation, Mutation::None);
+        assert!(cfg.dc_config(None).faults.is_empty());
     }
 }

@@ -1,18 +1,20 @@
 //! Replayable counterexample scripts.
 //!
 //! A shrunk counterexample is rendered as a small line-oriented script —
-//! workload, seed, size, protocol, and the kill directive — that
+//! workload, seed, size, protocol, and its fault schedule, one
+//! `ft_faults::Fault` per line (`kill none` for the empty one) — that
 //! `campaign --replay FILE` re-executes. The format round-trips through
 //! [`parse_script`], so the script a failing `BENCH_check.json` carries is
 //! directly runnable, not just human-readable.
 
 use ft_apps::scenarios;
 use ft_core::protocol::Protocol;
-use ft_faults::crash::CrashPoint;
+use ft_dc::Mutation;
+use ft_faults::crash::Fault;
 
 use crate::scenario::{CheckConfig, Workload};
 
-/// A parsed replay script: everything needed to re-run one crash
+/// A parsed replay script: everything needed to re-run one fault
 /// schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Replay {
@@ -20,10 +22,11 @@ pub struct Replay {
     pub workload: Workload,
     /// The protocol under test.
     pub protocol: Protocol,
-    /// The kill to inject (`None` replays the failure-free run).
-    pub point: Option<CrashPoint>,
-    /// Whether the mutation switch was armed (self-test scripts only).
-    pub skip_presend_commit: bool,
+    /// The fault schedule, in script order (empty replays the
+    /// failure-free run).
+    pub faults: Vec<Fault>,
+    /// The seeded runtime defect (self-test scripts only).
+    pub mutation: Mutation,
 }
 
 impl Replay {
@@ -32,7 +35,7 @@ impl Replay {
         CheckConfig {
             protocol: self.protocol,
             threads: 1,
-            skip_presend_commit: self.skip_presend_commit,
+            mutation: self.mutation,
         }
     }
 }
@@ -47,14 +50,14 @@ fn family_by_name(name: &str) -> Option<&'static str> {
     Some(family)
 }
 
-/// Renders a replay script for one crash schedule. `comment` lines (the
+/// Renders a replay script for one fault schedule. `comment` lines (the
 /// violation description) are embedded as `#` comments.
 pub fn render_script(
     w: &Workload,
     size: usize,
     protocol: Protocol,
-    point: Option<CrashPoint>,
-    skip_presend_commit: bool,
+    faults: &[Fault],
+    mutation: Mutation,
     comment: &str,
 ) -> String {
     let mut s = String::from("# ft-check counterexample replay script\n");
@@ -67,12 +70,14 @@ pub fn render_script(
     s.push_str(&format!("seed {}\n", w.seed));
     s.push_str(&format!("size {size}\n"));
     s.push_str(&format!("protocol {}\n", protocol.name()));
-    if skip_presend_commit {
-        s.push_str("mutate skip-presend-commit\n");
+    if mutation != Mutation::None {
+        s.push_str(&format!("mutate {}\n", mutation.name()));
     }
-    match point {
-        None => s.push_str("kill none\n"),
-        Some(point) => s.push_str(&format!("kill {point}\n")),
+    if faults.is_empty() {
+        s.push_str("kill none\n");
+    }
+    for fault in faults {
+        s.push_str(&format!("{fault}\n"));
     }
     s.push_str("expect violation\n");
     s
@@ -85,9 +90,9 @@ pub fn parse_script(text: &str) -> Result<Replay, String> {
     let mut seed: Option<u64> = None;
     let mut size: Option<usize> = None;
     let mut protocol: Option<Protocol> = None;
-    let mut point: Option<CrashPoint> = None;
-    let mut kill_seen = false;
-    let mut skip_presend_commit = false;
+    let mut faults = Vec::new();
+    let mut schedule_seen = false;
+    let mut mutation = Mutation::None;
     for (ln, raw) in text.lines().enumerate() {
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
@@ -114,15 +119,15 @@ pub fn parse_script(text: &str) -> Result<Replay, String> {
                 protocol = Some(protocol_by_name(v).ok_or_else(|| err("unknown protocol"))?);
             }
             "mutate" => match it.next() {
-                Some("skip-presend-commit") => skip_presend_commit = true,
+                Some(m) if m == Mutation::SkipPresendCommit.name() => {
+                    mutation = Mutation::SkipPresendCommit;
+                }
                 _ => return Err(err("unknown mutation")),
             },
-            "kill" => {
-                kill_seen = true;
-                point = match rest.trim() {
-                    "none" => None,
-                    spec => Some(spec.parse().map_err(|e: String| err(&e))?),
-                };
+            "kill" if rest.trim() == "none" => schedule_seen = true,
+            "kill" | "activate" | "kernel" => {
+                schedule_seen = true;
+                faults.push(line.parse().map_err(|e: String| err(&e))?);
             }
             "expect" => {}
             _ => return Err(err("unknown directive")),
@@ -133,14 +138,14 @@ pub fn parse_script(text: &str) -> Result<Replay, String> {
         seed: seed.ok_or("missing `seed` directive")?,
         size: size.ok_or("missing `size` directive")?,
     };
-    if !kill_seen {
-        return Err("missing `kill` directive".into());
+    if !schedule_seen {
+        return Err("missing fault schedule (`kill none` for an empty one)".into());
     }
     Ok(Replay {
         workload,
         protocol: protocol.ok_or("missing `protocol` directive")?,
-        point,
-        skip_presend_commit,
+        faults,
+        mutation,
     })
 }
 
@@ -150,34 +155,52 @@ mod tests {
     use ft_mem::arena::CommitCrashPoint;
 
     #[test]
-    fn scripts_round_trip_every_kill_kind() {
+    fn scripts_round_trip_every_fault_kind() {
+        use ft_faults::{CrashPoint, FaultPlan, FaultType};
         let w = Workload {
             name: "nvi",
             seed: 7,
             size: 3,
         };
-        let points = [
-            None,
-            Some(CrashPoint::AtStart { pid: 0 }),
-            Some(CrashPoint::AtPosition { pid: 1, pos: 9 }),
-            Some(CrashPoint::InCommit {
+        let kills = [
+            CrashPoint::AtStart { pid: 0 },
+            CrashPoint::AtPosition { pid: 1, pos: 9 },
+            CrashPoint::InCommit {
                 pid: 0,
                 nth: 4,
                 point: CommitCrashPoint::PreLog,
-            }),
-            Some(CrashPoint::AtTime {
+            },
+            CrashPoint::AtTime {
                 pid: 2,
                 t: 1_500_000,
-            }),
+            },
         ];
-        for point in points {
-            for mutate in [false, true] {
-                let s = render_script(&w, 3, Protocol::Cpvs, point, mutate, "why it failed");
+        let activate = Fault::Activate {
+            pid: 0,
+            plan: FaultPlan {
+                fault: FaultType::DeleteInstruction,
+                site: 13,
+                trigger_visit: 48,
+                id: 1,
+            },
+        };
+        let kernel = |propagate| Fault::Kernel {
+            pid: 0,
+            fault: FaultType::OffByOne,
+            at: 123_456_789,
+            corrupt_calls: 2,
+            propagate,
+        };
+        let mut schedules = vec![vec![], vec![activate, kernel(false), kernel(true)]];
+        schedules.extend(kills.map(|k| vec![Fault::Kill(k)]));
+        for faults in schedules {
+            for mutation in [Mutation::None, Mutation::SkipPresendCommit] {
+                let s = render_script(&w, 3, Protocol::Cpvs, &faults, mutation, "why it failed");
                 let r = parse_script(&s).expect("rendered script parses");
                 assert_eq!(r.workload, w);
                 assert_eq!(r.protocol, Protocol::Cpvs);
-                assert_eq!(r.point, point);
-                assert_eq!(r.skip_presend_commit, mutate);
+                assert_eq!(r.faults, faults);
+                assert_eq!(r.mutation, mutation);
             }
         }
     }
@@ -188,12 +211,20 @@ mod tests {
         let e = parse_script("workload nvi\nseed 1\nsize 1\nprotocol CPVS\nkill sideways\n")
             .unwrap_err();
         assert!(e.contains("line 5"), "{e}");
-        for (kill, why) in [
-            ("position 1 9 extra", "wrong number of fields"),
-            ("commit 0 4 mid-commit", "unknown sub-step"),
+        for (fault, why) in [
+            ("kill position 1 9 extra", "wrong number of fields"),
+            ("kill commit 0 4 mid-commit", "unknown sub-step"),
+            ("activate 0 heap-bit-flip 6 18", "wrong number of fields"),
+            ("activate 0 heap-flip 6 18 1", "unknown fault type"),
+            ("activate 0 heap-bit-flip -6 18 1", "bad number"),
+            ("activate", "wrong number of fields"),
+            ("kernel 0 off-by-one 1000 stop", "wrong number of fields"),
+            ("kernel 0 off-by-one 1000 linger 2", "`stop` or `propagate`"),
+            ("kernel 0 Off-by-one 1000 stop 2", "unknown fault type"),
+            ("kernel 0 off-by-one 1e9 stop 2", "bad number"),
         ] {
             let e = parse_script(&format!(
-                "workload nvi\nseed 1\nsize 1\nprotocol CPVS\nkill {kill}\n"
+                "workload nvi\nseed 1\nsize 1\nprotocol CPVS\n{fault}\n"
             ))
             .unwrap_err();
             assert!(e.contains("line 5") && e.contains(why), "{e}");

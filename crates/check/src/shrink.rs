@@ -17,7 +17,7 @@
 
 use ft_core::oracle::InvariantViolation;
 use ft_core::protocol::Protocol;
-use ft_faults::crash::CrashPoint;
+use ft_faults::crash::{CrashPoint, Fault};
 
 use crate::explore::{canonical_run, enumerate_points, run_point, Canonical, PointResult};
 use crate::scenario::{CheckConfig, Workload};
@@ -107,15 +107,16 @@ pub fn shrink(w: &Workload, cfg: &CheckConfig) -> Option<Counterexample> {
     let violation = found.violation.clone().expect("shrunk result violates");
     let shrunk = Workload { size, ..*w };
     let comment = match found.point {
-        Some(p) => format!("{violation}\nvia: kill {p}"),
+        Some(p) => format!("{violation}\nvia: {}", Fault::Kill(p)),
         None => format!("{violation}\nvia: the failure-free run (empty fault set)"),
     };
+    let faults = found.point.map(Fault::Kill);
     let script = render_script(
         &shrunk,
         size,
         cfg.protocol,
-        found.point,
-        cfg.skip_presend_commit,
+        faults.as_slice(),
+        cfg.mutation,
         &comment,
     );
     Some(Counterexample {

@@ -10,6 +10,7 @@ use ft_check::explore::{canonical_run, enumerate_points, explore_points, Explora
 use ft_check::scenario::{CheckConfig, Workload};
 use ft_check::{explore, parse_script, shrink};
 use ft_core::protocol::Protocol;
+use ft_faults::Fault;
 
 fn kv(size: usize) -> Workload {
     Workload {
@@ -121,16 +122,16 @@ fn skip_replica_reinstall_mutant_is_found_and_shrunk() {
     let replay = parse_script(&cx.script).expect("script parses");
     assert_eq!(replay.workload, cx.workload);
     assert_eq!(replay.protocol, cx.protocol);
-    assert_eq!(replay.point, cx.point);
+    assert_eq!(replay.faults, Vec::from_iter(cx.point.map(Fault::Kill)));
     // …and re-running the parsed schedule reproduces the violation.
     let rcfg = replay.check_config();
     let canonical = canonical_run(&replay.workload, replay.workload.size, &rcfg);
-    let r = ft_check::explore::run_point(
+    let r = ft_check::explore::run_faults(
         &replay.workload,
         replay.workload.size,
         &rcfg,
         &canonical,
-        replay.point,
+        &replay.faults,
     );
     assert_eq!(
         r.violation.as_ref(),

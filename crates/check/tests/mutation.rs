@@ -13,6 +13,8 @@ use ft_check::scenario::{CheckConfig, Workload};
 use ft_check::{explore, parse_script, shrink};
 use ft_core::oracle::InvariantViolation;
 use ft_core::protocol::Protocol;
+use ft_dc::Mutation;
+use ft_faults::Fault;
 
 fn mutated() -> (Workload, CheckConfig) {
     let w = Workload {
@@ -21,7 +23,7 @@ fn mutated() -> (Workload, CheckConfig) {
         size: 3,
     };
     let mut cfg = CheckConfig::new(Protocol::Cpvs);
-    cfg.skip_presend_commit = true;
+    cfg.mutation = Mutation::SkipPresendCommit;
     (w, cfg)
 }
 
@@ -57,17 +59,17 @@ fn the_violation_shrinks_to_a_minimal_replayable_counterexample() {
     let replay = parse_script(&cx.script).expect("script parses");
     assert_eq!(replay.workload, cx.workload);
     assert_eq!(replay.protocol, cx.protocol);
-    assert_eq!(replay.point, cx.point);
-    assert!(replay.skip_presend_commit);
+    assert_eq!(replay.faults, Vec::from_iter(cx.point.map(Fault::Kill)));
+    assert_eq!(replay.mutation, Mutation::SkipPresendCommit);
     // …and re-running the parsed schedule reproduces the violation.
     let rcfg = replay.check_config();
     let canonical = ft_check::explore::canonical_run(&replay.workload, replay.workload.size, &rcfg);
-    let r = ft_check::explore::run_point(
+    let r = ft_check::explore::run_faults(
         &replay.workload,
         replay.workload.size,
         &rcfg,
         &canonical,
-        replay.point,
+        &replay.faults,
     );
     assert_eq!(
         r.violation.as_ref(),
@@ -79,7 +81,7 @@ fn the_violation_shrinks_to_a_minimal_replayable_counterexample() {
 #[test]
 fn unmutated_control_stays_clean() {
     let (w, mut cfg) = mutated();
-    cfg.skip_presend_commit = false;
+    cfg.mutation = Mutation::None;
     let ex = explore(&w, &cfg);
     assert!(
         ex.violations().is_empty(),

@@ -18,7 +18,9 @@
 //!   Save-work/Lose-work conflict arithmetic ([`losework`]);
 //! * the seven **recovery protocols** of §2.4/§3 as pure commit-decision
 //!   planners ([`protocol`]), and the **protocol space** of Figures 3/4
-//!   ([`space`]).
+//!   ([`space`]);
+//! * the §4 **application fault model** as data — the seven fault types of
+//!   Table 1 and an armed fault plan ([`fault`]).
 //!
 //! Everything here is pure and simulation-agnostic; the substrate crates
 //! (`ft-sim`, `ft-mem`, `ft-dc`, …) execute real workloads against these
@@ -56,6 +58,7 @@ pub mod avail;
 pub mod clock;
 pub mod consistency;
 pub mod event;
+pub mod fault;
 pub mod graph;
 pub mod losework;
 pub mod oracle;

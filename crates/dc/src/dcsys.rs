@@ -20,7 +20,7 @@ use ft_sim::sim::SysCtx;
 use ft_sim::syscalls::{Message, SysMem, SysResult, Syscalls};
 
 use crate::runtime::DcRuntime;
-use crate::state::{PendingNd, ProcState};
+use crate::state::{Mutation, PendingNd, ProcState};
 
 /// The checkpointing syscall wrapper for one step of one process.
 pub struct DcSys<'a, 'b> {
@@ -105,7 +105,7 @@ impl<'a, 'b> DcSys<'a, 'b> {
 
     /// The rule for every other intercepted syscall: the planner's commit
     /// before `event` (local, coordinated, or — for a send under the
-    /// `skip_presend_commit` mutation — suppressed), then `raw`, then the
+    /// `SkipPresendCommit` mutation — suppressed), then `raw`, then the
     /// planner's commit after it. As in [`DcSys::nd`], only `raw` runs
     /// once the step has been killed.
     fn around<R>(
@@ -119,7 +119,8 @@ impl<'a, 'b> DcSys<'a, 'b> {
         let pid = self.ctx.pid();
         let d = self.rt.state_mut(pid).planner.decide(event);
         debug_assert!(!d.log, "only nd events are logged");
-        let skipped = event == InterceptedEvent::Send && self.rt.cfg().skip_presend_commit;
+        let skipped = event == InterceptedEvent::Send
+            && self.rt.cfg().mutation == Mutation::SkipPresendCommit;
         match d.before {
             CommitScope::Local if !skipped => self.rt.local_commit(self.ctx, None),
             CommitScope::Coordinated => self.rt.coordinated_commit(self.ctx),

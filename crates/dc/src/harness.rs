@@ -6,7 +6,7 @@ use ft_core::avail::Incident;
 use ft_core::event::ProcessId;
 use ft_core::oracle::{check_recovery, InvariantViolation, OracleVerdict};
 use ft_core::trace::Trace;
-use ft_faults::crash::CrashPoint;
+use ft_faults::crash::{CrashPoint, Fault, PANIC_DELAY_NS};
 use ft_mem::arena::ArenaStats;
 use ft_mem::cost::COW_TRAP_NS;
 use ft_mem::mem::Mem;
@@ -133,8 +133,38 @@ pub struct DcHarness {
 }
 
 impl DcHarness {
-    /// Builds a harness over a pre-configured simulator.
-    pub fn new(sim: Simulator, cfg: DcConfig, apps: Vec<Box<dyn App>>) -> Self {
+    /// Builds a harness over a pre-configured simulator, arming the fault
+    /// schedule's activations and kernel faults before the runtime takes
+    /// the initial snapshots (which therefore hold an armed corruption).
+    /// Panics if an activation names an application with no fault sites.
+    pub fn new(mut sim: Simulator, cfg: DcConfig, mut apps: Vec<Box<dyn App>>) -> Self {
+        for fault in &cfg.faults {
+            match *fault {
+                Fault::Kill(_) => {}
+                Fault::Activate { pid, plan } => {
+                    let seed = sim.seed();
+                    assert!(
+                        apps[ProcessId(pid).index()].arm_fault(plan, seed),
+                        "`{fault}`: process {pid}'s application has no fault sites"
+                    );
+                }
+                Fault::Kernel {
+                    pid,
+                    at,
+                    corrupt_calls,
+                    propagate,
+                    ..
+                } => {
+                    let pid = ProcessId(pid);
+                    if propagate {
+                        sim.kernel_of_mut(pid).arm_corruption(at, corrupt_calls);
+                        sim.kill_at(pid, at + PANIC_DELAY_NS);
+                    } else {
+                        sim.kill_at(pid, at);
+                    }
+                }
+            }
+        }
         let mems: Vec<Mem> = apps.iter().map(|a| Mem::new(a.layout())).collect();
         let rt = DcRuntime::new(cfg, &sim, mems);
         let n = apps.len();
@@ -292,8 +322,8 @@ impl DcHarness {
     }
 
     /// Runs to completion (or deadlock / abandonment), recovering failed
-    /// processes automatically and executing the kill schedule
-    /// [`DcConfig::kills`].
+    /// processes automatically and firing the kills of the fault schedule
+    /// [`DcConfig::faults`].
     pub fn run(self) -> DcReport {
         self.run_with(|_| {})
     }
@@ -301,17 +331,19 @@ impl DcHarness {
     /// Like [`DcHarness::run`], but calls `on_step` with the simulator
     /// after each wake-up has been handled, including any kill the
     /// schedule fired there. Meant as an observer (queue counters,
-    /// positions): kills belong in [`DcConfig::kills`], and a `kill_at`
+    /// positions): kills belong in [`DcConfig::faults`], and a `kill_at`
     /// the hook schedules itself is outside the schedule.
     pub fn run_with(mut self, mut on_step: impl FnMut(&mut Simulator)) -> DcReport {
         // Start kills go in before the first wake; position and time kills
         // wait, in schedule order, until they fall due.
         let mut watched = Vec::new();
-        for &kill in &self.rt.cfg().kills {
-            match kill {
-                CrashPoint::AtStart { pid } => self.sim.kill_at(ProcessId(pid), 0),
-                CrashPoint::AtPosition { .. } | CrashPoint::AtTime { .. } => watched.push(kill),
-                CrashPoint::InCommit { .. } => {}
+        for fault in &self.rt.cfg().faults {
+            match *fault {
+                Fault::Kill(CrashPoint::AtStart { pid }) => self.sim.kill_at(ProcessId(pid), 0),
+                Fault::Kill(kill @ (CrashPoint::AtPosition { .. } | CrashPoint::AtTime { .. })) => {
+                    watched.push(kill);
+                }
+                _ => {}
             }
         }
         let mut guard = 0u64;
@@ -378,13 +410,13 @@ impl DcHarness {
 fn fire_due(sim: &mut Simulator, watched: &mut Vec<CrashPoint>) {
     let now = sim.now();
     watched.retain(|&kill| {
-        let due = match kill {
-            CrashPoint::AtPosition { pid, pos } => sim.trace_position(ProcessId(pid)) >= pos,
-            CrashPoint::AtTime { t, .. } => now >= t,
-            CrashPoint::AtStart { .. } | CrashPoint::InCommit { .. } => false,
+        let (pid, due) = match kill {
+            CrashPoint::AtPosition { pid, pos } => (pid, sim.trace_position(ProcessId(pid)) >= pos),
+            CrashPoint::AtTime { pid, t } => (pid, now >= t),
+            CrashPoint::AtStart { .. } | CrashPoint::InCommit { .. } => return true,
         };
         if due {
-            sim.kill_at(ProcessId(kill.pid()), now);
+            sim.kill_at(ProcessId(pid), now);
         }
         !due
     });

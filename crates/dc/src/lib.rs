@@ -44,6 +44,6 @@ pub mod state;
 
 pub use dcsys::DcSys;
 pub use harness::{DcHarness, DcReport};
-pub use recovery::{plan_recovery, MicrorebootMutation, RecoveryAction, Strategy};
+pub use recovery::{plan_recovery, RecoveryAction, Strategy};
 pub use runtime::DcRuntime;
-pub use state::{CommitKill, DcConfig, DcStats, PendingNd};
+pub use state::{CommitKill, DcConfig, DcStats, Mutation, PendingNd};

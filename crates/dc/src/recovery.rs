@@ -45,24 +45,6 @@ impl Strategy {
     }
 }
 
-/// Seeded microreboot defects for the campaign's oracle self-test.
-///
-/// Like `DcConfig::skip_presend_commit`, these are test-only mutation
-/// switches: they exist so the availability campaign can *prove* that
-/// `ft_core::oracle::check_recovery` flags an unsound partial restart,
-/// rather than asserting soundness it never exercises.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum MicrorebootMutation {
-    /// No mutation (production behavior).
-    #[default]
-    None,
-    /// The partial restore "forgets" the committed-page re-install pass
-    /// (`Arena::rollback_skipping` skipping every image), so the
-    /// component resumes with its crashed memory contents under rewound
-    /// cursors — the unsound restart the oracle must flag.
-    SkipPageReinstall,
-}
-
 /// The ladder's decision for the next recovery attempt of an incident.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryAction {
@@ -148,6 +130,5 @@ mod tests {
         assert_eq!(Strategy::FullRollback.name(), "full-rollback");
         assert_eq!(Strategy::Microreboot.name(), "microreboot");
         assert_eq!(Strategy::default(), Strategy::FullRollback);
-        assert_eq!(MicrorebootMutation::default(), MicrorebootMutation::None);
     }
 }

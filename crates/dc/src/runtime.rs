@@ -2,15 +2,14 @@
 
 use ft_core::event::ProcessId;
 use ft_core::protocol::{coordinated_participants, CommitPlanner, Protocol};
-use ft_faults::crash::CrashPoint;
+use ft_faults::crash::{CrashPoint, Fault};
 use ft_mem::arena::CommitCrashPoint;
 use ft_sim::cost::SimTime;
 use ft_sim::sim::{Simulator, SysCtx};
 use ft_sim::syscalls::Syscalls;
 
-use crate::recovery::MicrorebootMutation;
 use crate::state::{
-    bump_count, decode_alloc, encode_alloc_into, DcConfig, DcStats, PendingNd, ProcState,
+    bump_count, decode_alloc, encode_alloc_into, DcConfig, DcStats, Mutation, PendingNd, ProcState,
 };
 
 /// The Discount Checking runtime for one computation: per-process state
@@ -22,7 +21,7 @@ pub struct DcRuntime {
     /// Commit points each process has reached as the committing (or
     /// coordinating) process, across the whole run including
     /// re-execution. Monotonic — never rolled back — so an `InCommit` entry
-    /// of the kill schedule fires at most once, and the model
+    /// of the fault schedule fires at most once, and the model
     /// checker can enumerate a canonical run's kill points from the final
     /// counts.
     commit_points: Vec<u64>,
@@ -54,12 +53,14 @@ impl DcRuntime {
     }
 
     /// Counts a commit point for `pid` and reports where the kill
-    /// schedule's first `InCommit` entry naming it tears it, if any.
+    /// schedule's first `InCommit` kill naming it tears it, if any.
     fn check_commit_kill(&mut self, pid: ProcessId) -> Option<CommitCrashPoint> {
         let n = self.commit_points[pid.index()];
         self.commit_points[pid.index()] += 1;
-        self.cfg.kills.iter().find_map(|kill| match *kill {
-            CrashPoint::InCommit { pid: p, nth, point } if p == pid.0 && nth == n => Some(point),
+        self.cfg.faults.iter().find_map(|fault| match *fault {
+            Fault::Kill(CrashPoint::InCommit { pid: p, nth, point }) if p == pid.0 && nth == n => {
+                Some(point)
+            }
             _ => None,
         })
     }
@@ -377,12 +378,12 @@ impl DcRuntime {
     /// regenerable from its last commit (which the Save-work protocols
     /// arrange for the events peers could have seen); the campaign's
     /// oracle adjudicates every incident either way. The
-    /// [`MicrorebootMutation::SkipPageReinstall`] switch makes the
+    /// [`Mutation::SkipPageReinstall`] switch makes the
     /// restore itself unsound by leaving every page at its crashed
     /// contents while the cursors rewind.
     pub fn microreboot(&mut self, pid: ProcessId, sim: &mut Simulator) {
-        let skip_pages = match self.cfg.microreboot_mutation {
-            MicrorebootMutation::SkipPageReinstall => usize::MAX,
+        let skip_pages = match self.cfg.mutation {
+            Mutation::SkipPageReinstall => usize::MAX,
             _ => 0,
         };
         self.restore(pid, sim, skip_pages);

@@ -3,10 +3,10 @@
 
 use ft_core::protocol::{CommitPlanner, DepTracker, Protocol};
 use ft_faults::arrivals::EscalationPolicy;
-use ft_faults::crash::CrashPoint;
+use ft_faults::crash::Fault;
 use ft_mem::arena::CommitCrashPoint;
 
-use crate::recovery::{MicrorebootMutation, Strategy};
+use crate::recovery::Strategy;
 use ft_mem::cost::Medium;
 use ft_mem::mem::Mem;
 use ft_sim::cost::SimTime;
@@ -14,8 +14,8 @@ use ft_sim::kernel::KernelSnapshot;
 use ft_sim::syscalls::{Message, SysResult};
 
 /// A mid-commit kill spelled as its own type: the fields of
-/// [`CrashPoint::InCommit`], which is how in-repo code writes it (an entry
-/// of [`DcConfig::kills`]). A benchmark-only shim: the frozen `benchmark/`
+/// `CrashPoint::InCommit`, which is how in-repo code writes it (an entry
+/// of [`DcConfig::faults`]). A benchmark-only shim: the frozen `benchmark/`
 /// names it, next to `ft_bench`'s two re-exports, and it goes with them
 /// (ROADMAP 7(d)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,6 +29,33 @@ pub struct CommitKill {
     pub nth: u64,
     /// Where inside the commit the crash lands.
     pub point: CommitCrashPoint,
+}
+
+/// A seeded runtime defect, by which the checker's and the availability
+/// campaign's self-tests prove their oracles flag a real bug.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Mutation {
+    /// No mutation (production behavior).
+    #[default]
+    None,
+    /// Skip the protocol's commit before a send, breaking Save-work under
+    /// the commit-prior-to-send protocols (CPVS, CBNDVS, …).
+    SkipPresendCommit,
+    /// The microreboot's partial restore skips the committed-page
+    /// re-install (`Arena::rollback_skipping` skipping every image), so the
+    /// component resumes with its crashed memory under rewound cursors.
+    SkipPageReinstall,
+}
+
+impl Mutation {
+    /// Report and replay-script name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Mutation::None => "none",
+            Mutation::SkipPresendCommit => "skip-presend-commit",
+            Mutation::SkipPageReinstall => "skip-page-reinstall",
+        }
+    }
 }
 
 /// Discount Checking configuration.
@@ -45,30 +72,24 @@ pub struct DcConfig {
     /// Give up recovering a process after this many attempts (a run that
     /// violates Lose-work re-crashes forever).
     pub max_recoveries: u32,
-    /// The kill schedule, fired in list order, each entry at most once:
-    /// [`crate::DcHarness`] issues `AtStart` entries before the first wake
-    /// and `AtPosition`/`AtTime` ones at the wake where they fall due (at
-    /// its `now`), and `InCommit` entries tear the named commit point. A
-    /// kill on a finished process is dropped. Empty by default, which
-    /// costs one emptiness check per wake and per commit point.
-    pub kills: Vec<CrashPoint>,
-    /// **Test-only mutation switch** for the checker's self-test: when
-    /// set, the protocol's commit *before a send* is skipped, deliberately
-    /// breaking the Save-work invariant for the commit-prior-to-send
-    /// protocols (CPVS, CBNDVS, …). Never set outside tests; exists so the
-    /// mutation self-test can prove `ft-check` detects and shrinks a real
-    /// violation.
-    pub skip_presend_commit: bool,
+    /// The fault schedule. [`crate::DcHarness`] arms its `Activate` and
+    /// `Kernel` entries when it is built, before the initial snapshots,
+    /// and fires its kills in list order, each at most once:
+    /// `AtStart` before the first wake, `AtPosition`/`AtTime` at the wake
+    /// where they fall due (at its `now`), and `InCommit` entries tear the
+    /// named commit point. A kill on a finished process is dropped. Empty
+    /// by default, which costs one emptiness check per wake and per commit
+    /// point.
+    pub faults: Vec<Fault>,
     /// How failures are recovered: the paper's full rollback (default) or
     /// component-level microreboot with the escalation ladder.
     pub strategy: Strategy,
     /// The microreboot retry/backoff ladder (ignored under
     /// [`Strategy::FullRollback`]).
     pub escalation: EscalationPolicy,
-    /// **Test-only mutation switch** seeding a microreboot defect for the
-    /// availability campaign's oracle self-test (see
-    /// [`MicrorebootMutation`]). Never set outside tests and campaigns.
-    pub microreboot_mutation: MicrorebootMutation,
+    /// A seeded runtime defect for the oracles' self-tests; never set
+    /// outside tests and the campaigns' mutant cells.
+    pub mutation: Mutation,
 }
 
 impl DcConfig {
@@ -79,11 +100,10 @@ impl DcConfig {
             medium: Medium::discount_checking(),
             reboot_delay_ns: 50 * ft_sim::MS,
             max_recoveries: 3,
-            kills: Vec::new(),
-            skip_presend_commit: false,
+            faults: Vec::new(),
             strategy: Strategy::FullRollback,
             escalation: EscalationPolicy::default(),
-            microreboot_mutation: MicrorebootMutation::None,
+            mutation: Mutation::None,
         }
     }
 

@@ -11,10 +11,11 @@
 use ft_core::event::ProcessId;
 use ft_core::protocol::Protocol;
 use ft_dc::harness::{DcHarness, DcReport};
-use ft_dc::recovery::{MicrorebootMutation, Strategy};
+use ft_dc::recovery::Strategy;
 use ft_dc::state::DcConfig;
+use ft_dc::Mutation;
 use ft_faults::arrivals::EscalationPolicy;
-use ft_faults::crash::CrashPoint;
+use ft_faults::crash::{CrashPoint, Fault};
 use ft_mem::error::MemResult;
 use ft_mem::mem::ArenaCell;
 use ft_sim::script::InputScript;
@@ -71,11 +72,11 @@ fn run(n: usize, seed: u64, cfg: DcConfig, kills: &[u64]) -> DcReport {
     DcHarness::new(sim, cfg, vec![Box::new(CountEcho)]).run()
 }
 
-fn cfg_with(strategy: Strategy, mutation: MicrorebootMutation) -> DcConfig {
+fn cfg_with(strategy: Strategy, mutation: Mutation) -> DcConfig {
     let mut cfg = DcConfig::discount_checking(Protocol::Cpvs);
     cfg.strategy = strategy;
     cfg.escalation = EscalationPolicy::default();
-    cfg.microreboot_mutation = mutation;
+    cfg.mutation = mutation;
     // Room for a full ladder (3 attempts) plus the escalated rollback.
     cfg.max_recoveries = 16;
     cfg
@@ -86,9 +87,9 @@ fn never_sticks_walks_the_exact_ladder_then_escalates() {
     // A component that never sticks: killed at trace position 10, then at
     // 12, 14 and 16, which each partial restart reaches before it has
     // caught up, so every kill folds into the one open incident.
-    let mut cfg = cfg_with(Strategy::Microreboot, MicrorebootMutation::None);
-    cfg.kills = [10, 12, 14, 16]
-        .map(|pos| CrashPoint::AtPosition { pid: 0, pos })
+    let mut cfg = cfg_with(Strategy::Microreboot, Mutation::None);
+    cfg.faults = [10, 12, 14, 16]
+        .map(|pos| Fault::Kill(CrashPoint::AtPosition { pid: 0, pos }))
         .to_vec();
     let report = run(10, 11, cfg, &[]);
     // The ladder is exhausted, the incident escalates to a full rollback,
@@ -117,12 +118,7 @@ fn never_sticks_walks_the_exact_ladder_then_escalates() {
 #[test]
 fn microreboot_recovers_faster_than_full_rollback() {
     let mttr = |strategy| {
-        let report = run(
-            10,
-            11,
-            cfg_with(strategy, MicrorebootMutation::None),
-            &[333 * MS],
-        );
+        let report = run(10, 11, cfg_with(strategy, Mutation::None), &[333 * MS]);
         assert!(report.all_done, "{strategy:?} did not recover");
         assert_eq!(report.incidents.len(), 1);
         report.incidents[0].mttr_ns().expect("incident must close")
@@ -150,7 +146,7 @@ fn honest_microreboot_passes_the_oracle_at_every_kill_time() {
     let canon = run(
         10,
         11,
-        cfg_with(Strategy::FullRollback, MicrorebootMutation::None),
+        cfg_with(Strategy::FullRollback, Mutation::None),
         &[],
     );
     assert!(canon.all_done);
@@ -159,7 +155,7 @@ fn honest_microreboot_passes_the_oracle_at_every_kill_time() {
         let report = run(
             10,
             11,
-            cfg_with(Strategy::Microreboot, MicrorebootMutation::None),
+            cfg_with(Strategy::Microreboot, Mutation::None),
             &[kill_at],
         );
         assert!(report.all_done, "kill@{kill_at} did not complete");
@@ -177,7 +173,7 @@ fn skipped_page_reinstall_is_flagged_by_the_oracle() {
     let canon = run(
         10,
         11,
-        cfg_with(Strategy::FullRollback, MicrorebootMutation::None),
+        cfg_with(Strategy::FullRollback, Mutation::None),
         &[],
     );
     let reference = canon.visible_pairs();
@@ -186,10 +182,7 @@ fn skipped_page_reinstall_is_flagged_by_the_oracle() {
         let report = run(
             10,
             11,
-            cfg_with(
-                Strategy::Microreboot,
-                MicrorebootMutation::SkipPageReinstall,
-            ),
+            cfg_with(Strategy::Microreboot, Mutation::SkipPageReinstall),
             &[kill_at],
         );
         if report.judge_against(&canon.trace, &reference).is_err() {

@@ -17,10 +17,10 @@ use ft_core::protocol::Protocol;
 use ft_core::savework::check_save_work;
 use ft_dc::harness::{DcHarness, DcReport};
 use ft_dc::state::DcConfig;
-use ft_faults::NetFaultSpec;
 use ft_mem::error::MemResult;
 use ft_mem::mem::ArenaCell;
 use ft_sim::harness::run_plain_on;
+use ft_sim::net::{NetFaultPlan, Partition};
 use ft_sim::rng::SplitMix64;
 use ft_sim::sim::{SimConfig, Simulator};
 use ft_sim::syscalls::{App, AppStatus, SysMem, WaitCond};
@@ -140,7 +140,7 @@ fn assert_saves_work(report: &DcReport, what: &str) {
 
 /// The headline acceptance matrix: every protocol × loss rates
 /// {1%, 5%, 10%} (each with light duplication and a reordering window,
-/// via [`NetFaultSpec::lossy`]) × a randomized mid-run kill, each run
+/// via [`NetFaultPlan::lossy`]) × a randomized mid-run kill, each run
 /// under a distinct fabric seed. 21 runs in all.
 #[test]
 fn all_protocols_mask_random_network_faults_with_mid_round_kills() {
@@ -153,7 +153,7 @@ fn all_protocols_mask_random_network_faults_with_mid_round_kills() {
         for rate in [0.01, 0.05, 0.10] {
             fabric_seed += 1;
             let mut sim = sim();
-            NetFaultSpec::lossy(fabric_seed, rate).install(&mut sim);
+            sim.install_net_fault_plan(NetFaultPlan::lossy(fabric_seed, rate));
             // Kill a random process somewhere inside the run. Loss only
             // lengthens the run, so a fraction of the plain span always
             // lands mid-flight.
@@ -187,7 +187,7 @@ fn failure_free_lossy_runs_emit_exactly_the_reference_output() {
     let mut total_drops = 0;
     for (i, protocol) in Protocol::FIGURE8.into_iter().enumerate() {
         let mut sim = sim();
-        NetFaultSpec::lossy(0xFEED + i as u64, 0.05).install(&mut sim);
+        sim.install_net_fault_plan(NetFaultPlan::lossy(0xFEED + i as u64, 0.05));
         let report = DcHarness::new(sim, DcConfig::discount_checking(protocol), apps()).run();
         assert_saves_work(&report, &protocol.to_string());
         assert_eq!(report.visible_tokens(), reference, "{protocol}");
@@ -205,10 +205,19 @@ fn one_way_partition_degrades_2pc_rounds_without_deadlock() {
     let (reference, _) = reference();
     for protocol in [Protocol::Cpv2pc, Protocol::Cbndv2pc] {
         let mut sim = sim();
-        NetFaultSpec::new(0x9A27)
-            .one_way_partition(ProcessId(1), ProcessId(0), MS, 6 * MS)
-            .retransmit(200 * US, MS, 3)
-            .install(&mut sim);
+        sim.install_net_fault_plan(NetFaultPlan {
+            seed: 0x9A27,
+            partitions: vec![Partition {
+                from: 1,
+                to: 0,
+                start: MS,
+                end: 6 * MS,
+            }],
+            rto_ns: 200 * US,
+            max_backoff_ns: MS,
+            max_retries: 3,
+            ..NetFaultPlan::default()
+        });
         let report = DcHarness::new(sim, DcConfig::discount_checking(protocol), apps()).run();
         assert_saves_work(&report, &protocol.to_string());
         assert_eq!(report.visible_tokens(), reference, "{protocol}");
@@ -242,7 +251,7 @@ fn identical_seed_and_plan_reproduce_the_exact_trace() {
     }
     let run = |fabric: u64| {
         let mut sim = sim();
-        NetFaultSpec::lossy(fabric, 0.08).install(&mut sim);
+        sim.install_net_fault_plan(NetFaultPlan::lossy(fabric, 0.08));
         sim.kill_at(ProcessId(1), 2 * MS);
         DcHarness::new(sim, DcConfig::discount_checking(Protocol::Cbndvs), apps()).run()
     };

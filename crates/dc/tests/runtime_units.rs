@@ -1,6 +1,7 @@
 //! Focused runtime tests: committed-snapshot contents, kernel
-//! reconstruction, pending-nd capture, file-state recovery, and how the
-//! harness executes a kill schedule of several entries.
+//! reconstruction, pending-nd capture, file-state recovery, how the
+//! harness executes a kill schedule of several entries, and where it arms
+//! a kernel fault.
 
 #![allow(
     clippy::cast_possible_truncation,
@@ -13,7 +14,7 @@ use ft_core::protocol::Protocol;
 use ft_dc::fingerprint::report_fingerprint;
 use ft_dc::harness::{DcHarness, DcReport};
 use ft_dc::state::DcConfig;
-use ft_faults::crash::CrashPoint;
+use ft_faults::crash::{CrashPoint, Fault};
 use ft_mem::error::MemResult;
 use ft_mem::mem::ArenaCell;
 use ft_sim::harness::run_plain_on;
@@ -204,11 +205,11 @@ fn a_mid_commit_kill_ends_the_steps_commits() {
         let mut sim = Simulator::new(SimConfig::single_node(1, 1));
         let mut cfg = DcConfig::discount_checking(Protocol::CommitAll);
         let pid = ProcessId(0);
-        cfg.kills = vec![CrashPoint::InCommit {
+        cfg.faults = vec![Fault::Kill(CrashPoint::InCommit {
             pid: pid.0,
             nth: 0,
             point,
-        }];
+        })];
         let mut rt = DcRuntime::new(cfg, &sim, vec![Mem::new(Layout::small())]);
         let mut ctx = sim.ctx(pid);
 
@@ -254,7 +255,7 @@ fn run_pair(n0: usize, n1: usize, kills: &[CrashPoint]) -> DcReport {
     sim.set_input_script(ProcessId(0), keys(n0));
     sim.set_input_script(ProcessId(1), keys(n1));
     let mut cfg = DcConfig::discount_checking(Protocol::Cpvs);
-    cfg.kills = kills.to_vec();
+    cfg.faults = kills.iter().copied().map(Fault::Kill).collect();
     DcHarness::new(sim, cfg, vec![Box::new(FileEcho), Box::new(FileEcho)]).run()
 }
 
@@ -368,4 +369,31 @@ fn a_mixed_commit_and_position_schedule_fires_both() {
     assert_recovered(&report, &reference);
     assert_eq!(crashes(&report), [0, 0]);
     assert_eq!(report.totals.recoveries, 2);
+}
+
+#[test]
+fn a_kernel_fault_is_armed_inside_the_initial_snapshot() {
+    // The harness arms a kernel entry before the runtime snapshots each
+    // process, so the initial commit — what a rollback to it restores —
+    // holds the armed corruption, as when the fault was armed on the
+    // simulator before the harness existed. The rollback's reboot then
+    // clears it on the live kernel.
+    let mut sim = Simulator::new(SimConfig::single_node(1, 3));
+    sim.set_input_script(ProcessId(0), keys(4));
+    let mut cfg = DcConfig::discount_checking(Protocol::Cpvs);
+    cfg.faults.push(Fault::Kernel {
+        pid: 0,
+        fault: ft_faults::FaultType::DeleteBranch,
+        at: 2 * MS,
+        corrupt_calls: 3,
+        propagate: true,
+    });
+    let mut h = DcHarness::new(sim, cfg, vec![Box::new(FileEcho)]);
+    let pid = ProcessId(0);
+    assert!(h.sim.kernel_of(pid).corrupting());
+    let mut restored = ft_sim::Kernel::new(8, 1000, 0);
+    restored.restore(&h.rt.state(pid).committed.kernel);
+    assert!(restored.corrupting(), "the initial snapshot lost the fault");
+    assert_eq!(h.rt.recover(pid, &mut h.sim), [pid]);
+    assert!(!h.sim.kernel_of(pid).corrupting());
 }

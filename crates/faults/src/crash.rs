@@ -1,15 +1,18 @@
-//! Crash points: the entries of a kill schedule.
+//! The fault schedule's entries and their one text grammar.
 //!
-//! A [`CrashPoint`] names one kill in an otherwise deterministic run. A
-//! kill schedule is an ordered list of them, `ft_dc::DcConfig::kills`,
-//! and `ft_dc::DcHarness` is its one executor; the enum is pure data, so
-//! schedules can be enumerated and rendered into replay scripts without
-//! touching the simulator. Its one text form ([`Display`](std::fmt::Display)
-//! and [`FromStr`]) is the replay-script grammar: `start P`,
-//! `position P N`, `commit P N SUB`, `time P T`.
+//! A run's injected failures are one ordered list, `ft_dc::DcConfig::faults`,
+//! which `ft_dc::DcHarness` alone arms and fires. Each entry is a [`Fault`]
+//! — a kill ([`CrashPoint`]), an application-fault activation or a kernel
+//! fault (§4.2) — and pure data, so schedules can be enumerated and
+//! rendered into replay scripts. `Fault`'s `Display`/[`FromStr`] is the
+//! replay-script grammar, one line per entry: `kill start P`,
+//! `kill position P N`, `kill commit P N SUB`, `kill time P T`,
+//! `activate P FAULT SITE VISIT ID` and `kernel P FAULT T stop|propagate N`,
+//! `FAULT` being a [`FaultType`] name in lower case with `-` for spaces.
 
 use std::str::FromStr;
 
+use ft_core::fault::{FaultPlan, FaultType};
 use ft_mem::arena::CommitCrashPoint;
 
 /// One kill in a schedule.
@@ -54,60 +57,167 @@ pub enum CrashPoint {
     },
 }
 
-impl CrashPoint {
-    /// The process this point kills.
+fn num<T: FromStr>(v: &str) -> Result<T, String> {
+    v.parse().map_err(|_| format!("bad number {v:?}"))
+}
+
+/// How long a propagating kernel fault lingers before the node dies. Only
+/// syscalls the application issues inside this window can catch a
+/// corrupted result — so the propagation *reach* scales with the
+/// application's syscall rate, the paper's hypothesized mechanism for the
+/// nvi/postgres difference (§4.2).
+pub const PANIC_DELAY_NS: u64 = 20_000_000;
+
+/// One entry of a fault schedule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fault {
+    /// Kill a process at a [`CrashPoint`].
+    Kill(CrashPoint),
+    /// Arm the one-shot application fault `plan` in process `pid` before
+    /// the run (Table 1).
+    Activate {
+        /// The process whose application carries the fault.
+        pid: u32,
+        /// The fault, its site and its trigger visit.
+        plan: FaultPlan,
+    },
+    /// A kernel fault under process `pid` at simulated time `at` (§4.2,
+    /// Table 2). A stop failure kills the node exactly at `at`; a
+    /// propagating one corrupts the results of the next `corrupt_calls`
+    /// syscalls from `at` and kills the node [`PANIC_DELAY_NS`] later.
+    Kernel {
+        /// The process whose node's kernel is faulted.
+        pid: u32,
+        /// The fault type (the paper reuses the application taxonomy).
+        fault: FaultType,
+        /// Injection time (ns).
+        at: u64,
+        /// Syscall results corrupted before the panic, when it propagates.
+        corrupt_calls: u32,
+        /// Whether the fault propagates (the campaign's draw).
+        propagate: bool,
+    },
+}
+
+impl Fault {
+    /// The process this entry targets.
     pub fn pid(&self) -> u32 {
         match *self {
-            CrashPoint::AtStart { pid }
-            | CrashPoint::AtPosition { pid, .. }
-            | CrashPoint::InCommit { pid, .. }
-            | CrashPoint::AtTime { pid, .. } => pid,
+            Fault::Kill(
+                CrashPoint::AtStart { pid }
+                | CrashPoint::AtPosition { pid, .. }
+                | CrashPoint::InCommit { pid, .. }
+                | CrashPoint::AtTime { pid, .. },
+            )
+            | Fault::Activate { pid, .. }
+            | Fault::Kernel { pid, .. } => pid,
         }
     }
 }
 
-impl std::fmt::Display for CrashPoint {
+/// `fault`'s grammar token: its Table 1 name, lower case, `-` for spaces.
+fn token(fault: FaultType) -> String {
+    fault.name().to_lowercase().replace(' ', "-")
+}
+
+impl std::fmt::Display for Fault {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match *self {
-            CrashPoint::AtStart { pid } => write!(f, "start {pid}"),
-            CrashPoint::AtPosition { pid, pos } => write!(f, "position {pid} {pos}"),
-            CrashPoint::InCommit { pid, nth, point } => write!(f, "commit {pid} {nth} {point}"),
-            CrashPoint::AtTime { pid, t } => write!(f, "time {pid} {t}"),
+            Fault::Kill(CrashPoint::AtStart { pid }) => write!(f, "kill start {pid}"),
+            Fault::Kill(CrashPoint::AtPosition { pid, pos }) => {
+                write!(f, "kill position {pid} {pos}")
+            }
+            Fault::Kill(CrashPoint::InCommit { pid, nth, point }) => {
+                write!(f, "kill commit {pid} {nth} {point}")
+            }
+            Fault::Kill(CrashPoint::AtTime { pid, t }) => write!(f, "kill time {pid} {t}"),
+            Fault::Activate { pid, plan } => {
+                let FaultPlan {
+                    fault,
+                    site,
+                    trigger_visit,
+                    id,
+                } = plan;
+                write!(
+                    f,
+                    "activate {pid} {} {site} {trigger_visit} {id}",
+                    token(fault)
+                )
+            }
+            Fault::Kernel {
+                pid,
+                fault,
+                at,
+                corrupt_calls,
+                propagate,
+            } => {
+                let how = if propagate { "propagate" } else { "stop" };
+                write!(
+                    f,
+                    "kernel {pid} {} {at} {how} {corrupt_calls}",
+                    token(fault)
+                )
+            }
         }
     }
 }
 
-impl FromStr for CrashPoint {
+impl FromStr for Fault {
     type Err = String;
 
     /// Parses the [`Display`](std::fmt::Display) form, exactly: a missing,
     /// malformed or extra token is an error.
     fn from_str(s: &str) -> Result<Self, String> {
-        fn num<T: FromStr>(v: &str) -> Result<T, String> {
-            v.parse().map_err(|_| format!("bad number {v:?}"))
-        }
+        let fault_type = |v: &str| {
+            FaultType::ALL
+                .into_iter()
+                .find(|&f| token(f) == v)
+                .ok_or_else(|| format!("unknown fault type {v:?}"))
+        };
         Ok(match *s.split_whitespace().collect::<Vec<_>>() {
-            ["start", pid] => CrashPoint::AtStart { pid: num(pid)? },
-            ["position", pid, pos] => CrashPoint::AtPosition {
+            ["kill", "start", pid] => Fault::Kill(CrashPoint::AtStart { pid: num(pid)? }),
+            ["kill", "position", pid, pos] => Fault::Kill(CrashPoint::AtPosition {
                 pid: num(pid)?,
                 pos: num(pos)?,
-            },
-            ["commit", pid, nth, sub] => CrashPoint::InCommit {
+            }),
+            ["kill", "commit", pid, nth, sub] => Fault::Kill(CrashPoint::InCommit {
                 pid: num(pid)?,
                 nth: num(nth)?,
                 point: CommitCrashPoint::ALL
                     .into_iter()
                     .find(|p| p.name() == sub)
                     .ok_or("unknown sub-step")?,
-            },
-            ["time", pid, t] => CrashPoint::AtTime {
+            }),
+            ["kill", "time", pid, t] => Fault::Kill(CrashPoint::AtTime {
                 pid: num(pid)?,
                 t: num(t)?,
+            }),
+            ["activate", pid, fault, site, visit, id] => Fault::Activate {
+                pid: num(pid)?,
+                plan: FaultPlan {
+                    fault: fault_type(fault)?,
+                    site: num(site)?,
+                    trigger_visit: num(visit)?,
+                    id: num(id)?,
+                },
             },
-            [kind @ ("start" | "position" | "commit" | "time"), ..] => {
+            ["kernel", pid, fault, at, how, calls] => Fault::Kernel {
+                pid: num(pid)?,
+                fault: fault_type(fault)?,
+                at: num(at)?,
+                corrupt_calls: num(calls)?,
+                propagate: match how {
+                    "stop" => false,
+                    "propagate" => true,
+                    _ => return Err(format!("expected `stop` or `propagate`, not {how:?}")),
+                },
+            },
+            ["kill", kind @ ("start" | "position" | "commit" | "time"), ..]
+            | [kind @ ("activate" | "kernel"), ..] => {
                 return Err(format!("wrong number of fields after `{kind}`"))
             }
-            _ => return Err("unknown kill kind".into()),
+            ["kill", ..] => return Err("unknown kill kind".into()),
+            _ => return Err("unknown fault kind".into()),
         })
     }
 }
@@ -118,7 +228,7 @@ mod tests {
 
     #[test]
     fn pid_extraction_covers_every_variant() {
-        let pts = [
+        let kills = [
             CrashPoint::AtStart { pid: 2 },
             CrashPoint::AtPosition { pid: 2, pos: 7 },
             CrashPoint::InCommit {
@@ -128,6 +238,21 @@ mod tests {
             },
             CrashPoint::AtTime { pid: 2, t: 9 },
         ];
-        assert!(pts.iter().all(|p| p.pid() == 2));
+        let plan = FaultPlan {
+            fault: FaultType::OffByOne,
+            site: 1,
+            trigger_visit: 1,
+            id: 1,
+        };
+        let kernel = Fault::Kernel {
+            pid: 2,
+            fault: FaultType::OffByOne,
+            at: 5,
+            corrupt_calls: 1,
+            propagate: false,
+        };
+        let faults = kills.map(Fault::Kill).into_iter();
+        let faults = faults.chain([Fault::Activate { pid: 2, plan }, kernel]);
+        assert!(faults.map(|f| f.pid()).all(|pid| pid == 2));
     }
 }

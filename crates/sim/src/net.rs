@@ -122,6 +122,29 @@ impl Default for NetFaultPlan {
 }
 
 impl NetFaultPlan {
+    /// The degradation sweeps' fabric: drop probability `loss` (which must
+    /// be a probability) plus 1 % duplication, a 200 µs reordering window
+    /// and 50 µs of jitter. Other shapes set the public fields:
+    ///
+    /// ```
+    /// # use ft_sim::net::{NetFaultPlan, Partition};
+    /// # use ft_core::event::ProcessId;
+    /// let mut plan = NetFaultPlan::lossy(0xFAB, 0.05);
+    /// plan.partitions.push(Partition { from: 0, to: 1, start: 1_000_000, end: 5_000_000 });
+    /// assert!(plan.partitioned_until(ProcessId(0), ProcessId(1), 1_000_000).is_some());
+    /// ```
+    pub fn lossy(seed: u64, loss: f64) -> Self {
+        assert!((0.0..=1.0).contains(&loss), "loss probability out of range");
+        NetFaultPlan {
+            seed,
+            drop_prob: loss,
+            dup_prob: 0.01,
+            reorder_window_ns: 200 * US,
+            jitter_ns: 50 * US,
+            ..NetFaultPlan::default()
+        }
+    }
+
     /// If `(from, to)` is partitioned at `t`, the healing time of the
     /// longest-lasting active partition.
     pub fn partitioned_until(&self, from: ProcessId, to: ProcessId, t: SimTime) -> Option<SimTime> {

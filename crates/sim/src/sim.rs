@@ -218,6 +218,12 @@ impl Simulator {
         self.queue.push(t, self.qseq, ev);
     }
 
+    /// The seed the simulator was configured with: the scenario seed that
+    /// every scripted input and armed fault of a run derives from.
+    pub fn seed(&self) -> u64 {
+        self.cfg.seed
+    }
+
     /// Queue operations performed by the event queue so far (see
     /// [`TimerWheel::ops`]; drives the O(1)-idle-span test).
     pub fn queue_ops(&self) -> u64 {

@@ -13,6 +13,7 @@ use std::ops::Deref;
 use std::sync::Arc;
 
 use ft_core::event::ProcessId;
+use ft_core::fault::FaultPlan;
 use ft_core::protocol::DepSet;
 use ft_mem::arena::Layout;
 use ft_mem::error::MemResult;
@@ -329,6 +330,13 @@ pub trait App: Send {
     /// Fault-study applications suppress further fault activations here —
     /// "we suppress the fault activation during recovery" (§4.1).
     fn on_recovered(&mut self) {}
+
+    /// Arms the application fault `plan` (a fault schedule's activation),
+    /// seeding its injector from the scenario `seed`. False for an
+    /// application with no fault sites, the default.
+    fn arm_fault(&mut self, _plan: FaultPlan, _seed: u64) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

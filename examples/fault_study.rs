@@ -12,7 +12,7 @@
 
 use failure_transparency::core::event::EventKind;
 use failure_transparency::core::losework::{check_commit_after_activation, LoseWorkOutcome};
-use failure_transparency::faults::{FaultPlan, FaultType};
+use failure_transparency::faults::{Fault, FaultPlan, FaultType};
 use failure_transparency::prelude::*;
 
 fn run_one(fault: FaultType, trigger_visit: u32, recover: bool) -> DcReport {
@@ -22,19 +22,20 @@ fn run_one(fault: FaultType, trigger_visit: u32, recover: bool) -> DcReport {
         trigger_visit,
         id: 1,
     };
-    let mut sim = Simulator::new(SimConfig::single_node(1, 2077));
+    // The injector draws its flip from the scenario seed: vary it with the
+    // trigger so each trial flips a different bit.
+    let mut sim = Simulator::new(SimConfig::single_node(1, 2077 + u64::from(trigger_visit)));
     let keys = failure_transparency::apps::workload::editor_script(300, 5);
     sim.set_input_script(
         ProcessId(0),
         InputScript::evenly_spaced(0, MS, keys.into_iter().map(|k| vec![k]).collect()),
     );
-    let mut app = Editor::new();
-    app.faults = failure_transparency::faults::FaultInjector::armed(plan, 9 + trigger_visit as u64);
     let mut cfg = DcConfig::discount_checking(Protocol::Cpvs);
+    cfg.faults.push(Fault::Activate { pid: 0, plan });
     if !recover {
         cfg.max_recoveries = 0;
     }
-    DcHarness::new(sim, cfg, vec![Box::new(app)]).run()
+    DcHarness::new(sim, cfg, vec![Box::new(Editor::new())]).run()
 }
 
 /// Finds a trigger visit whose activation actually crashes the run — a

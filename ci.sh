@@ -52,6 +52,11 @@ cargo test -q --release -p ft-dsm -p ft-mem -p ft-core -p ft-sim -p ft-check -p 
 # DESIGN §15).
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
+# README documents every example as an entry point: run each once, so one
+# that panics fails here and not in a reader's hands.
+for example in examples/*.rs; do
+  cargo run --release -q --example "$(basename "$example" .rs)" >/dev/null
+done
 
 # Report smoke, one convention for every stage: `campaign --quick --only
 # <stage>` at `--threads 4`, then again at `--threads 2` into `rerun/`.

@@ -17,7 +17,6 @@
 //! | `D` | run the design-rule checker over the grid     |
 //! | `S` | save the layout to a file                     |
 
-use ft_faults::FaultInjector;
 use ft_mem::arena::Layout;
 use ft_mem::error::{MemFault, MemResult};
 use ft_mem::mem::{ArenaCell, Mem};
@@ -50,33 +49,15 @@ const P_SAVE_OPEN: u64 = 6;
 const P_SAVE_WRITE: u64 = 7;
 const P_DONE: u64 = 8;
 
-// Fault sites.
-const S_CMD: u64 = 20; // Bit-flip per command.
-const S_BOX_W: u64 = 21; // Off-by-one on box width.
-const S_CLIP: u64 = 22; // Delete-branch on the clip check.
-const S_ROUTE_MARK: u64 = 23; // Delete-instruction: skip visited mark.
-const S_GRID_DEST: u64 = 24; // Destination-register on a grid store.
-
 /// The layout editor.
-pub struct Cad {
-    /// Armed fault injector (inert by default).
-    pub faults: FaultInjector,
-}
+pub struct Cad;
 
 impl Cad {
-    /// A fault-free instance.
-    pub fn new() -> Self {
-        Cad {
-            faults: FaultInjector::none(),
-        }
-    }
-
     fn grid(&self, mem: &Mem) -> MemResult<ArenaVec<u8>> {
         ArenaVec::load_handle(&mem.arena, G_GRID_HANDLE)
     }
 
-    /// Places a box of material, honoring (or not, under faults) the clip
-    /// checks.
+    /// Places a box of material, clipped to the grid.
     fn place(
         &mut self,
         sys: &mut dyn SysMem,
@@ -85,19 +66,13 @@ impl Cad {
         w: usize,
         h: usize,
     ) -> MemResult<u64> {
-        let w = self.faults.bound(S_BOX_W, w, sys);
         let grid = self.grid(sys.mem())?;
         let mut writes = 0;
         for dy in 0..h {
             for dx in 0..w {
                 let (cx, cy) = (x + dx, y + dy);
-                let in_bounds = cx < GRID && cy < GRID;
-                if self.faults.branch(S_CLIP, in_bounds, sys) {
-                    // An unclipped store with out-of-bounds coordinates
-                    // wraps into a wild index.
-                    let idx = cy * GRID + cx;
-                    let idx = self.faults.dest(S_GRID_DEST, idx, sys);
-                    grid.set(&mut sys.mem().arena, idx, 1)?;
+                if cx < GRID && cy < GRID {
+                    grid.set(&mut sys.mem().arena, cy * GRID + cx, 1)?;
                     writes += 1;
                 }
             }
@@ -169,11 +144,7 @@ impl Cad {
             if safety > GRID * GRID {
                 return Err(MemFault::InvariantViolated { check: 0xCA });
             }
-            // A deleted "mark wire" instruction leaves gaps that the DRC
-            // pass later flags (or that break invariants downstream).
-            if !self.faults.deleted(S_ROUTE_MARK, sys) {
-                grid.set(&mut sys.mem().arena, cur, 2)?;
-            }
+            grid.set(&mut sys.mem().arena, cur, 2)?;
             length += 1;
             let (cx, cy) = (cur % GRID, cur / GRID);
             let dcur = dist[cur];
@@ -221,12 +192,6 @@ impl Cad {
     }
 }
 
-impl Default for Cad {
-    fn default() -> Self {
-        Cad::new()
-    }
-}
-
 impl App for Cad {
     fn step(&mut self, sys: &mut dyn SysMem) -> MemResult<AppStatus> {
         match G_PHASE.get(&sys.mem().arena)? {
@@ -245,7 +210,6 @@ impl App for Cad {
             }
             P_AWAIT => {
                 if let Some(bytes) = sys.read_input() {
-                    self.faults.maybe_flip(S_CMD, sys);
                     let m = sys.mem();
                     let mut cmd = [0u8; 5];
                     for (i, b) in bytes.iter().take(5).enumerate() {
@@ -384,7 +348,7 @@ mod tests {
     fn run_cmds(cmds: Vec<Vec<u8>>) -> ft_sim::harness::PlainReport {
         let mut sim = Simulator::new(SimConfig::single_node(1, 2));
         sim.set_input_script(ProcessId(0), InputScript::evenly_spaced(0, 10 * MS, cmds));
-        let mut apps: Vec<Box<dyn App>> = vec![Box::new(Cad::new())];
+        let mut apps: Vec<Box<dyn App>> = vec![Box::new(Cad)];
         run_plain_on(sim, &mut apps)
     }
 

@@ -153,7 +153,7 @@ pub fn magic(seed: u64, commands: usize) -> Built {
         ProcessId(0),
         InputScript::think_time(SEC, cad_script(commands, seed ^ 0xCAD)),
     );
-    built(sim, vec![Box::new(Cad::new())])
+    built(sim, vec![Box::new(Cad)])
 }
 
 /// The xpilot session: 4 processes on 4 nodes, `frames` frames at 15 fps.

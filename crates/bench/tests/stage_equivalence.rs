@@ -170,14 +170,18 @@ fn kv_is_thread_invariant_and_violation_free() {
 fn fig4_is_thread_invariant_and_gates_on_the_log_protocols_replaying_more() {
     let cfg = cfg();
     let stage = Fig4Stage(&cfg);
-    let mut rows = assert_thread_invariant(&stage);
-    assert_eq!(stage.gate(&rows), Ok(()));
-    let cand_log = rows
+    let mut result = assert_thread_invariant(&stage);
+    assert_eq!(stage.gate(&result), Ok(()));
+    // Every trace of every budget, none of them breaking a Figure 3 gate.
+    let traces: Vec<(u64, u64)> = result.space.iter().map(|s| s.traces).collect();
+    assert_eq!(traces, [(9_840, 0), (47_620, 0), (62_004, 0)]);
+    let cand_log = result
+        .rows
         .iter_mut()
         .find(|r| r.protocol == Protocol::CandLog)
         .unwrap();
     cand_log.replayed_visibles = 0;
-    let err = stage.gate(&rows).unwrap_err();
+    let err = stage.gate(&result).unwrap_err();
     assert!(err.contains("CAND-LOG"), "{err}");
 }
 

@@ -17,8 +17,8 @@
 //!   plus the measurable commit-after-activation criterion of §4 and the
 //!   Save-work/Lose-work conflict arithmetic ([`losework`]);
 //! * the seven **recovery protocols** of §2.4/§3 as pure commit-decision
-//!   planners ([`protocol`]), and the **protocol space** of Figures 3/4
-//!   ([`space`]);
+//!   planners, and the one driver that runs a step sequence through them
+//!   and enumerates every sequence up to a length ([`protocol`]);
 //! * the §4 **application fault model** as data — the seven fault types of
 //!   Table 1 and an armed fault plan ([`fault`]).
 //!
@@ -65,7 +65,6 @@ pub mod oracle;
 pub mod protocol;
 pub mod render;
 pub mod savework;
-pub mod space;
 pub mod trace;
 
 pub use avail::{availability, nines, total_downtime_ns, Incident};

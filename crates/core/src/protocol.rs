@@ -20,8 +20,15 @@
 //! one set type that travels from the tracker through the simulator's
 //! message metadata to the receiver and into
 //! [`coordinated_participants`].
+//!
+//! [`drive`] is the one place a [`Step`] sequence becomes a
+//! protocol-driven [`Trace`]; [`enumerate`] walks every step sequence up
+//! to a length, so a claim about the planners can be checked over all.
 
-use crate::event::NdSource;
+use std::collections::VecDeque;
+
+use crate::event::{MsgId, NdSource, ProcessId};
+use crate::trace::{Trace, TraceBuilder};
 
 /// A recovery protocol for upholding Save-work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -123,9 +130,10 @@ pub enum CommitScope {
     None,
     /// This process commits locally.
     Local,
-    /// A coordinated two-phase commit: every process in the computation is
-    /// asked to commit (dirty-only filtering is applied by the runtime for
-    /// [`Protocol::Cbndv2pc`]).
+    /// A coordinated two-phase commit among the
+    /// [`coordinated_participants`]: every process under
+    /// [`Protocol::Cpv2pc`], the coordinator's dependency closure (always
+    /// including the coordinator) under [`Protocol::Cbndv2pc`].
     Coordinated,
 }
 
@@ -168,11 +176,6 @@ impl CommitPlanner {
             protocol,
             nd_since_commit: false,
         }
-    }
-
-    /// The protocol this planner implements.
-    pub fn protocol(&self) -> Protocol {
-        self.protocol
     }
 
     /// Has this process executed unlogged non-determinism since its last
@@ -314,11 +317,6 @@ impl DepSet {
     pub fn clear(&mut self) {
         self.0.clear();
     }
-
-    /// The members in ascending order.
-    pub fn into_vec(self) -> Vec<u32> {
-        self.0
-    }
 }
 
 /// Reads as its ascending member slice.
@@ -392,16 +390,22 @@ impl DepTracker {
     }
 }
 
-/// Computes the participant set of a coordinated commit round: the
+/// Computes the participant set of a coordinated commit round among `n`
+/// processes: every process under [`Protocol::Cpv2pc`]; otherwise the
 /// transitive closure of `coordinator`'s dependencies (a participant's own
 /// commit is a Save-work target, so every process *it* depends on must
 /// commit atomically too), always including the coordinator itself.
 /// `deps_of(p)` is process `p`'s current dependency set; the result is
 /// ascending and duplicate-free.
 pub fn coordinated_participants<'a>(
+    protocol: Protocol,
+    n: usize,
     deps_of: impl Fn(u32) -> &'a DepSet,
     coordinator: u32,
-) -> Vec<u32> {
+) -> Vec<ProcessId> {
+    if protocol == Protocol::Cpv2pc {
+        return (0..n).map(ProcessId::from_index).collect();
+    }
     let mut set = DepSet::new();
     set.insert(coordinator);
     let mut frontier = vec![coordinator];
@@ -412,7 +416,167 @@ pub fn coordinated_participants<'a>(
             }
         }
     }
-    set.into_vec()
+    set.0.into_iter().map(ProcessId).collect()
+}
+
+/// One application step of a computation [`drive`] runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
+    /// A non-deterministic event from a source.
+    Nd(ProcessId, NdSource),
+    /// A send from the first process to the second.
+    Send(ProcessId, ProcessId),
+    /// The receive of the process's oldest pending message.
+    Recv(ProcessId),
+    /// A visible event.
+    Visible(ProcessId),
+    /// A deterministic internal event.
+    Internal(ProcessId),
+}
+
+impl Step {
+    /// The process that executes the step.
+    fn pid(self) -> ProcessId {
+        match self {
+            Step::Nd(p, _) | Step::Send(p, _) | Step::Recv(p) | Step::Visible(p) => p,
+            Step::Internal(p) => p,
+        }
+    }
+
+    /// The step as the planner sees it: a receive is non-deterministic.
+    pub fn event(self) -> InterceptedEvent {
+        match self {
+            Step::Nd(_, source) => InterceptedEvent::Nd { source },
+            Step::Recv(_) => InterceptedEvent::Nd {
+                source: NdSource::MessageRecv,
+            },
+            Step::Send(..) => InterceptedEvent::Send,
+            Step::Visible(_) => InterceptedEvent::Visible,
+            Step::Internal(_) => InterceptedEvent::Other,
+        }
+    }
+}
+
+/// Drives `steps` over `n` processes through `protocol` exactly as the
+/// checkpointing runtime does, and returns the trace: each process's
+/// [`CommitPlanner`] decides, its [`DepTracker`] follows its dependencies
+/// (a logged receive of a message that carried any taints the receiver,
+/// as the runtime's tainted flag does), and a coordinated round records
+/// prepare and ack control edges around the participants' commits.
+/// Control messages order events but carry no application state, so they
+/// generate no Save-work obligations. A receive with nothing pending is
+/// skipped. With `mask`, the protocol only chooses what to log, and each
+/// process commits right after exactly those of its steps whose bit (by
+/// index into `steps`, so at most 64 of them) is set.
+pub fn drive(protocol: Protocol, n: usize, steps: &[Step], mask: Option<u64>) -> Trace {
+    let mut b = TraceBuilder::new(n);
+    let mut planners = vec![CommitPlanner::new(protocol); n];
+    let mut trackers: Vec<DepTracker> = (0..n)
+        .map(|q| DepTracker::new(ProcessId::from_index(q).0))
+        .collect();
+    let mut pending: Vec<VecDeque<(ProcessId, MsgId, DepSet)>> = vec![VecDeque::new(); n];
+    for (i, &step) in steps.iter().enumerate() {
+        let p = step.pid();
+        if step == Step::Recv(p) && pending[p.index()].is_empty() {
+            continue;
+        }
+        let mut d = planners[p.index()].decide(step.event());
+        if let Some(mask) = mask {
+            (d.before, d.after) = (CommitScope::None, mask >> i & 1 == 1);
+        }
+        let committed = match d.before {
+            CommitScope::None => Vec::new(),
+            CommitScope::Local => {
+                b.commit(p);
+                vec![p]
+            }
+            CommitScope::Coordinated => {
+                let parts =
+                    coordinated_participants(protocol, n, |q| trackers[q as usize].deps(), p.0);
+                let control = |b: &mut TraceBuilder, from, to| {
+                    let (_, m) = b.send_control(from, to);
+                    b.recv_control(to, from, m);
+                };
+                let remotes = || parts.iter().copied().filter(|&q| q != p);
+                remotes().for_each(|q| control(&mut b, p, q));
+                b.coordinated_commit(&parts);
+                remotes().for_each(|q| control(&mut b, q, p));
+                parts
+            }
+        };
+        for q in committed.into_iter().map(ProcessId::index) {
+            planners[q].note_committed();
+            trackers[q].clear();
+        }
+        let (planner, tracker) = (&mut planners[p.index()], &mut trackers[p.index()]);
+        match step {
+            Step::Nd(_, source) => {
+                b.nd_with(p, source, source.default_class(), d.log);
+                if !d.log {
+                    tracker.on_nd();
+                }
+            }
+            Step::Send(_, to) => {
+                let (_, m) = b.send(p, to);
+                pending[to.index()].push_back((p, m, tracker.snapshot()));
+            }
+            Step::Recv(_) => {
+                let (from, m, carried) = pending[p.index()].pop_front().expect("checked above");
+                if d.log {
+                    b.recv_logged(p, from, m);
+                    if !carried.is_empty() {
+                        planner.note_tainted();
+                    }
+                } else {
+                    b.recv(p, from, m);
+                }
+                tracker.on_recv(&carried, d.log);
+            }
+            Step::Visible(_) => _ = b.visible(p, i as u64),
+            Step::Internal(_) => _ = b.internal(p),
+        }
+        if d.after {
+            b.commit(p);
+            planner.note_committed();
+            tracker.clear();
+        }
+    }
+    b.finish()
+}
+
+/// The steps that may follow `seq` over `n` processes, process by process:
+/// an nd from user input, an nd from the time of day, a visible, a send to
+/// each peer, and a receive if a message to the process is pending.
+pub fn next_steps(n: usize, seq: &[Step]) -> Vec<Step> {
+    let mut steps = Vec::new();
+    for p in (0..n).map(ProcessId::from_index) {
+        let (nd, visible) = (|s| Step::Nd(p, s), Step::Visible(p));
+        steps.extend([nd(NdSource::UserInput), nd(NdSource::TimeOfDay), visible]);
+        let peers = (0..n).map(ProcessId::from_index).filter(|&q| q != p);
+        steps.extend(peers.map(|q| Step::Send(p, q)));
+        let sent = seq
+            .iter()
+            .filter(|s| matches!(s, Step::Send(_, to) if *to == p));
+        if sent.count() > seq.iter().filter(|&&s| s == Step::Recv(p)).count() {
+            steps.push(Step::Recv(p));
+        }
+    }
+    steps
+}
+
+/// Calls `visit` on `seq` (unless it is empty) and on every extension of
+/// it by [`next_steps`] up to `max_len` steps, depth first.
+pub fn enumerate(n: usize, max_len: usize, seq: &mut Vec<Step>, visit: &mut impl FnMut(&[Step])) {
+    if !seq.is_empty() {
+        visit(seq);
+    }
+    if seq.len() < max_len {
+        for step in next_steps(n, seq) {
+            seq.push(step);
+            enumerate(n, max_len, seq, visit);
+            seq.pop();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -446,7 +610,7 @@ mod tests {
         let mut t = DepSet::from(std::collections::BTreeSet::from([9, 2, 4]));
         assert_eq!(*t, [2, 4, 9]);
         t.union_with(&s);
-        assert_eq!(t.clone().into_vec(), vec![2, 4, 7, 9]);
+        assert_eq!(*t, [2, 4, 7, 9]);
         let mut empty = DepSet::new();
         empty.union_with(&t);
         assert_eq!(empty, t);
@@ -466,16 +630,27 @@ mod tests {
         // NOTE: t0 received t1's snapshot which already includes 2 and 1,
         // but closure also chases what t1/t2 currently hold.
         let trackers = [t0, t1, t2];
-        let parts = coordinated_participants(|p| trackers[p as usize].deps(), 0);
-        assert_eq!(parts, vec![0, 1, 2]);
+        let parts =
+            coordinated_participants(Protocol::Cbndv2pc, 3, |p| trackers[p as usize].deps(), 0);
+        assert_eq!(parts, [0, 1, 2].map(ProcessId));
     }
 
     #[test]
     fn participants_of_clean_coordinator_is_just_itself() {
         let trackers = [DepTracker::new(0), DepTracker::new(1)];
+        let deps = |p: u32| trackers[p as usize].deps();
         assert_eq!(
-            coordinated_participants(|p| trackers[p as usize].deps(), 1),
-            vec![1]
+            coordinated_participants(Protocol::Cbndv2pc, 2, deps, 1),
+            [ProcessId(1)]
+        );
+    }
+
+    #[test]
+    fn cpv2pc_participants_are_everyone() {
+        let trackers = [DepTracker::new(0), DepTracker::new(1), DepTracker::new(2)];
+        assert_eq!(
+            coordinated_participants(Protocol::Cpv2pc, 3, |p| trackers[p as usize].deps(), 1),
+            [0, 1, 2].map(ProcessId)
         );
     }
 

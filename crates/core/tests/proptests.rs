@@ -1,5 +1,6 @@
-//! Randomized tests for the theory crate: protocol executions uphold
-//! Save-work, equivalence laws, vector-clock laws, and dangerous-path
+//! Randomized and exhaustive tests for the theory crate: protocol
+//! executions uphold Save-work (over random long sequences and every short
+//! one), equivalence laws, vector-clock laws, and dangerous-path
 //! monotonicity. Seeded and deterministic (ft-core sits below the
 //! simulator crate, so it carries its own tiny generator).
 
@@ -11,23 +12,11 @@
 
 use ft_core::access::{ShmLog, ShmOp, ShmRecord};
 use ft_core::consistency::check_equivalence;
-use ft_core::event::{MsgId, NdSource, ProcessId};
+use ft_core::event::{NdSource, ProcessId};
 use ft_core::graph::{EdgeKind, StateGraph};
-use ft_core::protocol::{
-    coordinated_participants, CommitPlanner, CommitScope, DepTracker, InterceptedEvent, Protocol,
-};
+use ft_core::protocol::{drive, enumerate, Protocol, Step};
 use ft_core::savework::check_save_work;
 use ft_core::trace::TraceBuilder;
-
-/// An abstract application operation for the protocol-execution property.
-#[derive(Debug, Clone, Copy)]
-enum Op {
-    Nd(u8, u8),   // (process, source selector)
-    Send(u8, u8), // (from, to)
-    Recv(u8),     // receiver pops its oldest pending message, if any
-    Visible(u8),
-    Internal(u8),
-}
 
 /// SplitMix64, the same generator the simulator uses.
 struct Rng(u64);
@@ -46,27 +35,22 @@ impl Rng {
     }
 }
 
-fn random_op(rng: &mut Rng, n_procs: u8) -> Op {
-    let p = rng.below(n_procs as u64) as u8;
+fn random_step(rng: &mut Rng, n_procs: u32) -> Step {
+    let p = ProcessId(rng.below(u64::from(n_procs)) as u32);
     match rng.below(5) {
-        0 => Op::Nd(p, rng.below(6) as u8),
+        0 => Step::Nd(p, source_from(rng.below(6))),
         1 => {
             // Distinct sender/receiver.
-            let t = (p + 1 + rng.below(n_procs as u64 - 1) as u8) % n_procs;
-            Op::Send(p, t)
+            let t = (p.0 + 1 + rng.below(u64::from(n_procs) - 1) as u32) % n_procs;
+            Step::Send(p, ProcessId(t))
         }
-        2 => Op::Recv(p),
-        3 => Op::Visible(p),
-        _ => Op::Internal(p),
+        2 => Step::Recv(p),
+        3 => Step::Visible(p),
+        _ => Step::Internal(p),
     }
 }
 
-fn random_ops(rng: &mut Rng, n_procs: u8, max: u64) -> Vec<Op> {
-    let n = rng.below(max) as usize;
-    (0..n).map(|_| random_op(rng, n_procs)).collect()
-}
-
-fn source_from(sel: u8) -> NdSource {
+fn source_from(sel: u64) -> NdSource {
     match sel % 6 {
         0 => NdSource::UserInput,
         1 => NdSource::TimeOfDay,
@@ -77,213 +61,67 @@ fn source_from(sel: u8) -> NdSource {
     }
 }
 
-/// Drives `ops` through `proto` exactly as a checkpointing runtime would,
-/// producing a trace, including the prepare/ack message edges of
-/// coordinated rounds.
-fn run_protocol(proto: Protocol, n_procs: usize, ops: &[Op]) -> ft_core::trace::Trace {
-    let mut b = TraceBuilder::new(n_procs);
-    let mut planners: Vec<CommitPlanner> =
-        (0..n_procs).map(|_| CommitPlanner::new(proto)).collect();
-    let mut trackers: Vec<DepTracker> = (0..n_procs).map(|q| DepTracker::new(q as u32)).collect();
-    // pending[to] = queue of (from, msg, sender dep snapshot).
-    type Pending = (ProcessId, MsgId, ft_core::protocol::DepSet);
-    let mut pending: Vec<Vec<Pending>> = vec![Vec::new(); n_procs];
-    let mut token = 0u64;
-
-    let apply = |b: &mut TraceBuilder,
-                 planners: &mut Vec<CommitPlanner>,
-                 trackers: &mut Vec<DepTracker>,
-                 p: usize,
-                 ev: InterceptedEvent| {
-        let pid = ProcessId::from_index(p);
-        let d = planners[p].decide(ev);
-        match d.before {
-            CommitScope::None => {}
-            CommitScope::Local => {
-                b.commit(pid);
-                planners[p].note_committed();
-                trackers[p].clear();
-            }
-            CommitScope::Coordinated => {
-                // The coordinator sends prepare control messages, every
-                // participant commits, and acks flow back before the
-                // triggering visible event. Control messages extend
-                // happens-before (ordering the remote commits before the
-                // visible, and chaining successive rounds) but carry no
-                // application state, so they generate no Save-work
-                // obligations. Participants: everyone under CPV-2PC; the
-                // transitive dependency closure under CBNDV-2PC.
-                let participants: Vec<ProcessId> = if proto == Protocol::Cpv2pc {
-                    (0..planners.len()).map(ProcessId::from_index).collect()
-                } else {
-                    coordinated_participants(|q| trackers[q as usize].deps(), p as u32)
-                        .into_iter()
-                        .map(ProcessId)
-                        .collect()
-                };
-                for &q in &participants {
-                    if q != pid {
-                        let (_, m) = b.send_control(pid, q);
-                        b.recv_control(q, pid, m);
-                    }
-                }
-                b.coordinated_commit(&participants);
-                for &q in &participants {
-                    planners[q.index()].note_committed();
-                    trackers[q.index()].clear();
-                    if q != pid {
-                        let (_, m) = b.send_control(q, pid);
-                        b.recv_control(pid, q, m);
-                    }
-                }
-            }
-        }
-        d
-    };
-
-    for &op in ops {
-        match op {
-            Op::Nd(p, sel) => {
-                let p = p as usize % n_procs;
-                let source = source_from(sel);
-                let d = apply(
-                    &mut b,
-                    &mut planners,
-                    &mut trackers,
-                    p,
-                    InterceptedEvent::Nd { source },
-                );
-                let pid = ProcessId::from_index(p);
-                if d.log {
-                    b.nd_logged(pid, source);
-                } else {
-                    b.nd(pid, source);
-                    trackers[p].on_nd();
-                }
-                if d.after {
-                    b.commit(pid);
-                    planners[p].note_committed();
-                    trackers[p].clear();
-                }
-            }
-            Op::Send(f, t) => {
-                let f = f as usize % n_procs;
-                let t = t as usize % n_procs;
-                if f == t {
-                    continue;
-                }
-                let d = apply(
-                    &mut b,
-                    &mut planners,
-                    &mut trackers,
-                    f,
-                    InterceptedEvent::Send,
-                );
-                let (_, m) = b.send(ProcessId::from_index(f), ProcessId::from_index(t));
-                pending[t].push((ProcessId::from_index(f), m, trackers[f].snapshot()));
-                if d.after {
-                    b.commit(ProcessId::from_index(f));
-                    planners[f].note_committed();
-                    trackers[f].clear();
-                }
-            }
-            Op::Recv(p) => {
-                let p = p as usize % n_procs;
-                if pending[p].is_empty() {
-                    continue;
-                }
-                let (from, m, snap) = pending[p].remove(0);
-                let d = apply(
-                    &mut b,
-                    &mut planners,
-                    &mut trackers,
-                    p,
-                    InterceptedEvent::Nd {
-                        source: NdSource::MessageRecv,
-                    },
-                );
-                let pid = ProcessId::from_index(p);
-                if d.log {
-                    b.recv_logged(pid, from, m);
-                    // A logged receive can still carry a dependence on the
-                    // sender's uncommitted nd; conservatively taint.
-                    planners[p].note_tainted();
-                } else {
-                    b.recv(pid, from, m);
-                }
-                trackers[p].on_recv(&snap, d.log);
-                if d.after {
-                    b.commit(pid);
-                    planners[p].note_committed();
-                    trackers[p].clear();
-                }
-            }
-            Op::Visible(p) => {
-                let p = p as usize % n_procs;
-                let d = apply(
-                    &mut b,
-                    &mut planners,
-                    &mut trackers,
-                    p,
-                    InterceptedEvent::Visible,
-                );
-                token += 1;
-                b.visible(ProcessId::from_index(p), token);
-                if d.after {
-                    b.commit(ProcessId::from_index(p));
-                    planners[p].note_committed();
-                    trackers[p].clear();
-                }
-            }
-            Op::Internal(p) => {
-                let p = p as usize % n_procs;
-                let d = apply(
-                    &mut b,
-                    &mut planners,
-                    &mut trackers,
-                    p,
-                    InterceptedEvent::Other,
-                );
-                b.internal(ProcessId::from_index(p));
-                if d.after {
-                    b.commit(ProcessId::from_index(p));
-                    planners[p].note_committed();
-                    trackers[p].clear();
-                }
-            }
-        }
-    }
-    b.finish()
+/// COMMIT-ALL, then the Figure 8 protocols.
+fn all_protocols() -> impl Iterator<Item = Protocol> {
+    std::iter::once(Protocol::CommitAll).chain(Protocol::FIGURE8)
 }
 
 /// The central soundness property: every protocol, driven over any
 /// operation sequence, produces a trace satisfying the Save-work
 /// theorem — and therefore guarantees consistent recovery from stop
-/// failures.
+/// failures. Random and long: a coordinated round's participants reach
+/// beyond the coordinator's direct dependencies only on a 3-process chain
+/// of at least 7 steps, past the exhaustive budgets below.
 #[test]
 fn protocols_uphold_save_work() {
-    let protos = [
-        Protocol::CommitAll,
-        Protocol::Cand,
-        Protocol::CandLog,
-        Protocol::Cpvs,
-        Protocol::Cbndvs,
-        Protocol::CbndvsLog,
-        Protocol::Cpv2pc,
-        Protocol::Cbndv2pc,
-    ];
+    let protos: Vec<Protocol> = all_protocols().collect();
     let mut seeds = Rng(0x5AFE_3081);
     for round in 0..256 {
         let mut rng = Rng(seeds.next_u64());
         let proto = protos[round % protos.len()];
-        let ops = random_ops(&mut rng, 3, 120);
-        let trace = run_protocol(proto, 3, &ops);
+        let len = rng.below(120);
+        let steps: Vec<Step> = (0..len).map(|_| random_step(&mut rng, 3)).collect();
+        let trace = drive(proto, 3, &steps, None);
         assert!(
             check_save_work(&trace).is_ok(),
             "{} violated Save-work: {:?}",
             proto,
             check_save_work(&trace)
         );
+    }
+}
+
+/// The same property over every step sequence up to a length, plus the
+/// refinements the protocol space orders by: on every trace CBNDVS commits
+/// no more than CPVS, CBNDVS-LOG no more than CBNDVS, CAND-LOG no more
+/// than CAND, and CBNDV-2PC no more than CPV-2PC. The counts pin the
+/// enumeration's alphabet.
+#[test]
+fn every_short_trace_upholds_save_work_under_every_protocol() {
+    let cheaper = [
+        (Protocol::Cbndvs, Protocol::Cpvs),
+        (Protocol::CbndvsLog, Protocol::Cbndvs),
+        (Protocol::CandLog, Protocol::Cand),
+        (Protocol::Cbndv2pc, Protocol::Cpv2pc),
+    ];
+    for (n, max_len, count) in [(1, 6, 1_092), (2, 4, 5_444), (3, 3, 3_879)] {
+        let mut traces = 0;
+        enumerate(n, max_len, &mut Vec::new(), &mut |steps| {
+            traces += 1;
+            let commits: Vec<(Protocol, usize)> = all_protocols()
+                .map(|p| {
+                    let trace = drive(p, n, steps, None);
+                    let verdict = check_save_work(&trace);
+                    assert!(verdict.is_ok(), "{p} on {steps:?}: {verdict:?}");
+                    (p, trace.total_commits())
+                })
+                .collect();
+            let of = |p| commits.iter().find(|c| c.0 == p).unwrap().1;
+            for (cheap, dear) in cheaper {
+                assert!(of(cheap) <= of(dear), "{cheap} above {dear} on {steps:?}");
+            }
+        });
+        assert_eq!(traces, count, "{n} processes up to {max_len} steps");
     }
 }
 

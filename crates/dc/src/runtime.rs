@@ -213,9 +213,9 @@ impl DcRuntime {
     }
 
     /// A coordinated (two-phase) commit round triggered by the running
-    /// process: selects participants (everyone under CPV-2PC, the
-    /// dependency closure under CBNDV-2PC), commits each, and records the
-    /// round with its control edges and time costs.
+    /// process: commits each of the protocol's
+    /// [`coordinated_participants`] and records the round with its
+    /// control edges and time costs.
     ///
     /// The prepare/ack control traffic rides the same fabric as data: with
     /// a network fault plan installed, a participant partitioned from the
@@ -240,14 +240,12 @@ impl DcRuntime {
             ctx.mark_killed();
             return;
         }
-        let participants: Vec<ProcessId> = if self.cfg.protocol == Protocol::Cpv2pc {
-            (0..self.states.len()).map(ProcessId::from_index).collect()
-        } else {
-            coordinated_participants(|q| self.states[q as usize].tracker.deps(), me.0)
-                .into_iter()
-                .map(ProcessId)
-                .collect()
-        };
+        let participants = coordinated_participants(
+            self.cfg.protocol,
+            self.states.len(),
+            |q| self.states[q as usize].tracker.deps(),
+            me.0,
+        );
         self.await_participants(ctx, me, &participants);
         let costs: Vec<SimTime> = participants
             .iter()
@@ -405,56 +403,6 @@ impl DcRuntime {
             Err(other) => {
                 st.replay = Some(other);
                 None
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ft_core::protocol::DepSet;
-    use ft_mem::arena::Layout;
-    use ft_mem::mem::Mem;
-    use ft_sim::sim::SimConfig;
-
-    #[test]
-    fn a_round_commits_each_participant_just_past_its_own_commit_event() {
-        // P1 coordinates among four processes. It depends on P0, which
-        // depends on P3: CBNDV-2PC commits that closure, CPV-2PC everyone.
-        // The recorder journals one prepare per remote on the coordinator
-        // and one on each remote before the commit events, so a position
-        // that ignored them would stop short of the commit.
-        let pid = ProcessId::from_index;
-        let me = pid(1);
-        for (protocol, round) in [
-            (Protocol::Cbndv2pc, vec![0, 1, 3]),
-            (Protocol::Cpv2pc, vec![0, 1, 2, 3]),
-        ] {
-            let mut sim = Simulator::new(SimConfig::one_node_each(4, 1));
-            let mems = (0..4).map(|_| Mem::new(Layout::small())).collect();
-            let mut rt = DcRuntime::new(DcConfig::discount_checking(protocol), &sim, mems);
-            // A different prefix per process: no two positions coincide.
-            for p in 0..4 {
-                for _ in 0..p {
-                    sim.tracer_mut().internal(pid(p));
-                }
-            }
-            for (on, dep) in [(1, 0), (0, 3)] {
-                let mut deps = DepSet::new();
-                deps.insert(dep);
-                rt.state_mut(pid(on)).tracker.on_recv(&deps, true);
-            }
-            rt.coordinated_commit(&mut sim.ctx(me));
-            let (trace, _, _) = sim.finish();
-            for p in 0..4 {
-                let commit = trace.process(pid(p)).iter().find(|e| e.kind.is_commit());
-                assert_eq!(commit.is_some(), round.contains(&p), "{protocol}: P{p}");
-                assert_eq!(
-                    rt.state(pid(p)).committed.trace_pos,
-                    commit.map_or(0, |e| e.id.seq + 1),
-                    "{protocol}: P{p} restores to just past its commit event"
-                );
             }
         }
     }

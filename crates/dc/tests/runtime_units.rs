@@ -1,7 +1,7 @@
 //! Focused runtime tests: committed-snapshot contents, kernel
 //! reconstruction, pending-nd capture, file-state recovery, how the
-//! harness executes a kill schedule of several entries, and where it arms
-//! a kernel fault.
+//! harness executes a kill schedule of several entries, where it arms
+//! a kernel fault, and where a coordinated round leaves each participant.
 
 #![allow(
     clippy::cast_possible_truncation,
@@ -10,13 +10,15 @@
 )]
 
 use ft_core::event::ProcessId;
-use ft_core::protocol::Protocol;
+use ft_core::protocol::{DepSet, Protocol};
 use ft_dc::fingerprint::report_fingerprint;
 use ft_dc::harness::{DcHarness, DcReport};
+use ft_dc::runtime::DcRuntime;
 use ft_dc::state::DcConfig;
 use ft_faults::crash::{CrashPoint, Fault};
+use ft_mem::arena::Layout;
 use ft_mem::error::MemResult;
-use ft_mem::mem::ArenaCell;
+use ft_mem::mem::{ArenaCell, Mem};
 use ft_sim::harness::run_plain_on;
 use ft_sim::script::InputScript;
 use ft_sim::sim::{SimConfig, Simulator};
@@ -153,15 +155,12 @@ fn pending_nd_capture_under_cand_covers_file_ops() {
 
 #[test]
 fn committed_snapshot_contents_are_coherent() {
-    use ft_dc::runtime::DcRuntime;
-    use ft_mem::mem::Mem;
-
     let mut sim = Simulator::new(SimConfig::single_node(1, 1));
     sim.set_input_script(
         ProcessId(0),
         InputScript::evenly_spaced(0, MS, vec![vec![1], vec![2]]),
     );
-    let mems = vec![Mem::new(ft_mem::arena::Layout::small())];
+    let mems = vec![Mem::new(Layout::small())];
     let mut rt = DcRuntime::new(DcConfig::discount_checking(Protocol::Cpvs), &sim, mems);
     let pid = ProcessId(0);
 
@@ -191,9 +190,7 @@ fn committed_snapshot_contents_are_coherent() {
 #[test]
 fn a_mid_commit_kill_ends_the_steps_commits() {
     use ft_dc::dcsys::DcSys;
-    use ft_dc::runtime::DcRuntime;
-    use ft_mem::arena::{CommitCrashPoint, Layout};
-    use ft_mem::mem::Mem;
+    use ft_mem::arena::CommitCrashPoint;
     use ft_sim::syscalls::Syscalls;
 
     // COMMIT-ALL commits at every interposition point, so a step of
@@ -396,4 +393,45 @@ fn a_kernel_fault_is_armed_inside_the_initial_snapshot() {
     assert!(restored.corrupting(), "the initial snapshot lost the fault");
     assert_eq!(h.rt.recover(pid, &mut h.sim), [pid]);
     assert!(!h.sim.kernel_of(pid).corrupting());
+}
+
+#[test]
+fn a_round_commits_each_participant_just_past_its_own_commit_event() {
+    // P1 coordinates among four processes. It depends on P0, which
+    // depends on P3: CBNDV-2PC commits that closure, CPV-2PC everyone.
+    // The recorder journals one prepare per remote on the coordinator
+    // and one on each remote before the commit events, so a position
+    // that ignored them would stop short of the commit.
+    let pid = ProcessId::from_index;
+    let me = pid(1);
+    for (protocol, round) in [
+        (Protocol::Cbndv2pc, vec![0, 1, 3]),
+        (Protocol::Cpv2pc, vec![0, 1, 2, 3]),
+    ] {
+        let mut sim = Simulator::new(SimConfig::one_node_each(4, 1));
+        let mems = (0..4).map(|_| Mem::new(Layout::small())).collect();
+        let mut rt = DcRuntime::new(DcConfig::discount_checking(protocol), &sim, mems);
+        // A different prefix per process: no two positions coincide.
+        for p in 0..4 {
+            for _ in 0..p {
+                sim.tracer_mut().internal(pid(p));
+            }
+        }
+        for (on, dep) in [(1, 0), (0, 3)] {
+            let mut deps = DepSet::new();
+            deps.insert(dep);
+            rt.state_mut(pid(on)).tracker.on_recv(&deps, true);
+        }
+        rt.coordinated_commit(&mut sim.ctx(me));
+        let (trace, _, _) = sim.finish();
+        for p in 0..4 {
+            let commit = trace.process(pid(p)).iter().find(|e| e.kind.is_commit());
+            assert_eq!(commit.is_some(), round.contains(&p), "{protocol}: P{p}");
+            assert_eq!(
+                rt.state(pid(p)).committed.trace_pos,
+                commit.map_or(0, |e| e.id.seq + 1),
+                "{protocol}: P{p} restores to just past its commit event"
+            );
+        }
+    }
 }

@@ -17,7 +17,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use ft_core::event::{MsgId, ProcessId};
-use ft_core::protocol::{coordinated_participants, DepTracker};
+use ft_core::protocol::{coordinated_participants, DepTracker, Protocol};
 use ft_sim::cost::SimTime;
 use ft_sim::net::{NetFaultPlan, NetStats, Network, Partition, SendOutcome, UNDELIVERED};
 use ft_sim::rng::SplitMix64;
@@ -466,7 +466,13 @@ impl Pair {
                 }
             }
         }
-        let got = coordinated_participants(|r| self.trackers[r as usize].deps(), p);
+        let got = coordinated_participants(
+            Protocol::Cbndv2pc,
+            self.trackers.len(),
+            |r| self.trackers[r as usize].deps(),
+            p,
+        );
+        let got: Vec<u32> = got.into_iter().map(|q| q.0).collect();
         assert_eq!(got, model_participants(&self.model_deps, p));
         assert!(
             got.windows(2).all(|w| w[0] < w[1]),

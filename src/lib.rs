@@ -13,7 +13,7 @@
 //!
 //! | crate | contents |
 //! |-------|----------|
-//! | [`ft_core`] | event model, invariants, checkers, protocols, protocol space |
+//! | [`ft_core`] | event model, invariants, checkers, protocols and their driver |
 //! | [`ft_mem`] | reliable memory: arenas, undo logs, allocator, cost models |
 //! | [`ft_sim`] | discrete-event testbed: kernels, network, scheduler, scripts |
 //! | [`ft_dc`] | Discount Checking: interposition, protocols, recovery |

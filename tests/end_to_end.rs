@@ -28,7 +28,7 @@ fn cad_session(seed: u64, cmds: usize) -> (Simulator, Vec<Box<dyn App>>) {
         ProcessId(0),
         InputScript::evenly_spaced(0, 5 * MS, workload::cad_script(cmds, seed)),
     );
-    (sim, vec![Box::new(Cad::new())])
+    (sim, vec![Box::new(Cad)])
 }
 
 fn db_session(seed: u64, reqs: usize) -> (Simulator, Vec<Box<dyn App>>) {

@@ -31,8 +31,10 @@ cargo test -q --workspace
 # that come back from a disk: run their tests with overflow checks off
 # too, so "debug and release agree" on every untrusted-byte case is gated,
 # not assumed. ft-core's judge only ever runs in release (campaign,
-# benchmark/), where `replay`'s dense-id check is compiled out and the
-# Save-work tables are indexed by seqs converted from u64: same gate. So
+# benchmark/), where `replay`'s dense-id check is compiled out, its u32
+# clock components count events (one u32::try_from per column's event
+# count guards the increments), and the Save-work tables are indexed by
+# u32 components and by seqs converted from u64: same gate. So
 # does ft-sim's fabric, whose channels look u64 sequence numbers up in a
 # flat column that the differential test drives with sparse ones. And
 # ft-check: the explorer and the judge it drives run in release everywhere

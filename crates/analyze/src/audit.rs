@@ -98,7 +98,7 @@ fn audit_rules(trace: &Trace, visible_rule: bool, orphan_rule: bool) -> Vec<Save
     }
 
     let mut findings = Vec::new();
-    replay(trace, |e, clocks| {
+    replay(trace, &trace.processes(), |e, clocks| {
         let rule = match e.kind {
             EventKind::Visible { .. } if visible_rule => SaveWorkRule::Visible,
             EventKind::Commit { .. } if orphan_rule => SaveWorkRule::Orphan,
@@ -115,7 +115,11 @@ fn audit_rules(trace: &Trace, visible_rule: bool, orphan_rule: bool) -> Vec<Save
             // Application causality generates the obligation: program
             // order on the target's own process, the causal clock
             // across processes.
-            let req_known = if p == q { e.id.seq } else { clocks.causal[p] };
+            let req_known = if p == q {
+                e.id.seq
+            } else {
+                u64::from(clocks.causal[p])
+            };
             // An nd undone by a same-process rollback before the
             // target no longer precedes it.
             let upto = if p == q { e.id.seq } else { u64::MAX };
@@ -156,7 +160,7 @@ fn covered(
     groups: &[(u64, Vec<EventId>)],
     nd_seq: u64,
     target: EventId,
-    target_hb: &[u64],
+    target_hb: &[u32],
 ) -> bool {
     for c in commits.iter().filter(|c| c.seq > nd_seq) {
         if happens_before(*c, target, target_hb) {

@@ -181,7 +181,7 @@ pub struct ClockIndex {
     /// position `pos`; [`NO_ACCESS`] where no access needs it.
     row_of: Vec<Vec<u32>>,
     /// Happens-before clocks, `n_procs` components per row.
-    rows: Vec<u64>,
+    rows: Vec<u32>,
 }
 
 const NO_ACCESS: u32 = u32::MAX;
@@ -206,8 +206,8 @@ impl ClockIndex {
                 n_rows += 1;
             }
         }
-        let mut rows = vec![0u64; n_rows as usize * n_procs];
-        replay(trace, |e, clocks| {
+        let mut rows = vec![0u32; n_rows as usize * n_procs];
+        replay(trace, &trace.processes(), |e, clocks| {
             let pos =
                 usize::try_from(e.id.seq).expect("a recorded event's seq indexes its log") + 1;
             let row = row_of[e.id.pid.index()][pos];
@@ -226,7 +226,7 @@ impl ClockIndex {
     /// the clock of its event `pos - 1`, or `None` before its first
     /// event (no knowledge of anyone). Answers only at positions of the
     /// stream's accesses.
-    pub fn knowledge(&self, pid: ProcessId, pos: u64) -> Option<&[u64]> {
+    pub fn knowledge(&self, pid: ProcessId, pos: u64) -> Option<&[u32]> {
         let row = *self
             .row_of
             .get(pid.index())?
@@ -248,14 +248,14 @@ impl ClockIndex {
             return a.idx < b.idx;
         }
         self.knowledge(b.pid, b.pos)
-            .is_some_and(|k| k[a.pid.index()] > a.pos)
+            .is_some_and(|k| u64::from(k[a.pid.index()]) > a.pos)
     }
 
     /// Renders an access's knowledge clock for a race report.
     pub fn knowledge_display(&self, pid: ProcessId, pos: u64) -> String {
         match self.knowledge(pid, pos) {
             Some(c) => {
-                let components: Vec<String> = c.iter().map(u64::to_string).collect();
+                let components: Vec<String> = c.iter().map(u32::to_string).collect();
                 format!("<{}>", components.join(","))
             }
             None => "<->".to_string(),

@@ -9,7 +9,9 @@
 //! through both, and for each of the three rule selections
 //! `check_save_work*` must be `Ok` iff the audit finds nothing, and
 //! otherwise return exactly the audit finding with the smallest target,
-//! then the smallest nd process, then the largest nd seq.
+//! then the smallest nd process, then the largest nd seq. The checker
+//! replays only the clock columns of processes that can owe a target; the
+//! sweep meets mixes where that is none, some and all of them.
 
 #![allow(
     clippy::cast_possible_truncation,
@@ -19,7 +21,8 @@
 use ft_analyze::audit::{audit_orphan, audit_save_work, audit_visible};
 use ft_core::event::{MsgId, NdSource, ProcessId};
 use ft_core::savework::{
-    check_save_work, check_save_work_orphan, check_save_work_visible, SaveWorkViolation,
+    build_positions, check_save_work, check_save_work_orphan, check_save_work_visible,
+    SaveWorkViolation,
 };
 use ft_core::trace::{Trace, TraceBuilder};
 
@@ -152,6 +155,9 @@ fn expected(findings: &[SaveWorkViolation]) -> Result<(), SaveWorkViolation> {
 #[test]
 fn the_checker_returns_exactly_the_audits_first_finding() {
     let mut seeds = Rng(0x5AFE_D1FF);
+    // Mixes whose check replays no column, a proper subset of the
+    // processes, and all of them: the sweep must meet each projection.
+    let mut projections = [0usize; 3];
     for n in [1usize, 4, 5, 108] {
         // Every rule selection must meet both outcomes at every width, or
         // the sweep pins nothing.
@@ -163,6 +169,11 @@ fn the_checker_returns_exactly_the_audits_first_finding() {
             // trace needs more operations before processes interact.
             let ops = 3 + round % 24 * (2 + n.min(16));
             let trace = mix(n, seed, ops);
+            projections[match build_positions(&trace).columns().len() {
+                0 => 0,
+                c if c < n => 1,
+                _ => 2,
+            }] += 1;
             let pairs = [
                 (check_save_work(&trace), audit_save_work(&trace)),
                 (check_save_work_visible(&trace), audit_visible(&trace)),
@@ -191,4 +202,8 @@ fn the_checker_returns_exactly_the_audits_first_finding() {
             "n={n}: clean {clean:?}, violating {violating:?}"
         );
     }
+    assert!(
+        projections.iter().all(|&count| count >= 8),
+        "mixes projecting to no, some and all columns: {projections:?}"
+    );
 }

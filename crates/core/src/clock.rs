@@ -25,29 +25,31 @@
 //! there. Messages it sent before the crash keep what it knew when it sent
 //! them.
 
-use crate::event::{Event, EventId, EventKind, MsgId};
+use crate::event::{Event, EventId, EventKind, MsgId, ProcessId};
 use crate::trace::Trace;
 
 /// The two vector clocks of an event's process *after* executing that
-/// event, one component per process.
+/// event, one component per replayed column: component `j` is what the
+/// process knows of the `j`-th process of the column set handed to
+/// [`replay`] (of process `j` itself when that set is every process).
 #[derive(Debug, Clone, Copy)]
 pub struct EventClocks<'a> {
     /// Happens-before clock. Joined on **every** message, including
     /// recovery-layer control messages (two-phase-commit prepares and
     /// acks). Decides whether a commit *happens-before* a target event
     /// (coverage).
-    pub hb: &'a [u64],
+    pub hb: &'a [u32],
     /// Application-causality clock. Joined only on **application**
     /// messages. The paper distinguishes happens-before's use as an
     /// ordering constraint from its use as an approximation of causality
     /// ("causally precedes", §2.2); recovery control messages order events
     /// but do not transmit application state, so they must not generate
     /// Save-work obligations.
-    pub causal: &'a [u64],
+    pub causal: &'a [u32],
 }
 
 /// Component-wise max of `src` into `dst`.
-fn join(dst: &mut [u64], src: &[u64]) {
+fn join(dst: &mut [u32], src: &[u32]) {
     for (d, s) in dst.iter_mut().zip(src) {
         *d = (*d).max(*s);
     }
@@ -58,34 +60,71 @@ fn index(msg: MsgId) -> usize {
     usize::try_from(msg.0).expect("message ids are dense")
 }
 
-/// Replays `trace` in recording order, deriving both vector clocks, and
-/// calls `visit` once per event with the clocks after that event.
+/// Replays `trace` in recording order, deriving both vector clocks over
+/// the processes in `columns`, and calls `visit` once per event with the
+/// clocks after that event.
 ///
-/// The running state is two `n × n` matrices (row `p` is process `p`'s
-/// clock). A send snapshots its row so that a later receive — or several:
-/// recovery re-delivers a message to a rolled-back receiver — joins the
-/// sender's knowledge *at the send*. A receive joins the happens-before
-/// row always and the causal row unless the matching send was a control
-/// send (`send.logged`).
+/// `columns` lists distinct processes in ascending order; component `j`
+/// of every clock is the count of `columns[j]`. A clock component only
+/// ever takes values from the same component of other clocks, so a
+/// projected replay derives exactly the columns a full one would: pass
+/// every process for the full clocks, or only the processes a checker
+/// reads. Each process's event count must fit a `u32`, which is checked
+/// once per column.
+///
+/// The running state is two `n × columns` matrices (row `p` is process
+/// `p`'s clock). A send snapshots its row so that a later receive — or
+/// several: recovery re-delivers a message to a rolled-back receiver —
+/// joins the sender's knowledge *at the send*. A receive joins the
+/// happens-before row always and the causal row unless the matching send
+/// was a control send (`send.logged`).
 ///
 /// A snapshot lives only while its message is in flight. A pre-pass counts
 /// the receives the trace records for each message; a send that is never
 /// received snapshots nothing, and the last recorded receive of a message
-/// hands its `2n`-word slot to the next send. Transient memory is the
-/// matrices, `O(peak in-flight × n)` words of slots that stay in cache,
-/// and a count and an offset per message; nothing once the replay returns.
+/// hands its `2 × columns`-word slot to the next send. Transient memory
+/// is the matrices, `O(peak in-flight × columns)` words of slots, and a
+/// count and an offset per message; nothing once the replay returns.
+/// With no columns there is nothing to derive, and the replay only visits.
 ///
 /// A `Rollback { to_seq }` on `p` sets `p`'s causal row back to its value
 /// just before `p`'s event `to_seq`, keeping `p`'s own component (the
 /// module docs say why); the happens-before row and the slots already
 /// snapshotted are untouched. The same pre-pass collects the restore
-/// points, and the replay keeps the causal row at each: `O(rollbacks × n)`
-/// more words and one compare per event, nothing for a trace without a
-/// rollback.
-pub fn replay(trace: &Trace, mut visit: impl FnMut(&Event, EventClocks<'_>)) {
+/// points, and the replay keeps the causal row at each:
+/// `O(rollbacks × columns)` more words and one compare per event, nothing
+/// for a trace without a rollback.
+pub fn replay(
+    trace: &Trace,
+    columns: &[ProcessId],
+    mut visit: impl FnMut(&Event, EventClocks<'_>),
+) {
+    debug_assert!(
+        columns.windows(2).all(|w| w[0] < w[1]),
+        "columns are distinct and ascending"
+    );
+    let width = columns.len();
+    if width == 0 {
+        for e in trace.recorded() {
+            visit(
+                e,
+                EventClocks {
+                    hb: &[],
+                    causal: &[],
+                },
+            );
+        }
+        return;
+    }
     let n = trace.num_processes();
-    let mut hb = vec![0u64; n * n];
-    let mut causal = vec![0u64; n * n];
+    // `column_of[p]`: the column of `p`'s own component, if it has one.
+    let mut column_of: Vec<Option<usize>> = vec![None; n];
+    for (j, &p) in columns.iter().enumerate() {
+        u32::try_from(trace.process(p).len()).expect("a process's event count fits a u32 clock");
+        column_of[p.index()] = Some(j);
+    }
+    let mut hb = vec![0u32; n * width];
+    let mut causal = vec![0u32; n * width];
     // `pending[msg]`: receives of `msg` still to come. Message ids are
     // handed out densely in recording order, so the table ends at the last
     // message that is ever received.
@@ -112,41 +151,44 @@ pub fn replay(trace: &Trace, mut visit: impl FnMut(&Event, EventClocks<'_>)) {
     // `next_point[p]`: the first of `p`'s restore points it has yet to
     // reach, as an index into the list (empty when the list is), and
     // `restored`: the causal row as it stood just before each restore
-    // point reached so far, `n` words apiece in list order.
+    // point reached so far, `width` words apiece in list order.
     let mut next_point: Vec<usize> = Vec::new();
     if !restore_points.is_empty() {
         next_point.extend((0..n).map(|p| restore_points.partition_point(|&(q, _)| q < p)));
     }
-    let mut restored = vec![0u64; restore_points.len() * n];
-    // `slot_of[msg]`: where in `slots` the `2n`-word snapshot of an
-    // in-flight `msg` starts — the sender's happens-before row, then its
-    // causal row, left all zero by a control send so that joining it
+    let mut restored = vec![0u32; restore_points.len() * width];
+    // `slot_of[msg]`: where in `slots` the `2 × width`-word snapshot of
+    // an in-flight `msg` starts — the sender's happens-before row, then
+    // its causal row, left all zero by a control send so that joining it
     // changes nothing.
     let mut slot_of = vec![0usize; pending.len()];
-    let mut slots: Vec<u64> = Vec::new();
+    let mut slots: Vec<u32> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
     let mut sends = 0u64;
     for e in trace.recorded() {
         let p = e.id.pid.index();
-        let row = p * n..(p + 1) * n;
+        let row = p * width..(p + 1) * width;
+        let own = column_of[p].map(|j| row.start + j);
         if let Some(k) = next_point.get_mut(p) {
             if restore_points.get(*k) == Some(&(p, e.id.seq)) {
-                restored[*k * n..(*k + 1) * n].copy_from_slice(&causal[row.clone()]);
+                restored[*k * width..(*k + 1) * width].copy_from_slice(&causal[row.clone()]);
                 *k += 1;
             }
             if let EventKind::Rollback { to_seq } = e.kind {
                 // A restore point the process has yet to reach undoes
                 // nothing.
                 if let Ok(at) = restore_points[..*k].binary_search(&(p, to_seq)) {
-                    let own = causal[row.start + p];
-                    causal[row.clone()].copy_from_slice(&restored[at * n..(at + 1) * n]);
-                    causal[row.start + p] = own;
+                    let kept = own.map(|i| (i, causal[i]));
+                    causal[row.clone()].copy_from_slice(&restored[at * width..(at + 1) * width]);
+                    if let Some((i, count)) = kept {
+                        causal[i] = count;
+                    }
                 }
             }
         }
         if let EventKind::Recv { msg, .. } = e.kind {
             let m = index(msg);
-            let (sent_hb, sent_causal) = slots[slot_of[m]..slot_of[m] + 2 * n].split_at(n);
+            let (sent_hb, sent_causal) = slots[slot_of[m]..slot_of[m] + 2 * width].split_at(width);
             join(&mut hb[row.clone()], sent_hb);
             join(&mut causal[row.clone()], sent_causal);
             pending[m] -= 1;
@@ -154,18 +196,21 @@ pub fn replay(trace: &Trace, mut visit: impl FnMut(&Event, EventClocks<'_>)) {
                 free.push(slot_of[m]);
             }
         }
-        hb[row.start + p] += 1;
-        causal[row.start + p] += 1;
+        if let Some(i) = own {
+            hb[i] += 1;
+            causal[i] += 1;
+        }
         if let EventKind::Send { msg, .. } = e.kind {
             debug_assert_eq!(msg.0, sends, "sends record dense message ids");
             sends += 1;
             let m = index(msg);
             if pending.get(m).is_some_and(|&receives| receives > 0) {
                 slot_of[m] = free.pop().unwrap_or_else(|| {
-                    slots.resize(slots.len() + 2 * n, 0);
-                    slots.len() - 2 * n
+                    slots.resize(slots.len() + 2 * width, 0);
+                    slots.len() - 2 * width
                 });
-                let (sent_hb, sent_causal) = slots[slot_of[m]..slot_of[m] + 2 * n].split_at_mut(n);
+                let (sent_hb, sent_causal) =
+                    slots[slot_of[m]..slot_of[m] + 2 * width].split_at_mut(width);
                 sent_hb.copy_from_slice(&hb[row.clone()]);
                 if e.logged {
                     sent_causal.fill(0);
@@ -188,19 +233,20 @@ pub fn replay(trace: &Trace, mut visit: impl FnMut(&Event, EventClocks<'_>)) {
 /// executing is `b_clock`? With `b`'s happens-before clock this is
 /// happens-before; with its causal clock, "causally precedes". Two events
 /// on one process are ordered by program order; across processes, `a`'s
-/// knowledge must have reached `b`.
-pub fn happens_before(a: EventId, b: EventId, b_clock: &[u64]) -> bool {
+/// knowledge must have reached `b`. `b_clock` is a full-width clock,
+/// indexed by process.
+pub fn happens_before(a: EventId, b: EventId, b_clock: &[u32]) -> bool {
     if a.pid == b.pid {
         a.seq < b.seq
     } else {
-        a.seq < b_clock[a.pid.index()]
+        a.seq < u64::from(b_clock[a.pid.index()])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{NdSource, ProcessId};
+    use crate::event::NdSource;
     use crate::trace::TraceBuilder;
 
     fn p(i: u32) -> ProcessId {
@@ -208,9 +254,9 @@ mod tests {
     }
 
     /// (event id, hb clock, causal clock) of every event, in recording order.
-    fn clocks_of(trace: &Trace) -> Vec<(EventId, Vec<u64>, Vec<u64>)> {
+    fn clocks_of(trace: &Trace) -> Vec<(EventId, Vec<u32>, Vec<u32>)> {
         let mut out = Vec::new();
-        replay(trace, |e, c| {
+        replay(trace, &trace.processes(), |e, c| {
             out.push((e.id, c.hb.to_vec(), c.causal.to_vec()));
         });
         out
@@ -336,8 +382,9 @@ mod tests {
     #[test]
     fn replay_of_an_empty_trace_visits_nothing() {
         let mut visited = 0;
-        replay(&TraceBuilder::new(0).finish(), |_, _| visited += 1);
-        replay(&TraceBuilder::new(3).finish(), |_, _| visited += 1);
+        let mut visit = |_: &Event, _: EventClocks<'_>| visited += 1;
+        replay(&TraceBuilder::new(0).finish(), &[], &mut visit);
+        replay(&TraceBuilder::new(3).finish(), &[p(0), p(2)], &mut visit);
         assert_eq!(visited, 0);
     }
 }

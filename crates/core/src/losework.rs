@@ -59,7 +59,7 @@ pub fn check_commit_after_activation(trace: &Trace) -> LoseWorkOutcome {
     // The replay visits commits in recording order; the reported one is
     // the first in process-major order.
     let mut first: Option<(EventId, EventId)> = None;
-    replay(trace, |e, clocks| {
+    replay(trace, &trace.processes(), |e, clocks| {
         if !e.kind.is_commit() || first.is_some_and(|(_, commit)| commit < e.id) {
             return;
         }

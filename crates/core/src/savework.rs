@@ -25,8 +25,17 @@
 //! needs testing, and only for the *last* live nd below the causal bound
 //! (a commit that covers it covers every earlier one). Both candidates
 //! are read from per-process position tables built before the replay, two
-//! loads per (target, process): the whole check is one replay plus
-//! `O(events + targets × processes)`.
+//! loads per (target, process).
+//!
+//! Third, most processes can never owe anything. Another process's causal
+//! component for `p` is always `p`'s count at one of its application
+//! sends, so `p` can be uncovered at a target only if some application
+//! send of `p` leaves a live nd behind it with no commit in between: an
+//! *exposed* send. Commit-before-send protocols have none. The replay
+//! therefore derives only the columns of processes with an exposed send
+//! and of members of coordinated rounds (whose happens-before columns
+//! close a round), and the whole check is one replay over those columns
+//! plus `O(events + targets × columns)`.
 //!
 //! Recovery is part of the trace, and a rollback undoes three things: the
 //! process's non-deterministic events past the restore point (they oblige
@@ -39,7 +48,7 @@
 //! a rollback. What the process sent before the crash keeps the knowledge
 //! it was sent with, and re-receiving the message brings it back.
 
-use crate::clock::{happens_before, replay};
+use crate::clock::replay;
 use crate::event::{EventId, EventKind, ProcessId};
 use crate::trace::Trace;
 
@@ -80,10 +89,12 @@ impl std::fmt::Display for SaveWorkViolation {
     }
 }
 
-/// Position tables of every process, read by the cross-process test.
-/// Process `p` owns entries `base[p] ..= base[p] + len_p` of both tables,
+/// What one Save-work check reads besides the clocks: per-process position
+/// tables and the processes whose clock columns it replays.
+///
+/// Process `p` owns entries `base[p] ..= base[p] + len_p` of the tables,
 /// one per position `k` in its event sequence and one past the end.
-struct Positions {
+pub struct Positions {
     base: Vec<usize>,
     /// At `k`: the position just past the last effectively
     /// non-deterministic event below `k` that no rollback of its process
@@ -95,14 +106,52 @@ struct Positions {
     last_nd: Vec<usize>,
     /// At `k`: the seq of the first commit at or after `k`, or `u64::MAX`.
     next_commit: Vec<u64>,
+    /// Bit `k`: the last live nd below `k` has no commit of its process
+    /// before `k`. A target that knows `p` up to a position without the
+    /// bit owes `p` nothing: `p`'s first commit after that nd is below
+    /// the target's knowledge, so it happens-before the target.
+    exposed: Vec<u64>,
     /// Per process, its commits that belong to a coordinated round:
-    /// (seq, group).
-    grouped_commits: Vec<Vec<(u64, u64)>>,
-    /// Member commits of each coordinated round.
-    groups: std::collections::HashMap<u64, Vec<EventId>>,
+    /// (seq, where the round's run of `rounds` starts).
+    grouped_commits: Vec<Vec<(u64, usize)>>,
+    /// Every coordinated commit as (group, id), sorted: the members of a
+    /// round are one run.
+    rounds: Vec<(u64, EventId)>,
+    /// The processes that can owe a target on another process, ascending.
+    columns: Vec<ProcessId>,
+    /// `column_of[p]`: where `p` is in `columns`, if it is.
+    column_of: Vec<Option<usize>>,
 }
 
-fn build_positions(trace: &Trace) -> Positions {
+impl Positions {
+    /// The processes whose clock columns the Save-work check replays: those
+    /// that make an application send at an exposed position, and those
+    /// that commit in a coordinated round. Another process knows `p` only
+    /// up to one of `p`'s application sends (a receive copies the count,
+    /// a rollback restores an earlier copy), so the check can find `p`
+    /// uncovered only through such a send; and it reads the
+    /// happens-before column of every round member to close a round.
+    pub fn columns(&self) -> &[ProcessId] {
+        &self.columns
+    }
+
+    /// The member commits of the round whose run starts at `start`.
+    fn round(&self, start: usize) -> impl Iterator<Item = EventId> + '_ {
+        let group = self.rounds[start].0;
+        self.rounds[start..]
+            .iter()
+            .take_while(move |&&(g, _)| g == group)
+            .map(|&(_, id)| id)
+    }
+}
+
+fn bit(bits: &[u64], at: usize) -> bool {
+    bits[at / 64] >> (at % 64) & 1 == 1
+}
+
+/// Builds the position tables and the column set [`check_save_work`]
+/// reads for `trace`, in `O(events)`.
+pub fn build_positions(trace: &Trace) -> Positions {
     let n = trace.num_processes();
     let mut base = Vec::with_capacity(n);
     let mut entries = 0;
@@ -112,10 +161,11 @@ fn build_positions(trace: &Trace) -> Positions {
     }
     let mut last_nd = vec![0usize; entries];
     let mut next_commit = vec![u64::MAX; entries];
-    let mut grouped_commits = vec![Vec::new(); n];
-    // Determinism: the map is only read back by group-id key (`groups[&g]`),
-    // never iterated, so hash order cannot reach any output.
-    let mut groups: std::collections::HashMap<u64, Vec<EventId>> = std::collections::HashMap::new();
+    let mut exposed = vec![0u64; entries.div_ceil(64)];
+    // Per process, its coordinated commits as (seq, group).
+    let mut grouped = vec![Vec::new(); n];
+    let mut rounds = Vec::new();
+    let mut columns = Vec::new();
     for (p, &base) in base.iter().enumerate() {
         let events = trace.process(ProcessId::from_index(p));
         // Backward: the nearest commit ahead, and each nd event that lies
@@ -130,27 +180,58 @@ fn build_positions(trace: &Trace) -> Positions {
             } else if e.kind.is_commit() {
                 next_commit[base + k] = e.id.seq;
                 if let Some(g) = e.atomic_group {
-                    grouped_commits[p].push((e.id.seq, g));
-                    groups.entry(g).or_default().push(e.id);
+                    grouped[p].push((e.id.seq, g));
+                    rounds.push((g, e.id));
                 }
             } else if let EventKind::Rollback { to_seq } = e.kind {
                 restore = restore.min(to_seq);
             }
         }
         // Forward: a position with no live nd event just below it
-        // inherits the last one from its left.
-        for k in base + 1..=base + events.len() {
-            if last_nd[k] == 0 {
-                last_nd[k] = last_nd[k - 1];
+        // inherits the last one from its left; then whether a commit
+        // follows that nd before the position.
+        for k in 0..=events.len() {
+            if k > 0 && last_nd[base + k] == 0 {
+                last_nd[base + k] = last_nd[base + k - 1];
+            }
+            let after_nd = last_nd[base + k];
+            if after_nd > 0 && next_commit[base + after_nd] >= k as u64 {
+                exposed[(base + k) / 64] |= 1 << ((base + k) % 64);
             }
         }
+        // An application send at seq `k` tells the receiver `p`'s count
+        // `k + 1`.
+        let exposed_send = events.iter().enumerate().any(|(k, e)| {
+            matches!(e.kind, EventKind::Send { .. }) && !e.logged && bit(&exposed, base + k + 1)
+        });
+        if exposed_send || !grouped[p].is_empty() {
+            columns.push(ProcessId::from_index(p));
+        }
+    }
+    rounds.sort_unstable();
+    let grouped_commits = grouped
+        .into_iter()
+        .map(|commits: Vec<(u64, u64)>| {
+            let start = |group| rounds.partition_point(|&(g, _)| g < group);
+            commits
+                .into_iter()
+                .map(|(seq, g)| (seq, start(g)))
+                .collect()
+        })
+        .collect();
+    let mut column_of = vec![None; n];
+    for (j, c) in columns.iter().enumerate() {
+        column_of[c.index()] = Some(j);
     }
     Positions {
         base,
         last_nd,
         next_commit,
+        exposed,
         grouped_commits,
-        groups,
+        rounds,
+        columns,
+        column_of,
     }
 }
 
@@ -195,6 +276,7 @@ fn check_rules(
     orphan_rule: bool,
 ) -> Result<(), SaveWorkViolation> {
     let pos = build_positions(trace);
+    let columns = pos.columns();
     // For a target's own process liveness is judged at the target: only
     // the rollbacks before it count. `live_nd[q]` is the running stack of
     // `q`'s effectively-nd seqs that are live and uncommitted at the
@@ -206,7 +288,7 @@ fn check_rules(
     // is the first in process-major order: smallest target, then smallest
     // nd process (the inner loop stops at its first uncovered process).
     let mut first: Option<SaveWorkViolation> = None;
-    replay(trace, |e, clocks| {
+    replay(trace, columns, |e, clocks| {
         let q = e.id.pid.index();
         if e.is_effectively_nd() {
             live_nd[q].push(e.id.seq);
@@ -226,26 +308,43 @@ fn check_rules(
         if first.is_some_and(|f| f.target < e.id) {
             return;
         }
-        for (p, &base) in pos.base.iter().enumerate() {
-            // The last live nd of p that *causally precedes* e
-            // (application causality generates the obligation) and that
-            // no commit of p strictly between it and e in the
-            // *happens-before* order covers (coverage uses plain
-            // happens-before, which control messages extend).
-            let uncovered = if p == q {
-                // Program order. A commit target has just emptied its
-                // own stack: "atomic with" lets the target itself serve
-                // as the covering commit.
-                live_nd[q].last().copied()
+        // Column `j`'s process, with the last live nd of it that
+        // *causally precedes* e (application causality generates the
+        // obligation), if no commit of it strictly between that nd and e
+        // in the *happens-before* order covers it (coverage uses plain
+        // happens-before, which control messages extend). What e does not
+        // know up to an exposed position is covered: e's happens-before
+        // component is at least its causal one.
+        let cross = |j: usize| {
+            let p = columns[j].index();
+            let known = pos.base[p] + clocks.causal[j] as usize;
+            if !bit(&pos.exposed, known) {
+                return None;
+            }
+            let after_nd = pos.last_nd[known];
+            (pos.next_commit[pos.base[p] + after_nd] >= u64::from(clocks.hb[j]))
+                .then(|| (p, after_nd as u64 - 1))
+        };
+        // Processes in ascending order, the target's own among them by
+        // program order. A commit target has just emptied its own stack:
+        // "atomic with" lets the target itself serve as the covering
+        // commit.
+        let below = columns.partition_point(|c| c.index() < q);
+        let above = columns.partition_point(|c| c.index() <= q);
+        let uncovered = (0..below)
+            .filter_map(cross)
+            .chain(live_nd[q].last().map(|&nd_seq| (q, nd_seq)))
+            .chain((above..columns.len()).filter_map(cross));
+        // A round member is a column, or the target's own process.
+        let precedes_target = |m: EventId| {
+            if m.pid == e.id.pid {
+                m.seq < e.id.seq
             } else {
-                let known = usize::try_from(clocks.causal[p]).expect("a seq indexes its trace");
-                let after_nd = pos.last_nd[base + known];
-                (after_nd > 0 && pos.next_commit[base + after_nd] >= clocks.hb[p])
-                    .then(|| after_nd as u64 - 1)
-            };
-            let Some(nd_seq) = uncovered else {
-                continue;
-            };
+                let j = pos.column_of[m.pid.index()].expect("round members are replayed");
+                m.seq < u64::from(clocks.hb[j])
+            }
+        };
+        for (p, nd_seq) in uncovered {
             // Atomic closure: a coordinated commit on p after the nd
             // covers the target if *any member* of its round
             // happens-before (or is) the target — the round's commits are
@@ -254,11 +353,7 @@ fn check_rules(
             let covered = pos.grouped_commits[p]
                 .iter()
                 .filter(|&&(s, _)| s > nd_seq)
-                .any(|&(_, g)| {
-                    pos.groups[&g]
-                        .iter()
-                        .any(|&m| m == e.id || happens_before(m, e.id, clocks.hb))
-                });
+                .any(|&(_, round)| pos.round(round).any(|m| m == e.id || precedes_target(m)));
             if !covered {
                 first = Some(SaveWorkViolation {
                     nd: EventId::new(ProcessId::from_index(p), nd_seq),
@@ -318,7 +413,7 @@ pub fn find_orphans(trace: &Trace, rollbacks: &[Rollback]) -> Vec<OrphanReport> 
     // event.
     let n = trace.num_processes();
     let mut first: Vec<Option<OrphanReport>> = vec![None; rollbacks.len() * n];
-    replay(trace, |e, clocks| {
+    replay(trace, &trace.processes(), |e, clocks| {
         if !e.kind.is_commit() {
             return;
         }
@@ -327,7 +422,10 @@ pub fn find_orphans(trace: &Trace, rollbacks: &[Rollback]) -> Vec<OrphanReport> 
             let Some(nd_seq) = *lost else {
                 continue;
             };
-            if e.id.pid != rb.pid && slot.is_none() && nd_seq < clocks.causal[rb.pid.index()] {
+            if e.id.pid != rb.pid
+                && slot.is_none()
+                && nd_seq < u64::from(clocks.causal[rb.pid.index()])
+            {
                 *slot = Some(OrphanReport {
                     orphan: e.id.pid,
                     commit: e.id,

@@ -44,6 +44,14 @@ impl Trace {
         self.events.len()
     }
 
+    /// Every process, ascending: the columns of a full-width
+    /// [`crate::clock::replay`].
+    pub fn processes(&self) -> Vec<ProcessId> {
+        (0..self.num_processes())
+            .map(ProcessId::from_index)
+            .collect()
+    }
+
     /// The events of process `p`, in program order.
     pub fn process(&self, p: ProcessId) -> &[Event] {
         &self.events[p.index()]

@@ -2,7 +2,8 @@
 //!
 //! A send's clock snapshot lives only while its message is in flight, so
 //! what a replay holds is set by the *peak* number of in-flight messages
-//! and not by how many were ever sent. A counting global allocator tracks
+//! and not by how many were ever sent, and it is as wide as the set of
+//! process columns the replay derives. A counting global allocator tracks
 //! live heap bytes, which is why this file holds exactly one `#[test]`: a
 //! second test thread would allocate into the same counters.
 
@@ -12,7 +13,7 @@ use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 use ft_core::clock::replay;
 use ft_core::event::ProcessId;
-use ft_core::trace::TraceBuilder;
+use ft_core::trace::{Trace, TraceBuilder};
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
@@ -80,24 +81,46 @@ fn replay_holds_snapshots_only_for_messages_in_flight() {
     let trace = b.finish();
     assert_eq!(trace.len(), 3 * PAIRS);
 
+    // Every process, one column, and none: the matrices and the slots
+    // are as wide as the column set.
+    let all = trace.processes();
+    for columns in [&all[..], &all[..1]] {
+        let held = held_by_replay(&trace, columns);
+        let word = std::mem::size_of::<u32>();
+        let width = columns.len();
+        let matrices = 2 * WIDTH * width * word;
+        let slots = IN_FLIGHT * 2 * width * word;
+        let column_of = WIDTH * std::mem::size_of::<Option<usize>>();
+        // A receive count and a slot offset per message id.
+        let per_message = 2 * PAIRS * (std::mem::size_of::<u32>() + std::mem::size_of::<usize>());
+        // Slack: a growing `Vec` holds up to twice its length, and twice
+        // that while it moves. One snapshot per send would be 2 × 10⁴ × 2
+        // × 108 words ≈ 17 MB, one per received message half of that.
+        let bound = matrices + column_of + 4 * (slots + per_message);
+        assert!(
+            held <= bound,
+            "replay over {width} columns held {held} B at its peak; the bound is {bound} B"
+        );
+    }
+    // With no column there is no clock to derive: no matrix, no snapshot
+    // slot, no per-message table, only the recording-order cursor.
+    let cursor = WIDTH * std::mem::size_of::<usize>();
+    let held = held_by_replay(&trace, &[]);
+    assert!(
+        held <= cursor,
+        "replay over no columns held {held} B; the cursor is {cursor} B"
+    );
+}
+
+/// Peak live heap bytes a replay over `columns` adds.
+fn held_by_replay(trace: &Trace, columns: &[ProcessId]) -> usize {
     let before = LIVE.load(Relaxed);
     PEAK.store(before, Relaxed);
-    let mut known = 0;
-    replay(&trace, |_, clocks| known += clocks.hb.iter().sum::<u64>());
+    let mut visited = 0;
+    replay(trace, columns, |_, clocks| {
+        visited += 1 + clocks.hb.iter().map(|&c| u64::from(c)).sum::<u64>();
+    });
     let held = PEAK.load(Relaxed) - before;
-    assert!(known > 0);
-
-    let word = std::mem::size_of::<u64>();
-    let matrices = 2 * WIDTH * WIDTH * word;
-    let slots = IN_FLIGHT * 2 * WIDTH * word;
-    // A receive count and a slot offset per message id.
-    let per_message = 2 * PAIRS * (std::mem::size_of::<u32>() + std::mem::size_of::<usize>());
-    // Slack: a growing `Vec` holds up to twice its length, and twice that
-    // while it moves. One snapshot per send would be 2 × 10⁴ × 2 × 108
-    // words ≈ 35 MB, one per received message half of that.
-    let bound = matrices + 4 * (slots + per_message);
-    assert!(
-        held <= bound,
-        "replay held {held} B at its peak; the bound is {bound} B"
-    );
+    assert!(visited > 0);
+    held
 }

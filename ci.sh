@@ -36,7 +36,9 @@ cargo test -q --workspace
 # count guards the increments), and the Save-work tables are indexed by
 # u32 components and by seqs converted from u64: same gate. So
 # does ft-sim's fabric, whose channels look u64 sequence numbers up in a
-# flat column that the differential test drives with sparse ones. And
+# flat column that the differential test drives with sparse ones, and
+# keep absolute indices over a released prefix (cursor − base, index −
+# base), which the differential drives through releases. And
 # ft-check: the explorer and the judge it drives run in release everywhere
 # but its own tests, `replay`'s rollback cursor compares u64 seqs against
 # positions converted from usize, and the kvstore@6 regression for

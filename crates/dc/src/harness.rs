@@ -333,7 +333,16 @@ impl DcHarness {
     /// schedule fired there. Meant as an observer (queue counters,
     /// positions): kills belong in [`DcConfig::faults`], and a `kill_at`
     /// the hook schedules itself is outside the schedule.
-    pub fn run_with(mut self, mut on_step: impl FnMut(&mut Simulator)) -> DcReport {
+    pub fn run_with(mut self, on_step: impl FnMut(&mut Simulator)) -> DcReport {
+        self.drive(on_step);
+        self.into_report()
+    }
+
+    /// The loop of [`DcHarness::run_with`] without the report: runs to
+    /// completion (or deadlock / abandonment) and leaves the simulator and
+    /// the runtime in place for inspection. [`DcHarness::into_report`]
+    /// then closes the run.
+    pub fn drive(&mut self, mut on_step: impl FnMut(&mut Simulator)) {
         // Start kills go in before the first wake; position and time kills
         // wait, in schedule order, until they fall due.
         let mut watched = Vec::new();
@@ -364,6 +373,10 @@ impl DcHarness {
             }
             on_step(&mut self.sim);
         }
+    }
+
+    /// Closes a run [`DcHarness::drive`] finished into its report.
+    pub fn into_report(mut self) -> DcReport {
         let n = self.apps.len();
         // Incidents still open at the end of the run (abandoned processes,
         // deadlocks, horizon truncation) never recovered.

@@ -5,11 +5,13 @@ use ft_core::protocol::{coordinated_participants, CommitPlanner, Protocol};
 use ft_faults::crash::{CrashPoint, Fault};
 use ft_mem::arena::CommitCrashPoint;
 use ft_sim::cost::SimTime;
+use ft_sim::net::Network;
 use ft_sim::sim::{Simulator, SysCtx};
 use ft_sim::syscalls::Syscalls;
 
 use crate::state::{
-    bump_count, decode_alloc, encode_alloc_into, DcConfig, DcStats, Mutation, PendingNd, ProcState,
+    bump_count, count_of, decode_alloc, encode_alloc_into, DcConfig, DcStats, Mutation, PendingNd,
+    ProcState,
 };
 
 /// The Discount Checking runtime for one computation: per-process state
@@ -131,11 +133,13 @@ impl DcRuntime {
     /// when given; callers pass only the crash points at which the commit
     /// still completes ([`CommitCrashPoint::MidUndoWalk`] / [`CommitCrashPoint::PostBump`]
     /// — a pre-log crash means no commit happens at all, so this function
-    /// is never reached).
+    /// is never reached). Once the snapshot is taken the fabric releases
+    /// what the commit put behind both ends of a channel
+    /// ([`DcRuntime::release_moved`]).
     fn commit_arena(
         &mut self,
         pid: ProcessId,
-        sim: &Simulator,
+        sim: &mut Simulator,
         pending: Option<PendingNd>,
         crash: Option<CommitCrashPoint>,
     ) -> SimTime {
@@ -160,7 +164,7 @@ impl DcRuntime {
         // The channel tables move by what was sent and received since the
         // last snapshot — not re-read from the simulator, which would walk
         // every channel the process has.
-        for dest in st.sent_to.drain(..) {
+        for &dest in &st.sent_to {
             bump_count(&mut committed.send_seqs, dest);
         }
         if std::mem::take(&mut st.consumed_stale) {
@@ -168,10 +172,10 @@ impl DcRuntime {
             committed
                 .consumed
                 .extend(sim.network().consumed_counts(pid));
-            st.recv_from.clear();
-        }
-        for from in st.recv_from.drain(..) {
-            bump_count(&mut committed.consumed, from);
+        } else {
+            for &from in &st.recv_from {
+                bump_count(&mut committed.consumed, from);
+            }
         }
         debug_assert_eq!(committed.send_seqs, sim.send_seqs(pid));
         debug_assert!(sim
@@ -187,7 +191,40 @@ impl DcRuntime {
         st.tracker.clear();
         st.stats.commits += 1;
         st.stats.commit_time_ns += cost;
+        self.release_moved(pid, sim.network_mut());
         cost
+    }
+
+    /// Releases on every channel `pid`'s commit just moved — the ones in
+    /// its `sent_to` and `recv_from` lists, which it then empties — the
+    /// messages both ends have now committed past ([`Network::release`]),
+    /// reading the other end's count from its snapshot. A message becomes
+    /// releasable at the later of the two commits covering it, and that
+    /// commit moved its channel, so nothing is missed without walking every
+    /// peer.
+    fn release_moved(&mut self, pid: ProcessId, net: &mut Network) {
+        let st = &self.states[pid.index()];
+        let mut last = None;
+        for &dest in &st.sent_to {
+            if last.replace(dest) == Some(dest) {
+                continue;
+            }
+            let upto = count_of(&self.states[dest as usize].committed.consumed, pid.0);
+            let below_seq = count_of(&st.committed.send_seqs, dest);
+            net.release(pid, ProcessId(dest), upto, below_seq);
+        }
+        let mut last = None;
+        for &from in &st.recv_from {
+            if last.replace(from) == Some(from) {
+                continue;
+            }
+            let upto = count_of(&st.committed.consumed, from);
+            let below_seq = count_of(&self.states[from as usize].committed.send_seqs, pid.0);
+            net.release(ProcessId(from), pid, upto, below_seq);
+        }
+        let st = &mut self.states[pid.index()];
+        st.sent_to.clear();
+        st.recv_from.clear();
     }
 
     /// A local commit at an interposition point: commits the arena,
@@ -197,7 +234,7 @@ impl DcRuntime {
         let pid = ctx.pid();
         let kill = self.check_commit_kill(pid);
         if kill != Some(CommitCrashPoint::PreLog) {
-            let cost = self.commit_arena(pid, ctx.sim(), pending, kill);
+            let cost = self.commit_arena(pid, ctx.sim_mut(), pending, kill);
             self.states[pid.index()].committed.trace_pos = ctx.record_commit(cost);
         }
         // A pre-log kill: the process dies before the commit record
@@ -251,7 +288,7 @@ impl DcRuntime {
             .iter()
             .map(|&q| {
                 let crash = kill.filter(|_| q == me);
-                self.commit_arena(q, ctx.sim(), None, crash)
+                self.commit_arena(q, ctx.sim_mut(), None, crash)
             })
             .collect();
         // Only the recorder knows how many control edges it journals before

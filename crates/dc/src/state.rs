@@ -219,7 +219,8 @@ pub struct ProcState {
     /// Destination of every send and sender of every receive executed
     /// since the last commit or restore, in order. The next commit folds
     /// them into `committed`'s `send_seqs` and `consumed` with
-    /// [`bump_count`], so a commit pays for the channels that moved and
+    /// [`bump_count`] and releases on those channels what both ends have
+    /// committed past, so a commit pays for the channels that moved and
     /// not for every channel the process has.
     pub sent_to: Vec<u32>,
     /// See `sent_to`.
@@ -274,6 +275,13 @@ pub fn bump_count<N: Copy + From<u8> + std::ops::AddAssign>(counts: &mut Vec<(u3
         Ok(i) => counts[i].1 += N::from(1),
         Err(i) => counts.insert(i, (key, N::from(1))),
     }
+}
+
+/// `key`'s count in a sparse, key-sorted count list (zero when absent).
+pub fn count_of<N: Copy + Default>(counts: &[(u32, N)], key: u32) -> N {
+    counts
+        .binary_search_by_key(&key, |e| e.0)
+        .map_or_else(|_| N::default(), |i| counts[i].1)
 }
 
 /// Serializes the allocator for the committed register/control blob.

@@ -4,14 +4,28 @@
 //!
 //! §2.1: "for receive events to be redoable, messages must be saved at
 //! either the sender or receiver so they can be re-delivered after a
-//! failure." Every ordered process pair has a [`Channel`] that retains all
-//! messages ever sent on it, plus a delivery cursor. Recovery rewinds the
+//! failure." Every ordered process pair has a [`Channel`] that retains the
+//! messages sent on it, plus a delivery cursor. Recovery rewinds the
 //! receiver's cursor to its last committed consumption count (re-delivery),
 //! deduplicates re-sends during deterministic replay (same per-channel
 //! sequence number), and *withdraws* tainted messages — messages sent while
 //! the sender had uncommitted non-determinism — when the sender rolls back
 //! past them, reporting which receivers consumed withdrawn messages so the
 //! recovery manager can cascade their rollback.
+//!
+//! A message is kept only while a rollback can still ask for it. Every
+//! restore goes to the process's *last* commit: a receiver rewinds no
+//! further than its committed consumption count, and a sender re-sends,
+//! and withdraws, only sequence numbers at or above its committed send
+//! count. So once both ends have committed past a message — its index
+//! below the receiver's committed count, its sequence number below the
+//! sender's — and the transport owes it no retransmission, nothing can
+//! re-deliver, dedup or withdraw it, and [`Network::release`] drops it from
+//! the front of the channel. The recovery runtime releases on the channels
+//! each commit moved, so what the fabric holds follows the uncommitted
+//! window, not the length of the run. Cursors, committed counts and the
+//! dedup index stay *absolute* (they count the released prefix), so a
+//! snapshot taken before a release still means the same message after it.
 //!
 //! What a send or a receive costs the host does not depend on how many
 //! messages a channel retains: the replay-dedup index beside each buffer
@@ -20,7 +34,8 @@
 //! go down across a withdrawal, and need not be dense), and the dependency
 //! snapshot a message carries is a [`DepSet`], which owns no heap block
 //! while empty. `tests/net_differential.rs` holds the tree-based fabric
-//! this replaced as the model both are checked against.
+//! this replaced, which keeps every message, as the model both are checked
+//! against.
 //!
 //! # The unreliable fabric and the transport
 //!
@@ -43,7 +58,7 @@
 //! arrival that overtakes an earlier undelivered message waits in the
 //! buffer until the head of the channel arrives.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use ft_core::event::{MsgId, ProcessId};
 use ft_core::protocol::DepSet;
@@ -221,25 +236,34 @@ struct Inflight {
 }
 
 /// One ordered-pair channel.
+///
+/// Indices are absolute: message `i` is the `i`-th the channel has kept
+/// since the run began, released ones included, so it lives at
+/// `msgs[i - base]`. The cursor never falls below `base`.
 #[derive(Debug, Clone, Default)]
 pub struct Channel {
-    msgs: Vec<StoredMsg>,
-    /// Index of the next message to deliver to the receiver.
+    /// The retained messages, oldest first.
+    msgs: VecDeque<StoredMsg>,
+    /// Messages released from the front so far: the absolute index of
+    /// `msgs[0]`.
+    base: usize,
+    /// Absolute index of the next message to deliver to the receiver.
     cursor: usize,
-    /// `(seq, index in msgs)`, ascending by sequence number: the
+    /// `(seq, absolute index)`, ascending by sequence number: the
     /// replay-dedup index. A flat column, not a tree, because a sender's
     /// sequence numbers only ever go up except across a withdrawal: a
     /// fresh send is one comparison with the last entry and an append, a
-    /// replayed one a binary search. Nothing assumes the numbers are dense.
-    by_seq: Vec<(u64, usize)>,
+    /// replayed one a binary search, and a release pops its front.
+    /// Nothing assumes the numbers are dense.
+    by_seq: VecDeque<(u64, usize)>,
     /// Transport state for unacknowledged sequences (fault plan only).
     inflight: BTreeMap<u64, Inflight>,
 }
 
-/// Looks `seq` up in a channel's `by_seq` column: the message's index in
-/// `msgs`, or else where in the column its entry belongs.
-fn find_seq(by_seq: &[(u64, usize)], seq: u64) -> Result<usize, usize> {
-    match by_seq.last() {
+/// Looks `seq` up in a channel's `by_seq` column: the message's absolute
+/// index, or else where in the column its entry belongs.
+fn find_seq(by_seq: &VecDeque<(u64, usize)>, seq: u64) -> Result<usize, usize> {
+    match by_seq.back() {
         Some(&(last, _)) if seq <= last => by_seq
             .binary_search_by_key(&seq, |e| e.0)
             .map(|i| by_seq[i].1),
@@ -248,14 +272,37 @@ fn find_seq(by_seq: &[(u64, usize)], seq: u64) -> Result<usize, usize> {
 }
 
 impl Channel {
-    /// Number of messages consumed by the receiver so far.
+    /// Number of messages consumed by the receiver so far (released ones
+    /// included).
     pub fn consumed(&self) -> usize {
         self.cursor
     }
 
-    /// All retained messages.
-    pub fn messages(&self) -> &[StoredMsg] {
+    /// Number of messages released from the front of the channel: the
+    /// absolute index of the first retained message.
+    pub fn released(&self) -> usize {
+        self.base
+    }
+
+    /// The retained messages, oldest first; the first has absolute index
+    /// [`Channel::released`].
+    pub fn messages(&self) -> &VecDeque<StoredMsg> {
         &self.msgs
+    }
+
+    /// True while the transport still owes `seq` an acknowledgement.
+    pub fn unacked(&self, seq: u64) -> bool {
+        self.inflight.contains_key(&seq)
+    }
+
+    /// The message at absolute index `i`, if retained.
+    fn at(&self, i: usize) -> Option<&StoredMsg> {
+        self.msgs.get(i - self.base)
+    }
+
+    /// One past the absolute index of the last retained message.
+    fn end(&self) -> usize {
+        self.base + self.msgs.len()
     }
 }
 
@@ -402,12 +449,12 @@ impl Network {
         let transport = self.plan.is_some();
         let ch = self.channel_mut(from, to);
         let at = match find_seq(&ch.by_seq, seq) {
-            Ok(i) => return SendOutcome::Duplicate(ch.msgs[i].deliver_at),
+            Ok(i) => return SendOutcome::Duplicate(ch.msgs[i - ch.base].deliver_at),
             Err(at) => at,
         };
         let deliver_at = if transport { UNDELIVERED } else { deliver_at };
-        ch.by_seq.insert(at, (seq, ch.msgs.len()));
-        ch.msgs.push(StoredMsg {
+        ch.by_seq.insert(at, (seq, ch.end()));
+        ch.msgs.push_back(StoredMsg {
             seq,
             payload: Payload::new(payload),
             deps: deps.into(),
@@ -523,6 +570,7 @@ impl Network {
         }
 
         // The attempt gets through.
+        let idx = idx - ch.base;
         let already_arrived = ch.msgs[idx].deliver_at != UNDELIVERED;
         let arrival = if already_arrived {
             // A retransmission of data the receiver already has (its ack
@@ -573,7 +621,7 @@ impl Network {
         // Ascending-sender scan: a strict `<` keeps the first (lowest
         // sender) among same-instant candidates.
         for (i, ch) in row.chans.iter().enumerate() {
-            if let Some(m) = ch.msgs.get(ch.cursor) {
+            if let Some(m) = ch.at(ch.cursor) {
                 if m.deliver_at <= now && best.is_none_or(|(_, bt)| m.deliver_at < bt) {
                     best = Some((i, m.deliver_at));
                 }
@@ -582,7 +630,7 @@ impl Network {
         let (i, _) = best?;
         let from = row.senders[i];
         let ch = &mut row.chans[i];
-        let m = &ch.msgs[ch.cursor];
+        let m = &ch.msgs[ch.cursor - ch.base];
         ch.cursor += 1;
         Some((
             Message {
@@ -605,7 +653,7 @@ impl Network {
             .get(to.index())?
             .chans
             .iter()
-            .filter_map(|ch| ch.msgs.get(ch.cursor).map(|m| m.deliver_at))
+            .filter_map(|ch| ch.at(ch.cursor).map(|m| m.deliver_at))
             .filter(|&d| d != UNDELIVERED)
             .min()
     }
@@ -631,6 +679,10 @@ impl Network {
     /// Rewinds `to`'s delivery cursors to a committed snapshot (a sparse
     /// sender-sorted list, as produced by [`Network::consumed_counts`]):
     /// messages consumed after the snapshot will be re-delivered.
+    ///
+    /// Panics if a count lies below what the channel has released: a
+    /// release never passes the receiver's committed count, so such a
+    /// rewind targets a snapshot older than the last commit.
     pub fn rewind_receiver(&mut self, to: ProcessId, counts: &[(u32, usize)]) {
         let Some(row) = self.rows.get_mut(to.index()) else {
             return;
@@ -640,8 +692,64 @@ impl Network {
                 .binary_search_by_key(&from, |e| e.0)
                 .map(|i| counts[i].1)
                 .unwrap_or(0);
-            ch.cursor = count.min(ch.msgs.len());
+            assert!(
+                count >= ch.base,
+                "rewind of channel {from}->{} to {count}, below its {} released messages",
+                to.0,
+                ch.base
+            );
+            ch.cursor = count.min(ch.end());
         }
+    }
+
+    /// Releases from the front of the `(from, to)` channel every message no
+    /// rollback can ask for again, and returns how many went: the front
+    /// message goes while its absolute index is below `upto` (the
+    /// receiver's committed consumption count) and below the delivery
+    /// cursor, its sequence number is below `below_seq` (the sender's
+    /// committed send count on the channel), and the transport owes it no
+    /// retransmission. Costs O(released), or O(retained) when a withdrawal
+    /// has re-sent a sequence number behind later ones, and allocates
+    /// nothing.
+    ///
+    /// The caller must not later withdraw below `below_seq` nor rewind the
+    /// receiver below `upto` — both hold when the two counts are the ends'
+    /// last commits, the only points a restore goes to.
+    pub fn release(
+        &mut self,
+        from: ProcessId,
+        to: ProcessId,
+        upto: usize,
+        below_seq: u64,
+    ) -> usize {
+        let Some(ch) = self.chan_mut(from, to) else {
+            return 0;
+        };
+        let first = ch.base;
+        // The cursor bound matters only once a withdrawal has clamped a
+        // cursor under a receiver's stale committed count.
+        let limit = upto.min(ch.cursor);
+        while ch.base < limit {
+            match ch.msgs.front() {
+                Some(m) if m.seq < below_seq && !ch.inflight.contains_key(&m.seq) => {}
+                _ => break,
+            }
+            ch.msgs.pop_front();
+            ch.base += 1;
+        }
+        let released = ch.base - first;
+        let base = ch.base;
+        let mut dropped = 0;
+        while ch.by_seq.front().is_some_and(|e| e.1 < base) {
+            ch.by_seq.pop_front();
+            dropped += 1;
+        }
+        if dropped < released {
+            // A withdrawal reordered the channel against its sequence
+            // numbers: the released entries are not a prefix of the index.
+            ch.by_seq.retain(|e| e.1 >= base);
+        }
+        released
     }
 
     /// Withdraws tainted messages `from` sent at-or-after the given
@@ -672,7 +780,7 @@ impl Network {
             let consumed = ch.cursor;
             let retained = ch.msgs.len();
             let mut removed_consumed = false;
-            let mut i = 0;
+            let mut i = ch.base;
             ch.msgs.retain(|m| {
                 let withdrawn = m.seq >= floor && m.tainted;
                 removed_consumed |= withdrawn && i < consumed;
@@ -691,11 +799,12 @@ impl Network {
             // cursor and the cursor stands; if one was, the receiver is in
             // `cascade`, and the recovery manager's `rewind_receiver`
             // overwrites the cursor before anything is delivered again.
-            ch.cursor = consumed.min(ch.msgs.len());
+            ch.cursor = consumed.min(ch.end());
+            let base = ch.base;
             ch.by_seq.clear();
             ch.by_seq
-                .extend(ch.msgs.iter().enumerate().map(|(i, m)| (m.seq, i)));
-            ch.by_seq.sort_unstable();
+                .extend(ch.msgs.iter().enumerate().map(|(i, m)| (m.seq, base + i)));
+            ch.by_seq.make_contiguous().sort_unstable();
             let by_seq = &ch.by_seq;
             ch.inflight.retain(|&s, _| find_seq(by_seq, s).is_ok());
         }
@@ -707,7 +816,9 @@ impl Network {
         self.rows.get(to.index())?.get(from.0)
     }
 
-    /// Total buffered messages (tests).
+    /// Total retained messages across the fabric: those sent and not yet
+    /// released, so a bound on the uncommitted window, not a count of the
+    /// run's sends (tests).
     pub fn total_buffered(&self) -> usize {
         self.rows
             .iter()
@@ -1130,6 +1241,118 @@ mod tests {
             got += 1;
         }
         assert_eq!(got, 1);
+    }
+
+    #[test]
+    fn release_keeps_indices_absolute() {
+        let mut n = Network::new();
+        for seq in 0..4u8 {
+            n.send(
+                p(0),
+                p(1),
+                u64::from(seq),
+                vec![seq],
+                DepSet::new(),
+                false,
+                0,
+                mid(u64::from(seq)),
+            );
+        }
+        n.try_recv(p(1), 10).unwrap();
+        n.try_recv(p(1), 10).unwrap();
+        n.try_recv(p(1), 10).unwrap();
+        // The receiver committed at 2 consumed, the sender at 3 sent: the
+        // first two go, the third is past the receiver's commit.
+        assert_eq!(n.release(p(0), p(1), 2, 3), 2);
+        assert_eq!(n.release(p(0), p(1), 2, 3), 0, "idempotent");
+        let ch = n.channel(p(0), p(1)).unwrap();
+        assert_eq!((ch.released(), ch.consumed()), (2, 3));
+        let kept: Vec<u64> = ch.messages().iter().map(|m| m.seq).collect();
+        assert_eq!(kept, [2, 3]);
+        assert_eq!(n.consumed_counts(p(1)).collect::<Vec<_>>(), [(0, 3)]);
+        // A rewind to the receiver's commit re-delivers from there, and a
+        // re-send at or above the sender's commit still dedups.
+        n.rewind_receiver(p(1), &[(0, 2)]);
+        assert_eq!(n.try_recv(p(1), 10).unwrap().0.seq, 2);
+        let resend = n.send(p(0), p(1), 3, vec![3], DepSet::new(), false, 9, mid(9));
+        assert_eq!(resend, SendOutcome::Duplicate(0));
+        assert_eq!(n.total_buffered(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "rewind of channel 0->1 to 1, below its 2 released messages")]
+    fn rewinding_below_the_released_base_panics() {
+        let mut n = Network::new();
+        for seq in 0..2 {
+            n.send(p(0), p(1), seq, vec![], DepSet::new(), false, 0, mid(seq));
+            n.try_recv(p(1), 10).unwrap();
+        }
+        n.release(p(0), p(1), 2, 2);
+        n.rewind_receiver(p(1), &[(0, 1)]);
+    }
+
+    #[test]
+    fn release_after_a_reordering_withdrawal_drops_only_released_index_entries() {
+        let mut n = Network::new();
+        // seq 1 is tainted and withdrawn, then re-sent behind seq 2.
+        for (seq, tainted) in [(0, false), (1, true), (2, false)] {
+            n.send(p(0), p(1), seq, vec![], DepSet::new(), tainted, 0, mid(seq));
+        }
+        assert!(n.withdraw_tainted(p(0), &[(1, 1)]).is_empty());
+        n.send(p(0), p(1), 1, vec![], DepSet::new(), false, 0, mid(3));
+        n.try_recv(p(1), 10).unwrap();
+        n.try_recv(p(1), 10).unwrap();
+        // Indices 0 and 1 hold seqs 0 and 2; seq 1, at index 2, stays.
+        assert_eq!(n.release(p(0), p(1), 2, 3), 2);
+        let ch = n.channel(p(0), p(1)).unwrap();
+        let kept: Vec<u64> = ch.messages().iter().map(|m| m.seq).collect();
+        assert_eq!(kept, [1]);
+        let resend =
+            |n: &mut Network, seq| n.send(p(0), p(1), seq, vec![], DepSet::new(), false, 7, mid(9));
+        assert_eq!(resend(&mut n, 1), SendOutcome::Duplicate(0));
+        assert_eq!(resend(&mut n, 3), SendOutcome::Enqueued(7));
+        assert_eq!(n.try_recv(p(1), 10).unwrap().0.seq, 1);
+        assert_eq!(n.try_recv(p(1), 10).unwrap().0.seq, 3);
+    }
+
+    #[test]
+    fn a_message_awaiting_its_ack_is_not_released() {
+        let mut n = Network::new();
+        // Acks from 1 to 0 are partitioned; data gets through.
+        n.install_fault_plan(NetFaultPlan {
+            seed: 3,
+            partitions: vec![Partition {
+                from: 1,
+                to: 0,
+                start: 0,
+                end: 500,
+            }],
+            rto_ns: 100,
+            ..NetFaultPlan::default()
+        });
+        n.send(p(0), p(1), 0, vec![], DepSet::new(), false, 0, mid(0));
+        let (arrival, retry) = n.dispatch(p(0), p(1), 0, 0, 50);
+        assert_eq!(arrival, Some(50));
+        n.try_recv(p(1), 50).unwrap();
+        // Both ends have committed past it, but the ack was lost.
+        assert!(n.channel(p(0), p(1)).unwrap().unacked(0));
+        assert_eq!(n.release(p(0), p(1), 1, 1), 0);
+        assert_eq!(n.total_buffered(), 1);
+        // So its retransmission still finds it and counts as a duplicate.
+        let mut timer = retry;
+        let mut rounds = 0;
+        while let Some(t) = timer {
+            let dups = n.stats().dup_drops;
+            let (a, r) = n.handle_retransmit(p(0), p(1), 0, t);
+            assert_eq!(a, None, "payload never re-arrives");
+            assert_eq!(n.stats().dup_drops, dups + 1, "filtered as a duplicate");
+            timer = r;
+            rounds += 1;
+            assert!(rounds < 20, "timer must disarm after the heal");
+        }
+        // Acknowledged at last: now nothing can ask for it.
+        assert_eq!(n.release(p(0), p(1), 1, 1), 1);
+        assert_eq!(n.total_buffered(), 0);
     }
 
     #[test]

@@ -3,10 +3,13 @@
 //! `BTreeMap<u64, usize>`, and the sorted-`Vec` dependency set
 //! (`DepSet`/`DepTracker`/`coordinated_participants`) against
 //! `BTreeSet<u32>`. The model below is the fabric as it was written over
-//! the trees, kept here as the reference; random interleavings of sends,
-//! replayed re-sends, receives, withdrawals, rewinds and transport timers
-//! must leave both with identical outcomes, deliveries, counts, cascades
-//! and statistics. Driven by the in-repo seeded PRNG, like
+//! the trees, kept here as the reference; it keeps every message, and
+//! counts (without dropping anything) what the fabric may release. Random
+//! interleavings of sends, replayed re-sends, receives, withdrawals,
+//! rewinds, commits with their releases, and transport timers must leave
+//! both with identical outcomes, deliveries, counts, cascades, statistics
+//! and release counts, and the fabric holding exactly the model's messages
+//! past what it released. Driven by the in-repo seeded PRNG, like
 //! `net_proptests.rs`.
 
 #![allow(
@@ -46,6 +49,8 @@ struct Inflight {
 #[derive(Debug, Default)]
 struct ModelChan {
     msgs: Vec<ModelMsg>,
+    /// How many of `msgs` the fabric may have released from the front.
+    released: usize,
     cursor: usize,
     seq_index: BTreeMap<u64, usize>,
     inflight: BTreeMap<u64, Inflight>,
@@ -252,6 +257,7 @@ impl ModelNet {
             let mut removed_consumed = false;
             for (i, m) in ch.msgs.drain(..).enumerate() {
                 if m.seq >= floor && m.tainted {
+                    assert!(i >= ch.released, "withdrawal below a release");
                     removed_consumed |= i < ch.cursor;
                 } else {
                     kept.push(m);
@@ -267,6 +273,22 @@ impl ModelNet {
             ch.msgs = kept;
         }
         cascade
+    }
+
+    /// What `Network::release` may drop: the front messages below both the
+    /// receiver's committed count and its cursor, below the sender's
+    /// committed sequence number, and not awaiting an acknowledgement.
+    fn release(&mut self, from: u32, to: u32, upto: usize, below_seq: u64) -> usize {
+        let Some(ch) = self.chans.get_mut(&(to, from)) else {
+            return 0;
+        };
+        let limit = upto.min(ch.cursor).max(ch.released);
+        let n = ch.msgs[ch.released..limit]
+            .iter()
+            .take_while(|m| m.seq < below_seq && !ch.inflight.contains_key(&m.seq))
+            .count();
+        ch.released += n;
+        n
     }
 }
 
@@ -303,10 +325,15 @@ struct Pair {
     stride: u64,
     /// Every sequence number ever used per channel, for replayed re-sends.
     used: BTreeMap<(u32, u32), Vec<u64>>,
+    /// The sender's committed send count per `(from, to)`: a rolled-back
+    /// sender re-sends and withdraws only at or above it.
+    committed: BTreeMap<(u32, u32), u64>,
     /// Armed retransmission timers `(t, from, to, seq)`.
     timers: Vec<(SimTime, u32, u32, u64)>,
     /// Last consumption snapshot per receiver.
     snaps: Vec<Vec<(u32, usize)>>,
+    /// Messages the fabric has released so far.
+    released: usize,
     now: SimTime,
     trace_msg: u64,
 }
@@ -325,8 +352,10 @@ impl Pair {
             next_seq: BTreeMap::new(),
             stride,
             used: BTreeMap::new(),
+            committed: BTreeMap::new(),
             timers: Vec::new(),
             snaps: vec![Vec::new(); PROCS as usize],
+            released: 0,
             now: 0,
             trace_msg: 0,
         }
@@ -412,11 +441,15 @@ impl Pair {
                 self.send(p, q, fresh, rng.chance(0.4), 5 + rng.below(30));
             }
             4 => {
-                // A replayed re-send: kept sequence numbers dedup, withdrawn
-                // ones enqueue afresh (behind later ones).
+                // A replayed re-send, at or above the sender's commit: kept
+                // sequence numbers dedup, withdrawn ones enqueue afresh
+                // (behind later ones).
+                let floor = self.committed_sends(p, q);
                 if let Some(seqs) = self.used.get(&(p, q)) {
                     let seq = seqs[rng.index(seqs.len())];
-                    self.send(p, q, seq, rng.chance(0.4), 5 + rng.below(30));
+                    if seq >= floor {
+                        self.send(p, q, seq, rng.chance(0.4), 5 + rng.below(30));
+                    }
                 }
             }
             5..=7 => self.recv(p),
@@ -434,12 +467,19 @@ impl Pair {
                 }
             }
             9 => {
-                // `p` rolls back: withdraw beyond random committed floors,
-                // then rewind the cascade as the recovery manager would.
+                // `p` rolls back: withdraw beyond random floors no lower
+                // than its commit, then rewind the cascade as the recovery
+                // manager would.
                 let mut floors: Vec<(u32, u64)> = Vec::new();
                 for to in 0..PROCS {
-                    if rng.chance(0.5) {
-                        floors.push((to, rng.below(6) * self.stride));
+                    let random = if rng.chance(0.5) {
+                        rng.below(6) * self.stride
+                    } else {
+                        0
+                    };
+                    let floor = random.max(self.committed_sends(p, to));
+                    if floor > 0 {
+                        floors.push((to, floor));
                     }
                 }
                 let got = self.net.withdraw_tainted(ProcessId(p), &floors);
@@ -450,10 +490,21 @@ impl Pair {
                 }
             }
             10 => {
+                // A commit: the consumption counts, the send counts and the
+                // dependencies are saved, and every channel at `p` releases
+                // what both its ends have committed past.
                 let got: Vec<_> = self.net.consumed_counts(ProcessId(p)).collect();
                 assert_eq!(got, self.model.consumed_counts(p));
                 self.snaps[p as usize] = got;
-                // A commit: the dependencies are saved.
+                for to in 0..PROCS {
+                    if let Some(&next) = self.next_seq.get(&(p, to)) {
+                        self.committed.insert((p, to), next);
+                    }
+                }
+                for r in (0..PROCS).filter(|&r| r != p) {
+                    self.release(p, r);
+                    self.release(r, p);
+                }
                 self.trackers[p as usize].clear();
                 self.model_deps[p as usize].clear();
             }
@@ -480,32 +531,57 @@ impl Pair {
         );
     }
 
+    fn committed_sends(&self, from: u32, to: u32) -> u64 {
+        self.committed.get(&(from, to)).copied().unwrap_or(0)
+    }
+
+    /// Releases on `(from, to)` at both ends' committed counts.
+    fn release(&mut self, from: u32, to: u32) {
+        let snap = &self.snaps[to as usize];
+        let upto = snap.iter().find(|e| e.0 == from).map_or(0, |e| e.1);
+        let below_seq = self.committed_sends(from, to);
+        let got = self
+            .net
+            .release(ProcessId(from), ProcessId(to), upto, below_seq);
+        let want = self.model.release(from, to, upto, below_seq);
+        assert_eq!(
+            got, want,
+            "release {from}->{to} at {upto}, below seq {below_seq}"
+        );
+        self.released += got;
+    }
+
     fn rewind(&mut self, to: u32) {
         let snap = &self.snaps[to as usize];
         self.net.rewind_receiver(ProcessId(to), snap);
         self.model.rewind_receiver(to, snap);
     }
 
-    /// Everything the two fabrics retain must agree.
+    /// The fabric must retain exactly the model's messages past what it
+    /// released.
     fn check_state(&self) {
         assert_eq!(self.net.stats(), self.model.stats);
-        let mut buffered = 0;
+        let mut retained = 0;
         for (&(to, from), want) in &self.model.chans {
             let got = self
                 .net
                 .channel(ProcessId(from), ProcessId(to))
                 .expect("the model has this channel");
             assert_eq!(got.consumed(), want.cursor, "{from}->{to} cursor");
+            assert_eq!(got.released(), want.released, "{from}->{to} released");
             let got: Vec<_> = got
                 .messages()
                 .iter()
                 .map(|m| (m.seq, m.deliver_at))
                 .collect();
-            let kept: Vec<_> = want.msgs.iter().map(|m| (m.seq, m.deliver_at)).collect();
+            let kept: Vec<_> = want.msgs[want.released..]
+                .iter()
+                .map(|m| (m.seq, m.deliver_at))
+                .collect();
             assert_eq!(got, kept, "{from}->{to} buffer");
-            buffered += want.msgs.len();
+            retained += kept.len();
         }
-        assert_eq!(self.net.total_buffered(), buffered);
+        assert_eq!(self.net.total_buffered(), retained);
         for p in 0..PROCS {
             let got = self.trackers[p as usize].deps().to_vec();
             let want: Vec<u32> = self.model_deps[p as usize].iter().copied().collect();
@@ -545,6 +621,7 @@ fn lossy(seed: u64) -> NetFaultPlan {
 fn flat_fabric_matches_the_tree_model() {
     let mut seeds = SplitMix64::new(0x0F1A_7C01);
     let mut deliveries = 0;
+    let mut released = 0;
     for case in 0..160 {
         let seed = seeds.next_u64();
         let mut rng = SplitMix64::new(seed);
@@ -556,14 +633,19 @@ fn flat_fabric_matches_the_tree_model() {
         }
         pair.check_state();
         // Drain: everything that arrived is delivered in the same order.
+        // The fabric retains only part of what was sent, so the model's
+        // count bounds the receives.
         pair.now = SimTime::MAX - 1;
+        let sent: usize = pair.model.chans.values().map(|c| c.msgs.len()).sum();
         for to in 0..PROCS {
-            for _ in 0..pair.net.total_buffered() {
+            for _ in 0..sent {
                 pair.recv(to);
             }
         }
         pair.check_state();
         deliveries += pair.model.chans.values().map(|c| c.cursor).sum::<usize>();
+        released += pair.released;
     }
     assert!(deliveries > 5_000, "the cases deliver: {deliveries}");
+    assert!(released > 1_000, "the cases release: {released}");
 }

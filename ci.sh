@@ -21,6 +21,11 @@ cargo build --release --workspace
 cp benchmark/Cargo.lock "$out/benchmark.Cargo.lock"
 trap 'cp "$out/benchmark.Cargo.lock" benchmark/Cargo.lock' EXIT
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
+# Run it too, at its smallest: each workload's prefix reps with their
+# output checks and no timed reps (seconds on 2 cores), so a change that
+# breaks a workload's `correct` or `failed` check fails here. Untraced:
+# a traced durable_commit can panic on a fast host (ROADMAP 7(d)).
+benchmark/run.sh --seconds 0 --trace 0 >"$out/benchmark.txt"
 # The harness dependency points down: ft-bench defines the stages and
 # nothing below it may reach back up.
 if cargo tree --offline -e normal -p ft-check -p ft-analyze -p ft-crashtest | grep ft-bench >&2; then

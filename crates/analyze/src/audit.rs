@@ -25,17 +25,16 @@
 //!   audit walks each process's nds most recent first).
 
 use ft_core::clock::{happens_before, replay};
-use ft_core::event::{EventId, EventKind, ProcessId};
+use ft_core::event::{Event, EventId, EventKind, ProcessId};
 use ft_core::savework::{SaveWorkRule, SaveWorkViolation};
 use ft_core::trace::Trace;
 
 /// Rollback intervals of one process: (rollback event seq, restore point).
 fn rollbacks_of(trace: &Trace, pid: ProcessId) -> Vec<(u64, u64)> {
-    trace
-        .process(pid)
-        .iter()
-        .filter_map(|e| match e.kind {
-            EventKind::Rollback { to_seq } => Some((e.id.seq, to_seq)),
+    (0..)
+        .zip(trace.process(pid))
+        .filter_map(|(seq, e)| match e.kind {
+            EventKind::Rollback { to_seq } => Some((seq, to_seq)),
             _ => None,
         })
         .collect()
@@ -78,33 +77,33 @@ fn audit_rules(trace: &Trace, visible_rule: bool, orphan_rule: bool) -> Vec<Save
     let mut rollbacks: Vec<Vec<(u64, u64)>> = Vec::with_capacity(n_procs);
     // Coordinated rounds: group id → member commit ids (insertion order
     // is process-major scan order — deterministic).
-    let mut groups: Vec<(u64, Vec<EventId>)> = Vec::new();
-    for p in 0..n_procs {
-        let pid = ProcessId::from_index(p);
-        for e in trace.process(pid) {
-            if e.is_effectively_nd() {
-                nds[p].push(e.id.seq);
-            } else if e.kind.is_commit() {
-                commits[p].push(e.id);
-                if let Some(g) = e.atomic_group {
-                    match groups.iter_mut().find(|(id, _)| *id == g) {
-                        Some((_, members)) => members.push(e.id),
-                        None => groups.push((g, vec![e.id])),
-                    }
+    let mut groups: Vec<(u32, Vec<EventId>)> = Vec::new();
+    for (id, e) in trace.indexed() {
+        let p = id.pid.index();
+        if e.is_effectively_nd() {
+            nds[p].push(id.seq);
+        } else if e.kind.is_commit() {
+            commits[p].push(id);
+            if let Some(g) = e.group() {
+                match groups.iter_mut().find(|(group, _)| *group == g) {
+                    Some((_, members)) => members.push(id),
+                    None => groups.push((g, vec![id])),
                 }
             }
         }
-        rollbacks.push(rollbacks_of(trace, pid));
+    }
+    for p in 0..n_procs {
+        rollbacks.push(rollbacks_of(trace, ProcessId::from_index(p)));
     }
 
     let mut findings = Vec::new();
-    replay(trace, &trace.processes(), |e, clocks| {
+    replay(trace, &trace.processes(), |target, e, clocks| {
         let rule = match e.kind {
             EventKind::Visible { .. } if visible_rule => SaveWorkRule::Visible,
             EventKind::Commit { .. } if orphan_rule => SaveWorkRule::Orphan,
             _ => return,
         };
-        let q = e.id.pid.index();
+        let q = target.pid.index();
         for (p, p_nds) in nds.iter().enumerate() {
             let pid = ProcessId::from_index(p);
             if p == q && rule == SaveWorkRule::Orphan {
@@ -116,13 +115,13 @@ fn audit_rules(trace: &Trace, visible_rule: bool, orphan_rule: bool) -> Vec<Save
             // order on the target's own process, the causal clock
             // across processes.
             let req_known = if p == q {
-                e.id.seq
+                target.seq
             } else {
                 u64::from(clocks.causal[p])
             };
             // An nd undone by a same-process rollback before the
             // target no longer precedes it.
-            let upto = if p == q { e.id.seq } else { u64::MAX };
+            let upto = if p == q { target.seq } else { u64::MAX };
             // Every live nd ancestor, most recent first. Coverage is
             // monotone — a commit covering nd `n` covers every
             // earlier nd too — so the uncovered obligations form a
@@ -133,12 +132,12 @@ fn audit_rules(trace: &Trace, visible_rule: bool, orphan_rule: bool) -> Vec<Save
                 .skip_while(|&&s| s >= req_known)
                 .filter(|&&s| survives(&rollbacks[p], s, upto))
             {
-                if covered(trace, &commits[p], &groups, nd_seq, e.id, clocks.hb) {
+                if covered(trace, &commits[p], &groups, nd_seq, target, clocks.hb) {
                     break;
                 }
                 findings.push(SaveWorkViolation {
                     nd: EventId::new(pid, nd_seq),
-                    target: e.id,
+                    target,
                     rule,
                 });
             }
@@ -157,7 +156,7 @@ fn audit_rules(trace: &Trace, visible_rule: bool, orphan_rule: bool) -> Vec<Save
 fn covered(
     trace: &Trace,
     commits: &[EventId],
-    groups: &[(u64, Vec<EventId>)],
+    groups: &[(u32, Vec<EventId>)],
     nd_seq: u64,
     target: EventId,
     target_hb: &[u32],
@@ -166,8 +165,12 @@ fn covered(
         if happens_before(*c, target, target_hb) {
             return true;
         }
-        if let Some(g) = trace.get(*c).and_then(|e| e.atomic_group) {
-            let members = &groups.iter().find(|(id, _)| *id == g).expect("group").1;
+        if let Some(g) = trace.get(*c).and_then(Event::group) {
+            let members = &groups
+                .iter()
+                .find(|(group, _)| *group == g)
+                .expect("group")
+                .1;
             if members
                 .iter()
                 .any(|&m| m == target || happens_before(m, target, target_hb))

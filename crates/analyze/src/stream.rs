@@ -207,10 +207,9 @@ impl ClockIndex {
             }
         }
         let mut rows = vec![0u32; n_rows as usize * n_procs];
-        replay(trace, &trace.processes(), |e, clocks| {
-            let pos =
-                usize::try_from(e.id.seq).expect("a recorded event's seq indexes its log") + 1;
-            let row = row_of[e.id.pid.index()][pos];
+        replay(trace, &trace.processes(), |id, _, clocks| {
+            let pos = usize::try_from(id.seq).expect("a recorded event's seq indexes its log") + 1;
+            let row = row_of[id.pid.index()][pos];
             if row != NO_ACCESS {
                 rows[row as usize * n_procs..][..n_procs].copy_from_slice(clocks.hb);
             }

@@ -470,11 +470,7 @@ mod tests {
 
     fn run_keys(keys: &[u8]) -> ft_sim::harness::PlainReport {
         let mut sim = Simulator::new(SimConfig::single_node(1, 1));
-        let script = ft_sim::script::InputScript::evenly_spaced(
-            0,
-            MS,
-            keys.iter().map(|&k| vec![k]).collect(),
-        );
+        let script = ft_sim::script::InputScript::evenly_spaced(0, MS, keys.iter().map(|&k| [k]));
         sim.set_input_script(ProcessId(0), script);
         let mut apps: Vec<Box<dyn App>> = vec![Box::new(Editor::new())];
         run_plain_on(sim, &mut apps)

@@ -185,7 +185,7 @@ impl App for GameServer {
                     let ships = self.ships();
                     let mut payload = world_bytes(sys.mem(), ships)?;
                     payload.extend_from_slice(&frame.to_le_bytes());
-                    sys.send(self.clients[idx], payload)
+                    sys.send(self.clients[idx], &payload)
                         .map_err(|_| MemFault::InvariantViolated { check: 6 })?;
                     G_SEND_IDX.set(&mut sys.mem().arena, idx as u64 + 1)?;
                     return Ok(AppStatus::Running);
@@ -259,7 +259,7 @@ impl App for GameClient {
             CP_SEND => {
                 let frame = G_FRAME.get(&sys.mem().arena)?;
                 let input = G_STAGED_INPUT.get(&sys.mem().arena)? as u8;
-                sys.send(self.server, vec![self.slot as u8, input])
+                sys.send(self.server, &[self.slot as u8, input])
                     .map_err(|_| MemFault::InvariantViolated { check: 8 })?;
                 let last = frame + 1 >= self.frames;
                 G_PHASE.set(&mut sys.mem().arena, if last { CP_DONE } else { CP_AWAIT })?;

@@ -208,6 +208,8 @@ const REPL_LEN: usize = 17;
 const REPL_FIN_LEN: usize = 9;
 // [tag][gw:4]
 const GW_FIN_LEN: usize = 5;
+// The longest message still travels in place: no kvstore send allocates.
+const _: () = assert!(REQ_LEN <= ft_sim::syscalls::PAYLOAD_INLINE);
 
 fn rd_u64(p: &[u8], off: usize) -> u64 {
     let mut b = [0u8; 8];
@@ -357,6 +359,20 @@ fn server_layout(cap: u64) -> Layout {
 #[deny(clippy::float_arithmetic, clippy::cast_precision_loss)]
 fn resp_digest(op: u8, key: u64, req_idx: u64) -> u64 {
     mix64(key.wrapping_add(mix64(req_idx ^ (u64::from(op) << 32))))
+}
+
+/// Packs `fields` end to end into an `N`-byte message on the stack: what
+/// [`ft_sim::syscalls::Syscalls::send`] copies into the message's
+/// in-place payload.
+fn pack<const N: usize>(fields: &[&[u8]]) -> [u8; N] {
+    let mut out = [0; N];
+    let mut at = 0;
+    for field in fields {
+        out[at..at + field.len()].copy_from_slice(field);
+        at += field.len();
+    }
+    debug_assert_eq!(at, N, "a message's fields fill it exactly");
+    out
 }
 
 fn send_err(_: ft_sim::syscalls::SysError) -> MemFault {
@@ -524,15 +540,15 @@ impl App for KvGateway {
             GP_SEND => {
                 let i = G_SENT.get(&sys.mem().arena)?;
                 let req = self.request(i);
-                let mut payload = Vec::with_capacity(REQ_LEN);
-                payload.push(MSG_REQ);
-                payload.push(if req.put { OP_PUT } else { OP_GET });
-                payload.extend_from_slice(&req.key.to_le_bytes());
-                payload.extend_from_slice(&req.value.to_le_bytes());
-                payload.extend_from_slice(&self.slot.to_le_bytes());
-                payload.extend_from_slice(&i.to_le_bytes());
-                payload.extend_from_slice(&req.session.to_le_bytes());
-                sys.send(self.primary_of(req.key), payload)
+                let payload = pack::<REQ_LEN>(&[
+                    &[MSG_REQ, if req.put { OP_PUT } else { OP_GET }],
+                    &req.key.to_le_bytes(),
+                    &req.value.to_le_bytes(),
+                    &self.slot.to_le_bytes(),
+                    &i.to_le_bytes(),
+                    &req.session.to_le_bytes(),
+                ]);
+                sys.send(self.primary_of(req.key), &payload)
                     .map_err(send_err)?;
                 let m = sys.mem();
                 let next = G_NEXT_ARRIVAL
@@ -557,10 +573,8 @@ impl App for KvGateway {
             GP_FIN => {
                 let idx = G_FIN_IDX.get(&sys.mem().arena)?;
                 if idx < u64::from(self.shards) {
-                    let mut payload = Vec::with_capacity(GW_FIN_LEN);
-                    payload.push(MSG_GW_FIN);
-                    payload.extend_from_slice(&self.slot.to_le_bytes());
-                    sys.send(ProcessId(idx as u32 * self.replication), payload)
+                    let payload = pack::<GW_FIN_LEN>(&[&[MSG_GW_FIN], &self.slot.to_le_bytes()]);
+                    sys.send(ProcessId(idx as u32 * self.replication), &payload)
                         .map_err(send_err)?;
                     G_FIN_IDX.set(&mut sys.mem().arena, idx + 1)?;
                 } else {
@@ -699,13 +713,13 @@ impl App for KvPrimary {
                 let value = P_R_VAL.get(&m.arena)?;
                 let gw = P_R_GW.get(&m.arena)? as u32;
                 let req_idx = P_R_IDX.get(&m.arena)?;
-                let mut payload = Vec::with_capacity(RESP_LEN);
-                payload.push(MSG_RESP);
-                payload.push(if put { OP_PUT } else { OP_GET });
-                payload.extend_from_slice(&key.to_le_bytes());
-                payload.extend_from_slice(&value.to_le_bytes());
-                payload.extend_from_slice(&req_idx.to_le_bytes());
-                sys.send(ProcessId(self.n_servers + gw), payload)
+                let payload = pack::<RESP_LEN>(&[
+                    &[MSG_RESP, if put { OP_PUT } else { OP_GET }],
+                    &key.to_le_bytes(),
+                    &value.to_le_bytes(),
+                    &req_idx.to_le_bytes(),
+                ]);
+                sys.send(ProcessId(self.n_servers + gw), &payload)
                     .map_err(send_err)?;
                 let m = sys.mem();
                 if put && self.replication > 1 {
@@ -721,11 +735,9 @@ impl App for KvPrimary {
                 let r = P_RIDX.get(&m.arena)?;
                 let key = P_R_KEY.get(&m.arena)?;
                 let value = P_R_VAL.get(&m.arena)?;
-                let mut payload = Vec::with_capacity(REPL_LEN);
-                payload.push(MSG_REPL);
-                payload.extend_from_slice(&key.to_le_bytes());
-                payload.extend_from_slice(&value.to_le_bytes());
-                sys.send(self.replica_pid(r), payload).map_err(send_err)?;
+                let payload =
+                    pack::<REPL_LEN>(&[&[MSG_REPL], &key.to_le_bytes(), &value.to_le_bytes()]);
+                sys.send(self.replica_pid(r), &payload).map_err(send_err)?;
                 let m = sys.mem();
                 if r + 1 < u64::from(self.replication) {
                     P_RIDX.set(&mut m.arena, r + 1)?;
@@ -738,10 +750,8 @@ impl App for KvPrimary {
                 let m = sys.mem();
                 let r = P_RIDX.get(&m.arena)?;
                 let puts = P_PUTS.get(&m.arena)?;
-                let mut payload = Vec::with_capacity(REPL_FIN_LEN);
-                payload.push(MSG_REPL_FIN);
-                payload.extend_from_slice(&puts.to_le_bytes());
-                sys.send(self.replica_pid(r), payload).map_err(send_err)?;
+                let payload = pack::<REPL_FIN_LEN>(&[&[MSG_REPL_FIN], &puts.to_le_bytes()]);
+                sys.send(self.replica_pid(r), &payload).map_err(send_err)?;
                 let m = sys.mem();
                 if r + 1 < u64::from(self.replication) {
                     P_RIDX.set(&mut m.arena, r + 1)?;

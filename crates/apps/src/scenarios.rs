@@ -115,7 +115,7 @@ pub fn nvi(seed: u64, keys: usize) -> Built {
     let script = editor_script_with(keys, seed ^ 0xED17, 1009, 499);
     sim.set_input_script(
         ProcessId(0),
-        InputScript::think_time(100 * MS, script.into_iter().map(|k| vec![k]).collect()),
+        InputScript::think_time(100 * MS, script.into_iter().map(|k| [k])),
     );
     let span = keys as u64 * 100 * MS;
     sim.set_signal_schedule(
@@ -133,7 +133,7 @@ pub fn nvi_custom(seed: u64, keys: usize, think_ns: u64, eager_checks: bool) -> 
     let script = editor_script_with(keys, seed ^ 0xED17, 97, 43);
     sim.set_input_script(
         ProcessId(0),
-        InputScript::evenly_spaced(0, think_ns, script.into_iter().map(|k| vec![k]).collect()),
+        InputScript::evenly_spaced(0, think_ns, script.into_iter().map(|k| [k])),
     );
     // A couple of SIGWINCH-style signals land mid-session.
     let span = keys as u64 * think_ns;

@@ -61,8 +61,8 @@ fn index(msg: MsgId) -> usize {
 }
 
 /// Replays `trace` in recording order, deriving both vector clocks over
-/// the processes in `columns`, and calls `visit` once per event with the
-/// clocks after that event.
+/// the processes in `columns`, and calls `visit` once per event with its
+/// id and the clocks after that event.
 ///
 /// `columns` lists distinct processes in ascending order; component `j`
 /// of every clock is the count of `columns[j]`. A clock component only
@@ -97,7 +97,7 @@ fn index(msg: MsgId) -> usize {
 pub fn replay(
     trace: &Trace,
     columns: &[ProcessId],
-    mut visit: impl FnMut(&Event, EventClocks<'_>),
+    mut visit: impl FnMut(EventId, &Event, EventClocks<'_>),
 ) {
     debug_assert!(
         columns.windows(2).all(|w| w[0] < w[1]),
@@ -105,8 +105,9 @@ pub fn replay(
     );
     let width = columns.len();
     if width == 0 {
-        for e in trace.recorded() {
+        for (id, e) in trace.recorded() {
             visit(
+                id,
                 e,
                 EventClocks {
                     hb: &[],
@@ -133,7 +134,7 @@ pub fn replay(
     // process's restore points are one run of the list, in the order the
     // process reaches them.
     let mut restore_points: Vec<(usize, u64)> = Vec::new();
-    for e in trace.iter() {
+    for (id, e) in trace.indexed() {
         match e.kind {
             EventKind::Recv { msg, .. } => {
                 let m = index(msg);
@@ -142,7 +143,7 @@ pub fn replay(
                 }
                 pending[m] += 1;
             }
-            EventKind::Rollback { to_seq } => restore_points.push((e.id.pid.index(), to_seq)),
+            EventKind::Rollback { to_seq } => restore_points.push((id.pid.index(), to_seq)),
             _ => {}
         }
     }
@@ -165,12 +166,12 @@ pub fn replay(
     let mut slots: Vec<u32> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
     let mut sends = 0u64;
-    for e in trace.recorded() {
-        let p = e.id.pid.index();
+    for (id, e) in trace.recorded() {
+        let p = id.pid.index();
         let row = p * width..(p + 1) * width;
         let own = column_of[p].map(|j| row.start + j);
         if let Some(k) = next_point.get_mut(p) {
-            if restore_points.get(*k) == Some(&(p, e.id.seq)) {
+            if restore_points.get(*k) == Some(&(p, id.seq)) {
                 restored[*k * width..(*k + 1) * width].copy_from_slice(&causal[row.clone()]);
                 *k += 1;
             }
@@ -220,6 +221,7 @@ pub fn replay(
             }
         }
         visit(
+            id,
             e,
             EventClocks {
                 hb: &hb[row.clone()],
@@ -256,8 +258,8 @@ mod tests {
     /// (event id, hb clock, causal clock) of every event, in recording order.
     fn clocks_of(trace: &Trace) -> Vec<(EventId, Vec<u32>, Vec<u32>)> {
         let mut out = Vec::new();
-        replay(trace, &trace.processes(), |e, c| {
-            out.push((e.id, c.hb.to_vec(), c.causal.to_vec()));
+        replay(trace, &trace.processes(), |id, _, c| {
+            out.push((id, c.hb.to_vec(), c.causal.to_vec()));
         });
         out
     }
@@ -382,7 +384,7 @@ mod tests {
     #[test]
     fn replay_of_an_empty_trace_visits_nothing() {
         let mut visited = 0;
-        let mut visit = |_: &Event, _: EventClocks<'_>| visited += 1;
+        let mut visit = |_: EventId, _: &Event, _: EventClocks<'_>| visited += 1;
         replay(&TraceBuilder::new(0).finish(), &[], &mut visit);
         replay(&TraceBuilder::new(3).finish(), &[p(0), p(2)], &mut visit);
         assert_eq!(visited, 0);

@@ -184,7 +184,12 @@ pub enum EventKind {
     /// restored after a failure (§2.1).
     Commit {
         /// Computation-unique commit number.
-        commit_id: u64,
+        commit_id: u32,
+        /// For a commit executed as part of a coordinated (two-phase)
+        /// commit: the round's computation-unique group number. Commits in
+        /// the same group are *atomic with* one another in the Save-work
+        /// theorem's sense.
+        group: Option<u32>,
     },
     /// A crash event: the process transitions to a state from which it
     /// cannot continue (§2.5).
@@ -223,15 +228,20 @@ impl EventKind {
     }
 }
 
-/// A single executed event, as recorded in a [`crate::trace::Trace`].
+/// A single executed event, as recorded in a [`crate::trace::Trace`]:
+/// 24 bytes, what its kind and logging flag need and nothing more.
 ///
-/// An event carries no vector clock: clocks are a function of the
+/// An event carries no identity and no vector clock. Its [`EventId`] is
+/// its position — the process whose sequence holds it and its index there
+/// — so the trace hands the id out beside the event
+/// ([`crate::trace::Trace::recorded`]). Clocks are a function of the
 /// per-process sequences and the message edges, and the checkers derive
-/// them with [`crate::clock::replay`] at the events they test.
+/// them with [`crate::clock::replay`] at the events they test. The
+/// coordinated-commit group lives inside [`EventKind::Commit`], the one
+/// kind it means something for, in the space the kind's widest variant
+/// already takes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Event {
-    /// The event's identity (`e_p^i`).
-    pub id: EventId,
     /// What the event did.
     pub kind: EventKind,
     /// True if the event's non-determinism has been rendered deterministic
@@ -239,13 +249,22 @@ pub struct Event {
     /// re-execution will reproduce it. Logged events do not count as
     /// non-deterministic for the Save-work invariant.
     pub logged: bool,
-    /// For commit events executed as part of a coordinated (two-phase)
-    /// commit: the round's group id. Commits in the same group are *atomic
-    /// with* one another in the Save-work theorem's sense.
-    pub atomic_group: Option<u64>,
 }
 
+// Recording is three words per event whatever the process count; a field
+// that makes the event larger must earn it here.
+const _: () = assert!(std::mem::size_of::<Event>() <= 24);
+
 impl Event {
+    /// The coordinated-commit group of a commit executed in a two-phase
+    /// round; `None` for a local commit and for every other kind.
+    pub fn group(&self) -> Option<u32> {
+        match self.kind {
+            EventKind::Commit { group, .. } => group,
+            _ => None,
+        }
+    }
+
     /// Is this event *effectively non-deterministic*: a non-deterministic
     /// event (including an unlogged receive) whose result may differ on
     /// re-execution and which therefore falls under the Save-work invariant?
@@ -293,13 +312,11 @@ mod tests {
     #[test]
     fn logged_events_are_not_effectively_nd() {
         let mut e = Event {
-            id: EventId::new(ProcessId(0), 0),
             kind: EventKind::NonDeterministic {
                 source: NdSource::TimeOfDay,
                 class: NdClass::Transient,
             },
             logged: false,
-            atomic_group: None,
         };
         assert!(e.is_effectively_nd());
         e.logged = true;
@@ -310,22 +327,32 @@ mod tests {
     #[test]
     fn unlogged_recv_is_transient_nd() {
         let e = Event {
-            id: EventId::new(ProcessId(1), 3),
             kind: EventKind::Recv {
                 from: ProcessId(0),
                 msg: MsgId(7),
             },
             logged: false,
-            atomic_group: None,
         };
         assert!(e.is_effectively_nd());
         assert_eq!(e.nd_class(), Some(NdClass::Transient));
     }
 
     #[test]
-    fn an_event_is_at_most_one_cache_line() {
-        // Recording is O(1) words per event whatever the process count.
-        assert!(std::mem::size_of::<Event>() <= 64);
+    fn only_a_commit_has_a_group() {
+        let commit = |group| Event {
+            kind: EventKind::Commit {
+                commit_id: 4,
+                group,
+            },
+            logged: false,
+        };
+        assert_eq!(commit(Some(9)).group(), Some(9));
+        assert_eq!(commit(None).group(), None);
+        let visible = Event {
+            kind: EventKind::Visible { token: 9 },
+            logged: false,
+        };
+        assert_eq!(visible.group(), None);
     }
 
     #[test]
@@ -336,7 +363,11 @@ mod tests {
     #[test]
     fn kind_predicates() {
         assert!(EventKind::Visible { token: 1 }.is_visible());
-        assert!(EventKind::Commit { commit_id: 0 }.is_commit());
+        assert!(EventKind::Commit {
+            commit_id: 0,
+            group: None
+        }
+        .is_commit());
         assert!(EventKind::Crash.is_crash());
         assert!(!EventKind::Internal.is_visible());
     }

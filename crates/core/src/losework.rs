@@ -49,9 +49,9 @@ impl LoseWorkOutcome {
 pub fn check_commit_after_activation(trace: &Trace) -> LoseWorkOutcome {
     // Collect activations.
     let activations: Vec<EventId> = trace
-        .iter()
-        .filter(|e| matches!(e.kind, EventKind::FaultActivation { .. }))
-        .map(|e| e.id)
+        .indexed()
+        .filter(|(_, e)| matches!(e.kind, EventKind::FaultActivation { .. }))
+        .map(|(id, _)| id)
         .collect();
     if activations.is_empty() {
         return LoseWorkOutcome::Upheld;
@@ -59,15 +59,15 @@ pub fn check_commit_after_activation(trace: &Trace) -> LoseWorkOutcome {
     // The replay visits commits in recording order; the reported one is
     // the first in process-major order.
     let mut first: Option<(EventId, EventId)> = None;
-    replay(trace, &trace.processes(), |e, clocks| {
-        if !e.kind.is_commit() || first.is_some_and(|(_, commit)| commit < e.id) {
+    replay(trace, &trace.processes(), |id, e, clocks| {
+        if !e.kind.is_commit() || first.is_some_and(|(_, commit)| commit < id) {
             return;
         }
         // Cross-process, buggy state reaches the commit through
         // application messages: the causal clock.
-        let reached = |a: &&EventId| happens_before(**a, e.id, clocks.causal);
+        let reached = |a: &&EventId| happens_before(**a, id, clocks.causal);
         if let Some(&activation) = activations.iter().find(reached) {
-            first = Some((activation, e.id));
+            first = Some((activation, id));
         }
     });
     match first {

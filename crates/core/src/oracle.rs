@@ -203,12 +203,12 @@ pub fn check_commit_durability(trace: &Trace) -> Result<(), InvariantViolation> 
         for (r, e) in events.iter().enumerate() {
             if let EventKind::Rollback { to_seq } = e.kind {
                 let start = usize::try_from(to_seq).map_or(r, |s| s.min(r));
-                for undone in &events[start..r] {
-                    if let EventKind::Commit { commit_id } = undone.kind {
+                for (seq, undone) in (start as u64..).zip(&events[start..r]) {
+                    if let EventKind::Commit { commit_id, .. } = undone.kind {
                         return Err(InvariantViolation::CommitRolledBack {
                             pid: p,
-                            commit_id,
-                            commit_seq: undone.id.seq,
+                            commit_id: u64::from(commit_id),
+                            commit_seq: seq,
                             rollback_seq: r as u64,
                         });
                     }

@@ -26,6 +26,7 @@
 //! to a length, so a claim about the planners can be checked over all.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use crate::event::{MsgId, NdSource, ProcessId};
 use crate::trace::{Trace, TraceBuilder};
@@ -275,47 +276,118 @@ impl CommitPlanner {
     }
 }
 
-/// A set of process ids as one sorted, duplicate-free `Vec<u32>`: the
-/// dependency set a sender piggybacks on every message and a receiver
-/// unions in. Flat because of how it is used: the empty set — all that a
-/// commit-before-send protocol ever sends — owns no heap block, so
-/// snapshotting, storing and delivering it costs nothing; a non-empty
-/// snapshot is one block and one copy; and [`DepSet::clear`] keeps the
-/// capacity, so a tracker refilled after every commit stops allocating.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DepSet(Vec<u32>);
+/// Members a [`DepSet`] keeps in place before it moves to a shared block:
+/// more than a four-node DSM cluster or a five-process kvstore can name,
+/// and what fits beside the length in the 32 bytes the value takes.
+pub const DEP_INLINE: usize = 7;
+
+/// A set of process ids, sorted and duplicate-free: the dependency set a
+/// sender piggybacks on every message and a receiver unions in.
+///
+/// Up to [`DEP_INLINE`] members live inside the value. A larger set lives
+/// in one shared, immutable slice `Arc` (header and members in one block),
+/// copied on write: a change that adds a member builds the new set in one
+/// fresh block, and a union that adds nothing changes nothing. So
+/// snapshotting, storing, delivering and cloning a set — the per-message
+/// work — never allocates: it copies 32 bytes or bumps a count, and what a
+/// large set costs is one block per change, not per message. The form
+/// follows from the size alone and is invisible: sets compare, read and
+/// print as their ascending member slice (`Deref<Target = [u32]>`).
+#[derive(Clone)]
+pub struct DepSet(Members);
+
+/// Where a [`DepSet`]'s members live.
+#[derive(Clone)]
+enum Members {
+    /// The first `len` entries of `ids`.
+    Inline { len: u8, ids: [u32; DEP_INLINE] },
+    /// More than [`DEP_INLINE`] members, shared by every holder.
+    Shared(Arc<[u32]>),
+}
+
+const _: () = assert!(std::mem::size_of::<DepSet>() <= 32);
+
+/// The ascending union of two ascending, duplicate-free sequences.
+fn merge<'a>(a: &'a [u32], b: &'a [u32]) -> impl Iterator<Item = u32> + 'a {
+    let (mut a, mut b) = (a.iter().copied().peekable(), b.iter().copied().peekable());
+    std::iter::from_fn(move || match (a.peek(), b.peek()) {
+        (Some(&x), Some(&y)) => {
+            if x <= y {
+                b.next_if_eq(&x);
+                a.next()
+            } else {
+                b.next()
+            }
+        }
+        _ => a.next().or_else(|| b.next()),
+    })
+}
 
 impl DepSet {
     /// The empty set.
     pub fn new() -> Self {
-        Self::default()
+        DepSet(Members::Inline {
+            len: 0,
+            ids: [0; DEP_INLINE],
+        })
+    }
+
+    /// The set of the `len` ascending, duplicate-free `members`: in place
+    /// when they fit, else in one exactly sized shared block.
+    fn collect(len: usize, members: impl Iterator<Item = u32>) -> Self {
+        let mut slots: Members = match u8::try_from(len) {
+            Ok(len) if usize::from(len) <= DEP_INLINE => Members::Inline {
+                len,
+                ids: [0; DEP_INLINE],
+            },
+            // `repeat_n` has an exact length: one allocation, no `Vec`.
+            _ => Members::Shared(std::iter::repeat_n(0, len).collect()),
+        };
+        let out = match &mut slots {
+            Members::Inline { len, ids } => &mut ids[..usize::from(*len)],
+            Members::Shared(shared) => Arc::get_mut(shared).expect("a fresh block"),
+        };
+        let mut filled = 0;
+        for (slot, m) in out.iter_mut().zip(members) {
+            *slot = m;
+            filled += 1;
+        }
+        debug_assert_eq!(filled, len);
+        debug_assert!(out.windows(2).all(|w| w[0] < w[1]));
+        DepSet(slots)
     }
 
     /// Adds `pid`; true if it was not yet a member.
     pub fn insert(&mut self, pid: u32) -> bool {
-        match self.0.binary_search(&pid) {
-            Ok(_) => false,
-            Err(i) => {
-                self.0.insert(i, pid);
-                true
-            }
+        if self.binary_search(&pid).is_ok() {
+            return false;
         }
+        *self = DepSet::collect(self.len() + 1, merge(self, &[pid]));
+        true
     }
 
-    /// Adds every member of `other`.
+    /// Adds every member of `other`. A union that adds nothing leaves the
+    /// set, and its block, as they are.
     pub fn union_with(&mut self, other: &DepSet) {
-        if self.0.is_empty() {
-            self.0.extend_from_slice(&other.0);
-        } else {
-            for &pid in &other.0 {
-                self.insert(pid);
-            }
+        if self.is_empty() {
+            self.clone_from(other);
+            return;
+        }
+        let len = merge(self, other).count();
+        if len > self.len() {
+            *self = DepSet::collect(len, merge(self, other));
         }
     }
 
-    /// Empties the set, keeping its allocation.
+    /// Empties the set.
     pub fn clear(&mut self) {
-        self.0.clear();
+        *self = DepSet::new();
+    }
+}
+
+impl Default for DepSet {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -323,13 +395,31 @@ impl DepSet {
 impl std::ops::Deref for DepSet {
     type Target = [u32];
     fn deref(&self) -> &[u32] {
-        &self.0
+        match &self.0 {
+            Members::Inline { len, ids } => &ids[..usize::from(*len)],
+            Members::Shared(shared) => shared,
+        }
+    }
+}
+
+impl PartialEq for DepSet {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for DepSet {}
+
+// Prints as its member slice, whatever the form.
+impl std::fmt::Debug for DepSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
     }
 }
 
 impl From<std::collections::BTreeSet<u32>> for DepSet {
     fn from(set: std::collections::BTreeSet<u32>) -> Self {
-        DepSet(set.into_iter().collect())
+        DepSet::collect(set.len(), set.into_iter())
     }
 }
 
@@ -383,8 +473,7 @@ impl DepTracker {
         &self.deps
     }
 
-    /// Clears the tracker after this process's dependencies were committed
-    /// (the set keeps its allocation for the next interval).
+    /// Clears the tracker after this process's dependencies were committed.
     pub fn clear(&mut self) {
         self.deps.clear();
     }
@@ -416,7 +505,7 @@ pub fn coordinated_participants<'a>(
             }
         }
     }
-    set.0.into_iter().map(ProcessId).collect()
+    set.iter().copied().map(ProcessId).collect()
 }
 
 /// One application step of a computation [`drive`] runs.
@@ -582,6 +671,7 @@ pub fn enumerate(n: usize, max_len: usize, seq: &mut Vec<Step>, visit: &mut impl
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn nd(source: NdSource) -> InterceptedEvent {
         InterceptedEvent::Nd { source }
@@ -616,6 +706,51 @@ mod tests {
         assert_eq!(empty, t);
         t.clear();
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn dep_set_reads_the_same_in_place_and_shared() {
+        let inline = u32::try_from(DEP_INLINE).expect("a small count");
+        for k in [0, inline - 1, inline, inline + 1] {
+            let members: Vec<u32> = (0..k).map(|i| 3 * i + 1).collect();
+            let shared: Arc<[u32]> = Arc::from(&members[..]);
+            let mut inserted = DepSet::new();
+            for &m in members.iter().rev() {
+                inserted.insert(m);
+            }
+            let mut unioned = DepSet::from(std::collections::BTreeSet::from([1]));
+            unioned.union_with(&DepSet::from(
+                members.iter().copied().collect::<BTreeSet<_>>(),
+            ));
+            if k == 0 {
+                unioned.clear();
+            }
+            assert!(matches!(inserted.0, Members::Inline { .. }) == (k <= inline));
+            for set in [&inserted, &inserted.clone(), &unioned] {
+                assert_eq!(**set, *shared, "k={k}");
+                assert_eq!(*set, inserted, "k={k}");
+                assert_eq!(format!("{set:?}"), format!("{shared:?}"), "k={k}");
+            }
+            let mut more = inserted.clone();
+            assert!(more.insert(0));
+            assert_ne!(more, inserted, "k={k}");
+            assert_eq!(more[1..], inserted[..], "k={k}");
+        }
+    }
+
+    #[test]
+    fn a_union_that_adds_nothing_keeps_the_shared_block() {
+        let big = DepSet::from((0..20).collect::<BTreeSet<u32>>());
+        let mut set = big.clone();
+        set.union_with(&DepSet::from(BTreeSet::from([3, 7, 19])));
+        assert!(!set.insert(5));
+        let (Members::Shared(a), Members::Shared(b)) = (&set.0, &big.0) else {
+            panic!("20 members are shared");
+        };
+        assert!(Arc::ptr_eq(a, b));
+        set.union_with(&DepSet::from(BTreeSet::from([25])));
+        assert_eq!(set.len(), 21);
+        assert_eq!(big.len(), 20, "copied on write");
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub fn event_label(e: &Event) -> String {
         EventKind::Send { to, msg } => format!("send→P{} m{}", to.0, msg.0),
         EventKind::Recv { from, msg } => format!("recv←P{} m{}", from.0, msg.0),
         EventKind::Visible { token } => format!("VISIBLE {:x}", token & 0xFFFF),
-        EventKind::Commit { commit_id } => format!("COMMIT #{commit_id}"),
+        EventKind::Commit { commit_id, .. } => format!("COMMIT #{commit_id}"),
         EventKind::Crash => "CRASH".to_string(),
         EventKind::FaultActivation { fault } => format!("fault!{fault}"),
         EventKind::Rollback { to_seq } => format!("ROLLBACK→{to_seq}"),

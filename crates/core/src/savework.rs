@@ -116,7 +116,7 @@ pub struct Positions {
     grouped_commits: Vec<Vec<(u64, usize)>>,
     /// Every coordinated commit as (group, id), sorted: the members of a
     /// round are one run.
-    rounds: Vec<(u64, EventId)>,
+    rounds: Vec<(u32, EventId)>,
     /// The processes that can owe a target on another process, ascending.
     columns: Vec<ProcessId>,
     /// `column_of[p]`: where `p` is in `columns`, if it is.
@@ -172,16 +172,17 @@ pub fn build_positions(trace: &Trace) -> Positions {
         // below the restore point of every rollback after it.
         let mut restore = u64::MAX;
         for (k, e) in events.iter().enumerate().rev() {
+            let seq = k as u64;
             next_commit[base + k] = next_commit[base + k + 1];
             if e.is_effectively_nd() {
-                if e.id.seq < restore {
+                if seq < restore {
                     last_nd[base + k + 1] = k + 1;
                 }
             } else if e.kind.is_commit() {
-                next_commit[base + k] = e.id.seq;
-                if let Some(g) = e.atomic_group {
-                    grouped[p].push((e.id.seq, g));
-                    rounds.push((g, e.id));
+                next_commit[base + k] = seq;
+                if let Some(g) = e.group() {
+                    grouped[p].push((seq, g));
+                    rounds.push((g, EventId::new(ProcessId::from_index(p), seq)));
                 }
             } else if let EventKind::Rollback { to_seq } = e.kind {
                 restore = restore.min(to_seq);
@@ -211,7 +212,7 @@ pub fn build_positions(trace: &Trace) -> Positions {
     rounds.sort_unstable();
     let grouped_commits = grouped
         .into_iter()
-        .map(|commits: Vec<(u64, u64)>| {
+        .map(|commits: Vec<(u64, u32)>| {
             let start = |group| rounds.partition_point(|&(g, _)| g < group);
             commits
                 .into_iter()
@@ -288,10 +289,10 @@ fn check_rules(
     // is the first in process-major order: smallest target, then smallest
     // nd process (the inner loop stops at its first uncovered process).
     let mut first: Option<SaveWorkViolation> = None;
-    replay(trace, columns, |e, clocks| {
-        let q = e.id.pid.index();
+    replay(trace, columns, |id, e, clocks| {
+        let q = id.pid.index();
         if e.is_effectively_nd() {
-            live_nd[q].push(e.id.seq);
+            live_nd[q].push(id.seq);
         } else if e.kind.is_commit() {
             live_nd[q].clear();
         } else if let EventKind::Rollback { to_seq } = e.kind {
@@ -305,7 +306,7 @@ fn check_rules(
             _ => return,
         };
         // A violation at an earlier target already stands.
-        if first.is_some_and(|f| f.target < e.id) {
+        if first.is_some_and(|f| f.target < id) {
             return;
         }
         // Column `j`'s process, with the last live nd of it that
@@ -337,8 +338,8 @@ fn check_rules(
             .chain((above..columns.len()).filter_map(cross));
         // A round member is a column, or the target's own process.
         let precedes_target = |m: EventId| {
-            if m.pid == e.id.pid {
-                m.seq < e.id.seq
+            if m.pid == id.pid {
+                m.seq < id.seq
             } else {
                 let j = pos.column_of[m.pid.index()].expect("round members are replayed");
                 m.seq < u64::from(clocks.hb[j])
@@ -353,11 +354,11 @@ fn check_rules(
             let covered = pos.grouped_commits[p]
                 .iter()
                 .filter(|&&(s, _)| s > nd_seq)
-                .any(|&(_, round)| pos.round(round).any(|m| m == e.id || precedes_target(m)));
+                .any(|&(_, round)| pos.round(round).any(|m| m == id || precedes_target(m)));
             if !covered {
                 first = Some(SaveWorkViolation {
                     nd: EventId::new(ProcessId::from_index(p), nd_seq),
-                    target: e.id,
+                    target: id,
                     rule,
                 });
                 return;
@@ -402,33 +403,32 @@ pub fn find_orphans(trace: &Trace, rollbacks: &[Rollback]) -> Vec<OrphanReport> 
     let first_lost_nd: Vec<Option<u64>> = rollbacks
         .iter()
         .map(|rb| {
-            trace
-                .process(rb.pid)
-                .iter()
-                .find(|e| e.id.seq >= rb.first_lost && e.is_effectively_nd())
-                .map(|e| e.id.seq)
+            (0..)
+                .zip(trace.process(rb.pid))
+                .find(|&(seq, e)| seq >= rb.first_lost && e.is_effectively_nd())
+                .map(|(seq, _)| seq)
         })
         .collect();
     // Per (rollback, process), its first commit that depends on a lost
     // event.
     let n = trace.num_processes();
     let mut first: Vec<Option<OrphanReport>> = vec![None; rollbacks.len() * n];
-    replay(trace, &trace.processes(), |e, clocks| {
+    replay(trace, &trace.processes(), |id, e, clocks| {
         if !e.kind.is_commit() {
             return;
         }
         for (i, (rb, lost)) in rollbacks.iter().zip(&first_lost_nd).enumerate() {
-            let slot = &mut first[i * n + e.id.pid.index()];
+            let slot = &mut first[i * n + id.pid.index()];
             let Some(nd_seq) = *lost else {
                 continue;
             };
-            if e.id.pid != rb.pid
+            if id.pid != rb.pid
                 && slot.is_none()
                 && nd_seq < u64::from(clocks.causal[rb.pid.index()])
             {
                 *slot = Some(OrphanReport {
-                    orphan: e.id.pid,
-                    commit: e.id,
+                    orphan: id.pid,
+                    commit: id,
                     lost_nd: EventId::new(rb.pid, nd_seq),
                 });
             }

@@ -4,9 +4,11 @@
 //! and recovered) execution plus the order they were recorded in. It stores
 //! no vector clocks: the checkers in [`crate::savework`] and
 //! [`crate::losework`] derive them with [`crate::clock::replay`] when they
-//! ask causal questions after the fact. Traces are built through a
-//! [`TraceBuilder`], which hands out event, message, commit and round ids
-//! and does a constant amount of work per event whatever the process count.
+//! ask causal questions after the fact. Nor does it store event ids: an
+//! event's id is its position, which the iterators hand out beside it.
+//! Traces are built through a [`TraceBuilder`], which hands out event,
+//! message, commit and round ids and does a constant amount of work per
+//! event whatever the process count.
 
 use crate::event::{Event, EventId, EventKind, MsgId, NdClass, NdSource, ProcessId};
 
@@ -69,13 +71,26 @@ impl Trace {
         self.events.iter().flatten()
     }
 
-    /// Iterates over all events in the order they were recorded.
-    pub fn recorded(&self) -> impl Iterator<Item = &Event> {
+    /// Iterates over all events of all processes, process by process, each
+    /// with its id.
+    pub fn indexed(&self) -> impl Iterator<Item = (EventId, &Event)> {
+        self.events.iter().enumerate().flat_map(|(p, log)| {
+            let p = ProcessId::from_index(p);
+            (0..)
+                .zip(log)
+                .map(move |(seq, e)| (EventId::new(p, seq), e))
+        })
+    }
+
+    /// Iterates over all events in the order they were recorded, each with
+    /// its id.
+    pub fn recorded(&self) -> impl Iterator<Item = (EventId, &Event)> {
         let mut next = vec![0usize; self.events.len()];
         self.order.iter().map(move |&p| {
-            let p = p as usize;
-            next[p] += 1;
-            &self.events[p][next[p] - 1]
+            let seq = next[p as usize];
+            next[p as usize] += 1;
+            let id = EventId::new(ProcessId(p), seq as u64);
+            (id, &self.events[p as usize][seq])
         })
     }
 
@@ -96,12 +111,18 @@ impl Trace {
 }
 
 /// Incremental builder for a [`Trace`].
+///
+/// Each record is one [`Event`] appended to its process's sequence and
+/// one `u32` to the recording order; the id it returns is that position.
+/// Commit and round numbers are `u32`, which is what lets a coordinated
+/// commit's group ride inside its [`EventKind::Commit`] at no cost to
+/// any other event.
 #[derive(Debug, Clone)]
 pub struct TraceBuilder {
     trace: Trace,
     next_msg: u64,
-    next_commit: u64,
-    next_group: u64,
+    next_commit: u32,
+    next_group: u32,
 }
 
 impl TraceBuilder {
@@ -119,31 +140,13 @@ impl TraceBuilder {
     }
 
     fn push(&mut self, p: ProcessId, kind: EventKind, logged: bool) -> EventId {
-        self.push_grouped(p, kind, logged, None)
-    }
-
-    fn push_grouped(
-        &mut self,
-        p: ProcessId,
-        kind: EventKind,
-        logged: bool,
-        atomic_group: Option<u64>,
-    ) -> EventId {
         assert!(
             p.index() < self.trace.events.len(),
             "process id out of range"
         );
         let log = &mut self.trace.events[p.index()];
         let id = EventId::new(p, log.len() as u64);
-        chunked_push(
-            log,
-            Event {
-                id,
-                kind,
-                logged,
-                atomic_group,
-            },
-        );
+        chunked_push(log, Event { kind, logged });
         chunked_push(&mut self.trace.order, p.0);
         id
     }
@@ -151,6 +154,14 @@ impl TraceBuilder {
     fn fresh_msg(&mut self) -> MsgId {
         self.next_msg += 1;
         MsgId(self.next_msg - 1)
+    }
+
+    fn push_commit(&mut self, p: ProcessId, group: Option<u32>) -> EventId {
+        let commit_id = self.next_commit;
+        self.next_commit = commit_id
+            .checked_add(1)
+            .expect("a trace numbers its commits in a u32");
+        self.push(p, EventKind::Commit { commit_id, group }, false)
     }
 
     /// Records a deterministic internal event.
@@ -239,9 +250,7 @@ impl TraceBuilder {
 
     /// Records a commit event, returning its id.
     pub fn commit(&mut self, p: ProcessId) -> EventId {
-        let cid = self.next_commit;
-        self.next_commit += 1;
-        self.push(p, EventKind::Commit { commit_id: cid }, false)
+        self.push_commit(p, None)
     }
 
     /// Records a coordinated (two-phase) commit across `participants`: one
@@ -254,14 +263,12 @@ impl TraceBuilder {
     /// dependencies.
     pub fn coordinated_commit(&mut self, participants: &[ProcessId]) -> Vec<EventId> {
         let group = self.next_group;
-        self.next_group += 1;
+        self.next_group = group
+            .checked_add(1)
+            .expect("a trace numbers its rounds in a u32");
         participants
             .iter()
-            .map(|&p| {
-                let cid = self.next_commit;
-                self.next_commit += 1;
-                self.push_grouped(p, EventKind::Commit { commit_id: cid }, false, Some(group))
-            })
+            .map(|&p| self.push_commit(p, Some(group)))
             .collect()
     }
 
@@ -320,10 +327,10 @@ mod tests {
         b.commit(p(0));
         let t = b.finish();
         assert_eq!(t.total_commits(), 3);
-        let ids: Vec<u64> = t
+        let ids: Vec<u32> = t
             .iter()
             .filter_map(|e| match e.kind {
-                EventKind::Commit { commit_id } => Some(commit_id),
+                EventKind::Commit { commit_id, .. } => Some(commit_id),
                 _ => None,
             })
             .collect();
@@ -343,7 +350,8 @@ mod tests {
             b.commit(p(0)),
         ];
         let t = b.finish();
-        assert!(t.recorded().map(|e| e.id).eq(ids));
+        assert!(t.recorded().map(|(id, _)| id).eq(ids));
+        assert!(t.recorded().all(|(id, e)| t.get(id) == Some(e)));
         assert_eq!(t.len(), 4);
     }
 
@@ -356,5 +364,26 @@ mod tests {
         assert!(t.get(e).is_some());
         assert!(t.get(EventId::new(p(0), 0)).is_none());
         assert_eq!(t.num_processes(), 2);
+    }
+
+    #[test]
+    fn ids_are_positions_and_only_round_commits_carry_a_group() {
+        let mut b = TraceBuilder::new(3);
+        b.internal(p(2));
+        let local = b.commit(p(0));
+        let round = b.coordinated_commit(&[p(0), p(2)]);
+        let next = b.coordinated_commit(&[p(1)]);
+        let t = b.finish();
+        let ids: Vec<EventId> = t.indexed().map(|(id, _)| id).collect();
+        let at = |pid, seq| EventId::new(p(pid), seq);
+        assert_eq!(ids, [at(0, 0), at(0, 1), at(1, 0), at(2, 0), at(2, 1)]);
+        assert!(t.indexed().all(|(id, e)| t.get(id) == Some(e)));
+        let group = |id| t.get(id).and_then(Event::group);
+        assert_eq!(group(local), None);
+        assert_eq!(
+            round.iter().map(|&id| group(id)).collect::<Vec<_>>(),
+            [Some(0); 2]
+        );
+        assert_eq!(group(next[0]), Some(1));
     }
 }

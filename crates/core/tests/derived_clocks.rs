@@ -204,9 +204,9 @@ fn check(n: usize, seed: u64, ops: usize) {
         .collect();
     for columns in [trace.processes(), subset] {
         let mut stamped = dense.stamped.iter();
-        replay(&trace, &columns, |e, clocks| {
+        replay(&trace, &columns, |visited, _, clocks| {
             let (id, hb, causal) = stamped.next().expect("replay visits each event once");
-            assert_eq!(e.id, *id, "recording order, n={n} seed={seed:#x}");
+            assert_eq!(visited, *id, "recording order, n={n} seed={seed:#x}");
             // The recorder's u64 stamps are the spec; the replay's u32
             // components widen to meet them.
             let widen = |clock: &[u32]| clock.iter().map(|&c| u64::from(c)).collect::<Vec<_>>();

@@ -117,7 +117,7 @@ fn held_by_replay(trace: &Trace, columns: &[ProcessId]) -> usize {
     let before = LIVE.load(Relaxed);
     PEAK.store(before, Relaxed);
     let mut visited = 0;
-    replay(trace, columns, |_, clocks| {
+    replay(trace, columns, |_, _, clocks| {
         visited += 1 + clocks.hb.iter().map(|&c| u64::from(c)).sum::<u64>();
     });
     let held = PEAK.load(Relaxed) - before;

@@ -17,7 +17,7 @@ use ft_mem::cost::ND_LOG_RECORD_NS;
 use ft_mem::mem::Mem;
 use ft_sim::cost::SimTime;
 use ft_sim::sim::SysCtx;
-use ft_sim::syscalls::{Message, SysMem, SysResult, Syscalls};
+use ft_sim::syscalls::{Message, Payload, SysMem, SysResult, Syscalls};
 
 use crate::runtime::DcRuntime;
 use crate::state::{Mutation, PendingNd, ProcState};
@@ -169,7 +169,7 @@ impl Syscalls for DcSys<'_, '_> {
         .expect("random always returns")
     }
 
-    fn read_input(&mut self) -> Option<Vec<u8>> {
+    fn read_input(&mut self) -> Option<Payload> {
         self.nd(
             NdSource::UserInput,
             PendingNd::Input,
@@ -183,7 +183,7 @@ impl Syscalls for DcSys<'_, '_> {
         self.ctx.input_exhausted()
     }
 
-    fn send(&mut self, to: ProcessId, payload: Vec<u8>) -> SysResult<()> {
+    fn send(&mut self, to: ProcessId, payload: &[u8]) -> SysResult<()> {
         self.around(InterceptedEvent::Send, |ctx, rt| {
             // Read after the commit-before: a commit clears both. A clean
             // process with no dependencies sends the default metadata.

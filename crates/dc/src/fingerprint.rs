@@ -33,11 +33,14 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
 }
 
 /// Folds a trace into `h`: the process count, then per process its event
-/// count and, per event, a kind tag with the kind's payload, `logged`, and
-/// `atomic_group`. An event's id is its position in this walk, and vector
-/// clocks are a function of the per-process sequences and message ids, so
-/// neither is fed. Every encoding is self-delimiting (fixed width per tag,
-/// counts before sequences): distinct traces feed distinct byte strings.
+/// count and, per event, a kind tag with the kind's payload (a commit's
+/// number without its group), `logged`, and a presence byte followed, for a
+/// commit of a coordinated round, by the round's group. An event's id is
+/// its position in this walk, and vector clocks are a function of the
+/// per-process sequences and message ids, so neither is fed. Numbers enter
+/// as 64-bit words whatever width the trace stores them in. Every encoding
+/// is self-delimiting (fixed width per tag, counts before sequences):
+/// distinct traces feed distinct byte strings.
 /// `NdSource` and `NdClass` enter as their declaration-order discriminants.
 fn trace_fingerprint(mut h: u64, trace: &Trace) -> u64 {
     h = fnv_word(h, trace.num_processes() as u64);
@@ -57,16 +60,18 @@ fn trace_fingerprint(mut h: u64, trace: &Trace) -> u64 {
                     fnv_word(fnv_word(fnv_bytes(h, &[3]), u64::from(from.0)), msg.0)
                 }
                 EventKind::Visible { token } => fnv_word(fnv_bytes(h, &[4]), token),
-                EventKind::Commit { commit_id } => fnv_word(fnv_bytes(h, &[5]), commit_id),
+                EventKind::Commit { commit_id, .. } => {
+                    fnv_word(fnv_bytes(h, &[5]), u64::from(commit_id))
+                }
                 EventKind::Crash => fnv_bytes(h, &[6]),
                 EventKind::FaultActivation { fault } => {
                     fnv_word(fnv_bytes(h, &[7]), u64::from(fault))
                 }
                 EventKind::Rollback { to_seq } => fnv_word(fnv_bytes(h, &[8]), to_seq),
             };
-            h = match e.atomic_group {
+            h = match e.group() {
                 None => fnv_bytes(h, &[u8::from(e.logged), 0]),
-                Some(group) => fnv_word(fnv_bytes(h, &[u8::from(e.logged), 1]), group),
+                Some(group) => fnv_word(fnv_bytes(h, &[u8::from(e.logged), 1]), u64::from(group)),
             };
         }
     }

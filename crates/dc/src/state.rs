@@ -11,7 +11,7 @@ use ft_mem::cost::Medium;
 use ft_mem::mem::Mem;
 use ft_sim::cost::SimTime;
 use ft_sim::kernel::KernelSnapshot;
-use ft_sim::syscalls::{Message, SysResult};
+use ft_sim::syscalls::{Message, Payload, SysResult};
 
 /// A mid-commit kill spelled as its own type: the fields of
 /// `CrashPoint::InCommit`, which is how in-repo code writes it (an entry
@@ -134,7 +134,7 @@ impl DcConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub enum PendingNd {
     /// A user-input read.
-    Input(Vec<u8>),
+    Input(Payload),
     /// A message receive.
     Recv(Message),
     /// A `gettimeofday` result.

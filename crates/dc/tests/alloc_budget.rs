@@ -1,21 +1,17 @@
-//! The heap allocations of a failure-free run, gated as a budget.
+//! The heap allocations of a failure-free kvstore run under CPVS, gated
+//! as a budget: past warm-up, no event allocates.
 //!
-//! What one event may allocate follows from the structures on its path. A
-//! send costs two blocks: the payload `Vec` the application built and the
-//! shared `Payload` the fabric copies it into. A receive costs none (the
-//! delivered view shares the payload, and the empty dependency set a
-//! commit-before-send protocol piggybacks owns no block), nor does a
-//! commit once a process's snapshot buffers have grown to size. Everything
-//! else is amortised growth of flat columns — the trace, the visible log,
-//! each channel's message buffer and sequence column — which double, so
-//! it is logarithmic in what the run retains.
-//!
-//! A counting global allocator counts every block, which is why this file
-//! holds exactly one test: a second test thread would allocate into the
-//! same counter.
+//! What one event may allocate follows from the structures on its path.
+//! A send allocates nothing: the application packs the message on its
+//! stack, and its payload (at most 38 bytes) and its dependency set (empty
+//! under a commit-before-send protocol) travel inline, into the channel's
+//! buffer and out to the receiver by copy. Nor does a receive, or a commit
+//! once a process's snapshot buffers have grown to size. Everything else
+//! is amortised growth of flat columns — the trace, the visible log, each
+//! channel's message buffer and sequence column — which double, so it is
+//! logarithmic in what the run retains.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+mod counting;
 
 use ft_apps::kvstore::KvParams;
 use ft_apps::scenarios;
@@ -23,37 +19,6 @@ use ft_core::event::EventKind;
 use ft_core::protocol::Protocol;
 use ft_dc::harness::DcHarness;
 use ft_dc::state::DcConfig;
-
-static BLOCKS: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-// SAFETY: delegates every call to `System` unchanged, only adding a relaxed
-// counter update.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        BLOCKS.fetch_add(1, Relaxed);
-        // SAFETY: the caller's layout, passed through.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        BLOCKS.fetch_add(1, Relaxed);
-        // SAFETY: the caller's layout, passed through.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        BLOCKS.fetch_add(1, Relaxed);
-        // SAFETY: the caller's arguments, passed through.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: Counting = Counting;
 
 /// What [`run`] measured.
 struct Counts {
@@ -78,9 +43,7 @@ fn run(requests_per_gateway: u64) -> Counts {
     let (sim, apps) = scenarios::kvstore_cluster(&params).into_parts();
     let harness = DcHarness::new(sim, DcConfig::discount_checking(Protocol::Cpvs), apps);
 
-    let before = BLOCKS.load(Relaxed);
-    let report = harness.run();
-    let blocks = BLOCKS.load(Relaxed) - before;
+    let (report, blocks) = counting::blocks_of(|| harness.run());
 
     assert!(report.all_done && report.abandoned == 0);
     let count = |is: fn(&EventKind) -> bool| report.trace.iter().filter(|e| is(&e.kind)).count();
@@ -103,7 +66,7 @@ const PROCESSES: u64 = 28;
 const CHANNELS: u64 = 2 * 4 * 8 + 8 * 2;
 
 #[test]
-fn past_warm_up_a_run_allocates_two_blocks_per_send_and_nothing_else() {
+fn past_warm_up_a_run_allocates_nothing_per_send() {
     // The same cluster at 2 000 and at 4 000 requests per gateway: the
     // difference is free of everything a run allocates once (each
     // process's snapshot buffers, undo pool and tables growing to size).
@@ -119,10 +82,9 @@ fn past_warm_up_a_run_allocates_two_blocks_per_send_and_nothing_else() {
     // buffer and a sequence column per channel; per process its trace
     // column and a few retained tables; a handful of global logs.
     let growth = 2 * (2 * CHANNELS + 4 * PROCESSES + 8);
-    let budget = 2 * sends + growth;
     assert!(
-        blocks <= budget,
+        blocks <= growth,
         "{events} more events ({sends} of them sends) allocated {blocks} more blocks; the budget \
-         is {budget}: two per send and {growth} for buffer growth, none per receive or commit"
+         is {growth} for buffer growth, none per send, receive or commit"
     );
 }

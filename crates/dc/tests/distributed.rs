@@ -38,7 +38,7 @@ impl App for Server {
             // Send the round number.
             0 => {
                 let r = round.get(&sys.mem().arena)?;
-                sys.send(self.peer, vec![r as u8]).expect("send");
+                sys.send(self.peer, &[r as u8]).expect("send");
                 phase.set(&mut sys.mem().arena, 1)?;
                 Ok(AppStatus::Running)
             }
@@ -92,7 +92,7 @@ impl App for Echoer {
             }
             1 => {
                 let s = staged.get(&sys.mem().arena)?;
-                sys.send(self.peer, vec![s as u8 + 1]).expect("send");
+                sys.send(self.peer, &[s as u8 + 1]).expect("send");
                 let m = sys.mem();
                 let n = seen.get(&m.arena)? + 1;
                 seen.set(&mut m.arena, n)?;

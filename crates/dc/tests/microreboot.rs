@@ -60,7 +60,7 @@ impl App for CountEcho {
 }
 
 fn keystrokes(n: usize) -> InputScript {
-    InputScript::evenly_spaced(0, 100 * MS, (0..n).map(|i| vec![(i % 200) as u8]).collect())
+    InputScript::evenly_spaced(0, 100 * MS, (0..n).map(|i| [(i % 200) as u8]))
 }
 
 fn run(n: usize, seed: u64, cfg: DcConfig, kills: &[u64]) -> DcReport {

@@ -44,7 +44,7 @@ impl App for Head {
         match phase.get(&sys.mem().arena)? {
             0 => {
                 let r = round.get(&sys.mem().arena)?;
-                sys.send(ProcessId(1), vec![r as u8]).expect("send");
+                sys.send(ProcessId(1), &[r as u8]).expect("send");
                 phase.set(&mut sys.mem().arena, 1)?;
                 Ok(AppStatus::Running)
             }
@@ -95,7 +95,7 @@ impl App for Relay {
             }
             1 => {
                 let s = staged.get(&sys.mem().arena)?;
-                sys.send(self.next, vec![s as u8 + 1]).expect("send");
+                sys.send(self.next, &[s as u8 + 1]).expect("send");
                 let m = sys.mem();
                 let n = seen.get(&m.arena)? + 1;
                 seen.set(&mut m.arena, n)?;

@@ -58,7 +58,7 @@ impl App for DiscEcho {
 }
 
 fn keystrokes(n: usize) -> InputScript {
-    InputScript::evenly_spaced(0, 100 * MS, (0..n).map(|i| vec![(i % 200) as u8]).collect())
+    InputScript::evenly_spaced(0, 100 * MS, (0..n).map(|i| [(i % 200) as u8]))
 }
 
 fn reference_tokens(n: usize, seed: u64) -> Vec<u64> {

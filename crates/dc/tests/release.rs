@@ -5,6 +5,7 @@
 //! released exactly the messages both of its ends have committed past,
 //! and every run still passes the composed oracle.
 
+use ft_apps::kvstore::KvParams;
 use ft_apps::scenarios::{self, Built};
 use ft_core::event::ProcessId;
 use ft_core::protocol::Protocol;
@@ -108,4 +109,34 @@ fn treadmarks_releases_exactly_what_both_commits_cover_through_cascades() {
     let (released, cascades) = judged_runs(|| scenarios::treadmarks(7, 2), "treadmarks");
     assert!(released > 1_000, "the runs release: {released}");
     assert!(cascades > 0, "the two-phase protocols cascade");
+}
+
+/// Pinned finding: under CAND-LOG and CBNDVS-LOG the kvstore servers never
+/// commit — every receive is logged and they emit no visible — so their
+/// committed counts stay 0 and no channel with a server at either end
+/// releases a message: the fabric keeps the whole run there. Every other
+/// Figure 8 protocol commits the servers and releases on their channels.
+#[test]
+fn found_log_protocols_never_release_on_kvstore_server_channels_is_pinned() {
+    let servers = KvParams::check(6, 5).n_servers();
+    for protocol in Protocol::FIGURE8 {
+        let (sim, apps) = scenarios::kvstore_check(5, 6).into_parts();
+        let mut h = DcHarness::new(sim, DcConfig::discount_checking(protocol), apps);
+        h.drive(|_| {});
+        let what = format!("kvstore {}", protocol.name());
+        assert_releases_exactly(&h, &what);
+        let n = u32::try_from(h.rt.len()).expect("a small cluster");
+        let released: usize = (0..n)
+            .flat_map(|from| (0..n).map(move |to| (from, to)))
+            .filter(|&(from, to)| from < servers || to < servers)
+            .filter_map(|(from, to)| h.sim.network().channel(ProcessId(from), ProcessId(to)))
+            .map(ft_sim::net::Channel::released)
+            .sum();
+        assert!(h.into_report().all_done, "{what}");
+        if matches!(protocol, Protocol::CandLog | Protocol::CbndvsLog) {
+            assert_eq!(released, 0, "{what}: the servers never commit");
+        } else {
+            assert!(released > 0, "{what}: the servers' channels release");
+        }
+    }
 }

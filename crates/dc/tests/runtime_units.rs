@@ -1,7 +1,8 @@
 //! Focused runtime tests: committed-snapshot contents, kernel
 //! reconstruction, pending-nd capture, file-state recovery, how the
 //! harness executes a kill schedule of several entries, where it arms
-//! a kernel fault, and where a coordinated round leaves each participant.
+//! a kernel fault, where a coordinated round leaves each participant, and
+//! what a corrupted delivery leaves of the message's other copies.
 
 #![allow(
     clippy::cast_possible_truncation,
@@ -11,10 +12,11 @@
 
 use ft_core::event::ProcessId;
 use ft_core::protocol::{DepSet, Protocol};
+use ft_dc::dcsys::DcSys;
 use ft_dc::fingerprint::report_fingerprint;
 use ft_dc::harness::{DcHarness, DcReport};
 use ft_dc::runtime::DcRuntime;
-use ft_dc::state::DcConfig;
+use ft_dc::state::{DcConfig, PendingNd};
 use ft_faults::crash::{CrashPoint, Fault};
 use ft_mem::arena::Layout;
 use ft_mem::error::MemResult;
@@ -22,8 +24,8 @@ use ft_mem::mem::{ArenaCell, Mem};
 use ft_sim::harness::run_plain_on;
 use ft_sim::script::InputScript;
 use ft_sim::sim::{SimConfig, Simulator};
-use ft_sim::syscalls::{App, AppStatus, SysMem, WaitCond};
-use ft_sim::MS;
+use ft_sim::syscalls::{App, AppStatus, Payload, SysMem, Syscalls, WaitCond, PAYLOAD_INLINE};
+use ft_sim::{MS, SEC};
 
 /// Writes each input byte to a file, then echoes a running file checksum
 /// read *back* from the kernel — so recovered kernel file state is
@@ -99,7 +101,7 @@ impl App for FileEcho {
 }
 
 fn keys(n: usize) -> InputScript {
-    InputScript::evenly_spaced(0, MS, (0..n).map(|i| vec![b'a' + (i % 26) as u8]).collect())
+    InputScript::evenly_spaced(0, MS, (0..n).map(|i| [b'a' + (i % 26) as u8]))
 }
 
 fn build(seed: u64, n: usize) -> (Simulator, Vec<Box<dyn App>>) {
@@ -258,8 +260,8 @@ fn run_pair(n0: usize, n1: usize, kills: &[CrashPoint]) -> DcReport {
 
 /// The pids of the run's crash markers, in recording order.
 fn crashes(report: &DcReport) -> Vec<u32> {
-    let crashed = report.trace.recorded().filter(|e| e.kind.is_crash());
-    crashed.map(|e| e.id.pid.0).collect()
+    let crashed = report.trace.recorded().filter(|(_, e)| e.kind.is_crash());
+    crashed.map(|(id, _)| id.pid.0).collect()
 }
 
 /// The recovered run completed and its visibles are those of the
@@ -302,10 +304,10 @@ fn two_position_kills_on_one_process_fire_once_each_the_second_in_re_execution()
     );
     assert_recovered(&report, &reference);
     let p0 = report.trace.process(ProcessId(0));
-    let crash_seqs: Vec<u64> = p0
-        .iter()
-        .filter(|e| e.kind.is_crash())
-        .map(|e| e.id.seq)
+    let crash_seqs: Vec<u64> = (0..)
+        .zip(p0)
+        .filter(|(_, e)| e.kind.is_crash())
+        .map(|(seq, _)| seq)
         .collect();
     assert_eq!(crash_seqs.len(), 2, "each entry fires once");
     assert_eq!(crash_seqs[0], first);
@@ -425,13 +427,70 @@ fn a_round_commits_each_participant_just_past_its_own_commit_event() {
         rt.coordinated_commit(&mut sim.ctx(me));
         let (trace, _, _) = sim.finish();
         for p in 0..4 {
-            let commit = trace.process(pid(p)).iter().find(|e| e.kind.is_commit());
+            let commit = trace
+                .process(pid(p))
+                .iter()
+                .position(|e| e.kind.is_commit());
             assert_eq!(commit.is_some(), round.contains(&p), "{protocol}: P{p}");
             assert_eq!(
                 rt.state(pid(p)).committed.trace_pos,
-                commit.map_or(0, |e| e.id.seq + 1),
+                commit.map_or(0, |seq| seq as u64 + 1),
                 "{protocol}: P{p} restores to just past its commit event"
             );
         }
+    }
+}
+
+#[test]
+fn a_corrupted_delivery_changes_only_the_delivered_copy() {
+    // A kernel corruption flips a bit in the delivered payload
+    // (`Payload::make_mut`). The fabric's retained copy, a rollback's
+    // re-delivery and the pending value a commit captured must keep the
+    // sent bytes — for a payload held in place and for a shared one.
+    let (p0, p1) = (ProcessId(0), ProcessId(1));
+    for len in [PAYLOAD_INLINE, PAYLOAD_INLINE + 1] {
+        let sent: Vec<u8> = (0..len).map(|i| i as u8).collect();
+        let mut sim = Simulator::new(SimConfig::one_node_each(2, 1));
+        let mems = (0..2).map(|_| Mem::new(Layout::small())).collect();
+        let mut rt = DcRuntime::new(DcConfig::discount_checking(Protocol::Cand), &sim, mems);
+        sim.ctx(p0).send(p1, &sent).expect("send");
+        let retained = |sim: &Simulator| -> Payload {
+            let ch = sim.network().channel(p0, p1).expect("a message was sent");
+            ch.messages()[0].payload.clone()
+        };
+        // A corrupted receive the receiver never commits.
+        sim.kernel_of_mut(p1).corrupt_next(1);
+        let mut ctx = sim.ctx(p1);
+        ctx.compute(SEC);
+        let corrupted = ctx.try_recv().expect("delivered");
+        assert_ne!(corrupted.payload, sent, "len {len}");
+        assert_eq!(retained(&sim), sent, "len {len}: the fabric's copy");
+        // Rolled back to its initial commit, the receiver gets the sent
+        // bytes again, and CAND's commit right after captures them.
+        assert_eq!(rt.recover(p1, &mut sim), [p1]);
+        let mut ctx = sim.ctx(p1);
+        ctx.compute(SEC);
+        let redelivered = DcSys::new(&mut ctx, &mut rt)
+            .try_recv()
+            .expect("redelivered");
+        assert_eq!(redelivered.payload, sent, "len {len}: the re-delivery");
+        let pending = |rt: &DcRuntime| match &rt.state(p1).committed.pending_nd {
+            Some(PendingNd::Recv(m)) => m.payload.clone(),
+            other => panic!("len {len}: no captured receive: {other:?}"),
+        };
+        assert_eq!(pending(&rt), sent, "len {len}: the pending value");
+        // Corrupting a later delivery of the same message touches neither
+        // the captured value nor the fabric's copy.
+        sim.network_mut().rewind_receiver(p1, &[]);
+        sim.kernel_of_mut(p1).corrupt_next(1);
+        let mut ctx = sim.ctx(p1);
+        ctx.compute(SEC);
+        assert_ne!(
+            ctx.try_recv().expect("delivered").payload,
+            sent,
+            "len {len}"
+        );
+        assert_eq!(pending(&rt), sent, "len {len}: the pending value");
+        assert_eq!(retained(&sim), sent, "len {len}: the fabric's copy");
     }
 }

@@ -571,7 +571,7 @@ impl Dsm {
                 let (payload, pages) = self.encode_my_diffs(sys.mem(), &header)?;
                 // Diff creation cost: ~1 µs per scanned page.
                 sys.compute(u64::from(pages.max(1)) * US);
-                sys.send(ft_core::event::ProcessId(peer), payload)
+                sys.send(ft_core::event::ProcessId(peer), &payload)
                     .expect("peer exists");
                 send_idx.set(&mut sys.mem().arena, idx as u64 + 1)?;
                 Ok(BarrierStatus::Working)
@@ -705,7 +705,7 @@ mod tests {
             }
         }
 
-        fn deliver(&mut self, from: u32, payload: Vec<u8>) {
+        fn deliver(&mut self, from: u32, payload: &[u8]) {
             self.inbox.push_back(Message {
                 from: ProcessId(from),
                 seq: 0,
@@ -738,14 +738,14 @@ mod tests {
         fn random(&mut self) -> u64 {
             0
         }
-        fn read_input(&mut self) -> Option<Vec<u8>> {
+        fn read_input(&mut self) -> Option<Payload> {
             None
         }
         fn input_exhausted(&self) -> bool {
             true
         }
-        fn send(&mut self, to: ProcessId, payload: Vec<u8>) -> SysResult<()> {
-            self.sent.push((to, payload));
+        fn send(&mut self, to: ProcessId, payload: &[u8]) -> SysResult<()> {
+            self.sent.push((to, payload.to_vec()));
             Ok(())
         }
         fn try_recv(&mut self) -> Option<Message> {
@@ -1220,7 +1220,7 @@ mod tests {
         let mut accepted = 0;
         for flipped in flips(&barrier_msg(4, 2)) {
             let mut sys = TestSys::new(sys.mem.clone());
-            sys.deliver(2, flipped);
+            sys.deliver(2, &flipped);
             if dsm.barrier_pump(&mut sys).is_ok() {
                 accepted += 1;
             }

@@ -151,7 +151,7 @@ impl Dsm {
         let phase = self.lock_phase_cell();
         match phase.get(&sys.mem().arena)? {
             PHASE_IDLE => {
-                sys.send(manager, LockMsg::Req { lock }.encode())
+                sys.send(manager, &LockMsg::Req { lock }.encode())
                     .expect("manager exists");
                 phase.set(&mut sys.mem().arena, PHASE_WAITING)?;
                 Ok(LockStatus::Waiting)
@@ -199,7 +199,7 @@ impl Dsm {
         // the stream.
         sys.shm_op(ft_core::access::ShmOp::LockRel { lock });
         let (diffs, _) = self.encode_my_diffs(sys.mem(), &[])?;
-        sys.send(manager, LockMsg::Rel { lock, diffs }.encode())
+        sys.send(manager, &LockMsg::Rel { lock, diffs }.encode())
             .expect("manager exists");
         let m = sys.mem();
         self.fold_my_diffs_into_twin(m)?;
@@ -265,7 +265,7 @@ impl LockServer {
                         let m = sys.mem();
                         ArenaVec::<u8>::load_handle(&m.arena, slot + 32)?.to_vec(&m.arena)?
                     };
-                    sys.send(from, LockMsg::Grant { lock: *lock, diffs }.encode())
+                    sys.send(from, &LockMsg::Grant { lock: *lock, diffs }.encode())
                         .expect("client exists");
                     sys.mem().arena.write_pod(slot, from.0 as u64)?;
                 } else {
@@ -304,7 +304,7 @@ impl LockServer {
                         ProcessId(u32::try_from(n).expect("waiter ids were u32 at enqueue"));
                     sys.send(
                         waiter,
-                        LockMsg::Grant {
+                        &LockMsg::Grant {
                             lock: *lock,
                             diffs: merged.clone(),
                         }

@@ -215,13 +215,13 @@ mod tests {
         fn random(&mut self) -> u64 {
             0
         }
-        fn read_input(&mut self) -> Option<Vec<u8>> {
+        fn read_input(&mut self) -> Option<ft_sim::syscalls::Payload> {
             None
         }
         fn input_exhausted(&self) -> bool {
             true
         }
-        fn send(&mut self, _to: ProcessId, _p: Vec<u8>) -> ft_sim::syscalls::SysResult<()> {
+        fn send(&mut self, _to: ProcessId, _p: &[u8]) -> ft_sim::syscalls::SysResult<()> {
             Ok(())
         }
         fn try_recv(&mut self) -> Option<ft_sim::syscalls::Message> {

@@ -12,7 +12,7 @@ use ft_mem::mem::Mem;
 
 use crate::cost::SimTime;
 use crate::sim::{SimConfig, Simulator, SysCtx, Wake};
-use crate::syscalls::{App, Message, SysMem, SysResult, Syscalls};
+use crate::syscalls::{App, Message, Payload, SysMem, SysResult, Syscalls};
 
 /// A raw syscall context paired with the process's memory.
 pub struct PlainSys<'a, 'b> {
@@ -43,13 +43,13 @@ impl Syscalls for PlainSys<'_, '_> {
     fn random(&mut self) -> u64 {
         self.ctx.random()
     }
-    fn read_input(&mut self) -> Option<Vec<u8>> {
+    fn read_input(&mut self) -> Option<Payload> {
         self.ctx.read_input()
     }
     fn input_exhausted(&self) -> bool {
         self.ctx.input_exhausted()
     }
-    fn send(&mut self, to: ProcessId, payload: Vec<u8>) -> SysResult<()> {
+    fn send(&mut self, to: ProcessId, payload: &[u8]) -> SysResult<()> {
         self.ctx.send(to, payload)
     }
     fn try_recv(&mut self) -> Option<Message> {
@@ -200,7 +200,7 @@ mod tests {
         let mut sim = Simulator::new(SimConfig::single_node(1, 2));
         sim.set_input_script(
             ProcessId(0),
-            InputScript::evenly_spaced(0, MS, (0..10).map(|i| vec![i]).collect()),
+            InputScript::evenly_spaced(0, MS, (0..10).map(|i| [i])),
         );
         sim.kill_at(ProcessId(0), 4 * MS + 1);
         let mut apps: Vec<Box<dyn App>> = vec![Box::new(CellEcho)];

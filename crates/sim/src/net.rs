@@ -31,11 +31,14 @@
 //! messages a channel retains: the replay-dedup index beside each buffer
 //! is a flat `(seq, index)` column kept in sequence order, which a fresh
 //! send extends with one comparison and an append (sequence numbers only
-//! go down across a withdrawal, and need not be dense), and the dependency
-//! snapshot a message carries is a [`DepSet`], which owns no heap block
-//! while empty. `tests/net_differential.rs` holds the tree-based fabric
-//! this replaced, which keeps every message, as the model both are checked
-//! against.
+//! go down across a withdrawal, and need not be dense). Nor does it
+//! allocate per message: a retained message holds its bytes in place up to
+//! [`crate::syscalls::PAYLOAD_INLINE`] (a larger [`Payload`] shares one
+//! buffer with every delivery) and its dependency snapshot in place up to
+//! [`ft_core::protocol::DEP_INLINE`] members, so buffering a message and
+//! delivering a copy of it are byte copies. `tests/net_differential.rs`
+//! holds the tree-based fabric this replaced, which keeps every message, as
+//! the model both are checked against.
 //!
 //! # The unreliable fabric and the transport
 //!
@@ -209,7 +212,8 @@ pub struct NetStats {
 pub struct StoredMsg {
     /// Sender-assigned per-channel sequence number.
     pub seq: u64,
-    /// Payload bytes, shared with every delivered view of this message.
+    /// Payload bytes: copied into every delivered view of this message, or
+    /// shared with it when too large to hold in place.
     pub payload: Payload,
     /// Sender's dependency snapshot.
     pub deps: DepSet,
@@ -426,7 +430,9 @@ impl Network {
     }
 
     /// Enqueues a message. Re-sends of an already-buffered sequence number
-    /// (deterministic replay after a failure) are deduplicated.
+    /// (deterministic replay after a failure) are deduplicated. The
+    /// payload and the dependency set convert from their owned forms
+    /// (`Vec<u8>`, `BTreeSet<u32>`) as well as their own.
     ///
     /// With a fault plan installed the buffered copy starts
     /// [`UNDELIVERED`]; the caller must follow up with
@@ -440,7 +446,7 @@ impl Network {
         from: ProcessId,
         to: ProcessId,
         seq: u64,
-        payload: Vec<u8>,
+        payload: impl Into<Payload>,
         deps: impl Into<DepSet>,
         tainted: bool,
         deliver_at: SimTime,
@@ -456,7 +462,7 @@ impl Network {
         ch.by_seq.insert(at, (seq, ch.end()));
         ch.msgs.push_back(StoredMsg {
             seq,
-            payload: Payload::new(payload),
+            payload: payload.into(),
             deps: deps.into(),
             tainted,
             deliver_at,

@@ -8,6 +8,7 @@
 //! rolled back.
 
 use crate::cost::SimTime;
+use crate::syscalls::Payload;
 
 /// A timed user-input script.
 ///
@@ -16,9 +17,13 @@ use crate::cost::SimTime;
 /// keystroke") make each input due a fixed think time after the previous
 /// one was consumed — so recovery-runtime overhead lengthens the session
 /// instead of hiding inside idle time.
+///
+/// Each item is a [`Payload`], so a keystroke or a command is held in
+/// place and taking it, corrupting the taken copy and committing it as a
+/// pending value copy bytes, never allocate.
 #[derive(Debug, Clone, Default)]
 pub struct InputScript {
-    items: Vec<(SimTime, Vec<u8>)>,
+    items: Vec<(SimTime, Payload)>,
     cursor: usize,
     /// Relative mode: item times are think-time delays, armed when the
     /// application first polls after handling the previous input (i.e. the
@@ -34,7 +39,9 @@ impl InputScript {
     /// # Panics
     ///
     /// Panics if times decrease.
-    pub fn new(items: Vec<(SimTime, Vec<u8>)>) -> Self {
+    pub fn new<T: Into<Payload>>(items: impl IntoIterator<Item = (SimTime, T)>) -> Self {
+        let items: Vec<(SimTime, Payload)> =
+            items.into_iter().map(|(t, b)| (t, b.into())).collect();
         assert!(
             items.windows(2).all(|w| w[0].0 <= w[1].0),
             "input script times must be non-decreasing"
@@ -49,20 +56,22 @@ impl InputScript {
 
     /// Builds an absolute script delivering `tokens` at a fixed `interval`,
     /// starting at `start`.
-    pub fn evenly_spaced(start: SimTime, interval: SimTime, tokens: Vec<Vec<u8>>) -> Self {
-        let items = tokens
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| (start + interval * i as SimTime, t))
-            .collect();
-        InputScript::new(items)
+    pub fn evenly_spaced<T: Into<Payload>>(
+        start: SimTime,
+        interval: SimTime,
+        tokens: impl IntoIterator<Item = T>,
+    ) -> Self {
+        InputScript::new((0..).zip(tokens).map(|(i, t)| (start + interval * i, t)))
     }
 
     /// Builds a relative script: each token becomes due `think` after the
     /// previous token was consumed (the §3 interactive pacing).
-    pub fn think_time(think: SimTime, tokens: Vec<Vec<u8>>) -> Self {
+    pub fn think_time<T: Into<Payload>>(
+        think: SimTime,
+        tokens: impl IntoIterator<Item = T>,
+    ) -> Self {
         InputScript {
-            items: tokens.into_iter().map(|t| (think, t)).collect(),
+            items: tokens.into_iter().map(|t| (think, t.into())).collect(),
             cursor: 0,
             relative: true,
             armed: None,
@@ -72,7 +81,7 @@ impl InputScript {
     /// Takes the next input if it is due at `now`. In relative mode the
     /// first poll after the previous input *arms* the next one (`now +
     /// think`) and returns `None`; block on input and retry.
-    pub fn take_due(&mut self, now: SimTime) -> Option<Vec<u8>> {
+    pub fn take_due(&mut self, now: SimTime) -> Option<Payload> {
         let (delay, _) = self.items.get(self.cursor)?;
         let due = if self.relative {
             match self.armed {
@@ -189,10 +198,10 @@ mod tests {
     fn take_due_respects_time() {
         let mut s = InputScript::new(vec![(10, b"a".to_vec()), (20, b"b".to_vec())]);
         assert_eq!(s.take_due(5), None);
-        assert_eq!(s.take_due(10), Some(b"a".to_vec()));
+        assert_eq!(s.take_due(10).as_deref(), Some(&b"a"[..]));
         assert_eq!(s.take_due(15), None);
         assert_eq!(s.next_time(), Some(20));
-        assert_eq!(s.take_due(25), Some(b"b".to_vec()));
+        assert_eq!(s.take_due(25).as_deref(), Some(&b"b"[..]));
         assert!(s.exhausted());
         assert_eq!(s.take_due(100), None);
     }
@@ -212,11 +221,11 @@ mod tests {
         assert_eq!(s.take_due(50), None); // Arms at 50 → due 150.
         assert_eq!(s.next_time(), Some(150));
         assert_eq!(s.take_due(100), None);
-        assert_eq!(s.take_due(150), Some(b"a".to_vec()));
+        assert_eq!(s.take_due(150).as_deref(), Some(&b"a"[..]));
         // The app responds, then polls again at 180: due 280.
         assert_eq!(s.take_due(180), None);
         assert_eq!(s.next_time(), Some(280));
-        assert_eq!(s.take_due(280), Some(b"b".to_vec()));
+        assert_eq!(s.take_due(280).as_deref(), Some(&b"b"[..]));
         assert!(s.exhausted());
     }
 
@@ -228,13 +237,17 @@ mod tests {
         assert!(s.exhausted());
         let saved = 1;
         s.set_cursor(saved);
-        assert_eq!(s.take_due(10), Some(b"b".to_vec()), "the user retypes");
+        assert_eq!(
+            s.take_due(10).as_deref(),
+            Some(&b"b"[..]),
+            "the user retypes"
+        );
     }
 
     #[test]
     #[should_panic(expected = "non-decreasing")]
     fn decreasing_times_rejected() {
-        InputScript::new(vec![(10, vec![]), (5, vec![])]);
+        InputScript::new(vec![(10, []), (5, [])]);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::kernel::{Kernel, KernelSnapshot};
 use crate::net::{NetFaultPlan, NetStats, Network, SendOutcome, UNDELIVERED};
 use crate::rng::SplitMix64;
 use crate::script::{InputScript, SignalSchedule};
-use crate::syscalls::{AppStatus, Message, SysError, SysResult, Syscalls, WaitCond};
+use crate::syscalls::{AppStatus, Message, Payload, SysError, SysResult, Syscalls, WaitCond};
 use crate::wheel::TimerWheel;
 use ft_core::access::{ShmLog, ShmOp, ShmRecord};
 use ft_core::event::{MsgId, NdSource, ProcessId};
@@ -794,7 +794,7 @@ impl<'a> Syscalls for SysCtx<'a> {
         v
     }
 
-    fn read_input(&mut self) -> Option<Vec<u8>> {
+    fn read_input(&mut self) -> Option<Payload> {
         if self.killed {
             return None;
         }
@@ -805,7 +805,7 @@ impl<'a> Syscalls for SysCtx<'a> {
         self.elapsed += self.sim.cfg.cost.read_input_ns;
         let poll = self.now();
         if self.node_kernel().tick_corruption(poll) {
-            self.node_kernel().corrupt_bytes(&mut bytes);
+            self.node_kernel().corrupt_bytes(bytes.make_mut());
         }
         self.record_nd(NdSource::UserInput, None);
         Some(bytes)
@@ -815,7 +815,7 @@ impl<'a> Syscalls for SysCtx<'a> {
         self.sim.scripts[self.pid.index()].exhausted()
     }
 
-    fn send(&mut self, to: ProcessId, payload: Vec<u8>) -> SysResult<()> {
+    fn send(&mut self, to: ProcessId, payload: &[u8]) -> SysResult<()> {
         if self.killed {
             return Ok(());
         }

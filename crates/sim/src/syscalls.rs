@@ -52,62 +52,114 @@ impl std::error::Error for SysError {}
 /// Result alias for syscalls.
 pub type SysResult<T> = Result<T, SysError>;
 
-/// An immutable, reference-counted message payload.
+/// Bytes a [`Payload`] holds in place: every kvstore message (at most 38
+/// bytes), every scripted keystroke and DSM lock request, so only larger
+/// messages — DSM diffs, game world frames — reach the heap.
+pub const PAYLOAD_INLINE: usize = 38;
+
+/// An immutable message or input payload: its bytes in place up to
+/// [`PAYLOAD_INLINE`], in one shared buffer beyond.
 ///
-/// The sender's bytes are copied into a shared buffer once at `send` —
-/// the same single copy the old per-delivery `Vec<u8>` clone paid, moved
-/// to the producer side. The network's buffered copy (sender-side
-/// retention for recovery), every delivery, and every committed
-/// `PendingNd` snapshot then share it: cloning is a refcount bump, never
-/// a byte copy, so broadcasts and snapshots are free. A slice `Arc`
-/// (header and bytes in one allocation) rather than `Arc<Vec<u8>>`, which
-/// would add a second heap block per message. `Arc` (not `Rc`) because
-/// applications are `Send` and trials run on campaign worker threads.
-/// Reads go through `Deref<Target = [u8]>`, so payload slicing and
-/// indexing look exactly like they did when this was a `Vec<u8>`.
-#[derive(Clone, PartialEq, Eq)]
-pub struct Payload(Arc<[u8]>);
+/// A small payload is copied wherever it goes — the network's buffered
+/// copy (sender-side retention for recovery), every delivery, every
+/// committed `PendingNd` snapshot — and never allocates: building it from
+/// the sender's stack bytes is the only copy a send pays. A larger one is
+/// copied once into a shared slice `Arc` (header and bytes in one block)
+/// at construction, and every later holder shares it, so cloning is a
+/// refcount bump and broadcasts and snapshots are free. `Arc` (not `Rc`)
+/// because applications are `Send` and trials run on campaign worker
+/// threads. The form follows from the length alone and is invisible:
+/// reads go through `Deref<Target = [u8]>`, and payloads compare and
+/// print as the bytes they hold.
+#[derive(Clone)]
+pub struct Payload(Bytes);
+
+/// Where a [`Payload`]'s bytes live.
+#[derive(Clone)]
+enum Bytes {
+    /// The first `len` bytes of `bytes`.
+    Inline {
+        len: u8,
+        bytes: [u8; PAYLOAD_INLINE],
+    },
+    /// More than [`PAYLOAD_INLINE`] bytes, shared by every holder.
+    Shared(Arc<[u8]>),
+}
+
+const _: () = assert!(std::mem::size_of::<Payload>() <= PAYLOAD_INLINE + 2);
 
 impl Payload {
-    /// Packs the sender's bytes into the shared buffer (the one copy).
-    pub fn new(bytes: Vec<u8>) -> Self {
-        Payload(bytes.into())
-    }
-
-    /// Extracts the bytes into an owned buffer.
-    pub fn into_vec(self) -> Vec<u8> {
-        self.0.to_vec()
-    }
-
-    /// Mutable access for the rare in-kernel corruption fault path:
-    /// unshares the buffer first so other holders keep the pristine bytes.
-    pub fn make_mut(&mut self) -> &mut [u8] {
-        if Arc::get_mut(&mut self.0).is_none() {
-            self.0 = Arc::from(&*self.0);
+    /// Copies `bytes` into a payload: in place when they fit, else into
+    /// a fresh shared buffer (the one copy).
+    pub fn new(bytes: &[u8]) -> Self {
+        match u8::try_from(bytes.len()) {
+            Ok(len) if bytes.len() <= PAYLOAD_INLINE => {
+                let mut inline = [0; PAYLOAD_INLINE];
+                inline[..bytes.len()].copy_from_slice(bytes);
+                Payload(Bytes::Inline { len, bytes: inline })
+            }
+            _ => Payload(Bytes::Shared(Arc::from(bytes))),
         }
-        Arc::get_mut(&mut self.0).expect("buffer was just unshared")
+    }
+
+    /// Mutable access for the rare in-kernel corruption fault path. A
+    /// payload held in place is this holder's own copy already; a shared
+    /// buffer is unshared first, so other holders keep the pristine bytes.
+    pub fn make_mut(&mut self) -> &mut [u8] {
+        match &mut self.0 {
+            Bytes::Inline { len, bytes } => &mut bytes[..usize::from(*len)],
+            Bytes::Shared(shared) => {
+                if Arc::get_mut(shared).is_none() {
+                    *shared = Arc::from(&**shared);
+                }
+                Arc::get_mut(shared).expect("buffer was just unshared")
+            }
+        }
     }
 }
 
 impl Deref for Payload {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.0
+        match &self.0 {
+            Bytes::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            Bytes::Shared(shared) => shared,
+        }
+    }
+}
+
+impl From<&[u8]> for Payload {
+    fn from(bytes: &[u8]) -> Self {
+        Payload::new(bytes)
+    }
+}
+
+impl<const N: usize> From<[u8; N]> for Payload {
+    fn from(bytes: [u8; N]) -> Self {
+        Payload::new(&bytes)
     }
 }
 
 impl From<Vec<u8>> for Payload {
     fn from(bytes: Vec<u8>) -> Self {
-        Payload::new(bytes)
+        Payload::new(&bytes)
     }
 }
 
-// Formats as the bytes it holds, without the `Arc` wrapper.
+// Formats as the bytes it holds, whatever the form.
 impl std::fmt::Debug for Payload {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.0.fmt(f)
+        (**self).fmt(f)
     }
 }
+
+impl PartialEq for Payload {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Payload {}
 
 impl<const N: usize> PartialEq<&[u8; N]> for Payload {
     fn eq(&self, other: &&[u8; N]) -> bool {
@@ -134,7 +186,8 @@ pub struct Message {
     pub from: ProcessId,
     /// Per-channel sequence number assigned by the sender.
     pub seq: u64,
-    /// Payload bytes (a shared view of the sender's buffer).
+    /// Payload bytes (this view's own copy, or a shared view of the
+    /// sender's buffer for a large payload).
     pub payload: Payload,
     /// Dependency snapshot piggybacked by the sender's recovery runtime
     /// (empty when no runtime is interposed).
@@ -234,13 +287,14 @@ pub trait Syscalls {
     /// non-deterministic event when it returns `Some`. Returns `None` when
     /// no input is due yet (block with [`WaitCond::input`]) — no event is
     /// recorded in that case.
-    fn read_input(&mut self) -> Option<Vec<u8>>;
+    fn read_input(&mut self) -> Option<Payload>;
 
     /// True when the input script is exhausted (the session is over).
     fn input_exhausted(&self) -> bool;
 
-    /// Sends a message: a send event.
-    fn send(&mut self, to: ProcessId, payload: Vec<u8>) -> SysResult<()>;
+    /// Sends a message: a send event. The bytes are copied into the
+    /// message's [`Payload`], so a sender can build them on its stack.
+    fn send(&mut self, to: ProcessId, payload: &[u8]) -> SysResult<()>;
 
     /// Receives the next deliverable message, if any: a *transient*
     /// non-deterministic (receive) event when it returns `Some`.
@@ -354,6 +408,37 @@ mod tests {
         assert_eq!(mu.until, Some(9));
         let im = WaitCond::input_or_message();
         assert!(im.input && im.message);
+    }
+
+    #[test]
+    fn payloads_read_the_same_in_place_and_shared() {
+        for len in [0, PAYLOAD_INLINE - 1, PAYLOAD_INLINE, PAYLOAD_INLINE + 1] {
+            let bytes: Vec<u8> = (0..=u8::MAX).cycle().step_by(7).take(len).collect();
+            let arc: Arc<[u8]> = Arc::from(&bytes[..]);
+            let payload = Payload::new(&bytes);
+            assert!(matches!(payload.0, Bytes::Inline { .. }) == (len <= PAYLOAD_INLINE));
+            for p in [&payload, &payload.clone(), &Payload::from(bytes.clone())] {
+                assert_eq!(**p, *arc, "len={len}");
+                assert_eq!(*p, payload, "len={len}");
+                assert_eq!(*p, bytes, "len={len}");
+                assert_eq!(format!("{p:?}"), format!("{arc:?}"), "len={len}");
+            }
+            let mut other = bytes.clone();
+            other.push(1);
+            assert_ne!(payload, Payload::new(&other), "len={len}");
+        }
+    }
+
+    #[test]
+    fn make_mut_changes_only_its_own_copy() {
+        for len in [PAYLOAD_INLINE, PAYLOAD_INLINE + 1] {
+            let original = Payload::new(&vec![5u8; len]);
+            let mut delivered = original.clone();
+            delivered.make_mut()[0] ^= 1;
+            assert_eq!(original, vec![5u8; len], "len={len}");
+            assert_eq!(delivered[0], 4, "len={len}");
+            assert_eq!(delivered[1..], original[1..], "len={len}");
+        }
     }
 
     #[test]

@@ -116,14 +116,14 @@ impl App for Pinger {
         let m_sent = sent.get(&sys.mem().arena)?;
         if m_sent == 0 {
             sent.set(&mut sys.mem().arena, 1)?;
-            sys.send(self.peer, vec![0]).expect("send");
+            sys.send(self.peer, &[0]).expect("send");
             return Ok(AppStatus::Running);
         }
         if let Some(msg) = sys.try_recv() {
             sys.visible(msg.payload[0] as u64);
             if m_sent < self.rounds {
                 sent.set(&mut sys.mem().arena, m_sent + 1)?;
-                sys.send(self.peer, vec![msg.payload[0] + 1]).expect("send");
+                sys.send(self.peer, &[msg.payload[0] + 1]).expect("send");
                 Ok(AppStatus::Running)
             } else {
                 Ok(AppStatus::Done)
@@ -145,7 +145,7 @@ impl App for Ponger {
         if let Some(msg) = sys.try_recv() {
             let n = seen.get(&sys.mem().arena)? + 1;
             seen.set(&mut sys.mem().arena, n)?;
-            sys.send(self.peer, msg.payload.into_vec()).expect("send");
+            sys.send(self.peer, &msg.payload).expect("send");
             if n >= self.done_after {
                 return Ok(AppStatus::Done);
             }
@@ -296,7 +296,7 @@ fn deterministic_given_seed() {
         let mut sim = Simulator::new(SimConfig::single_node(1, seed));
         sim.set_input_script(
             ProcessId(0),
-            InputScript::evenly_spaced(0, MS, (0..10).map(|i| vec![i]).collect()),
+            InputScript::evenly_spaced(0, MS, (0..10).map(|i| [i])),
         );
         let mut app = Echo;
         let mut mems = vec![Mem::new(app.layout())];
@@ -357,8 +357,8 @@ fn coordinated_commit_recording_shapes_the_trace() {
         .filter(|e| matches!(e.kind, EventKind::Commit { .. }))
         .collect();
     assert_eq!(commits.len(), 2);
-    let g0 = commits[0].atomic_group.expect("grouped");
-    assert_eq!(commits[1].atomic_group, Some(g0), "same atomic round");
+    let g0 = commits[0].group().expect("grouped");
+    assert_eq!(commits[1].group(), Some(g0), "same atomic round");
     // Control edges recorded as logged send/recv pairs.
     let control_recvs = trace
         .iter()

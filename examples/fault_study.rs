@@ -28,7 +28,7 @@ fn run_one(fault: FaultType, trigger_visit: u32, recover: bool) -> DcReport {
     let keys = failure_transparency::apps::workload::editor_script(300, 5);
     sim.set_input_script(
         ProcessId(0),
-        InputScript::evenly_spaced(0, MS, keys.into_iter().map(|k| vec![k]).collect()),
+        InputScript::evenly_spaced(0, MS, keys.into_iter().map(|k| [k])),
     );
     let mut cfg = DcConfig::discount_checking(Protocol::Cpvs);
     cfg.faults.push(Fault::Activate { pid: 0, plan });

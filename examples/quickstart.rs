@@ -17,7 +17,7 @@ fn build(kill_at: Option<u64>) -> (Simulator, Vec<Box<dyn App>>) {
     let keys = b"the quick brown fox jumps over the lazy dog";
     sim.set_input_script(
         ProcessId(0),
-        InputScript::evenly_spaced(0, 100 * MS, keys.iter().map(|&k| vec![k]).collect()),
+        InputScript::evenly_spaced(0, 100 * MS, keys.iter().map(|&k| [k])),
     );
     if let Some(t) = kill_at {
         sim.kill_at(ProcessId(0), t);

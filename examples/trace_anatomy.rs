@@ -14,7 +14,7 @@ fn main() {
     let mut sim = Simulator::new(SimConfig::single_node(1, 8));
     sim.set_input_script(
         ProcessId(0),
-        InputScript::evenly_spaced(0, MS, b"hi!".iter().map(|&k| vec![k]).collect()),
+        InputScript::evenly_spaced(0, MS, b"hi!".iter().map(|&k| [k])),
     );
     // Kill between the second echo and the save.
     sim.kill_at(ProcessId(0), MS + 700 * US);

@@ -31,7 +31,7 @@
 //! let mut sim = Simulator::new(SimConfig::single_node(1, 7));
 //! sim.set_input_script(
 //!     ProcessId(0),
-//!     InputScript::evenly_spaced(0, MS, b"hello".iter().map(|&k| vec![k]).collect()),
+//!     InputScript::evenly_spaced(0, MS, b"hello".iter().map(|&k| [k])),
 //! );
 //! sim.kill_at(ProcessId(0), 2 * MS + 500_000);
 //! let report = DcHarness::new(

@@ -17,7 +17,7 @@ fn editor_session(seed: u64, keys: usize) -> (Simulator, Vec<Box<dyn App>>) {
     let script = workload::editor_script(keys, seed);
     sim.set_input_script(
         ProcessId(0),
-        InputScript::evenly_spaced(0, 2 * MS, script.into_iter().map(|k| vec![k]).collect()),
+        InputScript::evenly_spaced(0, 2 * MS, script.into_iter().map(|k| [k])),
     );
     (sim, vec![Box::new(Editor::new())])
 }

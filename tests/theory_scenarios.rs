@@ -171,7 +171,7 @@ fn commit_events_appear_in_dc_traces_as_theory_expects() {
     let mut sim = Simulator::new(SimConfig::single_node(1, 3));
     sim.set_input_script(
         ProcessId(0),
-        InputScript::evenly_spaced(0, MS, b"abc".iter().map(|&k| vec![k]).collect()),
+        InputScript::evenly_spaced(0, MS, b"abc".iter().map(|&k| [k])),
     );
     let report = DcHarness::new(
         sim,

@@ -31,6 +31,13 @@ benchmark/run.sh --seconds 0 --trace 0 >"$out/benchmark.txt"
 if cargo tree --offline -e normal -p ft-check -p ft-analyze -p ft-crashtest | grep ft-bench >&2; then
   echo "ci: ft-check, ft-analyze and ft-crashtest must not depend on ft-bench" >&2; exit 1
 fi
+# ft-faults only re-exports two paths for the frozen benchmark/: the fault
+# schedule lives in ft-core and the arrival streams in ft-sim, and no
+# workspace package may depend on the facade again.
+if cargo tree --offline -e normal,dev -i ft-faults --workspace --prefix none \
+  | grep -v '^ft-faults ' >&2; then
+  echo "ci: no workspace package may depend on ft-faults" >&2; exit 1
+fi
 cargo test -q --workspace
 # ft-dsm decodes bytes a peer (or a fault campaign) chose and ft-mem bytes
 # that come back from a disk: run their tests with overflow checks off
@@ -51,10 +58,10 @@ cargo test -q --workspace
 # `normalize` reads offsets the run-encoded access stream computes, and its
 # campaign test replays the treadmarks and taskfarm streams through them.
 # And ft-dc: the kill-schedule executor's position and time comparisons
-# run on every campaign's release path. And ft-faults: its fault-schedule
+# run on every campaign's release path. And ft-core's fault-schedule
 # grammar parses replay files that come from outside the program, the
 # reason ft-check is on this line too.
-cargo test -q --release -p ft-dsm -p ft-mem -p ft-core -p ft-sim -p ft-check -p ft-analyze -p ft-dc -p ft-faults
+cargo test -q --release -p ft-dsm -p ft-mem -p ft-core -p ft-sim -p ft-check -p ft-analyze -p ft-dc
 # Clippy is also the determinism and recovery-safety gate: wall-clock
 # reads, hash-order iteration, panics and unchecked arithmetic in the
 # decode modules, floats in the fingerprinting crates (clippy.toml,

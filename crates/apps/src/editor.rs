@@ -48,7 +48,7 @@
     reason = "guest state lives in u64 arena cells; reads narrow values back to the width they had when stored (slots, cursors, fds, single key bytes)"
 )]
 
-use ft_faults::{FaultInjector, FaultPlan};
+use ft_core::fault::FaultPlan;
 use ft_mem::arena::Layout;
 use ft_mem::error::{MemFault, MemResult};
 use ft_mem::mem::{ArenaCell, Mem};
@@ -56,6 +56,8 @@ use ft_mem::vec::ArenaVec;
 use ft_sim::cost::US;
 use ft_sim::syscalls::{AppStatus, SysMem, WaitCond};
 use ft_sim::App;
+
+use crate::injector::FaultInjector;
 
 // Globals layout.
 const G_PHASE: ArenaCell<u64> = ArenaCell::at(0);
@@ -93,14 +95,14 @@ const S_STAGE_DEST: u64 = 14; // Destination-register on the staged store.
 const S_STAGE_INIT: u64 = 16; // Initialization of the staged-key variable.
 
 /// The fault site the editor exposes for each §4.1 fault type.
-pub fn fault_site(fault: ft_faults::FaultType) -> u64 {
+pub fn fault_site(fault: ft_core::fault::FaultType) -> u64 {
     match fault {
-        ft_faults::FaultType::StackBitFlip | ft_faults::FaultType::HeapBitFlip => S_KEY,
-        ft_faults::FaultType::DeleteBranch => S_STATUS_BOUND,
-        ft_faults::FaultType::OffByOne => S_INSERT_IDX,
-        ft_faults::FaultType::DeleteInstruction => S_STORE_BACK,
-        ft_faults::FaultType::DestinationReg => S_STAGE_DEST,
-        ft_faults::FaultType::Initialization => S_STAGE_INIT,
+        ft_core::fault::FaultType::StackBitFlip | ft_core::fault::FaultType::HeapBitFlip => S_KEY,
+        ft_core::fault::FaultType::DeleteBranch => S_STATUS_BOUND,
+        ft_core::fault::FaultType::OffByOne => S_INSERT_IDX,
+        ft_core::fault::FaultType::DeleteInstruction => S_STORE_BACK,
+        ft_core::fault::FaultType::DestinationReg => S_STAGE_DEST,
+        ft_core::fault::FaultType::Initialization => S_STAGE_INIT,
     }
 }
 

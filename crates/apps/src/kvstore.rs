@@ -48,8 +48,8 @@
 //! seeded-mutant arm on [`KvReplica`], which is *supposed* to corrupt
 //! recovery).
 //!
-//! [`OpenLoopPopulation`]: ft_faults::population::OpenLoopPopulation
-//! [`ExpSampler`]: ft_faults::arrivals::ExpSampler
+//! [`OpenLoopPopulation`]: ft_sim::rng::OpenLoopPopulation
+//! [`ExpSampler`]: ft_sim::rng::ExpSampler
 //! [`SplitMix64::nth`]: ft_sim::rng::SplitMix64::nth
 
 #![allow(
@@ -58,11 +58,10 @@
 )]
 
 use ft_core::event::ProcessId;
-use ft_faults::population::OpenLoopPopulation;
 use ft_mem::arena::Layout;
 use ft_mem::error::{MemFault, MemResult};
 use ft_mem::mem::{ArenaCell, Mem};
-use ft_sim::rng::SplitMix64;
+use ft_sim::rng::{OpenLoopPopulation, SplitMix64};
 use ft_sim::syscalls::{AppStatus, SysMem, WaitCond};
 use ft_sim::App;
 
@@ -478,11 +477,6 @@ impl KvGateway {
             put,
             value,
         }
-    }
-
-    /// Absolute simulated arrival time (ns) of request `i`, for tests.
-    pub fn arrival_ns(&self, i: u64) -> u64 {
-        (0..=i).fold(0u64, |t, k| t.saturating_add(self.pop.gap_ns(k)))
     }
 
     fn primary_of(&self, key: u64) -> ProcessId {
@@ -1070,7 +1064,9 @@ mod tests {
         // offered load is on the wall clock, not the service's pace.
         let params = KvParams::small(21);
         let gw0 = KvGateway::new(&params, 0);
+        let last_arrival =
+            (0..params.requests_per_gateway).fold(0u64, |t, i| t.saturating_add(gw0.pop.gap_ns(i)));
         let report = run(&params);
-        assert!(report.runtime >= gw0.arrival_ns(params.requests_per_gateway - 1));
+        assert!(report.runtime >= last_arrival);
     }
 }

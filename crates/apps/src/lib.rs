@@ -17,10 +17,10 @@
 //! replicated key-value service driven by an open-loop population of
 //! millions of simulated sessions with [`zipf`]ian key selection.
 //!
-//! Each application embeds `ft-faults` hooks at realistic fault sites
-//! (bounds checks, split guards, initializations, stores), so the §4 fault
-//! studies exercise genuine failure propagation through real data
-//! structures. [`workload`] generates the deterministic scripts, and
+//! The nvi and postgres analogues embed [`injector`] hooks at realistic
+//! fault sites (bounds checks, split guards, initializations, stores), so
+//! the §4 fault studies exercise genuine failure propagation through real
+//! data structures. [`workload`] generates the deterministic scripts, and
 //! [`scenarios`] builds configured simulator + application sets for the
 //! whole suite, with the one by-name family table over them.
 
@@ -31,6 +31,7 @@ pub mod barnes_hut;
 pub mod cad;
 pub mod editor;
 pub mod game;
+pub mod injector;
 pub mod kvstore;
 pub mod minidb;
 pub mod scenarios;

@@ -27,13 +27,15 @@
     reason = "guest state lives in u64 arena cells; reads narrow values back to the width they had when stored (slots, cursors, fds, single key bytes)"
 )]
 
-use ft_faults::{FaultInjector, FaultPlan};
+use ft_core::fault::FaultPlan;
 use ft_mem::arena::Layout;
 use ft_mem::error::{MemFault, MemResult};
 use ft_mem::mem::{ArenaCell, Mem};
 use ft_sim::cost::US;
 use ft_sim::syscalls::{AppStatus, SysMem, WaitCond};
 use ft_sim::App;
+
+use crate::injector::FaultInjector;
 
 /// B-tree fanout (max keys per node).
 pub const ORDER: usize = 8;
@@ -75,14 +77,14 @@ const S_COUNT_BUMP: u64 = 34; // Delete-instruction: skip the n++ store.
 const S_NODE_INIT: u64 = 35; // Initialization of a fresh node.
 
 /// The fault site the database exposes for each §4.1 fault type.
-pub fn fault_site(fault: ft_faults::FaultType) -> u64 {
+pub fn fault_site(fault: ft_core::fault::FaultType) -> u64 {
     match fault {
-        ft_faults::FaultType::StackBitFlip | ft_faults::FaultType::HeapBitFlip => S_REQ,
-        ft_faults::FaultType::DeleteBranch => S_SPLIT_GUARD,
-        ft_faults::FaultType::OffByOne => S_SEARCH_HI,
-        ft_faults::FaultType::DeleteInstruction => S_COUNT_BUMP,
-        ft_faults::FaultType::DestinationReg => S_KEY_DEST,
-        ft_faults::FaultType::Initialization => S_NODE_INIT,
+        ft_core::fault::FaultType::StackBitFlip | ft_core::fault::FaultType::HeapBitFlip => S_REQ,
+        ft_core::fault::FaultType::DeleteBranch => S_SPLIT_GUARD,
+        ft_core::fault::FaultType::OffByOne => S_SEARCH_HI,
+        ft_core::fault::FaultType::DeleteInstruction => S_COUNT_BUMP,
+        ft_core::fault::FaultType::DestinationReg => S_KEY_DEST,
+        ft_core::fault::FaultType::Initialization => S_NODE_INIT,
     }
 }
 

@@ -17,8 +17,8 @@
 //! violation rate, and CBNDVS-LOG's rate is no higher than CAND's.
 
 use ft_apps::scenarios;
+use ft_core::fault::FaultType;
 use ft_core::protocol::Protocol;
-use ft_faults::FaultType;
 use ft_sim::harness::run_plain_on;
 use ft_sim::runner::run_cutoff;
 

@@ -2,7 +2,7 @@
 //!
 //! Every other stage injects at most one fault per trial and asks *was
 //! recovery consistent?* This stage drives a seeded Poisson crash process
-//! (`ft_faults::arrivals`) into long-running workloads and asks the
+//! (`ft_sim::rng::PoissonArrivals`) into long-running workloads and asks the
 //! operational questions: MTTR percentiles, steady-state availability
 //! (nines), and goodput relative to the failure-free baseline — per
 //! workload, per protocol, per recovery strategy (the paper's full
@@ -25,9 +25,7 @@
 use ft_apps::scenarios;
 use ft_core::protocol::Protocol;
 use ft_dc::recovery::Strategy;
-use ft_dc::Mutation;
-use ft_dc::{DcConfig, DcReport};
-use ft_faults::arrivals::EscalationPolicy;
+use ft_dc::{DcConfig, DcReport, EscalationPolicy, Mutation};
 use ft_sim::rng::SplitMix64;
 
 use crate::continuous::{FaultLoad, FaultStats};

@@ -14,8 +14,8 @@
 use ft_check::explore::{canonical_run, run_faults};
 use ft_check::{explore, parse_script, shrink, CheckConfig, Counterexample, Exploration, Workload};
 use ft_core::event::ProcessId;
+use ft_core::fault::Fault;
 use ft_core::protocol::Protocol;
-use ft_faults::Fault;
 
 use crate::json::Json;
 use crate::stage::Stage;

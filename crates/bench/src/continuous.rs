@@ -24,11 +24,10 @@
 use ft_apps::scenarios::Built;
 use ft_core::avail::{availability, nines, total_downtime_ns, Incident};
 use ft_core::event::ProcessId;
+use ft_core::fault::{CrashPoint, Fault};
 use ft_core::oracle::InvariantViolation;
 use ft_dc::{DcConfig, DcHarness, DcReport};
-use ft_faults::arrivals::PoissonArrivals;
-use ft_faults::crash::{CrashPoint, Fault};
-use ft_sim::rng::SplitMix64;
+use ft_sim::rng::{PoissonArrivals, SplitMix64};
 use ft_sim::runner::run_indexed;
 
 use crate::json::Json;

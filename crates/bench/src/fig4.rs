@@ -24,7 +24,8 @@
 //! more visibles than every commit-per-event protocol.
 
 use ft_apps::scenarios;
-use ft_core::event::{NdSource, ProcessId};
+use ft_core::event::NdSource;
+use ft_core::fault::{CrashPoint, Fault};
 use ft_core::protocol::{drive, enumerate, next_steps, InterceptedEvent, Protocol, Step};
 use ft_core::render::render_trace;
 use ft_core::savework::check_save_work;
@@ -219,9 +220,14 @@ impl Stage for Fig4Stage<'_> {
         assert!(base.all_done, "the failure-free session must complete");
         let rows = run_indexed(Protocol::FIGURE8.len(), threads, |i| {
             let protocol = Protocol::FIGURE8[i];
-            let (mut sim, apps) = build().into_parts();
-            sim.kill_at(ProcessId(0), self.kill_at());
-            let report = DcHarness::new(sim, DcConfig::discount_checking(protocol), apps).run();
+            let (sim, apps) = build().into_parts();
+            let mut cfg = DcConfig::discount_checking(protocol);
+            let kill = CrashPoint::AtExactTime {
+                pid: 0,
+                t: self.kill_at(),
+            };
+            cfg.faults.push(Fault::Kill(kill));
+            let report = DcHarness::new(sim, cfg, apps).run();
             assert!(report.all_done, "{protocol} did not recover");
             Fig4Row {
                 protocol,
@@ -308,6 +314,7 @@ impl Stage for Fig4Stage<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ft_core::event::ProcessId;
 
     const P0: ProcessId = ProcessId(0);
     const P1: ProcessId = ProcessId(1);

@@ -2,7 +2,7 @@
 //!
 //! Drives `ft_apps::kvstore` — `shards × replication` server processes
 //! plus a row of gateways fronting an open-loop client population of
-//! millions of Zipfian sessions (`ft_faults::population`) — under
+//! millions of Zipfian sessions (`ft_sim::rng::OpenLoopPopulation`) — under
 //! continuous Poisson crash arrivals, per protocol, per recovery
 //! strategy, and on both the Rio and DC-durable checkpoint media. The
 //! default shape runs ≥ 100 server processes and 10⁶ sessions; the
@@ -28,8 +28,7 @@ use ft_apps::kvstore::{self, KvParams};
 use ft_apps::scenarios;
 use ft_core::protocol::Protocol;
 use ft_dc::recovery::Strategy;
-use ft_dc::{DcConfig, DcReport};
-use ft_faults::arrivals::EscalationPolicy;
+use ft_dc::{DcConfig, DcReport, EscalationPolicy};
 use ft_sim::rng::SplitMix64;
 
 use crate::continuous::{FaultLoad, FaultStats};

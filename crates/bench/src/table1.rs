@@ -24,11 +24,11 @@
 
 use ft_apps::scenarios::{self, Built};
 use ft_core::event::EventKind;
+use ft_core::fault::{Fault, FaultPlan, FaultType};
 use ft_core::losework::check_commit_after_activation;
 use ft_core::protocol::Protocol;
 use ft_dc::harness::{DcHarness, DcReport};
 use ft_dc::state::DcConfig;
-use ft_faults::{Fault, FaultPlan, FaultType};
 use ft_sim::harness::run_plain_on;
 use ft_sim::runner::{run_cutoff, SeedStream};
 

@@ -17,7 +17,7 @@
 //! produces the same rows for every thread count (`threads = 1` is the
 //! serial loop).
 
-use ft_faults::{Fault, FaultType};
+use ft_core::fault::{Fault, FaultType};
 use ft_sim::rng::SplitMix64;
 use ft_sim::runner::{run_indexed, SeedStream};
 

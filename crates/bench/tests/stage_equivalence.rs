@@ -23,10 +23,10 @@ use ft_bench::fig4::Fig4Stage;
 use ft_bench::kv::KvConfig;
 use ft_bench::stage::{assert_thread_invariant, Stage};
 use ft_check::{CheckConfig, Workload};
+use ft_core::fault::FaultType;
 use ft_core::protocol::Protocol;
 use ft_crashtest::enumerate_schedule;
 use ft_dc::Mutation;
-use ft_faults::FaultType;
 
 /// Small but real sizes: crash-prone fault types reach `TARGET` before
 /// `MAX` (exercising the early exit) and benign ones run to `MAX`.

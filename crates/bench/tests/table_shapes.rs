@@ -6,7 +6,7 @@
 
 use ft_bench::table1::{run_table1, Table1App, Table1Row};
 use ft_bench::table2::{run_table2, Table2Row};
-use ft_faults::FaultType;
+use ft_core::fault::FaultType;
 
 const TARGET: u32 = 10;
 const MAX: u32 = 120;

@@ -2,11 +2,10 @@
 //! (serial or sharded) exploration loop.
 
 use ft_core::event::ProcessId;
+use ft_core::fault::{CommitCrashPoint, CrashPoint, Fault};
 use ft_core::oracle::InvariantViolation;
 use ft_dc::fingerprint::report_fingerprint;
 use ft_dc::{DcHarness, DcReport};
-use ft_faults::crash::{CrashPoint, Fault};
-use ft_mem::arena::CommitCrashPoint;
 use ft_sim::runner::run_indexed;
 
 use crate::scenario::{CheckConfig, Workload};

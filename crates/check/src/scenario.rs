@@ -8,9 +8,9 @@
 //! that the shrinker may lower.
 
 use ft_apps::scenarios::{self, Built};
+use ft_core::fault::{CrashPoint, Fault};
 use ft_core::protocol::Protocol;
 use ft_dc::{CommitKill, DcConfig, Mutation};
-use ft_faults::crash::{CrashPoint, Fault};
 
 /// A rebuildable workload: scenario family + seed + size knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,7 +92,7 @@ mod tests {
 
     #[test]
     fn dc_config_carries_the_kill() {
-        use ft_mem::arena::CommitCrashPoint;
+        use ft_core::fault::CommitCrashPoint;
         let cfg = CheckConfig::new(Protocol::Cpvs);
         let (pid, nth, point) = (1, 2, CommitCrashPoint::MidUndoWalk);
         let dc = cfg.dc_config(Some(CommitKill { pid, nth, point }));

@@ -15,9 +15,9 @@
 //!    taken, and for position kills a second binary search finds the
 //!    earliest event index of that process that still fails.
 
+use ft_core::fault::{CrashPoint, Fault};
 use ft_core::oracle::InvariantViolation;
 use ft_core::protocol::Protocol;
-use ft_faults::crash::{CrashPoint, Fault};
 
 use crate::explore::{canonical_run, enumerate_points, run_point, Canonical, PointResult};
 use crate::scenario::{CheckConfig, Workload};

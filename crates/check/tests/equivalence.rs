@@ -10,10 +10,10 @@ use ft_check::explore::{canonical_run, enumerate_points, explore_points, run_poi
 use ft_check::scenario::{CheckConfig, Workload};
 use ft_check::{Canonical, PointResult};
 use ft_core::event::ProcessId;
+use ft_core::fault::CrashPoint;
 use ft_core::protocol::Protocol;
 use ft_dc::fingerprint::report_fingerprint;
 use ft_dc::{CommitKill, DcHarness};
-use ft_faults::crash::CrashPoint;
 
 #[test]
 fn exploration_is_identical_across_thread_counts() {

@@ -8,9 +8,8 @@
 
 use ft_check::explore::{canonical_run, enumerate_points, explore_points, Exploration};
 use ft_check::scenario::{CheckConfig, Workload};
+use ft_core::fault::{CommitCrashPoint, CrashPoint};
 use ft_core::protocol::Protocol;
-use ft_faults::crash::CrashPoint;
-use ft_mem::arena::CommitCrashPoint;
 
 /// Exhausts `w` under `protocol` and asserts (a) the state count matches
 /// the structural formula — one failure-free pseudo-point, plus per

@@ -9,8 +9,8 @@
 use ft_check::explore::{canonical_run, enumerate_points, explore_points, Exploration};
 use ft_check::scenario::{CheckConfig, Workload};
 use ft_check::{explore, parse_script, shrink};
+use ft_core::fault::Fault;
 use ft_core::protocol::Protocol;
-use ft_faults::Fault;
 
 fn kv(size: usize) -> Workload {
     Workload {

@@ -11,10 +11,10 @@
 
 use ft_check::scenario::{CheckConfig, Workload};
 use ft_check::{explore, parse_script, shrink};
+use ft_core::fault::Fault;
 use ft_core::oracle::InvariantViolation;
 use ft_core::protocol::Protocol;
 use ft_dc::Mutation;
-use ft_faults::Fault;
 
 fn mutated() -> (Workload, CheckConfig) {
     let w = Workload {

@@ -19,8 +19,9 @@
 //! * the seven **recovery protocols** of §2.4/§3 as pure commit-decision
 //!   planners, and the one driver that runs a step sequence through them
 //!   and enumerates every sequence up to a length ([`protocol`]);
-//! * the §4 **application fault model** as data — the seven fault types of
-//!   Table 1 and an armed fault plan ([`fault`]).
+//! * the §4 **fault model** as data — the seven fault types of Table 1, an
+//!   armed fault plan, and the fault schedule's entries with their one
+//!   replay-script grammar ([`fault`]).
 //!
 //! Everything here is pure and simulation-agnostic; the substrate crates
 //! (`ft-sim`, `ft-mem`, `ft-dc`, …) execute real workloads against these

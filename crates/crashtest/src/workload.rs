@@ -120,7 +120,7 @@ pub const EVENTS_PER_OP: u64 = 3;
 pub const TORN_EIGHTHS: [u8; 3] = [1, 4, 7];
 
 /// Where inside one durable commit the kill lands (the redo-log analogue
-/// of [`ft_mem::arena::CommitCrashPoint`]).
+/// of [`ft_core::fault::CommitCrashPoint`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DurableWindow {
     /// Before the frame reaches the log: the commit never happened and

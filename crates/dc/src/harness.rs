@@ -4,9 +4,9 @@
 
 use ft_core::avail::Incident;
 use ft_core::event::ProcessId;
+use ft_core::fault::{CrashPoint, Fault, PANIC_DELAY_NS};
 use ft_core::oracle::{check_recovery, InvariantViolation, OracleVerdict};
 use ft_core::trace::Trace;
-use ft_faults::crash::{CrashPoint, Fault, PANIC_DELAY_NS};
 use ft_mem::arena::ArenaStats;
 use ft_mem::cost::COW_TRAP_NS;
 use ft_mem::mem::Mem;
@@ -134,12 +134,20 @@ pub struct DcHarness {
 
 impl DcHarness {
     /// Builds a harness over a pre-configured simulator, arming the fault
-    /// schedule's activations and kernel faults before the runtime takes
-    /// the initial snapshots (which therefore hold an armed corruption).
+    /// schedule's activations, kernel faults and exact-time kills before
+    /// the runtime takes the initial snapshots (which therefore hold an
+    /// armed corruption).
     /// Panics if an activation names an application with no fault sites.
     pub fn new(mut sim: Simulator, cfg: DcConfig, mut apps: Vec<Box<dyn App>>) -> Self {
         for fault in &cfg.faults {
             match *fault {
+                Fault::Kill(CrashPoint::AtExactTime { pid, t: at })
+                | Fault::Kernel {
+                    pid,
+                    at,
+                    propagate: false,
+                    ..
+                } => sim.kill_at(ProcessId(pid), at),
                 Fault::Kill(_) => {}
                 Fault::Activate { pid, plan } => {
                     let seed = sim.seed();
@@ -152,16 +160,12 @@ impl DcHarness {
                     pid,
                     at,
                     corrupt_calls,
-                    propagate,
+                    propagate: true,
                     ..
                 } => {
                     let pid = ProcessId(pid);
-                    if propagate {
-                        sim.kernel_of_mut(pid).arm_corruption(at, corrupt_calls);
-                        sim.kill_at(pid, at + PANIC_DELAY_NS);
-                    } else {
-                        sim.kill_at(pid, at);
-                    }
+                    sim.kernel_of_mut(pid).arm_corruption(at, corrupt_calls);
+                    sim.kill_at(pid, at + PANIC_DELAY_NS);
                 }
             }
         }
@@ -426,7 +430,9 @@ fn fire_due(sim: &mut Simulator, watched: &mut Vec<CrashPoint>) {
         let (pid, due) = match kill {
             CrashPoint::AtPosition { pid, pos } => (pid, sim.trace_position(ProcessId(pid)) >= pos),
             CrashPoint::AtTime { pid, t } => (pid, now >= t),
-            CrashPoint::AtStart { .. } | CrashPoint::InCommit { .. } => return true,
+            CrashPoint::AtStart { .. }
+            | CrashPoint::InCommit { .. }
+            | CrashPoint::AtExactTime { .. } => return true,
         };
         if due {
             sim.kill_at(ProcessId(pid), now);

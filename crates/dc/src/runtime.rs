@@ -1,9 +1,8 @@
 //! The recovery runtime core: commits, snapshots, rollback, and cascades.
 
 use ft_core::event::ProcessId;
+use ft_core::fault::{CommitCrashPoint, CrashPoint, Fault};
 use ft_core::protocol::{coordinated_participants, CommitPlanner, Protocol};
-use ft_faults::crash::{CrashPoint, Fault};
-use ft_mem::arena::CommitCrashPoint;
 use ft_sim::cost::SimTime;
 use ft_sim::net::Network;
 use ft_sim::sim::{Simulator, SysCtx};

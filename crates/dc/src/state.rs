@@ -1,12 +1,10 @@
 //! Per-process recovery-runtime state: configuration, committed snapshots,
 //! and pending non-deterministic results.
 
+use ft_core::fault::{CommitCrashPoint, Fault};
 use ft_core::protocol::{CommitPlanner, DepTracker, Protocol};
-use ft_faults::arrivals::EscalationPolicy;
-use ft_faults::crash::Fault;
-use ft_mem::arena::CommitCrashPoint;
 
-use crate::recovery::Strategy;
+use crate::recovery::{EscalationPolicy, Strategy};
 use ft_mem::cost::Medium;
 use ft_mem::mem::Mem;
 use ft_sim::cost::SimTime;
@@ -72,12 +70,12 @@ pub struct DcConfig {
     /// Give up recovering a process after this many attempts (a run that
     /// violates Lose-work re-crashes forever).
     pub max_recoveries: u32,
-    /// The fault schedule. [`crate::DcHarness`] arms its `Activate` and
-    /// `Kernel` entries when it is built, before the initial snapshots,
-    /// and fires its kills in list order, each at most once:
-    /// `AtStart` before the first wake, `AtPosition`/`AtTime` at the wake
-    /// where they fall due (at its `now`), and `InCommit` entries tear the
-    /// named commit point. A kill on a finished process is dropped. Empty
+    /// The fault schedule. [`crate::DcHarness`] arms its `Activate`,
+    /// `Kernel` and `AtExactTime` entries when it is built, before the
+    /// initial snapshots, and fires its other kills in list order, each at
+    /// most once: `AtStart` before the first wake, `AtPosition`/`AtTime`
+    /// at the wake where they fall due (at its `now`), and `InCommit`
+    /// entries tear the named commit point. A kill on a finished process is dropped. Empty
     /// by default, which costs one emptiness check per wake and per commit
     /// point.
     pub faults: Vec<Fault>,

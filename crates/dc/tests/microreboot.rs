@@ -9,13 +9,12 @@
 )]
 
 use ft_core::event::ProcessId;
+use ft_core::fault::{CrashPoint, Fault};
 use ft_core::protocol::Protocol;
 use ft_dc::harness::{DcHarness, DcReport};
 use ft_dc::recovery::Strategy;
 use ft_dc::state::DcConfig;
-use ft_dc::Mutation;
-use ft_faults::arrivals::EscalationPolicy;
-use ft_faults::crash::{CrashPoint, Fault};
+use ft_dc::{EscalationPolicy, Mutation};
 use ft_mem::error::MemResult;
 use ft_mem::mem::ArenaCell;
 use ft_sim::script::InputScript;

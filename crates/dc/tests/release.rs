@@ -8,11 +8,11 @@
 use ft_apps::kvstore::KvParams;
 use ft_apps::scenarios::{self, Built};
 use ft_core::event::ProcessId;
+use ft_core::fault::{CrashPoint, Fault};
 use ft_core::protocol::Protocol;
 use ft_dc::harness::{DcHarness, DcReport};
 use ft_dc::recovery::Strategy;
 use ft_dc::state::{count_of, DcConfig};
-use ft_faults::crash::{CrashPoint, Fault};
 
 /// Asserts that every channel's released prefix is exactly what the two
 /// ends' last commits cover, and returns how many messages the fabric

@@ -11,13 +11,13 @@
 )]
 
 use ft_core::event::ProcessId;
+use ft_core::fault::{CrashPoint, Fault};
 use ft_core::protocol::{DepSet, Protocol};
 use ft_dc::dcsys::DcSys;
 use ft_dc::fingerprint::report_fingerprint;
 use ft_dc::harness::{DcHarness, DcReport};
 use ft_dc::runtime::DcRuntime;
 use ft_dc::state::{DcConfig, PendingNd};
-use ft_faults::crash::{CrashPoint, Fault};
 use ft_mem::arena::Layout;
 use ft_mem::error::MemResult;
 use ft_mem::mem::{ArenaCell, Mem};
@@ -191,8 +191,8 @@ fn committed_snapshot_contents_are_coherent() {
 
 #[test]
 fn a_mid_commit_kill_ends_the_steps_commits() {
+    use ft_core::fault::CommitCrashPoint;
     use ft_dc::dcsys::DcSys;
-    use ft_mem::arena::CommitCrashPoint;
     use ft_sim::syscalls::Syscalls;
 
     // COMMIT-ALL commits at every interposition point, so a step of
@@ -360,7 +360,7 @@ fn a_mixed_commit_and_position_schedule_fires_both() {
             CrashPoint::InCommit {
                 pid: 0,
                 nth: 2,
-                point: ft_mem::arena::CommitCrashPoint::MidUndoWalk,
+                point: ft_core::fault::CommitCrashPoint::MidUndoWalk,
             },
             CrashPoint::AtPosition { pid: 0, pos: 40 },
         ],
@@ -382,7 +382,7 @@ fn a_kernel_fault_is_armed_inside_the_initial_snapshot() {
     let mut cfg = DcConfig::discount_checking(Protocol::Cpvs);
     cfg.faults.push(Fault::Kernel {
         pid: 0,
-        fault: ft_faults::FaultType::DeleteBranch,
+        fault: ft_core::fault::FaultType::DeleteBranch,
         at: 2 * MS,
         corrupt_calls: 3,
         propagate: true,
@@ -459,7 +459,7 @@ fn a_corrupted_delivery_changes_only_the_delivered_copy() {
             ch.messages()[0].payload.clone()
         };
         // A corrupted receive the receiver never commits.
-        sim.kernel_of_mut(p1).corrupt_next(1);
+        sim.kernel_of_mut(p1).arm_corruption(0, 1);
         let mut ctx = sim.ctx(p1);
         ctx.compute(SEC);
         let corrupted = ctx.try_recv().expect("delivered");
@@ -482,7 +482,7 @@ fn a_corrupted_delivery_changes_only_the_delivered_copy() {
         // Corrupting a later delivery of the same message touches neither
         // the captured value nor the fabric's copy.
         sim.network_mut().rewind_receiver(p1, &[]);
-        sim.kernel_of_mut(p1).corrupt_next(1);
+        sim.kernel_of_mut(p1).arm_corruption(0, 1);
         let mut ctx = sim.ctx(p1);
         ctx.compute(SEC);
         assert_ne!(

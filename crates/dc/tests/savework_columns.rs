@@ -12,12 +12,11 @@
 use ft_apps::kvstore::KvParams;
 use ft_apps::scenarios;
 use ft_core::event::{EventKind, ProcessId};
+use ft_core::fault::{CrashPoint, Fault};
 use ft_core::protocol::Protocol;
 use ft_core::savework::{build_positions, check_save_work};
 use ft_dc::{DcConfig, DcHarness, Strategy};
-use ft_faults::arrivals::PoissonArrivals;
-use ft_faults::{CrashPoint, Fault};
-use ft_sim::rng::SplitMix64;
+use ft_sim::rng::{PoissonArrivals, SplitMix64};
 
 const SEED: u64 = 11;
 const KILLS_PER_TRIAL: f64 = 4.0;

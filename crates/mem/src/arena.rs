@@ -40,6 +40,8 @@
 //!   OS from reliable-memory access") applied to the simulator's own
 //!   substrate.
 
+use ft_core::fault::CommitCrashPoint;
+
 use crate::error::{MemFault, MemResult};
 use crate::pod::Pod;
 
@@ -167,59 +169,6 @@ impl ArenaStats {
         self.committed_pages += committed_pages;
         self.committed_bytes += committed_bytes;
         self.undo_bytes += undo_bytes;
-    }
-}
-
-/// A sub-step of the arena's commit sequence at which a crash can be
-/// injected (for the `ft-check` model checker's mid-commit kill points).
-///
-/// Vista's commit is "write the commit record, then truncate the undo
-/// log": the commit record hitting reliable memory is the atomicity
-/// point, and log truncation after it is idempotent. The three points
-/// model a crash on either side of that line plus one torn in the middle
-/// of the truncation walk:
-///
-/// * [`PreLog`](CommitCrashPoint::PreLog) — before the commit record is
-///   persisted. The commit *did not happen*: the undo log survives and a
-///   recovery rolls back to the previous commit.
-/// * [`MidUndoWalk`](CommitCrashPoint::MidUndoWalk) — after the record,
-///   halfway through retiring the undo log. The commit *did happen*;
-///   recovery merely completes the idempotent truncation, so the
-///   observable outcome is bitwise-identical to a clean commit.
-/// * [`PostBump`](CommitCrashPoint::PostBump) — after the epoch bump, a
-///   crash immediately after a complete commit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum CommitCrashPoint {
-    /// Crash before the commit record is persisted (commit lost).
-    PreLog,
-    /// Crash mid-way through the undo-log truncation (commit durable;
-    /// truncation completed idempotently on recovery).
-    MidUndoWalk,
-    /// Crash right after the commit completes.
-    PostBump,
-}
-
-impl CommitCrashPoint {
-    /// All sub-step crash points, in commit-sequence order.
-    pub const ALL: [CommitCrashPoint; 3] = [
-        CommitCrashPoint::PreLog,
-        CommitCrashPoint::MidUndoWalk,
-        CommitCrashPoint::PostBump,
-    ];
-
-    /// Stable lowercase name for reports and counterexample scripts.
-    pub fn name(&self) -> &'static str {
-        match self {
-            CommitCrashPoint::PreLog => "pre-log",
-            CommitCrashPoint::MidUndoWalk => "mid-undo-walk",
-            CommitCrashPoint::PostBump => "post-bump",
-        }
-    }
-}
-
-impl std::fmt::Display for CommitCrashPoint {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
     }
 }
 
@@ -1068,16 +1017,6 @@ mod tests {
             assert_eq!(torn.rollback(), clean.rollback(), "{point}");
             assert_eq!(torn.read(0, 3).unwrap(), b"one", "{point}");
         }
-    }
-
-    #[test]
-    fn commit_crash_point_names_are_stable() {
-        let names: Vec<&str> = CommitCrashPoint::ALL
-            .iter()
-            .map(super::CommitCrashPoint::name)
-            .collect();
-        assert_eq!(names, ["pre-log", "mid-undo-walk", "post-bump"]);
-        assert_eq!(CommitCrashPoint::MidUndoWalk.to_string(), "mid-undo-walk");
     }
 
     #[test]

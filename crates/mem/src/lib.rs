@@ -60,8 +60,7 @@ pub mod vec;
 
 pub use alloc::Allocator;
 pub use arena::{
-    Arena, ArenaStats, CommitCrashPoint, CommitRecord, Layout, Region, FNV_OFFSET, FNV_PRIME,
-    PAGE_SIZE,
+    Arena, ArenaStats, CommitRecord, Layout, Region, FNV_OFFSET, FNV_PRIME, PAGE_SIZE,
 };
 pub use cost::{DiskModel, DurableModel, Medium, Nanos, RioModel};
 pub use durable::{

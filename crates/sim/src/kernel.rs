@@ -89,12 +89,6 @@ impl Kernel {
         self.panicked = true;
     }
 
-    /// Arms a propagation failure: the next `n` syscall results (starting
-    /// immediately) are corrupted, then the kernel panics.
-    pub fn corrupt_next(&mut self, n: u32) {
-        self.corrupt_plan = Some((0, n));
-    }
-
     /// Arms a propagation failure that begins at simulated time `start`:
     /// from then on the next `n` syscall results are corrupted, then the
     /// kernel panics of its own corruption. Whether the application catches
@@ -389,7 +383,7 @@ mod tests {
     #[test]
     fn corruption_budget_then_panic() {
         let mut k = k();
-        k.corrupt_next(2);
+        k.arm_corruption(0, 2);
         assert!(k.tick_corruption(0));
         assert!(k.tick_corruption(1));
         assert!(!k.tick_corruption(2)); // Budget exhausted → panic.
@@ -399,7 +393,7 @@ mod tests {
     #[test]
     fn corrupt_zero_panics_without_corrupting() {
         let mut k = k();
-        k.corrupt_next(0);
+        k.arm_corruption(0, 0);
         assert!(!k.tick_corruption(0));
         assert!(k.panicked());
     }

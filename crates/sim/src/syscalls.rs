@@ -241,15 +241,6 @@ impl WaitCond {
             ..Default::default()
         }
     }
-
-    /// Wait for input or a message.
-    pub fn input_or_message() -> Self {
-        WaitCond {
-            message: true,
-            input: true,
-            until: None,
-        }
-    }
 }
 
 /// The status an application step reports back to the scheduler.
@@ -406,8 +397,6 @@ mod tests {
         let mu = WaitCond::message_or_until(9);
         assert!(mu.message);
         assert_eq!(mu.until, Some(9));
-        let im = WaitCond::input_or_message();
-        assert!(im.input && im.message);
     }
 
     #[test]

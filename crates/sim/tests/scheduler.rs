@@ -241,7 +241,7 @@ fn kernel_panic_kills_whole_node() {
     }
     let mut sim = Simulator::new(SimConfig::single_node(2, 9));
     // Propagation fault: corrupt 3 syscall results, then panic.
-    sim.kernel_of_mut(ProcessId(0)).corrupt_next(3);
+    sim.kernel_of_mut(ProcessId(0)).arm_corruption(0, 3);
     let mut a = Syscaller;
     let mut b = Syscaller;
     let mut mems = vec![Mem::new(a.layout()), Mem::new(b.layout())];
@@ -499,7 +499,7 @@ fn a_panic_from_outside_kills_the_node_at_the_end_of_the_next_step() {
 #[test]
 fn a_corruption_budget_running_out_kills_the_node_at_that_steps_end() {
     let mut rig = PanicRig::new(0);
-    rig.sim.kernel_of_mut(ProcessId(0)).corrupt_next(2);
+    rig.sim.kernel_of_mut(ProcessId(0)).arm_corruption(0, 2);
     // Two corrupted results, then the third syscall halts the kernel.
     let mut end = 0;
     for _ in 0..3 {

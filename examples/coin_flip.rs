@@ -110,15 +110,12 @@ fn main() {
         r.visibles[0].2
     };
 
-    let mut sim = Simulator::new(SimConfig::single_node(1, 4242));
+    let sim = Simulator::new(SimConfig::single_node(1, 4242));
     // Kill immediately after the announcement.
-    sim.kill_at(ProcessId(0), 50 * US);
-    let report = DcHarness::new(
-        sim,
-        DcConfig::discount_checking(Protocol::Cpvs),
-        vec![Box::new(CoinFlipper)],
-    )
-    .run();
+    let mut cfg = DcConfig::discount_checking(Protocol::Cpvs);
+    cfg.faults
+        .push(Fault::Kill(CrashPoint::AtExactTime { pid: 0, t: 50 * US }));
+    let report = DcHarness::new(sim, cfg, vec![Box::new(CoinFlipper)]).run();
     assert!(report.all_done);
     let faces: Vec<u64> = report.visibles.iter().map(|&(_, _, f)| f).collect();
     let v = check_consistent_recovery(&faces, &[reference]);

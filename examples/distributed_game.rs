@@ -31,10 +31,13 @@ fn main() {
     );
 
     // Kill the server at 2 s and client 2 at 5 s.
-    let (mut sim, apps) = build();
-    sim.kill_at(ProcessId(0), 2 * SEC);
-    sim.kill_at(ProcessId(2), 5 * SEC);
-    let report = DcHarness::new(sim, DcConfig::discount_checking(Protocol::Cpv2pc), apps).run();
+    let (sim, apps) = build();
+    let mut cfg = DcConfig::discount_checking(Protocol::Cpv2pc);
+    for (pid, t) in [(0, 2 * SEC), (2, 5 * SEC)] {
+        cfg.faults
+            .push(Fault::Kill(CrashPoint::AtExactTime { pid, t }));
+    }
+    let report = DcHarness::new(sim, cfg, apps).run();
     assert!(report.all_done, "the game must finish despite two failures");
     println!(
         "with failures: {} commits, {} recoveries, {} cascaded rollbacks",

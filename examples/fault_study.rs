@@ -11,8 +11,8 @@
 //! ```
 
 use failure_transparency::core::event::EventKind;
+use failure_transparency::core::fault::{FaultPlan, FaultType};
 use failure_transparency::core::losework::{check_commit_after_activation, LoseWorkOutcome};
-use failure_transparency::faults::{Fault, FaultPlan, FaultType};
 use failure_transparency::prelude::*;
 
 fn run_one(fault: FaultType, trigger_visit: u32, recover: bool) -> DcReport {

@@ -12,22 +12,19 @@
 
 use failure_transparency::prelude::*;
 
-fn build(kill_at: Option<u64>) -> (Simulator, Vec<Box<dyn App>>) {
+fn build() -> (Simulator, Vec<Box<dyn App>>) {
     let mut sim = Simulator::new(SimConfig::single_node(1, 42));
     let keys = b"the quick brown fox jumps over the lazy dog";
     sim.set_input_script(
         ProcessId(0),
         InputScript::evenly_spaced(0, 100 * MS, keys.iter().map(|&k| [k])),
     );
-    if let Some(t) = kill_at {
-        sim.kill_at(ProcessId(0), t);
-    }
     (sim, vec![Box::new(Editor::new())])
 }
 
 fn main() {
     // The reference: a complete, failure-free execution.
-    let (sim, mut apps) = build(None);
+    let (sim, mut apps) = build();
     let reference = run_plain_on(sim, &mut apps);
     println!(
         "failure-free run: {} visible events in {:.1} s",
@@ -37,8 +34,14 @@ fn main() {
 
     // The recovered run: killed 2.25 s in, recovered by Discount Checking
     // under CPVS (commit prior to every visible or send event).
-    let (sim, apps) = build(Some(2_250 * MS));
-    let report = DcHarness::new(sim, DcConfig::discount_checking(Protocol::Cpvs), apps).run();
+    let (sim, apps) = build();
+    let mut cfg = DcConfig::discount_checking(Protocol::Cpvs);
+    let kill = CrashPoint::AtExactTime {
+        pid: 0,
+        t: 2_250 * MS,
+    };
+    cfg.faults.push(Fault::Kill(kill));
+    let report = DcHarness::new(sim, cfg, apps).run();
     println!(
         "failed+recovered run: {} visible events, {} commits, {} recovery",
         report.visibles.len(),

@@ -167,9 +167,11 @@ fn main() {
     }
 
     // Now under Discount Checking with worker 1 killed mid-deposits.
-    let mut sim = Simulator::new(SimConfig::one_node_each(WORKERS as usize + 1, 11));
-    sim.kill_at(ProcessId(1), 2 * MS);
-    let report = DcHarness::new(sim, DcConfig::discount_checking(Protocol::Cpvs), apps()).run();
+    let sim = Simulator::new(SimConfig::one_node_each(WORKERS as usize + 1, 11));
+    let mut cfg = DcConfig::discount_checking(Protocol::Cpvs);
+    cfg.faults
+        .push(Fault::Kill(CrashPoint::AtExactTime { pid: 1, t: 2 * MS }));
+    let report = DcHarness::new(sim, cfg, apps()).run();
     assert!(report.all_done);
     println!("\nWith worker 1 killed at t=2ms under CPVS:");
     for &(_, p, total) in &report.visibles {

@@ -17,13 +17,11 @@ fn main() {
         InputScript::evenly_spaced(0, MS, b"hi!".iter().map(|&k| [k])),
     );
     // Kill between the second echo and the save.
-    sim.kill_at(ProcessId(0), MS + 700 * US);
-    let report = DcHarness::new(
-        sim,
-        DcConfig::discount_checking(Protocol::Cpvs),
-        vec![Box::new(Editor::new())],
-    )
-    .run();
+    let mut cfg = DcConfig::discount_checking(Protocol::Cpvs);
+    let t = MS + 700 * US;
+    cfg.faults
+        .push(Fault::Kill(CrashPoint::AtExactTime { pid: 0, t }));
+    let report = DcHarness::new(sim, cfg, vec![Box::new(Editor::new())]).run();
     assert!(report.all_done);
 
     println!("An editor types \"hi\", is killed, recovers, and saves (CPVS):\n");

@@ -13,13 +13,12 @@
 //!
 //! | crate | contents |
 //! |-------|----------|
-//! | [`ft_core`] | event model, invariants, checkers, protocols and their driver |
+//! | [`ft_core`] | event model, invariants, checkers, protocols and their driver, the fault schedule |
 //! | [`ft_mem`] | reliable memory: arenas, undo logs, allocator, cost models |
 //! | [`ft_sim`] | discrete-event testbed: kernels, network, scheduler, scripts |
 //! | [`ft_dc`] | Discount Checking: interposition, protocols, recovery |
 //! | [`ft_dsm`] | TreadMarks-style distributed shared memory |
-//! | [`ft_faults`] | the §4 software fault injector |
-//! | [`ft_apps`] | nvi / magic / xpilot / Barnes-Hut / postgres analogues |
+//! | [`ft_apps`] | nvi / magic / xpilot / Barnes-Hut / postgres analogues, the §4 fault injector |
 //!
 //! ## Quickstart
 //!
@@ -33,13 +32,10 @@
 //!     ProcessId(0),
 //!     InputScript::evenly_spaced(0, MS, b"hello".iter().map(|&k| [k])),
 //! );
-//! sim.kill_at(ProcessId(0), 2 * MS + 500_000);
-//! let report = DcHarness::new(
-//!     sim,
-//!     DcConfig::discount_checking(Protocol::Cpvs),
-//!     vec![Box::new(Editor::new())],
-//! )
-//! .run();
+//! let mut cfg = DcConfig::discount_checking(Protocol::Cpvs);
+//! let t = 2 * MS + 500_000;
+//! cfg.faults.push(Fault::Kill(CrashPoint::AtExactTime { pid: 0, t }));
+//! let report = DcHarness::new(sim, cfg, vec![Box::new(Editor::new())]).run();
 //! assert!(report.all_done);
 //! assert_eq!(report.totals.recoveries, 1);
 //! ```
@@ -48,7 +44,6 @@ pub use ft_apps as apps;
 pub use ft_core as core;
 pub use ft_dc as dc;
 pub use ft_dsm as dsm;
-pub use ft_faults as faults;
 pub use ft_mem as mem;
 pub use ft_sim as sim;
 
@@ -57,6 +52,7 @@ pub mod prelude {
     pub use ft_apps::{BarnesHut, Cad, Editor, GameClient, GameServer, MiniDb};
     pub use ft_core::consistency::{check_consistent_recovery, check_consistent_recovery_multi};
     pub use ft_core::event::{NdSource, ProcessId};
+    pub use ft_core::fault::{CrashPoint, Fault};
     pub use ft_core::protocol::Protocol;
     pub use ft_core::savework::check_save_work;
     pub use ft_dc::harness::{DcHarness, DcReport};

@@ -54,7 +54,7 @@ cargo test -q --workspace
 # ft-check: the explorer and the judge it drives run in release everywhere
 # but its own tests, `replay`'s rollback cursor compares u64 seqs against
 # positions converted from usize, and the kvstore@6 regression for
-# ROADMAP 1(i) should hold with overflow checks off too. And ft-analyze:
+# PR 24 should hold with overflow checks off too. And ft-analyze:
 # `normalize` reads offsets the run-encoded access stream computes, and its
 # campaign test replays the treadmarks and taskfarm streams through them.
 # And ft-dc: the kill-schedule executor's position and time comparisons
@@ -67,6 +67,10 @@ cargo test -q --release -p ft-dsm -p ft-mem -p ft-core -p ft-sim -p ft-check -p 
 # decode modules, floats in the fingerprinting crates (clippy.toml,
 # DESIGN §15).
 cargo clippy --workspace --all-targets -- -D warnings
+# A doc link to an item that is not `pub` (or no longer exists) is only
+# a rustdoc warning: make it an error, so narrowing an item cannot leave
+# its documentation pointing nowhere.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 cargo fmt --check
 # README documents every example as an entry point: run each once, so one
 # that panics fails here and not in a reader's hands.

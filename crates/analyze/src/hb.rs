@@ -11,7 +11,7 @@
 //!
 //! Because the analysis is offline over a recorded stream, we don't even
 //! need stored clocks — an access index is enough, and the
-//! [`ClockIndex`](crate::stream::ClockIndex) answers happens-before
+//! `stream::ClockIndex` answers happens-before
 //! between any two stream indices from the trace. The stream order is a
 //! linearization of happens-before (it is the simulator's execution
 //! order), so checking `!hb(prior, current)` at the *later* access
@@ -104,7 +104,7 @@ impl PageShadow {
 /// Runs the happens-before pass over a stream, returning the races found,
 /// deduplicated by static site pair (process, direction, offset, length
 /// of both sides) and sorted.
-pub fn detect(stream: &AccessStream, clocks: &ClockIndex) -> Vec<HbRace> {
+pub(crate) fn detect(stream: &AccessStream, clocks: &ClockIndex) -> Vec<HbRace> {
     let mut pages: BTreeMap<u32, PageShadow> = BTreeMap::new();
     let mut seen: BTreeSet<(SiteKey, SiteKey)> = BTreeSet::new();
     let mut races = Vec::new();

@@ -8,7 +8,7 @@
 //! * **[`hb`]** — a FastTrack-style happens-before race detector.
 //!   Per-byte shadow state (last-write epoch plus an adaptive read set)
 //!   over the DSM pages; happens-before between accesses is answered
-//!   from the derived clocks via [`stream::ClockIndex`], since every
+//!   from the derived clocks via `stream::ClockIndex`, since every
 //!   synchronization edge — program order, message send→recv, lock
 //!   release→grant, barrier rounds, commit ordering — is already
 //!   materialized as recorded message events.

@@ -100,7 +100,7 @@ impl PageState {
 /// site (process, direction, offset, length) and sorted. `_clocks` is
 /// unused — the pass is deliberately happens-before-blind except for
 /// barriers — but taken for signature symmetry with [`crate::hb::detect`].
-pub fn detect(stream: &mut AccessStream, _clocks: &ClockIndex) -> Vec<LocksetViolation> {
+pub(crate) fn detect(stream: &mut AccessStream, _clocks: &ClockIndex) -> Vec<LocksetViolation> {
     let mut pages: BTreeMap<u32, PageState> = BTreeMap::new();
     let mut seen: BTreeSet<(ProcessId, bool, u32, u32)> = BTreeSet::new();
     let mut violations = Vec::new();

@@ -8,11 +8,11 @@
 //! process held at the instant of the access, how many barrier rounds it
 //! had completed, and a way to ask causal questions — so this module
 //! folds the synchronization records into per-process state and emits a
-//! flat [`AccessStream`] of data accesses only.
+//! flat `AccessStream` of data accesses only.
 //!
 //! Locksets are interned: each distinct *set* of held locks gets a small
 //! id, and the Eraser pass intersects sets by id through the shared
-//! [`LocksetTable`]. Interning keys are sorted lock-id vectors in a
+//! `LocksetTable`. Interning keys are sorted lock-id vectors in a
 //! `BTreeMap`, so ids are a deterministic function of the stream alone.
 
 use std::collections::BTreeMap;
@@ -24,29 +24,29 @@ use ft_core::trace::Trace;
 
 /// Interned lockset id. Id 0 is always the empty set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct LocksetId(pub u32);
+pub(crate) struct LocksetId(pub u32);
 
 /// The empty lockset.
-pub const EMPTY_LOCKSET: LocksetId = LocksetId(0);
+const EMPTY_LOCKSET: LocksetId = LocksetId(0);
 
 /// Intern table for locksets: maps each distinct sorted set of held lock
 /// ids to a dense [`LocksetId`].
 #[derive(Debug, Clone, Default)]
-pub struct LocksetTable {
+pub(crate) struct LocksetTable {
     sets: Vec<Vec<u32>>,
     by_set: BTreeMap<Vec<u32>, u32>,
 }
 
 impl LocksetTable {
     /// A table with the empty set pre-interned as id 0.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         let mut t = LocksetTable::default();
         t.intern(&[]);
         t
     }
 
     /// Interns a sorted set of lock ids.
-    pub fn intern(&mut self, set: &[u32]) -> LocksetId {
+    fn intern(&mut self, set: &[u32]) -> LocksetId {
         debug_assert!(set.windows(2).all(|w| w[0] < w[1]), "set must be sorted");
         if let Some(&id) = self.by_set.get(set) {
             return LocksetId(id);
@@ -58,12 +58,12 @@ impl LocksetTable {
     }
 
     /// The lock ids of an interned set.
-    pub fn locks(&self, id: LocksetId) -> &[u32] {
+    pub(crate) fn locks(&self, id: LocksetId) -> &[u32] {
         &self.sets[id.0 as usize]
     }
 
     /// Intersects two interned sets, interning the result.
-    pub fn intersect(&mut self, a: LocksetId, b: LocksetId) -> LocksetId {
+    pub(crate) fn intersect(&mut self, a: LocksetId, b: LocksetId) -> LocksetId {
         if a == b {
             return a;
         }
@@ -76,14 +76,14 @@ impl LocksetTable {
     }
 
     /// True if the interned set is empty.
-    pub fn is_empty(&self, id: LocksetId) -> bool {
+    pub(crate) fn is_empty(&self, id: LocksetId) -> bool {
         id == EMPTY_LOCKSET
     }
 }
 
 /// One data access (read or write) with its synchronization context.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Access {
+pub(crate) struct Access {
     /// Index in the normalized stream (global execution order).
     pub idx: u32,
     /// The accessing process.
@@ -105,7 +105,7 @@ pub struct Access {
 
 /// The normalized access stream of one run.
 #[derive(Debug, Clone)]
-pub struct AccessStream {
+pub(crate) struct AccessStream {
     /// Data accesses in global execution order.
     pub accesses: Vec<Access>,
     /// The lockset intern table (shared with the Eraser pass, which
@@ -119,7 +119,7 @@ pub struct AccessStream {
 /// records maintain each process's held-lock set, barrier records bump
 /// its completed-round counter, and every read/write is emitted with the
 /// state at that instant.
-pub fn normalize(log: &ShmLog, n_procs: usize) -> AccessStream {
+pub(crate) fn normalize(log: &ShmLog, n_procs: usize) -> AccessStream {
     let mut locksets = LocksetTable::new();
     let mut held: Vec<Vec<u32>> = vec![Vec::new(); n_procs];
     let mut cur_lockset: Vec<LocksetId> = vec![EMPTY_LOCKSET; n_procs];
@@ -175,7 +175,7 @@ pub fn normalize(log: &ShmLog, n_procs: usize) -> AccessStream {
 /// machinery of its own. The trace records no clocks: one [`replay`]
 /// derives them and the index keeps those at the positions some access
 /// sits at.
-pub struct ClockIndex {
+pub(crate) struct ClockIndex {
     n_procs: usize,
     /// `row_of[p][pos]`: which row of `rows` holds `p`'s knowledge at
     /// position `pos`; [`NO_ACCESS`] where no access needs it.
@@ -188,7 +188,7 @@ const NO_ACCESS: u32 = u32::MAX;
 
 impl ClockIndex {
     /// Builds the index over a trace for the accesses of `stream`.
-    pub fn new(trace: &Trace, stream: &AccessStream) -> Self {
+    pub(crate) fn new(trace: &Trace, stream: &AccessStream) -> Self {
         let n_procs = trace.num_processes();
         let mut row_of: Vec<Vec<u32>> = (0..n_procs)
             .map(|p| vec![NO_ACCESS; trace.process(ProcessId::from_index(p)).len() + 1])
@@ -225,7 +225,7 @@ impl ClockIndex {
     /// the clock of its event `pos - 1`, or `None` before its first
     /// event (no knowledge of anyone). Answers only at positions of the
     /// stream's accesses.
-    pub fn knowledge(&self, pid: ProcessId, pos: u64) -> Option<&[u32]> {
+    fn knowledge(&self, pid: ProcessId, pos: u64) -> Option<&[u32]> {
         let row = *self
             .row_of
             .get(pid.index())?
@@ -242,7 +242,7 @@ impl ClockIndex {
     /// `p`'s event `i` in program order and that event reached `b`'s
     /// process through recorded messages, the edge is sound; since every
     /// DSM synchronization is a recorded message, it is also complete.
-    pub fn hb_access(&self, a: &Access, b: &Access) -> bool {
+    pub(crate) fn hb_access(&self, a: &Access, b: &Access) -> bool {
         if a.pid == b.pid {
             return a.idx < b.idx;
         }
@@ -251,7 +251,7 @@ impl ClockIndex {
     }
 
     /// Renders an access's knowledge clock for a race report.
-    pub fn knowledge_display(&self, pid: ProcessId, pos: u64) -> String {
+    pub(crate) fn knowledge_display(&self, pid: ProcessId, pos: u64) -> String {
         match self.knowledge(pid, pos) {
             Some(c) => {
                 let components: Vec<String> = c.iter().map(u32::to_string).collect();

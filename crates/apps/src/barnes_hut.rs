@@ -32,9 +32,9 @@ use ft_sim::syscalls::{AppStatus, SysMem, WaitCond};
 use ft_sim::App;
 
 /// Bodies in the system.
-pub const N_BODIES: usize = 96;
+const N_BODIES: usize = 96;
 /// Bytes per body: x, y, vx, vy, mass as f64.
-pub const BODY_BYTES: usize = 40;
+const BODY_BYTES: usize = 40;
 /// Barnes-Hut opening angle.
 const THETA: f64 = 0.5;
 /// Integration timestep.
@@ -64,7 +64,7 @@ const P_RENDER: u64 = 6;
 const P_DONE: u64 = 7;
 
 /// One worker node of the Barnes-Hut computation.
-pub struct BarnesHut {
+pub(crate) struct BarnesHut {
     /// This node's DSM endpoint (which also names the node and the node
     /// count), attached when the node is built: immutable configuration,
     /// like everything else in an application object.
@@ -268,7 +268,13 @@ impl BarnesHut {
     /// # Panics
     ///
     /// Panics if `n_nodes` stashes do not fit the node's heap.
-    pub fn new(my: u32, n_nodes: u32, iterations: u64, display_every: u64, fused: bool) -> Self {
+    pub(crate) fn new(
+        my: u32,
+        n_nodes: u32,
+        iterations: u64,
+        display_every: u64,
+        fused: bool,
+    ) -> Self {
         BarnesHut {
             dsm: Dsm::attach(Self::arena_layout(), my, n_nodes, Self::dsm_pages())
                 .expect("the node's heap holds its DSM"),
@@ -494,7 +500,7 @@ impl App for BarnesHut {
     clippy::cast_sign_loss,
     reason = "the energy is quantized to 1e-6 and bit-folded modulo 2^32 into the token on purpose"
 )]
-pub fn progress_token(node: u32, iter: u64, energy: f64) -> u64 {
+fn progress_token(node: u32, iter: u64, energy: f64) -> u64 {
     // Quantize the energy so the token is robust to last-ulp noise.
     let q = (energy * 1e6).round() as i64;
     (node as u64) << 56 ^ iter << 32 ^ (q as u64 & 0xFFFF_FFFF)
@@ -507,7 +513,7 @@ pub fn cluster(iterations: u64, display_every: u64) -> Vec<Box<dyn App>> {
 
 /// Builds the seeded-race variant: identical outputs, fused
 /// read-all/write-own phase (see [`BarnesHut::fused`]).
-pub fn cluster_fused(iterations: u64, display_every: u64) -> Vec<Box<dyn App>> {
+pub(crate) fn cluster_fused(iterations: u64, display_every: u64) -> Vec<Box<dyn App>> {
     cluster_with(iterations, display_every, true)
 }
 

@@ -26,7 +26,7 @@ use ft_sim::syscalls::{AppStatus, SysMem, WaitCond};
 use ft_sim::App;
 
 /// Layout grid dimension (cells per side).
-pub const GRID: usize = 64;
+const GRID: usize = 64;
 
 // Globals.
 const G_PHASE: ArenaCell<u64> = ArenaCell::at(0);
@@ -331,7 +331,7 @@ impl App for Cad {
 }
 
 /// The status-render token after a command.
-pub fn render_token(commands: u64, result: u64, violations: u64) -> u64 {
+fn render_token(commands: u64, result: u64, violations: u64) -> u64 {
     crate::fold_words(0x9E3779B97F4A7C15, &[commands, result, violations])
 }
 
@@ -339,7 +339,7 @@ pub fn render_token(commands: u64, result: u64, violations: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::workload::cad_script;
-    use ft_core::event::ProcessId;
+    use ft_core::event::{EventKind, NdClass, ProcessId};
     use ft_sim::harness::run_plain_on;
     use ft_sim::script::InputScript;
     use ft_sim::sim::{SimConfig, Simulator};
@@ -376,7 +376,16 @@ mod tests {
         let transient = report
             .trace
             .iter()
-            .filter(|e| e.nd_class() == Some(ft_core::event::NdClass::Transient))
+            .filter(|e| {
+                e.is_effectively_nd()
+                    && !matches!(
+                        e.kind,
+                        EventKind::NonDeterministic {
+                            class: NdClass::Fixed,
+                            ..
+                        }
+                    )
+            })
             .count();
         assert_eq!(transient, 2);
     }

@@ -454,7 +454,7 @@ impl App for Editor {
 
 /// The screen-update token for a keystroke (identifies the visible
 /// content).
-pub fn echo_token(key: u8, cursor: usize, len: usize, keys: u64) -> u64 {
+fn echo_token(key: u8, cursor: usize, len: usize, keys: u64) -> u64 {
     crate::fold_words(
         ft_mem::FNV_OFFSET,
         &[key as u64, cursor as u64, len as u64, keys],
@@ -465,7 +465,7 @@ pub fn echo_token(key: u8, cursor: usize, len: usize, keys: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::workload::editor_script;
-    use ft_core::event::ProcessId;
+    use ft_core::event::{EventKind, NdClass, ProcessId};
     use ft_sim::harness::run_plain_on;
     use ft_sim::sim::{SimConfig, Simulator};
     use ft_sim::MS;
@@ -508,7 +508,16 @@ mod tests {
         let transient = report
             .trace
             .iter()
-            .filter(|e| e.nd_class() == Some(ft_core::event::NdClass::Transient))
+            .filter(|e| {
+                e.is_effectively_nd()
+                    && !matches!(
+                        e.kind,
+                        EventKind::NonDeterministic {
+                            class: NdClass::Fixed,
+                            ..
+                        }
+                    )
+            })
             .count();
         assert_eq!(transient, 1);
     }

@@ -27,14 +27,10 @@ use ft_sim::syscalls::{AppStatus, SysMem, WaitCond};
 use ft_sim::App;
 
 /// Frame budget for 15 fps.
-pub const FRAME_NS: SimTime = 66_666_667;
-/// Ships in the default session's world (three clients plus one server
-/// drone). Sessions built with [`session_with`] size the world as
-/// `clients + 1`.
-pub const SHIPS: usize = 4;
+const FRAME_NS: SimTime = 66_666_667;
 /// Largest supported ship count: the world and input staging regions must
 /// fit below the bullets field at `G_BULLETS`.
-pub const MAX_SHIPS: usize = (G_BULLETS - G_WORLD) / (32 + 8);
+const MAX_SHIPS: usize = (G_BULLETS - G_WORLD) / (32 + 8);
 
 // Shared globals (both roles).
 const G_PHASE: ArenaCell<u64> = ArenaCell::at(0);
@@ -67,7 +63,7 @@ const CP_SEND: u64 = 3;
 const CP_DONE: u64 = 4;
 
 /// The game server (process 0 by convention).
-pub struct GameServer {
+pub(crate) struct GameServer {
     /// Client process ids.
     pub clients: Vec<ProcessId>,
     /// Total frames to run.
@@ -75,7 +71,7 @@ pub struct GameServer {
 }
 
 /// A game client.
-pub struct GameClient {
+pub(crate) struct GameClient {
     /// The server's process id.
     pub server: ProcessId,
     /// This client's ship slot (1-based; slot 0 is the server drone).
@@ -283,7 +279,7 @@ impl App for GameClient {
 /// recovery), while the low bits hash the rendered world state (which may
 /// legally differ between failure-free executions — the player inputs are
 /// transient non-determinism).
-pub fn frame_token(slot: usize, frame: u64, world: &[u8]) -> u64 {
+fn frame_token(slot: usize, frame: u64, world: &[u8]) -> u64 {
     let mut h = ft_mem::FNV_PRIME;
     for chunk in world.chunks(8) {
         let mut v = 0u64;
@@ -318,7 +314,7 @@ pub fn session(frames: u64) -> Vec<Box<dyn App>> {
 ///
 /// Panics if `clients` is zero or the world would not fit below the
 /// bullets field (`clients + 1 > MAX_SHIPS`).
-pub fn session_with(clients: usize, frames: u64) -> Vec<Box<dyn App>> {
+pub(crate) fn session_with(clients: usize, frames: u64) -> Vec<Box<dyn App>> {
     assert!(clients >= 1, "a session needs at least one client");
     let ships = clients + 1;
     assert!(ships <= MAX_SHIPS, "world region overflows into bullets");

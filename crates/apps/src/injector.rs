@@ -5,7 +5,7 @@
 //! branch, deleting a random line of source code, and off-by-one errors in
 //! conditions like `>=` and `<`."
 //!
-//! Applications register *fault sites* by calling [`FaultInjector`] hooks
+//! Applications register *fault sites* by calling `FaultInjector` hooks
 //! at branch points, loop bounds, initializations, and writes. An armed
 //! [`FaultPlan`] names exactly one (fault type, site); when execution
 //! reaches that site the fault *activates* — the hook perturbs behavior
@@ -26,7 +26,7 @@ use ft_sim::syscalls::{SysMem, Syscalls};
 /// models the *source code*, so it is deliberately **not** checkpointed or
 /// rolled back.
 #[derive(Debug, Clone)]
-pub struct FaultInjector {
+pub(crate) struct FaultInjector {
     plan: Option<FaultPlan>,
     /// Suppress activations (the Table 1 end-to-end recovery check).
     pub suppressed: bool,
@@ -36,7 +36,7 @@ pub struct FaultInjector {
 
 impl FaultInjector {
     /// No fault armed.
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         FaultInjector {
             plan: None,
             suppressed: false,
@@ -46,7 +46,7 @@ impl FaultInjector {
     }
 
     /// Arms a fault plan.
-    pub fn armed(plan: FaultPlan, seed: u64) -> Self {
+    pub(crate) fn armed(plan: FaultPlan, seed: u64) -> Self {
         FaultInjector {
             plan: Some(plan),
             rng: SplitMix64::new(seed),
@@ -71,7 +71,7 @@ impl FaultInjector {
 
     /// DeleteBranch hook: place at `if` statements; when it fires, the
     /// branch outcome is forced to `!taken`.
-    pub fn branch(&mut self, site: u64, taken: bool, sys: &mut dyn Syscalls) -> bool {
+    pub(crate) fn branch(&mut self, site: u64, taken: bool, sys: &mut dyn Syscalls) -> bool {
         if self.hit(FaultType::DeleteBranch, site, sys) {
             !taken
         } else {
@@ -81,13 +81,13 @@ impl FaultInjector {
 
     /// DeleteInstruction hook: place before a statement; when it fires the
     /// statement must be skipped.
-    pub fn deleted(&mut self, site: u64, sys: &mut dyn Syscalls) -> bool {
+    pub(crate) fn deleted(&mut self, site: u64, sys: &mut dyn Syscalls) -> bool {
         self.hit(FaultType::DeleteInstruction, site, sys)
     }
 
     /// OffByOne hook: place at loop bounds and index computations; when it
     /// fires the value is perturbed by one (alternating direction by site).
-    pub fn bound(&mut self, site: u64, n: usize, sys: &mut dyn Syscalls) -> usize {
+    pub(crate) fn bound(&mut self, site: u64, n: usize, sys: &mut dyn Syscalls) -> usize {
         if self.hit(FaultType::OffByOne, site, sys) {
             if site.is_multiple_of(2) {
                 n + 1
@@ -100,15 +100,15 @@ impl FaultInjector {
     }
 
     /// Initialization hook: place at buffer/variable initializations; when
-    /// it fires, initialization must be skipped (the caller uses
-    /// `alloc_uninit` or leaves stale data).
-    pub fn skip_init(&mut self, site: u64, sys: &mut dyn Syscalls) -> bool {
+    /// it fires, initialization must be skipped (the caller leaves stale
+    /// data).
+    pub(crate) fn skip_init(&mut self, site: u64, sys: &mut dyn Syscalls) -> bool {
         self.hit(FaultType::Initialization, site, sys)
     }
 
     /// DestinationReg hook: place at stores; returns a corrupted
     /// destination offset when it fires.
-    pub fn dest(&mut self, site: u64, intended: usize, sys: &mut dyn Syscalls) -> usize {
+    pub(crate) fn dest(&mut self, site: u64, intended: usize, sys: &mut dyn Syscalls) -> usize {
         if self.hit(FaultType::DestinationReg, site, sys) {
             // The compiler picked the wrong register: a nearby slot, which
             // one depending on what the register happened to hold.
@@ -122,7 +122,7 @@ impl FaultInjector {
     /// fires, flips a random bit in the stack or heap region (per the
     /// armed type). Corruption goes through the normal write path, so it
     /// rolls back like any other state.
-    pub fn maybe_flip(&mut self, site: u64, sys: &mut dyn SysMem) {
+    pub(crate) fn maybe_flip(&mut self, site: u64, sys: &mut dyn SysMem) {
         let (region, fault) = match self.plan.map(|p| p.fault) {
             Some(FaultType::StackBitFlip) => (Region::Stack, FaultType::StackBitFlip),
             Some(FaultType::HeapBitFlip) => (Region::Heap, FaultType::HeapBitFlip),

@@ -44,8 +44,8 @@
 //! All recoverable state lives in the arena: phase words and counters in
 //! the first cache lines, and the store itself — an open-addressing
 //! linear-probe table of `(key+1, value)` u64 pairs — from byte
-//! [`G_TABLE`] up. App structs hold immutable config only (plus the
-//! seeded-mutant arm on [`KvReplica`], which is *supposed* to corrupt
+//! `G_TABLE` up. App structs hold immutable config only (plus the
+//! seeded-mutant arm on `KvReplica`, which is *supposed* to corrupt
 //! recovery).
 //!
 //! [`OpenLoopPopulation`]: ft_sim::rng::OpenLoopPopulation
@@ -147,13 +147,13 @@ impl KvParams {
     }
 
     /// Sessions carried by each gateway (total divided up, rounding up).
-    pub fn sessions_per_gateway(&self) -> u64 {
+    fn sessions_per_gateway(&self) -> u64 {
         self.sessions.div_ceil(u64::from(self.gateways))
     }
 
     /// Store-table capacity per shard: a power of two with load factor
     /// at most ½ against the worst-case distinct keys a shard can own.
-    pub fn table_cap(&self) -> u64 {
+    fn table_cap(&self) -> u64 {
         let keys_per_shard = self.key_space.div_ceil(u64::from(self.shards));
         (2 * keys_per_shard).next_power_of_two().max(8)
     }
@@ -236,7 +236,7 @@ pub const KIND_STORE: u64 = 2;
 pub const KIND_GW_DONE: u64 = 3;
 
 /// Packs a kvstore visible token.
-pub fn kv_token(kind: u64, pid: u32, count: u64, digest: u64) -> u64 {
+fn kv_token(kind: u64, pid: u32, count: u64, digest: u64) -> u64 {
     let d24 = (digest ^ (digest >> 24) ^ (digest >> 48)) & 0xFF_FFFF;
     (kind << 62) | ((u64::from(pid) & 0x3FFF) << 48) | ((count & 0xFF_FFFF) << 24) | d24
 }
@@ -270,7 +270,7 @@ fn token_digest(token: u64) -> u64 {
 
 /// Byte offset of the store table in a server's globals region. Slots
 /// are 16-byte `(key+1, value)` pairs; slot tag 0 means empty.
-pub const G_TABLE: usize = 256;
+const G_TABLE: usize = 256;
 
 fn slot_off(slot: u64) -> usize {
     G_TABLE + (slot as usize) * 16
@@ -400,7 +400,7 @@ const GP_DONE_VIS: u64 = 5;
 
 /// One fully derived request: what gateway `g`'s request `i` contains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KvRequest {
+struct KvRequest {
     /// The issuing session (within the gateway's population slice).
     pub session: u64,
     /// The key, already scrambled across the key space.
@@ -414,7 +414,7 @@ pub struct KvRequest {
 /// A gateway process: the ingress for one slice of the session
 /// population. Issues requests open-loop on the merged Poisson schedule,
 /// folds responses into a running digest, and emits progress visibles.
-pub struct KvGateway {
+struct KvGateway {
     slot: u32,
     shards: u32,
     replication: u32,
@@ -432,7 +432,8 @@ impl KvGateway {
     /// Every stream is split from `params.seed` in O(1), so gateways
     /// share no sequential state with each other or with the fault
     /// arrival process.
-    pub fn new(params: &KvParams, slot: u32) -> Self {
+    #[cfg(test)]
+    fn new(params: &KvParams, slot: u32) -> Self {
         Self::with_zipf(params, slot, Zipfian::new(params.key_space, params.theta))
     }
 
@@ -463,7 +464,7 @@ impl KvGateway {
 
     /// Derives request `i`'s content — a pure O(1) function of the
     /// gateway config and `i`, recomputed identically after any rollback.
-    pub fn request(&self, i: u64) -> KvRequest {
+    fn request(&self, i: u64) -> KvRequest {
         let session = self.pop.session_of(i);
         let mut d =
             SplitMix64::new(self.content.nth(i) ^ session.wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -623,7 +624,7 @@ const PP_DIG: u64 = 4;
 
 /// A shard primary: applies requests to its store, answers the gateway,
 /// and forwards puts to its replicas in apply order.
-pub struct KvPrimary {
+struct KvPrimary {
     shard: u32,
     replication: u32,
     gateways: u32,
@@ -633,7 +634,7 @@ pub struct KvPrimary {
 
 impl KvPrimary {
     /// Builds the primary of `shard`.
-    pub fn new(params: &KvParams, shard: u32) -> Self {
+    pub(crate) fn new(params: &KvParams, shard: u32) -> Self {
         KvPrimary {
             shard,
             replication: params.replication,
@@ -792,7 +793,7 @@ const RP_DIG: u64 = 1;
 /// table — the classic bug class where a recovery path skips one of the
 /// state components — which `ft-check`'s exhaustive crash sweep must
 /// catch as an output inconsistency.
-pub struct KvReplica {
+struct KvReplica {
     table_cap: u64,
     skip_reinstall: bool,
     pending_wipe: bool,
@@ -800,7 +801,7 @@ pub struct KvReplica {
 
 impl KvReplica {
     /// Builds a replica; `skip_reinstall` arms the seeded recovery bug.
-    pub fn new(params: &KvParams, skip_reinstall: bool) -> Self {
+    pub(crate) fn new(params: &KvParams, skip_reinstall: bool) -> Self {
         KvReplica {
             table_cap: params.table_cap(),
             skip_reinstall,
@@ -886,7 +887,7 @@ pub fn cluster(params: &KvParams) -> Vec<Box<dyn App>> {
 
 /// Like [`cluster`], with the skip-replica-reinstall recovery bug armed
 /// on every replica (the `ft-check` seeded mutant).
-pub fn cluster_mutant(params: &KvParams) -> Vec<Box<dyn App>> {
+pub(crate) fn cluster_mutant(params: &KvParams) -> Vec<Box<dyn App>> {
     build(params, true)
 }
 

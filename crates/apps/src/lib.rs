@@ -39,19 +39,14 @@ pub mod taskfarm;
 pub mod workload;
 pub mod zipf;
 
-pub use barnes_hut::BarnesHut;
 pub use cad::Cad;
 pub use editor::Editor;
-pub use game::{GameClient, GameServer};
-pub use kvstore::{KvGateway, KvParams, KvPrimary, KvReplica};
 pub use minidb::MiniDb;
-pub use taskfarm::TaskFarm;
-pub use zipf::Zipfian;
 
 /// Folds `words` into a visible-output token, FNV-style, starting from a
 /// per-application `seed` (so equal words in two applications' outputs
 /// never collide).
-pub fn fold_words(seed: u64, words: &[u64]) -> u64 {
+fn fold_words(seed: u64, words: &[u64]) -> u64 {
     words
         .iter()
         .fold(seed, |h, &v| (h ^ v).wrapping_mul(ft_mem::FNV_PRIME))

@@ -38,10 +38,10 @@ use ft_sim::App;
 use crate::injector::FaultInjector;
 
 /// B-tree fanout (max keys per node).
-pub const ORDER: usize = 8;
+const ORDER: usize = 8;
 
 /// Bytes per heap tuple: key, value, and a fixed payload.
-pub const TUPLE_BYTES: usize = 64;
+const TUPLE_BYTES: usize = 64;
 
 // Node layout: [kind u64][n u64][keys 8×u64][ptrs 9×u64] = 160 bytes.
 const NODE_BYTES: usize = 8 + 8 + ORDER * 8 + (ORDER + 1) * 8;
@@ -907,7 +907,7 @@ impl App for MiniDb {
 }
 
 /// The response token for a request.
-pub fn response_token(reqs: u64, result: u64) -> u64 {
+fn response_token(reqs: u64, result: u64) -> u64 {
     crate::fold_words(0x517cc1b727220a95, &[reqs, result])
 }
 

@@ -63,7 +63,7 @@ pub const GOLDEN: [(&str, usize); 6] = [
 ];
 
 /// A family's builder at `(seed, size)`.
-pub type Build = fn(u64, usize) -> Built;
+type Build = fn(u64, usize) -> Built;
 
 /// The by-name family table: every family with its builder. The size is
 /// nvi keys (`nvi-batch` is the §4 crash studies' session at 1 ms think
@@ -200,7 +200,7 @@ pub fn taskfarm_racy(seed: u64, workers: u32) -> Built {
 /// The seeded-race Barnes-Hut for the `ft-analyze` self-test: the force
 /// and update phases are fused back into one barrier interval (outputs
 /// unchanged; the happens-before pass must flag the partition pages).
-pub fn treadmarks_fused(seed: u64, iterations: u64) -> Built {
+fn treadmarks_fused(seed: u64, iterations: u64) -> Built {
     let sim = Simulator::new(SimConfig::one_node_each(4, seed));
     built(sim, barnes_hut::cluster_fused(iterations, 50))
 }
@@ -212,12 +212,6 @@ pub fn kvstore_cluster(params: &crate::kvstore::KvParams) -> Built {
     built(sim, crate::kvstore::cluster(params))
 }
 
-/// The small kvstore shape (2 shards × 2 replicas + 2 gateways) for
-/// smokes and golden fixtures.
-pub fn kvstore_small(seed: u64) -> Built {
-    kvstore_cluster(&crate::kvstore::KvParams::small(seed))
-}
-
 /// The tiny kvstore shape for `ft-check`'s exhaustive crash sweeps:
 /// 2 shards × 2 replicas, one gateway, `requests` put-heavy requests.
 pub fn kvstore_check(seed: u64, requests: u64) -> Built {
@@ -226,7 +220,7 @@ pub fn kvstore_check(seed: u64, requests: u64) -> Built {
 
 /// The [`kvstore_check`] shape with the skip-replica-reinstall recovery
 /// bug armed on every replica (the seeded mutant `ft-check` must catch).
-pub fn kvstore_check_mutant(seed: u64, requests: u64) -> Built {
+fn kvstore_check_mutant(seed: u64, requests: u64) -> Built {
     let params = crate::kvstore::KvParams::check(requests, seed);
     let sim = Simulator::new(SimConfig::one_node_each(params.n_processes(), params.seed));
     built(sim, crate::kvstore::cluster_mutant(&params))
@@ -234,7 +228,7 @@ pub fn kvstore_check_mutant(seed: u64, requests: u64) -> Built {
 
 /// The postgres session: `requests` database requests at 50 ms spacing
 /// (compute-heavy, syscall-light — the Table 2 contrast with nvi).
-pub fn postgres(seed: u64, requests: usize) -> Built {
+fn postgres(seed: u64, requests: usize) -> Built {
     let mut sim = Simulator::new(SimConfig::single_node(1, seed));
     sim.set_input_script(
         ProcessId(0),

@@ -31,7 +31,7 @@ use ft_sim::syscalls::{AppStatus, SysMem, WaitCond};
 use ft_sim::App;
 
 /// Tasks in the farm.
-pub const N_TASKS: u64 = 24;
+const N_TASKS: u64 = 24;
 /// Work-queue lock id.
 const LOCK: u32 = 0;
 
@@ -256,14 +256,14 @@ impl App for TaskFarm {
 }
 
 /// Builds a farm of `n_workers` workers plus its lock manager.
-pub fn farm(n_workers: u32) -> Vec<Box<dyn App>> {
+pub(crate) fn farm(n_workers: u32) -> Vec<Box<dyn App>> {
     farm_with(n_workers, false)
 }
 
 /// Builds the seeded-mutation farm: identical outputs, but every worker
 /// peeks at the task counter outside the lock (see
 /// [`TaskFarm::racy_read`]).
-pub fn farm_racy(n_workers: u32) -> Vec<Box<dyn App>> {
+pub(crate) fn farm_racy(n_workers: u32) -> Vec<Box<dyn App>> {
     farm_with(n_workers, true)
 }
 

@@ -22,7 +22,7 @@ pub fn editor_script(keys: usize, seed: u64) -> Vec<u8> {
 /// An editor script with configurable save (`!`) and status-clock (`@`)
 /// cadence: Figure 8 sessions save rarely; the §4 crash studies save often
 /// so heap corruption is detected within the run.
-pub fn editor_script_with(
+pub(crate) fn editor_script_with(
     keys: usize,
     seed: u64,
     save_every: usize,

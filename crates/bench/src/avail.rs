@@ -99,7 +99,7 @@ impl AvailConfig {
     }
 
     /// The config block of `BENCH_avail.json`.
-    pub fn as_json(&self) -> Json {
+    fn as_json(&self) -> Json {
         Json::obj([
             ("seed", Json::from(self.seed)),
             ("trials", Json::from(self.trials)),

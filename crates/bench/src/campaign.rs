@@ -211,10 +211,10 @@ impl CampaignConfig {
 }
 
 /// One loss-sweep workload: label, protocol, fabric seed, builder.
-pub type LossWorkload = (&'static str, Protocol, u64, fn() -> scenarios::Built);
+type LossWorkload = (&'static str, Protocol, u64, fn() -> scenarios::Built);
 
 /// The loss-sweep matrix.
-pub fn loss_matrix() -> Vec<LossWorkload> {
+fn loss_matrix() -> Vec<LossWorkload> {
     vec![
         // The real-time game: latency-sensitive, CPVS (the paper's pick
         // for interactive workloads).
@@ -342,7 +342,7 @@ impl Stage for Table1Stage<'_> {
         )
     }
 
-    /// The §4.1 headline lands in [`CONFLICT_BAND`].
+    /// The §4.1 headline lands in `CONFLICT_BAND`.
     fn gate(&self, result: &Self::Rows) -> Result<(), String> {
         let conflict = conflict_composition(violation_fraction(result), 0.15).invariants_conflict;
         if CONFLICT_BAND.contains(&conflict) {
@@ -412,7 +412,7 @@ impl Stage for Table2Stage<'_> {
     }
 }
 
-/// The loss-sweep stage: every workload of [`loss_matrix`] over the
+/// The loss-sweep stage: every workload of `loss_matrix` over the
 /// configured loss rates.
 #[derive(Debug, Clone, Copy)]
 pub struct LossStage<'a>(pub &'a CampaignConfig);

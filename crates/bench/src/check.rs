@@ -35,7 +35,7 @@ impl CheckStage {
     /// (2 / 1 / 2) sizes, each under every Figure 8 protocol; at full size
     /// also kvstore@128 under CBNDV-2PC at seeds 7, 11 and 12 — the shape
     /// on which a gateway restored past a primary's uncommitted receive was
-    /// once judged an orphan (ROADMAP 1(i)), and the one protocol family
+    /// once judged an orphan (PR 24), and the one protocol family
     /// that ships uncommitted non-determinism at all.
     pub fn new(quick: bool) -> Self {
         let sizes = if quick { [2, 1, 2] } else { [4, 2, 3] };

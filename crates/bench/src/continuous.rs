@@ -6,7 +6,7 @@
 //! process, and did every recovery stay consistent?* — and differ only in
 //! which cells they sweep, how each cell configures the recovery runtime,
 //! and what they count as a served request. A stage states those three
-//! things as a [`FaultLoad`]; everything else lives here, once:
+//! things as a `FaultLoad`; everything else lives here, once:
 //!
 //! * **seeds**: trial `t` of cell `c` derives its arrival and victim
 //!   streams in O(1) from the stage seed (`SplitMix64::nth`), so sharding

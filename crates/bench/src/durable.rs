@@ -71,7 +71,7 @@ fn probe_dir() -> PathBuf {
 /// (SplitMix64-driven page writes), compacts mid-way, reopens to exercise
 /// recovery, and reports the byte-exact geometry. Panics if recovery does
 /// not reproduce the pre-reopen state digest.
-pub fn engine_probe(ops: u64, seed: u64) -> EngineProbe {
+fn engine_probe(ops: u64, seed: u64) -> EngineProbe {
     let dir = probe_dir();
     let opts = DurableOptions::default();
     let mut store = DurableStore::create(&dir, Layout::small(), opts).expect("probe store creates");

@@ -3,10 +3,10 @@
 //! Figure 3 places each protocol by two efforts (§2.4): converting
 //! non-determinism, and committing only what a visible event needs. The
 //! stage drives every protocol over every step sequence within the
-//! [`SPACE`] budgets and sums the [`SUMS`] per processes × protocol: the
+//! `SPACE` budgets and sums the `SUMS` per processes × protocol: the
 //! visible axis is `optimal ÷ commits`, the nd axis `logged ÷ nd`. On
 //! every trace each protocol must uphold Save-work and commit no less than
-//! the [`optimum`], each refinement in [`CHEAPER`] no more than what it
+//! the `optimum`, each refinement in `CHEAPER` no more than what it
 //! refines, and on one process CBNDVS and CBNDVS-LOG exactly the optimum;
 //! a failure prints the shortest witness.
 //!
@@ -40,11 +40,11 @@ use crate::json::Json;
 use crate::stage::Stage;
 
 /// The enumeration budgets: (processes, longest step sequence).
-pub const SPACE: [(usize, usize); 3] = [(1, 8), (2, 5), (3, 4)];
+const SPACE: [(usize, usize); 3] = [(1, 8), (2, 5), (3, 4)];
 
 /// Refinements: on every trace the first protocol commits no more than the
 /// second.
-pub const CHEAPER: [(Protocol, Protocol); 4] = [
+const CHEAPER: [(Protocol, Protocol); 4] = [
     (Protocol::Cbndvs, Protocol::Cpvs),
     (Protocol::CbndvsLog, Protocol::Cbndvs),
     (Protocol::CandLog, Protocol::Cand),
@@ -55,7 +55,7 @@ pub const CHEAPER: [(Protocol, Protocol); 4] = [
 /// participant of a round counted), the traces' Save-work optima under its
 /// logging, nd events (receives included), the nd events it logs, and the
 /// traces on which it commits more than COMMIT-ALL.
-pub const SUMS: [&str; 5] = ["commits", "optimal", "nd", "logged", "above_commit_all"];
+const SUMS: [&str; 5] = ["commits", "optimal", "nd", "logged", "above_commit_all"];
 
 /// One protocol's recovery from the shared kill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,14 +71,14 @@ pub struct Fig4Row {
     pub extra_runtime_ns: u64,
 }
 
-/// Every trace of one [`SPACE`] budget.
+/// Every trace of one `SPACE` budget.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Space {
     /// Processes and the longest step sequence.
     pub budget: (usize, usize),
     /// Step sequences enumerated, and how many broke a gate.
     pub traces: (u64, u64),
-    /// The [`SUMS`] of COMMIT-ALL, then of each Figure 8 protocol.
+    /// The `SUMS` of COMMIT-ALL, then of each Figure 8 protocol.
     pub rows: Vec<(Protocol, [u64; 5])>,
 }
 
@@ -179,7 +179,7 @@ fn judge(
 /// logging: the fewest commits, each in the gap after one event of that
 /// event's process, for which `check_save_work` passes. Brute force over
 /// commit masks in ascending popcount.
-pub fn optimum(protocol: Protocol, n: usize, steps: &[Step]) -> u64 {
+fn optimum(protocol: Protocol, n: usize, steps: &[Step]) -> u64 {
     let masks = || 0..1u64 << steps.len();
     let mut by_popcount =
         (0..=steps.len()).flat_map(|k| masks().filter(move |m| m.count_ones() as usize == k));
@@ -194,7 +194,7 @@ pub fn optimum(protocol: Protocol, n: usize, steps: &[Step]) -> u64 {
 pub struct Fig4Result {
     /// Figure 4: one row per Figure 8 protocol.
     pub rows: Vec<Fig4Row>,
-    /// Figure 3: one entry per [`SPACE`] budget.
+    /// Figure 3: one entry per `SPACE` budget.
     pub space: Vec<Space>,
 }
 

@@ -41,13 +41,13 @@ pub struct Fig8Row {
 }
 
 /// Figure 8's two media: Discount Checking on Rio, then DC-disk.
-pub fn figure8_media() -> [Medium; 2] {
+pub(crate) fn figure8_media() -> [Medium; 2] {
     [Medium::discount_checking(), Medium::dc_disk()]
 }
 
 /// Runs the unrecoverable baseline once and returns its runtime (the
 /// denominator shared by every overhead of a grid).
-pub fn baseline_runtime(build: &dyn Fn() -> Built) -> SimTime {
+pub(crate) fn baseline_runtime(build: &dyn Fn() -> Built) -> SimTime {
     let (sim, mut apps) = build().into_parts();
     let base = run_plain_on(sim, &mut apps);
     assert!(base.all_done, "baseline must complete");
@@ -99,13 +99,13 @@ pub fn grid(
 }
 
 /// Overhead percentage of `measured` over `base`.
-pub fn overhead_pct(base: SimTime, measured: SimTime) -> f64 {
+pub(crate) fn overhead_pct(base: SimTime, measured: SimTime) -> f64 {
     (measured as f64 - base as f64) / base as f64 * 100.0
 }
 
 /// Events per second of simulated time: the checkpoint rate of `count`
 /// commits, or the frame rate of `count` frames, over `runtime`.
-pub fn per_sec(count: f64, runtime: SimTime) -> f64 {
+pub(crate) fn per_sec(count: f64, runtime: SimTime) -> f64 {
     count / (runtime as f64 / 1e9)
 }
 

@@ -159,7 +159,7 @@ impl KvConfig {
     }
 
     /// The config block of `BENCH_kv.json`.
-    pub fn as_json(&self) -> Json {
+    fn as_json(&self) -> Json {
         Json::obj([
             ("seed", Json::from(self.seed)),
             ("trials", Json::from(self.trials)),

@@ -9,9 +9,9 @@
 //! validates Save-work — the transport must be transparent to the
 //! protocol's guarantees, not just to completion.
 //!
-//! Each rate's run is independent ([`run_rate`] is pure in its inputs);
+//! Each rate's run is independent (`run_rate` is pure in its inputs);
 //! only the overhead column couples rows, and it is computed in a serial
-//! fold after the runs, so [`loss_sweep`] shards the runs across workers
+//! fold after the runs, so `loss_sweep` shards the runs across workers
 //! and produces the same rows for every thread count.
 
 use ft_apps::scenarios::Built;
@@ -43,7 +43,7 @@ pub struct LossRow {
 /// Runs one rate of the sweep: a full workload run over the lossy fabric,
 /// with the Save-work validation. Pure in `(build, protocol, fabric_seed,
 /// rate)` and self-contained, so any worker can run any rate.
-pub fn run_rate(
+fn run_rate(
     build: &(dyn Fn() -> Built + Sync),
     protocol: Protocol,
     fabric_seed: u64,
@@ -90,7 +90,7 @@ fn fold_rows(rates: &[f64], runs: Vec<(SimTime, NetStats, u64)>) -> Vec<LossRow>
 /// one protocol, the per-rate runs sharded across `threads` workers. The
 /// first rate should be `0.0` so the overhead column has its baseline; if
 /// it is not, the first row still serves as the baseline.
-pub fn loss_sweep(
+pub(crate) fn loss_sweep(
     build: &(dyn Fn() -> Built + Sync),
     protocol: Protocol,
     fabric_seed: u64,

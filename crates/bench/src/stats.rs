@@ -24,7 +24,7 @@ pub fn percentile(values: &[u64], pct: u32) -> u64 {
 }
 
 /// As [`percentile`], over an already ascending-sorted slice.
-pub fn percentile_sorted(sorted: &[u64], pct: u32) -> u64 {
+fn percentile_sorted(sorted: &[u64], pct: u32) -> u64 {
     assert!((1..=100).contains(&pct), "percentile must be in 1..=100");
     let n = sorted.len();
     if n == 0 {
@@ -38,7 +38,7 @@ pub fn percentile_sorted(sorted: &[u64], pct: u32) -> u64 {
 }
 
 /// The requested percentiles of `values`, sorted once.
-pub fn percentiles(values: &[u64], pcts: &[u32]) -> Vec<u64> {
+pub(crate) fn percentiles(values: &[u64], pcts: &[u32]) -> Vec<u64> {
     let mut sorted = values.to_vec();
     sorted.sort_unstable();
     pcts.iter()

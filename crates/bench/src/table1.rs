@@ -9,14 +9,14 @@
 //! recovers the process with the (one-shot) fault no longer activating and
 //! verifies that recovery succeeds if and only if no commit followed the
 //! activation. A trial's one fault is one entry of the run's fault
-//! schedule ([`trial_fault`]), so its runs replay as `ft-check` scripts;
-//! the unrecovered phase ([`unrecovered`]) takes the protocol as an
+//! schedule (`trial_fault`), so its runs replay as `ft-check` scripts;
+//! the unrecovered phase (`unrecovered`) takes the protocol as an
 //! argument, so the §2.6 ablation runs the same trial under others.
 //!
 //! The campaign is organized for the parallel runner: [`run_trial`] is a
 //! pure function of `(app, fault, trial index, seed stream)` — it builds
 //! its own simulator and applications, so any worker thread can run any
-//! trial — and [`run_fault_type`] merely folds outcomes **in trial
+//! trial — and `run_fault_type` merely folds outcomes **in trial
 //! order** through `runner::run_cutoff`: at `threads = 1` that is the
 //! plain serial loop, and every other thread count is bitwise identical
 //! to it, including the "stop after `target_crashes`" early exit (a
@@ -73,7 +73,7 @@ impl Table1App {
 
     /// The session's nominal length in simulated time: keystrokes 1 ms
     /// apart, or requests 50 ms apart.
-    pub fn session_ns(self) -> u64 {
+    pub(crate) fn session_ns(self) -> u64 {
         match self {
             Table1App::Nvi => NVI_KEYS as u64 * ft_sim::MS,
             Table1App::Postgres => POSTGRES_REQUESTS as u64 * 50 * ft_sim::MS,
@@ -168,7 +168,7 @@ pub struct TrialOutcome {
 /// at that one visit, and the physical visit counter suppresses
 /// re-activation during recovery re-execution (the §4.1 end-to-end
 /// methodology).
-pub fn trial_fault(fault: FaultType, site: u64, t: u32) -> Fault {
+pub(crate) fn trial_fault(fault: FaultType, site: u64, t: u32) -> Fault {
     Fault::Activate {
         pid: 0,
         plan: FaultPlan {
@@ -186,7 +186,11 @@ pub fn trial_fault(fault: FaultType, site: u64, t: u32) -> Fault {
 /// a commit executed causally after the activation — and `None` for a run
 /// that did not crash, or crashed without an activation (which one-shot
 /// plans cannot cause; such a trial is discarded).
-pub fn unrecovered(built: Built, protocol: Protocol, fault: Fault) -> (DcReport, Option<bool>) {
+pub(crate) fn unrecovered(
+    built: Built,
+    protocol: Protocol,
+    fault: Fault,
+) -> (DcReport, Option<bool>) {
     let (sim, apps) = built.into_parts();
     let mut cfg = DcConfig::discount_checking(protocol);
     cfg.max_recoveries = 0;
@@ -254,7 +258,7 @@ pub fn run_trial(app: Table1App, fault: FaultType, t: u32, seeds: SeedStream) ->
 /// Runs the campaign for one fault type until `target_crashes` crashes (or
 /// `max_trials`) on `threads` workers; `threads = 1` is the serial
 /// reference loop and every thread count yields the same row.
-pub fn run_fault_type(
+fn run_fault_type(
     app: Table1App,
     fault: FaultType,
     target_crashes: u32,

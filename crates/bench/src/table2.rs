@@ -11,9 +11,9 @@
 //! postgres.
 //!
 //! A trial's kernel fault is one entry of the run's fault schedule
-//! ([`trial_fault`]), so every trial replays as an `ft-check` script.
+//! (`trial_fault`), so every trial replays as an `ft-check` script.
 //! Like Table 1, the campaign is a pure per-trial function
-//! ([`run_trial`]) plus an index-ordered fold, so [`run_fault_type`]
+//! ([`run_trial`]) plus an index-ordered fold, so `run_fault_type`
 //! produces the same rows for every thread count (`threads = 1` is the
 //! serial loop).
 
@@ -39,7 +39,7 @@ pub struct Table2Row {
 
 impl Table2Row {
     /// The Table 2 cell: percent of OS failures with failed recovery.
-    pub fn failed_pct(&self) -> f64 {
+    pub(crate) fn failed_pct(&self) -> f64 {
         share_pct(self.failed_recoveries, self.crashes)
     }
 }
@@ -57,7 +57,7 @@ pub struct TrialOutcome {
 /// lands in the middle three fifths of Table 1's fault-free session, and
 /// whether it propagates is drawn with its type's probability, both from
 /// one generator in that order: the entry records the outcome.
-pub fn trial_fault(app: Table1App, fault: FaultType, t: u32, seeds: SeedStream) -> (u64, Fault) {
+fn trial_fault(app: Table1App, fault: FaultType, t: u32, seeds: SeedStream) -> (u64, Fault) {
     let seed = seeds.seed(t as u64);
     let mut rng = SplitMix64::new(seed ^ 0x05FA);
     let span = app.session_ns();
@@ -105,7 +105,7 @@ pub fn run_trial(app: Table1App, fault: FaultType, t: u32, seeds: SeedStream) ->
 /// Runs the OS-fault campaign for one fault type on `threads` workers.
 /// Table 2 has no early exit, so the fold is a straight index-ordered
 /// reduction.
-pub fn run_fault_type(
+fn run_fault_type(
     app: Table1App,
     fault: FaultType,
     trials: u32,

@@ -197,6 +197,11 @@ fn treadmarks_at_benchmark_size_matches_its_recorded_run_and_stream() {
 
 const KV_FIXTURE: &str = include_str!("fixtures/golden_kv_hashes.txt");
 
+/// The small kvstore shape: 2 shards × 2 replicas + 2 gateways.
+fn kvstore_small(seed: u64) -> Built {
+    scenarios::kvstore_cluster(&ft_apps::kvstore::KvParams::small(seed))
+}
+
 /// The medium kvstore shape: big enough that every shard sees replicated
 /// puts from several gateways, small enough for a sub-second run.
 fn kvstore_medium(seed: u64) -> Built {
@@ -220,10 +225,7 @@ fn kvstore_traces_match_the_golden_fixture() {
     let golden = parse_fixture_from(KV_FIXTURE);
     let mut measured = Vec::new();
     type Shape = (&'static str, fn(u64) -> Built);
-    let shapes: [Shape; 2] = [
-        ("kv-small", scenarios::kvstore_small),
-        ("kv-medium", kvstore_medium),
-    ];
+    let shapes: [Shape; 2] = [("kv-small", kvstore_small), ("kv-medium", kvstore_medium)];
     for (name, build) in shapes {
         for protocol in [Protocol::Cpvs, Protocol::Cbndv2pc] {
             measured.push((

@@ -19,7 +19,7 @@
 //! are index-ordered — the serial and parallel explorations are asserted
 //! bitwise-equivalent by test.
 //!
-//! When a violation is found, [`shrink`] reduces it: a binary search over
+//! When a violation is found, [`shrink()`] reduces it: a binary search over
 //! the workload-size parameter finds the smallest workload that still
 //! fails, then a binary search over event positions finds the earliest
 //! kill that still fails (an empty fault set, when the failure-free run
@@ -37,7 +37,7 @@ pub mod scenario;
 pub mod script;
 pub mod shrink;
 
-pub use explore::{explore, explore_points, run_faults, Canonical, Exploration, PointResult};
+pub use explore::{explore, run_faults, Canonical, Exploration, PointResult};
 pub use scenario::{CheckConfig, Workload};
-pub use script::{parse_script, render_script, Replay};
+pub use script::{parse_script, render_script};
 pub use shrink::{shrink, Counterexample};

@@ -41,7 +41,7 @@ impl Replay {
 }
 
 /// Looks a protocol up by its Figure 8 display name.
-pub fn protocol_by_name(name: &str) -> Option<Protocol> {
+fn protocol_by_name(name: &str) -> Option<Protocol> {
     Protocol::FIGURE8.into_iter().find(|p| p.name() == name)
 }
 

@@ -59,7 +59,7 @@ fn kvstore_survives_every_crash_point_under_coordinated_2pc() {
     assert_exhaustive_and_clean(&kv(3), Protocol::Cbndv2pc);
 }
 
-/// ROADMAP 1(i) at its smallest: at size 6 and seed 11 a primary ships the
+/// The case PR 24 decided, at its smallest: at size 6 and seed 11 a primary ships the
 /// gateway an uncommitted receive, the gateway is killed and restored to a
 /// state that never saw the message, and its next (correctly solo) commit
 /// used to be called an orphan — `AtPosition { pid: 4, pos: 16 }` — because

@@ -53,7 +53,7 @@ impl Incident {
 
     /// Downtime this incident contributes within a horizon ending at
     /// `end_ns`: unresolved incidents count as down through the horizon.
-    pub fn downtime_ns(&self, end_ns: u64) -> u64 {
+    fn downtime_ns(&self, end_ns: u64) -> u64 {
         let until = self.recovered_at.unwrap_or(end_ns).min(end_ns);
         until.saturating_sub(self.crash_at)
     }

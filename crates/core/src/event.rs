@@ -102,7 +102,7 @@ pub enum NdSource {
 
 impl NdSource {
     /// The default transient/fixed classification for this source (§2.5).
-    pub fn default_class(self) -> NdClass {
+    pub(crate) fn default_class(self) -> NdClass {
         match self {
             NdSource::UserInput | NdSource::ResourceProbe => NdClass::Fixed,
             NdSource::TimeOfDay
@@ -212,11 +212,6 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// Is this a visible event?
-    pub fn is_visible(&self) -> bool {
-        matches!(self, EventKind::Visible { .. })
-    }
-
     /// Is this a commit event?
     pub fn is_commit(&self) -> bool {
         matches!(self, EventKind::Commit { .. })
@@ -277,19 +272,6 @@ impl Event {
             EventKind::NonDeterministic { .. } | EventKind::Recv { .. }
         )
     }
-
-    /// The transient/fixed classification of this event, if it is
-    /// effectively non-deterministic.
-    pub fn nd_class(&self) -> Option<NdClass> {
-        if self.logged {
-            return None;
-        }
-        match self.kind {
-            EventKind::NonDeterministic { class, .. } => Some(class),
-            EventKind::Recv { .. } => Some(NdClass::Transient),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -321,7 +303,6 @@ mod tests {
         assert!(e.is_effectively_nd());
         e.logged = true;
         assert!(!e.is_effectively_nd());
-        assert_eq!(e.nd_class(), None);
     }
 
     #[test]
@@ -334,7 +315,6 @@ mod tests {
             logged: false,
         };
         assert!(e.is_effectively_nd());
-        assert_eq!(e.nd_class(), Some(NdClass::Transient));
     }
 
     #[test]
@@ -362,13 +342,11 @@ mod tests {
 
     #[test]
     fn kind_predicates() {
-        assert!(EventKind::Visible { token: 1 }.is_visible());
         assert!(EventKind::Commit {
             commit_id: 0,
             group: None
         }
         .is_commit());
         assert!(EventKind::Crash.is_crash());
-        assert!(!EventKind::Internal.is_visible());
     }
 }

@@ -109,12 +109,12 @@ impl StateGraph {
     }
 
     /// Number of states.
-    pub fn num_states(&self) -> usize {
+    fn num_states(&self) -> usize {
         self.labels.len()
     }
 
     /// Number of edges.
-    pub fn num_edges(&self) -> usize {
+    fn num_edges(&self) -> usize {
         self.edges.len()
     }
 
@@ -217,11 +217,6 @@ impl DangerousPaths {
     pub fn commit_safe(&self, s: StateId) -> bool {
         !self.dangerous_state[s.0]
     }
-
-    /// Number of dangerous states.
-    pub fn dangerous_count(&self) -> usize {
-        self.dangerous_state.iter().filter(|&&d| d).count()
-    }
 }
 
 /// A witness that Lose-work was violated along an executed path.
@@ -320,7 +315,7 @@ impl ProcessRun {
 
     /// Did this process execute a transient non-deterministic event in path
     /// positions `[from, to)`?
-    pub fn transient_nd_between(&self, from: usize, to: usize) -> bool {
+    fn transient_nd_between(&self, from: usize, to: usize) -> bool {
         self.path[from..to.min(self.path.len())]
             .iter()
             .any(|&e| self.graph.edge(e).kind == EdgeKind::TransientNd)
@@ -502,7 +497,7 @@ mod tests {
         let dp = g.dangerous_paths();
         assert!(dp.commit_safe(s0));
         assert!(dp.commit_safe(done));
-        assert_eq!(dp.dangerous_count(), 0);
+        assert!(!dp.dangerous_state.contains(&true));
     }
 
     #[test]
@@ -720,7 +715,7 @@ mod tests {
         g.add_edge(s0, s0, EdgeKind::TransientNd, "retry");
         g.add_edge(s0, done, EdgeKind::TransientNd, "escape");
         let dp = g.dangerous_paths();
-        assert_eq!(dp.dangerous_count(), 0);
+        assert!(!dp.dangerous_state.contains(&true));
     }
 
     #[test]

@@ -67,23 +67,3 @@ pub mod protocol;
 pub mod render;
 pub mod savework;
 pub mod trace;
-
-pub use avail::{availability, nines, total_downtime_ns, Incident};
-pub use clock::{happens_before, replay, EventClocks};
-pub use consistency::{
-    check_consistent_recovery, check_consistent_recovery_multi, check_equivalence, ConsistencyError,
-};
-pub use event::{Event, EventId, EventKind, MsgId, NdClass, NdSource, ProcessId};
-pub use graph::{check_lose_work, DangerousPaths, EdgeKind, StateGraph};
-pub use losework::{check_commit_after_activation, conflict_composition, LoseWorkOutcome};
-pub use oracle::{
-    check_commit_durability, check_prefix_extension, check_recovery, InvariantViolation,
-    OracleVerdict,
-};
-pub use protocol::{
-    coordinated_participants, CommitPlanner, CommitScope, Decision, DepSet, DepTracker,
-    InterceptedEvent, Protocol,
-};
-pub use render::render_trace;
-pub use savework::{check_save_work, find_orphans, SaveWorkViolation};
-pub use trace::{Trace, TraceBuilder};

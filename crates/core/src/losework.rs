@@ -76,18 +76,6 @@ pub fn check_commit_after_activation(trace: &Trace) -> LoseWorkOutcome {
     }
 }
 
-/// Bohrbug/Heisenbug classification (§4.1, after Gray \[13\]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BugNature {
-    /// Deterministic: the dangerous path extends back to the initial state
-    /// of the program, which is always committed — Lose-work is inherently
-    /// violated.
-    Bohrbug,
-    /// Depends on a transient non-deterministic event: rollback past that
-    /// event gives recovery a chance.
-    Heisenbug,
-}
-
 /// The §4.1 composition: given the fraction of *Heisenbug* crashes that
 /// nonetheless violate Lose-work (from fault injection, Table 1) and the
 /// fraction of field bugs that are Heisenbugs at all (5–15% per Chandra &

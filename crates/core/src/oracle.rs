@@ -18,7 +18,7 @@
 //!    every process performed exactly the non-deterministic work and
 //!    emitted exactly the outputs the canonical run records, in order;
 //! 5. **commit durability** held — no rollback undid a committed event
-//!    ([`check_commit_durability`]): acknowledged-durable state that a
+//!    (`check_commit_durability`): acknowledged-durable state that a
 //!    recovery cannot restore means the persistence layer lied (the
 //!    signature a real skipped-fsync bug leaves in a trace).
 //!
@@ -61,7 +61,7 @@ pub enum AppEvent {
 
 /// Projects an event to its application-semantic shape, or `None` for
 /// runtime artifacts (commits, messages, crash/rollback markers, …).
-pub fn app_event(e: &Event) -> Option<AppEvent> {
+fn app_event(e: &Event) -> Option<AppEvent> {
     match e.kind {
         EventKind::NonDeterministic { source, class } => Some(AppEvent::Nd {
             source,
@@ -153,10 +153,7 @@ impl std::fmt::Display for InvariantViolation {
 /// after that point belong to re-execution, which legally repeats
 /// history) must be a prefix of the canonical run's full
 /// application-event sequence.
-pub fn check_prefix_extension(
-    canonical: &Trace,
-    recovered: &Trace,
-) -> Result<(), InvariantViolation> {
+fn check_prefix_extension(canonical: &Trace, recovered: &Trace) -> Result<(), InvariantViolation> {
     for pi in 0..recovered.num_processes() {
         let p = ProcessId::from_index(pi);
         let reference: &[Event] = if pi < canonical.num_processes() {
@@ -196,7 +193,7 @@ pub fn check_prefix_extension(
 /// by construction (they restore to `last commit + 1`); the real-process
 /// crashtest harness relies on this check to catch durability bugs that
 /// deterministic re-execution would otherwise paper over.
-pub fn check_commit_durability(trace: &Trace) -> Result<(), InvariantViolation> {
+fn check_commit_durability(trace: &Trace) -> Result<(), InvariantViolation> {
     for pi in 0..trace.num_processes() {
         let p = ProcessId::from_index(pi);
         let events = trace.process(p);

@@ -152,7 +152,7 @@ pub struct Decision {
 
 impl Decision {
     /// The no-op decision.
-    pub const NONE: Decision = Decision {
+    const NONE: Decision = Decision {
         before: CommitScope::None,
         after: false,
         log: false,
@@ -279,12 +279,12 @@ impl CommitPlanner {
 /// Members a [`DepSet`] keeps in place before it moves to a shared block:
 /// more than a four-node DSM cluster or a five-process kvstore can name,
 /// and what fits beside the length in the 32 bytes the value takes.
-pub const DEP_INLINE: usize = 7;
+const DEP_INLINE: usize = 7;
 
 /// A set of process ids, sorted and duplicate-free: the dependency set a
 /// sender piggybacks on every message and a receiver unions in.
 ///
-/// Up to [`DEP_INLINE`] members live inside the value. A larger set lives
+/// Up to `DEP_INLINE` members live inside the value. A larger set lives
 /// in one shared, immutable slice `Arc` (header and members in one block),
 /// copied on write: a change that adds a member builds the new set in one
 /// fresh block, and a union that adds nothing changes nothing. So
@@ -368,7 +368,7 @@ impl DepSet {
 
     /// Adds every member of `other`. A union that adds nothing leaves the
     /// set, and its block, as they are.
-    pub fn union_with(&mut self, other: &DepSet) {
+    fn union_with(&mut self, other: &DepSet) {
         if self.is_empty() {
             self.clone_from(other);
             return;

@@ -6,7 +6,7 @@ use crate::event::{Event, EventKind, ProcessId};
 use crate::trace::Trace;
 
 /// Renders a short label for one event.
-pub fn event_label(e: &Event) -> String {
+fn event_label(e: &Event) -> String {
     let core = match e.kind {
         EventKind::Internal => "·".to_string(),
         EventKind::NonDeterministic { source, class } => format!(

@@ -13,7 +13,7 @@
 use crate::event::{Event, EventId, EventKind, MsgId, NdClass, NdSource, ProcessId};
 
 /// Chunk size for reserve-ahead appends on recording hot paths.
-pub const RECORD_CHUNK: usize = 256;
+const RECORD_CHUNK: usize = 256;
 
 /// Reserve-ahead chunked append for recording hot paths: reserves a whole
 /// [`RECORD_CHUNK`] whenever the vector is at capacity, so a fresh log
@@ -22,7 +22,7 @@ pub const RECORD_CHUNK: usize = 256;
 /// `Vec::reserve` grows at least geometrically regardless of the
 /// requested additional capacity.
 #[inline]
-pub fn chunked_push<T>(v: &mut Vec<T>, x: T) {
+pub(crate) fn chunked_push<T>(v: &mut Vec<T>, x: T) {
     if v.len() == v.capacity() {
         v.reserve(RECORD_CHUNK);
     }

@@ -215,7 +215,7 @@ fn no_crash_no_danger() {
             );
         }
         let dp = g.dangerous_paths();
-        assert_eq!(dp.dangerous_count(), 0);
+        assert!(!dp.dangerous_state.contains(&true));
         assert!(dp.colored_edge.iter().all(|&c| !c));
     }
 }

@@ -89,7 +89,7 @@ pub struct Canonical {
 /// `TraceBuilder::rollback`'s convention: the recovered state includes
 /// events with seq `< to_seq`. With no commit recovered, everything
 /// rolls back.
-pub fn rollback_to_seq(k: u64) -> u64 {
+fn rollback_to_seq(k: u64) -> u64 {
     if k == 0 {
         0
     } else {
@@ -126,7 +126,7 @@ fn push_lines(
 }
 
 /// Builds the [`Canonical`] record from a clean run's protocol lines.
-pub fn canonical_from_lines(lines: &[Line]) -> Result<Canonical, String> {
+pub(crate) fn canonical_from_lines(lines: &[Line]) -> Result<Canonical, String> {
     let p = ProcessId(0);
     let mut run = TraceBuilder::new(1);
     let mut visibles = Vec::new();
@@ -142,7 +142,7 @@ pub fn canonical_from_lines(lines: &[Line]) -> Result<Canonical, String> {
 
 /// A killed-and-resumed execution rebuilt as an `ft_core` trace.
 #[derive(Debug, Clone)]
-pub struct Rebuilt {
+struct Rebuilt {
     /// The recovered execution's trace (crash + rollback markers in).
     pub trace: Trace,
     /// Visible tokens in emission order, tagged by process (always 0).
@@ -155,7 +155,7 @@ pub struct Rebuilt {
 /// Builds the recovered execution's trace from per-incarnation line
 /// streams, inserting `crash` + `rollback` markers between them (the
 /// rollback point comes from the next incarnation's recovery report).
-pub fn build_recovered(incarnations: &[Vec<Line>]) -> Result<Rebuilt, String> {
+fn build_recovered(incarnations: &[Vec<Line>]) -> Result<Rebuilt, String> {
     let p = ProcessId(0);
     let mut run = TraceBuilder::new(1);
     let mut visibles = Vec::new();
@@ -186,7 +186,10 @@ pub fn build_recovered(incarnations: &[Vec<Line>]) -> Result<Rebuilt, String> {
 /// the composed oracle (completion, Save-work, consistent output,
 /// prefix extension, commit durability) plus the final sequence number
 /// and state digest. Returns the count of (legal) duplicate visibles.
-pub fn judge_trial(canonical: &Canonical, incarnations: &[Vec<Line>]) -> Result<usize, Failure> {
+pub(crate) fn judge_trial(
+    canonical: &Canonical,
+    incarnations: &[Vec<Line>],
+) -> Result<usize, Failure> {
     let run = build_recovered(incarnations).map_err(|e| Check::Child.fail(e))?;
     let (seq, digest) = run
         .done

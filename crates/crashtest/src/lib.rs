@@ -58,13 +58,9 @@ pub mod proto;
 pub mod workload;
 
 pub use child::{fsync_name, run_child, ChildConfig};
-pub use judge::{
-    build_recovered, canonical_from_lines, judge_trial, rollback_to_seq, Canonical, Check, Failure,
-    Rebuilt,
-};
-pub use parent::{powercut, run_mutant, run_reference, run_trial, LossModel, TrialSpec, MUTANTS};
-pub use proto::Line;
+pub use judge::{Check, Failure};
+pub use parent::{run_mutant, run_reference, run_trial, LossModel, TrialSpec, MUTANTS};
 pub use workload::{
-    apply_op, enumerate_schedule, nd_value, op_pages, standard_schedules, visible_token,
-    CrashSchedule, DurableWindow, KillSpec, WorkloadSpec, KILL_CLASSES,
+    enumerate_schedule, standard_schedules, CrashSchedule, DurableWindow, KillSpec, WorkloadSpec,
+    KILL_CLASSES,
 };

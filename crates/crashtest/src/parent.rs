@@ -151,7 +151,7 @@ fn run_incarnation(exe: &Path, cfg: &ChildConfig) -> Result<Vec<Line>, String> {
 /// Emulates power loss: truncates the redo log back to the journaled
 /// watermark (never below the header — a power cut cannot unwrite what
 /// a real fsync already made durable).
-pub fn powercut(dir: &Path) -> Result<(), String> {
+fn powercut(dir: &Path) -> Result<(), String> {
     let durable = read_watermark(dir)
         .map_err(|e| format!("watermark: {e}"))?
         .unwrap_or(LOG_HEADER_LEN)

@@ -11,7 +11,7 @@ use std::fmt;
 
 /// One protocol line.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Line {
+pub(crate) enum Line {
     /// First line of every incarnation: the recovery outcome (all zeros
     /// for a fresh store).
     Resume {
@@ -82,7 +82,7 @@ impl fmt::Display for Line {
 impl Line {
     /// Parses one protocol line: exactly what [`fmt::Display`] writes, so a
     /// trailing token or a checkpoint flag other than 0/1 is malformed.
-    pub fn parse(s: &str) -> Result<Line, String> {
+    pub(crate) fn parse(s: &str) -> Result<Line, String> {
         let mut it = s.split_whitespace();
         let bad = || format!("malformed protocol line {s:?}");
         let num = |it: &mut std::str::SplitWhitespace<'_>| -> Result<u64, String> {

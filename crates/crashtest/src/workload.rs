@@ -68,12 +68,12 @@ fn splitmix(mut z: u64) -> u64 {
 
 /// The op's non-deterministic draw: stateless in `(seed, i)`, so every
 /// incarnation re-derives the same value.
-pub fn nd_value(seed: u64, i: u64) -> u64 {
+fn nd_value(seed: u64, i: u64) -> u64 {
     splitmix(seed ^ splitmix(i.wrapping_add(1)))
 }
 
 /// The visible token op `i` emits (derived from its nd draw).
-pub fn visible_token(seed: u64, i: u64) -> u64 {
+pub(crate) fn visible_token(seed: u64, i: u64) -> u64 {
     nd_value(seed, i).rotate_left(17) ^ i
 }
 
@@ -85,7 +85,7 @@ pub fn visible_token(seed: u64, i: u64) -> u64 {
     clippy::cast_possible_truncation,
     reason = "both values are reduced modulo the page count, a usize"
 )]
-pub fn op_pages(i: u64, total_pages: usize) -> (usize, usize) {
+fn op_pages(i: u64, total_pages: usize) -> (usize, usize) {
     let p = total_pages as u64;
     (((2 * i) % p) as usize, ((2 * i + 1) % p) as usize)
 }
@@ -96,7 +96,7 @@ pub fn op_pages(i: u64, total_pages: usize) -> (usize, usize) {
     clippy::cast_possible_truncation,
     reason = "the offset is reduced modulo the page size after the narrowing; op counts are tiny"
 )]
-pub fn apply_op(arena: &mut Arena, seed: u64, i: u64) {
+pub(crate) fn apply_op(arena: &mut Arena, seed: u64, i: u64) {
     let (a, b) = op_pages(i, arena.layout().total_pages());
     let off = ((i as usize) * 8) % PAGE_SIZE;
     let val = nd_value(seed, i);

@@ -3,11 +3,11 @@
 //!
 //! Exactly the §3 interposition set, written as two rules. Every
 //! non-deterministic syscall (`gettimeofday`, entropy, input reads,
-//! receives, signals, `open`, `write`) goes through [`DcSys::nd`]: served
+//! receives, signals, `open`, `write`) goes through `DcSys::nd`: served
 //! from the armed replay during post-recovery constrained re-execution,
 //! otherwise executed with the protocol's logging choice and followed by
 //! the commit-after the planner asks for. Every other intercepted syscall
-//! (visible, send, `read`, `close`) goes through [`DcSys::around`]: the
+//! (visible, send, `read`, `close`) goes through `DcSys::around`: the
 //! planner's commit before it (local or coordinated), the call, the
 //! planner's commit after it.
 

@@ -134,13 +134,14 @@ pub struct DcHarness {
 
 impl DcHarness {
     /// Builds a harness over a pre-configured simulator, arming the fault
-    /// schedule's activations, kernel faults and exact-time kills before
-    /// the runtime takes the initial snapshots (which therefore hold an
-    /// armed corruption).
+    /// schedule's activations, kernel faults and start and exact-time
+    /// kills before the runtime takes the initial snapshots (which
+    /// therefore hold an armed corruption).
     /// Panics if an activation names an application with no fault sites.
     pub fn new(mut sim: Simulator, cfg: DcConfig, mut apps: Vec<Box<dyn App>>) -> Self {
         for fault in &cfg.faults {
             match *fault {
+                Fault::Kill(CrashPoint::AtStart { pid }) => sim.kill_at(ProcessId(pid), 0),
                 Fault::Kill(CrashPoint::AtExactTime { pid, t: at })
                 | Fault::Kernel {
                     pid,
@@ -347,16 +348,14 @@ impl DcHarness {
     /// the runtime in place for inspection. [`DcHarness::into_report`]
     /// then closes the run.
     pub fn drive(&mut self, mut on_step: impl FnMut(&mut Simulator)) {
-        // Start kills go in before the first wake; position and time kills
-        // wait, in schedule order, until they fall due.
+        // Position and time kills wait, in schedule order, until they fall
+        // due.
         let mut watched = Vec::new();
         for fault in &self.rt.cfg().faults {
-            match *fault {
-                Fault::Kill(CrashPoint::AtStart { pid }) => self.sim.kill_at(ProcessId(pid), 0),
-                Fault::Kill(kill @ (CrashPoint::AtPosition { .. } | CrashPoint::AtTime { .. })) => {
-                    watched.push(kill);
-                }
-                _ => {}
+            if let Fault::Kill(kill @ (CrashPoint::AtPosition { .. } | CrashPoint::AtTime { .. })) =
+                *fault
+            {
+                watched.push(kill);
             }
         }
         let mut guard = 0u64;

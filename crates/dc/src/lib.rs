@@ -17,7 +17,7 @@
 //!   rollback vs component-level microreboot, with the bounded
 //!   retry/backoff ladder that escalates partial recovery when it keeps
 //!   failing;
-//! * [`dcsys`] — the interposition layer ([`DcSys`]) wrapping the raw
+//! * [`dcsys`] — the interposition layer ([`dcsys::DcSys`]) wrapping the raw
 //!   simulator syscalls;
 //! * [`harness`] — the run loop with automatic recovery, per-incident
 //!   crash-to-recovery accounting, and reporting;
@@ -42,8 +42,6 @@ pub mod recovery;
 pub mod runtime;
 pub mod state;
 
-pub use dcsys::DcSys;
 pub use harness::{DcHarness, DcReport};
-pub use recovery::{plan_recovery, EscalationPolicy, RecoveryAction, Strategy};
-pub use runtime::DcRuntime;
-pub use state::{CommitKill, DcConfig, DcStats, Mutation, PendingNd};
+pub use recovery::{EscalationPolicy, Strategy};
+pub use state::{CommitKill, DcConfig, DcStats, Mutation};

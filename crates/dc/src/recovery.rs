@@ -13,7 +13,7 @@
 //! keep state derived from events the component no longer remembers
 //! producing, and recovery silently diverges.
 //!
-//! [`plan_recovery`] is the pure ladder decision: under
+//! `plan_recovery` is the pure ladder decision: under
 //! [`Strategy::Microreboot`], an incident gets up to
 //! [`EscalationPolicy::max_attempts`] partial restarts with exponential
 //! backoff, then escalates to the always-sound full rollback.
@@ -47,7 +47,7 @@ impl Strategy {
 
 /// The ladder's decision for the next recovery attempt of an incident.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecoveryAction {
+pub(crate) enum RecoveryAction {
     /// Microreboot the component, resuming it after `delay_ns`.
     PartialRestart {
         /// Restart delay drawn from the policy's backoff schedule.
@@ -64,7 +64,7 @@ pub enum RecoveryAction {
 /// Under [`Strategy::Microreboot`], attempts `1..=max_attempts` are
 /// partial restarts delayed by the policy's backoff schedule; once the
 /// ladder is exhausted the incident escalates.
-pub fn plan_recovery(
+pub(crate) fn plan_recovery(
     strategy: Strategy,
     attempts_so_far: u32,
     policy: &EscalationPolicy,
@@ -116,7 +116,7 @@ impl EscalationPolicy {
     /// # Panics
     ///
     /// Panics if `attempt` is 0 (attempts are 1-based).
-    pub fn attempt_delay_ns(&self, attempt: u32) -> u64 {
+    fn attempt_delay_ns(&self, attempt: u32) -> u64 {
         assert!(attempt > 0, "attempts are 1-based");
         self.base_delay_ns
             .saturating_mul(self.backoff_factor.saturating_pow(attempt - 1))

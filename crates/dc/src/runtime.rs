@@ -97,7 +97,7 @@ impl DcRuntime {
     }
 
     /// Aggregate statistics.
-    pub fn total_stats(&self) -> DcStats {
+    pub(crate) fn total_stats(&self) -> DcStats {
         let mut t = DcStats::default();
         for s in &self.states {
             // Exhaustive: a new counter must be summed here to compile.
@@ -374,7 +374,7 @@ impl DcRuntime {
     }
 
     /// Recovers `pid` after a failure: restores it to its last commit
-    /// (see [`DcRuntime::restore`]) and cascades rollback to any process
+    /// (see `DcRuntime::restore`) and cascades rollback to any process
     /// that consumed a withdrawn tainted message. Returns the set of
     /// processes rolled back (always including `pid`).
     pub fn recover(&mut self, pid: ProcessId, sim: &mut Simulator) -> Vec<ProcessId> {
@@ -415,7 +415,7 @@ impl DcRuntime {
     /// [`Mutation::SkipPageReinstall`] switch makes the
     /// restore itself unsound by leaving every page at its crashed
     /// contents while the cursors rewind.
-    pub fn microreboot(&mut self, pid: ProcessId, sim: &mut Simulator) {
+    pub(crate) fn microreboot(&mut self, pid: ProcessId, sim: &mut Simulator) {
         let skip_pages = match self.cfg.mutation {
             Mutation::SkipPageReinstall => usize::MAX,
             _ => 0,
@@ -428,7 +428,7 @@ impl DcRuntime {
 
     /// Takes the armed replay value for `pid` if `unwrap` accepts it (any
     /// other pending result stays armed).
-    pub fn take_replay<T>(
+    pub(crate) fn take_replay<T>(
         &mut self,
         pid: ProcessId,
         unwrap: impl FnOnce(PendingNd) -> Result<T, PendingNd>,

@@ -71,11 +71,11 @@ pub struct DcConfig {
     /// violates Lose-work re-crashes forever).
     pub max_recoveries: u32,
     /// The fault schedule. [`crate::DcHarness`] arms its `Activate`,
-    /// `Kernel` and `AtExactTime` entries when it is built, before the
-    /// initial snapshots, and fires its other kills in list order, each at
-    /// most once: `AtStart` before the first wake, `AtPosition`/`AtTime`
-    /// at the wake where they fall due (at its `now`), and `InCommit`
-    /// entries tear the named commit point. A kill on a finished process is dropped. Empty
+    /// `Kernel`, `AtStart` and `AtExactTime` entries when it is built,
+    /// before the initial snapshots, and fires its other kills in list
+    /// order, each at most once: `AtPosition`/`AtTime` at the wake where
+    /// they fall due (at its `now`), and `InCommit` entries tear the named
+    /// commit point. A kill on a finished process is dropped. Empty
     /// by default, which costs one emptiness check per wake and per commit
     /// point.
     pub faults: Vec<Fault>,
@@ -217,7 +217,7 @@ pub struct ProcState {
     /// Destination of every send and sender of every receive executed
     /// since the last commit or restore, in order. The next commit folds
     /// them into `committed`'s `send_seqs` and `consumed` with
-    /// [`bump_count`] and releases on those channels what both ends have
+    /// `bump_count` and releases on those channels what both ends have
     /// committed past, so a commit pays for the channels that moved and
     /// not for every channel the process has.
     pub sent_to: Vec<u32>,
@@ -268,7 +268,10 @@ impl ProcState {
 /// Adds one to `key`'s count in a sparse, key-sorted count list (absent
 /// keys are at zero): the shape of [`CommittedState::send_seqs`] and
 /// [`CommittedState::consumed`].
-pub fn bump_count<N: Copy + From<u8> + std::ops::AddAssign>(counts: &mut Vec<(u32, N)>, key: u32) {
+pub(crate) fn bump_count<N: Copy + From<u8> + std::ops::AddAssign>(
+    counts: &mut Vec<(u32, N)>,
+    key: u32,
+) {
     match counts.binary_search_by_key(&key, |e| e.0) {
         Ok(i) => counts[i].1 += N::from(1),
         Err(i) => counts.insert(i, (key, N::from(1))),
@@ -283,20 +286,20 @@ pub fn count_of<N: Copy + Default>(counts: &[(u32, N)], key: u32) -> N {
 }
 
 /// Serializes the allocator for the committed register/control blob.
-pub fn encode_alloc(alloc: &ft_mem::alloc::Allocator) -> Vec<u8> {
+fn encode_alloc(alloc: &ft_mem::alloc::Allocator) -> Vec<u8> {
     alloc.to_bytes()
 }
 
 /// Serializes the allocator into a recycled buffer — the per-commit hot
 /// path reuses the previous snapshot's blob allocation instead of making
 /// a fresh one per checkpoint.
-pub fn encode_alloc_into(alloc: &ft_mem::alloc::Allocator, out: &mut Vec<u8>) {
+pub(crate) fn encode_alloc_into(alloc: &ft_mem::alloc::Allocator, out: &mut Vec<u8>) {
     out.clear();
     alloc.to_bytes_into(out);
 }
 
 /// Deserializes a committed allocator blob.
-pub fn decode_alloc(blob: &[u8]) -> ft_mem::alloc::Allocator {
+pub(crate) fn decode_alloc(blob: &[u8]) -> ft_mem::alloc::Allocator {
     ft_mem::alloc::Allocator::from_bytes(blob).expect("committed allocator blob is well-formed")
 }
 

@@ -39,7 +39,7 @@ static ALLOC: Counting = Counting;
 
 /// Runs `f`, returning its result and the heap blocks it allocated (a
 /// `realloc` counts as one).
-pub fn blocks_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
+pub(crate) fn blocks_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = BLOCKS.load(Relaxed);
     let out = f();
     (out, BLOCKS.load(Relaxed) - before)

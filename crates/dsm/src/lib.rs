@@ -65,7 +65,7 @@ pub enum BarrierStatus {
 /// state lives in the arena.
 ///
 /// The offsets are a pure function of `(layout, my, n_nodes, n_pages)`:
-/// [`Dsm::init`] is the first thing a process allocates, the allocator is
+/// `Dsm::init` is the first thing a process allocates, the allocator is
 /// deterministic, and a rollback to the initial commit resets it, so every
 /// start and every re-execution lands on the same offsets. A process
 /// therefore [`attach`](Dsm::attach)es its handle once, at construction,
@@ -95,7 +95,7 @@ const C_MASK_EVEN: usize = 24;
 const C_MASK_ODD: usize = 32;
 const C_LOCK_PHASE: usize = 40;
 /// Bytes of control state.
-pub const CTRL_SIZE: usize = 48;
+const CTRL_SIZE: usize = 48;
 
 impl Dsm {
     /// Initializes a DSM endpoint for node `my` of `n_nodes`, allocating
@@ -108,7 +108,7 @@ impl Dsm {
     /// # Panics
     ///
     /// Panics if `n_nodes > 64` (the parity masks are single words).
-    pub fn init(mem: &mut Mem, my: u32, n_nodes: u32, n_pages: usize) -> MemResult<Self> {
+    fn init(mem: &mut Mem, my: u32, n_nodes: u32, n_pages: usize) -> MemResult<Self> {
         assert!(n_nodes <= 64, "parity masks hold at most 64 nodes");
         let region_off = mem.alloc.alloc(&mut mem.arena, n_pages * DSM_PAGE)?;
         let twin_off = mem.alloc.alloc(&mut mem.arena, n_pages * DSM_PAGE)?;
@@ -130,7 +130,7 @@ impl Dsm {
         })
     }
 
-    /// The handle [`Dsm::init`] returns in a fresh arena of `layout`,
+    /// The handle `Dsm::init` returns in a fresh arena of `layout`,
     /// computed on a scratch arena. Call once, when the process object is
     /// built; its init step then runs [`Dsm::init_attached`] on the live
     /// arena.
@@ -290,15 +290,9 @@ impl Dsm {
     /// access record. For protocol internals (diff computation, twin
     /// maintenance) and replica-local initialization — application reads
     /// of live shared data should go through [`Dsm::read`].
-    pub fn read_raw(&self, mem: &Mem, off: usize, len: usize) -> MemResult<Vec<u8>> {
+    fn read_raw(&self, mem: &Mem, off: usize, len: usize) -> MemResult<Vec<u8>> {
         self.check(off, len)?;
         Ok(mem.arena.read(self.region_off + off, len)?.to_vec())
-    }
-
-    /// Reads a [`Pod`] value without reporting an access record.
-    pub fn read_pod_raw<T: Pod>(&self, mem: &Mem, off: usize) -> MemResult<T> {
-        self.check(off, T::SIZE)?;
-        mem.arena.read_pod(self.region_off + off)
     }
 
     /// Writes bytes at a region-relative offset, marking the touched DSM
@@ -810,7 +804,7 @@ mod tests {
         let mut mem = big_mem();
         let dsm = Dsm::init(&mut mem, 0, 2, 4).unwrap();
         dsm.write_pod_raw(&mut mem, 100, 0xABCDu64).unwrap();
-        assert_eq!(dsm.read_pod_raw::<u64>(&mem, 100).unwrap(), 0xABCD);
+        assert_eq!(dsm.read_raw(&mem, 100, 8).unwrap(), 0xABCDu64.to_le_bytes());
         let diffs = my_diffs(&dsm, &mem);
         assert_eq!(diffs.len(), 1);
         assert_eq!(diffs[0].page, 0);
@@ -957,7 +951,7 @@ mod tests {
         let dsm = Dsm::init(&mut mem, 0, 2, 2).unwrap();
         assert!(dsm.read_raw(&mem, 2 * DSM_PAGE - 4, 8).is_err());
         assert!(dsm.write_pod_raw(&mut mem, 2 * DSM_PAGE, 0u64).is_err());
-        assert!(dsm.read_pod_raw::<u64>(&mem, usize::MAX - 100).is_err());
+        assert!(dsm.read_raw(&mem, usize::MAX - 100, 8).is_err());
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! protocols see lock traffic as ordinary messages, and the task-farm
 //! kill sweep (`ft-bench/tests/taskfarm_recovery.rs`) kills workers
 //! mid-critical-section *and the manager itself* under every Figure 8
-//! protocol. The one structural requirement is [`LockServer::service`]'s
+//! protocol. The one structural requirement is `LockServer::service`'s
 //! compute → send → mutate ordering (see its docs).
 //!
 //! ## Wire protocol (bincode, tagged)
@@ -44,7 +44,7 @@ use crate::Dsm;
 
 /// A lock-protocol message.
 #[derive(Debug, Clone)]
-pub enum LockMsg {
+pub(crate) enum LockMsg {
     /// Acquire request.
     Req {
         /// Lock id.
@@ -70,7 +70,7 @@ pub enum LockMsg {
 impl LockMsg {
     /// Serializes for the wire: a variant tag byte, the lock id, and (for
     /// Grant/Rel) a length-prefixed diff payload.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match self {
             LockMsg::Req { lock } => {
@@ -92,7 +92,7 @@ impl LockMsg {
     }
 
     /// Deserializes from the wire.
-    pub fn decode(bytes: &[u8]) -> MemResult<Self> {
+    pub(crate) fn decode(bytes: &[u8]) -> MemResult<Self> {
         let bad = MemFault::InvariantViolated { check: 0xD9 };
         let mut r = ft_mem::diff::Reader::new(bytes);
         let msg = match r.u8().map_err(|_| bad)? {
@@ -217,14 +217,14 @@ const NO_HOLDER: u64 = u64::MAX;
 /// loop: construct once (allocating manager state), then call
 /// [`LockServer::service`] for each received message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LockServer {
+struct LockServer {
     base: usize,
     n_locks: u32,
 }
 
 impl LockServer {
     /// Allocates manager state for `n_locks` locks.
-    pub fn init(mem: &mut Mem, n_locks: u32) -> MemResult<Self> {
+    fn init(mem: &mut Mem, n_locks: u32) -> MemResult<Self> {
         let base = mem
             .alloc
             .alloc(&mut mem.arena, n_locks as usize * SLOT_BYTES)?;
@@ -255,7 +255,7 @@ impl LockServer {
     /// grant itself is deduplicated by the network). Mutating before the
     /// send would make re-execution see an already-transferred lock and
     /// crash-loop on the holder invariant.
-    pub fn service(&self, sys: &mut dyn SysMem, from: ProcessId, msg: &LockMsg) -> MemResult<()> {
+    fn service(&self, sys: &mut dyn SysMem, from: ProcessId, msg: &LockMsg) -> MemResult<()> {
         match msg {
             LockMsg::Req { lock } => {
                 let slot = self.slot(*lock)?;
@@ -333,7 +333,7 @@ impl LockServer {
     }
 }
 
-/// A ready-made lock-manager process: wraps [`LockServer`] in the two-step
+/// A ready-made lock-manager process: wraps `LockServer` in the two-step
 /// receive/service loop the one-event-per-step discipline requires, and
 /// terminates after a known number of releases.
 ///

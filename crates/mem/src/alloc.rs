@@ -18,13 +18,13 @@ use crate::arena::{Arena, Region};
 use crate::error::{MemFault, MemResult};
 
 /// Leading guard word.
-pub const GUARD_HEAD: u64 = 0xFEED_FACE_CAFE_BEEF;
+const GUARD_HEAD: u64 = 0xFEED_FACE_CAFE_BEEF;
 /// Trailing guard word.
-pub const GUARD_TAIL: u64 = 0xDEAD_C0DE_DEAD_C0DE;
+const GUARD_TAIL: u64 = 0xDEAD_C0DE_DEAD_C0DE;
 
 const WORD: usize = 8;
 /// Per-allocation overhead: head guard, size word, tail guard.
-pub const ALLOC_OVERHEAD: usize = 3 * WORD;
+const ALLOC_OVERHEAD: usize = 3 * WORD;
 
 /// One live allocation: `data_off` points at usable bytes of length `size`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,11 +67,6 @@ impl Allocator {
         self.bump
     }
 
-    /// Start of the heap region this allocator manages.
-    pub fn heap_start(&self) -> usize {
-        self.heap_start
-    }
-
     /// Number of live allocations.
     #[cfg(test)]
     fn live_count(&self) -> usize {
@@ -85,17 +80,6 @@ impl Allocator {
     /// [`MemFault::OutOfMemory`] when neither the free list nor the bump
     /// region can satisfy the request.
     pub fn alloc(&mut self, arena: &mut Arena, size: usize) -> MemResult<usize> {
-        self.alloc_inner(arena, size, true)
-    }
-
-    /// Allocates without zeroing the data bytes — the *initialization
-    /// fault* of §4.1 ("neglecting to initialize a variable"): whatever
-    /// stale bytes occupy the block leak through.
-    pub fn alloc_uninit(&mut self, arena: &mut Arena, size: usize) -> MemResult<usize> {
-        self.alloc_inner(arena, size, false)
-    }
-
-    fn alloc_inner(&mut self, arena: &mut Arena, size: usize, zero: bool) -> MemResult<usize> {
         let total = size + ALLOC_OVERHEAD;
         // First fit from the free list.
         let mut block: Option<usize> = None;
@@ -123,9 +107,7 @@ impl Allocator {
         arena.write_pod(off, GUARD_HEAD)?;
         arena.write_pod(off + WORD, size as u64)?;
         let data_off = off + 2 * WORD;
-        if zero {
-            arena.fill(data_off, size, 0)?;
-        }
+        arena.fill(data_off, size, 0)?;
         arena.write_pod(data_off + size, GUARD_TAIL)?;
         let pos = self.live.partition_point(|a| a.data_off < data_off);
         self.live.insert(pos, Allocation { data_off, size });
@@ -275,17 +257,6 @@ mod tests {
         assert_eq!(arena.read_pod::<u64>(off + 64).unwrap(), GUARD_TAIL);
         assert!(alloc.check_integrity(&arena).is_ok());
         assert_eq!(alloc.live_count(), 1);
-    }
-
-    #[test]
-    fn alloc_uninit_leaks_stale_bytes() {
-        let (mut arena, mut alloc) = setup();
-        let a = alloc.alloc(&mut arena, 32).unwrap();
-        arena.write(a, &[0xAA; 32]).unwrap();
-        alloc.free(&arena, a).unwrap();
-        let b = alloc.alloc_uninit(&mut arena, 32).unwrap();
-        assert_eq!(b, a, "free list reuses the block");
-        assert_eq!(arena.read(b, 32).unwrap(), &[0xAA; 32]);
     }
 
     #[test]

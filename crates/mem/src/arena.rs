@@ -281,7 +281,7 @@ impl Arena {
     /// given layout — a recovered state, with nothing to undo and no
     /// write trapped. `None` if the image is not exactly the layout's
     /// size.
-    pub fn from_image(layout: Layout, image: Vec<u8>) -> Option<Self> {
+    pub(crate) fn from_image(layout: Layout, image: Vec<u8>) -> Option<Self> {
         let pages = layout.total_pages();
         (image.len() == pages * PAGE_SIZE).then(|| Arena {
             layout,

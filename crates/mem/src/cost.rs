@@ -18,7 +18,7 @@
 use crate::arena::CommitRecord;
 
 /// Nanoseconds, the simulation time unit.
-pub type Nanos = u64;
+type Nanos = u64;
 
 /// Cost model for Rio reliable-memory commits (Discount Checking).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,7 +84,7 @@ impl DiskModel {
         clippy::cast_possible_truncation,
         reason = "bytes * 1e9 / bandwidth fits u64 for any realistic transfer (< ~584 years of ns)"
     )]
-    pub fn write_cost(&self, bytes: usize) -> Nanos {
+    fn write_cost(&self, bytes: usize) -> Nanos {
         self.latency_ns
             + (bytes as u128 * 1_000_000_000 / self.bandwidth_bytes_per_sec as u128) as Nanos
     }
@@ -95,7 +95,7 @@ impl DiskModel {
         clippy::cast_possible_truncation,
         reason = "bytes * 1e9 / bandwidth fits u64 for any realistic transfer (< ~584 years of ns)"
     )]
-    pub fn append_cost(&self, bytes: usize) -> Nanos {
+    fn append_cost(&self, bytes: usize) -> Nanos {
         self.latency_ns / 4
             + (bytes as u128 * 1_000_000_000 / self.bandwidth_bytes_per_sec as u128) as Nanos
     }
@@ -160,7 +160,7 @@ impl DurableModel {
 
     /// Time to append a small log record riding the group commit (no
     /// fsync of its own).
-    pub fn append_cost(&self, bytes: usize) -> Nanos {
+    fn append_cost(&self, bytes: usize) -> Nanos {
         self.per_record_ns + self.transfer_cost(bytes)
     }
 }

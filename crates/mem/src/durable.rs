@@ -86,9 +86,9 @@ pub const LOG_FILE: &str = "redo.log";
 /// Checkpoint file name inside a store directory.
 pub const CHECKPOINT_FILE: &str = "checkpoint.img";
 /// Transient checkpoint being built (renamed over [`CHECKPOINT_FILE`]).
-pub const CHECKPOINT_TMP: &str = "checkpoint.tmp";
+const CHECKPOINT_TMP: &str = "checkpoint.tmp";
 /// Durability-watermark journal file name.
-pub const WATERMARK_FILE: &str = "watermark";
+const WATERMARK_FILE: &str = "watermark";
 
 /// On-disk format version written and accepted by this build.
 pub const FORMAT_VERSION: u32 = 2;
@@ -97,7 +97,7 @@ const LOG_MAGIC: &[u8; 4] = b"FTDL";
 const CKPT_MAGIC: &[u8; 4] = b"FTDC";
 /// Log header: magic(4) ver(4) layout(24) base_seq(8) crc(4).
 const LOG_HEADER_BYTES: usize = 44;
-/// Log header length as a file offset (u64 twin of [`LOG_HEADER_BYTES`]).
+/// Log header length as a file offset (u64 twin of `LOG_HEADER_BYTES`).
 pub const LOG_HEADER_LEN: u64 = LOG_HEADER_BYTES as u64;
 
 /// Byte offset of the log-header CRC within the header.
@@ -213,7 +213,7 @@ pub struct DurableOptions {
     pub fsync: FsyncPolicy,
     /// Seeded durability bug (`None` for the honest backend).
     pub mutation: DurableMutation,
-    /// Journal the durable log length to [`WATERMARK_FILE`] after every
+    /// Journal the durable log length to `WATERMARK_FILE` after every
     /// real fsync. `kill -9` does not lose the page cache, so a harness
     /// emulating *power* loss truncates the log back to this watermark —
     /// everything past it was written but never acknowledged durable.
@@ -385,7 +385,8 @@ impl DurableStore {
     }
 
     /// Commits acknowledged since the last fsync (group-commit window).
-    pub fn pending_sync(&self) -> u32 {
+    #[cfg(test)]
+    fn pending_sync(&self) -> u32 {
         self.pending_sync
     }
 

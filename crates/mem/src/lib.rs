@@ -58,16 +58,4 @@ pub mod mem;
 pub mod pod;
 pub mod vec;
 
-pub use alloc::Allocator;
-pub use arena::{
-    Arena, ArenaStats, CommitRecord, Layout, Region, FNV_OFFSET, FNV_PRIME, PAGE_SIZE,
-};
-pub use cost::{DiskModel, DurableModel, Medium, Nanos, RioModel};
-pub use durable::{
-    DurableError, DurableMutation, DurableOptions, DurableResult, DurableStore, FsyncPolicy,
-    RecoveryInfo,
-};
-pub use error::{MemFault, MemResult};
-pub use mem::{ArenaCell, Mem};
-pub use pod::Pod;
-pub use vec::ArenaVec;
+pub use arena::{Region, FNV_OFFSET, FNV_PRIME, PAGE_SIZE};

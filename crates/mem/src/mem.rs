@@ -83,9 +83,6 @@ impl<T: Pod> ArenaCell<T> {
     }
 }
 
-/// Size of a persisted [`ArenaVec`] handle.
-pub const VEC_HANDLE_SIZE: usize = 24;
-
 impl<T: Pod> ArenaVec<T> {
     /// Persists this handle (offset/len/cap) at a fixed arena offset, so it
     /// rolls back with the arena.

@@ -61,7 +61,7 @@ impl<T: Pod> ArenaVec<T> {
     /// in debug and release builds so an injected trial's outcome does
     /// not depend on overflow checks. Callers bounds-check against `len`
     /// before trusting the offset.
-    pub fn element_offset(&self, i: usize) -> usize {
+    fn element_offset(&self, i: usize) -> usize {
         self.data_off.wrapping_add(i.wrapping_mul(T::SIZE))
     }
 
@@ -188,7 +188,7 @@ impl<T: Pod> ArenaVec<T> {
         clippy::cast_possible_truncation,
         reason = "handle triples were usize when persisted and the arena stays far below 4 GiB"
     )]
-    pub fn from_handle_triple(data_off: u64, len: u64, cap: u64) -> Self {
+    pub(crate) fn from_handle_triple(data_off: u64, len: u64, cap: u64) -> Self {
         ArenaVec {
             data_off: data_off as usize,
             len: len as usize,

@@ -64,12 +64,12 @@ impl CostModel {
         clippy::cast_possible_truncation,
         reason = "bytes * 1e9 / bandwidth fits u64 for any realistic transfer (< ~584 years of ns)"
     )]
-    pub fn net_transfer_ns(&self, bytes: usize) -> SimTime {
+    fn net_transfer_ns(&self, bytes: usize) -> SimTime {
         (bytes as u128 * 1_000_000_000 / self.net_bytes_per_sec as u128) as SimTime
     }
 
     /// Full one-way message time: latency + transfer.
-    pub fn net_delivery_ns(&self, bytes: usize) -> SimTime {
+    pub(crate) fn net_delivery_ns(&self, bytes: usize) -> SimTime {
         self.net_latency_ns + self.net_transfer_ns(bytes)
     }
 }

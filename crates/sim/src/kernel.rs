@@ -80,7 +80,8 @@ impl Kernel {
     }
 
     /// Remaining disk space.
-    pub fn disk_free(&self) -> u64 {
+    #[cfg(test)]
+    fn disk_free(&self) -> u64 {
         self.disk_free
     }
 
@@ -105,7 +106,7 @@ impl Kernel {
 
     /// Clears any armed corruption and the panic flag — what a reboot does
     /// to an in-memory kernel bug.
-    pub fn reboot(&mut self) {
+    pub(crate) fn reboot(&mut self) {
         self.corrupt_plan = None;
         self.panicked = false;
     }
@@ -113,7 +114,7 @@ impl Kernel {
     /// Called by the syscall layer on every serviced call; returns true if
     /// this call's result must be corrupted. Decrements the corruption
     /// budget and panics the kernel when it runs out.
-    pub fn tick_corruption(&mut self, now: u64) -> bool {
+    pub(crate) fn tick_corruption(&mut self, now: u64) -> bool {
         match self.corrupt_plan {
             Some((start, _)) if now < start => false,
             None => false,
@@ -131,7 +132,7 @@ impl Kernel {
 
     /// Corrupts a byte buffer in place (used when
     /// [`Kernel::tick_corruption`] fired).
-    pub fn corrupt_bytes(&mut self, bytes: &mut [u8]) {
+    pub(crate) fn corrupt_bytes(&mut self, bytes: &mut [u8]) {
         if bytes.is_empty() {
             return;
         }
@@ -141,7 +142,7 @@ impl Kernel {
     }
 
     /// Corrupts a scalar value.
-    pub fn corrupt_u64(&mut self, v: u64) -> u64 {
+    pub(crate) fn corrupt_u64(&mut self, v: u64) -> u64 {
         v ^ (1 << self.rng.below(64))
     }
 
@@ -233,7 +234,7 @@ impl Kernel {
     }
 
     /// Clones the whole filesystem (test/inspection helper).
-    pub fn files_snapshot(&self) -> HashMap<String, Vec<u8>> {
+    pub(crate) fn files_snapshot(&self) -> HashMap<String, Vec<u8>> {
         self.files
             .iter()
             .map(|f| (f.name.clone(), f.data.clone()))

@@ -30,13 +30,9 @@ pub mod sim;
 pub mod syscalls;
 pub mod wheel;
 
-pub use cost::{CostModel, SimTime, MS, SEC, US};
-pub use harness::{run_plain_on, PlainReport, PlainSys};
-pub use kernel::{Kernel, KernelSnapshot};
-pub use net::{Network, SendOutcome};
-pub use rng::SplitMix64;
-pub use script::{InputScript, SignalSchedule};
-pub use sim::{SimConfig, Simulator, StepOutcome, SysCtx, Wake};
-pub use syscalls::{
-    App, AppStatus, Message, Payload, SysError, SysMem, SysResult, Syscalls, WaitCond,
-};
+pub use cost::{SimTime, MS, SEC, US};
+
+pub use kernel::Kernel;
+pub use net::Network;
+
+pub use syscalls::{App, AppStatus};

@@ -35,7 +35,7 @@
 //! allocate per message: a retained message holds its bytes in place up to
 //! [`crate::syscalls::PAYLOAD_INLINE`] (a larger [`Payload`] shares one
 //! buffer with every delivery) and its dependency snapshot in place up to
-//! [`ft_core::protocol::DEP_INLINE`] members, so buffering a message and
+//! `ft_core::protocol::DEP_INLINE` members, so buffering a message and
 //! delivering a copy of it are byte copies. `tests/net_differential.rs`
 //! holds the tree-based fabric this replaced, which keeps every message, as
 //! the model both are checked against.
@@ -654,7 +654,7 @@ impl Network {
     /// buffered, unconsumed, and actually arrived (an [`UNDELIVERED`]
     /// channel head is still in the transport's hands — the retransmission
     /// timer, not the receiver, owns the next wake for it).
-    pub fn earliest_pending(&self, to: ProcessId) -> Option<SimTime> {
+    pub(crate) fn earliest_pending(&self, to: ProcessId) -> Option<SimTime> {
         self.rows
             .get(to.index())?
             .chans

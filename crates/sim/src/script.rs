@@ -81,7 +81,7 @@ impl InputScript {
     /// Takes the next input if it is due at `now`. In relative mode the
     /// first poll after the previous input *arms* the next one (`now +
     /// think`) and returns `None`; block on input and retry.
-    pub fn take_due(&mut self, now: SimTime) -> Option<Payload> {
+    pub(crate) fn take_due(&mut self, now: SimTime) -> Option<Payload> {
         let (delay, _) = self.items.get(self.cursor)?;
         let due = if self.relative {
             match self.armed {
@@ -106,7 +106,7 @@ impl InputScript {
 
     /// Time of the next pending input (in relative mode, only known once
     /// armed by a poll).
-    pub fn next_time(&self) -> Option<SimTime> {
+    pub(crate) fn next_time(&self) -> Option<SimTime> {
         let (t, _) = self.items.get(self.cursor)?;
         Some(if self.relative { self.armed? } else { *t })
     }
@@ -123,7 +123,7 @@ impl InputScript {
 
     /// Rolls the cursor back (recovery: the user "retypes" the lost input —
     /// fixed non-determinism re-resolves identically, at typing speed).
-    pub fn set_cursor(&mut self, cursor: usize) {
+    pub(crate) fn set_cursor(&mut self, cursor: usize) {
         assert!(cursor <= self.items.len(), "cursor beyond script");
         self.cursor = cursor;
         self.armed = None;
@@ -163,7 +163,7 @@ impl SignalSchedule {
     }
 
     /// Takes the next signal if due.
-    pub fn take_due(&mut self, now: SimTime) -> Option<u32> {
+    pub(crate) fn take_due(&mut self, now: SimTime) -> Option<u32> {
         let (t, signo) = self.items.get(self.cursor)?;
         if *t <= now {
             self.cursor += 1;
@@ -174,7 +174,7 @@ impl SignalSchedule {
     }
 
     /// Delivery times (for scheduler wakeups).
-    pub fn pending_times(&self) -> impl Iterator<Item = SimTime> + '_ {
+    pub(crate) fn pending_times(&self) -> impl Iterator<Item = SimTime> + '_ {
         self.items[self.cursor..].iter().map(|(t, _)| *t)
     }
 
@@ -184,7 +184,7 @@ impl SignalSchedule {
     }
 
     /// Rolls the cursor back.
-    pub fn set_cursor(&mut self, cursor: usize) {
+    pub(crate) fn set_cursor(&mut self, cursor: usize) {
         assert!(cursor <= self.items.len(), "cursor beyond schedule");
         self.cursor = cursor;
     }

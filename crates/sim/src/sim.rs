@@ -565,7 +565,7 @@ impl Simulator {
 
     /// Adds a one-off scheduling delay to another process (used to charge
     /// remote participants their coordinated-commit time).
-    pub fn delay_process(&mut self, pid: ProcessId, ns: SimTime) {
+    fn delay_process(&mut self, pid: ProcessId, ns: SimTime) {
         self.pending_delay[pid.index()] += ns;
     }
 
@@ -585,7 +585,7 @@ impl Simulator {
     /// stamping it with `pid`'s current trace position (see
     /// [`ft_core::access`] for how the analyzer recovers happens-before
     /// knowledge from that stamp).
-    pub fn record_shm(&mut self, pid: ProcessId, op: ShmOp) {
+    fn record_shm(&mut self, pid: ProcessId, op: ShmOp) {
         let pos = self.tracer.position(pid);
         self.shm_log.push(ShmRecord { pid, pos, op });
     }
@@ -594,11 +594,6 @@ impl Simulator {
     /// one). Harnesses call this right before [`Simulator::finish`].
     pub fn take_shm_log(&mut self) -> ShmLog {
         std::mem::take(&mut self.shm_log)
-    }
-
-    /// The visible output log in real-time order: (time, process, token).
-    pub fn visible_log(&self) -> &[(SimTime, ProcessId, u64)] {
-        &self.visible_log
     }
 
     /// Finishes the run, yielding the trace, the visible log, and final

@@ -105,7 +105,7 @@ impl Payload {
     /// Mutable access for the rare in-kernel corruption fault path. A
     /// payload held in place is this holder's own copy already; a shared
     /// buffer is unshared first, so other holders keep the pristine bytes.
-    pub fn make_mut(&mut self) -> &mut [u8] {
+    pub(crate) fn make_mut(&mut self) -> &mut [u8] {
         match &mut self.0 {
             Bytes::Inline { len, bytes } => &mut bytes[..usize::from(*len)],
             Bytes::Shared(shared) => {

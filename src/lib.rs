@@ -42,14 +42,13 @@
 
 pub use ft_apps as apps;
 pub use ft_core as core;
-pub use ft_dc as dc;
 pub use ft_dsm as dsm;
 pub use ft_mem as mem;
 pub use ft_sim as sim;
 
 /// Convenient imports for examples and downstream users.
 pub mod prelude {
-    pub use ft_apps::{BarnesHut, Cad, Editor, GameClient, GameServer, MiniDb};
+    pub use ft_apps::{Cad, Editor, MiniDb};
     pub use ft_core::consistency::{check_consistent_recovery, check_consistent_recovery_multi};
     pub use ft_core::event::{NdSource, ProcessId};
     pub use ft_core::fault::{CrashPoint, Fault};
@@ -57,8 +56,8 @@ pub mod prelude {
     pub use ft_core::savework::check_save_work;
     pub use ft_dc::harness::{DcHarness, DcReport};
     pub use ft_dc::state::DcConfig;
-    pub use ft_sim::harness::{run_plain_on, PlainReport};
-    pub use ft_sim::script::{InputScript, SignalSchedule};
+    pub use ft_sim::harness::run_plain_on;
+    pub use ft_sim::script::InputScript;
     pub use ft_sim::sim::{SimConfig, Simulator};
     pub use ft_sim::syscalls::App;
     pub use ft_sim::{MS, SEC, US};

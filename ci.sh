@@ -26,6 +26,41 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 # breaks a workload's `correct` or `failed` check fails here. Untraced:
 # a traced durable_commit can panic on a fast host (ROADMAP 7(d)).
 benchmark/run.sh --seconds 0 --trace 0 >"$out/benchmark.txt"
+# Its heap metrics are ratios of exact counts at the default seed 11:
+# each is capped here at the value it read when last lowered, so a change
+# that allocates more fails CI, and one that allocates less lowers its
+# line. Only `peak_heap_mib` moves with the host: the peak includes the
+# set-up timing samples, 5 to 41 of them by wall clock, whose Vec then
+# holds 64 to 512 B, so it gets a 512 B allowance.
+heap_ceilings='
+kv108_ff       allocs_per_op 0.063925520823807
+kv108_ff       alloc_bytes_per_op 286.69737042659693
+kv108_ff       peak_heap_mib 18.040695190429688
+kv108_crash    allocs_per_op 0.07707511017711709
+kv108_crash    alloc_bytes_per_op 296.0050654163157
+kv108_crash    peak_heap_mib 21.9288969039917
+nvi_cand       allocs_per_op 0.009356626575900593
+nvi_cand       alloc_bytes_per_op 126.1210942314245
+nvi_cand       peak_heap_mib 0.9318971633911133
+treadmarks_2pc allocs_per_op 0.4007297194844579
+treadmarks_2pc alloc_bytes_per_op 3028.6569370735406
+treadmarks_2pc peak_heap_mib 6.275941848754883
+check_kv       allocs_per_op 277.7694720334553
+check_kv       alloc_bytes_per_op 282063.83533716673
+check_kv       peak_heap_mib 0.4397134780883789
+durable_commit allocs_per_op 0.00025
+durable_commit alloc_bytes_per_op 0.421475
+durable_commit peak_heap_mib 14.624560356140137
+'
+awk 'NR == FNR { if (NF) cap[$1 " " $2] = $3 + ($2 == "peak_heap_mib") * 512 / 2^20; next }
+  ($1 " " $2) in cap {
+    seen[$1 " " $2] = 1
+    if ($3 > cap[$1 " " $2]) { print "ci: " $1 " " $2 " = " $3 " is over its ceiling" > "/dev/stderr"; bad = 1 }
+  }
+  END {
+    for (k in cap) if (!(k in seen)) { print "ci: no " k " in the benchmark output" > "/dev/stderr"; bad = 1 }
+    exit bad
+  }' <(printf '%s' "$heap_ceilings") "$out/benchmark.txt"
 # The harness dependency points down: ft-bench defines the stages and
 # nothing below it may reach back up.
 if cargo tree --offline -e normal -p ft-check -p ft-analyze -p ft-crashtest | grep ft-bench >&2; then

@@ -275,7 +275,7 @@ mod tests {
         b.nd(bb, NdSource::Signal);
         let (_, m) = b.send(bb, a);
         b.recv_logged(a, bb, m);
-        b.coordinated_commit(&[a, bb]);
+        b.coordinated_commit(&[a, bb], &mut Vec::new());
         b.visible(a, 1);
         let t = b.finish();
         assert!(check_save_work(&t).is_ok());
@@ -290,8 +290,8 @@ mod tests {
         b.nd(bb, NdSource::Signal);
         let (_, m) = b.send(bb, a);
         b.recv_logged(a, bb, m);
-        b.coordinated_commit(&[a]);
-        b.coordinated_commit(&[bb]);
+        b.coordinated_commit(&[a], &mut Vec::new());
+        b.coordinated_commit(&[bb], &mut Vec::new());
         let t = b.finish();
         let found = audit_orphan(&t);
         assert!(!found.is_empty());

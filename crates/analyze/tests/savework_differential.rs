@@ -132,7 +132,7 @@ fn mix(n: usize, seed: u64, ops: usize) -> Trace {
                         round.push(ProcessId::from_index(q));
                     }
                 }
-                b.coordinated_commit(&round);
+                b.coordinated_commit(&round, &mut Vec::new());
             }
             _ => {
                 b.fault_activation(p, 1);

@@ -163,6 +163,7 @@ mod tests {
     struct NullSys {
         activations: Vec<u32>,
         mem: Mem,
+        scratch: Vec<u8>,
     }
 
     impl SysMem for NullSys {
@@ -216,12 +217,16 @@ mod tests {
         fn note_fault_activation(&mut self, fault: u32) {
             self.activations.push(fault);
         }
+        fn scratch(&mut self) -> &mut Vec<u8> {
+            &mut self.scratch
+        }
     }
 
     fn sys() -> NullSys {
         NullSys {
             activations: Vec::new(),
             mem: Mem::new(Layout::small()),
+            scratch: Vec::new(),
         }
     }
 

@@ -4,21 +4,25 @@
 //! arena, so a DSM process must not rebuild anything per step. Four things
 //! used to: every `step` of a DSM app re-derived its handle on a
 //! throw-away arena (1.8 arena-sized allocations per event on
-//! `treadmarks`), every barrier send materialized one `Vec` per diff run,
-//! every Barnes-Hut force step boxed each inner node of its quadtree, and
-//! the access stream kept one 32-byte record per field access. All four
-//! are counted here with a counting global allocator, which is why this
-//! file holds exactly one `#[test]`: a second test thread would allocate
-//! into the same counters.
+//! `treadmarks`), every barrier send materialized one `Vec` per diff run
+//! (and later a fresh payload), every Barnes-Hut force step boxed each
+//! inner node of its quadtree, and the access stream kept one 32-byte
+//! record per field access. A lock release also encoded its diffs into a
+//! fresh block and copied them into another. All five are counted here
+//! with a counting global allocator, which is why this file holds exactly
+//! one `#[test]`: a second test thread would allocate into the same
+//! counters.
 
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use ft_apps::scenarios;
 use ft_core::access::ShmLog;
+use ft_core::event::ProcessId;
 use ft_core::protocol::Protocol;
 use ft_dc::harness::DcHarness;
 use ft_dc::state::DcConfig;
+use ft_dsm::lock::{LockStatus, ManagerApp};
 use ft_dsm::{BarrierStatus, Dsm, DSM_PAGE};
 use ft_mem::arena::Layout;
 use ft_mem::error::MemResult;
@@ -95,8 +99,9 @@ fn arena_sized_allocs_while_running(built: scenarios::Built) -> (u64, ShmLog) {
     (during, report.shm)
 }
 
-/// Most allocations any one `barrier_pump` call of [`Sender`] made.
-static MAX_PUMP_ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Most allocations any one `barrier_pump` call of [`Sender`] made, in its
+/// first barrier and in its second.
+static MAX_PUMP_ALLOCS: [AtomicU64; 2] = [AtomicU64::new(0), AtomicU64::new(0)];
 
 /// Runs in every other byte of the page: the most runs a page can carry.
 const RUNS: usize = DSM_PAGE / 2;
@@ -107,8 +112,8 @@ const SENDER_LAYOUT: Layout = Layout {
     heap_pages: 8,
 };
 
-/// Dirties a whole page in `RUNS` one-byte runs, then completes one
-/// barrier, counting what each pump allocates.
+/// Twice over: dirties a whole page in `RUNS` one-byte runs, then
+/// completes a barrier, counting what each pump allocates.
 struct Sender {
     dsm: Dsm,
 }
@@ -116,28 +121,88 @@ struct Sender {
 impl App for Sender {
     fn step(&mut self, sys: &mut dyn SysMem) -> MemResult<AppStatus> {
         let phase: ArenaCell<u64> = ArenaCell::at(0);
+        let dirty_page = |dsm: &Dsm, sys: &mut dyn SysMem, byte: u8| {
+            let m = sys.mem();
+            for i in 0..RUNS {
+                dsm.write_raw(m, 2 * i, &[byte])?;
+            }
+            Ok(())
+        };
         match phase.get(&sys.mem().arena)? {
             0 => {
-                let m = sys.mem();
-                self.dsm.init_attached(m)?;
-                for i in 0..RUNS {
-                    self.dsm.write_raw(m, 2 * i, &[0xFF])?;
-                }
-                phase.set(&mut m.arena, 1)?;
+                self.dsm.init_attached(sys.mem())?;
+                dirty_page(&self.dsm, sys, 0xFF)?;
+                phase.set(&mut sys.mem().arena, 1)?;
                 Ok(AppStatus::Running)
             }
-            1 => {
+            barrier @ (1 | 2) => {
                 let before = ALLOCS.load(Relaxed);
                 let status = self.dsm.barrier_pump(sys)?;
-                MAX_PUMP_ALLOCS.fetch_max(ALLOCS.load(Relaxed) - before, Relaxed);
+                MAX_PUMP_ALLOCS[usize::from(barrier == 2)]
+                    .fetch_max(ALLOCS.load(Relaxed) - before, Relaxed);
                 Ok(match status {
                     BarrierStatus::Done => {
-                        phase.set(&mut sys.mem().arena, 2)?;
+                        dirty_page(&self.dsm, sys, 0x0F)?;
+                        phase.set(&mut sys.mem().arena, barrier + 1)?;
                         AppStatus::Running
                     }
                     BarrierStatus::Working => AppStatus::Running,
                     BarrierStatus::Blocked => AppStatus::Blocked(WaitCond::message()),
                 })
+            }
+            _ => Ok(AppStatus::Done),
+        }
+    }
+
+    fn layout(&self) -> Layout {
+        SENDER_LAYOUT
+    }
+}
+
+/// Most allocations any one `unlock` of [`Locker`] made, in its first
+/// release and in the two after it.
+static MAX_UNLOCK_ALLOCS: [AtomicU64; 2] = [AtomicU64::new(0), AtomicU64::new(0)];
+
+/// The lock manager's process, beside the one [`Locker`].
+const MANAGER: ProcessId = ProcessId(1);
+
+/// Three times: acquires the lock, dirties its page in `RUNS` one-byte
+/// runs, and releases it, counting what each release allocates.
+struct Locker {
+    dsm: Dsm,
+}
+
+impl App for Locker {
+    fn step(&mut self, sys: &mut dyn SysMem) -> MemResult<AppStatus> {
+        let phase: ArenaCell<u64> = ArenaCell::at(0);
+        match phase.get(&sys.mem().arena)? {
+            0 => {
+                self.dsm.init_attached(sys.mem())?;
+                phase.set(&mut sys.mem().arena, 1)?;
+                Ok(AppStatus::Running)
+            }
+            p @ (1 | 3 | 5) => match self.dsm.lock_pump(sys, MANAGER, 0)? {
+                LockStatus::Granted => {
+                    let m = sys.mem();
+                    for i in 0..RUNS {
+                        self.dsm.write_raw(
+                            m,
+                            2 * i,
+                            &[u8::try_from(p).expect("a phase below 7")],
+                        )?;
+                    }
+                    phase.set(&mut m.arena, p + 1)?;
+                    Ok(AppStatus::Running)
+                }
+                LockStatus::Waiting => Ok(AppStatus::Blocked(WaitCond::message())),
+            },
+            p @ (2 | 4 | 6) => {
+                let before = ALLOCS.load(Relaxed);
+                self.dsm.unlock(sys, MANAGER, 0)?;
+                MAX_UNLOCK_ALLOCS[usize::from(p > 2)]
+                    .fetch_max(ALLOCS.load(Relaxed) - before, Relaxed);
+                phase.set(&mut sys.mem().arena, p + 1)?;
+                Ok(AppStatus::Running)
             }
             _ => Ok(AppStatus::Done),
         }
@@ -216,11 +281,32 @@ fn dsm_steps_copy_no_arena_and_a_barrier_send_allocates_no_runs() {
     let sim = Simulator::new(SimConfig::one_node_each(2, 5));
     let report = DcHarness::new(sim, DcConfig::discount_checking(Protocol::Cbndv2pc), apps).run();
     assert!(report.all_done);
-    let max = MAX_PUMP_ALLOCS.load(Relaxed);
-    // The payload, its shared copy, and the runtime's bookkeeping for one
-    // send event — not one allocation per run.
+    let [cold, warm] = MAX_PUMP_ALLOCS.each_ref().map(|m| m.load(Relaxed));
+    // The first barrier also grows the system's scratch buffer, which the
+    // diffs are encoded into, to this page's 4.6 KB of runs: one stash
+    // slot, then two doublings. Not one allocation per run.
     assert!(
-        max > 0 && max <= 16,
-        "{max} allocations in one barrier pump of {RUNS} runs"
+        cold > 0 && cold <= 13,
+        "{cold} allocations in the first barrier pump of {RUNS} runs"
     );
+    // Past it, the encoder allocates nothing and neither does the
+    // runtime's bookkeeping for the send event: what is left is the
+    // payload's one shared copy.
+    assert_eq!(warm, 1, "allocations in a warm barrier pump of {RUNS} runs");
+
+    let dsm = Dsm::attach(SENDER_LAYOUT, 0, 1, 1).expect("the heap holds one page");
+    let apps: Vec<Box<dyn App>> = vec![Box::new(Locker { dsm }), Box::new(ManagerApp::new(1, 3))];
+    let sim = Simulator::new(SimConfig::one_node_each(2, 5));
+    let report = DcHarness::new(sim, DcConfig::discount_checking(Protocol::Cbndv2pc), apps).run();
+    assert!(report.all_done);
+    let [cold, warm] = MAX_UNLOCK_ALLOCS.each_ref().map(|m| m.load(Relaxed));
+    // A release encodes its message into the same scratch buffer. The
+    // first grows it from empty (only a barrier reserves a stash slot),
+    // doubling up to the page's runs; the later ones allocate only their
+    // payload's shared copy, as a warm barrier send does.
+    assert!(
+        cold > 0 && cold <= 12,
+        "{cold} allocations in the first release of {RUNS} runs"
+    );
+    assert_eq!(warm, 1, "allocations in a warm release of {RUNS} runs");
 }

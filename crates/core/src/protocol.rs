@@ -484,28 +484,30 @@ impl DepTracker {
 /// transitive closure of `coordinator`'s dependencies (a participant's own
 /// commit is a Save-work target, so every process *it* depends on must
 /// commit atomically too), always including the coordinator itself.
-/// `deps_of(p)` is process `p`'s current dependency set; the result is
-/// ascending and duplicate-free.
+/// `deps_of(p)` is process `p`'s current dependency set. The result
+/// replaces `out`'s contents, ascending and duplicate-free; `out` also
+/// serves as the closure's frontier, so a caller that keeps it allocates
+/// nothing once it has held a round's participants.
 pub fn coordinated_participants<'a>(
     protocol: Protocol,
     n: usize,
     deps_of: impl Fn(u32) -> &'a DepSet,
     coordinator: u32,
-) -> Vec<ProcessId> {
+    out: &mut Vec<ProcessId>,
+) {
+    out.clear();
     if protocol == Protocol::Cpv2pc {
-        return (0..n).map(ProcessId::from_index).collect();
-    }
-    let mut set = DepSet::new();
-    set.insert(coordinator);
-    let mut frontier = vec![coordinator];
-    while let Some(p) = frontier.pop() {
-        for &d in deps_of(p).iter() {
-            if set.insert(d) {
-                frontier.push(d);
+        out.extend((0..n).map(ProcessId::from_index));
+    } else {
+        let mut set = DepSet::new();
+        out.push(ProcessId(coordinator));
+        while let Some(p) = out.pop() {
+            if set.insert(p.0) {
+                out.extend(deps_of(p.0).iter().copied().map(ProcessId));
             }
         }
+        out.extend(set.iter().copied().map(ProcessId));
     }
-    set.iter().copied().map(ProcessId).collect()
 }
 
 /// One application step of a computation [`drive`] runs.
@@ -564,6 +566,7 @@ pub fn drive(protocol: Protocol, n: usize, steps: &[Step], mask: Option<u64>) ->
         .map(|q| DepTracker::new(ProcessId::from_index(q).0))
         .collect();
     let mut pending: Vec<VecDeque<(ProcessId, MsgId, DepSet)>> = vec![VecDeque::new(); n];
+    let (mut committed, mut ids) = (Vec::new(), Vec::new());
     for (i, &step) in steps.iter().enumerate() {
         let p = step.pid();
         if step == Step::Recv(p) && pending[p.index()].is_empty() {
@@ -573,27 +576,24 @@ pub fn drive(protocol: Protocol, n: usize, steps: &[Step], mask: Option<u64>) ->
         if let Some(mask) = mask {
             (d.before, d.after) = (CommitScope::None, mask >> i & 1 == 1);
         }
-        let committed = match d.before {
-            CommitScope::None => Vec::new(),
-            CommitScope::Local => {
-                b.commit(p);
-                vec![p]
-            }
+        committed.clear();
+        match d.before {
+            CommitScope::None => {}
+            CommitScope::Local => committed.push(b.commit(p).pid),
             CommitScope::Coordinated => {
-                let parts =
-                    coordinated_participants(protocol, n, |q| trackers[q as usize].deps(), p.0);
+                let deps = |q: u32| trackers[q as usize].deps();
+                coordinated_participants(protocol, n, deps, p.0, &mut committed);
                 let control = |b: &mut TraceBuilder, from, to| {
                     let (_, m) = b.send_control(from, to);
                     b.recv_control(to, from, m);
                 };
-                let remotes = || parts.iter().copied().filter(|&q| q != p);
+                let remotes = || committed.iter().copied().filter(|&q| q != p);
                 remotes().for_each(|q| control(&mut b, p, q));
-                b.coordinated_commit(&parts);
+                b.coordinated_commit(&committed, &mut ids);
                 remotes().for_each(|q| control(&mut b, q, p));
-                parts
             }
-        };
-        for q in committed.into_iter().map(ProcessId::index) {
+        }
+        for q in committed.iter().map(|q| q.index()) {
             planners[q].note_committed();
             trackers[q].clear();
         }
@@ -765,8 +765,14 @@ mod tests {
         // NOTE: t0 received t1's snapshot which already includes 2 and 1,
         // but closure also chases what t1/t2 currently hold.
         let trackers = [t0, t1, t2];
-        let parts =
-            coordinated_participants(Protocol::Cbndv2pc, 3, |p| trackers[p as usize].deps(), 0);
+        let mut parts = vec![ProcessId(9)];
+        coordinated_participants(
+            Protocol::Cbndv2pc,
+            3,
+            |p| trackers[p as usize].deps(),
+            0,
+            &mut parts,
+        );
         assert_eq!(parts, [0, 1, 2].map(ProcessId));
     }
 
@@ -774,19 +780,18 @@ mod tests {
     fn participants_of_clean_coordinator_is_just_itself() {
         let trackers = [DepTracker::new(0), DepTracker::new(1)];
         let deps = |p: u32| trackers[p as usize].deps();
-        assert_eq!(
-            coordinated_participants(Protocol::Cbndv2pc, 2, deps, 1),
-            [ProcessId(1)]
-        );
+        let mut parts = Vec::new();
+        coordinated_participants(Protocol::Cbndv2pc, 2, deps, 1, &mut parts);
+        assert_eq!(parts, [ProcessId(1)]);
     }
 
     #[test]
     fn cpv2pc_participants_are_everyone() {
         let trackers = [DepTracker::new(0), DepTracker::new(1), DepTracker::new(2)];
-        assert_eq!(
-            coordinated_participants(Protocol::Cpv2pc, 3, |p| trackers[p as usize].deps(), 1),
-            [0, 1, 2].map(ProcessId)
-        );
+        let deps = |p: u32| trackers[p as usize].deps();
+        let mut parts = vec![ProcessId(2)];
+        coordinated_participants(Protocol::Cpv2pc, 3, deps, 1, &mut parts);
+        assert_eq!(parts, [0, 1, 2].map(ProcessId));
     }
 
     #[test]

@@ -641,7 +641,7 @@ mod tests {
         b.nd(bb, NdSource::Signal);
         let (_, m) = b.send(bb, a);
         b.recv_logged(a, bb, m);
-        b.coordinated_commit(&[a, bb]);
+        b.coordinated_commit(&[a, bb], &mut Vec::new());
         let t = b.finish();
         assert!(check_save_work(&t).is_ok());
     }
@@ -660,7 +660,7 @@ mod tests {
         b.nd(bb, NdSource::Signal);
         let (_, m) = b.send(bb, a);
         b.recv_logged(a, bb, m);
-        b.coordinated_commit(&[a, bb]);
+        b.coordinated_commit(&[a, bb], &mut Vec::new());
         b.visible(a, 1);
         assert!(check_save_work(&b.finish()).is_ok());
     }
@@ -693,8 +693,8 @@ mod tests {
         b.nd(a, NdSource::UserInput);
         let (_, m) = b.send(a, bb);
         b.recv_logged(bb, a, m);
-        b.coordinated_commit(&[a, bb]);
-        b.coordinated_commit(&[bb]);
+        b.coordinated_commit(&[a, bb], &mut Vec::new());
+        b.coordinated_commit(&[bb], &mut Vec::new());
         b.visible(bb, 2);
         assert!(check_save_work(&b.finish()).is_ok());
     }
@@ -711,8 +711,8 @@ mod tests {
         // and B's commit comes causally after A's... A's commit depends on
         // B's nd which is only covered by a commit in a *different* group
         // that does not happen-before A's commit.
-        b.coordinated_commit(&[a]);
-        b.coordinated_commit(&[bb]);
+        b.coordinated_commit(&[a], &mut Vec::new());
+        b.coordinated_commit(&[bb], &mut Vec::new());
         let t = b.finish();
         assert!(check_save_work_orphan(&t).is_err());
     }

@@ -255,21 +255,24 @@ impl TraceBuilder {
 
     /// Records a coordinated (two-phase) commit across `participants`: one
     /// commit event per participant, all sharing an atomic group so the
-    /// Save-work checker treats them as atomic with one another.
+    /// Save-work checker treats them as atomic with one another. The
+    /// events' ids replace `ids`' contents, in `participants`' order.
     ///
     /// The caller is responsible for also recording the coordination
     /// messages if it wants the happens-before edges they induce; the atomic
     /// group alone is what makes the commits cover each other's
     /// dependencies.
-    pub fn coordinated_commit(&mut self, participants: &[ProcessId]) -> Vec<EventId> {
+    pub fn coordinated_commit(&mut self, participants: &[ProcessId], ids: &mut Vec<EventId>) {
         let group = self.next_group;
         self.next_group = group
             .checked_add(1)
             .expect("a trace numbers its rounds in a u32");
-        participants
-            .iter()
-            .map(|&p| self.push_commit(p, Some(group)))
-            .collect()
+        ids.clear();
+        ids.extend(
+            participants
+                .iter()
+                .map(|&p| self.push_commit(p, Some(group))),
+        );
     }
 
     /// Records a crash event.
@@ -371,8 +374,10 @@ mod tests {
         let mut b = TraceBuilder::new(3);
         b.internal(p(2));
         let local = b.commit(p(0));
-        let round = b.coordinated_commit(&[p(0), p(2)]);
-        let next = b.coordinated_commit(&[p(1)]);
+        let mut round = vec![EventId::new(p(1), 9)];
+        b.coordinated_commit(&[p(0), p(2)], &mut round);
+        let mut next = Vec::new();
+        b.coordinated_commit(&[p(1)], &mut next);
         let t = b.finish();
         let ids: Vec<EventId> = t.indexed().map(|(id, _)| id).collect();
         let at = |pid, seq| EventId::new(p(pid), seq);

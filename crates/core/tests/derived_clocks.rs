@@ -187,7 +187,9 @@ fn check(n: usize, seed: u64, ops: usize) {
                         round.push(ProcessId::from_index(q));
                     }
                 }
-                for id in thin.coordinated_commit(&round) {
+                let mut ids = Vec::new();
+                thin.coordinated_commit(&round, &mut ids);
+                for id in ids {
                     dense.event(id);
                 }
             }

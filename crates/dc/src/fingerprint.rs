@@ -136,7 +136,7 @@ mod tests {
         let record = |b: &mut TraceBuilder| {
             let [m, _] = two_sends(b);
             b.recv(P1, P0, m);
-            b.coordinated_commit(&[P0, P1]);
+            b.coordinated_commit(&[P0, P1], &mut Vec::new());
         };
         assert_eq!(fp(record), fp(record));
     }
@@ -304,16 +304,16 @@ mod tests {
             b.commit(P0);
         });
         let round_of_one = fp(|b| {
-            b.coordinated_commit(&[P0]);
+            b.coordinated_commit(&[P0], &mut Vec::new());
         });
         assert_ne!(local, round_of_one);
         // Same commit ids on the same processes, one round or two.
         let one_round = fp(|b| {
-            b.coordinated_commit(&[P0, P1]);
+            b.coordinated_commit(&[P0, P1], &mut Vec::new());
         });
         let two_rounds = fp(|b| {
-            b.coordinated_commit(&[P0]);
-            b.coordinated_commit(&[P1]);
+            b.coordinated_commit(&[P0], &mut Vec::new());
+            b.coordinated_commit(&[P1], &mut Vec::new());
         });
         assert_ne!(one_round, two_rounds);
     }

@@ -1,6 +1,6 @@
 //! The recovery runtime core: commits, snapshots, rollback, and cascades.
 
-use ft_core::event::ProcessId;
+use ft_core::event::{EventId, ProcessId};
 use ft_core::fault::{CommitCrashPoint, CrashPoint, Fault};
 use ft_core::protocol::{coordinated_participants, CommitPlanner, Protocol};
 use ft_sim::cost::SimTime;
@@ -26,6 +26,10 @@ pub struct DcRuntime {
     /// checker can enumerate a canonical run's kill points from the final
     /// counts.
     commit_points: Vec<u64>,
+    /// A coordinated round's participants, their commit costs and their
+    /// commit events: lists kept with their capacity between rounds, so a
+    /// round past warm-up allocates none.
+    round: (Vec<ProcessId>, Vec<SimTime>, Vec<EventId>),
 }
 
 impl DcRuntime {
@@ -44,6 +48,7 @@ impl DcRuntime {
             cfg,
             states,
             commit_points,
+            round: Default::default(),
         }
     }
 
@@ -276,27 +281,23 @@ impl DcRuntime {
             ctx.mark_killed();
             return;
         }
-        let participants = coordinated_participants(
-            self.cfg.protocol,
-            self.states.len(),
-            |q| self.states[q as usize].tracker.deps(),
-            me.0,
-        );
-        self.await_participants(ctx, me, &participants);
-        let costs: Vec<SimTime> = participants
-            .iter()
-            .map(|&q| {
-                let crash = kill.filter(|_| q == me);
-                self.commit_arena(q, ctx.sim_mut(), None, crash)
-            })
-            .collect();
+        let (mut parts, mut costs, mut committed) = std::mem::take(&mut self.round);
+        let deps = |q: u32| self.states[q as usize].tracker.deps();
+        coordinated_participants(self.cfg.protocol, self.states.len(), deps, me.0, &mut parts);
+        self.await_participants(ctx, me, &parts);
+        costs.clear();
+        costs.extend(parts.iter().map(|&q| {
+            let crash = kill.filter(|_| q == me);
+            self.commit_arena(q, ctx.sim_mut(), None, crash)
+        }));
         // Only the recorder knows how many control edges it journals before
         // each commit event; a position that stopped short of them would
         // make a later rollback swallow the round's own commit.
-        let committed = ctx.record_coordinated_commit(&participants, &costs);
-        for (&q, pos) in participants.iter().zip(committed) {
-            self.states[q.index()].committed.trace_pos = pos;
+        ctx.record_coordinated_commit(&parts, &costs, &mut committed);
+        for (&q, id) in parts.iter().zip(&committed) {
+            self.states[q.index()].committed.trace_pos = id.seq + 1;
         }
+        self.round = (parts, costs, committed);
         if kill.is_some() {
             ctx.mark_killed();
         }
@@ -306,18 +307,16 @@ impl DcRuntime {
     /// participant is reachable in both directions. The fault plan's
     /// partitions are finite intervals, so this always terminates: each
     /// backoff advances time, and each abort jumps past the healing of
-    /// every partition blocking the round at that instant.
+    /// every partition blocking the round at that instant. The plan is
+    /// read in place on each attempt, never copied.
     fn await_participants(
         &mut self,
         ctx: &mut SysCtx<'_>,
         me: ProcessId,
         participants: &[ProcessId],
     ) {
-        let Some(plan) = ctx.sim().network().fault_plan().cloned() else {
-            return;
-        };
         let mut attempts: u32 = 0;
-        loop {
+        while let Some(plan) = ctx.sim().network().fault_plan() {
             let now = ctx.now();
             let heal = participants
                 .iter()
@@ -331,16 +330,17 @@ impl DcRuntime {
                 .max();
             let Some(heal) = heal else { break };
             attempts += 1;
+            let backoff = (attempts <= plan.max_retries).then(|| plan.backoff_ns(attempts));
             let st = &mut self.states[me.index()];
             st.stats.twopc_timeouts += 1;
-            if attempts > plan.max_retries {
+            if let Some(backoff) = backoff {
+                ctx.charge(backoff.max(1));
+            } else {
                 // Degraded round: abort, sleep until the blocking
                 // partitions heal, then start a fresh round of retries.
                 st.stats.twopc_aborts += 1;
                 ctx.charge(heal.saturating_sub(now).max(1));
                 attempts = 0;
-            } else {
-                ctx.charge(plan.backoff_ns(attempts).max(1));
             }
         }
     }

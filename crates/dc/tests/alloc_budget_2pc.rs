@@ -6,9 +6,11 @@
 //! every send piggybacks a non-empty dependency snapshot and every receive
 //! unions one in. A [`DepSet`] of at most [`DEP_INLINE`] members is held
 //! in place, so the snapshot, the channel's retained copy and each
-//! delivered copy are byte copies. What a round itself allocates (its
-//! participant and cost lists) is budgeted per round; everything else is
-//! amortised growth of flat columns, which double.
+//! delivered copy are byte copies. A round's own lists (participants,
+//! costs, commit events) live in the runtime and are reused, so what a
+//! round allocates is the dependency sets it outgrows, budgeted per
+//! round; everything else is amortised growth of flat columns, which
+//! double.
 //!
 //! [`DepSet`]: ft_core::protocol::DepSet
 
@@ -83,19 +85,20 @@ fn past_warm_up_dependency_snapshots_and_deliveries_allocate_nothing() {
     let rounds = long.rounds - short.rounds;
     let blocks = long.blocks - short.blocks;
     assert!(sends > 20_000 && sends > 40 * rounds);
-    // A round lists its participants, their commit costs, its remotes and
-    // its commit events: four blocks. In the interval a round closes, a
-    // participant's dependency set may outgrow DEP_INLINE members, and
-    // each change to a set that large builds it anew: budgeted at one
-    // block per participant per round. The columns that double are those
-    // of `alloc_budget.rs`.
-    let per_round = 4 + PROCESSES;
+    // A round's participant, cost and commit-event lists are the
+    // runtime's, kept between rounds: none of them allocates. In the
+    // interval a round closes, a participant's dependency set may outgrow
+    // DEP_INLINE members, and each change to a set that large builds it
+    // anew: budgeted at one block per participant per round, and nothing
+    // else per round. The columns that double are those of
+    // `alloc_budget.rs`.
+    let per_round = PROCESSES;
     let growth = 2 * (2 * CHANNELS + 4 * PROCESSES + 8);
     let budget = per_round * rounds + growth;
     assert!(
         blocks <= budget,
         "{sends} more sends and {rounds} more rounds allocated {blocks} more blocks; the budget \
-         is {budget}: {per_round} per round and {growth} for buffer growth, none per dependency \
-         snapshot or delivery"
+         is {budget}: {per_round} per round for the dependency-set rebuilds alone and {growth} \
+         for buffer growth, none per dependency snapshot or delivery"
     );
 }

@@ -35,7 +35,7 @@ mod wire;
 
 use ft_core::access::ShmOp;
 use ft_mem::arena::{Layout, LINE_SIZE};
-use ft_mem::diff::{self, DiffEvent, DiffWriter, Diffs};
+use ft_mem::diff::{DiffEvent, DiffWriter, Diffs};
 use ft_mem::error::{MemFault, MemResult};
 use ft_mem::mem::{ArenaCell, Mem};
 use ft_mem::pod::Pod;
@@ -326,44 +326,25 @@ impl Dsm {
         Ok(())
     }
 
-    /// Calls `f(page, bytes, twin)` for every dirty page in ascending
-    /// order, both borrowed from the arena.
+    /// Encodes this node's diffs (dirty pages vs. twin, ascending) after
+    /// `header` into `out`, in one pass that scans the arena straight into
+    /// it. Returns the number of page diffs. For lock-race-free programs
+    /// the dirty set at a release is exactly the critical-section writes.
     #[expect(
         clippy::cast_possible_truncation,
         reason = "page numbers are < n_pages, far below u32::MAX"
     )]
-    fn for_each_dirty_page(
-        &self,
-        mem: &Mem,
-        mut f: impl FnMut(u32, &[u8], &[u8]),
-    ) -> MemResult<()> {
+    fn encode_my_diffs(&self, mem: &Mem, header: &[u8], out: &mut Vec<u8>) -> MemResult<u32> {
+        let mut w = DiffWriter::new(out, header);
         for p in 0..self.n_pages {
             if mem.arena.read(self.dirty_off + p, 1)?[0] == 0 {
                 continue;
             }
             let cur = mem.arena.read(self.region_off + p * DSM_PAGE, DSM_PAGE)?;
             let twin = mem.arena.read(self.twin_off + p * DSM_PAGE, DSM_PAGE)?;
-            f(p as u32, cur, twin);
+            w.page_diff(p as u32, cur, twin, DSM_LINES);
         }
-        Ok(())
-    }
-
-    /// Encodes this node's diffs (dirty pages vs. twin) after `header`,
-    /// scanning the arena straight into the payload. Returns the payload
-    /// and the number of page diffs in it. For lock-race-free programs the
-    /// dirty set at a release is exactly the critical-section writes.
-    fn encode_my_diffs(&self, mem: &Mem, header: &[u8]) -> MemResult<(Vec<u8>, u32)> {
-        // Sizing pass, so the payload is allocated once, at its length.
-        let mut section_len = 4;
-        self.for_each_dirty_page(mem, |_, cur, twin| {
-            section_len += diff::page_diff_len(cur, twin, DSM_LINES);
-        })?;
-        let mut w = DiffWriter::begin(header, section_len);
-        self.for_each_dirty_page(mem, |page, cur, twin| {
-            w.page_diff(page, cur, twin, DSM_LINES);
-        })?;
-        let pages = w.pages();
-        Ok((w.finish(), pages))
+        Ok(w.pages())
     }
 
     fn stash_slot(&self, idx: usize) -> usize {
@@ -512,7 +493,8 @@ impl Dsm {
         }
         // Every merged page and run is one of the inputs' or a union of
         // several, so the inputs' lengths bound the merged section.
-        let mut w = DiffWriter::begin(&[], (older.len() + newer.len()).max(4));
+        let mut out = Vec::with_capacity((older.len() + newer.len()).max(4));
+        let mut w = DiffWriter::new(&mut out, &[]);
         let mut open = None;
         let mut run = Vec::new();
         let mut bytes = bytes.into_iter().peekable();
@@ -526,7 +508,7 @@ impl Dsm {
                 run.clear();
             }
         }
-        Ok(w.finish())
+        Ok(out)
     }
 
     /// Pumps the barrier/diff-exchange state machine. Performs at most one
@@ -562,11 +544,19 @@ impl Dsm {
                 let peer = if idx >= self.my { idx + 1 } else { idx };
                 let round = round_c.get(&sys.mem().arena)?;
                 let header = wire::diff_msg_header(round, self.my);
-                let (payload, pages) = self.encode_my_diffs(sys.mem(), &header)?;
+                // Encoded into the system's scratch buffer, which the send
+                // copies from and which then goes back, capacity and all. A
+                // buffer smaller than a stash slot is first grown to one, so
+                // a cold one does not double its way up run by run.
+                let mut payload = std::mem::take(sys.scratch());
+                payload.clear();
+                payload.reserve(header.len() + Self::stash_slot_bytes(self.n_pages));
+                let pages = self.encode_my_diffs(sys.mem(), &header, &mut payload)?;
                 // Diff creation cost: ~1 µs per scanned page.
                 sys.compute(u64::from(pages.max(1)) * US);
                 sys.send(ft_core::event::ProcessId(peer), &payload)
                     .expect("peer exists");
+                *sys.scratch() = payload;
                 send_idx.set(&mut sys.mem().arena, idx as u64 + 1)?;
                 Ok(BarrierStatus::Working)
             }
@@ -686,6 +676,7 @@ mod tests {
         inbox: std::collections::VecDeque<Message>,
         computed: u64,
         shm: Vec<ShmOp>,
+        scratch: Vec<u8>,
     }
 
     impl TestSys {
@@ -696,6 +687,7 @@ mod tests {
                 inbox: Default::default(),
                 computed: 0,
                 shm: Vec::new(),
+                scratch: Vec::new(),
             }
         }
 
@@ -765,11 +757,16 @@ mod tests {
         fn shm_op(&mut self, op: ShmOp) {
             self.shm.push(op);
         }
+        fn scratch(&mut self) -> &mut Vec<u8> {
+            &mut self.scratch
+        }
     }
 
     /// This node's diffs, encoded, then validated and materialized.
     fn my_diffs(dsm: &Dsm, mem: &Mem) -> Vec<PageDiff> {
-        materialize_diffs(&dsm.encode_my_diffs(mem, &[]).unwrap().0).unwrap()
+        let mut out = Vec::new();
+        dsm.encode_my_diffs(mem, &[], &mut out).unwrap();
+        materialize_diffs(&out).unwrap()
     }
 
     /// Applies a diff list to the region, through the wire form.
@@ -909,21 +906,30 @@ mod tests {
         assert_eq!(sys.computed, 3 * US);
     }
 
-    /// The sizing pass predicts the section exactly, so the payload is
-    /// one allocation that never grows.
+    /// One buffer serves every encoding: each one replaces the last,
+    /// header first, and once the buffer has held the largest it never
+    /// grows again. A barrier encodes into the system's scratch.
     #[test]
-    fn encoded_len_prediction_is_exact() {
+    fn encodings_reuse_one_buffer() {
         let mut mem = big_mem();
         let dsm = Dsm::init(&mut mem, 0, 2, 4).unwrap();
+        let mut out = Vec::new();
         for header in [&[][..], &[0xAA; 12][..]] {
-            let (payload, pages) = dsm.encode_my_diffs(&mem, header).unwrap();
-            assert_eq!((payload.len(), pages), (header.len() + 4, 0));
-            assert_eq!(payload.capacity(), payload.len());
+            let pages = dsm.encode_my_diffs(&mem, header, &mut out).unwrap();
+            assert_eq!((out.len(), pages), (header.len() + 4, 0));
         }
         dirty_pattern(&dsm, &mut mem);
-        let (payload, pages) = dsm.encode_my_diffs(&mem, &[0xAA; 12]).unwrap();
-        assert_eq!(pages, 3);
-        assert_eq!(payload.capacity(), payload.len());
+        assert_eq!(dsm.encode_my_diffs(&mem, &[0xAA; 12], &mut out), Ok(3));
+        let (with_header, cap) = (out.clone(), out.capacity());
+        dsm.encode_my_diffs(&mem, &[], &mut out).unwrap();
+        assert_eq!(out, with_header[12..]);
+        dsm.encode_my_diffs(&mem, &[0xAA; 12], &mut out).unwrap();
+        assert_eq!((&out, out.capacity()), (&with_header, cap));
+
+        let mut sys = TestSys::new(mem);
+        assert_eq!(dsm.barrier_pump(&mut sys).unwrap(), BarrierStatus::Working);
+        assert_eq!(dsm.barrier_pump(&mut sys).unwrap(), BarrierStatus::Working);
+        assert_eq!(sys.sent.pop().unwrap().1, sys.scratch);
     }
 
     #[test]

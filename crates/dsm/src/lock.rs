@@ -198,12 +198,27 @@ impl Dsm {
         // critical section's accesses sit between acquire and release in
         // the stream.
         sys.shm_op(ft_core::access::ShmOp::LockRel { lock });
-        let (diffs, _) = self.encode_my_diffs(sys.mem(), &[])?;
-        sys.send(manager, &LockMsg::Rel { lock, diffs }.encode())
-            .expect("manager exists");
+        // Encoded into the system's scratch buffer, which the send copies
+        // from and which then goes back, capacity and all.
+        let mut msg = std::mem::take(sys.scratch());
+        self.encode_rel(sys.mem(), lock, &mut msg)?;
+        sys.send(manager, &msg).expect("manager exists");
+        *sys.scratch() = msg;
         let m = sys.mem();
         self.fold_my_diffs_into_twin(m)?;
         phase.set(&mut m.arena, PHASE_IDLE)?;
+        Ok(())
+    }
+
+    /// Encodes `LockMsg::Rel { lock, diffs }`, `diffs` this node's, into
+    /// `out` in one pass: tag 2, the lock id, then the diffs as a blob
+    /// whose length prefix is written once they are.
+    fn encode_rel(&self, mem: &Mem, lock: u32, out: &mut Vec<u8>) -> MemResult<()> {
+        let mut header = [2; 9];
+        header[1..5].copy_from_slice(&lock.to_le_bytes());
+        self.encode_my_diffs(mem, &header, out)?;
+        let len = u32::try_from(out.len() - 9).expect("a release is far below 4 GiB");
+        out[5..9].copy_from_slice(&len.to_le_bytes());
         Ok(())
     }
 }
@@ -483,6 +498,20 @@ mod tests {
             assert_eq!(format!("{msg:?}"), format!("{back:?}"));
         }
         assert!(LockMsg::decode(&[0xFF, 0xFF, 0xFF]).is_err());
+    }
+
+    /// A release is encoded in one pass, into a buffer it clears, to the
+    /// bytes `LockMsg::Rel` encodes.
+    #[test]
+    fn a_release_encodes_as_its_message() {
+        let mut m = mem();
+        let dsm = Dsm::init(&mut m, 0, 2, 1).unwrap();
+        dsm.write_raw(&mut m, 5, &[7; 3]).unwrap();
+        let mut diffs = Vec::new();
+        dsm.encode_my_diffs(&m, &[], &mut diffs).unwrap();
+        let mut out = vec![0xAA; 3];
+        dsm.encode_rel(&m, 99, &mut out).unwrap();
+        assert_eq!(out, LockMsg::Rel { lock: 99, diffs }.encode());
     }
 
     #[test]

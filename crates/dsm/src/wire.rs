@@ -118,14 +118,15 @@ pub(crate) mod materialized {
 
     /// Writes `diffs` after `header`, page for page and run for run.
     pub(crate) fn encode_diffs(header: &[u8], diffs: &[PageDiff]) -> Vec<u8> {
-        let mut w = DiffWriter::begin(header, 0);
+        let mut out = Vec::new();
+        let mut w = DiffWriter::new(&mut out, header);
         for d in diffs {
             w.page(d.page);
             for (off, run) in &d.runs {
                 w.run(*off, run);
             }
         }
-        w.finish()
+        out
     }
 
     /// Writes a barrier diff message.

@@ -229,15 +229,6 @@ impl Clone for Arena {
     }
 }
 
-/// The pages dirtied since the last commit, in ascending page order
-/// (see [`Arena::dirty_pages`]).
-#[derive(Debug)]
-pub struct DirtyPages<'a> {
-    arena: &'a Arena,
-    /// Undo-log slots, sorted by page.
-    order: Vec<u32>,
-}
-
 /// One page dirtied since the last commit.
 #[derive(Debug, Clone, Copy)]
 pub struct DirtyPage<'a> {
@@ -251,23 +242,6 @@ pub struct DirtyPage<'a> {
     pub before: &'a [u8],
     /// The page's current contents.
     pub after: &'a [u8],
-}
-
-impl<'a> DirtyPages<'a> {
-    /// The dirty pages, ascending.
-    pub fn iter(&self) -> impl Iterator<Item = DirtyPage<'a>> + '_ {
-        let arena = self.arena;
-        self.order.iter().map(move |&slot| {
-            let (page, ref before) = arena.undo[slot as usize];
-            let start = page * PAGE_SIZE;
-            DirtyPage {
-                page,
-                lines: arena.stamps[page].lines,
-                before,
-                after: &arena.data[start..start + PAGE_SIZE],
-            }
-        })
-    }
 }
 
 impl Arena {
@@ -484,18 +458,29 @@ impl Arena {
     /// The pages dirtied since the last commit, ascending, each with the
     /// lines written to it and their before-images from the undo log
     /// (TreadMarks' twin, at no extra copy). The durable backend diffs
-    /// each page's saved lines against them to encode a redo record;
-    /// sorting makes the encoding canonical (equal states produce equal
-    /// log bytes regardless of write order). Allocates one `u32` per page:
-    /// the sort order of the undo log.
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "an undo slot is below the page count, far below u32::MAX"
-    )]
-    pub fn dirty_pages(&self) -> DirtyPages<'_> {
-        let mut order: Vec<u32> = (0..self.undo.len() as u32).collect();
-        order.sort_unstable_by_key(|&slot| self.undo[slot as usize].0);
-        DirtyPages { arena: self, order }
+    /// each page's saved lines against them to encode a redo record; the
+    /// ascending order makes the encoding canonical (equal states produce
+    /// equal log bytes regardless of write order). Allocates nothing: each
+    /// next page is the least dirty one above the last, found by a scan of
+    /// the undo log, so `k` dirty pages cost `k²` steps. The commits that
+    /// walk it dirty a handful of pages (four in `durable_commit`).
+    pub fn dirty_pages(&self) -> impl Iterator<Item = DirtyPage<'_>> + '_ {
+        let mut from = 0;
+        std::iter::from_fn(move || {
+            let (page, before) = self
+                .undo
+                .iter()
+                .filter(|&&(p, _)| p >= from)
+                .min_by_key(|&&(p, _)| p)?;
+            from = page + 1;
+            let start = page * PAGE_SIZE;
+            Some(DirtyPage {
+                page: *page,
+                lines: self.stamps[*page].lines,
+                before,
+                after: &self.data[start..start + PAGE_SIZE],
+            })
+        })
     }
 
     /// Buffers currently parked in the undo-page pool (observability for
@@ -851,7 +836,7 @@ mod tests {
         a.write(3 * PAGE_SIZE, &[2]).unwrap();
         a.write(0, &[5]).unwrap();
         a.write(200, &[6]).unwrap();
-        let pages: Vec<DirtyPage> = a.dirty_pages().iter().collect();
+        let pages: Vec<DirtyPage> = a.dirty_pages().collect();
         let order: Vec<usize> = pages.iter().map(|d| d.page).collect();
         assert_eq!(order, [0, 3], "ascending, not first-touch order");
         assert_eq!(
@@ -872,6 +857,45 @@ mod tests {
         assert!(pages
             .iter()
             .all(|d| d.before.len() == PAGE_SIZE && d.after.len() == PAGE_SIZE));
+    }
+
+    /// `dirty_pages` names exactly the undo log's pages, ascending, for
+    /// few pages and many, through every way an interval ends.
+    #[test]
+    fn dirty_pages_are_the_undo_logs_pages_in_every_interval() {
+        let layout = Layout {
+            globals_pages: 1,
+            stack_pages: 1,
+            heap_pages: 190,
+        };
+        let mut a = Arena::new(layout);
+        let mut state = 0x0D1F_7B17_u64;
+        for interval in 0..64u8 {
+            let i = usize::from(interval);
+            let many = if i % 8 == 7 { 40 } else { 0 };
+            let mut pages: Vec<usize> = (0..1 + i % 9 + many)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    (state >> 33) as usize % layout.total_pages()
+                })
+                .collect();
+            for &p in &pages {
+                a.write(p * PAGE_SIZE + i, &[interval]).unwrap();
+            }
+            pages.sort_unstable();
+            pages.dedup();
+            let walked: Vec<usize> = a.dirty_pages().map(|d| d.page).collect();
+            assert_eq!(walked, pages, "interval {interval}");
+            match interval % 4 {
+                0 => drop(a.commit()),
+                1 => drop(a.rollback_skipping(1)),
+                2 => drop(a.commit_crashed(CommitCrashPoint::MidUndoWalk)),
+                _ => drop(a.rollback()),
+            }
+            assert_eq!(a.dirty_pages().count(), 0, "interval {interval}");
+        }
     }
 
     #[test]
@@ -901,10 +925,10 @@ mod tests {
     fn the_last_line_of_a_page_is_bit_63() {
         let mut a = Arena::new(Layout::small());
         a.write(PAGE_SIZE - 1, &[7]).unwrap();
-        assert_eq!(a.dirty_pages().iter().next().unwrap().lines, 1 << 63);
+        assert_eq!(a.dirty_pages().next().unwrap().lines, 1 << 63);
         a.commit();
         a.write(PAGE_SIZE - 4, &[9; 8]).unwrap();
-        let lines: Vec<(usize, u64)> = a.dirty_pages().iter().map(|d| (d.page, d.lines)).collect();
+        let lines: Vec<(usize, u64)> = a.dirty_pages().map(|d| (d.page, d.lines)).collect();
         assert_eq!(lines, [(0, 1 << 63), (1, 1)]);
         assert_eq!(a.stats().undo_bytes, 3 * LINE_SIZE as u64);
         a.rollback();
@@ -925,7 +949,7 @@ mod tests {
         a.commit();
         a.write(0, &[1]).unwrap();
         a.write(2 * LINE_SIZE + 5, &[2]).unwrap();
-        assert_eq!(a.dirty_pages().iter().next().unwrap().lines, 0b101);
+        assert_eq!(a.dirty_pages().next().unwrap().lines, 0b101);
         a.rollback();
         assert!(a.read(0, LINE_SIZE).unwrap().iter().all(|&b| b == 0xEE));
         assert!(a
@@ -1060,8 +1084,8 @@ mod tests {
         let mut b = a.clone();
         b.write(3 * LINE_SIZE, &[2; 8]).unwrap();
         a.write(5 * LINE_SIZE, &[3; 8]).unwrap();
-        assert_eq!(b.dirty_pages().iter().next().unwrap().lines, 0b1001);
-        assert_eq!(a.dirty_pages().iter().next().unwrap().lines, 0b10_0001);
+        assert_eq!(b.dirty_pages().next().unwrap().lines, 0b1001);
+        assert_eq!(a.dirty_pages().next().unwrap().lines, 0b10_0001);
         b.rollback();
         assert!(b.read(0, PAGE_SIZE).unwrap().iter().all(|&x| x == 0x33));
         assert_eq!(a.read(3 * LINE_SIZE, 1).unwrap(), &[0x33]);

@@ -87,37 +87,28 @@ fn first_difference(cur: &[u8], twin: &[u8], from: usize) -> Option<usize> {
         .map(|i| from + i)
 }
 
-/// Bytes [`DiffWriter::page_diff`] appends for a page: none when the page
-/// equals its twin in the masked lines.
-#[inline]
-pub fn page_diff_len(cur: &[u8], twin: &[u8], lines: u64) -> usize {
-    let mut len = 0;
-    for_each_run(cur, twin, lines, |_, run| len += 8 + run.len());
-    if len > 0 {
-        len += 8;
-    }
-    len
-}
-
 /// The only encoder of a diffs section: open a page, push runs borrowed
 /// from wherever the bytes live, and the two counts (pages in the section,
 /// runs in the open page) are back-patched as they grow — so the encoded
-/// prefix is a well-formed section after every call.
+/// prefix is a well-formed section after every call. It writes into a
+/// buffer its caller owns and reuses, so an encoder kept warm allocates
+/// nothing and needs no sizing pass.
 #[derive(Debug)]
-pub struct DiffWriter {
-    out: Vec<u8>,
+pub struct DiffWriter<'a> {
+    out: &'a mut Vec<u8>,
     pages_at: usize,
     pages: u32,
     runs_at: usize,
     runs: u32,
 }
 
-impl DiffWriter {
-    /// Starts an empty section after `header`, in a buffer sized for a
-    /// section of `section_len` bytes.
+impl<'a> DiffWriter<'a> {
+    /// Clears `out`, keeping its capacity, and starts an empty section in
+    /// it after `header`. The encoded bytes are `out`'s once the writer is
+    /// dropped.
     #[inline]
-    pub fn begin(header: &[u8], section_len: usize) -> Self {
-        let mut out = Vec::with_capacity(header.len() + section_len);
+    pub fn new(out: &'a mut Vec<u8>, header: &[u8]) -> Self {
+        out.clear();
         out.extend_from_slice(header);
         let pages_at = out.len();
         out.extend_from_slice(&0u32.to_le_bytes());
@@ -148,7 +139,7 @@ impl DiffWriter {
         self.runs += 1;
         self.out[self.runs_at..self.runs_at + 4].copy_from_slice(&self.runs.to_le_bytes());
         self.out.extend_from_slice(&off.to_le_bytes());
-        put_blob(&mut self.out, bytes);
+        put_blob(self.out, bytes);
     }
 
     /// Appends the diff of `page` against its twin: every maximal run in
@@ -175,12 +166,6 @@ impl DiffWriter {
     #[inline]
     pub fn pages(&self) -> u32 {
         self.pages
-    }
-
-    /// The header and the finished section.
-    #[inline]
-    pub fn finish(self) -> Vec<u8> {
-        self.out
     }
 }
 
@@ -349,14 +334,23 @@ mod tests {
 
     /// Writes `diffs` after `header`, page for page and run for run.
     fn encode_diffs(header: &[u8], diffs: &[PageDiff]) -> Vec<u8> {
-        let mut w = DiffWriter::begin(header, 0);
+        let mut out = Vec::new();
+        let mut w = DiffWriter::new(&mut out, header);
         for d in diffs {
             w.page(d.page);
             for (off, run) in &d.runs {
                 w.run(*off, run);
             }
         }
-        w.finish()
+        out
+    }
+
+    /// `page`'s diff against `twin` in the lines `lines` masks, as a bare
+    /// section.
+    fn page_section(page: u32, cur: &[u8], twin: &[u8], lines: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        DiffWriter::new(&mut out, &[]).page_diff(page, cur, twin, lines);
+        out
     }
 
     /// What [`Diffs::visit`] streams, materialized.
@@ -422,7 +416,14 @@ mod tests {
         assert_eq!(bytes, want);
         assert_eq!(decode_diffs(&bytes[12..]).unwrap(), sample());
         // An empty section is just its zero count.
-        assert_eq!(DiffWriter::begin(&[], 4).finish(), [0, 0, 0, 0]);
+        assert_eq!(encode_diffs(&[], &[]), [0, 0, 0, 0]);
+        // A reused buffer is cleared, not appended to, and keeps its
+        // capacity: encoding into it again allocates nothing.
+        let mut out = bytes;
+        let cap = out.capacity();
+        DiffWriter::new(&mut out, &HEADER);
+        assert_eq!(out, [&HEADER[..], &[0; 4]].concat());
+        assert_eq!(out.capacity(), cap);
     }
 
     #[test]
@@ -473,14 +474,15 @@ mod tests {
             assert_eq!(decode_diffs(&bytes[8..]).unwrap(), diffs);
             assert_eq!(visited(parse_after(&bytes, 8).unwrap()), diffs);
 
-            let mut w = DiffWriter::begin(&[], 0);
+            let mut out = Vec::new();
+            let mut w = DiffWriter::new(&mut out, &[]);
             for (i, d) in diffs.iter().enumerate() {
                 w.page(d.page);
                 for (off, run) in &d.runs {
                     w.run(*off, run);
                 }
                 assert_eq!(w.pages() as usize, i + 1);
-                assert_eq!(decode_diffs(&w.out).unwrap(), diffs[..=i]);
+                assert_eq!(decode_diffs(w.out).unwrap(), diffs[..=i]);
             }
         }
     }
@@ -501,9 +503,8 @@ mod tests {
     }
 
     /// The word-at-a-time scan finds exactly the maximal runs, at every
-    /// length around a word boundary and every density; `page_diff` opens
-    /// a page only when it has a run, and `page_diff_len` predicts its
-    /// bytes.
+    /// length around a word boundary and every density, and `page_diff`
+    /// opens a page only when it has a run.
     #[test]
     fn page_diff_is_the_maximal_runs() {
         let mut rng = 0x5CA7_0001;
@@ -523,10 +524,7 @@ mod tests {
                 });
                 assert_eq!(got, want, "len {len} density {density}");
 
-                let mut w = DiffWriter::begin(&[], 0);
-                w.page_diff(5, &cur, &twin, u64::MAX);
-                let bytes = w.finish();
-                assert_eq!(bytes.len(), 4 + page_diff_len(&cur, &twin, u64::MAX));
+                let bytes = page_section(5, &cur, &twin, u64::MAX);
                 let pages = decode_diffs(&bytes).unwrap();
                 if want.is_empty() {
                     assert!(pages.is_empty());
@@ -546,8 +544,7 @@ mod tests {
     /// A page that differs from its twin only inside the masked lines
     /// (the twin is garbage elsewhere, as a pooled undo buffer is) diffs
     /// to exactly the full-page runs: adjacent masked lines are one
-    /// stretch, so a run across their boundary stays whole, and
-    /// `page_diff_len` reads the same lines.
+    /// stretch, so a run across their boundary stays whole.
     #[test]
     fn masked_diff_is_the_full_page_diff() {
         const PAGE: usize = 4096;
@@ -565,24 +562,18 @@ mod tests {
                     }
                 }
             }
-            let mut full = DiffWriter::begin(&[], 0);
-            full.page_diff(9, &cur, &twin, u64::MAX);
-            let mut masked = DiffWriter::begin(&[], 0);
-            masked.page_diff(9, &cur, &stale, lines);
-            assert_eq!(masked.finish(), full.finish(), "lines {lines:#x}");
             assert_eq!(
-                page_diff_len(&cur, &stale, lines),
-                page_diff_len(&cur, &twin, u64::MAX)
+                page_section(9, &cur, &stale, lines),
+                page_section(9, &cur, &twin, u64::MAX),
+                "lines {lines:#x}"
             );
         }
         // Sixteen bytes at offset 56 straddle lines 0 and 1: one run.
         let twin = [0u8; PAGE];
         let mut cur = twin;
         cur[56..72].fill(7);
-        let mut w = DiffWriter::begin(&[], 0);
-        w.page_diff(0, &cur, &twin, 0b11);
         assert_eq!(
-            decode_diffs(&w.finish()).unwrap(),
+            decode_diffs(&page_section(0, &cur, &twin, 0b11)).unwrap(),
             [PageDiff {
                 page: 0,
                 runs: vec![(56, vec![7; 16])]

@@ -77,7 +77,7 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use crate::arena::{Arena, CommitRecord, Layout, PAGE_SIZE};
-use crate::diff::{self, DiffWriter};
+use crate::diff::DiffWriter;
 
 pub use decode::{crc32, read_watermark};
 
@@ -324,6 +324,9 @@ pub struct DurableStore {
     base_seq: u64,
     pending_sync: u32,
     opts: DurableOptions,
+    /// The buffer each frame is encoded into, kept with its capacity so a
+    /// commit past warm-up allocates nothing.
+    frame: Vec<u8>,
 }
 
 impl DurableStore {
@@ -357,6 +360,7 @@ impl DurableStore {
             base_seq: 0,
             pending_sync: 0,
             opts,
+            frame: Vec::new(),
         };
         if opts.journal_watermark {
             store.write_watermark()?;
@@ -396,30 +400,13 @@ impl DurableStore {
     }
 
     /// Encodes the next commit's frame from the arena's current dirty
-    /// set, without touching the log or the arena: each dirty page's byte
-    /// runs against its before-image, read in the lines the interval
-    /// saved and nowhere else, pages in ascending index order, so equal
-    /// states produce equal bytes regardless of write order.
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "page indices are bounded by the arena size (< 2^32 pages); the format stores them as u32"
-    )]
-    pub fn stage_commit(&self) -> StagedCommit {
-        let pages = self.arena.dirty_pages();
-        // Sizing pass, so the frame is allocated once, at its length.
-        let section_len = 4 + pages
-            .iter()
-            .map(|d| diff::page_diff_len(d.after, d.before, d.lines))
-            .sum::<usize>();
-        let mut header = [0; FRAME_PREFIX + PAYLOAD_PREFIX];
-        header[FRAME_PREFIX] = TAG_COMMIT;
-        header[FRAME_PREFIX + 1..].copy_from_slice(&(self.seq + 1).to_le_bytes());
-        let mut w = DiffWriter::begin(&header, section_len);
-        for d in pages.iter() {
-            w.page_diff(d.page as u32, d.after, d.before, d.lines);
-        }
+    /// set, without touching the log or the arena: the frame
+    /// [`DurableStore::commit`] would append, encoded into the store's
+    /// buffer and handed out as one block of exactly its length.
+    pub fn stage_commit(&mut self) -> StagedCommit {
+        encode_frame(&self.arena, self.seq + 1, &mut self.frame);
         StagedCommit {
-            frame: seal_frame(w.finish()),
+            frame: self.frame.clone(),
             dirty_pages: self.arena.dirty_page_count(),
         }
     }
@@ -468,13 +455,21 @@ impl DurableStore {
         self.arena.commit()
     }
 
-    /// Commits: stages and appends the redo record, fsyncs per policy,
-    /// then commits the arena. Returns what was persisted. Runs an
-    /// automatic compaction afterwards if the log crossed the
-    /// configured threshold.
+    /// Commits: the staged steps, encoding the redo record into the
+    /// store's frame buffer and appending it, fsyncing per policy, then
+    /// committing the arena. Returns what was persisted. Runs an
+    /// automatic compaction afterwards if the log crossed the configured
+    /// threshold. Past warm-up, and short of a compaction, it allocates
+    /// nothing: the stage borrows the buffer and gives it back.
     pub fn commit(&mut self) -> DurableResult<CommitRecord> {
-        let staged = self.stage_commit();
-        self.append_staged(&staged)?;
+        encode_frame(&self.arena, self.seq + 1, &mut self.frame);
+        let mut staged = StagedCommit {
+            frame: std::mem::take(&mut self.frame),
+            dirty_pages: self.arena.dirty_page_count(),
+        };
+        let appended = self.append_staged(&staged);
+        self.frame = std::mem::take(&mut staged.frame);
+        appended?;
         self.pending_sync += 1;
         match self.opts.fsync {
             FsyncPolicy::Always => self.sync()?,
@@ -592,19 +587,30 @@ fn encode_log_header(layout: Layout, base_seq: u64) -> Vec<u8> {
     h
 }
 
-/// Fills in a frame's prefix once its payload is written: the payload
-/// length, the CRC of that length, the CRC of the payload.
+/// Encodes commit `seq`'s frame into `frame` (cleared first, its capacity
+/// kept) in one pass over the arena's dirty set: each dirty page's byte
+/// runs against its before-image, read in the lines the interval saved
+/// and nowhere else, pages in ascending index order, so equal states
+/// produce equal bytes regardless of write order. The prefix is filled in
+/// once the payload is written: the payload length, the CRC of that
+/// length, the CRC of the payload.
 #[expect(
     clippy::cast_possible_truncation,
-    reason = "a frame holds one commit's runs, far below 4 GiB; the format stores len as u32"
+    reason = "page indices are bounded by the arena size (< 2^32 pages) and a frame holds one commit's runs, far below 4 GiB; the format stores both as u32"
 )]
-fn seal_frame(mut frame: Vec<u8>) -> Vec<u8> {
+fn encode_frame(arena: &Arena, seq: u64, frame: &mut Vec<u8>) {
+    let mut header = [0; FRAME_PREFIX + PAYLOAD_PREFIX];
+    header[FRAME_PREFIX] = TAG_COMMIT;
+    header[FRAME_PREFIX + 1..].copy_from_slice(&seq.to_le_bytes());
+    let mut w = DiffWriter::new(frame, &header);
+    for d in arena.dirty_pages() {
+        w.page_diff(d.page as u32, d.after, d.before, d.lines);
+    }
     let len = ((frame.len() - FRAME_PREFIX) as u32).to_le_bytes();
     let crc = crc32(&frame[FRAME_PREFIX..]);
     frame[..4].copy_from_slice(&len);
     frame[4..8].copy_from_slice(&crc32(&len).to_le_bytes());
     frame[8..FRAME_PREFIX].copy_from_slice(&crc.to_le_bytes());
-    frame
 }
 
 /// Recovery and every parser under it. A torn write or a fault campaign
@@ -819,6 +825,7 @@ mod decode {
                 base_seq: if torn_header { ckpt_seq } else { base_seq },
                 pending_sync: 0,
                 opts,
+                frame: Vec::new(),
             };
             if opts.journal_watermark {
                 store.write_watermark()?;

@@ -269,7 +269,8 @@ fn single_bit_flips_are_corrupt_or_a_legal_torn_tail_never_a_panic() {
 fn full_page_reference_payload(seq: u64, snapshot: &[u8], now: &[u8]) -> Vec<u8> {
     let mut header = vec![1u8]; // TAG_COMMIT
     header.extend_from_slice(&seq.to_le_bytes());
-    let mut w = DiffWriter::begin(&header, 0);
+    let mut out = Vec::new();
+    let mut w = DiffWriter::new(&mut out, &header);
     for (page, (cur, twin)) in now
         .chunks_exact(PAGE_SIZE)
         .zip(snapshot.chunks_exact(PAGE_SIZE))
@@ -277,7 +278,7 @@ fn full_page_reference_payload(seq: u64, snapshot: &[u8], now: &[u8]) -> Vec<u8>
     {
         w.page_diff(page as u32, cur, twin, u64::MAX);
     }
-    w.finish()
+    out
 }
 
 /// Stage → reopen, seeded: commits mix page-straddling writes, whole-page
@@ -552,10 +553,11 @@ fn commit_record_out_of_the_arena_bounds_is_fail_stop() {
         ),
         ("run-past-u32", 1, u32::MAX, "overruns its page"),
     ] {
-        let mut w = DiffWriter::begin(&[], 0);
+        let mut section = Vec::new();
+        let mut w = DiffWriter::new(&mut section, &[]);
         w.page(page);
         w.run(off, &[0xEE; 8]);
-        let detail = reopen_with_hand_built_frame(tag, &w.finish());
+        let detail = reopen_with_hand_built_frame(tag, &section);
         assert!(
             detail.contains(want),
             "{tag}: unexpected diagnostic: {detail}"

@@ -79,6 +79,10 @@ impl Syscalls for PlainSys<'_, '_> {
     fn shm_op(&mut self, op: ft_core::access::ShmOp) {
         self.ctx.shm_op(op);
     }
+
+    fn scratch(&mut self) -> &mut Vec<u8> {
+        self.ctx.scratch()
+    }
 }
 
 impl SysMem for PlainSys<'_, '_> {

@@ -25,7 +25,7 @@ use crate::script::{InputScript, SignalSchedule};
 use crate::syscalls::{AppStatus, Message, Payload, SysError, SysResult, Syscalls, WaitCond};
 use crate::wheel::TimerWheel;
 use ft_core::access::{ShmLog, ShmOp, ShmRecord};
-use ft_core::event::{MsgId, NdSource, ProcessId};
+use ft_core::event::{EventId, MsgId, NdSource, ProcessId};
 use ft_core::protocol::DepSet;
 use ft_core::trace::{Trace, TraceBuilder};
 use ft_mem::error::MemResult;
@@ -161,6 +161,8 @@ pub struct Simulator {
     /// the only nodes that can have newly panicked.
     touched_nodes: Vec<usize>,
     kernel_polls: u64,
+    /// What [`Syscalls::scratch`] lends every step.
+    scratch: Vec<u8>,
 }
 
 impl Simulator {
@@ -198,6 +200,7 @@ impl Simulator {
             nodes_killed: vec![false; n_nodes],
             touched_nodes: Vec::new(),
             kernel_polls: 0,
+            scratch: Vec::new(),
             cfg,
         };
         for p in 0..n {
@@ -664,22 +667,24 @@ impl<'a> SysCtx<'a> {
     /// scheduling delays. Control-message edges (prepare/ack) are recorded
     /// for the happens-before order — prepares before the commit events,
     /// acks after — and the coordinator is charged two network round trips.
-    /// Returns, per participant and in their order, the trace position just
-    /// past its commit event (see [`SysCtx::record_commit`]).
+    /// Fills `committed` with, per participant and in their order, its
+    /// commit event: the trace position just past it is where a rollback
+    /// to this round restores the participant to (see
+    /// [`SysCtx::record_commit`]).
     pub fn record_coordinated_commit(
         &mut self,
         participants: &[ProcessId],
         costs_ns: &[SimTime],
-    ) -> impl Iterator<Item = u64> {
+        committed: &mut Vec<EventId>,
+    ) {
         assert_eq!(participants.len(), costs_ns.len());
         let me = self.pid;
-        let remote: Vec<ProcessId> = participants.iter().copied().filter(|&q| q != me).collect();
         // Prepare edges.
-        for &q in &remote {
+        for &q in participants.iter().filter(|&&q| q != me) {
             let (_, m) = self.sim.tracer.send_control(me, q);
             self.sim.tracer.recv_control(q, me, m);
         }
-        let committed = self.sim.tracer.coordinated_commit(participants);
+        self.sim.tracer.coordinated_commit(participants, committed);
         for (&q, &c) in participants.iter().zip(costs_ns) {
             if q == me {
                 self.elapsed += c;
@@ -688,11 +693,11 @@ impl<'a> SysCtx<'a> {
             }
         }
         // Ack edges.
-        for &q in &remote {
+        for &q in participants.iter().filter(|&&q| q != me) {
             let (_, m) = self.sim.tracer.send_control(q, me);
             self.sim.tracer.recv_control(me, q, m);
         }
-        if !remote.is_empty() {
+        if participants.iter().any(|&q| q != me) {
             // Two network round trips (prepare+ack), paid by the
             // coordinator, overlapped across participants; plus the slowest
             // remote commit is on the critical path.
@@ -706,7 +711,6 @@ impl<'a> SysCtx<'a> {
                 .unwrap_or(0);
             self.elapsed += 2 * rtt + slowest_remote;
         }
-        committed.into_iter().map(|id| id.seq + 1)
     }
 
     /// Charges extra time (recovery-runtime overheads: COW traps, log
@@ -985,5 +989,9 @@ impl<'a> Syscalls for SysCtx<'a> {
             return;
         }
         self.sim.record_shm(self.pid, op);
+    }
+
+    fn scratch(&mut self) -> &mut Vec<u8> {
+        &mut self.sim.scratch
     }
 }

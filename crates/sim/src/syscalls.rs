@@ -326,6 +326,13 @@ pub trait Syscalls {
     fn shm_op(&mut self, op: ft_core::access::ShmOp) {
         let _ = op;
     }
+
+    /// A buffer the system lends for encoding a payload before a `send`
+    /// (the DSM's barrier diffs and lock releases), kept with its capacity
+    /// between uses so a warm encoder allocates nothing. Its contents are
+    /// stale on entry, and it is no process's state: no commit, rollback
+    /// or replay carries it.
+    fn scratch(&mut self) -> &mut Vec<u8>;
 }
 
 /// System interface plus access to the process's recoverable memory.

@@ -517,11 +517,14 @@ impl Pair {
                 }
             }
         }
-        let got = coordinated_participants(
+        // The buffer's old contents are replaced, not appended to.
+        let mut got = vec![ProcessId(u32::MAX)];
+        coordinated_participants(
             Protocol::Cbndv2pc,
             self.trackers.len(),
             |r| self.trackers[r as usize].deps(),
             p,
+            &mut got,
         );
         let got: Vec<u32> = got.into_iter().map(|q| q.0).collect();
         assert_eq!(got, model_participants(&self.model_deps, p));

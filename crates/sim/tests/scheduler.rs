@@ -343,10 +343,10 @@ fn coordinated_commit_recording_shapes_the_trace() {
     };
     let mut ctx = sim.ctx(pid);
     let round = [ProcessId(0), ProcessId(1)];
-    let committed: Vec<u64> = ctx
-        .record_coordinated_commit(&round, &[1000, 2000])
-        .collect();
-    assert_eq!(committed, [2, 2], "just past prepare edge and commit event");
+    let mut committed = Vec::new();
+    ctx.record_coordinated_commit(&round, &[1000, 2000], &mut committed);
+    let past: Vec<u64> = committed.iter().map(|id| id.seq + 1).collect();
+    assert_eq!(past, [2, 2], "just past prepare edge and commit event");
     let el = ctx.elapsed();
     assert!(el >= 2000, "coordinator pays rtt + slowest remote");
     sim.finish_step(pid, Ok(ft_sim::AppStatus::Done), el);

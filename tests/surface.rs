@@ -40,11 +40,11 @@ const CEILINGS: &[(&str, usize, usize)] = &[
     ("check", 404, 24),
     ("core", 2235, 152),
     ("crashtest", 939, 33),
-    ("dc", 1139, 44),
-    ("dsm", 795, 24),
+    ("dc", 1138, 44),
+    ("dsm", 794, 24),
     ("faults", 7, 0),
-    ("mem", 2031, 148),
-    ("sim", 2354, 163),
+    ("mem", 2007, 144),
+    ("sim", 2362, 163),
     ("src", 20, 0),
 ];
 
